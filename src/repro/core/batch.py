@@ -36,12 +36,17 @@ for the same copies — pinned by ``tests/validation/
 test_batch_equivalence.py`` and the mutation suite.  Flush boundaries
 are the top of every control-plane extraction tick, the end of every
 ``Simulator.run``/``run_until`` drain (engine flush hooks), a direct
-``process_packet`` injection, and a buffer cap.
+``process_packet`` injection, a telemetry snapshot, and the buffer cap
+(:attr:`BatchKernel.BUFFER_CAP`).
 
-``RegisterArray.ops`` tallies are *not* maintained by the fused replay
-(their consumers — telemetry and the profiler — force the scalar path);
-stage counters (``rtt_matches``, ``slot_collisions``, ...) and sketch
-update counts are exact.
+Every tally the scalar path keeps is exact here too: stage counters
+(``rtt_matches``, ``slot_collisions``, ...), sketch update counts, and
+``RegisterArray.ops`` — the replay counts the branches it takes and each
+flush converts them to per-register op counts once, never per op.  The
+flush ends by handing the pipeline one batch record
+(:meth:`P4Pipeline.account_batch`: copies, accepted, rejected, wall
+``t0..t1``), which is all telemetry needs, so enabling it keeps the
+kernel engaged.
 
 ``debug_mutator`` is a test hook: the mutation suite corrupts one lane
 of the precomputed columns (a flow-hash collision, a stash timestamp
@@ -51,6 +56,9 @@ checker catches the divergence.
 
 from __future__ import annotations
 
+import struct
+import time
+import zlib
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,6 +120,12 @@ def _mix32_array(h: np.ndarray) -> np.ndarray:
 
 class BatchKernel:
     """Columnar replay engine bound to one :class:`P4Monitor`."""
+
+    #: Copies buffered before an append forces a flush (the monitor's
+    #: batched sink and the TAP's fast mirror path both test it).  Sized
+    #: for memory: the transient columns scale with it, and flushes twice
+    #: as large were not measurably faster.
+    BUFFER_CAP = 4096
 
     def __init__(self, monitor) -> None:
         self.monitor = monitor
@@ -179,6 +193,19 @@ class BatchKernel:
         self.c_mb_peak = mb.peak._cells
         self.c_mb_pkts = mb.pkt_count._cells
 
+        # Registers in the order flush() lays out its per-flush op counts.
+        self._op_regs = (
+            ft.flow_key, ft.flow_src, ft.flow_dst, ft.flow_sport,
+            ft.flow_dport, ft.flow_start, ft.flow_fin, ft.flow_bytes,
+            ft.flow_pkts, ft.flow_last,
+            rtt.prev_seq, rtt.pkt_loss, rtt.eack_ts, rtt.eack_sig, rtt.rtt,
+            rtt.rtt_count,
+            flight.high_seq, flight.high_ack, flight.flow_rwnd,
+            queue.stash_ts, queue.stash_sig, queue.flow_qdelay,
+            queue.flow_qdelay_max, queue.flow_ce,
+            mb.state, mb.start, mb.peak, mb.pkt_count,
+        )
+
         self.cms = ft.cms
         self.cms_rows_arr = ft.cms._rows
         self.cms_width = ft.cms.width
@@ -192,16 +219,17 @@ class BatchKernel:
         self.time_windows = queue.time_windows
 
         # flow 4-tuple -> (fid, rid, slot, cms row indices).  Protocol is
-        # constant (the parser rejected everything but TCP).
+        # constant (the parser rejected everything but TCP).  Entries are
+        # pure functions of the key, so the memo is simply dropped once
+        # flow churn has grown it past a few register files' worth.
         self._flow_memo: dict = {}
+        self._flow_memo_cap = 4 * config.flow_slots
 
     # -- per-flow derived values ------------------------------------------------
 
     def _flow_entry(self, src_ip, dst_ip, src_port, dst_port):
         """Memoised (flow_id, rev_flow_id, slot, cms_rows) — identical to
         FlowIdEngine.ids + the three HashEngine row indices."""
-        import struct
-        import zlib
         fwd = struct.pack("!IIHHB", src_ip, dst_ip, src_port, dst_port, PROTO_TCP)
         rev = struct.pack("!IIHHB", dst_ip, src_ip, dst_port, src_port, PROTO_TCP)
         fid = zlib.crc32(fwd) & _M32
@@ -227,11 +255,13 @@ class BatchKernel:
         n = len(buf)
         if n == 0:
             return
+        t0_ns = time.perf_counter_ns()
 
         # ---- phase 1: columnar precompute -------------------------------------
         parser = self.parser
-        pipeline = self.pipeline
         memo = self._flow_memo
+        if len(memo) > self._flow_memo_cap:
+            memo.clear()
         memo_get = memo.get
 
         # A mirrored packet shows up as (at least) one ingress and one
@@ -285,19 +315,22 @@ class BatchKernel:
             append((True, port, ts, epid, ecn, fid, rid, slot, rows, seq,
                     ack, flags, plen, tlen, window, src, dst, sport,
                     dport, ipid, eack))
+        # The rows hold everything from here on: release the buffered
+        # copies (and with them the packets only the buffer kept alive)
+        # and the extraction memo before the columns are built, and the
+        # rows once they are.
+        buf.clear()
+        del pmemo, pmemo_get
         (a_valid, a_port, a_ts, a_epid, a_ecn, a_fid, a_rid, a_slot,
          a_rows, a_seq, a_ack, a_flags, a_plen, a_tlen, a_window, a_src,
          a_dst, a_sport, a_dport, a_ipid, a_eack) = map(list, zip(*out))
-        del out
+        del out, append  # the bound method would keep the rows alive
         # CMS increment amount; the mutation suite zeroes lanes here to
         # model a broken sketch-update kernel.
         a_cms_add = list(a_plen)
         accepted = n - rejected
         parser.accepted += accepted
         parser.rejected += rejected
-        pipeline.packets_in += n
-        pipeline.packets_dropped += rejected
-        buf.clear()
 
         # Vectorised signature hashes (one CRC32 sweep per matrix):
         #   data path : crc32(!II rev_flow_id, eACK)
@@ -406,39 +439,28 @@ class BatchKernel:
         # reverse slots, monitored ports and CMS rows are tiny sets; the
         # two stash tables are preloaded at the (vectorised) signature
         # cells this batch can address.
-        # The flow memo holds every distinct flow the kernel has ever
-        # extracted, which is a superset of the slots/rows this batch
-        # touches (mutation hooks shuffle lanes *between* rows, so they
-        # stay inside this domain too) — far cheaper than re-scanning
-        # the columns per flush.
-        slots = set()
-        rslots = set()
-        rows_set = set()
-        for fid_m, rid_m, slot_m, rows_m in memo.values():
-            slots.add(slot_m)
-            rslots.add(rid_m & FMASK)
-            slots.add(rid_m & FMASK)
-            rslots.add(slot_m)
-            rows_set.add(rows_m)
-        if slots:
-            sl = list(slots)
-            ix = np.fromiter(sl, dtype=np.intp, count=len(sl))
-            for ov, cells in (
-                (ov_flow_key, c_flow_key), (ov_flow_bytes, c_flow_bytes),
-                (ov_flow_pkts, c_flow_pkts), (ov_flow_start, c_flow_start),
-                (ov_flow_fin, c_flow_fin), (ov_prev_seq, c_prev_seq),
-                (ov_pkt_loss, c_pkt_loss), (ov_rtt_count, c_rtt_count),
-                (ov_high_seq, c_high_seq),
-                (ov_flow_qdelay_max, c_flow_qdelay_max),
-                (ov_flow_ce, c_flow_ce),
-            ):
-                ov.update(zip(sl, cells[ix].tolist()))
-            rl_list = list(rslots)
-            ix = np.fromiter(rl_list, dtype=np.intp, count=len(rl_list))
-            ov_high_ack.update(zip(rl_list, c_high_ack[ix].tolist()))
-            for rows_t in rows_set:
-                for r, col in enumerate(rows_t):
-                    ov_cms[(r, col)] = int(cms_rows_arr[r, col])
+        # The sets come from this batch's own columns, read after the
+        # mutation hook (which only shuffles lanes *between* rows), so a
+        # flush costs what its copies touch, not what the kernel has
+        # ever seen.
+        sl = list(set(a_slot))
+        ix = np.fromiter(sl, dtype=np.intp, count=len(sl))
+        for ov, cells in (
+            (ov_flow_key, c_flow_key), (ov_flow_bytes, c_flow_bytes),
+            (ov_flow_pkts, c_flow_pkts), (ov_flow_start, c_flow_start),
+            (ov_flow_fin, c_flow_fin), (ov_prev_seq, c_prev_seq),
+            (ov_pkt_loss, c_pkt_loss), (ov_rtt_count, c_rtt_count),
+            (ov_high_seq, c_high_seq),
+            (ov_flow_qdelay_max, c_flow_qdelay_max),
+            (ov_flow_ce, c_flow_ce),
+        ):
+            ov.update(zip(sl, cells[ix].tolist()))
+        rl_list = list({rid_b & FMASK for rid_b in set(a_rid)})
+        ix = np.fromiter(rl_list, dtype=np.intp, count=len(rl_list))
+        ov_high_ack.update(zip(rl_list, c_high_ack[ix].tolist()))
+        for rows_t in set(a_rows):  # () on parser-rejected rows
+            for r, col in enumerate(rows_t):
+                ov_cms[(r, col)] = int(cms_rows_arr[r, col])
         pl = list(range(ports))
         for ov, cells in ((ov_mb_state, c_mb_state), (ov_mb_start, c_mb_start),
                           (ov_mb_peak, c_mb_peak), (ov_mb_pkts, c_mb_pkts)):
@@ -475,6 +497,19 @@ class BatchKernel:
         pairs_missed = 0
         q_evictions = 0
         bursts = 0
+        # Branch tallies kept only for the per-register op counts derived
+        # after the loop (the scalar stages' short-circuited reads).
+        claims = 0
+        tracked = 0
+        fin_checks = 0
+        terminations = 0
+        data_pkts = 0
+        regressions = 0
+        ack_sig_mismatch = 0
+        q_sig_mismatch = 0
+        ce_marks = 0
+        mb_starts = 0
+        mb_in_burst = 0
         long_flow_emit = self.long_flow_digest.emit
         termination_emit = self.termination_digest.emit
         mb_emit = self.mb_digest.emit
@@ -528,6 +563,7 @@ class BatchKernel:
                             ov_flow_start[slot] = ts & TSM
                             ov_flow_fin[slot] = 0
                             fslot = slot
+                            claims += 1
                             long_flow_emit(
                                 flow_id=fid,
                                 rev_flow_id=a_rid[i],
@@ -542,11 +578,14 @@ class BatchKernel:
                     slot_collisions += 1
 
                 if fslot >= 0:
+                    tracked += 1
                     ov_flow_bytes[slot] = (ov_flow_bytes[slot] + a_tlen[i]) & M64
                     ov_flow_pkts[slot] = (ov_flow_pkts[slot] + 1) & M64
                     ov_flow_last[slot] = ts & TSM
                     if flags & 0x05:  # FIN | RST
+                        fin_checks += 1
                         if not ov_flow_fin[slot]:
+                            terminations += 1
                             ov_flow_fin[slot] = 1
                             start = ov_flow_start[slot]
                             # _on_termination reads pkt_loss[slot]
@@ -565,13 +604,17 @@ class BatchKernel:
                                 total_packets=ov_flow_pkts[slot],
                             )
 
-                # ---- RTT / loss (Algorithm 1) ----
+                # ---- RTT / loss (Algorithm 1) + flight size ----
+                # The two stages branch on the same packet type and touch
+                # disjoint registers, so each type is handled once.
                 now48 = ts & TSM
                 if plen > 0:
+                    data_pkts += 1
                     idx = slot  # fid & FMASK == slot
                     prev = ov_prev_seq[idx]
                     seq = a_seq[i]
                     if prev != 0 and ((seq - prev) & _M32) >= 0x80000000:
+                        regressions += 1
                         ov_pkt_loss[idx] = (ov_pkt_loss[idx] + 1) & _M32
                     else:
                         ov_prev_seq[idx] = seq
@@ -581,6 +624,9 @@ class BatchKernel:
                             rtt_evictions += 1
                         ov_eack_ts[cell] = now48 if now48 != 0 else 1
                         ov_eack_sig[cell] = sig
+                    nv = (seq + plen) & _M32
+                    if nv > ov_high_seq[idx]:
+                        ov_high_seq[idx] = nv
                 elif flags & 0x10 and not flags & 0x02:  # ACK, not SYN
                     sig = a_sig_ack[i]
                     cell = sig % eack_size
@@ -600,14 +646,8 @@ class BatchKernel:
                             rtt_matches += 1
                     else:
                         rtt_misses += 1
-
-                # ---- flight size ----
-                if plen > 0:
-                    idx = slot
-                    nv = (a_seq[i] + plen) & _M32
-                    if nv > ov_high_seq[idx]:
-                        ov_high_seq[idx] = nv
-                elif flags & 0x10 and not flags & 0x02:
+                        if stored != 0:
+                            ack_sig_mismatch += 1
                     idx = a_rid[i] & FMASK
                     nv = a_ack[i]
                     if nv > ov_high_ack[idx]:
@@ -629,6 +669,8 @@ class BatchKernel:
                 stored = ov_q_stash_ts[cell]
                 if stored == 0 or ov_q_stash_sig[cell] != sig:
                     pairs_missed += 1
+                    if stored != 0:
+                        q_sig_mismatch += 1
                     continue
                 now48 = ts & TSM
                 delay = (now48 - stored) & TSM
@@ -646,16 +688,19 @@ class BatchKernel:
                 if delay > ov_flow_qdelay_max[idx]:
                     ov_flow_qdelay_max[idx] = delay
                 if a_ecn[i] == 3:  # CE
+                    ce_marks += 1
                     ov_flow_ce[idx] = (ov_flow_ce[idx] + 1) & _M32
 
                 # Microburst hysteresis (per monitored egress queue).
                 if not ov_mb_state[port_q]:
                     if delay >= mb_on:
+                        mb_starts += 1
                         ov_mb_state[port_q] = 1
                         ov_mb_start[port_q] = max(0, ts - delay) & TSM
                         ov_mb_peak[port_q] = delay & TSM
                         ov_mb_pkts[port_q] = 1
                     continue
+                mb_in_burst += 1
                 if (delay & TSM) > ov_mb_peak[port_q]:
                     ov_mb_peak[port_q] = delay & TSM
                 ov_mb_pkts[port_q] = (ov_mb_pkts[port_q] + 1) & _M32
@@ -738,3 +783,39 @@ class BatchKernel:
         qs.pairs_missed += pairs_missed
         qs.stash_evictions += q_evictions
         mb.bursts_detected += bursts
+
+        # RegisterArray.ops, exactly as the scalar stages would have
+        # tallied them: one term per read/write/add/maximum call site,
+        # times the number of copies that reached it (``_op_regs`` order).
+        egress = pairs_matched + pairs_missed
+        ingress = accepted - egress
+        stashed = data_pkts - regressions       # Seq branch, no regression
+        acks = rtt_matches + rtt_stale + rtt_misses
+        consumed = rtt_matches + rtt_stale      # eACK cell hit and cleared
+        for reg, ops in zip(self._op_regs, (
+            ingress + claims,                               # flow_key
+            claims, claims, claims, claims,                 # src/dst/sport/dport
+            claims + terminations,                          # flow_start
+            claims + fin_checks + terminations,             # flow_fin
+            tracked + terminations,                         # flow_bytes
+            tracked + terminations,                         # flow_pkts
+            tracked,                                        # flow_last
+            data_pkts + stashed,                            # prev_seq
+            regressions,                                    # pkt_loss
+            2 * stashed + acks + consumed,                  # eack_ts
+            stashed + 2 * consumed + ack_sig_mismatch,      # eack_sig
+            rtt_matches, rtt_matches,                       # rtt, rtt_count
+            data_pkts, acks, acks,                          # high_seq/ack, rwnd
+            2 * ingress + egress + pairs_matched,           # q_stash_ts
+            ingress + 2 * pairs_matched + q_sig_mismatch,   # q_stash_sig
+            pairs_matched, pairs_matched,                   # qdelay, qdelay_max
+            ce_marks,                                       # flow_ce
+            pairs_matched + mb_starts + bursts,             # mb_state
+            mb_starts + bursts,                             # mb_start
+            mb_starts + mb_in_burst + bursts,               # mb_peak
+            mb_starts + mb_in_burst + bursts,               # mb_pkts
+        )):
+            reg.ops += ops
+
+        self.pipeline.account_batch(n, accepted, rejected, t0_ns,
+                                    time.perf_counter_ns())

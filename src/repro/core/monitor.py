@@ -14,6 +14,7 @@ the P4 source would.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Union
 
 from repro import telemetry
@@ -70,14 +71,15 @@ class P4Monitor:
 
         # Batched hot path (construction-time twin binding, like every
         # instrumentation subsystem): engaged only when no per-packet
-        # hook demands scalar dispatch.  ``batch_buffer`` doubles as the
-        # engagement signal the TAP's fast mirror path keys on.
+        # hook demands scalar dispatch.  Telemetry is not one: it reads
+        # tallies the kernel keeps exact and observes each flush as one
+        # batch record.  ``batch_buffer`` doubles as the engagement
+        # signal the TAP's fast mirror path keys on.
         self.kernel = None
         self.batch_buffer = None
         if (sim is not None
                 and self.config.batched_path
                 and self.rate_meter is None
-                and not telemetry.enabled()
                 and _prof is None
                 and provenance.tracer() is None
                 and faults.injector() is None):
@@ -107,7 +109,11 @@ class P4Monitor:
     def _register_telemetry(self) -> None:
         """Pull-style collection: hot paths keep their plain-int tallies
         (TAP copies, register/sketch ops, digest emissions); a snapshot
-        copies them into gauges."""
+        copies them into gauges — after draining the batch buffer, so it
+        is never stale by the copies still waiting there.  A scrape from
+        another thread (the ``/metrics`` server) must not run the kernel
+        under the simulator's feet: it reads the tallies as of the last
+        flush boundary."""
         reg = telemetry.registry()
         copies = reg.gauge("repro_p4_tap_copies",
                            "TAP mirror copies received by the monitor",
@@ -122,7 +128,11 @@ class P4Monitor:
                             "digest messages emitted/dropped by the data plane",
                             labels=("digest", "outcome"))
 
+        owner_thread = threading.get_ident()
+
         def collect(_reg, mon=self) -> None:
+            if threading.get_ident() == owner_thread:
+                mon.flush()
             copies.labels("ingress").set(mon.copies_ingress)
             copies.labels("egress").set(mon.copies_egress)
             for name, array in mon.program.registers.items():
@@ -167,7 +177,7 @@ class P4Monitor:
             self.copies_egress += 1
             self.batch_buffer.append((pkt, PORT_EGRESS_TAP, copy.timestamp_ns,
                                       copy.egress_port_id, pkt.ecn))
-        if len(self.batch_buffer) >= 8192:
+        if len(self.batch_buffer) >= self.kernel.BUFFER_CAP:
             self.kernel.flush()
 
     def flush(self) -> None:

@@ -119,6 +119,7 @@ class OpticalTap:
         owner = getattr(sink, "__self__", None)
         self._fast_buf = None
         self._fast_owner = None
+        self._fast_cap = 0
         if (copy_loss_rate == 0.0 and fiber_delay_ns == 0
                 and self._trace is None and self._prof is None
                 and owner is not None):
@@ -126,6 +127,7 @@ class OpticalTap:
             if buf is not None:
                 self._fast_buf = buf
                 self._fast_owner = owner
+                self._fast_cap = owner.kernel.BUFFER_CAP
 
         if self._fast_buf is not None:
             switch.ingress_mirrors.append(self._mirror_ingress_fast)
@@ -183,7 +185,7 @@ class OpticalTap:
         mon = self._fast_owner
         mon.copies_ingress += 1
         self._fast_buf.append((pkt, 0, ts_ns, 0, pkt.ecn))
-        if len(self._fast_buf) >= 8192:
+        if len(self._fast_buf) >= self._fast_cap:
             mon.kernel.flush()
 
     def _mirror_egress_fast(self, pkt: Packet, ts_ns: int, port_id: int) -> None:
@@ -191,7 +193,7 @@ class OpticalTap:
         mon = self._fast_owner
         mon.copies_egress += 1
         self._fast_buf.append((pkt, 1, ts_ns, port_id, pkt.ecn))
-        if len(self._fast_buf) >= 8192:
+        if len(self._fast_buf) >= self._fast_cap:
             mon.kernel.flush()
 
     def _ship(self, copy: MirrorCopy) -> None:

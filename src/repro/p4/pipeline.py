@@ -187,6 +187,28 @@ class P4Pipeline:
         self._tel_latency.observe(time.perf_counter_ns() - t0)
         return hdr
 
+    def account_batch(self, copies: int, accepted: int, rejected: int,
+                      t0_ns: int, t1_ns: int) -> None:
+        """One batched-kernel flush's worth of :meth:`process`
+        bookkeeping: ``copies`` went through the parser, which rejected
+        ``rejected`` of them; the ``accepted`` rest ran every stage (no
+        stage drops); the whole flush took wall ``t0_ns..t1_ns``.
+
+        Feeds the cells :meth:`_process_instrumented` feeds per packet.
+        ``repro_p4_packet_ns`` gets the flush's per-copy mean once per
+        copy, so its count still equals copies processed.
+        """
+        self.packets_in += copies
+        self.packets_dropped += rejected
+        if self._tel_stage_pkts is None:
+            return
+        self._tel_parser.inc(copies)
+        if rejected:
+            self._tel_stage_drops.labels(self.name, "parser").inc(rejected)
+        for cell in self._tel_stage_cells:
+            cell.inc(accepted)
+        self._tel_latency.observe_n((t1_ns - t0_ns) / copies, copies)
+
     def _process_profiled(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
         """Profiling twin of :meth:`process`: ``block`` detail charges
         one ``p4.process`` cell per packet (the ≤10 % always-on budget),

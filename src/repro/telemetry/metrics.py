@@ -135,6 +135,19 @@ class Histogram:
         if value > self.max:
             self.max = value
 
+    def observe_n(self, value: float, n: int) -> None:
+        """``n`` observations of ``value`` in one call (a per-batch
+        observer attributing a batch mean to each of its items)."""
+        if n <= 0:
+            return
+        self.counts[bisect_left(self.bounds, value)] += n
+        self.count += n
+        self.sum += value * n
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

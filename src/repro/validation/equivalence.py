@@ -11,8 +11,14 @@ True/False), runs both, and compares
   :meth:`~repro.p4.runtime.P4Program.state_snapshot`,
 - every archived report stream the control plane keeps (flow samples per
   metric class, aggregates, microbursts, terminations, limiter reports,
-  histogram reports, alerts), and
-- the differential-oracle verdicts of both runs (overall and per check).
+  histogram reports, alerts),
+- the differential-oracle verdicts of both runs (overall and per check),
+- the op tallies observers read: ``RegisterArray.ops`` per register,
+  sketch ``updates``/``queries``, digest ``emitted``/``dropped``, and
+- when telemetry is enabled, what each run added to
+  ``repro_p4_stage_packets_total``, ``repro_p4_stage_drops_total`` and
+  the ``count`` of ``repro_p4_packet_ns`` (the kernel's per-batch record
+  against the scalar twin's per-packet increments).
 
 Used by ``tests/validation/test_batch_equivalence.py`` and by
 ``repro-experiments validate --compare-paths``.
@@ -21,11 +27,17 @@ Used by ``tests/validation/test_batch_equivalence.py`` and by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.validation.scenarios import ScenarioSpec, ValidationRun
+
+#: The pipeline's push-style telemetry families (counter value, or
+#: histogram count, per label set).
+_TEL_FAMILIES = ("repro_p4_stage_packets_total", "repro_p4_stage_drops_total",
+                 "repro_p4_packet_ns")
 
 #: Control-plane archive attributes compared record-by-record (the
 #: per-metric ``flow_samples`` dict is expanded separately).
@@ -79,6 +91,44 @@ def _compare_stream(cmp: PathComparison, name: str,
             return
 
 
+def _op_tallies(run: ValidationRun) -> Dict[str, int]:
+    """The plain-int tallies telemetry and the profiler pull."""
+    prog = run.scenario.monitor.program
+    out = {f"register_ops[{name}]": reg.ops
+           for name, reg in prog.registers.items()}
+    for name, cms in prog.sketches.items():
+        out[f"sketch[{name}].updates"] = cms.updates
+        out[f"sketch[{name}].queries"] = cms.queries
+    for name, digest in prog.digests.items():
+        out[f"digest[{name}].emitted"] = digest.emitted
+        out[f"digest[{name}].dropped"] = digest.dropped
+    return out
+
+
+def _pipeline_telemetry() -> Dict[tuple, float]:
+    """(family, label values) -> total for the pipeline's push-style
+    cells.  Both runs feed one process-global registry under the same
+    labels, so callers take a run's contribution as a difference."""
+    out: Dict[tuple, float] = {}
+    for name in _TEL_FAMILIES:
+        fam = telemetry.registry().get(name)
+        if fam is None:
+            continue
+        for labels, child in fam.series():
+            out[(name, labels)] = (child.count if fam.kind == "histogram"
+                                   else child.value)
+    return out
+
+
+def _compare_counts(cmp: PathComparison, batched: dict, scalar: dict) -> None:
+    for key in sorted(set(batched) | set(scalar), key=str):
+        cmp.checks += 1
+        if batched.get(key, 0) != scalar.get(key, 0):
+            cmp.mismatches.append(
+                f"{key}: {batched.get(key, 0)} batched vs "
+                f"{scalar.get(key, 0)} scalar")
+
+
 def compare_paths(spec: ScenarioSpec,
                   run_hooks: Optional[Tuple] = None) -> PathComparison:
     """Run ``spec`` through both hot paths and differential-compare them.
@@ -91,17 +141,23 @@ def compare_paths(spec: ScenarioSpec,
     b_hook, s_hook = run_hooks if run_hooks is not None else (None, None)
     runs = {}
     reports = {}
+    tallies = {}
+    tel = {}
     for batched, hook in ((True, b_hook), (False, s_hook)):
+        tel_before = _pipeline_telemetry()
         run = spec.clone(batched_path=batched).build()
         if batched and run.scenario.monitor.kernel is None:
             raise RuntimeError(
                 "batched path did not engage — a per-packet hook "
-                "(trace/profile/fault/telemetry) is active in this process")
+                "(trace/profile/fault) is active in this process")
         if hook is not None:
             hook(run)
         run.run()
         reports[batched] = run.check()
         runs[batched] = run
+        tallies[batched] = _op_tallies(run)
+        tel[batched] = {key: total - tel_before.get(key, 0)
+                        for key, total in _pipeline_telemetry().items()}
     cmp = PathComparison(seed=spec.seed,
                          batched_run=runs[True], scalar_run=runs[False],
                          batched_report=reports[True],
@@ -146,6 +202,10 @@ def compare_paths(spec: ScenarioSpec,
     for name in _STREAMS:
         _compare_stream(cmp, name, getattr(b_cp, name), getattr(s_cp, name))
     _compare_stream(cmp, "alerts", b_cp.alerts.history, s_cp.alerts.history)
+
+    # Observer-facing tallies (and, under telemetry, the pipeline cells).
+    _compare_counts(cmp, tallies[True], tallies[False])
+    _compare_counts(cmp, tel[True], tel[False])
 
     # Oracle verdicts: both reports must agree check-for-check.
     cmp.checks += 1

@@ -14,7 +14,12 @@ import zlib
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import crc32_rows
+from repro.core.batch import BatchKernel, crc32_rows
+from repro.core.config import MonitorConfig
+from repro.core.monitor import P4Monitor
+from repro.netsim.engine import Simulator
+from repro.netsim.packet import FiveTuple, make_ack_packet, make_data_packet
+from repro.netsim.tap import MirrorCopy, TapDirection
 
 
 def _parity(mat: np.ndarray) -> None:
@@ -46,3 +51,70 @@ def test_crc32_rows_edge_rows():
 def test_crc32_rows_matches_zlib_property(rows):
     mat = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), 8)
     _parity(mat)
+
+
+# -- flow churn: the memo is bounded and a flush preloads only its own batch --
+
+
+def _churn_copies(flows: int, per_flow: int = 3):
+    """Per flow: data segments crossing the switch (ingress + egress
+    copy) and the receiver's ACK, interleaved across flows."""
+    copies = []
+    t = 1_000
+    for f in range(flows):
+        ft = FiveTuple(0x0A000001 + f, 0x0A010001, 40000 + (f % 20000), 5201)
+        seq = 1
+        for k in range(per_flow):
+            pkt = make_data_packet(ft, seq=seq, payload_len=600, ip_id=k + 1)
+            copies.append(MirrorCopy(pkt, TapDirection.INGRESS, t))
+            copies.append(MirrorCopy(pkt, TapDirection.EGRESS, t + 2_000, 0))
+            seq += 600
+            ack = make_ack_packet(ft.reversed(), ack=seq)
+            copies.append(MirrorCopy(ack, TapDirection.INGRESS, t + 50_000))
+            t += 100_000
+    return copies
+
+
+def _churn_monitor(batched: bool) -> P4Monitor:
+    config = MonitorConfig(flow_slots=16, eack_table_size=256,
+                           queue_stash_size=256, cms_width=64,
+                           long_flow_bytes=1000, batched_path=batched)
+    return P4Monitor(config, sim=Simulator())
+
+
+def test_flow_memo_is_bounded_and_churn_stays_equivalent():
+    """300 short flows through 16 slots: the memo is dropped whenever it
+    outgrows 4x the register file, and state, stage counters and every
+    register's op tally still equal the scalar twin's."""
+    batched, scalar = _churn_monitor(True), _churn_monitor(False)
+    kernel = batched.kernel
+    assert kernel is not None and scalar.kernel is None
+    cap = 4 * batched.config.flow_slots
+    copies = _churn_copies(300)
+    per_flush = 90  # 10 flows (20 memo keys) per flush
+    for i in range(0, len(copies), per_flush):
+        for copy in copies[i:i + per_flush]:
+            batched.receive_copy(copy)
+            scalar.receive_copy(copy)
+        batched.flush()
+        assert len(kernel._flow_memo) <= cap + 20
+    assert batched.program.state_digest() == scalar.program.state_digest()
+    assert batched.flow_table.slot_collisions == scalar.flow_table.slot_collisions > 0
+    assert ({n: r.ops for n, r in batched.program.registers.items()}
+            == {n: r.ops for n, r in scalar.program.registers.items()})
+    assert batched.pipeline.packets_in == scalar.pipeline.packets_in == len(copies)
+
+
+def test_buffer_cap_is_the_kernels_constant():
+    """One constant, owned by the kernel, bounds the buffer on the
+    monitor's batched sink (the TAP's fast mirror path reads the same
+    one at bind time)."""
+    monitor = _churn_monitor(True)
+    cap = BatchKernel.BUFFER_CAP
+    pkt = make_data_packet(FiveTuple(1, 2, 3, 4), seq=1, payload_len=100)
+    for i in range(cap - 1):
+        monitor.receive_copy(MirrorCopy(pkt, TapDirection.INGRESS, i + 1))
+    assert len(monitor.batch_buffer) == cap - 1
+    monitor.receive_copy(MirrorCopy(pkt, TapDirection.INGRESS, cap))
+    assert len(monitor.batch_buffer) == 0
+    assert monitor.pipeline.packets_in == cap

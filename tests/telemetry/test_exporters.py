@@ -64,6 +64,30 @@ def test_json_then_prometheus_matches_direct_prometheus():
     assert to_prometheus_text(from_json(to_json(snap))) == to_prometheus_text(snap)
 
 
+def test_weighted_observations_export_like_repeated_ones():
+    """``observe_n`` is invisible downstream: both exporters render what
+    ``n`` single observations would have rendered, and it survives the
+    JSON round trip."""
+    def registry(weighted: bool) -> MetricsRegistry:
+        reg = MetricsRegistry()
+        hist = reg.histogram("repro_p4_packet_ns", "per packet",
+                             labels=("pipeline",)).labels("monitor")
+        for value, n in ((6144, 4096), (5120, 1182), (300, 7)):
+            if weighted:
+                hist.observe_n(value, n)
+            else:
+                for _ in range(n):
+                    hist.observe(value)
+        return reg
+
+    weighted, looped = registry(True).snapshot(), registry(False).snapshot()
+    assert to_json(weighted) == to_json(looped)
+    assert to_prometheus_text(weighted) == to_prometheus_text(looped)
+    assert from_json(to_json(weighted)) == weighted
+    assert "repro_p4_packet_ns_count{pipeline=\"monitor\"} 5285" in \
+        to_prometheus_text(weighted)
+
+
 def test_render_table():
     table = render_table(sample_registry().snapshot())
     assert "repro_events_total" in table

@@ -24,6 +24,10 @@ def instrumented_snapshot():
         scenario.add_flow(0, duration_s=3.0)
         scenario.add_flow(1, start_s=1.0, duration_s=3.0)
         scenario.run(4.5)
+        assert scenario.monitor.kernel is not None, (
+            "telemetry pushed the monitor off the batched kernel")
+        assert scenario.topology.tap._fast_buf is scenario.monitor.batch_buffer, (
+            "telemetry disengaged the TAP's fast mirror path")
         yield telemetry.snapshot()
     finally:
         telemetry.disable()
@@ -125,3 +129,34 @@ def test_cli_telemetry_out_writes_prom_file(tmp_path, capsys):
     capsys.readouterr()
     text = out_file.read_text()
     assert "# TYPE repro_netsim_events_total counter" in text
+
+
+def test_snapshot_drains_the_batch_buffer_first():
+    """A snapshot taken while copies still wait in the kernel's buffer
+    flushes them before reading tallies, so TAP copies received and
+    packets through the parser agree."""
+    from repro.core.monitor import P4Monitor
+    from repro.netsim.engine import Simulator
+    from repro.netsim.packet import FiveTuple, make_data_packet
+    from repro.netsim.tap import MirrorCopy, TapDirection
+
+    telemetry.enable()
+    monitor = P4Monitor(sim=Simulator())
+    assert monitor.kernel is not None
+    ft = FiveTuple(0x0A00000A, 0x0A01000A, 40000, 5201)
+    for i in range(10):
+        pkt = make_data_packet(ft, seq=1 + 1000 * i, payload_len=1000, ip_id=i)
+        monitor.receive_copy(MirrorCopy(pkt, TapDirection.INGRESS, 1_000 * (i + 1)))
+        monitor.receive_copy(MirrorCopy(pkt, TapDirection.EGRESS, 1_000 * (i + 1) + 500))
+    assert len(monitor.batch_buffer) == 20
+
+    by_name = _by_name(telemetry.snapshot())
+    assert not monitor.batch_buffer
+    copies = sum(s["value"] for s in by_name["repro_p4_tap_copies"]["series"])
+    stages = {s["labels"]["stage"]: s["value"]
+              for s in by_name["repro_p4_stage_packets_total"]["series"]}
+    assert copies == stages["parser"] == stages["microburst"] == 20
+    assert by_name["repro_p4_packet_ns"]["series"][0]["count"] == 20
+    reg_ops = {s["labels"]["register"]: s["value"]
+               for s in by_name["repro_p4_register_ops"]["series"]}
+    assert reg_ops["q_stash_ts"] == 10 * 2 + 10 * 2  # ingress r+w, egress r+w

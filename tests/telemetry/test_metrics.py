@@ -66,6 +66,23 @@ class TestHistogram:
         assert h.quantile(0.5) in (1.0, 2.0)
         assert h.quantile(1.0) == 16.0 or h.quantile(1.0) == h.max
 
+    def test_observe_n_equals_n_observes(self):
+        weighted = Histogram(buckets=(1, 10, 100))
+        looped = Histogram(buckets=(1, 10, 100))
+        for value, n in ((0.5, 3), (10, 1), (64.25, 40), (1000, 2)):
+            weighted.observe_n(value, n)
+            for _ in range(n):
+                looped.observe(value)
+        assert weighted.dump() == looped.dump()
+        assert weighted.counts == [3, 1, 40, 2] and weighted.count == 46
+        assert weighted.quantile(0.5) == looped.quantile(0.5)
+
+    def test_observe_n_of_nothing_is_a_no_op(self):
+        h = Histogram(buckets=(1, 10))
+        h.observe_n(5, 0)
+        assert h.dump() == Histogram(buckets=(1, 10)).dump()
+        assert h.min == float("inf") and h.max == float("-inf")
+
     def test_merge_requires_same_buckets(self):
         a = Histogram(buckets=(1, 2))
         b = Histogram(buckets=(1, 3))

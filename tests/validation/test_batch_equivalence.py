@@ -2,8 +2,10 @@
 
 Every seed runs the same fuzz-derived scenario through both monitor hot
 paths and asserts bit-identical outcomes: state digest, every register /
-sketch / histogram-bank array, every archived report stream, and the
-differential-oracle verdicts.  ``REPRO_FUZZ_SEEDS`` (ints, commas or
+sketch / histogram-bank array, every archived report stream, the
+differential-oracle verdicts and the op tallies observers read — and,
+with telemetry enabled, the pipeline's stage counters and latency count
+(the kernel stays engaged there).  ``REPRO_FUZZ_SEEDS`` (ints, commas or
 ``A..B`` ranges) widens the seed set — the CI ``batch-equivalence`` job
 derives it from the run id so coverage drifts across runs.
 """
@@ -14,6 +16,7 @@ import os
 
 import pytest
 
+from repro import telemetry
 from repro.validation.equivalence import compare_paths
 from repro.validation.scenarios import ScenarioSpec
 
@@ -102,3 +105,41 @@ def test_traffic_actually_flowed(comparisons):
     mon = cmp.batched_run.scenario.monitor
     assert mon.copies_ingress > 100
     assert any(cmp.batched_run.scenario.control_plane.flow_samples.values())
+
+
+def _series(name):
+    return {tuple(s["labels"].values()): s.get("value", s.get("count"))
+            for fam in telemetry.snapshot(collect=False)["metrics"]
+            if fam["name"] == name for s in fam["series"]}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_paths_equivalent_under_telemetry(comparisons, seed):
+    """Telemetry is a per-batch observer: the kernel stays engaged, and
+    the register/sketch/digest tallies, stage counters and latency count
+    it reports equal the scalar twin's."""
+    unobserved = comparisons(seed)
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        cmp = compare_paths(ScenarioSpec.from_seed(seed))
+        assert cmp.batched_run.scenario.monitor.kernel is not None
+        assert cmp.scalar_run.scenario.monitor.kernel is None
+        assert cmp.passed, cmp.summary()
+        # The telemetry cells really were part of the comparison ...
+        assert cmp.checks > unobserved.checks
+        # ... and saw each run's copies (both runs feed the same cells).
+        mon = cmp.batched_run.scenario.monitor
+        copies = mon.copies_ingress + mon.copies_egress
+        parser = mon.pipeline.parser
+        stage_pkts = _series("repro_p4_stage_packets_total")
+        assert stage_pkts[("monitor", "parser")] == 2 * copies
+        assert stage_pkts[("monitor", "rtt_loss")] == 2 * parser.accepted
+        assert _series("repro_p4_stage_drops_total").get(
+            ("monitor", "parser"), 0) == 2 * parser.rejected
+        assert _series("repro_p4_packet_ns")[("monitor",)] == 2 * copies
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    assert cmp.batched_run.scenario.monitor.program.state_digest() == \
+        unobserved.batched_run.scenario.monitor.program.state_digest()

@@ -15,6 +15,8 @@ preload domain rather than model a plausible data-plane fault.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.flow_table import PORT_INGRESS_TAP
@@ -97,6 +99,24 @@ def test_sketch_increment_suppression_is_caught():
 
     cmp = mutated_compare(suppress)
     assert_caught(cmp, {"tracking", "sketch", "long_flow_claim"})
+
+
+def test_dropped_register_tally_is_caught():
+    """Lose one register's op tally in the kernel (state untouched): the
+    harness must flag exactly that register, or ``repro_p4_register_ops``
+    could drift from the scalar path's meaning unnoticed."""
+    def drop_tally(run):
+        kernel = run.scenario.monitor.kernel
+        assert kernel is not None, "batched path did not engage"
+        kernel._op_regs = tuple(
+            SimpleNamespace(ops=0) if reg.name == "eack_sig" else reg
+            for reg in kernel._op_regs)
+
+    cmp = compare_paths(ScenarioSpec.from_seed(SEED),
+                        run_hooks=(drop_tally, None))
+    assert cmp.batched_report.passed, cmp.batched_report.summary()
+    assert len(cmp.mismatches) == 1, cmp.summary()
+    assert cmp.mismatches[0].startswith("register_ops[eack_sig]:")
 
 
 def test_mutator_hook_is_dormant_by_default():
