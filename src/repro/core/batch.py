@@ -12,22 +12,40 @@ engaged by :class:`~repro.core.monitor.P4Monitor` at construction time
 (the same twin pattern every instrumentation subsystem uses) only when
 no per-packet hook demands scalar dispatch:
 
-1. **Columnar precompute** — mirrored copies accumulate in a plain list
-   of ``(pkt, port, ts, egress_port_id, ecn)`` tuples between control
-   plane ticks; at flush time the header fields are pulled into columns
-   and every hash the stages need (eACK stash signatures, queue-pair
-   packet signatures) is computed as one table-driven CRC32 sweep over a
-   numpy byte matrix — 20 array ops for the whole batch instead of two
-   ``zlib.crc32`` calls per packet.  Flow IDs and count-min row indices
-   are memoised per 5-tuple (they are pure functions of it).
+1. **Columnar precompute** — mirrored copies accumulate between control
+   plane ticks in one flat list owned by the kernel, five scalars per
+   copy (``pkt, port, ts, egress_port_id, ecn``).  At flush time the
+   buffer is sliced into columns, parser rejection drops the non-TCP
+   rows from every column once, each header field comes out with one
+   C-speed ``map(attrgetter(field), pkts)`` pass, and every hash the
+   stages need — flow ID and reversed flow ID, count-min row indices,
+   eACK stash signatures, queue-pair packet signatures — is computed
+   from those columns as array ops (table-driven CRC32 sweeps over numpy
+   byte matrices, the murmur mix as uint32 arithmetic).  Nothing is
+   memoised per flow: between flushes the kernel holds no per-flow
+   Python state.
 2. **Fused replay** — one Python loop applies the exact scalar
-   match/action semantics packet-by-packet (the register dependency
-   chains — eACK stash hits, CMS claim thresholds, microburst
-   hysteresis — are inherently sequential), but register state lives in
-   per-register overlay dicts during the batch and is written back to
-   the numpy cell arrays with one fancy-indexed assignment per register
-   at the end.  Histogram observations are collected and binned with a
-   single ``searchsorted`` + ``np.add.at`` per extern.
+   match/action semantics packet by packet, because the register
+   dependency chains (eACK stash hits, CMS claim thresholds, microburst
+   hysteresis) order the updates.  Register state lives in *dense
+   batch-local register files* meanwhile: one ``np.unique(...,
+   return_inverse=True)`` per index domain (forward ∪ reverse flow
+   slots, eACK cells, queue-stash cells, count-min cells; the microburst
+   registers are indexed by port) gives every row a local index, each
+   register is gathered into a plain list with one fancy-indexed read,
+   the loop indexes lists, and one fancy-indexed write per register puts
+   the batch back.  Histogram observations are collected and binned with
+   a single ``searchsorted`` + ``np.add.at`` per extern.
+
+The sequential loop is the irreducible part — about half of a flush
+now; it was a fifth when rows were tuples and registers dicts, the rest
+being the same numbers moved between representations.  So two rules
+hold from a mirror callback to the end of the flush: **no per-copy
+Python container is ever allocated** (ints and ``Packet`` references in
+flat lists only — the cyclic collector is driven by net live tracked
+containers, and a tuple per buffered copy once made it a third of the
+kernel's wall time), and every value crosses the list/numpy boundary at
+most once.
 
 Equivalence contract: after any flush boundary the program state
 (:meth:`P4Program.state_digest`), the digest streams and the stage
@@ -47,18 +65,13 @@ flush ends by handing the pipeline one batch record
 (:meth:`P4Pipeline.account_batch`: copies, accepted, rejected, wall
 ``t0..t1``), which is all telemetry needs, so enabling it keeps the
 kernel engaged.
-
-``debug_mutator`` is a test hook: the mutation suite corrupts one lane
-of the precomputed columns (a flow-hash collision, a stash timestamp
-shift, a suppressed sketch increment) and asserts the differential
-checker catches the divergence.
 """
 
 from __future__ import annotations
 
-import struct
 import time
-import zlib
+from itertools import compress
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,6 +82,16 @@ __all__ = ["BatchKernel", "crc32_rows"]
 
 _M32 = 0xFFFFFFFF
 _M16 = 0xFFFF
+_M64 = (1 << 64) - 1
+
+#: Scalars per buffered copy: pkt, port, ts, egress_port_id, ecn.
+_STRIDE = 5
+
+_get_proto = attrgetter("proto")
+#: Header fields phase 1 pulls into columns, in unpacking order.
+_HEADER_GETTERS = tuple(map(attrgetter, (
+    "src_ip", "dst_ip", "src_port", "dst_port", "seq", "ack", "flags",
+    "payload_len", "ip_total_len", "window", "ip_id")))
 
 
 def _make_crc32_table() -> np.ndarray:
@@ -97,6 +120,12 @@ def crc32_rows(mat: np.ndarray) -> np.ndarray:
     return crc ^ np.uint32(_M32)
 
 
+def _byte_matrix(n: int, width: int) -> np.ndarray:
+    """Uninitialised ``(n, width)`` uint8 matrix stored byte-plane major,
+    so each column :func:`crc32_rows` sweeps is contiguous."""
+    return np.empty((width, n), dtype=np.uint8).T
+
+
 def _be32(values, n: int) -> np.ndarray:
     """(n, 4) big-endian byte view of a 32-bit column."""
     return np.asarray(values, dtype=">u4").view(np.uint8).reshape(n, 4)
@@ -121,10 +150,9 @@ def _mix32_array(h: np.ndarray) -> np.ndarray:
 class BatchKernel:
     """Columnar replay engine bound to one :class:`P4Monitor`."""
 
-    #: Copies buffered before an append forces a flush (the monitor's
-    #: batched sink and the TAP's fast mirror path both test it).  Sized
-    #: for memory: the transient columns scale with it, and flushes twice
-    #: as large were not measurably faster.
+    #: Copies buffered before an append forces a flush.  Sized for
+    #: memory: the transient columns scale with it, and flushes twice as
+    #: large were not measurably faster.
     BUFFER_CAP = 4096
 
     def __init__(self, monitor) -> None:
@@ -136,9 +164,12 @@ class BatchKernel:
         queue = monitor.queue
         mb = monitor.microburst
 
+        #: Flat intake: ``pkt, port, ts, egress_port_id, ecn`` per copy.
+        #: The monitor's batched sink and the TAP's fast mirror path
+        #: ``extend`` it and flush once ``len(buf) >= buf_limit``.
         self.buf: list = []
-        # Test hook: called with the column dict after precompute, before
-        # the fused replay (see the mutation suite).
+        self.buf_limit = self.BUFFER_CAP * _STRIDE
+        # Test hook (the mutation suite); see _run_debug_mutator.
         self.debug_mutator: Optional[Callable[[dict], None]] = None
 
         # Geometry / policy scalars.
@@ -163,322 +194,238 @@ class BatchKernel:
         self.termination_digest = ft.termination_digest
         self.mb_digest = mb.digest
 
-        # Raw register cell arrays (uint64); overlays resolve misses here.
-        self.c_flow_key = ft.flow_key._cells
-        self.c_flow_src = ft.flow_src._cells
-        self.c_flow_dst = ft.flow_dst._cells
-        self.c_flow_sport = ft.flow_sport._cells
-        self.c_flow_dport = ft.flow_dport._cells
-        self.c_flow_bytes = ft.flow_bytes._cells
-        self.c_flow_pkts = ft.flow_pkts._cells
-        self.c_flow_start = ft.flow_start._cells
-        self.c_flow_last = ft.flow_last._cells
-        self.c_flow_fin = ft.flow_fin._cells
-        self.c_prev_seq = rtt.prev_seq._cells
-        self.c_pkt_loss = rtt.pkt_loss._cells
-        self.c_rtt = rtt.rtt._cells
-        self.c_rtt_count = rtt.rtt_count._cells
-        self.c_eack_ts = rtt.eack_ts._cells
-        self.c_eack_sig = rtt.eack_sig._cells
-        self.c_high_seq = flight.high_seq._cells
-        self.c_high_ack = flight.high_ack._cells
-        self.c_flow_rwnd = flight.flow_rwnd._cells
-        self.c_q_stash_ts = queue.stash_ts._cells
-        self.c_q_stash_sig = queue.stash_sig._cells
-        self.c_flow_qdelay = queue.flow_qdelay._cells
-        self.c_flow_qdelay_max = queue.flow_qdelay_max._cells
-        self.c_flow_ce = queue.flow_ce._cells
-        self.c_mb_state = mb.state._cells
-        self.c_mb_start = mb.start._cells
-        self.c_mb_peak = mb.peak._cells
-        self.c_mb_pkts = mb.pkt_count._cells
-
-        # Registers in the order flush() lays out its per-flush op counts.
-        self._op_regs = (
+        # Registers by index domain, in the order flush() unpacks its
+        # register files and lays out its per-flush op counts.
+        slot_regs = (
             ft.flow_key, ft.flow_src, ft.flow_dst, ft.flow_sport,
             ft.flow_dport, ft.flow_start, ft.flow_fin, ft.flow_bytes,
             ft.flow_pkts, ft.flow_last,
-            rtt.prev_seq, rtt.pkt_loss, rtt.eack_ts, rtt.eack_sig, rtt.rtt,
-            rtt.rtt_count,
+            rtt.prev_seq, rtt.pkt_loss, rtt.rtt, rtt.rtt_count,
             flight.high_seq, flight.high_ack, flight.flow_rwnd,
-            queue.stash_ts, queue.stash_sig, queue.flow_qdelay,
-            queue.flow_qdelay_max, queue.flow_ce,
-            mb.state, mb.start, mb.peak, mb.pkt_count,
+            queue.flow_qdelay, queue.flow_qdelay_max, queue.flow_ce,
         )
+        eack_regs = (rtt.eack_ts, rtt.eack_sig)
+        q_regs = (queue.stash_ts, queue.stash_sig)
+        mb_regs = (mb.state, mb.start, mb.peak, mb.pkt_count)
+        self._op_regs = slot_regs + eack_regs + q_regs + mb_regs
+        # Raw cell arrays (uint64) the register files gather from and
+        # scatter to.
+        self._slot_cells = tuple(reg._cells for reg in slot_regs)
+        self._eack_cells = tuple(reg._cells for reg in eack_regs)
+        self._q_cells = tuple(reg._cells for reg in q_regs)
+        self._mb_cells = tuple(reg._cells for reg in mb_regs)
+        self.c_pkt_loss = rtt.pkt_loss._cells
 
         self.cms = ft.cms
-        self.cms_rows_arr = ft.cms._rows
         self.cms_width = ft.cms.width
+        self.cms_depth = ft.cms.depth
         self.cms_conservative = ft.cms.conservative
+        self.cms_flat = ft.cms._rows.reshape(-1)  # a view: (row, col) -> row * width + col
+        self._cms_row_base = (np.arange(self.cms_depth, dtype=np.int64)
+                              * self.cms_width)[:, None]
 
         self.rtt_hist = rtt.rtt_hist
         self.qdepth_hist = queue.qdepth_hist
+        self._rtt_edges = self._q_edges = None
         if self.rtt_hist is not None:
             self._rtt_edges = np.asarray(self.rtt_hist.edges, dtype=np.int64)
             self._q_edges = np.asarray(self.qdepth_hist.edges, dtype=np.int64)
         self.time_windows = queue.time_windows
 
-        # flow 4-tuple -> (fid, rid, slot, cms row indices).  Protocol is
-        # constant (the parser rejected everything but TCP).  Entries are
-        # pure functions of the key, so the memo is simply dropped once
-        # flow churn has grown it past a few register files' worth.
-        self._flow_memo: dict = {}
-        self._flow_memo_cap = 4 * config.flow_slots
+    @property
+    def pending(self) -> int:
+        """Copies buffered since the last flush."""
+        return len(self.buf) // _STRIDE
 
-    # -- per-flow derived values ------------------------------------------------
+    def _run_debug_mutator(self, cols: dict) -> None:
+        """Hand the precomputed columns to ``debug_mutator`` as mutable
+        lists (``rows``: one tuple of count-min column indices per row).
 
-    def _flow_entry(self, src_ip, dst_ip, src_port, dst_port):
-        """Memoised (flow_id, rev_flow_id, slot, cms_rows) — identical to
-        FlowIdEngine.ids + the three HashEngine row indices."""
-        fwd = struct.pack("!IIHHB", src_ip, dst_ip, src_port, dst_port, PROTO_TCP)
-        rev = struct.pack("!IIHHB", dst_ip, src_ip, dst_port, src_port, PROTO_TCP)
-        fid = zlib.crc32(fwd) & _M32
-        rid = zlib.crc32(rev) & _M32
-        width = self.cms_width
-        rows = [fid % width]
-        for salt in range(1, self.cms._rows.shape[0]):
-            h = fid ^ ((salt * 0x9E3779B9) & _M32)
-            h &= _M32
-            h ^= h >> 16
-            h = (h * 0x85EBCA6B) & _M32
-            h ^= h >> 13
-            h = (h * 0xC2B2AE35) & _M32
-            h ^= h >> 16
-            rows.append(h % width)
-        entry = (fid, rid, fid & self.flow_mask, tuple(rows))
-        return entry
+        The mutation suite corrupts one lane (a flow-hash collision, a
+        stash signature alias, a suppressed sketch increment) and asserts
+        the differential checker catches the divergence.  Ordering
+        contract: the hook runs after every hash is computed and
+        **before** any batch-local index is derived — the slot, eACK,
+        queue and count-min domains are all built from the lanes the
+        hook returns, so a mutator may move values between rows freely
+        and a flush still costs what its copies touch.  ``valid`` is
+        all-true: parser-rejected rows were dropped before the columns
+        existed.
+        """
+        lanes = {name: col.tolist() for name, col in cols.items()
+                 if isinstance(col, np.ndarray)}
+        lanes["rows"] = list(zip(*lanes["rows"]))
+        self.debug_mutator({**cols, **lanes})
+        for name, lane in lanes.items():
+            cols[name] = np.array(lane, dtype=np.int64)
+        cols["rows"] = cols["rows"].T
 
     # -- the flush ---------------------------------------------------------------
 
     def flush(self) -> None:
         buf = self.buf
-        n = len(buf)
-        if n == 0:
+        copies = len(buf) // _STRIDE
+        if copies == 0:
             return
         t0_ns = time.perf_counter_ns()
 
         # ---- phase 1: columnar precompute -------------------------------------
-        parser = self.parser
-        memo = self._flow_memo
-        if len(memo) > self._flow_memo_cap:
-            memo.clear()
-        memo_get = memo.get
-
-        # A mirrored packet shows up as (at least) one ingress and one
-        # egress row per batch; header fields are immutable once built
-        # (ECN is captured per copy at append time), so extraction runs
-        # once per object and the per-row work is one tuple append.  The
-        # C-level transpose below then yields the mutable column lists
-        # the mutation hook and the vectorised hashes operate on.
-        pmemo: dict = {}
-        pmemo_get = pmemo.get
-        rejected = 0
-        out: list = []
-        append = out.append
-        rej_row = (False, 0, 0, 0, 0, 0, 0, 0, (), 0, 0,
-                   0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-        for pkt, port, ts, epid, ecn in buf:
-            pid = id(pkt)
-            ext = pmemo_get(pid)
-            if ext is None:
-                if pkt.proto != PROTO_TCP:
-                    pmemo[pid] = False
-                    rejected += 1
-                    append(rej_row)
-                    continue
-                src = pkt.src_ip
-                dst = pkt.dst_ip
-                sport = pkt.src_port
-                dport = pkt.dst_port
-                key = (src, dst, sport, dport)
-                ent = memo_get(key)
-                if ent is None:
-                    ent = self._flow_entry(src, dst, sport, dport)
-                    memo[key] = ent
-                fid, rid, slot, rows = ent
-                seq = pkt.seq & _M32
-                flags = pkt.flags
-                plen = pkt.payload_len
-                # eACK per Algorithm 1: SYN and FIN each consume a seqno.
-                ext = (fid, rid, slot, rows, seq, pkt.ack & _M32, flags,
-                       plen, pkt.ip_total_len, pkt.window, src, dst,
-                       sport, dport, pkt.ip_id,
-                       (seq + plen + (flags & 0x02 == 0x02)
-                        + (flags & 0x01)) & _M32)
-                pmemo[pid] = ext
-            elif ext is False:
-                rejected += 1
-                append(rej_row)
-                continue
-            (fid, rid, slot, rows, seq, ack, flags, plen, tlen, window,
-             src, dst, sport, dport, ipid, eack) = ext
-            append((True, port, ts, epid, ecn, fid, rid, slot, rows, seq,
-                    ack, flags, plen, tlen, window, src, dst, sport,
-                    dport, ipid, eack))
-        # The rows hold everything from here on: release the buffered
-        # copies (and with them the packets only the buffer kept alive)
-        # and the extraction memo before the columns are built, and the
-        # rows once they are.
+        # ECN was captured per copy at append time (downstream queues
+        # CE-mark the shared Packet after the mirror point); every other
+        # header field is immutable once built and is read per packet.
+        pkts, a_port, a_ts, a_epid, a_ecn = [
+            buf[lane::_STRIDE] for lane in range(_STRIDE)]
         buf.clear()
-        del pmemo, pmemo_get
-        (a_valid, a_port, a_ts, a_epid, a_ecn, a_fid, a_rid, a_slot,
-         a_rows, a_seq, a_ack, a_flags, a_plen, a_tlen, a_window, a_src,
-         a_dst, a_sport, a_dport, a_ipid, a_eack) = map(list, zip(*out))
-        del out, append  # the bound method would keep the rows alive
-        # CMS increment amount; the mutation suite zeroes lanes here to
-        # model a broken sketch-update kernel.
-        a_cms_add = list(a_plen)
-        accepted = n - rejected
-        parser.accepted += accepted
-        parser.rejected += rejected
+        proto = list(map(_get_proto, pkts))
+        n = proto.count(PROTO_TCP)
+        rejected = copies - n
+        if rejected:
+            keep = [p == PROTO_TCP for p in proto]
+            pkts, a_port, a_ts, a_epid, a_ecn = [
+                list(compress(col, keep))
+                for col in (pkts, a_port, a_ts, a_epid, a_ecn)]
+        self.parser.accepted += n
+        self.parser.rejected += rejected
+        if n == 0:
+            self.pipeline.account_batch(copies, 0, rejected, t0_ns,
+                                        time.perf_counter_ns())
+            return
+        (a_src, a_dst, a_sport, a_dport, a_seq, a_ack, a_flags, a_plen,
+         a_tlen, a_window, a_ipid) = [list(map(get, pkts))
+                                      for get in _HEADER_GETTERS]
+        # The columns hold everything from here on: release the packets
+        # only the buffer kept alive.
+        del pkts
 
-        # Vectorised signature hashes (one CRC32 sweep per matrix):
+        # Flow IDs: crc32(!IIHHB 5-tuple), forward and reversed.
+        b_src = _be32(a_src, n)
+        b_dst = _be32(a_dst, n)
+        b_sport = _be16(a_sport, n)
+        b_dport = _be16(a_dport, n)
+        tup = _byte_matrix(n, 13)
+        tup[:, 12] = PROTO_TCP
+        tup[:, 0:4] = b_src
+        tup[:, 4:8] = b_dst
+        tup[:, 8:10] = b_sport
+        tup[:, 10:12] = b_dport
+        fids = crc32_rows(tup).astype(np.int64)
+        tup[:, 0:4] = b_dst
+        tup[:, 4:8] = b_src
+        tup[:, 8:10] = b_dport
+        tup[:, 10:12] = b_sport
+        rids = crc32_rows(tup).astype(np.int64)
+
+        # Count-min column per sketch row (HashEngine.index: plain CRC
+        # for salt 0, salt-keyed murmur mix otherwise).
+        width = self.cms_width
+        rows = np.empty((self.cms_depth, n), dtype=np.int64)
+        rows[0] = fids % width
+        for salt in range(1, self.cms_depth):
+            rows[salt] = _mix32_array(fids ^ ((salt * 0x9E3779B9) & _M32)) % width
+
+        # Signature hashes (one CRC32 sweep per matrix):
         #   data path : crc32(!II rev_flow_id, eACK)
         #   ACK path  : crc32(!II flow_id, ack)
         #   queue pair: crc32(!IIHIIH src, dst, ip_id, seq, ack, len&0xFFFF)
-        m = np.empty((n, 8), dtype=np.uint8)
-        m[:, 0:4] = _be32(a_rid, n)
-        m[:, 4:8] = _be32(a_eack, n)
-        a_sig_data = crc32_rows(m).tolist()
-        m[:, 0:4] = _be32(a_fid, n)
-        m[:, 4:8] = _be32(a_ack, n)
-        a_sig_ack = crc32_rows(m).tolist()
-        q = np.empty((n, 20), dtype=np.uint8)
-        q[:, 0:4] = _be32(a_src, n)
-        q[:, 4:8] = _be32(a_dst, n)
+        # eACK per Algorithm 1: SYN and FIN each consume a seqno.
+        seqs = np.array(a_seq, dtype=np.int64)
+        tcp_flags = np.array(a_flags, dtype=np.int64)
+        eacks = (seqs + np.array(a_plen, dtype=np.int64)
+                 + ((tcp_flags >> 1) & 1) + (tcp_flags & 1)) & _M32
+        b_ack = _be32(a_ack, n)
+        m = _byte_matrix(n, 8)
+        m[:, 0:4] = _be32(rids, n)
+        m[:, 4:8] = _be32(eacks, n)
+        data_sigs = crc32_rows(m).astype(np.int64)
+        m[:, 0:4] = _be32(fids, n)
+        m[:, 4:8] = b_ack
+        ack_sigs = crc32_rows(m).astype(np.int64)
+        q = _byte_matrix(n, 20)
+        q[:, 0:4] = b_src
+        q[:, 4:8] = b_dst
         q[:, 8:10] = _be16(a_ipid, n)
-        q[:, 10:14] = _be32(a_seq, n)
-        q[:, 14:18] = _be32(a_ack, n)
-        q[:, 18:20] = _be16([t & _M16 for t in a_tlen], n)
-        a_qsig = crc32_rows(q).tolist()
+        q[:, 10:14] = _be32(seqs, n)
+        q[:, 14:18] = b_ack
+        q[:, 18:20] = _be16(np.array(a_tlen, dtype=np.int64) & _M16, n)
+        qsigs = crc32_rows(q).astype(np.int64)
 
+        fslots = fids & self.flow_mask
+        # CMS increment amount; the mutation suite zeroes lanes here to
+        # model a broken sketch-update kernel.
+        a_cms_add = a_plen
         if self.debug_mutator is not None:
-            self.debug_mutator({
-                "valid": a_valid, "port": a_port, "ts": a_ts, "ecn": a_ecn,
-                "fid": a_fid, "rid": a_rid, "slot": a_slot, "rows": a_rows,
-                "seq": a_seq, "ack": a_ack, "flags": a_flags,
-                "plen": a_plen, "tlen": a_tlen, "window": a_window,
-                "eack": a_eack, "cms_add": a_cms_add,
-                "sig_data": a_sig_data, "sig_ack": a_sig_ack, "qsig": a_qsig,
-                "epid": a_epid,
-            })
+            a_cms_add = list(a_plen)
+            cols = {
+                "valid": [True] * n, "port": a_port, "ts": a_ts,
+                "ecn": a_ecn, "epid": a_epid, "seq": a_seq, "ack": a_ack,
+                "flags": a_flags, "plen": a_plen, "tlen": a_tlen,
+                "window": a_window, "cms_add": a_cms_add,
+                "fid": fids, "rid": rids, "slot": fslots, "rows": rows,
+                "eack": eacks, "sig_data": data_sigs, "sig_ack": ack_sigs,
+                "qsig": qsigs,
+            }
+            self._run_debug_mutator(cols)
+            fids, rids, fslots, rows, data_sigs, ack_sigs, qsigs = (
+                cols[name] for name in ("fid", "rid", "slot", "rows",
+                                        "sig_data", "sig_ack", "qsig"))
 
         # ---- phase 2: fused sequential replay ----------------------------------
-        # Overlay dicts hold batch-local register state as plain ints;
-        # misses fall back to the numpy cells.  Masks follow each
-        # register's declared width exactly.
+        # Dense batch-local register files: per index domain, the
+        # distinct cells this batch can address and every row's index
+        # into them; per register, a list over those cells.  The slot
+        # domain is shared by forward and reverse slots (high_ack and
+        # flow_rwnd are written at the reverse slot, which may be
+        # another tracked flow's forward slot).
+        eack_size = self.eack_stash_size
+        slots, inv = np.unique(
+            np.concatenate((fslots, rids & self.flow_mask)), return_inverse=True)
+        l_slot = inv[:n].tolist()
+        l_rslot = inv[n:].tolist()
+        ecells, inv = np.unique(
+            np.concatenate((data_sigs % eack_size, ack_sigs % eack_size)),
+            return_inverse=True)
+        l_dcell = inv[:n].tolist()
+        l_acell = inv[n:].tolist()
+        qcells, inv = np.unique(qsigs % self.q_stash_size, return_inverse=True)
+        l_qcell = inv.tolist()
+        ccells, inv = np.unique((rows + self._cms_row_base).ravel(),
+                                return_inverse=True)
+        l_cms = inv.reshape(rows.shape).tolist()  # per sketch row, n indices
+        slot_ids = slots.tolist()
+        a_fid = fids.tolist()
+        a_sig_data = data_sigs.tolist()
+        a_sig_ack = ack_sigs.tolist()
+        a_qsig = qsigs.tolist()
+
+        ports = self.ports
+        slot_files = [cells[slots].tolist() for cells in self._slot_cells]
+        eack_files = [cells[ecells].tolist() for cells in self._eack_cells]
+        q_files = [cells[qcells].tolist() for cells in self._q_cells]
+        mb_files = [cells[:ports].tolist() for cells in self._mb_cells]
+        cms = self.cms_flat[ccells].tolist()
+        (r_flow_key, r_flow_src, r_flow_dst, r_flow_sport, r_flow_dport,
+         r_flow_start, r_flow_fin, r_flow_bytes, r_flow_pkts, r_flow_last,
+         r_prev_seq, r_pkt_loss, r_rtt, r_rtt_count,
+         r_high_seq, r_high_ack, r_flow_rwnd,
+         r_flow_qdelay, r_flow_qdelay_max, r_flow_ce) = slot_files
+        r_eack_ts, r_eack_sig = eack_files
+        r_q_stash_ts, r_q_stash_sig = q_files
+        r_mb_state, r_mb_start, r_mb_peak, r_mb_pkts = mb_files
+
+        # Masks follow each register's declared width exactly.
         TSM = self.ts_mask
-        FMASK = self.flow_mask
-        M64 = (1 << 64) - 1
         long_flow_bytes = self.long_flow_bytes
         rtt_max_age = self.rtt_max_age_ns
-        eack_size = self.eack_stash_size
-        q_size = self.q_stash_size
         mb_on = self.mb_on_ns
         mb_off = self.mb_off_ns
-        ports = self.ports
         conservative = self.cms_conservative
-        cms_depth_range = range(self.cms_rows_arr.shape[0])
-
-        c_flow_key = self.c_flow_key
-        c_flow_bytes = self.c_flow_bytes
-        c_flow_pkts = self.c_flow_pkts
-        c_flow_start = self.c_flow_start
-        c_flow_fin = self.c_flow_fin
-        c_prev_seq = self.c_prev_seq
         c_pkt_loss = self.c_pkt_loss
-        c_rtt = self.c_rtt
-        c_rtt_count = self.c_rtt_count
-        c_eack_ts = self.c_eack_ts
-        c_eack_sig = self.c_eack_sig
-        c_high_seq = self.c_high_seq
-        c_high_ack = self.c_high_ack
-        c_q_stash_ts = self.c_q_stash_ts
-        c_q_stash_sig = self.c_q_stash_sig
-        c_flow_qdelay_max = self.c_flow_qdelay_max
-        c_flow_ce = self.c_flow_ce
-        c_mb_state = self.c_mb_state
-        c_mb_start = self.c_mb_start
-        c_mb_peak = self.c_mb_peak
-        c_mb_pkts = self.c_mb_pkts
-        cms_rows_arr = self.cms_rows_arr
 
-        ov_flow_key: dict = {}
-        ov_flow_src: dict = {}
-        ov_flow_dst: dict = {}
-        ov_flow_sport: dict = {}
-        ov_flow_dport: dict = {}
-        ov_flow_bytes: dict = {}
-        ov_flow_pkts: dict = {}
-        ov_flow_start: dict = {}
-        ov_flow_last: dict = {}
-        ov_flow_fin: dict = {}
-        ov_prev_seq: dict = {}
-        ov_pkt_loss: dict = {}
-        ov_rtt: dict = {}
-        ov_rtt_count: dict = {}
-        ov_eack_ts: dict = {}
-        ov_eack_sig: dict = {}
-        ov_high_seq: dict = {}
-        ov_high_ack: dict = {}
-        ov_flow_rwnd: dict = {}
-        ov_q_stash_ts: dict = {}
-        ov_q_stash_sig: dict = {}
-        ov_flow_qdelay: dict = {}
-        ov_flow_qdelay_max: dict = {}
-        ov_flow_ce: dict = {}
-        ov_mb_state: dict = {}
-        ov_mb_start: dict = {}
-        ov_mb_peak: dict = {}
-        ov_mb_pkts: dict = {}
-        ov_cms: dict = {}
-
-        # Preload every overlay cell the replay loop can *read*, so the
-        # hot loop's register accesses are guaranteed dict hits (no
-        # None-miss branch, no scalar numpy fallback).  Forward slots,
-        # reverse slots, monitored ports and CMS rows are tiny sets; the
-        # two stash tables are preloaded at the (vectorised) signature
-        # cells this batch can address.
-        # The sets come from this batch's own columns, read after the
-        # mutation hook (which only shuffles lanes *between* rows), so a
-        # flush costs what its copies touch, not what the kernel has
-        # ever seen.
-        sl = list(set(a_slot))
-        ix = np.fromiter(sl, dtype=np.intp, count=len(sl))
-        for ov, cells in (
-            (ov_flow_key, c_flow_key), (ov_flow_bytes, c_flow_bytes),
-            (ov_flow_pkts, c_flow_pkts), (ov_flow_start, c_flow_start),
-            (ov_flow_fin, c_flow_fin), (ov_prev_seq, c_prev_seq),
-            (ov_pkt_loss, c_pkt_loss), (ov_rtt_count, c_rtt_count),
-            (ov_high_seq, c_high_seq),
-            (ov_flow_qdelay_max, c_flow_qdelay_max),
-            (ov_flow_ce, c_flow_ce),
-        ):
-            ov.update(zip(sl, cells[ix].tolist()))
-        rl_list = list({rid_b & FMASK for rid_b in set(a_rid)})
-        ix = np.fromiter(rl_list, dtype=np.intp, count=len(rl_list))
-        ov_high_ack.update(zip(rl_list, c_high_ack[ix].tolist()))
-        for rows_t in set(a_rows):  # () on parser-rejected rows
-            for r, col in enumerate(rows_t):
-                ov_cms[(r, col)] = int(cms_rows_arr[r, col])
-        pl = list(range(ports))
-        for ov, cells in ((ov_mb_state, c_mb_state), (ov_mb_start, c_mb_start),
-                          (ov_mb_peak, c_mb_peak), (ov_mb_pkts, c_mb_pkts)):
-            ov.update(zip(pl, cells[:ports].tolist()))
-        ecells_arr = np.unique(np.concatenate((
-            np.asarray(a_sig_data, dtype=np.int64) % eack_size,
-            np.asarray(a_sig_ack, dtype=np.int64) % eack_size)))
-        ecells = ecells_arr.tolist()
-        ov_eack_ts.update(zip(ecells, c_eack_ts[ecells_arr].tolist()))
-        ov_eack_sig.update(zip(ecells, c_eack_sig[ecells_arr].tolist()))
-        qcells_arr = np.unique(np.asarray(a_qsig, dtype=np.int64) % q_size)
-        qcells = qcells_arr.tolist()
-        ov_q_stash_ts.update(zip(qcells, c_q_stash_ts[qcells_arr].tolist()))
-        ov_q_stash_sig.update(zip(qcells, c_q_stash_sig[qcells_arr].tolist()))
-
-        rtt_hist_obs: list = []
-        qdepth_hist_obs: list = []
-        tw_obs: list = []
+        rtt_hist_idx: list = []
+        rtt_hist_val: list = []
+        qdepth_hist_idx: list = []
+        qdepth_hist_val: list = []
+        tw_obs: list = []  # flat: now48, fid, ip_total_len, delay per match
 
         ft = self.flow_table
         rl = self.rtt_loss
@@ -514,83 +461,74 @@ class BatchKernel:
         termination_emit = self.termination_digest.emit
         mb_emit = self.mb_digest.emit
 
-        for i in range(n):
-            if not a_valid[i]:
-                continue
-            fid = a_fid[i]
-            ts = a_ts[i]
-            if a_port[i] == 0:
+        for i, port, ts, fid, ls, qsig, qc in zip(
+                range(n), a_port, a_ts, a_fid, l_slot, a_qsig, l_qcell):
+            if port == 0:
                 # ---- ingress-TAP copy: flow table, RTT/loss, flight ----
                 plen = a_plen[i]
                 flags = a_flags[i]
-                slot = a_slot[i]
-                key = ov_flow_key[slot]
-                fslot = -1
-                if key == fid:
-                    fslot = slot
-                elif key == 0:
-                    if plen > 0:
+                key = r_flow_key[ls]
+                is_tracked = key == fid
+                if not is_tracked:
+                    if key != 0:
+                        slot_collisions += 1
+                    elif plen > 0:
                         # CMS update (returns post-update estimate).
                         cms_updates += 1
-                        rows = a_rows[i]
                         amount = a_cms_add[i]
                         if conservative:
-                            current = None
-                            for r in cms_depth_range:
-                                v = ov_cms[(r, rows[r])]
-                                if current is None or v < current:
-                                    current = v
-                            est = current + amount
-                            for r in cms_depth_range:
-                                cell = (r, rows[r])
-                                if ov_cms[cell] < est:
-                                    ov_cms[cell] = est
+                            est = None
+                            for col in l_cms:
+                                v = cms[col[i]]
+                                if est is None or v < est:
+                                    est = v
+                            est += amount
+                            for col in l_cms:
+                                if cms[col[i]] < est:
+                                    cms[col[i]] = est
                         else:
                             est = None
-                            for r in cms_depth_range:
-                                cell = (r, rows[r])
-                                v = ov_cms[cell] + amount
-                                ov_cms[cell] = v
+                            for col in l_cms:
+                                v = cms[col[i]] + amount
+                                cms[col[i]] = v
                                 if est is None or v < est:
                                     est = v
                         if est >= long_flow_bytes:
                             # _claim: register file + long_flow digest.
-                            ov_flow_key[slot] = fid
-                            ov_flow_src[slot] = a_src[i]
-                            ov_flow_dst[slot] = a_dst[i]
-                            ov_flow_sport[slot] = a_sport[i] & _M16
-                            ov_flow_dport[slot] = a_dport[i] & _M16
-                            ov_flow_start[slot] = ts & TSM
-                            ov_flow_fin[slot] = 0
-                            fslot = slot
+                            r_flow_key[ls] = fid
+                            r_flow_src[ls] = a_src[i]
+                            r_flow_dst[ls] = a_dst[i]
+                            r_flow_sport[ls] = a_sport[i] & _M16
+                            r_flow_dport[ls] = a_dport[i] & _M16
+                            r_flow_start[ls] = ts & TSM
+                            r_flow_fin[ls] = 0
+                            is_tracked = True
                             claims += 1
                             long_flow_emit(
                                 flow_id=fid,
-                                rev_flow_id=a_rid[i],
-                                slot=slot,
+                                rev_flow_id=int(rids[i]),
+                                slot=slot_ids[ls],
                                 src_ip=a_src[i],
                                 dst_ip=a_dst[i],
                                 src_port=a_sport[i],
                                 dst_port=a_dport[i],
                                 first_seen_ns=ts,
                             )
-                else:
-                    slot_collisions += 1
 
-                if fslot >= 0:
+                if is_tracked:
                     tracked += 1
-                    ov_flow_bytes[slot] = (ov_flow_bytes[slot] + a_tlen[i]) & M64
-                    ov_flow_pkts[slot] = (ov_flow_pkts[slot] + 1) & M64
-                    ov_flow_last[slot] = ts & TSM
+                    r_flow_bytes[ls] = (r_flow_bytes[ls] + a_tlen[i]) & _M64
+                    r_flow_pkts[ls] = (r_flow_pkts[ls] + 1) & _M64
+                    r_flow_last[ls] = ts & TSM
                     if flags & 0x05:  # FIN | RST
                         fin_checks += 1
-                        if not ov_flow_fin[slot]:
+                        if not r_flow_fin[ls]:
                             terminations += 1
-                            ov_flow_fin[slot] = 1
-                            start = ov_flow_start[slot]
+                            r_flow_fin[ls] = 1
+                            slot = slot_ids[ls]
                             # _on_termination reads pkt_loss[slot]
-                            # synchronously: sync that overlay cell first.
-                            c_pkt_loss[slot] = ov_pkt_loss[slot]
+                            # synchronously: sync that cell first.
+                            c_pkt_loss[slot] = r_pkt_loss[ls]
                             termination_emit(
                                 flow_id=fid,
                                 slot=slot,
@@ -598,10 +536,10 @@ class BatchKernel:
                                 dst_ip=a_dst[i],
                                 src_port=a_sport[i],
                                 dst_port=a_dport[i],
-                                start_ns=start,
+                                start_ns=r_flow_start[ls],
                                 end_ns=ts,
-                                total_bytes=ov_flow_bytes[slot],
-                                total_packets=ov_flow_pkts[slot],
+                                total_bytes=r_flow_bytes[ls],
+                                total_packets=r_flow_pkts[ls],
                             )
 
                 # ---- RTT / loss (Algorithm 1) + flight size ----
@@ -610,168 +548,130 @@ class BatchKernel:
                 now48 = ts & TSM
                 if plen > 0:
                     data_pkts += 1
-                    idx = slot  # fid & FMASK == slot
-                    prev = ov_prev_seq[idx]
+                    prev = r_prev_seq[ls]
                     seq = a_seq[i]
                     if prev != 0 and ((seq - prev) & _M32) >= 0x80000000:
                         regressions += 1
-                        ov_pkt_loss[idx] = (ov_pkt_loss[idx] + 1) & _M32
+                        r_pkt_loss[ls] = (r_pkt_loss[ls] + 1) & _M32
                     else:
-                        ov_prev_seq[idx] = seq
-                        sig = a_sig_data[i]
-                        cell = sig % eack_size
-                        if ov_eack_ts[cell] != 0:
+                        r_prev_seq[ls] = seq
+                        cell = l_dcell[i]
+                        if r_eack_ts[cell] != 0:
                             rtt_evictions += 1
-                        ov_eack_ts[cell] = now48 if now48 != 0 else 1
-                        ov_eack_sig[cell] = sig
+                        r_eack_ts[cell] = now48 if now48 != 0 else 1
+                        r_eack_sig[cell] = a_sig_data[i]
                     nv = (seq + plen) & _M32
-                    if nv > ov_high_seq[idx]:
-                        ov_high_seq[idx] = nv
+                    if nv > r_high_seq[ls]:
+                        r_high_seq[ls] = nv
                 elif flags & 0x10 and not flags & 0x02:  # ACK, not SYN
-                    sig = a_sig_ack[i]
-                    cell = sig % eack_size
-                    stored = ov_eack_ts[cell]
-                    if stored != 0 and ov_eack_sig[cell] == sig:
+                    cell = l_acell[i]
+                    stored = r_eack_ts[cell]
+                    if stored != 0 and r_eack_sig[cell] == a_sig_ack[i]:
                         rtt_v = (now48 - stored) & TSM
-                        ov_eack_ts[cell] = 0
-                        ov_eack_sig[cell] = 0
+                        r_eack_ts[cell] = 0
+                        r_eack_sig[cell] = 0
                         if rtt_v > rtt_max_age:
                             rtt_stale += 1
                         else:
-                            idx = slot
-                            ov_rtt[idx] = rtt_v
-                            ov_rtt_count[idx] = (ov_rtt_count[idx] + 1) & _M32
+                            r_rtt[ls] = rtt_v
+                            r_rtt_count[ls] = (r_rtt_count[ls] + 1) & _M32
                             if rtt_hist_on:
-                                rtt_hist_obs.append((idx, rtt_v))
+                                rtt_hist_idx.append(slot_ids[ls])
+                                rtt_hist_val.append(rtt_v)
                             rtt_matches += 1
                     else:
                         rtt_misses += 1
                         if stored != 0:
                             ack_sig_mismatch += 1
-                    idx = a_rid[i] & FMASK
+                    lr = l_rslot[i]
                     nv = a_ack[i]
-                    if nv > ov_high_ack[idx]:
-                        ov_high_ack[idx] = nv
-                    ov_flow_rwnd[idx] = a_window[i] & _M32
+                    if nv > r_high_ack[lr]:
+                        r_high_ack[lr] = nv
+                    r_flow_rwnd[lr] = a_window[i] & _M32
 
                 # ---- queue monitor, ingress branch: stash the timestamp ----
-                sig = a_qsig[i]
-                cell = sig % q_size
-                if ov_q_stash_ts[cell] != 0:
+                if r_q_stash_ts[qc] != 0:
                     q_evictions += 1
-                ov_q_stash_ts[cell] = now48 if now48 != 0 else 1
-                ov_q_stash_sig[cell] = sig
+                r_q_stash_ts[qc] = now48 if now48 != 0 else 1
+                r_q_stash_sig[qc] = qsig
                 # Microburst stage ignores ingress copies.
             else:
                 # ---- egress-TAP copy: queue pairing + microburst ----
-                sig = a_qsig[i]
-                cell = sig % q_size
-                stored = ov_q_stash_ts[cell]
-                if stored == 0 or ov_q_stash_sig[cell] != sig:
+                stored = r_q_stash_ts[qc]
+                if stored == 0 or r_q_stash_sig[qc] != qsig:
                     pairs_missed += 1
                     if stored != 0:
                         q_sig_mismatch += 1
                     continue
                 now48 = ts & TSM
                 delay = (now48 - stored) & TSM
-                ov_q_stash_ts[cell] = 0
-                ov_q_stash_sig[cell] = 0
+                r_q_stash_ts[qc] = 0
+                r_q_stash_sig[qc] = 0
                 pairs_matched += 1
-                epid = a_epid[i]
-                port_q = epid % ports
+                port_q = a_epid[i] % ports
                 if qdepth_hist_on:
-                    qdepth_hist_obs.append((port_q, delay))
+                    qdepth_hist_idx.append(port_q)
+                    qdepth_hist_val.append(delay)
                 if tw_on:
-                    tw_obs.append((now48, fid, a_tlen[i], delay))
-                idx = a_slot[i]
-                ov_flow_qdelay[idx] = delay
-                if delay > ov_flow_qdelay_max[idx]:
-                    ov_flow_qdelay_max[idx] = delay
+                    tw_obs.extend((now48, fid, a_tlen[i], delay))
+                r_flow_qdelay[ls] = delay
+                if delay > r_flow_qdelay_max[ls]:
+                    r_flow_qdelay_max[ls] = delay
                 if a_ecn[i] == 3:  # CE
                     ce_marks += 1
-                    ov_flow_ce[idx] = (ov_flow_ce[idx] + 1) & _M32
+                    r_flow_ce[ls] = (r_flow_ce[ls] + 1) & _M32
 
                 # Microburst hysteresis (per monitored egress queue).
-                if not ov_mb_state[port_q]:
+                if not r_mb_state[port_q]:
                     if delay >= mb_on:
                         mb_starts += 1
-                        ov_mb_state[port_q] = 1
-                        ov_mb_start[port_q] = max(0, ts - delay) & TSM
-                        ov_mb_peak[port_q] = delay & TSM
-                        ov_mb_pkts[port_q] = 1
+                        r_mb_state[port_q] = 1
+                        r_mb_start[port_q] = max(0, ts - delay) & TSM
+                        r_mb_peak[port_q] = delay & TSM
+                        r_mb_pkts[port_q] = 1
                     continue
                 mb_in_burst += 1
-                if (delay & TSM) > ov_mb_peak[port_q]:
-                    ov_mb_peak[port_q] = delay & TSM
-                ov_mb_pkts[port_q] = (ov_mb_pkts[port_q] + 1) & _M32
+                if (delay & TSM) > r_mb_peak[port_q]:
+                    r_mb_peak[port_q] = delay & TSM
+                r_mb_pkts[port_q] = (r_mb_pkts[port_q] + 1) & _M32
                 if delay <= mb_off:
-                    ov_mb_state[port_q] = 0
-                    start = ov_mb_start[port_q]
+                    r_mb_state[port_q] = 0
+                    start = r_mb_start[port_q]
                     bursts += 1
-                    peak = ov_mb_peak[port_q]
-                    pkts_v = ov_mb_pkts[port_q]
                     mb_emit(
                         start_ns=start,
                         duration_ns=max(0, ts - start),
-                        peak_queue_delay_ns=peak,
-                        packets=pkts_v,
+                        peak_queue_delay_ns=r_mb_peak[port_q],
+                        packets=r_mb_pkts[port_q],
                         port_id=port_q,
                     )
 
-        # ---- write-back: overlays -> register cells, histograms, counters ------
-        for ov, cells in (
-            (ov_flow_key, c_flow_key), (ov_flow_src, self.c_flow_src),
-            (ov_flow_dst, self.c_flow_dst), (ov_flow_sport, self.c_flow_sport),
-            (ov_flow_dport, self.c_flow_dport), (ov_flow_bytes, c_flow_bytes),
-            (ov_flow_pkts, c_flow_pkts), (ov_flow_start, c_flow_start),
-            (ov_flow_last, self.c_flow_last), (ov_flow_fin, c_flow_fin),
-            (ov_prev_seq, c_prev_seq), (ov_pkt_loss, c_pkt_loss),
-            (ov_rtt, c_rtt), (ov_rtt_count, c_rtt_count),
-            (ov_eack_ts, c_eack_ts), (ov_eack_sig, c_eack_sig),
-            (ov_high_seq, c_high_seq), (ov_high_ack, c_high_ack),
-            (ov_flow_rwnd, self.c_flow_rwnd),
-            (ov_q_stash_ts, c_q_stash_ts), (ov_q_stash_sig, c_q_stash_sig),
-            (ov_flow_qdelay, self.c_flow_qdelay),
-            (ov_flow_qdelay_max, self.c_flow_qdelay_max),
-            (ov_flow_ce, c_flow_ce),
-            (ov_mb_state, c_mb_state), (ov_mb_start, c_mb_start),
-            (ov_mb_peak, c_mb_peak), (ov_mb_pkts, c_mb_pkts),
-        ):
-            if ov:
-                cells[np.fromiter(ov.keys(), dtype=np.intp, count=len(ov))] = \
-                    np.fromiter(ov.values(), dtype=np.uint64, count=len(ov))
-        if ov_cms:
-            rr = np.empty(len(ov_cms), dtype=np.intp)
-            cc = np.empty(len(ov_cms), dtype=np.intp)
-            vv = np.empty(len(ov_cms), dtype=np.uint64)
-            for j, ((r, c), v) in enumerate(ov_cms.items()):
-                rr[j] = r
-                cc[j] = c
-                vv[j] = v
-            cms_rows_arr[rr, cc] = vv
-        if rtt_hist_obs:
-            hist = self.rtt_hist
-            idxs, vals = zip(*rtt_hist_obs)
-            bins = np.searchsorted(self._rtt_edges,
-                                   np.asarray(vals, dtype=np.int64), side="left")
-            np.add.at(hist._banks[hist.active],
-                      (np.asarray(idxs, dtype=np.intp), bins), 1)
-            hist.ops += len(rtt_hist_obs)
-        if qdepth_hist_obs:
-            hist = self.qdepth_hist
-            idxs, vals = zip(*qdepth_hist_obs)
-            bins = np.searchsorted(self._q_edges,
-                                   np.asarray(vals, dtype=np.int64), side="left")
-            np.add.at(hist._banks[hist.active],
-                      (np.asarray(idxs, dtype=np.intp), bins), 1)
-            hist.ops += len(qdepth_hist_obs)
+        # ---- write-back: register files -> cells, histograms, counters ---------
+        for index, files, cell_arrays in (
+                (slots, slot_files, self._slot_cells),
+                (ecells, eack_files, self._eack_cells),
+                (qcells, q_files, self._q_cells),
+                (slice(ports), mb_files, self._mb_cells),
+                (ccells, (cms,), (self.cms_flat,))):
+            for values, cells in zip(files, cell_arrays):
+                cells[index] = np.array(values, dtype=np.uint64)
+        for hist, edges, idxs, vals in (
+                (self.rtt_hist, self._rtt_edges, rtt_hist_idx, rtt_hist_val),
+                (self.qdepth_hist, self._q_edges,
+                 qdepth_hist_idx, qdepth_hist_val)):
+            if idxs:
+                bins = np.searchsorted(edges, np.asarray(vals, dtype=np.int64),
+                                       side="left")
+                np.add.at(hist._banks[hist.active],
+                          (np.asarray(idxs, dtype=np.intp), bins), 1)
+                hist.ops += len(idxs)
         if tw_obs:
             # Sequential replay: window cells hold last-writer signatures
             # and running maxima, so updates are order-dependent and must
             # land exactly as the scalar twin would apply them.
             tw_observe = self.time_windows.observe
-            for tw_ts, tw_fid, tw_len, tw_delay in tw_obs:
-                tw_observe(tw_ts, tw_fid, tw_len, tw_delay)
+            for k in range(0, len(tw_obs), 4):
+                tw_observe(*tw_obs[k:k + 4])
 
         ft.slot_collisions += slot_collisions
         self.cms.updates += cms_updates
@@ -788,7 +688,7 @@ class BatchKernel:
         # tallied them: one term per read/write/add/maximum call site,
         # times the number of copies that reached it (``_op_regs`` order).
         egress = pairs_matched + pairs_missed
-        ingress = accepted - egress
+        ingress = n - egress
         stashed = data_pkts - regressions       # Seq branch, no regression
         acks = rtt_matches + rtt_stale + rtt_misses
         consumed = rtt_matches + rtt_stale      # eACK cell hit and cleared
@@ -802,14 +702,14 @@ class BatchKernel:
             tracked,                                        # flow_last
             data_pkts + stashed,                            # prev_seq
             regressions,                                    # pkt_loss
-            2 * stashed + acks + consumed,                  # eack_ts
-            stashed + 2 * consumed + ack_sig_mismatch,      # eack_sig
             rtt_matches, rtt_matches,                       # rtt, rtt_count
             data_pkts, acks, acks,                          # high_seq/ack, rwnd
-            2 * ingress + egress + pairs_matched,           # q_stash_ts
-            ingress + 2 * pairs_matched + q_sig_mismatch,   # q_stash_sig
             pairs_matched, pairs_matched,                   # qdelay, qdelay_max
             ce_marks,                                       # flow_ce
+            2 * stashed + acks + consumed,                  # eack_ts
+            stashed + 2 * consumed + ack_sig_mismatch,      # eack_sig
+            2 * ingress + egress + pairs_matched,           # q_stash_ts
+            ingress + 2 * pairs_matched + q_sig_mismatch,   # q_stash_sig
             pairs_matched + mb_starts + bursts,             # mb_state
             mb_starts + bursts,                             # mb_start
             mb_starts + mb_in_burst + bursts,               # mb_peak
@@ -817,5 +717,5 @@ class BatchKernel:
         )):
             reg.ops += ops
 
-        self.pipeline.account_batch(n, accepted, rejected, t0_ns,
+        self.pipeline.account_batch(copies, n, rejected, t0_ns,
                                     time.perf_counter_ns())

@@ -73,8 +73,9 @@ class P4Monitor:
         # instrumentation subsystem): engaged only when no per-packet
         # hook demands scalar dispatch.  Telemetry is not one: it reads
         # tallies the kernel keeps exact and observes each flush as one
-        # batch record.  ``batch_buffer`` doubles as the engagement
-        # signal the TAP's fast mirror path keys on.
+        # batch record.  ``batch_buffer`` (the kernel's flat intake
+        # columns) doubles as the engagement signal the TAP's fast mirror
+        # path keys on.
         self.kernel = None
         self.batch_buffer = None
         if (sim is not None
@@ -86,6 +87,7 @@ class P4Monitor:
             from repro.core.batch import BatchKernel
             self.kernel = BatchKernel(self)
             self.batch_buffer = self.kernel.buf
+            self._batch_limit = self.kernel.buf_limit
             self.receive_copy = self._receive_copy_batched
             sim.add_flush_hook(self.flush)
 
@@ -169,15 +171,15 @@ class P4Monitor:
         the next flush boundary.  ECN is captured now — downstream queues
         CE-mark the shared ``Packet`` after the mirror point."""
         pkt = copy.pkt
+        buf = self.batch_buffer
         if copy.direction is TapDirection.INGRESS:
             self.copies_ingress += 1
-            self.batch_buffer.append((pkt, PORT_INGRESS_TAP, copy.timestamp_ns,
-                                      0, pkt.ecn))
+            buf.extend((pkt, PORT_INGRESS_TAP, copy.timestamp_ns, 0, pkt.ecn))
         else:
             self.copies_egress += 1
-            self.batch_buffer.append((pkt, PORT_EGRESS_TAP, copy.timestamp_ns,
-                                      copy.egress_port_id, pkt.ecn))
-        if len(self.batch_buffer) >= self.kernel.BUFFER_CAP:
+            buf.extend((pkt, PORT_EGRESS_TAP, copy.timestamp_ns,
+                        copy.egress_port_id, pkt.ecn))
+        if len(buf) >= self._batch_limit:
             self.kernel.flush()
 
     def flush(self) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntFlag
+from functools import lru_cache
 from typing import Optional
 
 ETHERTYPE_IPV4 = 0x0800
@@ -64,8 +65,10 @@ def ip_to_int(dotted: str) -> int:
     return value
 
 
+@lru_cache(maxsize=4096)
 def int_to_ip(value: int) -> str:
-    """0x0A000001 -> '10.0.0.1'."""
+    """0x0A000001 -> '10.0.0.1'.  Memoised (bounded): report building
+    formats the same few endpoint addresses once per archived document."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise ValueError(f"IPv4 address out of range: {value:#x}")
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))

@@ -113,13 +113,14 @@ class OpticalTap:
         # Fast mirror path: when the sink is a batching P4Monitor and
         # nothing on the TAP needs per-copy work (no loss injection, no
         # fibre delay, no trace, no stage profiling), mirror callbacks
-        # append buffer tuples directly — no MirrorCopy, no sink call.
+        # extend the kernel's flat buffer with the copy's five scalars
+        # directly — no MirrorCopy, no sink call, no per-copy container.
         # ECN is captured at mirror time; queues CE-mark the shared
         # Packet after this point.
         owner = getattr(sink, "__self__", None)
         self._fast_buf = None
         self._fast_owner = None
-        self._fast_cap = 0
+        self._fast_limit = 0
         if (copy_loss_rate == 0.0 and fiber_delay_ns == 0
                 and self._trace is None and self._prof is None
                 and owner is not None):
@@ -127,7 +128,7 @@ class OpticalTap:
             if buf is not None:
                 self._fast_buf = buf
                 self._fast_owner = owner
-                self._fast_cap = owner.kernel.BUFFER_CAP
+                self._fast_limit = owner.kernel.buf_limit
 
         if self._fast_buf is not None:
             switch.ingress_mirrors.append(self._mirror_ingress_fast)
@@ -184,16 +185,18 @@ class OpticalTap:
         self.copies_ingress += 1
         mon = self._fast_owner
         mon.copies_ingress += 1
-        self._fast_buf.append((pkt, 0, ts_ns, 0, pkt.ecn))
-        if len(self._fast_buf) >= self._fast_cap:
+        buf = self._fast_buf
+        buf.extend((pkt, 0, ts_ns, 0, pkt.ecn))
+        if len(buf) >= self._fast_limit:
             mon.kernel.flush()
 
     def _mirror_egress_fast(self, pkt: Packet, ts_ns: int, port_id: int) -> None:
         self.copies_egress += 1
         mon = self._fast_owner
         mon.copies_egress += 1
-        self._fast_buf.append((pkt, 1, ts_ns, port_id, pkt.ecn))
-        if len(self._fast_buf) >= self._fast_cap:
+        buf = self._fast_buf
+        buf.extend((pkt, 1, ts_ns, port_id, pkt.ecn))
+        if len(buf) >= self._fast_limit:
             mon.kernel.flush()
 
     def _ship(self, copy: MirrorCopy) -> None:

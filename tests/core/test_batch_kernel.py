@@ -9,17 +9,22 @@ digest mismatch.
 
 from __future__ import annotations
 
+import gc
 import zlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import BatchKernel, crc32_rows
 from repro.core.config import MonitorConfig
 from repro.core.monitor import P4Monitor
 from repro.netsim.engine import Simulator
-from repro.netsim.packet import FiveTuple, make_ack_packet, make_data_packet
+from repro.netsim.packet import (PROTO_UDP, FiveTuple, Packet, TCPFlags,
+                                 make_ack_packet, make_data_packet)
 from repro.netsim.tap import MirrorCopy, TapDirection
+from repro.p4.hashes import crc32_tuple
+from tests.core.helpers import FT
 
 
 def _parity(mat: np.ndarray) -> None:
@@ -53,7 +58,169 @@ def test_crc32_rows_matches_zlib_property(rows):
     _parity(mat)
 
 
-# -- flow churn: the memo is bounded and a flush preloads only its own batch --
+# -- kernel vs scalar twin on hand-built copies ------------------------------
+
+
+def _twin_monitor(batched: bool) -> P4Monitor:
+    config = MonitorConfig(flow_slots=16, eack_table_size=256,
+                           queue_stash_size=256, cms_width=64,
+                           long_flow_bytes=1000, batched_path=batched)
+    return P4Monitor(config, sim=Simulator())
+
+
+def _tallies(mon: P4Monitor) -> dict:
+    """Everything an observer can read off a monitor besides its state."""
+    prog = mon.program
+    out = {f"ops[{name}]": reg.ops for name, reg in prog.registers.items()}
+    for name, cms in prog.sketches.items():
+        out[f"sketch[{name}]"] = (cms.updates, cms.queries)
+    for name, digest in prog.digests.items():
+        out[f"digest[{name}]"] = (digest.emitted, digest.dropped)
+    ft, rl, qs = mon.flow_table, mon.rtt_loss, mon.queue
+    out["stages"] = (ft.slot_collisions, rl.stash_evictions, rl.rtt_matches,
+                     rl.rtt_misses, rl.rtt_stale, qs.pairs_matched,
+                     qs.pairs_missed, qs.stash_evictions,
+                     mon.microburst.bursts_detected)
+    out["parser"] = (mon.pipeline.parser.accepted, mon.pipeline.parser.rejected)
+    out["pipeline"] = (mon.pipeline.packets_in, mon.pipeline.packets_dropped)
+    return out
+
+
+class Twins:
+    """The same copies into a batched and a scalar monitor."""
+
+    def __init__(self) -> None:
+        self.batched, self.scalar = _twin_monitor(True), _twin_monitor(False)
+        assert self.batched.kernel is not None and self.scalar.kernel is None
+        self.t = 1_000
+
+    def copy(self, pkt: Packet, direction=TapDirection.INGRESS,
+             egress_port_id: int = 0) -> None:
+        self.t += 10_000
+        copy = MirrorCopy(pkt, direction, self.t, egress_port_id)
+        self.batched.receive_copy(copy)
+        self.scalar.receive_copy(copy)
+
+    def transit(self, pkt: Packet) -> None:
+        self.copy(pkt)
+        self.copy(pkt, TapDirection.EGRESS)
+
+    def track(self, ft: FiveTuple, seq: int = 1) -> int:
+        """Push a flow past the long-flow threshold; returns the next seq."""
+        for k in range(3):
+            self.transit(make_data_packet(ft, seq=seq, payload_len=600,
+                                          ip_id=k + 1))
+            seq += 600
+        return seq
+
+    def check(self) -> None:
+        self.batched.flush()
+        assert (self.batched.program.state_digest()
+                == self.scalar.program.state_digest())
+        assert _tallies(self.batched) == _tallies(self.scalar)
+
+
+def _udp(ft: FiveTuple = FT) -> Packet:
+    return Packet(ft.src_ip, ft.dst_ip, ft.src_port, ft.dst_port,
+                  payload_len=200, proto=PROTO_UDP)
+
+
+def test_flush_of_only_rejected_copies_is_accounted():
+    twins = Twins()
+    for _ in range(5):
+        twins.transit(_udp())
+    twins.check()
+    pipeline = twins.batched.pipeline
+    assert (pipeline.parser.accepted, pipeline.parser.rejected) == (0, 10)
+    assert (pipeline.packets_in, pipeline.packets_dropped) == (10, 10)
+
+
+def test_mixed_tcp_udp_flush_drops_the_rejected_rows_only():
+    twins = Twins()
+    seq = 1
+    for k in range(6):
+        twins.transit(_udp())
+        twins.transit(make_data_packet(FT, seq=seq, payload_len=600, ip_id=k))
+        seq += 600
+        twins.copy(_udp(FT.reversed()))
+        twins.copy(make_ack_packet(FT.reversed(), ack=seq))
+    twins.check()
+    assert twins.batched.pipeline.parser.rejected == 18
+    assert twins.batched.rtt_loss.rtt_matches == 6
+
+
+@pytest.mark.parametrize("flags, consumed", [
+    (TCPFlags.ACK, 0), (TCPFlags.SYN, 1), (TCPFlags.FIN | TCPFlags.ACK, 1),
+    (TCPFlags.RST | TCPFlags.ACK, 0), (TCPFlags.SYN | TCPFlags.FIN, 2)])
+def test_eack_counts_syn_and_fin(flags, consumed):
+    """SYN and FIN each consume a sequence number: the receiver's ACK of
+    ``seq + len + consumed`` must hit the stashed eACK on both paths."""
+    twins = Twins()
+    seq = twins.track(FT)
+    twins.transit(make_data_packet(FT, seq=seq, payload_len=100, flags=flags))
+    twins.copy(make_ack_packet(FT.reversed(), ack=seq + 100 + consumed))
+    twins.check()
+    assert twins.batched.rtt_loss.rtt_matches == 1
+    assert twins.batched.rtt_loss.rtt_misses == 0
+
+
+def test_seq_and_ack_wrap_at_two_to_the_32():
+    twins = Twins()
+    seq = (1 << 32) - 2000
+    for k in range(4):  # the third segment straddles the wrap
+        twins.transit(make_data_packet(FT, seq=seq, payload_len=900, ip_id=k))
+        seq = (seq + 900) & 0xFFFFFFFF
+        twins.copy(make_ack_packet(FT.reversed(), ack=seq,
+                                   seq=(1 << 32) - 1))
+    twins.check()
+    assert seq < 2000
+    assert twins.batched.rtt_loss.rtt_matches == 4
+    assert twins.batched.rtt_loss.pkt_loss.read(
+        crc32_tuple(FT) & twins.batched.kernel.flow_mask) == 0
+
+
+def test_ecn_is_per_copy_and_headers_per_packet():
+    """One Packet object mirrored at ingress and at egress in the same
+    flush, CE-marked by the queue between the two mirror points."""
+    twins = Twins()
+    seq = twins.track(FT)
+    pkt = make_data_packet(FT, seq=seq, payload_len=600, ip_id=9)
+    pkt.ecn = Packet.ECN_ECT0
+    twins.copy(pkt)
+    pkt.ecn = Packet.ECN_CE
+    twins.copy(pkt, TapDirection.EGRESS)
+    twins.check()
+    slot = crc32_tuple(FT) & twins.batched.kernel.flow_mask
+    assert twins.batched.queue.flow_ce.read(slot) == 1
+
+
+def test_reverse_slot_shared_with_another_flows_forward_slot():
+    """high_ack / flow_rwnd are written at the *reverse* flow's slot; when
+    that is another tracked flow's forward slot the two must meet in one
+    register file, not in two batch-local copies of the cell."""
+    mask = 15
+    other = next(
+        ft for ft in (FiveTuple(0x0A000002, 0x0A010002, 41000 + i, 5201)
+                      for i in range(4096))
+        if crc32_tuple(ft) & mask == crc32_tuple(FT) & mask)
+    assert other.reversed() != FT
+    twins = Twins()
+    seq = twins.track(FT)
+    for k in range(3):
+        # ``other``'s receiver ACKs: reverse slot == FT's forward slot.
+        twins.copy(make_ack_packet(other.reversed(), ack=5000 + k,
+                                   window=1000 + k))
+        twins.transit(make_data_packet(FT, seq=seq, payload_len=600, ip_id=20 + k))
+        seq += 600
+        twins.copy(make_ack_packet(FT.reversed(), ack=seq))
+    twins.check()
+    slot = crc32_tuple(FT) & mask
+    # last writer (FT's own ACK) and running maximum (``other``'s ACK)
+    assert twins.batched.flight.flow_rwnd.read(slot) == 65535
+    assert twins.batched.flight.high_ack.read(slot) == 5002 > seq
+
+
+# -- flow churn: no per-flow state survives a flush ---------------------------
 
 
 def _churn_copies(flows: int, per_flow: int = 3):
@@ -75,46 +242,65 @@ def _churn_copies(flows: int, per_flow: int = 3):
     return copies
 
 
-def _churn_monitor(batched: bool) -> P4Monitor:
-    config = MonitorConfig(flow_slots=16, eack_table_size=256,
-                           queue_stash_size=256, cms_width=64,
-                           long_flow_bytes=1000, batched_path=batched)
-    return P4Monitor(config, sim=Simulator())
-
-
-def test_flow_memo_is_bounded_and_churn_stays_equivalent():
-    """300 short flows through 16 slots: the memo is dropped whenever it
-    outgrows 4x the register file, and state, stage counters and every
-    register's op tally still equal the scalar twin's."""
-    batched, scalar = _churn_monitor(True), _churn_monitor(False)
+def test_kernel_retains_no_per_flow_state_and_churn_stays_equivalent():
+    """300 short flows through 16 slots: after every flush the kernel
+    holds no Python container that grew with the flows it saw, and
+    state, stage counters and every register's op tally still equal the
+    scalar twin's."""
+    batched, scalar = _twin_monitor(True), _twin_monitor(False)
     kernel = batched.kernel
-    assert kernel is not None and scalar.kernel is None
-    cap = 4 * batched.config.flow_slots
     copies = _churn_copies(300)
-    per_flush = 90  # 10 flows (20 memo keys) per flush
+    per_flush = 90  # 10 flows per flush
     for i in range(0, len(copies), per_flush):
         for copy in copies[i:i + per_flush]:
             batched.receive_copy(copy)
             scalar.receive_copy(copy)
         batched.flush()
-        assert len(kernel._flow_memo) <= cap + 20
+        assert {name: len(value) for name, value in vars(kernel).items()
+                if isinstance(value, (dict, list, set))} == {"buf": 0}
     assert batched.program.state_digest() == scalar.program.state_digest()
-    assert batched.flow_table.slot_collisions == scalar.flow_table.slot_collisions > 0
-    assert ({n: r.ops for n, r in batched.program.registers.items()}
-            == {n: r.ops for n, r in scalar.program.registers.items()})
-    assert batched.pipeline.packets_in == scalar.pipeline.packets_in == len(copies)
+    assert batched.flow_table.slot_collisions > 0
+    assert _tallies(batched) == _tallies(scalar)
+    assert batched.pipeline.packets_in == len(copies)
 
 
 def test_buffer_cap_is_the_kernels_constant():
     """One constant, owned by the kernel, bounds the buffer on the
     monitor's batched sink (the TAP's fast mirror path reads the same
-    one at bind time)."""
-    monitor = _churn_monitor(True)
+    limit at bind time); callers count in copies, never in buffer cells."""
+    monitor = _twin_monitor(True)
     cap = BatchKernel.BUFFER_CAP
     pkt = make_data_packet(FiveTuple(1, 2, 3, 4), seq=1, payload_len=100)
     for i in range(cap - 1):
         monitor.receive_copy(MirrorCopy(pkt, TapDirection.INGRESS, i + 1))
-    assert len(monitor.batch_buffer) == cap - 1
+    assert monitor.kernel.pending == cap - 1
     monitor.receive_copy(MirrorCopy(pkt, TapDirection.INGRESS, cap))
-    assert len(monitor.batch_buffer) == 0
+    assert monitor.kernel.pending == 0
     assert monitor.pipeline.packets_in == cap
+
+
+# -- allocation discipline ------------------------------------------------------
+
+
+def test_buffering_and_flushing_allocate_no_per_copy_container():
+    """The cyclic collector is driven by net live tracked containers: a
+    tuple per buffered copy (the layout this kernel replaced) cost 28
+    collections for these 4000 copies and grew the tracked-object count
+    by 4000; flat columns cost none."""
+    monitor = _twin_monitor(True)
+    copies = _churn_copies(445)[:4000]
+    collections = []
+    probe = lambda phase, info: phase == "stop" and collections.append(info)
+    gc.collect()
+    tracked = len(gc.get_objects())
+    gc.callbacks.append(probe)
+    try:
+        for copy in copies:
+            monitor.receive_copy(copy)
+        grown = len(gc.get_objects()) - tracked
+        monitor.flush()
+    finally:
+        gc.callbacks.remove(probe)
+    assert monitor.pipeline.packets_in == 4000
+    assert grown < 50
+    assert len(collections) <= 2

@@ -27,8 +27,14 @@ def test_ip_conversion_rejects_malformed(bad):
 
 
 def test_int_to_ip_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        int_to_ip(1 << 32)
+    for _ in range(2):  # the memo must not cache (or swallow) the error
+        with pytest.raises(ValueError):
+            int_to_ip(1 << 32)
+
+
+def test_int_to_ip_memo_is_bounded_and_transparent():
+    assert int_to_ip(0x0A000001) == int_to_ip(0x0A000001) == "10.0.0.1"
+    assert 0 < int_to_ip.cache_info().maxsize <= 1 << 16
 
 
 @given(st.integers(min_value=0, max_value=0xFFFFFFFF))

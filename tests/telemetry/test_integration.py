@@ -148,10 +148,10 @@ def test_snapshot_drains_the_batch_buffer_first():
         pkt = make_data_packet(ft, seq=1 + 1000 * i, payload_len=1000, ip_id=i)
         monitor.receive_copy(MirrorCopy(pkt, TapDirection.INGRESS, 1_000 * (i + 1)))
         monitor.receive_copy(MirrorCopy(pkt, TapDirection.EGRESS, 1_000 * (i + 1) + 500))
-    assert len(monitor.batch_buffer) == 20
+    assert monitor.kernel.pending == 20
 
     by_name = _by_name(telemetry.snapshot())
-    assert not monitor.batch_buffer
+    assert monitor.kernel.pending == 0
     copies = sum(s["value"] for s in by_name["repro_p4_tap_copies"]["series"])
     stages = {s["labels"]["stage"]: s["value"]
               for s in by_name["repro_p4_stage_packets_total"]["series"]}
