@@ -123,8 +123,10 @@ def test_end_to_end_simulation_rate_scalar(benchmark):
 def test_phase_attribution_record(once, record_phases):
     """The end-to-end scenario under phase profiling: records per-phase
     self/cum time into BENCH_substrate.json so the trend gate can
-    localize a future regression to engine dispatch, the P4 pipeline,
-    the control plane or the archiver path (docs/profiling.md)."""
+    localize a future regression to engine dispatch, the P4 kernel,
+    the control plane or the archiver path (docs/profiling.md).  Block
+    detail leaves the batched path engaged, so the phases describe the
+    configuration the other records here time."""
     from repro.experiments.common import Scenario, ScenarioConfig
     from repro.telemetry import profiling
 
@@ -140,13 +142,15 @@ def test_phase_attribution_record(once, record_phases):
             scenario.add_flow(1, duration_s=3.0)
             with prof.running():
                 scenario.run(4.0)
-            return prof.report()
+            return prof.report(), scenario.monitor
         finally:
             profiling.disable()
 
-    report = once(run)
+    report, monitor = once(run)
     # The dispatch loop must have attributed essentially the whole run.
     assert report.total_self_ns > 0.5 * report.wall_ns
     assert any(r.phase.startswith("engine/") for r in report.rows)
-    assert report.row("p4.process") is not None
+    assert monitor.kernel is not None
+    assert (report.row("p4.process").count
+            == monitor.copies_ingress + monitor.copies_egress)
     record_phases(report)

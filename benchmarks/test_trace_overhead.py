@@ -4,8 +4,8 @@ Three operating points, per docs/observability.md:
 
 - **disabled** (the default): the pipeline hot path pays only the
   bind-time ``is None`` guards — within 2 % of an uninstrumented twin
-  (``BarePipeline`` replays the pre-instrumentation process() body,
-  sharing parser/stages, so the delta is exactly the guards);
+  (``harness.BarePipeline`` replays the pre-instrumentation process()
+  body, sharing parser/stages, so the delta is exactly the guards);
 - **coarse-only** (``fine_window=0``, 1/64 sampling): the always-on
   long-horizon mode — within 15 % of event-loop wall time on the
   substrate end-to-end scenario (the netsim + pipeline + control-plane
@@ -17,215 +17,62 @@ Three operating points, per docs/observability.md:
   (it is the diagnosis mode, not an always-on setting).
 """
 
-import gc
-import time
-
 from repro import telemetry
-from repro.core.flow_table import PORT_INGRESS_TAP
-from repro.netsim.packet import FiveTuple, make_ack_packet, make_data_packet
-from repro.p4.pipeline import P4Pipeline, StandardMetadata
 from repro.telemetry import provenance
 
+from benchmarks.harness import (assert_within, drive, guard_ratio,
+                                interleaved_best, packet_stream,
+                                substrate_scenario, timed_run)
 from tests.core.helpers import small_monitor
 
-PACKETS = 400
-ROUNDS = 9
 E2E_ROUNDS = 6
 DISABLED_BUDGET = 1.02
 COARSE_BUDGET = 1.15
-
-
-class BarePipeline(P4Pipeline):
-    """The process() body exactly as it was before instrumentation."""
-
-    def process(self, packet, meta):
-        self.packets_in += 1
-        hdr = self.parser.parse(packet)
-        if hdr is None:
-            self.packets_dropped += 1
-            return None
-        for stage in self.ingress:
-            stage.process(hdr, meta)
-            if meta.drop:
-                self.packets_dropped += 1
-                return None
-        for stage in self.egress:
-            stage.process(hdr, meta)
-            if meta.drop:
-                self.packets_dropped += 1
-                return None
-        return hdr
-
-
-def _packet_stream(n):
-    ft = FiveTuple(0x0A00000A, 0x0A01000A, 40000, 5201)
-    stream = []
-    seq = 1
-    for i in range(n):
-        stream.append(make_data_packet(ft, seq=seq, payload_len=1000, ip_id=i))
-        stream.append(make_ack_packet(ft.reversed(), ack=seq + 1000))
-        seq += 1000
-    return stream
-
-
-def _drive(pipeline, stream):
-    t = 1000
-    for pkt in stream:
-        meta = StandardMetadata(ingress_port=PORT_INGRESS_TAP,
-                                ingress_timestamp_ns=t)
-        pipeline.process(pkt, meta)
-        t += 500_000
-
-
-def _interleaved_best_ratio(guarded, bare, stream):
-    """Best-of-ROUNDS wall time for each pipeline, rounds interleaved
-    and order-alternated (cancels thermal/allocator drift in either
-    direction) with the GC held off the timings."""
-    _drive(guarded, stream)  # untimed warmup: register state converges
-    _drive(bare, stream)
-    guarded_best = bare_best = float("inf")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(ROUNDS):
-            first, second = (guarded, bare) if i % 2 == 0 else (bare, guarded)
-            t0 = time.perf_counter_ns()
-            _drive(first, stream)
-            dt_first = time.perf_counter_ns() - t0
-            t0 = time.perf_counter_ns()
-            _drive(second, stream)
-            dt_second = time.perf_counter_ns() - t0
-            if first is guarded:
-                guarded_best = min(guarded_best, dt_first)
-                bare_best = min(bare_best, dt_second)
-            else:
-                bare_best = min(bare_best, dt_first)
-                guarded_best = min(guarded_best, dt_second)
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return guarded_best / bare_best
-
-
-def _bare_twin_of(pipeline):
-    bare = BarePipeline("bare")
-    bare.parser = pipeline.parser
-    bare.ingress = pipeline.ingress
-    bare.egress = pipeline.egress
-    return bare
 
 
 def _measure_disabled_ratio():
     """Tracing off: guarded and bare share the same parser/stages, so
     the delta is exactly the ``is None`` guards."""
     assert not provenance.active() and not telemetry.enabled()
-    stream = _packet_stream(PACKETS)
     guarded = small_monitor().pipeline
     assert guarded._trace is None  # provenance off → fast path
-    return _interleaved_best_ratio(guarded, _bare_twin_of(guarded), stream)
+    return guard_ratio(guarded)
 
 
-def _build_substrate_scenario():
-    """The substrate end-to-end workload (test_substrate_perf.py's
-    shape): a monitored two-flow TCP scenario over the Fig. 8 topology.
-    Construction binds whatever instrumentation is live at call time."""
-    from repro.experiments.common import Scenario, ScenarioConfig
-
-    scenario = Scenario(
-        ScenarioConfig(bottleneck_mbps=25.0, rtts_ms=(20.0, 30.0, 40.0),
-                       reference_rtt_ms=40.0),
-        with_perfsonar=False,
-    )
-    scenario.add_flow(0, duration_s=2.0)
-    scenario.add_flow(1, duration_s=2.0)
-    return scenario
-
-
-def _run_substrate_scenario():
-    scenario = _build_substrate_scenario()
-    scenario.run(3.0)
-    return scenario
-
-
-def _timed_dark_run():
-    """Wall time of the event loop only: construction is allocator-heavy
-    and noisy, and the budget is about the steady-state hot path."""
-    scenario = _build_substrate_scenario()
-    gc.collect()
-    t0 = time.perf_counter_ns()
-    scenario.run(3.0)
-    return time.perf_counter_ns() - t0
-
-
-def _timed_coarse_run():
+def _timed_coarse_run(seen):
     tracer = provenance.enable(fine_window=0, sample_rate=1.0 / 64.0)
     try:
-        scenario = _build_substrate_scenario()  # hooks bind here, untimed
-        gc.collect()
-        t0 = time.perf_counter_ns()
-        scenario.run(3.0)
-        dt = time.perf_counter_ns() - t0
-        events_recorded = tracer.events_recorded
+        scenario = substrate_scenario()  # hooks bind here, untimed
+        dt = timed_run(scenario, 3.0)
+        seen["events_recorded"] = tracer.events_recorded
         assert len(tracer.fine) == 0  # fine ring stayed off
     finally:
         provenance.disable()
-    return dt, events_recorded
+    return dt
 
 
 def _measure_coarse_ratio():
     """Coarse-only tracing vs fully-off, end to end: the scenario built
     under ``enable(fine_window=0)`` binds the tracer in every netsim
     port, TAP, pipeline stage and register; the dark scenario pays only
-    the ``is None`` guards.  The two configurations alternate order
-    each round so monotonic drift (thermal ramp, allocator growth in a
-    long pytest process) cancels instead of always penalizing the one
-    measured second."""
+    the ``is None`` guards."""
     assert not provenance.active() and not telemetry.enabled()
-    _run_substrate_scenario()  # warmup (allocator, code paths)
-    dark_best = coarse_best = float("inf")
-    events_recorded = 0
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(E2E_ROUNDS):
-            if i % 2 == 0:
-                dark_best = min(dark_best, _timed_dark_run())
-                dt, events_recorded = _timed_coarse_run()
-                coarse_best = min(coarse_best, dt)
-            else:
-                dt, events_recorded = _timed_coarse_run()
-                coarse_best = min(coarse_best, dt)
-                dark_best = min(dark_best, _timed_dark_run())
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    assert events_recorded > 0  # sampling actually recorded
-    return coarse_best / dark_best
-
-
-def _assert_within(measure, budget, label):
-    ratios = []
-    for _ in range(3):  # retry: pass as soon as one clean attempt fits
-        ratio = measure()
-        ratios.append(ratio)
-        if ratio <= budget:
-            break
-    assert min(ratios) <= budget, (
-        f"{label} hot path is {min(ratios):.3f}x baseline "
-        f"(budget {budget}x); attempts: "
-        + ", ".join(f"{r:.3f}" for r in ratios)
-    )
+    seen = {}
+    coarse, dark = interleaved_best(
+        lambda: _timed_coarse_run(seen),
+        lambda: timed_run(substrate_scenario(), 3.0), E2E_ROUNDS)
+    assert seen["events_recorded"] > 0  # sampling actually recorded
+    return coarse / dark
 
 
 def test_disabled_provenance_overhead_within_budget():
-    _assert_within(_measure_disabled_ratio, DISABLED_BUDGET,
-                   "disabled-provenance")
+    assert_within(_measure_disabled_ratio, DISABLED_BUDGET,
+                  "disabled-provenance hot path vs bare twin (x)")
 
 
 def test_coarse_only_provenance_overhead_within_budget():
-    _assert_within(_measure_coarse_ratio, COARSE_BUDGET,
-                   "coarse-only provenance")
+    assert_within(_measure_coarse_ratio, COARSE_BUDGET,
+                  "coarse-only provenance vs dark, event loop (x)")
 
 
 def test_full_tracing_records_all_layers(benchmark):
@@ -234,10 +81,10 @@ def test_full_tracing_records_all_layers(benchmark):
     tracer = provenance.enable()
     try:
         mon = small_monitor()
-        stream = _packet_stream(PACKETS)
+        stream = packet_stream()
 
         def run():
-            _drive(mon.pipeline, stream)
+            drive(mon.pipeline, stream)
             return tracer.events_recorded
 
         assert benchmark(run) > 0

@@ -2,10 +2,11 @@
 
 The scalar pipeline (:class:`repro.p4.pipeline.P4Pipeline`) dispatches
 every mirrored copy through parser → five stages the moment the TAP
-delivers it.  That is the right shape for tracing, profiling and unit
-tests, but it pays Python call dispatch, a ``MirrorCopy`` and a
-``StandardMetadata`` allocation, four ``struct.pack`` + ``zlib.crc32``
-calls and a dozen bound-method register accesses *per packet*.
+delivers it.  That is the right shape for tracing, stage-detail
+profiling and unit tests, but it pays Python call dispatch, a
+``MirrorCopy`` and a ``StandardMetadata`` allocation, four
+``struct.pack`` + ``zlib.crc32`` calls and a dozen bound-method register
+accesses *per packet*.
 
 :class:`BatchKernel` replaces that with a columnar two-phase replay,
 engaged by :class:`~repro.core.monitor.P4Monitor` at construction time
@@ -63,8 +64,8 @@ Every tally the scalar path keeps is exact here too: stage counters
 flush converts them to per-register op counts once, never per op.  The
 flush ends by handing the pipeline one batch record
 (:meth:`P4Pipeline.account_batch`: copies, accepted, rejected, wall
-``t0..t1``), which is all telemetry needs, so enabling it keeps the
-kernel engaged.
+``t0..t1``), which is all telemetry and the block-detail profiler need,
+so enabling either keeps the kernel engaged.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from typing import Optional, Union
 
 from repro import telemetry
 from repro.netsim.engine import Simulator
-from repro.resilience import faults
 from repro.telemetry import profiling, provenance
 from repro.netsim.packet import Packet
 from repro.netsim.tap import MirrorCopy, TapDirection
@@ -69,21 +68,24 @@ class P4Monitor:
         if _prof is not None:
             self._register_profiler_sources(_prof)
 
-        # Batched hot path (construction-time twin binding, like every
-        # instrumentation subsystem): engaged only when no per-packet
-        # hook demands scalar dispatch.  Telemetry is not one: it reads
-        # tallies the kernel keeps exact and observes each flush as one
-        # batch record.  ``batch_buffer`` (the kernel's flat intake
-        # columns) doubles as the engagement signal the TAP's fast mirror
-        # path keys on.
+        # Batched hot path, bound at construction.  Only an observer
+        # that needs to see each packet on its own keeps the scalar
+        # pipeline: the tracer, a stage-detail profiler (per-packet
+        # per-stage frames by definition) and the rate meter (no kernel
+        # twin).  Telemetry and the block-detail profiler read tallies
+        # the kernel keeps exact and take each flush as one batch record
+        # (P4Pipeline.account_batch); the fault injector never touches a
+        # data-plane operation.  ``batch_buffer`` (the kernel's flat
+        # intake columns) doubles as the engagement signal the TAP's
+        # fast mirror path keys on.
         self.kernel = None
         self.batch_buffer = None
         if (sim is not None
                 and self.config.batched_path
                 and self.rate_meter is None
-                and _prof is None
-                and provenance.tracer() is None
-                and faults.injector() is None):
+                and not (_prof is not None and _prof.phases
+                         and _prof.detail_stage)
+                and provenance.tracer() is None):
             from repro.core.batch import BatchKernel
             self.kernel = BatchKernel(self)
             self.batch_buffer = self.kernel.buf

@@ -28,6 +28,11 @@ from typing import Any, Callable, Optional
 from repro import telemetry
 from repro.telemetry import profiling, provenance
 
+#: Event budget meaning "no limit": a drain stops when its count of
+#: fired events equals the budget, and a count never equals -1.  An int
+#: compared with ``!=`` so the hot loop's test stays int-against-int.
+_NO_BUDGET = -1
+
 
 class Event:
     """Handle for a scheduled callback.  ``cancel()`` is O(1) (lazy removal)."""
@@ -105,16 +110,15 @@ class Simulator:
         self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._events_run = 0
-        self._running = False
         self._flush_hooks: list[Callable[[], None]] = []
         #: Deepest the queue has ever been (scheduler introspection —
         #: `repro_sim_event_queue_hwm`).  Tracked unconditionally: the
         #: cost is one compare per schedule, off the dispatch hot loop.
         self.queue_hwm = 0
-        # Profiling: when phase accounting is live, run()/run_until()
-        # dispatch through profiled twins that charge each event to a
-        # per-callback cell (one perf_counter_ns per event, timestamps
-        # chained).  Disabled cost is this one binding.
+        # Profiling: when phase accounting is live, every drain runs the
+        # profiled loop body, which charges each event to a per-callback
+        # cell (one perf_counter_ns per event, timestamps chained).
+        # Disabled cost is one ``is None`` test per drain.
         _prof = profiling.profiler()
         if _prof is not None:
             _prof.bind_clock(self)
@@ -156,10 +160,6 @@ class Simulator:
                     hwm_seen[0] = sim.queue_hwm
 
             telemetry.registry().add_collector(_sim_stats)
-
-    def _tel_flush(self, executed_before: int) -> None:
-        self._tel_events.inc(self._events_run - executed_before)
-        self._tel_depth.observe(len(self._heap))
 
     # -- scheduling --------------------------------------------------------
 
@@ -215,10 +215,6 @@ class Simulator:
     def remove_flush_hook(self, fn: Callable[[], None]) -> None:
         self._flush_hooks.remove(fn)
 
-    def _run_flush_hooks(self) -> None:
-        for fn in self._flush_hooks:
-            fn()
-
     def every(self, interval_ns: int, fn: Callable[..., Any], *args: Any,
               align: bool = False) -> PeriodicEvent:
         """Schedule ``fn(*args)`` every ``interval_ns`` nanoseconds.
@@ -245,57 +241,57 @@ class Simulator:
         """Run every event with timestamp <= ``time_ns``; clock ends there."""
         if time_ns < self.now:
             raise ValueError(f"cannot run backwards to {time_ns} (now={self.now})")
-        if self._prof is not None:
-            return self._run_until_profiled(time_ns)
+        self._drain(time_ns, _NO_BUDGET)
+        self.now = time_ns
+        for hook in self._flush_hooks:
+            hook()
+
+    def run(self, max_events: Optional[int] = None) -> None:
+        """Run until the event queue drains (or ``max_events`` fire)."""
+        self._drain(float("inf"),
+                    _NO_BUDGET if max_events is None else max(max_events, 0))
+        for hook in self._flush_hooks:
+            hook()
+
+    def _drain(self, limit_ns, budget) -> None:
+        """The event loop: fire live events in ``(time, seq)`` order
+        while the head's timestamp is <= ``limit_ns`` and the number
+        fired has not reached ``budget``.
+
+        The loop is written twice — plain and profiled — because it is
+        the hottest loop in the system and the plain body must not pay a
+        per-event profiler branch.  The profiled body charges each event
+        to its callback's phase cell.  Timestamps are chained — one
+        ``perf_counter_ns`` per event covers both the previous event's
+        end and the next one's start — and the profiler's ``nested_ns``
+        delta separates an event's self time from work already
+        attributed to explicit phase frames it opened
+        (pipeline/control-plane/logstash blocks).
+        """
         heap = self._heap
         heappop = heapq.heappop
-        self._running = True
-        executed_before = self._events_run
+        prof = self._prof
         executed = 0
         try:
-            while heap and heap[0][0] <= time_ns:
+            if prof is None:
+                while heap and heap[0][0] <= limit_ns and executed != budget:
+                    t, _s, fn, args, handle = heappop(heap)
+                    if handle is not None and handle.cancelled:
+                        continue
+                    self.now = t
+                    executed += 1
+                    fn(*args)
+                return
+            cells_get = prof._fn_cells.get
+            pcn = time.perf_counter_ns
+            t_prev = pcn()
+            n_prev = prof.nested_ns
+            while heap and heap[0][0] <= limit_ns and executed != budget:
                 t, _s, fn, args, handle = heappop(heap)
                 if handle is not None and handle.cancelled:
                     continue
                 self.now = t
                 executed += 1
-                fn(*args)
-        finally:
-            # Folded in once per drain: per-event attribute stores are
-            # measurable at this loop's call volume.
-            self._events_run += executed
-            self._running = False
-            if self._tel_events is not None:
-                self._tel_flush(executed_before)
-        self.now = time_ns
-        if self._flush_hooks:
-            self._run_flush_hooks()
-
-    def _run_until_profiled(self, time_ns: int) -> None:
-        """run_until twin charging each event to its callback's phase cell.
-
-        Timestamps are chained — one ``perf_counter_ns`` per event covers
-        both the previous event's end and the next one's start — and the
-        profiler's ``nested_ns`` delta separates an event's self time
-        from work already attributed to explicit phase frames it opened
-        (pipeline/control-plane/logstash blocks).
-        """
-        heap = self._heap
-        prof = self._prof
-        cells_get = prof._fn_cells.get
-        heappop = heapq.heappop
-        pcn = time.perf_counter_ns
-        self._running = True
-        executed_before = self._events_run
-        t_prev = pcn()
-        n_prev = prof.nested_ns
-        try:
-            while heap and heap[0][0] <= time_ns:
-                t, _s, fn, args, handle = heappop(heap)
-                if handle is not None and handle.cancelled:
-                    continue
-                self.now = t
-                self._events_run += 1
                 fn(*args)
                 t_now = pcn()
                 # nested_ns grows monotonically (root frames and block
@@ -314,77 +310,12 @@ class Simulator:
                 t_prev = t_now
                 n_prev = n_now
         finally:
-            self._running = False
+            # Folded in once per drain: per-event attribute stores are
+            # measurable at this loop's call volume.
+            self._events_run += executed
             if self._tel_events is not None:
-                self._tel_flush(executed_before)
-        self.now = time_ns
-        if self._flush_hooks:
-            self._run_flush_hooks()
-
-    def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the event queue drains (or ``max_events`` fire)."""
-        if self._prof is not None:
-            return self._run_profiled(max_events)
-        heap = self._heap
-        heappop = heapq.heappop
-        budget = max_events if max_events is not None else float("inf")
-        self._running = True
-        executed_before = self._events_run
-        try:
-            while heap and budget > 0:
-                t, _s, fn, args, handle = heappop(heap)
-                if handle is not None and handle.cancelled:
-                    continue
-                self.now = t
-                self._events_run += 1
-                budget -= 1
-                fn(*args)
-        finally:
-            self._running = False
-            if self._tel_events is not None:
-                self._tel_flush(executed_before)
-        if self._flush_hooks:
-            self._run_flush_hooks()
-
-    def _run_profiled(self, max_events: Optional[int] = None) -> None:
-        """run() twin with per-callback phase attribution (see
-        :meth:`_run_until_profiled` for the chained-timestamp scheme)."""
-        heap = self._heap
-        prof = self._prof
-        cells_get = prof._fn_cells.get
-        heappop = heapq.heappop
-        pcn = time.perf_counter_ns
-        budget = max_events if max_events is not None else float("inf")
-        self._running = True
-        executed_before = self._events_run
-        t_prev = pcn()
-        n_prev = prof.nested_ns
-        try:
-            while heap and budget > 0:
-                t, _s, fn, args, handle = heappop(heap)
-                if handle is not None and handle.cancelled:
-                    continue
-                self.now = t
-                self._events_run += 1
-                budget -= 1
-                fn(*args)
-                t_now = pcn()
-                n_now = prof.nested_ns
-                cell = cells_get(fn)
-                if cell is None:
-                    cell = prof.dispatch_cell(fn, fn)
-                dt = t_now - t_prev
-                cell[0] += dt
-                cell[1] += dt - n_now + n_prev
-                cell[2] += 1
-                t_prev = t_now
-                n_prev = n_now
-        finally:
-            self._running = False
-            if self._tel_events is not None:
-                self._tel_flush(executed_before)
-        if self._flush_hooks:
-            self._run_flush_hooks()
+                self._tel_events.inc(executed)
+                self._tel_depth.observe(len(heap))
 
     def step(self) -> bool:
         """Run a single event.  Returns False when the queue is empty.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional
 
 from repro import telemetry
@@ -51,7 +52,16 @@ class PipelineStage:
 
 
 class P4Pipeline:
-    """Parser + ordered ingress stages + ordered egress stages."""
+    """Parser + ordered ingress stages + ordered egress stages.
+
+    There are two traversal bodies.  :meth:`process` is the plain one,
+    reached by class dispatch when nothing observes the pipeline.  When
+    telemetry, a phase profiler or a tracer is live at construction,
+    :meth:`_process_observed` shadows it as an instance attribute; what
+    that one body records is decided by three construction-time flags.
+    A batched monitor runs neither per packet: the kernel reports each
+    flush through :meth:`account_batch`.
+    """
 
     def __init__(self, name: str = "pipeline") -> None:
         self.name = name
@@ -60,12 +70,21 @@ class P4Pipeline:
         self.egress: List[PipelineStage] = []
         self.packets_in = 0
         self.packets_dropped = 0
-        # Instrumentation is bound at construction: the winning process()
-        # body is bound directly below, so disabled modes cost nothing
-        # per packet.
+        # The observer flags, read once here.  ``_trace`` also needs a
+        # per-packet guard (only packets with a uid are traced).  The
+        # profiler shows up as exactly one of two: ``_frames`` at stage
+        # detail, where it opens a frame per parser/stage, or the cached
+        # ``p4.process`` cell at block detail, charged once per packet
+        # here and once per flush from account_batch.
         self._trace = provenance.tracer()
-        _prof = profiling.profiler()
-        self._prof = _prof if (_prof is not None and _prof.phases) else None
+        prof = profiling.profiler()
+        self._prof = prof if (prof is not None and prof.phases) else None
+        self._frames = self._proc_cell = None
+        if self._prof is not None:
+            if self._prof.detail_stage:
+                self._frames = self._prof
+            else:
+                self._proc_cell = self._prof.cell("p4.process")
         self._tel_stage_pkts = None
         if telemetry.enabled():
             self._tel_stage_pkts = telemetry.counter(
@@ -82,37 +101,15 @@ class P4Pipeline:
                 labels=("pipeline",)).labels(name)
             self._tel_parser = self._tel_stage_pkts.labels(name, "parser")
             self._tel_stage_cells: List = []
-        # Direct-body binding: process() IS the plain body; when
-        # instrumentation is on, the winning twin shadows it as an
-        # instance attribute.  Disabled thus pays zero per-packet
-        # guards and keeps plain class dispatch.  Tracing binds the
-        # per-packet dynamic dispatcher (its uid check decides traced
-        # vs untraced), and subclasses overriding process() keep
-        # their override.
-        if self._prof is not None:
-            self._proc_cell = self._prof.cell("p4.process")
-            self._prof_inner = (self._process_instrumented
-                                if self._tel_stage_pkts is not None
-                                else self._process_plain)
-        if self._prof is not None:
-            untraced = (self._process_profiled_stage
-                        if self._prof.detail_stage
-                        else self._process_profiled_block)
-        elif self._tel_stage_pkts is not None:
-            untraced = self._process_instrumented
-        else:
-            untraced = None  # plain body: keep class dispatch
-        self._untraced = untraced if untraced is not None else self._process_plain
-        if type(self).process is P4Pipeline.process:
-            if self._trace is not None:
-                self.process = self._process_dispatch
-            elif untraced is not None:
-                self.process = untraced
+        # Subclasses overriding process() keep their override.
+        if ((self._trace is not None or self._prof is not None
+             or self._tel_stage_pkts is not None)
+                and type(self).process is P4Pipeline.process):
+            self.process = self._process_observed
 
-    def _tel_stage(self, stage: PipelineStage):
-        cell = self._tel_stage_pkts.labels(self.name, stage.name)
-        self._tel_stage_cells.append(cell)
-        return cell
+    def _tel_stage(self, stage: PipelineStage) -> None:
+        self._tel_stage_cells.append(
+            self._tel_stage_pkts.labels(self.name, stage.name))
 
     def add_ingress(self, stage: PipelineStage) -> None:
         self.ingress.append(stage)
@@ -128,10 +125,10 @@ class P4Pipeline:
         """Run one packet through parse → ingress → egress.
 
         Returns the parsed headers (None if the parser rejected or a
-        stage dropped it).  This is the uninstrumented body: when any
-        instrumentation is on, construction shadows it with the right
-        twin as an instance attribute, so the disabled hot path is
-        byte-for-byte this method with plain class dispatch.
+        stage dropped it).  This is the unobserved body and the
+        reference the overhead benchmarks' ``BarePipeline`` and the
+        equivalence harness compare against: with every observer off it
+        runs as written, with plain class dispatch.
         """
         self.packets_in += 1
         hdr = self.parser.parse(packet)
@@ -150,42 +147,77 @@ class P4Pipeline:
                 return None
         return hdr
 
-    _process_plain = process  # explicit-dispatch alias for the twins
-
-    def _process_dispatch(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        """Per-packet dispatch for tracing mode (bound only while the
-        tracer is live): traced packets carry a uid, the rest take the
-        untraced twin chosen at construction."""
-        if getattr(packet, "uid", None) is not None:
-            return self._process_traced(packet, meta)
-        return self._untraced(packet, meta)
-
-    def _process_instrumented(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        """Telemetry twin of :meth:`process`: per-stage packet/drop
-        counters plus a wall-clock latency histogram per packet."""
-        t0 = time.perf_counter_ns()
-        self.packets_in += 1
-        self._tel_parser.inc()
-        hdr = self.parser.parse(packet)
-        if hdr is None:
-            self.packets_dropped += 1
-            self._tel_stage_drops.labels(self.name, "parser").inc()
-            self._tel_latency.observe(time.perf_counter_ns() - t0)
-            return None
-        cells = self._tel_stage_cells
-        i = 0
-        for block in (self.ingress, self.egress):
-            for stage in block:
-                cells[i].inc()
-                i += 1
-                stage.process(hdr, meta)
-                if meta.drop:
-                    self.packets_dropped += 1
-                    self._tel_stage_drops.labels(self.name, stage.name).inc()
-                    self._tel_latency.observe(time.perf_counter_ns() - t0)
-                    return None
-        self._tel_latency.observe(time.perf_counter_ns() - t0)
-        return hdr
+    def _process_observed(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
+        """:meth:`process` with the live observers attached, in any
+        combination: telemetry feeds per-stage packet/drop counters and
+        the per-packet latency histogram; the profiler is charged one
+        ``p4.process`` cell per packet (block detail) or opens nested
+        ``p4.parser`` / ``p4.stage/<name>`` frames (stage detail); the
+        tracer opens the packet context so the parser, every stage and
+        the registers they touch attribute their events to this packet.
+        """
+        tel = self._tel_stage_pkts is not None
+        cells = self._tel_stage_cells if tel else None
+        frames = self._frames
+        cell = self._proc_cell
+        trace = self._trace
+        if trace is not None and getattr(packet, "uid", None) is None:
+            trace = None  # an untraced packet under a live tracer
+        t0 = _pcn() if (tel or cell is not None) else 0
+        if frames is not None:
+            frames.begin("p4.process")
+        rec = False
+        if trace is not None:
+            trace.begin_packet(packet, meta.ingress_timestamp_ns)
+            # Unsampled packets skip the per-stage event calls entirely —
+            # the coarse-only overhead budget in
+            # benchmarks/test_trace_overhead.py rides on this flag.
+            rec = trace._ctx_rec
+        try:
+            self.packets_in += 1
+            if tel:
+                self._tel_parser.inc()
+            if frames is not None:
+                frames.begin("p4.parser")
+            try:
+                hdr = self.parser.parse(packet)
+            finally:
+                if frames is not None:
+                    frames.end()
+            dropped_by = "parser" if hdr is None else None
+            if hdr is not None:
+                for i, stage in enumerate(chain(self.ingress, self.egress)):
+                    if tel:
+                        cells[i].inc()
+                    if rec:
+                        trace.event("p4", "stage", stage.name)
+                    if frames is not None:
+                        frames.begin("p4.stage/" + stage.name)
+                    try:
+                        stage.process(hdr, meta)
+                    finally:
+                        if frames is not None:
+                            frames.end()
+                    if meta.drop:
+                        if rec:
+                            trace.event("p4", "stage-drop", stage.name)
+                        dropped_by = stage.name
+                        hdr = None
+                        break
+            if dropped_by is not None:
+                self.packets_dropped += 1
+                if tel:
+                    self._tel_stage_drops.labels(self.name, dropped_by).inc()
+            if tel:
+                self._tel_latency.observe(_pcn() - t0)
+            return hdr
+        finally:
+            if trace is not None:
+                trace.end_packet()
+            if frames is not None:
+                frames.end()
+            if cell is not None:
+                self._prof.charge(cell, _pcn() - t0, 1)
 
     def account_batch(self, copies: int, accepted: int, rejected: int,
                       t0_ns: int, t1_ns: int) -> None:
@@ -194,12 +226,16 @@ class P4Pipeline:
         ``rejected`` of them; the ``accepted`` rest ran every stage (no
         stage drops); the whole flush took wall ``t0_ns..t1_ns``.
 
-        Feeds the cells :meth:`_process_instrumented` feeds per packet.
+        Feeds the cells :meth:`_process_observed` feeds per packet.
         ``repro_p4_packet_ns`` gets the flush's per-copy mean once per
-        copy, so its count still equals copies processed.
+        copy, and the profiler's ``p4.process`` cell gets the flush's
+        wall time with ``copies`` events, so both counts still equal
+        copies processed.
         """
         self.packets_in += copies
         self.packets_dropped += rejected
+        if self._proc_cell is not None:
+            self._prof.charge(self._proc_cell, t1_ns - t0_ns, copies)
         if self._tel_stage_pkts is None:
             return
         self._tel_parser.inc(copies)
@@ -208,120 +244,3 @@ class P4Pipeline:
         for cell in self._tel_stage_cells:
             cell.inc(accepted)
         self._tel_latency.observe_n((t1_ns - t0_ns) / copies, copies)
-
-    def _process_profiled(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        """Profiling twin of :meth:`process`: ``block`` detail charges
-        one ``p4.process`` cell per packet (the ≤10 % always-on budget),
-        ``stage`` detail opens nested parser and per-stage frames
-        (diagnosis mode) — while still feeding the telemetry counters
-        when both are enabled."""
-        if self._prof.detail_stage:
-            return self._process_profiled_stage(packet, meta)
-        return self._process_profiled_block(packet, meta)
-
-    def _process_profiled_block(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        # Block detail never nests frames inside p4.process, and packets
-        # only flow under tap/switch engine events (never inside an open
-        # cp.extract/archiver frame), so the frame stack is skipped:
-        # two clock reads into the cached cell, self == cum, and
-        # nested_ns feeds the engine loop's self-time subtraction.
-        t0 = _pcn()
-        try:
-            return self._prof_inner(packet, meta)
-        finally:
-            dt = _pcn() - t0
-            cell = self._proc_cell
-            cell[0] += dt
-            cell[1] += dt
-            cell[2] += 1
-            self._prof.nested_ns += dt
-
-    def _process_profiled_stage(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        prof = self._prof
-        tel = self._tel_stage_pkts is not None
-        t0 = time.perf_counter_ns() if tel else 0
-        prof.begin("p4.process")
-        try:
-            self.packets_in += 1
-            if tel:
-                self._tel_parser.inc()
-            prof.begin("p4.parser")
-            try:
-                hdr = self.parser.parse(packet)
-            finally:
-                prof.end()
-            if hdr is None:
-                self.packets_dropped += 1
-                if tel:
-                    self._tel_stage_drops.labels(self.name, "parser").inc()
-                    self._tel_latency.observe(time.perf_counter_ns() - t0)
-                return None
-            i = 0
-            for block in (self.ingress, self.egress):
-                for stage in block:
-                    if tel:
-                        self._tel_stage_cells[i].inc()
-                    i += 1
-                    prof.begin("p4.stage/" + stage.name)
-                    try:
-                        stage.process(hdr, meta)
-                    finally:
-                        prof.end()
-                    if meta.drop:
-                        self.packets_dropped += 1
-                        if tel:
-                            self._tel_stage_drops.labels(self.name, stage.name).inc()
-                            self._tel_latency.observe(time.perf_counter_ns() - t0)
-                        return None
-            if tel:
-                self._tel_latency.observe(time.perf_counter_ns() - t0)
-            return hdr
-        finally:
-            prof.end()
-
-    def _process_traced(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        """Provenance twin of :meth:`process`: opens the packet context so
-        the parser, every stage, and the registers/sketches they touch
-        attribute their events to this packet — while still feeding the
-        telemetry counters when both subsystems are enabled."""
-        trace = self._trace
-        tel = self._tel_stage_pkts is not None
-        t0 = time.perf_counter_ns() if tel else 0
-        trace.begin_packet(packet, meta.ingress_timestamp_ns)
-        # Unsampled packets skip the per-stage event calls entirely — the
-        # coarse-only overhead budget in benchmarks/test_trace_overhead.py
-        # rides on this flag.
-        rec = trace._ctx_rec
-        try:
-            self.packets_in += 1
-            if tel:
-                self._tel_parser.inc()
-            hdr = self.parser.parse(packet)
-            if hdr is None:
-                self.packets_dropped += 1
-                if tel:
-                    self._tel_stage_drops.labels(self.name, "parser").inc()
-                    self._tel_latency.observe(time.perf_counter_ns() - t0)
-                return None
-            i = 0
-            for block in (self.ingress, self.egress):
-                for stage in block:
-                    if tel:
-                        self._tel_stage_cells[i].inc()
-                    i += 1
-                    if rec:
-                        trace.event("p4", "stage", stage.name)
-                    stage.process(hdr, meta)
-                    if meta.drop:
-                        self.packets_dropped += 1
-                        if rec:
-                            trace.event("p4", "stage-drop", stage.name)
-                        if tel:
-                            self._tel_stage_drops.labels(self.name, stage.name).inc()
-                            self._tel_latency.observe(time.perf_counter_ns() - t0)
-                        return None
-            if tel:
-                self._tel_latency.observe(time.perf_counter_ns() - t0)
-            return hdr
-        finally:
-            trace.end_packet()

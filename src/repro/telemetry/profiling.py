@@ -24,7 +24,7 @@ subsystem is **off by default and binds at construction time**:
 instrumented components cache :func:`profiler` (``None`` when disabled)
 once, so the disabled hot path costs a single ``is None`` test —
 enforced at ≤2 % by ``benchmarks/test_profiling_overhead.py``, with the
-default phase mode held to ≤10 % end to end.
+default phase mode held to a per-dispatched-event cost end to end.
 
 Phase accounting runs from :func:`enable`; :meth:`Profiler.start` /
 :meth:`Profiler.stop` bound the wall-time window and the sampler /
@@ -57,9 +57,10 @@ __all__ = [
 
 MODES = ("phase", "sample", "both")
 
-#: Phase granularity.  ``block`` keeps per-packet cost to one frame per
-#: pipeline traversal (the ≤10 % always-on budget); ``stage`` opens a
-#: frame per parser/stage/TAP hop — diagnosis mode, no budget.
+#: Phase granularity.  ``block`` charges ``p4.process`` once per kernel
+#: flush and leaves the batched monitor path engaged (the always-on
+#: budget); ``stage`` opens a frame per parser/stage/TAP hop, which
+#: binds the scalar pipeline — diagnosis mode, no budget.
 DETAILS = ("block", "stage")
 
 DEFAULT_SAMPLE_INTERVAL_S = 0.005
@@ -340,6 +341,19 @@ class Profiler:
                 "dur_ns": self._clock.now - frame[3],
                 "wall_ns": elapsed,
             })
+
+    def charge(self, cell: List[int], elapsed: int, count: int) -> None:
+        """Book an already-timed, childless span of ``count`` events to
+        ``cell`` — what a begin/end pair would record, without the
+        frame.  The pipeline charges ``p4.process`` this way: once per
+        kernel flush, or once per packet on the scalar path."""
+        cell[0] += elapsed
+        cell[1] += elapsed
+        cell[2] += count
+        if self._stack:
+            self._stack[-1][2] += elapsed
+        else:
+            self.nested_ns += elapsed
 
     def phase(self, name: str):
         """Context-manager convenience over begin/end (cold paths)."""

@@ -11,8 +11,8 @@ two interchange formats flamegraph tooling expects:
   weights), which renders as an interactive flamegraph in a browser.
 
 Phase reports are written as JSON (``repro-profile-v1``) next to them.
-``load_speedscope``/``load_collapsed`` are the validating readers the CI
-``profile-smoke`` job uses to assert artifacts are non-empty and
+``load_speedscope``/``load_collapsed`` are the validating readers
+``tests/test_cli.py`` uses to assert artifacts are non-empty and
 well-formed — mirroring ``events_from_perfetto`` in traceviz.
 """
 

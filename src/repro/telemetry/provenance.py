@@ -196,7 +196,7 @@ class ProvenanceTracer:
         self._ctx_coarse = False
         # Hot-path summary flag: is the active context recorded at all?
         # Hooks with per-stage/per-write cost branch on this one attribute
-        # instead of calling in (see P4Pipeline._process_traced).
+        # instead of calling in (see P4Pipeline._process_observed).
         self._ctx_rec = False
         # Active report context + the most recent control-read linkage.
         self._report: Optional[Tuple[int, int]] = None

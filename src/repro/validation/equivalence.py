@@ -149,7 +149,8 @@ def compare_paths(spec: ScenarioSpec,
         if batched and run.scenario.monitor.kernel is None:
             raise RuntimeError(
                 "batched path did not engage — a per-packet hook "
-                "(trace/profile/fault) is active in this process")
+                "(tracer or stage-detail profiler) is active in this "
+                "process")
         if hook is not None:
             hook(run)
         run.run()

@@ -24,6 +24,9 @@ from repro.netsim.packet import (PROTO_UDP, FiveTuple, Packet, TCPFlags,
                                  make_ack_packet, make_data_packet)
 from repro.netsim.tap import MirrorCopy, TapDirection
 from repro.p4.hashes import crc32_tuple
+from repro.resilience import faults
+from repro.resilience.schedule import FaultSchedule
+from repro.telemetry import profiling, provenance
 from tests.core.helpers import FT
 
 
@@ -304,3 +307,44 @@ def test_buffering_and_flushing_allocate_no_per_copy_container():
     assert monitor.pipeline.packets_in == 4000
     assert grown < 50
     assert len(collections) <= 2
+
+
+# -- which observers keep the kernel -----------------------------------------
+
+
+def _install_injector():
+    faults.install(faults.FaultInjector(FaultSchedule()))
+
+
+@pytest.mark.parametrize("enable, disable, overrides, batched", [
+    (lambda: profiling.enable(mode="phase"), profiling.disable, {}, True),
+    (_install_injector, faults.uninstall, {}, True),
+    (lambda: profiling.enable(mode="phase", detail="stage"),
+     profiling.disable, {}, False),
+    (provenance.enable, provenance.disable, {}, False),
+    (lambda: None, lambda: None, {"rate_meter_enabled": True}, False),
+    (lambda: None, lambda: None, {"batched_path": False}, False),
+], ids=["block-profiler", "fault-injector", "stage-profiler", "tracer",
+        "rate-meter", "batched-path-off"])
+def test_only_per_packet_observers_bind_the_scalar_path(
+        enable, disable, overrides, batched):
+    """An observer re-routes the data plane only if it has to see each
+    packet on its own.  The block profiler and the fault injector do
+    not: the kernel and the TAP's fast mirror path stay bound."""
+    from repro.experiments.common import Scenario, ScenarioConfig
+
+    enable()
+    try:
+        scenario = Scenario(ScenarioConfig(monitor_overrides=overrides),
+                            with_perfsonar=False)
+    finally:
+        disable()
+    mon, tap = scenario.monitor, scenario.topology.tap
+    assert (mon.kernel is not None) is batched
+    assert (tap._fast_buf is not None) is batched
+    if batched:
+        assert tap._fast_buf is mon.batch_buffer
+
+
+def test_monitor_without_a_simulator_binds_the_scalar_path():
+    assert P4Monitor(MonitorConfig()).kernel is None

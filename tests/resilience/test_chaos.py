@@ -29,9 +29,17 @@ BUNDLES = sorted(bundled_chaos())
 
 
 @pytest.fixture(scope="module")
-def bundle_results():
+def bundle_runs():
+    """The ValidationRun behind each bundled result (run_chaos's capture
+    hook fills these in)."""
+    return {name: {} for name in BUNDLES}
+
+
+@pytest.fixture(scope="module")
+def bundle_results(bundle_runs):
     """Each bundled scenario, run once and shared across assertions."""
-    return {name: run_chaos(spec) for name, spec in bundled_chaos().items()}
+    return {name: run_chaos(spec, _capture=bundle_runs[name])
+            for name, spec in bundled_chaos().items()}
 
 
 @pytest.mark.parametrize("name", BUNDLES)
@@ -46,6 +54,16 @@ def test_bundled_schedule_settles_clean(bundle_results, name):
     assert result.oracle_passed, "faults must not corrupt measurements"
     assert result.shipped == result.acked
     assert result.injections, f"{name} injected nothing — dead schedule?"
+
+
+def test_bundled_schedules_run_on_the_batched_path(bundle_results, bundle_runs):
+    """Chaos exercises the default data plane: an installed injector
+    leaves the kernel and the TAP's fast mirror path bound."""
+    for name in BUNDLES:
+        scenario = bundle_runs[name]["run"].scenario
+        assert scenario.monitor.kernel is not None, name
+        assert scenario.topology.tap._fast_buf is scenario.monitor.batch_buffer
+        assert scenario.control_plane._faults is not None
 
 
 def test_archiver_outage_exercises_breaker_and_retry(bundle_results):

@@ -14,9 +14,13 @@ import pytest
 
 from repro import telemetry
 from repro.netsim.engine import Simulator
-from repro.telemetry import profiling, profviz
+from repro.netsim.packet import make_data_packet
+from repro.netsim.tap import TapDirection
+from repro.telemetry import profiling, profviz, provenance
 from repro.telemetry.export import to_prometheus_text
 from repro.telemetry.profiling import PhaseReport, Profiler, StackSampler
+
+from tests.core.helpers import FT, small_monitor
 
 
 @pytest.fixture(autouse=True)
@@ -65,6 +69,43 @@ def test_root_frames_feed_nested_ns():
     # only the root frame's close adds to nested_ns
     assert nested_mid == 0
     assert prof.nested_ns == prof.cell("root")[0]
+
+
+def test_charge_books_a_frameless_span_like_a_closed_frame():
+    """charge() is what the kernel's per-flush p4.process record uses:
+    at the root it feeds nested_ns, inside an open frame it counts as
+    that frame's child time — exactly what begin/end would have done."""
+    prof = Profiler(mode="phase")
+    cell = prof.cell("p4.process")
+    prof.charge(cell, 700, 12)
+    assert cell == [700, 700, 12]
+    assert prof.nested_ns == 700
+    prof.begin("outer")
+    prof.charge(cell, 300, 5)
+    prof.end()
+    assert cell == [1000, 1000, 17]
+    outer = prof.cell("outer")
+    assert outer[1] == outer[0] - 300
+    assert prof.nested_ns == 700 + outer[0]
+
+
+@pytest.mark.parametrize("detail", profiling.DETAILS)
+def test_p4_process_counts_every_packet_with_the_tracer_live(detail):
+    """Regression: with profiler and tracer both on, traced packets used
+    to take a tracer-only body that never charged the profiler."""
+    tracer = provenance.enable()
+    prof = profiling.enable(mode="phase", detail=detail)
+    try:
+        mon = small_monitor()
+        for i in range(40):
+            pkt = make_data_packet(FT, seq=1 + 1000 * i, payload_len=1000,
+                                   ip_id=i)
+            mon.process_packet(pkt, TapDirection.INGRESS, 1000 * (i + 1))
+    finally:
+        provenance.disable()
+    assert prof.depth() == 0
+    assert prof.report().row("p4.process").count == 40
+    assert tracer.events_recorded > 0
 
 
 def test_phase_context_manager_balances_on_error():

@@ -5,9 +5,12 @@ paths and asserts bit-identical outcomes: state digest, every register /
 sketch / histogram-bank array, every archived report stream, the
 differential-oracle verdicts and the op tallies observers read — and,
 with telemetry enabled, the pipeline's stage counters and latency count
-(the kernel stays engaged there).  ``REPRO_FUZZ_SEEDS`` (ints, commas or
-``A..B`` ranges) widens the seed set — the CI ``batch-equivalence`` job
-derives it from the run id so coverage drifts across runs.
+(the kernel stays engaged there).  The same holds under the block-detail
+profiler (one ``p4.process`` charge per flush, its count still copies)
+and under an installed fault injector.  ``REPRO_FUZZ_SEEDS`` (ints,
+commas or ``A..B`` ranges) widens the seed set — the CI
+``batch-equivalence`` job derives it from the run id so coverage drifts
+across runs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import os
 import pytest
 
 from repro import telemetry
+from repro.resilience import faults
+from repro.resilience.schedule import FaultSchedule
+from repro.telemetry import profiling
 from repro.validation.equivalence import compare_paths
 from repro.validation.scenarios import ScenarioSpec
 
@@ -141,5 +147,69 @@ def test_paths_equivalent_under_telemetry(comparisons, seed):
     finally:
         telemetry.disable()
         telemetry.reset()
+    assert cmp.batched_run.scenario.monitor.program.state_digest() == \
+        unobserved.batched_run.scenario.monitor.program.state_digest()
+
+
+def _engaged(cmp):
+    """The batched side really ran the kernel behind the TAP's fast
+    mirror path, the scalar side really did not."""
+    batched, scalar = cmp.batched_run.scenario, cmp.scalar_run.scenario
+    assert batched.monitor.kernel is not None
+    assert batched.topology.tap._fast_buf is batched.monitor.batch_buffer
+    assert scalar.monitor.kernel is None
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_paths_equivalent_under_block_profiler(comparisons, seed):
+    """The block-detail profiler is a per-batch observer too: the kernel
+    stays engaged, ``p4.process`` counts one event per copy on either
+    path, and the op-count sources read the same on both."""
+    unobserved = comparisons(seed)
+    prof = profiling.enable(mode="phase", detail="block")
+    cell = prof.cell("p4.process")
+    built = {}
+
+    def mark(side):
+        # Runs after build, before the run: both sides share the one
+        # profiler, so each side's count is a difference, and a side's
+        # sources must be kept before the next build re-registers them.
+        def hook(run):
+            built[side] = (cell[2], dict(prof._sources))
+        return hook
+
+    try:
+        cmp = compare_paths(ScenarioSpec.from_seed(seed),
+                            run_hooks=(mark("batched"), mark("scalar")))
+        _engaged(cmp)
+        assert cmp.passed, cmp.summary()
+        counted = {"batched": built["scalar"][0] - built["batched"][0],
+                   "scalar": cell[2] - built["scalar"][0]}
+        sources = {side: {name: fn() for name, fn in built[side][1].items()}
+                   for side in built}
+    finally:
+        profiling.disable()
+    for side, run in (("batched", cmp.batched_run), ("scalar", cmp.scalar_run)):
+        mon = run.scenario.monitor
+        assert counted[side] == mon.copies_ingress + mon.copies_egress
+        assert counted[side] == sources[side]["p4.tap_copies"] > 0
+    assert sources["batched"] == sources["scalar"]
+    assert cmp.batched_run.scenario.monitor.program.state_digest() == \
+        unobserved.batched_run.scenario.monitor.program.state_digest()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_paths_equivalent_under_fault_injector(comparisons, seed):
+    """No fault kind touches a data-plane operation, so an installed
+    injector leaves the kernel engaged and the data plane unchanged."""
+    unobserved = comparisons(seed)
+    faults.install(faults.FaultInjector(FaultSchedule(seed=seed)))
+    try:
+        cmp = compare_paths(ScenarioSpec.from_seed(seed))
+    finally:
+        faults.uninstall()
+    _engaged(cmp)
+    assert cmp.batched_run.scenario.control_plane._faults is not None
+    assert cmp.passed, cmp.summary()
     assert cmp.batched_run.scenario.monitor.program.state_digest() == \
         unobserved.batched_run.scenario.monitor.program.state_digest()
