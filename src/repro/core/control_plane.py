@@ -13,6 +13,11 @@ Responsibilities, as the paper assigns them:
 - turn ``flow_termination`` digests into the detailed long-flow report of
   §3.3.2 and ``microburst`` digests into nanosecond burst events;
 - ship every record to the report sink (the perfSONAR archiver pipeline).
+
+Every periodic extraction — the four metric classes, plus the histogram
+and forensics extractors when the data plane has their externs — is one
+job of ``MonitorControlPlane.schedule`` and runs through the one
+``_tick`` envelope (docs/architecture.md §3).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro import telemetry
 from repro.telemetry import profiling, provenance
 from repro.resilience import checkpoint, faults
 from repro.netsim.engine import Event, Simulator
-from repro.netsim.units import NS_PER_S
+from repro.netsim.units import NS_PER_S, seconds
 from repro.core.alerts import AlertManager
 from repro.core.config import MetricKind, MonitorConfig
 from repro.core.forensics import ForensicsExtractor
@@ -46,6 +51,16 @@ from repro.core.reports import (
 from repro.core.stats import jain_fairness, link_utilization, throughput_bps
 
 ReportSink = Callable[[object], None]
+
+
+@dataclass
+class _Job:
+    """One row of the extraction schedule."""
+
+    name: str
+    body: Callable[[], None]
+    base_interval_ns: Callable[[], int]  # before the degraded-mode scale
+    timer: Optional[Event] = None
 
 
 @dataclass
@@ -105,27 +120,22 @@ class MonitorControlPlane:
         self.histogram_reports: List[HistogramReport] = []
         self.forensics_reports: List[ForensicsReport] = []
 
-        self._timers: Dict[MetricKind, Event] = {}
         self._running = False
-        self._tick_fns = {
-            MetricKind.THROUGHPUT: self._tick_throughput,
-            MetricKind.PACKET_LOSS: self._tick_loss,
-            MetricKind.RTT: self._tick_rtt,
-            MetricKind.QUEUE_OCCUPANCY: self._tick_queue,
-        }
 
-        # Resilience state.  ``last_extraction_ns`` is when each metric
-        # class actually last ran (rates window over real elapsed time,
-        # not the configured interval, so a stalled tick cannot
-        # mis-window throughput); deferred ticks consolidate into one
-        # bounded catch-up tick.  ``degraded`` collapses per-flow
-        # shipping to the aggregate stream and widens intervals by
-        # ``interval_scale`` (driven by the delivery circuit breaker).
+        # Resilience state, one record per job of the extraction
+        # schedule (the table is built below, once the extractors exist).
+        # ``last_extraction_ns`` is when each job actually last ran (rates
+        # window over real elapsed time, not the configured interval, so
+        # a stalled tick cannot mis-window throughput); deferred ticks
+        # consolidate into one bounded catch-up tick.  ``degraded``
+        # collapses per-flow shipping to the aggregate stream and widens
+        # intervals by ``interval_scale`` (driven by the delivery circuit
+        # breaker).
         self._faults = faults.injector()
-        self.last_extraction_ns: Dict[MetricKind, int] = {}
-        self.ticks_deferred: Dict[MetricKind, int] = {k: 0 for k in MetricKind}
-        self.catchup_ticks: Dict[MetricKind, int] = {k: 0 for k in MetricKind}
-        self._deferred_pending: Dict[MetricKind, bool] = {}
+        self.last_extraction_ns: Dict[str, int] = {}
+        self.ticks_deferred: Dict[str, int] = {}
+        self.catchup_ticks: Dict[str, int] = {}
+        self._deferred_pending: set = set()
         self.degraded = False
         self._interval_scale = 1.0
         self.reports_suppressed = 0
@@ -140,7 +150,7 @@ class MonitorControlPlane:
         # Set by a checkpoint restore before start(): extraction cursors
         # of the dead incarnation, so the first post-restart tick windows
         # over the true elapsed time (one bounded catch-up window).
-        self._resume_cursors: Optional[Dict[MetricKind, int]] = None
+        self._resume_cursors: Optional[Dict[str, int]] = None
 
         # Digest subscription lives in start()/stop(), not here: while
         # no control plane is subscribed (construction, or crash-to-
@@ -158,18 +168,28 @@ class MonitorControlPlane:
         # trace id on their way through Logstash to the archive.
         self._trace = provenance.tracer()
 
-        # Distribution extraction (construction-time binding, like every
-        # other optional subsystem): present only when the data plane was
-        # built with histogram externs.
+        # The extraction schedule.  Arming order is table order — the four
+        # metric classes in enum order, then histograms, then forensics —
+        # so same-instant ticks always fire in the same FIFO order.  The
+        # two extractors bind at construction like every other optional
+        # subsystem: present only when the data plane built their externs.
+        self.schedule: Dict[str, _Job] = {}
+        for kind, body in ((MetricKind.THROUGHPUT, self._tick_throughput),
+                           (MetricKind.PACKET_LOSS, self._tick_loss),
+                           (MetricKind.RTT, self._tick_rtt),
+                           (MetricKind.QUEUE_OCCUPANCY, self._tick_queue)):
+            self._add_job(kind.value, body,
+                          lambda kind=kind: self._metric_interval_ns(kind))
         self.histograms: Optional[HistogramExtractor] = None
         if monitor.rtt_loss.rtt_hist is not None:
             self.histograms = HistogramExtractor(self)
-
-        # Queue forensics (same construction-time binding): present only
-        # when the queue monitor built the time-window extern.
+            self._add_job("histograms", self.histograms.extract, lambda: seconds(
+                1.0 / self.config.histogram_samples_per_second))
         self.forensics: Optional[ForensicsExtractor] = None
         if monitor.queue.time_windows is not None:
             self.forensics = ForensicsExtractor(self)
+            self._add_job("forensics", self.forensics.extract, lambda: seconds(
+                1.0 / self.config.forensics_samples_per_second))
 
         # Profiling: each extraction tick body runs inside a
         # ``cp.extract/<metric>`` phase frame so register-read cost is
@@ -222,23 +242,32 @@ class MonitorControlPlane:
                 lambda _reg, cp=self, g=degraded_gauge: g.set(
                     1 if cp.degraded else 0))
 
-    # -- lifecycle ---------------------------------------------------------------
+    # -- lifecycle and the extraction schedule -------------------------------------
+
+    def _add_job(self, name: str, body: Callable[[], None],
+                 base_interval_ns: Callable[[], int]) -> None:
+        self.schedule[name] = _Job(name, body, base_interval_ns)
+        self.ticks_deferred[name] = 0
+        self.catchup_ticks[name] = 0
+
+    def _metric_interval_ns(self, kind: MetricKind) -> int:
+        return self.config.metric(kind).interval_ns(
+            boosted=self.alerts.metric_boosted(kind))
+
+    def interval_ns(self, name: str) -> int:
+        """Interval job ``name`` is armed at: its base interval widened
+        by the degraded-mode scale."""
+        base = self.schedule[name].base_interval_ns()
+        return max(1, int(base * self._interval_scale))
 
     def start(self) -> None:
         if self._running:
             return
         self._running = True
-        resume = self._resume_cursors
-        self._resume_cursors = None
-        for kind in MetricKind:
-            self.last_extraction_ns[kind] = (
-                resume[kind] if resume is not None and kind in resume
-                else self.sim.now)
-            self._arm(kind)
-        if self.histograms is not None:
-            self.histograms.arm()
-        if self.forensics is not None:
-            self.forensics.arm()
+        resume, self._resume_cursors = self._resume_cursors or {}, None
+        for job in self.schedule.values():
+            self.last_extraction_ns[job.name] = resume.get(job.name, self.sim.now)
+            self._arm(job)
         # Subscribe last: backlogged digests (e.g. terminations emitted
         # while no control plane was alive) replay synchronously here,
         # against fully-restored state.
@@ -249,69 +278,72 @@ class MonitorControlPlane:
 
     def stop(self) -> None:
         self._running = False
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        if self.histograms is not None:
-            self.histograms.cancel()
-        if self.forensics is not None:
-            self.forensics.cancel()
+        for job in self.schedule.values():
+            if job.timer is not None:
+                job.timer.cancel()
+                job.timer = None
         if self._subscribed:
             self._subscribed = False
             for name, receiver in self._digest_receivers:
                 self.runtime.unsubscribe_digest(name, receiver)
 
-    def _arm(self, kind: MetricKind) -> None:
+    def _arm(self, job: _Job) -> None:
         # Cancel-first: set_degraded can re-arm mid-tick, after which the
         # normal end-of-tick re-arm would double the timer.
-        existing = self._timers.get(kind)
-        if existing is not None:
-            existing.cancel()
-        boosted = self.alerts.metric_boosted(kind)
-        interval = self.config.metric(kind).interval_ns(boosted=boosted)
-        interval = int(interval * self._interval_scale)
-        self._timers[kind] = self.sim.after(interval, self._tick, kind)
+        if job.timer is not None:
+            job.timer.cancel()
+        job.timer = self.sim.after(self.interval_ns(job.name), self._tick, job)
 
-    def _tick(self, kind: MetricKind) -> None:
+    def _tick(self, job: _Job) -> None:
+        """The one envelope around every extraction body."""
         if not self._running:
             return
+        name = job.name
         # Batched data plane: everything mirrored before this tick must
         # be in the registers before we read them.
         self.monitor.flush()
-        if self._faults is not None and self._faults.cp_tick_stalled(kind.value):
+        if self._faults is not None and self._faults.cp_tick_stalled(name):
             # A stalled extractor does not read registers this interval;
             # the deltas accumulate and the next tick that does run is
             # one bounded catch-up windowed over the true elapsed time.
-            self.ticks_deferred[kind] += 1
-            self._deferred_pending[kind] = True
+            self.ticks_deferred[name] += 1
+            self._deferred_pending.add(name)
             if self._tel_cycle_ns is not None:
-                self._tel_deferred.labels(kind.value).inc()
-            self._arm(kind)
+                self._tel_deferred.labels(name).inc()
+            self._arm(job)
             return
-        if self._deferred_pending.pop(kind, False):
-            self.catchup_ticks[kind] += 1
+        if name in self._deferred_pending:
+            self._deferred_pending.discard(name)
+            self.catchup_ticks[name] += 1
             if self._tel_cycle_ns is not None:
-                self._tel_catchup.labels(kind.value).inc()
+                self._tel_catchup.labels(name).inc()
         prof = self._prof
         if prof is not None:
-            prof.begin("cp.extract/" + kind.value)
+            prof.begin("cp.extract/" + name)
         try:
             if self._tel_cycle_ns is not None:
                 with telemetry.span("cp.extract", self.sim):
                     t0 = time.perf_counter_ns()
-                    self._tick_fns[kind]()
-                    self._tel_cycle_ns.labels(kind.value).observe(
+                    job.body()
+                    self._tel_cycle_ns.labels(name).observe(
                         time.perf_counter_ns() - t0)
-                self._tel_cycles.labels(kind.value).inc()
+                self._tel_cycles.labels(name).inc()
             else:
-                self._tick_fns[kind]()
+                job.body()
         finally:
             if prof is not None:
                 prof.end()
-        self.last_extraction_ns[kind] = self.sim.now
+        self.last_extraction_ns[name] = self.sim.now
+        # The body was destructive (read-flip banks, cleared peak-holds).
+        self._checkpoint()
+        self._arm(job)
+
+    def _checkpoint(self) -> None:
+        """End of a destructive step (an extraction tick, a consumed
+        digest): the latest checkpoint must cover everything this
+        process has irreversibly taken from the data plane."""
         if self._ckpt is not None:
             self._ckpt.on_tick(self)
-        self._arm(kind)
 
     # -- degraded reporting mode (driven by the delivery circuit breaker) ---------
 
@@ -333,12 +365,8 @@ class MonitorControlPlane:
         self.degraded = on
         self._interval_scale = scale
         if self._running:
-            for kind in MetricKind:
-                self._arm(kind)
-            if self.histograms is not None:
-                self.histograms.arm()
-            if self.forensics is not None:
-                self.forensics.arm()
+            for job in self.schedule.values():
+                self._arm(job)
 
     # -- runtime reconfiguration (what pSConfig drives, Fig. 5a) ------------------
 
@@ -361,9 +389,8 @@ class MonitorControlPlane:
             mc.alert_threshold = alert_threshold
         if boosted_samples_per_second is not None:
             mc.boosted_samples_per_second = boosted_samples_per_second
-        if self._running and kind in self._timers:
-            self._timers[kind].cancel()
-            self._arm(kind)
+        if self._running:
+            self._arm(self.schedule[kind.value])
 
     def _read_traced(self, name: str, index: int, flow_id: int = -1) -> int:
         """Runtime register read that also records the control-plane
@@ -390,8 +417,7 @@ class MonitorControlPlane:
         self.flows[flow.flow_id] = flow
         # Digest consumption is destructive (the message left the data
         # plane's backlog): checkpoint so a crash cannot unlearn it.
-        if self._ckpt is not None:
-            self._ckpt.on_tick(self)
+        self._checkpoint()
 
     def _on_termination(self, _name: str, payload: dict) -> None:
         fid = payload["flow_id"]
@@ -414,8 +440,7 @@ class MonitorControlPlane:
         flow = self.flows.get(fid)
         if flow is not None:
             flow.terminated = True
-        if self._ckpt is not None:
-            self._ckpt.on_tick(self)
+        self._checkpoint()
 
     def _on_microburst(self, _name: str, payload: dict) -> None:
         max_delay = self.config.max_queue_delay_ns()
@@ -440,8 +465,7 @@ class MonitorControlPlane:
             # Who built this queue?  The culprit query runs at the next
             # forensics tick, once the burst's windows are extracted.
             self.forensics.on_microburst(event)
-        if self._ckpt is not None:
-            self._ckpt.on_tick(self)
+        self._checkpoint()
 
     # -- extraction ticks ----------------------------------------------------------
 
@@ -451,18 +475,16 @@ class MonitorControlPlane:
     def _tick_throughput(self) -> None:
         now = self.sim.now
         kind = MetricKind.THROUGHPUT
-        interval = self.config.metric(kind).interval_ns(
-            boosted=self.alerts.metric_boosted(kind)
-        )
+        boosted = self.alerts.metric_boosted(kind)
+        interval = self._metric_interval_ns(kind)
         # Window rates over the time that actually elapsed since the
         # last extraction — identical to the configured interval when
         # ticks fire on schedule, but correct across deferred ticks,
         # boosts and degraded-mode interval changes.
-        elapsed = now - self.last_extraction_ns.get(kind, now - interval)
+        elapsed = now - self.last_extraction_ns.get(kind.value, now - interval)
         if elapsed <= 0:
             elapsed = interval
         byte_deltas: List[int] = []
-        boosted = self.alerts.metric_boosted(kind)
         for flow in self._active_flows():
             total = self._read_traced("flow_bytes", flow.slot,
                                       flow_id=flow.flow_id)
@@ -478,20 +500,7 @@ class MonitorControlPlane:
                     continue
             else:
                 flow.idle_intervals = 0
-            sample = FlowSample(
-                time_ns=now,
-                metric=kind.value,
-                flow_id=flow.flow_id,
-                src_ip=flow.src_ip,
-                dst_ip=flow.dst_ip,
-                src_port=flow.src_port,
-                dst_port=flow.dst_port,
-                value=thr,
-                boosted=boosted,
-            )
-            self.flow_samples[kind].append(sample)
-            self._ship(sample)
-            self.alerts.check(kind, flow.flow_id, thr, now)
+            self._emit_sample(kind, flow, thr, now, boosted)
 
         active = self._active_flows()
         throughputs = [f.last_throughput_bps for f in active]
@@ -525,20 +534,7 @@ class MonitorControlPlane:
             # Clamped: regressions observed before the flow claimed its
             # slot can make the raw ratio exceed 100 %.
             loss_pct = min(100.0, 100.0 * loss_delta / pkt_delta)
-            sample = FlowSample(
-                time_ns=now,
-                metric=kind.value,
-                flow_id=flow.flow_id,
-                src_ip=flow.src_ip,
-                dst_ip=flow.dst_ip,
-                src_port=flow.src_port,
-                dst_port=flow.dst_port,
-                value=loss_pct,
-                boosted=boosted,
-            )
-            self.flow_samples[kind].append(sample)
-            self._ship(sample)
-            self.alerts.check(kind, flow.flow_id, loss_pct, now)
+            self._emit_sample(kind, flow, loss_pct, now, boosted)
             self._limiter_step(flow, loss_delta, now)
 
     def _limiter_step(self, flow: TrackedFlow, loss_delta: int, now: int) -> None:
@@ -576,20 +572,7 @@ class MonitorControlPlane:
             if rtt_ns == 0:
                 continue  # no sample yet
             rtt_ms = rtt_ns / 1e6
-            sample = FlowSample(
-                time_ns=now,
-                metric=kind.value,
-                flow_id=flow.flow_id,
-                src_ip=flow.src_ip,
-                dst_ip=flow.dst_ip,
-                src_port=flow.src_port,
-                dst_port=flow.dst_port,
-                value=rtt_ms,
-                boosted=boosted,
-            )
-            self.flow_samples[kind].append(sample)
-            self._ship(sample)
-            self.alerts.check(kind, flow.flow_id, rtt_ms, now)
+            self._emit_sample(kind, flow, rtt_ms, now, boosted)
             self._jitter_step(flow, rtt_ms, now, boosted)
 
     def _jitter_step(self, flow: TrackedFlow, rtt_ms: float, now: int,
@@ -599,19 +582,7 @@ class MonitorControlPlane:
         if flow.last_rtt_ms is not None:
             delta = abs(rtt_ms - flow.last_rtt_ms)
             flow.jitter_ms += (delta - flow.jitter_ms) / 16.0
-            sample = FlowSample(
-                time_ns=now,
-                metric="jitter",
-                flow_id=flow.flow_id,
-                src_ip=flow.src_ip,
-                dst_ip=flow.dst_ip,
-                src_port=flow.src_port,
-                dst_port=flow.dst_port,
-                value=flow.jitter_ms,
-                boosted=boosted,
-            )
-            self.jitter_samples.append(sample)
-            self._ship(sample)
+            self._emit_sample(None, flow, flow.jitter_ms, now, boosted)
         flow.last_rtt_ms = rtt_ms
 
     def _tick_queue(self) -> None:
@@ -628,22 +599,25 @@ class MonitorControlPlane:
                                      flow_id=flow.flow_id)
             self.runtime.clear_register("flow_qdelay_max", idx)
             occupancy_pct = 100.0 * peak / max_delay if max_delay else 0.0
-            sample = FlowSample(
-                time_ns=now,
-                metric=kind.value,
-                flow_id=flow.flow_id,
-                src_ip=flow.src_ip,
-                dst_ip=flow.dst_ip,
-                src_port=flow.src_port,
-                dst_port=flow.dst_port,
-                value=occupancy_pct,
-                boosted=boosted,
-            )
-            self.flow_samples[kind].append(sample)
-            self._ship(sample)
-            self.alerts.check(kind, flow.flow_id, occupancy_pct, now)
+            self._emit_sample(kind, flow, occupancy_pct, now, boosted)
 
     # -- helpers -------------------------------------------------------------------
+
+    def _emit_sample(self, kind: Optional[MetricKind], flow: TrackedFlow,
+                     value: float, now: int, boosted: bool) -> None:
+        """Archive and ship one per-flow sample, then run the metric's
+        alert check.  ``kind=None`` is the derived jitter stream, which
+        has no alert class of its own."""
+        if kind is None:
+            metric, archive = "jitter", self.jitter_samples
+        else:
+            metric, archive = kind.value, self.flow_samples[kind]
+        sample = FlowSample(now, metric, flow.flow_id, flow.src_ip, flow.dst_ip,
+                            flow.src_port, flow.dst_port, value, boosted)
+        archive.append(sample)
+        self._ship(sample)
+        if kind is not None:
+            self.alerts.check(kind, flow.flow_id, value, now)
 
     def _evict(self, flow: TrackedFlow) -> None:
         flow.terminated = True
@@ -668,25 +642,25 @@ class MonitorControlPlane:
             if self._tel_cycle_ns is not None:
                 self._tel_suppressed.labels(type(report).__name__).inc()
             return
-        if self.report_sink is not None:
-            payload = report.to_document() if hasattr(report, "to_document") else report
+        if self.report_sink is None:
+            return
+        payload = report.to_document() if hasattr(report, "to_document") else report
+        trace = self._trace
+        if self._tel_cycle_ns is not None or trace is not None:
+            doc_type = payload.get("type", "unknown") \
+                if isinstance(payload, dict) else type(report).__name__
             if self._tel_cycle_ns is not None:
-                kind = payload.get("type", "unknown") if isinstance(payload, dict) \
-                    else type(report).__name__
-                self._tel_reports.labels(kind).inc()
-            if self._trace is not None:
-                doc_type = payload.get("type", "unknown") \
-                    if isinstance(payload, dict) else type(report).__name__
+                self._tel_reports.labels(doc_type).inc()
+            if trace is not None:
                 # Report context: downstream (Logstash, archiver) events
                 # attach to the packet behind the latest extraction.
-                self._trace.begin_report(self.sim.now)
-                self._trace.report_event("control-plane", "ship", doc_type)
-                try:
-                    self.report_sink(payload)
-                finally:
-                    self._trace.end_report()
-                return
+                trace.begin_report(self.sim.now)
+                trace.report_event("control-plane", "ship", doc_type)
+        try:
             self.report_sink(payload)
+        finally:
+            if trace is not None:
+                trace.end_report()
 
     # -- convenience queries (used by experiments/examples) ---------------------------
 

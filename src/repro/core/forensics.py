@@ -30,12 +30,9 @@ scored in ``tests/validation/test_forensics_attribution.py``.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
-from repro import telemetry
 from repro.netsim.packet import int_to_ip
-from repro.netsim.units import seconds
 from repro.p4.time_windows import decode_windows
 from repro.core.reports import ForensicsReport
 
@@ -65,8 +62,6 @@ class ForensicsExtractor:
         # holds; beyond that the oldest window ids are dropped.
         self.retain = self.tw.cells * 16
         self.ticks = 0
-        self.ticks_deferred = 0
-        self.catchup_ticks = 0
         self.extractions = 0
         # Per-level packet/byte mass folded out of the banks so far:
         # together with the live banks' residue and the extern's
@@ -78,24 +73,6 @@ class ForensicsExtractor:
         self.suppressed = 0
         self.latest: Optional[ForensicsReport] = None
         self._pending: List[tuple] = []
-        self._timer = None
-        self._deferred_pending = False
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def interval_ns(self) -> int:
-        base = seconds(1.0 / self.cp.config.forensics_samples_per_second)
-        return max(1, int(base * self.cp.interval_scale))
-
-    def arm(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer = self.cp.sim.after(self.interval_ns(), self._tick)
-
-    def cancel(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     # -- alert hooks (enqueue; the query runs at the next tick, after a
     # fresh extraction has the trouble interval's windows in the index) ------
@@ -112,57 +89,19 @@ class ForensicsExtractor:
 
     def on_change_point(self, now: int, alert) -> None:
         """rtt_distribution alert → query the shifted window's interval."""
-        lookback = (self.cp.histograms.interval_ns()
-                    if self.cp.histograms is not None else self.interval_ns())
+        lookback = self.cp.interval_ns(
+            "histograms" if self.cp.histograms is not None else "forensics")
         self._pending.append(
             ("rtt_distribution", max(0, now - lookback), now, None, None))
 
-    # -- the extraction tick -------------------------------------------------
+    # -- the extraction body (the ``forensics`` schedule job) ------------------
 
-    def _tick(self) -> None:
-        cp = self.cp
-        if not cp._running:
-            return
-        # Flush batched copies before the bank flip reads the registers.
-        cp.monitor.flush()
-        if cp._faults is not None and cp._faults.cp_tick_stalled("forensics"):
-            self.ticks_deferred += 1
-            self._deferred_pending = True
-            if cp._tel_cycle_ns is not None:
-                cp._tel_deferred.labels("forensics").inc()
-            self.arm()
-            return
-        if self._deferred_pending:
-            self._deferred_pending = False
-            self.catchup_ticks += 1
-            if cp._tel_cycle_ns is not None:
-                cp._tel_catchup.labels("forensics").inc()
-        prof = cp._prof
-        if prof is not None:
-            prof.begin("cp.extract/forensics")
-        try:
-            if cp._tel_cycle_ns is not None:
-                with telemetry.span("cp.extract", cp.sim):
-                    t0 = time.perf_counter_ns()
-                    self._extract()
-                    self._run_pending()
-                    cp._tel_cycle_ns.labels("forensics").observe(
-                        time.perf_counter_ns() - t0)
-                cp._tel_cycles.labels("forensics").inc()
-            else:
-                self._extract()
-                self._run_pending()
-        finally:
-            if prof is not None:
-                prof.end()
+    def extract(self) -> None:
+        self._fold_bank()
+        self._run_pending()
         self.ticks += 1
-        # The bank flip was destructive: checkpoint so a crash cannot
-        # lose the windows that just left the data plane.
-        if cp._ckpt is not None:
-            cp._ckpt.on_tick(cp)
-        self.arm()
 
-    def _extract(self) -> None:
+    def _fold_bank(self) -> None:
         self.extractions += 1
         bank = self.cp.runtime.extract_time_windows("time_windows")
         for rec in decode_windows(bank, self.base_window_ns):

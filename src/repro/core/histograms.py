@@ -20,13 +20,10 @@ window around the moment the distribution moved.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import telemetry
-from repro.netsim.units import seconds
 from repro.p4.histogram import bin_quantile
 from repro.core.reports import Alert, HistogramReport
 
@@ -94,12 +91,13 @@ def render_percentiles(rows: List[dict]) -> str:
 
 
 class HistogramExtractor:
-    """Periodic read-flip extraction bound to one control plane.
+    """Read-flip histogram extraction bound to one control plane.
 
     Constructed by :class:`MonitorControlPlane` when the data plane was
-    built with ``histograms_enabled``; owns its own timer (the four
-    MetricKind ticks are a closed set) but follows the same deferral,
-    profiling, telemetry and degraded-interval discipline.
+    built with ``histograms_enabled``; :meth:`extract` is the body of
+    the control plane's ``histograms`` schedule job, which supplies the
+    timer and the deferral, profiling, telemetry, checkpoint and
+    degraded-interval envelope every extraction shares.
     """
 
     def __init__(self, cp) -> None:
@@ -116,76 +114,15 @@ class HistogramExtractor:
             (self.qdepth_hist.size, self.qdepth_hist.nbins), dtype=np.uint64)
         self._prev_rtt_window: Optional[np.ndarray] = None
         self.ticks = 0
-        self.ticks_deferred = 0
-        self.catchup_ticks = 0
         self.change_points: List[Alert] = []
         # Latest percentile summaries for the watch header / telemetry
         # mirror: flow_id -> {"count", "p50_ms", "p99_ms", ...}.
         self.latest: Dict[int, dict] = {}
         self.latest_all: Optional[dict] = None
-        self._timer = None
-        self._deferred_pending = False
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- the extraction body (one bank flip) -----------------------------------
 
-    def interval_ns(self) -> int:
-        base = seconds(1.0 / self.cp.config.histogram_samples_per_second)
-        return max(1, int(base * self.cp.interval_scale))
-
-    def arm(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer = self.cp.sim.after(self.interval_ns(), self._tick)
-
-    def cancel(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    # -- the extraction tick ---------------------------------------------------
-
-    def _tick(self) -> None:
-        cp = self.cp
-        if not cp._running:
-            return
-        # Flush batched copies before the bank flip reads the registers.
-        cp.monitor.flush()
-        if cp._faults is not None and cp._faults.cp_tick_stalled("histograms"):
-            self.ticks_deferred += 1
-            self._deferred_pending = True
-            if cp._tel_cycle_ns is not None:
-                cp._tel_deferred.labels("histograms").inc()
-            self.arm()
-            return
-        if self._deferred_pending:
-            self._deferred_pending = False
-            self.catchup_ticks += 1
-            if cp._tel_cycle_ns is not None:
-                cp._tel_catchup.labels("histograms").inc()
-        prof = cp._prof
-        if prof is not None:
-            prof.begin("cp.extract/histograms")
-        try:
-            if cp._tel_cycle_ns is not None:
-                with telemetry.span("cp.extract", cp.sim):
-                    t0 = time.perf_counter_ns()
-                    self._extract()
-                    cp._tel_cycle_ns.labels("histograms").observe(
-                        time.perf_counter_ns() - t0)
-                cp._tel_cycles.labels("histograms").inc()
-            else:
-                self._extract()
-        finally:
-            if prof is not None:
-                prof.end()
-        self.ticks += 1
-        # The bank flip was destructive: checkpoint so a crash cannot
-        # lose the window that just left the data plane.
-        if cp._ckpt is not None:
-            cp._ckpt.on_tick(cp)
-        self.arm()
-
-    def _extract(self) -> None:
+    def extract(self) -> None:
         cp = self.cp
         now = cp.sim.now
         rtt_window = cp.runtime.extract_histogram("rtt_hist")
@@ -269,6 +206,7 @@ class HistogramExtractor:
             )
             cp.histogram_reports.append(report)
             cp._ship(report)
+        self.ticks += 1
 
     def _change_point(self, now: int, shift: float) -> None:
         alert = Alert(

@@ -275,7 +275,8 @@ def run_chaos(spec: ChaosSpec, _capture: Optional[dict] = None) -> ChaosResult:
     ``_capture`` is an internal hook: when a dict is passed, the built
     :class:`~repro.validation.scenarios.ValidationRun` is stashed under
     ``"run"`` so :func:`run_crash_chaos` can compare its crashed run
-    against this uncrashed twin's data-plane tallies."""
+    against this uncrashed twin's data-plane tallies (and the
+    extraction watchdog under ``"watchdog"``, for tests)."""
     injector = install(FaultInjector(spec.schedule))
     try:
         run = spec.scenario.build()
@@ -298,6 +299,8 @@ def run_chaos(spec: ChaosSpec, _capture: Optional[dict] = None) -> ChaosResult:
         policy = DegradationPolicy(
             breaker, cp, interval_scale=spec.degraded_interval_scale)
         watchdog = ExtractionWatchdog(sim, cp)
+        if _capture is not None:
+            _capture["watchdog"] = watchdog
 
         run.run()
 

@@ -128,6 +128,8 @@ def capture_checkpoint(cp, dedup=None, seq: int = 0) -> dict:
     to resume after a crash.  ``cp`` is the *calling* control plane (the
     manager deliberately holds no reference: compare-paths builds two
     control planes against one installed manager)."""
+    from repro.core.config import MetricKind
+
     program = cp.runtime.program
 
     dataplane = {name: _encode_array(arr)
@@ -146,10 +148,14 @@ def capture_checkpoint(cp, dedup=None, seq: int = 0) -> dict:
             "evicted_bytes": [int(v) for v in tw.evicted_bytes],
         }
 
+    # Per-job schedule records: the four metric classes live in the
+    # control_plane section, the two extractors' in their own sections
+    # (where v1 has always kept them); cursors cover every job.
+    kinds = [k.value for k in MetricKind]
     control_plane = {
-        "cursors": {k.value: int(v) for k, v in cp.last_extraction_ns.items()},
-        "ticks_deferred": {k.value: v for k, v in cp.ticks_deferred.items()},
-        "catchup_ticks": {k.value: v for k, v in cp.catchup_ticks.items()},
+        "cursors": {name: int(v) for name, v in cp.last_extraction_ns.items()},
+        "ticks_deferred": {k: cp.ticks_deferred[k] for k in kinds},
+        "catchup_ticks": {k: cp.catchup_ticks[k] for k in kinds},
         "reports_suppressed": cp.reports_suppressed,
         "degraded": cp.degraded,
         "interval_scale": cp.interval_scale,
@@ -192,8 +198,8 @@ def capture_checkpoint(cp, dedup=None, seq: int = 0) -> dict:
             "prev_rtt_window": (None if h._prev_rtt_window is None
                                 else _encode_array(h._prev_rtt_window)),
             "ticks": h.ticks,
-            "ticks_deferred": h.ticks_deferred,
-            "catchup_ticks": h.catchup_ticks,
+            "ticks_deferred": cp.ticks_deferred["histograms"],
+            "catchup_ticks": cp.catchup_ticks["histograms"],
             "change_points": [_encode_report(a) for a in h.change_points],
             "latest": {str(fid): row for fid, row in h.latest.items()},
             "latest_all": h.latest_all,
@@ -206,8 +212,8 @@ def capture_checkpoint(cp, dedup=None, seq: int = 0) -> dict:
                        for wid, entry in sorted(level.items())]
                       for level in f.index],
             "ticks": f.ticks,
-            "ticks_deferred": f.ticks_deferred,
-            "catchup_ticks": f.catchup_ticks,
+            "ticks_deferred": cp.ticks_deferred["forensics"],
+            "catchup_ticks": cp.catchup_ticks["forensics"],
             "extractions": f.extractions,
             "extracted_pkts": list(f.extracted_pkts),
             "extracted_bytes": list(f.extracted_bytes),
@@ -250,15 +256,17 @@ def restore_control_plane(cp, doc: dict) -> None:
     _check_schema(doc)
     sec = doc["control_plane"]
 
-    cursors = {MetricKind(k): int(v) for k, v in sec["cursors"].items()}
+    # One cursor per schedule job; documents written before the
+    # extractors joined the schedule carry the four metric classes only.
+    cursors = {name: int(v) for name, v in sec["cursors"].items()}
     if cp._running:
         cp.last_extraction_ns.update(cursors)
     else:
         cp._resume_cursors = cursors
     cp.ticks_deferred.update(
-        {MetricKind(k): int(v) for k, v in sec["ticks_deferred"].items()})
+        {k: int(v) for k, v in sec["ticks_deferred"].items()})
     cp.catchup_ticks.update(
-        {MetricKind(k): int(v) for k, v in sec["catchup_ticks"].items()})
+        {k: int(v) for k, v in sec["catchup_ticks"].items()})
     cp.reports_suppressed = int(sec["reports_suppressed"])
     cp.set_degraded(bool(sec["degraded"]),
                     interval_scale=max(1.0, float(sec["interval_scale"])))
@@ -305,8 +313,8 @@ def restore_control_plane(cp, doc: dict) -> None:
             None if hsec["prev_rtt_window"] is None
             else _decode_array(hsec["prev_rtt_window"]))
         h.ticks = int(hsec["ticks"])
-        h.ticks_deferred = int(hsec["ticks_deferred"])
-        h.catchup_ticks = int(hsec["catchup_ticks"])
+        cp.ticks_deferred["histograms"] = int(hsec["ticks_deferred"])
+        cp.catchup_ticks["histograms"] = int(hsec["catchup_ticks"])
         h.change_points = [_decode_report(a) for a in hsec["change_points"]]
         h.latest = {int(fid): row for fid, row in hsec["latest"].items()}
         h.latest_all = hsec["latest_all"]
@@ -319,8 +327,8 @@ def restore_control_plane(cp, doc: dict) -> None:
         while len(f.index) < f.levels:
             f.index.append({})
         f.ticks = int(fsec["ticks"])
-        f.ticks_deferred = int(fsec["ticks_deferred"])
-        f.catchup_ticks = int(fsec["catchup_ticks"])
+        cp.ticks_deferred["forensics"] = int(fsec["ticks_deferred"])
+        cp.catchup_ticks["forensics"] = int(fsec["catchup_ticks"])
         f.extractions = int(fsec["extractions"])
         f.extracted_pkts = [int(v) for v in fsec["extracted_pkts"]]
         f.extracted_bytes = [int(v) for v in fsec["extracted_bytes"]]

@@ -9,8 +9,10 @@ time since its last extraction and consolidates missed ticks into one
 bounded catch-up tick (see
 :meth:`~repro.core.control_plane.MonitorControlPlane._tick_throughput`);
 this watchdog is the detector that makes stalls visible: it samples
-``last_extraction_ns`` per metric class on an independent timer and
-counts/logs stall episodes and recoveries, exporting both through the
+``last_extraction_ns`` for every job of the control plane's extraction
+schedule (the four metric classes plus the histogram and forensics
+extractors when present) on an independent timer and counts/logs stall
+episodes and recoveries, exporting both through the
 telemetry registry so ``watch`` shows a stalled extractor immediately.
 
 The staleness verdict is deliberately computed on the *monotonic* sim
@@ -28,7 +30,6 @@ import logging
 from typing import Dict, Set
 
 from repro import telemetry
-from repro.core.config import MetricKind
 from repro.resilience import faults
 
 log = logging.getLogger("repro.resilience.watchdog")
@@ -46,12 +47,13 @@ class ExtractionWatchdog:
         self.stall_factor = stall_factor
         if check_interval_ns <= 0:
             check_interval_ns = min(
-                control_plane.config.metric(kind).interval_ns()
-                for kind in MetricKind)
+                job.base_interval_ns()
+                for job in control_plane.schedule.values())
         self.check_interval_ns = check_interval_ns
-        self.stalls: Dict[MetricKind, int] = {k: 0 for k in MetricKind}
-        self.recoveries: Dict[MetricKind, int] = {k: 0 for k in MetricKind}
-        self._stalled_now: Set[MetricKind] = set()
+        # Keyed by schedule job name.
+        self.stalls: Dict[str, int] = dict.fromkeys(control_plane.schedule, 0)
+        self.recoveries: Dict[str, int] = dict.fromkeys(control_plane.schedule, 0)
+        self._stalled_now: Set[str] = set()
         # Checks where the skewed wall-clock view exceeded the deadline
         # but the monotonic view did not — the false stall verdicts the
         # monotonic discipline suppressed.
@@ -76,42 +78,41 @@ class ExtractionWatchdog:
                 lambda _reg, w=self, g=stalled_gauge: g.set(
                     len(w._stalled_now)))
 
-    def _deadline_ns(self, kind: MetricKind) -> int:
-        cp = self.control_plane
-        interval = cp.config.metric(kind).interval_ns(
-            boosted=cp.alerts.metric_boosted(kind))
-        return int(interval * cp.interval_scale * self.stall_factor)
+    def _deadline_ns(self, job) -> int:
+        scale = self.control_plane.interval_scale
+        return int(job.base_interval_ns() * scale * self.stall_factor)
 
     def _check(self) -> None:
         cp = self.control_plane
         now = self.sim.now
         skew = self._faults.clock_skew_ns() if self._faults is not None else 0
-        for kind in MetricKind:
-            last = cp.last_extraction_ns.get(kind)
+        for name, job in cp.schedule.items():
+            last = cp.last_extraction_ns.get(name)
             if last is None:
                 continue
-            deadline = self._deadline_ns(kind)
+            deadline = self._deadline_ns(job)
             if skew and now - last <= deadline and (now + skew) - last > deadline:
                 self.skew_suppressed += 1
                 if self._tel_skew_suppressed is not None:
                     self._tel_skew_suppressed.inc()
             if now - last > deadline:
-                if kind not in self._stalled_now:
-                    self._stalled_now.add(kind)
-                    self.stalls[kind] += 1
+                if name not in self._stalled_now:
+                    self._stalled_now.add(name)
+                    self.stalls[name] += 1
                     if self._tel_stalls is not None:
-                        self._tel_stalls.labels(kind.value).inc()
+                        self._tel_stalls.labels(name).inc()
                     log.warning(
                         "extraction stall: %s last ticked %.3fs ago at "
-                        "t=%.3fs", kind.value, (now - last) / 1e9, now / 1e9)
-            elif kind in self._stalled_now:
-                self._stalled_now.discard(kind)
-                self.recoveries[kind] += 1
+                        "t=%.3fs", name, (now - last) / 1e9, now / 1e9)
+            elif name in self._stalled_now:
+                self._stalled_now.discard(name)
+                self.recoveries[name] += 1
                 log.info("extraction recovered: %s at t=%.3fs",
-                         kind.value, now / 1e9)
+                         name, now / 1e9)
 
     @property
-    def stalled_metrics(self) -> Set[MetricKind]:
+    def stalled_metrics(self) -> Set[str]:
+        """Names of the schedule jobs currently past their deadline."""
         return set(self._stalled_now)
 
     @property

@@ -118,7 +118,7 @@ def test_boosted_interval_engages_and_restores_across_flaps():
     intervals = []
 
     def watch():
-        timer = cp._timers.get(kind)
+        timer = cp.schedule[kind.value].timer
         if timer is not None:
             intervals.append(timer.time_ns - sim.now)
 
@@ -156,14 +156,14 @@ def test_sampling_rate_restored_after_clear():
                  start_s=0.1)
     sim.run_until(seconds(1.5))
     assert cp.alerts.metric_boosted(kind)
-    assert cp._timers[kind].time_ns - sim.now <= base // 10
+    assert cp.schedule[kind.value].timer.time_ns - sim.now <= base // 10
 
     # Let the flow go quiet: the next samples read ~0 and clear the alert.
     sim.run_until(seconds(4.0))
     assert not cp.alerts.metric_boosted(kind)
-    assert cp._timers[kind].time_ns - sim.now <= base
+    assert cp.schedule[kind.value].timer.time_ns - sim.now <= base
     # After the clear the armed interval is the base one again.
-    armed = cp._timers[kind].time_ns - sim.now
+    armed = cp.schedule[kind.value].timer.time_ns - sim.now
     assert armed > base // 10
     cp.stop()
 

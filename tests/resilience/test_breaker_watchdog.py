@@ -130,13 +130,13 @@ def test_set_degraded_widens_and_restores_intervals():
     cp.start()
     kind = MetricKind.THROUGHPUT
     base = cp.config.metric(kind).interval_ns()
-    assert cp._timers[kind].time_ns - sim.now == base
+    assert cp.schedule[kind.value].timer.time_ns - sim.now == base
     cp.set_degraded(True, interval_scale=4.0)
     assert cp.interval_scale == 4.0
-    assert cp._timers[kind].time_ns - sim.now == 4 * base
+    assert cp.schedule[kind.value].timer.time_ns - sim.now == 4 * base
     cp.set_degraded(False)
     assert cp.interval_scale == 1.0
-    assert cp._timers[kind].time_ns - sim.now == base
+    assert cp.schedule[kind.value].timer.time_ns - sim.now == base
     cp.stop()
 
 
@@ -161,7 +161,7 @@ def test_watchdog_detects_stall_and_recovery():
     # once the gap exceeds 2.5 s.
     cp.stop()
     sim.run_until(seconds(4.2))
-    assert dog.stalled_metrics == set(MetricKind)
+    assert dog.stalled_metrics == {k.value for k in MetricKind}
     assert dog.total_stalls == len(MetricKind)
     # Restarting the extractor clears the alarm.
     cp.start()
@@ -211,7 +211,7 @@ def test_watchdog_catches_genuine_stall_during_skew():
     sim.run_until(seconds(1.0))
     cp.stop()                         # the genuine stall
     sim.run_until(seconds(4.2))
-    assert dog.stalled_metrics == set(MetricKind)
+    assert dog.stalled_metrics == {k.value for k in MetricKind}
     assert dog.total_stalls == len(MetricKind)
     dog.cancel()
 

@@ -96,6 +96,38 @@ def test_cp_stall_defers_then_catches_up(bundle_results):
     assert result.shipper_stats["timestamps_skewed"] > 0
 
 
+def test_all_metric_stall_reaches_the_extractor_jobs():
+    """A ``cp_stall`` window with no ``metric`` stalls all six schedule
+    jobs, and the chaos tallies and the watchdog see all six — the
+    histogram and forensics deferrals used to sit in private counters
+    nothing read."""
+    from dataclasses import replace
+
+    base = bundled_chaos()["cp-stall-skew"]
+    spec = replace(
+        base,
+        scenario=base.scenario.clone(histograms=True, forensics=True),
+        # Every job ticks at 1 Hz: the t=2,3,4 s ticks fall inside the
+        # window, and the 2.5 s watchdog deadline expires inside it too.
+        schedule=FaultSchedule(seed=7, windows=[
+            FaultWindow("cp_stall", 1.5, 3.2)]))
+    captured = {}
+    result = run_chaos(spec, _capture=captured)
+    assert result.passed, result.summary()
+    assert result.ticks_deferred == 6 * 3
+    assert result.catchup_ticks == 6
+    cp = captured["run"].scenario.control_plane
+    assert list(cp.schedule) == [k.value for k in MetricKind] + [
+        "histograms", "forensics"]
+    assert cp.ticks_deferred == dict.fromkeys(cp.schedule, 3)
+    # Consolidation: the first post-stall tick is one catch-up tick.
+    assert cp.catchup_ticks == dict.fromkeys(cp.schedule, 1)
+    dog = captured["watchdog"]
+    assert dog.stalls == dict.fromkeys(cp.schedule, 1)
+    assert dog.recoveries["histograms"] == dog.recoveries["forensics"] == 1
+    assert result.watchdog_stalls == 6
+
+
 def test_chaos_is_byte_reproducible():
     spec = bundled_chaos()["lossy-transport"]
     a = run_chaos(spec)

@@ -1,0 +1,161 @@
+"""``repro-checkpoint-v1`` compatibility pin (ROADMAP 5e).
+
+``fixtures/checkpoint_v1_pr14.json`` was written by the commit *before*
+the control plane's extraction schedule became one table (PR 15's
+parent, e04c601): a tiny-geometry monitor with histograms and forensics
+on, one all-metric ``cp_stall`` window (so every extractor holds one
+deferred and one catch-up tick) and a microburst query still pending.
+Later code must keep restoring it; regenerating it at a later commit
+defeats its purpose.  ``python -m tests.resilience.test_checkpoint_fixture
+PATH`` re-runs the recipe (the scripted world below) and writes PATH.
+"""
+
+import json
+import os
+import sys
+
+import numpy as np
+
+from repro.core.config import MetricKind
+from repro.core.control_plane import MonitorControlPlane
+from repro.netsim.engine import Simulator
+from repro.netsim.units import seconds
+from repro.resilience.checkpoint import (
+    _decode_array,
+    capture_checkpoint,
+    content_digest,
+    restore_control_plane,
+    restore_dataplane,
+)
+
+from tests.core.helpers import FlowScript, small_monitor
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                       "checkpoint_v1_pr14.json")
+MS = 1_000_000
+KINDS = [k.value for k in MetricKind]
+
+
+def fixture_monitor():
+    """The fixture's data-plane geometry (a restore needs the same)."""
+    return small_monitor(
+        flow_slots=16, eack_table_size=32, queue_stash_size=32, cms_width=32,
+        cms_depth=2, monitored_ports=2, histograms_enabled=True,
+        rtt_hist_bins=8, qdepth_hist_bins=8, forensics_enabled=True,
+        forensics_levels=2, forensics_cells=16)
+
+
+def write_fixture(path):
+    from repro.resilience.faults import FaultInjector, install, uninstall
+    from repro.resilience.schedule import FaultSchedule, FaultWindow
+
+    sim = Simulator()
+    install(FaultInjector(
+        FaultSchedule(seed=1, windows=[FaultWindow("cp_stall", 1.5, 1.0)]),
+        clock=lambda: sim.now))
+    try:
+        monitor = fixture_monitor()
+        cp = MonitorControlPlane(sim, monitor)
+        cp.start()
+        script = FlowScript(monitor)
+        script.make_long()
+
+        def segment(i, qdelay_ns):
+            seq = 2000 + i * 1448
+            script.transit(seq, 1448, sim.now, sim.now + qdelay_ns)
+            script.ack(seq + 1448, sim.now + qdelay_ns + 2 * MS)
+
+        for i in range(30):          # one segment / 100 ms, 0.2 ms queue
+            sim.at(seconds(0.1 + 0.1 * i), segment, i, 200_000)
+        # 6 ms then 1 ms of queueing delay against a 10 ms buffer: the
+        # burst opens and closes after the t=3 s forensics tick, so its
+        # culprit query is still pending at capture time.
+        sim.at(seconds(3.15), segment, 30, 6 * MS)
+        sim.at(seconds(3.20), segment, 31, 1 * MS)
+        sim.run_until(seconds(3.3))
+        cp.stop()
+        doc = capture_checkpoint(cp, seq=7)
+    finally:
+        uninstall()
+    doc["digest"] = content_digest(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+
+
+def _load():
+    with open(FIXTURE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["digest"] == content_digest(doc), "fixture was edited"
+    return doc
+
+
+def test_fixture_holds_what_it_pins():
+    doc = _load()
+    assert os.path.getsize(FIXTURE) < 100_000
+    sec = doc["control_plane"]
+    assert sorted(sec["ticks_deferred"]) == sorted(KINDS)
+    assert all(sec["ticks_deferred"][k] == 1 for k in KINDS)
+    assert all(sec["catchup_ticks"][k] == 1 for k in KINDS)
+    for name in ("histograms", "forensics"):
+        assert doc[name]["ticks_deferred"] == 1
+        assert doc[name]["catchup_ticks"] == 1
+        assert doc[name]["ticks"] == 2
+    assert [p[0] for p in doc["forensics"]["pending"]] == ["microburst"]
+    assert sec["flows"] and sec["archives"]["histogram_reports"]
+
+
+def test_parent_written_checkpoint_restores_and_round_trips():
+    doc = _load()
+    sim = Simulator()
+    sim.run_until(doc["time_ns"])
+    monitor = fixture_monitor()
+    assert restore_dataplane(monitor.program, doc) == doc["dataplane_digest"]
+    cp = MonitorControlPlane(sim, monitor)
+    restore_control_plane(cp, doc)
+
+    sec = doc["control_plane"]
+    # Cursors stay parked until start(): the first post-restart tick
+    # windows over the true elapsed time.
+    for kind in KINDS:
+        assert cp._resume_cursors[kind] == sec["cursors"][kind]
+        assert cp.ticks_deferred[kind] == sec["ticks_deferred"][kind]
+        assert cp.catchup_ticks[kind] == sec["catchup_ticks"][kind]
+    for name, extractor in (("histograms", cp.histograms),
+                            ("forensics", cp.forensics)):
+        assert cp.ticks_deferred[name] == doc[name]["ticks_deferred"]
+        assert cp.catchup_ticks[name] == doc[name]["catchup_ticks"]
+        assert extractor.ticks == doc[name]["ticks"]
+    hsec, fsec = doc["histograms"], doc["forensics"]
+    assert np.array_equal(cp.histograms.rtt_cumulative,
+                          _decode_array(hsec["rtt_cumulative"]))
+    assert np.array_equal(cp.histograms.qdepth_cumulative,
+                          _decode_array(hsec["qdepth_cumulative"]))
+    assert cp.histograms.rtt_cumulative.sum() > 0
+    assert cp.forensics.index == [
+        {wid: entry for wid, entry in level} for level in fsec["index"]]
+    assert any(cp.forensics.index)
+    assert cp.forensics._pending == [tuple(p) for p in fsec["pending"]]
+
+    cp.start()
+    for kind in KINDS:
+        assert cp.last_extraction_ns[kind] == sec["cursors"][kind]
+    again = json.loads(json.dumps(capture_checkpoint(cp, seq=doc["seq"])))
+    cp.stop()
+    # Same sections, same keys per section; job names under
+    # control_plane.cursors may only be added.
+    assert set(again) == set(doc) - {"digest"}
+    for name, section in again.items():
+        if isinstance(section, dict):
+            assert set(section) == set(doc[name]), name
+    cursors = again["control_plane"].pop("cursors")
+    assert set(cursors) >= set(sec["cursors"])
+    assert {k: cursors[k] for k in sec["cursors"]} == sec["cursors"]
+    expected = dict(doc, control_plane={
+        k: v for k, v in sec.items() if k != "cursors"})
+    del expected["digest"]
+    assert again == expected
+
+
+if __name__ == "__main__":
+    write_fixture(sys.argv[1])

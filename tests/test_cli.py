@@ -185,3 +185,62 @@ def test_watch_header_reports_scheduler_stats(clean_telemetry, capsys):
     out = capsys.readouterr().out
     assert "queue-hwm=" in out
     assert "pending=" in out
+
+
+# -- artifact-writing experiments (what CI's trace-, histogram- and
+# forensics-smoke jobs ran; their assertions, verbatim) -------------------------
+
+
+def _check_trace(path):
+    from repro.telemetry.traceviz import events_from_perfetto
+
+    doc = json.load(open(path))
+    events = events_from_perfetto(doc)
+    assert events, "no provenance events captured"
+    layers = {ev.layer for ev in events}
+    assert {"netsim", "p4", "register"} <= layers, layers
+
+
+def _check_histograms(path):
+    docs = json.load(open(path))
+    assert docs, "no repro-histogram-v1 documents archived"
+    assert all(d["type"] == "repro-histogram-v1" for d in docs)
+    scopes = {(d["metric"], d["scope"]) for d in docs}
+    assert {("rtt", "flow"), ("rtt", "all"),
+            ("queue_depth", "port")} <= scopes, scopes
+    for d in docs:
+        assert len(d["counts"]) == len(d["edges_ns"]) + 1
+        assert sum(d["counts"]) == d["count"] > 0
+        assert d["p50_ms"] <= d["p90_ms"] <= d["p99_ms"] <= d["p999_ms"]
+
+
+def _check_forensics(path):
+    docs = json.load(open(path))
+    assert docs, "no repro-forensics-v1 documents archived"
+    assert all(d["type"] == "repro-forensics-v1" for d in docs)
+    assert any(d["trigger"] == "microburst" for d in docs)
+    for d in docs:
+        assert d["t0_ns"] < d["t1_ns"]
+        assert d["total_bytes"] > 0 and d["windows"] >= 1
+        assert d["culprits"], "unsuppressed report without a ranking"
+        shares = [c["share"] for c in d["culprits"]]
+        assert shares == sorted(shares, reverse=True)
+        for c in d["culprits"]:
+            assert c["bytes"] > 0 and 0.0 <= c["share"] <= 1.0
+
+
+@pytest.mark.parametrize("experiment, out_flag, check", [
+    pytest.param("fig11", "--trace-out", _check_trace, id="trace"),
+    pytest.param("histograms", "--hist-out", _check_histograms, id="histograms"),
+    pytest.param("forensics", "--out", _check_forensics, id="forensics"),
+])
+def test_quick_run_writes_a_well_formed_artifact(experiment, out_flag, check,
+                                                 clean_telemetry, tmp_path,
+                                                 capsys):
+    out = tmp_path / f"{experiment}.json"
+    rc = main([experiment, "--quick", "-q", out_flag, str(out)])
+    assert rc == 0
+    check(out)
+    from repro.telemetry import provenance
+
+    assert provenance.tracer() is None, "--trace-out must tear the tracer down"
