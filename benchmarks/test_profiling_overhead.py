@@ -16,11 +16,13 @@ Three operating points:
   events_run``, not a ratio: a ratio against a substrate that PRs 8–13
   made ~4x faster drifts without any profiler change.  Measured on the
   2-core reference VM: 510–650 ns/event over 9,382 events (1.12–1.16x
-  on today's ≈40 ms substrate run; the parent commit, whose profiler
+  on that ≈40 ms substrate run; the commit before, whose profiler
   bound the scalar pipeline, measured 2.0x).  ``PHASE_BUDGET_NS`` =
   800 ns/event is the top of that range plus the ~25 % by which
-  best-of-ten moves on this VM from one quiet minute to the next, and
-  equals 1.20x on today's substrate;
+  best-of-ten moves on this VM from one quiet minute to the next.
+  Since a hop became one event the same run dispatches 5,869 events
+  (597 ns/event, 1.10x, when re-measured) — the per-event budget did
+  not move, which is why it is not a ratio;
 - **stage detail**: timed for the BENCH_profiling_overhead record, no
   budget (diagnosis mode, what ``repro-experiments profile`` runs; it
   binds the scalar pipeline).

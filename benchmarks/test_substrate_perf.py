@@ -92,7 +92,7 @@ def test_end_to_end_simulation_rate(benchmark):
         return scenario.sim.events_run
 
     events = benchmark(run)
-    assert events > 10_000
+    assert events > 6_000  # ~8.7k: one event per unobserved hop
 
 
 def test_end_to_end_simulation_rate_scalar(benchmark):
@@ -117,7 +117,7 @@ def test_end_to_end_simulation_rate_scalar(benchmark):
         return scenario.sim.events_run
 
     events = benchmark(run)
-    assert events > 10_000
+    assert events > 6_000  # ~8.7k: one event per unobserved hop
 
 
 def test_phase_attribution_record(once, record_phases):

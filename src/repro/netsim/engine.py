@@ -10,7 +10,8 @@ strictly increasing sequence number makes ``(time_ns, seq)`` unique, so
 tuple comparison never reaches the third element and sifting stays in C
 (no per-comparison ``Event.__lt__`` dispatch).  ``handle`` is the
 :class:`Event` cancellation token, or ``None`` for the fire-and-forget
-:meth:`Simulator.post` fast path the link/port completion events use.
+:meth:`Simulator.post` fast path the per-hop events (a node's
+``receive``, a port's needed ``_tx_done``) and TCP's pace timer use.
 
 Batch consumers (the batched P4 monitor path) register drain callbacks
 via :meth:`Simulator.add_flush_hook`; the engine invokes them whenever a
@@ -32,6 +33,8 @@ from repro.telemetry import profiling, provenance
 #: fired events equals the budget, and a count never equals -1.  An int
 #: compared with ``!=`` so the hot loop's test stays int-against-int.
 _NO_BUDGET = -1
+#: Time limit meaning "none": past any timestamp, and an int likewise.
+_NO_LIMIT = 1 << 63
 
 
 class Event:
@@ -184,8 +187,8 @@ class Simulator:
     def post(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`at`: identical (time, seq) ordering but
         no :class:`Event` handle, so it cannot be cancelled.  The hot
-        completion events (port tx-done, link arrival) use this to skip
-        the per-event handle allocation."""
+        per-hop events (node receive, port tx-done) and the TCP pace
+        timer use this to skip the per-event handle allocation."""
         if time_ns < self.now:
             raise ValueError(
                 f"cannot schedule in the past: t={time_ns} < now={self.now}"
@@ -248,7 +251,7 @@ class Simulator:
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue drains (or ``max_events`` fire)."""
-        self._drain(float("inf"),
+        self._drain(_NO_LIMIT,
                     _NO_BUDGET if max_events is None else max(max_events, 0))
         for hook in self._flush_hooks:
             hook()

@@ -5,8 +5,14 @@ plus a serialiser running at the port rate.  A :class:`Link` joins two
 ports with a propagation delay and an optional chain of impairments
 (loss/extra delay, see :mod:`repro.netsim.netem`).
 
-Two scheduled events per hop per packet (transmit-complete and delivery)
-keep the event count — the simulator's hot path — minimal.
+A departure event exists only where something needs that instant: an
+egress mirror, a link impairment, the tracer, or a packet waiting behind
+the one on the wire.  Otherwise a hop is one heap entry: the far node's
+``receive`` at ``now + tx + delay``, with ``free_at = now + tx`` kept.
+The live ``egress_mirrors`` / ``link.impairments`` / ``_trace`` are read
+as each packet starts; one attached mid-packet sees the next packet.
+Invariant: ``_queue`` non-empty ⇒ a ``_tx_done`` is pending, and a
+pending ``_tx_done`` ⇒ the port is busy, even at ``now == free_at``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ class Port:
     ``queue_bytes`` bounds the *waiting* bytes (the packet in transmission
     is not counted), which is how shallow-buffer switches behave and what
     makes the Fig. 11 small-buffer experiment meaningful.
+
+    ``tx_packets`` / ``tx_bytes`` mean "left the port by ``sim.now``": an
+    unobserved packet is counted at its start and settled on read.
     """
 
     __slots__ = (
@@ -42,10 +51,9 @@ class Port:
         "peer",
         "_queue",
         "queued_bytes",
-        "busy",
+        "free_at", "_wire_len", "_pending",
         "drops",
-        "tx_packets",
-        "tx_bytes",
+        "_tx_packets", "_tx_bytes",
         "egress_mirrors",
         "drop_hooks",
         "ecn_threshold_bytes",
@@ -74,10 +82,12 @@ class Port:
         self.peer: Optional["Port"] = None  # far-end port, set by Link
         self._queue: deque[Packet] = deque()
         self.queued_bytes = 0
-        self.busy = False
+        self.free_at = 0       # when the unobserved packet on the wire,
+        self._wire_len = 0     # this long, will have left
+        self._pending = False  # a _tx_done is scheduled
         self.drops = 0
-        self.tx_packets = 0
-        self.tx_bytes = 0
+        self._tx_packets = 0
+        self._tx_bytes = 0
         self.egress_mirrors: List[MirrorFn] = []
         self.drop_hooks: List[Callable[[Packet], None]] = []
         # ECN (RFC 3168): when set, ECT packets enqueued beyond this many
@@ -92,14 +102,12 @@ class Port:
         """Enqueue ``pkt`` for transmission.  Returns False on tail drop."""
         if self.link is None:
             raise RuntimeError(f"port {self.name} is not connected to a link")
-        if self.busy:
+        sim = self.sim
+        if self._pending or self.free_at > sim.now:
             if self.queued_bytes + pkt.wire_len > self.queue_limit_bytes:
                 self.drops += 1
-                if self._trace is not None and self._trace.wants(pkt):
-                    self._trace.packet_event(
-                        "netsim", "drop", self.name, pkt, self.sim.now,
-                        queued_bytes=self.queued_bytes,
-                        queue_pkts=len(self._queue))
+                if self._trace is not None:
+                    self._record("drop", pkt)
                 for hook in self.drop_hooks:
                     hook(pkt)
                 return False
@@ -112,71 +120,87 @@ class Port:
                 self.ce_marked += 1
             self._queue.append(pkt)
             self.queued_bytes += pkt.wire_len
-            if self._trace is not None and self._trace.wants(pkt):
-                self._trace.packet_event(
-                    "netsim", "enqueue", self.name, pkt, self.sim.now,
-                    queued_bytes=self.queued_bytes,
-                    queue_pkts=len(self._queue))
+            if self._trace is not None:
+                self._record("enqueue", pkt)
+            if not self._pending:
+                # The unobserved packet on the wire got a successor: its
+                # departure instant is needed after all.
+                self._pending = True
+                sim.post(self.free_at, self._tx_done, None)
             return True
         self._transmit(pkt)
         return True
 
     def _transmit(self, pkt: Packet) -> None:
-        self.busy = True
+        sim = self.sim
+        link = self.link
+        wire_len = pkt.wire_len
         # Inlined tx_time_ns (ceil division): rounding up guarantees a
         # busy port never emits more than rate_bps.
-        tx_ns = -(-pkt.wire_len * 8_000_000_000 // self.rate_bps)
-        # Inlined sim.post_after: this is one of the two per-hop events
-        # on the simulator's hottest path.
-        sim = self.sim
-        heappush(sim._heap,
-                 (sim.now + tx_ns, next(sim._seq), self._tx_done, (pkt,), None))
+        done = sim.now - (-wire_len * 8_000_000_000 // self.rate_bps)
+        # Inlined sim.post: the simulator's hottest path.
+        if self.egress_mirrors or link.impairments or self._trace is not None:
+            # Observed: somebody consumes the departure instant.
+            self._pending = True
+            heappush(sim._heap,
+                     (done, next(sim._seq), self._tx_done, (pkt,), None))
+        else:
+            # Unobserved: the hop is one event, the far node's receive.
+            self.free_at = done
+            self._wire_len = wire_len
+            self._tx_packets += 1
+            self._tx_bytes += wire_len
+            peer = self.peer
+            heappush(sim._heap, (done + link.delay_ns, next(sim._seq),
+                                 peer.owner.receive, (pkt, peer), None))
+            if self._queue:
+                self._pending = True
+                sim.post(done, self._tx_done, None)
         if len(sim._heap) > sim.queue_hwm:
             sim.queue_hwm = len(sim._heap)
 
-    def _tx_done(self, pkt: Packet) -> None:
-        self.tx_packets += 1
-        self.tx_bytes += pkt.wire_len
-        now = self.sim.now
-        if self._trace is not None and self._trace.wants(pkt):
-            self._trace.packet_event(
-                "netsim", "dequeue", self.name, pkt, now,
-                queued_bytes=self.queued_bytes,
-                queue_pkts=len(self._queue))
-        # Egress TAP point: the moment the last bit leaves the switch.
-        for mirror in self.egress_mirrors:
-            mirror(pkt, now)
-        link = self.link
-        assert link is not None
-        if link.impairments:
-            link.deliver(pkt, self)
-        else:
-            # Inlined Link.deliver fast path (no impairments): schedule
-            # the far-end arrival directly — the second per-hop event.
-            sim = self.sim
-            heappush(sim._heap,
-                     (now + link.delay_ns, next(sim._seq), link._arrive,
-                      (pkt, self.peer), None))
-            if len(sim._heap) > sim.queue_hwm:
-                sim.queue_hwm = len(sim._heap)
+    def _tx_done(self, pkt: Optional[Packet]) -> None:
+        """A needed departure instant: the observed ``pkt``'s last bit
+        leaves now, or (None) only the next queued packet starts."""
+        if pkt is not None:
+            self._tx_packets += 1
+            self._tx_bytes += pkt.wire_len
+            now = self.sim.now
+            if self._trace is not None:
+                self._record("dequeue", pkt)
+            # Egress TAP point: the moment the last bit leaves the switch.
+            for mirror in self.egress_mirrors:
+                mirror(pkt, now)
+            self.link.deliver(pkt, self)
+        self._pending = False
         if self._queue:
             nxt = self._queue.popleft()
             self.queued_bytes -= nxt.wire_len
             self._transmit(nxt)
-        else:
-            self.busy = False
+
+    def _record(self, what: str, pkt: Packet) -> None:
+        if self._trace.wants(pkt):
+            self._trace.packet_event(
+                "netsim", what, self.name, pkt, self.sim.now,
+                queued_bytes=self.queued_bytes, queue_pkts=len(self._queue))
 
     # -- introspection ------------------------------------------------------
 
     @property
+    def busy(self) -> bool:
+        return self._pending or self.free_at > self.sim.now
+
+    @property
+    def tx_packets(self) -> int:
+        return self._tx_packets - (self.free_at > self.sim.now)
+
+    @property
+    def tx_bytes(self) -> int:
+        return self._tx_bytes - (self.free_at > self.sim.now) * self._wire_len
+
+    @property
     def queue_depth_packets(self) -> int:
         return len(self._queue)
-
-    def utilization_hint(self) -> float:
-        """Rough occupancy fraction of the queue (for tests/diagnostics)."""
-        if self.queue_limit_bytes == 0:
-            return 0.0
-        return self.queued_bytes / self.queue_limit_bytes
 
 
 class Link:
@@ -187,7 +211,7 @@ class Link:
     direction) never interact — full duplex, like the paper's fibre.
     """
 
-    __slots__ = ("sim", "a", "b", "delay_ns", "impairments", "delivered",
+    __slots__ = ("sim", "a", "b", "delay_ns", "impairments",
                  "impairment_drops", "drop_hooks", "name", "_trace")
 
     def __init__(
@@ -207,7 +231,6 @@ class Link:
         self.b = b
         self.delay_ns = delay_ns
         self.impairments: list = []
-        self.delivered = 0
         self.impairment_drops = 0
         # Observers of in-flight losses (netem drops, flaps): called with
         # (packet, sending_port).  Queue tail drops are reported by the
@@ -229,26 +252,21 @@ class Link:
 
     def deliver(self, pkt: Packet, from_port: Port) -> None:
         """Carry ``pkt`` to the far end after ``delay_ns`` (+impairments)."""
-        extra_delay = 0
-        if self.impairments:
-            for imp in self.impairments:
-                verdict = imp.process(pkt)
-                if verdict is None:  # dropped by the impairment
-                    self.impairment_drops += 1
-                    if self._trace is not None and self._trace.wants(pkt):
-                        self._trace.packet_event(
-                            "netsim", "drop", self.name, pkt, self.sim.now,
-                            cause="impairment")
-                    for hook in self.drop_hooks:
-                        hook(pkt, from_port)
-                    return
-                extra_delay += verdict
-        self.sim.post_after(self.delay_ns + extra_delay, self._arrive, pkt,
-                            from_port.peer)
-
-    def _arrive(self, pkt: Packet, peer: Port) -> None:
-        self.delivered += 1
-        peer.owner.receive(pkt, peer)
+        delay = self.delay_ns
+        for imp in self.impairments:
+            verdict = imp.process(pkt)
+            if verdict is None:  # dropped by the impairment
+                self.impairment_drops += 1
+                if self._trace is not None and self._trace.wants(pkt):
+                    self._trace.packet_event(
+                        "netsim", "drop", self.name, pkt, self.sim.now,
+                        cause="impairment")
+                for hook in self.drop_hooks:
+                    hook(pkt, from_port)
+                return
+            delay += verdict
+        peer = from_port.peer
+        self.sim.post_after(delay, peer.owner.receive, pkt, peer)
 
 
 def connect(

@@ -161,7 +161,8 @@ class TcpConnection:
         # slow start, 1.2 in congestion avoidance, per sch_fq defaults).
         self.auto_pacing = True
         self._next_pace_ns = 0
-        self._pace_timer: Optional[Event] = None
+        # A _pace_fire is queued; never cancelled (a stale fire no-ops).
+        self._pace_pending = False
 
         # ECN (RFC 3168): negotiated on the handshake; data goes out
         # ECT(0); CE marks are echoed back via ECE until the sender
@@ -300,6 +301,8 @@ class TcpConnection:
         if self.state is not TcpState.ESTABLISHED:
             return
         now = self.sim.now
+        if self._pace_pending and now < self._next_pace_ns and not self._closing:
+            return  # pacing-limited: the queued _pace_fire resumes sending
         # Loop invariants, hoisted: nothing inside the send loop moves
         # snd_una, the scoreboard, cwnd, the pacing rate or the peer
         # window — only snd_nxt advances, so in-flight is tracked
@@ -394,13 +397,12 @@ class TcpConnection:
             self._arm_rto()
 
     def _schedule_pace(self) -> None:
-        if self._pace_timer is not None:
-            return
-        delay = max(0, self._next_pace_ns - self.sim.now)
-        self._pace_timer = self.sim.after(delay, self._pace_fire)
+        if not self._pace_pending:
+            self._pace_pending = True
+            self.sim.post(max(self.sim.now, self._next_pace_ns), self._pace_fire)
 
     def _pace_fire(self) -> None:
-        self._pace_timer = None
+        self._pace_pending = False
         self._maybe_send()
 
     # -------------------------------------------------------------- RTO path
@@ -859,9 +861,6 @@ class TcpConnection:
         self.state = TcpState.DONE
         self.stats.end_ns = self.sim.now
         self._cancel_rto()
-        if self._pace_timer is not None:
-            self._pace_timer.cancel()
-            self._pace_timer = None
         if self._delack_timer is not None:
             self._delack_timer.cancel()
             self._delack_timer = None

@@ -123,3 +123,24 @@ def test_eack_hit_rate_reasonable(ran_scenario):
     total = stage.rtt_matches + stage.rtt_misses
     assert total > 0
     assert stage.rtt_matches / total > 0.5
+
+
+def test_a_hop_stays_one_event():
+    """Event budget as a count: only the tapped bottleneck port (and a
+    port with a backlog) pays a departure event, so three flows cost well
+    under two events per transmission (2.17 with two events per hop,
+    1.36 measured here and on the 100 Mb/s benchmark scenario)."""
+    scenario = Scenario(
+        ScenarioConfig(bottleneck_mbps=20.0, rtts_ms=(10.0, 15.0, 20.0),
+                       reference_rtt_ms=20.0),
+        with_perfsonar=False)
+    for dst in range(3):
+        scenario.add_flow(dst, start_s=0.2 * dst, duration_s=4.0)
+    scenario.run(5.0)
+    topo = scenario.topology
+    transmissions = sum(
+        port.tx_packets
+        for node in (topo.core_switch, topo.wan_switch, *topo.all_hosts)
+        for port in node.ports)
+    assert transmissions > 5_000
+    assert scenario.sim.events_run / transmissions <= 1.45

@@ -16,10 +16,12 @@ across runs.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
 from repro import telemetry
+from repro.netsim.observer import observe_host_rx
 from repro.resilience import faults
 from repro.resilience.schedule import FaultSchedule
 from repro.telemetry import profiling
@@ -111,6 +113,20 @@ def test_traffic_actually_flowed(comparisons):
     mon = cmp.batched_run.scenario.monitor
     assert mon.copies_ingress > 100
     assert any(cmp.batched_run.scenario.control_plane.flow_samples.values())
+
+
+def test_oracle_streams_keep_their_size():
+    """What the oracle is fed does not depend on how many engine events
+    a hop costs: seed 0's stream sizes, pinned from the two-event port."""
+    run = ScenarioSpec.from_seed(0).build()
+    for host in run.scenario.topology.all_hosts:
+        observe_host_rx(run.stream, host)
+    kinds = Counter()
+    run.stream.subscribe(lambda ev: kinds.update((ev.kind.name,)))
+    run.run()
+    assert kinds == {"SWITCH_INGRESS": 4640, "PORT_EGRESS": 2335,
+                     "HOST_RX": 4592, "QUEUE_DROP": 48}
+    assert run.check().passed
 
 
 def _series(name):
