@@ -41,12 +41,14 @@ from repro.core.reports import (
     AggregateSample,
     Alert,
     FlowSample,
+    FlowSampleLog,
     FlowTerminationReport,
     ForensicsReport,
     HistogramReport,
     LimiterReport,
     LimiterVerdict,
     MicroburstEvent,
+    flow_sample_document,
 )
 from repro.core.stats import jain_fairness, link_utilization, throughput_bps
 
@@ -111,8 +113,8 @@ class MonitorControlPlane:
         self.limiter = LimiterClassifier(self.config)
 
         # Report archives kept locally (experiments read these directly).
-        self.flow_samples: Dict[MetricKind, List[FlowSample]] = {k: [] for k in MetricKind}
-        self.jitter_samples: List[FlowSample] = []
+        self.flow_samples = {k: FlowSampleLog() for k in MetricKind}
+        self.jitter_samples = FlowSampleLog()
         self.aggregate_samples: List[AggregateSample] = []
         self.microbursts: List[MicroburstEvent] = []
         self.terminations: List[FlowTerminationReport] = []
@@ -203,11 +205,11 @@ class MonitorControlPlane:
         if telemetry.enabled():
             self._tel_cycle_ns = telemetry.histogram(
                 "repro_cp_extraction_ns",
-                "wall-clock duration of one extraction cycle, per metric class",
+                "wall-clock duration of one extraction cycle, per extraction job",
                 labels=("metric",))
             self._tel_cycles = telemetry.counter(
                 "repro_cp_extraction_cycles_total",
-                "extraction cycles run, per metric class", labels=("metric",))
+                "extraction cycles run, per extraction job", labels=("metric",))
             self._tel_reports = telemetry.counter(
                 "repro_cp_reports_total",
                 "reports shipped to the sink, by document type",
@@ -226,11 +228,11 @@ class MonitorControlPlane:
             self._tel_deferred = telemetry.counter(
                 "repro_cp_tick_deferred_total",
                 "extraction ticks deferred by an injected control-plane "
-                "stall, per metric class", labels=("metric",))
+                "stall, per extraction job", labels=("metric",))
             self._tel_catchup = telemetry.counter(
                 "repro_cp_tick_catchup_total",
                 "consolidated catch-up extraction ticks run after a stall, "
-                "per metric class", labels=("metric",))
+                "per extraction job", labels=("metric",))
             self._tel_suppressed = telemetry.counter(
                 "repro_cp_reports_suppressed_total",
                 "per-flow reports suppressed while degraded, by report type",
@@ -475,7 +477,6 @@ class MonitorControlPlane:
     def _tick_throughput(self) -> None:
         now = self.sim.now
         kind = MetricKind.THROUGHPUT
-        boosted = self.alerts.metric_boosted(kind)
         interval = self._metric_interval_ns(kind)
         # Window rates over the time that actually elapsed since the
         # last extraction — identical to the configured interval when
@@ -484,6 +485,7 @@ class MonitorControlPlane:
         elapsed = now - self.last_extraction_ns.get(kind.value, now - interval)
         if elapsed <= 0:
             elapsed = interval
+        emit = self._sample_emitter(kind, now)
         byte_deltas: List[int] = []
         for flow in self._active_flows():
             total = self._read_traced("flow_bytes", flow.slot,
@@ -500,7 +502,7 @@ class MonitorControlPlane:
                     continue
             else:
                 flow.idle_intervals = 0
-            self._emit_sample(kind, flow, thr, now, boosted)
+            emit(flow, thr)
 
         active = self._active_flows()
         throughputs = [f.last_throughput_bps for f in active]
@@ -520,8 +522,8 @@ class MonitorControlPlane:
     def _tick_loss(self) -> None:
         now = self.sim.now
         kind = MetricKind.PACKET_LOSS
-        boosted = self.alerts.metric_boosted(kind)
         mask = self.config.flow_slots - 1
+        emit = self._sample_emitter(kind, now)
         for flow in self._active_flows():
             losses = self._read_traced("pkt_loss", flow.flow_id & mask,
                                        flow_id=flow.flow_id)
@@ -534,7 +536,7 @@ class MonitorControlPlane:
             # Clamped: regressions observed before the flow claimed its
             # slot can make the raw ratio exceed 100 %.
             loss_pct = min(100.0, 100.0 * loss_delta / pkt_delta)
-            self._emit_sample(kind, flow, loss_pct, now, boosted)
+            emit(flow, loss_pct)
             self._limiter_step(flow, loss_delta, now)
 
     def _limiter_step(self, flow: TrackedFlow, loss_delta: int, now: int) -> None:
@@ -562,8 +564,9 @@ class MonitorControlPlane:
     def _tick_rtt(self) -> None:
         now = self.sim.now
         kind = MetricKind.RTT
-        boosted = self.alerts.metric_boosted(kind)
         mask = self.config.flow_slots - 1
+        emit = self._sample_emitter(kind, now)
+        emit_jitter = self._sample_emitter(kind, now, jitter=True)
         for flow in self._active_flows():
             # Algorithm 1 stores the RTT under the ACK direction's flow ID,
             # i.e. the tracked flow's *reversed* ID.
@@ -572,25 +575,25 @@ class MonitorControlPlane:
             if rtt_ns == 0:
                 continue  # no sample yet
             rtt_ms = rtt_ns / 1e6
-            self._emit_sample(kind, flow, rtt_ms, now, boosted)
-            self._jitter_step(flow, rtt_ms, now, boosted)
+            emit(flow, rtt_ms)
+            self._jitter_step(flow, rtt_ms, emit_jitter)
 
-    def _jitter_step(self, flow: TrackedFlow, rtt_ms: float, now: int,
-                     boosted: bool) -> None:
+    def _jitter_step(self, flow: TrackedFlow, rtt_ms: float,
+                     emit: Callable[[TrackedFlow, float], None]) -> None:
         """Derived jitter (one of perfSONAR's four headline metrics,
         §2.2): RFC 3550 smoothing of consecutive RTT-sample deltas."""
         if flow.last_rtt_ms is not None:
             delta = abs(rtt_ms - flow.last_rtt_ms)
             flow.jitter_ms += (delta - flow.jitter_ms) / 16.0
-            self._emit_sample(None, flow, flow.jitter_ms, now, boosted)
+            emit(flow, flow.jitter_ms)
         flow.last_rtt_ms = rtt_ms
 
     def _tick_queue(self) -> None:
         now = self.sim.now
         kind = MetricKind.QUEUE_OCCUPANCY
-        boosted = self.alerts.metric_boosted(kind)
         mask = self.config.flow_slots - 1
         max_delay = self.config.max_queue_delay_ns()
+        emit = self._sample_emitter(kind, now)
         for flow in self._active_flows():
             idx = flow.flow_id & mask
             # Peak-hold since the previous tick gives the occupancy the
@@ -599,25 +602,39 @@ class MonitorControlPlane:
                                      flow_id=flow.flow_id)
             self.runtime.clear_register("flow_qdelay_max", idx)
             occupancy_pct = 100.0 * peak / max_delay if max_delay else 0.0
-            self._emit_sample(kind, flow, occupancy_pct, now, boosted)
+            emit(flow, occupancy_pct)
 
     # -- helpers -------------------------------------------------------------------
 
-    def _emit_sample(self, kind: Optional[MetricKind], flow: TrackedFlow,
-                     value: float, now: int, boosted: bool) -> None:
-        """Archive and ship one per-flow sample, then run the metric's
-        alert check.  ``kind=None`` is the derived jitter stream, which
-        has no alert class of its own."""
-        if kind is None:
-            metric, archive = "jitter", self.jitter_samples
-        else:
-            metric, archive = kind.value, self.flow_samples[kind]
-        sample = FlowSample(now, metric, flow.flow_id, flow.src_ip, flow.dst_ip,
-                            flow.src_port, flow.dst_port, value, boosted)
-        archive.append(sample)
-        self._ship(sample)
-        if kind is not None:
-            self.alerts.check(kind, flow.flow_id, value, now)
+    def _sample_emitter(self, kind: MetricKind, now: int, jitter: bool = False
+                        ) -> Callable[[TrackedFlow, float], None]:
+        """One tick's ``emit(flow, value)``: archive and ship one per-flow
+        sample, then run the metric's alert check.  What a tick's samples
+        share — stream, boost, document type and timestamp, whether the
+        class alerts at all — is resolved here, once; row and document
+        are built from the same nine values, and no ``FlowSample`` exists
+        until somebody reads the log.  ``jitter`` selects the stream
+        derived from ``kind``'s samples (no alert class of its own)."""
+        boosted = self.alerts.metric_boosted(kind)
+        mc = self.config.metric(kind)
+        alerting = not jitter and mc.alert_enabled and mc.alert_threshold is not None
+        metric = "jitter" if jitter else kind.value
+        archive = (self.jitter_samples if jitter else self.flow_samples[kind]).rows.append
+        doc_type, stamp = f"p4_{metric}", now / NS_PER_S
+
+        def emit(flow: TrackedFlow, value: float) -> None:
+            row = (now, metric, flow.flow_id, flow.src_ip, flow.dst_ip,
+                   flow.src_port, flow.dst_port, value, boosted)
+            archive(row)
+            if self.degraded:
+                self._ship(FlowSample(*row))     # suppressed, counted by type
+            elif self.report_sink is not None:
+                self._send(flow_sample_document(doc_type, stamp, *row[2:]),
+                           "FlowSample")
+            if alerting:
+                self.alerts.check(kind, flow.flow_id, value, now)
+
+        return emit
 
     def _evict(self, flow: TrackedFlow) -> None:
         flow.terminated = True
@@ -641,14 +658,16 @@ class MonitorControlPlane:
             self.reports_suppressed += 1
             if self._tel_cycle_ns is not None:
                 self._tel_suppressed.labels(type(report).__name__).inc()
-            return
-        if self.report_sink is None:
-            return
-        payload = report.to_document() if hasattr(report, "to_document") else report
+        elif self.report_sink is not None:
+            self._send(report.to_document() if hasattr(report, "to_document")
+                       else report, type(report).__name__)
+
+    def _send(self, payload: object, name: str) -> None:
+        """The one ``report_sink`` site."""
         trace = self._trace
         if self._tel_cycle_ns is not None or trace is not None:
             doc_type = payload.get("type", "unknown") \
-                if isinstance(payload, dict) else type(report).__name__
+                if isinstance(payload, dict) else name
             if self._tel_cycle_ns is not None:
                 self._tel_reports.labels(doc_type).inc()
             if trace is not None:
@@ -663,13 +682,6 @@ class MonitorControlPlane:
                 trace.end_report()
 
     # -- convenience queries (used by experiments/examples) ---------------------------
-
-    def throughput_series(self, flow_id: int) -> List[tuple]:
-        return [
-            (s.time_ns / NS_PER_S, s.value / 1e6)
-            for s in self.flow_samples[MetricKind.THROUGHPUT]
-            if s.flow_id == flow_id
-        ]
 
     def series(self, kind: MetricKind, flow_id: Optional[int] = None) -> List[tuple]:
         return [

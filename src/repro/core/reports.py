@@ -7,9 +7,11 @@ JSON-style dict that the Logstash TCP input plugin ingests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from typing import List, Optional
+from itertools import starmap
+from operator import attrgetter
+from typing import Iterable, Iterator, List, Optional
 
 from repro.netsim.packet import int_to_ip
 from repro.netsim.units import NS_PER_S
@@ -44,17 +46,66 @@ class FlowSample:
     boosted: bool = False
 
     def to_document(self) -> dict:
-        return {
-            "type": f"p4_{self.metric}",
-            "@timestamp": self.time_ns / NS_PER_S,
-            "flow_id": self.flow_id,
-            "source_ip": int_to_ip(self.src_ip),
-            "destination_ip": int_to_ip(self.dst_ip),
-            "source_port": self.src_port,
-            "destination_port": self.dst_port,
-            "value": self.value,
-            "boosted": self.boosted,
-        }
+        return flow_sample_document(f"p4_{self.metric}", self.time_ns / NS_PER_S,
+                                    *_sample_row(self)[2:])
+
+
+def flow_sample_document(doc_type: str, timestamp_s: float, flow_id: int,
+                         src_ip: int, dst_ip: int, src_port: int,
+                         dst_port: int, value: float, boosted: bool) -> dict:
+    """The Report_v1 document of one per-flow sample (the control plane
+    passes a tick's shared type and timestamp)."""
+    return {
+        "type": doc_type,
+        "@timestamp": timestamp_s,
+        "flow_id": flow_id,
+        "source_ip": int_to_ip(src_ip),
+        "destination_ip": int_to_ip(dst_ip),
+        "source_port": src_port,
+        "destination_port": dst_port,
+        "value": value,
+        "boosted": boosted,
+    }
+
+
+_sample_row = attrgetter(*(f.name for f in fields(FlowSample)))
+
+
+class FlowSampleLog:
+    """A per-flow sample stream kept as rows: ``rows`` holds one plain
+    tuple per sample, in :class:`FlowSample` field order — untracked by
+    the cyclic collector once it has seen it, which a dataclass instance
+    never is (docs/scaling.md, "Allocation discipline") — and a
+    ``FlowSample`` is built when somebody reads one.  Supports what the
+    list it replaces was used for: ``len``, truthiness, iteration,
+    ``[i]``, slices, ``==`` with a list or a log, ``append``, ``clear``."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, samples: Iterable[FlowSample] = ()) -> None:
+        self.rows: List[tuple] = [_sample_row(s) for s in samples]
+
+    def append(self, sample: FlowSample) -> None:
+        self.rows.append(_sample_row(sample))
+
+    def clear(self) -> None:
+        self.rows.clear()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[FlowSample]:
+        return starmap(FlowSample, self.rows)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return list(starmap(FlowSample, self.rows[item]))
+        return FlowSample(*self.rows[item])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FlowSampleLog):
+            return self.rows == other.rows
+        return list(self) == other
 
 
 @dataclass

@@ -7,6 +7,7 @@ utilisation, and aggregate traffic counters.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,14 +47,19 @@ def link_utilization(byte_deltas: Iterable[int], interval_ns: int, capacity_bps:
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:
-    """CV = std/mean; 0 for constant series, inf-safe (0 mean -> 0)."""
-    x = np.asarray(list(values), dtype=float)
-    if x.size < 2:
+    """CV = std/mean; 0 for constant series, inf-safe (0 mean -> 0).
+    The ufuncs ``np.mean`` / ``np.std`` end in, without their wrappers:
+    theirs to the last bit (``flight_cv`` is archived; ``sum()`` is not)."""
+    x = np.array(values, dtype=float)
+    n = x.size
+    if n < 2:
         return 0.0
-    mean = float(np.mean(x))
+    mean = float(np.add.reduce(x) / n)
     if mean == 0.0:
         return 0.0
-    return float(np.std(x)) / mean
+    dev = x - mean
+    np.multiply(dev, dev, out=dev)
+    return math.sqrt(np.add.reduce(dev) / n) / mean
 
 
 def throughput_bps(byte_delta: int, interval_ns: int) -> float:

@@ -57,24 +57,21 @@ class Archiver:
 
     # The control-plane report sink (accepts Report_v1 dicts).
     def sink(self, report: dict) -> None:
-        if self._prof is not None:
-            self._prof.begin("archiver.sink")
-            try:
-                self._sink_direct(report)
-            finally:
-                self._prof.end()
-            return
-        self._sink_direct(report)
-
-    def _sink_direct(self, report: dict) -> None:
-        if self._trace is not None and isinstance(report, dict):
-            self._trace.report_event("archiver", "archive", self.index_prefix,
-                                     doc_type=report.get("type"))
-        if self._tel_records is not None:
-            self._tel_records.inc()
-            if isinstance(report, dict):
-                self._tel_batch.observe(len(report))
-        self.tcp_input.ingest(report)
+        prof = self._prof
+        if prof is not None:
+            prof.begin("archiver.sink")
+        try:
+            if self._trace is not None and isinstance(report, dict):
+                self._trace.report_event("archiver", "archive", self.index_prefix,
+                                         doc_type=report.get("type"))
+            if self._tel_records is not None:
+                self._tel_records.inc()
+                if isinstance(report, dict):
+                    self._tel_batch.observe(len(report))
+            self.tcp_input.ingest(report)
+        finally:
+            if prof is not None:
+                prof.end()
 
     # -- checkpoint/restore ------------------------------------------------------
 

@@ -28,6 +28,9 @@ from repro.resilience.delivery import SequenceDedup
 from repro.resilience.faults import BackpressureError
 from repro.perfsonar.opensearch import OpenSearchStore
 
+#: A filter returns its input, a new dict, or ``None`` (drop).  It never
+#: mutates its argument: the pipeline makes no defensive copy, and a
+#: shipper may offer the same event again on a retry.
 FilterFn = Callable[[dict], Optional[dict]]
 
 
@@ -62,41 +65,39 @@ class LogstashPipeline:
         self.outputs.append(fn)
 
     def process(self, event: dict) -> Optional[dict]:
-        if self._prof is not None:
-            self._prof.begin("logstash.process")
-            try:
-                return self._process_direct(event)
-            finally:
-                self._prof.end()
-        return self._process_direct(event)
-
-    def _process_direct(self, event: dict) -> Optional[dict]:
-        self.events_in += 1
-        tel = self._tel_events
-        t0 = time.perf_counter_ns() if tel is not None else 0
-        doc: Optional[dict] = dict(event)
-        for fn in self.filters:
-            doc = fn(doc)
-            if doc is None:
-                self.events_dropped += 1
-                if self._trace is not None:
-                    self._trace.report_event("archiver", "logstash-drop",
-                                             self.name,
-                                             doc_type=event.get("type"))
-                if tel is not None:
-                    self._tel_filter_ns.observe(time.perf_counter_ns() - t0)
-                    tel.labels(self.name, "dropped").inc()
-                return None
-        if self._trace is not None:
-            self._trace.report_event("archiver", "logstash-ship", self.name,
-                                     doc_type=doc.get("type"))
-        if tel is not None:
-            self._tel_filter_ns.observe(time.perf_counter_ns() - t0)
-            tel.labels(self.name, "shipped").inc()
-        for out in self.outputs:
-            out(doc)
-        self.events_out += 1
-        return doc
+        prof = self._prof
+        if prof is not None:
+            prof.begin("logstash.process")
+        try:
+            self.events_in += 1
+            tel = self._tel_events
+            t0 = time.perf_counter_ns() if tel is not None else 0
+            doc: Optional[dict] = event
+            for fn in self.filters:
+                doc = fn(doc)
+                if doc is None:
+                    self.events_dropped += 1
+                    if self._trace is not None:
+                        self._trace.report_event("archiver", "logstash-drop",
+                                                 self.name,
+                                                 doc_type=event.get("type"))
+                    if tel is not None:
+                        self._tel_filter_ns.observe(time.perf_counter_ns() - t0)
+                        tel.labels(self.name, "dropped").inc()
+                    return None
+            if self._trace is not None:
+                self._trace.report_event("archiver", "logstash-ship", self.name,
+                                         doc_type=doc.get("type"))
+            if tel is not None:
+                self._tel_filter_ns.observe(time.perf_counter_ns() - t0)
+                tel.labels(self.name, "shipped").inc()
+            for out in self.outputs:
+                out(doc)
+            self.events_out += 1
+            return doc
+        finally:
+            if prof is not None:
+                prof.end()
 
 
 class TcpInputPlugin:
@@ -118,14 +119,7 @@ class TcpInputPlugin:
         self.port = port
         self.messages = 0
         self.malformed = 0
-        # With no injector installed the stall gate is bound away:
-        # ``self.ingest`` becomes the direct body (the malformed guard
-        # stays — it is hardening, not a fault hook).  ``__call__``
-        # still routes through the gated class method, whose guard then
-        # short-circuits on the first test.
-        self._faults = faults.injector()
-        if self._faults is None:
-            self.ingest = self._ingest_direct
+        self._faults = faults.injector()   # None without a chaos injector
         self._tel_malformed = None
         if telemetry.enabled():
             self._tel_malformed = telemetry.counter(
@@ -143,9 +137,6 @@ class TcpInputPlugin:
         if self._faults is not None and self._faults.logstash_stalled():
             raise BackpressureError(
                 f"logstash input on port {self.port} is stalled")
-        return self._ingest_direct(event)
-
-    def _ingest_direct(self, event: dict) -> Optional[dict]:
         if not isinstance(event, dict):
             self._drop_malformed("not a JSON object")
             return None
@@ -202,24 +193,19 @@ class OpenSearchOutputPlugin:
                 "dedup")
 
     def __call__(self, event: dict) -> None:
-        # Hot path: un-enveloped documents pay only the probe below.
-        if self.dedup is not None and "_seq" in event:
-            return self._write_deduped(event)
+        # Un-enveloped documents pay only this probe.
+        enveloped = self.dedup is not None and "_seq" in event
+        if enveloped:
+            source, seq = event.get("_shipper", "?"), event["_seq"]
+            if self.dedup.is_duplicate(source, seq):
+                self.duplicates_dropped += 1
+                if self._tel_duplicates is not None:
+                    self._tel_duplicates.inc()
+                return
         kind = event.get(self.index_field, "unknown")
         self.store.index(f"{self.index_prefix}-{kind}", event)
-        self.documents_written += 1
-
-    def _write_deduped(self, event: dict) -> None:
-        source = event.get("_shipper", "?")
-        seq = event["_seq"]
-        if self.dedup.is_duplicate(source, seq):
-            self.duplicates_dropped += 1
-            if self._tel_duplicates is not None:
-                self._tel_duplicates.inc()
-            return
-        kind = event.get(self.index_field, "unknown")
-        self.store.index(f"{self.index_prefix}-{kind}", event)
-        self.dedup.record(source, seq)
+        if enveloped:
+            self.dedup.record(source, seq)
         self.documents_written += 1
 
 
@@ -231,7 +217,7 @@ def opensearch_metadata_filter(event: dict) -> dict:
     out = dict(event)
     out.setdefault("@version", "1")
     out.setdefault("host", "p4-controlplane")
-    out.setdefault("tags", []).append("p4-perfsonar")
+    out["tags"] = [*event.get("tags", ()), "p4-perfsonar"]
     return out
 
 

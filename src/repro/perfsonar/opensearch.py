@@ -5,6 +5,17 @@ reuses that archive through Logstash's OpenSearch output plugin (Fig. 7).
 This store models the slice of OpenSearch the archiver uses: named
 indices of JSON documents, term/range queries, sort, and the handful of
 metric aggregations dashboards ask for.
+
+Documents are kept as rows, not dicts (docs/scaling.md, "Allocation
+discipline"): per index a list of plain value tuples ending in the
+document's key tuple — interned in a store-wide schema table — and the
+integer ``_id``; ``_index`` is the list a row sits in, and only the rows
+a query selects become dicts again.  A top-level ``list`` is stored as a
+tuple and comes back as a fresh list — what lets the collector stop
+tracking the row; JSON has no tuples, so this is lossless for every
+document this system ships.  Which positions hold a list is learned from
+a schema's first document; a list that turns up elsewhere later is
+stored as it came (correct, merely still tracked).
 """
 
 from __future__ import annotations
@@ -40,9 +51,12 @@ class RetentionPolicy:
     def apply(self, store: "OpenSearchStore", index: str, now_s: float) -> int:
         """Downsample+prune documents older than the short-term window.
         Returns the number of raw documents pruned."""
-        docs = store._indices.get(index, [])
         cutoff = now_s - self.short_term_s
-        old = [d for d in docs if d.get(self.time_field, 0.0) < cutoff]
+        # The store's range is inclusive and reads a missing field as
+        # -inf: a superset, cut here to the strict window.
+        old = [d for d in store.search(index, time_field=self.time_field,
+                                       time_range=(float("-inf"), cutoff))
+               if d.get(self.time_field, 0.0) < cutoff]
         if not old:
             return 0
         buckets: Dict[tuple, List[dict]] = {}
@@ -61,23 +75,15 @@ class RetentionPolicy:
                 "samples": len(values),
                 "downsampled": True,
             })
-        store._indices[index] = [
-            d for d in docs if d.get(self.time_field, 0.0) >= cutoff
-        ]
-        return len(old)
+        return store.delete(index, [d["_id"] for d in old])
 
 
 class OpenSearchStore:
     def __init__(self) -> None:
-        self._indices: Dict[str, List[dict]] = {}
+        self._indices: Dict[str, List[tuple]] = {}   # index -> rows
         self._ids = itertools.count(1)
-        # Fault hook: bound at construction.  With no chaos injector
-        # installed the gate is bound *away* entirely — ``self.index``
-        # becomes the direct write body, so the disabled hot path pays
-        # nothing at all.
-        self._faults = faults.injector()
-        if self._faults is None:
-            self.index = self._index_direct
+        self._schemas: Dict[tuple, tuple] = {}   # keys -> (keys, list positions)
+        self._faults = faults.injector()   # None without a chaos injector
 
     # -- document API ---------------------------------------------------------
 
@@ -90,21 +96,41 @@ class OpenSearchStore:
         shipper's retry/spool machinery exists to ride out."""
         if self._faults is not None and self._faults.archiver_down():
             raise ArchiveUnavailable(f"archive refused write to {index!r}")
-        return self._index_direct(index, document)
+        schema = self._schemas.get(tuple(document))
+        if schema is None:
+            keys = tuple(document)
+            schema = self._schemas[keys] = (keys, tuple(
+                i for i, k in enumerate(keys) if type(document[k]) is list))
+        keys, lists = schema
+        doc_id = next(self._ids)
+        row = [*document.values(), keys, doc_id]
+        for pos in lists:
+            if type(row[pos]) is list:
+                row[pos] = tuple(row[pos])
+        self._indices.setdefault(index, []).append(tuple(row))
+        return str(doc_id)
 
-    def _index_direct(self, index: str, document: dict) -> str:
-        doc_id = str(next(self._ids))
-        stored = dict(document)
-        stored["_id"] = doc_id
-        stored["_index"] = index
-        self._indices.setdefault(index, []).append(stored)
-        return doc_id
+    def _field(self, index: str, row: tuple, name: str, default: Any = None) -> Any:
+        """``document.get(name, default)``, read off the row."""
+        if name in ("_id", "_index"):
+            return str(row[-1]) if name == "_id" else index
+        keys = row[-2]
+        if name not in keys:
+            return default
+        value = row[keys.index(name)]
+        return list(value) if type(value) is tuple else value
+
+    def _document(self, index: str, row: tuple) -> dict:
+        keys = row[-2]
+        doc = dict(zip(keys, row))
+        for pos in self._schemas[keys][1]:
+            if type(row[pos]) is tuple:
+                doc[keys[pos]] = list(row[pos])
+        doc["_id"], doc["_index"] = str(row[-1]), index
+        return doc
 
     def get(self, index: str, doc_id: str) -> Optional[dict]:
-        for doc in self._indices.get(index, ()):
-            if doc["_id"] == doc_id:
-                return dict(doc)
-        return None
+        return next(iter(self.search(index, term={"_id": doc_id})), None)
 
     def count(self, index: str) -> int:
         return len(self._indices.get(index, ()))
@@ -115,6 +141,13 @@ class OpenSearchStore:
 
     def delete_index(self, index: str) -> None:
         self._indices.pop(index, None)
+
+    def delete(self, index: str, doc_ids: Iterable[str]) -> int:
+        """Remove the documents with these ``_id``s; returns how many."""
+        rows, gone = self._indices.get(index, []), set(doc_ids)
+        kept = [row for row in rows if str(row[-1]) not in gone]
+        removed, rows[:] = len(rows) - len(kept), kept
+        return removed
 
     # -- query API -----------------------------------------------------------
 
@@ -128,19 +161,22 @@ class OpenSearchStore:
         size: Optional[int] = None,
     ) -> List[dict]:
         """Filter by exact-match terms and an inclusive [lo, hi] range on
-        ``time_field``; optionally sort and truncate."""
-        docs: Iterable[dict] = self._indices.get(index, ())
+        ``time_field``; optionally sort and truncate.  Filters, sort and
+        truncation run on the rows; only what survives becomes a dict."""
+        field = self._field
+        rows: Iterable[tuple] = self._indices.get(index, ())
         if term:
-            docs = [d for d in docs if all(d.get(k) == v for k, v in term.items())]
+            rows = [r for r in rows
+                    if all(field(index, r, k) == v for k, v in term.items())]
         if time_range is not None:
             lo, hi = time_range
-            docs = [d for d in docs if lo <= d.get(time_field, float("-inf")) <= hi]
-        docs = list(docs)
+            rows = [r for r in rows
+                    if lo <= field(index, r, time_field, float("-inf")) <= hi]
         if sort_field is not None:
-            docs.sort(key=lambda d: d.get(sort_field, 0))
+            rows = sorted(rows, key=lambda r: field(index, r, sort_field, 0))
         if size is not None:
-            docs = docs[:size]
-        return [dict(d) for d in docs]
+            rows = rows[:size]
+        return [self._document(index, r) for r in rows]
 
     def aggregate(
         self,

@@ -252,6 +252,7 @@ def restore_control_plane(cp, doc: dict) -> None:
     post-restart tick windows over the true elapsed time — one bounded
     catch-up window spanning the downtime, never a mis-windowed rate."""
     from repro.core.config import MetricKind
+    from repro.core.reports import FlowSampleLog
 
     _check_schema(doc)
     sec = doc["control_plane"]
@@ -288,11 +289,12 @@ def restore_control_plane(cp, doc: dict) -> None:
 
     archives = sec["archives"]
     cp.flow_samples = {
-        MetricKind(k): [_decode_report(s) for s in samples]
+        MetricKind(k): FlowSampleLog(_decode_report(s) for s in samples)
         for k, samples in archives["flow_samples"].items()}
     for kind in MetricKind:          # a young checkpoint may miss kinds
-        cp.flow_samples.setdefault(kind, [])
-    cp.jitter_samples = [_decode_report(s) for s in archives["jitter_samples"]]
+        cp.flow_samples.setdefault(kind, FlowSampleLog())
+    cp.jitter_samples = FlowSampleLog(
+        _decode_report(s) for s in archives["jitter_samples"])
     cp.aggregate_samples = [_decode_report(s)
                             for s in archives["aggregate_samples"]]
     cp.microbursts = [_decode_report(e) for e in archives["microbursts"]]

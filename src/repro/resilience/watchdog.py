@@ -65,7 +65,7 @@ class ExtractionWatchdog:
         if telemetry.enabled():
             self._tel_stalls = telemetry.counter(
                 "repro_watchdog_stalls_total",
-                "extraction-tick stall episodes detected, per metric class",
+                "extraction-tick stall episodes detected, per extraction job",
                 labels=("metric",))
             self._tel_skew_suppressed = telemetry.counter(
                 "repro_watchdog_skew_suppressed_total",

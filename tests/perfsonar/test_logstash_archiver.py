@@ -44,6 +44,32 @@ def test_metadata_filter_adds_v2_fields():
     assert "p4-perfsonar" in out["tags"]
 
 
+def test_metadata_filter_does_not_alias_the_callers_tags():
+    """A shipper offers the same event again on a retry (filters have
+    already run once by then): the marker must land in a new list, not
+    be appended to the caller's."""
+    event = {"type": "p4_rtt", "value": 1.0, "tags": ["site-a"]}
+    archiver = Archiver()
+    archiver.sink(event)
+    archiver.sink(event)
+    assert event == {"type": "p4_rtt", "value": 1.0, "tags": ["site-a"]}
+    first, second = archiver.documents("p4_rtt")
+    assert first["tags"] == second["tags"] == ["site-a", "p4-perfsonar"]
+    assert {k: v for k, v in first.items() if k != "_id"} \
+        == {k: v for k, v in second.items() if k != "_id"}
+
+
+def test_pipeline_hands_filters_the_event_itself():
+    """The FilterFn contract: no defensive copy on the way in, so a
+    pass-through chain ships the caller's own dict."""
+    pipe = LogstashPipeline()
+    pipe.add_filter(make_type_filter(["x"]))
+    shipped = []
+    pipe.add_output(shipped.append)
+    event = {"type": "x"}
+    assert pipe.process(event) is event and shipped[0] is event
+
+
 def test_tcp_input_feeds_pipeline():
     pipe = LogstashPipeline()
     got = []

@@ -183,8 +183,14 @@ def test_control_plane_restore_fidelity():
         assert cp2.flows[fid] == flow
     assert cp2.alerts._active.keys() == cp.alerts._active.keys()
     assert len(cp2.alerts.history) == len(cp.alerts.history)
+    assert any(cp.flow_samples.values()) and cp.jitter_samples
     for kind, samples in cp.flow_samples.items():
-        assert cp2.flow_samples[kind] == samples
+        # Restored as row logs, equal to the log and to the plain list.
+        assert type(cp2.flow_samples[kind]) is type(samples)
+        assert cp2.flow_samples[kind] == samples == list(samples)
+    assert type(cp2.jitter_samples) is type(cp.jitter_samples)
+    assert cp2.jitter_samples == cp.jitter_samples == list(cp.jitter_samples)
+    assert cp2.limiter_reports == cp.limiter_reports
     assert cp2.aggregate_samples == cp.aggregate_samples
     assert cp2.reports_suppressed == cp.reports_suppressed
     assert cp2.degraded == cp.degraded
