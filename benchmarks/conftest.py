@@ -1,31 +1,22 @@
-"""Benchmark harness conventions.
+"""Fixtures the benchmarks share.
 
-Each benchmark regenerates one paper table/figure at the scaled operating
-point (100 Mb/s bottleneck, paper ratios preserved — DESIGN.md §2), prints
-the rows/series the paper reports, and asserts the *shape* claims (who
-wins, by what factor, where crossovers fall).  Run with::
+Two kinds of file live here.  The figure/table benchmarks regenerate
+one paper result each at the scaled operating point (100 Mb/s
+bottleneck, paper ratios preserved — DESIGN.md §2), print the
+rows/series the paper reports and assert the *shape* claims (who wins,
+by what factor, where crossovers fall).  The perf files
+(``test_substrate_perf.py``, ``test_*_overhead.py``) hold same-host
+budgets declared on ``benchmarks/harness.py``.  Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Every run also persists a perf record per benchmark module —
-``BENCH_<name>.json`` at the repo root (``BENCH_fig9.json``,
-``BENCH_substrate.json``, ...) — holding wall-time per test and, where
-pytest-benchmark timed the body, ops/sec.  These files are the perf
-trajectory the ROADMAP's "fast as the hardware allows" goal is measured
-against; CI uploads them as artifacts.
+A run writes nothing into the tree; pytest-benchmark's own
+``--benchmark-json=<file>`` is the record when one is wanted.  Speed
+regressions are judged same-host, parent against change, by
+``bench/run.py`` (docs/observability.md, "Overhead budgets").
 """
 
-import json
-import platform
-import sys
-import time
-from collections import defaultdict
-from pathlib import Path
-
 import pytest
-
-_RECORDS = defaultdict(list)
-_PHASES = {}
 
 
 def banner(title: str) -> None:
@@ -33,25 +24,6 @@ def banner(title: str) -> None:
     print("=" * 74)
     print(f"  {title}")
     print("=" * 74)
-
-
-@pytest.fixture
-def record_phases(request):
-    """Attach per-phase wall-time attribution to this test's BENCH
-    entry.  Call with a profiler :class:`PhaseReport` (or a raw
-    ``{phase: {self_ns, cum_ns, events}}`` dict); it lands as the
-    entry's ``phases`` field, which ``benchmarks/trend.py`` compares
-    per phase to localize a regression instead of flagging the whole
-    test."""
-    stem = Path(str(request.node.fspath)).stem
-    test_name = request.node.name
-
-    def recorder(report) -> None:
-        phases = (report.phases_for_bench()
-                  if hasattr(report, "phases_for_bench") else dict(report))
-        _PHASES[(stem, test_name)] = phases
-
-    return recorder
 
 
 @pytest.fixture
@@ -64,80 +36,3 @@ def once(benchmark):
                                   rounds=1, iterations=1, warmup_rounds=0)
 
     return runner
-
-
-# -- BENCH_*.json persistence -------------------------------------------------
-
-
-def _bench_key(module_stem: str) -> str:
-    """Map a benchmark module to its BENCH record name:
-    test_fig9_perflow → fig9, test_table1_comparison → table1,
-    test_substrate_perf → substrate, test_ablations → ablations."""
-    name = module_stem.removeprefix("test_")
-    if name.startswith(("fig", "table")):
-        return name.split("_")[0]
-    if name.startswith("substrate"):
-        return "substrate"
-    return name
-
-
-def pytest_runtest_logreport(report):
-    if report.when != "call":
-        return
-    parts = report.nodeid.split("::")
-    path = Path(parts[0])
-    if path.parent.name != "benchmarks":
-        return
-    _RECORDS[path.stem].append({
-        "test": parts[-1],
-        "outcome": report.outcome,
-        "wall_s": round(report.duration, 6),
-    })
-
-
-def _benchmark_stats(session) -> dict:
-    """ops/sec per test from pytest-benchmark, when it ran."""
-    stats = {}
-    bsession = getattr(session.config, "_benchmarksession", None)
-    if bsession is None:
-        return stats
-    for bench in getattr(bsession, "benchmarks", []):
-        stats_obj = getattr(bench, "stats", None)
-        try:
-            mean = stats_obj.mean if stats_obj is not None else None
-        except Exception:  # no rounds recorded
-            continue
-        if mean:
-            stats[bench.name] = {"mean_s": mean,
-                                 "ops_per_s": getattr(stats_obj, "ops", 1.0 / mean)}
-    return stats
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _RECORDS:
-        return
-    root = Path(session.config.rootpath)
-    per_test_stats = _benchmark_stats(session)
-    for stem, tests in sorted(_RECORDS.items()):
-        for entry in tests:
-            extra = per_test_stats.get(entry["test"])
-            if extra:
-                entry["mean_s"] = round(extra["mean_s"], 6)
-                entry["ops_per_s"] = round(extra["ops_per_s"], 3)
-            phases = _PHASES.get((stem, entry["test"]))
-            if phases:
-                entry["phases"] = phases
-        record = {
-            "schema": "repro-bench-v1",
-            "module": stem,
-            "generated_unix": round(time.time(), 3),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "argv": sys.argv[1:],
-            "tests": tests,
-            "total_wall_s": round(sum(t["wall_s"] for t in tests), 6),
-        }
-        out = root / f"BENCH_{_bench_key(stem)}.json"
-        out.write_text(json.dumps(record, indent=2) + "\n")
-    _RECORDS.clear()
-    _PHASES.clear()

@@ -10,14 +10,10 @@ This benchmark drives the extraction-tick hot path (every job of the
 schedule — the four metric classes, histograms, forensics — sweeping a
 live flow at TICK_HZ) against a bare twin whose envelope is the same
 body without the checkpoint call, so the measured delta is exactly the
-hook, and holds the ratio within 2 % — the same budget the telemetry,
-provenance and resilience layers are held to.  A timed crash-recovery
-chaos run rides along for the BENCH_checkpoint_overhead record.
+hook, and holds the ratio within 2 % — the same budget the histogram,
+forensics and resilience guards are held to.  A timed crash-recovery
+chaos run rides along.
 """
-
-import gc
-import statistics
-import time
 
 from repro import telemetry
 from repro.core.config import MetricKind
@@ -26,7 +22,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.units import NS_PER_S
 from repro.resilience import checkpoint, faults
 
-from benchmarks.harness import assert_within
+from benchmarks.harness import assert_within, paired_median, timed
 from tests.core.helpers import FlowScript, small_monitor
 
 # Sim-seconds advanced per timed round.  Every job ticks at TICK_HZ, so
@@ -94,44 +90,24 @@ def _measure_disabled_ratio():
     bare_sim, bare_cp = _world(BareControlPlane)
     assert guarded_cp._ckpt is None  # disabled -> guard-only path
     assert len(guarded_cp.schedule) == len(bare_cp.schedule) == 6
-    _advance(guarded_sim)  # untimed warmup: caches and code paths
-    _advance(bare_sim)
-    # Paired rounds, order alternated, GC held off the timings: the
-    # per-round ratio cancels frequency/allocator drift, alternation
-    # cancels the post-collect cold-cache bias, and the median pair is
-    # robust to the occasional preempted round.
-    ratios = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(ROUNDS):
-            order = ((guarded_sim, bare_sim) if i % 2 == 0
-                     else (bare_sim, guarded_sim))
-            t0 = time.perf_counter_ns()
-            _advance(order[0])
-            first_ns = time.perf_counter_ns() - t0
-            t0 = time.perf_counter_ns()
-            _advance(order[1])
-            second_ns = time.perf_counter_ns() - t0
-            guarded_ns, bare_ns = ((first_ns, second_ns) if i % 2 == 0
-                                   else (second_ns, first_ns))
-            ratios.append(guarded_ns / bare_ns)
-            # Keep the working set flat: the local report archives grow
-            # a round's worth of samples per window otherwise.
-            for cp in (guarded_cp, bare_cp):
-                for samples in cp.flow_samples.values():
-                    samples.clear()
-                cp.aggregate_samples.clear()
-                cp.jitter_samples.clear()
-                cp.limiter_reports.clear()
-                cp.histogram_reports.clear()
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+
+    def reset():
+        # Keep the working set flat: the local report archives grow a
+        # round's worth of samples per window otherwise.
+        for cp in (guarded_cp, bare_cp):
+            for samples in cp.flow_samples.values():
+                samples.clear()
+            cp.aggregate_samples.clear()
+            cp.jitter_samples.clear()
+            cp.limiter_reports.clear()
+            cp.histogram_reports.clear()
+
+    ratio = paired_median(lambda: timed(_advance, guarded_sim),
+                          lambda: timed(_advance, bare_sim), ROUNDS,
+                          between=reset)
     guarded_cp.stop()
     bare_cp.stop()
-    return statistics.median(ratios)
+    return ratio
 
 
 def test_disabled_checkpoint_overhead_within_budget():
@@ -140,9 +116,9 @@ def test_disabled_checkpoint_overhead_within_budget():
 
 
 def test_crash_recovery_wall_time(once):
-    """The timed record for BENCH_checkpoint_overhead: one full crash-
-    recovery run (checkpointing on every destructive step + supervised
-    kill/restart + exactly-once settle) end to end."""
+    """One full crash-recovery run (checkpointing on every destructive
+    step + supervised kill/restart + exactly-once settle) end to end,
+    timed."""
     from repro.resilience.chaos import bundled_chaos, run_crash_chaos, with_crash
 
     spec = with_crash(bundled_chaos()["archiver-outage"])

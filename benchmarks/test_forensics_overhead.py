@@ -6,25 +6,22 @@ the packet hot path is one ``is not None`` test in the queue-monitor
 egress body.  This benchmark drives the full ingress→egress→ACK packet
 path against a bare stage twin that replays the pre-forensics method
 body, so the measured delta is exactly that guard, and holds the ratio
-within 2 % — the same budget the histogram, telemetry, provenance and
-resilience layers are held to.
+within 2 % — the same budget the histogram, resilience and checkpoint
+guards are held to.
 
 A timed forensics-pipeline run (per-level window updates + bank-flip
-extraction ticks + a culprit query over the full run) rides along for
-the BENCH_forensics_overhead record.
+extraction ticks + a culprit query over the full run) rides along.
 """
 
-import gc
-import statistics
-import time
 import types
 
 from repro import telemetry
-from repro.core.config import MonitorConfig
-from repro.core.monitor import P4Monitor
-from repro.netsim.packet import FiveTuple, make_ack_packet, make_data_packet
-from repro.netsim.tap import TapDirection
-from repro.netsim.units import mbps, millis
+from repro.core.queue_monitor import (PORT_EGRESS_TAP, PORT_INGRESS_TAP,
+                                      packet_signature)
+
+from benchmarks.harness import (assert_within, drive_events,
+                                enabled_stage_run, event_stream,
+                                paired_median, stage_monitor, timed)
 
 EVENTS = 1500  # transit+ACK triples -> 4500 pipeline traversals per drive
 ROUNDS = 16
@@ -37,8 +34,6 @@ def _bare_queue_process(self, hdr, meta):
     """QueueMonitorStage.process exactly as it was before the
     time-window observe branch (the histogram guard stays: it is part of
     the baseline this benchmark holds the forensics guard against)."""
-    from repro.core.queue_monitor import PORT_EGRESS_TAP, PORT_INGRESS_TAP, packet_signature
-
     sig = packet_signature(hdr)
     cell = sig % self.stash_size
     if meta.ingress_port == PORT_INGRESS_TAP:
@@ -69,120 +64,39 @@ def _bare_queue_process(self, hdr, meta):
         self.flow_ce.add(idx, 1)
 
 
-def _monitor(bare: bool) -> P4Monitor:
-    mon = P4Monitor(MonitorConfig(
-        flow_slots=256, eack_table_size=4096, queue_stash_size=4096,
-        cms_width=512, cms_depth=3, long_flow_bytes=1000,
-        bottleneck_rate_bps=mbps(100), buffer_bytes=125_000,
-    ))
+def _monitor(bare: bool):
+    mon = stage_monitor()
     assert mon.queue.time_windows is None
     if bare:
         mon.queue.process = types.MethodType(_bare_queue_process, mon.queue)
     return mon
 
 
-FT = FiveTuple(0x0A00000A, 0x0A01000A, 40000, 5201)
-
-
-def _event_stream(n):
-    """n (packet, direction, t_ns) triples: each data packet crosses the
-    tapped switch (queue match) and is ACKed 5 ms later."""
-    events = []
-    seq = 1
-    for i in range(n):
-        t = 1000 + i * int(millis(1))
-        pkt = make_data_packet(FT, seq=seq, payload_len=1000, ip_id=i + 1)
-        events.append((pkt, TapDirection.INGRESS, t))
-        events.append((pkt, TapDirection.EGRESS, t + 200_000))
-        ack = make_ack_packet(FT.reversed(), ack=seq + 1000)
-        events.append((ack, TapDirection.INGRESS, t + int(millis(5))))
-        seq += 1000
-    return events
-
-
-def _drive(mon, events):
-    process = mon.process_packet
-    for pkt, direction, t in events:
-        process(pkt, direction, t)
-
-
 def _measure_disabled_ratio():
     """Forensics disabled on both sides: the guarded stage vs its
-    pre-forensics twin, paired rounds with alternating order."""
+    pre-forensics twin."""
     assert not telemetry.enabled()
-    events = _event_stream(EVENTS)
-    guarded = _monitor(bare=False)
-    bare = _monitor(bare=True)
-    _drive(guarded, events)  # untimed warmup
-    _drive(bare, events)
-    ratios = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(ROUNDS):
-            first, second = (guarded, bare) if i % 2 == 0 else (bare, guarded)
-            t0 = time.perf_counter_ns()
-            _drive(first, events)
-            first_ns = time.perf_counter_ns() - t0
-            t0 = time.perf_counter_ns()
-            _drive(second, events)
-            second_ns = time.perf_counter_ns() - t0
-            guarded_ns, bare_ns = ((first_ns, second_ns) if i % 2 == 0
-                                   else (second_ns, first_ns))
-            ratios.append(guarded_ns / bare_ns)
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return statistics.median(ratios)
+    events = event_stream(EVENTS)
+    guarded, bare = _monitor(bare=False), _monitor(bare=True)
+    return paired_median(lambda: timed(drive_events, guarded, events),
+                         lambda: timed(drive_events, bare, events), ROUNDS)
 
 
 def test_disabled_forensics_overhead_within_budget():
-    ratios = []
-    for _ in range(5):  # retry: pass as soon as one clean attempt fits
-        ratio = _measure_disabled_ratio()
-        ratios.append(ratio)
-        if ratio <= DISABLED_BUDGET:
-            break
-    assert min(ratios) <= DISABLED_BUDGET, (
-        f"disabled-forensics packet path is {min(ratios):.3f}x baseline "
-        f"(budget {DISABLED_BUDGET}x); attempts: "
-        + ", ".join(f"{r:.3f}" for r in ratios)
-    )
-
-
-def _forensics_pipeline_run():
-    """The enabled path end to end: per-level window updates on the
-    TAP-pair match path, bank-flip extraction ticks folding into the
-    queue-ancestry index, one culprit query over the whole run."""
-    from repro.core.control_plane import MonitorControlPlane
-    from repro.netsim.engine import Simulator
-    from repro.netsim.units import seconds
-
-    sim = Simulator()
-    mon = P4Monitor(MonitorConfig(
-        flow_slots=256, eack_table_size=4096, queue_stash_size=4096,
-        cms_width=512, cms_depth=3, long_flow_bytes=1000,
-        bottleneck_rate_bps=mbps(100), buffer_bytes=125_000,
-        forensics_enabled=True,
-    ))
-    shipped = []
-    cp = MonitorControlPlane(sim, mon, report_sink=shipped.append)
-    cp.start()
-    # Flow claims a slot, then a steady 1 kpkt/s of transit+ACK triples.
-    first = make_data_packet(FT, seq=0, payload_len=1001, ip_id=60_000)
-    sim.at(1000, mon.process_packet, first, TapDirection.INGRESS, 1000)
-    for pkt, direction, t in _event_stream(8000):
-        sim.at(t, mon.process_packet, pkt, direction, t)
-    sim.run_until(seconds(10))
-    report = cp.forensics.query(None, 0, sim.now)
-    return cp, report
+    assert_within(_measure_disabled_ratio, DISABLED_BUDGET,
+                  "disabled-forensics packet path vs bare twin (x)")
 
 
 def test_forensics_pipeline_wall_time(once):
-    """The timed record for BENCH_forensics_overhead: 24k packet events
-    recorded into the coarsening windows, extracted and queried."""
-    cp, report = once(_forensics_pipeline_run)
+    """The enabled path end to end, timed: 24k packet events recorded
+    into the coarsening windows on the TAP-pair match path, bank-flip
+    extraction ticks folding into the queue-ancestry index, one culprit
+    query over the whole run."""
+    def run():
+        cp, _ = enabled_stage_run(forensics_enabled=True)
+        return cp, cp.forensics.query(None, 0, cp.sim.now)
+
+    cp, report = once(run)
     assert cp.forensics.ticks >= 8
     assert cp.monitor.queue.time_windows.ops >= 8000
     assert report is not None and report.culprits

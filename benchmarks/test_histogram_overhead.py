@@ -6,25 +6,22 @@ packet hot path is one ``is not None`` test in ``_process_ack`` and one
 in the queue-monitor egress body.  This benchmark drives the full
 ingress→egress→ACK packet path against bare stage twins that replay the
 pre-histogram method bodies, so the measured delta is exactly those
-guards, and holds the ratio within 2 % — the same budget the telemetry,
-provenance and resilience layers are held to.
+guards, and holds the ratio within 2 % — the same budget the forensics,
+resilience and checkpoint guards are held to.
 
 A timed histogram-pipeline run (binning + read-flip extraction +
-percentiles + shipped distribution reports) rides along for the
-BENCH_histogram_overhead record.
+percentiles + shipped distribution reports) rides along.
 """
 
-import gc
-import statistics
-import time
 import types
 
 from repro import telemetry
-from repro.core.config import MonitorConfig
-from repro.core.monitor import P4Monitor
-from repro.netsim.packet import FiveTuple, TCPFlags, make_ack_packet, make_data_packet
-from repro.netsim.tap import TapDirection
-from repro.netsim.units import mbps, millis
+from repro.core.queue_monitor import (PORT_EGRESS_TAP, PORT_INGRESS_TAP,
+                                      packet_signature)
+
+from benchmarks.harness import (assert_within, drive_events,
+                                enabled_stage_run, event_stream,
+                                paired_median, stage_monitor, timed)
 
 EVENTS = 1500  # transit+ACK triples -> 4500 pipeline traversals per drive
 ROUNDS = 16
@@ -57,8 +54,6 @@ def _bare_process_ack(self, hdr, meta, now):
 def _bare_queue_process(self, hdr, meta):
     """QueueMonitorStage.process exactly as it was before the per-port
     histogram observe."""
-    from repro.core.queue_monitor import PORT_EGRESS_TAP, PORT_INGRESS_TAP, packet_signature
-
     sig = packet_signature(hdr)
     cell = sig % self.stash_size
     if meta.ingress_port == PORT_INGRESS_TAP:
@@ -87,12 +82,8 @@ def _bare_queue_process(self, hdr, meta):
         self.flow_ce.add(idx, 1)
 
 
-def _monitor(bare: bool) -> P4Monitor:
-    mon = P4Monitor(MonitorConfig(
-        flow_slots=256, eack_table_size=4096, queue_stash_size=4096,
-        cms_width=512, cms_depth=3, long_flow_bytes=1000,
-        bottleneck_rate_bps=mbps(100), buffer_bytes=125_000,
-    ))
+def _monitor(bare: bool):
+    mon = stage_monitor()
     assert mon.rtt_loss.rtt_hist is None and mon.queue.qdepth_hist is None
     if bare:
         mon.rtt_loss._process_ack = types.MethodType(
@@ -101,115 +92,30 @@ def _monitor(bare: bool) -> P4Monitor:
     return mon
 
 
-FT = FiveTuple(0x0A00000A, 0x0A01000A, 40000, 5201)
-
-
-def _event_stream(n):
-    """n (packet, direction, t_ns) triples: each data packet crosses the
-    tapped switch (queue match) and is ACKed 5 ms later (eACK match)."""
-    events = []
-    seq = 1
-    for i in range(n):
-        t = 1000 + i * int(millis(1))
-        pkt = make_data_packet(FT, seq=seq, payload_len=1000, ip_id=i + 1)
-        events.append((pkt, TapDirection.INGRESS, t))
-        events.append((pkt, TapDirection.EGRESS, t + 200_000))
-        ack = make_ack_packet(FT.reversed(), ack=seq + 1000)
-        events.append((ack, TapDirection.INGRESS, t + int(millis(5))))
-        seq += 1000
-    return events
-
-
-def _drive(mon, events):
-    process = mon.process_packet
-    for pkt, direction, t in events:
-        process(pkt, direction, t)
-
-
 def _measure_disabled_ratio():
     """Histograms disabled on both sides: the guarded stages vs their
-    pre-histogram twins, paired rounds with alternating order."""
+    pre-histogram twins."""
     assert not telemetry.enabled()
-    events = _event_stream(EVENTS)
-    guarded = _monitor(bare=False)
-    bare = _monitor(bare=True)
-    _drive(guarded, events)  # untimed warmup
-    _drive(bare, events)
-    ratios = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(ROUNDS):
-            first, second = (guarded, bare) if i % 2 == 0 else (bare, guarded)
-            t0 = time.perf_counter_ns()
-            _drive(first, events)
-            first_ns = time.perf_counter_ns() - t0
-            t0 = time.perf_counter_ns()
-            _drive(second, events)
-            second_ns = time.perf_counter_ns() - t0
-            guarded_ns, bare_ns = ((first_ns, second_ns) if i % 2 == 0
-                                   else (second_ns, first_ns))
-            ratios.append(guarded_ns / bare_ns)
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return statistics.median(ratios)
+    events = event_stream(EVENTS)
+    guarded, bare = _monitor(bare=False), _monitor(bare=True)
+    return paired_median(lambda: timed(drive_events, guarded, events),
+                         lambda: timed(drive_events, bare, events), ROUNDS)
 
 
 def test_disabled_histogram_overhead_within_budget():
-    ratios = []
-    for _ in range(5):  # retry: pass as soon as one clean attempt fits
-        ratio = _measure_disabled_ratio()
-        ratios.append(ratio)
-        if ratio <= DISABLED_BUDGET:
-            break
-    assert min(ratios) <= DISABLED_BUDGET, (
-        f"disabled-histogram packet path is {min(ratios):.3f}x baseline "
-        f"(budget {DISABLED_BUDGET}x); attempts: "
-        + ", ".join(f"{r:.3f}" for r in ratios)
-    )
-
-
-def _histogram_pipeline_run():
-    """The enabled path end to end: binning on both match paths,
-    read-flip extraction ticks, percentile computation, shipped
-    distribution reports."""
-    from repro.core.control_plane import MonitorControlPlane
-    from repro.netsim.engine import Simulator
-    from repro.netsim.units import seconds
-
-    sim = Simulator()
-    mon = P4Monitor(MonitorConfig(
-        flow_slots=256, eack_table_size=4096, queue_stash_size=4096,
-        cms_width=512, cms_depth=3, long_flow_bytes=1000,
-        bottleneck_rate_bps=mbps(100), buffer_bytes=125_000,
-        histograms_enabled=True,
-    ))
-    shipped = []
-    cp = MonitorControlPlane(sim, mon, report_sink=shipped.append)
-    cp.start()
-    # Flow claims a slot, then a steady 1 kpkt/s of transit+ACK triples.
-    first = make_data_packet(FT, seq=0, payload_len=1001, ip_id=60_000)
-    sim.at(1000, mon.process_packet, first, TapDirection.INGRESS, 1000)
-    for pkt, direction, t in _event_stream(8000):
-        sim.at(t, mon.process_packet, pkt, direction, t)
-    sim.run_until(seconds(10))
-    docs = [d for d in shipped if isinstance(d, dict)
-            and d.get("type") == "repro-histogram-v1"]
-    return cp, docs
+    assert_within(_measure_disabled_ratio, DISABLED_BUDGET,
+                  "disabled-histogram packet path vs bare twins (x)")
 
 
 def test_histogram_pipeline_wall_time(once):
-    """The timed record for BENCH_histogram_overhead: 24k packet events
-    binned, extracted and shipped as distribution reports."""
-    cp, docs = once(_histogram_pipeline_run)
+    """The enabled path end to end, timed: 24k packet events binned on
+    both match paths, read-flip extraction ticks, percentiles, shipped
+    distribution reports."""
+    cp, shipped = once(enabled_stage_run, histograms_enabled=True)
     assert cp.histograms.ticks >= 8
-    assert docs, "enabled run shipped no distribution reports"
-    assert mon_total(cp) >= 8000
-
-
-def mon_total(cp):
-    ext = cp.histograms
-    return int(ext.rtt_cumulative.sum()) \
-        + int(cp.monitor.rtt_loss.rtt_hist.snapshot().sum())
+    assert any(d.get("type") == "repro-histogram-v1"
+               for d in shipped if isinstance(d, dict)), \
+        "enabled run shipped no distribution reports"
+    binned = (int(cp.histograms.rtt_cumulative.sum())
+              + int(cp.monitor.rtt_loss.rtt_hist.snapshot().sum()))
+    assert binned >= 8000

@@ -11,15 +11,11 @@ always-on malformed guard in the input and the sequence-dedup probe in
 This benchmark drives the socket hot path — JSON line → ingest →
 filter → output → store — against bare twins that replay the
 pre-resilience bodies, so the measured delta is exactly the guards, and
-holds the ratio within 2 % — the same budget the telemetry and
-provenance layers are held to.  A timed chaos run rides along for the
-BENCH_resilience_overhead record.
+holds the ratio within 2 % — the same budget the histogram, forensics
+and checkpoint guards are held to.  A timed chaos run rides along.
 """
 
-import gc
 import json
-import statistics
-import time
 
 from repro import telemetry
 from repro.perfsonar.logstash import (
@@ -31,6 +27,8 @@ from repro.perfsonar.logstash import (
 from repro.perfsonar.opensearch import OpenSearchStore
 from repro.resilience import faults
 from repro.resilience.delivery import SequenceDedup
+
+from benchmarks.harness import assert_within, paired_median, timed
 
 EVENTS = 4000
 # The residual guard delta is tens of ns against a ~4 us path; paired
@@ -92,60 +90,29 @@ def _measure_disabled_ratio():
     guarded = _chain(TcpInputPlugin, OpenSearchOutputPlugin,
                      dedup=SequenceDedup())
     bare = _chain(BareInput, BareOutput, dedup=None)
-    _drive(guarded, stream)  # untimed warmup
-    _drive(bare, stream)
-    # Paired rounds: guarded and bare timed back to back share the same
-    # frequency/scheduler state, so the per-round ratio cancels drift
-    # that best-of-separate-streams cannot.  The order alternates each
-    # round — whichever runs right after gc.collect() pays the cold
-    # caches, and alternation cancels that bias; the median pair is
-    # robust to the occasional preempted round in either direction.
-    ratios = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(ROUNDS):
-            first, second = (guarded, bare) if i % 2 == 0 else (bare, guarded)
-            t0 = time.perf_counter_ns()
-            _drive(first, stream)
-            first_ns = time.perf_counter_ns() - t0
-            t0 = time.perf_counter_ns()
-            _drive(second, stream)
-            second_ns = time.perf_counter_ns() - t0
-            guarded_ns, bare_ns = ((first_ns, second_ns) if i % 2 == 0
-                                   else (second_ns, first_ns))
-            ratios.append(guarded_ns / bare_ns)
-            # Keep the working set flat: without this the stores grow a
-            # round's worth of documents per iteration and cache
-            # pressure drifts across the measurement.
-            for chain in (guarded, bare):
-                store = chain.pipeline.outputs[0].store
-                for index in store.indices:
-                    store.delete_index(index)
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return statistics.median(ratios)
+
+    def reset():
+        # Keep the working set flat: without this the stores grow a
+        # round's worth of documents per iteration and cache pressure
+        # drifts across the measurement.
+        for chain in (guarded, bare):
+            store = chain.pipeline.outputs[0].store
+            for index in store.indices:
+                store.delete_index(index)
+
+    return paired_median(lambda: timed(_drive, guarded, stream),
+                         lambda: timed(_drive, bare, stream), ROUNDS,
+                         between=reset)
 
 
 def test_disabled_resilience_overhead_within_budget():
-    ratios = []
-    for _ in range(5):  # retry: pass as soon as one clean attempt fits
-        ratio = _measure_disabled_ratio()
-        ratios.append(ratio)
-        if ratio <= DISABLED_BUDGET:
-            break
-    assert min(ratios) <= DISABLED_BUDGET, (
-        f"disabled-resilience archiver path is {min(ratios):.3f}x baseline "
-        f"(budget {DISABLED_BUDGET}x); attempts: "
-        + ", ".join(f"{r:.3f}" for r in ratios)
-    )
+    assert_within(_measure_disabled_ratio, DISABLED_BUDGET,
+                  "disabled-resilience archiver path vs bare twins (x)")
 
 
 def test_chaos_run_wall_time(once):
-    """The timed record for BENCH_resilience_overhead: one full chaos
-    run (fault schedule + shipper + breaker + oracle) end to end."""
+    """One full chaos run (fault schedule + shipper + breaker + oracle)
+    end to end, timed."""
     from repro.resilience.chaos import bundled_chaos, run_chaos
 
     result = once(run_chaos, bundled_chaos()["kitchen-sink"])

@@ -15,7 +15,11 @@ from repro.netsim.tap import TapDirection
 from repro.p4.hashes import crc32_tuple
 from repro.p4.sketch import CountMinSketch
 
+from benchmarks.harness import (interleaved_best, substrate_scenario,
+                                timed_run)
 from tests.core.helpers import small_monitor
+
+TWIN_ROUNDS = 5
 
 
 def test_engine_event_throughput(benchmark):
@@ -75,71 +79,37 @@ def test_flow_hash_rate(benchmark):
     benchmark(run)
 
 
-def test_end_to_end_simulation_rate(benchmark):
-    """Events/second for a monitored two-flow TCP scenario (the shape of
-    every figure benchmark's inner loop)."""
-    from repro.experiments.common import Scenario, ScenarioConfig
+def test_end_to_end_simulation_rate():
+    """A monitored two-flow TCP scenario (the shape of every figure
+    benchmark's inner loop) on the batched kernel and on its scalar twin
+    — the identical scenario with ``batched_path=False``, every mirror
+    copy through the per-packet pipeline — measured interleaved in one
+    run: the kernel must not lose its speedup."""
+    def run_ns(**overrides):
+        scenario = substrate_scenario(flow_s=3.0, **overrides)
+        assert (scenario.monitor.kernel is None) is bool(overrides)
+        dt = timed_run(scenario, 4.0)
+        assert scenario.sim.events_run > 6_000  # ~8.7k: one event per unobserved hop
+        return dt
 
-    def run():
-        scenario = Scenario(
-            ScenarioConfig(bottleneck_mbps=25.0, rtts_ms=(20.0, 30.0, 40.0),
-                           reference_rtt_ms=40.0),
-            with_perfsonar=False,
-        )
-        scenario.add_flow(0, duration_s=3.0)
-        scenario.add_flow(1, duration_s=3.0)
-        scenario.run(4.0)
-        return scenario.sim.events_run
-
-    events = benchmark(run)
-    assert events > 6_000  # ~8.7k: one event per unobserved hop
-
-
-def test_end_to_end_simulation_rate_scalar(benchmark):
-    """Scalar twin of :func:`test_end_to_end_simulation_rate`: identical
-    scenario with ``batched_path=False``, so the monitor dispatches every
-    mirror copy through the per-packet pipeline.  The trend gate pairs
-    the two records (``X`` / ``X_scalar``) and fails if the batched
-    kernel ever loses its speedup."""
-    from repro.experiments.common import Scenario, ScenarioConfig
-
-    def run():
-        scenario = Scenario(
-            ScenarioConfig(bottleneck_mbps=25.0, rtts_ms=(20.0, 30.0, 40.0),
-                           reference_rtt_ms=40.0,
-                           monitor_overrides={"batched_path": False}),
-            with_perfsonar=False,
-        )
-        scenario.add_flow(0, duration_s=3.0)
-        scenario.add_flow(1, duration_s=3.0)
-        scenario.run(4.0)
-        assert scenario.monitor.kernel is None
-        return scenario.sim.events_run
-
-    events = benchmark(run)
-    assert events > 6_000  # ~8.7k: one event per unobserved hop
+    batched, scalar = interleaved_best(
+        run_ns, lambda: run_ns(batched_path=False), TWIN_ROUNDS)
+    print(f"event loop, batched {batched / 1e6:.1f} ms vs scalar "
+          f"{scalar / 1e6:.1f} ms: {scalar / batched:.2f}x")
+    assert batched <= scalar
 
 
-def test_phase_attribution_record(once, record_phases):
-    """The end-to-end scenario under phase profiling: records per-phase
-    self/cum time into BENCH_substrate.json so the trend gate can
-    localize a future regression to engine dispatch, the P4 kernel,
-    the control plane or the archiver path (docs/profiling.md).  Block
-    detail leaves the batched path engaged, so the phases describe the
-    configuration the other records here time."""
-    from repro.experiments.common import Scenario, ScenarioConfig
+def test_phase_attribution_record(once):
+    """The end-to-end scenario under phase profiling: block detail
+    leaves the batched path engaged, so the phases describe the
+    configuration the other tests here time, and the dispatch loop
+    attributes essentially the whole run (docs/profiling.md)."""
     from repro.telemetry import profiling
 
     def run():
         prof = profiling.enable(mode="phase")
         try:
-            scenario = Scenario(
-                ScenarioConfig(bottleneck_mbps=25.0, rtts_ms=(20.0, 30.0, 40.0),
-                               reference_rtt_ms=40.0),
-                with_perfsonar=True,
-            )
-            scenario.add_flow(0, duration_s=3.0)
-            scenario.add_flow(1, duration_s=3.0)
+            scenario = substrate_scenario(flow_s=3.0, with_perfsonar=True)
             with prof.running():
                 scenario.run(4.0)
             return prof.report(), scenario.monitor
@@ -147,10 +117,9 @@ def test_phase_attribution_record(once, record_phases):
             profiling.disable()
 
     report, monitor = once(run)
-    # The dispatch loop must have attributed essentially the whole run.
+    print(report.render_table(top=8))
     assert report.total_self_ns > 0.5 * report.wall_ns
     assert any(r.phase.startswith("engine/") for r in report.rows)
     assert monitor.kernel is not None
     assert (report.row("p4.process").count
             == monitor.copies_ingress + monitor.copies_egress)
-    record_phases(report)

@@ -1,15 +1,10 @@
-"""Telemetry overhead budgets: disabled, and enabled end to end.
+"""Telemetry overhead budget: enabled, end to end.
 
-Disabled: the instrumented hot path (P4Pipeline.process with its
-``is None`` guard) must stay within 10 % of an uninstrumented twin when
-telemetry is off — the promise docs/observability.md makes.
-``harness.BarePipeline`` replays the pre-telemetry process() body,
-sharing the *same* parser, stages and registers, so the measured delta
-is exactly the instrumentation guard.
-
-Enabled: telemetry observes the batched kernel per flush, so a whole
-``Scenario`` run with telemetry on (snapshot included) must stay within
-15 % of the same run with it off — both sides on the batched path.
+Telemetry observes the batched kernel per flush, so a whole ``Scenario``
+run with telemetry on (snapshot included) must stay within 15 % of the
+same run with it off — both sides on the batched path.  (Disabled,
+telemetry costs the pipeline nothing to time: the plain ``process`` body
+stays on class dispatch, pinned by tests/p4/test_pipeline_binding.py.)
 """
 
 import gc
@@ -17,26 +12,12 @@ import time
 
 from repro import telemetry
 
-from benchmarks.harness import (assert_within, drive, guard_ratio,
-                                interleaved_best, packet_stream,
-                                substrate_scenario)
+from benchmarks.harness import (assert_within, drive, interleaved_best,
+                                packet_stream, substrate_scenario)
 from tests.core.helpers import small_monitor
 
-BUDGET = 1.10
 ENABLED_ROUNDS = 5
 ENABLED_BUDGET = 1.15
-
-
-def _measure_ratio():
-    assert not telemetry.enabled()
-    guarded = small_monitor().pipeline
-    assert guarded._tel_stage_pkts is None  # telemetry off → fast path
-    return guard_ratio(guarded)
-
-
-def test_disabled_telemetry_overhead_within_budget():
-    assert_within(_measure_ratio, BUDGET,
-                  "disabled-telemetry hot path vs bare twin (x)")
 
 
 def _scenario_run_ns(observed: bool) -> int:
@@ -78,8 +59,8 @@ def test_enabled_telemetry_end_to_end_within_budget():
 
 
 def test_enabled_telemetry_still_counts(benchmark):
-    """Enabled-path sanity + a timed record for BENCH_telemetry_overhead:
-    instrumentation actually observes each packet."""
+    """Enabled-path sanity, timed: instrumentation actually observes
+    each packet."""
     telemetry.enable()
     try:
         telemetry.reset()

@@ -1,42 +1,32 @@
 """Provenance-tracing overhead budgets.
 
-Three operating points, per docs/observability.md:
+Two operating points, per docs/observability.md (disabled, the tracer
+costs the pipeline nothing to time: the plain ``process`` body stays on
+class dispatch, pinned by tests/p4/test_pipeline_binding.py):
 
-- **disabled** (the default): the pipeline hot path pays only the
-  bind-time ``is None`` guards — within 2 % of an uninstrumented twin
-  (``harness.BarePipeline`` replays the pre-instrumentation process()
-  body, sharing parser/stages, so the delta is exactly the guards);
 - **coarse-only** (``fine_window=0``, 1/64 sampling): the always-on
   long-horizon mode — within 15 % of event-loop wall time on the
   substrate end-to-end scenario (the netsim + pipeline + control-plane
   workload every figure benchmark runs, where the hooks on every
-  queue/TAP hop and register write all fire; measured steady-state
-  cost is ~8–13 % on the reference container, the budget adds noise
-  headroom);
-- **full tracing**: timed for the BENCH_trace_overhead record, no budget
-  (it is the diagnosis mode, not an always-on setting).
+  queue/TAP hop and register write all fire; the hooks themselves
+  measured ~8–13 % when both sides ran the scalar pipeline, the budget
+  adds noise headroom).  Red on purpose, and not widened, since the dark
+  side runs the batched kernel and a tracer still binds the scalar
+  pipeline — until coarse provenance observes per flush (ROADMAP
+  item 2a);
+- **full tracing**: timed, no budget (it is the diagnosis mode, not an
+  always-on setting).
 """
 
 from repro import telemetry
 from repro.telemetry import provenance
 
-from benchmarks.harness import (assert_within, drive, guard_ratio,
-                                interleaved_best, packet_stream,
-                                substrate_scenario, timed_run)
+from benchmarks.harness import (assert_within, drive, interleaved_best,
+                                packet_stream, substrate_scenario, timed_run)
 from tests.core.helpers import small_monitor
 
 E2E_ROUNDS = 6
-DISABLED_BUDGET = 1.02
 COARSE_BUDGET = 1.15
-
-
-def _measure_disabled_ratio():
-    """Tracing off: guarded and bare share the same parser/stages, so
-    the delta is exactly the ``is None`` guards."""
-    assert not provenance.active() and not telemetry.enabled()
-    guarded = small_monitor().pipeline
-    assert guarded._trace is None  # provenance off → fast path
-    return guard_ratio(guarded)
 
 
 def _timed_coarse_run(seen):
@@ -65,19 +55,14 @@ def _measure_coarse_ratio():
     return coarse / dark
 
 
-def test_disabled_provenance_overhead_within_budget():
-    assert_within(_measure_disabled_ratio, DISABLED_BUDGET,
-                  "disabled-provenance hot path vs bare twin (x)")
-
-
 def test_coarse_only_provenance_overhead_within_budget():
     assert_within(_measure_coarse_ratio, COARSE_BUDGET,
                   "coarse-only provenance vs dark, event loop (x)")
 
 
 def test_full_tracing_records_all_layers(benchmark):
-    """Full-capture sanity + the timed record for BENCH_trace_overhead:
-    every pipeline traversal lands in the fine window."""
+    """Full-capture sanity, timed: every pipeline traversal lands in the
+    fine window."""
     tracer = provenance.enable()
     try:
         mon = small_monitor()

@@ -31,16 +31,14 @@ def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="p4-capture-"))
 
     # --- live run, tee-ing the mirror streams into pcap captures ---------
-    scenario = Scenario(ScenarioConfig(bottleneck_mbps=50.0), with_perfsonar=False)
     ingress_cap, egress_cap = PcapCapture(), PcapCapture()
-    live_sink = scenario.monitor.receive_copy
 
     def tee(copy):
         cap = ingress_cap if copy.direction is TapDirection.INGRESS else egress_cap
         cap.from_mirror(copy)
-        live_sink(copy)
 
-    scenario.topology.tap.sink = tee
+    scenario = Scenario(ScenarioConfig(bottleneck_mbps=50.0),
+                        with_perfsonar=False, copy_recorder=tee)
     scenario.add_flow(0, duration_s=10.0)
     scenario.add_flow(1, start_s=2.0, duration_s=8.0)
     scenario.run(12.0)

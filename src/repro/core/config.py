@@ -132,19 +132,6 @@ class MonitorConfig:
     # this are suppressed (report only change-significant windows).
     forensics_min_window_bytes: int = 1500
 
-    # Control-plane checkpointing (crash recovery, docs/robustness.md
-    # "Crash recovery"): when enabled the CLI installs a
-    # repro.resilience.checkpoint.CheckpointManager before building the
-    # scenario; the control plane then writes one repro-checkpoint-v1
-    # snapshot per destructive extraction (read-flip banks make the
-    # un-extracted remainder recoverable by construction).  retain caps
-    # on-disk snapshots; min_interval rate-limits captures (0 = every
-    # extraction, the lossless default).
-    checkpoint_enabled: bool = False
-    checkpoint_dir: Optional[str] = None
-    checkpoint_retain: int = 4
-    checkpoint_min_interval_ms: float = 0.0
-
     # Control-plane policy per metric.
     metrics: Dict[MetricKind, MetricConfig] = field(
         default_factory=lambda: {kind: MetricConfig() for kind in MetricKind}
@@ -219,11 +206,6 @@ class MonitorConfig:
                 raise ValueError("need 0 < histogram_shift_threshold <= 1")
             if self.histogram_min_samples < 1:
                 raise ValueError("histogram_min_samples must be >= 1")
-        if self.checkpoint_enabled:
-            if self.checkpoint_retain < 1:
-                raise ValueError("checkpoint_retain must be >= 1")
-            if self.checkpoint_min_interval_ms < 0:
-                raise ValueError("checkpoint_min_interval_ms must be >= 0")
         if self.forensics_enabled:
             if self.forensics_levels < 1:
                 raise ValueError("forensics_levels must be >= 1")

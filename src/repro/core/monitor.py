@@ -197,7 +197,7 @@ class P4Monitor:
         timestamp_ns: int,
         egress_port_id: int = 0,
     ) -> StandardMetadata:
-        """Direct injection (tests and trace replay).  Returns the packet's
+        """Direct scalar injection (tests).  Returns the packet's
         metadata so callers can inspect flow IDs / queue delay."""
         if self.kernel is not None and self.batch_buffer:
             self.kernel.flush()  # keep scalar injection ordered after batched copies

@@ -10,18 +10,16 @@ microburst events and termination reports as the live system.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, Optional, Union
 
 from repro.core.config import MonitorConfig
 from repro.core.control_plane import MonitorControlPlane, ReportSink
 from repro.core.monitor import P4Monitor
 from repro.netsim.engine import Simulator
-from repro.netsim.packet import Packet
 from repro.netsim.pcap import read_pcap
-from repro.netsim.tap import TapDirection
-
-TimedCopy = Tuple[int, Packet, TapDirection]
+from repro.netsim.tap import MirrorCopy, TapDirection
 
 
 class OfflineAnalyzer:
@@ -43,21 +41,33 @@ class OfflineAnalyzer:
             self.sim, self.monitor, report_sink=report_sink
         )
 
-    def replay(self, copies: Iterable[TimedCopy],
+    def replay(self, copies: Iterable[MirrorCopy],
                trailer_ns: int = 1_000_000_000) -> "OfflineAnalyzer":
-        """Replay ``(timestamp_ns, packet, direction)`` records in time
-        order; the clock then runs ``trailer_ns`` past the last record so
-        final extraction intervals fire."""
-        ordered = sorted(copies, key=lambda c: c[0])
+        """Replay recorded :class:`MirrorCopy` records in timestamp order
+        (a stable sort, so same-timestamp copies keep their recorded
+        order); the clock then runs ``trailer_ns`` past the last record
+        so final extraction intervals fire.
+
+        Copies go to the monitor's bound intake, as a live TAP's would,
+        and the clock moves only when a timer is due: every extraction
+        tick flushes the monitor first, so a tick at ``T`` sees exactly
+        the copies stamped ``<= T`` that preceded it, and between ticks
+        the only flush boundary is the buffer cap."""
+        ordered = sorted(copies, key=attrgetter("timestamp_ns"))
         if not ordered:
             return self
+        sim = self.sim
+        if ordered[0].timestamp_ns < sim.now:
+            raise ValueError("capture records must not move backwards")
+        receive = self.monitor.receive_copy
         self.control_plane.start()
-        for ts_ns, pkt, direction in ordered:
-            if ts_ns < self.sim.now:
-                raise ValueError("capture records must not move backwards")
-            self.sim.run_until(ts_ns)
-            self.monitor.process_packet(pkt, direction, ts_ns)
-        self.sim.run_until(ordered[-1][0] + trailer_ns)
+        for copy in ordered:
+            ts_ns = copy.timestamp_ns
+            due = sim.peek_time()
+            if due is not None and due <= ts_ns:
+                sim.run_until(ts_ns)
+            receive(copy)
+        sim.run_until(ordered[-1].timestamp_ns + trailer_ns)
         self.control_plane.stop()
         return self
 
@@ -67,11 +77,15 @@ class OfflineAnalyzer:
         egress_path: Union[str, Path],
         trailer_ns: int = 1_000_000_000,
     ) -> "OfflineAnalyzer":
-        """Replay the two TAP captures (ingress-side and egress-side)."""
-        copies: List[TimedCopy] = [
-            (ts, pkt, TapDirection.INGRESS) for ts, pkt in read_pcap(ingress_path)
+        """Replay the two TAP captures (ingress-side and egress-side).
+        A pcap pair is one tapped egress port: every egress copy is
+        port 0."""
+        copies = [
+            MirrorCopy(pkt, TapDirection.INGRESS, ts)
+            for ts, pkt in read_pcap(ingress_path)
         ] + [
-            (ts, pkt, TapDirection.EGRESS) for ts, pkt in read_pcap(egress_path)
+            MirrorCopy(pkt, TapDirection.EGRESS, ts)
+            for ts, pkt in read_pcap(egress_path)
         ]
         return self.replay(copies, trailer_ns=trailer_ns)
 

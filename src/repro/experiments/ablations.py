@@ -321,7 +321,7 @@ def ablate_int_overhead(duration_s: float = 10.0,
             monitor = P4Monitor(MonitorConfig(
                 bottleneck_rate_bps=rate, buffer_bytes=buf,
                 long_flow_bytes=20_000,
-            ))
+            ), sim=sim)
             OpticalTap(sim, sw1, monitor.receive_copy, egress_ports=[lb.a])
         else:
             collector = IntCollector()

@@ -136,7 +136,6 @@ class OpticalTap:
             switch.ingress_mirrors.append(self._mirror_ingress)
         ports = list(egress_ports) if egress_ports is not None else switch.ports
         self.egress_ports = ports
-        self._egress_cbs: list = []
         for port_id, port in enumerate(ports):
             if port.owner is not switch:
                 raise ValueError(f"port {port.name} is not on switch {switch.name}")
@@ -144,31 +143,7 @@ class OpticalTap:
                 cb = lambda pkt, ts, _pid=port_id: self._mirror_egress_fast(pkt, ts, _pid)
             else:
                 cb = lambda pkt, ts, _pid=port_id: self._mirror_egress(pkt, ts, _pid)
-            self._egress_cbs.append((port, port_id, cb))
             port.egress_mirrors.append(cb)
-
-    # -- sink rebinding -------------------------------------------------------
-
-    @property
-    def sink(self) -> MirrorSink:
-        return self._sink
-
-    @sink.setter
-    def sink(self, value: MirrorSink) -> None:
-        """Replacing the sink (e.g. a tee that also captures to pcap)
-        disengages the fast mirror path — every copy must flow through
-        the new sink callable again."""
-        self._sink = value
-        if self._fast_buf is None:
-            return
-        self._fast_owner.flush()
-        self._fast_buf = None
-        self._fast_owner = None
-        mirrors = self.switch.ingress_mirrors
-        mirrors[mirrors.index(self._mirror_ingress_fast)] = self._mirror_ingress
-        for port, port_id, old_cb in self._egress_cbs:
-            cb = lambda pkt, ts, _pid=port_id: self._mirror_egress(pkt, ts, _pid)
-            port.egress_mirrors[port.egress_mirrors.index(old_cb)] = cb
 
     # -- mirror callbacks -----------------------------------------------------
 
@@ -218,10 +193,10 @@ class OpticalTap:
             if self._prof is not None:
                 self._prof.begin("tap.ship")
                 try:
-                    self.sink(copy)
+                    self._sink(copy)
                 finally:
                     self._prof.end()
             else:
-                self.sink(copy)
+                self._sink(copy)
         else:
-            self.sim.after(self.fiber_delay_ns, self.sink, copy)
+            self.sim.after(self.fiber_delay_ns, self._sink, copy)

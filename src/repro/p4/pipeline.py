@@ -126,9 +126,9 @@ class P4Pipeline:
 
         Returns the parsed headers (None if the parser rejected or a
         stage dropped it).  This is the unobserved body and the
-        reference the overhead benchmarks' ``BarePipeline`` and the
-        equivalence harness compare against: with every observer off it
-        runs as written, with plain class dispatch.
+        reference the equivalence harness compares against: with every
+        observer off it runs as written, with plain class dispatch
+        (tests/p4/test_pipeline_binding.py).
         """
         self.packets_in += 1
         hdr = self.parser.parse(packet)

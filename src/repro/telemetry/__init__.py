@@ -5,9 +5,10 @@ package watches the instrument.  One process-global
 :class:`~repro.telemetry.metrics.MetricsRegistry` plus a
 :class:`~repro.telemetry.spans.Tracer` hang off this module, **disabled
 by default**: instrumented components test :func:`enabled` once at
-construction and cache the result, so the disabled hot path costs a
-single ``is None`` check (see ``benchmarks/test_telemetry_overhead.py``
-for the enforcement of the ≤10 % budget).
+construction and cache the result, so the disabled hot path costs at
+most a single ``is None`` check — the pipeline traversal none at all,
+which tests/p4/test_pipeline_binding.py pins (the enabled end-to-end
+budget is ``benchmarks/test_telemetry_overhead.py``).
 
 Typical use::
 

@@ -1,7 +1,7 @@
 """Performance-attribution profiler: phase accounting + stack sampling.
 
-The bench records (``BENCH_*.json``) say *that* a run got slower; this
-module says *where*.  It has two independent modes, selectable at
+The repo benchmark (``bench/run.py``) says *that* a run got slower;
+this module says *where*.  It has two independent modes, selectable at
 :func:`enable` time:
 
 - **phase** — wall time attributed to simulator phases: every event the
@@ -22,9 +22,10 @@ module says *where*.  It has two independent modes, selectable at
 Like :mod:`repro.telemetry` and :mod:`~repro.telemetry.provenance`, the
 subsystem is **off by default and binds at construction time**:
 instrumented components cache :func:`profiler` (``None`` when disabled)
-once, so the disabled hot path costs a single ``is None`` test —
-enforced at ≤2 % by ``benchmarks/test_profiling_overhead.py``, with the
-default phase mode held to a per-dispatched-event cost end to end.
+once, so the disabled hot path costs at most a single ``is None`` test
+(the pipeline none: tests/p4/test_pipeline_binding.py), and
+``benchmarks/test_profiling_overhead.py`` holds the default phase mode
+to a per-dispatched-event cost end to end.
 
 Phase accounting runs from :func:`enable`; :meth:`Profiler.start` /
 :meth:`Profiler.stop` bound the wall-time window and the sampler /
@@ -119,12 +120,6 @@ class PhaseReport:
             if r.phase == phase:
                 return r
         return None
-
-    def phases_for_bench(self) -> Dict[str, Dict[str, int]]:
-        """The shape BENCH records carry (``benchmarks/trend.py`` compares
-        these per phase to localize a regression)."""
-        return {r.phase: {"self_ns": r.self_ns, "cum_ns": r.cum_ns,
-                          "events": r.count} for r in self.rows}
 
     def to_dict(self) -> dict:
         return {

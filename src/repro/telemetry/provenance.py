@@ -28,8 +28,10 @@ which freezes the fine window into a :class:`FrozenWindow` dump.
 Like :mod:`repro.telemetry`, the subsystem is off by default and binds
 at construction time: instrumented components cache
 ``provenance.tracer()`` (``None`` when disabled) once, so the disabled
-hot path costs a single ``is None`` test — enforced at ≤2 % by
-``benchmarks/test_trace_overhead.py``.
+hot path costs at most a single ``is None`` test — the pipeline
+traversal none at all, which tests/p4/test_pipeline_binding.py pins
+(the coarse-only end-to-end budget is
+``benchmarks/test_trace_overhead.py``).
 
 Determinism: trace ids are assigned *densely per tracer* in first-seen
 order (not from the process-global packet uid counter), so two runs of

@@ -10,13 +10,10 @@ offline analysis reach bit-identical register state
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.netsim.packet import Packet, TCPFlags
 from repro.netsim.tap import MirrorCopy, TapDirection
-
-#: (timestamp_ns, Packet, TapDirection) — the OfflineAnalyzer record type.
-TimedCopy = Tuple[int, Packet, TapDirection]
 
 _PKT_FIELDS = (
     "src_ip", "dst_ip", "proto", "ip_id", "ttl", "src_port", "dst_port",
@@ -30,9 +27,9 @@ class CopyRecorder:
 
     Pass as ``copy_recorder`` to
     :class:`repro.experiments.common.Scenario` (or call directly from any
-    mirror sink).  Delivery order is preserved so an offline replay of
-    :meth:`timed_copies` — a stable sort by timestamp — processes
-    same-timestamp copies in the live order.
+    mirror sink).  ``copies`` is the replay input as it stands: delivery
+    order is preserved, so an offline replay — a stable sort by
+    timestamp — processes same-timestamp copies in the live order.
     """
 
     def __init__(self) -> None:
@@ -43,9 +40,6 @@ class CopyRecorder:
 
     def __len__(self) -> int:
         return len(self.copies)
-
-    def timed_copies(self) -> List[TimedCopy]:
-        return [(c.timestamp_ns, c.pkt, c.direction) for c in self.copies]
 
     def to_jsonable(self) -> List[dict]:
         return [copy_to_jsonable(c) for c in self.copies]
@@ -78,10 +72,6 @@ def copy_from_jsonable(doc: dict) -> MirrorCopy:
     )
 
 
-def copies_from_jsonable(docs: List[dict]) -> List[TimedCopy]:
+def copies_from_jsonable(docs: List[dict]) -> List[MirrorCopy]:
     """Deserialise an artifact's capture back into OfflineAnalyzer records."""
-    out: List[TimedCopy] = []
-    for doc in docs:
-        copy = copy_from_jsonable(doc)
-        out.append((copy.timestamp_ns, copy.pkt, copy.direction))
-    return out
+    return [copy_from_jsonable(doc) for doc in docs]

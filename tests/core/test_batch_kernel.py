@@ -316,34 +316,47 @@ def _install_injector():
     faults.install(faults.FaultInjector(FaultSchedule()))
 
 
-@pytest.mark.parametrize("enable, disable, overrides, batched", [
-    (lambda: profiling.enable(mode="phase"), profiling.disable, {}, True),
-    (_install_injector, faults.uninstall, {}, True),
-    (lambda: profiling.enable(mode="phase", detail="stage"),
-     profiling.disable, {}, False),
-    (provenance.enable, provenance.disable, {}, False),
-    (lambda: None, lambda: None, {"rate_meter_enabled": True}, False),
-    (lambda: None, lambda: None, {"batched_path": False}, False),
-], ids=["block-profiler", "fault-injector", "stage-profiler", "tracer",
-        "rate-meter", "batched-path-off"])
-def test_only_per_packet_observers_bind_the_scalar_path(
-        enable, disable, overrides, batched):
-    """An observer re-routes the data plane only if it has to see each
-    packet on its own.  The block profiler and the fault injector do
-    not: the kernel and the TAP's fast mirror path stay bound."""
-    from repro.experiments.common import Scenario, ScenarioConfig
-
-    enable()
-    try:
+def _live(**overrides):
+    def build():
+        from repro.experiments.common import Scenario, ScenarioConfig
         scenario = Scenario(ScenarioConfig(monitor_overrides=overrides),
                             with_perfsonar=False)
+        return scenario.monitor, scenario.topology.tap
+    return build
+
+
+def _offline():
+    from repro.core.replay import OfflineAnalyzer
+    return OfflineAnalyzer().monitor, None
+
+
+@pytest.mark.parametrize("enable, disable, build, batched", [
+    (lambda: profiling.enable(mode="phase"), profiling.disable, _live(), True),
+    (_install_injector, faults.uninstall, _live(), True),
+    (lambda: None, lambda: None, _offline, True),
+    (lambda: profiling.enable(mode="phase", detail="stage"),
+     profiling.disable, _live(), False),
+    (provenance.enable, provenance.disable, _live(), False),
+    (lambda: None, lambda: None, _live(rate_meter_enabled=True), False),
+    (lambda: None, lambda: None, _live(batched_path=False), False),
+], ids=["block-profiler", "fault-injector", "offline-replay", "stage-profiler",
+        "tracer", "rate-meter", "batched-path-off"])
+def test_only_per_packet_observers_bind_the_scalar_path(
+        enable, disable, build, batched):
+    """An observer re-routes the data plane only if it has to see each
+    packet on its own.  The block profiler and the fault injector do
+    not: the kernel and the TAP's fast mirror path stay bound.  Neither
+    does replaying a capture instead of tapping a live switch."""
+    enable()
+    try:
+        mon, tap = build()
     finally:
         disable()
-    mon, tap = scenario.monitor, scenario.topology.tap
     assert (mon.kernel is not None) is batched
-    assert (tap._fast_buf is not None) is batched
-    if batched:
-        assert tap._fast_buf is mon.batch_buffer
+    if tap is not None:
+        assert (tap._fast_buf is not None) is batched
+        if batched:
+            assert tap._fast_buf is mon.batch_buffer
 
 
 def test_monitor_without_a_simulator_binds_the_scalar_path():

@@ -15,19 +15,16 @@ def captured(tmp_path_factory):
     """Run a small live scenario while capturing both TAP streams to
     pcap files; return (paths, live control plane) for comparison."""
     tmp = tmp_path_factory.mktemp("capture")
-    scenario = Scenario(ScenarioConfig(bottleneck_mbps=25.0,
-                                       rtts_ms=(20.0, 30.0, 40.0),
-                                       reference_rtt_ms=40.0),
-                        with_perfsonar=False)
     ingress_cap, egress_cap = PcapCapture(), PcapCapture()
-    original_sink = scenario.monitor.receive_copy
 
     def tee(copy):
         (ingress_cap if copy.direction is TapDirection.INGRESS else egress_cap
          ).from_mirror(copy)
-        original_sink(copy)
 
-    scenario.topology.tap.sink = tee
+    scenario = Scenario(ScenarioConfig(bottleneck_mbps=25.0,
+                                       rtts_ms=(20.0, 30.0, 40.0),
+                                       reference_rtt_ms=40.0),
+                        with_perfsonar=False, copy_recorder=tee)
     scenario.add_flow(0, duration_s=6.0)
     scenario.run(8.0)
 
@@ -102,11 +99,11 @@ def test_replay_empty_capture_is_noop():
 
 def test_replay_rejects_unsorted_after_manual_clock():
     from repro.netsim.packet import FiveTuple, make_data_packet
+    from repro.netsim.tap import MirrorCopy
     analyzer = OfflineAnalyzer(offline_config())
-    ft = FiveTuple(1, 2, 3, 4)
-    pkt = make_data_packet(ft, seq=0, payload_len=10)
-    # sorted() inside replay handles ordering; hand-crafted direct clock
-    # regression should still raise via the engine.
+    pkt = make_data_packet(FiveTuple(1, 2, 3, 4), seq=0, payload_len=10)
+    # replay() sorts its input, so the only way a record can move
+    # backwards is against a clock somebody already advanced.
     analyzer.sim.run_until(100)
     with pytest.raises(ValueError):
-        analyzer.replay([(50, pkt, TapDirection.INGRESS)])
+        analyzer.replay([MirrorCopy(pkt, TapDirection.INGRESS, 50)])

@@ -109,9 +109,21 @@ def test_overhead_accounting(sim, int_path):
     assert collector.telemetry_overhead_bytes() == 3 * 2 * Packet.INT_HOP_BYTES
 
 
-def test_int_comparison_ablation_shape():
+def test_int_comparison_ablation_shape(monkeypatch):
+    from repro.core.monitor import P4Monitor
     from repro.experiments.ablations import ablate_int_overhead
+
+    monitors = []
+    init = P4Monitor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        monitors.append(self)
+
+    monkeypatch.setattr(P4Monitor, "__init__", recording_init)
     r = ablate_int_overhead(duration_s=4.0)
+    # The TAP side runs the default data plane, not the scalar reference.
+    assert [m.kernel is not None for m in monitors] == [True]
     assert r.tap_saw_queue and r.int_saw_queue    # both observe the queue
     assert r.tap_wire_overhead_bytes == 0         # passivity
     assert r.int_wire_overhead_bytes > 0          # INT pays on the wire

@@ -223,16 +223,6 @@ def test_report_rows_sorted_and_serializable(tmp_path):
     assert "big" in table and "ops.registers" in table
 
 
-def test_phases_for_bench_schema():
-    prof = Profiler(mode="phase")
-    with prof.phase("x"):
-        _busy(50_000)
-    bench = prof.report().phases_for_bench()
-    assert set(bench) == {"x"}
-    assert set(bench["x"]) == {"self_ns", "cum_ns", "events"}
-    assert bench["x"]["events"] == 1
-
-
 def test_gc_pauses_counted():
     import gc
 

@@ -244,3 +244,30 @@ def test_quick_run_writes_a_well_formed_artifact(experiment, out_flag, check,
     from repro.telemetry import provenance
 
     assert provenance.tracer() is None, "--trace-out must tear the tracer down"
+
+
+# -- crash recovery (what CI's recovery-smoke job ran; its assertions,
+# verbatim) --------------------------------------------------------------------
+
+
+def test_recover_restores_a_cold_start_from_the_final_checkpoint(capsys):
+    assert main(["recover", "-q"]) == 0
+
+
+def test_crash_chaos_leaves_well_formed_checkpoints_on_disk(tmp_path, capsys):
+    from repro.resilience.checkpoint import CheckpointStore, content_digest
+
+    checkpoints = tmp_path / "recovery-checkpoints"
+    rc = main(["chaos", "-q", "--crash", "--schedule", "archiver-outage",
+               "--checkpoint-dir", str(checkpoints),
+               "--artifact-dir", str(tmp_path / "chaos-artifacts")])
+    assert rc == 0
+    store = CheckpointStore(str(checkpoints))
+    paths = store.paths()
+    assert paths, "no checkpoints written by the crash runs"
+    doc = store.latest()
+    assert doc is not None, "every checkpoint on disk is unreadable"
+    assert doc["schema"] == "repro-checkpoint-v1"
+    assert doc["digest"] == content_digest(doc)
+    for key in ("dataplane_digest", "control_plane", "shipper", "seq"):
+        assert key in doc, f"checkpoint missing {key!r}"

@@ -12,6 +12,7 @@ fuzzer's shrink artifacts rely on.
 from __future__ import annotations
 
 import json
+from functools import partialmethod
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.validation.capture import (
 )
 from repro.netsim.packet import Packet, TCPFlags
 from repro.netsim.tap import MirrorCopy, TapDirection
+from repro.netsim.topology import ScienceDMZTopology
 from repro.validation.scenarios import ScenarioSpec
 
 
@@ -37,19 +39,22 @@ def recorded_run():
     return spec, run, recorder
 
 
-def _offline_digest(spec, run, copies) -> str:
+def _offline(spec, run, copies) -> OfflineAnalyzer:
     analyzer = OfflineAnalyzer(config=run.scenario.monitor.config.copy())
     end_ns = int(spec.end_s * 1e9)
-    last_ts = max(ts for ts, _, _ in copies)
-    analyzer.replay(copies, trailer_ns=end_ns - last_ts)
-    return analyzer.monitor.program.state_digest()
+    last_ts = max(c.timestamp_ns for c in copies)
+    return analyzer.replay(copies, trailer_ns=end_ns - last_ts)
+
+
+def _offline_digest(spec, run, copies) -> str:
+    return _offline(spec, run, copies).monitor.program.state_digest()
 
 
 def test_offline_replay_reaches_identical_state(recorded_run):
     spec, run, recorder = recorded_run
     live_digest = run.scenario.monitor.program.state_digest()
-    assert recorder.timed_copies(), "tee recorded nothing"
-    assert _offline_digest(spec, run, recorder.timed_copies()) == live_digest
+    assert recorder.copies, "tee recorded nothing"
+    assert _offline_digest(spec, run, recorder.copies) == live_digest
 
 
 def test_offline_replay_survives_json_round_trip(recorded_run):
@@ -57,8 +62,43 @@ def test_offline_replay_survives_json_round_trip(recorded_run):
     live_digest = run.scenario.monitor.program.state_digest()
     text = json.dumps(recorder.to_jsonable())
     copies = copies_from_jsonable(json.loads(text))
-    assert len(copies) == len(recorder.timed_copies())
+    assert len(copies) == len(recorder)
     assert _offline_digest(spec, run, copies) == live_digest
+
+
+def test_offline_replay_matches_live_on_a_two_port_tap(monkeypatch):
+    """The egress port id is part of the record: with every switch port
+    tapped, the per-port microburst registers (``mb_*``) only match the
+    live run if replay feeds each copy back through its own port —
+    directly and after the JSON round trip."""
+    monkeypatch.setattr(
+        ScienceDMZTopology, "attach_tap",
+        partialmethod(ScienceDMZTopology.attach_tap, all_egress_ports=True))
+    spec = ScenarioSpec.from_seed(2)
+    recorder = CopyRecorder()
+    run = spec.build(copy_recorder=recorder)
+    run.run()
+    assert len({c.egress_port_id for c in recorder.copies}) > 1
+    live_digest = run.scenario.monitor.program.state_digest()
+    assert _offline_digest(spec, run, recorder.copies) == live_digest
+    copies = copies_from_jsonable(json.loads(json.dumps(recorder.to_jsonable())))
+    assert _offline_digest(spec, run, copies) == live_digest
+
+
+def test_offline_replay_runs_on_the_batched_kernel(recorded_run, monkeypatch):
+    """Replay feeds the monitor's bound intake: the kernel stays engaged
+    and flushes at extraction ticks and the buffer cap, not per copy."""
+    from repro.core.batch import BatchKernel
+
+    flushes = []
+    flush = BatchKernel.flush
+    monkeypatch.setattr(BatchKernel, "flush",
+                        lambda kernel: (flushes.append(1), flush(kernel))[1])
+    spec, run, recorder = recorded_run
+    analyzer = _offline(spec, run, recorder.copies)
+    assert analyzer.monitor.kernel is not None
+    assert analyzer.monitor.pipeline.packets_in == len(recorder)
+    assert 0 < len(flushes) < 0.05 * len(recorder)
 
 
 def test_copy_json_round_trip_preserves_every_field():
