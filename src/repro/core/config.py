@@ -182,6 +182,12 @@ class MonitorConfig:
             )
         if self.bottleneck_rate_bps <= 0 or self.buffer_bytes <= 0:
             raise ValueError("bottleneck rate and buffer size must be positive")
+        # One sample has no variation (every CV 0.0, so every lossless
+        # flow would read sender-limited); the history holds no more.
+        from repro.core.limiter import LimiterClassifier  # imports this module
+        if not 2 <= self.limiter_window <= LimiterClassifier.HISTORY:
+            raise ValueError(
+                f"limiter_window must be in 2..{LimiterClassifier.HISTORY}")
         for kind, mc in self.metrics.items():
             if mc.samples_per_second <= 0:
                 raise ValueError(f"{kind.value}: samples_per_second must be positive")

@@ -49,6 +49,7 @@ from repro.core.reports import (
     LimiterVerdict,
     MicroburstEvent,
     flow_sample_document,
+    limiter_document,
 )
 from repro.core.stats import jain_fairness, link_utilization, throughput_bps
 
@@ -118,7 +119,7 @@ class MonitorControlPlane:
         self.aggregate_samples: List[AggregateSample] = []
         self.microbursts: List[MicroburstEvent] = []
         self.terminations: List[FlowTerminationReport] = []
-        self.limiter_reports: List[LimiterReport] = []
+        self.limiter_reports = FlowSampleLog(record=LimiterReport)
         self.histogram_reports: List[HistogramReport] = []
         self.forensics_reports: List[ForensicsReport] = []
 
@@ -395,13 +396,21 @@ class MonitorControlPlane:
             self._arm(self.schedule[kind.value])
 
     def _read_traced(self, name: str, index: int, flow_id: int = -1) -> int:
-        """Runtime register read that also records the control-plane
-        extraction against the packet that last wrote the cell."""
+        """Single-cell runtime register read that also records the
+        control-plane extraction against the packet that last wrote the
+        cell (a tick reads columns: ``_sweep``)."""
         value = self.runtime.read_register(name, index)
         if self._trace is not None:
             self._trace.control_read(name, index, self.sim.now,
                                      value=value, flow_id=flow_id)
         return value
+
+    def _sweep(self, name: str, indices: List[int]) -> List[int]:
+        """One register, every flow of a tick: one runtime read.  The
+        snapshot stands for the whole tick — ``_tick`` flushed first, a
+        body never advances the clock, and an eviction clears only the
+        evicted flow's own slot."""
+        return self.runtime.read_registers(name, indices).tolist()
 
     # -- digest handlers ------------------------------------------------------------
 
@@ -441,7 +450,7 @@ class MonitorControlPlane:
         self._ship(report)
         flow = self.flows.get(fid)
         if flow is not None:
-            flow.terminated = True
+            self._retire(flow)
         self._checkpoint()
 
     def _on_microburst(self, _name: str, payload: dict) -> None:
@@ -485,11 +494,17 @@ class MonitorControlPlane:
         elapsed = now - self.last_extraction_ns.get(kind.value, now - interval)
         if elapsed <= 0:
             elapsed = interval
+        trace = self._trace
         emit = self._sample_emitter(kind, now)
+        flows = self._active_flows()
+        slots = [f.slot for f in flows]
         byte_deltas: List[int] = []
-        for flow in self._active_flows():
-            total = self._read_traced("flow_bytes", flow.slot,
-                                      flow_id=flow.flow_id)
+        throughputs: List[float] = []
+        total_bytes = total_packets = 0
+        for flow, total, pkts in zip(flows, self._sweep("flow_bytes", slots),
+                                     self._sweep("flow_pkts", slots)):
+            if trace is not None:
+                trace.control_read("flow_bytes", flow.slot, now, value=total, flow_id=flow.flow_id)
             delta = total - flow.last_bytes
             flow.last_bytes = total
             thr = throughput_bps(delta, elapsed)
@@ -503,18 +518,20 @@ class MonitorControlPlane:
             else:
                 flow.idle_intervals = 0
             emit(flow, thr)
+            # The aggregate covers the flows still active after the loop.
+            throughputs.append(thr)
+            total_bytes += total
+            total_packets += pkts
 
-        active = self._active_flows()
-        throughputs = [f.last_throughput_bps for f in active]
         aggregate = AggregateSample(
             time_ns=now,
             link_utilization=link_utilization(
                 byte_deltas, elapsed, self.config.bottleneck_rate_bps
             ),
             jain_fairness=jain_fairness(throughputs) if throughputs else 1.0,
-            active_flows=len(active),
-            total_bytes=sum(self.runtime.read_register("flow_bytes", f.slot) for f in active),
-            total_packets=sum(self.runtime.read_register("flow_pkts", f.slot) for f in active),
+            active_flows=len(throughputs),
+            total_bytes=total_bytes,
+            total_packets=total_packets,
         )
         self.aggregate_samples.append(aggregate)
         self._ship(aggregate)
@@ -523,55 +540,60 @@ class MonitorControlPlane:
         now = self.sim.now
         kind = MetricKind.PACKET_LOSS
         mask = self.config.flow_slots - 1
+        trace = self._trace
         emit = self._sample_emitter(kind, now)
-        for flow in self._active_flows():
-            losses = self._read_traced("pkt_loss", flow.flow_id & mask,
-                                       flow_id=flow.flow_id)
-            pkts = self._read_traced("flow_pkts", flow.slot,
-                                     flow_id=flow.flow_id)
-            loss_delta = losses - flow.last_loss
+        flows = self._active_flows()
+        ids = [f.flow_id & mask for f in flows]
+        loss_col = self._sweep("pkt_loss", ids)
+        pkts_col = self._sweep("flow_pkts", [f.slot for f in flows])
+        rwnd_col = self._sweep("flow_rwnd", ids)
+        # Cells are uint64: subtract the ints, so a flight clamps at 0
+        # where the arrays would wrap.
+        flights = [max(0, seq - ack) for seq, ack in zip(
+            self._sweep("flight_high_seq", ids), self._sweep("flight_high_ack", ids))]
+        loss_deltas = [losses - f.last_loss for f, losses in zip(flows, loss_col)]
+        archive = self.limiter_reports.rows.append
+        for (flow, idx, losses, pkts, rwnd, loss_delta,
+             verdict, mean_flight, flight_cv, lost) in zip(
+                flows, ids, loss_col, pkts_col, rwnd_col, loss_deltas,
+                *self.limiter.step([f.flow_id for f in flows], flights,
+                                   loss_deltas, rwnd_col)):
+            if trace is not None:
+                trace.control_read("pkt_loss", idx, now, value=losses, flow_id=flow.flow_id)
+                trace.control_read("flow_pkts", flow.slot, now, value=pkts, flow_id=flow.flow_id)
             flow.last_loss = losses
             pkt_delta = max(1, pkts - flow.last_pkts)
             flow.last_pkts = pkts
             # Clamped: regressions observed before the flow claimed its
             # slot can make the raw ratio exceed 100 %.
-            loss_pct = min(100.0, 100.0 * loss_delta / pkt_delta)
-            emit(flow, loss_pct)
-            self._limiter_step(flow, loss_delta, now)
-
-    def _limiter_step(self, flow: TrackedFlow, loss_delta: int, now: int) -> None:
-        flight = self.monitor.flight.flight_bytes(flow.flow_id)
-        self.limiter.observe(flow.flow_id, flight, loss_delta)
-        rwnd = self._read_traced("flow_rwnd",
-                                 flow.flow_id & (self.config.flow_slots - 1),
-                                 flow_id=flow.flow_id)
-        verdict, mean_flight, cv, losses = self.limiter.classify(flow.flow_id, rwnd)
-        flow.verdict = verdict
-        report = LimiterReport(
-            time_ns=now,
-            flow_id=flow.flow_id,
-            src_ip=flow.src_ip,
-            dst_ip=flow.dst_ip,
-            verdict=verdict,
-            flight_bytes=mean_flight,
-            flight_cv=cv,
-            loss_delta=losses,
-            rwnd_bytes=rwnd,
-        )
-        self.limiter_reports.append(report)
-        self._ship(report)
+            emit(flow, min(100.0, 100.0 * loss_delta / pkt_delta))
+            if trace is not None:
+                trace.control_read("flow_rwnd", idx, now, value=rwnd, flow_id=flow.flow_id)
+            flow.verdict = verdict
+            # Row and document from the same nine values, as for samples.
+            row = (now, flow.flow_id, flow.src_ip, flow.dst_ip,
+                   verdict, mean_flight, flight_cv, lost, rwnd)
+            archive(row)
+            if self.degraded:
+                self._ship(LimiterReport(*row))  # suppressed, counted by type
+            elif self.report_sink is not None:
+                self._send(limiter_document(*row), "LimiterReport")
 
     def _tick_rtt(self) -> None:
         now = self.sim.now
         kind = MetricKind.RTT
         mask = self.config.flow_slots - 1
+        trace = self._trace
         emit = self._sample_emitter(kind, now)
         emit_jitter = self._sample_emitter(kind, now, jitter=True)
-        for flow in self._active_flows():
-            # Algorithm 1 stores the RTT under the ACK direction's flow ID,
-            # i.e. the tracked flow's *reversed* ID.
-            rtt_ns = self._read_traced("rtt", flow.rev_flow_id & mask,
-                                       flow_id=flow.flow_id)
+        flows = self._active_flows()
+        # Algorithm 1 stores the RTT under the ACK direction's flow ID,
+        # i.e. the tracked flow's *reversed* ID (a cell two flows may
+        # share; it is only read).
+        ids = [f.rev_flow_id & mask for f in flows]
+        for flow, idx, rtt_ns in zip(flows, ids, self._sweep("rtt", ids)):
+            if trace is not None:
+                trace.control_read("rtt", idx, now, value=rtt_ns, flow_id=flow.flow_id)
             if rtt_ns == 0:
                 continue  # no sample yet
             rtt_ms = rtt_ns / 1e6
@@ -593,16 +615,18 @@ class MonitorControlPlane:
         kind = MetricKind.QUEUE_OCCUPANCY
         mask = self.config.flow_slots - 1
         max_delay = self.config.max_queue_delay_ns()
+        trace = self._trace
         emit = self._sample_emitter(kind, now)
-        for flow in self._active_flows():
-            idx = flow.flow_id & mask
-            # Peak-hold since the previous tick gives the occupancy the
-            # sampling interval actually experienced; clear after reading.
-            peak = self._read_traced("flow_qdelay_max", idx,
-                                     flow_id=flow.flow_id)
-            self.runtime.clear_register("flow_qdelay_max", idx)
-            occupancy_pct = 100.0 * peak / max_delay if max_delay else 0.0
-            emit(flow, occupancy_pct)
+        flows = self._active_flows()
+        ids = [f.flow_id & mask for f in flows]
+        # Peak-hold since the previous tick gives the occupancy the
+        # sampling interval actually experienced; clear after reading.
+        peaks = self._sweep("flow_qdelay_max", ids)
+        self.runtime.clear_register("flow_qdelay_max", ids)
+        for flow, idx, peak in zip(flows, ids, peaks):
+            if trace is not None:
+                trace.control_read("flow_qdelay_max", idx, now, value=peak, flow_id=flow.flow_id)
+            emit(flow, 100.0 * peak / max_delay if max_delay else 0.0)
 
     # -- helpers -------------------------------------------------------------------
 
@@ -636,12 +660,18 @@ class MonitorControlPlane:
 
         return emit
 
-    def _evict(self, flow: TrackedFlow) -> None:
+    def _retire(self, flow: TrackedFlow) -> None:
+        """The flow left the active set (FIN/RST or idle eviction).  No
+        tick sees it again, so an alert it holds could never clear and
+        its limiter row never recycle: drop both here."""
         flow.terminated = True
-        flow.evicted = True
-        self.monitor.flow_table.release_slot(flow.slot)
         self.alerts.drop_flow(flow.flow_id)
         self.limiter.forget(flow.flow_id)
+
+    def _evict(self, flow: TrackedFlow) -> None:
+        self._retire(flow)
+        flow.evicted = True
+        self.monitor.flow_table.release_slot(flow.slot)
 
     def _collect_alerts(self, gauge) -> None:
         counts = {kind.value: 0 for kind in MetricKind}

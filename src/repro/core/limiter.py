@@ -21,9 +21,9 @@ Ghasemi et al. (Dapper):
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.netsim.packet import F_ACK, F_SYN
 from repro.p4.pipeline import PipelineStage, StandardMetadata
@@ -33,7 +33,6 @@ from repro.p4.runtime import P4Program
 from repro.core.config import MonitorConfig
 from repro.core.flow_table import PORT_INGRESS_TAP
 from repro.core.reports import LimiterVerdict
-from repro.core.stats import coefficient_of_variation
 
 
 class FlightSizeStage(PipelineStage):
@@ -65,53 +64,133 @@ class FlightSizeStage(PipelineStage):
         return max(0, self.high_seq.read(idx) - self.high_ack.read(idx))
 
 
-@dataclass
-class _FlowHistory:
-    samples: Deque[Tuple[float, int]] = field(default_factory=lambda: deque(maxlen=16))
+#: The classifier's rules in order of precedence — losses, flight pinned
+#: at the advertised window, stable flight, a trickle, flight expanding
+#: without loss — then what holds when none fires.
+_RULES = (LimiterVerdict.NETWORK_LIMITED, LimiterVerdict.RECEIVER_LIMITED,
+          LimiterVerdict.SENDER_LIMITED, LimiterVerdict.SENDER_LIMITED,
+          LimiterVerdict.PROBING, LimiterVerdict.UNKNOWN)
+_NO_RULE = len(_RULES) - 1
 
 
 class LimiterClassifier:
-    """Control-plane side: turns per-interval samples into verdicts."""
+    """Control-plane side: turns per-interval samples into verdicts.
+
+    The history is columnar — ``flow_id -> row`` of two ``int64``
+    ``(rows, HISTORY)`` rings (flight bytes, loss deltas) and the number
+    of samples ever written per row — so a loss tick records and
+    classifies all its flows in one pass (:meth:`step`); ``observe`` and
+    ``classify`` are a batch of one of the same code.  ``forget`` frees
+    the row for the next flow; the matrices double when full."""
+
+    HISTORY = 16  # samples kept per flow, so the largest ``limiter_window``
 
     def __init__(self, config: MonitorConfig) -> None:
         self.window = config.limiter_window
         self.stability_cv = config.limiter_stability_cv
         self.rwnd_fraction = config.limiter_rwnd_fraction
         self.min_flight_bytes = config.limiter_min_flight_bytes
-        self._history: Dict[int, _FlowHistory] = {}
+        self._rows: Dict[int, int] = {}
+        self._free: List[int] = []      # every other allocated row
+        self._flight = np.zeros((64, self.HISTORY), dtype=np.int64)
+        self._loss = np.zeros_like(self._flight)
+        self._count = np.zeros(len(self._flight), dtype=np.int64)
 
-    def observe(self, flow_id: int, flight_bytes: float, loss_delta: int) -> None:
-        hist = self._history.setdefault(flow_id, _FlowHistory())
-        hist.samples.append((flight_bytes, loss_delta))
+    def _last(self, rows: np.ndarray, n: int):
+        """The last ``n`` samples of ``rows``, oldest first, as
+        C-contiguous ``(len(rows), n)`` matrices (a row holding fewer
+        has them at the end)."""
+        cols = (self._count[rows, None] - n + np.arange(n)) % self.HISTORY
+        return self._flight[rows[:, None], cols], self._loss[rows[:, None], cols]
+
+    def step(self, flow_ids: Sequence[int], flight_bytes: Sequence[int],
+             loss_deltas: Sequence[int], rwnd_bytes: Sequence[int]
+             ) -> Tuple[List[LimiterVerdict], List[float], List[float], List[int]]:
+        """One loss tick: append each (distinct) flow's ``(flight, loss
+        delta)`` sample, then classify them all.  Four columns in flow
+        order — verdict, mean flight, flight CV and loss sum over the
+        recent window."""
+        return self._classify(self._record(flow_ids, flight_bytes, loss_deltas),
+                              np.asarray(rwnd_bytes, dtype=np.int64))
+
+    def _record(self, flow_ids: Sequence[int], flight_bytes: Sequence[int],
+                loss_deltas: Sequence[int]) -> np.ndarray:
+        rows = list(map(self._rows.get, flow_ids))
+        if None in rows:
+            for i, flow_id in enumerate(flow_ids):
+                if rows[i] is None:
+                    rows[i] = self._rows[flow_id] = (
+                        self._free.pop() if self._free else len(self._rows))
+            while len(self._count) < len(self._rows) + len(self._free):
+                self._flight, self._loss, self._count = (
+                    np.concatenate((a, np.zeros_like(a)))
+                    for a in (self._flight, self._loss, self._count))
+        rows = np.array(rows, dtype=np.intp)
+        written = self._count[rows]
+        cols = written % self.HISTORY
+        self._flight[rows, cols] = flight_bytes
+        self._loss[rows, cols] = loss_deltas
+        self._count[rows] = written + 1
+        return rows
+
+    def _classify(self, rows: np.ndarray, rwnd: np.ndarray):
+        lengths = np.minimum(self._count[rows], self.window)
+        rule = np.full(len(rows), _NO_RULE)     # fewer than two samples
+        mean_flight, flight_cv = np.zeros(len(rows)), np.zeros(len(rows))
+        loss_sum = np.zeros(len(rows), dtype=np.int64)
+        # Young flows hold fewer samples: one pass per distinct length.
+        for n in set(lengths.tolist()) - {0, 1}:
+            sel = np.flatnonzero(lengths == n)
+            flights, losses = self._last(rows[sel], n)
+            losses = np.add.reduce(losses, axis=1)
+            # On a C-contiguous matrix the row reductions sum in the
+            # order ``stats.coefficient_of_variation`` does — its CV to
+            # the last bit (``flight_cv`` is archived) — and the sum of
+            # byte counts is exact, so the mean is ``sum() / n``'s.
+            mean = np.add.reduce(flights, axis=1) / n
+            dev = flights - mean[:, None]
+            np.multiply(dev, dev, out=dev)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cv = np.where(mean == 0.0, 0.0,
+                              np.sqrt(np.add.reduce(dev, axis=1) / n) / mean)
+            rule[sel] = np.select(
+                [losses > 0,
+                 # The receiver caps the flow regardless of sample jitter.
+                 (rwnd[sel] > 0) & (mean >= self.rwnd_fraction * rwnd[sel]),
+                 cv <= self.stability_cv,
+                 # Never fills the pipe (and never loses): the application
+                 # is the limit even if sparse samples look noisy.
+                 mean < self.min_flight_bytes,
+                 # Congestion control is still probing.
+                 (flights[:, -1] > flights[:, 0]) & (n >= 3)],
+                range(_NO_RULE), default=_NO_RULE)
+            mean_flight[sel], flight_cv[sel], loss_sum[sel] = mean, cv, losses
+        return ([_RULES[i] for i in rule.tolist()], mean_flight.tolist(),
+                flight_cv.tolist(), loss_sum.tolist())
+
+    def observe(self, flow_id: int, flight_bytes: int, loss_delta: int) -> None:
+        self._record((flow_id,), (flight_bytes,), (loss_delta,))
 
     def classify(self, flow_id: int, rwnd_bytes: int) -> Tuple[LimiterVerdict, float, float, int]:
         """Returns (verdict, mean flight, flight CV, loss sum) over the
         recent window."""
-        hist = self._history.get(flow_id)
-        if hist is None or len(hist.samples) < 2:
+        row = self._rows.get(flow_id)
+        if row is None:
             return LimiterVerdict.UNKNOWN, 0.0, 0.0, 0
-        recent = list(hist.samples)[-self.window:]
-        flights = [s[0] for s in recent]
-        losses = sum(s[1] for s in recent)
-        mean_flight = sum(flights) / len(flights)
-        cv = coefficient_of_variation(flights)
-
-        if losses > 0:
-            return LimiterVerdict.NETWORK_LIMITED, mean_flight, cv, losses
-        # Flight pinned against the advertised window: the receiver caps
-        # the flow regardless of sample jitter.
-        if rwnd_bytes > 0 and mean_flight >= self.rwnd_fraction * rwnd_bytes:
-            return LimiterVerdict.RECEIVER_LIMITED, mean_flight, cv, losses
-        if cv <= self.stability_cv:
-            return LimiterVerdict.SENDER_LIMITED, mean_flight, cv, losses
-        # A trickle that never fills the pipe (and never loses): the
-        # application is the limit even if sparse samples look noisy.
-        if mean_flight < self.min_flight_bytes:
-            return LimiterVerdict.SENDER_LIMITED, mean_flight, cv, losses
-        # Expanding without loss: congestion control is still probing.
-        if len(flights) >= 3 and flights[-1] > flights[0]:
-            return LimiterVerdict.PROBING, mean_flight, cv, losses
-        return LimiterVerdict.UNKNOWN, mean_flight, cv, losses
+        return tuple(column[0] for column in self._classify(
+            np.array([row]), np.array([rwnd_bytes])))
 
     def forget(self, flow_id: int) -> None:
-        self._history.pop(flow_id, None)
+        row = self._rows.pop(flow_id, None)
+        if row is not None:
+            self._count[row] = 0
+            self._free.append(row)
+
+    def history(self) -> Dict[int, List[List[int]]]:
+        """Per flow, the ``[flight_bytes, loss_delta]`` samples still
+        held, oldest first (what a checkpoint serialises)."""
+        rows = np.array(list(self._rows.values()), dtype=np.intp)
+        pairs = np.dstack(self._last(rows, self.HISTORY)).tolist()
+        held = np.minimum(self._count[rows], self.HISTORY).tolist()
+        return {flow_id: samples[self.HISTORY - n:]     # a young row's tail
+                for flow_id, samples, n in zip(self._rows, pairs, held)}

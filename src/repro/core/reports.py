@@ -7,7 +7,7 @@ JSON-style dict that the Logstash TCP input plugin ingests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 from itertools import starmap
 from operator import attrgetter
@@ -47,7 +47,7 @@ class FlowSample:
 
     def to_document(self) -> dict:
         return flow_sample_document(f"p4_{self.metric}", self.time_ns / NS_PER_S,
-                                    *_sample_row(self)[2:])
+                                    *astuple(self)[2:])
 
 
 def flow_sample_document(doc_type: str, timestamp_s: float, flow_id: int,
@@ -68,25 +68,26 @@ def flow_sample_document(doc_type: str, timestamp_s: float, flow_id: int,
     }
 
 
-_sample_row = attrgetter(*(f.name for f in fields(FlowSample)))
-
-
 class FlowSampleLog:
-    """A per-flow sample stream kept as rows: ``rows`` holds one plain
-    tuple per sample, in :class:`FlowSample` field order — untracked by
-    the cyclic collector once it has seen it, which a dataclass instance
-    never is (docs/scaling.md, "Allocation discipline") — and a
-    ``FlowSample`` is built when somebody reads one.  Supports what the
-    list it replaces was used for: ``len``, truthiness, iteration,
-    ``[i]``, slices, ``==`` with a list or a log, ``append``, ``clear``."""
+    """A per-flow report stream kept as rows: ``rows`` holds one plain
+    tuple per report, in the field order of its dataclass ``record``
+    (:class:`FlowSample`; :class:`LimiterReport` for
+    ``cp.limiter_reports``) — untracked by the cyclic collector once it
+    has seen it unless it holds an ``Enum`` member, which a dataclass
+    instance never is (docs/scaling.md, "Allocation discipline") — and a
+    ``record`` is built when somebody reads one.  Supports what the list
+    it replaces was used for: ``len``, truthiness, iteration, ``[i]``,
+    slices, ``==`` with a list or a log, ``append``, ``clear``."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "record", "_row")
 
-    def __init__(self, samples: Iterable[FlowSample] = ()) -> None:
-        self.rows: List[tuple] = [_sample_row(s) for s in samples]
+    def __init__(self, samples: Iterable = (), record: type = FlowSample) -> None:
+        self.record = record
+        self._row = attrgetter(*(f.name for f in fields(record)))
+        self.rows: List[tuple] = [self._row(s) for s in samples]
 
-    def append(self, sample: FlowSample) -> None:
-        self.rows.append(_sample_row(sample))
+    def append(self, sample) -> None:
+        self.rows.append(self._row(sample))
 
     def clear(self) -> None:
         self.rows.clear()
@@ -94,13 +95,13 @@ class FlowSampleLog:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[FlowSample]:
-        return starmap(FlowSample, self.rows)
+    def __iter__(self) -> Iterator:
+        return starmap(self.record, self.rows)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return list(starmap(FlowSample, self.rows[item]))
-        return FlowSample(*self.rows[item])
+            return list(starmap(self.record, self.rows[item]))
+        return self.record(*self.rows[item])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FlowSampleLog):
@@ -345,15 +346,22 @@ class LimiterReport:
     rwnd_bytes: int
 
     def to_document(self) -> dict:
-        return {
-            "type": "p4_limiter",
-            "@timestamp": self.time_ns / NS_PER_S,
-            "flow_id": self.flow_id,
-            "source_ip": int_to_ip(self.src_ip),
-            "destination_ip": int_to_ip(self.dst_ip),
-            "verdict": self.verdict.value,
-            "flight_bytes": self.flight_bytes,
-            "flight_cv": self.flight_cv,
-            "loss_delta": self.loss_delta,
-            "rwnd_bytes": self.rwnd_bytes,
-        }
+        return limiter_document(*astuple(self))
+
+
+def limiter_document(time_ns: int, flow_id: int, src_ip: int, dst_ip: int,
+                     verdict: LimiterVerdict, flight_bytes: float,
+                     flight_cv: float, loss_delta: int, rwnd_bytes: int) -> dict:
+    """The Report_v1 document of one limiter report, from its row."""
+    return {
+        "type": "p4_limiter",
+        "@timestamp": time_ns / NS_PER_S,
+        "flow_id": flow_id,
+        "source_ip": int_to_ip(src_ip),
+        "destination_ip": int_to_ip(dst_ip),
+        "verdict": verdict.value,
+        "flight_bytes": flight_bytes,
+        "flight_cv": flight_cv,
+        "loss_delta": loss_delta,
+        "rwnd_bytes": rwnd_bytes,
+    }

@@ -10,7 +10,7 @@ timestamp register on Tofino wraps, and Algorithm 1 must survive that.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -102,10 +102,14 @@ class RegisterArray:
         """Copy of all cells (a control-plane sync read)."""
         return self._cells.copy()
 
-    def read_many(self, indices) -> np.ndarray:
-        return self._cells[np.asarray(indices, dtype=np.intp)].copy()
+    def read_many(self, indices: Sequence[int]) -> np.ndarray:
+        """One control-plane sweep over ``indices``: a fresh array, and
+        one ``ops`` per cell — what that many ``read`` calls tally."""
+        self.ops += len(indices)
+        return self._cells[np.asarray(indices, dtype=np.intp)]
 
-    def clear(self, index: Optional[int] = None) -> None:
+    def clear(self, index: Union[None, int, Sequence[int]] = None) -> None:
+        """Zero one cell, the listed cells, or (``None``) all of them."""
         if index is None:
             self._cells[:] = 0
         else:

@@ -12,7 +12,7 @@ the data-plane internals.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -170,14 +170,17 @@ class P4RuntimeClient:
             return reg.snapshot()
         return reg.read(index)
 
-    def read_registers(self, name: str, indices: Iterable[int]) -> np.ndarray:
+    def read_registers(self, name: str, indices: Sequence[int]) -> np.ndarray:
+        """One batched read — a whole column of ``name`` in one call,
+        the way a P4Runtime/BfRt client reads a register for many flows."""
         self.register_reads += 1
-        return self._reg(name).read_many(list(indices))
+        return self._reg(name).read_many(indices)
 
     def write_register(self, name: str, index: int, value: int) -> None:
         self._reg(name).write(index, value)
 
-    def clear_register(self, name: str, index: Optional[int] = None) -> None:
+    def clear_register(self, name: str,
+                       index: Union[None, int, Sequence[int]] = None) -> None:
         self._reg(name).clear(index)
 
     def snapshot_all(self) -> Dict[str, np.ndarray]:

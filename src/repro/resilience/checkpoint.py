@@ -165,8 +165,8 @@ def capture_checkpoint(cp, dedup=None, seq: int = 0) -> dict:
                        for (kind, flow_id), alert in cp.alerts._active.items()],
             "history": [_encode_report(a) for a in cp.alerts.history],
         },
-        "limiter": {str(fid): [[flight, loss] for flight, loss in hist.samples]
-                    for fid, hist in cp.limiter._history.items()},
+        "limiter": {str(fid): samples
+                    for fid, samples in cp.limiter.history().items()},
         "archives": {
             "flow_samples": {k.value: [_encode_report(s) for s in samples]
                              for k, samples in cp.flow_samples.items()},
@@ -252,7 +252,8 @@ def restore_control_plane(cp, doc: dict) -> None:
     post-restart tick windows over the true elapsed time — one bounded
     catch-up window spanning the downtime, never a mis-windowed rate."""
     from repro.core.config import MetricKind
-    from repro.core.reports import FlowSampleLog
+    from repro.core.limiter import LimiterClassifier
+    from repro.core.reports import FlowSampleLog, LimiterReport
 
     _check_schema(doc)
     sec = doc["control_plane"]
@@ -282,7 +283,7 @@ def restore_control_plane(cp, doc: dict) -> None:
         for kind, flow_id, alert in sec["alerts"]["active"]}
     cp.alerts.history = [_decode_report(a) for a in sec["alerts"]["history"]]
 
-    cp.limiter._history.clear()
+    cp.limiter = LimiterClassifier(cp.config)
     for fid, samples in sec["limiter"].items():
         for flight, loss in samples:
             cp.limiter.observe(int(fid), flight, int(loss))
@@ -299,8 +300,9 @@ def restore_control_plane(cp, doc: dict) -> None:
                             for s in archives["aggregate_samples"]]
     cp.microbursts = [_decode_report(e) for e in archives["microbursts"]]
     cp.terminations = [_decode_report(r) for r in archives["terminations"]]
-    cp.limiter_reports = [_decode_report(r)
-                          for r in archives["limiter_reports"]]
+    cp.limiter_reports = FlowSampleLog(
+        (_decode_report(r) for r in archives["limiter_reports"]),
+        record=LimiterReport)
     cp.histogram_reports = [_decode_report(r)
                             for r in archives["histogram_reports"]]
     cp.forensics_reports = [_decode_report(r)

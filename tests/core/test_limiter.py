@@ -1,10 +1,15 @@
 """Flight-size tracking and the §4.4 limitation classifier."""
 
+import random
+from collections import deque
+
+import numpy as np
 import pytest
 
 from repro.core.config import MonitorConfig
 from repro.core.limiter import LimiterClassifier
 from repro.core.reports import LimiterVerdict
+from repro.core.stats import coefficient_of_variation
 from repro.netsim.units import millis
 
 from tests.core.helpers import FlowScript, small_monitor
@@ -118,3 +123,124 @@ def test_verdict_is_endpoint_property():
     assert LimiterVerdict.RECEIVER_LIMITED.is_endpoint
     assert not LimiterVerdict.NETWORK_LIMITED.is_endpoint
     assert not LimiterVerdict.PROBING.is_endpoint
+
+
+# -- the matrix classifier against the per-flow one it replaced -----------------
+
+
+class ReferenceClassifier:
+    """The scalar classifier as it stood before the history became a
+    matrix (PR 19's parent), kept here as the reference: one deque per
+    flow, ``coefficient_of_variation`` per call."""
+
+    def __init__(self, config):
+        self.window = config.limiter_window
+        self.stability_cv = config.limiter_stability_cv
+        self.rwnd_fraction = config.limiter_rwnd_fraction
+        self.min_flight_bytes = config.limiter_min_flight_bytes
+        self.samples = {}
+
+    def observe(self, flow_id, flight_bytes, loss_delta):
+        self.samples.setdefault(flow_id, deque(maxlen=16)).append(
+            (flight_bytes, loss_delta))
+
+    def classify(self, flow_id, rwnd_bytes):
+        samples = self.samples.get(flow_id)
+        if samples is None or len(samples) < 2:
+            return LimiterVerdict.UNKNOWN, 0.0, 0.0, 0
+        recent = list(samples)[-self.window:]
+        flights = [s[0] for s in recent]
+        losses = sum(s[1] for s in recent)
+        mean_flight = sum(flights) / len(flights)
+        cv = coefficient_of_variation(flights)
+        if losses > 0:
+            return LimiterVerdict.NETWORK_LIMITED, mean_flight, cv, losses
+        if rwnd_bytes > 0 and mean_flight >= self.rwnd_fraction * rwnd_bytes:
+            return LimiterVerdict.RECEIVER_LIMITED, mean_flight, cv, losses
+        if cv <= self.stability_cv:
+            return LimiterVerdict.SENDER_LIMITED, mean_flight, cv, losses
+        if mean_flight < self.min_flight_bytes:
+            return LimiterVerdict.SENDER_LIMITED, mean_flight, cv, losses
+        if len(flights) >= 3 and flights[-1] > flights[0]:
+            return LimiterVerdict.PROBING, mean_flight, cv, losses
+        return LimiterVerdict.UNKNOWN, mean_flight, cv, losses
+
+    def forget(self, flow_id):
+        self.samples.pop(flow_id, None)
+
+
+def exact(result):
+    verdict, mean_flight, cv, losses = result
+    assert type(mean_flight) is float and type(cv) is float and type(losses) is int
+    return verdict, mean_flight.hex(), cv.hex(), losses
+
+
+#: Per-flow sample generators: (flight, loss delta) for tick ``t``.  Between
+#: them they reach every rule: losses, a flight pinned at the window, a
+#: constant and an all-zero flight (CV 0, mean 0), a trickle, a ramp, noise.
+SHAPES = (
+    lambda rng, t: (rng.randrange(1 << 32), 0),                  # noise, full width
+    lambda rng, t: (rng.randrange(1 << 32), rng.randrange(3)),   # lossy
+    lambda rng, t: (50_000, 0),                                  # constant
+    lambda rng, t: (0, 0),                                       # idle
+    lambda rng, t: (rng.randrange(30_000), 0),                   # trickle
+    lambda rng, t: (40_000 + 9_000 * t + rng.randrange(64), 0),  # ramp
+    lambda rng, t: (60_000 + rng.randrange(6_000), 0),           # near the pin
+)
+
+
+@pytest.mark.parametrize("window", range(2, 17))
+def test_matrix_classifier_equals_the_reference_bit_for_bit(window):
+    """>= 10^5 classified histories over the fifteen windows: every
+    history length 1..16 and past the ring's wrap, every rule, flows
+    forgotten and re-learned into recycled rows, and more flows than the
+    initial capacity."""
+    rng = random.Random(window)
+    cfg = MonitorConfig(limiter_window=window)
+    clf, ref = LimiterClassifier(cfg), ReferenceClassifier(cfg)
+    shape = {fid: SHAPES[fid % len(SHAPES)] for fid in range(1, 201)}
+    assert len(shape) > len(clf._count)          # growth is exercised
+    rules_seen, compared = set(), 0
+    for t in range(50):
+        # Flows join over time (so one tick holds many history lengths),
+        # some sit a tick out, and a few are forgotten and come back.
+        fids = [fid for fid in shape if fid <= 12 * (t + 1) and rng.random() < 0.9]
+        for fid in rng.sample(fids, len(fids) // 20):
+            clf.forget(fid)
+            ref.forget(fid)
+        samples = [shape[fid](rng, t) for fid in fids]
+        rwnds = [rng.choice((0, 65_535, 100_000, 4_000_000)) for _ in fids]
+        columns = clf.step(fids, [s[0] for s in samples],
+                           [s[1] for s in samples], rwnds)
+        for fid, (flight, loss), rwnd, *got in zip(fids, samples, rwnds, *columns):
+            ref.observe(fid, flight, loss)
+            want = ref.classify(fid, rwnd)
+            assert exact(tuple(got)) == exact(want), (t, fid)
+            if compared % 8 == 0:                # the batch of one
+                assert exact(clf.classify(fid, rwnd)) == exact(want)
+            rules_seen.add(want[0])
+            compared += 1
+    assert compared >= 6_700                     # x 15 windows > 10^5
+    # Probing takes three samples, so a window of two never reaches it.
+    assert rules_seen == set(LimiterVerdict) - (
+        {LimiterVerdict.PROBING} if window < 3 else set())
+    assert clf.history() == {fid: [list(s) for s in samples]
+                             for fid, samples in ref.samples.items()}
+    assert len(clf._count) < 4 * len(shape)      # rows are recycled, not leaked
+
+
+def test_flight_cv_equals_the_scalar_statistic_on_random_windows():
+    """The row reductions sum in ``coefficient_of_variation``'s order at
+    every window length (a Fortran-ordered gather does not, from length
+    8 up): 8,000 windows per length, 32-bit flight sizes."""
+    rng = np.random.default_rng(5)
+    for n in range(2, 17):
+        clf = LimiterClassifier(MonitorConfig(limiter_window=n))
+        flights = rng.integers(0, 1 << 32, size=(8_000, n))
+        fids = list(range(len(flights)))
+        for column in flights.T.tolist():
+            _, means, cvs, _ = clf.step(fids, column, [0] * len(fids),
+                                        [0] * len(fids))
+        for row, mean, cv in zip(flights.tolist(), means, cvs):
+            assert cv.hex() == float(coefficient_of_variation(row)).hex()
+            assert mean.hex() == (sum(row) / n).hex()

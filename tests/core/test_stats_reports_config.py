@@ -187,6 +187,12 @@ def test_config_validation():
     bad.metrics[MetricKind.RTT].alert_enabled = True
     with pytest.raises(ValueError):
         bad.validate()
+    # One sample has no variation; the classifier keeps sixteen.
+    for window in (2, 16):
+        MonitorConfig(limiter_window=window).validate()
+    for window in (1, 17):
+        with pytest.raises(ValueError, match=r"limiter_window must be in 2\.\.16"):
+            MonitorConfig(limiter_window=window).validate()
 
 
 def test_max_queue_delay():
