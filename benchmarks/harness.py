@@ -1,28 +1,18 @@
 """The one harness every perf budget under ``benchmarks/`` is declared on.
 
 A budget is a declaration: two zero-argument measurements (each returns
-its own elapsed ns — the configuration under test and its twin), an
-estimator, a number.  Two estimators, because there are two kinds of
-twin:
+its own elapsed ns — a whole scenario run with an observer on and the
+same run with it off), :func:`interleaved_best`, a number.  Each round
+is a fresh construction and the best round is the one least disturbed.
 
-- :func:`paired_median` for a *guard* budget — a hot path against the
-  same body minus the guard under test, where the delta is tens of ns
-  on microseconds.  Both sides run back to back in the same
-  frequency/scheduler state, so the per-pair ratio cancels drift that
-  two separate streams cannot, and the median pair shrugs off the odd
-  preempted round in either direction.
-- :func:`interleaved_best` for an *end-to-end* budget — a whole
-  scenario run with an observer on against the same run with it off,
-  where each round is a fresh construction and the best round is the
-  one least disturbed.
-
-:func:`assert_within` holds either result to its number.  Everything
-is same-host and same-process; nothing is written down to be compared
-on another machine (docs/observability.md, "Overhead budgets").
+:func:`assert_within` holds the result to its number.  Everything is
+same-host and same-process; nothing is written down to be compared on
+another machine (docs/observability.md, "Overhead budgets").  What a
+switched-*off* subsystem costs is not timed here: it is one ``is None``
+test per site, pinned as a count by tests/test_disabled_guards.py.
 """
 
 import gc
-import statistics
 import time
 
 from repro.core.control_plane import MonitorControlPlane
@@ -36,10 +26,7 @@ from repro.p4.pipeline import StandardMetadata
 from tests.core.helpers import FT, small_monitor
 
 PACKETS = 400
-# A budget passes as soon as one clean attempt fits.  Five is the larger
-# of the two counts the files carried before they shared this loop: the
-# resilience guard fits its 1.02 in about four attempts of ten on the
-# 2-core reference VM, so three would fail one run in five.
+# A budget passes as soon as one clean attempt fits.
 ATTEMPTS = 5
 
 
@@ -65,50 +52,35 @@ def drive(pipeline, stream):
         t += 500_000
 
 
-def event_stream(n):
-    """n (packet, direction, t_ns) triples: each data packet crosses the
-    tapped switch (queue match) and is ACKed 5 ms later (eACK match)."""
-    events = []
-    seq = 1
-    for i in range(n):
-        t = 1000 + i * int(millis(1))
-        pkt = make_data_packet(FT, seq=seq, payload_len=1000, ip_id=i + 1)
-        events.append((pkt, TapDirection.INGRESS, t))
-        events.append((pkt, TapDirection.EGRESS, t + 200_000))
-        ack = make_ack_packet(FT.reversed(), ack=seq + 1000)
-        events.append((ack, TapDirection.INGRESS, t + int(millis(5))))
-        seq += 1000
-    return events
-
-
-def drive_events(mon, events):
-    process = mon.process_packet
-    for pkt, direction, t in events:
-        process(pkt, direction, t)
-
-
-def stage_monitor(**overrides):
-    """The monitor the per-stage guard budgets drive: stashes large
-    enough that an :func:`event_stream` never evicts."""
-    return small_monitor(eack_table_size=4096, queue_stash_size=4096,
-                         **overrides)
-
-
 def enabled_stage_run(**overrides):
-    """A :func:`stage_monitor` with an optional register set switched
-    on, under a live control plane: one flow claims a slot, then 8 s of
-    transit+ACK triples at 1 kpkt/s (24k pipeline traversals) with the
+    """A monitor with an optional register set switched on (stashes
+    large enough that the stream never evicts), under a live control
+    plane: one flow claims a slot, then 8 s of triples at 1 kpkt/s —
+    each data packet crosses the tapped switch (queue match) and is
+    ACKed 5 ms later (eACK match), 24k pipeline traversals — with the
     extraction schedule ticking.  Returns ``(control plane, shipped
     documents)``."""
     sim = Simulator()
-    mon = stage_monitor(**overrides)
+    mon = small_monitor(eack_table_size=4096, queue_stash_size=4096,
+                        **overrides)
     shipped = []
     cp = MonitorControlPlane(sim, mon, report_sink=shipped.append)
     cp.start()
-    first = make_data_packet(FT, seq=0, payload_len=1001, ip_id=60_000)
-    sim.at(1000, mon.process_packet, first, TapDirection.INGRESS, 1000)
-    for pkt, direction, t in event_stream(8000):
+
+    def copy_at(t, pkt, direction):
         sim.at(t, mon.process_packet, pkt, direction, t)
+
+    copy_at(1000, make_data_packet(FT, seq=0, payload_len=1001, ip_id=60_000),
+            TapDirection.INGRESS)
+    for i in range(8000):
+        t = 1000 + i * int(millis(1))
+        seq = 1 + i * 1000
+        pkt = make_data_packet(FT, seq=seq, payload_len=1000, ip_id=i + 1)
+        copy_at(t, pkt, TapDirection.INGRESS)
+        copy_at(t + 200_000, pkt, TapDirection.EGRESS)
+        copy_at(t + int(millis(5)),
+                make_ack_packet(FT.reversed(), ack=seq + 1000),
+                TapDirection.INGRESS)
     sim.run_until(seconds(10))
     return cp, shipped
 
@@ -133,28 +105,22 @@ def substrate_scenario(flow_s=2.0, stagger_s=0.0, with_perfsonar=False,
 
 # -- measurements -------------------------------------------------------------
 
-def timed(fn, *args):
-    t0 = time.perf_counter_ns()
-    fn(*args)
-    return time.perf_counter_ns() - t0
-
-
 def timed_run(scenario, until_s):
     """Wall ns of the event loop only: construction is allocator-heavy
     and noisy, and the budgets are about the steady-state hot path."""
     gc.collect()
-    return timed(scenario.run, until_s)
+    t0 = time.perf_counter_ns()
+    scenario.run(until_s)
+    return time.perf_counter_ns() - t0
 
 
-def _pairs(run_a, run_b, rounds, between=None):
-    """``rounds`` (a_ns, b_ns) pairs, after one untimed warm-up of each
-    so caches and register state converge: the two measurements back to
-    back, the order alternated — whichever runs right after the collect
-    pays the cold caches, and thermal/allocator drift always penalises
-    whichever runs second; alternation cancels both — with the GC held
-    off the timings.  ``between()`` runs after each pair, before the
-    collect: a twin that accumulates state resets it there so the
-    working set stays flat across rounds."""
+def interleaved_best(run_a, run_b, rounds):
+    """``(best a, best b)`` over ``rounds`` pairs, after one untimed
+    warm-up of each so caches and register state converge: the two
+    measurements back to back, the order alternated — whichever runs
+    right after the collect pays the cold caches, and thermal/allocator
+    drift always penalises whichever runs second; alternation cancels
+    both — with the GC held off the timings."""
     run_a()
     run_b()
     pairs = []
@@ -169,25 +135,10 @@ def _pairs(run_a, run_b, rounds, between=None):
                 b = run_b()
                 a = run_a()
             pairs.append((a, b))
-            if between is not None:
-                between()
             gc.collect()
     finally:
         if gc_was_enabled:
             gc.enable()
-    return pairs
-
-
-def paired_median(run_a, run_b, rounds, between=None):
-    """Median over ``rounds`` alternated back-to-back pairs of the
-    per-pair ratio ``run_a() / run_b()``."""
-    return statistics.median(
-        a / b for a, b in _pairs(run_a, run_b, rounds, between))
-
-
-def interleaved_best(run_a, run_b, rounds):
-    """``(best a, best b)`` over ``rounds`` alternated pairs."""
-    pairs = _pairs(run_a, run_b, rounds)
     return min(a for a, _ in pairs), min(b for _, b in pairs)
 
 

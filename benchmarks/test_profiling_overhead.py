@@ -12,14 +12,13 @@ dispatch, pinned by tests/p4/test_pipeline_binding.py):
   therefore a cost per dispatched event, ``(phase − dark) /
   events_run``, not a ratio: a ratio against a substrate that PRs 8–13
   made ~4x faster drifts without any profiler change.  Measured on the
-  2-core reference VM: 510–650 ns/event over 9,382 events (1.12–1.16x
-  on that ≈40 ms substrate run; the commit before, whose profiler
-  bound the scalar pipeline, measured 2.0x).  ``PHASE_BUDGET_NS`` =
-  800 ns/event is the top of that range plus the ~25 % by which
-  best-of-ten moves on this VM from one quiet minute to the next.
-  Since a hop became one event the same run dispatches 5,869 events
-  (597 ns/event, 1.10x, when re-measured) — the per-event budget did
-  not move, which is why it is not a ratio;
+  2-core reference VM: 510–650 ns/event over 9,382 events (the commit
+  before, whose profiler bound the scalar pipeline, measured 2.0x).
+  ``PHASE_BUDGET_NS`` = 800 ns/event is the top of that range plus the
+  ~25 % by which best-of-ten moves on this VM from one quiet minute to
+  the next; it has not moved since.  The run is 20 s of flows (56,564
+  events, ~0.36 s) so the estimator resolves the number: ten reads
+  617–850 ns/event, quartiles 719 / 764 / 795, 1.11–1.15x;
 - **stage detail**: timed, no budget (diagnosis mode, what
   ``repro-experiments profile`` runs; it binds the scalar pipeline).
 """
@@ -33,14 +32,21 @@ from tests.core.helpers import small_monitor
 
 E2E_ROUNDS = 10
 PHASE_BUDGET_NS = 800
+# Long enough that ten A/A reads of the estimator (dark against dark)
+# have an interquartile distance under 200 ns/event on the reference VM
+# (125 at 56,564 events; 343 at the 2 s / 5,869 events this file used
+# to run, where a +-3 ms swing alone is +-500 ns/event).
+FLOW_S = 20.0
+RUN_S = 21.0
 
 
 def _timed_phase_run(seen):
     prof = profiling.enable(mode="phase", detail="block")
     try:
-        scenario = substrate_scenario()  # binds the profiler, untimed
+        # Construction binds the profiler, untimed.
+        scenario = substrate_scenario(flow_s=FLOW_S)
         assert scenario.monitor.kernel is not None
-        dt = timed_run(scenario, 3.0)
+        dt = timed_run(scenario, RUN_S)
         seen["events"] = scenario.sim.events_run
         seen["attributed"] = prof.report().total_self_ns
     finally:
@@ -57,7 +63,8 @@ def _measure_phase_ns_per_event():
     seen = {}
     phase, dark = interleaved_best(
         lambda: _timed_phase_run(seen),
-        lambda: timed_run(substrate_scenario(), 3.0), E2E_ROUNDS)
+        lambda: timed_run(substrate_scenario(flow_s=FLOW_S), RUN_S),
+        E2E_ROUNDS)
     assert seen["attributed"] > 0  # attribution actually happened
     per_event = (phase - dark) / seen["events"]
     print(f"phase mode: {per_event:.0f} ns/event over {seen['events']} "

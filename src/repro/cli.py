@@ -28,11 +28,14 @@ experiment results stay on stdout so pipelines can capture them.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
+from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 from repro import configure_logging, telemetry
+from repro.telemetry import profiling, profviz, provenance, traceviz
 
 log = logging.getLogger("repro.cli")
 
@@ -47,9 +50,23 @@ def _fig10(args) -> str:
     return run_fig10(duration_s=args.duration, join_s=args.join).summary()
 
 
-def _fig11(args) -> str:
+def _run_fig11(args, **monitor_overrides):
+    """The fig11 microburst run (§5.4.1: 100 ms paths, BDP/4 buffer), at
+    least 30 s long, with optional register sets switched on."""
+    from repro.experiments.common import ScenarioConfig
     from repro.experiments.fig11_microburst import run_fig11
-    return run_fig11(duration_s=max(args.duration, 30.0), join_s=args.join).summary()
+
+    duration = max(args.duration, 30.0)
+    log.info("fig11 microburst run, %.0f simulated seconds", duration)
+    return run_fig11(
+        duration_s=duration, join_s=args.join,
+        config=ScenarioConfig(rtts_ms=(100.0, 100.0, 100.0),
+                              buffer_bdp_fraction=0.25,
+                              monitor_overrides=monitor_overrides))
+
+
+def _fig11(args) -> str:
+    return _run_fig11(args).summary()
 
 
 def _fig12(args) -> str:
@@ -97,34 +114,31 @@ def _ablations(args) -> str:
     return "\n".join(parts)
 
 
-def _instrumented_scenario(args, histograms: bool = False):
-    """The shared stats/watch workload: two flows plus a mild seeded loss
-    impairment so the loss/alert paths light up deterministically."""
+def _instrumented_scenario(args, **monitor_overrides):
+    """The shared stats/watch/profile workload: two flows plus a mild
+    seeded loss impairment so the loss/alert paths light up
+    deterministically; run it for ``args.duration + 2`` seconds."""
     from repro.experiments.common import Scenario, ScenarioConfig
 
-    overrides = ({"histograms_enabled": True, "forensics_enabled": True}
-                 if histograms else {})
     scenario = Scenario(
         ScenarioConfig(bottleneck_mbps=25.0, rtts_ms=(20.0, 30.0, 40.0),
-                       reference_rtt_ms=40.0, monitor_overrides=overrides),
+                       reference_rtt_ms=40.0,
+                       monitor_overrides=monitor_overrides),
         with_perfsonar=True,
     )
-    duration = args.duration
-    scenario.add_flow(0, duration_s=duration)
-    scenario.add_flow(1, start_s=duration / 4, duration_s=duration)
+    scenario.add_flow(0, duration_s=args.duration)
+    scenario.add_flow(1, start_s=args.duration / 4, duration_s=args.duration)
     scenario.add_path_loss(1, loss_rate=0.002, seed=args.seed)
-    return scenario, duration
+    return scenario
 
 
 def _stats(args) -> str:
     """An instrumented fig9-style run at the requested ``--duration`` and
     ``--seed``; the 'result' is the metrics snapshot itself (netsim, P4
     stages, control plane, archiver), rendered per ``--telemetry-format``."""
-    telemetry.enable()
     log.info("stats: instrumented run, %.0f simulated seconds (seed %d)",
              args.duration, args.seed)
-    scenario, duration = _instrumented_scenario(args)
-    scenario.run(duration + 2.0)
+    _instrumented_scenario(args).run(args.duration + 2.0)
     return _render_snapshot(args)
 
 
@@ -133,12 +147,12 @@ def _watch(args) -> str:
     attached, a refreshing top-N/sparkline terminal view during the run,
     telemetry events pushed into the archive, and (optionally) a live
     Prometheus scrape endpoint for the duration of the run."""
-    telemetry.enable()
     from repro.telemetry.serve import TelemetryHTTPServer, TelemetryPusher
     from repro.telemetry.timeseries import TelemetrySampler
     from repro.telemetry.watch import render_watch
 
-    scenario, duration = _instrumented_scenario(args, histograms=True)
+    scenario = _instrumented_scenario(args, histograms_enabled=True,
+                                      forensics_enabled=True)
     interval_ns = max(1, int(args.sample_interval * 1e6))
     sampler = TelemetrySampler(scenario.sim, interval_ns=interval_ns,
                                retention=args.retention)
@@ -146,32 +160,27 @@ def _watch(args) -> str:
     sampler.add_observer(pusher)
     extractor = scenario.control_plane.histograms
     forensics = scenario.control_plane.forensics
-    if extractor is not None:
-        # Mirror the live percentile summaries into the flight recorder
-        # so p99 RTT rides the same ring buffers as everything else.
-        sampler.add_sampler(extractor.telemetry_samples)
+    # Mirror the live percentile summaries into the flight recorder so
+    # p99 RTT rides the same ring buffers as everything else.
+    sampler.add_sampler(extractor.telemetry_samples)
 
     clear = "\x1b[H\x1b[2J" if sys.stdout.isatty() else ""
     frame_every = max(1, int(args.refresh * 1e9 / interval_ns))
 
-    def _sim_line() -> str:
+    def render(t_ns) -> str:
         sim = scenario.sim
-        return (f"scheduler: pending={sim.pending} "
-                f"queue-hwm={sim.queue_hwm} events-run={sim.events_run}")
+        return render_watch(
+            sampler.store, top=args.top, now_ns=t_ns,
+            samples=sampler.samples_taken,
+            alerts=scenario.control_plane.alerts.active_alerts,
+            sim_stats=(f"scheduler: pending={sim.pending} queue-hwm="
+                       f"{sim.queue_hwm} events-run={sim.events_run}"),
+            hist_line=extractor.watch_line(),
+            forensics_line=forensics.watch_line())
 
     def frame(t_ns, _records) -> None:
-        if sampler.samples_taken % frame_every:
-            return
-        alerts = scenario.control_plane.alerts.active_alerts
-        hist_line = extractor.watch_line() if extractor is not None else None
-        print(clear + render_watch(sampler.store, top=args.top, now_ns=t_ns,
-                                   samples=sampler.samples_taken,
-                                   alerts=alerts, sim_stats=_sim_line(),
-                                   hist_line=hist_line,
-                                   forensics_line=(forensics.watch_line()
-                                                   if forensics is not None
-                                                   else None)),
-              flush=True)
+        if sampler.samples_taken % frame_every == 0:
+            print(clear + render(t_ns), flush=True)
 
     sampler.add_observer(frame)
     sampler.start()
@@ -182,50 +191,37 @@ def _watch(args) -> str:
         host, port = server.start()
         log.info("scrape endpoint live at http://%s:%d/metrics", host, port)
     try:
-        scenario.run(duration + 2.0)
+        scenario.run(args.duration + 2.0)
     finally:
         sampler.stop()
         if server is not None:
             server.close()
 
-    final = render_watch(sampler.store, top=args.top, now_ns=scenario.sim.now,
-                         samples=sampler.samples_taken,
-                         alerts=scenario.control_plane.alerts.active_alerts,
-                         sim_stats=_sim_line(),
-                         hist_line=(extractor.watch_line()
-                                    if extractor is not None else None),
-                         forensics_line=(forensics.watch_line()
-                                         if forensics is not None else None))
     archived = scenario.perfsonar.archiver.telemetry_count()
-    return (final + f"\narchived {archived} repro_telemetry events "
+    return (render(scenario.sim.now)
+            + f"\narchived {archived} repro_telemetry events "
             f"({pusher.events_pushed} pushed) alongside "
             f"{scenario.perfsonar.archiver.output.documents_written - archived} "
             "measurement documents")
+
+
+def _write_documents(path, docs, lines) -> None:
+    """``--out`` of the histograms/forensics modes (the CI smoke
+    artifact): the archived documents as JSON."""
+    if path:
+        with open(path, "w") as fh:
+            json.dump(docs, fh, indent=2, sort_keys=True)
+        lines.append(f"documents written to {path}")
 
 
 def _histograms(args) -> str:
     """Distribution view: the fig11 microburst scenario with data-plane
     histograms enabled; prints terminal bin bars and a percentile table
     from the archived ``repro-histogram-v1`` reports, and optionally
-    dumps those documents to ``--hist-out`` (the CI smoke artifact)."""
-    import json
-
+    dumps those documents to ``--out``."""
     from repro.core.histograms import render_bins, render_percentiles
-    from repro.experiments.common import ScenarioConfig
-    from repro.experiments.fig11_microburst import run_fig11
 
-    duration = max(args.duration, 30.0)
-    log.info("histograms: fig11 microburst run, %.0f simulated seconds",
-             duration)
-    result = run_fig11(
-        duration_s=duration, join_s=args.join,
-        config=ScenarioConfig(
-            rtts_ms=(100.0, 100.0, 100.0),
-            buffer_bdp_fraction=0.25,
-            monitor_overrides={"histograms_enabled": True},
-        ),
-    )
-    scenario = result.scenario
+    scenario = _run_fig11(args, histograms_enabled=True).scenario
     archiver = scenario.perfsonar.archiver
     extractor = scenario.control_plane.histograms
 
@@ -237,9 +233,9 @@ def _histograms(args) -> str:
         lines.append(render_bins(all_doc["edges_ns"], all_doc["counts"]))
         lines.append("")
     rows = []
-    if extractor is not None and extractor.latest_all is not None:
+    if extractor.latest_all is not None:
         rows.append(dict(extractor.latest_all, label="rtt all"))
-    for fid, row in sorted(extractor.latest.items()) if extractor else []:
+    for fid, row in sorted(extractor.latest.items()):
         rows.append(dict(row, label=f"rtt flow {fid & 0xFFFFFF:06x}"))
     ports = sorted({d["port_id"] for d in
                     archiver.histogram_documents(metric="queue_depth")})
@@ -251,43 +247,26 @@ def _histograms(args) -> str:
     if rows:
         lines.append(render_percentiles(rows))
         lines.append("")
-    n_docs = archiver.histogram_count()
-    n_cp = len(extractor.change_points) if extractor is not None else 0
-    lines.append(f"archived {n_docs} repro-histogram-v1 documents; "
-                 f"{n_cp} distribution change point(s)")
-    if args.hist_out:
-        docs = archiver.histogram_documents()
-        with open(args.hist_out, "w") as fh:
-            json.dump(docs, fh, indent=2, sort_keys=True)
-        lines.append(f"documents written to {args.hist_out}")
+    lines.append(f"archived {archiver.histogram_count()} repro-histogram-v1 "
+                 f"documents; {len(extractor.change_points)} distribution "
+                 "change point(s)")
+    _write_documents(args.out, archiver.histogram_documents(), lines)
     return "\n".join(lines)
+
+
+# Look-back of the forensics mode's explicit query, in base time windows.
+FORENSICS_LOOKBACK_WINDOWS = 8192
 
 
 def _forensics(args) -> str:
     """Queue forensics: the fig11 microburst scenario with time-window
     registers enabled; prints the alert-triggered culprit attributions
-    plus an explicit query over the trailing ``--window`` base windows
-    (``--flow`` names a victim whose own contribution is excluded), and
-    optionally dumps the archived ``repro-forensics-v1`` documents to
-    ``--out`` (the CI smoke artifact)."""
-    import json
+    plus an explicit query over the trailing base windows (``--flow``
+    names a victim whose own contribution is excluded), and optionally
+    dumps the archived ``repro-forensics-v1`` documents to ``--out``."""
+    from repro.core.forensics import MIN_WINDOW_BYTES, render_culprits
 
-    from repro.core.forensics import render_culprits
-    from repro.experiments.common import ScenarioConfig
-    from repro.experiments.fig11_microburst import run_fig11
-
-    duration = max(args.duration, 30.0)
-    log.info("forensics: fig11 microburst run, %.0f simulated seconds",
-             duration)
-    result = run_fig11(
-        duration_s=duration, join_s=args.join,
-        config=ScenarioConfig(
-            rtts_ms=(100.0, 100.0, 100.0),
-            buffer_bdp_fraction=0.25,
-            monitor_overrides={"forensics_enabled": True},
-        ),
-    )
-    scenario = result.scenario
+    scenario = _run_fig11(args, forensics_enabled=True).scenario
     cp = scenario.control_plane
     forensics = cp.forensics
     archiver = scenario.perfsonar.archiver
@@ -299,7 +278,7 @@ def _forensics(args) -> str:
         lines.append("")
 
     end = scenario.sim.now
-    t0 = max(0, end - args.window * forensics.base_window_ns)
+    t0 = max(0, end - FORENSICS_LOOKBACK_WINDOWS * forensics.base_window_ns)
     victim = None
     if args.flow is not None:
         tracked = next(
@@ -316,15 +295,11 @@ def _forensics(args) -> str:
         lines.append("")
     else:
         lines.append(f"query over the last {span_s:.1f}s: suppressed "
-                     f"(< {forensics.min_window_bytes} B of window mass)")
+                     f"(< {MIN_WINDOW_BYTES} B of window mass)")
     lines.append(f"archived {archiver.forensics_count()} repro-forensics-v1 "
                  f"document(s); {len(cp.microbursts)} microburst(s); "
                  f"{forensics.suppressed} suppressed quer(y|ies)")
-    if args.out:
-        docs = archiver.forensics_documents()
-        with open(args.out, "w") as fh:
-            json.dump(docs, fh, indent=2, sort_keys=True)
-        lines.append(f"documents written to {args.out}")
+    _write_documents(args.out, archiver.forensics_documents(), lines)
     return "\n".join(lines)
 
 
@@ -353,82 +328,53 @@ def _trace(args) -> str:
     """Provenance capture on a seeded microburst scenario: a fig11-style
     shallow-buffer topology with a joining flow plus an injected
     line-rate packet train, so the microburst trigger fires
-    deterministically.  Writes Perfetto JSON to --out and prints the
-    per-layer coverage plus an exemplar packet timeline."""
-    from repro.experiments.common import Scenario, ScenarioConfig
-    from repro.telemetry import provenance
-    from repro.telemetry.traceviz import render_timeline, write_perfetto
+    deterministically.  Prints the per-layer coverage plus an exemplar
+    packet timeline; the Perfetto JSON goes to ``--out``."""
+    from repro.experiments.common import ScenarioConfig
+    from repro.experiments.fig11_microburst import run_fig11
 
-    seed = args.seed if isinstance(args.seed, int) else 1
-    sample = (args.trace_sample if args.trace_sample is not None
-              else provenance.DEFAULT_SAMPLE_RATE)
-    tracer = provenance.enable(
-        fine_window=args.window,
-        sample_rate=sample,
-        flow=args.flow,
-        packet=args.packet,
-        triggers=(args.trigger,) if args.trigger else provenance.TRIGGERS,
-        seed=seed,
-    )
-    try:
-        duration = max(args.duration, 20.0)
-        join_s = duration * 0.4
-        scenario = Scenario(ScenarioConfig(
-            bottleneck_mbps=50.0,
-            rtts_ms=(40.0, 40.0, 40.0),
-            reference_rtt_ms=40.0,
-            buffer_bdp_fraction=0.25,
-        ))
-        scenario.add_flow(0, start_s=0.0, duration_s=duration)
-        scenario.add_flow(1, start_s=1.0, duration_s=duration)
-        scenario.add_flow(2, start_s=join_s, duration_s=duration - join_s)
-        buffer_bytes = scenario.config.topology_config().buffer_bytes()
-        scenario.inject_burst(join_s, nbytes=2 * buffer_bytes)
-        log.info("trace: %.0fs microburst scenario (join burst at %.1fs, "
-                 "seed %d)", duration, join_s, seed)
-        scenario.run(duration + 2.0)
+    duration = max(args.duration, 20.0)
+    join_s = duration * 0.4
+    log.info("trace: %.0fs microburst scenario (join burst at %.1fs)",
+             duration, join_s)
+    scenario = run_fig11(
+        duration_s=duration, join_s=join_s, inject_burst_buffers=2.0,
+        config=ScenarioConfig(bottleneck_mbps=50.0, rtts_ms=(40.0, 40.0, 40.0),
+                              reference_rtt_ms=40.0, buffer_bdp_fraction=0.25),
+    ).scenario
 
-        out = args.out or "trace.json"
-        doc = write_perfetto(out, tracer)
-        events = tracer.events()
-        tids = sorted({ev.trace_id for ev in events})
-        layers = sorted({ev.layer for ev in events})
-        lines = [
-            f"recorded {tracer.events_recorded} events "
-            f"({len(events)} retained across both windows), "
-            f"{len(tids)} distinct packets, layers: {', '.join(layers)}",
-            f"microbursts detected: {len(scenario.control_plane.microbursts)}",
-            f"trigger dumps: {len(tracer.dumps)}"
-            + (" — " + ", ".join(
-                f"{d.reason}@{d.t_ns / 1e9:.3f}s({len(d.events)} ev)"
-                for d in tracer.dumps[:6]) if tracer.dumps else ""),
-            f"perfetto JSON ({len(doc['traceEvents'])} entries) "
-            f"written to {out} — load at https://ui.perfetto.dev",
-        ]
-        # Exemplar journey: the packet whose events span the most layers.
-        if tids:
-            best = max(tids, key=lambda t: len(tracer.layers_for(t)))
-            lines.append("")
-            lines.append(f"exemplar packet (widest layer coverage, "
-                         f"{len(tracer.layers_for(best))} layers):")
-            lines.append(render_timeline(events, trace_id=best))
-        return "\n".join(lines)
-    finally:
-        provenance.disable()
+    tracer = provenance.tracer()
+    events = tracer.events()
+    tids = sorted({ev.trace_id for ev in events})
+    layers = sorted({ev.layer for ev in events})
+    lines = [
+        f"recorded {tracer.events_recorded} events "
+        f"({len(events)} retained across both windows), "
+        f"{len(tids)} distinct packets, layers: {', '.join(layers)}",
+        f"microbursts detected: {len(scenario.control_plane.microbursts)}",
+        f"trigger dumps: {len(tracer.dumps)}"
+        + (" — " + ", ".join(
+            f"{d.reason}@{d.t_ns / 1e9:.3f}s({len(d.events)} ev)"
+            for d in tracer.dumps[:6]) if tracer.dumps else ""),
+    ]
+    # Exemplar journey: the packet whose events span the most layers.
+    if tids:
+        best = max(tids, key=lambda t: len(tracer.layers_for(t)))
+        lines.append("")
+        lines.append(f"exemplar packet (widest layer coverage, "
+                     f"{len(tracer.layers_for(best))} layers):")
+        lines.append(traceviz.render_timeline(events, trace_id=best))
+    return "\n".join(lines)
 
 
-def _export_profile(prof, out_prefix: str) -> list:
-    """Write the profiler's artifacts under ``out_prefix`` and return
-    summary lines.  Phase mode yields ``<prefix>.phases.json``; sampling
-    yields ``<prefix>.collapsed.txt`` + ``<prefix>.speedscope.json``
-    (load the latter at https://speedscope.app)."""
-    from repro.telemetry import profviz
-
-    lines = []
+def _export_profile(prof, out_prefix: str) -> None:
+    """Write the profiler's artifacts under ``out_prefix``.  Phase mode
+    yields ``<prefix>.phases.json``; sampling yields
+    ``<prefix>.collapsed.txt`` + ``<prefix>.speedscope.json``."""
     if prof.phases:
         path = f"{out_prefix}.phases.json"
         profviz.write_phase_report(path, prof.report())
-        lines.append(f"phase report written to {path}")
+        log.info("phase report written to %s", path)
     if prof.sampler is not None:
         collapsed = f"{out_prefix}.collapsed.txt"
         speedscope = f"{out_prefix}.speedscope.json"
@@ -436,46 +382,39 @@ def _export_profile(prof, out_prefix: str) -> list:
         profviz.write_speedscope(speedscope, prof.sampler.samples,
                                  name=out_prefix,
                                  interval_s=prof.sampler.interval_s)
-        lines.append(
-            f"{prof.sampler.sample_count} stack samples "
-            f"({stacks} unique) written to {collapsed} and {speedscope} "
-            "— load the speedscope file at https://speedscope.app")
-    return lines
+        log.info("%d stack samples (%d unique) written to %s and %s — load "
+                 "the speedscope file at https://speedscope.app",
+                 prof.sampler.sample_count, stacks, collapsed, speedscope)
+
+
+def _profile_summary(prof, top: int) -> str:
+    """The stopped profiler's PhaseReport table and, under ``--alloc``,
+    the top allocation sites."""
+    lines = []
+    if prof.phases:
+        lines.append(prof.report().render_table(top=top))
+        lines.append("")
+    if prof.alloc_top:
+        lines.append("top allocation sites (tracemalloc):")
+        for stat in prof.alloc_top[:8]:
+            lines.append(f"  {stat['size_kib']:9.1f} KiB  "
+                         f"{stat['count']:8d} blocks  {stat['where']}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 def _profile(args) -> str:
     """Performance-attribution run on the substrate scenario (the same
     seeded two-flow workload as 'stats'): phase-accounted wall time at
-    stage detail, and/or the sampling flamegraph profiler, with the
-    PhaseReport printed and artifacts written under --out (see
+    stage detail, and/or the sampling flamegraph profiler, over the run
+    alone; prints the PhaseReport, artifacts go under ``--out`` (see
     docs/profiling.md)."""
-    from repro.telemetry import profiling
-
-    prof = profiling.enable(mode=args.mode, detail="stage",
-                            sample_interval_s=args.sample_ms / 1e3,
-                            alloc=args.alloc)
-    try:
-        log.info("profile: mode=%s, %.0f simulated seconds (seed %d)",
-                 args.mode, args.duration, args.seed)
-        scenario, duration = _instrumented_scenario(args)
-        with prof.running():
-            scenario.run(duration + 2.0)
-
-        lines = []
-        if prof.phases:
-            report = prof.report()
-            lines.append(report.render_table(top=20))
-            lines.append("")
-        if prof.alloc and prof.alloc_top:
-            lines.append("top allocation sites (tracemalloc):")
-            for stat in prof.alloc_top[:8]:
-                lines.append(f"  {stat['size_kib']:9.1f} KiB  "
-                             f"{stat['count']:8d} blocks  {stat['where']}")
-            lines.append("")
-        lines.extend(_export_profile(prof, args.out or "profile"))
-        return "\n".join(lines)
-    finally:
-        profiling.disable()
+    log.info("profile: mode=%s, %.0f simulated seconds (seed %d)",
+             args.mode, args.duration, args.seed)
+    scenario = _instrumented_scenario(args)
+    with profiling.profiler().running() as prof:
+        scenario.run(args.duration + 2.0)
+    return _profile_summary(prof, top=20)
 
 
 def _seeds(value) -> list:
@@ -506,20 +445,17 @@ def _validate(args) -> str:
     oracle attached and check every P4-side metric against truth (see
     docs/validation.md).  Failing seeds are shrunk to a minimal scenario
     and serialised as replayable JSON artifacts."""
-    from pathlib import Path
-
-    from repro.validation.fuzz import fuzz_seed, load_artifact, run_spec
+    from repro.validation.fuzz import (fuzz_seed, load_artifact, run_spec,
+                                       write_artifact)
 
     lines = []
-    failed = False
 
     def _report_lines(name: str, report) -> None:
-        nonlocal failed
         status = "pass" if report.passed else "FAIL"
         lines.append(f"{name}: {status} ({len(report.results)} checks, "
                      f"{len(report.skipped)} skipped)")
         if not report.passed:
-            failed = True
+            args.failed = True
             lines.extend(f"  {r}" for r in report.failures)
 
     if args.compare_paths:
@@ -530,8 +466,6 @@ def _validate(args) -> str:
             specs = [load_artifact(Path(args.replay))]
         else:
             specs = [ScenarioSpec.from_seed(s) for s in _seeds(args.seed)]
-        from repro.validation.fuzz import write_artifact
-
         for spec in specs:
             log.info("compare-paths: seed %d", spec.seed)
             cmp = compare_paths(spec)
@@ -541,7 +475,7 @@ def _validate(args) -> str:
                              f"(batched={cmp.batched_report.passed}, "
                              f"scalar={cmp.scalar_report.passed})")
             if not (cmp.passed and cmp.oracle_passed):
-                failed = True
+                args.failed = True
                 path = write_artifact(
                     Path(args.artifact_dir) / f"compare-seed{spec.seed}.json",
                     spec, cmp.batched_report)
@@ -569,12 +503,8 @@ def _validate(args) -> str:
                     f"  shrunk to {len(spec.flows)} flow(s), "
                     f"{spec.duration_s:.1f}s ({outcome.shrink_runs} runs); "
                     f"artifact: {outcome.artifact_path}")
-    if failed:
-        args._validate_failed = True
-
     # With --trace-out active, a checker mismatch froze the fine window
     # (the oracle-mismatch trigger in ValidationRun.check); surface it.
-    from repro.telemetry import provenance
     tracer = provenance.tracer()
     if tracer is not None and tracer.dumps:
         lines.append(
@@ -589,8 +519,6 @@ def _chaos(args) -> str:
     a fault schedule over the report path, then settle the books — no
     acked-report loss, exactly-once archive, oracle checks still green.
     Failing runs are serialised as replayable artifacts."""
-    from pathlib import Path
-
     from repro.resilience.chaos import (
         ChaosSpec,
         bundled_chaos,
@@ -603,10 +531,8 @@ def _chaos(args) -> str:
 
     artifact_dir = Path(args.artifact_dir)
     lines = []
-    failed = False
 
     def _run_one(name: str, spec) -> None:
-        nonlocal failed
         if args.crash:
             if not spec.schedule.has("cp_crash"):
                 spec = with_crash(spec)
@@ -617,7 +543,7 @@ def _chaos(args) -> str:
             result = run_chaos(spec)
         lines.append(result.summary())
         if not result.passed:
-            failed = True
+            args.failed = True
             artifact_dir.mkdir(parents=True, exist_ok=True)
             path = artifact_dir / f"chaos-{name}.json"
             write_artifact(result, str(path))
@@ -639,8 +565,6 @@ def _chaos(args) -> str:
         else:
             for seed in seeds:
                 _run_one(f"seed{seed}", ChaosSpec.from_seed(seed))
-    if failed:
-        args._chaos_failed = True
     return "\n".join(lines)
 
 
@@ -714,9 +638,14 @@ def _recover(args) -> str:
                          f"original={original} [{verdict}]")
         lines.append("recover smoke: " + ("PASS" if ok else "FAIL"))
         if not ok:
-            args._recover_failed = True
+            args.failed = True
     return "\n".join(lines)
 
+
+# What 'all' runs: the paper artefacts, not the self-telemetry,
+# validation, provenance, profiling or resilience modes.
+PAPER_ARTEFACTS = ("fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+                   "table1", "ablations")
 
 EXPERIMENTS: Dict[str, Callable] = {
     "fig9": _fig9,
@@ -756,9 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--join", type=float, default=15.0,
                         help="join time of the third flow (fig9/10/11)")
     parser.add_argument("--seed", type=_seed_spec, default=7,
-                        help="impairment RNG seed for stats/watch runs; "
-                             "'validate' also accepts an inclusive range "
-                             "like 0..9")
+                        help="impairment RNG seed for stats/watch runs, the "
+                             "tracer's sampling seed; validate/chaos also "
+                             "accept an inclusive range like 0..9")
     parser.add_argument("--quick", action="store_true",
                         help="short runs (duration 20, join 8)")
     parser.add_argument("-v", "--verbose", action="store_true",
@@ -794,11 +723,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enable provenance tracing for any experiment "
                              "and write the Perfetto JSON to FILE after the "
                              "run (see docs/observability.md)")
-    parser.add_argument("--trace-sample", type=float, default=None,
-                        metavar="RATE",
+    parser.add_argument("--trace-sample", type=float, metavar="RATE",
+                        default=provenance.DEFAULT_SAMPLE_RATE,
                         help="coarse-window sampling rate in [0,1] "
                              "(default: 1/64)")
-    trace = parser.add_argument_group("provenance capture (trace mode)")
+    trace = parser.add_argument_group(
+        "provenance capture (trace mode, --trace-out)")
     trace.add_argument("--flow", type=_parse_flow, default=None,
                        metavar="5TUPLE",
                        help="fine-window filter: trace only this flow and "
@@ -813,14 +743,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: all four)")
     trace.add_argument("--window", type=int, default=8192, metavar="EVENTS",
                        help="fine-window ring size in events (default: "
-                            "8192); forensics mode reads it as the explicit "
-                            "query's lookback in base time windows")
-    trace.add_argument("--out", metavar="PATH", default=None,
-                       help="output path: Perfetto JSON for trace mode "
-                            "(default: trace.json), artifact prefix for "
-                            "profile mode (default: profile), archived "
-                            "report JSON for forensics mode")
-    prof = parser.add_argument_group("performance attribution (profile mode)")
+                            "8192)")
+    parser.add_argument("--out", metavar="PATH", default=None,
+                        help="output path: Perfetto JSON for trace mode "
+                             "(default: trace.json), artifact prefix for "
+                             "profile mode (default: profile), archived "
+                             "report JSON for histograms/forensics modes")
+    prof = parser.add_argument_group(
+        "performance attribution (profile mode, --profile-out)")
     prof.add_argument("--mode", choices=("phase", "sample", "both"),
                       default="both",
                       help="phase-accounted wall time, sampling "
@@ -836,10 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "write its artifacts under PREFIX after the run "
                              "(PREFIX.phases.json, PREFIX.collapsed.txt, "
                              "PREFIX.speedscope.json)")
-    parser.add_argument("--profile-mode", choices=("phase", "sample", "both"),
-                        default="both",
-                        help="profiler mode used with --profile-out "
-                             "(default: both)")
     validate = parser.add_argument_group("differential validation")
     validate.add_argument("--replay", metavar="ARTIFACT", default=None,
                           help="re-run one fuzz-failure artifact instead of "
@@ -858,10 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "per-packet) and differential-compare "
                                "state digests, register arrays, report "
                                "streams and oracle verdicts")
-    hist = parser.add_argument_group("distribution reports (histograms mode)")
-    hist.add_argument("--hist-out", metavar="FILE", default=None,
-                      help="write the archived repro-histogram-v1 documents "
-                           "to FILE as JSON after the run")
     chaos = parser.add_argument_group("fault injection (chaos mode)")
     chaos.add_argument("--schedule", metavar="NAME_OR_FILE", default=None,
                        help="a bundled schedule name (archiver-outage, "
@@ -897,92 +819,80 @@ def _render_snapshot(args) -> str:
             # The snapshot still goes to stdout; flag the failed write.
             log.error("cannot write telemetry snapshot to %s: %s",
                       args.telemetry_out, exc)
-            args._telemetry_write_failed = True
+            args.failed = True
         else:
             log.info("telemetry snapshot written to %s", args.telemetry_out)
     return rendered
 
 
+def _section(title: str) -> None:
+    print(f"\n{'=' * 70}\n  {title}\n{'=' * 70}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    args.failed = False  # any mode may set it: exit status 1
     level = logging.WARNING if args.quiet else (
         logging.DEBUG if args.verbose else logging.INFO)
     configure_logging(level)
     if args.quick:
         args.duration = min(args.duration, 20.0)
         args.join = min(args.join, 8.0)
-    if args.telemetry:
+    mode = args.experiment
+    names = sorted(PAPER_ARTEFACTS) if mode == "all" else [mode]
+
+    # The one capture block: every observer is switched on here, from
+    # every flag that configures it, whatever the experiment.  The modes
+    # whose result *is* a capture only bring a default output path.
+    snapshot_is_result = mode in ("stats", "watch")
+    if args.telemetry or snapshot_is_result:
         telemetry.enable()
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    if args.experiment == "all":
-        # 'all' means the paper artifacts, not the self-telemetry,
-        # validation or provenance modes.
-        names.remove("stats")
-        names.remove("watch")
-        names.remove("histograms")
-        names.remove("forensics")
-        names.remove("validate")
-        names.remove("trace")
-        names.remove("profile")
-        names.remove("chaos")
-        names.remove("recover")
-    # --trace-out: provenance capture around any experiment ('trace'
-    # manages its own tracer and export through --out).
-    capture = args.trace_out is not None and args.experiment != "trace"
-    if capture:
-        from repro.telemetry import provenance
-        sample = (args.trace_sample if args.trace_sample is not None
-                  else provenance.DEFAULT_SAMPLE_RATE)
-        provenance.enable(fine_window=args.window, sample_rate=sample,
-                          flow=args.flow, packet=args.packet)
-    # --profile-out: profiler around any experiment ('profile' manages
-    # its own profiler and export through --out).  Enabled after
-    # provenance so slow phase frames ride the shared Perfetto span log.
-    profile_capture = (args.profile_out is not None
-                       and args.experiment != "profile")
-    prof = None
-    if profile_capture:
-        from repro.telemetry import profiling
-        prof = profiling.enable(mode=args.profile_mode,
-                                sample_interval_s=args.sample_ms / 1e3)
-        prof.start()
+    trace_out, profile_out = args.trace_out, args.profile_out
+    if mode == "trace":
+        trace_out = args.out or "trace.json"
+    elif mode == "profile":
+        profile_out = args.out or "profile"
+    tracer = prof = None
+    if trace_out is not None:
+        tracer = provenance.enable(
+            fine_window=args.window, sample_rate=args.trace_sample,
+            flow=args.flow, packet=args.packet,
+            triggers=(args.trigger,) if args.trigger else provenance.TRIGGERS,
+            seed=args.seed if isinstance(args.seed, int) else 1)
+    if profile_out is not None:
+        # After provenance, so slow phase frames ride the shared Perfetto
+        # span log.  'profile' is the diagnosis mode: stage detail, and
+        # it opens the profiled window around its run alone.
+        diagnosis = mode == "profile"
+        prof = profiling.enable(mode=args.mode,
+                                detail="stage" if diagnosis else "block",
+                                sample_interval_s=args.sample_ms / 1e3,
+                                alloc=args.alloc)
+        if not diagnosis:
+            prof.start()
     try:
         for name in names:
             log.info("running %s (duration=%.0fs)", name, args.duration)
-            print(f"\n{'=' * 70}\n  {name}\n{'=' * 70}")
+            _section(name)
             print(EXPERIMENTS[name](args))
         if prof is not None:
             prof.stop()
-            if prof.phases:
-                print(f"\n{'=' * 70}\n  profile\n{'=' * 70}")
-                print(prof.report().render_table(top=16))
-            for line in _export_profile(prof, args.profile_out):
-                log.info("%s", line)
-        if capture:
-            from repro.telemetry import provenance
-            from repro.telemetry.traceviz import write_perfetto
-            tracer = provenance.tracer()
-            doc = write_perfetto(args.trace_out, tracer)
-            log.info("provenance trace (%d entries, %d dumps) written to %s",
-                     len(doc["traceEvents"]), len(tracer.dumps),
-                     args.trace_out)
+            if not diagnosis:
+                _section("profile")
+                print(_profile_summary(prof, top=16))
+            _export_profile(prof, profile_out)
+        if tracer is not None:
+            doc = traceviz.write_perfetto(trace_out, tracer)
+            log.info("provenance trace (%d entries, %d dumps) written to %s "
+                     "— load at https://ui.perfetto.dev",
+                     len(doc["traceEvents"]), len(tracer.dumps), trace_out)
     finally:
-        if profile_capture:
-            from repro.telemetry import profiling
-            profiling.disable()
-        if capture:
-            from repro.telemetry import provenance
-            provenance.disable()
-    if args.telemetry and args.experiment not in ("stats", "watch"):
-        print(f"\n{'=' * 70}\n  telemetry\n{'=' * 70}")
+        profiling.disable()
+        provenance.disable()
+    if args.telemetry and not snapshot_is_result:
+        _section("telemetry")
         print(_render_snapshot(args))
-    if getattr(args, "_validate_failed", False):
-        return 1
-    if getattr(args, "_chaos_failed", False):
-        return 1
-    if getattr(args, "_recover_failed", False):
-        return 1
-    return 1 if getattr(args, "_telemetry_write_failed", False) else 0
+    return 1 if args.failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -220,7 +220,6 @@ class BatchKernel:
         self.cms = ft.cms
         self.cms_width = ft.cms.width
         self.cms_depth = ft.cms.depth
-        self.cms_conservative = ft.cms.conservative
         self.cms_flat = ft.cms._rows.reshape(-1)  # a view: (row, col) -> row * width + col
         self._cms_row_base = (np.arange(self.cms_depth, dtype=np.int64)
                               * self.cms_width)[:, None]
@@ -419,7 +418,6 @@ class BatchKernel:
         rtt_max_age = self.rtt_max_age_ns
         mb_on = self.mb_on_ns
         mb_off = self.mb_off_ns
-        conservative = self.cms_conservative
         c_pkt_loss = self.c_pkt_loss
 
         rtt_hist_idx: list = []
@@ -477,23 +475,12 @@ class BatchKernel:
                         # CMS update (returns post-update estimate).
                         cms_updates += 1
                         amount = a_cms_add[i]
-                        if conservative:
-                            est = None
-                            for col in l_cms:
-                                v = cms[col[i]]
-                                if est is None or v < est:
-                                    est = v
-                            est += amount
-                            for col in l_cms:
-                                if cms[col[i]] < est:
-                                    cms[col[i]] = est
-                        else:
-                            est = None
-                            for col in l_cms:
-                                v = cms[col[i]] + amount
-                                cms[col[i]] = v
-                                if est is None or v < est:
-                                    est = v
+                        est = None
+                        for col in l_cms:
+                            v = cms[col[i]] + amount
+                            cms[col[i]] = v
+                            if est is None or v < est:
+                                est = v
                         if est >= long_flow_bytes:
                             # _claim: register file + long_flow digest.
                             r_flow_key[ls] = fid

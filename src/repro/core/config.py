@@ -70,7 +70,6 @@ class MonitorConfig:
     queue_stash_size: int = 65536   # ingress-copy timestamp stash (§4.2)
     cms_width: int = 4096
     cms_depth: int = 3
-    cms_conservative: bool = False
     long_flow_bytes: int = 100_000  # CMS byte threshold for 'long flow'
     timestamp_bits: int = 48        # Tofino-style timestamp width
     # eACK stash entries older than this are stale (their data packet was
@@ -78,12 +77,8 @@ class MonitorConfig:
     # not path RTT, so they are discarded (Chen et al. do the same).
     rtt_max_age_ns: int = 1_000_000_000
 
-    # Microburst detector (§3.3.3): queue-delay hysteresis thresholds as a
-    # fraction of the maximum (full-buffer) queueing delay.  One detector
-    # instance per tapped egress queue.
+    # Microburst detector (§3.3.3): one instance per tapped egress queue.
     monitored_ports: int = 8
-    microburst_on_fraction: float = 0.5
-    microburst_off_fraction: float = 0.25
 
     # Reference parameters of the monitored bottleneck, needed to convert
     # queueing delay into occupancy (§4.2: occupancy = delay / buffer size).
@@ -91,27 +86,16 @@ class MonitorConfig:
     buffer_bytes: int = 125_000_000
 
     # Data-plane distribution measurement (read-flip histogram externs):
-    # per-flow RTT bins on the eACK match path and per-port queue-depth
-    # bins on the TAP-pair match path.  48 log bins over 500 us..2 s give
-    # a per-bin ratio of ~1.19 — fine enough that the bucket-upper-bound
-    # quantile estimate sits inside the declared distribution tolerance.
+    # per-flow RTT log bins on the eACK match path and per-port
+    # queue-depth log bins on the TAP-pair match path (spans: core/rtt.py,
+    # core/queue_monitor.py).
     histograms_enabled: bool = False
     rtt_hist_bins: int = 48
-    rtt_hist_min_ns: int = 500_000
-    rtt_hist_max_ns: int = 2_000_000_000
-    rtt_hist_scale: str = "log"
     qdepth_hist_bins: int = 32
-    qdepth_hist_min_ns: int = 1_000
-    # None -> max_queue_delay_ns() (the 100 % occupancy point) at
-    # stage-construction time.
-    qdepth_hist_max_ns: Optional[int] = None
-    qdepth_hist_scale: str = "log"
-    # Control-plane histogram-extraction tick rate and change-point
-    # policy: windows with at least ``histogram_min_samples`` whose
-    # bin-mass (total-variation) shift against the previous window
-    # exceeds the threshold raise an alert and freeze provenance.
+    # Control-plane histogram-extraction tick rate; only windows with at
+    # least ``histogram_min_samples`` enter change-point detection
+    # (core/histograms.py).
     histogram_samples_per_second: float = 1.0
-    histogram_shift_threshold: float = 0.35
     histogram_min_samples: int = 16
 
     # Queue forensics (PrintQueue-style time-window registers): k
@@ -125,12 +109,7 @@ class MonitorConfig:
     # 0, so windows normally reach the control plane before the ring
     # wraps (evictions only under much faster packet clock skew).
     forensics_cells: int = 1024
-    forensics_base_window_ns: int = 1_000_000   # 1 ms finest windows
     forensics_samples_per_second: float = 1.0
-    forensics_top_n: int = 5
-    # Alert-triggered queries over intervals holding less byte mass than
-    # this are suppressed (report only change-significant windows).
-    forensics_min_window_bytes: int = 1500
 
     # Control-plane policy per metric.
     metrics: Dict[MetricKind, MetricConfig] = field(
@@ -161,10 +140,6 @@ class MonitorConfig:
     limiter_window: int = 10
     limiter_stability_cv: float = 0.15
     limiter_rwnd_fraction: float = 0.6
-    # Flows that keep less than this in flight (with no losses) are not
-    # filling the pipe: the application is the limit even if the sparse
-    # per-interval flight samples look noisy.
-    limiter_min_flight_bytes: int = 32_768
 
     def max_queue_delay_ns(self) -> int:
         """Drain time of a full buffer — the 100 % occupancy point."""
@@ -176,10 +151,6 @@ class MonitorConfig:
     def validate(self) -> None:
         if self.flow_slots <= 0 or self.flow_slots & (self.flow_slots - 1):
             raise ValueError("flow_slots must be a positive power of two")
-        if not 0 < self.microburst_off_fraction < self.microburst_on_fraction <= 1.0:
-            raise ValueError(
-                "need 0 < microburst_off_fraction < microburst_on_fraction <= 1"
-            )
         if self.bottleneck_rate_bps <= 0 or self.buffer_bytes <= 0:
             raise ValueError("bottleneck rate and buffer size must be positive")
         # One sample has no variation (every CV 0.0, so every lossless
@@ -196,20 +167,8 @@ class MonitorConfig:
         if self.histograms_enabled:
             if self.rtt_hist_bins < 2 or self.qdepth_hist_bins < 2:
                 raise ValueError("histogram bins must be >= 2")
-            for scale in (self.rtt_hist_scale, self.qdepth_hist_scale):
-                if scale not in ("linear", "log"):
-                    raise ValueError(
-                        f"histogram scale must be linear|log, got {scale!r}"
-                    )
-            if not 0 < self.rtt_hist_min_ns < self.rtt_hist_max_ns:
-                raise ValueError("need 0 < rtt_hist_min_ns < rtt_hist_max_ns")
-            qmax = self.qdepth_hist_max_ns
-            if qmax is not None and not 0 < self.qdepth_hist_min_ns < qmax:
-                raise ValueError("need 0 < qdepth_hist_min_ns < qdepth_hist_max_ns")
             if self.histogram_samples_per_second <= 0:
                 raise ValueError("histogram_samples_per_second must be positive")
-            if not 0 < self.histogram_shift_threshold <= 1:
-                raise ValueError("need 0 < histogram_shift_threshold <= 1")
             if self.histogram_min_samples < 1:
                 raise ValueError("histogram_min_samples must be >= 1")
         if self.forensics_enabled:
@@ -217,14 +176,8 @@ class MonitorConfig:
                 raise ValueError("forensics_levels must be >= 1")
             if self.forensics_cells <= 0:
                 raise ValueError("forensics_cells must be positive")
-            if self.forensics_base_window_ns <= 0:
-                raise ValueError("forensics_base_window_ns must be positive")
             if self.forensics_samples_per_second <= 0:
                 raise ValueError("forensics_samples_per_second must be positive")
-            if self.forensics_top_n < 1:
-                raise ValueError("forensics_top_n must be >= 1")
-            if self.forensics_min_window_bytes < 0:
-                raise ValueError("forensics_min_window_bytes must be >= 0")
 
     def copy(self) -> "MonitorConfig":
         return replace(self, metrics={k: replace(v) for k, v in self.metrics.items()})

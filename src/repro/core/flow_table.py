@@ -62,11 +62,7 @@ class FlowTableStage(PipelineStage):
 
         self.cms = program.sketch(
             "long_flow_cms",
-            CountMinSketch(
-                width=config.cms_width,
-                depth=config.cms_depth,
-                conservative=config.cms_conservative,
-            ),
+            CountMinSketch(width=config.cms_width, depth=config.cms_depth),
         )
         self.flow_key = program.register(RegisterArray("flow_key", self.slots, 32))
         self.flow_src = program.register(RegisterArray("flow_src", self.slots, 32))

@@ -17,7 +17,7 @@ extracted, so the trouble interval's windows are in the index) runs it,
 ships a ``repro-forensics-v1`` report to the archiver, fires the
 provenance ``alert`` trigger and refreshes the ``watch`` header's
 top-culprit line.  Queries over intervals holding less byte mass than
-``forensics_min_window_bytes`` are suppressed — report only
+:data:`MIN_WINDOW_BYTES` are suppressed — report only
 change-significant windows, not every register read.
 
 Attribution caveat (the single-slot compromise hardware makes): each
@@ -39,6 +39,12 @@ from repro.core.reports import ForensicsReport
 # Per-window index entry: (flow_sig, pkt_count, byte_count, max_qdepth_ns).
 _SIG, _PKTS, _BYTES, _MAXQ = range(4)
 
+# Culprits a report ranks.
+TOP_N = 5
+# Queries over intervals holding less byte mass than this are suppressed
+# (report only change-significant windows).
+MIN_WINDOW_BYTES = 1500
+
 
 class ForensicsExtractor:
     """Periodic time-window extraction + culprit queries, bound to one
@@ -47,12 +53,9 @@ class ForensicsExtractor:
 
     def __init__(self, cp) -> None:
         self.cp = cp
-        config = cp.config
         self.tw = cp.monitor.queue.time_windows
         self.levels = self.tw.levels
         self.base_window_ns = self.tw.base_window_ns
-        self.top_n = config.forensics_top_n
-        self.min_window_bytes = config.forensics_min_window_bytes
         # Queue-ancestry index: per level, window_id -> [sig, pkts,
         # bytes, max_qdepth].  Repeated extractions of the same window
         # (residue + post-flip writes) merge: counts sum, max holds,
@@ -201,16 +204,16 @@ class ForensicsExtractor:
             }
             culprit.update(self._resolve(sig))
             ranked.append(culprit)
-        return level, nwindows, total_bytes, ranked[:self.top_n]
+        return level, nwindows, total_bytes, ranked[:TOP_N]
 
     def query(self, flow: Optional[int], t0_ns: int, t1_ns: int,
               trigger: str = "query",
               port_id: Optional[int] = None) -> Optional[ForensicsReport]:
         """Run one culprit query; ``None`` when the interval holds less
-        byte mass than ``forensics_min_window_bytes`` (suppressed)."""
+        byte mass than :data:`MIN_WINDOW_BYTES` (suppressed)."""
         level, nwindows, total_bytes, ranked = self.culprits(
             flow, t0_ns, t1_ns)
-        if nwindows == 0 or total_bytes < self.min_window_bytes or not ranked:
+        if nwindows == 0 or total_bytes < MIN_WINDOW_BYTES or not ranked:
             return None
         return ForensicsReport(
             time_ns=self.cp.sim.now,

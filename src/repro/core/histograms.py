@@ -13,7 +13,7 @@ The all-flow RTT merge also drives change-point detection in the spirit
 of the INT event-detection line of work: consecutive windows that both
 hold at least ``histogram_min_samples`` are compared by total-variation
 distance of their normalised bin masses; a shift above
-``histogram_shift_threshold`` raises an ``rtt_distribution`` alert and
+:data:`SHIFT_THRESHOLD` raises an ``rtt_distribution`` alert and
 fires the provenance ``alert`` trigger, freezing the fine-grained trace
 window around the moment the distribution moved.
 """
@@ -28,6 +28,9 @@ from repro.p4.histogram import bin_quantile
 from repro.core.reports import Alert, HistogramReport
 
 NS_PER_MS = 1_000_000
+# Change-point policy: bin-mass (total-variation) shift between two
+# consecutive windows above which the alert is raised.
+SHIFT_THRESHOLD = 0.35
 
 
 def quantiles_ms(edges_ns: Sequence[int], counts: Sequence[int]) -> tuple:
@@ -169,7 +172,7 @@ class HistogramExtractor:
             if (self._prev_rtt_window is not None
                     and int(self._prev_rtt_window.sum()) >= min_samples):
                 shift = tv_distance(self._prev_rtt_window, merged_window)
-                if shift > cp.config.histogram_shift_threshold:
+                if shift > SHIFT_THRESHOLD:
                     self._change_point(now, shift)
             self._prev_rtt_window = merged_window
         if total > 0:
@@ -211,7 +214,7 @@ class HistogramExtractor:
     def _change_point(self, now: int, shift: float) -> None:
         alert = Alert(
             time_ns=now, metric="rtt_distribution", flow_id=None,
-            value=shift, threshold=self.cp.config.histogram_shift_threshold,
+            value=shift, threshold=SHIFT_THRESHOLD,
         )
         self.change_points.append(alert)
         if self.cp._trace is not None:

@@ -72,6 +72,11 @@ _RULES = (LimiterVerdict.NETWORK_LIMITED, LimiterVerdict.RECEIVER_LIMITED,
           LimiterVerdict.PROBING, LimiterVerdict.UNKNOWN)
 _NO_RULE = len(_RULES) - 1
 
+# Flows that keep less than this in flight (with no losses) are not
+# filling the pipe: the application is the limit even if the sparse
+# per-interval flight samples look noisy.
+MIN_FLIGHT_BYTES = 32_768
+
 
 class LimiterClassifier:
     """Control-plane side: turns per-interval samples into verdicts.
@@ -89,7 +94,6 @@ class LimiterClassifier:
         self.window = config.limiter_window
         self.stability_cv = config.limiter_stability_cv
         self.rwnd_fraction = config.limiter_rwnd_fraction
-        self.min_flight_bytes = config.limiter_min_flight_bytes
         self._rows: Dict[int, int] = {}
         self._free: List[int] = []      # every other allocated row
         self._flight = np.zeros((64, self.HISTORY), dtype=np.int64)
@@ -160,7 +164,7 @@ class LimiterClassifier:
                  cv <= self.stability_cv,
                  # Never fills the pipe (and never loses): the application
                  # is the limit even if sparse samples look noisy.
-                 mean < self.min_flight_bytes,
+                 mean < MIN_FLIGHT_BYTES,
                  # Congestion control is still probing.
                  (flights[:, -1] > flights[:, 0]) & (n >= 3)],
                 range(_NO_RULE), default=_NO_RULE)

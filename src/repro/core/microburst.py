@@ -21,6 +21,12 @@ from repro.p4.runtime import P4Program
 from repro.core.config import MonitorConfig
 from repro.core.flow_table import PORT_EGRESS_TAP
 
+# Queue-delay hysteresis thresholds, as fractions of the maximum
+# (full-buffer) queueing delay: a burst starts at ON and ends below OFF.
+ON_FRACTION = 0.5
+OFF_FRACTION = 0.25
+assert 0 < OFF_FRACTION < ON_FRACTION <= 1.0
+
 
 class MicroburstStage(PipelineStage):
     name = "microburst"
@@ -28,8 +34,8 @@ class MicroburstStage(PipelineStage):
     def __init__(self, program: P4Program, config: MonitorConfig) -> None:
         self.config = config
         max_delay = config.max_queue_delay_ns()
-        self.on_threshold_ns = int(config.microburst_on_fraction * max_delay)
-        self.off_threshold_ns = int(config.microburst_off_fraction * max_delay)
+        self.on_threshold_ns = int(ON_FRACTION * max_delay)
+        self.off_threshold_ns = int(OFF_FRACTION * max_delay)
         ts_bits = config.timestamp_bits
 
         # One detector instance per monitored egress queue, registers

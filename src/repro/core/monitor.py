@@ -97,10 +97,18 @@ class P4Monitor:
         """Op-count sources for the PhaseReport, read lazily at report
         time — the register/sketch hot paths keep their plain-int
         tallies untouched (same pull pattern as the telemetry
-        collector above)."""
+        collector below)."""
         prog = self.program
-        prof.add_source("p4.tap_copies",
-                        lambda mon=self: mon.copies_ingress + mon.copies_egress)
+
+        def tap_copies(mon=self) -> int:
+            # Read first (sources are read in registration order), so it
+            # settles the report: copies are counted at intake, the three
+            # tallies below only once the kernel ran — drain the batch
+            # buffer, as the telemetry collector does.
+            mon.flush()
+            return mon.copies_ingress + mon.copies_egress
+
+        prof.add_source("p4.tap_copies", tap_copies)
         prof.add_source("p4.register_ops",
                         lambda p=prog: sum(a.ops for a in p.registers.values()))
         prof.add_source("p4.sketch_ops",

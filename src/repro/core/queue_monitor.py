@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 
 from repro.p4.hashes import crc32_bytes
-from repro.p4.histogram import HistogramRegister, make_edges
+from repro.p4.histogram import HistogramRegister, log_edges
 from repro.p4.pipeline import PipelineStage, StandardMetadata
 from repro.p4.parser import ParsedHeaders
 from repro.p4.registers import RegisterArray
@@ -25,6 +25,12 @@ from repro.core.config import MonitorConfig
 from repro.core.flow_table import PORT_EGRESS_TAP, PORT_INGRESS_TAP
 
 _PKT_SIG_FMT = struct.Struct("!IIHIIH")
+
+# Lowest queue-depth bin edge; the highest is the 100 % occupancy point,
+# ``config.max_queue_delay_ns()``.
+QDEPTH_HIST_MIN_NS = 1_000
+# Finest (level-0) forensics window: 1 ms, each level doubles it.
+FORENSICS_BASE_WINDOW_NS = 1_000_000
 
 
 def packet_signature(hdr: ParsedHeaders) -> int:
@@ -76,14 +82,10 @@ class QueueMonitorStage(PipelineStage):
         self.ports = config.monitored_ports
         self.qdepth_hist: "HistogramRegister | None" = None
         if config.histograms_enabled:
-            qmax = config.qdepth_hist_max_ns
-            if qmax is None:
-                qmax = config.max_queue_delay_ns()
             self.qdepth_hist = program.histogram(HistogramRegister(
                 "qdepth_hist", self.ports,
-                make_edges(config.qdepth_hist_scale,
-                           config.qdepth_hist_min_ns, qmax,
-                           config.qdepth_hist_bins),
+                log_edges(QDEPTH_HIST_MIN_NS, config.max_queue_delay_ns(),
+                          config.qdepth_hist_bins),
             ))
 
         # Queue-ancestry time windows on the matched TAP-pair path: who
@@ -94,7 +96,7 @@ class QueueMonitorStage(PipelineStage):
                 "time_windows",
                 levels=config.forensics_levels,
                 cells=config.forensics_cells,
-                base_window_ns=config.forensics_base_window_ns,
+                base_window_ns=FORENSICS_BASE_WINDOW_NS,
             ))
 
         self.pairs_matched = 0

@@ -26,7 +26,7 @@ import struct
 from repro.netsim.packet import F_ACK, F_SYN
 from repro.telemetry import provenance
 from repro.p4.hashes import crc32_bytes
-from repro.p4.histogram import HistogramRegister, make_edges
+from repro.p4.histogram import HistogramRegister, log_edges
 from repro.p4.pipeline import PipelineStage, StandardMetadata
 from repro.p4.parser import ParsedHeaders
 from repro.p4.registers import RegisterArray
@@ -35,6 +35,13 @@ from repro.core.config import MonitorConfig
 from repro.core.flow_table import PORT_INGRESS_TAP
 
 _SIG_FMT = struct.Struct("!II")
+
+# Span of the per-flow RTT bins: ``rtt_hist_bins`` log bins over
+# 500 us..2 s (48 give a per-bin ratio of ~1.19 — fine enough that the
+# bucket-upper-bound quantile estimate sits inside the declared
+# distribution tolerance).
+RTT_HIST_MIN_NS = 500_000
+RTT_HIST_MAX_NS = 2_000_000_000
 
 
 class RttLossStage(PipelineStage):
@@ -61,8 +68,7 @@ class RttLossStage(PipelineStage):
         if config.histograms_enabled:
             self.rtt_hist = program.histogram(HistogramRegister(
                 "rtt_hist", config.flow_slots,
-                make_edges(config.rtt_hist_scale, config.rtt_hist_min_ns,
-                           config.rtt_hist_max_ns, config.rtt_hist_bins),
+                log_edges(RTT_HIST_MIN_NS, RTT_HIST_MAX_NS, config.rtt_hist_bins),
             ))
 
         self._trace = provenance.tracer()

@@ -10,7 +10,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.netsim.engine import Simulator
 from repro.netsim.netem import LossImpairment
-from repro.telemetry import provenance
 from repro.netsim.packet import PROTO_UDP, Packet, int_to_ip
 from repro.netsim.topology import ScienceDMZTopology, TopologyConfig, build_science_dmz
 from repro.netsim.units import NS_PER_S, mbps, seconds
@@ -116,10 +115,6 @@ class Scenario:
         ]
         self.flows: List[FlowHandle] = []
         self._ports = iter(range(5201, 6201))
-        # Provenance tracer active at construction time (None when off);
-        # every netsim/P4/control-plane hook above already bound it, this
-        # handle is for export convenience after the run.
-        self.trace = provenance.tracer()
 
     # -- workload construction ---------------------------------------------------
 
@@ -194,15 +189,6 @@ class Scenario:
 
     def run(self, until_s: float) -> None:
         self.sim.run_until(seconds(until_s))
-
-    def dump_trace(self, path: str) -> Optional[dict]:
-        """Write the provenance trace (events + spans + trigger dumps)
-        as Perfetto JSON; returns the document, or None when tracing was
-        off for this scenario."""
-        if self.trace is None:
-            return None
-        from repro.telemetry.traceviz import write_perfetto
-        return write_perfetto(path, self.trace)
 
     # -- result access ----------------------------------------------------------------
 

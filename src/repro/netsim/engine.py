@@ -215,9 +215,6 @@ class Simulator:
         observe it."""
         self._flush_hooks.append(fn)
 
-    def remove_flush_hook(self, fn: Callable[[], None]) -> None:
-        self._flush_hooks.remove(fn)
-
     def every(self, interval_ns: int, fn: Callable[..., Any], *args: Any,
               align: bool = False) -> PeriodicEvent:
         """Schedule ``fn(*args)`` every ``interval_ns`` nanoseconds.

@@ -15,12 +15,13 @@ previous extraction (a per-window delta), and no sample is ever lost or
 double-counted — the conservation property the hypothesis suite pins
 down across arbitrary flip schedules.
 
-Bin edges are configurable (linear or logarithmic), shared by every row
-of one extern, and use the same ``bisect_left`` upper-bound semantics as
-:class:`repro.telemetry.metrics.Histogram`: ``counts`` has
-``len(edges) + 1`` entries, the last being the overflow bucket, so the
-existing :func:`repro.telemetry.export.histogram_quantile` consumes the
-dumps unchanged.
+Bin edges are set at construction (the stages use :func:`log_edges`),
+shared by every row of one extern, and use the same ``bisect_left``
+upper-bound semantics as :class:`repro.telemetry.metrics.Histogram`:
+``counts`` has ``len(edges) + 1`` entries, the last being the overflow
+bucket, so the existing
+:func:`repro.telemetry.export.histogram_quantile` consumes the dumps
+unchanged.
 """
 
 from __future__ import annotations
@@ -33,20 +34,8 @@ import numpy as np
 from repro.telemetry import provenance
 from repro.telemetry.export import histogram_quantile
 
-__all__ = ["HistogramRegister", "linear_edges", "log_edges", "make_edges",
-           "bin_quantile", "bin_series", "merge_counts"]
-
-
-def linear_edges(lo: int, hi: int, nbins: int) -> List[int]:
-    """``nbins`` equal-width upper bounds covering [lo, hi]."""
-    if nbins < 2:
-        raise ValueError("need at least 2 bins")
-    if not 0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    step = (hi - lo) / nbins
-    edges = [int(round(lo + step * (i + 1))) for i in range(nbins)]
-    edges[-1] = int(hi)
-    return _dedup(edges)
+__all__ = ["HistogramRegister", "log_edges", "bin_quantile", "bin_series",
+           "merge_counts"]
 
 
 def log_edges(lo: int, hi: int, nbins: int) -> List[int]:
@@ -60,14 +49,6 @@ def log_edges(lo: int, hi: int, nbins: int) -> List[int]:
     edges = [int(round(lo * ratio ** (i + 1))) for i in range(nbins)]
     edges[-1] = int(hi)
     return _dedup(edges)
-
-
-def make_edges(scale: str, lo: int, hi: int, nbins: int) -> List[int]:
-    if scale == "linear":
-        return linear_edges(lo, hi, nbins)
-    if scale == "log":
-        return log_edges(lo, hi, nbins)
-    raise ValueError(f"unknown bin scale {scale!r} (expected linear|log)")
 
 
 def _dedup(edges: List[int]) -> List[int]:

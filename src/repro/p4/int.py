@@ -93,10 +93,6 @@ class IntPostcard:
     def path_latency_ns(self) -> int:
         return sum(h.hop_latency_ns for h in self.hops)
 
-    @property
-    def max_queue_depth_bytes(self) -> int:
-        return max((h.queue_depth_bytes for h in self.hops), default=0)
-
 
 class IntSink:
     """Strips INT stacks at the receiving edge and feeds a collector.

@@ -183,11 +183,6 @@ class P4RuntimeClient:
                        index: Union[None, int, Sequence[int]] = None) -> None:
         self._reg(name).clear(index)
 
-    def snapshot_all(self) -> Dict[str, np.ndarray]:
-        """Full data-plane state sync (see :meth:`P4Program.state_snapshot`)."""
-        self.register_reads += 1
-        return self.program.state_snapshot()
-
     def state_digest(self) -> str:
         return self.program.state_digest()
 
@@ -237,23 +232,11 @@ class P4RuntimeClient:
                 f"{name!r}; available: {sorted(self.program.time_windows)}"
             ) from None
 
-    def read_time_windows(self, name: str) -> np.ndarray:
-        """Copy of the active bank (windows still accumulating)."""
-        self.register_reads += 1
-        tw = self.time_window(name)
-        return tw.bank(tw.active)
-
     def extract_time_windows(self, name: str) -> np.ndarray:
         """Flip the banks and return + clear the quiescent one — every
         window cell written since the previous extraction."""
         self.register_reads += 1
         return self.time_window(name).extract()
-
-    # -- counters ------------------------------------------------------------
-
-    def read_counter(self, name: str, index: int) -> tuple[int, int]:
-        ctr = self.program.counters[name]
-        return ctr.packets(index), ctr.bytes(index)
 
     # -- tables ----------------------------------------------------------------
 

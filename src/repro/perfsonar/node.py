@@ -78,12 +78,6 @@ class PerfSonarNode:
 
     # -- P4 enhancement ------------------------------------------------------------
 
-    def attach_p4(self, control_plane) -> None:
-        """Wire the programmable switch into this node: its reports flow
-        into this node's archiver and pSConfig gains config-P4 control."""
-        control_plane.report_sink = self.archiver.sink
-        self.psconfig.attach(control_plane)
-
     def config_p4(self, command_line: str):
         """Run a Fig. 6 style command, e.g.
         ``node.config_p4("config-P4 --metric RTT --samples_per_second 2")``."""

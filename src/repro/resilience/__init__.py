@@ -14,7 +14,7 @@ harness (docs/robustness.md):
   process-globally the same way :mod:`repro.telemetry.provenance`
   installs its tracer; components bind it at construction, so the
   disabled hot path costs one ``is None`` test
-  (``benchmarks/test_resilience_overhead.py`` enforces ≤2 %);
+  (pinned by ``tests/test_disabled_guards.py``);
 - :mod:`~repro.resilience.delivery` — :class:`ResilientShipper`
   (capped exponential backoff with deterministic jitter, bounded spool
   with dead-letter overflow, at-least-once redelivery, sequence-numbered

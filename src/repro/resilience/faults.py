@@ -5,8 +5,8 @@ One :class:`FaultInjector` can be installed process-globally
 :mod:`repro.telemetry.provenance` uses for its tracer: components on the
 report path bind :func:`injector` **at construction** and keep the
 handle, so when no injector is installed the hot path pays a single
-``is None`` test (``benchmarks/test_resilience_overhead.py`` holds that
-to ≤2 %).
+``is None`` test (``tests/test_disabled_guards.py`` pins that no fault
+decision is taken).
 
 Every decision the injector makes is a pure function of (schedule,
 seed, call order); the simulation is deterministic, so chaos runs are

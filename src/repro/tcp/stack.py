@@ -240,10 +240,6 @@ class TcpConnection:
         return self.snd_nxt - self.snd_una
 
     @property
-    def effective_window(self) -> int:
-        return min(self.cc.cwnd_bytes + self._recovery_inflate, self.peer_rwnd)
-
-    @property
     def data_end(self) -> int:
         """Sequence number just past the last app byte."""
         return self._data_start + self._app_total
@@ -682,9 +678,6 @@ class TcpConnection:
         self._sacked = pruned
         if self._rtx_next < una:
             self._rtx_next = una
-
-    def _sacked_bytes(self) -> int:
-        return sum(e - s for s, e in self._sacked)
 
     def _sack_retransmit(self) -> bool:
         """Retransmit the next scoreboard hole (at most one segment).

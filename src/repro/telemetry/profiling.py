@@ -413,9 +413,11 @@ class Profiler:
     # -- reporting ----------------------------------------------------------
 
     def report(self) -> PhaseReport:
+        # Sources first: reading them may settle pending batched work
+        # (the monitor drains its buffer), which charges phase cells.
+        sources = {name: int(fn()) for name, fn in self._sources.items()}
         rows = [PhaseRow(phase, c[2], c[1], c[0])
                 for phase, c in self._cells.items() if c[2]]
-        sources = {name: int(fn()) for name, fn in self._sources.items()}
         return PhaseReport(
             rows, wall_ns=self.wall_ns, sources=sources,
             gc_pauses=self.gc_pauses, gc_pause_ns=self.gc_pause_ns,

@@ -299,10 +299,6 @@ class ProvenanceTracer:
         self._ctx_id = 0
         self._ctx_fine = self._ctx_coarse = self._ctx_rec = False
 
-    @property
-    def in_packet(self) -> bool:
-        return self._ctx_id != 0
-
     def event(self, layer: str, kind: str, where: str, **detail) -> None:
         """Record one event under the active packet context (no-op
         outside a traversal)."""

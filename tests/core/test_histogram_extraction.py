@@ -10,7 +10,8 @@ import pytest
 
 from repro.core.config import MonitorConfig
 from repro.core.control_plane import MonitorControlPlane
-from repro.core.histograms import render_bins, render_percentiles, tv_distance
+from repro.core.histograms import (
+    SHIFT_THRESHOLD, render_bins, render_percentiles, tv_distance)
 from repro.core.monitor import P4Monitor
 from repro.netsim.engine import Simulator
 from repro.netsim.units import millis, seconds
@@ -125,7 +126,7 @@ def test_change_point_alert_and_provenance_freeze():
         assert ext.change_points, "distribution shift not detected"
         alert = ext.change_points[0]
         assert alert.metric == "rtt_distribution"
-        assert alert.value > cp.config.histogram_shift_threshold
+        assert alert.value > SHIFT_THRESHOLD
         alert_docs = [d for d in shipped if isinstance(d, dict)
                       and d.get("type") == "p4_alert"
                       and d.get("metric") == "rtt_distribution"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import MonitorConfig
-from repro.core.limiter import LimiterClassifier
+from repro.core.limiter import MIN_FLIGHT_BYTES, LimiterClassifier
 from repro.core.reports import LimiterVerdict
 from repro.core.stats import coefficient_of_variation
 from repro.netsim.units import millis
@@ -137,7 +137,6 @@ class ReferenceClassifier:
         self.window = config.limiter_window
         self.stability_cv = config.limiter_stability_cv
         self.rwnd_fraction = config.limiter_rwnd_fraction
-        self.min_flight_bytes = config.limiter_min_flight_bytes
         self.samples = {}
 
     def observe(self, flow_id, flight_bytes, loss_delta):
@@ -159,7 +158,7 @@ class ReferenceClassifier:
             return LimiterVerdict.RECEIVER_LIMITED, mean_flight, cv, losses
         if cv <= self.stability_cv:
             return LimiterVerdict.SENDER_LIMITED, mean_flight, cv, losses
-        if mean_flight < self.min_flight_bytes:
+        if mean_flight < MIN_FLIGHT_BYTES:
             return LimiterVerdict.SENDER_LIMITED, mean_flight, cv, losses
         if len(flights) >= 3 and flights[-1] > flights[0]:
             return LimiterVerdict.PROBING, mean_flight, cv, losses

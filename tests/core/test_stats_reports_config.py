@@ -195,6 +195,19 @@ def test_config_validation():
             MonitorConfig(limiter_window=window).validate()
 
 
+def test_a_knob_nobody_set_is_not_an_option():
+    """The 14 fields no caller ever set are constants beside their
+    reader (core/rtt.py, queue_monitor.py, microburst.py, histograms.py,
+    forensics.py, limiter.py); the config holds what something sets."""
+    import dataclasses
+
+    assert len(dataclasses.fields(MonitorConfig)) == 31
+    with pytest.raises(TypeError):
+        MonitorConfig(cms_conservative=True)
+    with pytest.raises(TypeError):
+        MonitorConfig(rtt_hist_scale="linear")
+
+
 def test_max_queue_delay():
     cfg = MonitorConfig(bottleneck_rate_bps=100_000_000, buffer_bytes=125_000)
     assert cfg.max_queue_delay_ns() == 10_000_000  # 10 ms

@@ -9,19 +9,12 @@ from repro.p4.histogram import (
     HistogramRegister,
     bin_quantile,
     bin_series,
-    linear_edges,
     log_edges,
-    make_edges,
     merge_counts,
 )
 
 
 # -- bin-edge construction -----------------------------------------------------
-
-def test_linear_edges_equal_width():
-    edges = linear_edges(0, 100, 4)
-    assert edges == [25, 50, 75, 100]
-
 
 def test_log_edges_constant_ratio():
     edges = log_edges(1_000, 1_000_000, 3)
@@ -43,13 +36,7 @@ def test_edges_dedup_collapsed_low_bins():
     assert all(b > a for a, b in zip(edges, edges[1:]))
 
 
-def test_make_edges_dispatch_and_validation():
-    assert make_edges("linear", 0, 10, 2) == linear_edges(0, 10, 2)
-    assert make_edges("log", 1, 10, 2) == log_edges(1, 10, 2)
-    with pytest.raises(ValueError):
-        make_edges("sqrt", 1, 10, 2)
-    with pytest.raises(ValueError):
-        linear_edges(10, 5, 4)
+def test_log_edges_validation():
     with pytest.raises(ValueError):
         log_edges(0, 5, 4)
     with pytest.raises(ValueError):

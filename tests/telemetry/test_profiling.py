@@ -200,6 +200,27 @@ def test_two_instances_share_one_phase_row():
 # -- report / sources / exports ----------------------------------------------
 
 
+def test_a_report_taken_between_flushes_agrees_with_itself():
+    """Regression: under the block profiler the kernel stays engaged, so
+    copies are counted at intake but register work only once a flush
+    ran; a mid-run report showed 50 copies and 0 register ops."""
+    from repro.core.config import MonitorConfig
+    from repro.core.monitor import P4Monitor
+    from repro.netsim.tap import MirrorCopy
+
+    prof = profiling.enable(mode="phase")
+    mon = P4Monitor(MonitorConfig(long_flow_bytes=1000), sim=Simulator())
+    for i in range(50):
+        pkt = make_data_packet(FT, seq=1 + 1000 * i, payload_len=1000, ip_id=i)
+        mon.receive_copy(MirrorCopy(pkt, TapDirection.INGRESS, 1000 * (i + 1)))
+    assert mon.kernel.pending == 50   # buffered, nothing drained yet
+    report = prof.report()
+    assert report.sources["p4.tap_copies"] == 50
+    assert report.sources["p4.register_ops"] > 0
+    assert report.sources["p4.sketch_ops"] > 0
+    assert report.row("p4.process").count == 50
+
+
 def test_report_rows_sorted_and_serializable(tmp_path):
     prof = Profiler(mode="phase")
     prof.add_source("ops.registers", lambda: 1234)

@@ -231,7 +231,7 @@ def _check_forensics(path):
 
 @pytest.mark.parametrize("experiment, out_flag, check", [
     pytest.param("fig11", "--trace-out", _check_trace, id="trace"),
-    pytest.param("histograms", "--hist-out", _check_histograms, id="histograms"),
+    pytest.param("histograms", "--out", _check_histograms, id="histograms"),
     pytest.param("forensics", "--out", _check_forensics, id="forensics"),
 ])
 def test_quick_run_writes_a_well_formed_artifact(experiment, out_flag, check,
@@ -271,3 +271,102 @@ def test_crash_chaos_leaves_well_formed_checkpoints_on_disk(tmp_path, capsys):
     assert doc["digest"] == content_digest(doc)
     for key in ("dataplane_digest", "control_plane", "shipper", "seq"):
         assert key in doc, f"checkpoint missing {key!r}"
+
+
+# -- one enable site per observer: every flag reaches it from any experiment ---
+
+
+def _capture_built(monkeypatch, module):
+    """Wrap ``module.enable`` so the observers main() builds can be
+    inspected after it has torn them down."""
+    built = []
+    real = module.enable
+
+    def enable(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(module, "enable", enable)
+    return built
+
+
+def test_tracer_flags_reach_the_tracer_under_trace_out(monkeypatch, tmp_path,
+                                                       capsys):
+    from repro.telemetry import provenance
+
+    built = _capture_built(monkeypatch, provenance)
+    rc = main(["fig13", "-q", "--trace-out", str(tmp_path / "t.json"),
+               "--trigger", "alert", "--seed", "11"])
+    assert rc == 0
+    (tracer,) = built
+    assert tracer.armed == {"alert"}
+    assert tracer.seed == 11
+    assert provenance.tracer() is None
+
+
+def test_profiler_flags_reach_the_profiler_under_profile_out(
+        clean_profiling, monkeypatch, tmp_path, capsys):
+    from repro.telemetry import profiling
+
+    built = _capture_built(monkeypatch, profiling)
+    out = tmp_path / "p"
+    rc = main(["fig13", "-q", "--profile-out", str(out),
+               "--mode", "phase", "--alloc"])
+    assert rc == 0
+    (prof,) = built
+    assert prof.sampler is None and prof.alloc and prof.detail == "block"
+    assert (tmp_path / "p.phases.json").exists()
+    assert not (tmp_path / "p.speedscope.json").exists()
+    assert "top allocation sites" in capsys.readouterr().out
+
+
+# -- the documented command lines still parse ----------------------------------
+
+
+def _documented_commands():
+    """Every ``repro-experiments ...`` / ``python -m repro.cli ...`` line
+    in a fenced block of README.md or docs/*.md, or in a ``run:`` step
+    of ci.yml, as ``(where, argv)``."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    start = re.compile(r"^\s*\$?\s*(?:PYTHONPATH=\S+\s+)?"
+                       r"(?:repro-experiments|python -m repro\.cli)\s+(.*)$")
+    for path in [root / "README.md", *sorted((root / "docs").glob("*.md")),
+                 root / ".github" / "workflows" / "ci.yml"]:
+        lines = path.read_text().splitlines()
+        fenced = path.suffix == ".yml"   # a yml file is all "code"
+        i = 0
+        while i < len(lines):
+            line = lines[i]
+            i += 1
+            if path.suffix == ".md" and line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            match = start.match(line) if fenced else None
+            if match is None:
+                continue
+            where, text = f"{path.name}:{i}", match.group(1)
+            # Continuations: a trailing backslash (markdown) or the
+            # option lines of a folded yml scalar.
+            while i < len(lines) and (
+                    text.endswith("\\")
+                    or (path.suffix == ".yml"
+                        and lines[i].lstrip().startswith("--"))):
+                text = text.rstrip("\\") + " " + lines[i].strip()
+                i += 1
+            text = re.sub(r"\$\{\{.*?\}\}", "0..3", text)   # CI seed ranges
+            yield where, shlex.split(text, comments=True)
+
+
+def test_every_documented_command_line_parses():
+    commands = list(_documented_commands())
+    assert len(commands) >= 30, "the scan found too little to mean anything"
+    parser = build_parser()
+    for where, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{where}: does not parse: {' '.join(argv)}")
