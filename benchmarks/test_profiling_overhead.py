@@ -1,34 +1,29 @@
 """Profiler overhead budgets (docs/profiling.md).
 
-Two operating points (disabled, the profiler costs the pipeline nothing
-to time: construction leaves the plain ``process`` body on class
-dispatch, pinned by tests/p4/test_pipeline_binding.py):
-
-- **phase mode, block detail**: the always-on attribution mode.  The
-  batched kernel stays engaged (one ``p4.process`` charge per flush), so
-  what the profiler adds is the profiled drain loop's per-event work:
-  one ``perf_counter_ns``, one ``nested_ns`` load, one dict probe for
-  the callback's cell and three in-place cell updates.  The budget is
-  therefore a cost per dispatched event, ``(phase − dark) /
-  events_run``, not a ratio: a ratio against a substrate that PRs 8–13
-  made ~4x faster drifts without any profiler change.  Measured on the
-  2-core reference VM: 510–650 ns/event over 9,382 events (the commit
-  before, whose profiler bound the scalar pipeline, measured 2.0x).
-  ``PHASE_BUDGET_NS`` = 800 ns/event is the top of that range plus the
-  ~25 % by which best-of-ten moves on this VM from one quiet minute to
-  the next; it has not moved since.  The run is 20 s of flows (56,564
-  events, ~0.36 s) so the estimator resolves the number: ten reads
-  617–850 ns/event, quartiles 719 / 764 / 795, 1.11–1.15x;
-- **stage detail**: timed, no budget (diagnosis mode, what
-  ``repro-experiments profile`` runs; it binds the scalar pipeline).
+Disabled, the profiler costs the pipeline nothing to time:
+construction leaves the plain ``process`` body on class dispatch, pinned
+by tests/p4/test_pipeline_binding.py.  Enabled, **phase mode** is the
+always-on attribution mode.  The batched kernel stays engaged (one
+``p4.process`` charge per flush), so what the profiler adds is the
+profiled drain loop's per-event work: one ``perf_counter_ns``, one
+``nested_ns`` load, one dict probe for the callback's cell and three
+in-place cell updates.  The budget is therefore a cost per dispatched
+event, ``(phase − dark) / events_run``, not a ratio: a ratio against a
+substrate that PRs 8–13 made ~4x faster drifts without any profiler
+change.  Measured on the 2-core reference VM: 510–650 ns/event over
+9,382 events (the commit before, whose profiler bound the scalar
+pipeline, measured 2.0x).  ``PHASE_BUDGET_NS`` = 800 ns/event is the top
+of that range plus the ~25 % by which best-of-ten moves on this VM from
+one quiet minute to the next; it has not moved since.  The run is 20 s
+of flows (56,564 events, ~0.36 s) so the estimator resolves the number:
+ten reads 617–850 ns/event, quartiles 719 / 764 / 795, 1.11–1.15x.
 """
 
 from repro import telemetry
 from repro.telemetry import profiling
 
-from benchmarks.harness import (assert_within, drive, interleaved_best,
-                                packet_stream, substrate_scenario, timed_run)
-from tests.core.helpers import small_monitor
+from benchmarks.harness import (assert_within, interleaved_best,
+                                substrate_scenario, timed_run)
 
 E2E_ROUNDS = 10
 PHASE_BUDGET_NS = 800
@@ -41,7 +36,7 @@ RUN_S = 21.0
 
 
 def _timed_phase_run(seen):
-    prof = profiling.enable(mode="phase", detail="block")
+    prof = profiling.enable(mode="phase")
     try:
         # Construction binds the profiler, untimed.
         scenario = substrate_scenario(flow_s=FLOW_S)
@@ -55,7 +50,7 @@ def _timed_phase_run(seen):
 
 
 def _measure_phase_ns_per_event():
-    """Phase mode (block detail) vs fully-off, end to end: the scenario
+    """Phase mode vs fully-off, end to end: the scenario
     built under ``enable(mode="phase")`` drains through the profiled
     loop body and the kernel charges ``p4.process`` per flush; the dark
     scenario pays nothing."""
@@ -75,28 +70,3 @@ def _measure_phase_ns_per_event():
 def test_phase_mode_overhead_within_budget():
     assert_within(_measure_phase_ns_per_event, PHASE_BUDGET_NS,
                   "phase-mode cost per dispatched event (ns)")
-
-
-def test_stage_detail_attribution(benchmark):
-    """Stage-detail sanity, timed: every stage gets its own phase row
-    and the frames balance (depth back to zero)."""
-    prof = profiling.enable(mode="phase", detail="stage")
-    try:
-        mon = small_monitor()
-        stream = packet_stream()
-
-        def run():
-            drive(mon.pipeline, stream)
-            return prof.report()
-
-        report = benchmark(run)
-        assert prof.depth() == 0
-        phases = {r.phase for r in report.rows}
-        assert "p4.process" in phases and "p4.parser" in phases
-        assert any(p.startswith("p4.stage/") for p in phases)
-        # Nested stage/parser time is inside p4.process cumulative time.
-        proc = report.row("p4.process")
-        assert proc.cum_ns >= proc.self_ns
-        assert report.sources.get("p4.register_ops", 0) > 0
-    finally:
-        profiling.disable()

@@ -11,7 +11,7 @@ prints its summary, e.g.::
 Observability (docs/observability.md)::
 
     repro-experiments stats --duration 20 --seed 3   # instrumented run
-    repro-experiments watch --refresh 0.5 --serve-port 0  # flight recorder
+    repro-experiments watch --refresh 0.5       # flight recorder
     repro-experiments fig9 --telemetry          # snapshot after the run
     repro-experiments fig9 --telemetry --telemetry-format prom \
         --telemetry-out metrics.prom
@@ -145,10 +145,8 @@ def _stats(args) -> str:
 def _watch(args) -> str:
     """Flight-recorder mode: the stats workload with a time-series sampler
     attached, a refreshing top-N/sparkline terminal view during the run,
-    telemetry events pushed into the archive, and (optionally) a live
-    Prometheus scrape endpoint for the duration of the run."""
-    from repro.telemetry.serve import TelemetryHTTPServer, TelemetryPusher
-    from repro.telemetry.timeseries import TelemetrySampler
+    and telemetry events pushed into the archive."""
+    from repro.telemetry.timeseries import TelemetryPusher, TelemetrySampler
     from repro.telemetry.watch import render_watch
 
     scenario = _instrumented_scenario(args, histograms_enabled=True,
@@ -184,18 +182,10 @@ def _watch(args) -> str:
 
     sampler.add_observer(frame)
     sampler.start()
-
-    server = None
-    if args.serve_port is not None:
-        server = TelemetryHTTPServer(store=sampler.store, port=args.serve_port)
-        host, port = server.start()
-        log.info("scrape endpoint live at http://%s:%d/metrics", host, port)
     try:
         scenario.run(args.duration + 2.0)
     finally:
         sampler.stop()
-        if server is not None:
-            server.close()
 
     archived = scenario.perfsonar.archiver.telemetry_count()
     return (render(scenario.sim.now)
@@ -370,21 +360,17 @@ def _trace(args) -> str:
 def _export_profile(prof, out_prefix: str) -> None:
     """Write the profiler's artifacts under ``out_prefix``.  Phase mode
     yields ``<prefix>.phases.json``; sampling yields
-    ``<prefix>.collapsed.txt`` + ``<prefix>.speedscope.json``."""
+    ``<prefix>.collapsed.txt``."""
     if prof.phases:
         path = f"{out_prefix}.phases.json"
         profviz.write_phase_report(path, prof.report())
         log.info("phase report written to %s", path)
     if prof.sampler is not None:
         collapsed = f"{out_prefix}.collapsed.txt"
-        speedscope = f"{out_prefix}.speedscope.json"
         stacks = profviz.write_collapsed(collapsed, prof.sampler.samples)
-        profviz.write_speedscope(speedscope, prof.sampler.samples,
-                                 name=out_prefix,
-                                 interval_s=prof.sampler.interval_s)
-        log.info("%d stack samples (%d unique) written to %s and %s — load "
-                 "the speedscope file at https://speedscope.app",
-                 prof.sampler.sample_count, stacks, collapsed, speedscope)
+        log.info("%d stack samples (%d unique) written to %s — load it at "
+                 "https://speedscope.app or feed it to flamegraph.pl",
+                 prof.sampler.sample_count, stacks, collapsed)
 
 
 def _profile_summary(prof, top: int) -> str:
@@ -405,16 +391,38 @@ def _profile_summary(prof, top: int) -> str:
 
 def _profile(args) -> str:
     """Performance-attribution run on the substrate scenario (the same
-    seeded two-flow workload as 'stats'): phase-accounted wall time at
-    stage detail, and/or the sampling flamegraph profiler, over the run
-    alone; prints the PhaseReport, artifacts go under ``--out`` (see
-    docs/profiling.md)."""
+    seeded two-flow workload as 'stats', on the same batched monitor
+    path): phase-accounted wall time and/or the sampling flamegraph
+    profiler, over the run alone; prints the PhaseReport, artifacts go
+    under ``--out`` (see docs/profiling.md)."""
     log.info("profile: mode=%s, %.0f simulated seconds (seed %d)",
              args.mode, args.duration, args.seed)
     scenario = _instrumented_scenario(args)
     with profiling.profiler().running() as prof:
         scenario.run(args.duration + 2.0)
     return _profile_summary(prof, top=20)
+
+
+def _checked(cast: Callable, ok: Callable, what: str) -> Callable:
+    """argparse type for the observer flags: ``cast(text)``, refused
+    with a usage error unless ``ok(value)`` — the bounds are the ones
+    the sampler, store, stack sampler and tracer constructors enforce."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+_positive = _checked(float, lambda v: 0 < v < float("inf"),
+                     "a positive number")
+_unit_interval = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_retention = _checked(int, lambda v: v >= 4, "an integer >= 4")
+_window = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _seeds(value) -> list:
@@ -703,11 +711,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--telemetry-out", metavar="FILE", default=None,
                         help="also write the snapshot to FILE")
     watch = parser.add_argument_group("flight recorder (watch mode)")
-    watch.add_argument("--sample-interval", type=float, default=100.0,
+    watch.add_argument("--sample-interval", type=_positive, default=100.0,
                        metavar="MS",
                        help="sim-time sampling interval in milliseconds "
                             "(default: 100)")
-    watch.add_argument("--retention", type=int, default=600,
+    watch.add_argument("--retention", type=_retention, default=600,
                        help="ring-buffer points kept per series before "
                             "downsampling (default: 600)")
     watch.add_argument("--refresh", type=float, default=1.0,
@@ -715,15 +723,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sim seconds between watch frames (default: 1)")
     watch.add_argument("--top", type=int, default=12,
                        help="series shown in the watch view (default: 12)")
-    watch.add_argument("--serve-port", type=int, default=None, metavar="PORT",
-                       help="serve /metrics (Prometheus exposition) and "
-                            "/series on this port during the run; 0 picks "
-                            "a free port")
     parser.add_argument("--trace-out", metavar="FILE", default=None,
                         help="enable provenance tracing for any experiment "
                              "and write the Perfetto JSON to FILE after the "
                              "run (see docs/observability.md)")
-    parser.add_argument("--trace-sample", type=float, metavar="RATE",
+    parser.add_argument("--trace-sample", type=_unit_interval, metavar="RATE",
                         default=provenance.DEFAULT_SAMPLE_RATE,
                         help="coarse-window sampling rate in [0,1] "
                              "(default: 1/64)")
@@ -741,7 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "oracle-mismatch"),
                        help="arm only this fine-window dump trigger "
                             "(default: all four)")
-    trace.add_argument("--window", type=int, default=8192, metavar="EVENTS",
+    trace.add_argument("--window", type=_window, default=8192,
+                       metavar="EVENTS",
                        help="fine-window ring size in events (default: "
                             "8192)")
     parser.add_argument("--out", metavar="PATH", default=None,
@@ -755,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="both",
                       help="phase-accounted wall time, sampling "
                            "flamegraph profiler, or both (default: both)")
-    prof.add_argument("--sample-ms", type=float, default=5.0, metavar="MS",
+    prof.add_argument("--sample-ms", type=_positive, default=5.0, metavar="MS",
                       help="stack-sampler interval in milliseconds "
                            "(default: 5)")
     prof.add_argument("--alloc", action="store_true",
@@ -764,8 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile-out", metavar="PREFIX", default=None,
                         help="enable the profiler around any experiment and "
                              "write its artifacts under PREFIX after the run "
-                             "(PREFIX.phases.json, PREFIX.collapsed.txt, "
-                             "PREFIX.speedscope.json)")
+                             "(PREFIX.phases.json, PREFIX.collapsed.txt)")
     validate = parser.add_argument_group("differential validation")
     validate.add_argument("--replay", metavar="ARTIFACT", default=None,
                           help="re-run one fuzz-failure artifact instead of "
@@ -847,6 +851,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     snapshot_is_result = mode in ("stats", "watch")
     if args.telemetry or snapshot_is_result:
         telemetry.enable()
+    # A machine-format snapshot is the whole of stdout: the section
+    # banners and the profile table are for a reader, not a parser.
+    banners = not (mode == "stats" and args.telemetry_format != "table")
     trace_out, profile_out = args.trace_out, args.profile_out
     if mode == "trace":
         trace_out = args.out or "trace.json"
@@ -861,23 +868,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed=args.seed if isinstance(args.seed, int) else 1)
     if profile_out is not None:
         # After provenance, so slow phase frames ride the shared Perfetto
-        # span log.  'profile' is the diagnosis mode: stage detail, and
-        # it opens the profiled window around its run alone.
-        diagnosis = mode == "profile"
+        # span log.  'profile' opens the profiled window around its run
+        # alone and prints the table as its result.
         prof = profiling.enable(mode=args.mode,
-                                detail="stage" if diagnosis else "block",
                                 sample_interval_s=args.sample_ms / 1e3,
                                 alloc=args.alloc)
-        if not diagnosis:
+        if mode != "profile":
             prof.start()
     try:
         for name in names:
             log.info("running %s (duration=%.0fs)", name, args.duration)
-            _section(name)
+            if banners:
+                _section(name)
             print(EXPERIMENTS[name](args))
         if prof is not None:
             prof.stop()
-            if not diagnosis:
+            if mode != "profile" and banners:
                 _section("profile")
                 print(_profile_summary(prof, top=16))
             _export_profile(prof, profile_out)

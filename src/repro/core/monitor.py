@@ -14,7 +14,6 @@ the P4 source would.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Union
 
 from repro import telemetry
@@ -70,10 +69,9 @@ class P4Monitor:
 
         # Batched hot path, bound at construction.  Only an observer
         # that needs to see each packet on its own keeps the scalar
-        # pipeline: the tracer, a stage-detail profiler (per-packet
-        # per-stage frames by definition) and the rate meter (no kernel
-        # twin).  Telemetry and the block-detail profiler read tallies
-        # the kernel keeps exact and take each flush as one batch record
+        # pipeline: the tracer and the rate meter (no kernel twin).
+        # Telemetry and the profiler read tallies the kernel keeps exact
+        # and take each flush as one batch record
         # (P4Pipeline.account_batch); the fault injector never touches a
         # data-plane operation.  ``batch_buffer`` (the kernel's flat
         # intake columns) doubles as the engagement signal the TAP's
@@ -83,8 +81,6 @@ class P4Monitor:
         if (sim is not None
                 and self.config.batched_path
                 and self.rate_meter is None
-                and not (_prof is not None and _prof.phases
-                         and _prof.detail_stage)
                 and provenance.tracer() is None):
             from repro.core.batch import BatchKernel
             self.kernel = BatchKernel(self)
@@ -122,10 +118,7 @@ class P4Monitor:
         """Pull-style collection: hot paths keep their plain-int tallies
         (TAP copies, register/sketch ops, digest emissions); a snapshot
         copies them into gauges — after draining the batch buffer, so it
-        is never stale by the copies still waiting there.  A scrape from
-        another thread (the ``/metrics`` server) must not run the kernel
-        under the simulator's feet: it reads the tallies as of the last
-        flush boundary."""
+        is never stale by the copies still waiting there."""
         reg = telemetry.registry()
         copies = reg.gauge("repro_p4_tap_copies",
                            "TAP mirror copies received by the monitor",
@@ -140,11 +133,8 @@ class P4Monitor:
                             "digest messages emitted/dropped by the data plane",
                             labels=("digest", "outcome"))
 
-        owner_thread = threading.get_ident()
-
         def collect(_reg, mon=self) -> None:
-            if threading.get_ident() == owner_thread:
-                mon.flush()
+            mon.flush()
             copies.labels("ingress").set(mon.copies_ingress)
             copies.labels("egress").set(mon.copies_egress)
             for name, array in mon.program.registers.items():

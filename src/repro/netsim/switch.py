@@ -13,7 +13,6 @@ from repro.netsim.engine import Simulator
 from repro.netsim.host import Node
 from repro.netsim.link import MirrorFn, Port
 from repro.netsim.packet import Packet, ip_to_int
-from repro.telemetry import profiling
 
 
 class LegacySwitch(Node):
@@ -33,17 +32,6 @@ class LegacySwitch(Node):
         self.rx_packets = 0
         self.no_route_drops = 0
         self._trace = sim.trace
-        # Stage-detail profiling only: in block mode the dispatching
-        # event's engine cell already owns this synchronous work.
-        _prof = profiling.profiler()
-        self._prof = (_prof if _prof is not None and _prof.phases
-                      and _prof.detail_stage else None)
-        if self._prof is None and type(self).receive is LegacySwitch.receive:
-            # Twin-bind: skip the profiling wrapper for the per-packet
-            # hot path when no stage-detail profiler is attached.  Guarded
-            # so subclasses that override ``receive`` (e.g. INT transit)
-            # keep their own dispatch.
-            self.receive = self._receive  # type: ignore[method-assign]
 
     # -- control ------------------------------------------------------------
 
@@ -64,16 +52,6 @@ class LegacySwitch(Node):
     # -- data path ------------------------------------------------------------
 
     def receive(self, pkt: Packet, port: Port) -> None:
-        if self._prof is not None:
-            self._prof.begin("switch.rx")
-            try:
-                self._receive(pkt, port)
-            finally:
-                self._prof.end()
-        else:
-            self._receive(pkt, port)
-
-    def _receive(self, pkt: Packet, port: Port) -> None:
         self.rx_packets += 1
         now = self.sim.now
         if self._trace is not None and self._trace.wants(pkt):

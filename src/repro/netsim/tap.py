@@ -19,7 +19,6 @@ from repro.netsim.engine import Simulator
 from repro.netsim.link import Port
 from repro.netsim.packet import Packet
 from repro.netsim.switch import LegacySwitch
-from repro.telemetry import profiling
 
 
 class TapDirection(Enum):
@@ -104,17 +103,12 @@ class OpticalTap:
         self.copies_ingress = 0
         self.copies_egress = 0
         self._trace = sim.trace
-        # Per-hop attribution only in stage detail: block mode already
-        # charges synchronous sink work to the dispatching event's cell.
-        _prof = profiling.profiler()
-        self._prof = (_prof if _prof is not None and _prof.phases
-                      and _prof.detail_stage else None)
 
         # Fast mirror path: when the sink is a batching P4Monitor and
         # nothing on the TAP needs per-copy work (no loss injection, no
-        # fibre delay, no trace, no stage profiling), mirror callbacks
-        # extend the kernel's flat buffer with the copy's five scalars
-        # directly — no MirrorCopy, no sink call, no per-copy container.
+        # fibre delay, no trace), mirror callbacks extend the kernel's
+        # flat buffer with the copy's five scalars directly — no
+        # MirrorCopy, no sink call, no per-copy container.
         # ECN is captured at mirror time; queues CE-mark the shared
         # Packet after this point.
         owner = getattr(sink, "__self__", None)
@@ -122,8 +116,7 @@ class OpticalTap:
         self._fast_owner = None
         self._fast_limit = 0
         if (copy_loss_rate == 0.0 and fiber_delay_ns == 0
-                and self._trace is None and self._prof is None
-                and owner is not None):
+                and self._trace is None and owner is not None):
             buf = getattr(owner, "batch_buffer", None)
             if buf is not None:
                 self._fast_buf = buf
@@ -190,13 +183,6 @@ class OpticalTap:
                 copy.pkt, copy.timestamp_ns,
                 egress_port_id=copy.egress_port_id)
         if self.fiber_delay_ns == 0:
-            if self._prof is not None:
-                self._prof.begin("tap.ship")
-                try:
-                    self._sink(copy)
-                finally:
-                    self._prof.end()
-            else:
-                self._sink(copy)
+            self._sink(copy)
         else:
             self.sim.after(self.fiber_delay_ns, self._sink, copy)

@@ -72,19 +72,13 @@ class P4Pipeline:
         self.packets_dropped = 0
         # The observer flags, read once here.  ``_trace`` also needs a
         # per-packet guard (only packets with a uid are traced).  The
-        # profiler shows up as exactly one of two: ``_frames`` at stage
-        # detail, where it opens a frame per parser/stage, or the cached
-        # ``p4.process`` cell at block detail, charged once per packet
-        # here and once per flush from account_batch.
+        # profiler shows up as its cached ``p4.process`` cell, charged
+        # once per packet here and once per flush from account_batch.
         self._trace = provenance.tracer()
         prof = profiling.profiler()
         self._prof = prof if (prof is not None and prof.phases) else None
-        self._frames = self._proc_cell = None
-        if self._prof is not None:
-            if self._prof.detail_stage:
-                self._frames = self._prof
-            else:
-                self._proc_cell = self._prof.cell("p4.process")
+        self._proc_cell = (self._prof.cell("p4.process")
+                           if self._prof is not None else None)
         self._tel_stage_pkts = None
         if telemetry.enabled():
             self._tel_stage_pkts = telemetry.counter(
@@ -150,22 +144,18 @@ class P4Pipeline:
     def _process_observed(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
         """:meth:`process` with the live observers attached, in any
         combination: telemetry feeds per-stage packet/drop counters and
-        the per-packet latency histogram; the profiler is charged one
-        ``p4.process`` cell per packet (block detail) or opens nested
-        ``p4.parser`` / ``p4.stage/<name>`` frames (stage detail); the
-        tracer opens the packet context so the parser, every stage and
-        the registers they touch attribute their events to this packet.
+        the per-packet latency histogram; the profiler's ``p4.process``
+        cell is charged once per packet; the tracer opens the packet
+        context so the parser, every stage and the registers they touch
+        attribute their events to this packet.
         """
         tel = self._tel_stage_pkts is not None
         cells = self._tel_stage_cells if tel else None
-        frames = self._frames
         cell = self._proc_cell
         trace = self._trace
         if trace is not None and getattr(packet, "uid", None) is None:
             trace = None  # an untraced packet under a live tracer
         t0 = _pcn() if (tel or cell is not None) else 0
-        if frames is not None:
-            frames.begin("p4.process")
         rec = False
         if trace is not None:
             trace.begin_packet(packet, meta.ingress_timestamp_ns)
@@ -177,13 +167,7 @@ class P4Pipeline:
             self.packets_in += 1
             if tel:
                 self._tel_parser.inc()
-            if frames is not None:
-                frames.begin("p4.parser")
-            try:
-                hdr = self.parser.parse(packet)
-            finally:
-                if frames is not None:
-                    frames.end()
+            hdr = self.parser.parse(packet)
             dropped_by = "parser" if hdr is None else None
             if hdr is not None:
                 for i, stage in enumerate(chain(self.ingress, self.egress)):
@@ -191,13 +175,7 @@ class P4Pipeline:
                         cells[i].inc()
                     if rec:
                         trace.event("p4", "stage", stage.name)
-                    if frames is not None:
-                        frames.begin("p4.stage/" + stage.name)
-                    try:
-                        stage.process(hdr, meta)
-                    finally:
-                        if frames is not None:
-                            frames.end()
+                    stage.process(hdr, meta)
                     if meta.drop:
                         if rec:
                             trace.event("p4", "stage-drop", stage.name)
@@ -214,8 +192,6 @@ class P4Pipeline:
         finally:
             if trace is not None:
                 trace.end_packet()
-            if frames is not None:
-                frames.end()
             if cell is not None:
                 self._prof.charge(cell, _pcn() - t0, 1)
 

@@ -130,16 +130,6 @@ class Archiver:
             return None
         return max(docs, key=lambda d: d.get("@timestamp", 0.0))
 
-    def histogram_percentile_series(self, field: str = "p99_ms",
-                                    **terms) -> List[tuple]:
-        """(t_s, percentile) series of one scope's distribution reports —
-        what a percentile-band dashboard panel queries."""
-        return [
-            (doc.get("@timestamp", 0.0), doc.get(field, 0.0))
-            for doc in self.histogram_documents(**terms)
-            if field in doc
-        ]
-
     # -- forensics documents (repro-forensics-v1 reports) ----------------------
 
     FORENSICS_KIND = "repro-forensics-v1"
@@ -151,12 +141,6 @@ class Archiver:
         """Archived culprit-attribution reports, optionally filtered by
         exact field match (``trigger="microburst"``, ``port_id=...``)."""
         return self.documents(self.FORENSICS_KIND, **terms)
-
-    def forensics_latest(self, **terms) -> Optional[dict]:
-        docs = self.forensics_documents(**terms)
-        if not docs:
-            return None
-        return max(docs, key=lambda d: d.get("@timestamp", 0.0))
 
     def culprit_flows(self) -> List[int]:
         """Distinct flow ids named as culprits, heaviest-total first —
@@ -175,17 +159,8 @@ class Archiver:
 
     def telemetry_count(self) -> int:
         """Self-telemetry documents pushed into the archive by a
-        :class:`~repro.telemetry.serve.TelemetryPusher`."""
+        :class:`~repro.telemetry.timeseries.TelemetryPusher`."""
         return self.count(self.TELEMETRY_KIND)
-
-    def telemetry_metrics(self) -> List[str]:
-        """Distinct metric names present in the telemetry index."""
-        seen: Dict[str, None] = {}
-        for doc in self.documents(self.TELEMETRY_KIND):
-            name = doc.get("metric")
-            if name is not None:
-                seen.setdefault(name, None)
-        return list(seen)
 
     def telemetry_series(self, metric: str,
                          value_field: str = "value") -> List[tuple]:

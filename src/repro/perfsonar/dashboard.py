@@ -157,50 +157,3 @@ def panel_series(
     for pts in series.values():
         pts.sort()
     return series
-
-
-def percentile_band_series(
-    archiver: Archiver,
-    metric: str = "rtt",
-    scope: str = "flow",
-    group_by: str = "flow_id",
-    fields: tuple = PERCENTILE_FIELDS,
-) -> Dict[str, Dict[str, List[tuple]]]:
-    """The concrete series behind a percentile-band panel: per group,
-    one sorted (t, value) series per percentile field.  Distribution
-    documents carry no scalar ``value``, so :func:`panel_series` would
-    render them empty — this is the distribution-aware counterpart."""
-    bands: Dict[str, Dict[str, List[tuple]]] = {}
-    for doc in archiver.histogram_documents(metric=metric, scope=scope):
-        group = doc.get(group_by) if scope != "all" else "all"
-        if group is None:
-            continue
-        entry = bands.setdefault(str(group), {f: [] for f in fields})
-        t = doc.get("@timestamp", 0.0)
-        for field in fields:
-            if field in doc:
-                entry[field].append((t, doc[field]))
-    for entry in bands.values():
-        for pts in entry.values():
-            pts.sort()
-    return bands
-
-
-def culprit_series(archiver: Archiver) -> Dict[str, List[tuple]]:
-    """The concrete series behind the culprit panel: per culprit flow,
-    sorted (t, bytes-contributed) points, one per forensics report the
-    flow was named in.  Forensics documents carry ranked sub-records
-    rather than a scalar ``value``, so this is their distribution-aware
-    counterpart to :func:`panel_series`."""
-    series: Dict[str, List[tuple]] = {}
-    for doc in archiver.forensics_documents():
-        t = doc.get("@timestamp", 0.0)
-        for culprit in doc.get("culprits", []):
-            fid = culprit.get("flow_id")
-            if fid is None:
-                continue
-            series.setdefault(f"{fid:x}", []).append(
-                (t, culprit.get("bytes", 0)))
-    for pts in series.values():
-        pts.sort()
-    return series

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from repro import telemetry
 from repro.telemetry import profiling, provenance
@@ -228,49 +228,6 @@ def make_type_filter(allowed: List[str]) -> FilterFn:
         return event if event.get("type") in allowed else None
 
     return fn
-
-
-class ThrottleFilter:
-    """Rate-limit events per key (Logstash's ``throttle`` filter).
-
-    At most ``max_events`` events whose key fields match are let through
-    per ``period_s`` window; the rest are dropped (alert storms from a
-    flapping threshold are the motivating case).  Windows are keyed on
-    the event's ``@timestamp``.
-    """
-
-    def __init__(self, key_fields: List[str], max_events: int = 5,
-                 period_s: float = 60.0,
-                 time_field: str = "@timestamp") -> None:
-        if max_events <= 0 or period_s <= 0:
-            raise ValueError("max_events and period_s must be positive")
-        self.key_fields = list(key_fields)
-        self.max_events = max_events
-        self.period_s = period_s
-        self.time_field = time_field
-        self._windows: Dict[tuple, tuple] = {}  # key -> (window_start, count)
-        self.throttled = 0
-        self._tel_throttled = None
-        if telemetry.enabled():
-            self._tel_throttled = telemetry.counter(
-                "repro_logstash_throttled_total",
-                "events dropped by the throttle filter, per key set",
-                labels=("keys",)).labels(",".join(self.key_fields) or "-")
-
-    def __call__(self, event: dict) -> Optional[dict]:
-        ts = float(event.get(self.time_field, 0.0))
-        key = tuple(event.get(f) for f in self.key_fields)
-        start, count = self._windows.get(key, (ts, 0))
-        if ts - start >= self.period_s:
-            start, count = ts, 0
-        if count >= self.max_events:
-            self._windows[key] = (start, count)
-            self.throttled += 1
-            if self._tel_throttled is not None:
-                self._tel_throttled.inc()
-            return None
-        self._windows[key] = (start, count + 1)
-        return event
 
 
 class AggregateTestFilter:

@@ -2,9 +2,8 @@
 
 The system reproduced here is itself a telemetry instrument; this
 package watches the instrument.  One process-global
-:class:`~repro.telemetry.metrics.MetricsRegistry` plus a
-:class:`~repro.telemetry.spans.Tracer` hang off this module, **disabled
-by default**: instrumented components test :func:`enabled` once at
+:class:`~repro.telemetry.metrics.MetricsRegistry` hangs off this module,
+**disabled by default**: instrumented components test :func:`enabled` once at
 construction and cache the result, so the disabled hot path costs at
 most a single ``is None`` check — the pipeline traversal none at all,
 which tests/p4/test_pipeline_binding.py pins (the enabled end-to-end
@@ -31,68 +30,19 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.telemetry.export import (
-    from_json,
-    histogram_quantile,
-    render_table,
-    to_json,
-    to_prometheus_text,
-)
-from repro.telemetry.metrics import (
-    LATENCY_BUCKETS_NS,
-    SIZE_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    TelemetryError,
-)
-from repro.telemetry.profiling import (
-    PhaseReport,
-    PhaseRow,
-    Profiler,
-    StackSampler,
-)
-from repro.telemetry.provenance import (
-    FrozenWindow,
-    ProvenanceTracer,
-    TraceEvent,
-)
-from repro.telemetry.spans import NULL_SPAN, Tracer
-from repro.telemetry.timeseries import (
-    DEFAULT_INTERVAL_NS,
-    DEFAULT_RETENTION,
-    TelemetrySampler,
-    TimeSeries,
-    TimeSeriesPoint,
-    TimeSeriesStore,
-)
-from repro.telemetry.serve import (
-    PROM_CONTENT_TYPE,
-    TelemetryHTTPServer,
-    TelemetryPusher,
-)
-from repro.telemetry.watch import render_watch, sparkline
+from repro.telemetry.export import render_table, to_json, to_prometheus_text
+from repro.telemetry.metrics import SIZE_BUCKETS, MetricFamily, MetricsRegistry
 
+# What other packages reach through ``repro.telemetry`` (pinned by
+# tests/test_public_surface.py); the flight recorder, profiler and
+# provenance tracer are imported as submodules by whoever uses them.
 __all__ = [
-    "enable", "disable", "enabled", "registry", "tracer", "reset",
-    "counter", "gauge", "histogram", "span", "traced", "snapshot",
-    "to_prometheus_text", "to_json", "from_json", "render_table",
-    "histogram_quantile",
-    "Counter", "Gauge", "Histogram", "MetricFamily", "MetricsRegistry",
-    "TelemetryError", "Tracer", "NULL_SPAN",
-    "LATENCY_BUCKETS_NS", "SIZE_BUCKETS",
-    "TelemetrySampler", "TimeSeries", "TimeSeriesPoint", "TimeSeriesStore",
-    "DEFAULT_INTERVAL_NS", "DEFAULT_RETENTION",
-    "TelemetryHTTPServer", "TelemetryPusher", "PROM_CONTENT_TYPE",
-    "render_watch", "sparkline",
-    "ProvenanceTracer", "TraceEvent", "FrozenWindow",
-    "Profiler", "PhaseReport", "PhaseRow", "StackSampler",
+    "enable", "disable", "enabled", "registry", "reset", "snapshot",
+    "counter", "gauge", "histogram", "SIZE_BUCKETS",
+    "render_table", "to_json", "to_prometheus_text",
 ]
 
 _registry = MetricsRegistry()
-_tracer = Tracer(_registry)
 _enabled = False
 
 
@@ -101,13 +51,11 @@ def enable() -> None:
     up instrumentation; already-built components stay dark."""
     global _enabled
     _enabled = True
-    _tracer.enabled = True
 
 
 def disable() -> None:
     global _enabled
     _enabled = False
-    _tracer.enabled = False
 
 
 def enabled() -> bool:
@@ -118,22 +66,16 @@ def registry() -> MetricsRegistry:
     return _registry
 
 
-def tracer() -> Tracer:
-    return _tracer
-
-
 def reset() -> None:
-    """Fresh registry + tracer (tests).  Keeps the enabled flag, drops
-    every family, collector and any component-cached handle's backing —
+    """Fresh registry (tests).  Keeps the enabled flag, drops every
+    family, collector and any component-cached handle's backing —
     components built before the reset keep writing into the old,
     now-unreachable registry."""
-    global _registry, _tracer
+    global _registry
     _registry = MetricsRegistry()
-    _tracer = Tracer(_registry)
-    _tracer.enabled = _enabled
 
 
-# -- convenience pass-throughs to the global registry/tracer ---------------
+# -- convenience pass-throughs to the global registry ----------------------
 
 
 def counter(name: str, help: str = "", labels: Sequence[str] = ()) -> MetricFamily:
@@ -147,14 +89,6 @@ def gauge(name: str, help: str = "", labels: Sequence[str] = ()) -> MetricFamily
 def histogram(name: str, help: str = "", labels: Sequence[str] = (),
               buckets: Optional[Sequence[float]] = None) -> MetricFamily:
     return _registry.histogram(name, help, labels, buckets=buckets)
-
-
-def span(name: str, clock=None):
-    return _tracer.span(name, clock)
-
-
-def traced(name: Optional[str] = None):
-    return _tracer.traced(name)
 
 
 def snapshot(collect: bool = True) -> dict:

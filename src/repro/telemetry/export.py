@@ -7,7 +7,7 @@ text — the round-trip property the integration tests pin down.
 
 - :func:`to_prometheus_text` — the text exposition format, suitable for
   a node-exporter-style scrape file;
-- :func:`to_json` / :func:`from_json` — lossless JSON;
+- :func:`to_json` — lossless JSON (``json.loads`` reads it back);
 - :func:`render_table` — aligned human-readable summary for the CLI.
 """
 
@@ -18,7 +18,7 @@ import math
 import re
 from typing import List
 
-__all__ = ["to_prometheus_text", "to_json", "from_json", "render_table",
+__all__ = ["to_prometheus_text", "to_json", "render_table",
            "histogram_quantile"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -79,10 +79,6 @@ def to_prometheus_text(snapshot: dict) -> str:
 
 def to_json(snapshot: dict, indent: int = 2) -> str:
     return json.dumps(snapshot, indent=indent, sort_keys=True)
-
-
-def from_json(text: str) -> dict:
-    return json.loads(text)
 
 
 def histogram_quantile(series: dict, q: float) -> float:

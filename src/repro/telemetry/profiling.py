@@ -14,8 +14,8 @@ this module says *where*.  It has two independent modes, selectable at
   (children subtracted) plus an event count — the numbers a refactor is
   judged against (docs/profiling.md).
 - **sample** — a background-thread stack sampler over
-  ``sys._current_frames()`` with collapsed-stacks and speedscope JSON
-  export (:mod:`repro.telemetry.profviz`), plus tracemalloc-backed
+  ``sys._current_frames()`` with collapsed-stacks export
+  (:mod:`repro.telemetry.profviz`), plus tracemalloc-backed
   allocation snapshots and GC-pause counters for the allocation half of
   the performance story.
 
@@ -48,7 +48,6 @@ __all__ = [
     "PhaseReport",
     "StackSampler",
     "MODES",
-    "DETAILS",
     "enable",
     "disable",
     "active",
@@ -57,12 +56,6 @@ __all__ = [
 ]
 
 MODES = ("phase", "sample", "both")
-
-#: Phase granularity.  ``block`` charges ``p4.process`` once per kernel
-#: flush and leaves the batched monitor path engaged (the always-on
-#: budget); ``stage`` opens a frame per parser/stage/TAP hop, which
-#: binds the scalar pipeline — diagnosis mode, no budget.
-DETAILS = ("block", "stage")
 
 DEFAULT_SAMPLE_INTERVAL_S = 0.005
 _pcn = time.perf_counter_ns  # one LOAD_GLOBAL instead of two LOAD_ATTRs
@@ -234,19 +227,15 @@ class Profiler:
     a hot-path cost worth profiling.
     """
 
-    def __init__(self, mode: str = "phase", detail: str = "block",
+    def __init__(self, mode: str = "phase",
                  sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
                  span_min_wall_ns: int = DEFAULT_SPAN_MIN_WALL_NS,
                  alloc: bool = False) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if detail not in DETAILS:
-            raise ValueError(f"detail must be one of {DETAILS}, got {detail!r}")
         self.mode = mode
         self.phases = mode in ("phase", "both")
         self.sampling = mode in ("sample", "both")
-        self.detail = detail
-        self.detail_stage = detail == "stage"
         self.alloc = alloc
 
         # phase -> [cum_ns, self_ns, count]; engine dispatch cells are
@@ -350,10 +339,6 @@ class Profiler:
         else:
             self.nested_ns += elapsed
 
-    def phase(self, name: str):
-        """Context-manager convenience over begin/end (cold paths)."""
-        return _PhaseCtx(self, name)
-
     def depth(self) -> int:
         return len(self._stack)
 
@@ -425,25 +410,8 @@ class Profiler:
             alloc_top=self.alloc_top)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Profiler(mode={self.mode}, detail={self.detail}, "
-                f"phases={len(self._cells)}, "
+        return (f"Profiler(mode={self.mode}, phases={len(self._cells)}, "
                 f"samples={self.sampler.sample_count if self.sampler else 0})")
-
-
-class _PhaseCtx:
-    __slots__ = ("prof", "name")
-
-    def __init__(self, prof: Profiler, name: str) -> None:
-        self.prof = prof
-        self.name = name
-
-    def __enter__(self):
-        self.prof.begin(self.name)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.prof.end()
-        return False
 
 
 class _RunCtx:

@@ -1,19 +1,14 @@
-"""Profiler exports: collapsed stacks, speedscope JSON, phase reports.
+"""Profiler exports: collapsed stacks and phase reports.
 
 The sampler (:class:`repro.telemetry.profiling.StackSampler`) accumulates
-root→leaf stack tuples with hit counts.  This module turns them into the
-two interchange formats flamegraph tooling expects:
-
-- **collapsed stacks** — one ``frame;frame;frame count`` line per unique
-  stack, the `flamegraph.pl` / inferno input format;
-- **speedscope JSON** — the https://speedscope.app "sampled" profile
-  schema (shared frame table + per-sample frame-index lists with
-  weights), which renders as an interactive flamegraph in a browser.
+root→leaf stack tuples with hit counts.  This module writes them as
+**collapsed stacks** — one ``frame;frame;frame count`` line per unique
+stack, the input format of `flamegraph.pl`, inferno and
+https://speedscope.app alike.
 
 Phase reports are written as JSON (``repro-profile-v1``) next to them.
-``load_speedscope``/``load_collapsed`` are the validating readers
-``tests/test_cli.py`` uses to assert artifacts are non-empty and
-well-formed — mirroring ``events_from_perfetto`` in traceviz.
+``load_collapsed`` is the validating reader the writer's round-trip
+tests compare against — mirroring ``events_from_perfetto`` in traceviz.
 """
 
 from __future__ import annotations
@@ -25,13 +20,8 @@ __all__ = [
     "collapsed_stacks",
     "write_collapsed",
     "load_collapsed",
-    "speedscope_document",
-    "write_speedscope",
-    "load_speedscope",
     "write_phase_report",
 ]
-
-SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
 
 def collapsed_stacks(samples: Dict[Tuple[str, ...], int]) -> str:
@@ -60,7 +50,7 @@ def write_collapsed(path, samples: Dict[Tuple[str, ...], int]) -> int:
 def load_collapsed(path) -> List[Tuple[Tuple[str, ...], int]]:
     """Validating reader: parse a collapsed file back to (stack, count).
 
-    Raises ``ValueError`` on malformed lines — used by the CI smoke job.
+    Raises ``ValueError`` on malformed lines.
     """
     out: List[Tuple[Tuple[str, ...], int]] = []
     with open(path) as fh:
@@ -74,92 +64,6 @@ def load_collapsed(path) -> List[Tuple[Tuple[str, ...], int]]:
                                  f"line: {line!r}")
             out.append((tuple(stack_s.split(";")), int(count_s)))
     return out
-
-
-def speedscope_document(samples: Dict[Tuple[str, ...], int],
-                        name: str = "repro profile",
-                        interval_s: float = 0.005) -> dict:
-    """Build a speedscope "sampled" profile document.
-
-    Each unique stack becomes one sample whose weight is its hit count
-    times the sampling interval (unit: seconds) — speedscope renders
-    identical adjacent samples merged anyway, so collapsing up front
-    keeps files small without changing the flamegraph.
-    """
-    frame_index: Dict[str, int] = {}
-    frames: List[dict] = []
-    sample_rows: List[List[int]] = []
-    weights: List[float] = []
-    for stack, count in sorted(samples.items()):
-        if not stack:
-            continue
-        row = []
-        for frame in stack:
-            idx = frame_index.get(frame)
-            if idx is None:
-                idx = frame_index[frame] = len(frames)
-                frames.append({"name": frame})
-            row.append(idx)
-        sample_rows.append(row)
-        weights.append(count * interval_s)
-    total = sum(weights)
-    return {
-        "$schema": SPEEDSCOPE_SCHEMA,
-        "name": name,
-        "activeProfileIndex": 0,
-        "shared": {"frames": frames},
-        "profiles": [{
-            "type": "sampled",
-            "name": name,
-            "unit": "seconds",
-            "startValue": 0,
-            "endValue": total,
-            "samples": sample_rows,
-            "weights": weights,
-        }],
-    }
-
-
-def write_speedscope(path, samples: Dict[Tuple[str, ...], int],
-                     name: str = "repro profile",
-                     interval_s: float = 0.005) -> dict:
-    doc = speedscope_document(samples, name=name, interval_s=interval_s)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    return doc
-
-
-def load_speedscope(path) -> dict:
-    """Validating reader for speedscope files (CI smoke + tests).
-
-    Checks the structural invariants a renderer relies on: schema URL,
-    a sampled profile, samples/weights the same length, and every frame
-    index inside the shared frame table.  Returns the parsed document.
-    """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("$schema") != SPEEDSCOPE_SCHEMA:
-        raise ValueError(f"{path}: not a speedscope document "
-                         f"($schema={doc.get('$schema')!r})")
-    profiles = doc.get("profiles") or []
-    if not profiles:
-        raise ValueError(f"{path}: no profiles")
-    frames = (doc.get("shared") or {}).get("frames") or []
-    for prof in profiles:
-        if prof.get("type") != "sampled":
-            raise ValueError(f"{path}: profile type {prof.get('type')!r} "
-                             "(expected 'sampled')")
-        samples = prof.get("samples") or []
-        weights = prof.get("weights") or []
-        if len(samples) != len(weights):
-            raise ValueError(f"{path}: {len(samples)} samples vs "
-                             f"{len(weights)} weights")
-        for row in samples:
-            for idx in row:
-                if not 0 <= idx < len(frames):
-                    raise ValueError(f"{path}: frame index {idx} outside "
-                                     f"shared.frames[{len(frames)}]")
-    return doc
 
 
 def write_phase_report(path, report) -> dict:

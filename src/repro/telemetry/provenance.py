@@ -165,8 +165,9 @@ class ProvenanceTracer:
         # list[int] assignment, not a tuple-keyed dict insert.
         self._writer_maps: Dict[str, List[int]] = {}
 
-        # Satellite bridge: telemetry spans append here when attached
-        # (see enable()); exported as a separate Perfetto track.
+        # Wide profiler root frames append here when a profiler is
+        # enabled after this tracer (profiling.enable); exported as a
+        # separate Perfetto track.
         self.span_log: List[dict] = []
 
         self.events_recorded = 0
@@ -423,24 +424,14 @@ def enable(**kwargs) -> ProvenanceTracer:
     """Turn provenance tracing on with a fresh tracer.  Components
     constructed *after* this call bind the tracer; already-built
     components stay dark (same contract as :func:`repro.telemetry.enable`).
-
-    Also attaches the span → trace bridge: completed telemetry spans are
-    appended to the tracer's ``span_log`` so they export as their own
-    Perfetto track next to the packet events.
     """
     global _tracer
     _tracer = ProvenanceTracer(**kwargs)
-    from repro import telemetry
-    telemetry.tracer().span_log = _tracer.span_log
     return _tracer
 
 
 def disable() -> None:
     global _tracer
-    if _tracer is not None:
-        from repro import telemetry
-        if telemetry.tracer().span_log is _tracer.span_log:
-            telemetry.tracer().span_log = None
     _tracer = None
 
 

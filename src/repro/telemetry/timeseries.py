@@ -30,6 +30,7 @@ __all__ = [
     "TimeSeries",
     "TimeSeriesStore",
     "TelemetrySampler",
+    "TelemetryPusher",
     "DEFAULT_INTERVAL_NS",
     "DEFAULT_RETENTION",
 ]
@@ -242,8 +243,8 @@ class TelemetrySampler:
     ``interval_ns``, so every retained point sits at t = k·interval —
     exactly the extraction-timestamp model (t_N, t_P, ...) the paper's
     control plane uses.  Observers registered with :meth:`add_observer`
-    receive ``(t_ns, retained_records)`` each tick; the push exporter in
-    :mod:`repro.telemetry.serve` is one such observer.
+    receive ``(t_ns, retained_records)`` each tick;
+    :class:`TelemetryPusher` is one such observer.
     """
 
     def __init__(self, sim, registry: Optional[MetricsRegistry] = None,
@@ -307,3 +308,39 @@ class TelemetrySampler:
         self.samples_taken += 1
         for fn in self._observers:
             fn(now, retained)
+
+
+class TelemetryPusher:
+    """Sampler observer → ``repro_telemetry`` events into a report sink
+    (normally :meth:`~repro.perfsonar.archiver.Archiver.sink`): the
+    flight recorder's way out while a run is in flight.
+
+    Each retained sample becomes one event shaped like the control
+    plane's Report_v1 documents (``type`` routes it to its own index in
+    the OpenSearch output plugin), carrying raw value, delta and rate so
+    dashboards can plot the instrument without a PromQL layer::
+
+        sampler.add_observer(TelemetryPusher(archiver.sink))
+    """
+
+    EVENT_TYPE = "repro_telemetry"
+
+    def __init__(self, sink: Callable[[dict], None]) -> None:
+        self.sink = sink
+        self.events_pushed = 0
+
+    def __call__(self, t_ns: int, records: List[dict]) -> None:
+        for rec in records:
+            self.sink({
+                "type": self.EVENT_TYPE,
+                "@timestamp": t_ns / 1e9,
+                "time_ns": t_ns,
+                "source": "repro-flight-recorder",
+                "metric": rec["metric"],
+                "labels": rec["labels"],
+                "kind": rec["kind"],
+                "value": rec["value"],
+                "delta": rec["delta"],
+                "rate_per_s": rec["rate"],
+            })
+            self.events_pushed += 1

@@ -11,7 +11,7 @@ The Chrome trace-event format (loadable by https://ui.perfetto.dev and
 - per-(layer, packet) **envelope slices** (``"X"``) stretch from the
   first to the last event so a packet's journey is visible without
   zooming to individual instants;
-- telemetry **spans** (satellite bridge) land on their own track, and
+- wide profiler frames (**spans**) land on their own track, and
   **trigger dumps** appear as global instants at the fire time.
 
 Timestamps: the trace format's ``ts`` is microseconds; simulated
@@ -112,19 +112,15 @@ def to_perfetto(
             "args": {"trace_id": tid, "layer": layer},
         })
 
-    # Telemetry spans on their own track (satellite bridge).  Entries
-    # recorded without a sim clock have no timestamp and are skipped.
+    # Profiler root frames (span log) on their own track.
     for i, span in enumerate(spans or ()):
-        t0 = span.get("t0_ns")
-        if t0 is None:
-            continue
         out.append({
             "ph": "X",
             "name": span.get("path", "span"),
             "cat": "span",
             "pid": _pid("spans"),
             "tid": 1,
-            "ts": t0 / 1000.0,
+            "ts": span["t0_ns"] / 1000.0,
             "dur": max(int(span.get("dur_ns") or 0), 1) / 1000.0,
             "args": {"wall_ns": span.get("wall_ns"), "index": i},
         })

@@ -334,17 +334,15 @@ def _offline():
     (lambda: profiling.enable(mode="phase"), profiling.disable, _live(), True),
     (_install_injector, faults.uninstall, _live(), True),
     (lambda: None, lambda: None, _offline, True),
-    (lambda: profiling.enable(mode="phase", detail="stage"),
-     profiling.disable, _live(), False),
     (provenance.enable, provenance.disable, _live(), False),
     (lambda: None, lambda: None, _live(rate_meter_enabled=True), False),
     (lambda: None, lambda: None, _live(batched_path=False), False),
-], ids=["block-profiler", "fault-injector", "offline-replay", "stage-profiler",
+], ids=["block-profiler", "fault-injector", "offline-replay",
         "tracer", "rate-meter", "batched-path-off"])
 def test_only_per_packet_observers_bind_the_scalar_path(
         enable, disable, build, batched):
     """An observer re-routes the data plane only if it has to see each
-    packet on its own.  The block profiler and the fault injector do
+    packet on its own.  The phase profiler and the fault injector do
     not: the kernel and the TAP's fast mirror path stay bound.  Neither
     does replaying a capture instead of tapping a live switch."""
     enable()

@@ -13,7 +13,6 @@ from repro.perfsonar.dashboard import (
     PERCENTILE_FIELDS,
     build_dashboard,
     panel_series,
-    percentile_band_series,
 )
 
 
@@ -80,12 +79,6 @@ def test_histogram_latest_picks_newest(mixed_archive):
     assert Archiver().histogram_latest() is None
 
 
-def test_histogram_percentile_series(mixed_archive):
-    series = mixed_archive.histogram_percentile_series(
-        field="p99_ms", scope="flow", flow_id=7)
-    assert series == [(1.0, 6.0), (2.0, 7.0), (3.0, 8.0)]
-
-
 # -- dashboard ---------------------------------------------------------------
 
 def test_scalar_dashboard_unchanged_without_histograms(scalar_archive):
@@ -114,21 +107,3 @@ def test_scalar_panels_survive_mixed_archive(mixed_archive):
     # the scalar series builders.
     series = panel_series(mixed_archive, "p4_throughput")
     assert series == {"10.1.0.10": [(1.0, 90e6)]}
-
-
-def test_percentile_band_series_grouping(mixed_archive):
-    bands = percentile_band_series(mixed_archive)
-    assert set(bands) == {"7", "9"}
-    assert set(bands["7"]) == set(PERCENTILE_FIELDS)
-    assert bands["7"]["p99_ms"] == [(1.0, 6.0), (2.0, 7.0), (3.0, 8.0)]
-    assert bands["7"]["p50_ms"] == [(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)]
-
-
-def test_percentile_band_series_all_scope(mixed_archive):
-    bands = percentile_band_series(mixed_archive, scope="all")
-    assert set(bands) == {"all"}
-    assert len(bands["all"]["p99_ms"]) == 3
-
-
-def test_percentile_band_series_empty():
-    assert percentile_band_series(Archiver()) == {}

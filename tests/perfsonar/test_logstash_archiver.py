@@ -144,58 +144,6 @@ def test_archiver_series_and_flow_ids():
     assert archiver.count("p4_rtt") == 3
 
 
-# -- throttle filter ------------------------------------------------------------
-
-
-def _alert(ts, metric="rtt", flow=1):
-    return {"type": "p4_alert", "@timestamp": float(ts),
-            "metric": metric, "flow_id": flow}
-
-
-def test_throttle_passes_up_to_limit():
-    from repro.perfsonar.logstash import ThrottleFilter
-    f = ThrottleFilter(["metric", "flow_id"], max_events=3, period_s=10.0)
-    out = [f(_alert(t)) for t in range(6)]
-    assert [e is not None for e in out] == [True, True, True, False, False, False]
-    assert f.throttled == 3
-
-
-def test_throttle_window_resets():
-    from repro.perfsonar.logstash import ThrottleFilter
-    f = ThrottleFilter(["metric"], max_events=1, period_s=10.0)
-    assert f(_alert(0)) is not None
-    assert f(_alert(5)) is None
-    assert f(_alert(11)) is not None  # new window
-
-
-def test_throttle_keys_independent():
-    from repro.perfsonar.logstash import ThrottleFilter
-    f = ThrottleFilter(["flow_id"], max_events=1, period_s=10.0)
-    assert f(_alert(0, flow=1)) is not None
-    assert f(_alert(0, flow=2)) is not None
-    assert f(_alert(1, flow=1)) is None
-
-
-def test_throttle_validation():
-    from repro.perfsonar.logstash import ThrottleFilter
-    import pytest as _pytest
-    with _pytest.raises(ValueError):
-        ThrottleFilter(["x"], max_events=0)
-
-
-def test_throttle_in_pipeline_guards_alert_storm():
-    from repro.perfsonar.logstash import ThrottleFilter
-    pipe = LogstashPipeline()
-    pipe.add_filter(ThrottleFilter(["metric", "flow_id"], max_events=2,
-                                   period_s=60.0))
-    out = []
-    pipe.add_output(out.append)
-    for t in range(20):
-        pipe.process(_alert(t))
-    assert len(out) == 2
-    assert pipe.events_dropped == 18
-
-
 # -- malformed-input hardening (repro_logstash_malformed_total) ----------------
 
 

@@ -1,12 +1,12 @@
 """Dropped/aggregated-event counters on the Logstash filters.
 
 PR 1 counted only filter-chain latency and pipeline outcome; these pin
-the per-filter counters: throttle drops per key set and default-perfSONAR
-aggregation collapses per test type.
+the per-filter counter: default-perfSONAR aggregation collapses per test
+type.
 """
 
 from repro import telemetry
-from repro.perfsonar.logstash import AggregateTestFilter, ThrottleFilter
+from repro.perfsonar.logstash import AggregateTestFilter
 
 
 def _series(name):
@@ -16,26 +16,6 @@ def _series(name):
             return {tuple(sorted(s["labels"].items())): s["value"]
                     for s in metric["series"]}
     return {}
-
-
-def test_throttle_filter_counts_drops():
-    telemetry.enable()
-    filt = ThrottleFilter(["metric", "flow_id"], max_events=2, period_s=60.0)
-    for i in range(5):
-        filt({"metric": "rtt", "flow_id": 1, "@timestamp": float(i)})
-    assert filt.throttled == 3
-    series = _series("repro_logstash_throttled_total")
-    assert series[(("keys", "metric,flow_id"),)] == 3
-
-
-def test_throttle_filter_dark_when_disabled():
-    assert not telemetry.enabled()
-    filt = ThrottleFilter(["k"], max_events=1)
-    filt({"k": "a", "@timestamp": 0.0})
-    filt({"k": "a", "@timestamp": 1.0})
-    assert filt.throttled == 1
-    assert filt._tel_throttled is None
-    assert _series("repro_logstash_throttled_total") == {}
 
 
 def test_aggregate_filter_counts_collapses_per_type():

@@ -1,6 +1,8 @@
 """End-to-end: an instrumented fig9-style run populates every layer's
 metrics, and the CLI surfaces them."""
 
+import json
+
 import pytest
 
 from repro import telemetry
@@ -80,18 +82,24 @@ def test_register_and_sketch_ops_pulled(instrumented_snapshot):
     assert tap["ingress"] > 0 and tap["egress"] > 0
 
 
-def test_span_nesting_recorded(instrumented_snapshot):
+def test_each_extraction_is_timed_by_one_clock(instrumented_snapshot):
+    """An extraction tick is one `repro_cp_extraction_ns{metric}`
+    observation and one cycle count; the span families that timed the
+    same block a second time are gone."""
     by_name = _by_name(instrumented_snapshot)
-    spans = {s["labels"]["span"] for s in by_name["repro_span_wall_ns"]["series"]
-             if s["count"]}
-    assert "cp.extract" in spans
+    assert not [name for name in by_name if name.startswith("repro_span_")]
+    timed = {s["labels"]["metric"]: s["count"]
+             for s in by_name["repro_cp_extraction_ns"]["series"]}
+    cycles = {s["labels"]["metric"]: s["value"]
+              for s in by_name["repro_cp_extraction_cycles_total"]["series"]}
+    assert timed == cycles and sum(timed.values()) > 0
 
 
 def test_snapshot_round_trips_through_both_exporters(instrumented_snapshot):
     text = telemetry.to_prometheus_text(instrumented_snapshot)
     assert "repro_netsim_events_total" in text
     assert "repro_cp_extraction_ns_bucket" in text
-    rt = telemetry.from_json(telemetry.to_json(instrumented_snapshot))
+    rt = json.loads(telemetry.to_json(instrumented_snapshot))
     assert telemetry.to_prometheus_text(rt) == text
 
 

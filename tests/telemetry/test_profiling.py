@@ -89,12 +89,11 @@ def test_charge_books_a_frameless_span_like_a_closed_frame():
     assert prof.nested_ns == 700 + outer[0]
 
 
-@pytest.mark.parametrize("detail", profiling.DETAILS)
-def test_p4_process_counts_every_packet_with_the_tracer_live(detail):
+def test_p4_process_counts_every_packet_with_the_tracer_live():
     """Regression: with profiler and tracer both on, traced packets used
     to take a tracer-only body that never charged the profiler."""
     tracer = provenance.enable()
-    prof = profiling.enable(mode="phase", detail=detail)
+    prof = profiling.enable(mode="phase")
     try:
         mon = small_monitor()
         for i in range(40):
@@ -106,15 +105,6 @@ def test_p4_process_counts_every_packet_with_the_tracer_live(detail):
     assert prof.depth() == 0
     assert prof.report().row("p4.process").count == 40
     assert tracer.events_recorded > 0
-
-
-def test_phase_context_manager_balances_on_error():
-    prof = Profiler(mode="phase")
-    with pytest.raises(RuntimeError):
-        with prof.phase("risky"):
-            raise RuntimeError("boom")
-    assert prof.depth() == 0
-    assert prof.cell("risky")[2] == 1
 
 
 def test_wide_root_frame_emits_profile_span():
@@ -225,10 +215,12 @@ def test_report_rows_sorted_and_serializable(tmp_path):
     prof = Profiler(mode="phase")
     prof.add_source("ops.registers", lambda: 1234)
     with prof.running():
-        with prof.phase("big"):
-            _busy(400_000)
-        with prof.phase("small"):
-            _busy(50_000)
+        prof.begin("big")
+        _busy(400_000)
+        prof.end()
+        prof.begin("small")
+        _busy(50_000)
+        prof.end()
     report = prof.report()
     assert [r.phase for r in report.rows] == ["big", "small"]
     assert report.wall_ns > 0
@@ -283,18 +275,8 @@ def test_sampler_collects_stacks_of_target_thread(tmp_path):
     loaded = profviz.load_collapsed(tmp_path / "c.txt")
     assert sum(c for _, c in loaded) == sum(sampler.samples.values())
 
-    profviz.write_speedscope(tmp_path / "s.json", sampler.samples,
-                             interval_s=0.001)
-    doc = profviz.load_speedscope(tmp_path / "s.json")
-    prof0 = doc["profiles"][0]
-    assert len(prof0["samples"]) == len(sampler.samples)
 
-
-def test_speedscope_loader_rejects_malformed(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"profiles": []}))
-    with pytest.raises(ValueError):
-        profviz.load_speedscope(bad)
+def test_collapsed_loader_rejects_malformed(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("not a collapsed line\n")
     with pytest.raises(ValueError):

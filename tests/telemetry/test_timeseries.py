@@ -11,6 +11,7 @@ from repro import telemetry
 from repro.netsim.engine import Simulator
 from repro.telemetry.metrics import MetricsRegistry, TelemetryError
 from repro.telemetry.timeseries import (
+    TelemetryPusher,
     TelemetrySampler,
     TimeSeries,
     TimeSeriesStore,
@@ -261,3 +262,60 @@ def test_render_watch_alert_line():
     frame = render_watch(store, alerts=alerts)
     assert "1 active" in frame
     assert "throughput flow 3" in frame
+
+
+# -- archive push -------------------------------------------------------------
+
+
+def test_pusher_wraps_samples_as_repro_telemetry_events():
+    events = []
+    pusher = TelemetryPusher(events.append)
+    pusher(200 * MS, [{"metric": "repro_x_total", "labels": {"k": "v"},
+                       "kind": "counter", "time_ns": 200 * MS,
+                       "value": 10.0, "delta": 2.0, "rate": 20.0}])
+    assert pusher.events_pushed == 1
+    event = events[0]
+    assert event["type"] == "repro_telemetry"
+    assert event["@timestamp"] == pytest.approx(0.2)
+    assert event["metric"] == "repro_x_total"
+    assert event["labels"] == {"k": "v"}
+    assert (event["value"], event["delta"], event["rate_per_s"]) == (10.0, 2.0, 20.0)
+
+
+def test_push_lands_in_archive_next_to_measurement_documents():
+    """The acceptance path: sampler → pusher → Logstash pipeline →
+    OpenSearch-like archive, with the telemetry index alongside the
+    measurement indices."""
+    from repro.perfsonar.archiver import Archiver
+
+    telemetry.enable()
+    sim = Simulator()
+    fam = telemetry.counter("repro_work_total")
+    archiver = Archiver()
+    # A measurement document, as the control plane would ship it.
+    archiver.sink({"type": "throughput", "flow_id": 1, "value": 1e8,
+                   "@timestamp": 0.05})
+
+    sampler = TelemetrySampler(sim, interval_ns=100 * MS, retention=32)
+    pusher = TelemetryPusher(archiver.sink)
+    sampler.add_observer(pusher)
+    sampler.start()
+    sim.every(10 * MS, fam.inc)
+    sim.run_until(1_000 * MS)
+
+    assert pusher.events_pushed > 0
+    assert archiver.telemetry_count() == pusher.events_pushed
+    series = archiver.telemetry_series("repro_work_total")
+    assert len(series) == 10  # one per 100 ms tick over 1 s
+    times = [t for t, _v in series]
+    assert times == sorted(times)
+    # Raw values are the sampled counter totals: the t=1000 ms sampler
+    # tick was scheduled before that tick's inc event, so it sees the 99
+    # increments from t=10..990 ms.
+    assert series[-1][1] == pytest.approx(99.0)
+    # Measurement data is still there, in its own index.
+    assert archiver.count("throughput") == 1
+    # Pushed documents picked up the standard Logstash metadata.
+    doc = archiver.documents("repro_telemetry")[0]
+    assert doc["host"] == "p4-controlplane"
+    assert "p4-perfsonar" in doc["tags"]

@@ -53,16 +53,53 @@ def test_main_runs_fig12_quick(capsys):
 
 def test_stats_honours_duration_and_seed(clean_telemetry, capsys):
     """`stats` no longer caps the run at a hard-coded 10 s; --duration and
-    --seed flow through, and output follows --telemetry-format."""
+    --seed flow through, and output follows --telemetry-format: a
+    machine format is the whole of stdout, no banner around it."""
     rc = main(["stats", "--duration", "3", "--seed", "11",
                "--telemetry-format", "json"])
     assert rc == 0
-    out = capsys.readouterr().out
-    payload = out[out.index("{"):]
-    snap = json.loads(payload)
+    snap = json.loads(capsys.readouterr().out)
     names = {m["name"] for m in snap["metrics"]}
     assert "repro_netsim_events_total" in names
     assert "repro_cp_active_alerts" in names
+
+
+def test_stats_prom_stdout_is_pure_exposition(clean_telemetry, capsys):
+    """Regression: the ==== banner used to precede the exposition text,
+    so piping `stats --telemetry-format prom` into a textfile scrape
+    started with three unparseable lines."""
+    import re
+
+    rc = main(["stats", "--duration", "2", "--telemetry-format", "prom"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    sample = re.compile(r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? \S+$')
+    bad = [ln for ln in lines
+           if ln and not ln.startswith("#") and not sample.match(ln)]
+    assert not bad, bad[:3]
+    assert any(ln.startswith("repro_netsim_events_total") for ln in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["watch", "--sample-interval", "0"],     # used to spin on a 1 ns tick
+    ["watch", "--retention", "0"],
+    ["watch", "--retention", "3"],
+    ["stats", "--profile-out", "P", "--mode", "sample", "--sample-ms", "0"],
+    ["stats", "--trace-out", "F", "--trace-sample", "2.5"],
+    ["trace", "--window", "-1"],
+    ["watch", "--sample-interval", "nan"],
+])
+def test_observer_flags_are_validated_at_parse_time(argv, capsys):
+    """Out-of-range observer flags exit 2 with a usage line instead of a
+    constructor traceback (or, for the sampler interval, a hang)."""
+    import time
+
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_stats_duration_not_capped():
@@ -84,40 +121,6 @@ def test_watch_prints_flight_recorder_frames(clean_telemetry, capsys):
     assert "archived" in out and "repro_telemetry" in out
 
 
-def test_watch_serves_scrape_endpoint_mid_run(clean_telemetry, capsys,
-                                              monkeypatch):
-    """An external scraper hitting /metrics while the simulation thread
-    is still inside scenario.run() gets valid exposition text — the
-    server runs in its own daemon thread, closed when the run ends."""
-    import threading
-    from urllib.request import urlopen
-
-    from repro.telemetry import serve
-
-    scraped = {}
-    real_start = serve.TelemetryHTTPServer.start
-
-    def start_and_scrape(self):
-        addr = real_start(self)
-
-        def scrape():
-            with urlopen(f"{self.url}/metrics", timeout=10) as resp:
-                scraped["body"] = resp.read().decode()
-
-        thread = threading.Thread(target=scrape, daemon=True)
-        thread.start()
-        scraped["thread"] = thread
-        return addr
-
-    monkeypatch.setattr(serve.TelemetryHTTPServer, "start", start_and_scrape)
-
-    rc = main(["watch", "--duration", "2", "--serve-port", "0"])
-    assert rc == 0
-    capsys.readouterr()
-    scraped["thread"].join(timeout=10)
-    assert "# TYPE repro_netsim_events_total counter" in scraped["body"]
-
-
 # -- performance-attribution profiler (docs/profiling.md) ---------------------
 
 
@@ -136,21 +139,42 @@ def test_profile_experiment_writes_artifacts(clean_profiling, tmp_path, capsys):
                "--out", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "p4.process" in text          # stage-detail phase table printed
-    assert "p4.parser" in text
+    assert "p4.process" in text          # block phase table printed
+    assert "p4.parser" not in text and "p4.stage/" not in text
     assert "accounted" in text
 
-    from repro.telemetry.profviz import load_collapsed, load_speedscope
+    from repro.telemetry.profviz import load_collapsed
 
     phases = json.loads((tmp_path / "prof.phases.json").read_text())
     assert phases["schema"] == "repro-profile-v1"
     names = {r["phase"] for r in phases["phases"]}
     assert any(n.startswith("engine/") for n in names)
-    assert any(n.startswith("p4.stage/") for n in names)
+    assert "p4.process" in names
     stacks = load_collapsed(tmp_path / "prof.collapsed.txt")
     assert stacks
-    doc = load_speedscope(tmp_path / "prof.speedscope.json")
-    assert doc["profiles"][0]["samples"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "prof.collapsed.txt", "prof.phases.json"]
+
+
+def test_profile_experiment_observes_the_product_path(clean_profiling,
+                                                      monkeypatch, tmp_path,
+                                                      capsys):
+    """The verb profiles what bench/ measures: the monitor it builds
+    keeps its kernel, and every TAP copy is one `p4.process` event."""
+    import re
+
+    import repro.cli
+
+    built = _capture_built(monkeypatch, repro.cli, "_instrumented_scenario")
+    rc = main(["profile", "--quick", "--duration", "2", "--mode", "phase",
+               "--out", str(tmp_path / "prof")])
+    assert rc == 0
+    (scenario,) = built
+    assert scenario.monitor.kernel is not None
+    text = capsys.readouterr().out
+    events = int(re.search(r"^p4\.process\s+(\d+)", text, re.M).group(1))
+    copies = int(re.search(r"p4\.tap_copies=(\d+)", text).group(1))
+    assert events == copies > 0
 
 
 def test_profile_mode_phase_skips_sampler(clean_profiling, tmp_path, capsys):
@@ -159,7 +183,7 @@ def test_profile_mode_phase_skips_sampler(clean_profiling, tmp_path, capsys):
                "--mode", "phase", "--out", str(out)])
     assert rc == 0
     assert (tmp_path / "prof.phases.json").exists()
-    assert not (tmp_path / "prof.speedscope.json").exists()
+    assert not (tmp_path / "prof.collapsed.txt").exists()
 
 
 def test_global_profile_out_wraps_any_experiment(clean_profiling, tmp_path,
@@ -171,7 +195,7 @@ def test_global_profile_out_wraps_any_experiment(clean_profiling, tmp_path,
     assert "fig13" in text
     phases = json.loads((tmp_path / "fig13prof.phases.json").read_text())
     assert phases["phases"], "no phases attributed"
-    assert (tmp_path / "fig13prof.speedscope.json").exists()
+    assert (tmp_path / "fig13prof.collapsed.txt").exists()
     # after main() returns the profiler must be torn down
     from repro.telemetry import profiling
 
@@ -276,17 +300,17 @@ def test_crash_chaos_leaves_well_formed_checkpoints_on_disk(tmp_path, capsys):
 # -- one enable site per observer: every flag reaches it from any experiment ---
 
 
-def _capture_built(monkeypatch, module):
-    """Wrap ``module.enable`` so the observers main() builds can be
-    inspected after it has torn them down."""
+def _capture_built(monkeypatch, module, name="enable"):
+    """Wrap ``module.<name>`` so what main() builds through it (an
+    observer, a scenario) can be inspected after main() has returned."""
     built = []
-    real = module.enable
+    real = getattr(module, name)
 
-    def enable(*args, **kwargs):
+    def build(*args, **kwargs):
         built.append(real(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(module, "enable", enable)
+    monkeypatch.setattr(module, name, build)
     return built
 
 
@@ -314,9 +338,9 @@ def test_profiler_flags_reach_the_profiler_under_profile_out(
                "--mode", "phase", "--alloc"])
     assert rc == 0
     (prof,) = built
-    assert prof.sampler is None and prof.alloc and prof.detail == "block"
+    assert prof.sampler is None and prof.alloc
     assert (tmp_path / "p.phases.json").exists()
-    assert not (tmp_path / "p.speedscope.json").exists()
+    assert not (tmp_path / "p.collapsed.txt").exists()
     assert "top allocation sites" in capsys.readouterr().out
 
 

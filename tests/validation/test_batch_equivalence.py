@@ -5,7 +5,7 @@ paths and asserts bit-identical outcomes: state digest, every register /
 sketch / histogram-bank array, every archived report stream, the
 differential-oracle verdicts and the op tallies observers read — and,
 with telemetry enabled, the pipeline's stage counters and latency count
-(the kernel stays engaged there).  The same holds under the block-detail
+(the kernel stays engaged there).  The same holds under the phase
 profiler (one ``p4.process`` charge per flush, its count still copies)
 and under an installed fault injector.  ``REPRO_FUZZ_SEEDS`` (ints,
 commas or ``A..B`` ranges) widens the seed set — the CI
@@ -178,11 +178,11 @@ def _engaged(cmp):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_paths_equivalent_under_block_profiler(comparisons, seed):
-    """The block-detail profiler is a per-batch observer too: the kernel
+    """The phase profiler is a per-batch observer too: the kernel
     stays engaged, ``p4.process`` counts one event per copy on either
     path, and the op-count sources read the same on both."""
     unobserved = comparisons(seed)
-    prof = profiling.enable(mode="phase", detail="block")
+    prof = profiling.enable(mode="phase")
     cell = prof.cell("p4.process")
     built = {}
 
