@@ -10,9 +10,9 @@ The package provides, in pure Python (numpy for hot state):
   retransmit, RTO, receiver window, application pacing) plus iPerf3-like
   traffic applications.
 - :mod:`repro.p4` — a behavioural model of a P4 programmable data plane:
-  parser over wire-format bytes, match-action tables, stateful registers,
-  CRC hash engines, and a count-min sketch, with a P4Runtime-like control
-  API.
+  parser over wire-format bytes, stateful registers, CRC hash engines, a
+  count-min sketch and read/flip bank-pair externs, with a P4Runtime-like
+  control API.
 - :mod:`repro.core` — the paper's contribution: the passive per-flow
   monitor program (throughput, RTT, loss, queue occupancy), microburst
   detection, sender/receiver-vs-network limitation classification, and the

@@ -84,9 +84,10 @@ class TrackedFlow:
     last_throughput_bps: float = 0.0
     idle_intervals: int = 0
     terminated: bool = False
-    # True only for idle-eviction (the control plane released the register
-    # slot, clearing its counters); FIN/RST termination keeps the slot, so
-    # register totals stay comparable against ground truth.
+    # The control plane released the register slot, clearing its counters:
+    # at once for an idle flow; for one that ended with FIN/RST only after
+    # it has also been quiet that long, so the register totals of a flow
+    # that just finished stay comparable against ground truth.
     evicted: bool = False
     verdict: LimiterVerdict = LimiterVerdict.UNKNOWN
     last_rtt_ms: Optional[float] = None
@@ -534,6 +535,24 @@ class MonitorControlPlane:
         )
         self.aggregate_samples.append(aggregate)
         self._ship(aggregate)
+        self._release_ended_flows()
+
+    def _release_ended_flows(self) -> None:
+        """A flow that ended with FIN/RST keeps its slot while stragglers
+        may still arrive, then gives it up as an idle flow does: after
+        ``idle_intervals_before_evict`` throughput ticks without a byte.
+        Nothing is shipped for it."""
+        ended = [f for f in self.flows.values() if f.terminated and not f.evicted]
+        if not ended:
+            return
+        for flow, total in zip(ended, self._sweep("flow_bytes",
+                                                  [f.slot for f in ended])):
+            if total != flow.last_bytes:
+                flow.last_bytes, flow.idle_intervals = total, 0
+                continue
+            flow.idle_intervals += 1
+            if flow.idle_intervals >= self.config.idle_intervals_before_evict:
+                self._evict(flow)
 
     def _tick_loss(self) -> None:
         now = self.sim.now
@@ -661,8 +680,8 @@ class MonitorControlPlane:
 
     def _retire(self, flow: TrackedFlow) -> None:
         """The flow left the active set (FIN/RST or idle eviction).  No
-        tick sees it again, so an alert it holds could never clear and
-        its limiter row never recycle: drop both here."""
+        tick samples it again, so an alert it holds could never clear
+        and its limiter row never recycle: drop both here."""
         flow.terminated = True
         self.alerts.drop_flow(flow.flow_id)
         self.limiter.forget(flow.flow_id)
@@ -670,7 +689,7 @@ class MonitorControlPlane:
     def _evict(self, flow: TrackedFlow) -> None:
         self._retire(flow)
         flow.evicted = True
-        self.monitor.flow_table.release_slot(flow.slot)
+        self.monitor.release_slot(flow.slot)
 
     def _collect_alerts(self, gauge) -> None:
         counts = {kind.value: 0 for kind in MetricKind}
@@ -733,11 +752,3 @@ class MonitorControlPlane:
                     and flow.src_port == src_port and flow.dst_port == dst_port):
                 return flow
         return None
-
-    def flows_by_dst(self) -> Dict[int, List[TrackedFlow]]:
-        """Group flows by destination IP — how Grafana groups the paper's
-        dashboards (§5.1)."""
-        groups: Dict[int, List[TrackedFlow]] = {}
-        for flow in self.flows.values():
-            groups.setdefault(flow.dst_ip, []).append(flow)
-        return groups

@@ -79,13 +79,3 @@ class MicroburstStage(PipelineStage):
                 packets=self.pkt_count.read(port),
                 port_id=port,
             )
-
-    # -- control-plane visibility into an in-progress burst -----------------------
-
-    def current_burst(self, now_ns: int, port: int = 0):
-        """(start_ns, ongoing duration, peak) if a burst is in progress
-        on the given tapped queue."""
-        if not self.state.read(port):
-            return None
-        start = self.start.read(port)
-        return start, max(0, now_ns - start), self.peak.read(port)

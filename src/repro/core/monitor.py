@@ -105,14 +105,9 @@ class P4Monitor:
             return mon.copies_ingress + mon.copies_egress
 
         prof.add_source("p4.tap_copies", tap_copies)
-        prof.add_source("p4.register_ops",
-                        lambda p=prog: sum(a.ops for a in p.registers.values()))
-        prof.add_source("p4.sketch_ops",
-                        lambda p=prog: sum(c.updates + c.queries
-                                           for c in p.sketches.values()))
-        prof.add_source("p4.digest_msgs",
-                        lambda p=prog: sum(d.emitted + d.dropped
-                                           for d in p.digests.values()))
+        for family in ("register_ops", "sketch_ops", "digest_msgs"):
+            prof.add_source("p4." + family, lambda p=prog, f=family: sum(
+                n for key, n in p.tallies().items() if key[0] == f))
 
     def _register_telemetry(self) -> None:
         """Pull-style collection: hot paths keep their plain-int tallies
@@ -123,28 +118,26 @@ class P4Monitor:
         copies = reg.gauge("repro_p4_tap_copies",
                            "TAP mirror copies received by the monitor",
                            labels=("direction",))
-        register_ops = reg.gauge("repro_p4_register_ops",
-                                 "data-plane register ALU operations",
-                                 labels=("register",))
-        sketch_ops = reg.gauge("repro_p4_sketch_ops",
-                               "count-min sketch operations",
-                               labels=("sketch", "op"))
-        digests = reg.gauge("repro_p4_digests",
-                            "digest messages emitted/dropped by the data plane",
-                            labels=("digest", "outcome"))
+        # Keyed by P4Program.tallies() family.
+        ops = {
+            "register_ops": reg.gauge("repro_p4_register_ops",
+                                      "data-plane register ALU operations",
+                                      labels=("register",)),
+            "sketch_ops": reg.gauge("repro_p4_sketch_ops",
+                                    "count-min sketch operations",
+                                    labels=("sketch", "op")),
+            "digest_msgs": reg.gauge(
+                "repro_p4_digests",
+                "digest messages emitted/dropped by the data plane",
+                labels=("digest", "outcome")),
+        }
 
         def collect(_reg, mon=self) -> None:
             mon.flush()
             copies.labels("ingress").set(mon.copies_ingress)
             copies.labels("egress").set(mon.copies_egress)
-            for name, array in mon.program.registers.items():
-                register_ops.labels(name).set(array.ops)
-            for name, cms in mon.program.sketches.items():
-                sketch_ops.labels(name, "update").set(cms.updates)
-                sketch_ops.labels(name, "query").set(cms.queries)
-            for name, digest in mon.program.digests.items():
-                digests.labels(name, "emitted").set(digest.emitted)
-                digests.labels(name, "dropped").set(digest.dropped)
+            for (family, *labels), n in mon.program.tallies().items():
+                ops[family].labels(*labels).set(n)
 
         reg.add_collector(collect)
 
@@ -209,3 +202,20 @@ class P4Monitor:
 
     def runtime(self) -> P4RuntimeClient:
         return P4RuntimeClient(self.program)
+
+    def release_slot(self, slot: int) -> None:
+        """Control-plane eviction: free the flow-table slot and zero what
+        the other stages keep under the released flow's *own* index
+        (``flow_id & mask`` is the slot), so the next flow to claim it is
+        not compared against a dead flow's sequence numbers.  Left alone
+        on purpose: ``pkt_loss`` (a flow's regressions stay readable
+        after eviction, and untracked flows count there too) and ``rtt``
+        / ``rtt_count`` / ``rtt_hist``, which sit under the ACK
+        direction's ID and may be another flow's cell."""
+        self.flow_table.release_slot(slot)
+        for reg in (self.rtt_loss.prev_seq,
+                    self.flight.high_seq, self.flight.high_ack,
+                    self.flight.flow_rwnd,
+                    self.queue.flow_qdelay, self.queue.flow_qdelay_max,
+                    self.queue.flow_ce):
+            reg.clear(slot)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.netsim.engine import Simulator
 from repro.netsim.host import Node
@@ -68,7 +68,6 @@ class MmWaveLink:
 
         self.blocked = False
         self.blockage_count = 0
-        self._restored_rate: Optional[int] = None  # handover override
 
     # -- blockage dynamics ---------------------------------------------------
 
@@ -81,7 +80,6 @@ class MmWaveLink:
     def _block(self) -> None:
         self.blocked = True
         self.blockage_count += 1
-        self._restored_rate = None
         self._apply_rate(self.blocked_rate_bps)
 
     def _unblock(self) -> None:
@@ -99,14 +97,7 @@ class MmWaveLink:
         of the nominal rate even while the LOS stays blocked."""
         if not self.blocked:
             return
-        self._restored_rate = max(1, round(self.nominal_rate_bps * backup_rate_fraction))
-        self._apply_rate(self._restored_rate)
-
-    @property
-    def effective_rate_bps(self) -> int:
-        if not self.blocked:
-            return self.nominal_rate_bps
-        return self._restored_rate if self._restored_rate is not None else self.blocked_rate_bps
+        self._apply_rate(max(1, round(self.nominal_rate_bps * backup_rate_fraction)))
 
     # -- RSSI observable ----------------------------------------------------------
 

@@ -9,7 +9,7 @@ controller records the trigger for the Fig. 14 latency comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.netsim.engine import Simulator
 from repro.mmwave.channel import MmWaveLink
@@ -50,7 +50,3 @@ class HandoverController:
                            completed_ns=self.sim.now)
         )
         self._in_progress = False
-
-    @property
-    def first_trigger_ns(self) -> Optional[int]:
-        return self.records[0].triggered_ns if self.records else None

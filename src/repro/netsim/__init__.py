@@ -25,7 +25,6 @@ from repro.netsim.pcap import PcapCapture, read_pcap, write_pcap
 from repro.netsim.topology import (
     ScienceDMZTopology,
     TopologyConfig,
-    build_dumbbell,
     build_science_dmz,
 )
 from repro.netsim import units
@@ -60,7 +59,6 @@ __all__ = [
     "write_pcap",
     "ScienceDMZTopology",
     "TopologyConfig",
-    "build_dumbbell",
     "build_science_dmz",
     "units",
 ]

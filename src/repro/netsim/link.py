@@ -198,10 +198,6 @@ class Port:
     def tx_bytes(self) -> int:
         return self._tx_bytes - (self.free_at > self.sim.now) * self._wire_len
 
-    @property
-    def queue_depth_packets(self) -> int:
-        return len(self._queue)
-
 
 class Link:
     """Bidirectional point-to-point link: propagation delay + impairments.

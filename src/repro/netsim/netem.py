@@ -46,11 +46,6 @@ class LossImpairment:
         self.passed += 1
         return 0
 
-    @property
-    def observed_rate(self) -> float:
-        total = self.dropped + self.passed
-        return self.dropped / total if total else 0.0
-
 
 class DelayImpairment:
     """Adds a fixed delay plus optional uniform jitter."""

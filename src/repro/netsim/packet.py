@@ -306,11 +306,6 @@ class Packet:
         return FiveTuple(self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.proto)
 
     @property
-    def is_pure_ack(self) -> bool:
-        """ACK segment carrying no payload (the paper's 'ACK' packet type)."""
-        return self.payload_len == 0 and bool(self.flags & F_ACK)
-
-    @property
     def expected_ack(self) -> int:
         """The eACK of Algorithm 1: sequence number the receiver will
         acknowledge once this segment (and everything before it) arrives.

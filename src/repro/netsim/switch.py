@@ -27,7 +27,6 @@ class LegacySwitch(Node):
     def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
         self._fib: Dict[int, Port] = {}
-        self._default_port: Optional[Port] = None
         self.ingress_mirrors: List[MirrorFn] = []
         self.rx_packets = 0
         self.no_route_drops = 0
@@ -41,13 +40,8 @@ class LegacySwitch(Node):
             raise ValueError(f"port {port.name} does not belong to switch {self.name}")
         self._fib[ip] = port
 
-    def set_default_route(self, port: Port) -> None:
-        if port.owner is not self:
-            raise ValueError(f"port {port.name} does not belong to switch {self.name}")
-        self._default_port = port
-
     def route_for(self, dst_ip: int) -> Optional[Port]:
-        return self._fib.get(dst_ip, self._default_port)
+        return self._fib.get(dst_ip)
 
     # -- data path ------------------------------------------------------------
 
@@ -64,9 +58,3 @@ class LegacySwitch(Node):
             self.no_route_drops += 1
             return
         out.send(pkt)
-
-    # -- introspection ----------------------------------------------------------
-
-    def total_drops(self) -> int:
-        """Tail drops summed over all egress queues."""
-        return sum(p.drops for p in self.ports)

@@ -113,12 +113,6 @@ class ScienceDMZTopology:
             + self.external_perfsonar
         )
 
-    def host_by_ip(self, ip: int) -> Host:
-        for h in self.all_hosts:
-            if h.ip == ip:
-                return h
-        raise KeyError(f"no host with ip {ip:#x}")
-
 
 INTERNAL_DTN_IP = "10.0.0.10"
 INTERNAL_PS_IP = "10.0.0.20"
@@ -200,23 +194,3 @@ def build_science_dmz(sim: Simulator, config: Optional[TopologyConfig] = None) -
         bottleneck_port=bottleneck_port,
         links=links,
     )
-
-
-def build_dumbbell(
-    sim: Simulator,
-    n_pairs: int = 2,
-    bottleneck_bps: int = mbps(50),
-    rtt_ms: float = 40.0,
-    buffer_bdp_fraction: float = 1.0,
-    mss: int = 8948,
-) -> ScienceDMZTopology:
-    """Smaller symmetric variant (all flows share one RTT) used by unit
-    and property tests where the full Fig. 8 asymmetry is irrelevant."""
-    cfg = TopologyConfig(
-        bottleneck_bps=bottleneck_bps,
-        rtts_ms=tuple(rtt_ms for _ in range(n_pairs)),
-        reference_rtt_ms=rtt_ms,
-        buffer_bdp_fraction=buffer_bdp_fraction,
-        mss=mss,
-    )
-    return build_science_dmz(sim, cfg)

@@ -4,11 +4,11 @@ Models the primitives the paper's Tofino program is built from, with the
 semantics a P4 programmer sees:
 
 - :mod:`repro.p4.hashes` — CRC hash engines (flow IDs, register indices);
-- :mod:`repro.p4.registers` — stateful register arrays and counters
-  (numpy-backed, fixed width, index-checked);
+- :mod:`repro.p4.registers` — stateful register arrays (numpy-backed,
+  fixed width, index-checked) and the read/flip bank pair behind the
+  histogram and time-window externs;
 - :mod:`repro.p4.sketch` — the count-min sketch used for long-flow
   detection (§4, Cormode & Muthukrishnan);
-- :mod:`repro.p4.tables` — match-action tables (exact/LPM/ternary/range);
 - :mod:`repro.p4.parser` — header parser over either simulator packets or
   real wire-format bytes;
 - :mod:`repro.p4.pipeline` — ingress/egress pipeline scaffolding and
@@ -19,10 +19,9 @@ semantics a P4 programmer sees:
   program's objects.
 """
 
-from repro.p4.hashes import HashEngine, crc16, crc32_tuple
-from repro.p4.registers import Counter, RegisterArray
+from repro.p4.hashes import HashEngine, crc32_tuple
+from repro.p4.registers import RegisterArray
 from repro.p4.sketch import CountMinSketch
-from repro.p4.tables import MatchActionTable, MatchKind, TableEntry, exact, lpm, ternary, range_match
 from repro.p4.parser import HeaderParser, ParsedHeaders
 from repro.p4.pipeline import P4Pipeline, StandardMetadata
 from repro.p4.externs import Digest, DigestReceiver
@@ -30,18 +29,9 @@ from repro.p4.runtime import P4Program, P4RuntimeClient
 
 __all__ = [
     "HashEngine",
-    "crc16",
     "crc32_tuple",
-    "Counter",
     "RegisterArray",
     "CountMinSketch",
-    "MatchActionTable",
-    "MatchKind",
-    "TableEntry",
-    "exact",
-    "lpm",
-    "ternary",
-    "range_match",
     "HeaderParser",
     "ParsedHeaders",
     "P4Pipeline",

@@ -2,17 +2,15 @@
 
 Tofino exposes CRC-based hash units; flow IDs in the paper are
 ``hash(5-tuple)`` and the *reversed* flow ID is the same hash with source
-and destination fields swapped (§4).  We provide CRC32 (via zlib, with an
-optional reflected-polynomial pure-Python fallback), CRC16, and a packing
-helper so the same byte layout feeds every hash — exactly like laying out
-a P4 ``hash(..., {fields})`` call.
+and destination fields swapped (§4).  We provide CRC32 (via zlib) and a
+packing helper so the same byte layout feeds every hash — exactly like
+laying out a P4 ``hash(..., {fields})`` call.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Sequence
 
 from repro.netsim.packet import FiveTuple
 
@@ -31,29 +29,6 @@ def crc32_tuple(ft: FiveTuple) -> int:
 
 def crc32_bytes(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def _make_crc16_table(poly: int = 0x8005) -> list[int]:
-    # Reflected table-driven CRC16 (CRC-16/ARC, poly x^16+x^15+x^2+1).
-    reflected_poly = int(f"{poly:016b}"[::-1], 2)
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ reflected_poly if crc & 1 else crc >> 1
-        table.append(crc)
-    return table
-
-
-_CRC16_TABLE = _make_crc16_table()
-
-
-def crc16(data: bytes) -> int:
-    """CRC-16/ARC, one of the standard Tofino hash unit polynomials."""
-    crc = 0
-    for b in data:
-        crc = (crc >> 8) ^ _CRC16_TABLE[(crc ^ b) & 0xFF]
-    return crc & 0xFFFF
 
 
 def _mix32(h: int) -> int:
@@ -82,28 +57,14 @@ class HashEngine:
     guarantee independence with the non-linear mix.
     """
 
-    def __init__(self, width: int, algorithm: str = "crc32", salt: int = 0) -> None:
+    def __init__(self, width: int, salt: int = 0) -> None:
         if width <= 0:
             raise ValueError("hash width must be positive")
         self.width = width
-        self.algorithm = algorithm
         self.salt = salt
-        if algorithm == "crc32":
-            self._fn = crc32_bytes
-        elif algorithm == "crc16":
-            self._fn = crc16
-        else:
-            raise ValueError(f"unknown hash algorithm {algorithm!r}")
 
     def index(self, data: bytes) -> int:
-        h1 = self._fn(data)
+        h1 = crc32_bytes(data)
         if self.salt == 0:
             return h1 % self.width
         return _mix32(h1 ^ (self.salt * 0x9E3779B9)) % self.width
-
-    def index_tuple(self, ft: FiveTuple) -> int:
-        return self.index(pack_five_tuple(ft))
-
-    def index_fields(self, *fields: int) -> int:
-        """Hash a sequence of integer fields (packed as 32-bit words)."""
-        return self.index(b"".join(struct.pack("!I", f & 0xFFFFFFFF) for f in fields))

@@ -6,14 +6,10 @@ register, the data plane maintains one bin-count row per tracked index
 a handful of TCAM range matches plus one register increment on hardware,
 one ``bisect`` plus one array increment here.
 
-The control-plane read problem is solved PrintQueue-style with **paired
-banks**: the data plane always writes the *active* bank; the control
-plane ``flip()``\\ s the banks and then reads/clears the now-quiescent
-one at leisure while new samples land in the other.  Each
-:meth:`extract` therefore returns exactly the samples observed since the
-previous extraction (a per-window delta), and no sample is ever lost or
-double-counted — the conservation property the hypothesis suite pins
-down across arbitrary flip schedules.
+The control-plane read problem is solved PrintQueue-style with the
+paired banks of :class:`repro.p4.registers.BankPair`: each ``extract()``
+returns exactly the samples observed since the previous extraction (a
+per-window delta), and no sample is ever lost or double-counted.
 
 Bin edges are set at construction (the stages use :func:`log_edges`),
 shared by every row of one extern, and use the same ``bisect_left``
@@ -31,11 +27,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.telemetry import provenance
+from repro.p4.registers import BankPair
 from repro.telemetry.export import histogram_quantile
 
-__all__ = ["HistogramRegister", "log_edges", "bin_quantile", "bin_series",
-           "merge_counts"]
+__all__ = ["HistogramRegister", "log_edges", "bin_quantile", "bin_series"]
 
 
 def log_edges(lo: int, hi: int, nbins: int) -> List[int]:
@@ -80,18 +75,7 @@ def bin_quantile(edges: Sequence[int], counts: Sequence[int], q: float) -> float
     return histogram_quantile(bin_series(edges, counts), q)
 
 
-def merge_counts(*rows: np.ndarray) -> np.ndarray:
-    """Elementwise merge of bin rows (associative + commutative: the
-    merged histogram is the histogram of the union of the samples)."""
-    if not rows:
-        raise ValueError("nothing to merge")
-    out = np.zeros_like(np.asarray(rows[0], dtype=np.uint64))
-    for row in rows:
-        out = out + np.asarray(row, dtype=np.uint64)
-    return out
-
-
-class HistogramRegister:
+class HistogramRegister(BankPair):
     """``size`` rows of bin counters with paired read/flip banks.
 
     Data plane: :meth:`observe` bins a sample into the active bank.
@@ -107,27 +91,14 @@ class HistogramRegister:
             raise ValueError("need at least 2 bin edges")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise ValueError("bin edges must be strictly increasing")
-        self.name = name
         self.size = size
         self.edges = edges
         self.nbins = len(edges) + 1  # + overflow bucket
         # Two (size, nbins) banks; the data plane writes banks[active].
-        self._banks = [np.zeros((size, self.nbins), dtype=np.uint64),
-                       np.zeros((size, self.nbins), dtype=np.uint64)]
-        self.active = 0
-        # Plain-int tallies, pulled by telemetry/profiler collectors.
-        self.ops = 0
-        self.flips = 0
-        # Provenance mirrors the RegisterArray discipline: sampled
-        # packets record old -> new bin counts, unsampled ones keep the
-        # last-writer linkage exact.
-        self._trace = provenance.tracer()
-        self._lw = (None if self._trace is None
-                    else self._trace.writer_map(name, size))
-
-    # -- data-plane access (per packet) ---------------------------------------
+        super().__init__(name, (size, self.nbins), size)
 
     def observe(self, index: int, value: int) -> None:
+        """Data-plane access (per packet)."""
         self.ops += 1
         b = bisect_left(self.edges, value)
         row = self._banks[self.active][index]
@@ -143,65 +114,10 @@ class HistogramRegister:
                 self._lw[index] = tid
         row[b] += np.uint64(1)
 
-    # -- control-plane access (bulk) ------------------------------------------
-
-    def flip(self) -> int:
-        """Swap the banks; returns the index of the now-quiescent bank
-        (the one the data plane was writing until this call)."""
-        quiescent = self.active
-        self.active ^= 1
-        self.flips += 1
-        return quiescent
-
-    def read_quiescent(self) -> np.ndarray:
-        """Copy of the bank the data plane is *not* writing."""
-        return self._banks[1 - self.active].copy()
-
-    def clear_quiescent(self) -> None:
-        self._banks[1 - self.active][:] = 0
-
-    def extract(self) -> np.ndarray:
-        """Flip, then read + clear the quiescent bank: the counts of
-        every sample observed since the previous extract (plus whatever
-        residue the pre-flip quiescent bank still held — zero under the
-        flip/read/clear discipline this method enforces)."""
-        self.flip()
-        window = self.read_quiescent()
-        self.clear_quiescent()
-        return window
-
     def snapshot(self) -> np.ndarray:
         """Both banks summed — the all-time counts regardless of flip
         phase (control-plane sync read, used by tests and state dumps)."""
         return self._banks[0] + self._banks[1]
-
-    def bank(self, which: int) -> np.ndarray:
-        return self._banks[which].copy()
-
-    def total_observations(self) -> int:
-        return int(self._banks[0].sum() + self._banks[1].sum())
-
-    def clear(self) -> None:
-        self._banks[0][:] = 0
-        self._banks[1][:] = 0
-
-    def load_banks(self, bank0: np.ndarray, bank1: np.ndarray,
-                   active: int) -> None:
-        """Control-plane bulk restore of both banks and the flip phase
-        (checkpoint path)."""
-        bank0 = np.asarray(bank0, dtype=np.uint64)
-        bank1 = np.asarray(bank1, dtype=np.uint64)
-        if bank0.shape != self._banks[0].shape or bank1.shape != self._banks[1].shape:
-            raise ValueError("histogram bank shape mismatch")
-        if active not in (0, 1):
-            raise ValueError("active bank must be 0 or 1")
-        self._banks[0][:] = bank0
-        self._banks[1][:] = bank1
-        self.active = active
-
-    def row_quantile(self, index: int, q: float) -> float:
-        """Bucket-upper-bound quantile of one row's all-time counts."""
-        return bin_quantile(self.edges, self.snapshot()[index], q)
 
     def __len__(self) -> int:
         return self.size

@@ -143,13 +143,6 @@ class IntCollector:
         return max((d for _, d in self.per_switch_queue.get(switch_id, [])),
                    default=0)
 
-    def path_latency_series(self, flow_key=None) -> List[Tuple[int, int]]:
-        return [
-            (p.timestamp_ns, p.path_latency_ns)
-            for p in self.postcards
-            if flow_key is None or p.flow_key == flow_key
-        ]
-
     def telemetry_overhead_bytes(self) -> int:
         """Extra on-wire bytes this collector's postcards cost."""
         return sum(Packet.INT_HOP_BYTES * len(p.hops) for p in self.postcards)

@@ -1,4 +1,4 @@
-"""Stateful register arrays.
+"""Stateful register arrays and the read/flip bank pair.
 
 P4 registers are fixed-width cell arrays that the data plane reads/
 modifies/writes per packet and the control plane reads (and optionally
@@ -128,37 +128,77 @@ class RegisterArray:
         return f"RegisterArray({self.name!r}, size={self.size}, width={self.width_bits})"
 
 
-class Counter:
-    """An indexed packet/byte counter pair (P4 ``counter`` extern)."""
+class BankPair:
+    """Two same-shape ``uint64`` banks under the PrintQueue read/flip
+    discipline, shared by every extern the control plane drains as
+    per-window deltas (P4TG-style RTT histograms, queue time windows).
 
-    def __init__(self, name: str, size: int) -> None:
-        if size <= 0:
-            raise ValueError("counter size must be positive")
+    The data plane always writes ``_banks[active]``; the control plane
+    :meth:`flip`\\ s and then reads/clears the now-quiescent bank at
+    leisure while new updates land in the other.  Every update is in
+    exactly one bank, so each :meth:`extract` returns exactly what was
+    written since the previous one — nothing lost, nothing counted twice
+    (the conservation property the hypothesis suites pin down across
+    arbitrary flip schedules).
+    """
+
+    def __init__(self, name: str, shape: tuple, writer_cells: int) -> None:
         self.name = name
-        self.size = size
-        self._packets = np.zeros(size, dtype=np.uint64)
-        self._bytes = np.zeros(size, dtype=np.uint64)
+        self._banks = [np.zeros(shape, dtype=np.uint64),
+                       np.zeros(shape, dtype=np.uint64)]
+        self.active = 0
+        # Plain-int tallies, pulled by telemetry/profiler collectors.
+        self.ops = 0
+        self.flips = 0
+        # Provenance mirrors the RegisterArray discipline: sampled
+        # packets record old -> new, unsampled ones keep the last-writer
+        # linkage (``writer_cells`` indices) exact.
+        self._trace = provenance.tracer()
+        self._lw = (None if self._trace is None
+                    else self._trace.writer_map(name, writer_cells))
 
-    def count(self, index: int, nbytes: int) -> None:
-        self._packets[index] += 1
-        self._bytes[index] += np.uint64(nbytes)
+    def flip(self) -> int:
+        """Swap the banks; returns the index of the now-quiescent bank
+        (the one the data plane was writing until this call)."""
+        quiescent = self.active
+        self.active ^= 1
+        self.flips += 1
+        return quiescent
 
-    def packets(self, index: int) -> int:
-        return int(self._packets[index])
+    def read_quiescent(self) -> np.ndarray:
+        """Copy of the bank the data plane is *not* writing."""
+        return self._banks[1 - self.active].copy()
 
-    def bytes(self, index: int) -> int:
-        return int(self._bytes[index])
+    def clear_quiescent(self) -> None:
+        self._banks[1 - self.active][:] = 0
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._packets.copy(), self._bytes.copy()
+    def extract(self) -> np.ndarray:
+        """Flip, then read + clear the quiescent bank: everything
+        written since the previous extract (plus whatever residue the
+        pre-flip quiescent bank still held — zero under the
+        flip/read/clear discipline this method enforces)."""
+        self.flip()
+        window = self.read_quiescent()
+        self.clear_quiescent()
+        return window
+
+    def bank(self, which: int) -> np.ndarray:
+        return self._banks[which].copy()
 
     def clear(self) -> None:
-        self._packets[:] = 0
-        self._bytes[:] = 0
+        self._banks[0][:] = 0
+        self._banks[1][:] = 0
 
-    def load(self, packets: np.ndarray, nbytes: np.ndarray) -> None:
-        """Control-plane bulk restore of both tallies (checkpoint path)."""
-        if len(packets) != self.size or len(nbytes) != self.size:
-            raise ValueError("counter array size mismatch")
-        self._packets[:] = np.asarray(packets, dtype=np.uint64)
-        self._bytes[:] = np.asarray(nbytes, dtype=np.uint64)
+    def load_banks(self, bank0: np.ndarray, bank1: np.ndarray,
+                   active: int) -> None:
+        """Control-plane bulk restore of both banks and the flip phase
+        (checkpoint path)."""
+        bank0 = np.asarray(bank0, dtype=np.uint64)
+        bank1 = np.asarray(bank1, dtype=np.uint64)
+        if bank0.shape != self._banks[0].shape or bank1.shape != self._banks[1].shape:
+            raise ValueError(f"{self.name!r} bank shape mismatch")
+        if active not in (0, 1):
+            raise ValueError("active bank must be 0 or 1")
+        self._banks[0][:] = bank0
+        self._banks[1][:] = bank1
+        self.active = active

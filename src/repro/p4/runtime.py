@@ -3,25 +3,71 @@
 The paper's control plane "utilizes the APIs provided by the switch
 manufacturer to access the measurements maintained by the data plane at
 run-time" (§3.2).  :class:`P4Program` is the named-object registry a
-compiled program exposes (registers, counters, tables, digests,
-sketches); :class:`P4RuntimeClient` is the handle the control plane talks
-through — the only coupling between :mod:`repro.core.control_plane` and
-the data-plane internals.
+compiled program exposes (registers, sketches, digests, histogram and
+time-window bank pairs); :class:`P4RuntimeClient` is the handle the
+control plane talks through — the only coupling between
+:mod:`repro.core.control_plane` and the data-plane internals.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Sequence, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.p4.externs import Digest, DigestReceiver
 from repro.p4.histogram import HistogramRegister
-from repro.p4.registers import Counter, RegisterArray
+from repro.p4.registers import BankPair, RegisterArray
 from repro.p4.sketch import CountMinSketch
-from repro.p4.tables import MatchActionTable
 from repro.p4.time_windows import TimeWindowRegister
+
+
+def _array_dump(obj) -> Dict[str, np.ndarray]:
+    return {"": obj.snapshot()}
+
+
+def _array_load(obj, need: Callable[[str], np.ndarray]) -> None:
+    obj.load(need(""))
+
+
+def _banks_dump(pair: BankPair) -> Dict[str, np.ndarray]:
+    # Both banks plus the flip phase: two replays of the same capture
+    # with the same flip schedule must digest equal.
+    return {"/bank0": pair.bank(0), "/bank1": pair.bank(1),
+            "/active": np.array([pair.active], dtype=np.uint64)}
+
+
+def _banks_load(pair: BankPair, need: Callable[[str], np.ndarray]) -> None:
+    pair.load_banks(need("/bank0"), need("/bank1"), int(need("/active")[0]))
+
+
+class _Kind(NamedTuple):
+    """What the registry knows about one extern kind."""
+
+    noun: str  # as error messages spell it
+    # (state_snapshot key prefix, extern -> {key suffix: array},
+    # (extern, key suffix -> array) -> None); None: stateless.
+    state: Optional[Tuple[str, Callable, Callable]] = None
+    # Plain-int op tallies observers pull: (family, attribute -> extra
+    # label, "" for none).
+    tallies: Tuple[str, Dict[str, str]] = ("", {})
+
+
+#: One row per extern kind a program can hold, keyed by the
+#: :class:`P4Program` attribute that maps name -> extern.  Row order is
+#: :meth:`P4Program.state_snapshot` order.
+_KINDS: Dict[str, _Kind] = {
+    "registers": _Kind("register", ("register", _array_dump, _array_load),
+                       ("register_ops", {"ops": ""})),
+    "sketches": _Kind("sketch", ("sketch", _array_dump, _array_load),
+                      ("sketch_ops", {"updates": "update", "queries": "query"})),
+    "digests": _Kind("digest", tallies=("digest_msgs", {"emitted": "emitted",
+                                                        "dropped": "dropped"})),
+    "histograms": _Kind("histogram", ("histogram", _banks_dump, _banks_load)),
+    "time_windows": _Kind("time-window register",
+                          ("time_window", _banks_dump, _banks_load)),
+}
 
 
 class P4Program:
@@ -30,8 +76,6 @@ class P4Program:
     def __init__(self, name: str) -> None:
         self.name = name
         self.registers: Dict[str, RegisterArray] = {}
-        self.counters: Dict[str, Counter] = {}
-        self.tables: Dict[str, MatchActionTable] = {}
         self.digests: Dict[str, Digest] = {}
         self.sketches: Dict[str, CountMinSketch] = {}
         self.histograms: Dict[str, HistogramRegister] = {}
@@ -39,77 +83,70 @@ class P4Program:
 
     # Registration (called by the program at construction time).
 
+    def _add(self, kind: str, name: str, obj):
+        table = getattr(self, kind)
+        if name in table:
+            raise ValueError(f"duplicate {_KINDS[kind].noun} {name!r}")
+        table[name] = obj
+        return obj
+
     def register(self, reg: RegisterArray) -> RegisterArray:
-        if reg.name in self.registers:
-            raise ValueError(f"duplicate register {reg.name!r}")
-        self.registers[reg.name] = reg
-        return reg
-
-    def counter(self, ctr: Counter) -> Counter:
-        if ctr.name in self.counters:
-            raise ValueError(f"duplicate counter {ctr.name!r}")
-        self.counters[ctr.name] = ctr
-        return ctr
-
-    def table(self, tbl: MatchActionTable) -> MatchActionTable:
-        if tbl.name in self.tables:
-            raise ValueError(f"duplicate table {tbl.name!r}")
-        self.tables[tbl.name] = tbl
-        return tbl
+        return self._add("registers", reg.name, reg)
 
     def digest(self, dig: Digest) -> Digest:
-        if dig.name in self.digests:
-            raise ValueError(f"duplicate digest {dig.name!r}")
-        self.digests[dig.name] = dig
-        return dig
+        return self._add("digests", dig.name, dig)
 
     def sketch(self, name: str, cms: CountMinSketch) -> CountMinSketch:
-        if name in self.sketches:
-            raise ValueError(f"duplicate sketch {name!r}")
-        self.sketches[name] = cms
-        return cms
+        return self._add("sketches", name, cms)
 
     def histogram(self, hist: HistogramRegister) -> HistogramRegister:
-        if hist.name in self.histograms:
-            raise ValueError(f"duplicate histogram {hist.name!r}")
-        self.histograms[hist.name] = hist
-        return hist
+        return self._add("histograms", hist.name, hist)
 
     def time_window(self, tw: TimeWindowRegister) -> TimeWindowRegister:
-        if tw.name in self.time_windows:
-            raise ValueError(f"duplicate time-window register {tw.name!r}")
-        self.time_windows[tw.name] = tw
-        return tw
+        return self._add("time_windows", tw.name, tw)
+
+    def lookup(self, kind: str, name: str):
+        """The ``kind`` extern registered as ``name``; a miss names what
+        the program does hold."""
+        table = getattr(self, kind)
+        try:
+            return table[name]
+        except KeyError:
+            raise KeyError(
+                f"program {self.name!r} has no {_KINDS[kind].noun} {name!r}; "
+                f"available: {sorted(table)}"
+            ) from None
+
+    def tallies(self) -> Dict[tuple, int]:
+        """``(family, name, *labels) -> count`` for every plain-int op
+        tally the externs keep — register ALU ops, sketch updates and
+        queries, digests emitted and dropped.  What telemetry, the
+        profiler's op sources and the path-equivalence harness pull."""
+        out: Dict[tuple, int] = {}
+        for attr, kind in _KINDS.items():
+            family, attributes = kind.tallies
+            for name, obj in getattr(self, attr).items():
+                for attribute, label in attributes.items():
+                    key = (family, name, label) if label else (family, name)
+                    out[key] = getattr(obj, attribute)
+        return out
 
     # -- whole-program state (validation / replay round-trips) ---------------
 
     def state_snapshot(self) -> Dict[str, np.ndarray]:
         """Copy of every stateful object the data plane owns: one array per
-        register, one ``(depth, width)`` matrix per sketch and a packet/byte
-        pair per counter.  This is what a full control-plane register sync
-        would return, and what the differential checker and the replay
-        round-trip tests compare."""
+        register, one ``(depth, width)`` matrix per sketch, both banks and
+        the flip phase per bank pair.  This is what a full control-plane
+        register sync would return, and what the differential checker and
+        the replay round-trip tests compare."""
         state: Dict[str, np.ndarray] = {}
-        for name, reg in self.registers.items():
-            state[f"register/{name}"] = reg.snapshot()
-        for name, cms in self.sketches.items():
-            state[f"sketch/{name}"] = cms.snapshot()
-        for name, ctr in self.counters.items():
-            pkts, nbytes = ctr.snapshot()
-            state[f"counter/{name}/packets"] = pkts
-            state[f"counter/{name}/bytes"] = nbytes
-        for name, hist in self.histograms.items():
-            # Both banks plus the flip phase: two replays of the same
-            # capture with the same flip schedule must digest equal.
-            state[f"histogram/{name}/bank0"] = hist.bank(0)
-            state[f"histogram/{name}/bank1"] = hist.bank(1)
-            state[f"histogram/{name}/active"] = np.array([hist.active],
-                                                         dtype=np.uint64)
-        for name, tw in self.time_windows.items():
-            state[f"time_window/{name}/bank0"] = tw.bank(0)
-            state[f"time_window/{name}/bank1"] = tw.bank(1)
-            state[f"time_window/{name}/active"] = np.array([tw.active],
-                                                           dtype=np.uint64)
+        for attr, kind in _KINDS.items():
+            if kind.state is None:
+                continue
+            prefix, dump, _ = kind.state
+            for name, obj in getattr(self, attr).items():
+                for suffix, arr in dump(obj).items():
+                    state[f"{prefix}/{name}{suffix}"] = arr
         return state
 
     def state_digest(self) -> str:
@@ -137,21 +174,13 @@ class P4Program:
                     f"program with the same geometry as {self.name!r}?"
                 ) from None
 
-        for name, reg in self.registers.items():
-            reg.load(need(f"register/{name}"))
-        for name, cms in self.sketches.items():
-            cms.load(need(f"sketch/{name}"))
-        for name, ctr in self.counters.items():
-            ctr.load(need(f"counter/{name}/packets"),
-                     need(f"counter/{name}/bytes"))
-        for name, hist in self.histograms.items():
-            hist.load_banks(need(f"histogram/{name}/bank0"),
-                            need(f"histogram/{name}/bank1"),
-                            int(need(f"histogram/{name}/active")[0]))
-        for name, tw in self.time_windows.items():
-            tw.load_banks(need(f"time_window/{name}/bank0"),
-                          need(f"time_window/{name}/bank1"),
-                          int(need(f"time_window/{name}/active")[0]))
+        for attr, kind in _KINDS.items():
+            if kind.state is None:
+                continue
+            prefix, _, load = kind.state
+            for name, obj in getattr(self, attr).items():
+                load(obj, lambda suffix, base=f"{prefix}/{name}":
+                     need(base + suffix))
 
 
 class P4RuntimeClient:
@@ -164,7 +193,7 @@ class P4RuntimeClient:
     # -- registers ---------------------------------------------------------
 
     def read_register(self, name: str, index: Optional[int] = None):
-        reg = self._reg(name)
+        reg = self.program.lookup("registers", name)
         self.register_reads += 1
         if index is None:
             return reg.snapshot()
@@ -174,93 +203,32 @@ class P4RuntimeClient:
         """One batched read — a whole column of ``name`` in one call,
         the way a P4Runtime/BfRt client reads a register for many flows."""
         self.register_reads += 1
-        return self._reg(name).read_many(indices)
-
-    def write_register(self, name: str, index: int, value: int) -> None:
-        self._reg(name).write(index, value)
+        return self.program.lookup("registers", name).read_many(indices)
 
     def clear_register(self, name: str,
                        index: Union[None, int, Sequence[int]] = None) -> None:
-        self._reg(name).clear(index)
+        self.program.lookup("registers", name).clear(index)
 
-    def state_digest(self) -> str:
-        return self.program.state_digest()
-
-    def restore_state(self, state: Dict[str, np.ndarray]) -> None:
-        """Bulk-load a full data-plane snapshot (checkpoint restore)."""
-        self.program.state_restore(state)
-
-    def _reg(self, name: str) -> RegisterArray:
-        try:
-            return self.program.registers[name]
-        except KeyError:
-            raise KeyError(
-                f"program {self.program.name!r} has no register {name!r}; "
-                f"available: {sorted(self.program.registers)}"
-            ) from None
-
-    # -- histograms ----------------------------------------------------------
-
-    def histogram(self, name: str) -> HistogramRegister:
-        try:
-            return self.program.histograms[name]
-        except KeyError:
-            raise KeyError(
-                f"program {self.program.name!r} has no histogram {name!r}; "
-                f"available: {sorted(self.program.histograms)}"
-            ) from None
-
-    def read_histogram(self, name: str) -> np.ndarray:
-        """All-time bin counts (both banks summed), one row per index."""
-        self.register_reads += 1
-        return self.histogram(name).snapshot()
+    # -- bank pairs ----------------------------------------------------------
 
     def extract_histogram(self, name: str) -> np.ndarray:
         """Flip the banks and return + clear the quiescent one — the
         per-window delta counts since the previous extraction."""
         self.register_reads += 1
-        return self.histogram(name).extract()
-
-    # -- time windows --------------------------------------------------------
-
-    def time_window(self, name: str) -> TimeWindowRegister:
-        try:
-            return self.program.time_windows[name]
-        except KeyError:
-            raise KeyError(
-                f"program {self.program.name!r} has no time-window register "
-                f"{name!r}; available: {sorted(self.program.time_windows)}"
-            ) from None
+        return self.program.lookup("histograms", name).extract()
 
     def extract_time_windows(self, name: str) -> np.ndarray:
         """Flip the banks and return + clear the quiescent one — every
         window cell written since the previous extraction."""
         self.register_reads += 1
-        return self.time_window(name).extract()
-
-    # -- tables ----------------------------------------------------------------
-
-    def table(self, name: str) -> MatchActionTable:
-        return self.program.tables[name]
+        return self.program.lookup("time_windows", name).extract()
 
     # -- digests -----------------------------------------------------------------
 
     def subscribe_digest(self, name: str, receiver: DigestReceiver) -> None:
-        try:
-            self.program.digests[name].subscribe(receiver)
-        except KeyError:
-            raise KeyError(
-                f"program {self.program.name!r} has no digest {name!r}; "
-                f"available: {sorted(self.program.digests)}"
-            ) from None
+        self.program.lookup("digests", name).subscribe(receiver)
 
     def unsubscribe_digest(self, name: str, receiver: DigestReceiver) -> None:
         """Detach a receiver; unseen messages backlog for the successor
         (how a restarted control plane catches up on digests)."""
-        try:
-            self.program.digests[name].unsubscribe(receiver)
-        except KeyError:
-            raise KeyError(
-                f"program {self.program.name!r} has no digest {name!r}; "
-                f"available: {sorted(self.program.digests)}"
-            ) from None
+        self.program.lookup("digests", name).unsubscribe(receiver)

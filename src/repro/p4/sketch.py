@@ -14,8 +14,6 @@ data-plane refinement and one of our ablation knobs.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.netsim.packet import FiveTuple
@@ -29,7 +27,6 @@ class CountMinSketch:
         width: int = 4096,
         depth: int = 3,
         conservative: bool = False,
-        algorithm: str = "crc32",
     ) -> None:
         if width <= 0 or depth <= 0:
             raise ValueError("width and depth must be positive")
@@ -37,7 +34,7 @@ class CountMinSketch:
         self.depth = depth
         self.conservative = conservative
         self._rows = np.zeros((depth, width), dtype=np.uint64)
-        self._hashes = [HashEngine(width, algorithm=algorithm, salt=row) for row in range(depth)]
+        self._hashes = [HashEngine(width, salt=row) for row in range(depth)]
         # Plain-int op tallies, pulled by the telemetry collector.
         self.updates = 0
         self.queries = 0
@@ -100,14 +97,6 @@ class CountMinSketch:
 
     def clear(self) -> None:
         self._rows[:] = 0
-
-    def total(self) -> int:
-        """Total inserted amount (row sums are all equal in plain mode)."""
-        return int(self._rows[0].sum())
-
-    def error_bound(self, confidence_rows: Iterable[int] | None = None) -> float:
-        """The classical additive error bound e/width * N."""
-        return float(np.e / self.width * self.total())
 
     def memory_cells(self) -> int:
         return self.width * self.depth

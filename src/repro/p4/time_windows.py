@@ -19,7 +19,7 @@ Each cell is five ``uint64`` fields::
     BYTES  ip_total_len bytes recorded in the window
     MAXQ   maximum queue delay (ns) seen by any packet in the window
 
-Extraction reuses the ``HistogramRegister`` paired-bank discipline:
+Extraction is the :class:`repro.p4.registers.BankPair` discipline:
 ``flip()`` swaps the active bank between packet updates, the control
 plane reads and clears the quiescent bank, and nothing is lost — every
 update lands in exactly one bank.  Cells evicted *in the data plane*
@@ -34,7 +34,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from repro.telemetry import provenance
+from repro.p4.registers import BankPair
 
 __all__ = [
     "TimeWindowRegister",
@@ -93,7 +93,7 @@ def decode_windows(bank: np.ndarray, base_window_ns: int) -> List[WindowRecord]:
     return records
 
 
-class TimeWindowRegister:
+class TimeWindowRegister(BankPair):
     """k-level coarsening time-window bank pair with flip extraction."""
 
     def __init__(self, name: str, levels: int, cells: int,
@@ -105,24 +105,14 @@ class TimeWindowRegister:
         if base_window_ns <= 0:
             raise ValueError(
                 f"base window must be positive, got {base_window_ns} ns")
-        self.name = name
+        super().__init__(name, (levels, cells, N_FIELDS), cells)
         self.levels = levels
         self.cells = cells
         self.base_window_ns = base_window_ns
-        self._banks = [
-            np.zeros((levels, cells, N_FIELDS), dtype=np.uint64),
-            np.zeros((levels, cells, N_FIELDS), dtype=np.uint64),
-        ]
-        self.active = 0
         # Windows overwritten in the data plane before extraction: the
         # ring reused their cell.  Plain ints — hot path.
         self.evicted_pkts = [0] * levels
         self.evicted_bytes = [0] * levels
-        self.ops = 0
-        self.flips = 0
-        self._trace = provenance.tracer()
-        self._lw = (None if self._trace is None
-                    else self._trace.writer_map(name, cells))
 
     # -- data plane ---------------------------------------------------
 
@@ -167,71 +157,7 @@ class TimeWindowRegister:
 
     # -- control plane ------------------------------------------------
 
-    def flip(self) -> int:
-        """Swap banks; returns the now-quiescent bank index."""
-        quiescent = self.active
-        self.active ^= 1
-        self.flips += 1
-        return quiescent
-
-    def read_quiescent(self) -> np.ndarray:
-        return self._banks[1 - self.active].copy()
-
-    def clear_quiescent(self) -> None:
-        self._banks[1 - self.active][:] = 0
-
-    def extract(self) -> np.ndarray:
-        """Flip + read + clear: the loss-free extraction cycle."""
-        self.flip()
-        out = self.read_quiescent()
-        self.clear_quiescent()
-        return out
-
-    # -- introspection ------------------------------------------------
-
-    def bank(self, which: int) -> np.ndarray:
-        return self._banks[which].copy()
-
-    def residue_pkts(self) -> List[int]:
-        """Packets still held in either bank, per level."""
-        return [
-            int(self._banks[0][level, :, F_PKTS].sum()
-                + self._banks[1][level, :, F_PKTS].sum())
-            for level in range(self.levels)
-        ]
-
-    def residue_bytes(self) -> List[int]:
-        return [
-            int(self._banks[0][level, :, F_BYTES].sum()
-                + self._banks[1][level, :, F_BYTES].sum())
-            for level in range(self.levels)
-        ]
-
     def clear(self) -> None:
-        self._banks[0][:] = 0
-        self._banks[1][:] = 0
+        super().clear()
         self.evicted_pkts = [0] * self.levels
         self.evicted_bytes = [0] * self.levels
-
-    def load_banks(self, bank0: np.ndarray, bank1: np.ndarray, active: int,
-                   evicted_pkts: List[int] | None = None,
-                   evicted_bytes: List[int] | None = None) -> None:
-        """Control-plane bulk restore of both banks, the flip phase, and
-        the eviction tallies (checkpoint path)."""
-        bank0 = np.asarray(bank0, dtype=np.uint64)
-        bank1 = np.asarray(bank1, dtype=np.uint64)
-        if bank0.shape != self._banks[0].shape or bank1.shape != self._banks[1].shape:
-            raise ValueError("time-window bank shape mismatch")
-        if active not in (0, 1):
-            raise ValueError("active bank must be 0 or 1")
-        self._banks[0][:] = bank0
-        self._banks[1][:] = bank1
-        self.active = active
-        if evicted_pkts is not None:
-            if len(evicted_pkts) != self.levels:
-                raise ValueError("eviction tally level-count mismatch")
-            self.evicted_pkts = [int(v) for v in evicted_pkts]
-        if evicted_bytes is not None:
-            if len(evicted_bytes) != self.levels:
-                raise ValueError("eviction tally level-count mismatch")
-            self.evicted_bytes = [int(v) for v in evicted_bytes]

@@ -139,9 +139,6 @@ class OpenSearchStore:
     def indices(self) -> List[str]:
         return sorted(self._indices)
 
-    def delete_index(self, index: str) -> None:
-        self._indices.pop(index, None)
-
     def delete(self, index: str, doc_ids: Iterable[str]) -> int:
         """Remove the documents with these ``_id``s; returns how many."""
         rows, gone = self._indices.get(index, []), set(doc_ids)

@@ -990,7 +990,3 @@ class TcpHostStack:
     def _forget(self, conn: TcpConnection) -> None:
         key = (conn.local_port, conn.remote_ip, conn.remote_port)
         self._conns.pop(key, None)
-
-    @property
-    def active_connections(self) -> List[TcpConnection]:
-        return list(self._conns.values())

@@ -7,7 +7,7 @@ that contract end to end — it builds one scenario twice (``batched_path``
 True/False), runs both, and compares
 
 - the SHA-256 :meth:`~repro.p4.runtime.P4Program.state_digest`,
-- every register / sketch / counter / histogram-bank array in
+- every register / sketch / histogram-bank / time-window-bank array in
   :meth:`~repro.p4.runtime.P4Program.state_snapshot`,
 - every archived report stream the control plane keeps (flow samples per
   metric class, aggregates, microbursts, terminations, limiter reports,
@@ -93,16 +93,9 @@ def _compare_stream(cmp: PathComparison, name: str,
 
 def _op_tallies(run: ValidationRun) -> Dict[str, int]:
     """The plain-int tallies telemetry and the profiler pull."""
-    prog = run.scenario.monitor.program
-    out = {f"register_ops[{name}]": reg.ops
-           for name, reg in prog.registers.items()}
-    for name, cms in prog.sketches.items():
-        out[f"sketch[{name}].updates"] = cms.updates
-        out[f"sketch[{name}].queries"] = cms.queries
-    for name, digest in prog.digests.items():
-        out[f"digest[{name}].emitted"] = digest.emitted
-        out[f"digest[{name}].dropped"] = digest.dropped
-    return out
+    return {f"{family}[{name}]" + "".join(f".{label}" for label in labels): n
+            for (family, name, *labels), n
+            in run.scenario.monitor.program.tallies().items()}
 
 
 def _pipeline_telemetry() -> Dict[tuple, float]:

@@ -217,11 +217,6 @@ class GroundTruthOracle:
         return self.flows.get(ft)
 
     @property
-    def total_payload_bytes(self) -> int:
-        """Payload bytes over all flows at the ingress point."""
-        return sum(t.payload_bytes for t in self.flows.values())
-
-    @property
     def total_tcp_payload_bytes(self) -> int:
         """TCP payload at the ingress point — the upper bound on total
         mass inserted into the long-flow sketch (the P4 parser rejects

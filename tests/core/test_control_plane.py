@@ -236,16 +236,3 @@ def test_report_sink_receives_documents():
     assert "p4_throughput" in types
     assert "p4_aggregate" in types
     assert "p4_rtt" in types
-
-
-def test_flows_by_dst_grouping(assembly):
-    sim, mon, cp = assembly
-    s1 = FlowScript(mon, FiveTuple(0x0A00000A, 0x0A01000A, 40000, 5201))
-    s2 = FlowScript(mon, FiveTuple(0x0A00000A, 0x0A01000A, 40001, 5201))
-    s3 = FlowScript(mon, FiveTuple(0x0A00000A, 0x0A02000A, 40002, 5201))
-    for s in (s1, s2, s3):
-        sim.at(seconds(0.1), s.make_long, seconds(0.1))
-    sim.run_until(seconds(0.2))
-    groups = cp.flows_by_dst()
-    assert len(groups[0x0A01000A]) == 2
-    assert len(groups[0x0A02000A]) == 1

@@ -18,6 +18,7 @@ from repro.experiments.common import Scenario, ScenarioConfig
 from repro.netsim.observer import EventStream, observe_topology
 from repro.netsim.packet import PROTO_TCP, int_to_ip
 from repro.perfsonar.dashboard import build_dashboard
+from repro.p4.time_windows import F_PKTS
 from repro.validation.oracle import GroundTruthOracle
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -154,7 +155,7 @@ def test_conservation_held_end_to_end(burst_outcome):
     tw = scenario.monitor.queue.time_windows
     fx = scenario.control_plane.forensics
     indexed = sum(entry[1] for entry in fx.index[0].values())
-    residue = tw.residue_pkts()[0]
+    residue = int((tw.bank(0) + tw.bank(1))[0, :, F_PKTS].sum())
     assert indexed + residue + tw.evicted_pkts[0] == tw.ops
 
 

@@ -69,7 +69,7 @@ def test_qdepth_hist_bins_matched_tap_pairs():
     # Ingress + egress copies 2 ms apart -> one 2 ms queue-delay sample.
     script.transit(seq=1, length=1000, t_in=1000, t_out=1000 + millis(2))
     hist = mon.queue.qdepth_hist
-    assert hist.total_observations() == 1
+    assert hist.snapshot().sum() == 1
     assert mon.queue.pairs_matched == 1
 
 

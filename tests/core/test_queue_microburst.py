@@ -118,20 +118,6 @@ def test_hysteresis_no_retrigger_between_thresholds():
     assert got[0]["packets"] == 4
 
 
-def test_current_burst_visible_in_progress():
-    mon = small_monitor()
-    script = FlowScript(mon)
-    t = millis(10)
-    script.transit(1, 100, t, t + millis(6))
-    state = mon.microburst.current_burst(t + millis(8))
-    assert state is not None
-    start, ongoing, peak = state
-    assert peak == millis(6)
-    assert ongoing == millis(8)
-    # And nothing reported yet.
-    assert mon.microburst.bursts_detected == 0
-
-
 def test_two_separate_bursts():
     mon = small_monitor()
     got = burst_digests(mon)

@@ -35,14 +35,13 @@ def test_rate_collapses_and_restores(sim):
     tx, rx, link = make_link(sim, rate=mbps(100), blocked_rate_fraction=0.1)
     link.schedule(BlockageSchedule([(seconds(1), seconds(2))]))
     sim.run_until(seconds(0.5))
-    assert link.effective_rate_bps == mbps(100)
+    assert link.port_a.rate_bps == mbps(100)
     sim.run_until(seconds(1.5))
     assert link.blocked
-    assert link.effective_rate_bps == mbps(10)
     assert link.port_a.rate_bps == mbps(10)
     sim.run_until(seconds(3.5))
     assert not link.blocked
-    assert link.effective_rate_bps == mbps(100)
+    assert link.port_a.rate_bps == mbps(100)
 
 
 def test_steer_to_backup_restores_rate_during_blockage(sim):
@@ -50,16 +49,16 @@ def test_steer_to_backup_restores_rate_during_blockage(sim):
     link.schedule(BlockageSchedule([(seconds(1), seconds(5))]))
     sim.run_until(seconds(2))
     link.steer_to_backup(0.9)
-    assert link.effective_rate_bps == mbps(90)
+    assert link.port_a.rate_bps == mbps(90)
     # Unblocking returns to nominal.
     sim.run_until(seconds(7))
-    assert link.effective_rate_bps == mbps(100)
+    assert link.port_a.rate_bps == mbps(100)
 
 
 def test_steer_noop_when_unblocked(sim):
     tx, rx, link = make_link(sim)
     link.steer_to_backup()
-    assert link.effective_rate_bps == link.nominal_rate_bps
+    assert link.port_a.rate_bps == link.nominal_rate_bps
 
 
 def test_rssi_drops_during_blockage(sim):
@@ -166,4 +165,4 @@ def test_handover_single_in_flight(sim):
     sim.run_until(seconds(2))
     assert len(controller.records) == 1
     assert controller.records[0].reason == "a"
-    assert controller.first_trigger_ns is not None
+    assert controller.records[0].triggered_ns is not None

@@ -145,10 +145,10 @@ def test_queue_depth_accounting(sim):
     for i in range(5):
         a.send(make_data_packet(ft(a, b), seq=i, payload_len=1000))
     port = a.port()
-    assert port.queue_depth_packets == 4  # one in flight
+    assert len(port._queue) == 4  # one in flight
     assert port.queued_bytes == 4 * 1054
     sim.run()
-    assert port.queue_depth_packets == 0
+    assert len(port._queue) == 0
     assert port.queued_bytes == 0
 
 
@@ -354,7 +354,7 @@ class LazyWorld:
     def probe(self, _):
         port = self.port
         self.probes.append((self.sim.now, port.queued_bytes,
-                            port.queue_depth_packets, port.busy,
+                            len(port._queue), port.busy,
                             port.tx_packets, port.tx_bytes))
 
     def outcome(self):

@@ -71,11 +71,6 @@ def test_expected_ack_wraps_32bit():
     assert pkt.expected_ack == 9
 
 
-def test_is_pure_ack():
-    assert make_ack_packet(FiveTuple(1, 2, 3, 4), ack=100).is_pure_ack
-    assert not make_data_packet(FiveTuple(1, 2, 3, 4), seq=0, payload_len=1).is_pure_ack
-
-
 def test_uid_unique():
     a = make_ack_packet(FiveTuple(1, 2, 3, 4), ack=1)
     b = make_ack_packet(FiveTuple(1, 2, 3, 4), ack=1)

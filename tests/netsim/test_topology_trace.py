@@ -8,7 +8,6 @@ from repro.netsim.topology import (
     INTERNAL_DTN_IP,
     ScienceDMZTopology,
     TopologyConfig,
-    build_dumbbell,
     build_science_dmz,
     external_dtn_ip,
 )
@@ -74,18 +73,6 @@ def test_one_way_delay_matches_configured_rtt(sim, topo, small_topo_config):
         expected = millis(small_topo_config.rtts_ms[i] / 2)
         # Within serialisation slack (3 hops of a 40-byte packet).
         assert abs(one_way - expected) < millis(1.0)
-
-
-def test_host_by_ip(topo):
-    host = topo.host_by_ip(topo.external_dtns[2].ip)
-    assert host is topo.external_dtns[2]
-    with pytest.raises(KeyError):
-        topo.host_by_ip(0xDEADBEEF)
-
-
-def test_dumbbell_uses_uniform_rtt(sim):
-    topo = build_dumbbell(sim, n_pairs=2, rtt_ms=30.0)
-    assert topo.config.rtts_ms == (30.0, 30.0)
 
 
 def test_tap_attaches_to_bottleneck_by_default(sim, topo):

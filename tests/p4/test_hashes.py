@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repro.netsim.packet import FiveTuple
 from repro.p4.hashes import (
     HashEngine,
-    crc16,
     crc32_bytes,
     crc32_tuple,
     pack_five_tuple,
@@ -31,26 +30,15 @@ def test_reversed_tuple_hashes_differently():
     assert crc32_tuple(ft) != crc32_tuple(ft.reversed())
 
 
-def test_crc16_known_vector():
-    # CRC-16/ARC of "123456789" is 0xBB3D.
-    assert crc16(b"123456789") == 0xBB3D
-
-
-def test_crc16_empty():
-    assert crc16(b"") == 0
-
-
 def test_engine_bounds():
     eng = HashEngine(1000)
     for i in range(200):
         assert 0 <= eng.index(bytes([i])) < 1000
 
 
-def test_engine_rejects_bad_width_and_algorithm():
+def test_engine_rejects_bad_width():
     with pytest.raises(ValueError):
         HashEngine(0)
-    with pytest.raises(ValueError):
-        HashEngine(10, algorithm="md5")
 
 
 def test_engine_salt_rows_are_independent():
@@ -78,18 +66,6 @@ def test_engine_salt_rows_are_independent():
     assert still_colliding <= len(collisions) // 4
 
 
-def test_index_fields_deterministic():
-    eng = HashEngine(4096, salt=1)
-    assert eng.index_fields(1, 2, 3) == eng.index_fields(1, 2, 3)
-    assert eng.index_fields(1, 2, 3) != eng.index_fields(3, 2, 1)
-
-
-def test_index_tuple_consistent_with_index():
-    eng = HashEngine(512)
-    ft = FiveTuple(9, 8, 7, 6)
-    assert eng.index_tuple(ft) == eng.index(pack_five_tuple(ft))
-
-
 @given(st.binary(min_size=0, max_size=64), st.integers(1, 1 << 20))
 def test_property_index_in_range(data, width):
     eng = HashEngine(width, salt=2)
@@ -99,5 +75,3 @@ def test_property_index_in_range(data, width):
 @given(st.binary(min_size=1, max_size=32))
 def test_property_crc_functions_stable(data):
     assert crc32_bytes(data) == crc32_bytes(data)
-    assert crc16(data) == crc16(data)
-    assert 0 <= crc16(data) <= 0xFFFF

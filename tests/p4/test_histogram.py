@@ -1,4 +1,5 @@
-"""Unit tests for the read-flip histogram register extern."""
+"""Unit tests for the read-flip histogram register extern (and, where a
+test is about the bank pair alone, the time-window extern beside it)."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from repro.p4.histogram import (
     bin_quantile,
     bin_series,
     log_edges,
-    merge_counts,
 )
+from repro.p4.time_windows import F_PKTS, TimeWindowRegister
 
 
 # -- bin-edge construction -----------------------------------------------------
@@ -67,19 +68,53 @@ def test_extract_returns_window_and_clears():
     h.observe(1, 5000)
     w2 = h.extract()
     assert list(w2[1]) == [0, 0, 0, 1]
-    assert h.total_observations() == 0
+    assert h.snapshot().sum() == 0
     assert h.flips == 2
 
 
-def test_writes_straddling_a_flip_are_never_lost():
-    h = _hist()
-    h.observe(0, 50)
-    h.flip()                      # sample now sits in the quiescent bank
-    h.observe(0, 50)              # lands in the new active bank
-    assert h.total_observations() == 2
-    assert h.extract()[0].sum() == 1   # flips back: first sample's bank
-    assert h.extract()[0].sum() == 1   # and the second's
-    assert h.total_observations() == 0
+# What both bank-pair externs share: (factory, record one sample,
+# samples held in a bank-shaped array).
+_BANK_PAIRS = [
+    pytest.param(_hist, lambda h: h.observe(0, 50),
+                 lambda bank: int(bank.sum()), id="histogram"),
+    pytest.param(lambda: TimeWindowRegister("tw", 1, 8, 1_000),
+                 lambda tw: tw.observe(10, 7, 100, 0),
+                 lambda bank: int(bank[0, :, F_PKTS].sum()), id="time_window"),
+]
+
+
+def _held(pair, held):
+    return held(pair.bank(0)) + held(pair.bank(1))
+
+
+@pytest.mark.parametrize("make, observe, held", _BANK_PAIRS)
+def test_writes_straddling_a_flip_are_never_lost(make, observe, held):
+    pair = make()
+    observe(pair)
+    pair.flip()                   # sample now sits in the quiescent bank
+    observe(pair)                 # lands in the new active bank
+    assert _held(pair, held) == 2
+    assert held(pair.extract()) == 1   # flips back: first sample's bank
+    assert held(pair.extract()) == 1   # and the second's
+    assert _held(pair, held) == 0
+
+
+@pytest.mark.parametrize("make, observe, held", _BANK_PAIRS)
+def test_clear_and_load_banks(make, observe, held):
+    src = make()
+    observe(src)
+    src.flip()
+    observe(src)
+    dst = make()
+    dst.load_banks(src.bank(0), src.bank(1), src.active)
+    assert dst.active == 1 and _held(dst, held) == 2
+    assert np.array_equal(dst.extract(), src.extract())
+    with pytest.raises(ValueError):
+        dst.load_banks(src.bank(0)[..., :1], src.bank(1), 0)
+    with pytest.raises(ValueError):
+        dst.load_banks(src.bank(0), src.bank(1), 2)
+    src.clear()
+    assert _held(src, held) == 0
 
 
 def test_snapshot_sums_both_banks():
@@ -89,17 +124,6 @@ def test_snapshot_sums_both_banks():
     h.observe(2, 5)
     assert h.snapshot()[2][0] == 2
     assert h.bank(0)[2][0] + h.bank(1)[2][0] == 2
-
-
-def test_row_quantile_and_clear():
-    h = _hist()
-    for _ in range(9):
-        h.observe(0, 50)
-    h.observe(0, 500)
-    assert h.row_quantile(0, 0.5) == 100
-    assert h.row_quantile(0, 0.99) == 1000
-    h.clear()
-    assert h.total_observations() == 0
 
 
 def test_constructor_validation():
@@ -131,14 +155,6 @@ def test_bin_quantile_upper_bound_semantics():
     assert bin_quantile((10, 100, 1000), (0, 0, 0, 5), 0.5) == 1000
 
 
-def test_merge_counts_is_elementwise_sum():
-    a = np.array([1, 2, 3], dtype=np.uint64)
-    b = np.array([4, 5, 6], dtype=np.uint64)
-    assert list(merge_counts(a, b)) == [5, 7, 9]
-    with pytest.raises(ValueError):
-        merge_counts()
-
-
 # -- runtime registration ------------------------------------------------------
 
 def test_program_registration_and_runtime_access():
@@ -150,11 +166,10 @@ def test_program_registration_and_runtime_access():
         prog.histogram(_hist())  # duplicate name
     client = P4RuntimeClient(prog)
     h.observe(0, 50)
-    assert client.read_histogram("h")[0].sum() == 1
     assert client.extract_histogram("h")[0].sum() == 1
-    assert client.register_reads == 2
-    with pytest.raises(KeyError):
-        client.histogram("nope")
+    assert client.register_reads == 1
+    with pytest.raises(KeyError, match="no histogram"):
+        client.extract_histogram("nope")
 
 
 def test_state_snapshot_includes_banks_and_phase():

@@ -1,15 +1,12 @@
 """Property-based guarantees of the read-flip histogram extern.
 
-The three properties the histogram subsystem's correctness leans on
+The two properties the histogram subsystem's correctness leans on
 (docs/observability.md "Data-plane histograms"):
 
 - **conservation**: across an arbitrary interleaving of observes and
   flips/extracts, every sample is extracted exactly once — the sum of
   extracted windows plus the residue still in the banks equals the
   number of observations, per row and per bin.
-- **merge associativity**: merging bin rows is associative and
-  commutative, so per-flow rows can be merged in any grouping and the
-  all-flow distribution is well-defined.
 - **quantile monotonicity**: q <= q' implies quantile(q) <= quantile(q'),
   so percentile tables can never cross.
 """
@@ -19,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.p4.histogram import HistogramRegister, bin_quantile, merge_counts
+from repro.p4.histogram import HistogramRegister, bin_quantile
 
 EDGES = (10, 100, 1_000, 10_000)
 
@@ -55,17 +52,6 @@ def test_property_conservation_across_flip_schedules(ops):
     total = extracted + h.snapshot()
     assert int(total.sum()) == nobs
     assert np.array_equal(total, observed)
-
-
-@given(st.lists(st.lists(st.integers(0, 50), min_size=5, max_size=5),
-                min_size=3, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_property_merge_associative_and_commutative(rows):
-    arrays = [np.array(r, dtype=np.uint64) for r in rows]
-    left = merge_counts(merge_counts(*arrays[:2]), *arrays[2:])
-    right = merge_counts(arrays[0], merge_counts(*arrays[1:]))
-    assert np.array_equal(left, right)
-    assert np.array_equal(left, merge_counts(*reversed(arrays)))
 
 
 @given(st.lists(st.integers(0, 1000), min_size=5, max_size=6),

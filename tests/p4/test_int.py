@@ -91,16 +91,6 @@ def test_per_switch_series_keyed_correctly(sim, int_path):
     assert set(collector.per_switch_queue) == {1, 2}
 
 
-def test_path_latency_series_filter(sim, int_path):
-    a, b, sw1, sw2, collector = int_path
-    a.send(make_data_packet(ft(a, b), seq=0, payload_len=100))
-    a.send(make_data_packet(FiveTuple(a.ip, b.ip, 7, 8), seq=0, payload_len=100))
-    sim.run()
-    key = (a.ip, b.ip, 1000, 2000, 6)
-    assert len(collector.path_latency_series(key)) == 1
-    assert len(collector.path_latency_series()) == 2
-
-
 def test_overhead_accounting(sim, int_path):
     a, b, sw1, sw2, collector = int_path
     for i in range(3):

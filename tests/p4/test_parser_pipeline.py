@@ -161,9 +161,9 @@ def test_program_registration_and_duplicates():
 
 def test_runtime_register_access():
     prog = P4Program("p")
-    prog.register(RegisterArray("r", 4))
+    reg = prog.register(RegisterArray("r", 4))
     rt = P4RuntimeClient(prog)
-    rt.write_register("r", 2, 99)
+    reg.write(2, 99)
     assert rt.read_register("r", 2) == 99
     snap = rt.read_register("r")
     assert list(snap) == [0, 0, 99, 0]

@@ -1,10 +1,10 @@
-"""Stateful registers and counters: width, wrap, control-plane reads."""
+"""Stateful registers: width, wrap, control-plane reads."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.p4.registers import Counter, RegisterArray
+from repro.p4.registers import RegisterArray
 
 
 def test_initial_state_is_zero():
@@ -88,29 +88,6 @@ def test_invalid_geometry():
 
 def test_len():
     assert len(RegisterArray("r", 12)) == 12
-
-
-def test_counter_counts_packets_and_bytes():
-    ctr = Counter("c", 4)
-    ctr.count(1, 100)
-    ctr.count(1, 50)
-    assert ctr.packets(1) == 2
-    assert ctr.bytes(1) == 150
-    assert ctr.packets(0) == 0
-
-
-def test_counter_snapshot_and_clear():
-    ctr = Counter("c", 2)
-    ctr.count(0, 10)
-    pk, by = ctr.snapshot()
-    assert pk[0] == 1 and by[0] == 10
-    ctr.clear()
-    assert ctr.packets(0) == 0
-
-
-def test_counter_invalid_size():
-    with pytest.raises(ValueError):
-        Counter("c", 0)
 
 
 @given(st.integers(1, 64), st.integers(0, 2**64 - 1))

@@ -71,13 +71,6 @@ def test_eps_n_error_bound_holds_at_tail_probability():
     assert violations / len(true) <= 3 * delta
 
 
-def test_error_bound_reports_eps_n():
-    cms = CountMinSketch(width=100, depth=2)
-    cms.update(b"a", 700)
-    cms.update(b"b", 300)
-    assert cms.error_bound() == math.e / 100 * 1000
-
-
 def test_snapshot_is_an_independent_copy():
     cms = CountMinSketch(width=16, depth=2)
     cms.update(b"x", 5)

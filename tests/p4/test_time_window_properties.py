@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.p4.time_windows import TimeWindowRegister, decode_windows
+from repro.p4.time_windows import (
+    F_BYTES, F_PKTS, TimeWindowRegister, decode_windows)
 
 LEVELS = 3
 CELLS = 8
@@ -112,11 +113,10 @@ def test_property_conservation_across_flip_schedules(ops):
             tw.observe(ts, sig, nbytes, qd)
             observed_pkts += 1
             observed_bytes += nbytes
-    residue_pkts = tw.residue_pkts()
-    residue_bytes = tw.residue_bytes()
+    residue = tw.bank(0) + tw.bank(1)  # still held in either bank
     for level in range(LEVELS):
-        assert (extracted_pkts[level] + residue_pkts[level]
+        assert (extracted_pkts[level] + int(residue[level, :, F_PKTS].sum())
                 + tw.evicted_pkts[level]) == observed_pkts
-        assert (extracted_bytes[level] + residue_bytes[level]
+        assert (extracted_bytes[level] + int(residue[level, :, F_BYTES].sum())
                 + tw.evicted_bytes[level]) == observed_bytes
     assert tw.ops == observed_pkts

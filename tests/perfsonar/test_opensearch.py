@@ -77,11 +77,6 @@ def test_series(store):
     assert series == [(0.0, 0.0), (2.0, 20.0), (4.0, 40.0)]
 
 
-def test_delete_index(store):
-    store.delete_index("metrics")
-    assert store.count("metrics") == 0
-
-
 def test_search_returns_fresh_lists(store):
     """A caller mutating a returned document's list cannot reach the
     store either (the row keeps a tuple)."""

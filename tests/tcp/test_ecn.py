@@ -33,9 +33,6 @@ def test_negotiation_both_sides(sim):
     conn.connect()
     sim.run_until(seconds(1))
     assert conn._ecn_on
-    assert sstack.active_connections == [] or True  # server side below
-    # Find the server connection before it's torn down.
-    # (Still established — no data sent.)
 
 
 def test_no_negotiation_if_server_declines(sim):

@@ -153,8 +153,8 @@ def test_fin_teardown_records_end_time(sim):
     assert accepted[0].state is TcpState.DONE
     assert conn.stats.end_ns > conn.stats.established_ns > 0
     # Both stacks forgot the connection.
-    assert not cstack.active_connections
-    assert not sstack.active_connections
+    assert not cstack._conns
+    assert not sstack._conns
 
 
 def test_syn_retransmission_on_lost_syn(sim):

@@ -1,4 +1,6 @@
-"""The two guards that keep the observer stack from growing back.
+"""Guards that keep deleted surface from growing back.
+
+The observer stack:
 
 ``repro.telemetry`` exports what another package reaches through it and
 nothing else (every other user imports the submodule), and importing the
@@ -6,6 +8,11 @@ CLI starts no server machinery: no ``http.server`` chain in
 ``sys.modules``, and the stack sampler's file is the only one under
 ``src/repro/`` that imports ``threading`` — one thread touches the
 registry, the simulator's.
+
+The P4 model: ``P4Program`` registers no extern kind the monitor
+program does not instantiate, and the names ``state_snapshot`` keys the
+data-plane state by — hashed by ``state_digest``, stored by checkpoints —
+are pinned.
 """
 
 import ast
@@ -16,6 +23,8 @@ import sys
 from pathlib import Path
 
 from repro import telemetry
+from repro.core.config import MonitorConfig
+from repro.core.monitor import P4Monitor
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -54,3 +63,31 @@ def test_importing_the_cli_loads_no_server_and_starts_no_thread_user():
                                    + [getattr(node, "module", None)])
                for node in ast.walk(ast.parse(path.read_text()))))
     assert threaded == ["repro/telemetry/profiling.py"]
+
+
+def _full_program():
+    return P4Monitor(MonitorConfig(histograms_enabled=True,
+                                   forensics_enabled=True)).program
+
+
+def test_every_extern_kind_the_registry_holds_is_instantiated():
+    kinds = {attr: table for attr, table in vars(_full_program()).items()
+             if isinstance(table, dict)}
+    assert kinds and all(kinds.values()), (
+        f"registered by no stage: {[a for a, t in kinds.items() if not t]}")
+
+
+def test_state_snapshot_keys_are_pinned():
+    registers = (
+        "eack_sig eack_ts flight_high_ack flight_high_seq flow_bytes "
+        "flow_ce_marks flow_dport flow_dst flow_fin flow_key flow_last "
+        "flow_pkts flow_qdelay flow_qdelay_max flow_rwnd flow_sport flow_src "
+        "flow_start mb_peak mb_pkts mb_start mb_state pkt_loss prev_seq "
+        "q_stash_sig q_stash_ts rtt rtt_count").split()
+    pairs = ("histogram/qdepth_hist", "histogram/rtt_hist",
+             "time_window/time_windows")
+    assert sorted(_full_program().state_snapshot()) == sorted(
+        [f"{pair}/{part}" for pair in pairs
+         for part in ("active", "bank0", "bank1")]
+        + [f"register/{name}" for name in registers]
+        + ["sketch/long_flow_cms"])

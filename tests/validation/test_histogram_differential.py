@@ -40,7 +40,7 @@ def test_histograms_wired_into_validation_run(hist_outcome):
     assert mon.rtt_loss.rtt_hist is not None
     assert mon.queue.qdepth_hist is not None
     assert run.scenario.control_plane.histograms is not None
-    assert mon.rtt_loss.rtt_hist.total_observations() \
+    assert int(mon.rtt_loss.rtt_hist.snapshot().sum()) \
         + int(run.scenario.control_plane.histograms.rtt_cumulative.sum()) > 0
 
 

@@ -132,5 +132,5 @@ def test_udp_flows_counted_but_no_rtt(oracle):
     truth = oracle.truth_for(FiveTuple(SRC, DST, 7000, 7001, PROTO_UDP))
     assert truth.packets == 1 and not truth.is_tcp
     assert not truth.rtt_samples
-    assert oracle.total_payload_bytes == 1400
+    assert truth.payload_bytes == 1400
     assert oracle.total_tcp_payload_bytes == 0

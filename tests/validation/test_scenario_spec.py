@@ -100,7 +100,7 @@ def test_build_smoke_runs_shortest_scenario():
     spec.duration_s = 1.0
     run = spec.build()
     run.run()
-    assert run.oracle.total_payload_bytes > 0
+    assert run.oracle.total_tcp_payload_bytes > 0
     report = run.check()
     assert report.passed, report.summary()
 
