@@ -23,7 +23,7 @@ from repro.netsim.tap import TapDirection
 from repro.netsim.units import millis, seconds
 from repro.p4.pipeline import StandardMetadata
 
-from tests.core.helpers import FT, small_monitor
+from tests.core.helpers import FT, document_sink, small_monitor
 
 PACKETS = 400
 # A budget passes as soon as one clean attempt fits.
@@ -64,7 +64,7 @@ def enabled_stage_run(**overrides):
     mon = small_monitor(eack_table_size=4096, queue_stash_size=4096,
                         **overrides)
     shipped = []
-    cp = MonitorControlPlane(sim, mon, report_sink=shipped.append)
+    cp = MonitorControlPlane(sim, mon, report_sink=document_sink(shipped))
     cp.start()
 
     def copy_at(t, pkt, direction):

@@ -17,7 +17,9 @@ Responsibilities, as the paper assigns them:
 Every periodic extraction — the four metric classes, plus the histogram
 and forensics extractors when the data plane has their externs — is one
 job of ``MonitorControlPlane.schedule`` and runs through the one
-``_tick`` envelope (docs/architecture.md §3).
+``_tick`` envelope (docs/architecture.md §3).  A tick ships one block:
+every row its body produces, in emission order, reaches the report sink
+in one call when the body returns.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.core.limiter import LimiterClassifier
 from repro.core.monitor import P4Monitor
 from repro.core.reports import (
     AggregateSample,
-    Alert,
+    Block,
     FlowSample,
     FlowSampleLog,
     FlowTerminationReport,
@@ -48,12 +50,17 @@ from repro.core.reports import (
     LimiterReport,
     LimiterVerdict,
     MicroburstEvent,
-    flow_sample_document,
-    limiter_document,
+    Row,
+    flow_head,
+    flow_sample_row,
+    limiter_row,
 )
 from repro.core.stats import jain_fairness, link_utilization, throughput_bps
 
-ReportSink = Callable[[object], None]
+#: Receives one :data:`~repro.core.reports.Block` per call: a tick's rows,
+#: or a block of one (a digest handler's report; every row while a
+#: provenance tracer is bound).
+ReportSink = Callable[[Block], None]
 
 
 @dataclass
@@ -109,6 +116,11 @@ class MonitorControlPlane:
         self.config = config or monitor.config
         self.runtime = monitor.runtime()
         self.report_sink = report_sink
+        # Where a report row goes right now: the open tick's block, or
+        # shipped alone (outside a tick, or under a tracer).
+        self._put: Optional[Callable[[Row], None]] = self._send_row
+        # flow_id -> flow_head(): dotted quads resolved once per flow.
+        self._heads: Dict[int, tuple] = {}
 
         self.flows: Dict[int, TrackedFlow] = {}
         self.alerts = AlertManager(self.config, sink=self._ship)
@@ -327,12 +339,12 @@ class MonitorControlPlane:
         try:
             if self._tel_cycle_ns is not None:
                 t0 = time.perf_counter_ns()
-                job.body()
+                self._run_body(job)
                 self._tel_cycle_ns.labels(name).observe(
                     time.perf_counter_ns() - t0)
                 self._tel_cycles.labels(name).inc()
             else:
-                job.body()
+                self._run_body(job)
         finally:
             if prof is not None:
                 prof.end()
@@ -340,6 +352,23 @@ class MonitorControlPlane:
         # The body was destructive (read-flip banks, cleared peak-holds).
         self._checkpoint()
         self._arm(job)
+
+    def _run_body(self, job: _Job) -> None:
+        """One job body, its report rows collected in one block that
+        ships in one call when the body returns.  A bound tracer ships
+        each row as it comes instead, so the report context still opens
+        right after the extraction behind that row."""
+        block: Block = []
+        if self.report_sink is None:
+            self._put = None
+        elif self._trace is None:
+            self._put = block.append
+        try:
+            job.body()
+        finally:
+            self._put = self._send_row
+        if block:
+            self._send(block)
 
     def _checkpoint(self) -> None:
         """End of a destructive step (an extraction tick, a consumed
@@ -415,6 +444,7 @@ class MonitorControlPlane:
     # -- digest handlers ------------------------------------------------------------
 
     def _on_long_flow(self, _name: str, payload: dict) -> None:
+        self._heads.pop(payload["flow_id"], None)
         flow = TrackedFlow(
             flow_id=payload["flow_id"],
             rev_flow_id=payload["rev_flow_id"],
@@ -571,6 +601,7 @@ class MonitorControlPlane:
             self._sweep("flight_high_seq", ids), self._sweep("flight_high_ack", ids))]
         loss_deltas = [losses - f.last_loss for f, losses in zip(flows, loss_col)]
         archive = self.limiter_reports.rows.append
+        put, heads, stamp = self._put, self._heads, now / NS_PER_S
         for (flow, idx, losses, pkts, rwnd, loss_delta,
              verdict, mean_flight, flight_cv, lost) in zip(
                 flows, ids, loss_col, pkts_col, rwnd_col, loss_deltas,
@@ -588,14 +619,13 @@ class MonitorControlPlane:
             if trace is not None:
                 trace.control_read("flow_rwnd", idx, now, value=rwnd, flow_id=flow.flow_id)
             flow.verdict = verdict
-            # Row and document from the same nine values, as for samples.
-            row = (now, flow.flow_id, flow.src_ip, flow.dst_ip,
-                   verdict, mean_flight, flight_cv, lost, rwnd)
-            archive(row)
+            archive((now, flow.flow_id, flow.src_ip, flow.dst_ip,
+                     verdict, mean_flight, flight_cv, lost, rwnd))
             if self.degraded:
-                self._ship(LimiterReport(*row))  # suppressed, counted by type
-            elif self.report_sink is not None:
-                self._send(limiter_document(*row), "LimiterReport")
+                self._suppress("LimiterReport")
+            elif put is not None:
+                put(limiter_row(stamp, heads.get(flow.flow_id) or self._head(flow),
+                                verdict, mean_flight, flight_cv, lost, rwnd))
 
     def _tick_rtt(self) -> None:
         now = self.sim.now
@@ -650,39 +680,47 @@ class MonitorControlPlane:
 
     def _sample_emitter(self, kind: MetricKind, now: int, jitter: bool = False
                         ) -> Callable[[TrackedFlow, float], None]:
-        """One tick's ``emit(flow, value)``: archive and ship one per-flow
-        sample, then run the metric's alert check.  What a tick's samples
-        share — stream, boost, document type and timestamp, whether the
-        class alerts at all — is resolved here, once; row and document
-        are built from the same nine values, and no ``FlowSample`` exists
-        until somebody reads the log.  ``jitter`` selects the stream
-        derived from ``kind``'s samples (no alert class of its own)."""
+        """One tick's ``emit(flow, value)``: archive one per-flow sample,
+        put its Report_v1 row, then run the metric's alert check.  What a
+        tick's samples share — stream, boost, document type and
+        timestamp, whether the class alerts at all — is resolved here,
+        once, and a flow's addresses once per flow; no ``FlowSample``
+        exists until somebody reads the log.  ``jitter`` selects the
+        stream derived from ``kind``'s samples (no alert class of its
+        own)."""
         boosted = self.alerts.metric_boosted(kind)
         mc = self.config.metric(kind)
         alerting = not jitter and mc.alert_enabled and mc.alert_threshold is not None
         metric = "jitter" if jitter else kind.value
         archive = (self.jitter_samples if jitter else self.flow_samples[kind]).rows.append
         doc_type, stamp = f"p4_{metric}", now / NS_PER_S
+        put, heads = self._put, self._heads
 
         def emit(flow: TrackedFlow, value: float) -> None:
-            row = (now, metric, flow.flow_id, flow.src_ip, flow.dst_ip,
-                   flow.src_port, flow.dst_port, value, boosted)
-            archive(row)
+            fid = flow.flow_id
+            archive((now, metric, fid, flow.src_ip, flow.dst_ip,
+                     flow.src_port, flow.dst_port, value, boosted))
             if self.degraded:
-                self._ship(FlowSample(*row))     # suppressed, counted by type
-            elif self.report_sink is not None:
-                self._send(flow_sample_document(doc_type, stamp, *row[2:]),
-                           "FlowSample")
+                self._suppress("FlowSample")
+            elif put is not None:
+                put(flow_sample_row(doc_type, stamp, heads.get(fid) or self._head(flow),
+                                    flow.src_port, flow.dst_port, value, boosted))
             if alerting:
-                self.alerts.check(kind, flow.flow_id, value, now)
+                self.alerts.check(kind, fid, value, now)
 
         return emit
+
+    def _head(self, flow: TrackedFlow) -> tuple:
+        head = self._heads[flow.flow_id] = flow_head(
+            flow.flow_id, flow.src_ip, flow.dst_ip)
+        return head
 
     def _retire(self, flow: TrackedFlow) -> None:
         """The flow left the active set (FIN/RST or idle eviction).  No
         tick samples it again, so an alert it holds could never clear
         and its limiter row never recycle: drop both here."""
         flow.terminated = True
+        self._heads.pop(flow.flow_id, None)
         self.alerts.drop_flow(flow.flow_id)
         self.limiter.forget(flow.flow_id)
 
@@ -698,33 +736,40 @@ class MonitorControlPlane:
         for metric, n in counts.items():
             gauge.labels(metric).set(n)
 
-    def _ship(self, report: object) -> None:
+    def _ship(self, report) -> None:
+        """Put one report's row (a report of :mod:`repro.core.reports`)."""
         if self.degraded and isinstance(report, (FlowSample, LimiterReport)):
-            # Degraded mode: per-flow detail collapses to the aggregate
-            # stream (what default perfSONAR ships anyway) until the
-            # delivery path proves healthy again.
-            self.reports_suppressed += 1
-            if self._tel_cycle_ns is not None:
-                self._tel_suppressed.labels(type(report).__name__).inc()
-        elif self.report_sink is not None:
-            self._send(report.to_document() if hasattr(report, "to_document")
-                       else report, type(report).__name__)
+            self._suppress(type(report).__name__)
+        elif self._put is not None:
+            self._put(report.row())
 
-    def _send(self, payload: object, name: str) -> None:
-        """The one ``report_sink`` site."""
+    def _suppress(self, name: str) -> None:
+        """Degraded mode: per-flow detail collapses to the aggregate
+        stream (what default perfSONAR ships anyway) until the delivery
+        path proves healthy again.  Counted by report type."""
+        self.reports_suppressed += 1
+        if self._tel_cycle_ns is not None:
+            self._tel_suppressed.labels(name).inc()
+
+    def _send_row(self, row: Row) -> None:
+        if self.report_sink is not None:
+            self._send([row])
+
+    def _send(self, block: Block) -> None:
+        """The one ``report_sink`` site.  Every Report_v1 row leads with
+        its type."""
+        if self._tel_cycle_ns is not None:
+            for _, values in block:
+                self._tel_reports.labels(values[0]).inc()
         trace = self._trace
-        if self._tel_cycle_ns is not None or trace is not None:
-            doc_type = payload.get("type", "unknown") \
-                if isinstance(payload, dict) else name
-            if self._tel_cycle_ns is not None:
-                self._tel_reports.labels(doc_type).inc()
-            if trace is not None:
-                # Report context: downstream (Logstash, archiver) events
-                # attach to the packet behind the latest extraction.
-                trace.begin_report(self.sim.now)
-                trace.report_event("control-plane", "ship", doc_type)
+        if trace is not None:
+            # Report context (a tracer ships blocks of one): downstream
+            # (Logstash, archiver) events attach to the packet behind
+            # the latest extraction.
+            trace.begin_report(self.sim.now)
+            trace.report_event("control-plane", "ship", block[0][1][0])
         try:
-            self.report_sink(payload)
+            self.report_sink(block)
         finally:
             if trace is not None:
                 trace.end_report()

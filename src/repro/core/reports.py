@@ -1,20 +1,61 @@
 """Report structures (the 'Report_v1' of Fig. 7).
 
 The control plane restructures raw register reads into these records and
-ships them to the archiver pipeline.  ``to_document()`` produces the
-JSON-style dict that the Logstash TCP input plugin ingests.
+ships them to the archiver pipeline as **rows**: a document is a
+``(keys, values)`` pair — its key tuple, interned (one module constant
+per fixed schema), and a value tuple in the same order with every
+top-level list stored as a tuple.  JSON has no tuples, so a row is
+lossless for every document this system ships.  A report sink receives
+a :data:`Block`, a list of rows in emission order, mixed schemas in one
+list.  Each document's field list is defined once, here: a key tuple
+plus a row builder; ``to_document()`` is ``dict(zip(*row))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import starmap
 from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.netsim.packet import int_to_ip
 from repro.netsim.units import NS_PER_S
+
+
+#: One document: its interned key tuple and the value tuple beside it.
+Row = Tuple[tuple, tuple]
+#: What a report sink receives: rows in emission order.
+Block = List[Row]
+
+_interned: Dict[tuple, tuple] = {}
+
+
+def document_row(document: dict) -> Row:
+    """A JSON-style dict as a row (the one-document entries: a socket
+    line, ``OpenSearchStore.index``, a shipper's envelope)."""
+    return tuple(document), tuple(tuple(v) if type(v) is list else v
+                                  for v in document.values())
+
+
+def _with_optional(keys: tuple, values: tuple, optional: tuple) -> Row:
+    """A row whose trailing ``(key, value)`` fields are present only
+    when the value is not ``None``."""
+    present = [(k, v) for k, v in optional if v is not None]
+    if not present:
+        return keys, values
+    keys = keys + tuple(k for k, _ in present)
+    return _interned.setdefault(keys, keys), values + tuple(v for _, v in present)
+
+
+class _Document:
+    """What every report shares: its Report_v1 dict is its row's."""
+
+    def row(self) -> Row:
+        raise NotImplementedError
+
+    def to_document(self) -> dict:
+        return dict(zip(*self.row()))
 
 
 class LimiterVerdict(Enum):
@@ -32,7 +73,7 @@ class LimiterVerdict(Enum):
 
 
 @dataclass
-class FlowSample:
+class FlowSample(_Document):
     """One per-flow measurement at one extraction instant."""
 
     time_ns: int
@@ -45,27 +86,32 @@ class FlowSample:
     value: float                # metric units: bps / % / ms / %
     boosted: bool = False
 
-    def to_document(self) -> dict:
-        return flow_sample_document(f"p4_{self.metric}", self.time_ns / NS_PER_S,
-                                    *astuple(self)[2:])
+    def row(self) -> Row:
+        return flow_sample_row(
+            f"p4_{self.metric}", self.time_ns / NS_PER_S,
+            flow_head(self.flow_id, self.src_ip, self.dst_ip),
+            self.src_port, self.dst_port, self.value, self.boosted)
 
 
-def flow_sample_document(doc_type: str, timestamp_s: float, flow_id: int,
-                         src_ip: int, dst_ip: int, src_port: int,
-                         dst_port: int, value: float, boosted: bool) -> dict:
-    """The Report_v1 document of one per-flow sample (the control plane
+FLOW_SAMPLE_KEYS = ("type", "@timestamp", "flow_id", "source_ip",
+                    "destination_ip", "source_port", "destination_port",
+                    "value", "boosted")
+
+
+def flow_head(flow_id: int, src_ip: int, dst_ip: int) -> tuple:
+    """``(flow_id, source_ip, destination_ip)``, the addresses as dotted
+    quads: what every per-flow document leads with after its type and
+    timestamp (the control plane resolves it once per tracked flow)."""
+    return flow_id, int_to_ip(src_ip), int_to_ip(dst_ip)
+
+
+def flow_sample_row(doc_type: str, timestamp_s: float, head: tuple,
+                    src_port: int, dst_port: int, value: float,
+                    boosted: bool) -> Row:
+    """The Report_v1 row of one per-flow sample (the control plane
     passes a tick's shared type and timestamp)."""
-    return {
-        "type": doc_type,
-        "@timestamp": timestamp_s,
-        "flow_id": flow_id,
-        "source_ip": int_to_ip(src_ip),
-        "destination_ip": int_to_ip(dst_ip),
-        "source_port": src_port,
-        "destination_port": dst_port,
-        "value": value,
-        "boosted": boosted,
-    }
+    return FLOW_SAMPLE_KEYS, (doc_type, timestamp_s, *head, src_port,
+                              dst_port, value, boosted)
 
 
 class FlowSampleLog:
@@ -110,7 +156,7 @@ class FlowSampleLog:
 
 
 @dataclass
-class AggregateSample:
+class AggregateSample(_Document):
     """Control-plane-derived network-wide metrics (§5.3)."""
 
     time_ns: int
@@ -120,20 +166,18 @@ class AggregateSample:
     total_bytes: int
     total_packets: int
 
-    def to_document(self) -> dict:
-        return {
-            "type": "p4_aggregate",
-            "@timestamp": self.time_ns / NS_PER_S,
-            "link_utilization": self.link_utilization,
-            "jain_fairness": self.jain_fairness,
-            "active_flows": self.active_flows,
-            "total_bytes": self.total_bytes,
-            "total_packets": self.total_packets,
-        }
+    KEYS = ("type", "@timestamp", "link_utilization", "jain_fairness",
+            "active_flows", "total_bytes", "total_packets")
+
+    def row(self) -> Row:
+        return self.KEYS, ("p4_aggregate", self.time_ns / NS_PER_S,
+                           self.link_utilization, self.jain_fairness,
+                           self.active_flows, self.total_bytes,
+                           self.total_packets)
 
 
 @dataclass
-class MicroburstEvent:
+class MicroburstEvent(_Document):
     """A data-plane-detected microburst, ns start time and duration."""
 
     start_ns: int
@@ -143,21 +187,18 @@ class MicroburstEvent:
     packets: int
     port_id: int = 0            # which tapped egress queue
 
-    def to_document(self) -> dict:
-        return {
-            "type": "p4_microburst",
-            "@timestamp": self.start_ns / NS_PER_S,
-            "start_ns": self.start_ns,
-            "duration_ns": self.duration_ns,
-            "peak_queue_delay_ns": self.peak_queue_delay_ns,
-            "peak_occupancy": self.peak_occupancy,
-            "packets": self.packets,
-            "port_id": self.port_id,
-        }
+    KEYS = ("type", "@timestamp", "start_ns", "duration_ns",
+            "peak_queue_delay_ns", "peak_occupancy", "packets", "port_id")
+
+    def row(self) -> Row:
+        return self.KEYS, ("p4_microburst", self.start_ns / NS_PER_S,
+                           self.start_ns, self.duration_ns,
+                           self.peak_queue_delay_ns, self.peak_occupancy,
+                           self.packets, self.port_id)
 
 
 @dataclass
-class FlowTerminationReport:
+class FlowTerminationReport(_Document):
     """The detailed terminated-long-flow report of §3.3.2: nanosecond
     start/end, totals, average throughput, retransmission count and %."""
 
@@ -188,28 +229,22 @@ class FlowTerminationReport:
             return 0.0
         return 100.0 * self.retransmissions / self.total_packets
 
-    def to_document(self) -> dict:
-        return {
-            "type": "p4_flow_termination",
-            "@timestamp": self.end_ns / NS_PER_S,
-            "flow_id": self.flow_id,
-            "source_ip": int_to_ip(self.src_ip),
-            "destination_ip": int_to_ip(self.dst_ip),
-            "source_port": self.src_port,
-            "destination_port": self.dst_port,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "duration_s": self.duration_ns / NS_PER_S,
-            "total_packets": self.total_packets,
-            "total_bytes": self.total_bytes,
-            "avg_throughput_bps": self.avg_throughput_bps,
-            "retransmissions": self.retransmissions,
-            "retransmission_pct": self.retransmission_pct,
-        }
+    KEYS = ("type", "@timestamp", "flow_id", "source_ip", "destination_ip",
+            "source_port", "destination_port", "start_ns", "end_ns",
+            "duration_s", "total_packets", "total_bytes",
+            "avg_throughput_bps", "retransmissions", "retransmission_pct")
+
+    def row(self) -> Row:
+        return self.KEYS, (
+            "p4_flow_termination", self.end_ns / NS_PER_S,
+            *flow_head(self.flow_id, self.src_ip, self.dst_ip),
+            self.src_port, self.dst_port, self.start_ns, self.end_ns, self.duration_ns / NS_PER_S,
+            self.total_packets, self.total_bytes, self.avg_throughput_bps,
+            self.retransmissions, self.retransmission_pct)
 
 
 @dataclass
-class Alert:
+class Alert(_Document):
     """Raised when a metric crosses its administrator-set threshold."""
 
     time_ns: int
@@ -219,20 +254,17 @@ class Alert:
     threshold: float
     cleared: bool = False  # True when the alert condition ends
 
-    def to_document(self) -> dict:
-        return {
-            "type": "p4_alert",
-            "@timestamp": self.time_ns / NS_PER_S,
-            "metric": self.metric,
-            "flow_id": self.flow_id,
-            "value": self.value,
-            "threshold": self.threshold,
-            "event": "cleared" if self.cleared else "raised",
-        }
+    KEYS = ("type", "@timestamp", "metric", "flow_id", "value", "threshold",
+            "event")
+
+    def row(self) -> Row:
+        return self.KEYS, ("p4_alert", self.time_ns / NS_PER_S, self.metric,
+                           self.flow_id, self.value, self.threshold,
+                           "cleared" if self.cleared else "raised")
 
 
 @dataclass
-class HistogramReport:
+class HistogramReport(_Document):
     """Full distribution shipped at a histogram-extraction tick: the
     cumulative bin counts of one scope (a flow's RTT, a port's queue
     depth, or the all-flow merge) plus the bucket-upper-bound
@@ -257,36 +289,25 @@ class HistogramReport:
     # meaningful on scope="all" reports; drives change-point alerts).
     shift: Optional[float] = None
 
-    def to_document(self) -> dict:
-        doc = {
-            "type": "repro-histogram-v1",
-            "@timestamp": self.time_ns / NS_PER_S,
-            "metric": self.metric,
-            "scope": self.scope,
-            "edges_ns": list(self.edges_ns),
-            "counts": list(self.counts),
-            "count": self.count,
-            "window_count": self.window_count,
-            "p50_ms": self.p50_ms,
-            "p90_ms": self.p90_ms,
-            "p99_ms": self.p99_ms,
-            "p999_ms": self.p999_ms,
-        }
-        if self.flow_id is not None:
-            doc["flow_id"] = self.flow_id
-        if self.src_ip is not None:
-            doc["source_ip"] = int_to_ip(self.src_ip)
-        if self.dst_ip is not None:
-            doc["destination_ip"] = int_to_ip(self.dst_ip)
-        if self.port_id is not None:
-            doc["port_id"] = self.port_id
-        if self.shift is not None:
-            doc["shift"] = self.shift
-        return doc
+    KEYS = ("type", "@timestamp", "metric", "scope", "edges_ns", "counts",
+            "count", "window_count", "p50_ms", "p90_ms", "p99_ms", "p999_ms")
+
+    def row(self) -> Row:
+        return _with_optional(self.KEYS, (
+            "repro-histogram-v1", self.time_ns / NS_PER_S, self.metric,
+            self.scope, tuple(self.edges_ns), tuple(self.counts), self.count,
+            self.window_count, self.p50_ms, self.p90_ms, self.p99_ms,
+            self.p999_ms), (
+            ("flow_id", self.flow_id),
+            ("source_ip", None if self.src_ip is None else int_to_ip(self.src_ip)),
+            ("destination_ip",
+             None if self.dst_ip is None else int_to_ip(self.dst_ip)),
+            ("port_id", self.port_id),
+            ("shift", self.shift)))
 
 
 @dataclass
-class ForensicsReport:
+class ForensicsReport(_Document):
     """Culprit attribution for one queue-trouble interval: the ranked
     flows whose packets occupied the queue during ``[t0_ns, t1_ns)``,
     decoded from the time-window queue-ancestry registers at the finest
@@ -311,28 +332,22 @@ class ForensicsReport:
     victim_flow_id: Optional[int] = None
     port_id: Optional[int] = None
 
-    def to_document(self) -> dict:
-        doc = {
-            "type": "repro-forensics-v1",
-            "@timestamp": self.time_ns / NS_PER_S,
-            "trigger": self.trigger,
-            "t0_ns": self.t0_ns,
-            "t1_ns": self.t1_ns,
-            "level": self.level,
-            "window_width_ns": self.window_width_ns,
-            "windows": self.windows,
-            "total_bytes": self.total_bytes,
-            "culprits": [dict(c) for c in self.culprits],
-        }
-        if self.victim_flow_id is not None:
-            doc["victim_flow_id"] = self.victim_flow_id
-        if self.port_id is not None:
-            doc["port_id"] = self.port_id
-        return doc
+    KEYS = ("type", "@timestamp", "trigger", "t0_ns", "t1_ns", "level",
+            "window_width_ns", "windows", "total_bytes", "culprits")
+
+    def row(self) -> Row:
+        # The row owns its culprit entries: the report keeps its own.
+        return _with_optional(self.KEYS, (
+            "repro-forensics-v1", self.time_ns / NS_PER_S, self.trigger,
+            self.t0_ns, self.t1_ns, self.level, self.window_width_ns,
+            self.windows, self.total_bytes,
+            tuple(dict(c) for c in self.culprits)), (
+            ("victim_flow_id", self.victim_flow_id),
+            ("port_id", self.port_id)))
 
 
 @dataclass
-class LimiterReport:
+class LimiterReport(_Document):
     """Per-flow §4.4 verdict at one extraction instant."""
 
     time_ns: int
@@ -345,23 +360,21 @@ class LimiterReport:
     loss_delta: int
     rwnd_bytes: int
 
-    def to_document(self) -> dict:
-        return limiter_document(*astuple(self))
+    def row(self) -> Row:
+        head = flow_head(self.flow_id, self.src_ip, self.dst_ip)
+        return limiter_row(self.time_ns / NS_PER_S, head, self.verdict,
+                           self.flight_bytes, self.flight_cv, self.loss_delta,
+                           self.rwnd_bytes)
 
 
-def limiter_document(time_ns: int, flow_id: int, src_ip: int, dst_ip: int,
-                     verdict: LimiterVerdict, flight_bytes: float,
-                     flight_cv: float, loss_delta: int, rwnd_bytes: int) -> dict:
-    """The Report_v1 document of one limiter report, from its row."""
-    return {
-        "type": "p4_limiter",
-        "@timestamp": time_ns / NS_PER_S,
-        "flow_id": flow_id,
-        "source_ip": int_to_ip(src_ip),
-        "destination_ip": int_to_ip(dst_ip),
-        "verdict": verdict.value,
-        "flight_bytes": flight_bytes,
-        "flight_cv": flight_cv,
-        "loss_delta": loss_delta,
-        "rwnd_bytes": rwnd_bytes,
-    }
+LIMITER_KEYS = ("type", "@timestamp", "flow_id", "source_ip",
+                "destination_ip", "verdict", "flight_bytes", "flight_cv",
+                "loss_delta", "rwnd_bytes")
+
+
+def limiter_row(timestamp_s: float, head: tuple, verdict: LimiterVerdict,
+                flight_bytes: float, flight_cv: float, loss_delta: int,
+                rwnd_bytes: int) -> Row:
+    """The Report_v1 row of one limiter report."""
+    return LIMITER_KEYS, ("p4_limiter", timestamp_s, *head, verdict.value,
+                          flight_bytes, flight_cv, loss_delta, rwnd_bytes)

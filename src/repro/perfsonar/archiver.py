@@ -4,8 +4,11 @@ control plane → (TCP input plugin) → Logstash filters → (OpenSearch
 output plugin) → OpenSearch store.
 
 :meth:`Archiver.sink` is the report sink handed to
-:class:`~repro.core.control_plane.MonitorControlPlane`; the query helpers
-are what a Grafana dashboard would issue against the archive.
+:class:`~repro.core.control_plane.MonitorControlPlane`: it takes one
+:data:`~repro.core.reports.Block` of Report_v1 rows per call, and the
+block stays one list from the TCP input to the store's bulk write.  The
+query helpers are what a Grafana dashboard would issue against the
+archive.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ from typing import Dict, List, Optional
 
 from repro import telemetry
 from repro.telemetry import profiling, provenance
+from repro.core.reports import Block
 from repro.perfsonar.logstash import (
     LogstashPipeline,
     OpenSearchOutputPlugin,
     TcpInputPlugin,
     opensearch_metadata_filter,
+    row_field,
 )
 from repro.perfsonar.opensearch import OpenSearchStore
 from repro.resilience.delivery import SequenceDedup
@@ -46,8 +51,7 @@ class Archiver:
                 "records shipped into the archiver by the control plane")
             self._tel_batch = telemetry.histogram(
                 "repro_archiver_record_fields",
-                "field count per archived record (the batch-size proxy "
-                "for the newline-delimited TCP input)",
+                "field count per archived record",
                 buckets=telemetry.SIZE_BUCKETS)
             docs_gauge = telemetry.gauge(
                 "repro_archiver_documents_written",
@@ -55,20 +59,22 @@ class Archiver:
             telemetry.registry().add_collector(
                 lambda _reg, out=self.output: docs_gauge.set(out.documents_written))
 
-    # The control-plane report sink (accepts Report_v1 dicts).
-    def sink(self, report: dict) -> None:
+    def sink(self, block: Block) -> None:
+        """The control-plane report sink: one block of Report_v1 rows."""
         prof = self._prof
         if prof is not None:
             prof.begin("archiver.sink")
         try:
-            if self._trace is not None and isinstance(report, dict):
-                self._trace.report_event("archiver", "archive", self.index_prefix,
-                                         doc_type=report.get("type"))
+            if self._trace is not None:
+                for row in block:
+                    self._trace.report_event(
+                        "archiver", "archive", self.index_prefix,
+                        doc_type=row_field(row, "type"))
             if self._tel_records is not None:
-                self._tel_records.inc()
-                if isinstance(report, dict):
-                    self._tel_batch.observe(len(report))
-            self.tcp_input.ingest(report)
+                self._tel_records.inc(len(block))
+                for keys, _ in block:
+                    self._tel_batch.observe(len(keys))
+            self.tcp_input.ingest(block)
         finally:
             if prof is not None:
                 prof.end()

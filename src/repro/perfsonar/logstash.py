@@ -7,7 +7,11 @@ the OpenSearch output plugin."
 The control plane's structured reports (Report_v1) enter through the
 :class:`TcpInputPlugin`; filters add the metadata OpenSearch requires
 (producing Report_v2) or perform perfSONAR's default aggregation; the
-:class:`OpenSearchOutputPlugin` writes to the archive.
+:class:`OpenSearchOutputPlugin` writes to the archive.  As in Logstash,
+filters and outputs run on batches: every stage takes a
+:data:`~repro.core.reports.Block` of ``(keys, values)`` rows — one
+extraction tick's reports — and the output writes it through the store's
+one bulk path.
 
 The default perfSONAR 5 behaviour the paper criticises — collapsing a
 test's samples into a single aggregate value — is modelled by
@@ -19,28 +23,37 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Callable, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import telemetry
 from repro.telemetry import profiling, provenance
+from repro.core.reports import Block, Row, document_row
 from repro.resilience import faults
 from repro.resilience.delivery import SequenceDedup
 from repro.resilience.faults import BackpressureError
 from repro.perfsonar.opensearch import OpenSearchStore
 
-#: A filter returns its input, a new dict, or ``None`` (drop).  It never
-#: mutates its argument: the pipeline makes no defensive copy, and a
-#: shipper may offer the same event again on a retry.
-FilterFn = Callable[[dict], Optional[dict]]
+#: A filter takes a block and returns one: its input, a new list, or a
+#: shorter one (the rows it drops are left out).  It never mutates its
+#: argument: the pipeline makes no defensive copy, and a shipper may
+#: offer the same rows again on a retry.
+FilterFn = Callable[[Block], Block]
+
+
+def row_field(row: Row, name: str, default: Any = None) -> Any:
+    """``document.get(name, default)``, read off a row."""
+    keys, values = row
+    return values[keys.index(name)] if name in keys else default
 
 
 class LogstashPipeline:
-    """inputs → filters (in order, None drops the event) → outputs."""
+    """inputs → filters (in order; a filter drops rows by leaving them
+    out) → outputs, one block at a time."""
 
     def __init__(self, name: str = "perfsonar") -> None:
         self.name = name
         self.filters: List[FilterFn] = []
-        self.outputs: List[Callable[[dict], None]] = []
+        self.outputs: List[Callable[[Block], None]] = []
         self.events_in = 0
         self.events_out = 0
         self.events_dropped = 0
@@ -55,46 +68,50 @@ class LogstashPipeline:
                 labels=("pipeline", "outcome"))
             self._tel_filter_ns = telemetry.histogram(
                 "repro_logstash_filter_ns",
-                "wall-clock time spent in the filter chain per event",
+                "wall-clock time spent in the filter chain per block",
                 labels=("pipeline",)).labels(name)
 
     def add_filter(self, fn: FilterFn) -> None:
         self.filters.append(fn)
 
-    def add_output(self, fn: Callable[[dict], None]) -> None:
+    def add_output(self, fn: Callable[[Block], None]) -> None:
         self.outputs.append(fn)
 
-    def process(self, event: dict) -> Optional[dict]:
+    def process(self, block: Block) -> Block:
+        """Run one block through the filters and hand what survives to
+        every output; returns the surviving rows."""
         prof = self._prof
         if prof is not None:
             prof.begin("logstash.process")
         try:
-            self.events_in += 1
+            events = len(block)
+            self.events_in += events
             tel = self._tel_events
             t0 = time.perf_counter_ns() if tel is not None else 0
-            doc: Optional[dict] = event
+            rows = block
             for fn in self.filters:
-                doc = fn(doc)
-                if doc is None:
-                    self.events_dropped += 1
-                    if self._trace is not None:
-                        self._trace.report_event("archiver", "logstash-drop",
-                                                 self.name,
-                                                 doc_type=event.get("type"))
-                    if tel is not None:
-                        self._tel_filter_ns.observe(time.perf_counter_ns() - t0)
-                        tel.labels(self.name, "dropped").inc()
-                    return None
-            if self._trace is not None:
-                self._trace.report_event("archiver", "logstash-ship", self.name,
-                                         doc_type=doc.get("type"))
+                rows = fn(rows)
+            dropped = events - len(rows)
+            self.events_dropped += dropped
+            trace = self._trace
+            if trace is not None:
+                # A tracer's report context covers one row (the control
+                # plane ships blocks of one while it is bound).
+                kind, seen = ("logstash-ship", rows) if rows else ("logstash-drop", block)
+                for row in seen:
+                    trace.report_event("archiver", kind, self.name,
+                                       doc_type=row_field(row, "type"))
             if tel is not None:
                 self._tel_filter_ns.observe(time.perf_counter_ns() - t0)
-                tel.labels(self.name, "shipped").inc()
-            for out in self.outputs:
-                out(doc)
-            self.events_out += 1
-            return doc
+                if dropped:
+                    tel.labels(self.name, "dropped").inc(dropped)
+                if rows:
+                    tel.labels(self.name, "shipped").inc(len(rows))
+            if rows:
+                for out in self.outputs:
+                    out(rows)
+                self.events_out += len(rows)
+            return rows
         finally:
             if prof is not None:
                 prof.end()
@@ -103,11 +120,11 @@ class LogstashPipeline:
 class TcpInputPlugin:
     """The TCP input plugin the proposed system uses to connect the
     switch control plane to Logstash (§3.3.5).  ``ingest`` models a
-    newline-delimited JSON message arriving on the socket (already
-    parsed); ``ingest_line`` takes the raw line and hardens the
-    pipeline against malformed/truncated input: bad lines are dropped
-    and counted (``repro_logstash_malformed_total``) instead of raising
-    mid-pipeline.
+    block of newline-delimited JSON messages arriving on the socket
+    (already parsed, one row each); ``ingest_line`` takes one raw line
+    and hardens the pipeline against malformed/truncated input: bad
+    lines are dropped and counted (``repro_logstash_malformed_total``)
+    instead of raising mid-pipeline.
 
     While an injected ``logstash_stall`` fault window is active the
     input refuses delivery with
@@ -133,43 +150,47 @@ class TcpInputPlugin:
         if self._tel_malformed is not None:
             self._tel_malformed.inc()
 
-    def ingest(self, event: dict) -> Optional[dict]:
+    def _check_stalled(self) -> None:
         if self._faults is not None and self._faults.logstash_stalled():
             raise BackpressureError(
                 f"logstash input on port {self.port} is stalled")
-        if not isinstance(event, dict):
-            self._drop_malformed("not a JSON object")
-            return None
-        self.messages += 1
-        return self.pipeline.process(event)
 
-    def ingest_line(self, line: Union[str, bytes]) -> Optional[dict]:
-        """One newline-delimited JSON message straight off the socket."""
+    def ingest(self, block: Block) -> Block:
+        """One block of messages; faults are checked once per block."""
+        self._check_stalled()
+        self.messages += len(block)
+        return self.pipeline.process(block)
+
+    def ingest_line(self, line: Union[str, bytes]) -> Optional[Block]:
+        """One newline-delimited JSON message straight off the socket,
+        ingested as a block of one."""
         try:
             event = json.loads(line)
         except (ValueError, TypeError, UnicodeDecodeError):
             # json.JSONDecodeError subclasses ValueError; truncated or
             # binary garbage must never take the pipeline thread down.
-            if self._faults is not None and self._faults.logstash_stalled():
-                raise BackpressureError(
-                    f"logstash input on port {self.port} is stalled")
-            self._drop_malformed("undecodable line")
+            event = None
+        if not isinstance(event, dict):
+            self._check_stalled()
+            self._drop_malformed("not a JSON object")
             return None
-        return self.ingest(event)
+        return self.ingest([document_row(event)])
 
     # Callable so it can be handed around as a plain report sink.
     __call__ = ingest
 
 
 class OpenSearchOutputPlugin:
-    """Routes each event to an index chosen by its ``type`` field.
+    """Routes each row to an index chosen by its ``type`` field and
+    writes the block through the store's one bulk path.
 
     When built with a :class:`~repro.resilience.delivery.SequenceDedup`
     it is idempotent on the shipper's ``(_shipper, _seq)`` envelope:
     at-least-once redelivery upstream plus dedup here yields an
-    exactly-once archive.  A sequence is recorded as seen only *after*
-    ``store.index`` returns — a write that fails mid-flight stays
-    unrecorded, so its retry is not mistaken for a duplicate.
+    exactly-once archive.  Only an enveloped schema pays the probe.  A
+    sequence is recorded as seen only *after* ``store.bulk`` returns — a
+    write that fails mid-flight stays unrecorded, so its retry is not
+    mistaken for a duplicate.
     """
 
     def __init__(
@@ -185,6 +206,10 @@ class OpenSearchOutputPlugin:
         self.dedup = dedup
         self.documents_written = 0
         self.duplicates_dropped = 0
+        # keys -> (index-field position, _seq position, _shipper position),
+        # and type -> index name: both resolved once.
+        self._plans: Dict[tuple, tuple] = {}
+        self._names: Dict[Any, str] = {}
         self._tel_duplicates = None
         if telemetry.enabled():
             self._tel_duplicates = telemetry.counter(
@@ -192,40 +217,88 @@ class OpenSearchOutputPlugin:
                 "redelivered reports dropped by archiver-side sequence "
                 "dedup")
 
-    def __call__(self, event: dict) -> None:
-        # Un-enveloped documents pay only this probe.
-        enveloped = self.dedup is not None and "_seq" in event
-        if enveloped:
-            source, seq = event.get("_shipper", "?"), event["_seq"]
-            if self.dedup.is_duplicate(source, seq):
-                self.duplicates_dropped += 1
-                if self._tel_duplicates is not None:
-                    self._tel_duplicates.inc()
-                return
-        kind = event.get(self.index_field, "unknown")
-        self.store.index(f"{self.index_prefix}-{kind}", event)
-        if enveloped:
-            self.dedup.record(source, seq)
-        self.documents_written += 1
+    def _plan(self, keys: tuple) -> tuple:
+        """Where a schema keeps its index field and envelope."""
+        def at(name):
+            return keys.index(name) if name in keys else None
+        enveloped = self.dedup is not None and "_seq" in keys
+        plan = self._plans[keys] = (at(self.index_field),
+                                    at("_seq") if enveloped else None,
+                                    at("_shipper"))
+        return plan
+
+    def __call__(self, block: Block) -> None:
+        plans, names = self._plans, self._names
+        rows, indices, fresh = [], [], []
+        for row in block:
+            keys, values = row
+            plan = plans.get(keys) or self._plan(keys)
+            kind_at, seq_at, source_at = plan
+            if seq_at is not None:
+                key = (values[source_at] if source_at is not None else "?",
+                       values[seq_at])
+                if key in fresh or self.dedup.is_duplicate(*key):
+                    self.duplicates_dropped += 1
+                    if self._tel_duplicates is not None:
+                        self._tel_duplicates.inc()
+                    continue
+                fresh.append(key)
+            kind = values[kind_at] if kind_at is not None else "unknown"
+            index = names.get(kind)
+            if index is None:
+                index = names[kind] = f"{self.index_prefix}-{kind}"
+            rows.append(row)
+            indices.append(index)
+        if rows:
+            self.store.bulk(indices, rows)
+            for key in fresh:
+                self.dedup.record(*key)
+            self.documents_written += len(rows)
 
 
 # -- stock filters -------------------------------------------------------------
 
 
-def opensearch_metadata_filter(event: dict) -> dict:
-    """The metadata OpenSearch requires (Report_v1 → Report_v2)."""
-    out = dict(event)
-    out.setdefault("@version", "1")
-    out.setdefault("host", "p4-controlplane")
-    out["tags"] = [*event.get("tags", ()), "p4-perfsonar"]
+_METADATA_KEYS = ("@version", "host", "tags")
+_METADATA_VALUES = ("1", "p4-controlplane", ("p4-perfsonar",))
+#: Report_v1 keys -> (Report_v2 keys, the value suffix that makes them).
+_v2_schemas: Dict[tuple, tuple] = {}
+
+
+def _v2_schema(keys: tuple) -> Optional[tuple]:
+    """A schema's Report_v2 extension, or ``None`` when it already
+    carries a metadata field (then each row takes the general path)."""
+    if not set(_METADATA_KEYS).isdisjoint(keys):
+        return None
+    schema = _v2_schemas[keys] = (keys + _METADATA_KEYS, _METADATA_VALUES)
+    return schema
+
+
+def _with_metadata(keys: tuple, values: tuple) -> Row:
+    doc = dict(zip(keys, values))
+    doc.setdefault("@version", _METADATA_VALUES[0])
+    doc.setdefault("host", _METADATA_VALUES[1])
+    doc["tags"] = (*doc.get("tags", ()), *_METADATA_VALUES[2])
+    return tuple(doc), tuple(doc.values())
+
+
+def opensearch_metadata_filter(block: Block) -> Block:
+    """The metadata OpenSearch requires (Report_v1 → Report_v2): each
+    schema is extended once, each row by one tuple concatenation."""
+    out = []
+    append = out.append
+    for keys, values in block:
+        schema = _v2_schemas.get(keys) or _v2_schema(keys)
+        append((schema[0], values + schema[1]) if schema is not None
+               else _with_metadata(keys, values))
     return out
 
 
 def make_type_filter(allowed: List[str]) -> FilterFn:
-    """Keep only events whose ``type`` is in ``allowed``."""
+    """Keep only rows whose ``type`` is in ``allowed``."""
 
-    def fn(event: dict) -> Optional[dict]:
-        return event if event.get("type") in allowed else None
+    def fn(block: Block) -> Block:
+        return [row for row in block if row_field(row, "type") in allowed]
 
     return fn
 
@@ -253,14 +326,20 @@ class AggregateTestFilter:
         if self._tel_aggregated is not None:
             self._tel_aggregated.labels(etype).inc()
 
-    def __call__(self, event: dict) -> Optional[dict]:
+    def __call__(self, block: Block) -> Block:
+        return [self._collapse(row)
+                if "intervals" in row[0] or "samples_ms" in row[0] else row
+                for row in block]
+
+    def _collapse(self, row: Row) -> Row:
+        event = dict(zip(*row))
         etype = event.get("type")
         if etype == "throughput" and "intervals" in event:
             values = [s["throughput_bps"] for s in event["intervals"]]
             out = {k: v for k, v in event.items() if k != "intervals"}
             out["value"] = sum(values) / len(values) if values else 0.0
             self._count(etype)
-            return out
+            return document_row(out)
         if etype == "rtt" and "samples_ms" in event:
             samples = event["samples_ms"]
             out = {k: v for k, v in event.items() if k != "samples_ms"}
@@ -269,5 +348,5 @@ class AggregateTestFilter:
                 out["max_ms"] = max(samples)
                 out["mean_ms"] = sum(samples) / len(samples)
             self._count(etype)
-            return out
-        return event
+            return document_row(out)
+        return row

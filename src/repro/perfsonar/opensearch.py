@@ -8,25 +8,39 @@ metric aggregations dashboards ask for.
 
 Documents are kept as rows, not dicts (docs/scaling.md, "Allocation
 discipline"): per index a list of plain value tuples ending in the
-document's key tuple — interned in a store-wide schema table — and the
-integer ``_id``; ``_index`` is the list a row sits in, and only the rows
-a query selects become dicts again.  A top-level ``list`` is stored as a
-tuple and comes back as a fresh list — what lets the collector stop
-tracking the row; JSON has no tuples, so this is lossless for every
-document this system ships.  Which positions hold a list is learned from
-a schema's first document; a list that turns up elsewhere later is
-stored as it came (correct, merely still tracked).
+document's key tuple and the integer ``_id``; ``_index`` is the list a
+row sits in, and only the rows a query selects become dicts again.
+Writes arrive as :data:`~repro.core.reports.Row` pairs, whose builders
+already stored every top-level ``list`` as a tuple — what lets the
+collector stop tracking the row; JSON has no tuples, so this is lossless
+for every document this system ships.  On the way out every tuple
+becomes a fresh list and every nested container a copy: a caller can
+never reach the archive's own.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.reports import Block, document_row
 from repro.resilience import faults
 from repro.resilience.faults import ArchiveUnavailable
+
+
+def _thaw(value: Any) -> Any:
+    """A stored field as a caller may own it: tuples and lists become
+    fresh lists, dicts fresh dicts, all the way down."""
+    kind = type(value)
+    if kind is tuple or kind is list:
+        return [_thaw(v) for v in value]
+    if kind is dict:
+        return {k: _thaw(v) for k, v in value.items()}
+    return value
+
+
+_CONTAINERS = (tuple, list, dict)
 
 
 class RetentionPolicy:
@@ -81,34 +95,40 @@ class RetentionPolicy:
 class OpenSearchStore:
     def __init__(self) -> None:
         self._indices: Dict[str, List[tuple]] = {}   # index -> rows
-        self._ids = itertools.count(1)
-        self._schemas: Dict[tuple, tuple] = {}   # keys -> (keys, list positions)
+        self._next_id = 1
+        self._schemas: Dict[tuple, tuple] = {}   # interned key tuples
         self._faults = faults.injector()   # None without a chaos injector
 
     # -- document API ---------------------------------------------------------
 
-    def index(self, index: str, document: dict) -> str:
-        """Store a document; returns its assigned ``_id``.
+    def bulk(self, indices: Sequence[str], block: Block) -> int:
+        """The write path, OpenSearch's bulk API: row ``i`` of ``block``
+        goes to index ``indices[i]``, in order, ``_id``s assigned
+        consecutively; returns the first one.  Row keys should be
+        interned (the row builders' constants are).
 
-        Raises :class:`~repro.resilience.faults.ArchiveUnavailable`
-        while an injected archiver outage is active — modelling the
-        OpenSearch node being down/restarting, the failure the
-        shipper's retry/spool machinery exists to ride out."""
+        Raises :class:`~repro.resilience.faults.ArchiveUnavailable`,
+        writing nothing, while an injected archiver outage is active —
+        modelling the OpenSearch node being down/restarting, the failure
+        the shipper's retry/spool machinery exists to ride out."""
         if self._faults is not None and self._faults.archiver_down():
-            raise ArchiveUnavailable(f"archive refused write to {index!r}")
-        schema = self._schemas.get(tuple(document))
-        if schema is None:
-            keys = tuple(document)
-            schema = self._schemas[keys] = (keys, tuple(
-                i for i, k in enumerate(keys) if type(document[k]) is list))
-        keys, lists = schema
-        doc_id = next(self._ids)
-        row = [*document.values(), keys, doc_id]
-        for pos in lists:
-            if type(row[pos]) is list:
-                row[pos] = tuple(row[pos])
-        self._indices.setdefault(index, []).append(tuple(row))
-        return str(doc_id)
+            raise ArchiveUnavailable("archive refused a bulk write")
+        stores = self._indices
+        first = doc_id = self._next_id
+        for index, (keys, values) in zip(indices, block):
+            stored = stores.get(index)
+            if stored is None:
+                stored = stores[index] = []
+            stored.append((*values, keys, doc_id))
+            doc_id += 1
+        self._next_id = doc_id
+        return first
+
+    def index(self, index: str, document: dict) -> str:
+        """Store one document; returns its assigned ``_id``."""
+        keys, values = document_row(document)
+        keys = self._schemas.setdefault(keys, keys)
+        return str(self.bulk((index,), ((keys, values),)))
 
     def _field(self, index: str, row: tuple, name: str, default: Any = None) -> Any:
         """``document.get(name, default)``, read off the row."""
@@ -117,15 +137,11 @@ class OpenSearchStore:
         keys = row[-2]
         if name not in keys:
             return default
-        value = row[keys.index(name)]
-        return list(value) if type(value) is tuple else value
+        return _thaw(row[keys.index(name)])
 
     def _document(self, index: str, row: tuple) -> dict:
-        keys = row[-2]
-        doc = dict(zip(keys, row))
-        for pos in self._schemas[keys][1]:
-            if type(row[pos]) is tuple:
-                doc[keys[pos]] = list(row[pos])
+        doc = {k: _thaw(v) if type(v) in _CONTAINERS else v
+               for k, v in zip(row[-2], row)}
         doc["_id"], doc["_index"] = str(row[-1]), index
         return doc
 

@@ -2,7 +2,8 @@
 
 A :class:`TestSpec` names a tool, a destination and a repeat interval;
 :class:`PScheduler` fires the tool on schedule and pushes each result
-document into the node's Logstash pipeline.
+document into the node's Logstash pipeline (as a block of one row, the
+report-sink contract).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from repro.core.reports import Block, document_row
 from repro.netsim.engine import Event, Simulator
 from repro.netsim.units import seconds
 from repro.perfsonar.tools import (
@@ -43,7 +45,7 @@ class PScheduler:
         sim: Simulator,
         tcp_stack: TcpHostStack,
         echo_agent: EchoAgent,
-        result_sink: Callable[[dict], None],
+        result_sink: Callable[[Block], None],
         peer_stack_resolver: Optional[Callable[[int], TcpHostStack]] = None,
     ) -> None:
         """``peer_stack_resolver`` maps a destination IP to the TCP stack
@@ -103,4 +105,4 @@ class PScheduler:
 
     def _collect(self, result: ToolResult) -> None:
         self.results.append(result.document)
-        self.result_sink(result.document)
+        self.result_sink([document_row(result.document)])

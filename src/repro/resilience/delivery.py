@@ -1,12 +1,14 @@
 """Resilient report shipping: backoff, spooling, dedup.
 
 :class:`ResilientShipper` sits between the control plane and the
-archiver's TCP input.  It is a drop-in report sink (callable on the
-Report_v1 dict), adding:
+archiver's TCP input.  It is a drop-in report sink (callable on a block
+of Report_v1 rows) that works per row, adding:
 
-- **sequence-numbered envelopes** — every dict gains ``_seq`` and
-  ``_shipper`` fields, the idempotency key the archiver-side
-  :class:`SequenceDedup` collapses redeliveries on;
+- **sequence-numbered envelopes** — every row becomes its Report_v1
+  dict plus ``_seq`` and ``_shipper`` fields, the idempotency key the
+  archiver-side :class:`SequenceDedup` collapses redeliveries on; the
+  spool, the dead letters and the checkpoint hold these dicts, and each
+  is delivered alone, as a block of one;
 - **capped exponential backoff with deterministic jitter** — a failed
   send spools the report and retries at ``base * 2^attempts`` (capped),
   plus a seeded-RNG jitter fraction so replays stay byte-identical;
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Set
 
 from repro import telemetry
+from repro.core.reports import Block, document_row
 from repro.resilience import faults
 from repro.resilience.faults import (
     BreakerOpen,
@@ -85,7 +88,7 @@ class ResilientShipper:
     def __init__(
         self,
         sim,
-        transport: Callable[[dict], None],
+        transport: Callable[[Block], None],
         config: Optional[DeliveryConfig] = None,
         breaker=None,
         source: str = "p4-controlplane",
@@ -139,9 +142,13 @@ class ResilientShipper:
 
     # -- the report-sink interface ---------------------------------------------
 
-    def __call__(self, payload: dict) -> None:
+    def __call__(self, block: Block) -> None:
+        for keys, values in block:
+            self._offer(dict(zip(keys, (list(v) if type(v) is tuple else v
+                                       for v in values))))
+
+    def _offer(self, doc: dict) -> None:
         self.seq += 1
-        doc = dict(payload)
         doc["_seq"] = self.seq
         doc["_shipper"] = self.source
         inj = self._faults
@@ -173,7 +180,7 @@ class ResilientShipper:
                 self._tel_attempts.labels("breaker-open").inc()
             raise BreakerOpen("circuit breaker open")
         try:
-            self.transport(doc)
+            self.transport([document_row(doc)])
         except DeferredDelivery:
             # Transit delay, not a path failure: the breaker ignores it.
             if self._tel_attempts is not None:
@@ -351,24 +358,24 @@ class ResilientShipper:
 
 class FaultyTransport:
     """The wire between shipper and archiver: consults the installed
-    injector for each attempt's fate, then hands the document to the
+    injector for each attempt's fate, then hands the block to the
     target sink (normally :meth:`Archiver.sink <repro.perfsonar.archiver.
     Archiver.sink>`, whose own hooks model archiver/Logstash outages)."""
 
-    def __init__(self, target: Callable[[dict], None]) -> None:
+    def __init__(self, target: Callable[[Block], None]) -> None:
         self.target = target
         self._faults = faults.injector()
         self.delivered = 0
         self.duplicated = 0
 
-    def __call__(self, doc: dict) -> None:
+    def __call__(self, block: Block) -> None:
         inj = self._faults
         fate = inj.transport_fate() if inj is not None else None
-        self.target(doc)
+        self.target(block)
         self.delivered += 1
         if fate == "duplicate":
             self.duplicated += 1
-            self.target(dict(doc))
+            self.target(list(block))
             self.delivered += 1
 
 

@@ -318,29 +318,26 @@ class TelemetryPusher:
     Each retained sample becomes one event shaped like the control
     plane's Report_v1 documents (``type`` routes it to its own index in
     the OpenSearch output plugin), carrying raw value, delta and rate so
-    dashboards can plot the instrument without a PromQL layer::
+    dashboards can plot the instrument without a PromQL layer.  A
+    sampler tick ships its events as one block of ``(keys, values)``
+    rows, the report-sink contract::
 
         sampler.add_observer(TelemetryPusher(archiver.sink))
     """
 
     EVENT_TYPE = "repro_telemetry"
+    KEYS = ("type", "@timestamp", "time_ns", "source", "metric", "labels",
+            "kind", "value", "delta", "rate_per_s")
 
-    def __init__(self, sink: Callable[[dict], None]) -> None:
+    def __init__(self, sink: Callable[[list], None]) -> None:
         self.sink = sink
         self.events_pushed = 0
 
     def __call__(self, t_ns: int, records: List[dict]) -> None:
-        for rec in records:
-            self.sink({
-                "type": self.EVENT_TYPE,
-                "@timestamp": t_ns / 1e9,
-                "time_ns": t_ns,
-                "source": "repro-flight-recorder",
-                "metric": rec["metric"],
-                "labels": rec["labels"],
-                "kind": rec["kind"],
-                "value": rec["value"],
-                "delta": rec["delta"],
-                "rate_per_s": rec["rate"],
-            })
-            self.events_pushed += 1
+        if not records:
+            return
+        self.sink([(self.KEYS, (
+            self.EVENT_TYPE, t_ns / 1e9, t_ns, "repro-flight-recorder",
+            rec["metric"], dict(rec["labels"]), rec["kind"], rec["value"],
+            rec["delta"], rec["rate"])) for rec in records])
+        self.events_pushed += len(records)

@@ -30,6 +30,12 @@ def small_monitor(**overrides) -> P4Monitor:
     return P4Monitor(MonitorConfig(**defaults))
 
 
+def document_sink(docs: list):
+    """A report sink appending the document of every shipped row to
+    ``docs`` (a sink receives blocks of ``(keys, values)`` rows)."""
+    return lambda block: docs.extend(dict(zip(*row)) for row in block)
+
+
 FT = FiveTuple(0x0A00000A, 0x0A01000A, 40000, 5201)
 REV = FT.reversed()
 

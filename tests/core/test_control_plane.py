@@ -12,7 +12,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, TCPFlags
 from repro.netsim.units import mbps, millis, seconds
 
-from tests.core.helpers import FT, FlowScript, small_monitor
+from tests.core.helpers import FT, FlowScript, document_sink, small_monitor
 
 
 @pytest.fixture
@@ -227,7 +227,7 @@ def test_report_sink_receives_documents():
     sim = Simulator()
     mon = small_monitor(long_flow_bytes=1000)
     docs = []
-    cp = MonitorControlPlane(sim, mon, report_sink=docs.append)
+    cp = MonitorControlPlane(sim, mon, report_sink=document_sink(docs))
     cp.start()
     script = FlowScript(mon)
     drive_stream(sim, script, 500_000, 2.0)

@@ -16,7 +16,7 @@ from repro.core.monitor import P4Monitor
 from repro.netsim.engine import Simulator
 from repro.netsim.units import millis, seconds
 
-from tests.core.helpers import FlowScript, small_monitor
+from tests.core.helpers import FlowScript, document_sink, small_monitor
 
 
 def hist_monitor(**overrides) -> P4Monitor:
@@ -30,7 +30,7 @@ def assembly():
     sim = Simulator()
     mon = hist_monitor()
     shipped = []
-    cp = MonitorControlPlane(sim, mon, report_sink=shipped.append)
+    cp = MonitorControlPlane(sim, mon, report_sink=document_sink(shipped))
     cp.start()
     return sim, mon, cp, shipped
 
@@ -114,7 +114,7 @@ def test_change_point_alert_and_provenance_freeze():
         sim = Simulator()
         mon = hist_monitor(histogram_min_samples=8)
         shipped = []
-        cp = MonitorControlPlane(sim, mon, report_sink=shipped.append)
+        cp = MonitorControlPlane(sim, mon, report_sink=document_sink(shipped))
         cp.start()
         script = FlowScript(mon)
         sim.at(seconds(0.05), script.make_long, seconds(0.05))

@@ -6,7 +6,7 @@ from repro.core.control_plane import MonitorControlPlane
 from repro.netsim.engine import Simulator
 from repro.netsim.units import millis, seconds
 
-from tests.core.helpers import FlowScript, small_monitor
+from tests.core.helpers import FlowScript, document_sink, small_monitor
 
 
 def drive_rtts(sim, script, rtts_ms, spacing_s=1.0):
@@ -57,7 +57,7 @@ def test_jitter_documents_shipped():
     docs = []
     sim = Simulator()
     mon = small_monitor(long_flow_bytes=500)
-    cp = MonitorControlPlane(sim, mon, report_sink=docs.append)
+    cp = MonitorControlPlane(sim, mon, report_sink=document_sink(docs))
     cp.start()
     script = FlowScript(mon)
     drive_rtts(sim, script, [10.0, 30.0, 10.0, 30.0])

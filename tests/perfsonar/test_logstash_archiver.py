@@ -1,8 +1,11 @@
-"""Logstash pipeline (Fig. 7) and the assembled archiver."""
+"""Logstash pipeline (Fig. 7) and the assembled archiver.  Every stage
+takes a block of ``(keys, values)`` rows."""
+
+import json
 
 import pytest
 
-from repro.core.reports import FlowSample
+from repro.core.reports import FlowSample, document_row
 from repro.perfsonar.archiver import Archiver
 from repro.perfsonar.logstash import (
     AggregateTestFilter,
@@ -11,18 +14,28 @@ from repro.perfsonar.logstash import (
     TcpInputPlugin,
     make_type_filter,
     opensearch_metadata_filter,
+    row_field,
 )
 from repro.perfsonar.opensearch import OpenSearchStore
+
+
+def _block(*docs):
+    return [document_row(doc) for doc in docs]
+
+
+def _docs(block):
+    return [dict(zip(*row)) for row in block]
 
 
 def test_pipeline_filter_order_and_outputs():
     pipe = LogstashPipeline()
     seen = []
-    pipe.add_filter(lambda e: {**e, "a": 1})
-    pipe.add_filter(lambda e: {**e, "b": e["a"] + 1})
+    pipe.add_filter(lambda block: [(k + ("a",), v + (1,)) for k, v in block])
+    pipe.add_filter(lambda block: [(k + ("b",), v + (row_field((k, v), "a") + 1,))
+                                   for k, v in block])
     pipe.add_output(seen.append)
-    out = pipe.process({"type": "x"})
-    assert out["b"] == 2
+    out = pipe.process(_block({"type": "x"}))
+    assert _docs(out) == [{"type": "x", "a": 1, "b": 2}]
     assert seen == [out]
     assert pipe.events_in == pipe.events_out == 1
 
@@ -32,14 +45,17 @@ def test_pipeline_drop_via_none():
     pipe.add_filter(make_type_filter(["keep"]))
     outputs = []
     pipe.add_output(outputs.append)
-    assert pipe.process({"type": "drop-me"}) is None
-    assert pipe.process({"type": "keep"}) is not None
-    assert pipe.events_dropped == 1
-    assert len(outputs) == 1
+    assert pipe.process(_block({"type": "drop-me"})) == []
+    assert pipe.process(_block({"type": "keep"}))
+    out = pipe.process(_block({"type": "keep", "n": 1}, {"type": "drop-me"},
+                              {"type": "keep", "n": 2}))
+    assert _docs(out) == [{"type": "keep", "n": 1}, {"type": "keep", "n": 2}]
+    assert pipe.events_dropped == 2
+    assert len(outputs) == 2 and pipe.events_out == 3
 
 
 def test_metadata_filter_adds_v2_fields():
-    out = opensearch_metadata_filter({"type": "p4_rtt", "value": 1.0})
+    out, = _docs(opensearch_metadata_filter(_block({"type": "p4_rtt", "value": 1.0})))
     assert out["@version"] == "1"
     assert "p4-perfsonar" in out["tags"]
 
@@ -49,10 +65,12 @@ def test_metadata_filter_does_not_alias_the_callers_tags():
     already run once by then): the marker must land in a new list, not
     be appended to the caller's."""
     event = {"type": "p4_rtt", "value": 1.0, "tags": ["site-a"]}
+    block = _block(event)
     archiver = Archiver()
-    archiver.sink(event)
-    archiver.sink(event)
+    archiver.sink(block)
+    archiver.sink(block)
     assert event == {"type": "p4_rtt", "value": 1.0, "tags": ["site-a"]}
+    assert block == _block(event)
     first, second = archiver.documents("p4_rtt")
     assert first["tags"] == second["tags"] == ["site-a", "p4-perfsonar"]
     assert {k: v for k, v in first.items() if k != "_id"} \
@@ -61,13 +79,13 @@ def test_metadata_filter_does_not_alias_the_callers_tags():
 
 def test_pipeline_hands_filters_the_event_itself():
     """The FilterFn contract: no defensive copy on the way in, so a
-    pass-through chain ships the caller's own dict."""
+    pass-through chain ships the caller's own rows."""
     pipe = LogstashPipeline()
     pipe.add_filter(make_type_filter(["x"]))
     shipped = []
     pipe.add_output(shipped.append)
-    event = {"type": "x"}
-    assert pipe.process(event) is event and shipped[0] is event
+    row = document_row({"type": "x"})
+    assert pipe.process([row])[0] is row and shipped[0][0] is row
 
 
 def test_tcp_input_feeds_pipeline():
@@ -75,20 +93,22 @@ def test_tcp_input_feeds_pipeline():
     got = []
     pipe.add_output(got.append)
     tcp = TcpInputPlugin(pipe)
-    tcp.ingest({"type": "x"})
-    tcp({"type": "y"})  # callable form
-    assert tcp.messages == 2
+    tcp.ingest(_block({"type": "x"}))
+    tcp(_block({"type": "y"}, {"type": "z"}))  # callable form
+    assert tcp.messages == 3
     assert len(got) == 2
 
 
 def test_output_plugin_routes_by_type():
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, index_prefix="ps")
-    out({"type": "p4_rtt", "value": 1})
-    out({"type": "p4_throughput", "value": 2})
-    assert store.count("ps-p4_rtt") == 1
+    out(_block({"type": "p4_rtt", "value": 1}, {"type": "p4_throughput", "value": 2},
+               {"type": "p4_rtt", "value": 3}))
+    assert store.count("ps-p4_rtt") == 2
     assert store.count("ps-p4_throughput") == 1
-    assert out.documents_written == 2
+    assert out.documents_written == 3
+    # _ids follow row order across indices.
+    assert [d["_id"] for d in store.search("ps-p4_rtt")] == ["1", "3"]
 
 
 def test_aggregate_filter_collapses_throughput():
@@ -97,7 +117,7 @@ def test_aggregate_filter_collapses_throughput():
         "type": "throughput",
         "intervals": [{"throughput_bps": 10.0}, {"throughput_bps": 30.0}],
     }
-    out = f(event)
+    out, = _docs(f(_block(event)))
     assert out["value"] == 20.0
     assert "intervals" not in out
     assert f.collapsed == 1
@@ -105,7 +125,7 @@ def test_aggregate_filter_collapses_throughput():
 
 def test_aggregate_filter_collapses_rtt():
     f = AggregateTestFilter()
-    out = f({"type": "rtt", "samples_ms": [1.0, 5.0, 3.0]})
+    out, = _docs(f(_block({"type": "rtt", "samples_ms": [1.0, 5.0, 3.0]})))
     assert out["min_ms"] == 1.0
     assert out["max_ms"] == 5.0
     assert out["mean_ms"] == 3.0
@@ -114,8 +134,8 @@ def test_aggregate_filter_collapses_rtt():
 
 def test_aggregate_filter_passthrough_other_types():
     f = AggregateTestFilter()
-    event = {"type": "p4_throughput", "value": 5}
-    assert f(event) == event
+    block = _block({"type": "p4_throughput", "value": 5})
+    assert f(block) == block
     assert f.collapsed == 0
 
 
@@ -124,7 +144,7 @@ def test_archiver_end_to_end_report_v1_to_v2():
     sample = FlowSample(time_ns=2_000_000_000, metric="throughput",
                         flow_id=9, src_ip=1, dst_ip=2, src_port=3, dst_port=4,
                         value=1e6)
-    archiver.sink(sample.to_document())
+    archiver.sink([sample.row()])
     docs = archiver.documents("p4_throughput")
     assert len(docs) == 1
     doc = docs[0]
@@ -137,8 +157,8 @@ def test_archiver_end_to_end_report_v1_to_v2():
 def test_archiver_series_and_flow_ids():
     archiver = Archiver()
     for t, fid in ((1, 5), (2, 5), (3, 6)):
-        archiver.sink({"type": "p4_rtt", "@timestamp": float(t),
-                       "flow_id": fid, "value": t * 1.0})
+        archiver.sink(_block({"type": "p4_rtt", "@timestamp": float(t),
+                              "flow_id": fid, "value": t * 1.0}))
     assert archiver.series("p4_rtt", flow_id=5) == [(1.0, 1.0), (2.0, 2.0)]
     assert set(archiver.flow_ids("p4_rtt")) == {5, 6}
     assert archiver.count("p4_rtt") == 3
@@ -153,7 +173,7 @@ def test_ingest_line_parses_valid_json():
     pipe.add_output(got.append)
     tcp = TcpInputPlugin(pipe)
     assert tcp.ingest_line('{"type": "p4_rtt", "value": 3.0}') is not None
-    assert got[0]["value"] == 3.0
+    assert _docs(got[0]) == [{"type": "p4_rtt", "value": 3.0}]
     assert tcp.malformed == 0
     assert tcp.messages == 1
 
@@ -179,8 +199,9 @@ def test_ingest_line_drops_malformed_without_raising(line):
 
 def test_ingest_rejects_non_dict_events():
     tcp = TcpInputPlugin(LogstashPipeline())
-    assert tcp.ingest(["a", "list"]) is None
-    assert tcp.malformed == 1
+    assert tcp.ingest_line(json.dumps(["a", "list"])) is None
+    assert tcp.ingest_line("null") is None
+    assert tcp.malformed == 2 and tcp.messages == 0
 
 
 def test_malformed_counter_exported_per_pipeline():
@@ -214,12 +235,13 @@ def test_output_plugin_dedups_redelivered_sequences():
 
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, dedup=SequenceDedup())
-    out(_enveloped(1))
-    out(_enveloped(2))
-    out(_enveloped(1))  # at-least-once redelivery
-    assert store.count("pscheduler-p4_rtt") == 2
-    assert out.documents_written == 2
-    assert out.duplicates_dropped == 1
+    out(_block(_enveloped(1)))
+    out(_block(_enveloped(2)))
+    out(_block(_enveloped(1)))  # at-least-once redelivery
+    out(_block(_enveloped(3), _enveloped(3)))  # twice in one block
+    assert store.count("pscheduler-p4_rtt") == 3
+    assert out.documents_written == 3
+    assert out.duplicates_dropped == 2
 
 
 def test_output_plugin_without_envelope_is_unaffected():
@@ -227,8 +249,8 @@ def test_output_plugin_without_envelope_is_unaffected():
 
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, dedup=SequenceDedup())
-    out({"type": "p4_rtt", "value": 1.0})
-    out({"type": "p4_rtt", "value": 1.0})
+    out(_block({"type": "p4_rtt", "value": 1.0}))
+    out(_block({"type": "p4_rtt", "value": 1.0}))
     assert store.count("pscheduler-p4_rtt") == 2, \
         "un-enveloped documents are never deduped"
 
@@ -240,27 +262,27 @@ def test_dedup_records_only_after_successful_write():
 
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, dedup=SequenceDedup())
-    original_index = store.index
+    original_bulk = store.bulk
     calls = {"n": 0}
 
-    def flaky_index(index, document):
+    def flaky_bulk(indices, block):
         calls["n"] += 1
         if calls["n"] == 1:
             raise RuntimeError("mid-write crash")
-        return original_index(index, document)
+        return original_bulk(indices, block)
 
-    store.index = flaky_index
+    store.bulk = flaky_bulk
     with pytest.raises(RuntimeError):
-        out(_enveloped(1))
-    out(_enveloped(1))  # the redelivery
+        out(_block(_enveloped(1)))
+    out(_block(_enveloped(1)))  # the redelivery
     assert store.count("pscheduler-p4_rtt") == 1
     assert out.duplicates_dropped == 0
 
 
 def test_archiver_wires_dedup_end_to_end():
     arch = Archiver()
-    arch.sink(_enveloped(5))
-    arch.sink(_enveloped(5))
+    arch.sink(_block(_enveloped(5)))
+    arch.sink(_block(_enveloped(5)))
     assert arch.count("p4_rtt") == 1
     assert arch.output.duplicates_dropped == 1
     assert arch.dedup.seen_count("p4-controlplane") == 1

@@ -1,0 +1,181 @@
+"""A tick ships one block: every Report_v1 row an extraction tick
+produces crosses Logstash into the archive as one list, and the archive
+holds byte for byte what it held when each document travelled alone.
+
+The literals below were captured from the per-document report path this
+one replaced, on the same scripted scenario."""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.core.config import MetricKind
+from repro.core.control_plane import MonitorControlPlane
+from repro.core.reports import ForensicsReport, document_row
+from repro.netsim.engine import Simulator
+from repro.netsim.packet import FiveTuple, TCPFlags
+from repro.netsim.units import millis, seconds
+from repro.perfsonar.archiver import Archiver
+from repro.perfsonar.opensearch import OpenSearchStore
+from repro.telemetry import provenance
+from repro.telemetry.traceviz import to_perfetto
+
+from tests.core.helpers import FT, FlowScript, small_monitor
+
+OTHER = FiveTuple(0x0A00000B, 0x0A01000B, 40001, 5201)
+
+
+def _stream(sim, script, start_s, stop_s, rate_bytes_per_s, seq=1, seg=1000):
+    """Data crossing the tapped switch (200 us queueing) and its ACK 5 ms
+    later; returns the next sequence number."""
+    gap = int(seg / rate_bytes_per_s * 1e9)
+    t = seconds(start_s)
+    while t < seconds(stop_s):
+        sim.at(t, script.transit, seq, seg, t, t + 200_000)
+        sim.at(t + millis(5), script.ack, seq + seg, t + millis(5))
+        seq += seg
+        t += gap
+    return seq
+
+
+def run_scenario():
+    """All six schedule jobs at 10 ticks/s (histograms and forensics on)
+    over two scripted flows: flow A crosses the throughput alert
+    threshold and falls back under it (raised, then cleared), then ends
+    with a FIN (one termination report); flow B carries a 6 ms queue
+    excursion (one microburst, then its forensics query).  Returns the
+    control plane, the archiver, every block the sink received and, per
+    tick, how many sink calls it made."""
+    sim = Simulator()
+    mon = small_monitor(histograms_enabled=True, forensics_enabled=True)
+    for kind in MetricKind:
+        mon.config.metric(kind).samples_per_second = 10.0
+    thr = mon.config.metric(MetricKind.THROUGHPUT)
+    thr.alert_enabled, thr.alert_threshold = True, 2_000_000.0
+    thr.boosted_samples_per_second = 20.0
+    archiver = Archiver()
+    blocks = []
+
+    def sink(block):
+        blocks.append(block)
+        archiver.sink(block)
+
+    cp = MonitorControlPlane(sim, mon, report_sink=sink)
+    calls_per_tick = []
+    real_tick = cp._tick
+
+    def tick(job):
+        before = len(blocks)
+        real_tick(job)
+        calls_per_tick.append(len(blocks) - before)
+
+    cp._tick = tick
+    cp.start()
+
+    a, b = FlowScript(mon, FT), FlowScript(mon, OTHER)
+    seq = _stream(sim, a, 0.1, 1.0, 500_000)            # ~4 Mb/s: alert
+    seq = _stream(sim, a, 1.0, 1.6, 50_000, seq=seq)    # ~0.4 Mb/s: cleared
+    sim.at(seconds(1.7), a.data, seq, 0, seconds(1.7), TCPFlags.FIN | TCPFlags.ACK)
+    seq_b = _stream(sim, b, 0.1, 0.5, 100_000)
+    t = seconds(0.5)
+    sim.at(t, b.transit, seq_b, 1400, t, t + millis(6))
+    sim.at(t + millis(7), b.transit, seq_b + 1400, 1400, t + millis(7), t + millis(8))
+    _stream(sim, b, 0.6, 2.5, 100_000, seq=seq_b + 2800)
+    sim.run_until(seconds(3))
+    cp.stop()
+    return cp, archiver, blocks, calls_per_tick
+
+
+def archive_sha256(store) -> str:
+    return hashlib.sha256(json.dumps(
+        [store.search(index) for index in store.indices]).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return run_scenario()
+
+
+def test_the_scenario_reaches_every_report_kind(scenario):
+    cp, archiver, _, _ = scenario
+    assert len(cp.schedule) == 6
+    assert {a.cleared for a in cp.alerts.history} == {False, True}
+    assert len(cp.terminations) == 1 and len(cp.microbursts) == 1
+    assert cp.histogram_reports and cp.forensics_reports
+    assert len(archiver.store.indices) == 12
+
+
+def test_every_archived_byte_is_the_per_document_paths(scenario):
+    _, archiver, _, _ = scenario
+    assert archive_sha256(archiver.store) == (
+        "a6d0193a2276b2f4be68efc6037afacb623e221561592b0e02130d38b630af25")
+    assert archiver.pipeline.events_in == 332
+    assert archiver.output.documents_written == 332
+    assert archiver.tcp_input.messages == 332
+
+
+def test_a_tick_that_ships_anything_calls_the_sink_once(scenario):
+    cp, _, blocks, calls_per_tick = scenario
+    # 134 ticks, 129 of which shipped anything (five shipped nothing).
+    assert len(calls_per_tick) == 134
+    assert set(calls_per_tick) == {0, 1}
+    assert sum(calls_per_tick) == 129
+    # The rest are the digest handlers' reports, a block of one each.
+    digest_blocks = len(blocks) - sum(calls_per_tick)
+    assert digest_blocks == len(cp.terminations) + len(cp.microbursts)
+    assert sorted(len(b) for b in blocks)[:digest_blocks] == [1] * digest_blocks
+    # Mixed schemas in one list, in emission order.
+    assert max(len({keys for keys, _ in block}) for block in blocks) >= 3
+
+
+def test_search_hands_out_copies_of_the_archives_containers():
+    """A list in a position the schema's first document held a scalar
+    in, and culprit dicts inside a row's tuple, used to be returned by
+    reference."""
+    store = OpenSearchStore()
+    store.index("i", {"a": 1, "b": 2})
+    store.index("i", {"a": [1, 2], "b": 3})
+    store.search("i")[1]["a"].append(3)
+    assert store.search("i")[1]["a"] == [1, 2]
+
+    archiver = Archiver()
+    report = ForensicsReport(
+        time_ns=seconds(1), trigger="query", t0_ns=0, t1_ns=1, level=0,
+        window_width_ns=1_000_000, windows=3, total_bytes=4500,
+        culprits=[{"flow_id": 7, "bytes": 4500}])
+    archiver.sink([report.row(), document_row({"type": "x", "labels": {"k": "v"}})])
+    archiver.forensics_documents()[0]["culprits"][0]["bytes"] = -1
+    report.culprits[0]["bytes"] = -2
+    archiver.documents("x")[0]["labels"]["k"] = "w"
+    assert archiver.forensics_documents()[0]["culprits"] == [
+        {"flow_id": 7, "bytes": 4500}]
+    assert archiver.documents("x")[0]["labels"] == {"k": "v"}
+
+
+# -- nothing downstream moved ---------------------------------------------------
+
+
+def test_a_traced_runs_provenance_export_is_unchanged():
+    provenance.enable(sample_rate=1.0, coarse_window=10**6, fine_window=10**6)
+    try:
+        run_scenario()
+        tracer = provenance.tracer()
+        events = tracer.events()
+        doc = to_perfetto(events, spans=tracer.span_log, dumps=tracer.dumps)
+    finally:
+        provenance.disable()
+    # Every shipped report carries its packet through Logstash.
+    assert sum(ev.kind == "logstash-ship" for ev in events) == 331
+    export = json.dumps(doc, separators=(",", ":")).encode()
+    assert hashlib.sha256(export).hexdigest() == (
+        "ffb7a295ecaa65941723d9168bb445b18e5d14772f1cefc276db9fd1c2aa320f")
+
+
+def test_a_bundled_chaos_schedule_keeps_its_verdict_and_digest():
+    from repro.resilience.chaos import bundled_chaos, run_chaos
+
+    result = run_chaos(bundled_chaos(seed=7)["lossy-transport"])
+    assert result.passed
+    assert result.archive_digest == (
+        "fab009d3535faaa9eaf8f883b06999ccf2e8d4fd0516d9d2ff65615e555d4eb4")

@@ -15,7 +15,7 @@ from repro.resilience.breaker import (
 )
 from repro.resilience.watchdog import ExtractionWatchdog
 
-from tests.core.helpers import small_monitor
+from tests.core.helpers import document_sink, small_monitor
 
 MS = 1_000_000
 
@@ -107,7 +107,8 @@ def _sample(metric="throughput"):
 def test_set_degraded_suppresses_per_flow_reports_only():
     sim = Simulator()
     shipped = []
-    cp = MonitorControlPlane(sim, small_monitor(), report_sink=shipped.append)
+    cp = MonitorControlPlane(sim, small_monitor(),
+                             report_sink=document_sink(shipped))
     cp.set_degraded(True)
     cp._ship(_sample())
     cp._ship(LimiterReport(time_ns=0, flow_id=1, src_ip=1, dst_ip=2,

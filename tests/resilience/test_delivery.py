@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.reports import document_row
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
 from repro.resilience.delivery import (
@@ -22,6 +23,12 @@ from repro.resilience.faults import (
 from repro.resilience.schedule import FaultSchedule, FaultWindow
 
 
+def _doc(block):
+    """The one document of a block the shipper delivers."""
+    (keys, values), = block
+    return dict(zip(keys, values))
+
+
 class ScriptedTransport:
     """Delivers, except while sim time is inside [fail_from, fail_until)."""
 
@@ -32,17 +39,17 @@ class ScriptedTransport:
         self.delivered = []
         self.attempts = 0
 
-    def __call__(self, doc):
+    def __call__(self, block):
         self.attempts += 1
         if self.fail_from_ns <= self.sim.now < self.fail_until_ns:
             raise ArchiveUnavailable("scripted outage")
-        self.delivered.append(doc)
+        self.delivered.append(_doc(block))
 
 
 def _ship_n(sim, shipper, n, start_s=0.0, gap_s=0.1):
     for i in range(n):
-        sim.at(seconds(start_s + i * gap_s), shipper,
-               {"type": "t", "@timestamp": start_s + i * gap_s, "n": i})
+        sim.at(seconds(start_s + i * gap_s), shipper, [document_row(
+            {"type": "t", "@timestamp": start_s + i * gap_s, "n": i})])
 
 
 def test_clean_path_delivers_in_order():
@@ -131,7 +138,8 @@ def test_deferred_delivery_reorders_but_still_acks():
             self.delivered = []
             self.deferrals = 0
 
-        def __call__(self, doc):
+        def __call__(self, block):
+            doc = _doc(block)
             if doc["n"] == 0 and self.deferrals < 2:
                 self.deferrals += 1
                 raise DeferredDelivery(seconds(0.5))
@@ -155,7 +163,7 @@ def test_clock_skew_applied_to_timestamps():
         clock=lambda: sim.now))
     transport = ScriptedTransport(sim)
     shipper = ResilientShipper(sim, transport)
-    shipper({"type": "t", "@timestamp": 1.0})
+    shipper([document_row({"type": "t", "@timestamp": 1.0})])
     assert transport.delivered[0]["@timestamp"] == pytest.approx(1.25)
     assert shipper.skewed_total == 1
 
@@ -168,7 +176,7 @@ def test_faulty_transport_duplicates_when_told_to():
         clock=lambda: sim.now))
     delivered = []
     transport = FaultyTransport(delivered.append)
-    transport({"n": 1})
+    transport([document_row({"n": 1})])
     assert len(delivered) == 2
     assert delivered[0] == delivered[1]
     assert delivered[0] is not delivered[1], "the duplicate is a copy"

@@ -8,6 +8,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.reports import document_row
 from repro.netsim.engine import Simulator
 from repro.resilience.delivery import DeliveryConfig, ResilientShipper
 from repro.resilience.faults import ArchiveUnavailable
@@ -20,9 +21,11 @@ class ScriptedTransport:
         self.ok = ok
         self.delivered = []
 
-    def __call__(self, doc: dict) -> None:
+    def __call__(self, block) -> None:
         if not self.ok:
             raise ArchiveUnavailable("scripted outage")
+        (keys, values), = block  # the shipper delivers one row at a time
+        doc = dict(zip(keys, values))
         self.delivered.append((doc.get("_shipper"), doc["_seq"]))
 
 
@@ -51,7 +54,7 @@ def test_checkpoint_round_trip_resumes_identically(ships, spool_limit,
                          source="p4-controlplane", seed=3)
     for payload, ok in ships:
         transport_a.ok = ok
-        a({"type": "sample", "value": payload})
+        a([document_row({"type": "sample", "value": payload})])
     a.close()
 
     # Checkpoint over the wire (the state must survive JSON, exactly as
@@ -103,7 +106,7 @@ def test_new_traffic_after_restore_never_collides(ships):
                          source="p4-controlplane", seed=3)
     for payload, ok in ships:
         transport.ok = ok
-        a({"type": "sample", "value": payload})
+        a([document_row({"type": "sample", "value": payload})])
     state = json.loads(json.dumps(a.checkpoint_state()))
 
     transport_b = ScriptedTransport(ok=True)
@@ -112,7 +115,7 @@ def test_new_traffic_after_restore_never_collides(ships):
     b.restore_state(state)
     _drain_fully(b)
     inherited = set(transport_b.delivered)
-    b({"type": "sample", "value": 1})
+    b([document_row({"type": "sample", "value": 1})])
     new_keys = set(transport_b.delivered) - inherited
     assert new_keys, "the new document must have been delivered"
     assert all(src == "p4-controlplane:r1" for src, _ in new_keys)

@@ -268,13 +268,14 @@ def test_render_watch_alert_line():
 
 
 def test_pusher_wraps_samples_as_repro_telemetry_events():
-    events = []
-    pusher = TelemetryPusher(events.append)
+    blocks = []
+    pusher = TelemetryPusher(blocks.append)
     pusher(200 * MS, [{"metric": "repro_x_total", "labels": {"k": "v"},
                        "kind": "counter", "time_ns": 200 * MS,
                        "value": 10.0, "delta": 2.0, "rate": 20.0}])
     assert pusher.events_pushed == 1
-    event = events[0]
+    (keys, values), = blocks[0]  # one block per sampler tick
+    event = dict(zip(keys, values))
     assert event["type"] == "repro_telemetry"
     assert event["@timestamp"] == pytest.approx(0.2)
     assert event["metric"] == "repro_x_total"
@@ -286,6 +287,7 @@ def test_push_lands_in_archive_next_to_measurement_documents():
     """The acceptance path: sampler → pusher → Logstash pipeline →
     OpenSearch-like archive, with the telemetry index alongside the
     measurement indices."""
+    from repro.core.reports import document_row
     from repro.perfsonar.archiver import Archiver
 
     telemetry.enable()
@@ -293,8 +295,8 @@ def test_push_lands_in_archive_next_to_measurement_documents():
     fam = telemetry.counter("repro_work_total")
     archiver = Archiver()
     # A measurement document, as the control plane would ship it.
-    archiver.sink({"type": "throughput", "flow_id": 1, "value": 1e8,
-                   "@timestamp": 0.05})
+    archiver.sink([document_row({"type": "throughput", "flow_id": 1,
+                                 "value": 1e8, "@timestamp": 0.05})])
 
     sampler = TelemetrySampler(sim, interval_ns=100 * MS, retention=32)
     pusher = TelemetryPusher(archiver.sink)

@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.core.control_plane import MonitorControlPlane
+from repro.core.reports import document_row
 from repro.netsim.engine import Simulator
 from repro.netsim.units import millis, seconds
 from repro.p4.histogram import HistogramRegister
@@ -88,8 +89,9 @@ def _report_path_run():
     pipe.add_filter(opensearch_metadata_filter)
     pipe.add_output(OpenSearchOutputPlugin(store, dedup=SequenceDedup()))
     tcp = TcpInputPlugin(pipe)
-    cp = MonitorControlPlane(
-        sim, mon, report_sink=lambda doc: tcp.ingest_line(json.dumps(doc)))
+    # The socket carries one JSON line per row.
+    cp = MonitorControlPlane(sim, mon, report_sink=lambda block: [
+        tcp.ingest_line(json.dumps(dict(zip(*row)))) for row in block])
     script = FlowScript(mon)
     script.make_long()
     for i in range(8):
@@ -128,10 +130,10 @@ def test_an_unenveloped_document_skips_the_dedup_books(monkeypatch):
     calls = _count_calls(monkeypatch, SequenceDedup, "is_duplicate", "record")
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, dedup=SequenceDedup())
-    out({"type": "p4_rtt", "flow_id": 7, "value": 12.5})
+    out([document_row({"type": "p4_rtt", "flow_id": 7, "value": 12.5})])
     assert not calls and out.documents_written == 1
-    out({"type": "p4_rtt", "flow_id": 7, "value": 12.5,
-         "_shipper": "s", "_seq": 0})
+    out([document_row({"type": "p4_rtt", "flow_id": 7, "value": 12.5,
+                       "_shipper": "s", "_seq": 0})])
     assert calls == {"is_duplicate": 1, "record": 1}
 
 
