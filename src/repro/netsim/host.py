@@ -79,9 +79,10 @@ class Host(Node):
             return
         self.rx_packets += 1
         self.rx_bytes += pkt.wire_len
-        now = self.sim.now
-        for hook in self.rx_hooks:
-            hook(pkt, now)
+        if self.rx_hooks:
+            now = self.sim.now
+            for hook in self.rx_hooks:
+                hook(pkt, now)
         sink = self._proto_sinks.get(pkt.proto, self._stack)
         if sink is not None:
             sink.deliver(pkt)

@@ -47,13 +47,14 @@ class LegacySwitch(Node):
 
     def receive(self, pkt: Packet, port: Port) -> None:
         self.rx_packets += 1
-        now = self.sim.now
         if self._trace is not None and self._trace.wants(pkt):
             self._trace.packet_event("netsim", "switch-rx", self.name,
-                                     pkt, now, port=port.name)
-        for mirror in self.ingress_mirrors:
-            mirror(pkt, now)
-        out = self.route_for(pkt.dst_ip)
+                                     pkt, self.sim.now, port=port.name)
+        if self.ingress_mirrors:
+            now = self.sim.now
+            for mirror in self.ingress_mirrors:
+                mirror(pkt, now)
+        out = self._fib.get(pkt.dst_ip)  # route_for, without the call
         if out is None:
             self.no_route_drops += 1
             return

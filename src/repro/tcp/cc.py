@@ -34,17 +34,19 @@ class CongestionControl:
         self.hystart = hystart
         self._min_rtt_ns: int = 0
 
-    def _hystart_check(self, rtt_ns: int) -> None:
-        if rtt_ns <= 0:
-            return
-        if self._min_rtt_ns == 0 or rtt_ns < self._min_rtt_ns:
-            self._min_rtt_ns = rtt_ns
-        if (
-            self.hystart
-            and self.in_slow_start()
-            and rtt_ns > self._min_rtt_ns * self.HYSTART_RTT_FACTOR
-        ):
-            self.ssthresh = self.cwnd
+    def _hystart(self, rtt_ns: int) -> bool:
+        """HyStart's delay check on one ACK's RTT; -> still in slow start."""
+        if rtt_ns > 0:
+            min_rtt = self._min_rtt_ns
+            if min_rtt == 0 or rtt_ns < min_rtt:
+                self._min_rtt_ns = min_rtt = rtt_ns
+            if (
+                self.hystart
+                and self.cwnd < self.ssthresh
+                and rtt_ns > min_rtt * self.HYSTART_RTT_FACTOR
+            ):
+                self.ssthresh = self.cwnd
+        return self.cwnd < self.ssthresh
 
     # -- hooks ---------------------------------------------------------------
 
@@ -77,8 +79,7 @@ class Reno(CongestionControl):
     BETA = 0.5
 
     def on_ack(self, acked_bytes: int, rtt_ns: int, now_ns: int, flight_bytes: int) -> None:
-        self._hystart_check(rtt_ns)
-        if self.in_slow_start():
+        if self._hystart(rtt_ns):
             self.cwnd += min(acked_bytes, self.mss)
         else:
             # Standard per-ACK additive increase: mss*mss/cwnd.
@@ -109,40 +110,40 @@ class Cubic(CongestionControl):
         self._k_s: float = 0.0
         self._epoch_start_ns: int = -1
         self._w_est: float = 0.0  # TCP-friendly estimate
-        self._acked_since_epoch: float = 0.0
-
-    def _c_bytes(self) -> float:
-        return self.C_MSS * self.mss
+        # Constants of the growth function: C in bytes/s^3, and alpha of
+        # the TCP-friendly region (RFC 8312 §4.2).
+        self._c_bytes = self.C_MSS * mss
+        self._alpha = 3.0 * (1.0 - self.BETA) / (1.0 + self.BETA)
 
     def on_ack(self, acked_bytes: int, rtt_ns: int, now_ns: int, flight_bytes: int) -> None:
-        self._hystart_check(rtt_ns)
-        if self.in_slow_start():
+        if self._hystart(rtt_ns):
             self.cwnd += min(acked_bytes, self.mss)
             return
+        cwnd = self.cwnd
         if self._epoch_start_ns < 0:
             # First CA ack after a loss event (or after leaving slow start
             # without one): open a cubic epoch anchored at current cwnd.
             self._epoch_start_ns = now_ns
-            if self._w_max < self.cwnd:
-                self._w_max = self.cwnd
+            if self._w_max < cwnd:
+                self._w_max = cwnd
                 self._k_s = 0.0
             else:
-                self._k_s = ((self._w_max - self.cwnd) / self._c_bytes()) ** (1.0 / 3.0)
-            self._w_est = self.cwnd
-            self._acked_since_epoch = 0.0
+                self._k_s = ((self._w_max - cwnd) / self._c_bytes) ** (1.0 / 3.0)
+            self._w_est = cwnd
         t_s = (now_ns - self._epoch_start_ns) / NS_PER_S
-        rtt_s = max(rtt_ns, 1) / NS_PER_S
-        target = self._c_bytes() * (t_s + rtt_s - self._k_s) ** 3 + self._w_max
+        rtt_s = (rtt_ns if rtt_ns > 1 else 1) / NS_PER_S
+        target = self._c_bytes * (t_s + rtt_s - self._k_s) ** 3 + self._w_max
+        denom = cwnd if cwnd > 1.0 else 1.0  # max(cwnd, 1.0)
         # TCP-friendly region (RFC 8312 §4.2).
-        self._acked_since_epoch += acked_bytes
-        alpha = 3.0 * (1.0 - self.BETA) / (1.0 + self.BETA)
-        self._w_est += alpha * self.mss * acked_bytes / max(self.cwnd, 1.0)
-        target = max(target, self._w_est)
-        if target > self.cwnd:
+        w_est = self._w_est + self._alpha * self.mss * acked_bytes / denom
+        self._w_est = w_est
+        if w_est > target:
+            target = w_est
+        if target > cwnd:
             # Approach the target over one RTT's worth of acks.
-            self.cwnd += (target - self.cwnd) * acked_bytes / max(self.cwnd, 1.0)
+            self.cwnd = cwnd + (target - cwnd) * acked_bytes / denom
         else:
-            self.cwnd += 0.01 * self.mss * acked_bytes / max(self.cwnd, 1.0)
+            self.cwnd = cwnd + 0.01 * self.mss * acked_bytes / denom
 
     def on_loss_event(self, flight_bytes: int, now_ns: int) -> None:
         self._epoch_start_ns = -1

@@ -39,6 +39,30 @@ from repro.netsim.units import NS_PER_S, millis, seconds
 from repro.tcp.cc import CongestionControl, make_cc
 
 INFINITE_DATA = 1 << 50
+_UNKNOWN = object()  # a pacing rate not yet computed
+
+
+def _unwrap(wire: int, ref: int) -> int:
+    """Map a 32-bit wire sequence number to the unbounded one nearest
+    ``ref`` (the sender's snd_una, or the receiver's rcv_nxt)."""
+    delta = (wire - ref) & 0xFFFFFFFF
+    return ref + delta if delta < 0x80000000 else ref + delta - 0x100000000
+
+
+def _insert_range(ranges: List[Tuple[int, int]], start: int, end: int
+                  ) -> List[Tuple[int, int]]:
+    """``ranges`` (sorted, disjoint) with [start, end) merged in: the SACK
+    scoreboard and the receiver's out-of-order queue."""
+    merged: List[Tuple[int, int]] = []
+    for s, e in ranges:
+        if end < s or start > e:
+            merged.append((s, e))
+        else:
+            start = min(start, s)
+            end = max(end, e)
+    merged.append((start, end))
+    merged.sort()
+    return merged
 
 
 class TcpState(Enum):
@@ -70,7 +94,6 @@ class ConnectionStats:
     ecn_reactions: int = 0       # sender rate cuts triggered by ECE
     ce_received: int = 0         # CE-marked data packets seen (receiver)
     rtt_samples: List[Tuple[int, int]] = field(default_factory=list)  # (t, rtt_ns)
-    cwnd_samples: List[Tuple[int, int]] = field(default_factory=list)  # (t, cwnd)
 
     @property
     def last_rtt_ns(self) -> Optional[int]:
@@ -246,126 +269,131 @@ class TcpConnection:
 
     # ------------------------------------------------------------ packet I/O
 
-    def _make_packet(
-        self,
-        flags: int,
-        seq: int,
-        ack: int = 0,
-        payload_len: int = 0,
-    ) -> Packet:
-        self._ip_id = (self._ip_id + 1) & 0xFFFF
-        return Packet.tcp_fast(
-            self.host.ip,
-            self.remote_ip,
-            self.local_port,
-            self.remote_port,
-            seq,
-            ack,
-            flags,
-            self.rcv_buf_bytes if self.rcv_buf_bytes <= 0xFFFFFFFF else 0xFFFFFFFF,
-            payload_len,
-            self._ip_id,
-            self.sim.now,
-        )
-
     def _send_ctrl(self, flags: int, seq: int, ack: int = 0) -> None:
-        self.host.send(self._make_packet(flags, seq=seq, ack=ack))
+        self._ip_id = ip_id = (self._ip_id + 1) & 0xFFFF
+        rcv_buf = self.rcv_buf_bytes
+        self.host.send(Packet.tcp_fast(
+            self.host.ip, self.remote_ip, self.local_port, self.remote_port,
+            seq, ack, flags, rcv_buf if rcv_buf <= 0xFFFFFFFF else 0xFFFFFFFF,
+            0, ip_id, self.sim.now))
 
     def _send_segment(self, seq: int, length: int, retransmit: bool) -> None:
         flags = F_ACK
         if self._send_cwr:
             flags |= F_CWR  # confirm the ECN-triggered rate cut
             self._send_cwr = False
-        pkt = self._make_packet(flags, seq=seq, ack=self.rcv_nxt, payload_len=length)
+        now = self.sim.now
+        self._ip_id = ip_id = (self._ip_id + 1) & 0xFFFF
+        rcv_buf = self.rcv_buf_bytes
+        pkt = Packet.tcp_fast(
+            self.host.ip, self.remote_ip, self.local_port, self.remote_port, seq,
+            self.rcv_nxt, flags, rcv_buf if rcv_buf <= 0xFFFFFFFF else 0xFFFFFFFF,
+            length, ip_id, now)
         if self._ecn_on:
             pkt.ecn = Packet.ECN_ECT0
-        self.stats.segments_sent += 1
+        stats = self.stats
+        stats.segments_sent += 1
         if retransmit:
-            self.stats.retransmissions += 1
+            stats.retransmissions += 1
             # Karn's algorithm: a retransmission invalidates the RTT sample.
             self._rtt_sample_end = None
         else:
-            self.stats.bytes_sent += length
+            stats.bytes_sent += length
             if self._rtt_sample_end is None:
                 self._rtt_sample_end = seq + length
-                self._rtt_sample_time = self.sim.now
+                self._rtt_sample_time = now
         self.host.send(pkt)
 
     # ------------------------------------------------------------ send logic
 
     def _maybe_send(self) -> None:
+        """The sender loop: send what the window, the data and the pacer
+        allow now, or queue one ``_pace_fire`` for when the pacer will.
+        Nothing in the loop moves snd_una, the scoreboard, cwnd, the
+        pacing rate or the peer window (only snd_nxt advances), so each
+        is read once; SACKed bytes are not in flight (RFC 6675 'pipe')."""
         if self.state is not TcpState.ESTABLISHED:
             return
         now = self.sim.now
-        if self._pace_pending and now < self._next_pace_ns and not self._closing:
+        next_pace = self._next_pace_ns
+        if self._pace_pending and now < next_pace and not self._closing:
             return  # pacing-limited: the queued _pace_fire resumes sending
-        # Loop invariants, hoisted: nothing inside the send loop moves
-        # snd_una, the scoreboard, cwnd, the pacing rate or the peer
-        # window — only snd_nxt advances, so in-flight is tracked
-        # incrementally.  SACKed bytes have left the network; exclude
-        # them from the in-flight estimate (RFC 6675 'pipe').
-        inflight = self.snd_nxt - self.snd_una
-        if self._sacked:
-            inflight -= sum(e - s for s, e in self._sacked)
-        window = min(self.cc.cwnd_bytes + self._recovery_inflate,
-                     self.peer_rwnd)
-        pace_rate = self._pacing_rate_bps()
-        while True:
-            if inflight >= window:
-                break
-            remaining = self.data_end - max(self.snd_nxt, self._data_start)
+        mss = self.mss
+        snd_nxt = self.snd_nxt
+        sacked = self._sacked
+        inflight = snd_nxt - self.snd_una
+        if sacked:
+            inflight -= sum(e - s for s, e in sacked)
+        cc = self.cc
+        cwnd = int(cc.cwnd)
+        if cwnd < cc.mss:
+            cwnd = cc.mss  # cc.cwnd_bytes, without the property call
+        window = cwnd + self._recovery_inflate
+        peer_rwnd = self.peer_rwnd
+        if peer_rwnd < window:
+            window = peer_rwnd
+        data_start = self._data_start
+        data_end = data_start + self._app_total
+        highest = self._highest_sent
+        pace_rate = _UNKNOWN
+        while inflight < window:
+            remaining = data_end - (snd_nxt if snd_nxt > data_start else data_start)
             if remaining <= 0:
                 break
-            if pace_rate is not None and now < self._next_pace_ns:
-                self._schedule_pace()
+            if pace_rate is _UNKNOWN:
+                pace_rate = self._pacing_rate_bps(cwnd)
+            if pace_rate is not None and now < next_pace:
+                if not self._pace_pending:
+                    self._pace_pending = True
+                    self.sim.post(next_pace, self._pace_fire)
                 return
-            # When re-covering old ground after an RTO, skip over ranges
-            # the scoreboard says the receiver already holds.
-            if self.snd_nxt < self._highest_sent and self._sacked:
+            length = mss if mss < remaining else remaining
+            if sacked and snd_nxt < highest:
+                # Re-covering old ground after an RTO: jump over a range
+                # the scoreboard says the receiver holds, and stop short
+                # of the next one.
                 jumped = False
-                for s, e in self._sacked:
-                    if s <= self.snd_nxt < e:
-                        self.snd_nxt = e
+                for s, e in sacked:
+                    if e <= snd_nxt:
+                        continue
+                    if s <= snd_nxt:
+                        self.snd_nxt = snd_nxt = e
                         jumped = True
-                        break
+                    elif s - snd_nxt < length:
+                        length = s - snd_nxt
+                    break
                 if jumped:
                     # The jumped-over range is SACKed, so in-flight is
                     # unchanged; re-derive to stay exact.
-                    inflight = self.snd_nxt - self.snd_una
-                    inflight -= sum(e - s for s, e in self._sacked)
+                    inflight = snd_nxt - self.snd_una - sum(e - s for s, e in sacked)
                     continue
-            length = min(self.mss, remaining)
-            if self.snd_nxt < self._highest_sent and self._sacked:
-                for s, e in self._sacked:
-                    if s > self.snd_nxt:
-                        length = min(length, s - self.snd_nxt)
-                        break
             usable = window - inflight
             if usable < length:
                 # RFC 1122 sender-side silly-window avoidance: send a
                 # sub-MSS segment only when it is at least half the peer's
                 # window (covers rwnd < MSS receivers); otherwise wait for
                 # the window to open.
-                sws_floor = min(self.mss, max(1, self.peer_rwnd // 2))
-                if usable < sws_floor:
+                if usable < min(mss, max(1, peer_rwnd // 2)):
                     break
                 length = usable
             # After an RTO rewind this loop re-covers old ground; only bytes
             # beyond the historical high-water mark are first transmissions.
-            is_rtx = self.snd_nxt + length <= self._highest_sent
-            self._send_segment(self.snd_nxt, length, retransmit=is_rtx)
-            self.snd_nxt += length
+            self._send_segment(snd_nxt, length, snd_nxt + length <= highest)
+            self.snd_nxt = snd_nxt = snd_nxt + length
             inflight += length
-            if self.snd_nxt > self._highest_sent:
-                self._highest_sent = self.snd_nxt
+            if snd_nxt > highest:
+                self._highest_sent = highest = snd_nxt
             if self._rto_deadline is None:
                 self._arm_rto()
             if pace_rate is not None:
-                interval = length * 8 * NS_PER_S // pace_rate
-                self._next_pace_ns = max(now, self._next_pace_ns) + interval
-        self._maybe_send_fin()
+                if next_pace < now:
+                    next_pace = now
+                next_pace += length * 8 * NS_PER_S // pace_rate
+                self._next_pace_ns = next_pace
+        if self._closing:
+            self._maybe_send_fin()
 
-    def _pacing_rate_bps(self) -> Optional[int]:
+    def _pacing_rate_bps(self, cwnd_bytes: int) -> Optional[int]:
         """Effective pacing rate: the app cap if set, else a rate chosen
         by the congestion controller (BBR's model), else the fq-style
         cwnd/srtt rate once an RTT estimate exists."""
@@ -380,7 +408,7 @@ class TcpConnection:
         if self._srtt is None or self._srtt <= 0:
             return None
         gain = 2.0 if self.cc.in_slow_start() else 1.2
-        return max(1, int(gain * self.cc.cwnd_bytes * 8 * NS_PER_S / self._srtt))
+        return max(1, int(gain * cwnd_bytes * 8 * NS_PER_S / self._srtt))
 
     def _maybe_send_fin(self) -> None:
         if not self._closing or self._fin_seq is not None:
@@ -391,11 +419,6 @@ class TcpConnection:
             self.snd_nxt += 1
             self.state = TcpState.FIN_SENT
             self._arm_rto()
-
-    def _schedule_pace(self) -> None:
-        if not self._pace_pending:
-            self._pace_pending = True
-            self.sim.post(max(self.sim.now, self._next_pace_ns), self._pace_fire)
 
     def _pace_fire(self) -> None:
         self._pace_pending = False
@@ -475,38 +498,11 @@ class TcpConnection:
     # ----------------------------------------------------------- packet input
 
     def deliver(self, pkt: Packet) -> None:
-        """Entry point from the host stack demux."""
-        now = self.sim.now
+        """Entry point from the host stack demux.  An ESTABLISHED
+        connection (nearly every packet) goes straight to the segment."""
+        if self.state is not TcpState.ESTABLISHED and not self._handshake(pkt):
+            return
         flags = pkt.flags
-
-        if self.state is TcpState.CLOSED and self.is_server and flags & F_SYN:
-            self._handle_syn(pkt)
-            return
-        if self.state is TcpState.SYN_SENT:
-            if flags & F_SYN and flags & F_ACK and pkt.ack == self.iss + 1:
-                self._handle_synack(pkt)
-            return
-        if self.state is TcpState.SYN_RCVD:
-            if flags & F_SYN and not flags & F_ACK:
-                # Duplicate SYN (our SYN-ACK was lost): resend it.
-                self._send_ctrl(F_SYN | F_ACK, seq=self.iss, ack=self.rcv_nxt)
-                return
-            if flags & F_ACK and pkt.ack == self.iss + 1:
-                self.state = TcpState.ESTABLISHED
-                self.stats.established_ns = now
-                self.snd_una = self.iss + 1
-                self.snd_nxt = self.iss + 1
-                self.peer_rwnd = pkt.window
-                for cb in self.on_established:
-                    cb(self)
-            # fall through: the handshake ACK may carry data in theory; ours
-            # never does.
-            if pkt.payload_len == 0 and not flags & F_FIN:
-                return
-
-        if self.state in (TcpState.CLOSED, TcpState.DONE):
-            return
-
         if flags & F_ACK:
             self._process_ack(pkt)
         if pkt.payload_len > 0:
@@ -515,6 +511,36 @@ class TcpConnection:
             self._process_fin(pkt)
 
     # -- handshake -------------------------------------------------------------
+
+    def _handshake(self, pkt: Packet) -> bool:
+        """Any state but ESTABLISHED: open or refuse.  Returns whether
+        ``pkt`` goes on to ACK, data and FIN processing."""
+        flags = pkt.flags
+        if self.state is TcpState.CLOSED and self.is_server and flags & F_SYN:
+            self._handle_syn(pkt)
+            return False
+        if self.state is TcpState.SYN_SENT:
+            if flags & F_SYN and flags & F_ACK and pkt.ack == self.iss + 1:
+                self._handle_synack(pkt)
+            return False
+        if self.state is TcpState.SYN_RCVD:
+            if flags & F_SYN and not flags & F_ACK:
+                # Duplicate SYN (our SYN-ACK was lost): resend it.
+                self._send_ctrl(F_SYN | F_ACK, seq=self.iss, ack=self.rcv_nxt)
+                return False
+            if flags & F_ACK and pkt.ack == self.iss + 1:
+                self.state = TcpState.ESTABLISHED
+                self.stats.established_ns = self.sim.now
+                self.snd_una = self.iss + 1
+                self.snd_nxt = self.iss + 1
+                self.peer_rwnd = pkt.window
+                for cb in self.on_established:
+                    cb(self)
+            # fall through: the handshake ACK may carry data in theory; ours
+            # never does.
+            if pkt.payload_len == 0 and not flags & F_FIN:
+                return False
+        return self.state not in (TcpState.CLOSED, TcpState.DONE)
 
     def _handle_syn(self, pkt: Packet) -> None:
         self.state = TcpState.SYN_RCVD
@@ -547,37 +573,39 @@ class TcpConnection:
     # -- sender-side ACK processing ---------------------------------------------
 
     def _process_ack(self, pkt: Packet) -> None:
-        now = self.sim.now
-        ack = self._unwrap_ack(pkt.ack)
+        una = self.snd_una
+        ack = _unwrap(pkt.ack, una)
         self.peer_rwnd = pkt.window
-        if self.sack_enabled and pkt.sack:
+        if pkt.sack and self.sack_enabled:
             self._merge_sack(pkt.sack)
-        if (
-            self._ecn_on
-            and pkt.flags & F_ECE
-            and self.snd_una > self._ecn_react_seq
-        ):
+        now = self.sim.now
+        if self._ecn_on and pkt.flags & F_ECE and una > self._ecn_react_seq:
             # RFC 3168: one multiplicative decrease per window of data.
-            self.cc.on_loss_event(self.flight_bytes, now)
+            self.cc.on_loss_event(self.snd_nxt - una, now)
             self._ecn_react_seq = self.snd_nxt
             self._send_cwr = True
             self.stats.ecn_reactions += 1
 
-        if ack > self.snd_una:
-            acked = ack - self.snd_una
+        if ack > una:
+            acked = ack - una
             self.snd_una = ack
+            stats = self.stats
             # App-stream bytes acknowledged (excludes the SYN/FIN sequence
             # numbers): cumulative, so compute absolutely.
-            self.stats.bytes_acked = max(0, min(self.snd_una, self.data_end) - self._data_start)
+            data_end = self._data_start + self._app_total
+            acked_end = (ack if ack < data_end else data_end) - self._data_start
+            stats.bytes_acked = acked_end if acked_end > 0 else 0
             self._rto_backoff = 1
             self._dupacks = 0
-            self._prune_sacked()
+            if self._sacked:
+                self._prune_sacked()
 
-            rtt = None
-            if self._rtt_sample_end is not None and ack >= self._rtt_sample_end:
+            samples = stats.rtt_samples
+            sample_end = self._rtt_sample_end
+            if sample_end is not None and ack >= sample_end:
                 rtt = now - self._rtt_sample_time
                 self._update_rto(rtt)
-                self.stats.rtt_samples.append((now, rtt))
+                samples.append((now, rtt))
                 self._rtt_sample_end = None
 
             if self._in_recovery:
@@ -595,22 +623,22 @@ class TcpConnection:
                     self._retransmit_front()
                     self._recovery_inflate = max(0, self._recovery_inflate - acked) + self.mss
             else:
-                self.cc.on_ack(acked, rtt if rtt is not None else (self.stats.last_rtt_ns or 0),
-                               now, self.flight_bytes)
-            self.stats.cwnd_samples.append((now, self.cc.cwnd_bytes))
+                # The freshest RTT sample (this ACK's, if it took one).
+                self.cc.on_ack(acked, samples[-1][1] if samples else 0,
+                               now, self.snd_nxt - ack)
 
-            if self.snd_una >= self.snd_nxt:
+            if ack >= self.snd_nxt:
                 self._cancel_rto()
-                if self._fin_seq is not None and self.snd_una > self._fin_seq:
+                if self._fin_seq is not None and ack > self._fin_seq:
                     self._finish()
                     return
             else:
                 self._arm_rto()
             self._maybe_send()
         elif (
-            ack == self.snd_una
+            ack == una
             and pkt.payload_len == 0
-            and self.snd_nxt > self.snd_una
+            and self.snd_nxt > una
             and not pkt.flags & (F_SYN | F_FIN)
         ):
             self._dupacks += 1
@@ -625,11 +653,7 @@ class TcpConnection:
 
     def _unwrap_ack(self, wire_ack: int) -> int:
         """Map the 32-bit wire ACK back into our unbounded sequence space."""
-        base = self.snd_una & 0xFFFFFFFF
-        delta = (wire_ack - base) & 0xFFFFFFFF
-        if delta < 0x80000000:
-            return self.snd_una + delta
-        return self.snd_una - ((base - wire_ack) & 0xFFFFFFFF)
+        return _unwrap(wire_ack, self.snd_una)
 
     def _enter_recovery(self) -> None:
         self._in_recovery = True
@@ -654,19 +678,7 @@ class TcpConnection:
             end = self._unwrap_ack(we)
             if end <= start or end <= self.snd_una:
                 continue
-            self._insert_sacked(max(start, self.snd_una), end)
-
-    def _insert_sacked(self, start: int, end: int) -> None:
-        merged: List[Tuple[int, int]] = []
-        for s, e in self._sacked:
-            if end < s or start > e:
-                merged.append((s, e))
-            else:
-                start = min(start, s)
-                end = max(end, e)
-        merged.append((start, end))
-        merged.sort()
-        self._sacked = merged
+            self._sacked = _insert_range(self._sacked, max(start, self.snd_una), end)
 
     def _prune_sacked(self) -> None:
         una = self.snd_una
@@ -676,8 +688,6 @@ class TcpConnection:
                 continue
             pruned.append((max(s, una), e))
         self._sacked = pruned
-        if self._rtx_next < una:
-            self._rtx_next = una
 
     def _sack_retransmit(self) -> bool:
         """Retransmit the next scoreboard hole (at most one segment).
@@ -738,20 +748,21 @@ class TcpConnection:
                 self.stats.ce_received += 1
             if pkt.flags & F_CWR:
                 self._ecn_echo = False
-        seq = self._unwrap_seq(pkt.seq)
+        rcv_nxt = self.rcv_nxt
+        seq = _unwrap(pkt.seq, rcv_nxt)
         end = seq + pkt.payload_len
         in_order = False
         before = self.bytes_received
-        if end <= self.rcv_nxt:
+        if end <= rcv_nxt:
             pass  # fully duplicate segment
-        elif seq <= self.rcv_nxt:
-            advanced = end - self.rcv_nxt
+        elif seq <= rcv_nxt:
             self.rcv_nxt = end
-            self.bytes_received += advanced
-            self._drain_ooo()
+            self.bytes_received = before + end - rcv_nxt
+            if self._ooo:
+                self._drain_ooo()
             in_order = True
         else:
-            self._insert_ooo(seq, end)
+            self._ooo = _insert_range(self._ooo, seq, end)
         # What the application can now read: newly delivered in-order
         # bytes (duplicates and still-out-of-order data contribute 0).
         delivered = self.bytes_received - before
@@ -774,55 +785,29 @@ class TcpConnection:
         if self._delack_pending:
             self._send_ack()
 
-    def _unwrap_seq(self, wire_seq: int) -> int:
-        base = self.rcv_nxt & 0xFFFFFFFF
-        delta = (wire_seq - base) & 0xFFFFFFFF
-        if delta < 0x80000000:
-            return self.rcv_nxt + delta
-        return self.rcv_nxt - ((base - wire_seq) & 0xFFFFFFFF)
-
-    def _insert_ooo(self, start: int, end: int) -> None:
-        merged: List[Tuple[int, int]] = []
-        for s, e in self._ooo:
-            if end < s or start > e:
-                merged.append((s, e))
-            else:
-                start = min(start, s)
-                end = max(end, e)
-        merged.append((start, end))
-        merged.sort()
-        self._ooo = merged
-
     def _drain_ooo(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for i, (s, e) in enumerate(self._ooo):
-                if s <= self.rcv_nxt < e:
-                    self.bytes_received += e - self.rcv_nxt
-                    self.rcv_nxt = e
-                    del self._ooo[i]
-                    changed = True
-                    break
-                if e <= self.rcv_nxt:
-                    del self._ooo[i]
-                    changed = True
-                    break
+        """Deliver the out-of-order ranges the in-order edge has reached."""
+        ooo = self._ooo
+        while ooo and ooo[0][0] <= self.rcv_nxt:
+            _s, e = ooo.pop(0)
+            if e > self.rcv_nxt:
+                self.bytes_received += e - self.rcv_nxt
+                self.rcv_nxt = e
 
     def _send_ack(self) -> None:
-        sack = None
-        if self.sack_enabled and self._ooo:
+        self._ip_id = ip_id = (self._ip_id + 1) & 0xFFFF
+        rcv_buf = self.rcv_buf_bytes
+        pkt = Packet.tcp_fast(
+            self.host.ip, self.remote_ip, self.local_port, self.remote_port,
+            self.snd_nxt, self.rcv_nxt, F_ACK | F_ECE if self._ecn_echo else F_ACK,
+            rcv_buf if rcv_buf <= 0xFFFFFFFF else 0xFFFFFFFF,
+            0, ip_id, self.sim.now)
+        if self._ooo and self.sack_enabled:
             # Report the lowest holes first: those are the segments the
             # sender must repair to advance the cumulative ACK.
-            sack = tuple(
+            pkt.sack = sack = tuple(
                 (s & 0xFFFFFFFF, e & 0xFFFFFFFF) for s, e in self._ooo[:3]
             )
-        ack_flags = F_ACK
-        if self._ecn_echo:
-            ack_flags |= F_ECE
-        pkt = self._make_packet(ack_flags, seq=self.snd_nxt, ack=self.rcv_nxt)
-        if sack:
-            pkt.sack = sack
             needed = 2 + 8 * len(sack)
             pkt.tcp_options_len = -(-needed // 4) * 4
         self._delack_pending = 0
@@ -832,7 +817,7 @@ class TcpConnection:
         self.host.send(pkt)
 
     def _process_fin(self, pkt: Packet) -> None:
-        seq = self._unwrap_seq(pkt.seq)
+        seq = _unwrap(pkt.seq, self.rcv_nxt)
         fin_seq = seq + pkt.payload_len
         if fin_seq == self.rcv_nxt:
             self.rcv_nxt += 1
