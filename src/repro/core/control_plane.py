@@ -25,8 +25,10 @@ in one call when the body returns.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro import telemetry
 from repro.telemetry import profiling, provenance
@@ -40,6 +42,8 @@ from repro.core.histograms import HistogramExtractor
 from repro.core.limiter import LimiterClassifier
 from repro.core.monitor import P4Monitor
 from repro.core.reports import (
+    FLOW_SAMPLE_KEYS,
+    LIMITER_KEYS,
     AggregateSample,
     Block,
     FlowSample,
@@ -52,8 +56,6 @@ from repro.core.reports import (
     MicroburstEvent,
     Row,
     flow_head,
-    flow_sample_row,
-    limiter_row,
 )
 from repro.core.stats import jain_fairness, link_utilization, throughput_bps
 
@@ -100,6 +102,11 @@ class TrackedFlow:
     last_rtt_ms: Optional[float] = None
     jitter_ms: float = 0.0  # RFC 3550 smoothed inter-sample variation
 
+    @cached_property
+    def head(self) -> tuple:
+        """What its rows carry: flow_id, dotted quads, ports."""
+        return (*flow_head(self.flow_id, self.src_ip, self.dst_ip), self.src_port, self.dst_port)
+
 
 class MonitorControlPlane:
     """Periodic extraction + processing + report shipping."""
@@ -116,11 +123,9 @@ class MonitorControlPlane:
         self.config = config or monitor.config
         self.runtime = monitor.runtime()
         self.report_sink = report_sink
-        # Where a report row goes right now: the open tick's block, or
-        # shipped alone (outside a tick, or under a tracer).
-        self._put: Optional[Callable[[Row], None]] = self._send_row
-        # flow_id -> flow_head(): dotted quads resolved once per flow.
-        self._heads: Dict[int, tuple] = {}
+        # Where report rows go right now: into the open tick's block, or
+        # each shipped alone (outside a tick, or under a tracer).
+        self._put: Optional[Callable[[Iterable[Row]], None]] = self._send_each
 
         self.flows: Dict[int, TrackedFlow] = {}
         self.alerts = AlertManager(self.config, sink=self._ship)
@@ -362,11 +367,11 @@ class MonitorControlPlane:
         if self.report_sink is None:
             self._put = None
         elif self._trace is None:
-            self._put = block.append
+            self._put = block.extend
         try:
             job.body()
         finally:
-            self._put = self._send_row
+            self._put = self._send_each
         if block:
             self._send(block)
 
@@ -444,7 +449,6 @@ class MonitorControlPlane:
     # -- digest handlers ------------------------------------------------------------
 
     def _on_long_flow(self, _name: str, payload: dict) -> None:
-        self._heads.pop(payload["flow_id"], None)
         flow = TrackedFlow(
             flow_id=payload["flow_id"],
             rev_flow_id=payload["rev_flow_id"],
@@ -524,35 +528,33 @@ class MonitorControlPlane:
         elapsed = now - self.last_extraction_ns.get(kind.value, now - interval)
         if elapsed <= 0:
             elapsed = interval
-        trace = self._trace
-        emit = self._sample_emitter(kind, now)
         flows = self._active_flows()
         slots = [f.slot for f in flows]
-        byte_deltas: List[int] = []
-        throughputs: List[float] = []
+        totals = self._sweep("flow_bytes", slots)
+        byte_deltas, values, idle = [], [], []
         total_bytes = total_packets = 0
-        for flow, total, pkts in zip(flows, self._sweep("flow_bytes", slots),
-                                     self._sweep("flow_pkts", slots)):
-            if trace is not None:
-                trace.control_read("flow_bytes", flow.slot, now, value=total, flow_id=flow.flow_id)
+        for flow, total, pkts in zip(flows, totals, self._sweep("flow_pkts", slots)):
             delta = total - flow.last_bytes
             flow.last_bytes = total
-            thr = throughput_bps(delta, elapsed)
-            flow.last_throughput_bps = thr
+            thr = flow.last_throughput_bps = throughput_bps(delta, elapsed)
             byte_deltas.append(delta)
             if delta == 0:
                 flow.idle_intervals += 1
                 if flow.idle_intervals >= self.config.idle_intervals_before_evict:
-                    self._evict(flow)
+                    idle.append(flow)
+                    values.append(None)
                     continue
             else:
                 flow.idle_intervals = 0
-            emit(flow, thr)
-            # The aggregate covers the flows still active after the loop.
-            throughputs.append(thr)
+            values.append(thr)
             total_bytes += total
             total_packets += pkts
+        self._put_samples(kind, flows, values, (("flow_bytes", slots, totals),))
+        for flow in idle:
+            self._evict(flow)
 
+        # The aggregate covers the flows still active after the evictions.
+        throughputs = [v for v in values if v is not None]
         aggregate = AggregateSample(
             time_ns=now,
             link_utilization=link_utilization(
@@ -586,141 +588,155 @@ class MonitorControlPlane:
 
     def _tick_loss(self) -> None:
         now = self.sim.now
-        kind = MetricKind.PACKET_LOSS
         mask = self.config.flow_slots - 1
-        trace = self._trace
-        emit = self._sample_emitter(kind, now)
         flows = self._active_flows()
-        ids = [f.flow_id & mask for f in flows]
+        fids = [f.flow_id for f in flows]
+        ids = [fid & mask for fid in fids]
+        slots = [f.slot for f in flows]
         loss_col = self._sweep("pkt_loss", ids)
-        pkts_col = self._sweep("flow_pkts", [f.slot for f in flows])
+        pkts_col = self._sweep("flow_pkts", slots)
         rwnd_col = self._sweep("flow_rwnd", ids)
         # Cells are uint64: subtract the ints, so a flight clamps at 0
         # where the arrays would wrap.
         flights = [max(0, seq - ack) for seq, ack in zip(
             self._sweep("flight_high_seq", ids), self._sweep("flight_high_ack", ids))]
         loss_deltas = [losses - f.last_loss for f, losses in zip(flows, loss_col)]
-        archive = self.limiter_reports.rows.append
-        put, heads, stamp = self._put, self._heads, now / NS_PER_S
-        for (flow, idx, losses, pkts, rwnd, loss_delta,
-             verdict, mean_flight, flight_cv, lost) in zip(
-                flows, ids, loss_col, pkts_col, rwnd_col, loss_deltas,
-                *self.limiter.step([f.flow_id for f in flows], flights,
-                                   loss_deltas, rwnd_col)):
-            if trace is not None:
-                trace.control_read("pkt_loss", idx, now, value=losses, flow_id=flow.flow_id)
-                trace.control_read("flow_pkts", flow.slot, now, value=pkts, flow_id=flow.flow_id)
-            flow.last_loss = losses
+        verdicts, mean_flights, flight_cvs, lost = self.limiter.step(
+            fids, flights, loss_deltas, rwnd_col)
+        values = []
+        for flow, losses, pkts, loss_delta, verdict in zip(
+                flows, loss_col, pkts_col, loss_deltas, verdicts):
+            flow.last_loss, flow.verdict = losses, verdict
             pkt_delta = max(1, pkts - flow.last_pkts)
             flow.last_pkts = pkts
             # Clamped: regressions observed before the flow claimed its
             # slot can make the raw ratio exceed 100 %.
-            emit(flow, min(100.0, 100.0 * loss_delta / pkt_delta))
-            if trace is not None:
-                trace.control_read("flow_rwnd", idx, now, value=rwnd, flow_id=flow.flow_id)
-            flow.verdict = verdict
-            archive((now, flow.flow_id, flow.src_ip, flow.dst_ip,
-                     verdict, mean_flight, flight_cv, lost, rwnd))
-            if self.degraded:
-                self._suppress("LimiterReport")
-            elif put is not None:
-                put(limiter_row(stamp, heads.get(flow.flow_id) or self._head(flow),
-                                verdict, mean_flight, flight_cv, lost, rwnd))
+            values.append(min(100.0, 100.0 * loss_delta / pkt_delta))
+        self.limiter_reports.add_chunk(flows, (now, None, None, None, verdicts,
+                                               mean_flights, flight_cvs, lost, rwnd_col))
+        stamp = now / NS_PER_S
+        rows = [(LIMITER_KEYS, ("p4_limiter", stamp, fid, src, dst, verdict._value_,
+                                flight, cv, loss, rwnd))
+                for (fid, src, dst, _, _), verdict, flight, cv, loss, rwnd in zip(
+                    [f.head for f in flows], verdicts, mean_flights, flight_cvs, lost, rwnd_col)]
+        self._put_samples(MetricKind.PACKET_LOSS, flows, values,
+                          (("pkt_loss", ids, loss_col), ("flow_pkts", slots, pkts_col)),
+                          rows, (("flow_rwnd", ids, rwnd_col),))
 
     def _tick_rtt(self) -> None:
-        now = self.sim.now
         kind = MetricKind.RTT
         mask = self.config.flow_slots - 1
-        trace = self._trace
-        emit = self._sample_emitter(kind, now)
-        emit_jitter = self._sample_emitter(kind, now, jitter=True)
+        boosted = self.alerts.metric_boosted(kind)
         flows = self._active_flows()
         # Algorithm 1 stores the RTT under the ACK direction's flow ID,
         # i.e. the tracked flow's *reversed* ID (a cell two flows may
         # share; it is only read).
         ids = [f.rev_flow_id & mask for f in flows]
-        for flow, idx, rtt_ns in zip(flows, ids, self._sweep("rtt", ids)):
-            if trace is not None:
-                trace.control_read("rtt", idx, now, value=rtt_ns, flow_id=flow.flow_id)
-            if rtt_ns == 0:
-                continue  # no sample yet
-            rtt_ms = rtt_ns / 1e6
-            emit(flow, rtt_ms)
-            self._jitter_step(flow, rtt_ms, emit_jitter)
-
-    def _jitter_step(self, flow: TrackedFlow, rtt_ms: float,
-                     emit: Callable[[TrackedFlow, float], None]) -> None:
-        """Derived jitter (one of perfSONAR's four headline metrics,
-        §2.2): RFC 3550 smoothing of consecutive RTT-sample deltas."""
-        if flow.last_rtt_ms is not None:
-            delta = abs(rtt_ms - flow.last_rtt_ms)
-            flow.jitter_ms += (delta - flow.jitter_ms) / 16.0
-            emit(flow, flow.jitter_ms)
-        flow.last_rtt_ms = rtt_ms
+        rtt_col = self._sweep("rtt", ids)
+        # Derived jitter (one of perfSONAR's four headline metrics,
+        # §2.2): RFC 3550 smoothing of consecutive RTT-sample deltas.
+        values, jitters = [], []
+        for flow, rtt_ns in zip(flows, rtt_col):
+            rtt_ms = jitter = None
+            if rtt_ns:                                  # 0: no sample yet
+                rtt_ms = rtt_ns / 1e6
+                if flow.last_rtt_ms is not None:
+                    flow.jitter_ms += (abs(rtt_ms - flow.last_rtt_ms) - flow.jitter_ms) / 16.0
+                    jitter = flow.jitter_ms
+                flow.last_rtt_ms = rtt_ms
+            values.append(rtt_ms)
+            jitters.append(jitter)
+        self._put_samples(kind, flows, values, (("rtt", ids, rtt_col),),
+                          self._archive(self.jitter_samples, "jitter", boosted,
+                                        flows, jitters))
 
     def _tick_queue(self) -> None:
-        now = self.sim.now
-        kind = MetricKind.QUEUE_OCCUPANCY
         mask = self.config.flow_slots - 1
         max_delay = self.config.max_queue_delay_ns()
-        trace = self._trace
-        emit = self._sample_emitter(kind, now)
         flows = self._active_flows()
         ids = [f.flow_id & mask for f in flows]
         # Peak-hold since the previous tick gives the occupancy the
         # sampling interval actually experienced; clear after reading.
         peaks = self._sweep("flow_qdelay_max", ids)
         self.runtime.clear_register("flow_qdelay_max", ids)
-        for flow, idx, peak in zip(flows, ids, peaks):
-            if trace is not None:
-                trace.control_read("flow_qdelay_max", idx, now, value=peak, flow_id=flow.flow_id)
-            emit(flow, 100.0 * peak / max_delay if max_delay else 0.0)
+        values = ([100.0 * peak / max_delay for peak in peaks] if max_delay
+                  else [0.0] * len(peaks))
+        self._put_samples(MetricKind.QUEUE_OCCUPANCY, flows, values,
+                          (("flow_qdelay_max", ids, peaks),))
 
     # -- helpers -------------------------------------------------------------------
 
-    def _sample_emitter(self, kind: MetricKind, now: int, jitter: bool = False
-                        ) -> Callable[[TrackedFlow, float], None]:
-        """One tick's ``emit(flow, value)``: archive one per-flow sample,
-        put its Report_v1 row, then run the metric's alert check.  What a
-        tick's samples share — stream, boost, document type and
-        timestamp, whether the class alerts at all — is resolved here,
-        once, and a flow's addresses once per flow; no ``FlowSample``
-        exists until somebody reads the log.  ``jitter`` selects the
-        stream derived from ``kind``'s samples (no alert class of its
-        own)."""
-        boosted = self.alerts.metric_boosted(kind)
+    def _put_samples(self, kind: MetricKind, flows: List[TrackedFlow],
+                     values: List[Optional[float]], reads: tuple,
+                     then: Optional[List[Optional[Row]]] = None,
+                     then_reads: tuple = ()) -> None:
+        """The one way a tick emits samples: ``values[i]`` (``None``: none)
+        is ``flows[i]``'s, read from ``reads`` (``(name, indices, cells)``
+        columns).  They become one chunk of ``kind``'s log and a row each,
+        each row followed by the alert rows its check raised or cleared,
+        then by the flow's row in ``then`` (jitter or limiter).  Degraded
+        mode counts rows as suppressed.  A tracer notes each flow's reads
+        (``then_reads`` before its ``then`` row) ahead of its rows."""
+        now, trace, sink = self.sim.now, self._trace, self._put
+        rows = self._archive(self.flow_samples[kind], kind.value,
+                             self.alerts.metric_boosted(kind), flows, values)
         mc = self.config.metric(kind)
-        alerting = not jitter and mc.alert_enabled and mc.alert_threshold is not None
-        metric = "jitter" if jitter else kind.value
-        archive = (self.jitter_samples if jitter else self.flow_samples[kind]).rows.append
-        doc_type, stamp = f"p4_{metric}", now / NS_PER_S
-        put, heads = self._put, self._heads
+        alerting = mc.alert_enabled and mc.alert_threshold is not None
+        # Flow i's sample row sits at seq[step * i], its row in ``then`` next.
+        step = 1 if then is None else 2
+        seq = rows if then is None else list(chain.from_iterable(zip(rows, then)))
+        start = 0
 
-        def emit(flow: TrackedFlow, value: float) -> None:
-            fid = flow.flow_id
-            archive((now, metric, fid, flow.src_ip, flow.dst_ip,
-                     flow.src_port, flow.dst_port, value, boosted))
+        def put(end: int) -> None:
+            nonlocal start
+            part, start = filter(None, seq[start:end]), end
             if self.degraded:
-                self._suppress("FlowSample")
-            elif put is not None:
-                put(flow_sample_row(doc_type, stamp, heads.get(fid) or self._head(flow),
-                                    flow.src_port, flow.dst_port, value, boosted))
-            if alerting:
-                self.alerts.check(kind, fid, value, now)
+                keys = [k for k, _ in part]
+                self._suppress("FlowSample", len(keys) - keys.count(LIMITER_KEYS))
+                self._suppress("LimiterReport", keys.count(LIMITER_KEYS))
+            elif sink is not None:
+                sink(part)
 
-        return emit
+        # An alerting class stops after each sample for its check, a
+        # tracer at every flow for its reads.
+        stops = (range(len(flows)) if trace is not None else
+                 [i for i, v in enumerate(values) if v is not None] if alerting else ())
+        for i in stops:
+            if trace is not None:
+                put(step * i)
+                for name, indices, cells in reads:
+                    trace.control_read(name, indices[i], now, value=cells[i],
+                                       flow_id=flows[i].flow_id)
+            put(step * i + 1)
+            if values[i] is not None and alerting:
+                self.alerts.check(kind, flows[i].flow_id, values[i], now)
+            for name, indices, cells in then_reads if trace is not None else ():
+                trace.control_read(name, indices[i], now, value=cells[i],
+                                   flow_id=flows[i].flow_id)
+        put(len(seq))
 
-    def _head(self, flow: TrackedFlow) -> tuple:
-        head = self._heads[flow.flow_id] = flow_head(
-            flow.flow_id, flow.src_ip, flow.dst_ip)
-        return head
+    def _archive(self, log: FlowSampleLog, metric: str, boosted: bool,
+                 flows: List[TrackedFlow], values: List[Optional[float]]
+                 ) -> List[Optional[Row]]:
+        """One tick's samples of one stream (``values[i]`` on
+        ``flows[i]``; ``None``: none) as one chunk of ``log``; returns
+        their Report_v1 rows over ``flows`` (``None`` where no sample)."""
+        sampled, kept = flows, values
+        if None in values:
+            sampled = [f for f, v in zip(flows, values) if v is not None]
+            kept = [v for v in values if v is not None]
+        now = self.sim.now
+        log.add_chunk(sampled, (now, metric, None, None, None, None, None, kept, boosted))
+        doc_type, stamp = "p4_" + metric, now / NS_PER_S
+        return [None if value is None else
+                (FLOW_SAMPLE_KEYS, (doc_type, stamp, fid, src, dst, sport, dport, value, boosted))
+                for (fid, src, dst, sport, dport), value in zip([f.head for f in flows], values)]
 
     def _retire(self, flow: TrackedFlow) -> None:
         """The flow left the active set (FIN/RST or idle eviction).  No
         tick samples it again, so an alert it holds could never clear
         and its limiter row never recycle: drop both here."""
         flow.terminated = True
-        self._heads.pop(flow.flow_id, None)
         self.alerts.drop_flow(flow.flow_id)
         self.limiter.forget(flow.flow_id)
 
@@ -741,19 +757,20 @@ class MonitorControlPlane:
         if self.degraded and isinstance(report, (FlowSample, LimiterReport)):
             self._suppress(type(report).__name__)
         elif self._put is not None:
-            self._put(report.row())
+            self._put((report.row(),))
 
-    def _suppress(self, name: str) -> None:
+    def _suppress(self, name: str, count: int = 1) -> None:
         """Degraded mode: per-flow detail collapses to the aggregate
         stream (what default perfSONAR ships anyway) until the delivery
         path proves healthy again.  Counted by report type."""
-        self.reports_suppressed += 1
-        if self._tel_cycle_ns is not None:
-            self._tel_suppressed.labels(name).inc()
+        self.reports_suppressed += count
+        if count and self._tel_cycle_ns is not None:
+            self._tel_suppressed.labels(name).inc(count)
 
-    def _send_row(self, row: Row) -> None:
+    def _send_each(self, rows: Iterable[Row]) -> None:
         if self.report_sink is not None:
-            self._send([row])
+            for row in rows:
+                self._send([row])
 
     def _send(self, block: Block) -> None:
         """The one ``report_sink`` site.  Every Report_v1 row leads with

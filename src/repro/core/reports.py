@@ -13,9 +13,10 @@ plus a row builder; ``to_document()`` is ``dict(zip(*row))``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import starmap
+from itertools import chain, islice, repeat, starmap
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -87,9 +88,9 @@ class FlowSample(_Document):
     boosted: bool = False
 
     def row(self) -> Row:
-        return flow_sample_row(
+        return FLOW_SAMPLE_KEYS, (
             f"p4_{self.metric}", self.time_ns / NS_PER_S,
-            flow_head(self.flow_id, self.src_ip, self.dst_ip),
+            *flow_head(self.flow_id, self.src_ip, self.dst_ip),
             self.src_port, self.dst_port, self.value, self.boosted)
 
 
@@ -105,49 +106,67 @@ def flow_head(flow_id: int, src_ip: int, dst_ip: int) -> tuple:
     return flow_id, int_to_ip(src_ip), int_to_ip(dst_ip)
 
 
-def flow_sample_row(doc_type: str, timestamp_s: float, head: tuple,
-                    src_port: int, dst_port: int, value: float,
-                    boosted: bool) -> Row:
-    """The Report_v1 row of one per-flow sample (the control plane
-    passes a tick's shared type and timestamp)."""
-    return FLOW_SAMPLE_KEYS, (doc_type, timestamp_s, *head, src_port,
-                              dst_port, value, boosted)
-
-
 class FlowSampleLog:
-    """A per-flow report stream kept as rows: ``rows`` holds one plain
-    tuple per report, in the field order of its dataclass ``record``
-    (:class:`FlowSample`; :class:`LimiterReport` for
-    ``cp.limiter_reports``) — untracked by the cyclic collector once it
-    has seen it unless it holds an ``Enum`` member, which a dataclass
-    instance never is (docs/scaling.md, "Allocation discipline") — and a
-    ``record`` is built when somebody reads one.  Supports what the list
-    it replaces was used for: ``len``, truthiness, iteration, ``[i]``,
-    slices, ``==`` with a list or a log, ``append``, ``clear``."""
+    """A per-flow report stream (records :class:`FlowSample`, or
+    :class:`LimiterReport`) kept as one chunk per extraction tick,
+    ``(flows, columns)``: per record field, a list with one value per
+    sample, the one value its samples share, or ``None``: read off the
+    sample's tracked flow, whose identity fields never change.  No object
+    per sample is kept (docs/scaling.md, "Allocation discipline"); rows
+    and records are built when read.  Supports what the list it replaced
+    was used for: ``len``, truthiness, iteration, ``[i]``, slices, ``==``
+    with a list or a log, ``append``, ``clear``."""
 
-    __slots__ = ("rows", "record", "_row")
+    __slots__ = ("record", "fields", "_chunks", "_ends")
 
     def __init__(self, samples: Iterable = (), record: type = FlowSample) -> None:
         self.record = record
-        self._row = attrgetter(*(f.name for f in fields(record)))
-        self.rows: List[tuple] = [self._row(s) for s in samples]
+        self.fields = tuple(f.name for f in fields(record))
+        self._chunks: List[tuple] = []
+        self._ends: List[int] = []      # samples up to each chunk's end
+        columns = [list(c) for c in zip(*map(attrgetter(*self.fields), samples))]
+        if columns:
+            self.add_chunk(None, tuple(columns))
+
+    def add_chunk(self, flows: Optional[list], columns: tuple) -> None:
+        n = len(flows if flows is not None else
+                next(c for c in columns if type(c) is list))
+        if n:
+            self._chunks.append((flows, columns))
+            self._ends.append(len(self) + n)
 
     def append(self, sample) -> None:
-        self.rows.append(self._row(sample))
+        self.add_chunk(None, tuple([getattr(sample, name)] for name in self.fields))
+
+    def _chunk_rows(self, chunk: tuple) -> Iterator[tuple]:
+        flows, columns = chunk
+        return zip(*(c if type(c) is list else repeat(c) if c is not None
+                     else map(attrgetter(name), flows) for name, c in zip(self.fields, columns)))
 
     def clear(self) -> None:
-        self.rows.clear()
+        self._chunks.clear()
+        self._ends.clear()
+
+    @property
+    def rows(self) -> List[tuple]:
+        """One plain tuple per sample, in the record's field order."""
+        return list(chain.from_iterable(map(self._chunk_rows, self._chunks)))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._ends[-1] if self._ends else 0
 
     def __iter__(self) -> Iterator:
-        return starmap(self.record, self.rows)
+        return starmap(self.record, chain.from_iterable(map(self._chunk_rows, self._chunks)))
 
     def __getitem__(self, item):
         if isinstance(item, slice):
             return list(starmap(self.record, self.rows[item]))
-        return self.record(*self.rows[item])
+        i = item + len(self) if item < 0 else item
+        if not 0 <= i < len(self):
+            raise IndexError("FlowSampleLog index out of range")
+        k = bisect_right(self._ends, i)
+        at = i - (self._ends[k - 1] if k else 0)
+        return self.record(*next(islice(self._chunk_rows(self._chunks[k]), at, None)))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FlowSampleLog):
@@ -361,20 +380,13 @@ class LimiterReport(_Document):
     rwnd_bytes: int
 
     def row(self) -> Row:
-        head = flow_head(self.flow_id, self.src_ip, self.dst_ip)
-        return limiter_row(self.time_ns / NS_PER_S, head, self.verdict,
-                           self.flight_bytes, self.flight_cv, self.loss_delta,
-                           self.rwnd_bytes)
+        return LIMITER_KEYS, (
+            "p4_limiter", self.time_ns / NS_PER_S,
+            *flow_head(self.flow_id, self.src_ip, self.dst_ip),
+            self.verdict.value, self.flight_bytes, self.flight_cv,
+            self.loss_delta, self.rwnd_bytes)
 
 
 LIMITER_KEYS = ("type", "@timestamp", "flow_id", "source_ip",
                 "destination_ip", "verdict", "flight_bytes", "flight_cv",
                 "loss_delta", "rwnd_bytes")
-
-
-def limiter_row(timestamp_s: float, head: tuple, verdict: LimiterVerdict,
-                flight_bytes: float, flight_cv: float, loss_delta: int,
-                rwnd_bytes: int) -> Row:
-    """The Report_v1 row of one limiter report."""
-    return LIMITER_KEYS, ("p4_limiter", timestamp_s, *head, verdict.value,
-                          flight_bytes, flight_cv, loss_delta, rwnd_bytes)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import telemetry
@@ -44,6 +45,18 @@ def row_field(row: Row, name: str, default: Any = None) -> Any:
     """``document.get(name, default)``, read off a row."""
     keys, values = row
     return values[keys.index(name)] if name in keys else default
+
+
+class _Learned(dict):
+    """A dict that learns a missing key's value, once, from ``learn``
+    (which must not hold the dict's owner: that is a reference cycle)."""
+
+    def __init__(self, learn: Callable[[Any], Any]) -> None:
+        self.learn = learn
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.learn(key)
+        return value
 
 
 class LogstashPipeline:
@@ -180,6 +193,16 @@ class TcpInputPlugin:
     __call__ = ingest
 
 
+def _plan(index_field: str, deduplicating: bool, envelopes: Dict[tuple, tuple],
+          keys: tuple) -> Optional[int]:
+    """A schema's index-field position; notes its envelope, if any."""
+    def at(name):
+        return keys.index(name) if name in keys else None
+    if deduplicating and "_seq" in keys:
+        envelopes[keys] = (at("_shipper"), at("_seq"))
+    return at(index_field)
+
+
 class OpenSearchOutputPlugin:
     """Routes each row to an index chosen by its ``type`` field and
     writes the block through the store's one bulk path.
@@ -206,10 +229,12 @@ class OpenSearchOutputPlugin:
         self.dedup = dedup
         self.documents_written = 0
         self.duplicates_dropped = 0
-        # keys -> (index-field position, _seq position, _shipper position),
-        # and type -> index name: both resolved once.
-        self._plans: Dict[tuple, tuple] = {}
-        self._names: Dict[Any, str] = {}
+        # Learned once each: keys -> index-field position (None: "unknown"),
+        # enveloped keys -> (_shipper, _seq) positions, type -> index name.
+        self._envelopes: Dict[tuple, tuple] = {}
+        self._index_at: Dict[tuple, Optional[int]] = _Learned(
+            partial(_plan, index_field, dedup is not None, self._envelopes))
+        self._names: Dict[Any, str] = _Learned(partial("{}-{}".format, index_prefix))
         self._tel_duplicates = None
         if telemetry.enabled():
             self._tel_duplicates = telemetry.counter(
@@ -217,43 +242,37 @@ class OpenSearchOutputPlugin:
                 "redelivered reports dropped by archiver-side sequence "
                 "dedup")
 
-    def _plan(self, keys: tuple) -> tuple:
-        """Where a schema keeps its index field and envelope."""
-        def at(name):
-            return keys.index(name) if name in keys else None
-        enveloped = self.dedup is not None and "_seq" in keys
-        plan = self._plans[keys] = (at(self.index_field),
-                                    at("_seq") if enveloped else None,
-                                    at("_shipper"))
-        return plan
-
     def __call__(self, block: Block) -> None:
-        plans, names = self._plans, self._names
-        rows, indices, fresh = [], [], []
-        for row in block:
-            keys, values = row
-            plan = plans.get(keys) or self._plan(keys)
-            kind_at, seq_at, source_at = plan
-            if seq_at is not None:
-                key = (values[source_at] if source_at is not None else "?",
-                       values[seq_at])
+        index_at, names = self._index_at, self._names
+        indices = [names[values[at] if (at := index_at[keys]) is not None else "unknown"]
+                   for keys, values in block]
+        fresh: List[tuple] = []
+        if self._envelopes:
+            block, indices, fresh = self._fresh(block, indices)
+        if block:
+            self.store.bulk(indices, block)
+            self.documents_written += len(block)
+        for key in fresh:
+            self.dedup.record(*key)
+
+    def _fresh(self, block: Block, indices: List[str]) -> tuple:
+        """The rows (and indices) whose envelope is new, and those envelopes."""
+        rows, kept, fresh = [], [], []
+        for row, index in zip(block, indices):
+            envelope = self._envelopes.get(row[0])
+            if envelope is not None:
+                source_at, seq_at = envelope
+                key = (row[1][source_at] if source_at is not None else "?",
+                       row[1][seq_at])
                 if key in fresh or self.dedup.is_duplicate(*key):
                     self.duplicates_dropped += 1
                     if self._tel_duplicates is not None:
                         self._tel_duplicates.inc()
                     continue
                 fresh.append(key)
-            kind = values[kind_at] if kind_at is not None else "unknown"
-            index = names.get(kind)
-            if index is None:
-                index = names[kind] = f"{self.index_prefix}-{kind}"
             rows.append(row)
-            indices.append(index)
-        if rows:
-            self.store.bulk(indices, rows)
-            for key in fresh:
-                self.dedup.record(*key)
-            self.documents_written += len(rows)
+            kept.append(index)
+        return rows, kept, fresh
 
 
 # -- stock filters -------------------------------------------------------------
@@ -261,20 +280,14 @@ class OpenSearchOutputPlugin:
 
 _METADATA_KEYS = ("@version", "host", "tags")
 _METADATA_VALUES = ("1", "p4-controlplane", ("p4-perfsonar",))
-#: Report_v1 keys -> (Report_v2 keys, the value suffix that makes them).
-_v2_schemas: Dict[tuple, tuple] = {}
+#: Report_v1 keys -> Report_v2 keys (the rows take the suffix as it is), or
+#: ``None`` for a schema that already carries a metadata field.
+_v2_keys: Dict[tuple, Optional[tuple]] = _Learned(
+    lambda keys: keys + _METADATA_KEYS if set(_METADATA_KEYS).isdisjoint(keys) else None)
 
 
-def _v2_schema(keys: tuple) -> Optional[tuple]:
-    """A schema's Report_v2 extension, or ``None`` when it already
-    carries a metadata field (then each row takes the general path)."""
-    if not set(_METADATA_KEYS).isdisjoint(keys):
-        return None
-    schema = _v2_schemas[keys] = (keys + _METADATA_KEYS, _METADATA_VALUES)
-    return schema
-
-
-def _with_metadata(keys: tuple, values: tuple) -> Row:
+def _merged(keys: tuple, values: tuple) -> Row:
+    """The metadata merged into a row that already carries some."""
     doc = dict(zip(keys, values))
     doc.setdefault("@version", _METADATA_VALUES[0])
     doc.setdefault("host", _METADATA_VALUES[1])
@@ -284,14 +297,16 @@ def _with_metadata(keys: tuple, values: tuple) -> Row:
 
 def opensearch_metadata_filter(block: Block) -> Block:
     """The metadata OpenSearch requires (Report_v1 → Report_v2): each
-    schema is extended once, each row by one tuple concatenation."""
-    out = []
-    append = out.append
-    for keys, values in block:
-        schema = _v2_schemas.get(keys) or _v2_schema(keys)
-        append((schema[0], values + schema[1]) if schema is not None
-               else _with_metadata(keys, values))
-    return out
+    schema is extended once, each row by one tuple concatenation.  The
+    value tuples (what the archive keeps) are built before the rows that
+    pair them, so a young collection among them promotes no fresh row
+    (docs/scaling.md, "Allocation discipline")."""
+    schemas = [_v2_keys[keys] for keys, _ in block]
+    rows = list(zip(schemas, [values + _METADATA_VALUES for _, values in block]))
+    if not all(schemas):
+        rows = [_merged(*row) if v2 is None else out
+                for v2, out, row in zip(schemas, rows, block)]
+    return rows
 
 
 def make_type_filter(allowed: List[str]) -> FilterFn:

@@ -7,19 +7,23 @@ indices of JSON documents, term/range queries, sort, and the handful of
 metric aggregations dashboards ask for.
 
 Documents are kept as rows, not dicts (docs/scaling.md, "Allocation
-discipline"): per index a list of plain value tuples ending in the
-document's key tuple and the integer ``_id``; ``_index`` is the list a
-row sits in, and only the rows a query selects become dicts again.
-Writes arrive as :data:`~repro.core.reports.Row` pairs, whose builders
-already stored every top-level ``list`` as a tuple — what lets the
-collector stop tracking the row; JSON has no tuples, so this is lossless
-for every document this system ships.  On the way out every tuple
-becomes a fresh list and every nested container a copy: a caller can
-never reach the archive's own.
+discipline"): per index three aligned columns — each document's value
+tuple, as the write delivered it, its key tuple and its integer
+``_id``; ``_index`` is the index a row sits in, and only the rows a
+query selects become dicts again.  Writes arrive as
+:data:`~repro.core.reports.Row` pairs, whose builders already stored
+every top-level ``list`` as a tuple — what lets the collector stop
+tracking the row; JSON has no tuples, so this is lossless for every
+document this system ships.  On the way out every tuple becomes a fresh
+list and every nested container a copy: a caller can never reach the
+archive's own.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -92,9 +96,26 @@ class RetentionPolicy:
         return store.delete(index, [d["_id"] for d in old])
 
 
+class _Index:
+    """One index's documents as aligned columns: value tuples, key
+    tuples, ``_id``s (row ``i`` is position ``i`` of each)."""
+
+    __slots__ = ("name", "values", "keys", "ids")
+
+    def __init__(self, name: str) -> None:
+        self.name, self.values, self.keys, self.ids = name, [], [], array("q")
+
+    def field(self, i: int, name: str, default: Any = None) -> Any:
+        """``document.get(name, default)`` for row ``i``."""
+        if name in ("_id", "_index"):
+            return str(self.ids[i]) if name == "_id" else self.name
+        keys = self.keys[i]
+        return _thaw(self.values[i][keys.index(name)]) if name in keys else default
+
+
 class OpenSearchStore:
     def __init__(self) -> None:
-        self._indices: Dict[str, List[tuple]] = {}   # index -> rows
+        self._indices: Dict[str, _Index] = {}
         self._next_id = 1
         self._schemas: Dict[tuple, tuple] = {}   # interned key tuples
         self._faults = faults.injector()   # None without a chaos injector
@@ -104,8 +125,9 @@ class OpenSearchStore:
     def bulk(self, indices: Sequence[str], block: Block) -> int:
         """The write path, OpenSearch's bulk API: row ``i`` of ``block``
         goes to index ``indices[i]``, in order, ``_id``s assigned
-        consecutively; returns the first one.  Row keys should be
-        interned (the row builders' constants are).
+        consecutively; returns the first one.  A row's value tuple is
+        stored as it is, and its keys should be interned (the row
+        builders' constants are).
 
         Raises :class:`~repro.resilience.faults.ArchiveUnavailable`,
         writing nothing, while an injected archiver outage is active —
@@ -113,15 +135,14 @@ class OpenSearchStore:
         the shipper's retry/spool machinery exists to ride out."""
         if self._faults is not None and self._faults.archiver_down():
             raise ArchiveUnavailable("archive refused a bulk write")
-        stores = self._indices
-        first = doc_id = self._next_id
-        for index, (keys, values) in zip(indices, block):
-            stored = stores.get(index)
-            if stored is None:
-                stored = stores[index] = []
-            stored.append((*values, keys, doc_id))
-            doc_id += 1
-        self._next_id = doc_id
+        first = self._next_id
+        self._next_id = first + len(block)
+        for index in dict.fromkeys(indices):
+            docs = self._indices.get(index) or self._indices.setdefault(index, _Index(index))
+            mine = [name == index for name in indices]
+            docs.keys.extend(compress(map(itemgetter(0), block), mine))
+            docs.values.extend(compress(map(itemgetter(1), block), mine))
+            docs.ids.extend(compress(range(first, self._next_id), mine))
         return first
 
     def index(self, index: str, document: dict) -> str:
@@ -130,26 +151,17 @@ class OpenSearchStore:
         keys = self._schemas.setdefault(keys, keys)
         return str(self.bulk((index,), ((keys, values),)))
 
-    def _field(self, index: str, row: tuple, name: str, default: Any = None) -> Any:
-        """``document.get(name, default)``, read off the row."""
-        if name in ("_id", "_index"):
-            return str(row[-1]) if name == "_id" else index
-        keys = row[-2]
-        if name not in keys:
-            return default
-        return _thaw(row[keys.index(name)])
-
-    def _document(self, index: str, row: tuple) -> dict:
+    def _document(self, docs: _Index, i: int) -> dict:
         doc = {k: _thaw(v) if type(v) in _CONTAINERS else v
-               for k, v in zip(row[-2], row)}
-        doc["_id"], doc["_index"] = str(row[-1]), index
+               for k, v in zip(docs.keys[i], docs.values[i])}
+        doc["_id"], doc["_index"] = str(docs.ids[i]), docs.name
         return doc
 
     def get(self, index: str, doc_id: str) -> Optional[dict]:
         return next(iter(self.search(index, term={"_id": doc_id})), None)
 
     def count(self, index: str) -> int:
-        return len(self._indices.get(index, ()))
+        return len(self._indices[index].values) if index in self._indices else 0
 
     @property
     def indices(self) -> List[str]:
@@ -157,10 +169,11 @@ class OpenSearchStore:
 
     def delete(self, index: str, doc_ids: Iterable[str]) -> int:
         """Remove the documents with these ``_id``s; returns how many."""
-        rows, gone = self._indices.get(index, []), set(doc_ids)
-        kept = [row for row in rows if str(row[-1]) not in gone]
-        removed, rows[:] = len(rows) - len(kept), kept
-        return removed
+        docs, gone = self._indices.get(index, _Index(index)), set(doc_ids)
+        kept = [str(doc_id) not in gone for doc_id in docs.ids]
+        docs.values[:], docs.keys[:] = compress(docs.values, kept), compress(docs.keys, kept)
+        docs.ids = array("q", compress(docs.ids, kept))
+        return kept.count(False)
 
     # -- query API -----------------------------------------------------------
 
@@ -176,20 +189,23 @@ class OpenSearchStore:
         """Filter by exact-match terms and an inclusive [lo, hi] range on
         ``time_field``; optionally sort and truncate.  Filters, sort and
         truncation run on the rows; only what survives becomes a dict."""
-        field = self._field
-        rows: Iterable[tuple] = self._indices.get(index, ())
+        docs = self._indices.get(index)
+        if docs is None:
+            return []
+        field = docs.field
+        rows: Iterable[int] = range(len(docs.values))
         if term:
-            rows = [r for r in rows
-                    if all(field(index, r, k) == v for k, v in term.items())]
+            rows = [i for i in rows
+                    if all(field(i, k) == v for k, v in term.items())]
         if time_range is not None:
             lo, hi = time_range
-            rows = [r for r in rows
-                    if lo <= field(index, r, time_field, float("-inf")) <= hi]
+            rows = [i for i in rows
+                    if lo <= field(i, time_field, float("-inf")) <= hi]
         if sort_field is not None:
-            rows = sorted(rows, key=lambda r: field(index, r, sort_field, 0))
+            rows = sorted(rows, key=lambda i: field(i, sort_field, 0))
         if size is not None:
             rows = rows[:size]
-        return [self._document(index, r) for r in rows]
+        return [self._document(docs, i) for i in rows]
 
     def aggregate(
         self,

@@ -1,9 +1,11 @@
-"""The report path keeps rows, not object graphs (docs/scaling.md,
-"Allocation discipline"): what a shipped report retains, the row-backed
-sample log against a plain list, and the limiter's coefficient of
-variation against the ``np.mean`` / ``np.std`` body it replaced.
+"""The report path keeps rows and columns, not object graphs
+(docs/scaling.md, "Allocation discipline"): what a shipped report
+retains, the chunked sample log against a plain list, and the limiter's
+coefficient of variation against the ``np.mean`` / ``np.std`` body it
+replaced.
 """
 
+import dataclasses
 import gc
 import random
 
@@ -11,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import MetricKind, MonitorConfig
-from repro.core.control_plane import MonitorControlPlane
+from repro.core.control_plane import MonitorControlPlane, TrackedFlow
 from repro.core.monitor import P4Monitor
-from repro.core.reports import FlowSample, FlowSampleLog
+from repro.core.reports import FlowSample, FlowSampleLog, LimiterReport, LimiterVerdict
 from repro.core.stats import coefficient_of_variation
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, make_ack_packet, make_data_packet
@@ -28,11 +30,14 @@ from repro.perfsonar.archiver import Archiver
 def test_a_shipped_report_retains_no_tracked_container():
     """The report-path twin of
     ``test_buffering_and_flushing_allocate_no_per_copy_container``, as a
-    count, not a clock.  A sample used to leave three tracked objects
-    behind (its dataclass instance, its archived dict, the dict's
-    ``tags`` list); rows leave none once the collector has seen them,
-    and what is left is the one ``LimiterReport`` instance per six
-    reports."""
+    count, not a clock.  A sample used to leave tracked objects behind:
+    its dataclass instance, then its archived dict, then one row tuple
+    in the sample log and one in the store, and every limiter row, which
+    holds an ``Enum`` member, for good.  Now a tick leaves one chunk per
+    log (a tuple and its columns) and an aggregate, the store's rows are
+    untracked once the collector has seen them, and what is left does
+    not grow with the documents shipped: a constant (the window's 20
+    metric ticks) plus the tracked flows, with no full collection."""
     sim = Simulator()
     config = MonitorConfig(flow_slots=1024, long_flow_bytes=1000,
                            idle_intervals_before_evict=10**6)
@@ -65,11 +70,11 @@ def test_a_shipped_report_retains_no_tracked_container():
 
     assert shipped >= 5000
     assert cp.jitter_samples and cp.limiter_reports
-    assert grown <= 0.25 * shipped + 100, (grown, shipped)
-    assert full <= 1
+    assert grown <= 300 + len(cp.flows), (grown, shipped)
+    assert full == 0
 
 
-# -- the row log is a list of samples to everything that reads it ---------------
+# -- the chunked log is a list of samples to everything that reads it -----------
 
 
 def _samples(n, rng):
@@ -79,27 +84,74 @@ def _samples(n, rng):
                        boosted=rng.random() < 0.5) for _ in range(n)]
 
 
+def _tick(n, rng):
+    """What a tick archives: one chunk (its flows, the tick's constants,
+    its values) and the samples it stands for."""
+    t, boosted = rng.randrange(10**9), rng.random() < 0.5
+    flows = [TrackedFlow(rng.randrange(2**32), 0, 0, 1, 2, 3, rng.randrange(2**16), 0)
+             for _ in range(n)]
+    values = [rng.random() for _ in range(n)]
+    columns = (t, "rtt", None, None, None, None, None, values, boosted)
+    return (flows, columns), [FlowSample(t, "rtt", f.flow_id, 1, 2, 3, f.dst_port, v, boosted)
+                              for f, v in zip(flows, values)]
+
+
 def test_flow_sample_log_behaves_like_the_list_it_replaced():
     rng = random.Random(0)
-    plain = _samples(7, rng)
-    log = FlowSampleLog()
-    assert not log and len(log) == 0 and log == [] and list(log) == []
-    for sample in plain:
-        log.append(sample)
-    assert log and len(log) == 7
-    assert list(log) == plain and [s.value for s in log] == [s.value for s in plain]
+    plain, log = [], FlowSampleLog()
+    assert not log and len(log) == 0 and log == [] and list(log) == [] and log.rows == []
+    # Single appends interleaved with tick chunks (an empty tick adds nothing).
+    for step in ("append", 3, "append", 0, 1, "append", "append", 4):
+        if step == "append":
+            sample = _samples(1, rng)[0]
+            log.append(sample)
+            plain.append(sample)
+        else:
+            chunk, samples = _tick(step, rng)
+            log.add_chunk(*chunk)
+            plain.extend(samples)
+        assert len(log) == len(plain) and list(log) == plain
+    assert log and len(log) == 12
+    assert [s.value for s in log] == [s.value for s in plain]
     assert all(type(s) is FlowSample for s in log)
-    assert log[0] == plain[0] and log[3] == plain[3] and log[-1] == plain[-1]
-    assert log[2:5] == plain[2:5] and log[::-2] == plain[::-2] and log[9:] == []
+    assert [log[i] for i in range(-12, 12)] == plain + plain
+    for item in (slice(2, 5), slice(None, None, -2), slice(9, None), slice(20, None),
+                 slice(3, 11, 3), slice(-4, -1)):
+        assert log[item] == plain[item]
     assert type(log[1:]) is list
-    with pytest.raises(IndexError):
-        log[7]
+    for i in (12, -13):
+        with pytest.raises(IndexError):
+            log[i]
     assert log == plain and log == FlowSampleLog(plain) and FlowSampleLog(plain) == log
     assert log != plain[:-1] and log != FlowSampleLog(plain[1:]) and log != None  # noqa: E711
-    gc.collect()       # exact tuples of atoms: untracked once the collector has seen them
-    assert all(type(row) is tuple and not gc.is_tracked(row) for row in log.rows)
+    rows = log.rows
+    assert rows == [dataclasses.astuple(s) for s in plain]
+    # Rows are built when read: fresh tuples of atoms, untracked once the
+    # collector has seen them, and none of them is the log's.
+    gc.collect()
+    assert all(type(row) is tuple and not gc.is_tracked(row) for row in rows)
+    assert not any(a is b for a, b in zip(rows, log.rows))
     log.clear()
-    assert not log and log == []
+    assert not log and log == [] and log.rows == []
+
+
+def test_a_tick_chunk_keeps_no_object_per_report():
+    """A tick of limiter reports used to leave one tuple per report that
+    the collector tracked for good (each holds a ``LimiterVerdict``).
+    A chunk is a handful of lists whatever the tick's size."""
+    rng = random.Random(1)
+    log = FlowSampleLog(record=LimiterReport)
+    n = 1000
+    flows = [TrackedFlow(i, 0, 0, 1, 2, 3, 4, 0) for i in range(n)]
+    verdicts = [rng.choice(list(LimiterVerdict)) for _ in range(n)]
+    gc.collect()
+    before = len(gc.get_objects())
+    log.add_chunk(flows, (5, None, None, None, verdicts,
+                          [1448.0] * n, [0.5] * n, [0] * n, [65535] * n))
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 6      # the chunk, its columns, 4 lists
+    assert len(log) == n and log[-1].verdict is verdicts[-1]
+    assert log[3] == LimiterReport(5, 3, 1, 2, verdicts[3], 1448.0, 0.5, 0, 65535)
 
 
 # -- coefficient of variation: the ufuncs, to the bit ---------------------------

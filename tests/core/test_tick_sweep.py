@@ -1,17 +1,20 @@
 """A tick is a sweep: the four metric ticks read each register once for
-all flows.  The reference here is a copy of the per-cell tick bodies as
-they stood before (PR 19's parent) — one ``_read_traced`` per flow per
-register, ``FlightSizeStage.flight_bytes`` and one limiter call per flow —
-run on the same scripted world; everything a tick leaves behind must be
-equal, and what a tick costs the runtime is pinned as a count."""
+all flows, and emit their samples as columns.  The reference here is a
+copy of the per-cell tick bodies as they stood before the sweep — one
+``_read_traced`` per flow per register, ``FlightSizeStage.flight_bytes``
+and one limiter call per flow — and of the per-sample emitter they
+called before a tick's samples became columns, run on the same scripted
+world; everything a tick leaves behind must be equal, and what a tick
+costs the runtime is pinned as a count."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.config import MetricKind
 from repro.core.control_plane import MonitorControlPlane
-from repro.core.reports import AggregateSample, LimiterReport
+from repro.core.reports import AggregateSample, FlowSample, LimiterReport
 from repro.core.stats import jain_fairness, link_utilization, throughput_bps
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, TCPFlags
@@ -24,7 +27,41 @@ from tests.core.helpers import FlowScript, small_monitor
 
 
 class PerCellControlPlane(MonitorControlPlane):
-    """The parent's four tick bodies, cell by cell."""
+    """The four tick bodies cell by cell, each sample emitted alone."""
+
+    def _sample_emitter(self, kind, now, jitter=False):
+        """One tick's ``emit(flow, value)``: archive one per-flow sample,
+        put its Report_v1 row, then run the metric's alert check.
+        ``jitter`` selects the stream derived from ``kind``'s samples (no
+        alert class of its own)."""
+        boosted = self.alerts.metric_boosted(kind)
+        mc = self.config.metric(kind)
+        alerting = not jitter and mc.alert_enabled and mc.alert_threshold is not None
+        metric = "jitter" if jitter else kind.value
+        log = self.jitter_samples if jitter else self.flow_samples[kind]
+        put = self._put
+
+        def emit(flow, value):
+            sample = FlowSample(now, metric, flow.flow_id, flow.src_ip,
+                                flow.dst_ip, flow.src_port, flow.dst_port,
+                                value, boosted)
+            log.append(sample)
+            if self.degraded:
+                self._suppress("FlowSample")
+            elif put is not None:
+                put((sample.row(),))
+            if alerting:
+                self.alerts.check(kind, flow.flow_id, value, now)
+
+        return emit
+
+    def _jitter_step(self, flow, rtt_ms, emit):
+        """RFC 3550 smoothing of consecutive RTT-sample deltas."""
+        if flow.last_rtt_ms is not None:
+            delta = abs(rtt_ms - flow.last_rtt_ms)
+            flow.jitter_ms += (delta - flow.jitter_ms) / 16.0
+            emit(flow, flow.jitter_ms)
+        flow.last_rtt_ms = rtt_ms
 
     def _tick_throughput(self):
         now = self.sim.now
@@ -152,9 +189,10 @@ def five_tuples():
 
 
 def build_world(cp_class, seed):
-    """Monitor + control plane (every metric at 10 samples/s, throughput
-    and loss alerts on) with a seeded packet script queued on the
-    simulator.  Two calls with one seed queue identical scripts."""
+    """Monitor + control plane (every metric at 10 samples/s, every
+    metric class alerting, each threshold crossed both ways) with a
+    seeded packet script queued on the simulator.  Two calls with one
+    seed queue identical scripts."""
     rng = random.Random(seed)
     sim = Simulator()
     mon = small_monitor(flow_slots=SLOTS, long_flow_bytes=1000,
@@ -166,8 +204,20 @@ def build_world(cp_class, seed):
     thr.boosted_samples_per_second = 20.0
     loss = mon.config.metric(MetricKind.PACKET_LOSS)
     loss.alert_enabled, loss.alert_threshold = True, 20.0
+    rtt_mc = mon.config.metric(MetricKind.RTT)
+    rtt_mc.alert_enabled, rtt_mc.alert_threshold = True, 20.0          # ms
+    queue = mon.config.metric(MetricKind.QUEUE_OCCUPANCY)
+    queue.alert_enabled, queue.alert_threshold = True, 25.0            # % of 10 ms
     shipped = []
     cp = cp_class(sim, mon, report_sink=shipped.append)
+    # Suppressed reports, counted by report type as telemetry labels them.
+    cp.suppressed_by_type, suppress = Counter(), cp._suppress
+
+    def count_suppressed(name, count=1):
+        cp.suppressed_by_type[name] += count
+        suppress(name, count)
+
+    cp._suppress = count_suppressed
     cp.start()
 
     for i, ft in enumerate(five_tuples()):
@@ -196,7 +246,8 @@ def build_world(cp_class, seed):
                 seq += length
                 window = rng.choice((65_535, 20_000, 4_000_000))
                 if rng.random() < 0.8:
-                    sim.at(t + rtt, script.ack, seq, t + rtt, window)
+                    back = t + rtt + rng.randrange(millis(8))
+                    sim.at(back, script.ack, seq, back, window)
             t += gap + rng.randrange(millis(3))
     # Degraded mode for a stretch: per-flow shipping suppressed,
     # intervals widened and then restored.
@@ -217,7 +268,7 @@ def outcome(world):
         "active_alerts": cp.alerts.active_alerts,
         "flows": list(cp.flows.values()),
         "terminations": cp.terminations,
-        "suppressed": cp.reports_suppressed,
+        "suppressed": (cp.reports_suppressed, dict(+cp.suppressed_by_type)),
         "shipped": shipped,
         "registers": mon.program.state_digest(),
         "events_run": sim.events_run,
@@ -269,8 +320,18 @@ def test_sweep_equals_the_per_cell_ticks(seed, traced):
     assert flows[0] in evicted and 2 <= len(evicted) < FLOWS
     assert not set(cp.limiter.history()) & {f.flow_id for f in fin + evicted}
     assert cp.reports_suppressed > 0 and not cp.degraded
-    assert {a.metric for a in cp.alerts.history} == {"throughput", "packet_loss"}
-    assert any(a.cleared for a in cp.alerts.history)
+    assert set(+cp.suppressed_by_type) == {"FlowSample", "LimiterReport"}
+    for kind in MetricKind:
+        assert {a.cleared for a in cp.alerts.history
+                if a.metric == kind.value} == {False, True}, kind
+    # Alert rows land right after the sample that raised or cleared
+    # them, before the flow's jitter or limiter row.
+    shipped = [values for block in worlds[1][3] for _, values in block]
+    spliced = {(before[0], alert[2], after[0])
+               for before, alert, after in zip(shipped, shipped[1:], shipped[2:])
+               if alert[0] == "p4_alert"}
+    assert ("p4_rtt", "rtt", "p4_jitter") in spliced
+    assert ("p4_packet_loss", "packet_loss", "p4_limiter") in spliced
     assert len({report.verdict for report in cp.limiter_reports}) >= 3
 
     # Data-plane op tallies: a swept cell counts as a read cell, so every

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.config import MetricKind
 from repro.core.control_plane import MonitorControlPlane
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
@@ -204,6 +205,61 @@ def test_control_plane_restore_fidelity():
     if cp.forensics is not None:
         assert cp2.forensics.index == cp.forensics.index
         assert cp2.forensics.extracted_pkts == cp.forensics.extracted_pkts
+
+
+def test_a_chunked_control_plane_round_trips():
+    """A sample log keeps one chunk per tick; a checkpoint writes its
+    records out and a restore reads them back as one chunk.  The restored
+    logs read the same, capture the same archives again, and go on
+    taking tick chunks after the restored one."""
+    def logs(c):
+        return [*c.flow_samples.values(), c.jitter_samples, c.limiter_reports]
+
+    def stream(sim, monitor, start_s, stop_s):
+        """A segment every 20 ms crossing the tapped switch, ACKed 5 ms on."""
+        script, t = FlowScript(monitor), seconds(start_s)
+        while t < seconds(stop_s):
+            seq = 1 + t // 10_000
+            sim.at(t, script.transit, seq, 1448, t, t + 200_000)
+            sim.at(t + 5 * MS, script.ack, seq + 1448, t + 5 * MS)
+            t += 20 * MS
+
+    sim = Simulator()
+    monitor = small_monitor(histograms_enabled=True, forensics_enabled=True)
+    for kind in MetricKind:
+        monitor.config.metric(kind).samples_per_second = 10.0
+    cp = MonitorControlPlane(sim, monitor)
+    cp.start()
+    stream(sim, monitor, 0.01, 2.5)
+    sim.run_until(seconds(1.5))
+    cp.jitter_samples.append(cp.jitter_samples[0])   # a single append among the chunks
+    sim.run_until(seconds(2.5))
+    cp.stop()
+    assert len(cp.flow_samples[MetricKind.RTT]) > 20 and len(cp.jitter_samples) > 20
+    doc = json.loads(json.dumps(capture_checkpoint(cp)))
+
+    sim2 = Simulator()
+    sim2.run_until(doc["time_ns"])
+    monitor2 = small_monitor(histograms_enabled=True, forensics_enabled=True)
+    for kind in MetricKind:
+        monitor2.config.metric(kind).samples_per_second = 10.0
+    restore_dataplane(monitor2.program, doc)
+    cp2 = MonitorControlPlane(sim2, monitor2)
+    restore_control_plane(cp2, doc)
+    restored = [log.rows for log in logs(cp2)]
+    assert restored == [log.rows for log in logs(cp)]
+    again = json.loads(json.dumps(capture_checkpoint(cp2)))
+    assert again["control_plane"]["archives"] == doc["control_plane"]["archives"]
+
+    cp2.start()
+    stream(sim2, monitor2, 2.5, 3.5)
+    sim2.run_until(seconds(3.5))
+    cp2.stop()
+    for log, before in zip(logs(cp2), restored):
+        n = len(before)
+        assert len(log) > n and log.rows[:n] == before
+        assert log[n - 1] == log.record(*before[-1]) and log[n:][0] == log[n]
+        assert log[n].time_ns > before[-1][0]
 
 
 def test_checkpoint_document_is_json_round_trippable():
