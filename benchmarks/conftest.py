@@ -1,10 +1,10 @@
 """Fixtures the benchmarks share.
 
-Two kinds of file live here.  The figure/table benchmarks regenerate
-one paper result each at the scaled operating point (100 Mb/s
-bottleneck, paper ratios preserved — DESIGN.md §2), print the
-rows/series the paper reports and assert the *shape* claims (who wins,
-by what factor, where crossovers fall).  The perf files
+Two kinds of file live here.  ``test_paper_claims.py`` regenerates
+every paper result at the scaled operating point (100 Mb/s bottleneck,
+paper ratios preserved — DESIGN.md §2), prints and asserts the *shape*
+claims each experiment module states (who wins, by what factor, where
+crossovers fall).  The perf files
 (``test_substrate_perf.py``, ``test_*_overhead.py``) hold same-host
 budgets declared on ``benchmarks/harness.py``.  Run with::
 

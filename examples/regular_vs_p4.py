@@ -15,13 +15,7 @@ from repro.experiments.table1_comparison import run_table1
 
 def main() -> None:
     result = run_table1(duration_s=45.0)
-    print(result.summary())
-    print()
-    print("checks:")
-    print("  P4 system injected zero traffic:       ", result.p4_is_passive())
-    print("  regular archive blind to real flows:   ", result.regular_blind_to_real_flows())
-    print("  P4 detected microbursts:               ", result.p4_detects_microbursts())
-    print("  P4 flagged the endpoint-limited flow:  ", result.p4_detects_endpoint_limits())
+    print(result.summary())                # the table, then its claims
 
 
 if __name__ == "__main__":

@@ -20,7 +20,10 @@ One module per table/figure:
   (DESIGN.md §5).
 
 Every experiment runs at a scaled bottleneck rate (default 100 Mb/s, see
-DESIGN.md §2) with the paper's ratios preserved.
+DESIGN.md §2) with the paper's ratios preserved.  Each module states the
+paper's shape claims about its result as data (``claims(result)``,
+:mod:`repro.experiments.claims`); :mod:`repro.experiments.paper` pairs
+every run with its claims.
 """
 
 from repro.experiments.common import Scenario, ScenarioConfig, FlowHandle

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MetricKind
+from repro.experiments.claims import Claim, claim, ratio
 from repro.experiments.common import Scenario, ScenarioConfig, window
 from repro.netsim.packet import FiveTuple
 from repro.p4.sketch import CountMinSketch
@@ -90,6 +91,30 @@ def cms_table(rows: List[CmsAblationRow]) -> str:
     )
 
 
+def cms_claims(rows: List[CmsAblationRow]) -> List[Claim]:
+    over = {(r.width, r.depth, r.conservative): r.mean_overestimate
+            for r in rows}
+    widths = sorted({r.width for r in rows})
+    lo, hi = min(r.depth for r in rows), max(r.depth for r in rows)
+    widest = (widths[-1], hi, False)
+    # Worst case over the depths or widths; conservative update can only
+    # differ from plain with more than one row.
+    return [
+        claim("ablation.cms_widest_over_narrowest_error",
+              max(over[(widths[-1], d, False)] / over[(widths[0], d, False)]
+                  for d in (lo, hi)), "<", 1.0),
+        claim("ablation.cms_deep_over_shallow_error",
+              max(over[(w, hi, False)] / over[(w, lo, False)]
+                  for w in widths), "<", 1.0),
+        claim("ablation.cms_conservative_over_plain_error",
+              max(over[(w, hi, True)] / over[(w, hi, False)]
+                  for w in widths), "<", 1.0),
+        claim("ablation.cms_false_long_flows_at_widest",
+              next(r.false_long_flows for r in rows
+                   if (r.width, r.depth, r.conservative) == widest), "==", 0),
+    ]
+
+
 # -- 2. eACK table size ------------------------------------------------------------
 
 
@@ -140,11 +165,24 @@ def eack_table(rows: List[EackAblationRow]) -> str:
     )
 
 
+def eack_claims(rows: List[EackAblationRow]) -> List[Claim]:
+    """``rows`` in growing table size."""
+    hits = [r.hit_rate for r in rows]
+    return [
+        claim("ablation.eack_min_hit_rate_step",
+              min(b - a for a, b in zip(hits, hits[1:])), ">=", 0.0),
+        claim("ablation.eack_largest_hit_rate", hits[-1], ">", 0.8),
+        claim("ablation.eack_evictions_saved",
+              rows[0].evictions - rows[-1].evictions, ">", 0),
+    ]
+
+
 # -- 3. sampling vs data-plane microburst detection --------------------------------
 
 
 @dataclass
 class SamplingAblationResult:
+    injected_bursts: int
     dataplane_bursts: int
     sampled_bursts_by_interval: Dict[float, int]
 
@@ -191,8 +229,22 @@ def ablate_sampling_vs_dataplane(
         events = _sampled_burst_count(scenario, interval, burst_times)
         sampled[interval] = events
     return SamplingAblationResult(
-        dataplane_bursts=dataplane, sampled_bursts_by_interval=sampled
+        injected_bursts=n_bursts, dataplane_bursts=dataplane,
+        sampled_bursts_by_interval=sampled,
     )
+
+
+def sampling_claims(result: SamplingAblationResult) -> List[Claim]:
+    sampled = result.sampled_bursts_by_interval
+    slowest, fastest = sampled[max(sampled)], sampled[min(sampled)]
+    return [
+        claim("ablation.sampling_dataplane_burst_share",
+              result.dataplane_bursts / result.injected_bursts, ">=", 0.8),
+        claim("ablation.sampling_slowest_missed_bursts",
+              result.dataplane_bursts - slowest, ">", 0),
+        claim("ablation.sampling_fastest_minus_slowest_bursts",
+              fastest - slowest, ">=", 0),
+    ]
 
 
 def _sampled_burst_count(scenario: Scenario, interval_s: float,
@@ -248,6 +300,7 @@ class IntComparisonResult:
     tap_saw_queue: bool               # monitor measured the congested queue
     int_saw_queue: bool               # collector saw queue depth per hop
     int_postcards: int
+    duration_s: float
 
     @property
     def goodput_penalty_pct(self) -> float:
@@ -350,7 +403,22 @@ def ablate_int_overhead(duration_s: float = 10.0,
         tap_saw_queue=queue_seen["tap"],
         int_saw_queue=queue_seen["int"],
         int_postcards=postcards,
+        duration_s=duration_s,
     )
+
+
+def int_claims(result: IntComparisonResult) -> List[Claim]:
+    return [
+        claim("ablation.int_observers_seeing_queue",
+              result.tap_saw_queue + result.int_saw_queue, "==", 2),
+        claim("ablation.tap_wire_overhead_bytes",
+              result.tap_wire_overhead_bytes, "==", 0),
+        claim("ablation.int_wire_overhead_bps",
+              result.int_wire_overhead_bytes * 8 / result.duration_s,
+              ">", 80_000),
+        claim("ablation.int_goodput_penalty_pct",
+              result.goodput_penalty_pct, "in", (0.0, 10.0)),
+    ]
 
 
 # -- 5. CCA signatures through the monitor ------------------------------------
@@ -364,6 +432,8 @@ class CcaSignatureRow:
     mean_queue_occupancy_pct: float
     retransmissions: int
     verdict: str
+    bottleneck_mbps: float
+    base_rtt_ms: float
 
 
 def ablate_cca_signatures(
@@ -380,10 +450,12 @@ def ablate_cca_signatures(
     from repro.core.config import MetricKind
 
     rows: List[CcaSignatureRow] = []
+    base_rtt_ms = 40.0
     for cc in ccas:
         scenario = Scenario(
             ScenarioConfig(bottleneck_mbps=bottleneck_mbps,
-                           rtts_ms=(40.0, 40.0, 40.0), reference_rtt_ms=40.0),
+                           rtts_ms=(base_rtt_ms,) * 3,
+                           reference_rtt_ms=base_rtt_ms),
             with_perfsonar=False,
         )
         handle = scenario.add_flow(0, duration_s=duration_s, cc=cc)
@@ -404,8 +476,40 @@ def ablate_cca_signatures(
             mean_queue_occupancy_pct=sum(occ) / len(occ) if occ else 0.0,
             retransmissions=retx,
             verdict=tracked.verdict.value,
+            bottleneck_mbps=bottleneck_mbps,
+            base_rtt_ms=base_rtt_ms,
         ))
     return rows
+
+
+def cca_claims(rows: List[CcaSignatureRow]) -> List[Claim]:
+    """Over rows for (at least) cubic, reno and bbr."""
+    by_cc = {r.cc: r for r in rows}
+    cubic, bbr = by_cc["cubic"], by_cc["bbr"]
+    loss_based = (cubic, by_cc["reno"])
+    expected = {"cubic": "network", "reno": "network", "bbr": "sender"}
+    return [
+        claim("ablation.cca_min_link_share",
+              min(r.throughput_mbps / r.bottleneck_mbps for r in rows),
+              ">", 0.85),
+        claim("ablation.cca_loss_based_min_queue_pct",
+              min(r.mean_queue_occupancy_pct for r in loss_based), ">", 80.0),
+        claim("ablation.cca_bbr_over_cubic_queue",
+              ratio(bbr.mean_queue_occupancy_pct,
+                    cubic.mean_queue_occupancy_pct), "<", 0.8),
+        claim("ablation.cca_bbr_over_cubic_rtt",
+              ratio(bbr.mean_rtt_ms, cubic.mean_rtt_ms), "<", 1.0),
+        claim("ablation.cca_bbr_rtt_over_base",
+              bbr.mean_rtt_ms / bbr.base_rtt_ms, "<", 1.5),
+        claim("ablation.cca_loss_based_min_retransmissions",
+              min(r.retransmissions for r in loss_based), ">", 0),
+        claim("ablation.cca_bbr_retransmissions", bbr.retransmissions, "==", 0),
+        # bbr's stable flight and zero loss trip the sender-limited
+        # branch: a documented caveat of the Dapper heuristic.
+        claim("ablation.cca_expected_verdicts",
+              sum(by_cc[cc].verdict == v for cc, v in expected.items()),
+              "==", len(expected)),
+    ]
 
 
 def cca_table(rows: List[CcaSignatureRow]) -> str:
@@ -446,3 +550,12 @@ def ablate_alert_boost(duration_s: float = 20.0, congest_s: float = 8.0) -> Boos
         samples_without_boost=counts[1],
         alerts_raised=alerts,
     )
+
+
+def boost_claims(result: BoostAblationResult) -> List[Claim]:
+    return [
+        claim("ablation.boost_sample_gain",
+              ratio(result.samples_with_boost, result.samples_without_boost),
+              ">", 3.0),
+        claim("ablation.boost_alerts_raised", result.alerts_raised, ">=", 1),
+    ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.experiments.claims import Claim, claim, claims_table
 from repro.experiments.common import ScenarioConfig, mean, window
 from repro.experiments.fig9_perflow import Fig9Result, run_fig9
 from repro.viz import timeseries_panel
@@ -63,7 +64,32 @@ class Fig10Result:
             f"fairness dip after join: {self.min_fairness_after_join():.2f}; "
             f"unfair period ≈ {self.unfair_period_s():.0f}s; "
             f"settled fairness: {self.settled_fairness():.2f}",
+            claims_table(claims(self)),
         ])
+
+
+def claims(result: Fig10Result) -> List[Claim]:
+    join, end = result.join_s, result.fig9.duration_s
+    dip = result.min_fairness_after_join()
+    settled = result.settled_fairness()
+
+    def most_active(lo_s: float, hi_s: float) -> int:
+        return max((n for t, n in result.active_flows if lo_s < t < hi_s),
+                   default=0)
+
+    return [
+        claim("fig10.utilization_before_join",
+              result.utilization_during(join / 2, join), ">", 0.85),
+        claim("fig10.utilization_after_join",
+              result.utilization_during(join + 5.0, end), ">", 0.85),
+        claim("fig10.fairness_dip_after_join", dip, "<", 0.9),
+        claim("fig10.fairness_recovery", settled - dip, ">", 0.0),
+        claim("fig10.settled_fairness", settled, ">", 0.75),
+        claim("fig10.active_flows_before_join",
+              most_active(join / 3, join - 1.0), "==", 2),
+        claim("fig10.active_flows_after_join",
+              most_active(join + 5.0, end - 5.0), "==", 3),
+    ]
 
 
 def run_fig10(

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MetricKind
 from repro.core.reports import MicroburstEvent
+from repro.experiments.claims import Claim, claim, claims_table
 from repro.experiments.common import FlowHandle, Scenario, ScenarioConfig, mean, window
 from repro.viz import timeseries_panel
 
@@ -91,7 +92,24 @@ class Fig11Result:
             "throughput recovery times: "
             f"{[round(v, 1) for v in self.recovery_times_s()]} s"
         )
+        lines.append(claims_table(claims(self)))
         return "\n".join(lines)
+
+
+def claims(result: Fig11Result) -> List[Claim]:
+    near = result.bursts_near_injection()
+    spikes = sorted(result.loss_spikes(), reverse=True) + [0.0, 0.0]
+    return [
+        claim("fig11.bursts_at_join", len(near), ">=", 1),
+        claim("fig11.burst_min_duration_ns",
+              min((b.duration_ns for b in near), default=0), ">", 0),
+        claim("fig11.burst_min_peak_occupancy",
+              min((b.peak_occupancy for b in near), default=0.0), ">", 0.5),
+        claim("fig11.higher_loss_spike_pct", spikes[0], ">", 0.15),
+        claim("fig11.lower_loss_spike_pct", spikes[1], ">", 0.05),
+        claim("fig11.slowest_recovery_s",
+              max(result.recovery_times_s(), default=0.0), ">", 5.0),
+    ]
 
 
 def run_fig11(

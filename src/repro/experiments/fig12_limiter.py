@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MetricKind
 from repro.core.reports import LimiterVerdict
+from repro.experiments.claims import Claim, claim, claims_table, ratio
 from repro.experiments.common import FlowHandle, Scenario, ScenarioConfig, mean, window
 from repro.netsim.units import mbps
 from repro.viz import timeseries_panel
@@ -32,6 +33,8 @@ class Fig12Result:
     throughput_mbps: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
     verdicts: Dict[str, LimiterVerdict] = field(default_factory=dict)
     expectations: Dict[str, LimiterVerdict] = field(default_factory=dict)
+    receiver_cap_mbps: float = 0.0      # the rates flows 2 and 3 are capped at
+    sender_cap_mbps: float = 0.0
 
     def settled_throughputs(self) -> Dict[str, float]:
         lo, hi = self.duration_s * 0.4, self.duration_s
@@ -51,12 +54,6 @@ class Fig12Result:
         var = sum((v - m) ** 2 for v in vals) / len(vals)
         return var ** 0.5 / m
 
-    def all_correct(self) -> bool:
-        return all(
-            self.verdicts.get(label) is expected
-            for label, expected in self.expectations.items()
-        )
-
     def summary(self) -> str:
         lines = [timeseries_panel(self.throughput_mbps, "Per-flow throughput", unit="Mbps")]
         settled = self.settled_throughputs()
@@ -66,8 +63,34 @@ class Fig12Result:
                 f"(expected {self.expectations[label].value:>8})  "
                 f"settled {settled[label]:.1f} Mbps  cv {self.throughput_cv(label):.2f}"
             )
-        lines.append(f"all verdicts correct: {self.all_correct()}")
+        lines.append(claims_table(claims(self)))
         return "\n".join(lines)
+
+
+def claims(result: Fig12Result) -> List[Claim]:
+    network, receiver, sender = result.throughput_mbps
+    settled = result.settled_throughputs()
+    link = result.scenario.config.bottleneck_mbps
+    return [
+        claim("fig12.correct_verdicts",
+              sum(result.verdicts.get(label) is expected
+                  for label, expected in result.expectations.items()),
+              "==", 3),
+        # EXPERIMENTS.md, known deviation 3: the receiver lands under its
+        # nominal cap, so its band is wider than the sender's.
+        claim("fig12.receiver_rate_over_cap",
+              settled[receiver] / result.receiver_cap_mbps, "in", (0.6, 1.4)),
+        claim("fig12.sender_rate_over_cap",
+              settled[sender] / result.sender_cap_mbps, "in", (0.75, 1.25)),
+        claim("fig12.receiver_cv", result.throughput_cv(receiver), "<", 0.1),
+        claim("fig12.sender_cv", result.throughput_cv(sender), "<", 0.1),
+        claim("fig12.network_over_sender_cv",
+              ratio(result.throughput_cv(network), result.throughput_cv(sender)),
+              ">", 2.0),
+        claim("fig12.network_over_sender_rate",
+              ratio(settled[network], settled[sender]), ">", 1.0),
+        claim("fig12.network_link_share", settled[network] / link, "<", 0.95),
+    ]
 
 
 def run_fig12(
@@ -111,7 +134,11 @@ def run_fig12(
     scenario.run(duration_s + 2.0)
 
     handles = [f1, f2, f3]
-    result = Fig12Result(scenario=scenario, handles=handles, duration_s=duration_s)
+    result = Fig12Result(
+        scenario=scenario, handles=handles, duration_s=duration_s,
+        receiver_cap_mbps=receiver_fraction * cfg.bottleneck_mbps,
+        sender_cap_mbps=sender_fraction * cfg.bottleneck_mbps,
+    )
     expected = [
         LimiterVerdict.NETWORK_LIMITED,
         LimiterVerdict.RECEIVER_LIMITED,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.experiments.claims import Claim, claim, claims_table, ratio
 from repro.netsim.engine import Simulator
 from repro.netsim.host import Host
 from repro.netsim.units import NS_PER_S, mbps, seconds
@@ -50,7 +51,22 @@ class Fig13Result:
             f"baseline IAT: {self.baseline_iat_us():.1f} µs; "
             f"peak during blockage: {self.peak_iat_during_blockage_us():.1f} µs; "
             f"inflation ×{self.inflation_factor():.0f}",
+            claims_table(claims(self)),
         ])
+
+
+def claims(result: Fig13Result) -> List[Claim]:
+    base = result.baseline_iat_us()
+    before = [v for t, v in result.iat_blockage_us
+              if t < result.blockage_start_s - 0.5]
+    return [
+        claim("fig13.unblocked_max_over_mean_iat",
+              ratio(max((v for _, v in result.iat_no_blockage_us), default=0.0),
+                    base), "<", 3.0),
+        claim("fig13.blockage_iat_inflation", result.inflation_factor(), ">", 20.0),
+        claim("fig13.pre_blockage_iat_drift",
+              abs(ratio(sum(before) / max(len(before), 1), base) - 1), "<", 0.05),
+    ]
 
 
 def _run_once(

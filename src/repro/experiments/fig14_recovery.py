@@ -9,9 +9,11 @@ average noisy signal readings — is slowest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.experiments.claims import Claim, claim, claims_table, ratio
 from repro.netsim.engine import Simulator
 from repro.netsim.host import Host
 from repro.netsim.units import NS_PER_S, mbps, seconds
@@ -36,16 +38,7 @@ class Fig14Result:
     blockage_start_s: float
     blockage_duration_s: float
     runs: Dict[str, DetectorRun]
-
-    def ordering_correct(self) -> bool:
-        """P4 < throughput-based < RSSI-based detection latency."""
-        lat = {
-            name: run.detection_latency_ms
-            for name, run in self.runs.items()
-        }
-        if any(v is None for v in lat.values()):
-            return False
-        return lat["p4-iat"] < lat["throughput"] < lat["rssi"]
+    stream_rate_mbps: float
 
     def summary(self) -> str:
         lines = [timeseries_panel(
@@ -60,8 +53,34 @@ class Fig14Result:
                 f"  {name:>10}: detected {det:>10}  recovered {rec:>10}  "
                 f"undelivered during blockage {run.bytes_lost_window:.1f} Mb"
             )
-        lines.append(f"latency ordering P4 < throughput < RSSI: {self.ordering_correct()}")
+        lines.append(claims_table(claims(self)))
         return "\n".join(lines)
+
+
+def claims(result: Fig14Result) -> List[Claim]:
+    p4, thr, rssi = (result.runs[name] for name in ("p4-iat", "throughput", "rssi"))
+
+    def latency(run: DetectorRun) -> float:
+        ms = run.detection_latency_ms
+        return math.nan if ms is None else ms
+
+    start = result.blockage_start_s
+    during = [v for t, v in p4.throughput_mbps
+              if start + 0.2 <= t <= start + result.blockage_duration_s]
+    return [
+        claim("fig14.p4_detection_ms", latency(p4), "<", 50.0),
+        claim("fig14.throughput_over_p4_latency",
+              ratio(latency(thr), latency(p4)), ">", 5.0),
+        claim("fig14.rssi_over_throughput_latency",
+              ratio(latency(rssi), latency(thr)), ">", 1.5),
+        claim("fig14.throughput_minus_p4_lost_mb",
+              thr.bytes_lost_window - p4.bytes_lost_window, ">", 0.0),
+        claim("fig14.rssi_minus_throughput_lost_mb",
+              rssi.bytes_lost_window - thr.bytes_lost_window, ">", 0.0),
+        # The headline: with the P4 system the stream barely dips.
+        claim("fig14.p4_min_rate_during_blockage",
+              min(during, default=0.0) / result.stream_rate_mbps, ">", 0.7),
+    ]
 
 
 def _run_system(
@@ -145,4 +164,5 @@ def run_fig14(
         blockage_start_s=blockage_start_s,
         blockage_duration_s=blockage_duration_s,
         runs=runs,
+        stream_rate_mbps=stream_rate_mbps,
     )

@@ -13,10 +13,13 @@ The paper's observations, reproduced here at the scaled rate:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from statistics import median
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MetricKind
+from repro.experiments.claims import Claim, claim, claims_table, ratio
 from repro.experiments.common import FlowHandle, Scenario, ScenarioConfig, mean, window
 from repro.viz import timeseries_panel
 
@@ -77,8 +80,41 @@ class Fig9Result:
             f"{[round(v, 1) for v in self.post_join_throughputs()]}",
             f"loss spike at join: {self.join_loss_spike():.2f}%  "
             f"queue surge at join: {self.join_queue_surge():.1f}%",
+            claims_table(claims(self)),
         ]
         return "\n".join(parts)
+
+
+def claims(result: Fig9Result) -> List[Claim]:
+    cfg = result.scenario.config
+    link = cfg.bottleneck_mbps
+    pre = result.pre_join_throughputs()
+    post = result.post_join_throughputs()
+    buffer_ms = cfg.buffer_bdp_fraction * cfg.reference_rtt_ms
+    # RTT = base + queueing: never under the path's own base, and (median,
+    # so loss-recovery spikes do not count) never far over base + a full
+    # buffer.
+    floor, ceiling = [], []
+    for handle in result.handles:
+        base = cfg.rtts_ms[handle.dst_index]
+        settled = [v for t, v in result.rtt_ms[result.scenario.label(handle)]
+                   if t > result.duration_s / 4]
+        floor.append(min(settled, default=0.0) / base)
+        ceiling.append(median(settled) / (base + buffer_ms) if settled
+                       else math.inf)
+    return [
+        claim("fig9.prejoin_link_share", sum(pre) / link, ">", 0.7),
+        claim("fig9.prejoin_parity",
+              ratio(min(pre), sum(pre)) if len(pre) == 2 else math.nan,
+              ">", 0.25),
+        claim("fig9.join_queue_surge_pct", result.join_queue_surge(), ">", 80.0),
+        claim("fig9.join_loss_spike_pct", result.join_loss_spike(), ">", 0.0),
+        claim("fig9.postjoin_min_flow_share",
+              min(post) / link if len(post) == 3 else math.nan, ">", 0.05),
+        claim("fig9.postjoin_link_share", sum(post) / link, ">", 0.7),
+        claim("fig9.rtt_min_over_base", min(floor), ">", 0.8),
+        claim("fig9.rtt_median_over_base_plus_buffer", max(ceiling), "<", 1.25),
+    ]
 
 
 def run_fig9(

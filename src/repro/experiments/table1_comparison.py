@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MetricKind
 from repro.core.reports import LimiterVerdict
+from repro.experiments.claims import Claim, claim, claims_table, ratio
 from repro.experiments.common import Scenario, ScenarioConfig
 from repro.perfsonar.node import PerfSonarNode
 from repro.perfsonar.pscheduler import TestSpec
@@ -76,22 +77,34 @@ class Table1Result:
         ]
 
     def summary(self) -> str:
-        return render_table(
-            ["Feature", "Regular perfSONAR", "P4-perfSONAR"], self.rows()
-        )
+        return "\n\n".join([
+            render_table(["Feature", "Regular perfSONAR", "P4-perfSONAR"],
+                         self.rows()),
+            claims_table(claims(self)),
+        ])
 
-    # Checks used by the benchmark harness.
-    def p4_is_passive(self) -> bool:
-        return self.p4_bytes_injected == 0
 
-    def regular_blind_to_real_flows(self) -> bool:
-        return self.regular_dtn_flow_docs == 0
-
-    def p4_detects_microbursts(self) -> bool:
-        return self.p4_microbursts > 0
-
-    def p4_detects_endpoint_limits(self) -> bool:
-        return LimiterVerdict.RECEIVER_LIMITED.value in self.p4_endpoint_verdicts.values()
+def claims(result: Table1Result) -> List[Claim]:
+    """One or two claims per Table 1 row, in row order."""
+    return [
+        claim("table1.p4_bytes_injected", result.p4_bytes_injected, "==", 0),
+        claim("table1.regular_bytes_injected", result.active_bytes_injected,
+              ">", 1e6),
+        claim("table1.regular_docs_about_real_flows",
+              result.regular_dtn_flow_docs, "==", 0),
+        claim("table1.p4_flow_samples", result.p4_flow_samples, ">", 30),
+        claim("table1.regular_throughput_docs_with_intervals",
+              sum("intervals" in d for d in result.regular_throughput_docs),
+              "==", 0),
+        claim("table1.p4_samples_per_flow_second",
+              result.p4_samples_per_flow_second, ">", 0.2),
+        claim("table1.p4_over_regular_coverage",
+              ratio(result.coverage_p4_s, result.coverage_regular_s), ">", 2.0),
+        claim("table1.p4_microbursts", result.p4_microbursts, ">", 0),
+        claim("table1.p4_receiver_limited_verdicts",
+              list(result.p4_endpoint_verdicts.values()).count(
+                  LimiterVerdict.RECEIVER_LIMITED.value), ">=", 1),
+    ]
 
 
 def run_table1(

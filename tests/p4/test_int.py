@@ -112,10 +112,7 @@ def test_int_comparison_ablation_shape(monkeypatch):
 
     monkeypatch.setattr(P4Monitor, "__init__", recording_init)
     r = ablate_int_overhead(duration_s=4.0)
-    # The TAP side runs the default data plane, not the scalar reference.
+    # The TAP side runs the default data plane, not the scalar reference;
+    # the ablation's claims are asserted in tests/experiments/.
     assert [m.kernel is not None for m in monitors] == [True]
-    assert r.tap_saw_queue and r.int_saw_queue    # both observe the queue
-    assert r.tap_wire_overhead_bytes == 0         # passivity
-    assert r.int_wire_overhead_bytes > 0          # INT pays on the wire
-    assert r.int_goodput_bps < r.tap_goodput_bps  # ...out of goodput
     assert "passive TAP" in r.table()
