@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain, islice, repeat, starmap
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.netsim.packet import int_to_ip
 from repro.netsim.units import NS_PER_S
@@ -32,9 +32,22 @@ Block = List[Row]
 _interned: Dict[tuple, tuple] = {}
 
 
+class Learned(dict):
+    """A dict that learns a missing key's value, once, from ``learn``
+    (which must not hold the dict's owner: that is a reference cycle);
+    the per-schema tables of the report path."""
+
+    def __init__(self, learn: Callable[[Any], Any]) -> None:
+        self.learn = learn
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.learn(key)
+        return value
+
+
 def document_row(document: dict) -> Row:
     """A JSON-style dict as a row (the one-document entries: a socket
-    line, ``OpenSearchStore.index``, a shipper's envelope)."""
+    line, ``OpenSearchStore.index``)."""
     return tuple(document), tuple(tuple(v) if type(v) is list else v
                                   for v in document.values())
 

@@ -24,11 +24,13 @@ from __future__ import annotations
 import json
 import time
 from functools import partial
+from itertools import compress
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import telemetry
 from repro.telemetry import profiling, provenance
-from repro.core.reports import Block, Row, document_row
+from repro.core.reports import Block, Learned, Row, document_row
 from repro.resilience import faults
 from repro.resilience.delivery import SequenceDedup
 from repro.resilience.faults import BackpressureError
@@ -45,18 +47,6 @@ def row_field(row: Row, name: str, default: Any = None) -> Any:
     """``document.get(name, default)``, read off a row."""
     keys, values = row
     return values[keys.index(name)] if name in keys else default
-
-
-class _Learned(dict):
-    """A dict that learns a missing key's value, once, from ``learn``
-    (which must not hold the dict's owner: that is a reference cycle)."""
-
-    def __init__(self, learn: Callable[[Any], Any]) -> None:
-        self.learn = learn
-
-    def __missing__(self, key: Any) -> Any:
-        value = self[key] = self.learn(key)
-        return value
 
 
 class LogstashPipeline:
@@ -193,13 +183,16 @@ class TcpInputPlugin:
     __call__ = ingest
 
 
-def _plan(index_field: str, deduplicating: bool, envelopes: Dict[tuple, tuple],
+def _plan(index_field: str, deduplicating: bool, envelopes: Dict[tuple, Callable],
           keys: tuple) -> Optional[int]:
-    """A schema's index-field position; notes its envelope, if any."""
+    """A schema's index-field position; notes how to read its envelope,
+    ``values -> (_shipper, _seq)``, if it has one."""
     def at(name):
         return keys.index(name) if name in keys else None
     if deduplicating and "_seq" in keys:
-        envelopes[keys] = (at("_shipper"), at("_seq"))
+        source_at, seq_at = at("_shipper"), keys.index("_seq")
+        envelopes[keys] = (itemgetter(source_at, seq_at) if source_at is not None
+                           else lambda values: ("?", values[seq_at]))
     return at(index_field)
 
 
@@ -210,10 +203,10 @@ class OpenSearchOutputPlugin:
     When built with a :class:`~repro.resilience.delivery.SequenceDedup`
     it is idempotent on the shipper's ``(_shipper, _seq)`` envelope:
     at-least-once redelivery upstream plus dedup here yields an
-    exactly-once archive.  Only an enveloped schema pays the probe.  A
-    sequence is recorded as seen only *after* ``store.bulk`` returns — a
-    write that fails mid-flight stays unrecorded, so its retry is not
-    mistaken for a duplicate.
+    exactly-once archive.  Only an enveloped schema pays the probe, once
+    per envelope.  A sequence is recorded as seen only *after*
+    ``store.bulk`` returns — a write that fails mid-flight stays
+    unrecorded, so its retry is not mistaken for a duplicate.
     """
 
     def __init__(
@@ -230,11 +223,11 @@ class OpenSearchOutputPlugin:
         self.documents_written = 0
         self.duplicates_dropped = 0
         # Learned once each: keys -> index-field position (None: "unknown"),
-        # enveloped keys -> (_shipper, _seq) positions, type -> index name.
-        self._envelopes: Dict[tuple, tuple] = {}
-        self._index_at: Dict[tuple, Optional[int]] = _Learned(
+        # enveloped keys -> (_shipper, _seq) reader, type -> index name.
+        self._envelopes: Dict[tuple, Callable] = {}
+        self._index_at: Dict[tuple, Optional[int]] = Learned(
             partial(_plan, index_field, dedup is not None, self._envelopes))
-        self._names: Dict[Any, str] = _Learned(partial("{}-{}".format, index_prefix))
+        self._names: Dict[Any, str] = Learned(partial("{}-{}".format, index_prefix))
         self._tel_duplicates = None
         if telemetry.enabled():
             self._tel_duplicates = telemetry.counter(
@@ -256,23 +249,24 @@ class OpenSearchOutputPlugin:
             self.dedup.record(*key)
 
     def _fresh(self, block: Block, indices: List[str]) -> tuple:
-        """The rows (and indices) whose envelope is new, and those envelopes."""
-        rows, kept, fresh = [], [], []
-        for row, index in zip(block, indices):
-            envelope = self._envelopes.get(row[0])
-            if envelope is not None:
-                source_at, seq_at = envelope
-                key = (row[1][source_at] if source_at is not None else "?",
-                       row[1][seq_at])
-                if key in fresh or self.dedup.is_duplicate(*key):
-                    self.duplicates_dropped += 1
-                    if self._tel_duplicates is not None:
-                        self._tel_duplicates.inc()
-                    continue
-                fresh.append(key)
-            rows.append(row)
-            kept.append(index)
-        return rows, kept, fresh
+        """The rows (and indices) whose envelope is new, and those
+        envelopes.  Each distinct envelope is probed once: the rows of a
+        block share one and are all kept, a redelivered block is dropped
+        whole."""
+        envelope_of = self._envelopes.get
+        keys = [None if (envelope := envelope_of(k)) is None else envelope(values)
+                for k, values in block]
+        verdicts = {key: key is None or not self.dedup.is_duplicate(*key)
+                    for key in dict.fromkeys(keys)}
+        fresh = [key for key, keep in verdicts.items() if keep and key is not None]
+        if all(verdicts.values()):
+            return block, indices, fresh
+        keep = [verdicts[key] for key in keys]
+        dropped = len(keep) - sum(keep)
+        self.duplicates_dropped += dropped
+        if self._tel_duplicates is not None:
+            self._tel_duplicates.inc(dropped)
+        return list(compress(block, keep)), list(compress(indices, keep)), fresh
 
 
 # -- stock filters -------------------------------------------------------------
@@ -282,7 +276,7 @@ _METADATA_KEYS = ("@version", "host", "tags")
 _METADATA_VALUES = ("1", "p4-controlplane", ("p4-perfsonar",))
 #: Report_v1 keys -> Report_v2 keys (the rows take the suffix as it is), or
 #: ``None`` for a schema that already carries a metadata field.
-_v2_keys: Dict[tuple, Optional[tuple]] = _Learned(
+_v2_keys: Dict[tuple, Optional[tuple]] = Learned(
     lambda keys: keys + _METADATA_KEYS if set(_METADATA_KEYS).isdisjoint(keys) else None)
 
 

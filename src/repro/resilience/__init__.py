@@ -15,10 +15,10 @@ harness (docs/robustness.md):
   installs its tracer; components bind it at construction, so the
   disabled hot path costs one ``is None`` test
   (pinned by ``tests/test_disabled_guards.py``);
-- :mod:`~repro.resilience.delivery` — :class:`ResilientShipper`
-  (capped exponential backoff with deterministic jitter, bounded spool
-  with dead-letter overflow, at-least-once redelivery, sequence-numbered
-  envelopes) and :class:`SequenceDedup` (idempotent archiver ingest);
+- :mod:`~repro.resilience.delivery` — :class:`ResilientShipper` (per
+  block: one envelope, spool slot and retry; capped jittered backoff,
+  dead-letter overflow, at-least-once) and :class:`SequenceDedup`
+  (idempotent archiver ingest, one probe per envelope);
 - :mod:`~repro.resilience.breaker` — circuit breaker driving graceful
   degradation (collapse to aggregate reports, widen t_N–t_Q intervals)
   and restoration;

@@ -114,6 +114,11 @@ class CircuitBreaker:
             if self._half_open_successes >= self.success_threshold:
                 self._transition(now_ns, BreakerState.CLOSED)
 
+    def record_deferred(self, now_ns: int) -> None:
+        """A probe held in transit proved nothing: its budget comes back."""
+        if self.state is BreakerState.HALF_OPEN:
+            self._probes_available += 1
+
     def record_failure(self, now_ns: int) -> None:
         self._consecutive_failures += 1
         if self.state is BreakerState.HALF_OPEN or (

@@ -8,10 +8,11 @@ report path — control plane → :class:`~repro.resilience.delivery.
 ResilientShipper` → faulty transport → Logstash TCP input → OpenSearch
 store — runs the workload, drains the spool, and settles the books:
 
-- **no acked-report loss**: every sequence the shipper acknowledged is
-  in the archive;
-- **exactly-once archive**: no sequence appears twice after dedup;
-- **no silent loss**: unacknowledged reports are either still spooled
+- **no acked-report loss**: every block the shipper acknowledged is in
+  the archive, all its rows under its ``(_shipper, _seq)`` envelope;
+- **exactly-once archive**: no envelope has more rows archived than
+  were acked;
+- **no silent loss**: unacknowledged blocks are either still spooled
   (counted) or were counted as dead-letter evictions — nothing vanishes;
 - **measurements stay honest**: the differential checker re-validates
   the run against the ground-truth oracle, faults and all.
@@ -31,6 +32,7 @@ import hashlib
 import json
 import logging
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -182,18 +184,18 @@ class ChaosResult:
     def failures(self) -> List[str]:
         out: List[str] = []
         if self.missing_acked_seqs:
-            out.append(f"{len(self.missing_acked_seqs)} acked reports "
+            out.append(f"{len(self.missing_acked_seqs)} acked blocks "
                        f"missing from the archive "
                        f"(first: {self.missing_acked_seqs[:5]})")
         if self.archived_duplicate_seqs:
             out.append(f"{len(self.archived_duplicate_seqs)} sequences "
-                       f"archived more than once "
+                       f"archived beyond their acked rows "
                        f"(first: {self.archived_duplicate_seqs[:5]})")
         if self.dead_letter_evictions:
-            out.append(f"{self.dead_letter_evictions} reports lost to "
+            out.append(f"{self.dead_letter_evictions} blocks lost to "
                        f"dead-letter eviction")
         if self.still_pending:
-            out.append(f"{self.still_pending} reports still spooled after "
+            out.append(f"{self.still_pending} blocks still spooled after "
                        f"the drain window")
         if not self.oracle_passed:
             out.append(f"oracle: {len(self.oracle_failures)} differential "
@@ -269,6 +271,19 @@ def _archive_digest(store) -> str:
     return h.hexdigest()
 
 
+def _settle(store, acked: Dict[tuple, int]) -> tuple:
+    """Settle an archive against an ack book, ``(source, seq) -> rows``:
+    the envelopes archived, and the seqs with more rows archived than
+    acked (duplicates; unacked means 0) and with fewer (losses)."""
+    archived = Counter((doc.get("_shipper"), doc["_seq"]) for index in store.indices
+                       for doc in store.search(index) if "_seq" in doc)
+    duplicates = sorted({key[1] for key, n in archived.items()
+                         if n > acked.get(key, 0)})
+    missing = sorted(key[1] for key, n in acked.items()
+                     if archived.get(key, 0) < n)
+    return len(archived), duplicates, missing
+
+
 def run_chaos(spec: ChaosSpec, _capture: Optional[dict] = None) -> ChaosResult:
     """Run one chaos scenario end to end and settle the books.
 
@@ -320,17 +335,8 @@ def run_chaos(spec: ChaosSpec, _capture: Optional[dict] = None) -> ChaosResult:
         shipper.redeliver_dead_letters()
         shipper.kick()
 
-        # -- settle the books -------------------------------------------------
-        archived: List[int] = []
-        for index in archiver.store.indices:
-            for doc in archiver.store.search(index):
-                if "_seq" in doc:
-                    archived.append(doc["_seq"])
-        archived_set = set(archived)
-        duplicate_seqs = sorted(
-            {s for s in archived_set if archived.count(s) > 1})
-        missing = sorted(shipper.acked_seqs - archived_set)
-
+        archived, duplicate_seqs, missing = _settle(archiver.store,
+                                                    shipper.acked_keys)
         oracle_report = run.check()
         if _capture is not None:
             _capture["oracle_report"] = oracle_report
@@ -339,7 +345,7 @@ def run_chaos(spec: ChaosSpec, _capture: Optional[dict] = None) -> ChaosResult:
             spec=spec,
             shipped=shipper.shipped_total,
             acked=shipper.acked_total,
-            archived_unique=len(archived_set),
+            archived_unique=archived,
             archived_duplicate_seqs=duplicate_seqs,
             missing_acked_seqs=missing,
             still_pending=shipper.pending + len(shipper.dead_letters),
@@ -628,20 +634,9 @@ def run_crash_chaos(spec: ChaosSpec,
             final.shipper.redeliver_dead_letters()
             final.shipper.kick()
 
-        # -- settle the books across every incarnation ------------------------
-        archived_keys: List[tuple] = []
-        for index in archiver.store.indices:
-            for doc in archiver.store.search(index):
-                if "_seq" in doc:
-                    archived_keys.append((doc.get("_shipper"), doc["_seq"]))
-        archived_set = set(archived_keys)
-        duplicate_seqs = sorted({seq for key in archived_set
-                                 for _, seq in [key]
-                                 if archived_keys.count(key) > 1})
-        acked_keys = set()
-        for stack in stacks:
-            acked_keys |= stack.shipper.acked_keys
-        missing = sorted(seq for _, seq in acked_keys - archived_set)
+        # The books across every incarnation.
+        archived, duplicate_seqs, missing = _settle(archiver.store, {
+            key: rows for s in stacks for key, rows in s.shipper.acked_keys.items()})
 
         final_cp = run.scenario.control_plane
         conservation = _conservation_failures(final_cp)
@@ -701,12 +696,13 @@ def run_crash_chaos(spec: ChaosSpec,
                         f"twin={twin_v} (the crash leaked into the "
                         f"packet stream)")
 
-        final_shipper = final.shipper if final is not None else stacks[-1].shipper
+        last = final if final is not None else stacks[-1]
+        final_shipper = last.shipper
         result = RecoveryResult(
             spec=spec,
             shipped=final_shipper.shipped_total,
             acked=final_shipper.acked_total,
-            archived_unique=len(archived_set),
+            archived_unique=archived,
             archived_duplicate_seqs=duplicate_seqs,
             missing_acked_seqs=missing,
             still_pending=(final_shipper.pending
@@ -718,11 +714,8 @@ def run_crash_chaos(spec: ChaosSpec,
             malformed_dropped=archiver.tcp_input.malformed,
             shipper_stats=final_shipper.stats(),
             injections=dict(injector.injections),
-            breaker_transitions=list(
-                (final.breaker if final is not None else stacks[-1].breaker)
-                .transitions),
-            breaker_summary=(final.breaker if final is not None
-                             else stacks[-1].breaker).summary(),
+            breaker_transitions=list(last.breaker.transitions),
+            breaker_summary=last.breaker.summary(),
             degrade_events=sum(s.policy.degrade_events for s in stacks),
             restore_events=sum(s.policy.restore_events for s in stacks),
             watchdog_stalls=sum(s.watchdog.total_stalls for s in stacks),

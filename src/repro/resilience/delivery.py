@@ -1,29 +1,18 @@
 """Resilient report shipping: backoff, spooling, dedup.
 
 :class:`ResilientShipper` sits between the control plane and the
-archiver's TCP input.  It is a drop-in report sink (callable on a block
-of Report_v1 rows) that works per row, adding:
+archiver's TCP input, a drop-in report sink whose unit is the block:
 
-- **sequence-numbered envelopes** — every row becomes its Report_v1
-  dict plus ``_seq`` and ``_shipper`` fields, the idempotency key the
-  archiver-side :class:`SequenceDedup` collapses redeliveries on; the
-  spool, the dead letters and the checkpoint hold these dicts, and each
-  is delivered alone, as a block of one;
-- **capped exponential backoff with deterministic jitter** — a failed
-  send spools the report and retries at ``base * 2^attempts`` (capped),
-  plus a seeded-RNG jitter fraction so replays stay byte-identical;
-- **a bounded in-memory spool with dead-letter overflow** — when the
-  spool is full, new reports land in a bounded dead-letter buffer
-  instead of blocking the control plane; evictions from a full
-  dead-letter buffer are the only true losses, and they are counted;
-- **at-least-once redelivery** — a report is acknowledged only when the
-  transport call returns; drops and reordering hold the report in the
-  spool until a delivery actually lands.
-
-:class:`FaultyTransport` wraps the archiver sink with the installed
-:class:`~repro.resilience.faults.FaultInjector`'s per-attempt transport
-fates — the hook the chaos harness drives drops/duplicates/reordering
-through.
+- **envelopes** — each call takes one ``_seq``; every row of its block
+  ends with that ``_seq`` and the ``_shipper``, the key the archiver's
+  :class:`SequenceDedup` drops a redelivered block on;
+- **capped exponential backoff with seeded jitter** — a failed send
+  spools the block and retries at ``base * 2^attempts`` (capped);
+- **a bounded spool with dead-letter overflow** — evictions from a full
+  dead-letter buffer are the only true losses, counted in blocks and in
+  reports;
+- **at-least-once redelivery** — a block is acknowledged only when the
+  transport call returns.
 """
 
 from __future__ import annotations
@@ -31,21 +20,18 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro import telemetry
-from repro.core.reports import Block, document_row
+from repro.core.reports import Block, Learned
 from repro.resilience import faults
-from repro.resilience.faults import (
-    BreakerOpen,
-    DeferredDelivery,
-    DeliveryError,
-)
+from repro.resilience.faults import BreakerOpen, DeferredDelivery, DeliveryError
 
 
 @dataclass
 class DeliveryConfig:
-    """Backoff/spool knobs (docs/robustness.md reproduces this table)."""
+    """Backoff/spool knobs (docs/robustness.md reproduces this table).
+    ``spool_limit`` and ``dead_letter_limit`` count blocks."""
 
     spool_limit: int = 512
     dead_letter_limit: int = 256
@@ -61,16 +47,47 @@ class DeliveryConfig:
         return int(base * (1.0 + self.jitter_frac * rng.random()))
 
 
+@dataclass
 class _Pending:
-    """One spooled report awaiting (re)delivery."""
+    """One spooled block awaiting (re)delivery."""
 
-    __slots__ = ("doc", "attempts", "not_before_ns")
+    rows: Block
+    attempts: int = 0
+    not_before_ns: int = 0
 
-    def __init__(self, doc: dict, attempts: int = 0,
-                 not_before_ns: int = 0) -> None:
-        self.doc = doc
-        self.attempts = attempts
-        self.not_before_ns = not_before_ns
+
+#: The envelope's fields, last in every row a shipper sends.
+_ENVELOPE = ("_seq", "_shipper")
+#: Report keys -> the same keys with the envelope's fields appended.
+_enveloped: Dict[tuple, tuple] = Learned(lambda keys: keys + _ENVELOPE)
+
+
+def _skewed(row, skew_s: float):
+    """The row with its ``@timestamp``, if it has one, moved by ``skew_s``."""
+    keys, values = row
+    if "@timestamp" not in keys:
+        return row
+    at = keys.index("@timestamp")
+    return keys, values[:at] + (values[at] + skew_s,) + values[at + 1:]
+
+
+def _block_of(entry) -> Block:
+    """A checkpointed block as rows.  An entry written when the shipper
+    sent one row at a time is an enveloped dict: it becomes a block of
+    one, its envelope moved last."""
+    if isinstance(entry, dict):
+        doc = dict(entry)
+        doc.update(_seq=doc.pop("_seq"), _shipper=doc.pop("_shipper"))
+        entry = [zip(*doc.items())]
+    return [(tuple(keys), tuple(tuple(v) if type(v) is list else v for v in values))
+            for keys, values in entry]
+
+
+#: The counters a checkpoint carries.
+_COUNTERS = ("shipped_total", "acked_total", "retries_total",
+             "spool_overflow_total", "dead_letter_evictions",
+             "dead_letter_evicted_rows", "dead_letters_redelivered",
+             "skewed_total", "spool_high_watermark")
 
 
 def _rng_to_jsonable(rng: random.Random) -> list:
@@ -85,15 +102,9 @@ def _rng_from_jsonable(state) -> tuple:
 class ResilientShipper:
     """At-least-once report sink with backoff, spool and dead letters."""
 
-    def __init__(
-        self,
-        sim,
-        transport: Callable[[Block], None],
-        config: Optional[DeliveryConfig] = None,
-        breaker=None,
-        source: str = "p4-controlplane",
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, sim, transport: Callable[[Block], None],
+                 config: Optional[DeliveryConfig] = None, breaker=None,
+                 source: str = "p4-controlplane", seed: int = 0) -> None:
         self.sim = sim
         self.transport = transport
         self.config = config or DeliveryConfig()
@@ -104,18 +115,18 @@ class ResilientShipper:
 
         self.seq = 0
         self._spool: Deque[_Pending] = deque()
-        self.dead_letters: List[dict] = []
-        self.acked_seqs: Set[int] = set()
-        # (source, seq) pairs — distinguishes acks for redelivered
-        # envelopes inherited from a dead incarnation (crash recovery).
-        self.acked_keys: Set[tuple] = set()
+        self.dead_letters: List[Block] = []
+        # The ack book, (source, seq) -> rows; it names a dead
+        # incarnation's source for the envelopes redelivered after a crash.
+        self.acked_keys: Dict[tuple, int] = {}
         self._retry_event = None
-
+        # Counted in blocks, but for the reports the evictions lost.
         self.shipped_total = 0
         self.acked_total = 0
         self.retries_total = 0
         self.spool_overflow_total = 0
-        self.dead_letter_evictions = 0     # the only true losses, counted
+        self.dead_letter_evictions = 0
+        self.dead_letter_evicted_rows = 0  # the only true losses
         self.dead_letters_redelivered = 0
         self.skewed_total = 0
         self.spool_high_watermark = 0
@@ -124,54 +135,49 @@ class ResilientShipper:
         if telemetry.enabled():
             self._tel_attempts = telemetry.counter(
                 "repro_delivery_attempts_total",
-                "report delivery attempts, by outcome",
+                "block delivery attempts, by outcome",
                 labels=("outcome",))
             self._tel_dead = telemetry.counter(
                 "repro_delivery_dead_letters_total",
-                "reports moved to the dead-letter buffer on spool overflow")
+                "blocks moved to the dead-letter buffer on spool overflow")
             spool_gauge = telemetry.gauge(
                 "repro_delivery_spool_depth",
-                "reports waiting in the shipper's redelivery spool")
+                "blocks waiting in the shipper's redelivery spool")
             dead_gauge = telemetry.gauge(
                 "repro_delivery_dead_letter_depth",
-                "reports parked in the dead-letter buffer")
-            telemetry.registry().add_collector(
-                lambda _reg, s=self, g=spool_gauge: g.set(len(s._spool)))
-            telemetry.registry().add_collector(
-                lambda _reg, s=self, g=dead_gauge: g.set(len(s.dead_letters)))
+                "blocks parked in the dead-letter buffer")
+            telemetry.registry().add_collector(lambda _reg, s=self: (
+                spool_gauge.set(len(s._spool)), dead_gauge.set(len(s.dead_letters))))
 
     # -- the report-sink interface ---------------------------------------------
 
     def __call__(self, block: Block) -> None:
-        for keys, values in block:
-            self._offer(dict(zip(keys, (list(v) if type(v) is tuple else v
-                                       for v in values))))
-
-    def _offer(self, doc: dict) -> None:
+        """Envelope one block (one ``_seq``, one clock-skew draw) and
+        deliver it, or spool it behind the blocks already waiting."""
+        if not block:
+            return
         self.seq += 1
-        doc["_seq"] = self.seq
-        doc["_shipper"] = self.source
-        inj = self._faults
-        if inj is not None and "@timestamp" in doc:
-            skew = inj.clock_skew_ns()
-            if skew:
-                doc["@timestamp"] = doc["@timestamp"] + skew / 1e9
-                self.skewed_total += 1
+        tail = (self.seq, self.source)
+        rows = [(_enveloped[keys], values + tail) for keys, values in block]
+        skew = self._faults.clock_skew_ns() if self._faults is not None else 0
+        if skew:
+            rows = [_skewed(row, skew / 1e9) for row in rows]
+            self.skewed_total += 1
         self.shipped_total += 1
         if self._spool:
-            # Head-of-line discipline: never overtake spooled reports.
-            self._enqueue(doc)
+            # Head-of-line discipline: never overtake spooled blocks.
+            self._enqueue(rows)
             return
         try:
-            self._deliver(doc)
+            self._deliver(rows)
         except DeferredDelivery as exc:
-            self._enqueue(doc, not_before_ns=self.sim.now + exc.delay_ns)
+            self._enqueue(rows, not_before_ns=self.sim.now + exc.delay_ns)
         except DeliveryError:
-            self._enqueue(doc, attempts=1)
+            self._enqueue(rows, attempts=1)
 
     # -- delivery machinery ----------------------------------------------------
 
-    def _deliver(self, doc: dict) -> None:
+    def _deliver(self, rows: Block) -> None:
         """One transport attempt; acknowledges on return."""
         breaker = self.breaker
         now = self.sim.now
@@ -180,9 +186,12 @@ class ResilientShipper:
                 self._tel_attempts.labels("breaker-open").inc()
             raise BreakerOpen("circuit breaker open")
         try:
-            self.transport([document_row(doc)])
+            self.transport(rows)
         except DeferredDelivery:
-            # Transit delay, not a path failure: the breaker ignores it.
+            # Transit delay, not a path failure: the breaker takes back
+            # the probe it lent, and nothing else.
+            if breaker is not None:
+                breaker.record_deferred(now)
             if self._tel_attempts is not None:
                 self._tel_attempts.labels("deferred").inc()
             raise
@@ -194,25 +203,25 @@ class ResilientShipper:
             raise
         if breaker is not None:
             breaker.record_success(now)
-        self.acked_seqs.add(doc["_seq"])
-        self.acked_keys.add((doc.get("_shipper", self.source), doc["_seq"]))
+        envelope = rows[0][1]
+        self.acked_keys[envelope[-1], envelope[-2]] = len(rows)
         self.acked_total += 1
         if self._tel_attempts is not None:
             self._tel_attempts.labels("acked").inc()
 
-    def _enqueue(self, doc: dict, attempts: int = 0,
+    def _enqueue(self, rows: Block, attempts: int = 0,
                  not_before_ns: int = 0) -> None:
         cfg = self.config
         if len(self._spool) >= cfg.spool_limit:
             self.spool_overflow_total += 1
             if self._tel_attempts is not None:
                 self._tel_dead.inc()
-            self.dead_letters.append(doc)
+            self.dead_letters.append(rows)
             if len(self.dead_letters) > cfg.dead_letter_limit:
-                self.dead_letters.pop(0)
+                self.dead_letter_evicted_rows += len(self.dead_letters.pop(0))
                 self.dead_letter_evictions += 1
             return
-        self._spool.append(_Pending(doc, attempts, not_before_ns))
+        self._spool.append(_Pending(rows, attempts, not_before_ns))
         self.spool_high_watermark = max(self.spool_high_watermark,
                                         len(self._spool))
         self._arm_retry()
@@ -234,9 +243,9 @@ class ResilientShipper:
             if head.not_before_ns > now:
                 break
             try:
-                self._deliver(head.doc)
+                self._deliver(head.rows)
             except DeferredDelivery as exc:
-                # Reordered in transit: this report now arrives *after*
+                # Reordered in transit: this block now arrives *after*
                 # whatever the spool delivers next.
                 spool.popleft()
                 head.not_before_ns = now + exc.delay_ns
@@ -253,20 +262,18 @@ class ResilientShipper:
 
     @property
     def pending(self) -> int:
-        """Reports spooled and not yet acknowledged."""
+        """Blocks spooled and not yet acknowledged."""
         return len(self._spool)
 
     def kick(self) -> None:
         """Attempt an immediate drain (collapses any pending backoff)."""
-        if self._retry_event is not None:
-            self._retry_event.cancel()
-            self._retry_event = None
+        self.close()
         self._drain()
 
     def redeliver_dead_letters(self) -> int:
         """Move parked dead letters back into the spool (the operator's
         'the archiver is back, replay what you parked' action).  Returns
-        how many were re-spooled; the rest stay parked."""
+        how many blocks were re-spooled; the rest stay parked."""
         moved = 0
         while self.dead_letters and len(self._spool) < self.config.spool_limit:
             self._spool.append(_Pending(self.dead_letters.pop(0)))
@@ -285,6 +292,7 @@ class ResilientShipper:
             self._retry_event = None
 
     def stats(self) -> dict:
+        """Delivery counters; every count is of blocks."""
         return {
             "shipped": self.shipped_total,
             "acked": self.acked_total,
@@ -294,6 +302,7 @@ class ResilientShipper:
             "spool_overflows": self.spool_overflow_total,
             "dead_letters": len(self.dead_letters),
             "dead_letter_evictions": self.dead_letter_evictions,
+            "dead_letter_evicted_rows": self.dead_letter_evicted_rows,
             "dead_letters_redelivered": self.dead_letters_redelivered,
             "timestamps_skewed": self.skewed_total,
         }
@@ -302,27 +311,19 @@ class ResilientShipper:
 
     def checkpoint_state(self) -> dict:
         """JSON-able snapshot of everything a successor shipper needs to
-        finish this one's work: the spool (order-preserving), dead
-        letters, ack books, counters and the backoff RNG."""
+        finish this one's work: the spooled blocks (order-preserving),
+        the dead-letter blocks, the ack book, counters and the backoff
+        RNG."""
         return {
             "source": self.source,
             "seq": self.seq,
-            "spool": [{"doc": dict(p.doc), "attempts": p.attempts,
+            "spool": [{"rows": p.rows, "attempts": p.attempts,
                        "not_before_ns": p.not_before_ns}
                       for p in self._spool],
-            "dead_letters": [dict(d) for d in self.dead_letters],
-            "acked_seqs": sorted(self.acked_seqs),
-            "acked_keys": sorted([src, seq] for src, seq in self.acked_keys),
-            "counters": {
-                "shipped_total": self.shipped_total,
-                "acked_total": self.acked_total,
-                "retries_total": self.retries_total,
-                "spool_overflow_total": self.spool_overflow_total,
-                "dead_letter_evictions": self.dead_letter_evictions,
-                "dead_letters_redelivered": self.dead_letters_redelivered,
-                "skewed_total": self.skewed_total,
-                "spool_high_watermark": self.spool_high_watermark,
-            },
+            "dead_letters": list(self.dead_letters),
+            "acked_keys": sorted([src, seq, rows] for (src, seq), rows
+                                 in self.acked_keys.items()),
+            "counters": {name: getattr(self, name) for name in _COUNTERS},
             "rng_state": _rng_to_jsonable(self._rng),
         }
 
@@ -331,28 +332,21 @@ class ResilientShipper:
         restored: the restarted incarnation keeps its own (fresh) source
         name so new envelopes never collide with a dead incarnation's
         ``(source, seq)`` keys — redelivered old envelopes keep their
-        original keys and dedup against the original source."""
+        original keys.  A per-row checkpoint's entries come back as
+        blocks of one, and each of its evictions was one report."""
         self.seq = int(state["seq"])
-        self._spool.clear()
-        for p in state["spool"]:
-            self._spool.append(_Pending(dict(p["doc"]), int(p["attempts"]),
-                                        int(p["not_before_ns"])))
-        self.dead_letters = [dict(d) for d in state["dead_letters"]]
-        self.acked_seqs = {int(s) for s in state["acked_seqs"]}
-        self.acked_keys = {(src, int(seq)) for src, seq in state["acked_keys"]}
-        c = state["counters"]
-        self.shipped_total = int(c["shipped_total"])
-        self.acked_total = int(c["acked_total"])
-        self.retries_total = int(c["retries_total"])
-        self.spool_overflow_total = int(c["spool_overflow_total"])
-        self.dead_letter_evictions = int(c["dead_letter_evictions"])
-        self.dead_letters_redelivered = int(c["dead_letters_redelivered"])
-        self.skewed_total = int(c["skewed_total"])
-        self.spool_high_watermark = int(c["spool_high_watermark"])
+        self._spool = deque(_Pending(_block_of(p.get("rows") or p["doc"]),
+                                     int(p["attempts"]), int(p["not_before_ns"]))
+                            for p in state["spool"])
+        self.dead_letters = [_block_of(d) for d in state["dead_letters"]]
+        self.acked_keys = {(src, int(seq)): int(rows[0]) if rows else 1
+                           for src, seq, *rows in state["acked_keys"]}
+        counters = {"dead_letter_evicted_rows": state["counters"]["dead_letter_evictions"],
+                    **state["counters"]}
+        for name in _COUNTERS:
+            setattr(self, name, int(counters[name]))
         self._rng.setstate(_rng_from_jsonable(state["rng_state"]))
-        if self._retry_event is not None:
-            self._retry_event.cancel()
-            self._retry_event = None
+        self.close()
         self._arm_retry()
 
 
@@ -386,7 +380,9 @@ class SequenceDedup:
     of individual seqs below it, so out-of-order redeliveries dedup
     exactly while memory stays bounded.  Sequences older than the
     window are assumed already archived (conservative: redelivering a
-    pruned sequence drops it rather than duplicating it)."""
+    pruned sequence drops it rather than duplicating it).  The seen set
+    is pruned back to the window only once it holds twice the window,
+    so a record costs O(1) amortised."""
 
     def __init__(self, window: int = 8192) -> None:
         if window <= 0:
@@ -401,28 +397,31 @@ class SequenceDedup:
         if entry is None:
             return False
         max_seq, seen = entry
-        if seq in seen:
-            self.duplicates += 1
-            return True
         if seq <= max_seq - self.window:
             self.assumed_old += 1
-            self.duplicates += 1
-            return True
-        return False
+        elif seq not in seen:
+            return False
+        self.duplicates += 1
+        return True
 
     def record(self, source: str, seq: int) -> None:
         max_seq, seen = self._sources.get(source, (0, set()))
         seen.add(seq)
-        if seq > max_seq:
-            max_seq = seq
-            if len(seen) > self.window:
-                floor = max_seq - self.window
-                seen = {s for s in seen if s > floor}
+        max_seq = max(max_seq, seq)
+        if len(seen) >= 2 * self.window:
+            seen = self._inside(max_seq, seen)
         self._sources[source] = (max_seq, seen)
 
+    def _inside(self, max_seq: int, seen: set) -> set:
+        """The seqs of ``seen`` inside the window below ``max_seq``."""
+        floor = max_seq - self.window
+        return {s for s in seen if s > floor}
+
     def seen_count(self, source: str) -> int:
+        """How many seqs of ``source`` the window holds (what a
+        checkpoint writes)."""
         entry = self._sources.get(source)
-        return len(entry[1]) if entry else 0
+        return len(self._inside(*entry)) if entry else 0
 
     # -- checkpoint/restore ----------------------------------------------------
 
@@ -433,7 +432,8 @@ class SequenceDedup:
             "window": self.window,
             "duplicates": self.duplicates,
             "assumed_old": self.assumed_old,
-            "sources": {src: {"max_seq": max_seq, "seen": sorted(seen)}
+            "sources": {src: {"max_seq": max_seq,
+                              "seen": sorted(self._inside(max_seq, seen))}
                         for src, (max_seq, seen) in self._sources.items()},
         }
 
@@ -441,7 +441,5 @@ class SequenceDedup:
         self.window = int(state["window"])
         self.duplicates = int(state["duplicates"])
         self.assumed_old = int(state["assumed_old"])
-        self._sources = {
-            src: (int(entry["max_seq"]), {int(s) for s in entry["seen"]})
-            for src, entry in state["sources"].items()
-        }
+        self._sources = {src: (int(entry["max_seq"]), {int(s) for s in entry["seen"]})
+                         for src, entry in state["sources"].items()}

@@ -238,10 +238,15 @@ def test_output_plugin_dedups_redelivered_sequences():
     out(_block(_enveloped(1)))
     out(_block(_enveloped(2)))
     out(_block(_enveloped(1)))  # at-least-once redelivery
-    out(_block(_enveloped(3), _enveloped(3)))  # twice in one block
+    # Twice in one block: a block's rows share one envelope, all kept...
+    out(_block(_enveloped(3), _enveloped(3, "p4_throughput")))
+    # ...and the block redelivered is dropped whole, on one probe.
+    out(_block(_enveloped(3), _enveloped(3, "p4_throughput")))
     assert store.count("pscheduler-p4_rtt") == 3
-    assert out.documents_written == 3
-    assert out.duplicates_dropped == 2
+    assert store.count("pscheduler-p4_throughput") == 1
+    assert out.documents_written == 4
+    assert out.duplicates_dropped == 3
+    assert out.dedup.duplicates == 2
 
 
 def test_output_plugin_without_envelope_is_unaffected():

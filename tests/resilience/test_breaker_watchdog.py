@@ -62,6 +62,36 @@ def test_breaker_half_open_failure_reopens():
     assert not b.allow(150 * MS), "hold timer restarted"
 
 
+def test_a_probe_held_in_transit_does_not_wedge_the_breaker():
+    """A half-open probe the wire defers (a reorder) proves nothing, so
+    its budget comes back: the held block is retried, lands, and the
+    breaker closes.  A probe that kept its budget spent would refuse
+    every later attempt, with the block spooled forever."""
+    from repro.core.reports import document_row
+    from repro.resilience.delivery import ResilientShipper
+    from repro.resilience.faults import ArchiveUnavailable, DeferredDelivery
+
+    sim = Simulator()
+    fates = [ArchiveUnavailable("down"), DeferredDelivery(50 * MS)]
+    calls = []
+
+    def transport(block):
+        calls.append(sim.now)
+        if fates:
+            raise fates.pop(0)
+
+    breaker = CircuitBreaker(failure_threshold=1, open_interval_ns=100 * MS)
+    shipper = ResilientShipper(sim, transport, breaker=breaker)
+    shipper([document_row({"type": "t", "n": 0})])
+    sim.run_until(seconds(30))
+    assert len(calls) == 3, "fail, defer, deliver"
+    assert shipper.acked_total == 1 and shipper.pending == 0
+    assert breaker.state is BreakerState.HALF_OPEN   # one success of two
+    shipper([document_row({"type": "t", "n": 1})])
+    assert shipper.acked_total == 2
+    assert breaker.state is BreakerState.CLOSED
+
+
 def test_breaker_rejects_bad_thresholds():
     with pytest.raises(ValueError):
         CircuitBreaker(failure_threshold=0)

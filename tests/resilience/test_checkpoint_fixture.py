@@ -1,4 +1,4 @@
-"""``repro-checkpoint-v1`` compatibility pin (ROADMAP item 10).
+"""``repro-checkpoint-v1`` compatibility pin for the control-plane sections.
 
 ``fixtures/checkpoint_v1_pr14.json`` was written by the commit *before*
 the control plane's extraction schedule became one table (PR 15's

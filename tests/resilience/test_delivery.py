@@ -61,7 +61,7 @@ def test_clean_path_delivers_in_order():
     assert [d["_seq"] for d in transport.delivered] == [1, 2, 3, 4, 5]
     assert shipper.acked_total == 5
     assert shipper.pending == 0
-    assert shipper.acked_seqs == {1, 2, 3, 4, 5}
+    assert shipper.acked_keys == {("p4-controlplane", s): 1 for s in range(1, 6)}
 
 
 def test_outage_spools_then_redelivers_everything():
@@ -92,6 +92,20 @@ def test_spool_overflow_goes_to_dead_letters_and_counts_evictions():
     assert shipper.dead_letter_evictions == 4
     assert shipper.spool_overflow_total == 6
     assert shipper.acked_total == 0
+
+
+def test_evicted_blocks_are_counted_in_reports_too():
+    sim = Simulator()
+    transport = ScriptedTransport(sim, fail_until_s=100.0)  # never up
+    config = DeliveryConfig(spool_limit=1, dead_letter_limit=1)
+    shipper = ResilientShipper(sim, transport, config=config)
+    for n in range(4):
+        shipper([document_row({"type": "t", "n": n, "row": r})
+                 for r in range(3)])
+    assert shipper.pending == 1 and len(shipper.dead_letters) == 1
+    assert shipper.dead_letter_evictions == 2
+    assert shipper.dead_letter_evicted_rows == 6
+    assert shipper.stats()["dead_letter_evicted_rows"] == 6
 
 
 def test_dead_letter_redelivery_after_recovery():
@@ -212,6 +226,31 @@ def test_dedup_prunes_but_stays_conservative():
     # Pruned sequences are assumed archived: dropped, never duplicated.
     assert dd.is_duplicate("cp", 2)
     assert dd.assumed_old >= 1
+
+
+def test_dedup_prunes_once_per_window_not_on_every_record():
+    """Once the window fills, a record must not rebuild the seen set:
+    it prunes back to the window only when the set holds twice the
+    window, so memory stays within [window, 2 * window] and the
+    verdicts stay those of an exact window."""
+    window = 64
+    dd = SequenceDedup(window=window)
+    sets = []
+    for seq in range(1, 10 * window + 1):
+        dd.record("cp", seq)
+        seen = dd._sources["cp"][1]
+        if not sets or seen is not sets[-1]:
+            sets.append(seen)       # held, so no id is reused
+        if seq >= window:
+            assert window <= len(seen) < 2 * window
+    assert len(sets) - 1 <= 10, f"{len(sets) - 1} rebuilds"
+    assert dd.seen_count("cp") == window
+    top = 10 * window
+    assert not dd.is_duplicate("cp", top + 1)
+    assert all(dd.is_duplicate("cp", s) for s in range(1, top + 1))
+    assert dd.assumed_old == top - window
+    assert dd.checkpoint_state()["sources"]["cp"]["seen"] == \
+        list(range(top - window + 1, top + 1))
 
 
 def test_dedup_rejects_bad_window():
