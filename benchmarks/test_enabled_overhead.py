@@ -49,9 +49,9 @@ def test_chaos_run_wall_time(once):
 def test_crash_recovery_wall_time(once):
     """One full crash-recovery run (checkpointing on every destructive
     step + supervised kill/restart + exactly-once settle)."""
-    from repro.resilience.chaos import bundled_chaos, run_crash_chaos, with_crash
+    from repro.resilience.chaos import bundled_chaos, run_chaos, with_crash
 
     spec = with_crash(bundled_chaos()["archiver-outage"])
-    result = once(run_crash_chaos, spec, run_twin=False)
+    result = once(run_chaos, spec, run_twin=False)
     assert result.passed, result.summary()
-    assert result.checkpoints_written > 0
+    assert result.recovery.checkpoints_written > 0

@@ -532,7 +532,6 @@ def _chaos(args) -> str:
         bundled_chaos,
         load_spec,
         run_chaos,
-        run_crash_chaos,
         with_crash,
         write_artifact,
     )
@@ -541,14 +540,10 @@ def _chaos(args) -> str:
     lines = []
 
     def _run_one(name: str, spec) -> None:
-        if args.crash:
-            if not spec.schedule.has("cp_crash"):
-                spec = with_crash(spec)
-            log.info("crash chaos: %s (%s)", name, spec.schedule)
-            result = run_crash_chaos(spec, checkpoint_dir=args.checkpoint_dir)
-        else:
-            log.info("chaos: %s (%s)", name, spec.schedule)
-            result = run_chaos(spec)
+        if args.crash and not spec.schedule.has("cp_crash"):
+            spec = with_crash(spec)
+        log.info("chaos: %s (%s)", name, spec.schedule)
+        result = run_chaos(spec, checkpoint_dir=args.checkpoint_dir)
         lines.append(result.summary())
         if not result.passed:
             args.failed = True
@@ -834,7 +829,12 @@ def _section(title: str) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.experiment == "chaos" and args.checkpoint_dir is not None
+            and not args.crash):
+        parser.error("chaos --checkpoint-dir needs --crash: a run without "
+                     "a cp_crash window writes no checkpoints")
     args.failed = False  # any mode may set it: exit status 1
     level = logging.WARNING if args.quiet else (
         logging.DEBUG if args.verbose else logging.INFO)

@@ -30,10 +30,14 @@ harness (docs/robustness.md):
   into a fresh control plane after a crash;
 - :mod:`~repro.resilience.supervisor` — the kill/restart loop driving
   ``cp_crash`` recovery: backoff, escalation, give-up policy;
-- :mod:`~repro.resilience.chaos` — the chaos runner: a workload
-  scenario + fault schedule, run with the ground-truth oracle attached,
-  asserting zero acknowledged-report loss and exactly-once archive
-  contents (imported lazily: it pulls in the experiment framework).
+- :mod:`~repro.resilience.chaos` — the one chaos driver, ``run_chaos``:
+  a workload scenario + fault schedule, run with the ground-truth oracle
+  attached, asserting zero acknowledged-report loss and exactly-once
+  archive contents.  A schedule with a ``cp_crash`` window makes it a
+  crash run (checkpoints, supervisor, uncrashed twin; each
+  incarnation's dead-letter evictions counted since its restore)
+  whose result adds a ``recovery`` section (imported lazily: it pulls
+  in the experiment framework).
 """
 
 from repro.resilience.faults import (

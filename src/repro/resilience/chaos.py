@@ -17,6 +17,11 @@ store — runs the workload, drains the spool, and settles the books:
 - **measurements stay honest**: the differential checker re-validates
   the run against the ground-truth oracle, faults and all.
 
+A schedule with a ``cp_crash`` window (see :func:`with_crash`) makes the
+same run a crash run: the control plane is checkpointed, killed and
+restarted under a supervisor, and the result carries a
+:class:`Recovery` section on top of the same books.
+
 Everything is deterministic: same spec (or same ``--schedule`` +
 ``--seed``) ⇒ byte-identical archive, digest and all.
 
@@ -33,17 +38,14 @@ import json
 import logging
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.core.control_plane import MonitorControlPlane
 from repro.netsim.units import seconds
 from repro.perfsonar.archiver import Archiver
 from repro.resilience import checkpoint
-from repro.resilience.breaker import (
-    BreakerState,
-    CircuitBreaker,
-    DegradationPolicy,
-)
+from repro.resilience.breaker import CircuitBreaker, DegradationPolicy
 from repro.resilience.delivery import (
     DeliveryConfig,
     FaultyTransport,
@@ -84,10 +86,6 @@ class ChaosSpec:
         return cls(scenario=scenario,
                    schedule=FaultSchedule.from_seed(
                        seed, duration_s=scenario.duration_s))
-
-    def delivery_config(self) -> DeliveryConfig:
-        return DeliveryConfig(spool_limit=self.spool_limit,
-                              dead_letter_limit=self.dead_letter_limit)
 
     # -- serialisation --------------------------------------------------------
 
@@ -145,8 +143,39 @@ def bundled_chaos(seed: int = 7) -> Dict[str, ChaosSpec]:
 
 
 @dataclass
+class Recovery:
+    """The crash-recovery books of a run whose schedule has a
+    ``cp_crash`` window."""
+
+    kills: int = 0
+    restarts: int = 0
+    failed_attempts: int = 0
+    escalations: int = 0
+    gave_up: bool = False
+    checkpoints_written: int = 0
+    checkpoints_skipped: int = 0
+    conservation_failures: List[str] = field(default_factory=list)
+    twin_failures: List[str] = field(default_factory=list)
+
+    def failures(self) -> List[str]:
+        out: List[str] = []
+        if self.gave_up:
+            out.append("supervisor gave up restarting the control plane")
+        if self.kills < 1:
+            out.append("no cp_crash kill was ever injected")
+        elif self.restarts != self.kills:
+            out.append(f"{self.kills} kills but {self.restarts} restarts")
+        out.extend(self.conservation_failures)
+        out.extend(self.twin_failures)
+        return out
+
+
+@dataclass
 class ChaosResult:
-    """The settled books of one chaos run."""
+    """The settled books of one chaos run.  ``recovery`` is set only
+    when the schedule crashed the control plane; ``run``,
+    ``oracle_report`` and ``stacks`` (every control-plane incarnation,
+    oldest first) are kept for inspection and never serialised."""
 
     spec: ChaosSpec
     shipped: int = 0
@@ -172,14 +201,14 @@ class ChaosResult:
     oracle_failures: List[str] = field(default_factory=list)
     oracle_checks: int = 0
     archive_digest: str = ""
+    recovery: Optional[Recovery] = None
+    run: object = field(default=None, repr=False, compare=False)
+    oracle_report: object = field(default=None, repr=False, compare=False)
+    stacks: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
-        return (not self.missing_acked_seqs
-                and not self.archived_duplicate_seqs
-                and self.dead_letter_evictions == 0
-                and self.still_pending == 0
-                and self.oracle_passed)
+        return not self.failures()
 
     def failures(self) -> List[str]:
         out: List[str] = []
@@ -200,6 +229,8 @@ class ChaosResult:
         if not self.oracle_passed:
             out.append(f"oracle: {len(self.oracle_failures)} differential "
                        f"checks failed")
+        if self.recovery is not None:
+            out.extend(self.recovery.failures())
         return out
 
     def summary(self) -> str:
@@ -224,12 +255,20 @@ class ChaosResult:
             f"{len(self.oracle_failures)} failed",
             f"  archive sha256={self.archive_digest[:16]}…",
         ]
+        r = self.recovery
+        if r is not None:
+            lines.insert(1, (
+                f"  recovery: kills={r.kills} restarts={r.restarts} "
+                f"failed-attempts={r.failed_attempts} "
+                f"escalations={r.escalations} "
+                f"checkpoints={r.checkpoints_written} "
+                f"(+{r.checkpoints_skipped} rate-limited)"))
         for failure in self.failures():
             lines.append(f"  FAIL: {failure}")
         return "\n".join(lines)
 
     def to_jsonable(self) -> dict:
-        return {
+        doc = {
             "schema": CHAOS_SCHEMA,
             "passed": self.passed,
             "failures": self.failures(),
@@ -259,6 +298,9 @@ class ChaosResult:
             "oracle_checks": self.oracle_checks,
             "archive_digest": self.archive_digest,
         }
+        if self.recovery is not None:
+            doc.update(asdict(self.recovery))
+        return doc
 
 
 def _archive_digest(store) -> str:
@@ -284,186 +326,45 @@ def _settle(store, acked: Dict[tuple, int]) -> tuple:
     return len(archived), duplicates, missing
 
 
-def run_chaos(spec: ChaosSpec, _capture: Optional[dict] = None) -> ChaosResult:
-    """Run one chaos scenario end to end and settle the books.
-
-    ``_capture`` is an internal hook: when a dict is passed, the built
-    :class:`~repro.validation.scenarios.ValidationRun` is stashed under
-    ``"run"`` so :func:`run_crash_chaos` can compare its crashed run
-    against this uncrashed twin's data-plane tallies (and the
-    extraction watchdog under ``"watchdog"``, for tests)."""
-    injector = install(FaultInjector(spec.schedule))
-    try:
-        run = spec.scenario.build()
-        if _capture is not None:
-            _capture["run"] = run
-        sim = run.scenario.sim
-        injector.bind_clock(lambda: sim.now)
-
-        # The delivery path under test, assembled back to front.
-        archiver = Archiver()
-        breaker = CircuitBreaker(
-            failure_threshold=spec.failure_threshold,
-            open_interval_ns=int(spec.open_interval_ms * 1e6))
-        transport = FaultyTransport(archiver.sink)
-        shipper = ResilientShipper(
-            sim, transport, config=spec.delivery_config(), breaker=breaker,
-            seed=spec.schedule.seed)
-        cp = run.scenario.control_plane
-        cp.report_sink = shipper
-        policy = DegradationPolicy(
-            breaker, cp, interval_scale=spec.degraded_interval_scale)
-        watchdog = ExtractionWatchdog(sim, cp)
-        if _capture is not None:
-            _capture["watchdog"] = watchdog
-
-        run.run()
-
-        # Fault windows are over; let the spool, breaker probes and
-        # dead-letter replay settle.
-        now_s = max(spec.scenario.end_s, spec.schedule.end_s)
-        deadline_s = now_s + spec.drain_s
-        while now_s < deadline_s:
-            now_s = min(now_s + _DRAIN_STEP_S, deadline_s)
-            sim.run_until(seconds(now_s))
-            shipper.redeliver_dead_letters()
-            shipper.kick()
-            if shipper.pending == 0 and not shipper.dead_letters:
-                break
-        cp.stop()
-        watchdog.cancel()
-        shipper.redeliver_dead_letters()
-        shipper.kick()
-
-        archived, duplicate_seqs, missing = _settle(archiver.store,
-                                                    shipper.acked_keys)
-        oracle_report = run.check()
-        if _capture is not None:
-            _capture["oracle_report"] = oracle_report
-
-        result = ChaosResult(
-            spec=spec,
-            shipped=shipper.shipped_total,
-            acked=shipper.acked_total,
-            archived_unique=archived,
-            archived_duplicate_seqs=duplicate_seqs,
-            missing_acked_seqs=missing,
-            still_pending=shipper.pending + len(shipper.dead_letters),
-            dead_letter_evictions=shipper.dead_letter_evictions,
-            duplicates_dropped=archiver.output.duplicates_dropped,
-            malformed_dropped=archiver.tcp_input.malformed,
-            shipper_stats=shipper.stats(),
-            injections=dict(injector.injections),
-            breaker_transitions=list(breaker.transitions),
-            breaker_summary=breaker.summary(),
-            degrade_events=policy.degrade_events,
-            restore_events=policy.restore_events,
-            watchdog_stalls=watchdog.total_stalls,
-            ticks_deferred=sum(cp.ticks_deferred.values()),
-            catchup_ticks=sum(cp.catchup_ticks.values()),
-            reports_suppressed=cp.reports_suppressed,
-            oracle_passed=oracle_report.passed,
-            oracle_failures=[str(f) for f in oracle_report.failures],
-            oracle_checks=len(oracle_report.results),
-            archive_digest=_archive_digest(archiver.store),
-        )
-        log.info("chaos run seed=%d: %s", spec.schedule.seed,
-                 "PASS" if result.passed else "FAIL")
-        return result
-    finally:
-        uninstall()
-
-
-# -- crash recovery (cp_crash + supervisor + checkpoint restore) ---------------
-
-def with_crash(spec: ChaosSpec, start_s: Optional[float] = None,
-               duration_s: float = 0.6) -> ChaosSpec:
-    """Clone a chaos spec with a mid-run ``cp_crash`` window appended
-    (and the histogram/forensics externs enabled, so the no-lost-window
-    conservation invariants are checkable across the restart)."""
-    scenario = spec.scenario.clone(histograms=True, forensics=True)
-    schedule = spec.schedule.clone()
-    if start_s is None:
-        start_s = round(0.4 * scenario.duration_s, 3)
-    schedule.windows.append(FaultWindow("cp_crash", start_s, duration_s))
-    schedule.validate()
-    return replace(spec, scenario=scenario, schedule=schedule)
-
-
 @dataclass
-class _CrashStack:
+class _Stack:
     """One control-plane incarnation: what a process holds, what dies
-    with it.  Dead stacks are retained for the settle phase (their ack
-    books prove no acknowledged report went missing)."""
+    with it.  ``restored_evictions`` is the dead-letter eviction count
+    its checkpoint handed it, so each incarnation counts only its own."""
 
     cp: object
     shipper: ResilientShipper
     breaker: CircuitBreaker
     policy: DegradationPolicy
     watchdog: ExtractionWatchdog
+    restored_evictions: int = 0
 
 
-@dataclass
-class RecoveryResult(ChaosResult):
-    """A :class:`ChaosResult` plus the crash-recovery books."""
-
-    kills: int = 0
-    restarts: int = 0
-    failed_attempts: int = 0
-    escalations: int = 0
-    gave_up: bool = False
-    checkpoints_written: int = 0
-    checkpoints_skipped: int = 0
-    conservation_failures: List[str] = field(default_factory=list)
-    twin_failures: List[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return (ChaosResult.passed.fget(self)
-                and not self.gave_up
-                and self.kills >= 1
-                and self.restarts == self.kills
-                and not self.conservation_failures
-                and not self.twin_failures)
-
-    def failures(self) -> List[str]:
-        out = ChaosResult.failures(self)
-        if self.gave_up:
-            out.append("supervisor gave up restarting the control plane")
-        if self.kills < 1:
-            out.append("no cp_crash kill was ever injected")
-        elif self.restarts != self.kills:
-            out.append(f"{self.kills} kills but {self.restarts} restarts")
-        out.extend(self.conservation_failures)
-        out.extend(self.twin_failures)
-        return out
-
-    def summary(self) -> str:
-        lines = ChaosResult.summary(self).splitlines()
-        lines.insert(1, (
-            f"  recovery: kills={self.kills} restarts={self.restarts} "
-            f"failed-attempts={self.failed_attempts} "
-            f"escalations={self.escalations} "
-            f"checkpoints={self.checkpoints_written} "
-            f"(+{self.checkpoints_skipped} rate-limited)"))
-        return "\n".join(lines)
-
-    def to_jsonable(self) -> dict:
-        doc = ChaosResult.to_jsonable(self)
-        doc.update({
-            "kills": self.kills,
-            "restarts": self.restarts,
-            "failed_attempts": self.failed_attempts,
-            "escalations": self.escalations,
-            "gave_up": self.gave_up,
-            "checkpoints_written": self.checkpoints_written,
-            "checkpoints_skipped": self.checkpoints_skipped,
-            "conservation_failures": self.conservation_failures,
-            "twin_failures": self.twin_failures,
-            "passed": self.passed,
-            "failures": self.failures(),
-        })
-        return doc
+def _build_stack(spec: ChaosSpec, sim, archiver: Archiver, cp, source: str,
+                 doc: Optional[dict] = None) -> _Stack:
+    """The delivery path under test, assembled back to front and wired
+    to ``cp`` — restored from checkpoint ``doc`` first, when given."""
+    breaker = CircuitBreaker(
+        failure_threshold=spec.failure_threshold,
+        open_interval_ns=int(spec.open_interval_ms * 1e6))
+    shipper = ResilientShipper(
+        sim, FaultyTransport(archiver.sink),
+        config=DeliveryConfig(spool_limit=spec.spool_limit,
+                              dead_letter_limit=spec.dead_letter_limit),
+        breaker=breaker, source=source, seed=spec.schedule.seed)
+    if doc is not None:
+        checkpoint.restore_control_plane(cp, doc)
+        if "shipper" in doc:
+            shipper.restore_state(doc["shipper"])
+        if "breaker" in doc:
+            breaker.restore_state(doc["breaker"])
+    cp.report_sink = shipper
+    return _Stack(
+        cp=cp, shipper=shipper, breaker=breaker,
+        policy=DegradationPolicy(
+            breaker, cp, interval_scale=spec.degraded_interval_scale),
+        watchdog=ExtractionWatchdog(sim, cp),
+        restored_evictions=shipper.dead_letter_evictions)
 
 
 def _conservation_failures(cp) -> List[str]:
@@ -503,131 +404,134 @@ def _conservation_failures(cp) -> List[str]:
     return out
 
 
-def run_crash_chaos(spec: ChaosSpec,
-                    checkpoint_dir: Optional[str] = None,
-                    policy: Optional[SupervisorPolicy] = None,
-                    checkpoint_retain: int = 4,
-                    min_interval_ns: int = 0,
-                    run_twin: bool = True) -> RecoveryResult:
-    """Run one chaos scenario whose schedule kills the control plane
-    mid-run, restart it from the latest checkpoint under a
-    :class:`~repro.resilience.supervisor.Supervisor`, and settle the
-    recovery books on top of the usual chaos invariants:
-
-    - every kill is matched by a restart (no give-up);
-    - zero acknowledged-report loss across *all* incarnations;
-    - exactly-once archive contents (redelivered spool entries dedup
-      against their original ``(source, seq)`` keys);
-    - no read-flip window lost: histogram and time-window packet mass
-      conserves against the data plane's observe counters;
-    - the differential oracle stays green, and the data-plane tallies
-      match an uncrashed twin run of the same workload.  The twin is
-      the experimental control: an oracle check failing in both runs is
-      attributed to the workload (reported, but not a recovery failure);
-      a check failing only in the crashed run fails the verdict.
+def _against_twin(spec: ChaosSpec, run, oracle_report) -> tuple:
+    """Run the uncrashed twin (same spec minus its crash windows) and
+    return the crashed run's ``(oracle_passed, oracle_failures,
+    twin_failures)``.  The monitor is a passive tap, so the data plane's
+    observe counters must match the twin's exactly.  The twin is also
+    the experimental control: an oracle check failing in BOTH runs is a
+    property of the workload + faults (e.g. a histogram tolerance on
+    this traffic mix) and stays in the report, attributed to the
+    workload; only failures unique to the crashed run indict recovery.
     """
-    if not spec.schedule.has("cp_crash"):
-        raise ValueError(
-            "schedule has no cp_crash window; add one with with_crash()")
-    tmp = None
-    if checkpoint_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-checkpoints-")
-        checkpoint_dir = tmp.name
-    manager = checkpoint.install_manager(checkpoint.CheckpointManager(
-        checkpoint.CheckpointStore(checkpoint_dir, retain=checkpoint_retain),
-        min_interval_ns=min_interval_ns))
+    schedule = spec.schedule.clone()
+    schedule.windows = [w for w in schedule.windows if w.kind != "cp_crash"]
+    twin = run_chaos(replace(spec, schedule=schedule))
+    twin_failed = {(f.metric, f.subject) for f in twin.oracle_report.failures}
+    excess = [f for f in oracle_report.failures
+              if (f.metric, f.subject) not in twin_failed]
+    shared = [f for f in oracle_report.failures
+              if (f.metric, f.subject) in twin_failed]
+    oracle_failures = [str(f) for f in excess] + [
+        f"{f} [also fails in the uncrashed twin: workload-"
+        "inherent, not recovery-caused]" for f in shared]
+    crashed, other = run.scenario.monitor, twin.run.scenario.monitor
+    twin_failures = []
+    for label, a, b in (
+            ("rtt_hist ops", crashed.rtt_loss.rtt_hist, other.rtt_loss.rtt_hist),
+            ("time_window ops", crashed.queue.time_windows,
+             other.queue.time_windows)):
+        if a is not None and b is not None and a.ops != b.ops:
+            twin_failures.append(
+                f"twin divergence: {label} crashed={a.ops} twin={b.ops} "
+                f"(the crash leaked into the packet stream)")
+    return not excess, oracle_failures, twin_failures
+
+
+def run_chaos(spec: ChaosSpec, *, checkpoint_dir: Optional[str] = None,
+              policy: Optional[SupervisorPolicy] = None,
+              run_twin: bool = True) -> ChaosResult:
+    """Run one chaos scenario end to end and settle the books.
+
+    The schedule decides the mode.  Without a ``cp_crash`` window the
+    run installs only the fault injector.  With one, it also installs a
+    checkpoint manager (over ``checkpoint_dir``, a temporary directory
+    by default) and a :class:`~repro.resilience.supervisor.Supervisor`
+    (restart ``policy``) that kills the control plane inside the window
+    and restarts it from the latest checkpoint.  The books then span
+    every incarnation — acks unioned, each incarnation's dead-letter
+    evictions counted since its restore — and the :class:`Recovery`
+    section adds: every kill matched by a restart, no read-flip window
+    lost (histogram and time-window packet mass conserves), and, with
+    ``run_twin``, an oracle and data-plane tallies judged against the
+    uncrashed twin (:func:`_against_twin`).
+    """
+    crash = spec.schedule.has("cp_crash")
+    if not crash and (checkpoint_dir is not None or policy is not None):
+        raise ValueError("checkpoint_dir and policy need a cp_crash window "
+                         "in the schedule; add one with with_crash()")
+    tmp = manager = supervisor = None
+    if crash:
+        if checkpoint_dir is None:
+            tmp = tempfile.TemporaryDirectory(prefix="repro-checkpoints-")
+            checkpoint_dir = tmp.name
+        manager = checkpoint.install_manager(checkpoint.CheckpointManager(
+            checkpoint.CheckpointStore(checkpoint_dir)))
     injector = install(FaultInjector(spec.schedule))
-    supervisor = None
     try:
         run = spec.scenario.build()
         sim = run.scenario.sim
         injector.bind_clock(lambda: sim.now)
-
         archiver = Archiver()
-
-        def build_delivery(source: str):
-            breaker = CircuitBreaker(
-                failure_threshold=spec.failure_threshold,
-                open_interval_ns=int(spec.open_interval_ms * 1e6))
-            shipper = ResilientShipper(
-                sim, FaultyTransport(archiver.sink),
-                config=spec.delivery_config(), breaker=breaker,
-                source=source, seed=spec.schedule.seed)
-            return breaker, shipper
-
         # Incarnation 0: the scenario-built control plane (it bound the
-        # installed manager at construction), wired into the delivery
-        # path exactly as run_chaos does.
-        cp0 = run.scenario.control_plane
-        breaker0, shipper0 = build_delivery("p4-controlplane")
-        cp0.report_sink = shipper0
-        stack0 = _CrashStack(
-            cp=cp0, shipper=shipper0, breaker=breaker0,
-            policy=DegradationPolicy(
-                breaker0, cp0, interval_scale=spec.degraded_interval_scale),
-            watchdog=ExtractionWatchdog(sim, cp0))
+        # installed manager, if any, at construction).
+        first = _build_stack(spec, sim, archiver, run.scenario.control_plane,
+                             "p4-controlplane")
+        if crash:
+            def start_fn(incarnation: int) -> _Stack:
+                # Rebuild the whole process-side stack from the newest
+                # intact checkpoint.  The data plane is switch hardware —
+                # it kept its registers and backlogged its digests; only
+                # the process state is restored.  The successor shipper
+                # keeps a fresh source name so its new envelopes can never
+                # collide with a dead incarnation's (source, seq) keys.
+                doc = manager.store.latest()
+                stack = _build_stack(
+                    spec, sim, archiver,
+                    MonitorControlPlane(sim, run.scenario.monitor,
+                                        report_sink=None),
+                    f"p4-controlplane:r{incarnation}", doc)
+                stack.cp.start()
+                # The oracle checker and the settle phase read the
+                # scenario's control plane: the newest one owns the books.
+                run.scenario.control_plane = stack.cp
+                return stack
 
-        def start_fn(incarnation: int) -> _CrashStack:
-            # Rebuild the whole process-side stack from the newest intact
-            # checkpoint.  The data plane is switch hardware — it kept
-            # its registers and backlogged its digests; only the
-            # process state is restored.  The successor shipper keeps a
-            # fresh source name so its new envelopes can never collide
-            # with a dead incarnation's (source, seq) dedup keys.
-            from repro.core.control_plane import MonitorControlPlane
-            doc = manager.store.latest()
-            breaker, shipper = build_delivery(
-                f"p4-controlplane:r{incarnation}")
-            new_cp = MonitorControlPlane(sim, run.scenario.monitor,
-                                         report_sink=None)
-            if doc is not None:
-                checkpoint.restore_control_plane(new_cp, doc)
-                if "shipper" in doc:
-                    shipper.restore_state(doc["shipper"])
-                if "breaker" in doc:
-                    breaker.restore_state(doc["breaker"])
-            new_cp.report_sink = shipper
-            new_policy = DegradationPolicy(
-                breaker, new_cp, interval_scale=spec.degraded_interval_scale)
-            new_watchdog = ExtractionWatchdog(sim, new_cp)
-            new_cp.start()
-            # The oracle checker and the settle phase read the scenario's
-            # control plane: the newest incarnation owns the books.
-            run.scenario.control_plane = new_cp
-            return _CrashStack(cp=new_cp, shipper=shipper, breaker=breaker,
-                               policy=new_policy, watchdog=new_watchdog)
+            def stop_fn(stack: _Stack) -> None:
+                stack.cp.stop()
+                stack.watchdog.cancel()
+                stack.shipper.close()
 
-        def stop_fn(stack: _CrashStack) -> None:
-            stack.cp.stop()
-            stack.watchdog.cancel()
-            stack.shipper.close()
-
-        supervisor = Supervisor(
-            sim, injector, start_fn, stop_fn, policy=policy, manager=manager,
-            escalate_fn=lambda stack: stack.cp.set_degraded(
-                True, interval_scale=spec.degraded_interval_scale))
-        supervisor.adopt(stack0)
-        # Crash-before-first-tick safety: one explicit capture so the
-        # store is never empty when the supervisor needs it.
-        manager.capture(cp0)
+            supervisor = Supervisor(
+                sim, injector, start_fn, stop_fn, policy=policy, manager=manager,
+                escalate_fn=lambda stack: stack.cp.set_degraded(
+                    True, interval_scale=spec.degraded_interval_scale))
+            supervisor.adopt(first)
+            # Crash-before-first-tick safety: one explicit capture so the
+            # store is never empty when the supervisor needs it.
+            manager.capture(first.cp)
 
         run.run()
 
+        # Fault windows are over; let the spool, breaker probes and
+        # dead-letter replay settle.
         now_s = max(spec.scenario.end_s, spec.schedule.end_s)
         deadline_s = now_s + spec.drain_s
         while now_s < deadline_s:
             now_s = min(now_s + _DRAIN_STEP_S, deadline_s)
             sim.run_until(seconds(now_s))
-            live = supervisor.stack
+            live = first if supervisor is None else supervisor.stack
             if live is None:
                 continue
             live.shipper.redeliver_dead_letters()
             live.shipper.kick()
             if live.shipper.pending == 0 and not live.shipper.dead_letters:
                 break
-        supervisor.cancel()
-        final = supervisor.stack
-        stacks = list(supervisor.dead) + ([final] if final is not None else [])
+        stacks, final = [first], first
+        if supervisor is not None:
+            supervisor.cancel()
+            final = supervisor.stack
+            stacks = supervisor.dead + ([final] if final is not None else [])
         if final is not None:
             final.cp.stop()
             final.watchdog.cancel()
@@ -637,116 +541,86 @@ def run_crash_chaos(spec: ChaosSpec,
         # The books across every incarnation.
         archived, duplicate_seqs, missing = _settle(archiver.store, {
             key: rows for s in stacks for key, rows in s.shipper.acked_keys.items()})
-
-        final_cp = run.scenario.control_plane
-        conservation = _conservation_failures(final_cp)
+        cp = run.scenario.control_plane
+        recovery = None
+        if supervisor is not None:
+            recovery = Recovery(
+                kills=supervisor.kills, restarts=supervisor.restarts,
+                failed_attempts=supervisor.failed_attempts,
+                escalations=supervisor.escalations, gave_up=supervisor.gave_up,
+                checkpoints_written=manager.captures,
+                checkpoints_skipped=manager.skipped,
+                conservation_failures=_conservation_failures(cp))
         oracle_report = run.check()
-
-        twin_failures: List[str] = []
         oracle_passed = oracle_report.passed
         oracle_failures = [str(f) for f in oracle_report.failures]
-        if run_twin:
-            # The uncrashed twin: same workload, same schedule minus the
-            # crash windows, no checkpointing installed.  The monitor is
-            # a passive tap, so the packet stream — and therefore the
-            # data plane's observe counters — must match exactly.
+        if recovery is not None and run_twin:
             checkpoint.uninstall_manager()
             uninstall()
-            twin_schedule = spec.schedule.clone()
-            twin_schedule.windows = [w for w in twin_schedule.windows
-                                     if w.kind != "cp_crash"]
-            twin_spec = replace(spec, schedule=twin_schedule)
-            cap: dict = {}
-            run_chaos(twin_spec, _capture=cap)
-            # The twin is the experimental control: an oracle check that
-            # fails in BOTH runs is a property of the workload + faults
-            # (e.g. a histogram accuracy tolerance on this traffic mix),
-            # not of crash recovery.  Only failures unique to the
-            # crashed run indict the recovery path; shared ones stay
-            # visible in the report, attributed to the workload.
-            twin_report = cap.get("oracle_report")
-            twin_failed = ({(f.metric, f.subject)
-                            for f in twin_report.failures}
-                           if twin_report is not None else set())
-            excess = [f for f in oracle_report.failures
-                      if (f.metric, f.subject) not in twin_failed]
-            shared = [f for f in oracle_report.failures
-                      if (f.metric, f.subject) in twin_failed]
-            oracle_passed = not excess
-            oracle_failures = [str(f) for f in excess] + [
-                f"{f} [also fails in the uncrashed twin: workload-"
-                "inherent, not recovery-caused]" for f in shared]
-            twin_monitor = cap["run"].scenario.monitor
-            crashed_monitor = run.scenario.monitor
-            pairs = []
-            if crashed_monitor.rtt_loss.rtt_hist is not None \
-                    and twin_monitor.rtt_loss.rtt_hist is not None:
-                pairs.append(("rtt_hist ops",
-                              crashed_monitor.rtt_loss.rtt_hist.ops,
-                              twin_monitor.rtt_loss.rtt_hist.ops))
-            if crashed_monitor.queue.time_windows is not None \
-                    and twin_monitor.queue.time_windows is not None:
-                pairs.append(("time_window ops",
-                              crashed_monitor.queue.time_windows.ops,
-                              twin_monitor.queue.time_windows.ops))
-            for label, crashed_v, twin_v in pairs:
-                if crashed_v != twin_v:
-                    twin_failures.append(
-                        f"twin divergence: {label} crashed={crashed_v} "
-                        f"twin={twin_v} (the crash leaked into the "
-                        f"packet stream)")
+            oracle_passed, oracle_failures, recovery.twin_failures = \
+                _against_twin(spec, run, oracle_report)
 
         last = final if final is not None else stacks[-1]
-        final_shipper = last.shipper
-        result = RecoveryResult(
+        result = ChaosResult(
             spec=spec,
-            shipped=final_shipper.shipped_total,
-            acked=final_shipper.acked_total,
+            shipped=last.shipper.shipped_total,
+            acked=last.shipper.acked_total,
             archived_unique=archived,
             archived_duplicate_seqs=duplicate_seqs,
             missing_acked_seqs=missing,
-            still_pending=(final_shipper.pending
-                           + len(final_shipper.dead_letters)
-                           if final is not None else 0),
+            still_pending=(0 if final is None else final.shipper.pending
+                           + len(final.shipper.dead_letters)),
             dead_letter_evictions=sum(
-                s.shipper.dead_letter_evictions for s in stacks),
+                s.shipper.dead_letter_evictions - s.restored_evictions
+                for s in stacks),
             duplicates_dropped=archiver.output.duplicates_dropped,
             malformed_dropped=archiver.tcp_input.malformed,
-            shipper_stats=final_shipper.stats(),
+            shipper_stats=last.shipper.stats(),
             injections=dict(injector.injections),
             breaker_transitions=list(last.breaker.transitions),
             breaker_summary=last.breaker.summary(),
             degrade_events=sum(s.policy.degrade_events for s in stacks),
             restore_events=sum(s.policy.restore_events for s in stacks),
             watchdog_stalls=sum(s.watchdog.total_stalls for s in stacks),
-            ticks_deferred=sum(final_cp.ticks_deferred.values()),
-            catchup_ticks=sum(final_cp.catchup_ticks.values()),
-            reports_suppressed=final_cp.reports_suppressed,
+            ticks_deferred=sum(cp.ticks_deferred.values()),
+            catchup_ticks=sum(cp.catchup_ticks.values()),
+            reports_suppressed=cp.reports_suppressed,
             oracle_passed=oracle_passed,
             oracle_failures=oracle_failures,
             oracle_checks=len(oracle_report.results),
             archive_digest=_archive_digest(archiver.store),
-            kills=supervisor.kills,
-            restarts=supervisor.restarts,
-            failed_attempts=supervisor.failed_attempts,
-            escalations=supervisor.escalations,
-            gave_up=supervisor.gave_up,
-            checkpoints_written=manager.captures,
-            checkpoints_skipped=manager.skipped,
-            conservation_failures=conservation,
-            twin_failures=twin_failures,
+            recovery=recovery,
+            run=run,
+            oracle_report=oracle_report,
+            stacks=stacks,
         )
-        log.info("crash chaos seed=%d: %s (kills=%d restarts=%d)",
-                 spec.schedule.seed, "PASS" if result.passed else "FAIL",
-                 result.kills, result.restarts)
+        log.info("chaos run seed=%d: %s%s", spec.schedule.seed,
+                 "PASS" if result.passed else "FAIL",
+                 "" if recovery is None else
+                 f" (kills={recovery.kills} restarts={recovery.restarts})")
         return result
     finally:
         if supervisor is not None:
             supervisor.cancel()
-        checkpoint.uninstall_manager()
+        if manager is not None:
+            checkpoint.uninstall_manager()
         uninstall()
         if tmp is not None:
             tmp.cleanup()
+
+
+def with_crash(spec: ChaosSpec, start_s: Optional[float] = None,
+               duration_s: float = 0.6) -> ChaosSpec:
+    """Clone a chaos spec with a mid-run ``cp_crash`` window appended
+    (and the histogram/forensics externs enabled, so the no-lost-window
+    conservation invariants are checkable across the restart)."""
+    scenario = spec.scenario.clone(histograms=True, forensics=True)
+    schedule = spec.schedule.clone()
+    if start_s is None:
+        start_s = round(0.4 * scenario.duration_s, 3)
+    schedule.windows.append(FaultWindow("cp_crash", start_s, duration_s))
+    schedule.validate()
+    return replace(spec, scenario=scenario, schedule=schedule)
 
 
 def write_artifact(result: ChaosResult, path: str) -> None:

@@ -28,18 +28,26 @@ from tests.core.test_control_plane import drive_stream
 BUNDLES = sorted(bundled_chaos())
 
 
-@pytest.fixture(scope="module")
-def bundle_runs():
-    """The ValidationRun behind each bundled result (run_chaos's capture
-    hook fills these in)."""
-    return {name: {} for name in BUNDLES}
+# The archive digest each bundled schedule settles to; a change that
+# moves one names its cause beside the new pin.
+BUNDLE_DIGESTS = {
+    "archiver-outage":
+        "a2ee3a0f7bfca73fb52186b388b04b0773163bcb1969e05154f535dba669b445",
+    "cp-stall-skew":
+        "5e648731f5927dd4b1a1e45ae964f4db229db5ecb08a0760ebfd4a2d25652ae4",
+    "kitchen-sink":
+        "9724c74130745f86125711b97f0ee2ef93f7e7b07768b1a727624dc98f65fb97",
+    "lossy-transport":
+        "93a1d07f0f86ec241b7b6f6b1e54252ab317fd3cfc3a6ba9ce49e554924458c7",
+    "slow-drain":
+        "d579f54458c774ffd7fbf58245bdfdd3bda2d6b916645f90ffdb361b353148ef",
+}
 
 
 @pytest.fixture(scope="module")
-def bundle_results(bundle_runs):
+def bundle_results():
     """Each bundled scenario, run once and shared across assertions."""
-    return {name: run_chaos(spec, _capture=bundle_runs[name])
-            for name, spec in bundled_chaos().items()}
+    return {name: run_chaos(spec) for name, spec in bundled_chaos().items()}
 
 
 @pytest.mark.parametrize("name", BUNDLES)
@@ -54,13 +62,35 @@ def test_bundled_schedule_settles_clean(bundle_results, name):
     assert result.oracle_passed, "faults must not corrupt measurements"
     assert result.shipped == result.acked
     assert result.injections, f"{name} injected nothing — dead schedule?"
+    assert result.recovery is None
 
 
-def test_bundled_schedules_run_on_the_batched_path(bundle_results, bundle_runs):
+@pytest.mark.parametrize("name", BUNDLES)
+def test_bundled_archive_digest_is_pinned(bundle_results, name):
+    assert bundle_results[name].archive_digest == BUNDLE_DIGESTS[name]
+
+
+def test_a_crash_free_run_installs_no_recovery_machinery(monkeypatch):
+    """Without a cp_crash window the run builds no supervisor (its probe
+    timer would add events) and installs no checkpoint manager."""
+    from repro.resilience import chaos, checkpoint
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("crash-only machinery built by a crash-free run")
+
+    monkeypatch.setattr(chaos, "Supervisor", refuse)
+    monkeypatch.setattr(checkpoint, "install_manager", refuse)
+    result = run_chaos(bundled_chaos()["slow-drain"])
+    assert result.passed, result.summary()
+    assert result.recovery is None
+    assert result.archive_digest == BUNDLE_DIGESTS["slow-drain"]
+
+
+def test_bundled_schedules_run_on_the_batched_path(bundle_results):
     """Chaos exercises the default data plane: an installed injector
     leaves the kernel and the TAP's fast mirror path bound."""
     for name in BUNDLES:
-        scenario = bundle_runs[name]["run"].scenario
+        scenario = bundle_results[name].run.scenario
         assert scenario.monitor.kernel is not None, name
         assert scenario.topology.tap._fast_buf is scenario.monitor.batch_buffer
         assert scenario.control_plane._faults is not None
@@ -111,18 +141,17 @@ def test_all_metric_stall_reaches_the_extractor_jobs():
         # window, and the 2.5 s watchdog deadline expires inside it too.
         schedule=FaultSchedule(seed=7, windows=[
             FaultWindow("cp_stall", 1.5, 3.2)]))
-    captured = {}
-    result = run_chaos(spec, _capture=captured)
+    result = run_chaos(spec)
     assert result.passed, result.summary()
     assert result.ticks_deferred == 6 * 3
     assert result.catchup_ticks == 6
-    cp = captured["run"].scenario.control_plane
+    cp = result.run.scenario.control_plane
     assert list(cp.schedule) == [k.value for k in MetricKind] + [
         "histograms", "forensics"]
     assert cp.ticks_deferred == dict.fromkeys(cp.schedule, 3)
     # Consolidation: the first post-stall tick is one catch-up tick.
     assert cp.catchup_ticks == dict.fromkeys(cp.schedule, 1)
-    dog = captured["watchdog"]
+    dog = result.stacks[-1].watchdog
     assert dog.stalls == dict.fromkeys(cp.schedule, 1)
     assert dog.recoveries["histograms"] == dog.recoveries["forensics"] == 1
     assert result.watchdog_stalls == 6

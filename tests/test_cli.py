@@ -270,12 +270,22 @@ def test_quick_run_writes_a_well_formed_artifact(experiment, out_flag, check,
     assert provenance.tracer() is None, "--trace-out must tear the tracer down"
 
 
-# -- crash recovery (what CI's recovery-smoke job ran; its assertions,
-# verbatim) --------------------------------------------------------------------
+# -- crash recovery through the CLI -------------------------------------------
 
 
 def test_recover_restores_a_cold_start_from_the_final_checkpoint(capsys):
     assert main(["recover", "-q"]) == 0
+
+
+def test_chaos_checkpoint_dir_without_crash_is_a_usage_error(tmp_path, capsys):
+    # Only a crash run checkpoints; the flag used to be silently ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "-q", "--schedule", "archiver-outage",
+              "--checkpoint-dir", str(tmp_path / "cp")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--crash" in err
+    assert not (tmp_path / "cp").exists()
 
 
 def test_crash_chaos_leaves_well_formed_checkpoints_on_disk(tmp_path, capsys):
