@@ -1,25 +1,20 @@
 """Command-line experiment runner.
 
-``repro-experiments <name>`` regenerates one paper table/figure and
-prints its summary, e.g.::
+``repro-experiments <name>`` runs one entry of the paper's evaluation,
+:data:`repro.experiments.paper.PAPER` (a table, figure or ablation), at
+full scale and prints its panels or table, ending with its claims table;
+it exits 1 when a claim fails.  ``--quick`` runs the entry's reduced
+scale instead, ``ablations`` runs the six ablations and ``all`` every
+entry in table order, e.g.::
 
     repro-experiments fig9 --duration 40 --join 15
-    repro-experiments table1
     repro-experiments ablations
     repro-experiments all --quick
 
-Observability (docs/observability.md)::
-
-    repro-experiments stats --duration 20 --seed 3   # instrumented run
-    repro-experiments watch --refresh 0.5       # flight recorder
-    repro-experiments fig9 --telemetry          # snapshot after the run
-    repro-experiments fig9 --telemetry --telemetry-format prom \
-        --telemetry-out metrics.prom
-
-Performance attribution (docs/profiling.md)::
-
-    repro-experiments profile --mode both --out profile   # PhaseReport
-    repro-experiments fig11 --profile-out fig11-profile   # any experiment
+The other modes observe a run (``stats``, ``watch``, ``histograms``,
+``forensics``, ``trace``: docs/observability.md; ``profile``:
+docs/profiling.md) or check one (``validate``, ``chaos``, ``recover``);
+``--telemetry``, ``--trace-out`` and ``--profile-out`` observe any verb.
 
 Progress goes through :mod:`logging` (stderr, ``--verbose``/``--quiet``);
 experiment results stay on stdout so pipelines can capture them.
@@ -28,98 +23,67 @@ experiment results stay on stdout so pipelines can capture them.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 from repro import configure_logging, telemetry
+from repro.experiments.common import Scenario, ScenarioConfig
+from repro.experiments.fig11_microburst import PAPER_CONFIG, run_fig11
+from repro.experiments.paper import PAPER
 from repro.telemetry import profiling, profviz, provenance, traceviz
 
 log = logging.getLogger("repro.cli")
 
-
-def _fig9(args) -> str:
-    from repro.experiments.fig9_perflow import run_fig9
-    return run_fig9(duration_s=args.duration, join_s=args.join).summary()
+# --duration and --join reach the PAPER runs whose signature takes them.
+RUN_FLAGS = {"duration": "duration_s", "join": "join_s"}
 
 
-def _fig10(args) -> str:
-    from repro.experiments.fig10_fairness import run_fig10
-    return run_fig10(duration_s=args.duration, join_s=args.join).summary()
+def _runs(args) -> Dict[str, dict]:
+    """The verb's PAPER runs (histograms/forensics: fig11's) and their
+    kwargs: none, or ``reduced`` under --quick, plus each flag taken."""
+    verb = args.experiment
+    names = ["fig11"] if verb in ("histograms", "forensics") else [
+        name for name in PAPER if verb in (name, "all")
+        or verb == "ablations" and name.startswith("ablation_")]
+    runs = {}
+    for name in names:
+        runs[name] = dict(PAPER[name].reduced) if args.quick else {}
+        takes = inspect.signature(PAPER[name].run).parameters
+        for flag, param in RUN_FLAGS.items():
+            if getattr(args, flag) is not None and param in takes:
+                runs[name][param] = getattr(args, flag)
+    return runs
 
 
-def _run_fig11(args, **monitor_overrides):
-    """The fig11 microburst run (§5.4.1: 100 ms paths, BDP/4 buffer), at
-    least 30 s long, with optional register sets switched on."""
-    from repro.experiments.common import ScenarioConfig
-    from repro.experiments.fig11_microburst import run_fig11
-
-    duration = max(args.duration, 30.0)
-    log.info("fig11 microburst run, %.0f simulated seconds", duration)
-    return run_fig11(
-        duration_s=duration, join_s=args.join,
-        config=ScenarioConfig(rtts_ms=(100.0, 100.0, 100.0),
-                              buffer_bdp_fraction=0.25,
-                              monitor_overrides=monitor_overrides))
+def _paper(args, name: str) -> str:
+    """Run and render one PAPER entry; a failed claim fails the verb."""
+    experiment = PAPER[name]
+    result = experiment.run(**args.runs[name])
+    args.failed |= not all(c.holds for c in experiment.claims(result))
+    return experiment.render(result)
 
 
-def _fig11(args) -> str:
-    return _run_fig11(args).summary()
+def _microburst_scenario(args, **monitor_overrides):
+    """Fig. 11's run at the verb's scale, with register sets on."""
+    kwargs = dict(args.runs["fig11"])
+    kwargs["config"] = replace(kwargs.get("config", PAPER_CONFIG),
+                               monitor_overrides=monitor_overrides)
+    return PAPER["fig11"].run(**kwargs).scenario
 
 
-def _fig12(args) -> str:
-    from repro.experiments.fig12_limiter import run_fig12
-    return run_fig12(duration_s=args.duration).summary()
-
-
-def _fig13(args) -> str:
-    from repro.experiments.fig13_iat import run_fig13
-    return run_fig13().summary()
-
-
-def _fig14(args) -> str:
-    from repro.experiments.fig14_recovery import run_fig14
-    return run_fig14().summary()
-
-
-def _table1(args) -> str:
-    from repro.experiments.table1_comparison import run_table1
-    return run_table1(duration_s=args.duration).summary()
-
-
-def _ablations(args) -> str:
-    from repro.experiments.ablations import (
-        ablate_alert_boost,
-        ablate_cms,
-        ablate_eack_size,
-        ablate_sampling_vs_dataplane,
-        cms_table,
-        eack_table,
-    )
-    parts = [
-        "== CMS geometry ==",
-        cms_table(ablate_cms()),
-        "",
-        "== eACK table size ==",
-        eack_table(ablate_eack_size()),
-        "",
-        "== sampling vs data plane ==",
-        ablate_sampling_vs_dataplane().table(),
-        "",
-        "== alert boost ==",
-        ablate_alert_boost().table(),
-    ]
-    return "\n".join(parts)
+# The other modes' workload in simulated seconds, unless --duration.
+MODE_DURATION_S, QUICK_DURATION_S = 40.0, 20.0
 
 
 def _instrumented_scenario(args, **monitor_overrides):
     """The shared stats/watch/profile workload: two flows plus a mild
     seeded loss impairment so the loss/alert paths light up
     deterministically; run it for ``args.duration + 2`` seconds."""
-    from repro.experiments.common import Scenario, ScenarioConfig
-
     scenario = Scenario(
         ScenarioConfig(bottleneck_mbps=25.0, rtts_ms=(20.0, 30.0, 40.0),
                        reference_rtt_ms=40.0,
@@ -205,13 +169,13 @@ def _write_documents(path, docs, lines) -> None:
 
 
 def _histograms(args) -> str:
-    """Distribution view: the fig11 microburst scenario with data-plane
+    """Distribution view: the Fig. 11 microburst run with data-plane
     histograms enabled; prints terminal bin bars and a percentile table
     from the archived ``repro-histogram-v1`` reports, and optionally
     dumps those documents to ``--out``."""
     from repro.core.histograms import render_bins, render_percentiles
 
-    scenario = _run_fig11(args, histograms_enabled=True).scenario
+    scenario = _microburst_scenario(args, histograms_enabled=True)
     archiver = scenario.perfsonar.archiver
     extractor = scenario.control_plane.histograms
 
@@ -231,9 +195,7 @@ def _histograms(args) -> str:
                     archiver.histogram_documents(metric="queue_depth")})
     for port in ports:
         doc = archiver.histogram_latest(metric="queue_depth", port_id=port)
-        rows.append({"label": f"qdepth port {port}", "count": doc["count"],
-                     "p50_ms": doc["p50_ms"], "p90_ms": doc["p90_ms"],
-                     "p99_ms": doc["p99_ms"], "p999_ms": doc["p999_ms"]})
+        rows.append(dict(doc, label=f"qdepth port {port}"))
     if rows:
         lines.append(render_percentiles(rows))
         lines.append("")
@@ -249,14 +211,14 @@ FORENSICS_LOOKBACK_WINDOWS = 8192
 
 
 def _forensics(args) -> str:
-    """Queue forensics: the fig11 microburst scenario with time-window
+    """Queue forensics: the Fig. 11 microburst run with time-window
     registers enabled; prints the alert-triggered culprit attributions
     plus an explicit query over the trailing base windows (``--flow``
     names a victim whose own contribution is excluded), and optionally
     dumps the archived ``repro-forensics-v1`` documents to ``--out``."""
     from repro.core.forensics import MIN_WINDOW_BYTES, render_culprits
 
-    scenario = _run_fig11(args, forensics_enabled=True).scenario
+    scenario = _microburst_scenario(args, forensics_enabled=True)
     cp = scenario.control_plane
     forensics = cp.forensics
     archiver = scenario.perfsonar.archiver
@@ -269,14 +231,11 @@ def _forensics(args) -> str:
 
     end = scenario.sim.now
     t0 = max(0, end - FORENSICS_LOOKBACK_WINDOWS * forensics.base_window_ns)
-    victim = None
-    if args.flow is not None:
-        tracked = next(
-            (f for f in cp.flows.values()
-             if (f.src_ip, f.dst_ip, f.src_port, f.dst_port)
-             == (args.flow.src_ip, args.flow.dst_ip,
-                 args.flow.src_port, args.flow.dst_port)), None)
-        victim = tracked.flow_id if tracked is not None else None
+    names = ("src_ip", "dst_ip", "src_port", "dst_port")
+    victim = next((f.flow_id for f in cp.flows.values()
+                   if args.flow is not None and all(
+                       getattr(f, k) == getattr(args.flow, k) for k in names)),
+                  None)
     query = forensics.query(victim, t0, end)
     span_s = (end - t0) / 1e9
     if query is not None:
@@ -320,9 +279,6 @@ def _trace(args) -> str:
     line-rate packet train, so the microburst trigger fires
     deterministically.  Prints the per-layer coverage plus an exemplar
     packet timeline; the Perfetto JSON goes to ``--out``."""
-    from repro.experiments.common import ScenarioConfig
-    from repro.experiments.fig11_microburst import run_fig11
-
     duration = max(args.duration, 20.0)
     join_s = duration * 0.4
     log.info("trace: %.0fs microburst scenario (join burst at %.1fs)",
@@ -427,25 +383,18 @@ _window = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 def _seeds(value) -> list:
     """``--seed`` accepts a single integer or an inclusive range 'A..B'."""
-    if isinstance(value, int):
-        return [value]
-    text = str(value)
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValueError(f"empty seed range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+    lo, dots, hi = str(value).partition("..")
+    seeds = list(range(int(lo), int(hi if dots else lo) + 1))
+    if not seeds:
+        raise ValueError(f"empty seed range {value!r}")
+    return seeds
 
 
 def _seed_spec(text: str):
     """argparse type for --seed: int for plain values, verbatim for
     'A..B' ranges (validated here, expanded by :func:`_seeds`)."""
-    if ".." in text:
-        _seeds(text)  # raises on malformed/empty ranges
-        return text
-    return int(text)
+    _seeds(text)  # raises on malformed/empty ranges
+    return text if ".." in text else int(text)
 
 
 def _validate(args) -> str:
@@ -617,48 +566,28 @@ def _recover(args) -> str:
         checkpoint.restore_control_plane(cp2, doc)
         lines.append(f"data plane restored: digest {digest[:16]}… verified")
 
-        checks = [
-            ("tracked flows", len(cp2.flows), len(cp.flows)),
-            ("active alerts", len(cp2.alerts._active), len(cp.alerts._active)),
-            ("flow samples",
-             sum(len(v) for v in cp2.flow_samples.values()),
-             sum(len(v) for v in cp.flow_samples.values())),
-            ("aggregate samples",
-             len(cp2.aggregate_samples), len(cp.aggregate_samples)),
-            ("microbursts", len(cp2.microbursts), len(cp.microbursts)),
-            ("histogram ticks",
-             cp2.histograms.ticks if cp2.histograms else 0,
-             cp.histograms.ticks if cp.histograms else 0),
-            ("forensics ticks",
-             cp2.forensics.ticks if cp2.forensics else 0,
-             cp.forensics.ticks if cp.forensics else 0),
-        ]
+        books = {
+            "tracked flows": lambda c: len(c.flows),
+            "active alerts": lambda c: len(c.alerts._active),
+            "flow samples": lambda c: sum(map(len, c.flow_samples.values())),
+            "aggregate samples": lambda c: len(c.aggregate_samples),
+            "microbursts": lambda c: len(c.microbursts),
+            "histogram ticks": lambda c: getattr(c.histograms, "ticks", 0),
+            "forensics ticks": lambda c: getattr(c.forensics, "ticks", 0),
+        }
         ok = True
-        for label, restored, original in checks:
-            verdict = "ok" if restored == original else "MISMATCH"
-            ok = ok and restored == original
-            lines.append(f"  {label}: restored={restored} "
-                         f"original={original} [{verdict}]")
+        for label, count in books.items():
+            restored, original = count(cp2), count(cp)
+            ok &= restored == original
+            lines.append(f"  {label}: restored={restored} original={original} "
+                         f"[{'ok' if restored == original else 'MISMATCH'}]")
         lines.append("recover smoke: " + ("PASS" if ok else "FAIL"))
-        if not ok:
-            args.failed = True
+        args.failed |= not ok
     return "\n".join(lines)
 
 
-# What 'all' runs: the paper artefacts, not the self-telemetry,
-# validation, provenance, profiling or resilience modes.
-PAPER_ARTEFACTS = ("fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-                   "table1", "ablations")
-
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
-    "fig14": _fig14,
-    "table1": _table1,
-    "ablations": _ablations,
+# The verbs that are not a PAPER entry.
+MODES: Dict[str, Callable] = {
     "stats": _stats,
     "watch": _watch,
     "histograms": _histograms,
@@ -678,21 +607,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
-        help="which table/figure to regenerate ('stats' runs an "
-             "instrumented scenario and prints the telemetry snapshot; "
-             "'watch' adds the live flight-recorder view)",
+        choices=[*PAPER, "ablations", "all", *MODES],
+        help="a paper table/figure/ablation, 'ablations', 'all', or a "
+             "mode ('stats' runs an instrumented scenario and prints the "
+             "telemetry snapshot; 'watch' adds the flight-recorder view)",
     )
-    parser.add_argument("--duration", type=float, default=40.0,
-                        help="workload duration in simulated seconds")
-    parser.add_argument("--join", type=float, default=15.0,
-                        help="join time of the third flow (fig9/10/11)")
+    parser.add_argument("--duration", type=float, default=None,
+                        help="workload duration in simulated seconds "
+                             "(default: the paper run's, 40 for modes)")
+    parser.add_argument("--join", type=float, default=None,
+                        help="join time of the third flow (fig9/10/11, "
+                             "histograms, forensics)")
     parser.add_argument("--seed", type=_seed_spec, default=7,
                         help="impairment RNG seed for stats/watch runs, the "
                              "tracer's sampling seed; validate/chaos also "
                              "accept an inclusive range like 0..9")
     parser.add_argument("--quick", action="store_true",
-                        help="short runs (duration 20, join 8)")
+                        help="reduced scale: a paper run's reduced "
+                             "arguments, 20 s for the other modes")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="debug-level progress logging")
     parser.add_argument("-q", "--quiet", action="store_true",
@@ -828,22 +760,34 @@ def _section(title: str) -> None:
     print(f"\n{'=' * 70}\n  {title}\n{'=' * 70}")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """The command line, checked: a misuse exits 2 before anything runs."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.runs = _runs(args)
+    for flag, param in RUN_FLAGS.items():
+        # A flag given lands in the arguments of each run that takes it.
+        if getattr(args, flag) is not None and args.runs and not any(
+                param in kwargs for kwargs in args.runs.values()):
+            parser.error(f"{args.experiment} takes no --{flag}: no run of "
+                         f"{', '.join(args.runs)} has a {param} parameter")
     if (args.experiment == "chaos" and args.checkpoint_dir is not None
             and not args.crash):
         parser.error("chaos --checkpoint-dir needs --crash: a run without "
                      "a cp_crash window writes no checkpoints")
+    if not args.runs and args.duration is None:
+        args.duration = QUICK_DURATION_S if args.quick else MODE_DURATION_S
+    return args
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = parse_args(argv)
     args.failed = False  # any mode may set it: exit status 1
     level = logging.WARNING if args.quiet else (
         logging.DEBUG if args.verbose else logging.INFO)
     configure_logging(level)
-    if args.quick:
-        args.duration = min(args.duration, 20.0)
-        args.join = min(args.join, 8.0)
     mode = args.experiment
-    names = sorted(PAPER_ARTEFACTS) if mode == "all" else [mode]
+    names = [mode] if mode in MODES else list(args.runs)
 
     # The one capture block: every observer is switched on here, from
     # every flag that configures it, whatever the experiment.  The modes
@@ -877,10 +821,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             prof.start()
     try:
         for name in names:
-            log.info("running %s (duration=%.0fs)", name, args.duration)
+            log.info("running %s", name)
             if banners:
                 _section(name)
-            print(EXPERIMENTS[name](args))
+            print(MODES[name](args) if name in MODES else _paper(args, name))
         if prof is not None:
             prof.stop()
             if mode != "profile" and banners:

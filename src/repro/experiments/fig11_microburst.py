@@ -17,7 +17,7 @@ sampling-vs-data-plane ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.config import MetricKind
 from repro.core.reports import MicroburstEvent
@@ -112,19 +112,20 @@ def claims(result: Fig11Result) -> List[Claim]:
     ]
 
 
+# §5.4.1: every path at the reference 100 ms RTT, a BDP/4 buffer.
+PAPER_CONFIG = ScenarioConfig(rtts_ms=(100.0, 100.0, 100.0),
+                              buffer_bdp_fraction=0.25)
+
+
 def run_fig11(
     duration_s: float = 50.0,
     join_s: float = 18.0,
     inject_burst_buffers: float = 0.0,
-    config: Optional[ScenarioConfig] = None,
+    config: ScenarioConfig = PAPER_CONFIG,
 ) -> Fig11Result:
     """Two settled transfers + one joining at ``join_s`` over a BDP/4
     buffer, all paths at the reference 100 ms RTT (§5.4.1)."""
-    cfg = config or ScenarioConfig(
-        rtts_ms=(100.0, 100.0, 100.0),
-        buffer_bdp_fraction=0.25,
-    )
-    scenario = Scenario(cfg)
+    scenario = Scenario(config)
     handles = [
         scenario.add_flow(0, start_s=0.0, duration_s=duration_s),
         scenario.add_flow(1, start_s=1.0, duration_s=duration_s),

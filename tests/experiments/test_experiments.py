@@ -1,5 +1,6 @@
 """The paper's claims at reduced scale: every experiment of
-``repro.experiments.paper.PAPER`` run smaller than its full-scale default
+``repro.experiments.paper.PAPER`` run with its ``reduced`` keyword
+arguments, smaller than its full-scale default
 (benchmarks/test_paper_claims.py), the same claims asserted.  No
 threshold lives here; EXPERIMENTS.md must cite exactly these claims."""
 
@@ -9,35 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.claims import assert_claims
-from repro.experiments.common import ScenarioConfig
 from repro.experiments.fig10_fairness import run_fig10
 from repro.experiments.paper import PAPER
-
-SMALL = ScenarioConfig(bottleneck_mbps=40.0, rtts_ms=(20.0, 30.0, 40.0),
-                       reference_rtt_ms=40.0)
-# Fig. 9 (and Fig. 10, drawn from its run) keep the paper's 50/75/100
-# ms paths: with SMALL's 20 and 30 ms the pre-join pair does not reach
-# parity in 8 s.
-SMALL_PAPER_RTTS = ScenarioConfig(bottleneck_mbps=40.0)
-SMALL_100 = ScenarioConfig(bottleneck_mbps=40.0, rtts_ms=(40.0, 40.0, 40.0),
-                           reference_rtt_ms=40.0, buffer_bdp_fraction=0.25)
-MMWAVE = dict(link_rate_mbps=500.0, stream_rate_mbps=200.0, duration_s=10.0)
-
-REDUCED = {
-    "table1": dict(duration_s=25.0, test_repeat_s=12.0, test_duration_s=2.0,
-                   config=SMALL),
-    "fig9": dict(duration_s=20.0, join_s=8.0, config=SMALL_PAPER_RTTS),
-    "fig11": dict(duration_s=24.0, join_s=10.0, config=SMALL_100),
-    "fig12": dict(duration_s=25.0, config=SMALL),
-    "fig13": dict(blockage_start_s=6.0, blockage_duration_s=1.5, **MMWAVE),
-    "fig14": dict(blockage_start_s=5.0, blockage_duration_s=2.0, **MMWAVE),
-    "ablation_cms": dict(widths=(128, 512), depths=(1, 3), n_flows=800),
-    "ablation_eack": dict(sizes=(128, 16384), duration_s=5.0),
-    "ablation_sampling": dict(duration_s=12.0, n_bursts=3),
-    "ablation_boost": dict(duration_s=10.0, congest_s=4.0),
-    "ablation_int": dict(duration_s=4.0),
-    "ablation_cca": dict(duration_s=8.0, bottleneck_mbps=30.0),
-}
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +23,7 @@ def reduced():
     def result(name):
         if name not in cache:
             cache[name] = (run_fig10(fig9=result("fig9")) if name == "fig10"
-                           else PAPER[name].run(**REDUCED[name]))
+                           else PAPER[name].run(**PAPER[name].reduced))
         return cache[name]
 
     return result
@@ -132,7 +106,8 @@ def test_ablation_cca_signatures_small(reduced):
 def test_experiments_md_cites_exactly_the_claims(reduced):
     """The measured numbers in EXPERIMENTS.md may age; its structure may
     not: one table row per claim, each naming it in its first cell."""
-    assert set(REDUCED) | {"fig10"} == set(PAPER)
+    # Fig. 10 is drawn from the Fig. 9 run, so it must be that run's scale.
+    assert PAPER["fig10"].reduced == PAPER["fig9"].reduced
     names = [c.name for name in PAPER
              for c in PAPER[name].claims(reduced(name))]
     assert len(names) == len(set(names))

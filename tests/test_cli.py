@@ -1,11 +1,14 @@
 """Experiment-runner CLI."""
 
+import functools
 import json
 
 import pytest
 
 from repro import telemetry
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import MODES, build_parser, main, parse_args
+from repro.experiments.claims import Claim
+from repro.experiments.paper import PAPER
 
 
 @pytest.fixture
@@ -21,7 +24,7 @@ def clean_telemetry():
 
 def test_parser_accepts_known_experiments():
     parser = build_parser()
-    for name in list(EXPERIMENTS) + ["all"]:
+    for name in [*PAPER, "ablations", "all", *MODES]:
         args = parser.parse_args([name])
         assert args.experiment == name
 
@@ -31,9 +34,105 @@ def test_parser_rejects_unknown():
         build_parser().parse_args(["fig99"])
 
 
-def test_quick_flag_caps_duration():
-    args = build_parser().parse_args(["fig9", "--quick", "--duration", "100"])
-    assert args.quick
+@pytest.fixture
+def recorded_runs(monkeypatch):
+    """Every PAPER run replaced by one that records ``(name, kwargs)``
+    and renders a stub; the real run's signature is kept, so the CLI
+    still decides which flags it takes."""
+    calls = []
+    for name, experiment in PAPER.items():
+        @functools.wraps(experiment.run)
+        def run(*args, _name=name, **kwargs):
+            assert not args
+            calls.append((_name, kwargs))
+            return _name
+
+        monkeypatch.setitem(PAPER, name, experiment._replace(
+            run=run, claims=lambda result: [],
+            render=lambda result: f"rendered {result}"))
+    return calls
+
+
+def test_quick_flag_caps_duration(recorded_runs):
+    """--quick is the reduced scale: a paper verb runs with its
+    ``reduced`` arguments, the other modes run 20 s instead of 40 s."""
+    assert main(["fig9", "-q"]) == 0
+    assert main(["fig9", "--quick", "-q"]) == 0
+    assert recorded_runs == [("fig9", {}), ("fig9", PAPER["fig9"].reduced)]
+    assert parse_args(["stats"]).duration == 40.0
+    assert parse_args(["stats", "--quick"]).duration == 20.0
+    assert parse_args(["stats", "--quick", "--duration", "3"]).duration == 3.0
+
+
+@pytest.mark.parametrize("name", PAPER)
+def test_quick_passes_the_reduced_arguments(name, recorded_runs, capsys):
+    assert main([name, "--quick", "-q"]) == 0
+    assert recorded_runs == [(name, PAPER[name].reduced)]
+    assert f"rendered {name}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, kwargs", [
+    (["fig9", "--quick", "--duration", "100"],
+     dict(PAPER["fig9"].reduced, duration_s=100.0)),
+    (["fig11", "--quick", "--join", "3"],
+     dict(PAPER["fig11"].reduced, join_s=3.0)),
+    (["fig13", "--duration", "5"], {"duration_s": 5.0}),
+    (["fig14", "--duration", "5"], {"duration_s": 5.0}),
+    (["table1", "--duration", "30"], {"duration_s": 30.0}),
+    (["fig10", "--duration", "30", "--join", "9"],
+     {"duration_s": 30.0, "join_s": 9.0}),
+])
+def test_an_explicit_flag_reaches_the_run(argv, kwargs, recorded_runs):
+    assert main(argv + ["-q"]) == 0
+    assert recorded_runs == [(argv[0], kwargs)]
+
+
+def test_all_runs_the_table_in_order(recorded_runs):
+    assert main(["all", "-q", "--duration", "5"]) == 0
+    assert [name for name, _ in recorded_runs] == list(PAPER)
+    # --duration reaches the runs that take it and only those.
+    assert ("ablation_cms", {}) in recorded_runs
+    assert ("fig9", {"duration_s": 5.0}) in recorded_runs
+
+
+def test_ablations_runs_the_six_ablations(recorded_runs):
+    assert main(["ablations", "-q"]) == 0
+    assert recorded_runs == [(name, {}) for name in (
+        "ablation_cms", "ablation_eack", "ablation_sampling",
+        "ablation_boost", "ablation_int", "ablation_cca")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig12", "--join", "3"],
+    ["fig13", "--join", "3"],
+    ["table1", "--join", "3"],
+    ["ablation_cms", "--duration", "5"],
+    ["ablations", "--join", "3"],
+])
+def test_a_flag_no_selected_run_takes_is_a_usage_error(argv, recorded_runs,
+                                                       capsys):
+    # It used to be dropped: the run went ahead as if it were absent.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and argv[1] in err
+    assert recorded_runs == []
+
+
+def test_a_verb_prints_the_render_of_its_full_scale_run(capsys):
+    experiment = PAPER["ablation_sampling"]
+    assert main(["ablation_sampling", "-q"]) == 0
+    assert experiment.render(experiment.run()) in capsys.readouterr().out
+
+
+def test_a_failed_claim_fails_the_verb(monkeypatch, capsys):
+    # It used to exit 0 with a NO row in the claims table.
+    name = "ablation_sampling"
+    monkeypatch.setitem(PAPER, name, PAPER[name]._replace(
+        claims=lambda result: [Claim("forced", 0.0, "> 1", False)]))
+    assert main([name, "-q"]) == 1
+    assert "data plane (per packet)" in capsys.readouterr().out
 
 
 def test_main_runs_fig13(capsys):
@@ -398,9 +497,8 @@ def _documented_commands():
 def test_every_documented_command_line_parses():
     commands = list(_documented_commands())
     assert len(commands) >= 30, "the scan found too little to mean anything"
-    parser = build_parser()
     for where, argv in commands:
         try:
-            parser.parse_args(argv)
+            parse_args(argv)   # main()'s usage checks included
         except SystemExit:
             pytest.fail(f"{where}: does not parse: {' '.join(argv)}")

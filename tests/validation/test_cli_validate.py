@@ -63,9 +63,10 @@ def test_validate_missing_corpus_dir_errors(tmp_path):
 
 def test_all_does_not_include_validate():
     import repro.cli as cli
+    from repro.experiments.paper import PAPER
 
-    assert "validate" in cli.EXPERIMENTS  # registered...
-    # ...but 'all' runs the paper artefacts only; guarded here so a
-    # refactor of main() keeps the exclusion.
-    assert "validate" not in cli.PAPER_ARTEFACTS
-    assert set(cli.PAPER_ARTEFACTS) <= set(cli.EXPERIMENTS)
+    assert "validate" in cli.MODES  # registered...
+    # ...but 'all' runs the paper's entries only, in table order;
+    # guarded here so a refactor of main() keeps the exclusion.
+    assert "validate" not in PAPER
+    assert list(cli.parse_args(["all"]).runs) == list(PAPER)
