@@ -123,8 +123,9 @@ class MonitorConfig:
     # Columnar batched execution of the per-packet hot path (see
     # repro.core.batch).  Only an override: even when True the monitor
     # falls back to scalar dispatch when something must see each packet
-    # on its own (tracing, a stage-detail profiler, the rate meter).
-    # Telemetry, the block-detail profiler and fault injection do not.
+    # on its own (the provenance tracer, the rate meter) or when it is
+    # built without a simulator.  Telemetry, the phase profiler and
+    # fault injection do not.
     # Set False to force the scalar twin, e.g. for differential testing.
     batched_path: bool = True
 

@@ -12,6 +12,9 @@ True/False), runs both, and compares
 - every archived report stream the control plane keeps (flow samples per
   metric class, aggregates, microbursts, terminations, limiter reports,
   histogram reports, alerts),
+- the sequence of every digest the program emits, across streams (a
+  kernel that moved a microburst past a termination would leave each
+  stream equal on its own),
 - the differential-oracle verdicts of both runs (overall and per check),
 - the op tallies observers read: ``RegisterArray.ops`` per register,
   sketch ``updates``/``queries``, digest ``emitted``/``dropped``, and
@@ -91,6 +94,18 @@ def _compare_stream(cmp: PathComparison, name: str,
             return
 
 
+def _record_digests(run: ValidationRun) -> list:
+    """Wrap every digest's ``emit`` on the built run: the returned list
+    logs ``(name, payload)`` per message, in emission order."""
+    seen: list = []
+    for digest in run.scenario.monitor.program.digests.values():
+        def record(emit=digest.emit, name=digest.name, /, **payload):
+            seen.append((name, payload))
+            emit(**payload)
+        digest.emit = record
+    return seen
+
+
 def _op_tallies(run: ValidationRun) -> Dict[str, int]:
     """The plain-int tallies telemetry and the profiler pull."""
     return {f"{family}[{name}]" + "".join(f".{label}" for label in labels): n
@@ -128,12 +143,13 @@ def compare_paths(spec: ScenarioSpec,
 
     ``run_hooks`` optionally carries ``(batched_hook, scalar_hook)``
     callables applied to the built :class:`ValidationRun` before it runs
-    — the mutation tests use the batched hook to corrupt kernel lanes
-    while the scalar reference stays clean.
+    — the mutation suite uses the batched hook to drop one kernel
+    unit's register tally while the scalar reference stays clean.
     """
     b_hook, s_hook = run_hooks if run_hooks is not None else (None, None)
     runs = {}
     reports = {}
+    emitted = {}
     tallies = {}
     tel = {}
     for batched, hook in ((True, b_hook), (False, s_hook)):
@@ -141,9 +157,11 @@ def compare_paths(spec: ScenarioSpec,
         run = spec.clone(batched_path=batched).build()
         if batched and run.scenario.monitor.kernel is None:
             raise RuntimeError(
-                "batched path did not engage — a per-packet hook "
-                "(tracer or stage-detail profiler) is active in this "
-                "process")
+                "batched path did not engage — the provenance tracer is "
+                "active in this process (the rate meter, batched_path=False "
+                "and a monitor without a simulator also bind the scalar "
+                "path)")
+        emitted[batched] = _record_digests(run)
         if hook is not None:
             hook(run)
         run.run()
@@ -196,6 +214,7 @@ def compare_paths(spec: ScenarioSpec,
     for name in _STREAMS:
         _compare_stream(cmp, name, getattr(b_cp, name), getattr(s_cp, name))
     _compare_stream(cmp, "alerts", b_cp.alerts.history, s_cp.alerts.history)
+    _compare_stream(cmp, "digest_sequence", emitted[True], emitted[False])
 
     # Observer-facing tallies (and, under telemetry, the pipeline cells).
     _compare_counts(cmp, tallies[True], tallies[False])

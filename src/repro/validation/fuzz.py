@@ -60,7 +60,7 @@ def run_spec(spec: ScenarioSpec, run_hook: Optional[RunHook] = None) -> Validati
         # A run hook instruments per-packet objects (the mutation
         # harness patches register methods) — that demands the scalar
         # twin, the same rule the monitor's construction-time gate
-        # applies to the tracer and the stage-detail profiler.
+        # applies to the provenance tracer and the rate meter.
         spec = spec.clone(batched_path=False)
     run = spec.build()
     if run_hook is not None:

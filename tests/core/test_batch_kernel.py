@@ -9,21 +9,26 @@ digest mismatch.
 
 from __future__ import annotations
 
+import ast
 import gc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import batch
 from repro.core.batch import BatchKernel, crc32_rows
 from repro.core.config import MonitorConfig
+from repro.core.control_plane import MonitorControlPlane
 from repro.core.monitor import P4Monitor
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import (PROTO_UDP, FiveTuple, Packet, TCPFlags,
                                  make_ack_packet, make_data_packet)
 from repro.netsim.tap import MirrorCopy, TapDirection
 from repro.p4.hashes import crc32_tuple
+from repro.p4.registers import RegisterArray
 from repro.resilience import faults
 from repro.resilience.schedule import FaultSchedule
 from repro.telemetry import profiling, provenance
@@ -179,7 +184,7 @@ def test_seq_and_ack_wrap_at_two_to_the_32():
     assert seq < 2000
     assert twins.batched.rtt_loss.rtt_matches == 4
     assert twins.batched.rtt_loss.pkt_loss.read(
-        crc32_tuple(FT) & twins.batched.kernel.flow_mask) == 0
+        crc32_tuple(FT) & (twins.batched.config.flow_slots - 1)) == 0
 
 
 def test_ecn_is_per_copy_and_headers_per_packet():
@@ -193,7 +198,7 @@ def test_ecn_is_per_copy_and_headers_per_packet():
     pkt.ecn = Packet.ECN_CE
     twins.copy(pkt, TapDirection.EGRESS)
     twins.check()
-    slot = crc32_tuple(FT) & twins.batched.kernel.flow_mask
+    slot = crc32_tuple(FT) & (twins.batched.config.flow_slots - 1)
     assert twins.batched.queue.flow_ce.read(slot) == 1
 
 
@@ -221,6 +226,33 @@ def test_reverse_slot_shared_with_another_flows_forward_slot():
     # last writer (FT's own ACK) and running maximum (``other``'s ACK)
     assert twins.batched.flight.flow_rwnd.read(slot) == 65535
     assert twins.batched.flight.high_ack.read(slot) == 5002 > seq
+
+
+def test_termination_reads_loss_as_of_its_row():
+    """Sequence regressions before and after a tracked flow's FIN in one
+    flush: the control plane reads ``pkt_loss`` as the termination
+    digest arrives, so the report counts the regression before the FIN
+    only, while the register ends with both."""
+    twins = Twins()
+    terminations = []
+    for mon in (twins.batched, twins.scalar):
+        cp = MonitorControlPlane(mon.sim, mon)
+        cp.start()
+        terminations.append(cp.terminations)
+    seq = twins.track(FT)
+    for k, (s, flags) in enumerate((
+            (seq - 1200, TCPFlags.ACK),              # regression
+            (seq, TCPFlags.FIN | TCPFlags.ACK),      # terminates the flow
+            (seq - 600, TCPFlags.ACK))):             # regression
+        twins.transit(make_data_packet(FT, seq=s, payload_len=600,
+                                       flags=flags, ip_id=10 + k))
+    twins.check()
+    (batched,), (scalar,) = terminations
+    assert batched == scalar
+    assert batched.retransmissions == 1
+    slot = crc32_tuple(FT) & (twins.batched.config.flow_slots - 1)
+    assert (twins.batched.rtt_loss.pkt_loss.read(slot)
+            == twins.scalar.rtt_loss.pkt_loss.read(slot) == 2)
 
 
 # -- flow churn: no per-flow state survives a flush ---------------------------
@@ -359,3 +391,34 @@ def test_only_per_packet_observers_bind_the_scalar_path(
 
 def test_monitor_without_a_simulator_binds_the_scalar_path():
     assert P4Monitor(MonitorConfig()).kernel is None
+
+
+# -- the kernel's structure -----------------------------------------------------
+
+
+def test_flush_drives_one_short_unit_per_scalar_stage():
+    """``flush`` is a short driver and no function in ``core/batch.py``
+    runs over 80 lines; each replay unit's registers are exactly one
+    scalar stage's, no register is in two units, and together the units
+    cover every register the program declares."""
+    lengths = {}
+    for scope in ast.walk(ast.parse(Path(batch.__file__).read_text())):
+        if not isinstance(scope, (ast.Module, ast.ClassDef)):
+            continue
+        for node in scope.body:
+            if isinstance(node, ast.FunctionDef):
+                name = f"{getattr(scope, 'name', '')}.{node.name}".lstrip(".")
+                lengths[name] = node.end_lineno - node.lineno + 1
+    assert lengths["BatchKernel.flush"] <= 40
+    assert {name: n for name, n in lengths.items() if n > 80} == {}
+
+    monitor = _twin_monitor(True)
+    units = monitor.kernel.units
+    assert len({id(unit.stage) for unit in units}) == len(units) == 5
+    for unit in units:
+        declared = {value for value in vars(unit.stage).values()
+                    if isinstance(value, RegisterArray)}
+        assert set(unit.registers) == declared, type(unit).__name__
+    owned = [reg for unit in units for reg in unit.registers]
+    assert len(owned) == len(set(owned))
+    assert set(owned) == set(monitor.program.registers.values())

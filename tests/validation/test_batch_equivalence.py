@@ -21,6 +21,7 @@ from collections import Counter
 import pytest
 
 from repro import telemetry
+from repro.core.batch import BatchKernel
 from repro.netsim.observer import observe_host_rx
 from repro.resilience import faults
 from repro.resilience.schedule import FaultSchedule
@@ -31,7 +32,7 @@ from repro.validation.scenarios import ScenarioSpec
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 DEFAULT_SEEDS = (0, 1, 2)
-DEFAULT_HIST_SEEDS = (0,)
+DEFAULT_HIST_SEEDS = (0, 1, 2)
 
 
 def _env_seeds(default):
@@ -49,18 +50,21 @@ def _env_seeds(default):
 
 
 SEEDS = _env_seeds(DEFAULT_SEEDS)
-HIST_SEEDS = _env_seeds(DEFAULT_HIST_SEEDS)[:2]
+HIST_SEEDS = _env_seeds(DEFAULT_HIST_SEEDS)[:3]
 
 
 @pytest.fixture(scope="module")
 def comparisons():
-    """Cache per (seed, histograms): each comparison is two full runs."""
+    """Cache per (seed, histograms): each comparison is two full runs.
+    Histograms come with queue forensics, the other extern set a spec
+    switches on."""
     cache = {}
 
     def get(seed: int, histograms: bool = False):
         key = (seed, histograms)
         if key not in cache:
-            spec = ScenarioSpec.from_seed(seed).clone(histograms=histograms)
+            spec = ScenarioSpec.from_seed(seed).clone(
+                histograms=histograms, forensics=histograms)
             cache[key] = compare_paths(spec)
         return cache[key]
 
@@ -82,13 +86,32 @@ def test_both_paths_green_against_oracle(comparisons, seed):
 
 @pytest.mark.parametrize("seed", HIST_SEEDS)
 def test_histogram_banks_equivalent(comparisons, seed):
-    """Histograms double the stateful surface (two banks + active flag
-    per histogram); the read-flip extraction must agree too."""
+    """Histograms and time windows double the stateful surface (two
+    banks + active flag per extern); the read-flip extraction and the
+    forensics reports must agree too."""
     cmp = comparisons(seed, histograms=True)
     assert cmp.passed, cmp.summary()
     state = cmp.batched_run.scenario.monitor.program.state_snapshot()
-    bank_keys = [k for k in state if k.startswith("histogram/")]
-    assert bank_keys, "histograms enabled but no banks in the snapshot"
+    for kind in ("histogram/", "time_window/"):
+        assert any(k.startswith(kind) for k in state), (
+            f"{kind} banks enabled but not in the snapshot")
+    assert cmp.batched_run.scenario.control_plane.forensics_reports
+
+
+def test_digest_order_across_streams_is_compared(monkeypatch):
+    """A kernel that emits a flush's microburst digests after its
+    flow-table digests keeps every stream equal on its own; only the
+    digest sequence shows it (seed 0 interleaves them in one flush)."""
+    emit = BatchKernel._emit
+
+    def microburst_last(kernel, digests, syncs):
+        burst = kernel.units[-1].stage.digest
+        emit(kernel, sorted(digests, key=lambda d: d[1] is burst), syncs)
+
+    monkeypatch.setattr(BatchKernel, "_emit", microburst_last)
+    cmp = compare_paths(ScenarioSpec.from_seed(0))
+    assert len(cmp.mismatches) == 1, cmp.summary()
+    assert cmp.mismatches[0].startswith("digest_sequence["), cmp.summary()
 
 
 def test_comparison_covers_the_full_surface(comparisons):

@@ -1,24 +1,29 @@
 """Mutation tests for the batched kernel (the equivalence harness' teeth).
 
-Each test installs a ``kernel.debug_mutator`` that corrupts one lane of
-the precomputed columns before the fused replay, then runs the full
+Each test wraps one kernel unit with ``monkeypatch`` — the hash unit
+(:func:`repro.core.batch.hash_lanes`) or one replay unit — and corrupts
+the lanes that unit returns or receives, then runs the full
 batched-vs-scalar comparison: the scalar reference must stay green
 against the oracle, the differential checker must fail the batched run
 on the expected metric class, and the equivalence harness itself must
-flag the divergence.
+flag the divergence.  Only the batched run calls the kernel, so the
+scalar reference runs unpatched.
 
-Mutators only *copy values between rows of the same batch* (or zero an
-additive lane): phase 2 preloads its register overlays from the batch's
-flow memo and signature columns, so invented identities would miss the
-preload domain rather than model a plausible data-plane fault.
+Mutations only *copy values between rows of the same batch* (or zero a
+lane), the faults a broken hash or update unit would make: every unit
+derives its batch-local register files from the lanes it is handed, so
+a corrupted lane lands in real cells.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.core import batch
+from repro.core.config import MonitorConfig
 from repro.core.flow_table import PORT_INGRESS_TAP
 from repro.validation.equivalence import compare_paths
 from repro.validation.scenarios import ScenarioSpec
@@ -28,15 +33,14 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 SEED = 0
 
 
-def mutated_compare(mutator):
-    spec = ScenarioSpec.from_seed(SEED)
-
-    def batched_hook(run):
-        kernel = run.scenario.monitor.kernel
-        assert kernel is not None, "batched path did not engage"
-        kernel.debug_mutator = mutator
-
-    return compare_paths(spec, run_hooks=(batched_hook, None))
+def mutated_compare(monkeypatch, owner, name, corrupt):
+    """Compare both paths with ``owner.name`` replaced by
+    ``corrupt(original)``."""
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    cmp = compare_paths(ScenarioSpec.from_seed(SEED))
+    assert cmp.batched_run.scenario.monitor.kernel is not None, (
+        "batched path did not engage")
+    return cmp
 
 
 def assert_caught(cmp, metrics):
@@ -52,76 +56,71 @@ def assert_caught(cmp, metrics):
         + cmp.batched_report.summary())
 
 
-def test_flow_hash_collision_lane_is_caught():
-    """Copy one flow's identity lanes (fid/rid/slot/rows) onto rows of a
-    different flow: accounting lands in the wrong slot."""
-    def collide(cols):
-        valid, port, plen, slot = (cols["valid"], cols["port"],
-                                   cols["plen"], cols["slot"])
-        donor = next((i for i in range(len(valid))
-                      if valid[i] and port[i] == PORT_INGRESS_TAP
-                      and plen[i] > 0), None)
-        if donor is None:
-            return
-        for i in range(len(valid)):
-            if (valid[i] and port[i] == PORT_INGRESS_TAP
-                    and slot[i] != slot[donor]):
-                for lane in ("fid", "rid", "slot", "rows"):
-                    cols[lane][i] = cols[lane][donor]
+def test_flow_hash_collision_lane_is_caught(monkeypatch):
+    """The hash unit hands one flow's identity lanes (flow IDs and
+    count-min columns) to ingress rows of flows in other slots:
+    accounting lands in the wrong slot."""
+    mask = MonitorConfig().flow_slots - 1
 
-    cmp = mutated_compare(collide)
+    def corrupt(hash_lanes):
+        def collide(c, *geometry):
+            ids = hash_lanes(c, *geometry)
+            ingress = np.flatnonzero(c.port == PORT_INGRESS_TAP)
+            donors = ingress[c.plen[ingress] > 0]
+            if donors.size:
+                d = donors[0]
+                rows = ingress[(ids.fid[ingress] & mask) != (ids.fid[d] & mask)]
+                ids.fid[rows], ids.rid[rows] = ids.fid[d], ids.rid[d]
+                ids.cms[:, rows] = ids.cms[:, [d]]
+            return ids
+        return collide
+
+    cmp = mutated_compare(monkeypatch, batch, "hash_lanes", corrupt)
     assert_caught(cmp, {"flow_bytes", "flow_pkts", "tracking", "sketch"})
 
 
-def test_rtt_stash_overwrite_is_caught():
-    """Alias every data packet's stash signature to the first row's:
-    all eACK entries pile onto one cell, ACKs stop matching, and the
-    RTT sample stream starves."""
-    def alias(cols):
-        sig = cols["sig_data"]
-        if not sig:
-            return
-        first = sig[0]
-        for i in range(len(sig)):
-            sig[i] = first
+def test_rtt_stash_overwrite_is_caught(monkeypatch):
+    """The hash unit aliases every data packet's stash signature to the
+    first row's: all eACK entries pile onto one cell, ACKs stop
+    matching, and the RTT sample stream starves."""
+    def corrupt(hash_lanes):
+        def alias(c, *geometry):
+            ids = hash_lanes(c, *geometry)
+            ids.sig_data[:] = ids.sig_data[0]
+            return ids
+        return alias
 
-    cmp = mutated_compare(alias)
+    cmp = mutated_compare(monkeypatch, batch, "hash_lanes", corrupt)
     assert_caught(cmp, {"rtt_sample_count", "rtt_envelope", "rtt_locality"})
 
 
-def test_sketch_increment_suppression_is_caught():
-    """Zero the CMS add lane: estimates never reach the long-flow
-    threshold, heavy flows never claim a slot."""
-    def suppress(cols):
-        add = cols["cms_add"]
-        for i in range(len(add)):
-            add[i] = 0
+def test_sketch_increment_suppression_is_caught(monkeypatch):
+    """The flow-table unit receives an all-zero payload lane: the sketch
+    never counts a byte, heavy flows never claim a slot."""
+    def corrupt(run):
+        def suppress(unit, c, ids):
+            zeroed = SimpleNamespace(**{**vars(c), "plen": np.zeros_like(c.plen)})
+            return run(unit, zeroed, ids)
+        return suppress
 
-    cmp = mutated_compare(suppress)
+    cmp = mutated_compare(monkeypatch, batch.FlowTableUnit, "run", corrupt)
     assert_caught(cmp, {"tracking", "sketch", "long_flow_claim"})
 
 
-def test_dropped_register_tally_is_caught():
-    """Lose one register's op tally in the kernel (state untouched): the
-    harness must flag exactly that register, or ``repro_p4_register_ops``
-    could drift from the scalar path's meaning unnoticed."""
+def test_dropped_register_tally_is_caught(monkeypatch):
+    """The RTT/loss unit loses its eack_sig op tally (state untouched):
+    the harness must flag exactly that register, or
+    ``repro_p4_register_ops`` could drift from the scalar path's meaning
+    unnoticed."""
     def drop_tally(run):
-        kernel = run.scenario.monitor.kernel
-        assert kernel is not None, "batched path did not engage"
-        kernel._op_regs = tuple(
+        unit = run.scenario.monitor.kernel.units[1]
+        assert isinstance(unit, batch.RttLossUnit)
+        monkeypatch.setattr(unit, "registers", tuple(
             SimpleNamespace(ops=0) if reg.name == "eack_sig" else reg
-            for reg in kernel._op_regs)
+            for reg in unit.registers))
 
     cmp = compare_paths(ScenarioSpec.from_seed(SEED),
                         run_hooks=(drop_tally, None))
     assert cmp.batched_report.passed, cmp.batched_report.summary()
     assert len(cmp.mismatches) == 1, cmp.summary()
     assert cmp.mismatches[0].startswith("register_ops[eack_sig]:")
-
-
-def test_mutator_hook_is_dormant_by_default():
-    """No mutator installed → the kernel runs clean (guards against the
-    hook leaking state between tests)."""
-    spec = ScenarioSpec.from_seed(SEED)
-    run = spec.build()
-    assert run.scenario.monitor.kernel.debug_mutator is None

@@ -70,8 +70,8 @@ def test_mutation_scaled_histogram_is_caught():
     """Corrupt the observe path (values doubled before binning): the
     distribution check must fail while scalar RTT checks stay clean.
     Patching a per-packet method only bites on the scalar twin — the
-    batched kernel bins through its own vectorised path (mutated by
-    ``kernel.debug_mutator`` in test_batch_mutation.py instead)."""
+    batched kernel bins through its own vectorised path (its units are
+    wrapped and corrupted in test_batch_mutation.py instead)."""
     spec = ScenarioSpec.from_seed(0).clone(histograms=True,
                                            batched_path=False)
     run = spec.build()
