@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import telemetry
 from repro.telemetry import provenance
 from repro.core.config import MetricKind, MonitorConfig
 from repro.core.reports import Alert
@@ -30,12 +29,6 @@ class AlertManager:
         self._active: Dict[Tuple[MetricKind, Optional[int]], Alert] = {}
         self.history: List[Alert] = []
         self._trace = provenance.tracer()
-        self._tel_transitions = None
-        if telemetry.enabled():
-            self._tel_transitions = telemetry.counter(
-                "repro_cp_alert_transitions_total",
-                "alert raise/clear transitions per metric class",
-                labels=("metric", "transition"))
 
     def check(
         self,
@@ -84,9 +77,6 @@ class AlertManager:
             self._trace.fire("alert", alert.time_ns, metric=alert.metric,
                              flow_id=alert.flow_id, value=alert.value,
                              threshold=alert.threshold)
-        if self._tel_transitions is not None:
-            self._tel_transitions.labels(
-                alert.metric, "cleared" if alert.cleared else "raised").inc()
         if self.sink is not None:
             self.sink(alert)
 

@@ -669,7 +669,7 @@ class BatchKernel:
             self._emit(sorted(digests + mb_digests, key=itemgetter(0)), syncs)
             for write in writes + q_writes + mb_writes:
                 write()
-        self.pipeline.account_batch(copies, c.n, copies - c.n, t0_ns,
+        self.pipeline.account_batch(copies, copies - c.n, t0_ns,
                                     time.perf_counter_ns())
 
     def _emit(self, digests: list, syncs: list) -> None:

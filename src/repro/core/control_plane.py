@@ -25,6 +25,7 @@ in one call when the body returns.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -159,7 +160,8 @@ class MonitorControlPlane:
         self._deferred_pending: set = set()
         self.degraded = False
         self._interval_scale = 1.0
-        self.reports_suppressed = 0
+        #: Reports suppressed while degraded, by report type.
+        self.suppressed: Dict[str, int] = {}
 
         # Checkpointing (construction-time binding, same contract as the
         # fault injector above): when a CheckpointManager is installed,
@@ -218,50 +220,49 @@ class MonitorControlPlane:
         _prof = profiling.profiler()
         self._prof = _prof if (_prof is not None and _prof.phases) else None
 
-        # Telemetry handles are bound once here; when disabled every hook
-        # below reduces to an ``is None`` test.
-        self._tel_cycle_ns = None
+        # Telemetry reads the tallies above at snapshot time.  The two
+        # instants are observed where they happen: an extraction cycle's
+        # duration (whose count is the cycle counter) and a shipped
+        # report's type, which no default-path tally keeps.
+        self._tel_cycle_ns = self._tel_reports = None
         if telemetry.enabled():
             self._tel_cycle_ns = telemetry.histogram(
                 "repro_cp_extraction_ns",
                 "wall-clock duration of one extraction cycle, per extraction job",
                 labels=("metric",))
-            self._tel_cycles = telemetry.counter(
+            telemetry.registry().counter_of(
                 "repro_cp_extraction_cycles_total",
-                "extraction cycles run, per extraction job", labels=("metric",))
+                "extraction cycles run, per extraction job", self._tel_cycle_ns)
             self._tel_reports = telemetry.counter(
                 "repro_cp_reports_total",
                 "reports shipped to the sink, by document type",
                 labels=("type",))
-            reads_gauge = telemetry.gauge(
-                "repro_cp_register_reads",
-                "runtime API register read calls issued by the control plane")
-            telemetry.registry().add_collector(
-                lambda _reg, rt=self.runtime: reads_gauge.set(rt.register_reads))
-            alerts_gauge = telemetry.gauge(
-                "repro_cp_active_alerts",
-                "alerts currently held active, per metric class",
-                labels=("metric",))
-            telemetry.registry().add_collector(
-                lambda _reg, cp=self, g=alerts_gauge: cp._collect_alerts(g))
-            self._tel_deferred = telemetry.counter(
-                "repro_cp_tick_deferred_total",
-                "extraction ticks deferred by an injected control-plane "
-                "stall, per extraction job", labels=("metric",))
-            self._tel_catchup = telemetry.counter(
-                "repro_cp_tick_catchup_total",
-                "consolidated catch-up extraction ticks run after a stall, "
-                "per extraction job", labels=("metric",))
-            self._tel_suppressed = telemetry.counter(
-                "repro_cp_reports_suppressed_total",
-                "per-flow reports suppressed while degraded, by report type",
-                labels=("type",))
-            degraded_gauge = telemetry.gauge(
-                "repro_cp_degraded",
-                "1 while the control plane is in degraded reporting mode")
-            telemetry.registry().add_collector(
-                lambda _reg, cp=self, g=degraded_gauge: g.set(
-                    1 if cp.degraded else 0))
+        telemetry.reads(self, counters=[
+            ("repro_cp_tick_deferred_total",
+             "extraction ticks deferred by an injected control-plane stall, "
+             "per extraction job", ("metric",), lambda: self.ticks_deferred),
+            ("repro_cp_tick_catchup_total",
+             "consolidated catch-up extraction ticks run after a stall, per "
+             "extraction job", ("metric",), lambda: self.catchup_ticks),
+            ("repro_cp_reports_suppressed_total",
+             "per-flow reports suppressed while degraded, by report type",
+             ("type",), lambda: self.suppressed),
+            ("repro_cp_alert_transitions_total",
+             "alert raise/clear transitions per metric class",
+             ("metric", "transition"), lambda: Counter(
+                 (a.metric, "cleared" if a.cleared else "raised")
+                 for a in self.alerts.history)),
+        ], gauges=[
+            ("repro_cp_register_reads",
+             "runtime API register read calls issued by the control plane",
+             (), lambda: self.runtime.register_reads),
+            ("repro_cp_active_alerts", "alerts currently held active, per metric class",
+             ("metric",), lambda: {**dict.fromkeys((k.value for k in MetricKind), 0),
+                                   **Counter(a.metric for a in self.alerts.active_alerts)}),
+            ("repro_cp_degraded",
+             "1 while the control plane is in degraded reporting mode",
+             (), lambda: 1 if self.degraded else 0),
+        ])
 
     # -- lifecycle and the extraction schedule -------------------------------------
 
@@ -329,15 +330,11 @@ class MonitorControlPlane:
             # one bounded catch-up windowed over the true elapsed time.
             self.ticks_deferred[name] += 1
             self._deferred_pending.add(name)
-            if self._tel_cycle_ns is not None:
-                self._tel_deferred.labels(name).inc()
             self._arm(job)
             return
         if name in self._deferred_pending:
             self._deferred_pending.discard(name)
             self.catchup_ticks[name] += 1
-            if self._tel_cycle_ns is not None:
-                self._tel_catchup.labels(name).inc()
         prof = self._prof
         if prof is not None:
             prof.begin("cp.extract/" + name)
@@ -347,7 +344,6 @@ class MonitorControlPlane:
                 self._run_body(job)
                 self._tel_cycle_ns.labels(name).observe(
                     time.perf_counter_ns() - t0)
-                self._tel_cycles.labels(name).inc()
             else:
                 self._run_body(job)
         finally:
@@ -745,12 +741,9 @@ class MonitorControlPlane:
         flow.evicted = True
         self.monitor.release_slot(flow.slot)
 
-    def _collect_alerts(self, gauge) -> None:
-        counts = {kind.value: 0 for kind in MetricKind}
-        for alert in self.alerts.active_alerts:
-            counts[alert.metric] = counts.get(alert.metric, 0) + 1
-        for metric, n in counts.items():
-            gauge.labels(metric).set(n)
+    @property
+    def reports_suppressed(self) -> int:
+        return sum(self.suppressed.values())
 
     def _ship(self, report) -> None:
         """Put one report's row (a report of :mod:`repro.core.reports`)."""
@@ -763,9 +756,7 @@ class MonitorControlPlane:
         """Degraded mode: per-flow detail collapses to the aggregate
         stream (what default perfSONAR ships anyway) until the delivery
         path proves healthy again.  Counted by report type."""
-        self.reports_suppressed += count
-        if count and self._tel_cycle_ns is not None:
-            self._tel_suppressed.labels(name).inc(count)
+        self.suppressed[name] = self.suppressed.get(name, 0) + count
 
     def _send_each(self, rows: Iterable[Row]) -> None:
         if self.report_sink is not None:
@@ -775,7 +766,7 @@ class MonitorControlPlane:
     def _send(self, block: Block) -> None:
         """The one ``report_sink`` site.  Every Report_v1 row leads with
         its type."""
-        if self._tel_cycle_ns is not None:
+        if self._tel_reports is not None:
             for _, values in block:
                 self._tel_reports.labels(values[0]).inc()
         trace = self._trace

@@ -40,6 +40,20 @@ class P4Monitor:
         self.config.validate()
         self.sim = sim
         self.program = P4Program("perfsonar_monitor")
+        self.copies_ingress = 0
+        self.copies_egress = 0
+        # Registered before the pipeline's: a snapshot drains the batch
+        # buffer (the first read) before any stage tally is read.
+        telemetry.reads(self, gauges=[
+            ("repro_p4_tap_copies", "TAP mirror copies received by the monitor",
+             ("direction",), self._settled_copies),
+            ("repro_p4_register_ops", "data-plane register ALU operations",
+             ("register",), lambda: self._tallies("register_ops")),
+            ("repro_p4_sketch_ops", "count-min sketch operations",
+             ("sketch", "op"), lambda: self._tallies("sketch_ops")),
+            ("repro_p4_digests", "digest messages emitted/dropped by the data plane",
+             ("digest", "outcome"), lambda: self._tallies("digest_msgs")),
+        ])
         self.pipeline = P4Pipeline("monitor")
 
         self.flow_table = FlowTableStage(self.program, self.config)
@@ -59,10 +73,6 @@ class P4Monitor:
         for stage in (self.queue, self.microburst):
             self.pipeline.add_egress(stage)
 
-        self.copies_ingress = 0
-        self.copies_egress = 0
-        if telemetry.enabled():
-            self._register_telemetry()
         _prof = profiling.profiler()
         if _prof is not None:
             self._register_profiler_sources(_prof)
@@ -92,54 +102,25 @@ class P4Monitor:
     def _register_profiler_sources(self, prof) -> None:
         """Op-count sources for the PhaseReport, read lazily at report
         time — the register/sketch hot paths keep their plain-int
-        tallies untouched (same pull pattern as the telemetry
-        collector below)."""
-        prog = self.program
-
-        def tap_copies(mon=self) -> int:
-            # Read first (sources are read in registration order), so it
-            # settles the report: copies are counted at intake, the three
-            # tallies below only once the kernel ran — drain the batch
-            # buffer, as the telemetry collector does.
-            mon.flush()
-            return mon.copies_ingress + mon.copies_egress
-
-        prof.add_source("p4.tap_copies", tap_copies)
+        tallies untouched (the same reads telemetry takes)."""
+        prof.add_source("p4.tap_copies",
+                        lambda: sum(self._settled_copies().values()))
         for family in ("register_ops", "sketch_ops", "digest_msgs"):
-            prof.add_source("p4." + family, lambda p=prog, f=family: sum(
-                n for key, n in p.tallies().items() if key[0] == f))
+            prof.add_source("p4." + family,
+                            lambda f=family: sum(self._tallies(f).values()))
 
-    def _register_telemetry(self) -> None:
-        """Pull-style collection: hot paths keep their plain-int tallies
-        (TAP copies, register/sketch ops, digest emissions); a snapshot
-        copies them into gauges — after draining the batch buffer, so it
-        is never stale by the copies still waiting there."""
-        reg = telemetry.registry()
-        copies = reg.gauge("repro_p4_tap_copies",
-                           "TAP mirror copies received by the monitor",
-                           labels=("direction",))
-        # Keyed by P4Program.tallies() family.
-        ops = {
-            "register_ops": reg.gauge("repro_p4_register_ops",
-                                      "data-plane register ALU operations",
-                                      labels=("register",)),
-            "sketch_ops": reg.gauge("repro_p4_sketch_ops",
-                                    "count-min sketch operations",
-                                    labels=("sketch", "op")),
-            "digest_msgs": reg.gauge(
-                "repro_p4_digests",
-                "digest messages emitted/dropped by the data plane",
-                labels=("digest", "outcome")),
-        }
+    def _settled_copies(self) -> dict:
+        """TAP copies by direction, after draining the batch buffer:
+        copies are counted at intake, every other tally only once the
+        kernel ran them, so a reader that reads this first (sources and
+        collectors run in registration order) sees them agree."""
+        self.flush()
+        return {("ingress",): self.copies_ingress, ("egress",): self.copies_egress}
 
-        def collect(_reg, mon=self) -> None:
-            mon.flush()
-            copies.labels("ingress").set(mon.copies_ingress)
-            copies.labels("egress").set(mon.copies_egress)
-            for (family, *labels), n in mon.program.tallies().items():
-                ops[family].labels(*labels).set(n)
-
-        reg.add_collector(collect)
+    def _tallies(self, family: str) -> dict:
+        """One :meth:`P4Program.tallies` family, keyed by its labels."""
+        return {tuple(labels): n for (f, *labels), n
+                in self.program.tallies().items() if f == family}
 
     # -- TAP sink -------------------------------------------------------------
 

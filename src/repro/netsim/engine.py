@@ -126,43 +126,29 @@ class Simulator:
         if _prof is not None:
             _prof.bind_clock(self)
         self._prof = _prof if (_prof is not None and _prof.phases) else None
-        # Telemetry stays out of the event loop: counters are pushed once
-        # per run()/run_until() call, and queue depth is pulled at
-        # snapshot time by a collector (near-zero cost when disabled).
         # Provenance: components built around this simulator (ports,
         # links, switches, taps) pick up the tracer from here, so one
         # enable() before construction wires the whole topology.
         self.trace = provenance.tracer()
-        self._tel_events = None
-        if telemetry.enabled():
-            self._tel_events = telemetry.counter(
-                "repro_netsim_events_total", "events dispatched by the engine")
-            self._tel_depth = telemetry.histogram(
-                "repro_netsim_queue_depth", "event-queue depth sampled at "
-                "each run()/run_until() return", buckets=telemetry.SIZE_BUCKETS)
-            pending_gauge = telemetry.gauge(
-                "repro_netsim_pending_events", "live events still queued")
-            telemetry.registry().add_collector(
-                lambda _reg, sim=self: pending_gauge.set(sim.pending))
-            # Scheduler introspection (repro_sim_*): queue pressure the
-            # watch view surfaces.  The hwm counter is synced to the
-            # monotone queue_hwm attribute at collect time.
-            sim_pending = telemetry.gauge(
-                "repro_sim_pending_events",
-                "live events queued in the scheduler")
-            sim_hwm = telemetry.counter(
-                "repro_sim_event_queue_hwm",
-                "event-queue high-water mark (deepest queue seen)")
-            hwm_seen = [0]
-
-            def _sim_stats(_reg, sim=self) -> None:
-                sim_pending.set(sim.pending)
-                delta = sim.queue_hwm - hwm_seen[0]
-                if delta > 0:
-                    sim_hwm.inc(delta)
-                    hwm_seen[0] = sim.queue_hwm
-
-            telemetry.registry().add_collector(_sim_stats)
+        # Telemetry stays out of the event loop: a snapshot reads the
+        # event tally and the queue, and only the queue depth at each
+        # run()/run_until() return is observed where it happens.
+        self._tel_depth = telemetry.histogram(
+            "repro_netsim_queue_depth", "event-queue depth sampled at "
+            "each run()/run_until() return",
+            buckets=telemetry.SIZE_BUCKETS) if telemetry.enabled() else None
+        telemetry.reads(self, counters=[
+            ("repro_netsim_events_total", "events dispatched by the engine",
+             (), lambda: self._events_run),
+            # Scheduler introspection: the monotone high-water mark,
+            # also in the `watch` header line.
+            ("repro_sim_event_queue_hwm",
+             "event-queue high-water mark (deepest queue seen)",
+             (), lambda: self.queue_hwm),
+        ], gauges=[
+            ("repro_netsim_pending_events", "live events still queued",
+             (), lambda: self.pending),
+        ])
 
     # -- scheduling --------------------------------------------------------
 
@@ -313,8 +299,7 @@ class Simulator:
             # Folded in once per drain: per-event attribute stores are
             # measurable at this loop's call volume.
             self._events_run += executed
-            if self._tel_events is not None:
-                self._tel_events.inc(executed)
+            if self._tel_depth is not None:
                 self._tel_depth.observe(len(heap))
 
     def step(self) -> bool:

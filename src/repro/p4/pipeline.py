@@ -12,7 +12,8 @@ source would be organised into control blocks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import chain
 from typing import List, Optional
 
@@ -69,7 +70,8 @@ class P4Pipeline:
         self.ingress: List[PipelineStage] = []
         self.egress: List[PipelineStage] = []
         self.packets_in = 0
-        self.packets_dropped = 0
+        #: Drops by site: "parser" or the dropping stage's name.
+        self.drops: Counter = Counter()
         # The observer flags, read once here.  ``_trace`` also needs a
         # per-packet guard (only packets with a uid are traced).  The
         # profiler shows up as its cached ``p4.process`` cell, charged
@@ -79,41 +81,42 @@ class P4Pipeline:
         self._prof = prof if (prof is not None and prof.phases) else None
         self._proc_cell = (self._prof.cell("p4.process")
                            if self._prof is not None else None)
-        self._tel_stage_pkts = None
-        if telemetry.enabled():
-            self._tel_stage_pkts = telemetry.counter(
-                "repro_p4_stage_packets_total",
-                "packets entering each pipeline stage",
-                labels=("pipeline", "stage"))
-            self._tel_stage_drops = telemetry.counter(
-                "repro_p4_stage_drops_total",
-                "packets dropped by each stage (parser rejects included)",
-                labels=("pipeline", "stage"))
-            self._tel_latency = telemetry.histogram(
-                "repro_p4_packet_ns",
-                "wall-clock processing time per packet through the pipeline",
-                labels=("pipeline",)).labels(name)
-            self._tel_parser = self._tel_stage_pkts.labels(name, "parser")
-            self._tel_stage_cells: List = []
+        self._tel_latency = telemetry.histogram(
+            "repro_p4_packet_ns",
+            "wall-clock processing time per packet through the pipeline",
+            labels=("pipeline",)).labels(name) if telemetry.enabled() else None
+        telemetry.reads(self, counters=[
+            ("repro_p4_stage_packets_total", "packets entering each pipeline stage",
+             ("pipeline", "stage"), self._stage_packets),
+            ("repro_p4_stage_drops_total",
+             "packets dropped by each stage (parser rejects included)",
+             ("pipeline", "stage"),
+             lambda: {(name, site): n for site, n in self.drops.items()}),
+        ])
         # Subclasses overriding process() keep their override.
         if ((self._trace is not None or self._prof is not None
-             or self._tel_stage_pkts is not None)
+             or self._tel_latency is not None)
                 and type(self).process is P4Pipeline.process):
             self.process = self._process_observed
 
-    def _tel_stage(self, stage: PipelineStage) -> None:
-        self._tel_stage_cells.append(
-            self._tel_stage_pkts.labels(self.name, stage.name))
+    @property
+    def packets_dropped(self) -> int:
+        return sum(self.drops.values())
+
+    def _stage_packets(self) -> dict:
+        """Packets into each site (the parser, then the stages in order):
+        the intake less what the sites before it dropped."""
+        entered, out = self.packets_in, {}
+        for site in ("parser", *(s.name for s in chain(self.ingress, self.egress))):
+            out[self.name, site] = entered
+            entered -= self.drops[site]
+        return out
 
     def add_ingress(self, stage: PipelineStage) -> None:
         self.ingress.append(stage)
-        if self._tel_stage_pkts is not None:
-            self._tel_stage(stage)
 
     def add_egress(self, stage: PipelineStage) -> None:
         self.egress.append(stage)
-        if self._tel_stage_pkts is not None:
-            self._tel_stage(stage)
 
     def process(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
         """Run one packet through parse → ingress → egress.
@@ -127,35 +130,33 @@ class P4Pipeline:
         self.packets_in += 1
         hdr = self.parser.parse(packet)
         if hdr is None:
-            self.packets_dropped += 1
+            self.drops["parser"] += 1
             return None
         for stage in self.ingress:
             stage.process(hdr, meta)
             if meta.drop:
-                self.packets_dropped += 1
+                self.drops[stage.name] += 1
                 return None
         for stage in self.egress:
             stage.process(hdr, meta)
             if meta.drop:
-                self.packets_dropped += 1
+                self.drops[stage.name] += 1
                 return None
         return hdr
 
     def _process_observed(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
         """:meth:`process` with the live observers attached, in any
-        combination: telemetry feeds per-stage packet/drop counters and
-        the per-packet latency histogram; the profiler's ``p4.process``
-        cell is charged once per packet; the tracer opens the packet
-        context so the parser, every stage and the registers they touch
-        attribute their events to this packet.
+        combination: telemetry observes the per-packet latency; the
+        profiler's ``p4.process`` cell is charged once per packet; the
+        tracer opens the packet context so the parser, every stage and
+        the registers they touch attribute their events to this packet.
         """
-        tel = self._tel_stage_pkts is not None
-        cells = self._tel_stage_cells if tel else None
+        latency = self._tel_latency
         cell = self._proc_cell
         trace = self._trace
         if trace is not None and getattr(packet, "uid", None) is None:
             trace = None  # an untraced packet under a live tracer
-        t0 = _pcn() if (tel or cell is not None) else 0
+        t0 = _pcn() if (latency is not None or cell is not None) else 0
         rec = False
         if trace is not None:
             trace.begin_packet(packet, meta.ingress_timestamp_ns)
@@ -165,14 +166,10 @@ class P4Pipeline:
             rec = trace._ctx_rec
         try:
             self.packets_in += 1
-            if tel:
-                self._tel_parser.inc()
             hdr = self.parser.parse(packet)
             dropped_by = "parser" if hdr is None else None
             if hdr is not None:
-                for i, stage in enumerate(chain(self.ingress, self.egress)):
-                    if tel:
-                        cells[i].inc()
+                for stage in chain(self.ingress, self.egress):
                     if rec:
                         trace.event("p4", "stage", stage.name)
                     stage.process(hdr, meta)
@@ -183,11 +180,9 @@ class P4Pipeline:
                         hdr = None
                         break
             if dropped_by is not None:
-                self.packets_dropped += 1
-                if tel:
-                    self._tel_stage_drops.labels(self.name, dropped_by).inc()
-            if tel:
-                self._tel_latency.observe(_pcn() - t0)
+                self.drops[dropped_by] += 1
+            if latency is not None:
+                latency.observe(_pcn() - t0)
             return hdr
         finally:
             if trace is not None:
@@ -195,28 +190,24 @@ class P4Pipeline:
             if cell is not None:
                 self._prof.charge(cell, _pcn() - t0, 1)
 
-    def account_batch(self, copies: int, accepted: int, rejected: int,
+    def account_batch(self, copies: int, rejected: int,
                       t0_ns: int, t1_ns: int) -> None:
         """One batched-kernel flush's worth of :meth:`process`
         bookkeeping: ``copies`` went through the parser, which rejected
-        ``rejected`` of them; the ``accepted`` rest ran every stage (no
-        stage drops); the whole flush took wall ``t0_ns..t1_ns``.
+        ``rejected`` of them; the rest ran every stage (no stage drops);
+        the whole flush took wall ``t0_ns..t1_ns``.
 
-        Feeds the cells :meth:`_process_observed` feeds per packet.
-        ``repro_p4_packet_ns`` gets the flush's per-copy mean once per
-        copy, and the profiler's ``p4.process`` cell gets the flush's
-        wall time with ``copies`` events, so both counts still equal
-        copies processed.
+        Feeds the tallies :meth:`process` keeps per packet.  On this
+        path ``repro_p4_packet_ns`` records each copy at the flush's
+        per-copy mean (its buckets describe flushes, not packets), and
+        the profiler's ``p4.process`` cell gets the flush's wall time
+        with ``copies`` events, so both counts still equal copies
+        processed.
         """
         self.packets_in += copies
-        self.packets_dropped += rejected
+        if rejected:
+            self.drops["parser"] += rejected
         if self._proc_cell is not None:
             self._prof.charge(self._proc_cell, t1_ns - t0_ns, copies)
-        if self._tel_stage_pkts is None:
-            return
-        self._tel_parser.inc(copies)
-        if rejected:
-            self._tel_stage_drops.labels(self.name, "parser").inc(rejected)
-        for cell in self._tel_stage_cells:
-            cell.inc(accepted)
-        self._tel_latency.observe_n((t1_ns - t0_ns) / copies, copies)
+        if self._tel_latency is not None:
+            self._tel_latency.observe_n((t1_ns - t0_ns) / copies, copies)

@@ -44,20 +44,22 @@ class Archiver:
         self._trace = provenance.tracer()
         _prof = profiling.profiler()
         self._prof = _prof if (_prof is not None and _prof.phases) else None
-        self._tel_records = None
+        # A record's field count is observed as it arrives; the record
+        # count is that histogram's count.
+        self._tel_fields = None
         if telemetry.enabled():
-            self._tel_records = telemetry.counter(
-                "repro_archiver_records_total",
-                "records shipped into the archiver by the control plane")
-            self._tel_batch = telemetry.histogram(
-                "repro_archiver_record_fields",
-                "field count per archived record",
+            self._tel_fields = telemetry.histogram(
+                "repro_archiver_record_fields", "field count per archived record",
                 buckets=telemetry.SIZE_BUCKETS)
-            docs_gauge = telemetry.gauge(
-                "repro_archiver_documents_written",
-                "documents the OpenSearch output plugin has indexed")
-            telemetry.registry().add_collector(
-                lambda _reg, out=self.output: docs_gauge.set(out.documents_written))
+            telemetry.registry().counter_of(
+                "repro_archiver_records_total",
+                "records shipped into the archiver by the control plane",
+                self._tel_fields)
+        telemetry.reads(self, gauges=[
+            ("repro_archiver_documents_written",
+             "documents the OpenSearch output plugin has indexed",
+             (), lambda: self.output.documents_written),
+        ])
 
     def sink(self, block: Block) -> None:
         """The control-plane report sink: one block of Report_v1 rows."""
@@ -70,10 +72,9 @@ class Archiver:
                     self._trace.report_event(
                         "archiver", "archive", self.index_prefix,
                         doc_type=row_field(row, "type"))
-            if self._tel_records is not None:
-                self._tel_records.inc(len(block))
+            if self._tel_fields is not None:
                 for keys, _ in block:
-                    self._tel_batch.observe(len(keys))
+                    self._tel_fields.observe(len(keys))
             self.tcp_input.ingest(block)
         finally:
             if prof is not None:

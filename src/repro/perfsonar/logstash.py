@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from functools import partial
 from itertools import compress
 from operator import itemgetter
@@ -63,16 +64,16 @@ class LogstashPipeline:
         self._trace = provenance.tracer()
         _prof = profiling.profiler()
         self._prof = _prof if (_prof is not None and _prof.phases) else None
-        self._tel_events = None
-        if telemetry.enabled():
-            self._tel_events = telemetry.counter(
-                "repro_logstash_events_total",
-                "events through the Logstash pipeline, by outcome",
-                labels=("pipeline", "outcome"))
-            self._tel_filter_ns = telemetry.histogram(
-                "repro_logstash_filter_ns",
-                "wall-clock time spent in the filter chain per block",
-                labels=("pipeline",)).labels(name)
+        self._tel_filter_ns = telemetry.histogram(
+            "repro_logstash_filter_ns",
+            "wall-clock time spent in the filter chain per block",
+            labels=("pipeline",)).labels(name) if telemetry.enabled() else None
+        telemetry.reads(self, counters=[
+            ("repro_logstash_events_total",
+             "events through the Logstash pipeline, by outcome",
+             ("pipeline", "outcome"), lambda: {(name, "shipped"): self.events_out,
+                                               (name, "dropped"): self.events_dropped}),
+        ])
 
     def add_filter(self, fn: FilterFn) -> None:
         self.filters.append(fn)
@@ -89,8 +90,8 @@ class LogstashPipeline:
         try:
             events = len(block)
             self.events_in += events
-            tel = self._tel_events
-            t0 = time.perf_counter_ns() if tel is not None else 0
+            filter_ns = self._tel_filter_ns
+            t0 = time.perf_counter_ns() if filter_ns is not None else 0
             rows = block
             for fn in self.filters:
                 rows = fn(rows)
@@ -104,16 +105,12 @@ class LogstashPipeline:
                 for row in seen:
                     trace.report_event("archiver", kind, self.name,
                                        doc_type=row_field(row, "type"))
-            if tel is not None:
-                self._tel_filter_ns.observe(time.perf_counter_ns() - t0)
-                if dropped:
-                    tel.labels(self.name, "dropped").inc(dropped)
-                if rows:
-                    tel.labels(self.name, "shipped").inc(len(rows))
+            if filter_ns is not None:
+                filter_ns.observe(time.perf_counter_ns() - t0)
             if rows:
+                self.events_out += len(rows)
                 for out in self.outputs:
                     out(rows)
-                self.events_out += len(rows)
             return rows
         finally:
             if prof is not None:
@@ -140,18 +137,14 @@ class TcpInputPlugin:
         self.messages = 0
         self.malformed = 0
         self._faults = faults.injector()   # None without a chaos injector
-        self._tel_malformed = None
-        if telemetry.enabled():
-            self._tel_malformed = telemetry.counter(
-                "repro_logstash_malformed_total",
-                "malformed/truncated report lines dropped by the TCP "
-                "input, per pipeline",
-                labels=("pipeline",)).labels(pipeline.name)
+        telemetry.reads(self, counters=[
+            ("repro_logstash_malformed_total",
+             "malformed/truncated report lines dropped by the TCP input, "
+             "per pipeline", {"pipeline": pipeline.name}, lambda: self.malformed),
+        ])
 
     def _drop_malformed(self, reason: str) -> None:
         self.malformed += 1
-        if self._tel_malformed is not None:
-            self._tel_malformed.inc()
 
     def _check_stalled(self) -> None:
         if self._faults is not None and self._faults.logstash_stalled():
@@ -228,12 +221,11 @@ class OpenSearchOutputPlugin:
         self._index_at: Dict[tuple, Optional[int]] = Learned(
             partial(_plan, index_field, dedup is not None, self._envelopes))
         self._names: Dict[Any, str] = Learned(partial("{}-{}".format, index_prefix))
-        self._tel_duplicates = None
-        if telemetry.enabled():
-            self._tel_duplicates = telemetry.counter(
-                "repro_archiver_duplicates_total",
-                "redelivered reports dropped by archiver-side sequence "
-                "dedup")
+        telemetry.reads(self, counters=[
+            ("repro_archiver_duplicates_total",
+             "redelivered reports dropped by archiver-side sequence dedup",
+             (), lambda: self.duplicates_dropped),
+        ])
 
     def __call__(self, block: Block) -> None:
         index_at, names = self._index_at, self._names
@@ -264,8 +256,6 @@ class OpenSearchOutputPlugin:
         keep = [verdicts[key] for key in keys]
         dropped = len(keep) - sum(keep)
         self.duplicates_dropped += dropped
-        if self._tel_duplicates is not None:
-            self._tel_duplicates.inc(dropped)
         return list(compress(block, keep)), list(compress(indices, keep)), fresh
 
 
@@ -321,19 +311,18 @@ class AggregateTestFilter:
     """
 
     def __init__(self) -> None:
-        self.collapsed = 0
-        self._tel_aggregated = None
-        if telemetry.enabled():
-            self._tel_aggregated = telemetry.counter(
-                "repro_logstash_aggregated_total",
-                "interval-sample sets collapsed to summary statistics by "
-                "the default-perfSONAR aggregation filter, per test type",
-                labels=("type",))
+        #: Sample sets collapsed, by test type.
+        self.collapsed_by_type: Counter = Counter()
+        telemetry.reads(self, counters=[
+            ("repro_logstash_aggregated_total",
+             "interval-sample sets collapsed to summary statistics by the "
+             "default-perfSONAR aggregation filter, per test type", ("type",),
+             lambda: self.collapsed_by_type),
+        ])
 
-    def _count(self, etype: str) -> None:
-        self.collapsed += 1
-        if self._tel_aggregated is not None:
-            self._tel_aggregated.labels(etype).inc()
+    @property
+    def collapsed(self) -> int:
+        return sum(self.collapsed_by_type.values())
 
     def __call__(self, block: Block) -> Block:
         return [self._collapse(row)
@@ -347,7 +336,7 @@ class AggregateTestFilter:
             values = [s["throughput_bps"] for s in event["intervals"]]
             out = {k: v for k, v in event.items() if k != "intervals"}
             out["value"] = sum(values) / len(values) if values else 0.0
-            self._count(etype)
+            self.collapsed_by_type[etype] += 1
             return document_row(out)
         if etype == "rtt" and "samples_ms" in event:
             samples = event["samples_ms"]
@@ -356,6 +345,6 @@ class AggregateTestFilter:
                 out["min_ms"] = min(samples)
                 out["max_ms"] = max(samples)
                 out["mean_ms"] = sum(samples) / len(samples)
-            self._count(etype)
+            self.collapsed_by_type[etype] += 1
             return document_row(out)
         return row

@@ -15,6 +15,7 @@ degrade/restore cycle actually happened.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from enum import Enum
 from typing import Callable, List, Tuple
 
@@ -59,18 +60,14 @@ class CircuitBreaker:
         self._probes_available = 0
         self._open_until_ns = 0
 
-        self._tel_transitions = None
-        if telemetry.enabled():
-            self._tel_transitions = telemetry.counter(
-                "repro_breaker_transitions_total",
-                "circuit-breaker state transitions, by target state",
-                labels=("to",))
-            state_gauge = telemetry.gauge(
-                "repro_breaker_state",
-                "breaker state (0 closed, 1 half-open, 2 open)")
-            telemetry.registry().add_collector(
-                lambda _reg, b=self, g=state_gauge: g.set(
-                    _STATE_LEVEL[b.state]))
+        telemetry.reads(self, counters=[
+            ("repro_breaker_transitions_total",
+             "circuit-breaker state transitions, by target state", ("to",),
+             lambda: Counter(new.value for _, _, new in self.transitions)),
+        ], gauges=[
+            ("repro_breaker_state", "breaker state (0 closed, 1 half-open, 2 open)",
+             (), lambda: _STATE_LEVEL[self.state]),
+        ])
 
     def add_listener(self, listener: TransitionListener) -> None:
         self._listeners.append(listener)
@@ -83,8 +80,6 @@ class CircuitBreaker:
         self.transitions.append((now_ns, old, new))
         log.info("breaker %s -> %s at t=%.3fs", old.value, new.value,
                  now_ns / 1e9)
-        if self._tel_transitions is not None:
-            self._tel_transitions.labels(new.value).inc()
         for listener in self._listeners:
             listener(now_ns, old, new)
 
@@ -153,6 +148,7 @@ class CircuitBreaker:
         self.transitions = [
             (int(ns), BreakerState(old), BreakerState(new))
             for ns, old, new in state["transitions"]]
+        telemetry.registry().rebase(self)
 
     # -- introspection ---------------------------------------------------------
 

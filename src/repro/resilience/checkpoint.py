@@ -269,7 +269,8 @@ def restore_control_plane(cp, doc: dict) -> None:
         {k: int(v) for k, v in sec["ticks_deferred"].items()})
     cp.catchup_ticks.update(
         {k: int(v) for k, v in sec["catchup_ticks"].items()})
-    cp.reports_suppressed = int(sec["reports_suppressed"])
+    # The document keeps the total; types count from this incarnation on.
+    cp.suppressed = {"restored": int(sec["reports_suppressed"])}
     cp.set_degraded(bool(sec["degraded"]),
                     interval_scale=max(1.0, float(sec["interval_scale"])))
 
@@ -341,6 +342,8 @@ def restore_control_plane(cp, doc: dict) -> None:
         f._pending = [tuple(item) for item in fsec["pending"]]
         f.latest = (None if fsec["latest"] is None
                     else _decode_report(fsec["latest"]))
+    # The dead incarnation counted what it restored: this one counts on.
+    telemetry.registry().rebase(cp)
 
 
 def restore_dataplane(program, doc: dict) -> str:
@@ -463,18 +466,15 @@ class CheckpointManager:
         self.skipped = 0
         self.last_path: Optional[str] = None
         self.last_time_ns: Optional[int] = None
-        self._last_capture_ns: Optional[int] = None
         self._dedup = None
-        self._tel_captures = None
-        if telemetry.enabled():
-            self._tel_captures = telemetry.counter(
-                "repro_checkpoints_total",
-                "checkpoint documents captured and written")
-            age_gauge = telemetry.gauge(
-                "repro_checkpoint_last_time_ns",
-                "sim timestamp of the newest checkpoint (0 = none yet)")
-            telemetry.registry().add_collector(
-                lambda _reg, m=self, g=age_gauge: g.set(m.last_time_ns or 0))
+        telemetry.reads(self, counters=[
+            ("repro_checkpoints_total", "checkpoint documents captured and written",
+             (), lambda: self.captures),
+        ], gauges=[
+            ("repro_checkpoint_last_time_ns",
+             "sim timestamp of the newest checkpoint (0 = none yet)",
+             (), lambda: self.last_time_ns or 0),
+        ])
 
     def attach_dedup(self, dedup) -> None:
         """Fold the archiver's SequenceDedup books into every capture
@@ -491,8 +491,8 @@ class CheckpointManager:
         the *calling* control plane as argument."""
         now = cp.sim.now
         if (self.min_interval_ns
-                and self._last_capture_ns is not None
-                and now - self._last_capture_ns < self.min_interval_ns):
+                and self.last_time_ns is not None
+                and now - self.last_time_ns < self.min_interval_ns):
             self.skipped += 1
             return
         self.capture(cp)
@@ -501,11 +501,8 @@ class CheckpointManager:
         doc = capture_checkpoint(cp, dedup=self._dedup, seq=self.seq)
         self.last_path = self.store.write(doc)
         self.last_time_ns = doc["time_ns"]
-        self._last_capture_ns = doc["time_ns"]
         self.seq += 1
         self.captures += 1
-        if self._tel_captures is not None:
-            self._tel_captures.inc()
         return self.last_path
 
 

@@ -18,7 +18,7 @@ archiver's TCP input, a drop-in report sink whose unit is the block:
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
@@ -130,24 +130,23 @@ class ResilientShipper:
         self.dead_letters_redelivered = 0
         self.skewed_total = 0
         self.spool_high_watermark = 0
+        #: Attempts that did not ack, by outcome ("breaker-open",
+        #: "deferred", "error"); this incarnation's only.
+        self.unacked_attempts: Counter = Counter()
 
-        self._tel_attempts = None
-        if telemetry.enabled():
-            self._tel_attempts = telemetry.counter(
-                "repro_delivery_attempts_total",
-                "block delivery attempts, by outcome",
-                labels=("outcome",))
-            self._tel_dead = telemetry.counter(
-                "repro_delivery_dead_letters_total",
-                "blocks moved to the dead-letter buffer on spool overflow")
-            spool_gauge = telemetry.gauge(
-                "repro_delivery_spool_depth",
-                "blocks waiting in the shipper's redelivery spool")
-            dead_gauge = telemetry.gauge(
-                "repro_delivery_dead_letter_depth",
-                "blocks parked in the dead-letter buffer")
-            telemetry.registry().add_collector(lambda _reg, s=self: (
-                spool_gauge.set(len(s._spool)), dead_gauge.set(len(s.dead_letters))))
+        telemetry.reads(self, counters=[
+            ("repro_delivery_attempts_total", "block delivery attempts, by outcome",
+             ("outcome",), lambda: {"acked": self.acked_total, **self.unacked_attempts}),
+            ("repro_delivery_dead_letters_total",
+             "blocks moved to the dead-letter buffer on spool overflow",
+             (), lambda: self.spool_overflow_total),
+        ], gauges=[
+            ("repro_delivery_spool_depth",
+             "blocks waiting in the shipper's redelivery spool",
+             (), lambda: len(self._spool)),
+            ("repro_delivery_dead_letter_depth", "blocks parked in the dead-letter buffer",
+             (), lambda: len(self.dead_letters)),
+        ])
 
     # -- the report-sink interface ---------------------------------------------
 
@@ -182,8 +181,7 @@ class ResilientShipper:
         breaker = self.breaker
         now = self.sim.now
         if breaker is not None and not breaker.allow(now):
-            if self._tel_attempts is not None:
-                self._tel_attempts.labels("breaker-open").inc()
+            self.unacked_attempts["breaker-open"] += 1
             raise BreakerOpen("circuit breaker open")
         try:
             self.transport(rows)
@@ -192,30 +190,24 @@ class ResilientShipper:
             # the probe it lent, and nothing else.
             if breaker is not None:
                 breaker.record_deferred(now)
-            if self._tel_attempts is not None:
-                self._tel_attempts.labels("deferred").inc()
+            self.unacked_attempts["deferred"] += 1
             raise
         except DeliveryError:
             if breaker is not None:
                 breaker.record_failure(now)
-            if self._tel_attempts is not None:
-                self._tel_attempts.labels("error").inc()
+            self.unacked_attempts["error"] += 1
             raise
         if breaker is not None:
             breaker.record_success(now)
         envelope = rows[0][1]
         self.acked_keys[envelope[-1], envelope[-2]] = len(rows)
         self.acked_total += 1
-        if self._tel_attempts is not None:
-            self._tel_attempts.labels("acked").inc()
 
     def _enqueue(self, rows: Block, attempts: int = 0,
                  not_before_ns: int = 0) -> None:
         cfg = self.config
         if len(self._spool) >= cfg.spool_limit:
             self.spool_overflow_total += 1
-            if self._tel_attempts is not None:
-                self._tel_dead.inc()
             self.dead_letters.append(rows)
             if len(self.dead_letters) > cfg.dead_letter_limit:
                 self.dead_letter_evicted_rows += len(self.dead_letters.pop(0))
@@ -346,6 +338,7 @@ class ResilientShipper:
         for name in _COUNTERS:
             setattr(self, name, int(counters[name]))
         self._rng.setstate(_rng_from_jsonable(state["rng_state"]))
+        telemetry.registry().rebase(self)
         self.close()
         self._arm_retry()
 

@@ -80,20 +80,17 @@ class FaultInjector:
         # adding a new site never perturbs existing draws.
         self._transport_rng = random.Random(f"chaos:{schedule.seed}:transport")
         self.injections: Dict[str, int] = {}
-        self._tel_injections = None
-        if telemetry.enabled():
-            self._tel_injections = telemetry.counter(
-                "repro_faults_injected_total",
-                "fault decisions taken by the active injector, per kind",
-                labels=("kind",))
+        telemetry.reads(self, counters=[
+            ("repro_faults_injected_total",
+             "fault decisions taken by the active injector, per kind",
+             ("kind",), lambda: self.injections),
+        ])
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
         self._clock = clock
 
     def _count(self, kind: str) -> None:
         self.injections[kind] = self.injections.get(kind, 0) + 1
-        if self._tel_injections is not None:
-            self._tel_injections.labels(kind).inc()
 
     # -- window-gated decisions ------------------------------------------------
 

@@ -94,23 +94,17 @@ class Supervisor:
         self._restart_at_ns: Optional[int] = None
         self._timer = sim.every(self.policy.probe_interval_ns, self._probe)
 
-        self._tel_restarts = None
-        if telemetry.enabled():
-            self._tel_restarts = telemetry.counter(
-                "repro_cp_restarts_total",
-                "control-plane restarts performed by the supervisor")
-            up_gauge = telemetry.gauge(
-                "repro_cp_up", "1 while a control-plane stack is running")
-            telemetry.registry().add_collector(
-                lambda _reg, s=self, g=up_gauge: g.set(
-                    1 if s.stack is not None else 0))
-            if manager is not None:
-                age_gauge = telemetry.gauge(
-                    "repro_checkpoint_age_ns",
-                    "sim-time age of the newest checkpoint")
-                telemetry.registry().add_collector(
-                    lambda _reg, s=self, g=age_gauge: g.set(
-                        s.manager.age_ns(s.sim.now) or 0))
+        telemetry.reads(self, counters=[
+            ("repro_cp_restarts_total",
+             "control-plane restarts performed by the supervisor",
+             (), lambda: self.restarts),
+        ], gauges=[
+            ("repro_cp_up", "1 while a control-plane stack is running",
+             (), lambda: 1 if self.stack is not None else 0),
+        ] + ([] if manager is None else [
+            ("repro_checkpoint_age_ns", "sim-time age of the newest checkpoint",
+             (), lambda: self.manager.age_ns(self.sim.now) or 0),
+        ]))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -165,8 +159,6 @@ class Supervisor:
         incarnation = self.restarts + 1
         stack = self.start_fn(incarnation)
         self.restarts += 1
-        if self._tel_restarts is not None:
-            self._tel_restarts.inc()
         log.info("control plane restarted at t=%.3fs (incarnation r%d)",
                  now / 1e9, incarnation)
         if (self.escalate_fn is not None

@@ -60,23 +60,18 @@ class ExtractionWatchdog:
         self.skew_suppressed = 0
         self._faults = faults.injector()
         self._timer = sim.every(check_interval_ns, self._check)
-        self._tel_stalls = None
-        self._tel_skew_suppressed = None
-        if telemetry.enabled():
-            self._tel_stalls = telemetry.counter(
-                "repro_watchdog_stalls_total",
-                "extraction-tick stall episodes detected, per extraction job",
-                labels=("metric",))
-            self._tel_skew_suppressed = telemetry.counter(
-                "repro_watchdog_skew_suppressed_total",
-                "stall verdicts that would have fired on the skewed "
-                "wall clock but not on the monotonic clock")
-            stalled_gauge = telemetry.gauge(
-                "repro_watchdog_stalled_metrics",
-                "metric classes currently past their stall deadline")
-            telemetry.registry().add_collector(
-                lambda _reg, w=self, g=stalled_gauge: g.set(
-                    len(w._stalled_now)))
+        telemetry.reads(self, counters=[
+            ("repro_watchdog_stalls_total",
+             "extraction-tick stall episodes detected, per extraction job",
+             ("metric",), lambda: self.stalls),
+            ("repro_watchdog_skew_suppressed_total",
+             "stall verdicts that would have fired on the skewed wall clock "
+             "but not on the monotonic clock", (), lambda: self.skew_suppressed),
+        ], gauges=[
+            ("repro_watchdog_stalled_metrics",
+             "metric classes currently past their stall deadline",
+             (), lambda: len(self._stalled_now)),
+        ])
 
     def _deadline_ns(self, job) -> int:
         scale = self.control_plane.interval_scale
@@ -93,14 +88,10 @@ class ExtractionWatchdog:
             deadline = self._deadline_ns(job)
             if skew and now - last <= deadline and (now + skew) - last > deadline:
                 self.skew_suppressed += 1
-                if self._tel_skew_suppressed is not None:
-                    self._tel_skew_suppressed.inc()
             if now - last > deadline:
                 if name not in self._stalled_now:
                     self._stalled_now.add(name)
                     self.stalls[name] += 1
-                    if self._tel_stalls is not None:
-                        self._tel_stalls.labels(name).inc()
                     log.warning(
                         "extraction stall: %s last ticked %.3fs ago at "
                         "t=%.3fs", name, (now - last) / 1e9, now / 1e9)

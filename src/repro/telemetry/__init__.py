@@ -3,11 +3,13 @@
 The system reproduced here is itself a telemetry instrument; this
 package watches the instrument.  One process-global
 :class:`~repro.telemetry.metrics.MetricsRegistry` hangs off this module,
-**disabled by default**: instrumented components test :func:`enabled` once at
-construction and cache the result, so the disabled hot path costs at
-most a single ``is None`` check — the pipeline traversal none at all,
-which tests/p4/test_pipeline_binding.py pins (the enabled end-to-end
-budget is ``benchmarks/test_telemetry_overhead.py``).
+**disabled by default**.  A count lives once, in the tally its
+component keeps anyway: the component registers reads of it at
+construction with :func:`reads` (a no-op while off) and a snapshot
+reads it.  Only a value that exists at one instant (a latency, a size)
+is observed where it happens, through a handle cached at construction
+that is ``None`` when off (the enabled end-to-end budget is
+``benchmarks/test_telemetry_overhead.py``).
 
 Typical use::
 
@@ -31,14 +33,15 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.telemetry.export import render_table, to_json, to_prometheus_text
-from repro.telemetry.metrics import SIZE_BUCKETS, MetricFamily, MetricsRegistry
+from repro.telemetry.metrics import (SIZE_BUCKETS, MetricFamily, MetricsRegistry,
+                                     TallyReads)
 
 # What other packages reach through ``repro.telemetry`` (pinned by
 # tests/test_public_surface.py); the flight recorder, profiler and
 # provenance tracer are imported as submodules by whoever uses them.
 __all__ = [
     "enable", "disable", "enabled", "registry", "reset", "snapshot",
-    "counter", "gauge", "histogram", "SIZE_BUCKETS",
+    "reads", "counter", "histogram", "SIZE_BUCKETS",
     "render_table", "to_json", "to_prometheus_text",
 ]
 
@@ -67,23 +70,28 @@ def registry() -> MetricsRegistry:
 
 
 def reset() -> None:
-    """Fresh registry (tests).  Keeps the enabled flag, drops every
-    family, collector and any component-cached handle's backing —
-    components built before the reset keep writing into the old,
-    now-unreachable registry."""
+    """Fresh registry (tests).  Keeps the enabled flag and drops every
+    family and collector: components built before the reset are no
+    longer read, and their cached observation handles write into the
+    old, now-unreachable registry."""
     global _registry
     _registry = MetricsRegistry()
 
 
-# -- convenience pass-throughs to the global registry ----------------------
+# -- what components call ----------------------------------------------------
+
+
+def reads(owner: object, counters: Sequence[tuple] = (),
+          gauges: Sequence[tuple] = ()) -> None:
+    """Register ``owner``'s families as reads of the tallies it keeps
+    (:class:`~repro.telemetry.metrics.TallyReads`); a no-op while
+    telemetry is off."""
+    if _enabled:
+        _registry.add_collector(TallyReads(_registry, owner, counters, gauges))
 
 
 def counter(name: str, help: str = "", labels: Sequence[str] = ()) -> MetricFamily:
     return _registry.counter(name, help, labels)
-
-
-def gauge(name: str, help: str = "", labels: Sequence[str] = ()) -> MetricFamily:
-    return _registry.gauge(name, help, labels)
 
 
 def histogram(name: str, help: str = "", labels: Sequence[str] = (),
@@ -91,5 +99,5 @@ def histogram(name: str, help: str = "", labels: Sequence[str] = (),
     return _registry.histogram(name, help, labels, buckets=buckets)
 
 
-def snapshot(collect: bool = True) -> dict:
-    return _registry.snapshot(collect=collect)
+def snapshot() -> dict:
+    return _registry.snapshot()

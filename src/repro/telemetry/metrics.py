@@ -17,16 +17,19 @@ names → one child per label-value combination).  Child lookup is a dict
 hit on a tuple; cardinality is capped so a runaway label (e.g. a flow ID
 used as a label value) fails loudly instead of eating memory.
 
-The registry itself is dumb on purpose: components own their hot
-counters; pull-style collectors registered with
-:meth:`MetricsRegistry.add_collector` copy component-local tallies into
-gauges only when a snapshot is taken.
+The registry itself is dumb on purpose: components own their counts.
+A component registers :class:`TallyReads` (a collector, through
+:meth:`MetricsRegistry.add_collector`) once, at construction, and a
+snapshot reads the tallies it already keeps: a gauge takes the tally, a
+counter advances by the tally's delta since the last collect.  Only
+values that exist at one instant (a latency, a depth at a drain) are
+observed where they happen.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -34,6 +37,7 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
+    "TallyReads",
     "TelemetryError",
     "LATENCY_BUCKETS_NS",
     "SIZE_BUCKETS",
@@ -298,6 +302,63 @@ class MetricFamily:
         }
 
 
+class TallyReads:
+    """One component's families, read off the tallies it keeps.
+
+    Each read is ``(name, help, labels, read)``: ``read()`` returns
+    ``{label values: tally}`` (a lone label value may stand alone), or
+    one number, whose label values ``labels`` gives as ``{name: value}``.
+    A collector: at each collect a gauge takes its tally, and a counter
+    advances by its tally's delta since the last collect, so instances
+    feeding one registry sum.  A read of one number has its series from
+    registration (as a label-less family does); a read of a mapping
+    creates each series on its first positive delta.  ``owner`` names
+    the component for :meth:`MetricsRegistry.rebase`.
+    """
+
+    __slots__ = ("owner", "_reads", "_last")
+
+    def __init__(self, registry: "MetricsRegistry", owner: object,
+                 counters: Sequence[tuple] = (), gauges: Sequence[tuple] = ()) -> None:
+        self.owner = owner
+        self._reads = []
+        for kind, reads in (("counter", counters), ("gauge", gauges)):
+            for name, help, labels, read in reads:
+                fam = registry._family(name, kind, help, tuple(labels))
+                one = tuple(labels.values()) if isinstance(labels, Mapping) else ()
+                if len(one) == len(fam.label_names):  # a read of one number
+                    fam.labels(*one)
+                self._reads.append((fam, one, read))
+        self._last: Dict[tuple, float] = {}
+        self.rebase()
+
+    def _values(self, kinds=("counter", "gauge")):
+        for fam, one, read in self._reads:
+            if fam.kind not in kinds:
+                continue
+            values = read()
+            if not isinstance(values, Mapping):
+                values = {one: values}
+            for key, value in values.items():
+                yield fam, key if isinstance(key, tuple) else (key,), value
+
+    def rebase(self) -> None:
+        """Take the counters' tallies as counted already (a component
+        restored from a checkpoint brings its dead incarnation's)."""
+        for fam, key, value in self._values(("counter",)):
+            self._last[fam.name, key] = value
+
+    def __call__(self, _registry: "MetricsRegistry") -> None:
+        for fam, key, value in self._values():
+            if fam.kind == "gauge":
+                fam.labels(*key).set(value)
+                continue
+            last = self._last.get((fam.name, key), 0)
+            if value > last:
+                fam.labels(*key).inc(value - last)
+            self._last[fam.name, key] = value
+
+
 class MetricsRegistry:
     """Named families + pull collectors.  ``snapshot()`` is the only
     read path: it runs every collector, then dumps all families to a
@@ -340,9 +401,25 @@ class MetricsRegistry:
     # -- pull-style collection --------------------------------------------
 
     def add_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:
-        """``fn(registry)`` runs at every snapshot — the place to copy a
-        component's cheap local tallies into gauges."""
+        """``fn(registry)`` runs at every collect, in registration order
+        — the place to read a component's own tallies."""
         self._collectors.append(fn)
+
+    def counter_of(self, name: str, help: str, hist: MetricFamily) -> None:
+        """A counter family that is ``hist``'s observation count, series
+        by series.  Registering it again changes nothing: one mirror per
+        registry, however many components feed ``hist``."""
+        if name not in self._families:
+            self.add_collector(TallyReads(self, hist, counters=[(
+                name, help, hist.label_names,
+                lambda: {labels: child.count for labels, child in hist.series()})]))
+
+    def rebase(self, *owners: object) -> None:
+        """Every :class:`TallyReads` of ``owners`` takes its counters'
+        tallies as counted already (call it after a restore)."""
+        for fn in self._collectors:
+            if isinstance(fn, TallyReads) and any(fn.owner is o for o in owners):
+                fn.rebase()
 
     def collect(self) -> None:
         for fn in self._collectors:
@@ -350,9 +427,9 @@ class MetricsRegistry:
 
     # -- read/maintenance ---------------------------------------------------
 
-    def snapshot(self, collect: bool = True) -> dict:
-        if collect:
-            self.collect()
+    def snapshot(self) -> dict:
+        """Collect, then dump every family."""
+        self.collect()
         return {"metrics": [f.dump() for f in
                             sorted(self._families.values(), key=lambda f: f.name)]}
 

@@ -21,7 +21,7 @@ True/False), runs both, and compares
 - when telemetry is enabled, what each run added to
   ``repro_p4_stage_packets_total``, ``repro_p4_stage_drops_total`` and
   the ``count`` of ``repro_p4_packet_ns`` (the kernel's per-batch record
-  against the scalar twin's per-packet increments).
+  against the scalar twin's per-packet observations).
 
 Used by ``tests/validation/test_batch_equivalence.py`` and by
 ``repro-experiments validate --compare-paths``.
@@ -37,8 +37,8 @@ import numpy as np
 from repro import telemetry
 from repro.validation.scenarios import ScenarioSpec, ValidationRun
 
-#: The pipeline's push-style telemetry families (counter value, or
-#: histogram count, per label set).
+#: The pipeline's telemetry families (counter value, or histogram count,
+#: per label set).
 _TEL_FAMILIES = ("repro_p4_stage_packets_total", "repro_p4_stage_drops_total",
                  "repro_p4_packet_ns")
 
@@ -114,9 +114,10 @@ def _op_tallies(run: ValidationRun) -> Dict[str, int]:
 
 
 def _pipeline_telemetry() -> Dict[tuple, float]:
-    """(family, label values) -> total for the pipeline's push-style
-    cells.  Both runs feed one process-global registry under the same
-    labels, so callers take a run's contribution as a difference."""
+    """(family, label values) -> total for the pipeline's families, as
+    of a collect.  Both runs feed one process-global registry under the
+    same labels, so callers take a run's contribution as a difference."""
+    telemetry.registry().collect()
     out: Dict[tuple, float] = {}
     for name in _TEL_FAMILIES:
         fam = telemetry.registry().get(name)

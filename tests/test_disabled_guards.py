@@ -153,3 +153,21 @@ def test_without_a_manager_a_round_of_ticks_captures_nothing(monkeypatch,
         checkpoint.uninstall_manager()
     assert calls["capture"] == calls["on_tick"] >= 6
 
+
+
+def test_telemetry_off_registers_nothing():
+    """Off, telemetry costs nothing at construction either: a report
+    path and a crash chaos run leave the registry without a family or a
+    collector (every read is registered through ``telemetry.reads``,
+    which does nothing while telemetry is off)."""
+    from repro import telemetry
+    from repro.resilience.chaos import bundled_chaos, run_chaos, with_crash
+
+    telemetry.disable()
+    telemetry.reset()
+    _report_path_run()
+    result = run_chaos(with_crash(bundled_chaos(seed=7)["archiver-outage"]),
+                       run_twin=False)
+    assert result.recovery is not None and result.recovery.restarts >= 1
+    registry = telemetry.registry()
+    assert len(registry) == 0 and registry._collectors == []

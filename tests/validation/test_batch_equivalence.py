@@ -154,7 +154,7 @@ def test_oracle_streams_keep_their_size():
 
 def _series(name):
     return {tuple(s["labels"].values()): s.get("value", s.get("count"))
-            for fam in telemetry.snapshot(collect=False)["metrics"]
+            for fam in telemetry.snapshot()["metrics"]
             if fam["name"] == name for s in fam["series"]}
 
 
