@@ -13,7 +13,7 @@ boundaries as columns, cut along the same stage lines:
 - two shared units: :func:`header_columns` (intake → int64 columns,
   parser rejects dropped) and :func:`hash_lanes` (every hash the stages
   index by, as array ops: table-driven CRC32 sweeps over byte matrices,
-  the murmur mix as uint32 arithmetic);
+  the murmur mix as uint32 arithmetic; flow IDs masked to slots once);
 - one replay unit per scalar stage, in pipeline order, each a
   match-action stage over the columns (hash → gather → compare →
   conditional write → digest): :class:`FlowTableUnit` →
@@ -26,14 +26,24 @@ boundaries as columns, cut along the same stage lines:
   unit snapshots ``pkt_loss``, and the queue unit's matched egress rows
   and delays, the microburst detector's input.
 
-A unit whose registers carry order inside a batch (CMS claims, the eACK
-and queue stashes, burst hysteresis) runs one Python loop over its own
-rows against *dense batch-local register files*: one ``np.unique(...,
-return_inverse=True)`` per index domain gives each row a local index,
-each register is gathered into a list by one fancy-indexed read, and
-the loop indexes lists.  Order-free writes (flight size's running maxima
-and last write, per-flow queue delays and CE counts) are array ops.  A
-unit with no rows returns before its numpy calls.
+A unit whose registers carry order inside a batch replays them as
+joins and loops in Python over only the rows a join cannot decide.  The
+TAP-pair and eACK stashes share :func:`_stash_join`: rows stable-sorted
+by cell, each row's writer found by a running maximum over writer
+positions, and a look-up matches iff it is the first after its writer
+to carry the writer's signature.  ``prev_seq`` is a running maximum per
+slot in serial order, and the ``pkt_loss`` a termination reads is a
+grouped count; a slot whose rows span half the sequence space or hold a
+0 loops.  Flow-table slots owned at flush start with no FIN/RST of the
+owner count by grouped sums; the rows of unclaimed slots (sketch
+updates, claims) and terminating slots loop, as does burst hysteresis
+over the matched egress rows, against *dense batch-local register
+files*: one ``np.unique(..., return_inverse=True)`` per index domain
+gives each row a local index and each register is gathered into a list.
+Order-free writes (flight size's running maxima and last write,
+per-flow queue delays and CE counts) are array ops.  Timestamps are
+masked and subtracted as uint64, so every register width up to 64 bits
+holds.
 
 Units record digests and defer their writes.  :meth:`BatchKernel.flush`
 emits every digest in row order (one flush can interleave microburst
@@ -74,6 +84,7 @@ __all__ = ["BatchKernel", "crc32_rows"]
 _M32 = 0xFFFFFFFF
 _M16 = 0xFFFF
 _M64 = (1 << 64) - 1
+_HALF = 1 << 31
 
 #: Scalars per buffered copy: pkt, port, ts, egress_port_id, ecn.
 _STRIDE = 5
@@ -162,10 +173,12 @@ def header_columns(buf: list, copies: int) -> SimpleNamespace:
            for name, field in _HEADERS})
 
 
-def hash_lanes(c: SimpleNamespace, width: int, depth: int) -> SimpleNamespace:
+def hash_lanes(c: SimpleNamespace, width: int, depth: int,
+               mask: int) -> SimpleNamespace:
     """Every hash the stages index by, one lane per hash over all rows.
 
-    - ``fid`` / ``rid``: crc32(!IIHHB 5-tuple), forward and reversed;
+    - ``fid`` / ``rid``: crc32(!IIHHB 5-tuple), forward and reversed, and
+      ``slot`` / ``rslot``: their flow-table cells, ``& mask``;
     - ``cms``: column per row of a ``width`` x ``depth`` count-min
       sketch (``HashEngine.index``: CRC for salt 0, else a salted mix);
     - ``sig_data``: crc32(!II rev_flow_id, eACK), with SYN and FIN each
@@ -202,20 +215,15 @@ def hash_lanes(c: SimpleNamespace, width: int, depth: int) -> SimpleNamespace:
     q[:, 10:14], q[:, 14:18] = _be32(c.seq, n), b_ack
     q[:, 18:20] = _be16(c.tlen & _M16, n)
     qsig = crc32_rows(q).astype(np.int64)
-    return SimpleNamespace(fid=fid, rid=rid, cms=cms, sig_data=sig_data,
-                           sig_ack=sig_ack, qsig=qsig)
+    return SimpleNamespace(fid=fid, rid=rid, slot=fid & mask, rslot=rid & mask,
+                           cms=cms, sig_data=sig_data, sig_ack=sig_ack,
+                           qsig=qsig)
 
 
 # -- register files ------------------------------------------------------------
 # A unit's write-back is a list of deferred writes that the driver applies
 # once the digests have left: a digest receiver (or a checkpoint it takes)
 # reads the state as of the flush's start.
-
-
-def _domain(keys: np.ndarray):
-    """The distinct cells ``keys`` address, and each key's index (a list)."""
-    cells, inv = np.unique(keys, return_inverse=True)
-    return cells, inv.tolist()
 
 
 def _gather(cell_arrays: tuple, index) -> list:
@@ -228,18 +236,45 @@ def _store(index, cell_arrays: tuple, files) -> None:
         cells[index] = np.asarray(values, dtype=np.uint64)
 
 
+def _sorted_by(keys: np.ndarray, domain: int):
+    """A stable sort of ``keys`` (each below ``domain``) on the narrowest
+    unsigned dtype, which numpy radix-sorts: (order, sorted keys, the
+    mask of each key run's first row)."""
+    order = np.argsort(keys.astype(np.min_scalar_type(domain - 1)),
+                       kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return order, keys, first
+
+
 def _running_max(cells: np.ndarray, index: np.ndarray, values: np.ndarray):
     """Write-back of ``maximum(index[k], values[k])`` for every k."""
-    at, inv = np.unique(index, return_inverse=True)
-    file = cells[at]
-    np.maximum.at(file, inv, values.astype(np.uint64))
-    return partial(_store, at, (cells,), (file,))
+    order, keys, first = _sorted_by(index, cells.size)
+    start = np.flatnonzero(first)
+    at = keys[start]
+    return partial(_store, at, (cells,), (np.maximum(
+        cells[at], np.maximum.reduceat(values[order], start).astype(np.uint64)),))
 
 
 def _last_write(cells: np.ndarray, index: np.ndarray, values: np.ndarray):
     """Write-back of ``write(index[k], values[k])`` for every k, in order."""
-    at, last = np.unique(index[::-1], return_index=True)
-    return partial(_store, at, (cells,), (values[::-1][last],))
+    order, keys, first = _sorted_by(index, cells.size)
+    end = np.append(first[1:], True)
+    return partial(_store, keys[end], (cells,), (values[order[end]],))
+
+
+def _grouped_add(cells: np.ndarray, index: np.ndarray, width: int,
+                 values=None):
+    """Write-back of ``add(index[k], values[k])`` (each 1 by default) for
+    every k, wrapped at the register's ``width`` mask."""
+    order, keys, first = _sorted_by(index, cells.size)
+    start = np.flatnonzero(first)
+    total = (np.diff(start, append=index.size) if values is None
+             else np.add.reduceat(values[order], start))
+    at = keys[start]
+    return partial(_store, at, (cells,), (
+        (cells[at] + total.astype(np.uint64)) & np.uint64(width),))
 
 
 def _sketch_file(cms, lanes: np.ndarray, rows: np.ndarray):
@@ -255,8 +290,52 @@ def _sketch_file(cms, lanes: np.ndarray, rows: np.ndarray):
     return partial(_store, cells, (flat,), (file,)), file, index.tolist()
 
 
+def _stash_join(stash: tuple, size: int, sig, puts, now):
+    """A hash-indexed signature stash replayed over a batch as one join.
+
+    ``stash`` is the (timestamp, signature) register pair of ``size``
+    cells.  Per row, ``sig`` picks the cell and ``puts`` says whether the
+    row stashes ``now`` (its masked timestamp, 0 stored as 1) or looks
+    up.  With the rows stable-sorted by cell, a cell before a row holds
+    what its last writer left -- a stashing row, or the cell as it was
+    at flush start -- unless a look-up since consumed it: a look-up
+    matches iff it is the first after its writer to carry the writer's
+    signature.  -> (matched positions in row order, the timestamps they
+    found, evictions, mismatched look-ups, write-back)."""
+    n = sig.size
+    order, cell, first = _sorted_by(sig % size, size)
+    put, key = puts[order], sig[order].astype(np.uint64)
+    stamp = np.maximum(now[order], np.uint64(1))
+    # Each row's writer: 2j+1 for the stashing row at sorted position j,
+    # 2s for the cell at flush start when its rows begin at s.
+    pos = np.arange(n)
+    prior = np.full(n, -1)
+    prior[1:] = np.where(put[:-1], 2 * pos[:-1] + 1, -1)
+    code = np.maximum.accumulate(np.where(first, 2 * pos, prior))
+    src, fresh = code >> 1, (code & 1).astype(bool)
+    held_ts = np.where(fresh, stamp[src], stash[0][cell])
+    held_sig = np.where(fresh, key[src], stash[1][cell])
+    look = ~put
+    hits = np.flatnonzero(look & (held_ts != 0) & (held_sig == key))
+    hits = np.delete(hits, np.flatnonzero(code[hits][1:] == code[hits][:-1]) + 1)
+    hit = np.full(n, -1)
+    hit[hits] = hits
+    taken = np.maximum.accumulate(hit) >= src  # writer's entry consumed
+    found = (held_ts != 0) & ~taken
+    evictions = int(np.count_nonzero(put & found))
+    mismatched = int(np.count_nonzero(look & found))
+    end = np.flatnonzero(np.append(first[1:], True)[:n])
+    put, gone = put[end], taken[end]  # the last row stashed, or consumed
+    final = (np.where(put, stamp[end], np.where(gone, 0, held_ts[end])),
+             np.where(put, key[end], np.where(gone, 0, held_sig[end])))
+    rows = order[hits]
+    back = np.argsort(rows)
+    return (rows[back], held_ts[hits][back], evictions, mismatched,
+            partial(_store, cell[end], stash, final))
+
+
 def _observe(hist, idxs, vals) -> None:
-    bins = np.searchsorted(hist.edges, np.asarray(vals, dtype=np.int64))
+    bins = np.searchsorted(hist.edges, vals)
     np.add.at(hist._banks[hist.active],
               (np.asarray(idxs, dtype=np.intp), bins), 1)
     hist.ops += len(idxs)
@@ -295,8 +374,12 @@ class _Unit:
         self.config = config
         self.registers = tuple(getattr(stage, name) for name in self.REGISTERS)
         self._cells = tuple(reg._cells for reg in self.registers)
-        self.mask = config.flow_slots - 1
         self.ts_mask = (1 << config.timestamp_bits) - 1
+
+    def _now(self, ts: np.ndarray) -> np.ndarray:
+        """Timestamps as the stage's registers keep them (uint64, so a
+        wrap ``(now - stored) & mask`` holds at every width)."""
+        return ts.astype(np.uint64) & np.uint64(self.ts_mask)
 
     def _tally(self, *counts: int) -> None:
         """``RegisterArray.ops`` as the scalar stage counts them: per
@@ -315,12 +398,50 @@ class FlowTableUnit(_Unit):
                  "flow_pkts", "flow_last")
 
     def run(self, c: SimpleNamespace, ids: SimpleNamespace):
-        """-> (write-back, digests, termination rows)."""
+        """-> (write-back, digests, termination rows).  A slot its owner
+        holds at flush start and no FIN/RST of the owner reaches counts
+        by grouped sums, and in a free slot that no payload reaches
+        nothing happens; the rows of the other slots (sketch updates,
+        claims, terminations) take :meth:`_loop`."""
         rows = np.flatnonzero(c.port == 0)
         if not rows.size:
             return [], [], []
+        slot = ids.slot[rows]
+        key = self._cells[0][slot].astype(np.int64)
+        owner = key == ids.fid[rows]
+        loop = np.zeros(self.config.flow_slots, dtype=bool)
+        loop[slot[((key == 0) & (c.plen[rows] > 0))
+                  | (owner & ((c.flags[rows] & 0x05) != 0))]] = True
+        loop = loop[slot]
+        writes, digests, terms, counts = self._loop(c, ids, rows[loop])
+        collisions, updates, claims, tracked, fin_checks = counts
+        fast = owner & ~loop
+        collisions += int(np.count_nonzero((key != 0) & ~(owner | loop)))
+        tracked += int(np.count_nonzero(fast))
+        if fast.any():
+            at, counted = slot[fast], rows[fast]
+            writes += [_grouped_add(self._cells[7], at, _M64, c.tlen[counted]),
+                       _grouped_add(self._cells[8], at, _M64),
+                       _last_write(self._cells[9], at, self._now(c.ts[counted]))]
+        self.stage.slot_collisions += collisions
+        self.stage.cms.updates += updates
+        ended = len(terms)
+        self._tally(rows.size + claims,               # flow_key
+                    claims, claims, claims, claims,   # src/dst/sport/dport
+                    claims + ended,                   # flow_start
+                    claims + fin_checks + ended,      # flow_fin
+                    tracked + ended, tracked + ended, # flow_bytes/pkts
+                    tracked)                          # flow_last
+        return writes, digests, terms
+
+    def _loop(self, c: SimpleNamespace, ids: SimpleNamespace, rows):
+        """The scalar stage over ``rows`` against batch-local register
+        files.  -> (write-back, digests, termination rows, (collisions,
+        sketch updates, claims, tracked rows, FIN/RST checks))."""
+        if not rows.size:
+            return [], [], [], (0, 0, 0, 0, 0)
         stage, TSM = self.stage, self.ts_mask
-        slots, l_slot = _domain(ids.fid[rows] & self.mask)
+        slots, l_slot = np.unique(ids.slot[rows], return_inverse=True)
         files = _gather(self._cells, slots)
         (r_key, r_src, r_dst, r_sport, r_dport, r_start, r_fin, r_bytes,
          r_pkts, r_last) = files
@@ -332,7 +453,7 @@ class FlowTableUnit(_Unit):
         terms: list = []
         collisions = updates = claims = tracked = fin_checks = 0
         for i, fid, ls, plen, flags, ts, tlen in zip(
-                rows.tolist(), ids.fid[rows].tolist(), l_slot,
+                rows.tolist(), ids.fid[rows].tolist(), l_slot.tolist(),
                 c.plen[rows].tolist(), c.flags[rows].tolist(),
                 c.ts[rows].tolist(), c.tlen[rows].tolist()):
             key = r_key[ls]
@@ -374,18 +495,9 @@ class FlowTableUnit(_Unit):
                         flow_id=fid, slot=int(slots[ls]), **_endpoints(c, i),
                         start_ns=r_start[ls], end_ns=ts,
                         total_bytes=r_bytes[ls], total_packets=r_pkts[ls])))
-
-        stage.slot_collisions += collisions
-        stage.cms.updates += updates
-        ended = len(terms)
-        self._tally(rows.size + claims,               # flow_key
-                    claims, claims, claims, claims,   # src/dst/sport/dport
-                    claims + ended,                   # flow_start
-                    claims + fin_checks + ended,      # flow_fin
-                    tracked + ended, tracked + ended, # flow_bytes/pkts
-                    tracked)                          # flow_last
         return ([partial(_store, slots, self._cells, files), cms_write],
-                digests, terms)
+                digests, terms,
+                (collisions, updates, claims, tracked, fin_checks))
 
 
 class RttLossUnit(_Unit):
@@ -400,82 +512,100 @@ class RttLossUnit(_Unit):
     def run(self, c: SimpleNamespace, ids: SimpleNamespace, terms: list):
         """-> (write-back, ``pkt_loss`` sync per termination row)."""
         data, acks = _packet_types(c)
-        rows = np.flatnonzero(data | acks)
-        if not rows.size and not terms:
+        if not (terms or data.any() or acks.any()):
             return [], []
-        stage, TSM = self.stage, self.ts_mask
-        max_age = self.config.rtt_max_age_ns
-        slots, l_slot = _domain(np.concatenate((ids.fid[rows], ids.fid[terms]))
-                                & self.mask)
-        l_term = l_slot[rows.size:]
-        sig = np.where(data[rows], ids.sig_data[rows], ids.sig_ack[rows])
-        ecells, l_cell = _domain(sig % self.config.eack_table_size)
-        slot_files = _gather(self._cells[:4], slots)
-        eack_files = _gather(self._cells[4:], ecells)
-        r_prev, r_loss, r_rtt, r_count = slot_files
-        r_ts, r_sig = eack_files
-
-        stops = terms + [c.n]
-        losses: list = []
-        hist_idx: list = []
-        hist_val: list = []
-        regressions = evictions = matches = misses = stale = mismatched = 0
-        for i, ls, plen, seq, now, cell, sig in zip(
-                rows.tolist(), l_slot, c.plen[rows].tolist(),
-                c.seq[rows].tolist(), (c.ts[rows] & TSM).tolist(), l_cell,
-                sig.tolist()):
-            while i >= stops[len(losses)]:
-                losses.append(r_loss[l_term[len(losses)]])
-            if plen > 0:
-                prev = r_prev[ls]
-                if prev != 0 and ((seq - prev) & _M32) >= 0x80000000:
-                    regressions += 1
-                    r_loss[ls] = (r_loss[ls] + 1) & _M32
-                    continue
-                r_prev[ls] = seq
-                if r_ts[cell] != 0:
-                    evictions += 1
-                r_ts[cell] = now if now != 0 else 1
-                r_sig[cell] = sig
-                continue
-            stored = r_ts[cell]
-            if stored == 0 or r_sig[cell] != sig:
-                misses += 1
-                if stored != 0:
-                    mismatched += 1
-                continue
-            rtt = (now - stored) & TSM
-            r_ts[cell] = r_sig[cell] = 0
-            if rtt > max_age:
-                stale += 1
-                continue
-            r_rtt[ls] = rtt
-            r_count[ls] = (r_count[ls] + 1) & _M32
+        stage = self.stage
+        prev_seq, pkt_loss, rtt, rtt_count = self._cells[:4]
+        sent = np.flatnonzero(data)
+        seq = c.seq[sent]
+        passed = self._accept(ids.slot[sent], seq)
+        lost = sent[~passed]
+        writes = []
+        if passed.any():
+            writes.append(_last_write(prev_seq, ids.slot[sent[passed]],
+                                      seq[passed]))
+        if lost.size:
+            writes.append(_grouped_add(pkt_loss, ids.slot[lost], _M32))
+        data[lost] = False  # a regression does not stash
+        rows = np.flatnonzero(data | acks)
+        puts = data[rows]
+        hit, stored, evictions, mismatched, stash_write = _stash_join(
+            self._cells[4:], self.config.eack_table_size,
+            np.where(puts, ids.sig_data[rows], ids.sig_ack[rows]), puts,
+            self._now(c.ts[rows]))
+        writes.append(stash_write)
+        hit = rows[hit]
+        sample = (self._now(c.ts[hit]) - stored) & np.uint64(self.ts_mask)
+        fresh = sample <= self.config.rtt_max_age_ns
+        at, sample = ids.slot[hit[fresh]], sample[fresh]
+        if at.size:
+            writes += [_last_write(rtt, at, sample),
+                       _grouped_add(rtt_count, at, _M32)]
             if stage.rtt_hist is not None:
-                hist_idx.append(ls)
-                hist_val.append(rtt)
-            matches += 1
-        losses.extend(r_loss[ls] for ls in l_term[len(losses):])
+                writes.append(partial(_observe, stage.rtt_hist, at, sample))
 
+        n_acks, matches, consumed = int(np.count_nonzero(acks)), at.size, hit.size
         stage.stash_evictions += evictions
         stage.rtt_matches += matches
-        stage.rtt_misses += misses
-        stage.rtt_stale += stale
-        n_data = int(np.count_nonzero(data))
-        stashed = n_data - regressions
-        consumed = matches + stale
-        self._tally(n_data + stashed,                           # prev_seq
-                    regressions,                                # pkt_loss
-                    matches, matches,                           # rtt, rtt_count
-                    2 * stashed + rows.size - n_data + consumed,  # eack_ts
-                    stashed + 2 * consumed + mismatched)        # eack_sig
-        writes = [partial(_store, slots, self._cells[:4], slot_files),
-                  partial(_store, ecells, self._cells[4:], eack_files)]
-        if hist_idx:
-            writes.append(partial(_observe, stage.rtt_hist, slots[hist_idx],
-                                  hist_val))
-        return writes, [partial(_store, slot, self._cells[1:2], (loss,))
-                        for slot, loss in zip(slots[l_term].tolist(), losses)]
+        stage.rtt_misses += n_acks - consumed
+        stage.rtt_stale += consumed - matches
+        stashed = sent.size - lost.size
+        self._tally(sent.size + stashed,                    # prev_seq
+                    lost.size,                              # pkt_loss
+                    matches, matches,                       # rtt, rtt_count
+                    2 * stashed + n_acks + consumed,        # eack_ts
+                    stashed + 2 * consumed + mismatched)    # eack_sig
+        return writes, self._losses(ids.slot, lost, terms)
+
+    def _accept(self, slot: np.ndarray, seq: np.ndarray) -> np.ndarray:
+        """Algorithm 1's sequence gate per data row: a row passes unless
+        its sequence regresses, in 32-bit serial order, below the last
+        one its slot passed.  Offset from a base (the slot's cell, or its
+        first row's sequence while the cell is 0), a slot's rows pass iff
+        they reach the running maximum, unless they span half the
+        sequence space or hold a 0 (the serial order or the cell's 0 test
+        break there): those slots' rows take the scalar loop."""
+        order, s, first = _sorted_by(slot, self.config.flow_slots)
+        q = seq[order]
+        start = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        base = self._cells[0][s[start]].astype(np.int64)
+        rel = (q - np.where(base != 0, base, q[start])[group] + _HALF) & _M32
+        key = (group << 33) | rel
+        floor = np.empty_like(key)
+        floor[1:] = key[:-1]
+        ok = key >= np.maximum.accumulate(
+            np.where(first, (group << 33) | _HALF, floor))
+        odd = ((np.maximum(np.maximum.reduceat(rel, start), _HALF)
+                - np.minimum(np.minimum.reduceat(rel, start), _HALF) >= _HALF)
+               | np.logical_or.reduceat(q == 0, start))
+        if odd.any():
+            loop = np.flatnonzero(odd[group])
+            prev, passes = base.tolist(), []
+            for g, sq in zip(group[loop].tolist(), q[loop].tolist()):
+                p = prev[g]
+                passes.append(p == 0 or ((sq - p) & _M32) < _HALF)
+                if passes[-1]:
+                    prev[g] = sq
+            ok[loop] = passes
+        passed = np.empty_like(ok)
+        passed[order] = ok
+        return passed
+
+    def _losses(self, slot: np.ndarray, lost: np.ndarray, terms: list) -> list:
+        """Per termination row, the write that puts its slot's
+        ``pkt_loss`` as of that row: the cell at flush start plus the
+        regressions on earlier rows of the slot, a grouped count."""
+        if not terms:
+            return []
+        rows = np.asarray(terms, dtype=np.intp)
+        at, span = slot[rows], slot.size + 1
+        before = np.sort(slot[lost] * span + lost)
+        counts = (np.searchsorted(before, at * span + rows)
+                  - np.searchsorted(before, at * span))
+        loss = (self._cells[1][at] + counts.astype(np.uint64)) & np.uint64(_M32)
+        return [partial(_store, s, self._cells[1:2], (value,))
+                for s, value in zip(at.tolist(), loss.tolist())]
 
 
 class FlightSizeUnit(_Unit):
@@ -493,10 +623,10 @@ class FlightSizeUnit(_Unit):
         high_seq, high_ack, rwnd = self._cells
         writes = []
         if n_data:
-            writes.append(_running_max(high_seq, ids.fid[data] & self.mask,
+            writes.append(_running_max(high_seq, ids.slot[data],
                                        (c.seq[data] + c.plen[data]) & _M32))
         if n_acks:
-            rslots = ids.rid[acks] & self.mask
+            rslots = ids.rslot[acks]
             writes.append(_running_max(high_ack, rslots, c.ack[acks]))
             writes.append(_last_write(rwnd, rslots, c.window[acks] & _M32))
         return writes
@@ -513,54 +643,31 @@ class QueueMonitorUnit(_Unit):
 
     def run(self, c: SimpleNamespace, ids: SimpleNamespace):
         """-> (write-back, matched egress rows, their delays)."""
-        stage, TSM = self.stage, self.ts_mask
-        qcells, l_cell = _domain(ids.qsig % self.config.queue_stash_size)
-        stash = _gather(self._cells[:2], qcells)
-        r_ts, r_sig = stash
-        matched: list = []
-        delays: list = []
-        evictions = misses = mismatched = 0
-        for i, port, now, sig, cell in zip(
-                range(c.n), c.port.tolist(), (c.ts & TSM).tolist(),
-                ids.qsig.tolist(), l_cell):
-            stored = r_ts[cell]
-            if port == 0:
-                if stored != 0:
-                    evictions += 1
-                r_ts[cell] = now if now != 0 else 1
-                r_sig[cell] = sig
-            elif stored == 0 or r_sig[cell] != sig:
-                misses += 1
-                if stored != 0:
-                    mismatched += 1
-            else:
-                r_ts[cell] = r_sig[cell] = 0
-                matched.append(i)
-                delays.append((now - stored) & TSM)
-
-        pairs = len(matched)
+        stage = self.stage
+        puts = c.port == 0
+        now = self._now(c.ts)
+        rows, stored, evictions, mismatched, stash_write = _stash_join(
+            self._cells[:2], self.config.queue_stash_size, ids.qsig, puts, now)
+        delay = (now[rows] - stored) & np.uint64(self.ts_mask)
+        pairs, ingress = rows.size, int(np.count_nonzero(puts))
+        misses = c.n - ingress - pairs
         stage.pairs_matched += pairs
         stage.pairs_missed += misses
         stage.stash_evictions += evictions
-        rows = np.array(matched, dtype=np.intp)
-        delay = np.array(delays, dtype=np.int64)
         ce = c.ecn[rows] == 3
-        ingress = c.n - pairs - misses
         self._tally(2 * ingress + 2 * pairs + misses,    # q_stash_ts
                     ingress + 2 * pairs + mismatched,    # q_stash_sig
                     pairs, pairs,                        # flow_qdelay(_max)
                     int(np.count_nonzero(ce)))           # flow_ce_marks
-        writes = [partial(_store, qcells, self._cells[:2], stash)]
+        writes = [stash_write]
         if not pairs:
             return writes, rows, delay
         qdelay, qdelay_max, flow_ce = self._cells[2:]
-        slots = ids.fid[rows] & self.mask
+        slots = ids.slot[rows]
         writes.append(_last_write(qdelay, slots, delay))
         writes.append(_running_max(qdelay_max, slots, delay))
         if ce.any():
-            at, marks = np.unique(slots[ce], return_counts=True)
-            writes.append(partial(_store, at, (flow_ce,), (
-                (flow_ce[at] + marks.astype(np.uint64)) & np.uint64(_M32),)))
+            writes.append(_grouped_add(flow_ce, slots[ce], _M32))
         if stage.qdepth_hist is not None:
             writes.append(partial(_observe, stage.qdepth_hist,
                                   c.epid[rows] % self.config.monitored_ports,
@@ -569,9 +676,8 @@ class QueueMonitorUnit(_Unit):
             # Last-writer signatures and running maxima: the windows take
             # the matched pairs in row order, as the scalar stage does.
             writes.append(partial(_in_order, stage.time_windows.observe,
-                                  (c.ts[rows] & TSM).tolist(),
-                                  ids.fid[rows].tolist(),
-                                  c.tlen[rows].tolist(), delays))
+                                  now[rows].tolist(), ids.fid[rows].tolist(),
+                                  c.tlen[rows].tolist(), delay.tolist()))
         return writes, rows, delay
 
 
@@ -637,7 +743,8 @@ class BatchKernel:
         self.buf: list = []
         self.buf_limit = self.BUFFER_CAP * _STRIDE
         self.pipeline = monitor.pipeline
-        self.cms_geometry = (config.cms_width, config.cms_depth)
+        self.hash_geometry = (config.cms_width, config.cms_depth,
+                              config.flow_slots - 1)
         self.units = (FlowTableUnit(monitor.flow_table, config),
                       RttLossUnit(monitor.rtt_loss, config),
                       FlightSizeUnit(monitor.flight, config),
@@ -659,7 +766,7 @@ class BatchKernel:
         parser.accepted += c.n
         parser.rejected += copies - c.n
         if c.n:
-            ids = hash_lanes(c, *self.cms_geometry)
+            ids = hash_lanes(c, *self.hash_geometry)
             flow_table, rtt_loss, flight, queue, microburst = self.units
             writes, digests, terms = flow_table.run(c, ids)
             rtt_writes, syncs = rtt_loss.run(c, ids, terms)
