@@ -8,12 +8,21 @@ dozen register method calls *per packet*.  :class:`BatchKernel`, bound
 by :class:`~repro.core.monitor.P4Monitor` unless the provenance tracer,
 the rate meter, ``batched_path=False`` or a missing simulator demands
 the scalar pipeline, replays the copies buffered between two flush
-boundaries as columns, cut along the same stage lines:
+boundaries as columns, cut along the same stage lines.
 
-- two shared units: :func:`header_columns` (intake → int64 columns,
-  parser rejects dropped) and :func:`hash_lanes` (every hash the stages
-  index by, as array ops: table-driven CRC32 sweeps over byte matrices,
-  the murmur mix as uint32 arithmetic; flow IDs masked to slots once);
+A copy is parsed once, as it arrives, into a fixed-width header record
+(:data:`RECORD`, :func:`record`): the protocol, the eleven header fields
+the stages read, and the copy's port, TAP timestamp, egress port id and
+ECN codepoint, sixteen little-endian int64s appended to the kernel's
+``bytearray`` intake by the TAP's fast mirrors and the monitor's batched
+sink.  The intake keeps no ``Packet`` reference, so a later change to
+the shared packet (a queue's CE mark) cannot reach a buffered copy.
+
+- two shared units: :func:`header_columns` (the intake viewed through
+  :data:`RECORD_DTYPE` → one int64 column per field, parser rejects
+  dropped) and :func:`hash_lanes` (every hash the stages index by, as
+  array ops: CRC32 as one table gather and one XOR per byte column, the
+  murmur mix as uint32 arithmetic; flow IDs masked to slots once);
 - one replay unit per scalar stage, in pipeline order, each a
   match-action stage over the columns (hash → gather → compare →
   conditional write → digest): :class:`FlowTableUnit` →
@@ -50,10 +59,11 @@ emits every digest in row order (one flush can interleave microburst
 and flow-table digests), writing ``pkt_loss``'s snapshot into its cell
 before each termination because the control plane reads that cell as
 the digest arrives; then it applies the writes.  From a mirror callback
-to the end of a flush **no per-copy Python container is allocated**
-(ints and ``Packet`` references in flat lists: the cyclic collector is
-driven by net live tracked containers, and a tuple per buffered copy
-once made it a third of the kernel's wall time).
+to the end of a flush **no per-copy Python container is allocated**:
+a copy's record is a ``bytes`` the intake absorbs, which the cyclic
+collector does not track (it is driven by net live tracked containers,
+and a tuple per buffered copy once made it a third of the kernel's wall
+time).
 
 Equivalence contract: after any flush boundary the program state, the
 digest sequence and the stage counters equal what the scalar path
@@ -69,58 +79,66 @@ profiler need.
 
 from __future__ import annotations
 
+import struct
 import time
-from functools import partial
-from itertools import compress
-from operator import attrgetter, itemgetter
+import zlib
+from functools import cache, partial
+from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
 
-from repro.netsim.packet import PROTO_TCP
+from repro.netsim.packet import PROTO_TCP, Packet
 
-__all__ = ["BatchKernel", "crc32_rows"]
+__all__ = ["BatchKernel", "crc32_rows", "record"]
 
 _M32 = 0xFFFFFFFF
 _M16 = 0xFFFF
 _M64 = (1 << 64) - 1
 _HALF = 1 << 31
 
-#: Scalars per buffered copy: pkt, port, ts, egress_port_id, ecn.
-_STRIDE = 5
-
-_get_proto = attrgetter("proto")
-#: Header columns the header unit reads off each packet.
-_HEADERS = (("src", "src_ip"), ("dst", "dst_ip"), ("sport", "src_port"),
-            ("dport", "dst_port"), ("seq", "seq"), ("ack", "ack"),
-            ("flags", "flags"), ("plen", "payload_len"),
-            ("tlen", "ip_total_len"), ("window", "window"), ("ipid", "ip_id"))
-
-
-def _make_crc32_table() -> np.ndarray:
-    """The standard reflected CRC-32 (zlib) table as uint32."""
-    table = np.empty(256, dtype=np.uint32)
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
-        table[byte] = crc
-    return table
+#: The intake record, one per TAP copy: the protocol, the eleven header
+#: fields the stages read, then the copy's port, TAP timestamp, egress
+#: port id and ECN codepoint.
+FIELDS = ("proto", "src", "dst", "sport", "dport", "seq", "ack", "flags",
+          "plen", "tlen", "window", "ipid", "port", "ts", "epid", "ecn")
+RECORD = struct.Struct(f"<{len(FIELDS)}q")
+RECORD_DTYPE = np.dtype([(name, "<i8") for name in FIELDS])
+_pack = RECORD.pack
 
 
-_CRC32_TABLE = _make_crc32_table()
+def record(pkt: Packet, port: int, ts: int, epid: int, ecn: int) -> bytes:
+    """``pkt``'s headers as the parser sees them at this instant, packed
+    with the copy's intake lanes into one :data:`RECORD`."""
+    return _pack(pkt.proto, pkt.src_ip, pkt.dst_ip, pkt.src_port,
+                 pkt.dst_port, pkt.seq, pkt.ack, pkt.flags, pkt.payload_len,
+                 pkt.ip_total_len, pkt.window, pkt.ip_id, port, ts, epid, ecn)
+
+
+@cache
+def _crc_table(width: int):
+    """CRC-32 over ``width``-byte messages is affine: ``crc(m) = crc(0) ^
+    XOR_j T[j, m[j]]`` with ``T[j, b] = crc(b at j, zeros elsewhere) ^
+    crc(0)``.  -> (crc(0), T), built from zlib once per width."""
+    zero = zlib.crc32(bytes(width))
+    unit = np.zeros((width, 256, width), dtype=np.uint8)
+    unit[np.arange(width), :, np.arange(width)] = np.arange(256, dtype=np.uint8)
+    # A generator, not a list: no 256 * width ints alive at once.
+    crcs = (zlib.crc32(row) ^ zero for row in unit.reshape(256 * width, width))
+    return zero, np.fromiter(crcs, np.uint32, 256 * width).reshape(width, 256)
 
 
 def crc32_rows(mat: np.ndarray) -> np.ndarray:
     """Row-wise CRC32 of an ``(n, k)`` uint8 matrix.
 
-    Bit-identical to ``zlib.crc32(bytes(row))`` per row; the sweep is
-    column-major so the whole batch advances one byte per table lookup.
+    Bit-identical to ``zlib.crc32(bytes(row))`` per row; each byte column
+    is one gather from its position's table and one XOR.
     """
-    crc = np.full(mat.shape[0], _M32, dtype=np.uint32)
-    for j in range(mat.shape[1]):
-        crc = _CRC32_TABLE[(crc ^ mat[:, j]) & 0xFF] ^ (crc >> 8)
-    return crc ^ np.uint32(_M32)
+    zero, table = _crc_table(mat.shape[1])
+    crc = np.full(mat.shape[0], zero, dtype=np.uint32)
+    for j, column in enumerate(table):
+        crc ^= column.take(mat[:, j])  # take: no intp cast of the index
+    return crc
 
 
 def _byte_matrix(n: int, width: int) -> np.ndarray:
@@ -153,24 +171,17 @@ def _mix32_array(h: np.ndarray) -> np.ndarray:
 # -- shared units: header columns and hashes -----------------------------------
 
 
-def header_columns(buf: list, copies: int) -> SimpleNamespace:
-    """Drain the intake into int64 columns, one per intake lane and
-    header field, keeping the ``n`` rows the parser accepts.  ECN was
-    captured per copy at append time (downstream queues CE-mark the
-    shared Packet after the mirror point); the headers are immutable."""
-    pkts = buf[::_STRIDE]
-    port, ts, epid, ecn = (np.array(buf[lane::_STRIDE], dtype=np.int64)
-                           for lane in range(1, _STRIDE))
-    buf.clear()
-    tcp = np.fromiter(map(_get_proto, pkts), np.int64, copies) == PROTO_TCP
+def header_columns(buf: bytearray, copies: int) -> SimpleNamespace:
+    """Drain the intake into int64 columns, one per record field past
+    ``proto``, keeping the ``n`` rows the parser accepts."""
+    rows = np.frombuffer(buf, dtype=RECORD_DTYPE, count=copies)
+    tcp = rows["proto"] == PROTO_TCP
     n = int(np.count_nonzero(tcp))
-    if n < copies:
-        pkts = list(compress(pkts, tcp.tolist()))
-        port, ts, epid, ecn = port[tcp], ts[tcp], epid[tcp], ecn[tcp]
-    return SimpleNamespace(
-        n=n, port=port, ts=ts, epid=epid, ecn=ecn,
-        **{name: np.fromiter(map(attrgetter(field), pkts), np.int64, n)
-           for name, field in _HEADERS})
+    columns = {name: rows[name][tcp] if n < copies else rows[name].copy()
+               for name in FIELDS[1:]}
+    del rows  # release the view: a bytearray with an export cannot resize
+    buf.clear()
+    return SimpleNamespace(n=n, **columns)
 
 
 def hash_lanes(c: SimpleNamespace, width: int, depth: int,
@@ -734,14 +745,17 @@ class BatchKernel:
     #: memory: the transient columns scale with it, and flushes twice as
     #: large were not measurably faster.
     BUFFER_CAP = 4096
+    #: The packer appenders call, reached through the kernel they feed
+    #: (``repro.netsim`` cannot import ``repro.core``).
+    record = staticmethod(record)
 
     def __init__(self, monitor) -> None:
         config = monitor.config
-        #: Flat intake: ``pkt, port, ts, egress_port_id, ecn`` per copy.
+        #: Intake: one :data:`RECORD` per copy, packed by :func:`record`.
         #: The monitor's batched sink and the TAP's fast mirror path
-        #: ``extend`` it and flush once ``len(buf) >= buf_limit``.
-        self.buf: list = []
-        self.buf_limit = self.BUFFER_CAP * _STRIDE
+        #: append to it and flush once ``len(buf) >= buf_limit``.
+        self.buf = bytearray()
+        self.buf_limit = self.BUFFER_CAP * RECORD.size
         self.pipeline = monitor.pipeline
         self.hash_geometry = (config.cms_width, config.cms_depth,
                               config.flow_slots - 1)
@@ -754,10 +768,10 @@ class BatchKernel:
     @property
     def pending(self) -> int:
         """Copies buffered since the last flush."""
-        return len(self.buf) // _STRIDE
+        return len(self.buf) // RECORD.size
 
     def flush(self) -> None:
-        copies = len(self.buf) // _STRIDE
+        copies = len(self.buf) // RECORD.size
         if copies == 0:
             return
         t0_ns = time.perf_counter_ns()

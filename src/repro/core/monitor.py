@@ -30,6 +30,10 @@ from repro.core.microburst import MicroburstStage
 from repro.core.queue_monitor import QueueMonitorStage
 from repro.core.rtt import RttLossStage
 
+#: Read once per copy by the sinks; an enum member read off its class
+#: costs several times a module global's lookup.
+_INGRESS = TapDirection.INGRESS
+
 
 class P4Monitor:
     """The passive measurement switch."""
@@ -83,8 +87,8 @@ class P4Monitor:
         # Telemetry and the profiler read tallies the kernel keeps exact
         # and take each flush as one batch record
         # (P4Pipeline.account_batch); the fault injector never touches a
-        # data-plane operation.  ``batch_buffer`` (the kernel's flat
-        # intake columns) doubles as the engagement signal the TAP's
+        # data-plane operation.  ``batch_buffer`` (the kernel's
+        # record intake) doubles as the engagement signal the TAP's
         # fast mirror path keys on.
         self.kernel = None
         self.batch_buffer = None
@@ -96,6 +100,7 @@ class P4Monitor:
             self.kernel = BatchKernel(self)
             self.batch_buffer = self.kernel.buf
             self._batch_limit = self.kernel.buf_limit
+            self._record = self.kernel.record
             self.receive_copy = self._receive_copy_batched
             sim.add_flush_hook(self.flush)
 
@@ -127,7 +132,7 @@ class P4Monitor:
     def receive_copy(self, copy: MirrorCopy) -> None:
         """Sink signature expected by
         :meth:`repro.netsim.topology.ScienceDMZTopology.attach_tap`."""
-        if copy.direction is TapDirection.INGRESS:
+        if copy.direction is _INGRESS:
             port = PORT_INGRESS_TAP
             self.copies_ingress += 1
         else:
@@ -138,21 +143,20 @@ class P4Monitor:
             ingress_timestamp_ns=copy.timestamp_ns,
             egress_port_id=copy.egress_port_id,
         )
-        self.pipeline.process(copy.pkt, meta)
+        self.pipeline.process(copy.pkt, meta, copy.ecn)
 
     def _receive_copy_batched(self, copy: MirrorCopy) -> None:
-        """Batched twin of :meth:`receive_copy`: defer pipeline work to
-        the next flush boundary.  ECN is captured now — downstream queues
-        CE-mark the shared ``Packet`` after the mirror point."""
-        pkt = copy.pkt
+        """Batched twin of :meth:`receive_copy`: pack the copy's header
+        record now, defer pipeline work to the next flush boundary."""
         buf = self.batch_buffer
-        if copy.direction is TapDirection.INGRESS:
+        if copy.direction is _INGRESS:
             self.copies_ingress += 1
-            buf.extend((pkt, PORT_INGRESS_TAP, copy.timestamp_ns, 0, pkt.ecn))
+            buf += self._record(copy.pkt, PORT_INGRESS_TAP, copy.timestamp_ns,
+                                0, copy.ecn)
         else:
             self.copies_egress += 1
-            buf.extend((pkt, PORT_EGRESS_TAP, copy.timestamp_ns,
-                        copy.egress_port_id, pkt.ecn))
+            buf += self._record(copy.pkt, PORT_EGRESS_TAP, copy.timestamp_ns,
+                                copy.egress_port_id, copy.ecn)
         if len(buf) >= self._batch_limit:
             self.kernel.flush()
 

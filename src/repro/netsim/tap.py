@@ -39,16 +39,30 @@ class MirrorCopy:
     ``egress_port_id`` identifies *which* tapped queue an egress copy
     left through (0-based enumeration of the TAP's egress ports), letting
     the monitor keep per-queue microburst state.  0 for ingress copies.
+
+    ``ecn`` is the packet's ECN codepoint at the TAP instant: downstream
+    queues CE-mark the shared ``Packet`` after the mirror point, and a
+    copy on a fibre delay reaches the monitor after they may have.
     """
 
-    __slots__ = ("pkt", "direction", "timestamp_ns", "egress_port_id")
+    # ``egress_port_id`` and ``ecn`` share one slot: a fifth slot would
+    # move every copy from pymalloc's 64-byte size class to its 80-byte one.
+    __slots__ = ("pkt", "direction", "timestamp_ns", "_port_ecn")
 
     def __init__(self, pkt: Packet, direction: TapDirection, timestamp_ns: int,
                  egress_port_id: int = 0) -> None:
         self.pkt = pkt
         self.direction = direction
         self.timestamp_ns = timestamp_ns
-        self.egress_port_id = egress_port_id
+        self._port_ecn = egress_port_id << 2 | pkt.ecn
+
+    @property
+    def egress_port_id(self) -> int:
+        return self._port_ecn >> 2
+
+    @property
+    def ecn(self) -> int:
+        return self._port_ecn & 3
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MirrorCopy({self.direction.value}, t={self.timestamp_ns}, {self.pkt!r})"
@@ -107,10 +121,9 @@ class OpticalTap:
         # Fast mirror path: when the sink is a batching P4Monitor and
         # nothing on the TAP needs per-copy work (no loss injection, no
         # fibre delay, no trace), mirror callbacks extend the kernel's
-        # flat buffer with the copy's five scalars directly — no
-        # MirrorCopy, no sink call, no per-copy container.
-        # ECN is captured at mirror time; queues CE-mark the shared
-        # Packet after this point.
+        # intake with the copy's header record directly — no MirrorCopy,
+        # no sink call, no per-copy container.  The record is packed at
+        # mirror time, before queues CE-mark the shared Packet.
         owner = getattr(sink, "__self__", None)
         self._fast_buf = None
         self._fast_owner = None
@@ -122,6 +135,7 @@ class OpticalTap:
                 self._fast_buf = buf
                 self._fast_owner = owner
                 self._fast_limit = owner.kernel.buf_limit
+                self._record = owner.kernel.record
 
         if self._fast_buf is not None:
             switch.ingress_mirrors.append(self._mirror_ingress_fast)
@@ -154,7 +168,7 @@ class OpticalTap:
         mon = self._fast_owner
         mon.copies_ingress += 1
         buf = self._fast_buf
-        buf.extend((pkt, 0, ts_ns, 0, pkt.ecn))
+        buf += self._record(pkt, 0, ts_ns, 0, pkt.ecn)
         if len(buf) >= self._fast_limit:
             mon.kernel.flush()
 
@@ -163,7 +177,7 @@ class OpticalTap:
         mon = self._fast_owner
         mon.copies_egress += 1
         buf = self._fast_buf
-        buf.extend((pkt, 1, ts_ns, port_id, pkt.ecn))
+        buf += self._record(pkt, 1, ts_ns, port_id, pkt.ecn)
         if len(buf) >= self._fast_limit:
             mon.kernel.flush()
 

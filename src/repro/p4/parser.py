@@ -83,9 +83,13 @@ class HeaderParser:
         # opened (tracer.event is a no-op outside a traversal).
         self._trace = provenance.tracer()
 
-    def parse(self, packet: Union[Packet, bytes]) -> Optional[ParsedHeaders]:
+    def parse(self, packet: Union[Packet, bytes],
+              ecn: Optional[int] = None) -> Optional[ParsedHeaders]:
         """Returns the extracted headers, or None for rejected (non-TCP/
-        non-IPv4) packets — a P4 parser would send those to a drop state."""
+        non-IPv4) packets — a P4 parser would send those to a drop state.
+        ``ecn``, when given, is the codepoint the mirrored copy carried:
+        a queue may CE-mark the shared ``Packet`` before a delayed copy
+        is parsed."""
         try:
             if isinstance(packet, (bytes, bytearray, memoryview)):
                 pkt = Packet.from_bytes(bytes(packet))
@@ -107,7 +111,7 @@ class HeaderParser:
                 flags=int(pkt.flags),
                 window=pkt.window,
                 data_offset=pkt.data_offset,
-                ecn=pkt.ecn,
+                ecn=pkt.ecn if ecn is None else ecn,
             )
         except (ParserError, ValueError) as exc:
             self.rejected += 1

@@ -118,17 +118,19 @@ class P4Pipeline:
     def add_egress(self, stage: PipelineStage) -> None:
         self.egress.append(stage)
 
-    def process(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
+    def process(self, packet, meta: StandardMetadata,
+                ecn: Optional[int] = None) -> Optional[ParsedHeaders]:
         """Run one packet through parse → ingress → egress.
 
         Returns the parsed headers (None if the parser rejected or a
-        stage dropped it).  This is the unobserved body and the
-        reference the equivalence harness compares against: with every
-        observer off it runs as written, with plain class dispatch
-        (tests/p4/test_pipeline_binding.py).
+        stage dropped it).  ``ecn`` is the copy's codepoint at its TAP
+        instant (default: the packet's, now).  This is the unobserved
+        body and the reference the equivalence harness compares
+        against: with every observer off it runs as written, with plain
+        class dispatch (tests/p4/test_pipeline_binding.py).
         """
         self.packets_in += 1
-        hdr = self.parser.parse(packet)
+        hdr = self.parser.parse(packet, ecn)
         if hdr is None:
             self.drops["parser"] += 1
             return None
@@ -144,7 +146,8 @@ class P4Pipeline:
                 return None
         return hdr
 
-    def _process_observed(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
+    def _process_observed(self, packet, meta: StandardMetadata,
+                          ecn: Optional[int] = None) -> Optional[ParsedHeaders]:
         """:meth:`process` with the live observers attached, in any
         combination: telemetry observes the per-packet latency; the
         profiler's ``p4.process`` cell is charged once per packet; the
@@ -166,7 +169,7 @@ class P4Pipeline:
             rec = trace._ctx_rec
         try:
             self.packets_in += 1
-            hdr = self.parser.parse(packet)
+            hdr = self.parser.parse(packet, ecn)
             dropped_by = "parser" if hdr is None else None
             if hdr is not None:
                 for stage in chain(self.ingress, self.egress):

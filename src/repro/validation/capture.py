@@ -48,6 +48,7 @@ class CopyRecorder:
 def copy_to_jsonable(copy: MirrorCopy) -> dict:
     doc = {f: getattr(copy.pkt, f) for f in _PKT_FIELDS}
     doc["flags"] = int(copy.pkt.flags)
+    doc["ecn"] = copy.ecn
     if copy.pkt.sack:
         doc["sack"] = [list(block) for block in copy.pkt.sack]
     doc["direction"] = copy.direction.value

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import gc
 import io
+import sys
 import tokenize
 import zlib
 from pathlib import Path
@@ -44,20 +45,27 @@ def _parity(mat: np.ndarray) -> None:
     assert got.tolist() == expected
 
 
+#: 8-byte stash signatures, the 13-byte 5-tuple, the 20-byte queue-pair
+#: layout, and two short widths.
+_WIDTHS = (1, 3, 8, 13, 20)
+
+
 def test_crc32_rows_matches_zlib_on_signature_widths():
-    """The kernel hashes 8-byte stash signatures and 20-byte queue-pair
-    layouts; both widths must be bit-identical to zlib.crc32 per row."""
+    """Every width the kernel hashes must be bit-identical to zlib.crc32
+    per row."""
     rng = np.random.default_rng(0)
-    for width in (8, 20):
+    for width in _WIDTHS:
         _parity(rng.integers(0, 256, size=(64, width), dtype=np.uint8))
 
 
 def test_crc32_rows_edge_rows():
-    _parity(np.zeros((3, 8), dtype=np.uint8))
-    _parity(np.full((3, 8), 0xFF, dtype=np.uint8))
-    # single row, and an empty batch
-    _parity(np.arange(20, dtype=np.uint8).reshape(1, 20))
-    assert crc32_rows(np.empty((0, 8), dtype=np.uint8)).shape == (0,)
+    for width in _WIDTHS:
+        _parity(np.zeros((3, width), dtype=np.uint8))
+        _parity(np.full((3, width), 0xFF, dtype=np.uint8))
+        # single row, and an empty batch
+        _parity(np.arange(width, dtype=np.uint8).reshape(1, width))
+        _parity(np.empty((0, width), dtype=np.uint8))
+        assert crc32_rows(np.empty((0, width), dtype=np.uint8)).shape == (0,)
 
 
 @settings(deadline=None, max_examples=50)
@@ -360,6 +368,20 @@ def test_ecn_is_per_copy_and_headers_per_packet():
     assert twins.batched.queue.flow_ce.read(slot) == 1
 
 
+def test_headers_are_read_at_the_mirror_instant():
+    """A copy carries the headers its packet had when it was mirrored: a
+    change to the shared Packet before the flush (its sequence number
+    and its option length, hence its IP length) reaches neither path."""
+    twins = Twins()
+    seq = twins.track(FT)
+    pkt = make_data_packet(FT, seq=seq, payload_len=600, ip_id=9)
+    twins.copy(pkt)
+    pkt.seq, pkt.tcp_options_len = seq + 6000, 12
+    twins.copy(make_ack_packet(FT.reversed(), ack=seq + 600))
+    twins.check()
+    assert twins.batched.rtt_loss.rtt_matches == 1
+
+
 def test_reverse_slot_shared_with_another_flows_forward_slot():
     """high_ack / flow_rwnd are written at the *reverse* flow's slot; when
     that is another tracked flow's forward slot the two must meet in one
@@ -436,21 +458,25 @@ def _churn_copies(flows: int, per_flow: int = 3):
 
 
 def test_kernel_retains_no_per_flow_state_and_churn_stays_equivalent():
-    """300 short flows through 16 slots: after every flush the kernel
-    holds no Python container that grew with the flows it saw, and
-    state, stage counters and every register's op tally still equal the
-    scalar twin's."""
+    """300 short flows through 16 slots: buffering a copy keeps no
+    reference to its packet, after every flush the kernel holds no
+    Python container that grew with the flows it saw, and state, stage
+    counters and every register's op tally still equal the scalar
+    twin's."""
     batched, scalar = _twin_monitor(True), _twin_monitor(False)
     kernel = batched.kernel
     copies = _churn_copies(300)
     per_flush = 90  # 10 flows per flush
     for i in range(0, len(copies), per_flush):
         for copy in copies[i:i + per_flush]:
+            refs = sys.getrefcount(copy.pkt)
             batched.receive_copy(copy)
+            kept = sys.getrefcount(copy.pkt) - refs
+            assert kept == 0
             scalar.receive_copy(copy)
         batched.flush()
         assert {name: len(value) for name, value in vars(kernel).items()
-                if isinstance(value, (dict, list, set))} == {"buf": 0}
+                if isinstance(value, (dict, list, set, bytearray))} == {"buf": 0}
     assert batched.program.state_digest() == scalar.program.state_digest()
     assert batched.flow_table.slot_collisions > 0
     assert _tallies(batched) == _tallies(scalar)

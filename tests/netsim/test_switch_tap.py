@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.config import MonitorConfig
+from repro.core.monitor import P4Monitor
 from repro.netsim.engine import Simulator
 from repro.netsim.host import Host
 from repro.netsim.link import connect
-from repro.netsim.packet import FiveTuple, make_data_packet
+from repro.netsim.packet import FiveTuple, Packet, make_data_packet
 from repro.netsim.switch import LegacySwitch
 from repro.netsim.tap import MirrorCopy, OpticalTap, TapDirection
 from repro.netsim.units import mbps
@@ -117,6 +119,30 @@ def test_tap_fiber_delay_defers_copy_delivery(sim, star):
     for arrived_at, stamped in arrivals:
         assert arrived_at == stamped + 5_000  # copy arrives late...
         # ...but carries the TAP-point timestamp.
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
+def test_delayed_copy_carries_ecn_of_its_tap_instant(sim, star, batched):
+    """A queue CE-marks the shared Packet after both TAP instants but
+    before the egress copy crosses the fibre: the monitor counts the
+    codepoint the packet carried when it was mirrored, on either path."""
+    sw, (h1, h2, h3), _ = star
+    monitor = P4Monitor(MonitorConfig(batched_path=batched), sim=sim)
+    assert (monitor.kernel is not None) is batched
+    OpticalTap(sim, sw, monitor.receive_copy, fiber_delay_ns=50_000)
+
+    def mark(copy):  # mirrored after the monitor's TAP, undelayed
+        if copy.direction is TapDirection.EGRESS:
+            copy.pkt.ecn = Packet.ECN_CE
+
+    OpticalTap(sim, sw, mark)
+    pkt = make_data_packet(FiveTuple(h1.ip, h2.ip, 1, 2), seq=1, payload_len=100)
+    pkt.ecn = Packet.ECN_ECT0
+    h1.send(pkt)
+    sim.run()
+    assert pkt.ecn == Packet.ECN_CE
+    assert monitor.queue.pairs_matched == 1
+    assert monitor.queue.flow_ce.snapshot().sum() == 0
 
 
 def test_tap_rejects_foreign_egress_port(sim, star):

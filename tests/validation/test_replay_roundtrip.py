@@ -117,6 +117,17 @@ def test_copy_json_round_trip_preserves_every_field():
     assert tuple(back.pkt.sack) == ((100, 200), (300, 400))
 
 
+def test_copy_json_keeps_the_ecn_of_the_tap_instant():
+    """A queue CE-marks the shared packet after the mirror point; the
+    capture records the codepoint the copy carried."""
+    pkt = Packet(src_ip=0x0A000001, dst_ip=0x0A000002, src_port=1234,
+                 dst_port=5201, payload_len=512, ecn=Packet.ECN_ECT1)
+    copy = MirrorCopy(pkt, TapDirection.EGRESS, 1_000, egress_port_id=2)
+    pkt.ecn = Packet.ECN_CE
+    back = copy_from_jsonable(json.loads(json.dumps(copy_to_jsonable(copy))))
+    assert (back.ecn, back.pkt.ecn, back.egress_port_id) == (1, 1, 2)
+
+
 def test_recorder_does_not_perturb_the_run():
     """The tee must be invisible: a recorded run and an unrecorded run of
     the same spec end in the same data-plane state."""
