@@ -12,17 +12,21 @@ boundaries as columns, cut along the same stage lines.
 
 A copy is parsed once, as it arrives, into a fixed-width header record
 (:data:`RECORD`, :func:`record`): the protocol, the eleven header fields
-the stages read, and the copy's port, TAP timestamp, egress port id and
-ECN codepoint, sixteen little-endian int64s appended to the kernel's
-``bytearray`` intake by the TAP's fast mirrors and the monitor's batched
-sink.  The intake keeps no ``Packet`` reference, so a later change to
-the shared packet (a queue's CE mark) cannot reach a buffered copy.
+the stages read, and the copy's port, TAP timestamp and lanes
+(``MirrorCopy.lanes``: egress port id << 2 | ECN codepoint), fifteen
+little-endian int64s appended to the kernel's ``bytearray`` intake by
+the TAP's fast mirrors and the monitor's batched sink.  The intake keeps
+no ``Packet`` reference, so a later change to the shared packet (a
+queue's CE mark) cannot reach a buffered copy.  Appending is all a copy
+costs until the flush, which counts the monitor's TAP copies off the
+records' ``port`` lane.
 
 - two shared units: :func:`header_columns` (the intake viewed through
-  :data:`RECORD_DTYPE` → one int64 column per field, parser rejects
-  dropped) and :func:`hash_lanes` (every hash the stages index by, as
-  array ops: CRC32 as one table gather and one XOR per byte column, the
-  murmur mix as uint32 arithmetic; flow IDs masked to slots once);
+  :data:`RECORD_DTYPE` → one int64 column per field, ``lanes`` split
+  into ``epid`` and ``ecn``, parser rejects dropped) and
+  :func:`hash_lanes` (every hash the stages index by, as array ops:
+  CRC32 as one table gather and one XOR per byte column, the murmur mix
+  as uint32 arithmetic; flow IDs masked to slots once);
 - one replay unit per scalar stage, in pipeline order, each a
   match-action stage over the columns (hash → gather → compare →
   conditional write → digest): :class:`FlowTableUnit` →
@@ -46,9 +50,11 @@ grouped count; a slot whose rows span half the sequence space or hold a
 0 loops.  Flow-table slots owned at flush start with no FIN/RST of the
 owner count by grouped sums; the rows of unclaimed slots (sketch
 updates, claims) and terminating slots loop, as does burst hysteresis
-over the matched egress rows, against *dense batch-local register
-files*: one ``np.unique(..., return_inverse=True)`` per index domain
-gives each row a local index and each register is gathered into a list.
+over a port's matched egress rows from its first trigger (``delay >=
+on``, or a burst open at flush start), against *dense batch-local
+register files*: one ``np.unique(..., return_inverse=True)`` per index
+domain gives each row a local index and each register is gathered into
+a list.
 Order-free writes (flight size's running maxima and last write,
 per-flow queue delays and CE counts) are array ops.  Timestamps are
 masked and subtracted as uint64, so every register width up to 64 bits
@@ -98,21 +104,21 @@ _M64 = (1 << 64) - 1
 _HALF = 1 << 31
 
 #: The intake record, one per TAP copy: the protocol, the eleven header
-#: fields the stages read, then the copy's port, TAP timestamp, egress
-#: port id and ECN codepoint.
+#: fields the stages read, then the copy's port, TAP timestamp and
+#: ``MirrorCopy.lanes`` (egress port id << 2 | ECN codepoint).
 FIELDS = ("proto", "src", "dst", "sport", "dport", "seq", "ack", "flags",
-          "plen", "tlen", "window", "ipid", "port", "ts", "epid", "ecn")
+          "plen", "tlen", "window", "ipid", "port", "ts", "lanes")
 RECORD = struct.Struct(f"<{len(FIELDS)}q")
 RECORD_DTYPE = np.dtype([(name, "<i8") for name in FIELDS])
 _pack = RECORD.pack
 
 
-def record(pkt: Packet, port: int, ts: int, epid: int, ecn: int) -> bytes:
+def record(pkt: Packet, port: int, ts: int, lanes: int) -> bytes:
     """``pkt``'s headers as the parser sees them at this instant, packed
-    with the copy's intake lanes into one :data:`RECORD`."""
+    with the copy's port, timestamp and lanes into one :data:`RECORD`."""
     return _pack(pkt.proto, pkt.src_ip, pkt.dst_ip, pkt.src_port,
                  pkt.dst_port, pkt.seq, pkt.ack, pkt.flags, pkt.payload_len,
-                 pkt.ip_total_len, pkt.window, pkt.ip_id, port, ts, epid, ecn)
+                 pkt.ip_total_len, pkt.window, pkt.ip_id, port, ts, lanes)
 
 
 @cache
@@ -147,14 +153,9 @@ def _byte_matrix(n: int, width: int) -> np.ndarray:
     return np.empty((width, n), dtype=np.uint8).T
 
 
-def _be32(values, n: int) -> np.ndarray:
-    """(n, 4) big-endian byte view of a 32-bit column."""
-    return np.asarray(values, dtype=">u4").view(np.uint8).reshape(n, 4)
-
-
-def _be16(values, n: int) -> np.ndarray:
-    """(n, 2) big-endian byte view of a 16-bit column."""
-    return np.asarray(values, dtype=">u2").view(np.uint8).reshape(n, 2)
+def _be(values, n: int, width: int = 4) -> np.ndarray:
+    """(n, width) big-endian byte view of a ``width``-byte column."""
+    return np.asarray(values, dtype=f">u{width}").view(np.uint8).reshape(n, width)
 
 
 def _mix32_array(h: np.ndarray) -> np.ndarray:
@@ -173,15 +174,20 @@ def _mix32_array(h: np.ndarray) -> np.ndarray:
 
 def header_columns(buf: bytearray, copies: int) -> SimpleNamespace:
     """Drain the intake into int64 columns, one per record field past
-    ``proto``, keeping the ``n`` rows the parser accepts."""
+    ``proto`` with ``lanes`` split into ``epid`` and ``ecn``, keeping the
+    ``n`` rows the parser accepts; ``egress`` counts the egress copies,
+    parser rejects included."""
     rows = np.frombuffer(buf, dtype=RECORD_DTYPE, count=copies)
     tcp = rows["proto"] == PROTO_TCP
     n = int(np.count_nonzero(tcp))
-    columns = {name: rows[name][tcp] if n < copies else rows[name].copy()
-               for name in FIELDS[1:]}
-    del rows  # release the view: a bytearray with an export cannot resize
+    c = SimpleNamespace(n=n, egress=int(np.count_nonzero(rows["port"])), **{
+        name: rows[name][tcp] if n < copies else rows[name].copy()
+        for name in FIELDS[1:-1]})
+    lanes = rows["lanes"][tcp] if n < copies else rows["lanes"]
+    c.epid, c.ecn = lanes >> 2, lanes & 3
+    del rows, lanes  # release the views: a bytearray with an export cannot resize
     buf.clear()
-    return SimpleNamespace(n=n, **columns)
+    return c
 
 
 def hash_lanes(c: SimpleNamespace, width: int, depth: int,
@@ -198,8 +204,8 @@ def hash_lanes(c: SimpleNamespace, width: int, depth: int,
     - ``qsig``: crc32(!IIHIIH src, dst, ip_id, seq, ack, len & 0xFFFF).
     """
     n = c.n
-    b_src, b_dst = _be32(c.src, n), _be32(c.dst, n)
-    b_sport, b_dport = _be16(c.sport, n), _be16(c.dport, n)
+    b_src, b_dst = _be(c.src, n), _be(c.dst, n)
+    b_sport, b_dport = _be(c.sport, n, 2), _be(c.dport, n, 2)
     tup = _byte_matrix(n, 13)
     tup[:, 12] = PROTO_TCP
     tup[:, 0:4], tup[:, 4:8], tup[:, 8:10], tup[:, 10:12] = (
@@ -215,16 +221,16 @@ def hash_lanes(c: SimpleNamespace, width: int, depth: int,
         cms[salt] = _mix32_array(fid ^ ((salt * 0x9E3779B9) & _M32)) % width
 
     eack = (c.seq + c.plen + ((c.flags >> 1) & 1) + (c.flags & 1)) & _M32
-    b_ack = _be32(c.ack, n)
+    b_ack = _be(c.ack, n)
     m = _byte_matrix(n, 8)
-    m[:, 0:4], m[:, 4:8] = _be32(rid, n), _be32(eack, n)
+    m[:, 0:4], m[:, 4:8] = _be(rid, n), _be(eack, n)
     sig_data = crc32_rows(m).astype(np.int64)
-    m[:, 0:4], m[:, 4:8] = _be32(fid, n), b_ack
+    m[:, 0:4], m[:, 4:8] = _be(fid, n), b_ack
     sig_ack = crc32_rows(m).astype(np.int64)
     q = _byte_matrix(n, 20)
-    q[:, 0:4], q[:, 4:8], q[:, 8:10] = b_src, b_dst, _be16(c.ipid, n)
-    q[:, 10:14], q[:, 14:18] = _be32(c.seq, n), b_ack
-    q[:, 18:20] = _be16(c.tlen & _M16, n)
+    q[:, 0:4], q[:, 4:8], q[:, 8:10] = b_src, b_dst, _be(c.ipid, n, 2)
+    q[:, 10:14], q[:, 14:18] = _be(c.seq, n), b_ack
+    q[:, 18:20] = _be(c.tlen & _M16, n, 2)
     qsig = crc32_rows(q).astype(np.int64)
     return SimpleNamespace(fid=fid, rid=rid, slot=fid & mask, rslot=rid & mask,
                            cms=cms, sig_data=sig_data, sig_ack=sig_ack,
@@ -699,37 +705,41 @@ class MicroburstUnit(_Unit):
     REGISTERS = ("state", "start", "peak", "pkt_count")
 
     def run(self, c: SimpleNamespace, rows: np.ndarray, delay: np.ndarray):
-        """-> (write-back, digests)."""
+        """-> (write-back, digests).  A port's rows loop from its first
+        ``delay >= on`` row, or all of them if it is in a burst at flush
+        start; a row before that only reads ``mb_state``."""
         if not rows.size:
             return [], []
         stage, TSM = self.stage, self.ts_mask
         on, off = stage.on_threshold_ns, stage.off_threshold_ns
         ports = slice(stage.ports)
-        files = _gather(self._cells, ports)
-        r_state, r_start, r_peak, r_pkts = files
+        port = c.epid[rows] % stage.ports
+        trigger = np.flatnonzero(delay >= on)
+        first = np.where(self._cells[0][ports] != 0, 0, rows.size)
+        np.minimum.at(first, port[trigger], trigger)
+        loop = np.arange(rows.size) >= first[port]
+        r_state, r_start, r_peak, r_pkts = files = _gather(self._cells, ports)
         digests: list = []
         starts = in_burst = bursts = 0
-        for i, ts, d, port in zip(rows.tolist(), c.ts[rows].tolist(),
-                                  delay.tolist(),
-                                  (c.epid[rows] % stage.ports).tolist()):
-            if not r_state[port]:
+        for i, ts, d, p in zip(rows[loop].tolist(), c.ts[rows[loop]].tolist(),
+                               delay[loop].tolist(), port[loop].tolist()):
+            if not r_state[p]:
                 if d >= on:
                     starts += 1
-                    r_state[port], r_start[port] = 1, max(0, ts - d) & TSM
-                    r_peak[port], r_pkts[port] = d, 1
+                    r_state[p], r_start[p] = 1, max(0, ts - d) & TSM
+                    r_peak[p], r_pkts[p] = d, 1
                 continue
             in_burst += 1
-            if d > r_peak[port]:
-                r_peak[port] = d
-            r_pkts[port] = (r_pkts[port] + 1) & _M32
+            r_peak[p] = max(r_peak[p], d)
+            r_pkts[p] = (r_pkts[p] + 1) & _M32
             if d <= off:
-                r_state[port] = 0
-                start = r_start[port]
+                r_state[p] = 0
+                span = (ts - r_start[p]) & TSM
                 bursts += 1
                 digests.append((i, stage.digest, dict(
-                    start_ns=start, duration_ns=max(0, ts - start),
-                    peak_queue_delay_ns=r_peak[port], packets=r_pkts[port],
-                    port_id=port)))
+                    start_ns=ts - span, duration_ns=span,
+                    peak_queue_delay_ns=r_peak[p], packets=r_pkts[p],
+                    port_id=p)))
         stage.bursts_detected += bursts
         self._tally(rows.size + starts + bursts,          # mb_state
                     starts + bursts,                      # mb_start
@@ -756,7 +766,7 @@ class BatchKernel:
         #: append to it and flush once ``len(buf) >= buf_limit``.
         self.buf = bytearray()
         self.buf_limit = self.BUFFER_CAP * RECORD.size
-        self.pipeline = monitor.pipeline
+        self.monitor = monitor
         self.hash_geometry = (config.cms_width, config.cms_depth,
                               config.flow_slots - 1)
         self.units = (FlowTableUnit(monitor.flow_table, config),
@@ -776,7 +786,9 @@ class BatchKernel:
             return
         t0_ns = time.perf_counter_ns()
         c = header_columns(self.buf, copies)
-        parser = self.pipeline.parser
+        self.monitor.copies_ingress += copies - c.egress
+        self.monitor.copies_egress += c.egress
+        parser = self.monitor.pipeline.parser
         parser.accepted += c.n
         parser.rejected += copies - c.n
         if c.n:
@@ -790,8 +802,8 @@ class BatchKernel:
             self._emit(sorted(digests + mb_digests, key=itemgetter(0)), syncs)
             for write in writes + q_writes + mb_writes:
                 write()
-        self.pipeline.account_batch(copies, copies - c.n, t0_ns,
-                                    time.perf_counter_ns())
+        self.monitor.pipeline.account_batch(copies, copies - c.n, t0_ns,
+                                            time.perf_counter_ns())
 
     def _emit(self, digests: list, syncs: list) -> None:
         """Emit in row order; before each termination, put the flow's

@@ -37,6 +37,7 @@ class MicroburstStage(PipelineStage):
         self.on_threshold_ns = int(ON_FRACTION * max_delay)
         self.off_threshold_ns = int(OFF_FRACTION * max_delay)
         ts_bits = config.timestamp_bits
+        self._ts_mask = (1 << ts_bits) - 1
 
         # One detector instance per monitored egress queue, registers
         # sized by port count as a per-port P4 register would be.
@@ -70,11 +71,14 @@ class MicroburstStage(PipelineStage):
         self.pkt_count.add(port, 1)
         if delay <= self.off_threshold_ns:
             self.state.write(port, 0)
-            start = self.start.read(port)
+            # ``mb_start`` holds the start masked to the register width:
+            # the duration is the wrapped difference, as queue delay and
+            # RTT are, and the start is reported in sim time.
+            duration = (now - self.start.read(port)) & self._ts_mask
             self.bursts_detected += 1
             self.digest.emit(
-                start_ns=start,
-                duration_ns=max(0, now - start),
+                start_ns=now - duration,
+                duration_ns=duration,
                 peak_queue_delay_ns=self.peak.read(port),
                 packets=self.pkt_count.read(port),
                 port_id=port,

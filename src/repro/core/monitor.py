@@ -33,6 +33,7 @@ from repro.core.rtt import RttLossStage
 #: Read once per copy by the sinks; an enum member read off its class
 #: costs several times a module global's lookup.
 _INGRESS = TapDirection.INGRESS
+_EGRESS = TapDirection.EGRESS
 
 
 class P4Monitor:
@@ -115,10 +116,10 @@ class P4Monitor:
                             lambda f=family: sum(self._tallies(f).values()))
 
     def _settled_copies(self) -> dict:
-        """TAP copies by direction, after draining the batch buffer:
-        copies are counted at intake, every other tally only once the
-        kernel ran them, so a reader that reads this first (sources and
-        collectors run in registration order) sees them agree."""
+        """TAP copies by direction, after draining the batch buffer: the
+        kernel counts copies at flush, with every other tally, so a
+        reader that reads this first (sources and collectors run in
+        registration order) sees them agree."""
         self.flush()
         return {("ingress",): self.copies_ingress, ("egress",): self.copies_egress}
 
@@ -147,16 +148,12 @@ class P4Monitor:
 
     def _receive_copy_batched(self, copy: MirrorCopy) -> None:
         """Batched twin of :meth:`receive_copy`: pack the copy's header
-        record now, defer pipeline work to the next flush boundary."""
+        record now, defer pipeline work (and counting it) to the next
+        flush boundary."""
         buf = self.batch_buffer
-        if copy.direction is _INGRESS:
-            self.copies_ingress += 1
-            buf += self._record(copy.pkt, PORT_INGRESS_TAP, copy.timestamp_ns,
-                                0, copy.ecn)
-        else:
-            self.copies_egress += 1
-            buf += self._record(copy.pkt, PORT_EGRESS_TAP, copy.timestamp_ns,
-                                copy.egress_port_id, copy.ecn)
+        # The bool is the port: PORT_EGRESS_TAP is 1, PORT_INGRESS_TAP 0.
+        buf += self._record(copy.pkt, copy.direction is _EGRESS,
+                            copy.timestamp_ns, copy.lanes)
         if len(buf) >= self._batch_limit:
             self.kernel.flush()
 

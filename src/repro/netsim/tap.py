@@ -43,26 +43,28 @@ class MirrorCopy:
     ``ecn`` is the packet's ECN codepoint at the TAP instant: downstream
     queues CE-mark the shared ``Packet`` after the mirror point, and a
     copy on a fibre delay reaches the monitor after they may have.
+
+    ``lanes`` packs the two, ``egress_port_id << 2 | ecn``: one slot (a
+    fifth would move every copy from pymalloc's 64-byte size class to
+    its 80-byte one), and the intake record's field of the same name.
     """
 
-    # ``egress_port_id`` and ``ecn`` share one slot: a fifth slot would
-    # move every copy from pymalloc's 64-byte size class to its 80-byte one.
-    __slots__ = ("pkt", "direction", "timestamp_ns", "_port_ecn")
+    __slots__ = ("pkt", "direction", "timestamp_ns", "lanes")
 
     def __init__(self, pkt: Packet, direction: TapDirection, timestamp_ns: int,
                  egress_port_id: int = 0) -> None:
         self.pkt = pkt
         self.direction = direction
         self.timestamp_ns = timestamp_ns
-        self._port_ecn = egress_port_id << 2 | pkt.ecn
+        self.lanes = egress_port_id << 2 | pkt.ecn
 
     @property
     def egress_port_id(self) -> int:
-        return self._port_ecn >> 2
+        return self.lanes >> 2
 
     @property
     def ecn(self) -> int:
-        return self._port_ecn & 3
+        return self.lanes & 3
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MirrorCopy({self.direction.value}, t={self.timestamp_ns}, {self.pkt!r})"
@@ -123,7 +125,8 @@ class OpticalTap:
         # fibre delay, no trace), mirror callbacks extend the kernel's
         # intake with the copy's header record directly — no MirrorCopy,
         # no sink call, no per-copy container.  The record is packed at
-        # mirror time, before queues CE-mark the shared Packet.
+        # mirror time, before queues CE-mark the shared Packet.  The
+        # kernel counts the monitor's copies at flush.
         owner = getattr(sink, "__self__", None)
         self._fast_buf = None
         self._fast_owner = None
@@ -147,7 +150,7 @@ class OpticalTap:
             if port.owner is not switch:
                 raise ValueError(f"port {port.name} is not on switch {switch.name}")
             if self._fast_buf is not None:
-                cb = lambda pkt, ts, _pid=port_id: self._mirror_egress_fast(pkt, ts, _pid)
+                cb = self._fast_egress_mirror(port_id)
             else:
                 cb = lambda pkt, ts, _pid=port_id: self._mirror_egress(pkt, ts, _pid)
             port.egress_mirrors.append(cb)
@@ -165,21 +168,25 @@ class OpticalTap:
 
     def _mirror_ingress_fast(self, pkt: Packet, ts_ns: int) -> None:
         self.copies_ingress += 1
-        mon = self._fast_owner
-        mon.copies_ingress += 1
         buf = self._fast_buf
-        buf += self._record(pkt, 0, ts_ns, 0, pkt.ecn)
+        buf += self._record(pkt, 0, ts_ns, pkt.ecn)
         if len(buf) >= self._fast_limit:
-            mon.kernel.flush()
+            self._fast_owner.kernel.flush()
 
-    def _mirror_egress_fast(self, pkt: Packet, ts_ns: int, port_id: int) -> None:
-        self.copies_egress += 1
-        mon = self._fast_owner
-        mon.copies_egress += 1
-        buf = self._fast_buf
-        buf += self._record(pkt, 1, ts_ns, port_id, pkt.ecn)
-        if len(buf) >= self._fast_limit:
-            mon.kernel.flush()
+    def _fast_egress_mirror(self, port_id: int):
+        """The fast egress mirror of one port: a closure over the port's
+        lane (its id, shifted into ``MirrorCopy.lanes``), so a copy pays
+        one Python frame, where a lambda in front of a method (or a
+        ``functools.partial``, on CPython 3.11) costs more."""
+        lane = port_id << 2
+
+        def mirror(pkt: Packet, ts_ns: int) -> None:
+            self.copies_egress += 1
+            buf = self._fast_buf
+            buf += self._record(pkt, 1, ts_ns, lane | pkt.ecn)
+            if len(buf) >= self._fast_limit:
+                self._fast_owner.kernel.flush()
+        return mirror
 
     def _ship(self, copy: MirrorCopy) -> None:
         if self.copy_loss_rate > 0.0 and self._rng.random() < self.copy_loss_rate:

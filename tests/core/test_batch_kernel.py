@@ -101,6 +101,7 @@ def _tallies(mon: P4Monitor) -> dict:
                      qs.pairs_missed, qs.stash_evictions,
                      mon.microburst.bursts_detected)
     out["parser"] = (mon.pipeline.parser.accepted, mon.pipeline.parser.rejected)
+    out["copies"] = (mon.copies_ingress, mon.copies_egress)
     out["pipeline"] = (mon.pipeline.packets_in, mon.pipeline.packets_dropped)
     return out
 
@@ -153,6 +154,9 @@ class Twins:
 
     def check(self) -> None:
         self.batched.flush()
+        for mon in (self.batched, self.scalar):
+            assert (mon.copies_ingress + mon.copies_egress
+                    == mon.pipeline.packets_in)
         assert (self.batched.program.state_digest()
                 == self.scalar.program.state_digest())
         assert _tallies(self.batched) == _tallies(self.scalar)
@@ -173,6 +177,27 @@ def test_flush_of_only_rejected_copies_is_accounted():
     pipeline = twins.batched.pipeline
     assert (pipeline.parser.accepted, pipeline.parser.rejected) == (0, 10)
     assert (pipeline.packets_in, pipeline.packets_dropped) == (10, 10)
+
+
+def test_copies_are_counted_at_flush_with_the_other_tallies():
+    """The batched sink only appends; the flush counts every record's
+    port lane, parser rejects included.  So the copies counted equal the
+    copies the pipeline took in at every instant on the batched path,
+    and at every flush boundary on both."""
+    twins = Twins()
+    batched = twins.batched
+    for k in range(3):
+        twins.transit(_udp())
+        twins.copy(_udp(FT.reversed()))
+        twins.transit(make_data_packet(FT, seq=1 + 600 * k, payload_len=600,
+                                       ip_id=k))
+        assert batched.kernel.pending == 5
+        assert (batched.copies_ingress + batched.copies_egress
+                == batched.pipeline.packets_in == 5 * k)
+        twins.check()
+        assert (batched.copies_ingress, batched.copies_egress) == (
+            3 * (k + 1), 2 * (k + 1))
+    assert batched.pipeline.parser.rejected == 9
 
 
 def test_mixed_tcp_udp_flush_drops_the_rejected_rows_only():
@@ -351,6 +376,84 @@ def test_arbitrary_copy_streams_match_the_scalar_stages(bits, bases, ops):
     the digest sequence the scalar stages leave.  At 20 bits the 10 us
     copy spacing wraps the clock about every 100 copies."""
     _replay(Twins(timestamp_bits=bits), bits, bases, ops)
+
+
+# -- microburst: the rows from a port's first trigger ------------------------
+
+#: A 400 us full-buffer drain at the default 10 Gb/s: the microburst
+#: detector's on threshold is 200 us, its off threshold 100 us.
+_MB = dict(buffer_bytes=500_000)
+_ON, _OFF = 200_000, 100_000
+
+
+def _queued(twins: Twins, k: int, delay: int, port: int = 0) -> None:
+    """The ``k``-th data packet of FT, through egress ``port`` after
+    ``delay`` ns in its queue."""
+    pkt = make_data_packet(FT, seq=1 + 600 * k, payload_len=600, ip_id=k + 1)
+    twins.copy(pkt)
+    twins.t += delay - 10_000
+    twins.copy(pkt, TapDirection.EGRESS, egress_port_id=port)
+
+
+def test_microburst_open_across_a_flush_boundary():
+    """A port in a burst at flush start loops over all its rows: the
+    next flush holds no trigger, only the rows that close the burst."""
+    twins = Twins(**_MB)
+    assert (twins.batched.microburst.on_threshold_ns,
+            twins.batched.microburst.off_threshold_ns) == (_ON, _OFF)
+    _queued(twins, 0, _ON + 5_000)
+    twins.check()
+    _queued(twins, 1, 150_000)
+    _queued(twins, 2, _OFF)
+    twins.check()
+    assert twins.batched.microburst.bursts_detected == 1
+
+
+def test_microburst_trigger_after_another_ports_rows():
+    """Port 1 bursts, closes and bursts again around port 0's first
+    trigger, in one flush: each port loops from its own first trigger."""
+    twins = Twins(**_MB)
+    for k, (delay, port) in enumerate((
+            (150_000, 0),            # port 0, before its trigger
+            (_ON, 1), (_OFF, 1),     # port 1's first burst
+            (_ON, 0),                # port 0's first trigger
+            (150_000, 1),            # port 1, between its bursts
+            (_OFF, 0),
+            (_ON + 1, 1), (_OFF - 1, 1))):
+        _queued(twins, k, delay, port)
+    twins.check()
+    assert twins.batched.microburst.bursts_detected == 3
+
+
+def test_microburst_delays_exactly_at_the_thresholds():
+    """A delay equal to ``on`` starts a burst and one equal to ``off``
+    ends it, so the row selection must take ``delay >= on``."""
+    twins = Twins(**_MB)
+    for k, delay in enumerate((_ON - 1, _ON, _OFF + 1, _OFF)):
+        _queued(twins, k, delay)
+    twins.check()
+    assert twins.batched.microburst.bursts_detected == 1
+
+
+@pytest.mark.parametrize("bits", [20, 32, 48])
+def test_microburst_after_a_timestamp_wrap_reports_sim_time(bits):
+    """A burst at t = 5 s, past the first wrap of a 20- or 32-bit clock:
+    ``mb_start`` holds the masked start, so the duration is the masked
+    difference to the closing copy's timestamp and the start is that
+    timestamp less the duration -- sim time, on both paths."""
+    twins = Twins(timestamp_bits=bits, **_MB)
+    got = [[], []]
+    for mon, into in zip((twins.batched, twins.scalar), got):
+        mon.runtime().subscribe_digest(
+            "microburst", lambda name, payload, into=into: into.append(payload))
+    twins.t = 5_000_000_000 - _ON - 10_000
+    _queued(twins, 0, _ON)        # egress at 5 s: the burst started 200 us ago
+    twins.t = 5_000_100_000 - _OFF - 10_000
+    _queued(twins, 1, _OFF)       # egress at 5.0001 s: the burst ends
+    twins.check()
+    assert got[0] == got[1] == [dict(
+        start_ns=5_000_000_000 - _ON, duration_ns=_ON + 100_000,
+        peak_queue_delay_ns=_ON, packets=2, port_id=0)]
 
 
 def test_ecn_is_per_copy_and_headers_per_packet():

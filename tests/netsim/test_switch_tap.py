@@ -7,7 +7,7 @@ from repro.core.monitor import P4Monitor
 from repro.netsim.engine import Simulator
 from repro.netsim.host import Host
 from repro.netsim.link import connect
-from repro.netsim.packet import FiveTuple, Packet, make_data_packet
+from repro.netsim.packet import PROTO_UDP, FiveTuple, Packet, make_data_packet
 from repro.netsim.switch import LegacySwitch
 from repro.netsim.tap import MirrorCopy, OpticalTap, TapDirection
 from repro.netsim.units import mbps
@@ -161,6 +161,29 @@ def test_tap_counts(sim, star):
     sim.run()
     assert tap.copies_ingress == 3
     assert tap.copies_egress == 3
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
+def test_monitor_counts_equal_the_taps_after_every_drain(sim, star, batched):
+    """The fast mirrors leave the monitor's counts to the kernel, which
+    counts each flush's records off their port lane: after every
+    ``run_until`` drain the monitor has counted what the TAP mirrored and
+    what its pipeline took in, non-TCP copies included."""
+    sw, (h1, h2, h3), _ = star
+    monitor = P4Monitor(MonitorConfig(batched_path=batched), sim=sim)
+    tap = OpticalTap(sim, sw, monitor.receive_copy)
+    assert (tap._fast_buf is not None) is batched
+    for k in range(4):
+        h1.send(make_data_packet(FiveTuple(h1.ip, h2.ip, 1, 2),
+                                 seq=1 + 100 * k, payload_len=100))
+        h1.send(Packet(h1.ip, h3.ip, 3, 4, payload_len=50, proto=PROTO_UDP))
+        sim.run_until((k + 1) * 10_000_000)
+        assert (tap.copies_ingress, tap.copies_egress) == (2 * k + 2, 2 * k + 2)
+        assert (monitor.copies_ingress, monitor.copies_egress) == (
+            tap.copies_ingress, tap.copies_egress)
+        assert (monitor.copies_ingress + monitor.copies_egress
+                == monitor.pipeline.packets_in)
+    assert monitor.pipeline.parser.rejected == 8
 
 
 def test_switch_drop_accounting(sim):
