@@ -498,7 +498,8 @@ class FlowTableUnit(_Unit):
                 claims += 1
                 digests.append((i, stage.long_flow_digest, dict(
                     flow_id=fid, rev_flow_id=int(ids.rid[i]),
-                    slot=int(slots[ls]), **ends, first_seen_ns=ts)))
+                    slot=int(slots[ls]), rev_slot=int(ids.rslot[i]), **ends,
+                    first_seen_ns=ts)))
             tracked += 1
             r_bytes[ls] = (r_bytes[ls] + tlen) & _M64
             r_pkts[ls] = (r_pkts[ls] + 1) & _M64

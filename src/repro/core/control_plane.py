@@ -82,7 +82,8 @@ class TrackedFlow:
 
     flow_id: int
     rev_flow_id: int
-    slot: int
+    slot: int       # flow_id's and rev_flow_id's cells, as announced
+    rslot: int      # (``rtt`` sits under rslot: Algorithm 1's ACK ID)
     src_ip: int
     dst_ip: int
     src_port: int
@@ -449,6 +450,7 @@ class MonitorControlPlane:
             flow_id=payload["flow_id"],
             rev_flow_id=payload["rev_flow_id"],
             slot=payload["slot"],
+            rslot=payload["rev_slot"],
             src_ip=payload["src_ip"],
             dst_ip=payload["dst_ip"],
             src_port=payload["src_port"],
@@ -462,15 +464,18 @@ class MonitorControlPlane:
 
     def _on_termination(self, _name: str, payload: dict) -> None:
         fid = payload["flow_id"]
-        mask = self.config.flow_slots - 1
-        retx = self._read_traced("pkt_loss", fid & mask, flow_id=fid)
+        flow = self.flows.get(fid)
+        retx = self._read_traced("pkt_loss", payload["slot"], flow_id=fid)
+        # ``flow_start`` holds the claim instant masked to the register
+        # width; a flow tracked in that slot knows it in sim time.
+        tracked = flow is not None and not flow.evicted
         report = FlowTerminationReport(
             flow_id=fid,
             src_ip=payload["src_ip"],
             dst_ip=payload["dst_ip"],
             src_port=payload["src_port"],
             dst_port=payload["dst_port"],
-            start_ns=payload["start_ns"],
+            start_ns=flow.first_seen_ns if tracked else payload["start_ns"],
             end_ns=payload["end_ns"],
             total_packets=payload["total_packets"],
             total_bytes=payload["total_bytes"],
@@ -478,7 +483,6 @@ class MonitorControlPlane:
         )
         self.terminations.append(report)
         self._ship(report)
-        flow = self.flows.get(fid)
         if flow is not None:
             self._retire(flow)
         self._checkpoint()
@@ -584,18 +588,16 @@ class MonitorControlPlane:
 
     def _tick_loss(self) -> None:
         now = self.sim.now
-        mask = self.config.flow_slots - 1
         flows = self._active_flows()
         fids = [f.flow_id for f in flows]
-        ids = [fid & mask for fid in fids]
         slots = [f.slot for f in flows]
-        loss_col = self._sweep("pkt_loss", ids)
+        loss_col = self._sweep("pkt_loss", slots)
         pkts_col = self._sweep("flow_pkts", slots)
-        rwnd_col = self._sweep("flow_rwnd", ids)
+        rwnd_col = self._sweep("flow_rwnd", slots)
         # Cells are uint64: subtract the ints, so a flight clamps at 0
         # where the arrays would wrap.
         flights = [max(0, seq - ack) for seq, ack in zip(
-            self._sweep("flight_high_seq", ids), self._sweep("flight_high_ack", ids))]
+            self._sweep("flight_high_seq", slots), self._sweep("flight_high_ack", slots))]
         loss_deltas = [losses - f.last_loss for f, losses in zip(flows, loss_col)]
         verdicts, mean_flights, flight_cvs, lost = self.limiter.step(
             fids, flights, loss_deltas, rwnd_col)
@@ -616,19 +618,18 @@ class MonitorControlPlane:
                 for (fid, src, dst, _, _), verdict, flight, cv, loss, rwnd in zip(
                     [f.head for f in flows], verdicts, mean_flights, flight_cvs, lost, rwnd_col)]
         self._put_samples(MetricKind.PACKET_LOSS, flows, values,
-                          (("pkt_loss", ids, loss_col), ("flow_pkts", slots, pkts_col)),
-                          rows, (("flow_rwnd", ids, rwnd_col),))
+                          (("pkt_loss", slots, loss_col), ("flow_pkts", slots, pkts_col)),
+                          rows, (("flow_rwnd", slots, rwnd_col),))
 
     def _tick_rtt(self) -> None:
         kind = MetricKind.RTT
-        mask = self.config.flow_slots - 1
         boosted = self.alerts.metric_boosted(kind)
         flows = self._active_flows()
         # Algorithm 1 stores the RTT under the ACK direction's flow ID,
         # i.e. the tracked flow's *reversed* ID (a cell two flows may
         # share; it is only read).
-        ids = [f.rev_flow_id & mask for f in flows]
-        rtt_col = self._sweep("rtt", ids)
+        rslots = [f.rslot for f in flows]
+        rtt_col = self._sweep("rtt", rslots)
         # Derived jitter (one of perfSONAR's four headline metrics,
         # §2.2): RFC 3550 smoothing of consecutive RTT-sample deltas.
         values, jitters = [], []
@@ -642,23 +643,22 @@ class MonitorControlPlane:
                 flow.last_rtt_ms = rtt_ms
             values.append(rtt_ms)
             jitters.append(jitter)
-        self._put_samples(kind, flows, values, (("rtt", ids, rtt_col),),
+        self._put_samples(kind, flows, values, (("rtt", rslots, rtt_col),),
                           self._archive(self.jitter_samples, "jitter", boosted,
                                         flows, jitters))
 
     def _tick_queue(self) -> None:
-        mask = self.config.flow_slots - 1
         max_delay = self.config.max_queue_delay_ns()
         flows = self._active_flows()
-        ids = [f.flow_id & mask for f in flows]
+        slots = [f.slot for f in flows]
         # Peak-hold since the previous tick gives the occupancy the
         # sampling interval actually experienced; clear after reading.
-        peaks = self._sweep("flow_qdelay_max", ids)
-        self.runtime.clear_register("flow_qdelay_max", ids)
+        peaks = self._sweep("flow_qdelay_max", slots)
+        self.runtime.clear_register("flow_qdelay_max", slots)
         values = ([100.0 * peak / max_delay for peak in peaks] if max_delay
                   else [0.0] * len(peaks))
         self._put_samples(MetricKind.QUEUE_OCCUPANCY, flows, values,
-                          (("flow_qdelay_max", ids, peaks),))
+                          (("flow_qdelay_max", slots, peaks),))
 
     # -- helpers -------------------------------------------------------------------
 

@@ -3,10 +3,11 @@
 Every packet gets a ``flow_ID = hash(5-tuple)`` and a ``reversed ID``
 (source/destination fields swapped).  Payload-carrying flows are pushed
 through a count-min sketch; once a flow's byte estimate crosses the
-long-flow threshold it claims the register slot ``flow_ID & (slots-1)``
+long-flow threshold it claims the register slot :func:`slot_of` names
 and the data plane announces it to the control plane with a digest
 carrying the flow ID, source/destination addresses and the reversed ID —
-exactly the §4 announcement.
+exactly the §4 announcement — and both IDs' slots, which every reader
+of a per-flow register takes from the announcement.
 
 Slot collisions (a second long flow hashing into an occupied slot) are
 counted and the colliding flow is left untracked, the honest behaviour
@@ -31,22 +32,31 @@ PORT_INGRESS_TAP = 0
 PORT_EGRESS_TAP = 1
 
 
+def slot_of(flow_id: int, slots: int) -> int:
+    """The cell ``flow_id`` indexes in a ``slots``-cell per-flow register
+    file.  The scalar path's only slot rule; the kernel's twin is
+    ``hash_lanes``."""
+    return flow_id & (slots - 1)
+
+
 class FlowIdEngine:
-    """Computes (flow_ID, reversed_ID) pairs; memoised, standing in for a
-    line-rate hash unit."""
+    """Computes (flow_ID, reversed_ID, slot, reversed slot); memoised,
+    standing in for a line-rate hash unit."""
 
-    def __init__(self) -> None:
-        self._cache: Dict[Tuple[int, int, int, int, int], Tuple[int, int]] = {}
+    def __init__(self, slots: int) -> None:
+        self.slots = slots
+        self._cache: Dict[tuple, Tuple[int, int, int, int]] = {}
 
-    def ids(self, hdr: ParsedHeaders) -> Tuple[int, int]:
+    def ids(self, hdr: ParsedHeaders) -> Tuple[int, int, int, int]:
         key = (hdr.src_ip, hdr.dst_ip, hdr.src_port, hdr.dst_port, hdr.proto)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         ft = FiveTuple(*key)
-        pair = (crc32_tuple(ft), crc32_tuple(ft.reversed()))
-        self._cache[key] = pair
-        return pair
+        fid, rid = crc32_tuple(ft), crc32_tuple(ft.reversed())
+        entry = self._cache[key] = (fid, rid, slot_of(fid, self.slots),
+                                    slot_of(rid, self.slots))
+        return entry
 
 
 class FlowTableStage(PipelineStage):
@@ -57,8 +67,7 @@ class FlowTableStage(PipelineStage):
     def __init__(self, program: P4Program, config: MonitorConfig) -> None:
         self.config = config
         self.slots = config.flow_slots
-        self.mask = config.flow_slots - 1
-        self.ids = FlowIdEngine()
+        self.ids = FlowIdEngine(self.slots)
 
         self.cms = program.sketch(
             "long_flow_cms",
@@ -87,32 +96,26 @@ class FlowTableStage(PipelineStage):
     # -- data plane --------------------------------------------------------------
 
     def process(self, hdr: ParsedHeaders, meta: StandardMetadata) -> None:
-        fid, rid = self.ids.ids(hdr)
-        meta.flow_id = fid
-        meta.rev_flow_id = rid
+        fid, rid, slot, meta.rev_slot = self.ids.ids(hdr)
+        meta.flow_id, meta.rev_flow_id, meta.flow_slot = fid, rid, slot
         if meta.ingress_port != PORT_INGRESS_TAP:
             return  # per-flow accounting uses the ingress-TAP copy only
 
-        slot = fid & self.mask
         key = self.flow_key.read(slot)
-        if key == fid:
-            meta.flow_slot = slot
-            meta.is_long_flow = True
-        elif key == 0:
-            if hdr.payload_len > 0:
-                estimate = self.cms.update_tuple(hdr.five_tuple, hdr.payload_len)
-                if estimate >= self.config.long_flow_bytes:
-                    self._claim(slot, fid, rid, hdr, meta)
-        else:
+        if key == 0:
+            if hdr.payload_len <= 0 or self.cms.update_tuple(
+                    hdr.five_tuple, hdr.payload_len) < self.config.long_flow_bytes:
+                return
+            self._claim(slot, fid, rid, hdr, meta)
+        elif key != fid:
             self.slot_collisions += 1
             return
 
-        if meta.flow_slot >= 0:
-            self.flow_bytes.add(slot, hdr.ip_total_len)
-            self.flow_pkts.add(slot, 1)
-            self.flow_last.write(slot, meta.ingress_timestamp_ns)
-            if hdr.flags & (F_FIN | F_RST) and not self.flow_fin.read(slot):
-                self._terminate(slot, fid, hdr, meta)
+        self.flow_bytes.add(slot, hdr.ip_total_len)
+        self.flow_pkts.add(slot, 1)
+        self.flow_last.write(slot, meta.ingress_timestamp_ns)
+        if hdr.flags & (F_FIN | F_RST) and not self.flow_fin.read(slot):
+            self._terminate(slot, fid, hdr, meta)
 
     def _claim(self, slot: int, fid: int, rid: int, hdr: ParsedHeaders,
                meta: StandardMetadata) -> None:
@@ -123,12 +126,11 @@ class FlowTableStage(PipelineStage):
         self.flow_dport.write(slot, hdr.dst_port)
         self.flow_start.write(slot, meta.ingress_timestamp_ns)
         self.flow_fin.write(slot, 0)
-        meta.flow_slot = slot
-        meta.is_long_flow = True
         self.long_flow_digest.emit(
             flow_id=fid,
             rev_flow_id=rid,
             slot=slot,
+            rev_slot=meta.rev_slot,
             src_ip=hdr.src_ip,
             dst_ip=hdr.dst_ip,
             src_port=hdr.src_port,

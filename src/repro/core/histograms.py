@@ -105,10 +105,8 @@ class HistogramExtractor:
 
     def __init__(self, cp) -> None:
         self.cp = cp
-        config = cp.config
         self.rtt_hist = cp.monitor.rtt_loss.rtt_hist
         self.qdepth_hist = cp.monitor.queue.qdepth_hist
-        self.mask = config.flow_slots - 1
         # Cumulative per-row counts: sum of every extracted window, the
         # all-time distribution percentiles are derived from.
         self.rtt_cumulative = np.zeros(
@@ -138,7 +136,7 @@ class HistogramExtractor:
         # the ACK direction's flow ID, so the tracked flow's row is its
         # *reversed* ID's slot (same as the scalar rtt register read).
         for flow in cp._active_flows():
-            idx = flow.rev_flow_id & self.mask
+            idx = flow.rslot
             wcount = int(rtt_window[idx].sum())
             counts = self.rtt_cumulative[idx]
             total = int(counts.sum())

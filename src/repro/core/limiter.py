@@ -39,7 +39,6 @@ class FlightSizeStage(PipelineStage):
     name = "flight_size"
 
     def __init__(self, program: P4Program, config: MonitorConfig) -> None:
-        self.mask = config.flow_slots - 1
         slots = config.flow_slots
         self.high_seq = program.register(RegisterArray("flight_high_seq", slots, 32))
         self.high_ack = program.register(RegisterArray("flight_high_ack", slots, 32))
@@ -50,18 +49,17 @@ class FlightSizeStage(PipelineStage):
             return
         if hdr.payload_len > 0:
             # Data direction: remember the furthest byte put on the wire.
-            idx = meta.flow_id & self.mask
+            idx = meta.flow_slot
             self.high_seq.maximum(idx, (hdr.seq + hdr.payload_len) & 0xFFFFFFFF)
         elif hdr.flags & F_ACK and not hdr.flags & F_SYN:
             # ACK direction: this packet's *reversed* ID is the data flow.
-            idx = meta.rev_flow_id & self.mask
+            idx = meta.rev_slot
             self.high_ack.maximum(idx, hdr.ack)
             self.flow_rwnd.write(idx, hdr.window)
 
-    def flight_bytes(self, flow_id: int) -> int:
-        """Current flight size for a (data-direction) flow ID."""
-        idx = flow_id & self.mask
-        return max(0, self.high_seq.read(idx) - self.high_ack.read(idx))
+    def flight_bytes(self, slot: int) -> int:
+        """Current flight size of the (data-direction) flow in ``slot``."""
+        return max(0, self.high_seq.read(slot) - self.high_ack.read(slot))
 
 
 #: The classifier's rules in order of precedence — losses, flight pinned

@@ -188,12 +188,12 @@ class P4Monitor:
     def release_slot(self, slot: int) -> None:
         """Control-plane eviction: free the flow-table slot and zero what
         the other stages keep under the released flow's *own* index
-        (``flow_id & mask`` is the slot), so the next flow to claim it is
-        not compared against a dead flow's sequence numbers.  Left alone
-        on purpose: ``pkt_loss`` (a flow's regressions stay readable
-        after eviction, and untracked flows count there too) and ``rtt``
-        / ``rtt_count`` / ``rtt_hist``, which sit under the ACK
-        direction's ID and may be another flow's cell."""
+        (its ``slot``), so the next flow to claim it is not compared
+        against a dead flow's sequence numbers.  Left alone on purpose:
+        ``pkt_loss`` (a flow's regressions stay readable after eviction,
+        and untracked flows count there too) and ``rtt`` / ``rtt_count``
+        / ``rtt_hist``, which sit under the ACK direction's ID (its
+        ``rslot``) and may be another flow's cell."""
         self.flow_table.release_slot(slot)
         for reg in (self.rtt_loss.prev_seq,
                     self.flight.high_seq, self.flight.high_ack,

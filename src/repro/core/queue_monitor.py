@@ -53,7 +53,6 @@ class QueueMonitorStage(PipelineStage):
 
     def __init__(self, program: P4Program, config: MonitorConfig) -> None:
         self.config = config
-        self.mask = config.flow_slots - 1
         self.stash_size = config.queue_stash_size
         ts_bits = config.timestamp_bits
         self._ts_mask = (1 << ts_bits) - 1
@@ -129,7 +128,7 @@ class QueueMonitorStage(PipelineStage):
             self.qdepth_hist.observe(meta.egress_port_id % self.ports, delay)
         if self.time_windows is not None:
             self.time_windows.observe(now, meta.flow_id, hdr.ip_total_len, delay)
-        idx = meta.flow_id & self.mask
+        idx = meta.flow_slot
         self.flow_qdelay.write(idx, delay)
         self.flow_qdelay_max.maximum(idx, delay)
         if hdr.ecn == 3:  # CE

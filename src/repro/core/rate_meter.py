@@ -26,7 +26,6 @@ class RateMeterStage(PipelineStage):
 
     def __init__(self, program: P4Program, config: MonitorConfig) -> None:
         self.config = config
-        self.mask = config.flow_slots - 1
         cir = max(1, int(config.rate_meter_cir_fraction * config.bottleneck_rate_bps))
         pir = max(cir, int(config.rate_meter_pir_fraction * config.bottleneck_rate_bps))
         self.meter = MeterArray(
@@ -44,7 +43,7 @@ class RateMeterStage(PipelineStage):
     def process(self, hdr: ParsedHeaders, meta: StandardMetadata) -> None:
         if meta.ingress_port != PORT_INGRESS_TAP or hdr.payload_len == 0:
             return
-        idx = meta.flow_id & self.mask
+        idx = meta.flow_slot
         color = self.meter.execute(idx, hdr.ip_total_len, meta.ingress_timestamp_ns)
         if color is not MeterColor.RED:
             return

@@ -49,7 +49,6 @@ class RttLossStage(PipelineStage):
 
     def __init__(self, program: P4Program, config: MonitorConfig) -> None:
         self.config = config
-        self.mask = config.flow_slots - 1
         self.stash_size = config.eack_table_size
         ts_bits = config.timestamp_bits
         self._ts_mask = (1 << ts_bits) - 1
@@ -96,7 +95,7 @@ class RttLossStage(PipelineStage):
     # -- Seq branch ---------------------------------------------------------------
 
     def _process_seq(self, hdr: ParsedHeaders, meta: StandardMetadata, now: int) -> None:
-        idx = meta.flow_id & self.mask
+        idx = meta.flow_slot
         prev = self.prev_seq.read(idx)
         seq = hdr.seq
         # 32-bit serial-number comparison (RFC 1982 style) so the check
@@ -133,7 +132,7 @@ class RttLossStage(PipelineStage):
                 # loss-recovery time, not the path RTT.
                 self.rtt_stale += 1
                 return
-            idx = meta.flow_id & self.mask
+            idx = meta.flow_slot
             self.rtt.write(idx, rtt)
             self.rtt_count.add(idx, 1)
             if self.rtt_hist is not None:

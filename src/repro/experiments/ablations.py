@@ -466,9 +466,8 @@ def ablate_cca_signatures(
         occ = window(
             scenario.monitor_series(handle, MetricKind.QUEUE_OCCUPANCY), lo, hi)
         tracked = scenario.monitored_flow(handle)
-        mask = scenario.monitor.config.flow_slots - 1
         retx = scenario.control_plane.runtime.read_register(
-            "pkt_loss", tracked.flow_id & mask)
+            "pkt_loss", tracked.slot)
         rows.append(CcaSignatureRow(
             cc=cc,
             throughput_mbps=sum(thr) / len(thr) if thr else 0.0,

@@ -38,8 +38,9 @@ class StandardMetadata:
     # Monitor-specific scratch shared between stages (P4 user metadata).
     flow_id: int = -1
     rev_flow_id: int = -1
+    # The flow table sets both IDs' register cells on every copy.
     flow_slot: int = -1
-    is_long_flow: bool = False
+    rev_slot: int = -1
     drop: bool = False
 
 

@@ -110,14 +110,17 @@ def _decode_report(doc: dict):
 def _encode_flow(flow) -> dict:
     doc = dataclasses.asdict(flow)
     doc["verdict"] = flow.verdict.value
+    del doc["rslot"]    # derived from rev_flow_id, so v1 documents lack it
     return doc
 
 
-def _decode_flow(doc: dict):
+def _decode_flow(doc: dict, slots: int):
     from repro.core.control_plane import TrackedFlow
+    from repro.core.flow_table import slot_of
     from repro.core.reports import LimiterVerdict
     doc = dict(doc)
     doc["verdict"] = LimiterVerdict(doc["verdict"])
+    doc["rslot"] = slot_of(doc["rev_flow_id"], slots)
     return TrackedFlow(**doc)
 
 
@@ -276,7 +279,7 @@ def restore_control_plane(cp, doc: dict) -> None:
 
     cp.flows = {}
     for fdoc in sec["flows"]:
-        flow = _decode_flow(fdoc)
+        flow = _decode_flow(fdoc, cp.config.flow_slots)
         cp.flows[flow.flow_id] = flow
 
     cp.alerts._active = {

@@ -37,11 +37,14 @@ What is checked, and why the comparison is sound:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.config import MetricKind
 from repro.core.control_plane import MonitorControlPlane, TrackedFlow
+from repro.core.flow_table import slot_of
+from repro.p4.hashes import crc32_tuple
 from repro.validation.oracle import FlowTruth, GroundTruthOracle
 from repro.validation.tolerances import (
     COUNTERS,
@@ -142,7 +145,6 @@ class DifferentialChecker:
         self.oracle = oracle
         self.runtime = control_plane.runtime
         self.config = control_plane.config
-        self.mask = self.config.flow_slots - 1
         # Scenarios that deliberately reorder (reorder impairment, jitter
         # >= 1 ms) get the widened loss envelope.
         self.loss_tol = LOSS_PKTS_REORDER if reordering else LOSS_PKTS
@@ -151,7 +153,10 @@ class DifferentialChecker:
 
     def check(self) -> ValidationReport:
         report = ValidationReport()
-        for flow in self.cp.flows.values():
+        flows = self.cp.flows.values()
+        self._readers = {attr: Counter(getattr(f, attr) for f in flows)
+                         for attr in ("slot", "rslot")}
+        for flow in flows:
             truth = self._truth_for(flow)
             if truth is None:
                 report.add(CheckResult(
@@ -189,16 +194,10 @@ class DifferentialChecker:
                 f"{flow.dst_ip & 0xFF}.{flow.dst_port}")
 
     def _shares_index(self, flow: TrackedFlow, attr: str) -> bool:
-        """True when another tracked flow aliases the same register cell
-        (fid & mask collision) — the check must then be skipped, not
-        failed, because the cell holds a sum over both flows."""
-        idx = getattr(flow, attr) & self.mask
-        for other in self.cp.flows.values():
-            if other is flow:
-                continue
-            if getattr(other, attr) & self.mask == idx:
-                return True
-        return False
+        """True when another tracked flow reads the same ``slot`` /
+        ``rslot`` cell — the check must then be skipped, not failed,
+        because the cell holds a sum over both flows."""
+        return self._readers[attr][getattr(flow, attr)] > 1
 
     # -- individual checks ----------------------------------------------------
 
@@ -227,10 +226,10 @@ class DifferentialChecker:
                     report: ValidationReport) -> None:
         if not truth.is_tcp:
             return  # sequence regression is a TCP retransmission proxy
-        if self._shares_index(flow, "flow_id"):
+        if self._shares_index(flow, "slot"):
             report.skip(f"loss {self._label(flow)}: pkt_loss cell shared")
             return
-        p4_loss = self.runtime.read_register("pkt_loss", flow.flow_id & self.mask)
+        p4_loss = self.runtime.read_register("pkt_loss", flow.slot)
         # (1) Implementation check, exact: the register must equal the
         # oracle's replay of the same regression rule on the same arrivals.
         report.add(CheckResult(
@@ -260,7 +259,7 @@ class DifferentialChecker:
                    report: ValidationReport) -> None:
         truth_ms = [r / NS_PER_MS for r in truth.expected_rtt_values_ns]
         cp_ms = self.cp.metric_values(MetricKind.RTT, flow.flow_id)
-        if self._shares_index(flow, "rev_flow_id"):
+        if self._shares_index(flow, "rslot"):
             report.skip(f"rtt {self._label(flow)}: rtt cell shared")
             return
         if len(truth_ms) < 5 or len(cp_ms) < 2:
@@ -331,14 +330,14 @@ class DifferentialChecker:
         ext = getattr(self.cp, "histograms", None)
         if ext is None:
             return
-        if self._shares_index(flow, "rev_flow_id"):
+        if self._shares_index(flow, "rslot"):
             report.skip(f"rtt distribution {self._label(flow)}: "
                         f"histogram row shared")
             return
         import numpy as np
         from repro.p4.histogram import bin_quantile
         hist = self.cp.monitor.rtt_loss.rtt_hist
-        idx = flow.rev_flow_id & self.mask
+        idx = flow.rslot
         # Extracted windows plus whatever still sits in the banks: the
         # complete all-time row, regardless of extraction phase.
         counts = ext.rtt_cumulative[idx] + hist.snapshot()[idx]
@@ -362,8 +361,7 @@ class DifferentialChecker:
 
     def _check_rtt_coverage(self, flow: TrackedFlow, truth: FlowTruth,
                             report: ValidationReport) -> None:
-        p4_count = self.runtime.read_register("rtt_count",
-                                              flow.rev_flow_id & self.mask)
+        p4_count = self.runtime.read_register("rtt_count", flow.rslot)
         true_count = len(truth.expected_rtt_samples)
         report.add(CheckResult(
             metric="rtt_sample_count", subject=self._label(flow),
@@ -425,7 +423,6 @@ class DifferentialChecker:
     def _check_tracking_coverage(self, report: ValidationReport) -> None:
         """A TCP flow that moved >> threshold payload must be tracked —
         unless another flow owns its slot (documented collision policy)."""
-        from repro.p4.hashes import crc32_tuple
         threshold = self.config.long_flow_bytes
         for ft, truth in self.oracle.flows.items():
             if not truth.is_tcp or truth.payload_bytes < 4 * threshold:
@@ -434,7 +431,7 @@ class DifferentialChecker:
                                             ft.src_port, ft.dst_port)
             if tracked is not None:
                 continue
-            slot = crc32_tuple(ft) & self.mask
+            slot = slot_of(crc32_tuple(ft), self.config.flow_slots)
             stolen = any(f.slot == slot for f in self.cp.flows.values())
             report.add(CheckResult(
                 metric="tracking", subject=str(ft),
@@ -452,12 +449,11 @@ class DifferentialChecker:
         owned_slots = {f.slot for f in self.cp.flows.values()}
         n_total = self.oracle.total_tcp_payload_bytes
         over_bound = 2 * (2.718281828 / cms.width) * n_total
-        from repro.p4.hashes import crc32_tuple
         checked = 0
         for ft, truth in self.oracle.flows.items():
             if truth.payload_bytes == 0 or not truth.is_tcp:
                 continue  # the parser rejects non-TCP; UDP never inserts
-            slot = crc32_tuple(ft) & self.mask
+            slot = slot_of(crc32_tuple(ft), self.config.flow_slots)
             if slot in owned_slots:
                 continue  # inserts stopped once the slot was claimed
             if self.runtime.program.registers["flow_key"].read(slot) != 0:

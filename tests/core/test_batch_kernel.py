@@ -456,6 +456,30 @@ def test_microburst_after_a_timestamp_wrap_reports_sim_time(bits):
         peak_queue_delay_ns=_ON, packets=2, port_id=0)]
 
 
+@pytest.mark.parametrize("bits", [20, 32, 48])
+def test_termination_after_a_timestamp_wrap_reports_sim_time(bits):
+    """A flow claimed at t = 5 s, past the first wrap of a 20- or 32-bit
+    clock, ends with a FIN 0.5 s later: ``flow_start`` holds the masked
+    claim instant, so the report takes the start the long-flow digest
+    announced -- sim time, and the true duration, on both paths."""
+    twins = Twins(timestamp_bits=bits)
+    terminations = []
+    for mon in (twins.batched, twins.scalar):
+        cp = MonitorControlPlane(mon.sim, mon)
+        cp.start()
+        terminations.append(cp.terminations)
+    twins.t = 5_000_000_000
+    seq = twins.track(FT)             # claims at its second ingress copy
+    twins.t = 5_500_000_000
+    twins.transit(make_data_packet(FT, seq=seq, payload_len=600, ip_id=9,
+                                   flags=TCPFlags.FIN | TCPFlags.ACK))
+    twins.check()
+    (batched,), (scalar,) = terminations
+    assert batched == scalar
+    assert (batched.start_ns, batched.end_ns) == (5_000_030_000, 5_500_010_000)
+    assert batched.duration_ns == 499_980_000
+
+
 def test_ecn_is_per_copy_and_headers_per_packet():
     """One Packet object mirrored at ingress and at egress in the same
     flush, CE-marked by the queue between the two mirror points."""
@@ -701,16 +725,58 @@ def _code_lines(source: str) -> int:
     return len(lines)
 
 
-def _masked_in(tree: ast.AST) -> list:
-    """The function around each ``x & mask`` / ``x & y.mask``."""
-    def is_mask(side):
-        return (isinstance(side, ast.Name) and side.id == "mask"
-                or isinstance(side, ast.Attribute) and side.attr == "mask")
-    return [scope.name for scope in ast.walk(tree)
-            if isinstance(scope, ast.FunctionDef)
-            for node in ast.walk(scope)
+def _name(node: ast.AST) -> str:
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else "")
+
+
+def _slots_less_one(node: ast.AST) -> bool:
+    """``slots - 1`` / ``x.flow_slots - 1``: a slot mask being built."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and _name(node.left).endswith("slots")
+            and isinstance(node.right, ast.Constant) and node.right.value == 1)
+
+
+def _scoped(tree: ast.AST, where: str = ""):
+    """(``where`` + enclosing function name, node) for every node in a
+    function."""
+    for scope in ast.walk(tree):
+        if isinstance(scope, ast.FunctionDef):
+            for node in ast.walk(scope):
+                yield where + scope.name, node
+
+
+def _masked_in(tree: ast.AST, where: str = "") -> list:
+    """The function around each ``x & mask``, ``x & y.mask`` or ``x &
+    (slots - 1)`` -- not the power-of-two test ``n & (n - 1)``."""
+    def masks(side, other):
+        return _name(side) == "mask" or (
+            _slots_less_one(side) and ast.dump(side.left) != ast.dump(other))
+    return [scope for scope, node in _scoped(tree, where)
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
-            and (is_mask(node.left) or is_mask(node.right))]
+            and (masks(node.left, node.right) or masks(node.right, node.left))]
+
+
+def test_a_slot_is_computed_by_the_flow_table_or_hash_lanes_only():
+    """Every module that reads per-flow registers reads the slot the flow
+    table announced (``meta.flow_slot`` / ``rev_slot``, ``flow.slot`` /
+    ``rslot``, the kernel's ``slot`` / ``rslot`` lanes): an ID is masked
+    to its cell only in ``flow_table.slot_of`` and in ``hash_lanes``, and
+    a slot mask is built only there, in ``config.py``'s power-of-two
+    check and for the kernel's ``hash_lanes`` call."""
+    package = Path(batch.__file__).parents[1]
+    masked, built = [], []
+    for sub in ("core", "validation", "experiments", "resilience"):
+        for path in sorted((package / sub).rglob("*.py")):
+            where = f"{path.relative_to(package).as_posix()}:"
+            tree = ast.parse(path.read_text())
+            masked += _masked_in(tree, where)
+            built += [scope for scope, node in _scoped(tree, where)
+                      if _slots_less_one(node)]
+    assert masked == ["core/batch.py:hash_lanes"] * 2 + [
+        "core/flow_table.py:slot_of"]
+    assert built == ["core/batch.py:__init__", "core/config.py:validate",
+                     "core/flow_table.py:slot_of"]
 
 
 def test_flush_drives_one_short_unit_per_scalar_stage():

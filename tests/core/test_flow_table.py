@@ -134,9 +134,26 @@ def test_egress_copies_do_not_double_count():
 
 def test_meta_flow_ids_set_for_all_packets():
     mon = small_monitor()
-    from repro.netsim.packet import make_data_packet
+    from repro.netsim.packet import make_ack_packet, make_data_packet
     from repro.netsim.tap import TapDirection
     pkt = make_data_packet(FT, seq=1, payload_len=10)
     meta = mon.process_packet(pkt, TapDirection.INGRESS, 100)
     assert meta.flow_id == crc32_tuple(FT)
     assert meta.rev_flow_id == crc32_tuple(FT.reversed())
+
+    # Every copy carries both slots on to the stages, egress copies and
+    # the ACK direction included, whether or not a flow is tracked.
+    seen = {}
+    for stage in (mon.flight, mon.queue):
+        def spy(hdr, meta, name=stage.name, process=stage.process):
+            seen.setdefault(name, []).append((meta.flow_slot, meta.rev_slot))
+            process(hdr, meta)
+        stage.process = spy
+    mon.process_packet(pkt, TapDirection.EGRESS, 200)
+    mon.process_packet(make_ack_packet(FT.reversed(), ack=11),
+                       TapDirection.INGRESS, 300)
+    mask = mon.config.flow_slots - 1
+    fid, rid = crc32_tuple(FT) & mask, crc32_tuple(FT.reversed()) & mask
+    assert fid != rid
+    assert seen["queue_monitor"][0] == (fid, rid)   # the egress-TAP copy
+    assert seen["flight_size"][1] == (rid, fid)     # the ACK: rev_slot is FT's

@@ -21,7 +21,7 @@ def test_flight_size_from_wire():
     script.data(1, 1000, millis(1))        # high_seq = 1001
     script.data(1001, 1000, millis(2))     # high_seq = 2001
     script.ack(1001, millis(20))           # high_ack = 1001
-    assert mon.flight.flight_bytes(script.flow_id) == 1000
+    assert mon.flight.flight_bytes(script.slot) == 1000
 
 
 def test_flight_zero_when_fully_acked():
@@ -29,7 +29,7 @@ def test_flight_zero_when_fully_acked():
     script = FlowScript(mon)
     script.data(1, 500, millis(1))
     script.ack(501, millis(10))
-    assert mon.flight.flight_bytes(script.flow_id) == 0
+    assert mon.flight.flight_bytes(script.slot) == 0
 
 
 def test_rwnd_recorded_from_ack_direction():

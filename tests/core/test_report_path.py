@@ -88,7 +88,7 @@ def _tick(n, rng):
     """What a tick archives: one chunk (its flows, the tick's constants,
     its values) and the samples it stands for."""
     t, boosted = rng.randrange(10**9), rng.random() < 0.5
-    flows = [TrackedFlow(rng.randrange(2**32), 0, 0, 1, 2, 3, rng.randrange(2**16), 0)
+    flows = [TrackedFlow(rng.randrange(2**32), 0, 0, 0, 1, 2, 3, rng.randrange(2**16), 0)
              for _ in range(n)]
     values = [rng.random() for _ in range(n)]
     columns = (t, "rtt", None, None, None, None, None, values, boosted)
@@ -142,7 +142,7 @@ def test_a_tick_chunk_keeps_no_object_per_report():
     rng = random.Random(1)
     log = FlowSampleLog(record=LimiterReport)
     n = 1000
-    flows = [TrackedFlow(i, 0, 0, 1, 2, 3, 4, 0) for i in range(n)]
+    flows = [TrackedFlow(i, 0, 0, 0, 1, 2, 3, 4, 0) for i in range(n)]
     verdicts = [rng.choice(list(LimiterVerdict)) for _ in range(n)]
     gc.collect()
     before = len(gc.get_objects())

@@ -121,7 +121,7 @@ class PerCellControlPlane(MonitorControlPlane):
             flow.last_pkts = pkts
             emit(flow, min(100.0, 100.0 * loss_delta / pkt_delta))
             # _limiter_step
-            flight = self.monitor.flight.flight_bytes(flow.flow_id)
+            flight = self.monitor.flight.flight_bytes(flow.slot)
             self.limiter.observe(flow.flow_id, flight, loss_delta)
             rwnd = self._read_traced("flow_rwnd", flow.flow_id & mask,
                                      flow_id=flow.flow_id)
@@ -357,6 +357,7 @@ def test_a_tick_costs_the_runtime_a_fixed_number_of_reads():
     for fid in range(1, 1001):
         cp._on_long_flow("long_flow", dict(
             flow_id=fid, rev_flow_id=fid + 5000, slot=fid,
+            rev_slot=(fid + 5000) & 1023,
             src_ip=0x0A000000 + fid, dst_ip=0x0A010000, src_port=40000,
             dst_port=5201, first_seen_ns=0))
         mon.program.registers["flow_bytes"].write(fid, 1000 + fid)

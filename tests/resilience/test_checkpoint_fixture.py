@@ -15,9 +15,11 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 from repro.core.config import MetricKind
 from repro.core.control_plane import MonitorControlPlane
+from repro.core.flow_table import slot_of
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
 from repro.resilience.checkpoint import (
@@ -155,6 +157,48 @@ def test_parent_written_checkpoint_restores_and_round_trips():
         k: v for k, v in sec.items() if k != "cursors"})
     del expected["digest"]
     assert again == expected
+
+
+def shipper_fixture_monitor():
+    """``shipper_v1_pr29.json``'s data-plane geometry."""
+    return small_monitor(
+        flow_slots=16, eack_table_size=32, queue_stash_size=32, cms_width=32,
+        cms_depth=2, monitored_ports=2)
+
+
+@pytest.mark.parametrize("name, make_monitor", [
+    ("checkpoint_v1_pr14.json", fixture_monitor),
+    ("shipper_v1_pr29.json", shipper_fixture_monitor)])
+def test_v1_flows_restore_their_reversed_slot_by_the_flow_table_rule(
+        name, make_monitor):
+    """A v1 flow carries no ``rslot``: the decode derives it from
+    ``rev_flow_id`` with the flow table's rule, a capture leaves it out
+    again, and the restarted RTT tick reads that cell."""
+    with open(os.path.join(os.path.dirname(FIXTURE), name),
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    fdocs = doc["control_plane"]["flows"]
+    assert fdocs and not any("rslot" in f for f in fdocs)
+    sim = Simulator()
+    sim.run_until(doc["time_ns"])
+    monitor = make_monitor()
+    assert restore_dataplane(monitor.program, doc) == doc["dataplane_digest"]
+    cp = MonitorControlPlane(sim, monitor)
+    restore_control_plane(cp, doc)
+    slots = monitor.config.flow_slots
+    assert {f.flow_id: f.rslot for f in cp.flows.values()} == {
+        f["flow_id"]: slot_of(f["rev_flow_id"], slots) for f in fdocs}
+    assert capture_checkpoint(cp)["control_plane"]["flows"] == fdocs
+
+    (flow,) = cp.flows.values()
+    rtt_ns = monitor.rtt_loss.rtt.read(flow.rslot)
+    assert rtt_ns > 0
+    before = len(cp.metric_values(MetricKind.RTT, flow.flow_id))
+    cp.start()
+    sim.run_until(doc["time_ns"] + seconds(1.5))   # one 1 s RTT tick
+    cp.stop()
+    assert cp.metric_values(MetricKind.RTT, flow.flow_id)[before:] == [
+        rtt_ns / 1e6]
 
 
 if __name__ == "__main__":
