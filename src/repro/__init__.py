@@ -25,6 +25,10 @@ The package provides, in pure Python (numpy for hot state):
   throughput-based, RSSI-based).
 - :mod:`repro.experiments` — one runnable scenario per paper table/figure.
 
+Each subpackage resolves the names it re-exports on first use, so a
+one-shot command imports what it builds and no more (docs/profiling.md,
+"Cold start").
+
 Quickstart::
 
     from repro.experiments.fig9_perflow import run_fig9
@@ -32,8 +36,9 @@ Quickstart::
     print(result.summary())
 """
 
+import importlib
 import logging
-from typing import Optional, TextIO
+from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
 from repro._version import __version__
 
@@ -59,3 +64,32 @@ def configure_logging(level: int = logging.INFO,
     logger.addHandler(handler)
     logger.setLevel(level)
     return logger
+
+
+def _lazy_exports(package: str, exports: Dict[str, str]
+                  ) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """A package's PEP 562 ``__getattr__`` and ``__dir__`` over
+    ``exports``, a ``{name: module}`` map (module names relative to
+    ``package``): a re-exported name imports its module on first use and
+    is then cached in the package, so importing a package costs only
+    what its caller touches.  Any other public name resolves as a
+    submodule, as an eager ``__init__`` importing it would have."""
+    namespace = vars(importlib.import_module(package))
+
+    def __getattr__(name: str) -> object:
+        if name in exports:
+            value = getattr(importlib.import_module(exports[name], package), name)
+            namespace[name] = value
+            return value
+        if not name.startswith("_"):
+            try:
+                return importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":
+                    raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(exports) | set(namespace.get("__all__", ())))
+
+    return __getattr__, __dir__

@@ -22,30 +22,22 @@ fairness), long-flow termination reports, and Report_v1 emission toward
 the perfSONAR archiver (§3.2, §5.3).
 """
 
-from repro.core.config import MetricKind, MonitorConfig, MetricConfig
-from repro.core.monitor import P4Monitor
-from repro.core.control_plane import MonitorControlPlane
-from repro.core.reports import (
-    Alert,
-    AggregateSample,
-    FlowSample,
-    FlowTerminationReport,
-    LimiterVerdict,
-    MicroburstEvent,
-)
-from repro.core.stats import jain_fairness
+from repro import _lazy_exports
 
-__all__ = [
-    "MetricKind",
-    "MonitorConfig",
-    "MetricConfig",
-    "P4Monitor",
-    "MonitorControlPlane",
-    "Alert",
-    "AggregateSample",
-    "FlowSample",
-    "FlowTerminationReport",
-    "LimiterVerdict",
-    "MicroburstEvent",
-    "jain_fairness",
-]
+_EXPORTS = {
+    "MetricKind": ".config",
+    "MonitorConfig": ".config",
+    "MetricConfig": ".config",
+    "P4Monitor": ".monitor",
+    "MonitorControlPlane": ".control_plane",
+    "Alert": ".reports",
+    "AggregateSample": ".reports",
+    "FlowSample": ".reports",
+    "FlowTerminationReport": ".reports",
+    "LimiterVerdict": ".reports",
+    "MicroburstEvent": ".reports",
+    "jain_fairness": ".stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.telemetry import provenance
+from repro.telemetry import hooks
 from repro.core.config import MetricKind, MonitorConfig
 from repro.core.reports import Alert
 
@@ -28,7 +28,7 @@ class AlertManager:
         self.sink = sink
         self._active: Dict[Tuple[MetricKind, Optional[int]], Alert] = {}
         self.history: List[Alert] = []
-        self._trace = provenance.tracer()
+        self._trace = hooks.tracer
 
     def check(
         self,

@@ -49,12 +49,12 @@ slot in serial order, and the ``pkt_loss`` a termination reads is a
 grouped count; a slot whose rows span half the sequence space or hold a
 0 loops.  Flow-table slots owned at flush start with no FIN/RST of the
 owner count by grouped sums; the rows of unclaimed slots (sketch
-updates, claims) and terminating slots loop, as does burst hysteresis
-over a port's matched egress rows from its first trigger (``delay >=
-on``, or a burst open at flush start), against *dense batch-local
+updates, claims) and terminating slots loop, against *dense batch-local
 register files*: one ``np.unique(..., return_inverse=True)`` per index
 domain gives each row a local index and each register is gathered into
-a list.
+a list.  Burst hysteresis is a last-crossing comparison per port, so a
+burst is a run of a port's rows and its peak and packet count are
+grouped reductions: no row loops.
 Order-free writes (flight size's running maxima and last write,
 per-flow queue delays and CE counts) are array ops.  Timestamps are
 masked and subtracted as uint64, so every register width up to 64 bits
@@ -706,47 +706,52 @@ class MicroburstUnit(_Unit):
     REGISTERS = ("state", "start", "peak", "pkt_count")
 
     def run(self, c: SimpleNamespace, rows: np.ndarray, delay: np.ndarray):
-        """-> (write-back, digests).  A port's rows loop from its first
-        ``delay >= on`` row, or all of them if it is in a burst at flush
-        start; a row before that only reads ``mb_state``."""
-        if not rows.size:
+        """-> (write-back, digests).  With the rows sorted by port, a port
+        is in a burst after a row iff its last ``delay >= on`` row is
+        later than its last ``delay <= off`` row, its flush-start state
+        standing before its first row; a burst is then a run of rows, its
+        peak and packets grouped reductions over the run."""
+        stage, TSM = self.stage, np.uint64(self.ts_mask)
+        port, on = c.epid[rows] % stage.ports, delay >= stage.on_threshold_ns
+        held = self._cells[0][port] != 0
+        if not (on.any() or held.any()):  # no burst opens or is open: rows read mb_state
+            self._tally(rows.size, 0, 0, 0)
             return [], []
-        stage, TSM = self.stage, self.ts_mask
-        on, off = stage.on_threshold_ns, stage.off_threshold_ns
-        ports = slice(stage.ports)
-        port = c.epid[rows] % stage.ports
-        trigger = np.flatnonzero(delay >= on)
-        first = np.where(self._cells[0][ports] != 0, 0, rows.size)
-        np.minimum.at(first, port[trigger], trigger)
-        loop = np.arange(rows.size) >= first[port]
-        r_state, r_start, r_peak, r_pkts = files = _gather(self._cells, ports)
-        digests: list = []
-        starts = in_burst = bursts = 0
-        for i, ts, d, p in zip(rows[loop].tolist(), c.ts[rows[loop]].tolist(),
-                               delay[loop].tolist(), port[loop].tolist()):
-            if not r_state[p]:
-                if d >= on:
-                    starts += 1
-                    r_state[p], r_start[p] = 1, max(0, ts - d) & TSM
-                    r_peak[p], r_pkts[p] = d, 1
-                continue
-            in_burst += 1
-            r_peak[p] = max(r_peak[p], d)
-            r_pkts[p] = (r_pkts[p] + 1) & _M32
-            if d <= off:
-                r_state[p] = 0
-                span = (ts - r_start[p]) & TSM
-                bursts += 1
-                digests.append((i, stage.digest, dict(
-                    start_ns=ts - span, duration_ns=span,
-                    peak_queue_delay_ns=r_peak[p], packets=r_pkts[p],
-                    port_id=p)))
-        stage.bursts_detected += bursts
-        self._tally(rows.size + starts + bursts,          # mb_state
-                    starts + bursts,                      # mb_start
-                    starts + in_burst + bursts,           # mb_peak
-                    starts + in_burst + bursts)           # mb_pkts
-        return [partial(_store, ports, self._cells, files)], digests
+        order, port, first = _sorted_by(port, stage.ports)
+        d, ts, on, held = delay[order], c.ts[rows[order]].astype(np.uint64), on[order], held[order]
+        off = d <= stage.off_threshold_ns
+        files = [cells[:stage.ports].copy() for cells in self._cells]
+        last = np.maximum.accumulate(np.where(on | off | first, np.arange(rows.size), -1))
+        after = np.where(on | off, on, held)[last]
+        before = np.where(first, held, np.roll(after, 1))
+        opens, ends = on & ~before, off & before
+        edges = int(np.count_nonzero(opens | ends))
+        self._tally(rows.size + edges, edges,  # mb_state, mb_start
+                    *[edges + int(np.count_nonzero(before))] * 2)  # mb_peak, mb_pkts
+        run = np.flatnonzero(before | after)  # not empty: a row opens or is in a burst
+        # Bursts: runs of in-burst rows, each from the row that opens it
+        # (or a port's first row, carrying a burst open at flush start)
+        # to its last row; a carried burst continues its registers.
+        begin = np.flatnonzero((opens | first)[run])
+        at, close = run[begin], run[np.append(begin[1:], run.size) - 1]
+        burst_port, carried = port[at], ~opens[at]
+        kept = [np.where(carried, cells[burst_port], 0) for cells in files[1:]]
+        start = np.where(carried, kept[0], np.where(d[at] < ts[at], ts[at] - d[at], 0) & TSM)
+        peak = np.maximum(kept[1], np.maximum.reduceat(d[run], begin))
+        pkts = (kept[2] + np.diff(begin, append=run.size).astype(np.uint64)) & np.uint64(_M32)
+        tail, newest = np.append(first[1:], True), np.append(burst_port[1:] != burst_port[:-1], True)
+        files[0][port[tail]] = after[tail]
+        for cells, values in zip(files[1:], (start, peak, pkts)):  # a port's last burst
+            cells[burst_port[newest]] = values[newest]
+        done = np.flatnonzero(ends[close])
+        stage.bursts_detected += done.size
+        digests = [(i, stage.digest, dict(
+            start_ns=t - span, duration_ns=span, peak_queue_delay_ns=top, packets=n,
+            port_id=p)) for i, t, span, top, n, p in zip(
+                rows[order[close[done]]].tolist(), ts[close[done]].tolist(),
+                ((ts[close[done]] - start[done]) & TSM).tolist(), peak[done].tolist(),
+                pkts[done].tolist(), burst_port[done].tolist())]
+        return [partial(_store, slice(stage.ports), self._cells, files)], digests
 
 
 class BatchKernel:

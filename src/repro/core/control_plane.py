@@ -29,17 +29,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro import telemetry
-from repro.telemetry import profiling, provenance
-from repro.resilience import checkpoint, faults
+from repro.telemetry import hooks
 from repro.netsim.engine import Event, Simulator
 from repro.netsim.units import NS_PER_S, seconds
 from repro.core.alerts import AlertManager
 from repro.core.config import MetricKind, MonitorConfig
-from repro.core.forensics import ForensicsExtractor
-from repro.core.histograms import HistogramExtractor
 from repro.core.limiter import LimiterClassifier
 from repro.core.monitor import P4Monitor
 from repro.core.reports import (
@@ -59,6 +56,10 @@ from repro.core.reports import (
     flow_head,
 )
 from repro.core.stats import jain_fairness, link_utilization, throughput_bps
+
+if TYPE_CHECKING:
+    from repro.core.forensics import ForensicsExtractor
+    from repro.core.histograms import HistogramExtractor
 
 #: Receives one :data:`~repro.core.reports.Block` per call: a tick's rows,
 #: or a block of one (a digest handler's report; every row while a
@@ -154,7 +155,7 @@ class MonitorControlPlane:
         # collapses per-flow shipping to the aggregate stream and widens
         # intervals by ``interval_scale`` (driven by the delivery circuit
         # breaker).
-        self._faults = faults.injector()
+        self._faults = hooks.injector
         self.last_extraction_ns: Dict[str, int] = {}
         self.ticks_deferred: Dict[str, int] = {}
         self.catchup_ticks: Dict[str, int] = {}
@@ -170,7 +171,7 @@ class MonitorControlPlane:
         # read-flip banks, digest consumption — ends with an ``on_tick``
         # so the latest checkpoint always covers everything this process
         # has irreversibly taken from the data plane.
-        self._ckpt = checkpoint.manager()
+        self._ckpt = hooks.checkpoints
         # Set by a checkpoint restore before start(): extraction cursors
         # of the dead incarnation, so the first post-restart tick windows
         # over the true elapsed time (one bounded catch-up window).
@@ -190,13 +191,14 @@ class MonitorControlPlane:
         # Provenance: per-flow register extractions resolve the packet
         # that last wrote the slot, and shipped reports inherit that
         # trace id on their way through Logstash to the archive.
-        self._trace = provenance.tracer()
+        self._trace = hooks.tracer
 
         # The extraction schedule.  Arming order is table order — the four
         # metric classes in enum order, then histograms, then forensics —
         # so same-instant ticks always fire in the same FIFO order.  The
         # two extractors bind at construction like every other optional
-        # subsystem: present only when the data plane built their externs.
+        # subsystem: present, and imported, only when the data plane
+        # built their externs.
         self.schedule: Dict[str, _Job] = {}
         for kind, body in ((MetricKind.THROUGHPUT, self._tick_throughput),
                            (MetricKind.PACKET_LOSS, self._tick_loss),
@@ -206,11 +208,13 @@ class MonitorControlPlane:
                           lambda kind=kind: self._metric_interval_ns(kind))
         self.histograms: Optional[HistogramExtractor] = None
         if monitor.rtt_loss.rtt_hist is not None:
+            from repro.core.histograms import HistogramExtractor
             self.histograms = HistogramExtractor(self)
             self._add_job("histograms", self.histograms.extract, lambda: seconds(
                 1.0 / self.config.histogram_samples_per_second))
         self.forensics: Optional[ForensicsExtractor] = None
         if monitor.queue.time_windows is not None:
+            from repro.core.forensics import ForensicsExtractor
             self.forensics = ForensicsExtractor(self)
             self._add_job("forensics", self.forensics.extract, lambda: seconds(
                 1.0 / self.config.forensics_samples_per_second))
@@ -218,7 +222,7 @@ class MonitorControlPlane:
         # Profiling: each extraction tick body runs inside a
         # ``cp.extract/<metric>`` phase frame so register-read cost is
         # attributed separately from packet-path work.
-        _prof = profiling.profiler()
+        _prof = hooks.profiler
         self._prof = _prof if (_prof is not None and _prof.phases) else None
 
         # Telemetry reads the tallies above at snapshot time.  The two

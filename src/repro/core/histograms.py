@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.p4.histogram import bin_quantile
+from repro.p4.histogram import bin_series
+from repro.telemetry.export import histogram_quantile
 from repro.core.reports import Alert, HistogramReport
 
 NS_PER_MS = 1_000_000
@@ -35,7 +36,8 @@ SHIFT_THRESHOLD = 0.35
 
 def quantiles_ms(edges_ns: Sequence[int], counts: Sequence[int]) -> tuple:
     """(p50, p90, p99, p99.9) of one bin row, in milliseconds."""
-    return tuple(bin_quantile(edges_ns, counts, q) / NS_PER_MS
+    series = bin_series(edges_ns, counts)
+    return tuple(histogram_quantile(series, q) / NS_PER_MS
                  for q in (0.50, 0.90, 0.99, 0.999))
 
 

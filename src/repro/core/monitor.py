@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from repro import telemetry
 from repro.netsim.engine import Simulator
-from repro.telemetry import profiling, provenance
+from repro.telemetry import hooks
 from repro.netsim.packet import Packet
 from repro.netsim.tap import MirrorCopy, TapDirection
 from repro.p4.pipeline import P4Pipeline, StandardMetadata
@@ -78,7 +78,7 @@ class P4Monitor:
         for stage in (self.queue, self.microburst):
             self.pipeline.add_egress(stage)
 
-        _prof = profiling.profiler()
+        _prof = hooks.profiler
         if _prof is not None:
             self._register_profiler_sources(_prof)
 
@@ -96,7 +96,7 @@ class P4Monitor:
         if (sim is not None
                 and self.config.batched_path
                 and self.rate_meter is None
-                and provenance.tracer() is None):
+                and hooks.tracer is None):
             from repro.core.batch import BatchKernel
             self.kernel = BatchKernel(self)
             self.batch_buffer = self.kernel.buf

@@ -13,16 +13,19 @@ metadata.
 from __future__ import annotations
 
 import struct
+from typing import TYPE_CHECKING
 
 from repro.p4.hashes import crc32_bytes
-from repro.p4.histogram import HistogramRegister, log_edges
 from repro.p4.pipeline import PipelineStage, StandardMetadata
 from repro.p4.parser import ParsedHeaders
 from repro.p4.registers import RegisterArray
 from repro.p4.runtime import P4Program
-from repro.p4.time_windows import TimeWindowRegister
 from repro.core.config import MonitorConfig
 from repro.core.flow_table import PORT_EGRESS_TAP, PORT_INGRESS_TAP
+
+if TYPE_CHECKING:
+    from repro.p4.histogram import HistogramRegister
+    from repro.p4.time_windows import TimeWindowRegister
 
 _PKT_SIG_FMT = struct.Struct("!IIHIIH")
 
@@ -80,7 +83,8 @@ class QueueMonitorStage(PipelineStage):
         # one bin row per monitored egress port, read-flip banks.
         self.ports = config.monitored_ports
         self.qdepth_hist: "HistogramRegister | None" = None
-        if config.histograms_enabled:
+        if config.histograms_enabled:  # the extern's module loads only then
+            from repro.p4.histogram import HistogramRegister, log_edges
             self.qdepth_hist = program.histogram(HistogramRegister(
                 "qdepth_hist", self.ports,
                 log_edges(QDEPTH_HIST_MIN_NS, config.max_queue_delay_ns(),
@@ -91,6 +95,7 @@ class QueueMonitorStage(PipelineStage):
         # occupied the queue, window by window, at every coarsening level.
         self.time_windows: "TimeWindowRegister | None" = None
         if config.forensics_enabled:
+            from repro.p4.time_windows import TimeWindowRegister
             self.time_windows = program.time_window(TimeWindowRegister(
                 "time_windows",
                 levels=config.forensics_levels,

@@ -22,17 +22,20 @@ producing bogus RTTs; a cell is consumed (cleared) by the matching ACK.
 from __future__ import annotations
 
 import struct
+from typing import TYPE_CHECKING
 
 from repro.netsim.packet import F_ACK, F_SYN
-from repro.telemetry import provenance
+from repro.telemetry import hooks
 from repro.p4.hashes import crc32_bytes
-from repro.p4.histogram import HistogramRegister, log_edges
 from repro.p4.pipeline import PipelineStage, StandardMetadata
 from repro.p4.parser import ParsedHeaders
 from repro.p4.registers import RegisterArray
 from repro.p4.runtime import P4Program
 from repro.core.config import MonitorConfig
 from repro.core.flow_table import PORT_INGRESS_TAP
+
+if TYPE_CHECKING:
+    from repro.p4.histogram import HistogramRegister
 
 _SIG_FMT = struct.Struct("!II")
 
@@ -62,15 +65,17 @@ class RttLossStage(PipelineStage):
 
         # Per-flow RTT distribution on the same eACK match path: one bin
         # row per flow slot, paired read/flip banks (construction-time
-        # binding; the disabled path costs one ``is not None`` test).
+        # binding; the disabled path costs one ``is not None`` test and
+        # no import).
         self.rtt_hist: "HistogramRegister | None" = None
         if config.histograms_enabled:
+            from repro.p4.histogram import HistogramRegister, log_edges
             self.rtt_hist = program.histogram(HistogramRegister(
                 "rtt_hist", config.flow_slots,
                 log_edges(RTT_HIST_MIN_NS, RTT_HIST_MAX_NS, config.rtt_hist_bins),
             ))
 
-        self._trace = provenance.tracer()
+        self._trace = hooks.tracer
         self.rtt_matches = 0
         self.rtt_misses = 0      # ACK arrived, no stashed signature
         self.rtt_stale = 0       # match older than rtt_max_age_ns, discarded

@@ -26,6 +26,13 @@ paper's shape claims about its result as data (``claims(result)``,
 every run with its claims.
 """
 
-from repro.experiments.common import Scenario, ScenarioConfig, FlowHandle
+from repro import _lazy_exports
 
-__all__ = ["Scenario", "ScenarioConfig", "FlowHandle"]
+_EXPORTS = {
+    "Scenario": ".common",
+    "ScenarioConfig": ".common",
+    "FlowHandle": ".common",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

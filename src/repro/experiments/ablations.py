@@ -446,7 +446,6 @@ def ablate_cca_signatures(
     occupancy, inflated RTT, periodic retransmissions) while BBR holds a
     small standing queue with ~zero loss — the wire-visible signatures
     P4CCI classifies on."""
-    import repro.tcp.bbr  # noqa: F401  (registers 'bbr')
     from repro.core.config import MetricKind
 
     rows: List[CcaSignatureRow] = []

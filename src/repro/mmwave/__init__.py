@@ -18,18 +18,18 @@ Modules: :mod:`repro.mmwave.channel` (link + blockage + RSSI),
 :mod:`repro.mmwave.handover` (beam-switch reaction).
 """
 
-from repro.mmwave.channel import MmWaveLink, BlockageSchedule
-from repro.mmwave.traffic import CbrSender, ThroughputMeter
-from repro.mmwave.detectors import IatDetector, ThroughputDetector, RssiDetector
-from repro.mmwave.handover import HandoverController
+from repro import _lazy_exports
 
-__all__ = [
-    "MmWaveLink",
-    "BlockageSchedule",
-    "CbrSender",
-    "ThroughputMeter",
-    "IatDetector",
-    "ThroughputDetector",
-    "RssiDetector",
-    "HandoverController",
-]
+_EXPORTS = {
+    "MmWaveLink": ".channel",
+    "BlockageSchedule": ".channel",
+    "CbrSender": ".traffic",
+    "ThroughputMeter": ".traffic",
+    "IatDetector": ".detectors",
+    "ThroughputDetector": ".detectors",
+    "RssiDetector": ".detectors",
+    "HandoverController": ".handover",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

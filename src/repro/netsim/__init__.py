@@ -7,58 +7,40 @@ shims.  Time is an integer number of nanoseconds, matching the nanosecond
 granularity the paper attributes to the Tofino data plane.
 """
 
-from repro.netsim.engine import Simulator, Event
-from repro.netsim.packet import Packet, FiveTuple, TCPFlags, ip_to_int, int_to_ip
-from repro.netsim.link import Link, Port
-from repro.netsim.host import Host, Node
-from repro.netsim.switch import LegacySwitch
-from repro.netsim.tap import OpticalTap, MirrorCopy, TapDirection
-from repro.netsim.netem import LossImpairment, DelayImpairment, FlapImpairment
-from repro.netsim.observer import (
-    EventStream,
-    NetEvent,
-    NetEventKind,
-    observe_topology,
-)
-from repro.netsim.trace import PacketTrace, TraceRecord
-from repro.netsim.pcap import PcapCapture, read_pcap, write_pcap
-from repro.netsim.topology import (
-    ScienceDMZTopology,
-    TopologyConfig,
-    build_science_dmz,
-)
-from repro.netsim import units
+from repro import _lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "Packet",
-    "FiveTuple",
-    "TCPFlags",
-    "ip_to_int",
-    "int_to_ip",
-    "Link",
-    "Port",
-    "Host",
-    "Node",
-    "LegacySwitch",
-    "OpticalTap",
-    "MirrorCopy",
-    "TapDirection",
-    "LossImpairment",
-    "DelayImpairment",
-    "FlapImpairment",
-    "EventStream",
-    "NetEvent",
-    "NetEventKind",
-    "observe_topology",
-    "PacketTrace",
-    "TraceRecord",
-    "PcapCapture",
-    "read_pcap",
-    "write_pcap",
-    "ScienceDMZTopology",
-    "TopologyConfig",
-    "build_science_dmz",
-    "units",
-]
+_EXPORTS = {
+    "Simulator": ".engine",
+    "Event": ".engine",
+    "Packet": ".packet",
+    "FiveTuple": ".packet",
+    "TCPFlags": ".packet",
+    "ip_to_int": ".packet",
+    "int_to_ip": ".packet",
+    "Link": ".link",
+    "Port": ".link",
+    "Host": ".host",
+    "Node": ".host",
+    "LegacySwitch": ".switch",
+    "OpticalTap": ".tap",
+    "MirrorCopy": ".tap",
+    "TapDirection": ".tap",
+    "LossImpairment": ".netem",
+    "DelayImpairment": ".netem",
+    "FlapImpairment": ".netem",
+    "EventStream": ".observer",
+    "NetEvent": ".observer",
+    "NetEventKind": ".observer",
+    "observe_topology": ".observer",
+    "PacketTrace": ".trace",
+    "TraceRecord": ".trace",
+    "PcapCapture": ".pcap",
+    "read_pcap": ".pcap",
+    "write_pcap": ".pcap",
+    "ScienceDMZTopology": ".topology",
+    "TopologyConfig": ".topology",
+    "build_science_dmz": ".topology",
+}
+
+__all__ = list(_EXPORTS) + ["units"]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

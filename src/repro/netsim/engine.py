@@ -27,7 +27,7 @@ import time
 from typing import Any, Callable, Optional
 
 from repro import telemetry
-from repro.telemetry import profiling, provenance
+from repro.telemetry import hooks
 
 #: Event budget meaning "no limit": a drain stops when its count of
 #: fired events equals the budget, and a count never equals -1.  An int
@@ -122,14 +122,14 @@ class Simulator:
         # profiled loop body, which charges each event to a per-callback
         # cell (one perf_counter_ns per event, timestamps chained).
         # Disabled cost is one ``is None`` test per drain.
-        _prof = profiling.profiler()
+        _prof = hooks.profiler
         if _prof is not None:
             _prof.bind_clock(self)
         self._prof = _prof if (_prof is not None and _prof.phases) else None
         # Provenance: components built around this simulator (ports,
         # links, switches, taps) pick up the tracer from here, so one
         # enable() before construction wires the whole topology.
-        self.trace = provenance.tracer()
+        self.trace = hooks.tracer
         # Telemetry stays out of the event loop: a snapshot reads the
         # event tally and the queue, and only the queue depth at each
         # run()/run_until() return is observed where it happens.

@@ -19,25 +19,22 @@ semantics a P4 programmer sees:
   program's objects.
 """
 
-from repro.p4.hashes import HashEngine, crc32_tuple
-from repro.p4.registers import RegisterArray
-from repro.p4.sketch import CountMinSketch
-from repro.p4.parser import HeaderParser, ParsedHeaders
-from repro.p4.pipeline import P4Pipeline, StandardMetadata
-from repro.p4.externs import Digest, DigestReceiver
-from repro.p4.runtime import P4Program, P4RuntimeClient
+from repro import _lazy_exports
 
-__all__ = [
-    "HashEngine",
-    "crc32_tuple",
-    "RegisterArray",
-    "CountMinSketch",
-    "HeaderParser",
-    "ParsedHeaders",
-    "P4Pipeline",
-    "StandardMetadata",
-    "Digest",
-    "DigestReceiver",
-    "P4Program",
-    "P4RuntimeClient",
-]
+_EXPORTS = {
+    "HashEngine": ".hashes",
+    "crc32_tuple": ".hashes",
+    "RegisterArray": ".registers",
+    "CountMinSketch": ".sketch",
+    "HeaderParser": ".parser",
+    "ParsedHeaders": ".parser",
+    "P4Pipeline": ".pipeline",
+    "StandardMetadata": ".pipeline",
+    "Digest": ".externs",
+    "DigestReceiver": ".externs",
+    "P4Program": ".runtime",
+    "P4RuntimeClient": ".runtime",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

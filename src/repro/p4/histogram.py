@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.p4.registers import BankPair
-from repro.telemetry.export import histogram_quantile
 
 __all__ = ["HistogramRegister", "log_edges", "bin_quantile", "bin_series"]
 
@@ -71,7 +70,10 @@ def bin_series(edges: Sequence[int], counts: Sequence[int],
 
 def bin_quantile(edges: Sequence[int], counts: Sequence[int], q: float) -> float:
     """Bucket-upper-bound ``q`` quantile of one bin row (same estimator
-    as the telemetry histograms, so percentiles agree across layers)."""
+    as the telemetry histograms, so percentiles agree across layers).
+    The exporters load on first use: a monitor builds this extern without
+    reading a quantile."""
+    from repro.telemetry.export import histogram_quantile
     return histogram_quantile(bin_series(edges, counts), q)
 
 

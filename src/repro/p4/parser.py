@@ -22,7 +22,7 @@ from repro.netsim.packet import (
     FiveTuple,
     Packet,
 )
-from repro.telemetry import provenance
+from repro.telemetry import hooks
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +81,7 @@ class HeaderParser:
         self.rejected = 0
         # Provenance events attach to the packet context the pipeline
         # opened (tracer.event is a no-op outside a traversal).
-        self._trace = provenance.tracer()
+        self._trace = hooks.tracer
 
     def parse(self, packet: Union[Packet, bytes],
               ecn: Optional[int] = None) -> Optional[ParsedHeaders]:

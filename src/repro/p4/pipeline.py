@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from repro import telemetry
 from repro.p4.parser import HeaderParser, ParsedHeaders
-from repro.telemetry import profiling, provenance
+from repro.telemetry import hooks
 
 _pcn = time.perf_counter_ns
 
@@ -77,8 +77,8 @@ class P4Pipeline:
         # per-packet guard (only packets with a uid are traced).  The
         # profiler shows up as its cached ``p4.process`` cell, charged
         # once per packet here and once per flush from account_batch.
-        self._trace = provenance.tracer()
-        prof = profiling.profiler()
+        self._trace = hooks.tracer
+        prof = hooks.profiler
         self._prof = prof if (prof is not None and prof.phases) else None
         self._proc_cell = (self._prof.cell("p4.process")
                            if self._prof is not None else None)

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.telemetry import provenance
+from repro.telemetry import hooks
 
 
 class RegisterArray:
@@ -36,7 +36,7 @@ class RegisterArray:
         # Provenance: mutating ops report old -> new under the packet
         # context (and feed the last-writer map the control plane uses
         # to attribute extractions).  Reads stay untraced.
-        self._trace = provenance.tracer()
+        self._trace = hooks.tracer
         self._lw = (None if self._trace is None
                     else self._trace.writer_map(name, size))
 
@@ -153,7 +153,7 @@ class BankPair:
         # Provenance mirrors the RegisterArray discipline: sampled
         # packets record old -> new, unsampled ones keep the last-writer
         # linkage (``writer_cells`` indices) exact.
-        self._trace = provenance.tracer()
+        self._trace = hooks.tracer
         self._lw = (None if self._trace is None
                     else self._trace.writer_map(name, writer_cells))
 

@@ -12,15 +12,17 @@ control plane talks through — the only coupling between
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.p4.externs import Digest, DigestReceiver
-from repro.p4.histogram import HistogramRegister
 from repro.p4.registers import BankPair, RegisterArray
 from repro.p4.sketch import CountMinSketch
-from repro.p4.time_windows import TimeWindowRegister
+
+if TYPE_CHECKING:
+    from repro.p4.histogram import HistogramRegister
+    from repro.p4.time_windows import TimeWindowRegister
 
 
 def _array_dump(obj) -> Dict[str, np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.netsim.packet import FiveTuple
 from repro.p4.hashes import HashEngine, pack_five_tuple
-from repro.telemetry import provenance
+from repro.telemetry import hooks
 
 
 class CountMinSketch:
@@ -38,7 +38,7 @@ class CountMinSketch:
         # Plain-int op tallies, pulled by the telemetry collector.
         self.updates = 0
         self.queries = 0
-        self._trace = provenance.tracer()
+        self._trace = hooks.tracer
 
     # -- data-plane operations ----------------------------------------------
 

@@ -17,22 +17,20 @@ integrates with).
   Table 1) and P4-enhanced.
 """
 
-from repro.perfsonar.opensearch import OpenSearchStore
-from repro.perfsonar.logstash import LogstashPipeline, TcpInputPlugin, OpenSearchOutputPlugin
-from repro.perfsonar.archiver import Archiver
-from repro.perfsonar.psconfig import PSConfig, ConfigP4Command
-from repro.perfsonar.pscheduler import PScheduler, TestSpec
-from repro.perfsonar.node import PerfSonarNode
+from repro import _lazy_exports
 
-__all__ = [
-    "OpenSearchStore",
-    "LogstashPipeline",
-    "TcpInputPlugin",
-    "OpenSearchOutputPlugin",
-    "Archiver",
-    "PSConfig",
-    "ConfigP4Command",
-    "PScheduler",
-    "TestSpec",
-    "PerfSonarNode",
-]
+_EXPORTS = {
+    "OpenSearchStore": ".opensearch",
+    "LogstashPipeline": ".logstash",
+    "TcpInputPlugin": ".logstash",
+    "OpenSearchOutputPlugin": ".logstash",
+    "Archiver": ".archiver",
+    "PSConfig": ".psconfig",
+    "ConfigP4Command": ".psconfig",
+    "PScheduler": ".pscheduler",
+    "TestSpec": ".pscheduler",
+    "PerfSonarNode": ".node",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -16,17 +16,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro import telemetry
-from repro.telemetry import profiling, provenance
+from repro.telemetry import hooks
 from repro.core.reports import Block
 from repro.perfsonar.logstash import (
     LogstashPipeline,
     OpenSearchOutputPlugin,
+    SequenceDedup,
     TcpInputPlugin,
     opensearch_metadata_filter,
     row_field,
 )
 from repro.perfsonar.opensearch import OpenSearchStore
-from repro.resilience.delivery import SequenceDedup
 
 
 class Archiver:
@@ -41,8 +41,8 @@ class Archiver:
         self.pipeline.add_output(self.output)
         self.tcp_input = TcpInputPlugin(self.pipeline)
         self.index_prefix = index_prefix
-        self._trace = provenance.tracer()
-        _prof = profiling.profiler()
+        self._trace = hooks.tracer
+        _prof = hooks.profiler
         self._prof = _prof if (_prof is not None and _prof.phases) else None
         # A record's field count is observed as it arrives; the record
         # count is that histogram's count.

@@ -30,10 +30,8 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import telemetry
-from repro.telemetry import profiling, provenance
+from repro.telemetry import hooks
 from repro.core.reports import Block, Learned, Row, document_row
-from repro.resilience import faults
-from repro.resilience.delivery import SequenceDedup
 from repro.resilience.faults import BackpressureError
 from repro.perfsonar.opensearch import OpenSearchStore
 
@@ -61,8 +59,8 @@ class LogstashPipeline:
         self.events_in = 0
         self.events_out = 0
         self.events_dropped = 0
-        self._trace = provenance.tracer()
-        _prof = profiling.profiler()
+        self._trace = hooks.tracer
+        _prof = hooks.profiler
         self._prof = _prof if (_prof is not None and _prof.phases) else None
         self._tel_filter_ns = telemetry.histogram(
             "repro_logstash_filter_ns",
@@ -136,7 +134,7 @@ class TcpInputPlugin:
         self.port = port
         self.messages = 0
         self.malformed = 0
-        self._faults = faults.injector()   # None without a chaos injector
+        self._faults = hooks.injector   # None without a chaos injector
         telemetry.reads(self, counters=[
             ("repro_logstash_malformed_total",
              "malformed/truncated report lines dropped by the TCP input, "
@@ -189,11 +187,83 @@ def _plan(index_field: str, deduplicating: bool, envelopes: Dict[tuple, Callable
     return at(index_field)
 
 
+class SequenceDedup:
+    """Archiver-side idempotency on the shipper's (source, seq) key.
+
+    Keeps, per source, the highest sequence seen plus a sliding window
+    of individual seqs below it, so out-of-order redeliveries dedup
+    exactly while memory stays bounded.  Sequences older than the
+    window are assumed already archived (conservative: redelivering a
+    pruned sequence drops it rather than duplicating it).  The seen set
+    is pruned back to the window only once it holds twice the window,
+    so a record costs O(1) amortised."""
+
+    def __init__(self, window: int = 8192) -> None:
+        if window <= 0:
+            raise ValueError("window must be positive")
+        self.window = window
+        self._sources: Dict[str, tuple] = {}  # source -> (max_seq, seen set)
+        self.duplicates = 0
+        self.assumed_old = 0
+
+    def is_duplicate(self, source: str, seq: int) -> bool:
+        entry = self._sources.get(source)
+        if entry is None:
+            return False
+        max_seq, seen = entry
+        if seq <= max_seq - self.window:
+            self.assumed_old += 1
+        elif seq not in seen:
+            return False
+        self.duplicates += 1
+        return True
+
+    def record(self, source: str, seq: int) -> None:
+        max_seq, seen = self._sources.get(source, (0, set()))
+        seen.add(seq)
+        max_seq = max(max_seq, seq)
+        if len(seen) >= 2 * self.window:
+            seen = self._inside(max_seq, seen)
+        self._sources[source] = (max_seq, seen)
+
+    def _inside(self, max_seq: int, seen: set) -> set:
+        """The seqs of ``seen`` inside the window below ``max_seq``."""
+        floor = max_seq - self.window
+        return {s for s in seen if s > floor}
+
+    def seen_count(self, source: str) -> int:
+        """How many seqs of ``source`` the window holds (what a
+        checkpoint writes)."""
+        entry = self._sources.get(source)
+        return len(self._inside(*entry)) if entry else 0
+
+    # -- checkpoint/restore ----------------------------------------------------
+
+    def checkpoint_state(self) -> dict:
+        """JSON-able snapshot of the per-source high-water marks and
+        seen windows (the exactly-once books)."""
+        return {
+            "window": self.window,
+            "duplicates": self.duplicates,
+            "assumed_old": self.assumed_old,
+            "sources": {src: {"max_seq": max_seq,
+                              "seen": sorted(self._inside(max_seq, seen))}
+                        for src, (max_seq, seen) in self._sources.items()},
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self.window = int(state["window"])
+        self.duplicates = int(state["duplicates"])
+        self.assumed_old = int(state["assumed_old"])
+        self._sources = {src: (int(entry["max_seq"]), {int(s) for s in entry["seen"]})
+                         for src, entry in state["sources"].items()}
+
+
 class OpenSearchOutputPlugin:
     """Routes each row to an index chosen by its ``type`` field and
     writes the block through the store's one bulk path.
 
-    When built with a :class:`~repro.resilience.delivery.SequenceDedup`
+    When built with a :class:`SequenceDedup`
     it is idempotent on the shipper's ``(_shipper, _seq)`` envelope:
     at-least-once redelivery upstream plus dedup here yields an
     exactly-once archive.  Only an enveloped schema pays the probe, once

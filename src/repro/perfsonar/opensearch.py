@@ -29,7 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.reports import Block, document_row
-from repro.resilience import faults
+from repro.telemetry import hooks
 from repro.resilience.faults import ArchiveUnavailable
 
 
@@ -118,7 +118,7 @@ class OpenSearchStore:
         self._indices: Dict[str, _Index] = {}
         self._next_id = 1
         self._schemas: Dict[tuple, tuple] = {}   # interned key tuples
-        self._faults = faults.injector()   # None without a chaos injector
+        self._faults = hooks.injector   # None without a chaos injector
 
     # -- document API ---------------------------------------------------------
 

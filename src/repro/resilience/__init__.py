@@ -11,14 +11,17 @@ harness (docs/robustness.md):
   trippable fault schedules (outage windows, stalls, per-report fates,
   extraction-tick stalls, clock skew);
 - :mod:`~repro.resilience.faults` — the active injector, installed
-  process-globally the same way :mod:`repro.telemetry.provenance`
-  installs its tracer; components bind it at construction, so the
+  process-globally into the ``hooks.injector`` slot
+  (:mod:`repro.telemetry.hooks`) the way :mod:`repro.telemetry.provenance`
+  installs its tracer; components read the slot at construction, so the
   disabled hot path costs one ``is None`` test
   (pinned by ``tests/test_disabled_guards.py``);
 - :mod:`~repro.resilience.delivery` — :class:`ResilientShipper` (per
   block: one envelope, spool slot and retry; capped jittered backoff,
-  dead-letter overflow, at-least-once) and :class:`SequenceDedup`
-  (idempotent archiver ingest, one probe per envelope);
+  dead-letter overflow, at-least-once); its archiver-side twin,
+  :class:`~repro.perfsonar.logstash.SequenceDedup` (idempotent ingest,
+  one probe per envelope), lives beside the output plugin that probes it
+  and is re-exported here;
 - :mod:`~repro.resilience.breaker` — circuit breaker driving graceful
   degradation (collapse to aggregate reports, widen t_N–t_Q intervals)
   and restoration;
@@ -40,53 +43,41 @@ harness (docs/robustness.md):
   in the experiment framework).
 """
 
-from repro.resilience.faults import (
-    ArchiveUnavailable,
-    BackpressureError,
-    BreakerOpen,
-    ConnectionLostError,
-    DeferredDelivery,
-    DeliveryError,
-    DeliveryTimeout,
-    FaultInjector,
-    injector,
-    install,
-    uninstall,
-)
-from repro.resilience.schedule import (
-    FAULT_KINDS,
-    FaultSchedule,
-    FaultWindow,
-    bundled_schedules,
-)
-from repro.resilience.delivery import (
-    DeliveryConfig,
-    FaultyTransport,
-    ResilientShipper,
-    SequenceDedup,
-)
-from repro.resilience.breaker import BreakerState, CircuitBreaker, DegradationPolicy
-from repro.resilience.watchdog import ExtractionWatchdog
-from repro.resilience.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointManager,
-    CheckpointStore,
-    capture_checkpoint,
-    restore_control_plane,
-    restore_dataplane,
-)
-from repro.resilience.supervisor import Supervisor, SupervisorPolicy
+from repro import _lazy_exports
 
-__all__ = [
-    "DeliveryError", "ArchiveUnavailable", "BackpressureError",
-    "ConnectionLostError", "DeliveryTimeout", "DeferredDelivery",
-    "BreakerOpen",
-    "FaultInjector", "injector", "install", "uninstall",
-    "FaultSchedule", "FaultWindow", "FAULT_KINDS", "bundled_schedules",
-    "DeliveryConfig", "ResilientShipper", "FaultyTransport", "SequenceDedup",
-    "BreakerState", "CircuitBreaker", "DegradationPolicy",
-    "ExtractionWatchdog",
-    "CHECKPOINT_SCHEMA", "CheckpointManager", "CheckpointStore",
-    "capture_checkpoint", "restore_control_plane", "restore_dataplane",
-    "Supervisor", "SupervisorPolicy",
-]
+_EXPORTS = {
+    "DeliveryError": ".faults",
+    "ArchiveUnavailable": ".faults",
+    "BackpressureError": ".faults",
+    "ConnectionLostError": ".faults",
+    "DeliveryTimeout": ".faults",
+    "DeferredDelivery": ".faults",
+    "BreakerOpen": ".faults",
+    "FaultInjector": ".faults",
+    "injector": ".faults",
+    "install": ".faults",
+    "uninstall": ".faults",
+    "FaultSchedule": ".schedule",
+    "FaultWindow": ".schedule",
+    "FAULT_KINDS": ".schedule",
+    "bundled_schedules": ".schedule",
+    "DeliveryConfig": ".delivery",
+    "ResilientShipper": ".delivery",
+    "FaultyTransport": ".delivery",
+    "SequenceDedup": "..perfsonar.logstash",
+    "BreakerState": ".breaker",
+    "CircuitBreaker": ".breaker",
+    "DegradationPolicy": ".breaker",
+    "ExtractionWatchdog": ".watchdog",
+    "CHECKPOINT_SCHEMA": ".checkpoint",
+    "CheckpointManager": ".checkpoint",
+    "CheckpointStore": ".checkpoint",
+    "capture_checkpoint": ".checkpoint",
+    "restore_control_plane": ".checkpoint",
+    "restore_dataplane": ".checkpoint",
+    "Supervisor": ".supervisor",
+    "SupervisorPolicy": ".supervisor",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -26,13 +26,14 @@ freshly-constructed control plane from a document;
 ``recover`` smoke exercises) and verifies digest equality.
 
 Construction-time binding, same contract as the fault injector: the
-control plane resolves :func:`manager` once in ``__init__``; with no
-manager installed every hook is one ``is None`` test.
+control plane reads the ``hooks.checkpoints`` slot
+(:mod:`repro.telemetry.hooks`) once in ``__init__``; with no manager
+installed every hook is one ``is None`` test, and ``repro.core`` never
+imports this module.
 
-Import discipline: this module is imported *by* ``repro.core`` — at
-module level it may touch only the stdlib, numpy and
-``repro.telemetry``; every ``repro.core`` name is imported lazily
-inside the functions that need it.
+Import discipline: at module level this module touches only the
+stdlib, numpy and ``repro.telemetry``; every ``repro.core`` name is
+imported inside the functions that need it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import telemetry
+from repro.telemetry import hooks
 
 log = logging.getLogger("repro.resilience.checkpoint")
 
@@ -509,22 +511,18 @@ class CheckpointManager:
         return self.last_path
 
 
-_manager: Optional[CheckpointManager] = None
-
-
 def install_manager(m: CheckpointManager) -> CheckpointManager:
-    """Make ``m`` the process-wide manager that control planes built
-    *after this call* bind.  Install before constructing the scenario
-    (same ordering contract as ``faults.install_injector``)."""
-    global _manager
-    _manager = m
+    """Make ``m`` the process-wide manager (the ``hooks.checkpoints``
+    slot) that control planes built *after this call* bind.  Install
+    before constructing the scenario (same ordering contract as
+    ``faults.install``)."""
+    hooks.checkpoints = m
     return m
 
 
 def uninstall_manager() -> None:
-    global _manager
-    _manager = None
+    hooks.checkpoints = None
 
 
 def manager() -> Optional[CheckpointManager]:
-    return _manager
+    return hooks.checkpoints

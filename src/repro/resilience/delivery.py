@@ -5,7 +5,8 @@ archiver's TCP input, a drop-in report sink whose unit is the block:
 
 - **envelopes** — each call takes one ``_seq``; every row of its block
   ends with that ``_seq`` and the ``_shipper``, the key the archiver's
-  :class:`SequenceDedup` drops a redelivered block on;
+  :class:`~repro.perfsonar.logstash.SequenceDedup` drops a redelivered
+  block on;
 - **capped exponential backoff with seeded jitter** — a failed send
   spools the block and retries at ``base * 2^attempts`` (capped);
 - **a bounded spool with dead-letter overflow** — evictions from a full
@@ -24,7 +25,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro import telemetry
 from repro.core.reports import Block, Learned
-from repro.resilience import faults
+from repro.telemetry import hooks
 from repro.resilience.faults import BreakerOpen, DeferredDelivery, DeliveryError
 
 
@@ -111,7 +112,7 @@ class ResilientShipper:
         self.breaker = breaker
         self.source = source
         self._rng = random.Random(f"shipper:{source}:{seed}")
-        self._faults = faults.injector()
+        self._faults = hooks.injector
 
         self.seq = 0
         self._spool: Deque[_Pending] = deque()
@@ -351,7 +352,7 @@ class FaultyTransport:
 
     def __init__(self, target: Callable[[Block], None]) -> None:
         self.target = target
-        self._faults = faults.injector()
+        self._faults = hooks.injector
         self.delivered = 0
         self.duplicated = 0
 
@@ -364,75 +365,3 @@ class FaultyTransport:
             self.duplicated += 1
             self.target(list(block))
             self.delivered += 1
-
-
-class SequenceDedup:
-    """Archiver-side idempotency on the shipper's (source, seq) key.
-
-    Keeps, per source, the highest sequence seen plus a sliding window
-    of individual seqs below it, so out-of-order redeliveries dedup
-    exactly while memory stays bounded.  Sequences older than the
-    window are assumed already archived (conservative: redelivering a
-    pruned sequence drops it rather than duplicating it).  The seen set
-    is pruned back to the window only once it holds twice the window,
-    so a record costs O(1) amortised."""
-
-    def __init__(self, window: int = 8192) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._sources: Dict[str, tuple] = {}  # source -> (max_seq, seen set)
-        self.duplicates = 0
-        self.assumed_old = 0
-
-    def is_duplicate(self, source: str, seq: int) -> bool:
-        entry = self._sources.get(source)
-        if entry is None:
-            return False
-        max_seq, seen = entry
-        if seq <= max_seq - self.window:
-            self.assumed_old += 1
-        elif seq not in seen:
-            return False
-        self.duplicates += 1
-        return True
-
-    def record(self, source: str, seq: int) -> None:
-        max_seq, seen = self._sources.get(source, (0, set()))
-        seen.add(seq)
-        max_seq = max(max_seq, seq)
-        if len(seen) >= 2 * self.window:
-            seen = self._inside(max_seq, seen)
-        self._sources[source] = (max_seq, seen)
-
-    def _inside(self, max_seq: int, seen: set) -> set:
-        """The seqs of ``seen`` inside the window below ``max_seq``."""
-        floor = max_seq - self.window
-        return {s for s in seen if s > floor}
-
-    def seen_count(self, source: str) -> int:
-        """How many seqs of ``source`` the window holds (what a
-        checkpoint writes)."""
-        entry = self._sources.get(source)
-        return len(self._inside(*entry)) if entry else 0
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        """JSON-able snapshot of the per-source high-water marks and
-        seen windows (the exactly-once books)."""
-        return {
-            "window": self.window,
-            "duplicates": self.duplicates,
-            "assumed_old": self.assumed_old,
-            "sources": {src: {"max_seq": max_seq,
-                              "seen": sorted(self._inside(max_seq, seen))}
-                        for src, (max_seq, seen) in self._sources.items()},
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.window = int(state["window"])
-        self.duplicates = int(state["duplicates"])
-        self.assumed_old = int(state["assumed_old"])
-        self._sources = {src: (int(entry["max_seq"]), {int(s) for s in entry["seen"]})
-                         for src, entry in state["sources"].items()}

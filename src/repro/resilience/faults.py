@@ -1,12 +1,13 @@
 """The active fault injector and the delivery-error taxonomy.
 
 One :class:`FaultInjector` can be installed process-globally
-(:func:`install` / :func:`uninstall`), the same pattern
+(:func:`install` / :func:`uninstall` write the ``hooks.injector`` slot of
+:mod:`repro.telemetry.hooks`), the same pattern
 :mod:`repro.telemetry.provenance` uses for its tracer: components on the
-report path bind :func:`injector` **at construction** and keep the
-handle, so when no injector is installed the hot path pays a single
-``is None`` test (``tests/test_disabled_guards.py`` pins that no fault
-decision is taken).
+report path read the slot **at construction** and keep the handle, so
+when no injector is installed the hot path pays a single ``is None``
+test (``tests/test_disabled_guards.py`` pins that no fault decision is
+taken).
 
 Every decision the injector makes is a pure function of (schedule,
 seed, call order); the simulation is deterministic, so chaos runs are
@@ -16,10 +17,13 @@ byte-reproducible.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro import telemetry
-from repro.resilience.schedule import FaultSchedule
+from repro.telemetry import hooks
+
+if TYPE_CHECKING:
+    from repro.resilience.schedule import FaultSchedule
 
 
 # -- delivery-error taxonomy ---------------------------------------------------
@@ -165,25 +169,21 @@ class FaultInjector:
         return None
 
 
-# -- process-global installation ----------------------------------------------
-
-_injector: Optional[FaultInjector] = None
+# -- process-wide installation: the ``hooks.injector`` slot --------------------
 
 
 def install(inj: FaultInjector) -> FaultInjector:
     """Make ``inj`` the active injector.  Components constructed *after*
     this call bind it; already-built components stay fault-free (the
     same construction-time-binding contract as telemetry/provenance)."""
-    global _injector
-    _injector = inj
+    hooks.injector = inj
     return inj
 
 
 def uninstall() -> None:
-    global _injector
-    _injector = None
+    hooks.injector = None
 
 
 def injector() -> Optional[FaultInjector]:
     """The active injector, or None (the default: no faults)."""
-    return _injector
+    return hooks.injector

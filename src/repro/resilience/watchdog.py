@@ -30,7 +30,7 @@ import logging
 from typing import Dict, Set
 
 from repro import telemetry
-from repro.resilience import faults
+from repro.telemetry import hooks
 
 log = logging.getLogger("repro.resilience.watchdog")
 
@@ -58,7 +58,7 @@ class ExtractionWatchdog:
         # but the monotonic view did not — the false stall verdicts the
         # monotonic discipline suppressed.
         self.skew_suppressed = 0
-        self._faults = faults.injector()
+        self._faults = hooks.injector
         self._timer = sim.every(check_interval_ns, self._check)
         telemetry.reads(self, counters=[
             ("repro_watchdog_stalls_total",

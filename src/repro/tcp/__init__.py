@@ -8,21 +8,21 @@ convergence, join bursts, buffer bloat, loss-recovery sawtooths, and
 endpoint-limited plateaus (Figs. 9-12).
 """
 
-from repro.tcp.stack import TcpHostStack, TcpConnection, ConnectionStats
-from repro.tcp.cc import CongestionControl, Reno, Cubic, make_cc
-from repro.tcp.bbr import BbrLite
-from repro.tcp.apps import Iperf3Client, Iperf3Server, start_transfer
+from repro import _lazy_exports
 
-__all__ = [
-    "TcpHostStack",
-    "TcpConnection",
-    "ConnectionStats",
-    "CongestionControl",
-    "Reno",
-    "Cubic",
-    "BbrLite",
-    "make_cc",
-    "Iperf3Client",
-    "Iperf3Server",
-    "start_transfer",
-]
+_EXPORTS = {
+    "TcpHostStack": ".stack",
+    "TcpConnection": ".stack",
+    "ConnectionStats": ".stack",
+    "CongestionControl": ".cc",
+    "Reno": ".cc",
+    "Cubic": ".cc",
+    "make_cc": ".cc",
+    "BbrLite": ".bbr",
+    "Iperf3Client": ".apps",
+    "Iperf3Server": ".apps",
+    "start_transfer": ".apps",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

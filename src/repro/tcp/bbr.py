@@ -25,7 +25,7 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from repro.netsim.units import NS_PER_S
-from repro.tcp.cc import CongestionControl, register_cc
+from repro.tcp.cc import CongestionControl
 
 STARTUP_GAIN = 2.885  # 2/ln(2)
 DRAIN_GAIN = 1.0 / STARTUP_GAIN
@@ -138,5 +138,3 @@ class BbrLite(CongestionControl):
     def state(self) -> str:
         return self._state
 
-
-register_cc("bbr", BbrLite)

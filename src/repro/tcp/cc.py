@@ -11,6 +11,8 @@ loss event, with the TCP-friendly region).
 
 from __future__ import annotations
 
+import importlib
+
 from repro.netsim.units import NS_PER_S
 
 
@@ -157,15 +159,21 @@ class Cubic(CongestionControl):
         self._w_max = max(self._w_max, self.cwnd)
 
 
-_REGISTRY = {"reno": Reno, "cubic": Cubic}
+#: Algorithms by name.  A built-in that lives in a module of its own is
+#: named ``"module:Class"`` and imported the first time it is made.
+_REGISTRY = {"reno": Reno, "cubic": Cubic, "bbr": "repro.tcp.bbr:BbrLite"}
 
 
 def make_cc(name: str, mss: int, **kwargs) -> CongestionControl:
     """Factory: ``make_cc('cubic', mss=8948)``."""
+    key = name.lower()
     try:
-        cls = _REGISTRY[name.lower()]
+        cls = _REGISTRY[key]
     except KeyError:
         raise ValueError(f"unknown congestion control {name!r}; have {sorted(_REGISTRY)}") from None
+    if isinstance(cls, str):
+        module, _, attr = cls.partition(":")
+        cls = _REGISTRY[key] = getattr(importlib.import_module(module), attr)
     return cls(mss, **kwargs)
 
 

@@ -30,22 +30,33 @@ Naming conventions (see docs/observability.md):
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.telemetry.export import render_table, to_json, to_prometheus_text
-from repro.telemetry.metrics import (SIZE_BUCKETS, MetricFamily, MetricsRegistry,
-                                     TallyReads)
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.telemetry.metrics import MetricFamily, MetricsRegistry
+
+# The exporters and the metric model load on first use: while telemetry
+# is off, importing this package builds no registry and imports neither.
+_EXPORTS = {
+    "SIZE_BUCKETS": ".metrics",
+    "render_table": ".export",
+    "to_json": ".export",
+    "to_prometheus_text": ".export",
+}
 
 # What other packages reach through ``repro.telemetry`` (pinned by
-# tests/test_public_surface.py); the flight recorder, profiler and
-# provenance tracer are imported as submodules by whoever uses them.
+# tests/test_public_surface.py); the flight recorder, profiler,
+# provenance tracer and observer slots (:mod:`repro.telemetry.hooks`) are
+# imported as submodules by whoever uses them.
 __all__ = [
     "enable", "disable", "enabled", "registry", "reset", "snapshot",
-    "reads", "counter", "histogram", "SIZE_BUCKETS",
-    "render_table", "to_json", "to_prometheus_text",
+    "reads", "counter", "histogram", *_EXPORTS,
 ]
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
-_registry = MetricsRegistry()
+_registry: Optional[MetricsRegistry] = None
 _enabled = False
 
 
@@ -66,6 +77,11 @@ def enabled() -> bool:
 
 
 def registry() -> MetricsRegistry:
+    """The process-wide registry, built on first use."""
+    global _registry
+    if _registry is None:
+        from repro.telemetry.metrics import MetricsRegistry
+        _registry = MetricsRegistry()
     return _registry
 
 
@@ -75,7 +91,7 @@ def reset() -> None:
     longer read, and their cached observation handles write into the
     old, now-unreachable registry."""
     global _registry
-    _registry = MetricsRegistry()
+    _registry = None
 
 
 # -- what components call ----------------------------------------------------
@@ -87,17 +103,19 @@ def reads(owner: object, counters: Sequence[tuple] = (),
     (:class:`~repro.telemetry.metrics.TallyReads`); a no-op while
     telemetry is off."""
     if _enabled:
-        _registry.add_collector(TallyReads(_registry, owner, counters, gauges))
+        from repro.telemetry.metrics import TallyReads
+        reg = registry()
+        reg.add_collector(TallyReads(reg, owner, counters, gauges))
 
 
 def counter(name: str, help: str = "", labels: Sequence[str] = ()) -> MetricFamily:
-    return _registry.counter(name, help, labels)
+    return registry().counter(name, help, labels)
 
 
 def histogram(name: str, help: str = "", labels: Sequence[str] = (),
               buckets: Optional[Sequence[float]] = None) -> MetricFamily:
-    return _registry.histogram(name, help, labels, buckets=buckets)
+    return registry().histogram(name, help, labels, buckets=buckets)
 
 
 def snapshot() -> dict:
-    return _registry.snapshot()
+    return registry().snapshot()

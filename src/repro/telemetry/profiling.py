@@ -42,6 +42,8 @@ import threading
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.telemetry import hooks
+
 __all__ = [
     "Profiler",
     "PhaseRow",
@@ -429,9 +431,7 @@ class _RunCtx:
         return False
 
 
-# -- module-global switch (mirrors repro.telemetry / provenance) --------------
-
-_profiler: Optional[Profiler] = None
+# -- process-wide switch: the ``hooks.profiler`` slot --------------------------
 
 
 def enable(mode: str = "phase", **kwargs) -> Profiler:
@@ -443,17 +443,13 @@ def enable(mode: str = "phase", **kwargs) -> Profiler:
     span log so slow phase frames export onto the same Perfetto timeline
     as the packet events (PR 4's ``write_perfetto``).
     """
-    global _profiler
-    prev = _profiler
-    if prev is not None:
-        prev.stop()
-    _profiler = Profiler(mode=mode, **kwargs)
-    from repro.telemetry import provenance
-    tr = provenance.tracer()
-    if tr is not None:
-        _profiler.span_log = tr.span_log
-    _register_metrics(_profiler)
-    return _profiler
+    if hooks.profiler is not None:
+        hooks.profiler.stop()
+    prof = hooks.profiler = Profiler(mode=mode, **kwargs)
+    if hooks.tracer is not None:
+        prof.span_log = hooks.tracer.span_log
+    _register_metrics(prof)
+    return prof
 
 
 def _register_metrics(prof: Profiler) -> None:
@@ -474,7 +470,7 @@ def _register_metrics(prof: Profiler) -> None:
         labels=("phase",))
 
     def collect(_reg, prof=prof) -> None:
-        if _profiler is not prof:  # superseded profiler: stop publishing
+        if hooks.profiler is not prof:  # superseded profiler: stop publishing
             return
         for phase, c in prof._cells.items():
             phase_ns.labels(phase, "cum").set(c[0])
@@ -485,20 +481,19 @@ def _register_metrics(prof: Profiler) -> None:
 
 
 def disable() -> None:
-    global _profiler
-    if _profiler is not None:
-        _profiler.stop()
-    _profiler = None
+    if hooks.profiler is not None:
+        hooks.profiler.stop()
+    hooks.profiler = None
 
 
 def active() -> bool:
-    return _profiler is not None
+    return hooks.profiler is not None
 
 
 def profiler() -> Optional[Profiler]:
-    """The live profiler, or None when disabled — bind once at
-    construction: ``self._prof = profiling.profiler()``."""
-    return _profiler
+    """The live profiler, or None when disabled.  Components bind the
+    slot once at construction: ``_prof = hooks.profiler``."""
+    return hooks.profiler
 
 
 def reset() -> None:

@@ -43,6 +43,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from repro.telemetry import hooks
+
 __all__ = [
     "TraceEvent",
     "FrozenWindow",
@@ -415,9 +417,7 @@ class ProvenanceTracer:
                 f"fine={len(self.fine)}, dumps={len(self.dumps)})")
 
 
-# -- module-global switch (mirrors repro.telemetry) ---------------------------
-
-_tracer: Optional[ProvenanceTracer] = None
+# -- process-wide switch: the ``hooks.tracer`` slot ---------------------------
 
 
 def enable(**kwargs) -> ProvenanceTracer:
@@ -425,24 +425,22 @@ def enable(**kwargs) -> ProvenanceTracer:
     constructed *after* this call bind the tracer; already-built
     components stay dark (same contract as :func:`repro.telemetry.enable`).
     """
-    global _tracer
-    _tracer = ProvenanceTracer(**kwargs)
-    return _tracer
+    hooks.tracer = ProvenanceTracer(**kwargs)
+    return hooks.tracer
 
 
 def disable() -> None:
-    global _tracer
-    _tracer = None
+    hooks.tracer = None
 
 
 def active() -> bool:
-    return _tracer is not None
+    return hooks.tracer is not None
 
 
 def tracer() -> Optional[ProvenanceTracer]:
-    """The live tracer, or None when disabled — bind once at
-    construction: ``self._trace = provenance.tracer()``."""
-    return _tracer
+    """The live tracer, or None when disabled.  Components bind the slot
+    once at construction: ``self._trace = hooks.tracer``."""
+    return hooks.tracer
 
 
 def reset() -> None:

@@ -20,27 +20,25 @@ package makes that claim continuously testable:
 See docs/validation.md for oracle semantics and the tolerance table.
 """
 
-from repro.validation.capture import CopyRecorder
-from repro.validation.checker import CheckResult, DifferentialChecker, ValidationReport
-from repro.validation.oracle import FlowTruth, GroundTruthOracle
-from repro.validation.scenarios import ScenarioSpec, ValidationRun
-from repro.validation.tolerances import TOLERANCES, Tolerance
-from repro.validation.fuzz import FuzzOutcome, fuzz_seed, run_seed, run_spec, shrink
+from repro import _lazy_exports
 
-__all__ = [
-    "CheckResult",
-    "CopyRecorder",
-    "DifferentialChecker",
-    "ValidationReport",
-    "FlowTruth",
-    "GroundTruthOracle",
-    "ScenarioSpec",
-    "ValidationRun",
-    "TOLERANCES",
-    "Tolerance",
-    "FuzzOutcome",
-    "fuzz_seed",
-    "run_seed",
-    "run_spec",
-    "shrink",
-]
+_EXPORTS = {
+    "CheckResult": ".checker",
+    "DifferentialChecker": ".checker",
+    "ValidationReport": ".checker",
+    "CopyRecorder": ".capture",
+    "FlowTruth": ".oracle",
+    "GroundTruthOracle": ".oracle",
+    "ScenarioSpec": ".scenarios",
+    "ValidationRun": ".scenarios",
+    "TOLERANCES": ".tolerances",
+    "Tolerance": ".tolerances",
+    "FuzzOutcome": ".fuzz",
+    "fuzz_seed": ".fuzz",
+    "run_seed": ".fuzz",
+    "run_spec": ".fuzz",
+    "shrink": ".fuzz",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -378,7 +378,7 @@ def test_arbitrary_copy_streams_match_the_scalar_stages(bits, bases, ops):
     _replay(Twins(timestamp_bits=bits), bits, bases, ops)
 
 
-# -- microburst: the rows from a port's first trigger ------------------------
+# -- microburst: a burst is a run of its port's rows -------------------------
 
 #: A 400 us full-buffer drain at the default 10 Gb/s: the microburst
 #: detector's on threshold is 200 us, its off threshold 100 us.
@@ -396,8 +396,8 @@ def _queued(twins: Twins, k: int, delay: int, port: int = 0) -> None:
 
 
 def test_microburst_open_across_a_flush_boundary():
-    """A port in a burst at flush start loops over all its rows: the
-    next flush holds no trigger, only the rows that close the burst."""
+    """A burst open at flush start is carried: the next flush holds no
+    trigger, only the rows that close the burst."""
     twins = Twins(**_MB)
     assert (twins.batched.microburst.on_threshold_ns,
             twins.batched.microburst.off_threshold_ns) == (_ON, _OFF)
@@ -411,7 +411,7 @@ def test_microburst_open_across_a_flush_boundary():
 
 def test_microburst_trigger_after_another_ports_rows():
     """Port 1 bursts, closes and bursts again around port 0's first
-    trigger, in one flush: each port loops from its own first trigger."""
+    trigger, in one flush: each port's bursts are runs of its own rows."""
     twins = Twins(**_MB)
     for k, (delay, port) in enumerate((
             (150_000, 0),            # port 0, before its trigger
@@ -433,6 +433,27 @@ def test_microburst_delays_exactly_at_the_thresholds():
         _queued(twins, k, delay)
     twins.check()
     assert twins.batched.microburst.bursts_detected == 1
+
+
+def test_microburst_carried_burst_then_two_more_in_one_flush():
+    """A burst open at flush start, its packet count about to wrap at
+    2^32, closes; a second opens and closes, and a third opens and stays
+    open into the next flush.  The carried burst's peak and packets
+    continue the registers' values."""
+    twins = Twins(**_MB)
+    for mon in (twins.batched, twins.scalar):
+        mb = mon.microburst
+        for reg, value in ((mb.state, 1), (mb.start, 500), (mb.peak, _ON + 7),
+                           (mb.pkt_count, (1 << 32) - 2)):
+            reg.write(0, value)
+    for k, delay in enumerate((150_000, _ON + 9, _OFF, 150_000, _ON, _ON + 3,
+                               _OFF - 1, _ON + 1, 150_000)):
+        _queued(twins, k, delay)
+    twins.check()
+    assert twins.batched.microburst.bursts_detected == 2
+    _queued(twins, 9, _OFF)
+    twins.check()
+    assert twins.batched.microburst.bursts_detected == 3
 
 
 @pytest.mark.parametrize("bits", [20, 32, 48])

@@ -231,7 +231,7 @@ def _enveloped(seq, kind="p4_rtt"):
 
 
 def test_output_plugin_dedups_redelivered_sequences():
-    from repro.resilience.delivery import SequenceDedup
+    from repro.perfsonar.logstash import SequenceDedup
 
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, dedup=SequenceDedup())
@@ -250,7 +250,7 @@ def test_output_plugin_dedups_redelivered_sequences():
 
 
 def test_output_plugin_without_envelope_is_unaffected():
-    from repro.resilience.delivery import SequenceDedup
+    from repro.perfsonar.logstash import SequenceDedup
 
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, dedup=SequenceDedup())
@@ -263,7 +263,7 @@ def test_output_plugin_without_envelope_is_unaffected():
 def test_dedup_records_only_after_successful_write():
     """A write that dies mid-flight must stay unrecorded, or the retry
     would be mistaken for a duplicate and the report lost forever."""
-    from repro.resilience.delivery import SequenceDedup
+    from repro.perfsonar.logstash import SequenceDedup
 
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, dedup=SequenceDedup())

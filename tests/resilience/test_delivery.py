@@ -8,12 +8,8 @@ import pytest
 from repro.core.reports import document_row
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
-from repro.resilience.delivery import (
-    DeliveryConfig,
-    FaultyTransport,
-    ResilientShipper,
-    SequenceDedup,
-)
+from repro.perfsonar.logstash import SequenceDedup
+from repro.resilience.delivery import DeliveryConfig, FaultyTransport, ResilientShipper
 from repro.resilience.faults import (
     ArchiveUnavailable,
     DeferredDelivery,

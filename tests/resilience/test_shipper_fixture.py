@@ -20,14 +20,10 @@ import sys
 from repro.core.control_plane import MonitorControlPlane
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
-from repro.perfsonar.logstash import OpenSearchOutputPlugin
+from repro.perfsonar.logstash import OpenSearchOutputPlugin, SequenceDedup
 from repro.perfsonar.opensearch import OpenSearchStore
 from repro.resilience.checkpoint import capture_checkpoint, content_digest
-from repro.resilience.delivery import (
-    DeliveryConfig,
-    ResilientShipper,
-    SequenceDedup,
-)
+from repro.resilience.delivery import DeliveryConfig, ResilientShipper
 from repro.resilience.faults import ArchiveUnavailable
 
 from tests.core.helpers import FlowScript, small_monitor

@@ -1,5 +1,10 @@
 """BBR-style congestion control."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.netsim.engine import Simulator
@@ -16,6 +21,18 @@ MSS = 1448
 
 def test_registered_in_factory():
     assert isinstance(make_cc("bbr", MSS), BbrLite)
+
+
+def test_factory_makes_bbr_in_a_fresh_interpreter():
+    """The factory knows its built-in names without anyone importing
+    ``repro.tcp.bbr`` first for its side effects."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "from repro.tcp.cc import make_cc; "
+         "print(type(make_cc('bbr', 1448)).__name__)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "BbrLite"
 
 
 def test_startup_then_drain_then_probe():

@@ -23,11 +23,10 @@ from repro.netsim.units import millis, seconds
 from repro.p4.histogram import HistogramRegister
 from repro.p4.time_windows import TimeWindowRegister
 from repro.perfsonar.logstash import (LogstashPipeline, OpenSearchOutputPlugin,
-                                      TcpInputPlugin,
+                                      SequenceDedup, TcpInputPlugin,
                                       opensearch_metadata_filter)
 from repro.perfsonar.opensearch import OpenSearchStore
 from repro.resilience import checkpoint, faults
-from repro.resilience.delivery import SequenceDedup
 from repro.resilience.schedule import FaultSchedule
 
 from tests.core.helpers import FlowScript, small_monitor
