@@ -6,6 +6,8 @@ clears) asynchronously.  We back them with preallocated numpy arrays —
 the guide's "hot state lives in arrays, updated in place" rule — and
 model width truncation, which is semantically important: a 32-bit
 timestamp register on Tofino wraps, and Algorithm 1 must survive that.
+An array too large to preallocate (the oracle's reference gives every
+32-bit flow ID its own cell) keeps only the cells ever written.
 """
 
 from __future__ import annotations
@@ -15,6 +17,17 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.telemetry import hooks
+
+#: Arrays above this many cells are sparse: a dict of the written cells.
+SPARSE_CELLS = 1 << 24
+
+
+class _SparseCells(dict):
+    """Cell index -> value for the cells written so far; any other reads 0.
+    Serves the per-cell ops; the bulk control-plane ones need a dense array."""
+
+    def __missing__(self, index: int) -> int:
+        return 0
 
 
 class RegisterArray:
@@ -30,7 +43,8 @@ class RegisterArray:
         self.width_bits = width_bits
         self._mask = (1 << width_bits) - 1
         # uint64 holds any width up to 64; masking keeps wrap semantics.
-        self._cells = np.zeros(size, dtype=np.uint64)
+        self._cells = (np.zeros(size, dtype=np.uint64) if size <= SPARSE_CELLS
+                       else _SparseCells())
         # Plain-int data-plane op tally, pulled by the telemetry collector.
         self.ops = 0
         # Provenance: mutating ops report old -> new under the packet

@@ -148,7 +148,7 @@ class CircuitBreaker:
         self.transitions = [
             (int(ns), BreakerState(old), BreakerState(new))
             for ns, old, new in state["transitions"]]
-        telemetry.registry().rebase(self)
+        telemetry.rebase(self)
 
     # -- introspection ---------------------------------------------------------
 

@@ -348,7 +348,7 @@ def restore_control_plane(cp, doc: dict) -> None:
         f.latest = (None if fsec["latest"] is None
                     else _decode_report(fsec["latest"]))
     # The dead incarnation counted what it restored: this one counts on.
-    telemetry.registry().rebase(cp)
+    telemetry.rebase(cp)
 
 
 def restore_dataplane(program, doc: dict) -> str:

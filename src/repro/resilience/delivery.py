@@ -339,7 +339,7 @@ class ResilientShipper:
         for name in _COUNTERS:
             setattr(self, name, int(counters[name]))
         self._rng.setstate(_rng_from_jsonable(state["rng_state"]))
-        telemetry.registry().rebase(self)
+        telemetry.rebase(self)
         self.close()
         self._arm_retry()
 

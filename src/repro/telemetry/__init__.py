@@ -52,7 +52,7 @@ _EXPORTS = {
 # imported as submodules by whoever uses them.
 __all__ = [
     "enable", "disable", "enabled", "registry", "reset", "snapshot",
-    "reads", "counter", "histogram", *_EXPORTS,
+    "reads", "rebase", "counter", "histogram", *_EXPORTS,
 ]
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
@@ -106,6 +106,14 @@ def reads(owner: object, counters: Sequence[tuple] = (),
         from repro.telemetry.metrics import TallyReads
         reg = registry()
         reg.add_collector(TallyReads(reg, owner, counters, gauges))
+
+
+def rebase(*owners: object) -> None:
+    """After a restore, ``owners``' counters take the tallies they hold as
+    counted already; a no-op while no registry exists (nothing reads
+    them), so a restore with telemetry off imports no metric model."""
+    if _registry is not None:
+        _registry.rebase(*owners)
 
 
 def counter(name: str, help: str = "", labels: Sequence[str] = ()) -> MetricFamily:

@@ -5,8 +5,11 @@ sequence-regression loss, TAP-pair queue delay, count-min long-flow
 detection — track ground truth closely enough to feed perfSONAR.  This
 package makes that claim continuously testable:
 
-- :mod:`repro.validation.oracle` — exact ground truth from the netsim
-  event stream, with zero reliance on the P4 pipeline;
+- :mod:`repro.validation.oracle` — exact path truth from the netsim
+  event stream, plus what Algorithm 1 should measure, taken from the
+  product's scalar stages run with one register cell per flow (so a
+  stage bug is caught by ``--compare-paths`` and the path-truth checks,
+  not by the checks that read that reference);
 - :mod:`repro.validation.tolerances` — the declared tolerance per metric;
 - :mod:`repro.validation.checker` — runs a scenario through both paths
   and compares register/report values against oracle truth;

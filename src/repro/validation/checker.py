@@ -13,15 +13,18 @@ What is checked, and why the comparison is sound:
   packet onward; the oracle counts the same arrivals at the same
   observation point, windowed to ``ts >= first_seen_ns``.
 - **loss**: the ``pkt_loss`` register counts sequence regressions (a
-  retransmission proxy) for the whole run; truth is dropped *data*
-  packets.  SACK-based recovery retransmits roughly once per hole, so
-  the two agree within the declared envelope; deliberate reordering
-  widens it.
-- **RTT**: every control-plane sample must sit inside the oracle's
-  per-packet [min, max] envelope (widened), medians must agree, and the
-  ``rtt_count`` register can never exceed the oracle's match count by
-  more than the declared slack — the 32-bit signature compare means the
-  stash can lose matches but not invent them.
+  retransmission proxy) for the whole run.  It must equal the oracle's
+  reference cell exactly (``loss_regressions``: the same scalar stage at
+  one cell per flow, so this measures aliasing, not the rule), and stay
+  within the declared envelope of dropped *data* packets (``loss_proxy``,
+  path truth); deliberate reordering widens that envelope.
+- **RTT**: every control-plane sample must sit inside the [min, max]
+  envelope (widened) of the reference's per-packet samples and near one
+  of them, and the ``rtt_count`` register can never exceed the
+  reference's match count by more than the declared slack — the product
+  stash can lose matches but not invent them.  A bug in the scalar
+  stages is in the reference too: ``--compare-paths`` and the path-truth
+  checks (``loss_proxy``, queue residency, drops) are what catch it.
 - **queue delay**: the per-flow peak occupancy ever reported must be
   backed by true residency *somewhere* (a colliding flow can legitimately
   inflate a shared register cell, so the upper bound uses the global
@@ -44,6 +47,7 @@ from typing import List, Optional, Tuple
 from repro.core.config import MetricKind
 from repro.core.control_plane import MonitorControlPlane, TrackedFlow
 from repro.core.flow_table import slot_of
+from repro.netsim.packet import PROTO_TCP, FiveTuple
 from repro.p4.hashes import crc32_tuple
 from repro.validation.oracle import FlowTruth, GroundTruthOracle
 from repro.validation.tolerances import (
@@ -180,13 +184,9 @@ class DifferentialChecker:
     # -- per-flow truth lookup ------------------------------------------------
 
     def _truth_for(self, flow: TrackedFlow) -> Optional[FlowTruth]:
-        """TrackedFlow carries no protocol; match on addressing."""
-        for ft, truth in self.oracle.flows.items():
-            if (ft.src_ip == flow.src_ip and ft.dst_ip == flow.dst_ip
-                    and ft.src_port == flow.src_port
-                    and ft.dst_port == flow.dst_port):
-                return truth
-        return None
+        """TrackedFlow carries no protocol; the parser admits only TCP."""
+        return self.oracle.truth_for(FiveTuple(
+            flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port, PROTO_TCP))
 
     @staticmethod
     def _label(flow: TrackedFlow) -> str:
@@ -224,14 +224,12 @@ class DifferentialChecker:
 
     def _check_loss(self, flow: TrackedFlow, truth: FlowTruth,
                     report: ValidationReport) -> None:
-        if not truth.is_tcp:
-            return  # sequence regression is a TCP retransmission proxy
         if self._shares_index(flow, "slot"):
             report.skip(f"loss {self._label(flow)}: pkt_loss cell shared")
             return
         p4_loss = self.runtime.read_register("pkt_loss", flow.slot)
         # (1) Implementation check, exact: the register must equal the
-        # oracle's replay of the same regression rule on the same arrivals.
+        # reference's cell, the same rule run on the same arrivals.
         report.add(CheckResult(
             metric="loss_regressions", subject=self._label(flow),
             p4_value=float(p4_loss), truth_value=float(truth.regressions),
@@ -323,7 +321,7 @@ class DifferentialChecker:
 
     def _check_rtt_distribution(self, flow: TrackedFlow, truth: FlowTruth,
                                 report: ValidationReport) -> None:
-        """Histogram-derived p50/p99 vs numpy percentiles of the oracle's
+        """Histogram-derived p50/p99 vs numpy percentiles of the reference's
         per-packet RTT samples — the distribution-level counterpart of
         the envelope/median checks, active only when the run was built
         with data-plane histograms."""

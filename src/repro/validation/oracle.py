@@ -3,26 +3,29 @@
 The oracle subscribes to :class:`repro.netsim.observer.EventStream` events
 taken at *the same observation points as the optical TAPs* (core-switch
 ingress, bottleneck-port egress) plus the loss points the TAPs cannot see
-(every queue, every link).  It keeps exact per-flow state in unbounded
-Python structures — no hashing, no fixed-size stashes, no sketches — so
-every number it produces is true by construction:
+(every queue, every link).  Its path truth is unbounded Python state — no
+hashing, no fixed-size stashes, no sketches:
 
-- **bytes/packets**: per 5-tuple, every ingress-TAP-point arrival with its
-  IPv4 total length (the unit ``flow_bytes`` accumulates) and timestamp,
-  so windowed counts (e.g. "since the flow claimed its register slot")
-  are exact;
-- **RTT**: the eACK pairing of Algorithm 1 executed with an exact
-  dictionary — a data packet stashes ``(ack-direction key, eACK) -> ts``
-  (retransmissions overwrite, as the latest copy is what the ACK answers)
-  and the matching pure ACK yields ``now - ts``;
-- **queue residency**: packets are tracked by identity (``Packet.uid``)
-  from switch ingress to tapped-port egress — the true time spent inside
-  the tapped switch, serialisation included, which is precisely the
-  quantity §4.2 derives from TAP timestamp deltas;
-- **drops**: every tail drop and every in-link loss, attributed to the
-  dropped packet's flow and split into payload-carrying ("data") and pure
-  control segments, because sequence-regression loss counting only ever
-  answers for lost *data*.
+- **bytes/packets**: per 5-tuple, every ingress arrival with its IPv4
+  total length (the ``flow_bytes`` unit) and timestamp, so windowed
+  counts (e.g. "since the flow claimed its slot") are exact;
+- **path RTT**: a data packet stashes ``(ack-direction key, eACK) -> ts``
+  (a retransmission overwrites: the ACK answers the latest copy) and the
+  matching pure ACK yields the RTT;
+- **queue residency**: a packet tracked by identity (``Packet.uid``) from
+  switch ingress to tapped-port egress — the quantity §4.2 derives from
+  TAP timestamp deltas;
+- **drops**: every tail drop and in-link loss, split into payload-carrying
+  ("data") and pure control segments, because sequence-regression loss
+  counting only ever answers for lost *data*.
+
+What Algorithm 1 *should* measure (``expected_rtt_samples``,
+``regressions``) is not derived here a second time: each TCP arrival
+also runs through a dark reference, the product's own scalar parser,
+flow-table and RTT/loss stages with one register cell per 32-bit flow ID
+and per eACK signature, so only capacity separates it from the product.
+A bug in those stages is therefore in both; ``--compare-paths`` and the
+path-truth checks catch it, not ``loss_regressions`` or ``rtt_*``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import MonitorConfig
+from repro.core.flow_table import PORT_INGRESS_TAP, FlowTableStage
+from repro.core.rtt import RttLossStage
 from repro.netsim.observer import EventStream, NetEvent, NetEventKind
 from repro.netsim.packet import F_ACK, F_SYN, PROTO_TCP, FiveTuple, Packet
+from repro.p4.parser import HeaderParser
+from repro.p4.pipeline import StandardMetadata
+from repro.p4.runtime import P4Program
+from repro.telemetry import hooks
 
 
 @dataclass
@@ -46,21 +56,15 @@ class FlowTruth:
     last_ts_ns: int = -1
     arrivals: List[Tuple[int, int]] = field(default_factory=list)  # (ts, ip_total_len)
     rtt_samples: List[Tuple[int, int]] = field(default_factory=list)  # (ts, rtt_ns)
-    # What the P4 algorithm *should* measure: eACK matching replayed with
-    # the data plane's exact discipline (no re-stash on a sequence
-    # regression, staleness cutoff) but unbounded exact state.  Differs
-    # from ``rtt_samples`` when a retransmitted segment's ACK matches the
-    # original copy's timestamp — a recovery-time sample the algorithm
-    # reports as RTT whenever it sits under the staleness cutoff.
+    # The reference's eACK matches: unlike ``rtt_samples``, an ACK of a
+    # retransmitted segment pairs with the original copy (a recovery-time
+    # sample, kept whenever it is under the staleness cutoff).
     expected_rtt_samples: List[Tuple[int, int]] = field(default_factory=list)
     qdelay_samples: List[Tuple[int, int]] = field(default_factory=list)  # (ts, delay_ns)
     drops_data: int = 0
     drops_control: int = 0
-    # Exact replication of the data plane's sequence-regression rule
-    # (RFC 1982 serial compare against the previous data packet's seq),
-    # run over the same ingress arrivals with unbounded state: what the
-    # ``pkt_loss`` register *should* contain absent collisions.
-    prev_seq: int = 0
+    # The reference's ``pkt_loss`` cell for this flow, as of its latest
+    # arrival: what the product's register *should* hold absent aliasing.
     regressions: int = 0
 
     @property
@@ -73,23 +77,13 @@ class FlowTruth:
 
     def packets_since(self, ts_ns: int) -> Tuple[int, int]:
         """(packets, total-length bytes) of arrivals with ``ts >= ts_ns``."""
-        pkts = 0
-        nbytes = 0
-        for ts, length in self.arrivals:
-            if ts >= ts_ns:
-                pkts += 1
-                nbytes += length
-        return pkts, nbytes
+        lengths = [length for ts, length in self.arrivals if ts >= ts_ns]
+        return len(lengths), sum(lengths)
 
     def payload_bytes_until(self, ts_ns: int) -> int:
         """Payload bytes of data arrivals strictly before ``ts_ns``
         (the window the count-min sketch saw before a slot claim)."""
-        # arrivals stores total length; payload windows need their own sum.
-        total = 0
-        for ts, payload in self._payload_arrivals:
-            if ts < ts_ns:
-                total += payload
-        return total
+        return sum(payload for ts, payload in self._payload_arrivals if ts < ts_ns)
 
     @property
     def rtt_values_ns(self) -> List[int]:
@@ -118,16 +112,23 @@ class GroundTruthOracle:
     def __init__(self, stream: Optional[EventStream] = None,
                  rtt_max_age_ns: int = 1_000_000_000) -> None:
         self.flows: Dict[FiveTuple, FlowTruth] = {}
-        self.rtt_max_age_ns = rtt_max_age_ns
         # Exact eACK stash: (ACK-direction key, expected ack) -> ingress ts.
         self._eack: Dict[Tuple[FiveTuple, int], int] = {}
-        # Same stash under the data plane's discipline: armed only by
-        # non-regressing data packets (the P4 code never re-stashes a
-        # retransmission), so a later ACK answers the *original* copy.
-        self._eack_p4: Dict[Tuple[FiveTuple, int], int] = {}
+        # The reference is built dark: a live tracer would give each of
+        # its 2^32-cell registers a dense last-writer list.
+        observers = hooks.tracer, hooks.profiler
+        hooks.tracer = hooks.profiler = None
+        try:
+            program = P4Program("oracle-reference")
+            config = MonitorConfig(flow_slots=2**32, eack_table_size=2**32,
+                                   rtt_max_age_ns=rtt_max_age_ns)
+            self._parser = HeaderParser()
+            self._flow_table = FlowTableStage(program, config)
+            self._algorithm = RttLossStage(program, config)
+        finally:
+            hooks.tracer, hooks.profiler = observers
         # Packet identity -> core-switch ingress ts (queue residency).
         self._inflight: Dict[int, int] = {}
-        self.events_seen = 0
         self.rtt_matches = 0
         self.qdelay_matches = 0
         if stream is not None:
@@ -136,7 +137,6 @@ class GroundTruthOracle:
     # -- event dispatch -----------------------------------------------------
 
     def on_event(self, ev: NetEvent) -> None:
-        self.events_seen += 1
         kind = ev.kind
         if kind is NetEventKind.SWITCH_INGRESS:
             self._on_ingress(ev.pkt, ev.time_ns)
@@ -148,8 +148,7 @@ class GroundTruthOracle:
     def _truth(self, ft: FiveTuple) -> FlowTruth:
         truth = self.flows.get(ft)
         if truth is None:
-            truth = FlowTruth(ft)
-            self.flows[ft] = truth
+            truth = self.flows[ft] = FlowTruth(ft)
         return truth
 
     # -- observation points --------------------------------------------------
@@ -166,36 +165,36 @@ class GroundTruthOracle:
         truth.arrivals.append((ts_ns, pkt.ip_total_len))
         if pkt.payload_len > 0:
             truth._payload_arrivals.append((ts_ns, pkt.payload_len))
-
         self._inflight[pkt.uid] = ts_ns
-
         if pkt.proto != PROTO_TCP:
             return
+        self._measure(pkt, ts_ns, truth)
         if pkt.payload_len > 0:
-            key = (ft.reversed(), pkt.expected_ack)
-            if (truth.prev_seq != 0
-                    and ((pkt.seq - truth.prev_seq) & 0xFFFFFFFF) >= 0x80000000):
-                truth.regressions += 1
-            else:
-                truth.prev_seq = pkt.seq
-                self._eack_p4[key] = ts_ns
             # Path-truth stash: overwriting on retransmission (the eventual
             # ACK answers the latest copy actually delivered).
-            self._eack[key] = ts_ns
+            self._eack[(ft.reversed(), pkt.expected_ack)] = ts_ns
         elif pkt.flags & F_ACK and not pkt.flags & F_SYN:
             stashed = self._eack.pop((ft, pkt.ack), None)
             if stashed is not None:
-                rtt = ts_ns - stashed
                 self.rtt_matches += 1
                 # The RTT belongs to the *data* direction's flow — the one
                 # whose register the control plane reads via rev_flow_id.
-                self._truth(ft.reversed()).rtt_samples.append((ts_ns, rtt))
-            expected = self._eack_p4.pop((ft, pkt.ack), None)
-            if expected is not None:
-                rtt = ts_ns - expected
-                if rtt <= self.rtt_max_age_ns:
-                    self._truth(ft.reversed()).expected_rtt_samples.append(
-                        (ts_ns, rtt))
+                self._truth(ft.reversed()).rtt_samples.append(
+                    (ts_ns, ts_ns - stashed))
+
+    def _measure(self, pkt: Packet, ts_ns: int, truth: FlowTruth) -> None:
+        """Run a TCP arrival through the reference; keep what it measured."""
+        hdr = self._parser.parse(pkt)
+        meta = StandardMetadata(ingress_port=PORT_INGRESS_TAP,
+                                ingress_timestamp_ns=ts_ns)
+        self._flow_table.process(hdr, meta)
+        algorithm = self._algorithm
+        matches = algorithm.rtt_matches
+        algorithm.process(hdr, meta)
+        truth.regressions = algorithm.pkt_loss.read(meta.flow_slot)
+        if algorithm.rtt_matches != matches:
+            self._truth(truth.five_tuple.reversed()).expected_rtt_samples.append(
+                (ts_ns, algorithm.rtt.read(meta.flow_slot)))
 
     def _on_egress(self, pkt: Packet, ts_ns: int) -> None:
         ts_in = self._inflight.pop(pkt.uid, None)

@@ -56,13 +56,12 @@ COUNTERS = Tolerance("counters", exact=True,
 RTT_MS = Tolerance("rtt_ms", rel_tol=0.20, abs_slack=2.0,
                    note="CP samples vs oracle per-packet envelope/median")
 
-#: The ``pkt_loss`` register must exactly equal the regression count the
-#: oracle computes by running the same serial-number rule over the same
-#: ingress arrivals with unbounded state — the register implementation
-#: (hashing, indexing, ALU) has no excuse to differ when no other flow
-#: aliases its cell.
+#: The ``pkt_loss`` register must exactly equal the oracle reference's
+#: cell: the same stage over the same ingress arrivals with one cell per
+#: flow, so when no other flow aliases the product's cell nothing may
+#: differ.
 LOSS_REGRESSIONS = Tolerance("loss_regressions", exact=True,
-                             note="pkt_loss register vs oracle regression replay")
+                             note="pkt_loss register vs oracle reference cell")
 
 #: The *semantic* claim — regressions proxy true drops — is order-of-
 #: magnitude: SACK recovery interleaves retransmissions with new data, so

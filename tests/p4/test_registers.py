@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.p4.registers import RegisterArray
+from repro.p4.registers import SPARSE_CELLS, RegisterArray
 
 
 def test_initial_state_is_zero():
@@ -105,3 +105,31 @@ def test_property_add_accumulates_mod_width(values):
         total = (total + v) & 0xFFFFFFFF
         reg.add(0, v)
     assert reg.read(0) == total
+
+
+# -- sparse backing store --------------------------------------------------------
+
+#: Four cells of a 2^32-cell array, far apart, and their dense twins.
+_FAR = (0, 5, SPARSE_CELLS + 3, 2**32 - 1)
+
+
+@given(st.integers(1, 64),
+       st.lists(st.tuples(st.sampled_from(("write", "add", "maximum", "clear")),
+                          st.integers(0, len(_FAR) - 1),
+                          st.integers(0, 2**64 - 1)), max_size=40))
+def test_a_sparse_register_serves_ops_like_a_dense_one(width_bits, ops):
+    """Above ``SPARSE_CELLS`` cells the store keeps only the written cells;
+    every data-plane op and ``clear(i)`` answers as the dense store does,
+    width masking included."""
+    sparse = RegisterArray("s", 2**32, width_bits=width_bits)
+    dense = RegisterArray("d", len(_FAR), width_bits=width_bits)
+    for op, i, value in ops:
+        if op == "clear":
+            sparse.clear(_FAR[i])
+            dense.clear(i)
+        else:
+            assert getattr(sparse, op)(_FAR[i], value) == getattr(dense, op)(i, value)
+    assert [sparse.read(c) for c in _FAR] == [dense.read(i) for i in range(len(_FAR))]
+    assert sparse.ops == dense.ops
+    assert len(sparse._cells) <= len(_FAR) and len(sparse) == 2**32
+

@@ -193,3 +193,23 @@ print(json.dumps(dict(names=len(names), subs=len(subs), unresolved=unresolved,
 def test_a_submodule_is_an_attribute_of_a_freshly_imported_package():
     assert _fresh("import repro.netsim\nprint(repro.netsim.units.NS_PER_S)").strip() \
         == "1000000000"
+
+
+def test_a_restore_with_telemetry_off_builds_no_registry():
+    """A restored component rebases its counters only in a registry that
+    exists, so crash recovery with telemetry off stays as dark as a cold
+    start: no registry is built and no metric model imported."""
+    out = _fresh("""
+from repro import telemetry
+from repro.core.config import MonitorConfig
+from repro.core.control_plane import MonitorControlPlane
+from repro.core.monitor import P4Monitor
+from repro.netsim.engine import Simulator
+from repro.resilience.checkpoint import capture_checkpoint, restore_control_plane
+sim = Simulator()
+cp = MonitorControlPlane(sim, P4Monitor(MonitorConfig(), sim=sim))
+restore_control_plane(cp, capture_checkpoint(cp))
+import sys
+print(["repro.telemetry.metrics" in sys.modules, telemetry._registry])
+""")
+    assert out.strip() == "[False, None]"

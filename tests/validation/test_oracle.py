@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.netsim.observer import EventStream, NetEvent, NetEventKind
 from repro.netsim.packet import PROTO_UDP, FiveTuple, Packet, TCPFlags
+from repro.p4.registers import SPARSE_CELLS, RegisterArray
+from repro.telemetry import hooks, profiling, provenance
+from repro.validation import oracle as oracle_module
 from repro.validation.oracle import GroundTruthOracle
 
 SRC = 0x0A000001
@@ -84,6 +90,19 @@ def test_retransmission_splits_path_and_expected_rtt(oracle):
     assert truth.expected_rtt_samples == [(520_000, 519_000)]  # orig -> ACK
 
 
+def test_equal_seq_resend_rearms_the_stash(oracle):
+    """An equal sequence number is no regression: the resend re-arms the
+    stash, so the ACK pairs with the resend on both truths."""
+    first = data_pkt(seq=1)
+    ingress(oracle, first, 1_000)
+    ingress(oracle, data_pkt(seq=1), 300_000)    # same seq: not a regression
+    ingress(oracle, ack_pkt(first.expected_ack), 320_000)
+    truth = oracle.truth_for(FiveTuple(SRC, DST, 1000, 2000, 6))
+    assert truth.regressions == 0
+    assert truth.rtt_samples == [(320_000, 20_000)]
+    assert truth.expected_rtt_samples == [(320_000, 20_000)]
+
+
 def test_expected_rtt_respects_staleness_cutoff():
     oracle = GroundTruthOracle(rtt_max_age_ns=100_000)
     first = data_pkt(seq=1)
@@ -134,3 +153,42 @@ def test_udp_flows_counted_but_no_rtt(oracle):
     assert not truth.rtt_samples
     assert truth.payload_bytes == 1400
     assert oracle.total_tcp_payload_bytes == 0
+
+
+def test_the_reference_is_built_dark_under_live_observers(monkeypatch):
+    """The reference's registers have 2^32 cells: bound to a live tracer,
+    each would ask for a dense last-writer list.  Built under the tracer
+    and the profiler it adds no writer map, binds neither, and leaves
+    both slots as it found them."""
+    tracer = provenance.enable()
+    prof = profiling.enable()
+    writer_map = type(tracer).writer_map
+
+    def bounded(self, name, size):
+        assert size <= SPARSE_CELLS, f"dense writer map {name}[{size}]"
+        return writer_map(self, name, size)
+
+    monkeypatch.setattr(type(tracer), "writer_map", bounded)
+    try:
+        built = GroundTruthOracle()
+        assert (hooks.tracer, hooks.profiler) == (tracer, prof)
+    finally:
+        profiling.disable()
+        provenance.disable()
+    assert tracer._writer_maps == {}
+    registers = [reg for stage in (built._flow_table, built._algorithm)
+                 for reg in vars(stage).values() if isinstance(reg, RegisterArray)]
+    assert len(registers) == 16
+    traced = (built._parser, built._flow_table.cms, built._algorithm, *registers)
+    assert all(part._trace is None for part in traced)
+
+
+def test_validation_holds_no_serial_rule():
+    """Algorithm 1's RFC 1982 serial compare lives in the stages only: no
+    module under ``repro/validation`` carries its ``0x80000000``."""
+    package = Path(oracle_module.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value == 0x80000000]
+    assert found == []
