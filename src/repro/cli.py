@@ -108,23 +108,19 @@ def _stats(args) -> str:
 
 def _watch(args) -> str:
     """Flight-recorder mode: the stats workload with a time-series sampler
-    attached, a refreshing top-N/sparkline terminal view during the run,
-    and telemetry events pushed into the archive."""
-    from repro.telemetry.timeseries import TelemetryPusher, TelemetrySampler
+    archiving every tick, and a refreshing top-N/sparkline terminal view,
+    read from the archive, during the run."""
+    from repro.telemetry.timeseries import TelemetrySampler
     from repro.telemetry.watch import render_watch
 
     scenario = _instrumented_scenario(args, histograms_enabled=True,
                                       forensics_enabled=True)
+    archiver = scenario.perfsonar.archiver
     interval_ns = max(1, int(args.sample_interval * 1e6))
-    sampler = TelemetrySampler(scenario.sim, interval_ns=interval_ns,
+    sampler = TelemetrySampler(scenario.sim, archiver, interval_ns=interval_ns,
                                retention=args.retention)
-    pusher = TelemetryPusher(scenario.perfsonar.archiver.sink)
-    sampler.add_observer(pusher)
     extractor = scenario.control_plane.histograms
     forensics = scenario.control_plane.forensics
-    # Mirror the live percentile summaries into the flight recorder so
-    # p99 RTT rides the same ring buffers as everything else.
-    sampler.add_sampler(extractor.telemetry_samples)
 
     clear = "\x1b[H\x1b[2J" if sys.stdout.isatty() else ""
     frame_every = max(1, int(args.refresh * 1e9 / interval_ns))
@@ -132,7 +128,7 @@ def _watch(args) -> str:
     def render(t_ns) -> str:
         sim = scenario.sim
         return render_watch(
-            sampler.store, top=args.top, now_ns=t_ns,
+            sampler, top=args.top, now_ns=t_ns,
             samples=sampler.samples_taken,
             alerts=scenario.control_plane.alerts.active_alerts,
             sim_stats=(f"scheduler: pending={sim.pending} queue-hwm="
@@ -140,7 +136,7 @@ def _watch(args) -> str:
             hist_line=extractor.watch_line(),
             forensics_line=forensics.watch_line())
 
-    def frame(t_ns, _records) -> None:
+    def frame(t_ns, _block) -> None:
         if sampler.samples_taken % frame_every == 0:
             print(clear + render(t_ns), flush=True)
 
@@ -151,11 +147,11 @@ def _watch(args) -> str:
     finally:
         sampler.stop()
 
-    archived = scenario.perfsonar.archiver.telemetry_count()
     return (render(scenario.sim.now)
-            + f"\narchived {archived} repro_telemetry events "
-            f"({pusher.events_pushed} pushed) alongside "
-            f"{scenario.perfsonar.archiver.output.documents_written - archived} "
+            + f"\narchived {archiver.telemetry_count()} raw and "
+            f"{archiver.telemetry_count(longterm=True)} long-term "
+            f"repro_telemetry documents ({sampler.events_pushed} pushed) "
+            f"alongside {archiver.output.documents_written - sampler.events_pushed} "
             "measurement documents")
 
 
@@ -643,8 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sim-time sampling interval in milliseconds "
                             "(default: 100)")
     watch.add_argument("--retention", type=_retention, default=600,
-                       help="ring-buffer points kept per series before "
-                            "downsampling (default: 600)")
+                       help="raw telemetry documents kept per series in the "
+                            "archive; older ticks fold into long-term "
+                            "bucket means (default: 600)")
     watch.add_argument("--refresh", type=float, default=1.0,
                        metavar="SECONDS",
                        help="sim seconds between watch frames (default: 1)")

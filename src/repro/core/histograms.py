@@ -229,7 +229,7 @@ class HistogramExtractor:
             # query over the window that shifted.
             forensics.on_change_point(now, alert)
 
-    # -- surfaces (watch header, flight recorder) ------------------------------
+    # -- surfaces (watch header) -----------------------------------------------
 
     def watch_line(self) -> Optional[str]:
         """One-line p99-RTT summary for the live watch header."""
@@ -241,14 +241,3 @@ class HistogramExtractor:
         for fid, row in by_count[:4]:
             parts.append(f"{fid & 0xFFFFFF:06x} {row['p99_ms']:.2f}ms")
         return "p99 RTT: " + "  |  ".join(parts)
-
-    def telemetry_samples(self, _t_ns: int):
-        """Flight-recorder mirror: (name, labels, kind, value) tuples of
-        the latest percentile summaries, one series per scope."""
-        if self.latest_all is not None:
-            for q in ("p50_ms", "p99_ms"):
-                yield (f"repro_hist_rtt_{q[:-3]}_ms", {"flow": "all"},
-                       "gauge", self.latest_all[q])
-        for fid, row in self.latest.items():
-            yield ("repro_hist_rtt_p99_ms", {"flow": f"{fid:x}"},
-                   "gauge", row["p99_ms"])

@@ -112,7 +112,9 @@ class Simulator:
         # (time_ns, seq, fn, args, handle-or-None) tuples; see module doc.
         self._heap: list[tuple] = []
         self._seq = itertools.count()
-        self._events_run = 0
+        # Cancelled entries popped and dropped: with the sequence numbers
+        # handed out and the queue's length, the exact event tally.
+        self._cancelled = 0
         self._flush_hooks: list[Callable[[], None]] = []
         #: Deepest the queue has ever been (scheduler introspection —
         #: `repro_sim_event_queue_hwm`).  Tracked unconditionally: the
@@ -139,7 +141,7 @@ class Simulator:
             buckets=telemetry.SIZE_BUCKETS) if telemetry.enabled() else None
         telemetry.reads(self, counters=[
             ("repro_netsim_events_total", "events dispatched by the engine",
-             (), lambda: self._events_run),
+             (), lambda: self.events_run),
             # Scheduler introspection: the monotone high-water mark,
             # also in the `watch` header line.
             ("repro_sim_event_queue_hwm",
@@ -263,6 +265,7 @@ class Simulator:
                 while heap and heap[0][0] <= limit_ns and executed != budget:
                     t, _s, fn, args, handle = heappop(heap)
                     if handle is not None and handle.cancelled:
+                        self._cancelled += 1
                         continue
                     self.now = t
                     executed += 1
@@ -275,6 +278,7 @@ class Simulator:
             while heap and heap[0][0] <= limit_ns and executed != budget:
                 t, _s, fn, args, handle = heappop(heap)
                 if handle is not None and handle.cancelled:
+                    self._cancelled += 1
                     continue
                 self.now = t
                 executed += 1
@@ -296,9 +300,6 @@ class Simulator:
                 t_prev = t_now
                 n_prev = n_now
         finally:
-            # Folded in once per drain: per-event attribute stores are
-            # measurable at this loop's call volume.
-            self._events_run += executed
             if self._tel_depth is not None:
                 self._tel_depth.observe(len(heap))
 
@@ -312,9 +313,9 @@ class Simulator:
         while heap:
             t, _s, fn, args, handle = heapq.heappop(heap)
             if handle is not None and handle.cancelled:
+                self._cancelled += 1
                 continue
             self.now = t
-            self._events_run += 1
             fn(*args)
             return True
         return False
@@ -329,8 +330,12 @@ class Simulator:
 
     @property
     def events_run(self) -> int:
-        """Total events executed so far (throughput metric for profiling)."""
-        return self._events_run
+        """Total events executed so far, the one running included: every
+        event scheduled is still queued, was dropped cancelled, or ran.
+        Exact from inside a callback too, with no per-event count in the
+        loop (``itertools.count`` shows its next value only in its repr)."""
+        scheduled = int(repr(self._seq)[6:-1])
+        return scheduled - len(self._heap) - self._cancelled
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next live event, or None if the queue is empty."""
@@ -340,4 +345,5 @@ class Simulator:
             if handle is None or not handle.cancelled:
                 break
             heapq.heappop(heap)
+            self._cancelled += 1
         return heap[0][0] if heap else None

@@ -164,10 +164,13 @@ class Archiver:
 
     TELEMETRY_KIND = "repro_telemetry"
 
-    def telemetry_count(self) -> int:
-        """Self-telemetry documents pushed into the archive by a
-        :class:`~repro.telemetry.timeseries.TelemetryPusher`."""
-        return self.count(self.TELEMETRY_KIND)
+    def telemetry_count(self, longterm: bool = False) -> int:
+        """Self-telemetry documents a
+        :class:`~repro.telemetry.timeseries.TelemetrySampler` archived:
+        the raw ones, or with ``longterm`` the bucket means its retention
+        folded them into."""
+        index = self._index(self.TELEMETRY_KIND)
+        return self.store.count(f"{index}-longterm" if longterm else index)
 
     def telemetry_series(self, metric: str,
                          value_field: str = "value") -> List[tuple]:
@@ -178,10 +181,21 @@ class Archiver:
             for doc in self.documents(self.TELEMETRY_KIND, metric=metric)
         ]
 
-    def apply_retention(self, policy, now_s: float) -> int:
+    def telemetry_tail(self, since_ns: int, **query) -> List[dict]:
+        """The raw self-telemetry documents from sim time ``since_ns``
+        on (``query``: :meth:`OpenSearchStore.tail`'s ``fields`` and
+        ``terms``).  The index is in time order: the sampler appends one
+        tick at a time and its retention removes only the oldest ticks."""
+        return self.store.tail(self._index(self.TELEMETRY_KIND), since_ns,
+                               time_field="time_ns", **query)
+
+    def apply_retention(self, policy, now_s: float,
+                        kind: Optional[str] = None) -> int:
         """Run a :class:`~repro.perfsonar.opensearch.RetentionPolicy`
-        over every raw index (skips the -longterm companions).  Returns
-        total raw documents pruned."""
+        over ``kind``'s raw index, or over every raw index (skipping the
+        -longterm companions).  Returns total raw documents pruned."""
+        if kind is not None:
+            return policy.apply(self.store, self._index(kind), now_s)
         pruned = 0
         for index in list(self.store.indices):
             if index.endswith("-longterm"):

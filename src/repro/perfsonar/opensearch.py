@@ -22,6 +22,7 @@ archive's own.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from itertools import compress
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence
@@ -38,13 +39,15 @@ def _thaw(value: Any) -> Any:
     fresh lists, dicts fresh dicts, all the way down."""
     kind = type(value)
     if kind is tuple or kind is list:
-        return [_thaw(v) for v in value]
+        return [_thaw(v) if type(v) in _CONTAINERS else v for v in value]
     if kind is dict:
-        return {k: _thaw(v) for k, v in value.items()}
+        return {k: _thaw(v) if type(v) in _CONTAINERS else v
+                for k, v in value.items()}
     return value
 
 
 _CONTAINERS = (tuple, list, dict)
+_MISSING = object()   # a field a document does not have
 
 
 class RetentionPolicy:
@@ -52,7 +55,9 @@ class RetentionPolicy:
     platform the paper cites: raw documents are kept for
     ``short_term_s``; beyond that they are downsampled into
     ``long_term_bucket_s`` averages in a companion ``<index>-longterm``
-    index (one document per bucket per flow), then pruned.
+    index (one document per bucket per series: flow, and ``metric`` /
+    ``labels`` where the documents carry them), then pruned.  Windows
+    are in the unit of ``time_field``: seconds for ``@timestamp``.
     """
 
     def __init__(self, short_term_s: float = 3600.0,
@@ -69,31 +74,39 @@ class RetentionPolicy:
     def apply(self, store: "OpenSearchStore", index: str, now_s: float) -> int:
         """Downsample+prune documents older than the short-term window.
         Returns the number of raw documents pruned."""
-        cutoff = now_s - self.short_term_s
-        # The store's range is inclusive and reads a missing field as
-        # -inf: a superset, cut here to the strict window.
-        old = [d for d in store.search(index, time_field=self.time_field,
-                                       time_range=(float("-inf"), cutoff))
-               if d.get(self.time_field, 0.0) < cutoff]
-        if not old:
+        ids, times, values, flows, metrics, labels = store.columns(
+            index, ("_id", self.time_field, self.value_field, "flow_id",
+                    "metric", "labels"),
+            before=now_s - self.short_term_s, time_field=self.time_field,
+            default=_MISSING)
+        if not ids:
             return 0
-        buckets: Dict[tuple, List[dict]] = {}
-        for d in old:
-            bucket = int(d.get(self.time_field, 0.0) // self.long_term_bucket_s)
-            key = (bucket, d.get("flow_id"))
-            buckets.setdefault(key, []).append(d)
-        for (bucket, flow_id), members in sorted(buckets.items()):
-            values = [m[self.value_field] for m in members if self.value_field in m]
-            if not values:
+        buckets: Dict[tuple, List[int]] = {}
+        for i, (t, flow_id, metric, label_set) in enumerate(
+                zip(times, flows, metrics, labels)):
+            bucket = int((0.0 if t is _MISSING else t) // self.long_term_bucket_s)
+            if type(label_set) is dict:
+                label_set = tuple(sorted(label_set.items()))
+            key = (bucket, None if flow_id is _MISSING else flow_id,
+                   None if metric is _MISSING else metric,
+                   None if label_set is _MISSING else label_set)
+            buckets.setdefault(key, []).append(i)
+        # By bucket; series in order of first appearance within one.
+        for (bucket, flow_id, metric, _), members in sorted(
+                buckets.items(), key=lambda item: item[0][0]):
+            samples = [values[i] for i in members if values[i] is not _MISSING]
+            if not samples:
                 continue
-            store.index(f"{index}-longterm", {
-                self.time_field: bucket * self.long_term_bucket_s,
-                "flow_id": flow_id,
-                self.value_field: sum(values) / len(values),
-                "samples": len(values),
-                "downsampled": True,
-            })
-        return store.delete(index, [d["_id"] for d in old])
+            first = members[0]
+            doc = {self.time_field: bucket * self.long_term_bucket_s,
+                   "flow_id": flow_id}
+            for field, column in (("metric", metrics), ("labels", labels)):
+                if column[first] is not _MISSING:
+                    doc[field] = column[first]
+            doc.update({self.value_field: sum(samples) / len(samples),
+                        "samples": len(samples), "downsampled": True})
+            store.index(f"{index}-longterm", doc)
+        return store.delete(index, ids)
 
 
 class _Index:
@@ -112,12 +125,38 @@ class _Index:
         keys = self.keys[i]
         return _thaw(self.values[i][keys.index(name)]) if name in keys else default
 
+    def column(self, name: str, default: Any = None,
+               rows: Optional[Iterable[int]] = None,
+               thaw: bool = True) -> List[Any]:
+        """:meth:`field` of each of ``rows`` (default: every row); a run
+        of rows that share a key tuple finds ``name`` in it once.
+        ``thaw=False`` returns the stored values themselves, for a
+        comparison that hands none of them out."""
+        if rows is None:
+            rows = range(len(self.values))
+        if name in ("_id", "_index"):
+            return [self.field(i, name) for i in rows]
+        keys_of, values_of = self.keys, self.values
+        out, schema, at = [], None, None
+        for i in rows:
+            keys = keys_of[i]
+            if keys is not schema:
+                schema, at = keys, (keys.index(name) if name in keys else None)
+            if at is None:
+                out.append(default)
+            else:
+                value = values_of[i][at]
+                out.append(_thaw(value) if thaw and type(value) in _CONTAINERS
+                           else value)
+        return out
+
 
 class OpenSearchStore:
     def __init__(self) -> None:
         self._indices: Dict[str, _Index] = {}
         self._next_id = 1
         self._schemas: Dict[tuple, tuple] = {}   # interned key tuples
+        self._picks: Dict[tuple, tuple] = {}     # fields -> (keys, names, positions)
         self._faults = hooks.injector   # None without a chaos injector
 
     # -- document API ---------------------------------------------------------
@@ -151,9 +190,19 @@ class OpenSearchStore:
         keys = self._schemas.setdefault(keys, keys)
         return str(self.bulk((index,), ((keys, values),)))
 
-    def _document(self, docs: _Index, i: int) -> dict:
-        doc = {k: _thaw(v) if type(v) in _CONTAINERS else v
-               for k, v in zip(docs.keys[i], docs.values[i])}
+    def _document(self, docs: _Index, i: int,
+                  fields: Optional[Sequence[str]] = None) -> dict:
+        keys, values = docs.keys[i], docs.values[i]
+        if fields is None:
+            pairs = zip(keys, values)
+        else:
+            # The rows a query reads mostly share one key tuple.
+            pick = self._picks.get(fields)
+            if pick is None or pick[0] is not keys:
+                names = tuple(k for k in fields if k in keys)
+                pick = self._picks[fields] = (keys, names, tuple(map(keys.index, names)))
+            pairs = zip(pick[1], map(values.__getitem__, pick[2]))
+        doc = {k: _thaw(v) if type(v) in _CONTAINERS else v for k, v in pairs}
         doc["_id"], doc["_index"] = str(docs.ids[i]), docs.name
         return doc
 
@@ -206,6 +255,41 @@ class OpenSearchStore:
         if size is not None:
             rows = rows[:size]
         return [self._document(docs, i) for i in rows]
+
+    def columns(self, index: str, fields: Sequence[str], before: Any,
+                time_field: str = "@timestamp", default: Any = None) -> List[list]:
+        """``fields`` of the documents whose ``time_field`` (0.0 where
+        missing) is before ``before``: one list per field, in document
+        order, ``default`` where a document lacks the field — a column
+        read, OpenSearch's ``docvalue_fields``, with no document built."""
+        docs = self._indices.get(index)
+        if docs is None:
+            return [[] for _ in fields]
+        rows = [i for i, t in enumerate(docs.column(time_field, 0.0)) if t < before]
+        return [docs.column(name, default, rows) for name in fields]
+
+    def tail(self, index: str, since: Any, time_field: str = "@timestamp",
+             fields: Optional[Sequence[str]] = None,
+             terms: Optional[Dict[str, Any]] = None) -> List[dict]:
+        """The documents whose ``time_field`` is at or after ``since``,
+        oldest first, as :meth:`search` returns them but with only
+        ``fields`` (and ``_id`` / ``_index``) when given — OpenSearch's
+        ``_source`` filtering; ``terms`` keeps those whose field is one
+        of the given values (its ``terms`` query).  Only for an index
+        whose documents are in ``time_field`` order, as a time-ordered
+        writer and prefix-only pruning keep it: the first one is found
+        by bisection, so the read costs the tail, not the index."""
+        docs = self._indices.get(index)
+        if docs is None:
+            return []
+        end = len(docs.values)
+        rows: Iterable[int] = range(bisect_left(
+            range(end), since,
+            key=lambda i: docs.field(i, time_field, float("-inf"))), end)
+        for name, allowed in (terms or {}).items():
+            rows = list(compress(rows, [
+                v in allowed for v in docs.column(name, rows=rows, thaw=False)]))
+        return [self._document(docs, i, fields) for i in rows]
 
     def aggregate(
         self,

@@ -1,22 +1,30 @@
 """Terminal flight-recorder view: top-N series + sparklines + alerts.
 
-:func:`render_watch` turns a :class:`~repro.telemetry.timeseries.TimeSeriesStore`
-into one text frame — the ``repro-experiments watch`` CLI mode prints a
-frame per refresh interval while the run is in flight, giving the
+:func:`render_watch` turns the archived tail of a
+:class:`~repro.telemetry.timeseries.TelemetrySampler` into one text
+frame — the ``repro-experiments watch`` CLI mode prints a frame per
+refresh interval while the run is in flight, giving the
 `watch(1)`-style live view the paper's Grafana dashboards provide for
 the measured network, but for the instrument itself.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.telemetry.export import _fmt  # shared human number formatting
-from repro.telemetry.timeseries import TimeSeriesStore
 
 __all__ = ["sparkline", "render_watch"]
 
 SPARK_LEVELS = "▁▂▃▄▅▆▇█"
+
+#: What a frame's table reads of each archived telemetry document.
+_FIELDS = ("metric", "labels", "value", "delta", "rate_per_s")
+
+
+def _series(doc: dict) -> tuple:
+    """An archived document's series: (metric, sorted label items)."""
+    return doc["metric"], tuple(sorted(doc["labels"].items()))
 
 
 def sparkline(values: Sequence[float], width: int = 24) -> str:
@@ -47,7 +55,7 @@ def _alert_line(alerts) -> str:
     return f"alerts: {len(alerts)} active — " + ", ".join(parts) + more
 
 
-def render_watch(store: TimeSeriesStore, top: int = 12, width: int = 24,
+def render_watch(sampler, top: int = 12, width: int = 24,
                  now_ns: Optional[int] = None, samples: Optional[int] = None,
                  alerts: Optional[list] = None,
                  sim_stats: Optional[str] = None,
@@ -64,18 +72,22 @@ def render_watch(store: TimeSeriesStore, top: int = 12, width: int = 24,
     ``forensics_line`` is the latest top-culprit attribution, shown when
     queue forensics is on and an alert has run a culprit query.
 
-    Series are ranked by how fast they are moving right now (|last
-    delta|); the sparkline plots per-sample deltas, so a steady counter
-    reads flat and a burst reads as a spike — the same reason the
-    archive stores deltas alongside raw values.
+    The table reads the archive: the sampler's last tick ranks the
+    series by how fast they are moving right now (|last delta|, ties in
+    the order the series were first seen), and the last ``width`` ticks
+    of the top ones draw their sparklines.  A sparkline plots per-tick
+    deltas, so a steady counter reads flat and a burst reads as a
+    spike — the same reason the archive stores deltas alongside raw
+    values.
     """
     header = "flight recorder"
     if now_ns is not None:
         header += f"  t={now_ns / 1e9:.2f}s"
     if samples is not None:
         header += f"  samples={samples}"
-    header += (f"  series={len(store)}  points={store.total_points()}"
-               f" (cap {store.retention}/series)")
+    header += (f"  series={len(sampler.series)}"
+               f"  points={sampler.archiver.telemetry_count()}"
+               f" (cap {sampler.retention}/series)")
     if sim_stats:
         header += "\n" + sim_stats
     if hist_line:
@@ -83,19 +95,24 @@ def render_watch(store: TimeSeriesStore, top: int = 12, width: int = 24,
     if forensics_line:
         header += "\n" + forensics_line
 
+    last = {_series(doc): doc for doc in sampler.tail(1, fields=_FIELDS)}
+    ranked = sorted((key for key in sampler.series if key in last),
+                    key=lambda key: abs(last[key]["delta"]), reverse=True)[:top]
+    deltas: Dict[tuple, List[float]] = {}
+    for doc in sampler.tail(width, fields=("metric", "labels", "delta"), terms={
+            "metric": {name for name, _ in ranked},
+            "labels": [dict(labels) for _, labels in ranked]}):
+        deltas.setdefault(_series(doc), []).append(doc["delta"])
     rows: List[tuple] = []
-    for series in store.top(top):
-        last = series.last
-        if last is None:
-            continue
-        label_s = ",".join(f"{k}={v}" for k, v in series.labels)
+    for key in ranked:
+        doc = last[key]
         rows.append((
-            series.name,
-            label_s,
-            _fmt(last.value),
-            _fmt(last.delta),
-            _fmt(last.rate),
-            sparkline(series.deltas(), width),
+            key[0],
+            ",".join(f"{k}={v}" for k, v in key[1]),
+            _fmt(doc["value"]),
+            _fmt(doc["delta"]),
+            _fmt(doc["rate_per_s"]),
+            sparkline(deltas[key], width),
         ))
     if not rows:
         return header + "\n(no samples yet)\n" + _alert_line(alerts) + "\n"

@@ -278,3 +278,34 @@ def test_every_cancel_after_fire_same_timestamp(sim):
     sim.at(10, timer.cancel)
     sim.run_until(100)
     assert times == [10]
+
+
+def test_events_run_is_exact_from_inside_a_run(sim):
+    # A periodic reader (the `watch` sampler's position) sees every event
+    # dispatched before it, itself included, while the drain is still
+    # running; cancelled events never count, and neither does a nested
+    # run_until's work until it has happened.
+    dispatched = []
+    seen = []
+
+    def work():
+        dispatched.append(sim.now)
+
+    def tick():
+        dispatched.append(sim.now)
+        seen.append((sim.events_run, len(dispatched)))
+        sim.after(1, work)
+        sim.after(2, work).cancel()
+        sim.run_until(sim.now + 3)       # nested: runs the one live event
+        seen.append((sim.events_run, len(dispatched)))
+
+    for t in range(1, 100, 7):
+        sim.at(t, work)
+    sim.at(50, work).cancel()
+    sim.every(10, tick)
+    sim.run_until(95)
+    assert len(seen) == 18
+    assert all(run == count for run, count in seen)
+    assert sim.events_run == len(dispatched)
+    sim.step()
+    assert sim.events_run == len(dispatched)

@@ -139,6 +139,11 @@ class DictStore:
             docs.sort(key=lambda d: d.get(sort_field, 0))
         return [dict(d) for d in docs[:size]]
 
+    def columns(self, index, fields, before, time_field="@timestamp", default=None):
+        docs = [d for d in self._indices.get(index, ())
+                if d.get(time_field, 0.0) < before]
+        return [[d.get(name, default) for d in docs] for name in fields]
+
     aggregate, series = OpenSearchStore.aggregate, OpenSearchStore.series
 
 

@@ -81,3 +81,38 @@ def test_archiver_apply_retention_sweeps_all_indices():
     # Long-term companions exist and are not re-pruned.
     assert archiver.store.count("pscheduler-p4_throughput-longterm") == 5
     assert archiver.apply_retention(policy, now_s=100.0) == 0
+
+
+def test_one_flows_metrics_get_their_own_long_term_documents():
+    """Alerts for one flow on two metrics (b/s and ms) are bucketed per
+    metric, never averaged together."""
+    store = OpenSearchStore()
+    for t in range(20):
+        store.index("pscheduler-p4_alert", {
+            "@timestamp": float(t), "metric": "throughput", "flow_id": 7,
+            "value": 9e8 + t})
+        store.index("pscheduler-p4_alert", {
+            "@timestamp": float(t), "metric": "rtt", "flow_id": 7,
+            "value": 40.0 + t})
+    policy = RetentionPolicy(short_term_s=5.0, long_term_bucket_s=10.0)
+    assert policy.apply(store, "pscheduler-p4_alert", now_s=15.0) == 20
+    docs = store.search("pscheduler-p4_alert-longterm")
+    assert [(d["@timestamp"], d["metric"], d["flow_id"]) for d in docs] == [
+        (0.0, "throughput", 7), (0.0, "rtt", 7)]
+    assert [d["value"] for d in docs] == [pytest.approx(9e8 + 4.5), 44.5]
+    assert [d["samples"] for d in docs] == [10, 10]
+
+
+def test_labelled_series_get_their_own_long_term_documents():
+    store = OpenSearchStore()
+    for t in range(10):
+        for kind, value in (("a", 1.0), ("b", 3.0)):
+            store.index("pscheduler-repro_telemetry", {
+                "@timestamp": float(t), "metric": "repro_z",
+                "labels": {"kind": kind}, "value": value})
+    policy = RetentionPolicy(short_term_s=1.0, long_term_bucket_s=100.0)
+    policy.apply(store, "pscheduler-repro_telemetry", now_s=11.0)
+    docs = store.search("pscheduler-repro_telemetry-longterm")
+    assert [(d["labels"], d["value"], d["samples"]) for d in docs] == [
+        ({"kind": "a"}, 1.0, 10), ({"kind": "b"}, 3.0, 10)]
+    assert all("flow_id" in d and d["flow_id"] is None for d in docs)

@@ -1,101 +1,92 @@
-"""Flight-recorder ring buffers and the sim-time sampler.
+"""The flight recorder: sim-time sampler, archived once.
 
-Pins the ISSUE's acceptance claims: retention caps hold under long runs
-(downsampling, not growth), delta/rate math survives counter resets, and
-sampler ticks land exactly on sim-time interval multiples.
+Pins what a user sees: ticks land on sim-time interval multiples, each
+tick's documents carry delta/rate that survive counter resets, the
+archive holds at most ``retention`` raw documents per series (older
+ticks folded into long-term buckets), and the watch view reads its
+frames from the archive.
 """
 
 import pytest
 
 from repro import telemetry
+from repro.core.reports import document_row
 from repro.netsim.engine import Simulator
+from repro.perfsonar.archiver import Archiver
 from repro.telemetry.metrics import MetricsRegistry, TelemetryError
-from repro.telemetry.timeseries import (
-    TelemetryPusher,
-    TelemetrySampler,
-    TimeSeries,
-    TimeSeriesStore,
-)
+from repro.telemetry.timeseries import TelemetrySampler
 from repro.telemetry.watch import render_watch, sparkline
 
 MS = 1_000_000
+S = 1_000_000_000
 
 
-# -- TimeSeries ring buffer ---------------------------------------------------
+def _run(registry, script, ticks, interval_ns=S, retention=64):
+    """Sample ``registry`` for ``ticks`` ticks; ``script`` is a list of
+    ``(t_ns, fn)`` registry changes.  Returns the sampler."""
+    sim = Simulator()
+    for t_ns, fn in script:
+        sim.at(t_ns, fn)
+    sampler = TelemetrySampler(sim, Archiver(), registry=registry,
+                               interval_ns=interval_ns, retention=retention)
+    sampler.start()
+    sim.run_until(ticks * interval_ns)
+    return sampler
 
 
-def test_retention_cap_bounds_memory():
-    series = TimeSeries("s", retention=32)
-    for i in range(100_000):
-        series.append(i * MS, float(i))
-    assert len(series) < 32
-    assert series.total_appends == 100_000
-    assert series.stride > 1
+def _docs(sampler, metric, **labels):
+    docs = sampler.archiver.documents("repro_telemetry", metric=metric)
+    return [d for d in docs if d["labels"] == labels]
 
 
-def test_decimation_keeps_full_run_coverage():
-    series = TimeSeries("s", retention=16)
-    for i in range(1, 1001):
-        series.append(i * MS, float(i))
-    points = series.points()
-    # Oldest retained point is from early in the run, newest is recent:
-    # decimation coarsens resolution instead of sliding the window.
-    assert points[0].time_ns < 200 * MS
-    assert points[-1].time_ns > 900 * MS
-    # Strictly increasing timestamps survive repeated decimation.
-    times = [p.time_ns for p in points]
-    assert times == sorted(set(times))
-
-
-def test_stride_doubles_on_each_compaction():
-    series = TimeSeries("s", retention=8)
-    for i in range(8):
-        series.append(i * MS, float(i))
-    assert series.stride == 2  # first compaction at the cap
-    for i in range(8, 64):
-        series.append(i * MS, float(i))
-    assert series.stride >= 4
-    assert len(series) < 8
+# -- delta and rate -----------------------------------------------------------
 
 
 def test_counter_delta_and_rate():
-    series = TimeSeries("c", kind="counter", retention=64)
-    series.append(0, 100.0)
-    point = series.append(1_000_000_000, 160.0)  # +60 over 1 s
-    assert point.delta == 60.0
-    assert point.rate == pytest.approx(60.0)
+    reg = MetricsRegistry()
+    c = reg.counter("c_total")
+    sampler = _run(reg, [(0, lambda: c.inc(100)), (S + 1, lambda: c.inc(60))],
+                   ticks=2)
+    point = _docs(sampler, "c_total")[-1]   # +60 over 1 s
+    assert point["delta"] == 60.0
+    assert point["rate_per_s"] == pytest.approx(60.0)
 
 
 def test_counter_reset_treated_as_increase_since_zero():
-    series = TimeSeries("c", kind="counter", retention=64)
-    series.append(0, 500.0)
-    point = series.append(1_000_000_000, 40.0)  # went backwards → reset
-    assert point.delta == 40.0
-    assert point.rate == pytest.approx(40.0)
+    reg = MetricsRegistry()
+    c = reg.counter("c_total")
+    sampler = _run(reg, [(0, lambda: c.inc(500)), (S + 1, c.reset),
+                         (S + 2, lambda: c.inc(40))], ticks=2)
+    point = _docs(sampler, "c_total")[-1]   # went backwards → reset
+    assert point["delta"] == 40.0
+    assert point["rate_per_s"] == pytest.approx(40.0)
 
 
 def test_gauge_delta_may_be_negative():
-    series = TimeSeries("g", kind="gauge", retention=64)
-    series.append(0, 10.0)
-    point = series.append(500_000_000, 4.0)
-    assert point.delta == -6.0
-    assert point.rate == pytest.approx(-12.0)
+    reg = MetricsRegistry()
+    g = reg.gauge("g")
+    sampler = _run(reg, [(0, lambda: g.set(10)),
+                         (500 * MS + 1, lambda: g.set(4))],
+                   ticks=2, interval_ns=500 * MS)
+    point = _docs(sampler, "g")[-1]
+    assert point["delta"] == -6.0
+    assert point["rate_per_s"] == pytest.approx(-12.0)
 
 
 def test_first_point_has_zero_delta_and_rate():
-    series = TimeSeries("s", retention=64)
-    point = series.append(123, 42.0)
-    assert (point.delta, point.rate) == (0.0, 0.0)
+    reg = MetricsRegistry()
+    reg.gauge("g").set(42)
+    point, = _docs(_run(reg, [], ticks=1), "g")
+    assert (point["value"], point["delta"], point["rate_per_s"]) == (42.0, 0.0, 0.0)
 
 
 def test_retention_floor_enforced():
-    with pytest.raises(TelemetryError):
-        TimeSeries("s", retention=2)
-    with pytest.raises(TelemetryError):
-        TimeSeriesStore(retention=1)
+    for retention in (1, 2, 3):
+        with pytest.raises(TelemetryError):
+            TelemetrySampler(Simulator(), Archiver(), retention=retention)
 
 
-# -- TimeSeriesStore ----------------------------------------------------------
+# -- what a tick archives -----------------------------------------------------
 
 
 def _registry_with_values(counter=0.0, hist=()):
@@ -111,52 +102,86 @@ def _registry_with_values(counter=0.0, hist=()):
 
 
 def test_store_splits_histograms_into_count_and_sum():
-    store = TimeSeriesStore(retention=16)
-    reg = _registry_with_values(counter=3, hist=(5, 50))
-    store.record(0, reg.snapshot())
-    assert store.get("repro_y_ns_count").last.value == 2
-    assert store.get("repro_y_ns_sum").last.value == 55
-    assert store.get("repro_y_ns_count").kind == "counter"
+    sampler = _run(_registry_with_values(counter=3, hist=(5, 50)), [], ticks=1)
+    count, = _docs(sampler, "repro_y_ns_count")
+    total, = _docs(sampler, "repro_y_ns_sum")
+    assert (count["value"], total["value"]) == (2, 55)
+    assert count["kind"] == total["kind"] == "counter"
 
 
 def test_store_keys_series_by_labels():
-    store = TimeSeriesStore(retention=16)
-    store.record(0, _registry_with_values().snapshot())
-    assert store.get("repro_z", kind="a").last.value == 1
-    assert store.get("repro_z", kind="b").last.value == 2
-    assert store.get("repro_z", kind="missing") is None
+    sampler = _run(_registry_with_values(), [], ticks=1)
+    assert [d["value"] for d in _docs(sampler, "repro_z", kind="a")] == [1]
+    assert [d["value"] for d in _docs(sampler, "repro_z", kind="b")] == [2]
+    assert _docs(sampler, "repro_z", kind="missing") == []
+    assert ("repro_z", (("kind", "a"),)) in sampler.series
 
 
 def test_store_record_returns_retained_samples_for_pusher():
-    store = TimeSeriesStore(retention=16)
+    """The wire format: one block of ``(keys, values)`` rows per tick,
+    each a ``repro_telemetry`` event, handed to the archive's sink and
+    then to the observers."""
+    sim = Simulator()
     reg = _registry_with_values(counter=1)
-    first = store.record(0, reg.snapshot())
-    names = {r["metric"] for r in first}
-    assert "repro_x_total" in names and "repro_z" in names
-    record = next(r for r in first if r["metric"] == "repro_x_total")
-    assert set(record) == {"metric", "labels", "kind", "time_ns",
-                           "value", "delta", "rate"}
+    sampler = TelemetrySampler(sim, Archiver(), registry=reg,
+                               interval_ns=200 * MS)
+    blocks = []
+    sampler.add_observer(lambda t, block: blocks.append((t, block)))
+    sampler.start()
+    sim.run_until(200 * MS)
+    (t_ns, block), = blocks
+    assert t_ns == 200 * MS
+    assert sampler.events_pushed == len(block) == 5
+    event = dict(zip(*block[0]))
+    assert set(event) == {"type", "@timestamp", "time_ns", "source", "metric",
+                          "labels", "kind", "value", "delta", "rate_per_s"}
+    assert event["type"] == "repro_telemetry"
+    assert event["@timestamp"] == pytest.approx(0.2)
+    assert event["time_ns"] == 200 * MS
+    assert (event["metric"], event["labels"], event["kind"]) == (
+        "repro_x_total", {}, "counter")
+    assert (event["value"], event["delta"], event["rate_per_s"]) == (1.0, 0.0, 0.0)
+    labelled = [dict(zip(*row)) for row in block if dict(zip(*row))["metric"] == "repro_z"]
+    assert [e["labels"] for e in labelled] == [{"kind": "a"}, {"kind": "b"}]
 
 
 def test_store_top_ranks_by_recent_movement():
-    store = TimeSeriesStore(retention=16)
     reg = MetricsRegistry()
     fast = reg.counter("fast_total")
     slow = reg.counter("slow_total")
-    for t in range(5):
-        fast.inc(1000)
-        slow.inc(1)
-        store.record(t * MS, reg.snapshot())
-    top = store.top(1)
-    assert top[0].name == "fast_total"
+    script = [(t * MS + 1, fn) for t in range(5)
+              for fn in (lambda: fast.inc(1000), lambda: slow.inc(1))]
+    sampler = _run(reg, script, ticks=5, interval_ns=MS)
+    frame = render_watch(sampler, top=1)
+    assert "fast_total" in frame and "slow_total" not in frame
 
 
 def test_store_total_points_bounded_by_retention_times_series():
-    store = TimeSeriesStore(retention=8)
+    """After every tick the archive holds at most ``retention`` raw
+    documents per series; what retention pruned is in the long-term
+    buckets, every sample of it."""
+    retention = 8
     reg = _registry_with_values(counter=1, hist=(5,))
-    for t in range(10_000):
-        store.record(t * MS, reg.snapshot())
-    assert store.total_points() <= 8 * len(store)
+    sim = Simulator()
+    archiver = Archiver()
+    sampler = TelemetrySampler(sim, archiver, registry=reg, interval_ns=MS,
+                               retention=retention)
+    raw = []
+    sampler.add_observer(lambda t, block: raw.append(
+        (archiver.telemetry_count(), len(sampler.series))))
+    sampler.start()
+    sim.run_until(1_000 * MS)
+    assert len(raw) == 1_000
+    assert all(points <= retention * series for points, series in raw)
+    assert max(points for points, _ in raw) == retention * len(sampler.series)
+    longterm = archiver.store.search("pscheduler-repro_telemetry-longterm")
+    assert archiver.telemetry_count(longterm=True) == len(longterm) > 0
+    folded = sum(doc["samples"] for doc in longterm)
+    assert folded + archiver.telemetry_count() == sampler.events_pushed
+    # One long-term document per bucket and series, metric and labels kept.
+    keys = [(d["time_ns"], d["metric"], tuple(d["labels"].items())) for d in longterm]
+    assert len(keys) == len(set(keys))
+    assert {(d["metric"], tuple(d["labels"].items())) for d in longterm} == set(sampler.series)
 
 
 # -- TelemetrySampler ---------------------------------------------------------
@@ -166,13 +191,14 @@ def test_sampler_ticks_align_to_interval_multiples():
     telemetry.enable()
     sim = Simulator()
     telemetry.counter("repro_a_total").inc()
-    sampler = TelemetrySampler(sim, interval_ns=100 * MS, retention=600)
+    sampler = TelemetrySampler(sim, Archiver(), interval_ns=100 * MS,
+                               retention=600)
     sim.run_until(37 * MS)  # start mid-interval: alignment must still hold
     sampler.start()
     sim.run_until(1_000 * MS)
-    series = sampler.store.get("repro_a_total")
-    assert len(series) > 0
-    assert all(p.time_ns % (100 * MS) == 0 for p in series.points())
+    docs = _docs(sampler, "repro_a_total")
+    assert len(docs) > 0
+    assert all(d["time_ns"] % (100 * MS) == 0 for d in docs)
     # 100 ms ticks from 100 ms through 1000 ms inclusive.
     assert sampler.samples_taken == 10
 
@@ -181,7 +207,7 @@ def test_sampler_stop_cancels_future_ticks():
     telemetry.enable()
     sim = Simulator()
     telemetry.counter("repro_a_total").inc()
-    sampler = TelemetrySampler(sim, interval_ns=10 * MS)
+    sampler = TelemetrySampler(sim, Archiver(), interval_ns=10 * MS)
     sampler.start()
     sim.run_until(50 * MS)
     taken = sampler.samples_taken
@@ -194,37 +220,40 @@ def test_sampler_observers_get_per_tick_batches():
     telemetry.enable()
     sim = Simulator()
     fam = telemetry.counter("repro_a_total")
-    sampler = TelemetrySampler(sim, interval_ns=10 * MS)
+    sampler = TelemetrySampler(sim, Archiver(), interval_ns=10 * MS)
     batches = []
-    sampler.add_observer(lambda t, recs: batches.append((t, recs)))
+    sampler.add_observer(lambda t, block: batches.append((t, block)))
     sampler.start()
     sim.every(10 * MS, fam.inc)
     sim.run_until(100 * MS)
     assert len(batches) == sampler.samples_taken
-    t_ns, records = batches[-1]
+    t_ns, block = batches[-1]
     assert t_ns == 100 * MS
-    assert any(r["metric"] == "repro_a_total" for r in records)
+    assert any(dict(zip(*row))["metric"] == "repro_a_total" for row in block)
 
 
 def test_sampler_rejects_bad_interval():
     with pytest.raises(TelemetryError):
-        TelemetrySampler(Simulator(), interval_ns=0)
+        TelemetrySampler(Simulator(), Archiver(), interval_ns=0)
 
 
 def test_sampler_holds_retention_cap_during_long_run():
-    """The ISSUE acceptance bound: 100 ms sampling over a long run keeps
-    every ring buffer under the configured cap."""
-    telemetry.enable()
+    """100 ms sampling over a long run keeps every series within the
+    configured number of raw documents."""
     sim = Simulator()
-    fam = telemetry.counter("repro_a_total")
+    reg = MetricsRegistry()
+    fam = reg.counter("repro_a_total")
     cap = 64
-    sampler = TelemetrySampler(sim, interval_ns=100 * MS, retention=cap)
+    sampler = TelemetrySampler(sim, Archiver(), registry=reg,
+                               interval_ns=100 * MS, retention=cap)
     sampler.start()
     sim.every(50 * MS, fam.inc)
     sim.run_until(2_000_000 * MS)  # 2 000 s of sim time → 20 000 ticks
     assert sampler.samples_taken == 20_000
-    for series in sampler.store.series():
-        assert len(series) < cap
+    docs = _docs(sampler, "repro_a_total")
+    assert cap // 2 <= len(docs) <= cap
+    assert docs[-1]["time_ns"] == 2_000_000 * MS
+    assert docs[-1]["value"] == 39_999.0
 
 
 # -- watch rendering ----------------------------------------------------------
@@ -241,11 +270,11 @@ def test_render_watch_frame_contents():
     telemetry.enable()
     sim = Simulator()
     fam = telemetry.counter("repro_busy_total")
-    sampler = TelemetrySampler(sim, interval_ns=10 * MS)
+    sampler = TelemetrySampler(sim, Archiver(), interval_ns=10 * MS)
     sampler.start()
     sim.every(10 * MS, lambda: fam.inc(100))
     sim.run_until(300 * MS)
-    frame = render_watch(sampler.store, top=5, now_ns=sim.now,
+    frame = render_watch(sampler, top=5, now_ns=sim.now,
                          samples=sampler.samples_taken)
     assert "flight recorder" in frame
     assert "repro_busy_total" in frame
@@ -256,40 +285,46 @@ def test_render_watch_frame_contents():
 def test_render_watch_alert_line():
     from repro.core.reports import Alert
 
-    store = TimeSeriesStore(retention=16)
+    sampler = TelemetrySampler(Simulator(), Archiver(), retention=16)
     alerts = [Alert(time_ns=0, metric="throughput", flow_id=3,
                     value=9.9e8, threshold=9.5e8)]
-    frame = render_watch(store, alerts=alerts)
+    frame = render_watch(sampler, alerts=alerts)
+    assert "(no samples yet)" in frame
     assert "1 active" in frame
     assert "throughput flow 3" in frame
+
+
+def test_render_watch_sparkline_reads_the_archived_tail():
+    reg = MetricsRegistry()
+    c = reg.counter("c_total")
+    script = [(k * MS + 1, lambda k=k: c.inc(k)) for k in range(40)]
+    sampler = _run(reg, script, ticks=40, interval_ns=MS, retention=16)
+    frame = render_watch(sampler, width=8)
+    row = next(line for line in frame.splitlines() if line.startswith("c_total"))
+    # Deltas 32..39 over the last 8 ticks: a steady climb.
+    assert row.endswith(sparkline([float(k) for k in range(32, 40)], 8))
+    assert f"points={sampler.archiver.telemetry_count()} (cap 16/series)" in frame
 
 
 # -- archive push -------------------------------------------------------------
 
 
 def test_pusher_wraps_samples_as_repro_telemetry_events():
-    blocks = []
-    pusher = TelemetryPusher(blocks.append)
-    pusher(200 * MS, [{"metric": "repro_x_total", "labels": {"k": "v"},
-                       "kind": "counter", "time_ns": 200 * MS,
-                       "value": 10.0, "delta": 2.0, "rate": 20.0}])
-    assert pusher.events_pushed == 1
-    (keys, values), = blocks[0]  # one block per sampler tick
-    event = dict(zip(keys, values))
-    assert event["type"] == "repro_telemetry"
-    assert event["@timestamp"] == pytest.approx(0.2)
-    assert event["metric"] == "repro_x_total"
-    assert event["labels"] == {"k": "v"}
-    assert (event["value"], event["delta"], event["rate_per_s"]) == (10.0, 2.0, 20.0)
+    sampler = _run(_registry_with_values(counter=10), [], ticks=2,
+                   interval_ns=100 * MS)
+    doc = _docs(sampler, "repro_x_total")[-1]
+    assert doc["type"] == "repro_telemetry"
+    assert doc["@timestamp"] == pytest.approx(0.2)
+    assert doc["source"] == "repro-flight-recorder"
+    assert doc["labels"] == {}
+    assert (doc["value"], doc["delta"], doc["rate_per_s"]) == (10.0, 0.0, 0.0)
+    labelled = _docs(sampler, "repro_z", kind="b")[-1]
+    assert (labelled["kind"], labelled["value"]) == ("gauge", 2.0)
 
 
 def test_push_lands_in_archive_next_to_measurement_documents():
-    """The acceptance path: sampler → pusher → Logstash pipeline →
-    OpenSearch-like archive, with the telemetry index alongside the
-    measurement indices."""
-    from repro.core.reports import document_row
-    from repro.perfsonar.archiver import Archiver
-
+    """The acceptance path: sampler → Logstash pipeline → OpenSearch-like
+    archive, with the telemetry index alongside the measurement indices."""
     telemetry.enable()
     sim = Simulator()
     fam = telemetry.counter("repro_work_total")
@@ -298,15 +333,14 @@ def test_push_lands_in_archive_next_to_measurement_documents():
     archiver.sink([document_row({"type": "throughput", "flow_id": 1,
                                  "value": 1e8, "@timestamp": 0.05})])
 
-    sampler = TelemetrySampler(sim, interval_ns=100 * MS, retention=32)
-    pusher = TelemetryPusher(archiver.sink)
-    sampler.add_observer(pusher)
+    sampler = TelemetrySampler(sim, archiver, interval_ns=100 * MS,
+                               retention=32)
     sampler.start()
     sim.every(10 * MS, fam.inc)
     sim.run_until(1_000 * MS)
 
-    assert pusher.events_pushed > 0
-    assert archiver.telemetry_count() == pusher.events_pushed
+    assert sampler.events_pushed > 0
+    assert archiver.telemetry_count() == sampler.events_pushed
     series = archiver.telemetry_series("repro_work_total")
     assert len(series) == 10  # one per 100 ms tick over 1 s
     times = [t for t, _v in series]
