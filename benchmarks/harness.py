@@ -15,13 +15,16 @@ test per site, pinned as a count by tests/test_disabled_guards.py.
 import gc
 import time
 
+from repro.core.config import MetricKind, MonitorConfig
 from repro.core.control_plane import MonitorControlPlane
 from repro.core.flow_table import PORT_INGRESS_TAP
+from repro.core.monitor import P4Monitor
 from repro.netsim.engine import Simulator
-from repro.netsim.packet import make_ack_packet, make_data_packet
-from repro.netsim.tap import TapDirection
+from repro.netsim.packet import F_ACK, Packet, make_ack_packet, make_data_packet
+from repro.netsim.tap import MirrorCopy, TapDirection
 from repro.netsim.units import millis, seconds
 from repro.p4.pipeline import StandardMetadata
+from repro.perfsonar.archiver import Archiver
 
 from tests.core.helpers import FT, document_sink, small_monitor
 
@@ -101,6 +104,79 @@ def substrate_scenario(flow_s=2.0, stagger_s=0.0, with_perfsonar=False,
     scenario.add_flow(0, duration_s=flow_s)
     scenario.add_flow(1, start_s=stagger_s, duration_s=flow_s)
     return scenario
+
+
+def thin_flow_capture(flows=800, duration_s=3.0, gap_ns=250_000_000,
+                      payload=1448, slice_ns=100_000_000):
+    """A TAP capture of ``flows`` thin long-lived flows with no network
+    around them: each sends one segment every ``gap_ns`` (its ingress
+    copy, the egress copy 80 us later and the ACK's ingress copy one
+    10-40 ms RTT later), starts staggered across the first gap, and the
+    capture is cut into ``slice_ns`` slices ``(run_until ns, copies)``."""
+    ingress, egress = TapDirection.INGRESS, TapDirection.EGRESS
+    events = []
+    for f in range(flows):
+        src, dst, sport = 0x0A010000 + f, 0x0A020000 + f, 20_000 + f
+        rtt = 10_000_000 + (f * 7919) % 30_000_000
+        t, seq = f * gap_ns // flows, 1
+        while t < seconds(duration_s):
+            data = Packet.tcp_fast(src, dst, sport, 5201, seq, 1, F_ACK,
+                                   65535, payload, f, t)
+            ack = Packet.tcp_fast(dst, src, 5201, sport, 1, seq + payload,
+                                  F_ACK, 65535, 0, f, t)
+            events += [(t, data, ingress), (t + 80_000, data, egress),
+                       (t + rtt, ack, ingress)]
+            t, seq = t + gap_ns, seq + payload
+    events.sort(key=lambda e: e[0])
+    slices, cut = [], 0
+    for end in range(slice_ns, seconds(duration_s) + slice_ns, slice_ns):
+        start = cut
+        while cut < len(events) and events[cut][0] < end:
+            cut += 1
+        slices.append((end, [MirrorCopy(pkt, way, ts)
+                             for ts, pkt, way in events[start:cut]]))
+    return slices
+
+
+def report_ingest_system(ship=None):
+    """The shape of the repo benchmark's ``report_ingest``: a monitor on
+    the batched path whose flows turn long after two segments, under a
+    control plane that extracts every metric class at 10 samples/s into
+    an archiver, so extraction, report building, Logstash and the
+    archive do most of the work.  ``ship(sim, sink)``, when given,
+    returns the report sink put in front of the archiver's.  Returns
+    ``(sim, monitor, archiver)``."""
+    config = MonitorConfig(long_flow_bytes=2_000)
+    for kind in MetricKind:
+        config.metric(kind).samples_per_second = 10.0
+    sim = Simulator()
+    monitor = P4Monitor(config, sim=sim)
+    archiver = Archiver()
+    sink = archiver.sink if ship is None else ship(sim, archiver.sink)
+    MonitorControlPlane(sim, monitor, report_sink=sink).start()
+    return sim, monitor, archiver
+
+
+def timed_replay(system, capture):
+    """Wall ns of feeding ``capture`` to a system built by
+    :func:`report_ingest_system`, clock advanced per slice.  The
+    collector stays on even inside :func:`interleaved_best`: most of
+    what a tuple built per report costs is its collection."""
+    sim, monitor, _ = system
+    receive = monitor.receive_copy
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.enable()
+    try:
+        t0 = time.perf_counter_ns()
+        for until_ns, copies in capture:
+            for copy in copies:
+                receive(copy)
+            sim.run_until(until_ns)
+        return time.perf_counter_ns() - t0
+    finally:
+        if not gc_was_enabled:
+            gc.disable()
 
 
 # -- measurements -------------------------------------------------------------

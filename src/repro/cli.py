@@ -151,7 +151,7 @@ def _watch(args) -> str:
             + f"\narchived {archiver.telemetry_count()} raw and "
             f"{archiver.telemetry_count(longterm=True)} long-term "
             f"repro_telemetry documents ({sampler.events_pushed} pushed) "
-            f"alongside {archiver.output.documents_written - sampler.events_pushed} "
+            f"alongside {archiver.measurements_written} "
             "measurement documents")
 
 

@@ -61,7 +61,7 @@ if TYPE_CHECKING:
     from repro.core.forensics import ForensicsExtractor
     from repro.core.histograms import HistogramExtractor
 
-#: Receives one :data:`~repro.core.reports.Block` per call: a tick's rows,
+#: Receives one :class:`~repro.core.reports.Block` per call: a tick's rows,
 #: or a block of one (a digest handler's report; every row while a
 #: provenance tracer is bound).
 ReportSink = Callable[[Block], None]
@@ -364,7 +364,7 @@ class MonitorControlPlane:
         ships in one call when the body returns.  A bound tracer ships
         each row as it comes instead, so the report context still opens
         right after the extraction behind that row."""
-        block: Block = []
+        block = Block()
         if self.report_sink is None:
             self._put = None
         elif self._trace is None:
@@ -765,7 +765,7 @@ class MonitorControlPlane:
     def _send_each(self, rows: Iterable[Row]) -> None:
         if self.report_sink is not None:
             for row in rows:
-                self._send([row])
+                self._send(Block((row,)))
 
     def _send(self, block: Block) -> None:
         """The one ``report_sink`` site.  Every Report_v1 row leads with

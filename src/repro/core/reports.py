@@ -6,9 +6,13 @@ ships them to the archiver pipeline as **rows**: a document is a
 per fixed schema), and a value tuple in the same order with every
 top-level list stored as a tuple.  JSON has no tuples, so a row is
 lossless for every document this system ships.  A report sink receives
-a :data:`Block`, a list of rows in emission order, mixed schemas in one
-list.  Each document's field list is defined once, here: a key tuple
-plus a row builder; ``to_document()`` is ``dict(zip(*row))``.
+a :class:`Block`: a list of rows in emission order, mixed schemas in one
+list, plus one **tail** — the fields every row's document ends with,
+carried once per block.  The control plane ships an empty tail; the
+shipper's envelope and Logstash's Report_v2 metadata are appended to
+it, once per block, and the archive keeps one copy of it per block.
+Each document's field list is defined once, here: a key tuple plus a
+row builder; ``to_document()`` is ``dict(zip(*row))``.
 """
 
 from __future__ import annotations
@@ -26,8 +30,41 @@ from repro.netsim.units import NS_PER_S
 
 #: One document: its interned key tuple and the value tuple beside it.
 Row = Tuple[tuple, tuple]
-#: What a report sink receives: rows in emission order.
-Block = List[Row]
+#: The tail of a block whose documents are its rows.
+NO_TAIL: Row = ((), ())
+
+
+class Block(list):
+    """What a report sink receives: rows in emission order, and the
+    ``tail`` every row's document ends with — a row's document is
+    ``dict(zip(keys + tail_keys, values + tail_values))``.  A tail's
+    keys are none of its rows' keys.  A layer that adds a field every
+    document shares sets it in a new block's tail, once: the rows, and
+    the caller's block, are never copied per row.  A plain list of rows
+    is taken, where a block enters from outside, as a block with an
+    empty tail (:meth:`of`)."""
+
+    __slots__ = ("tail",)
+
+    def __init__(self, rows: Iterable[Row] = (), tail: Row = NO_TAIL) -> None:
+        super().__init__(rows)
+        self.tail = tail
+
+    @classmethod
+    def of(cls, rows: Iterable[Row]) -> "Block":
+        return rows if type(rows) is cls else cls(rows)
+
+    def folded(self) -> List[Row]:
+        """The rows with the tail appended to each: the documents as rows
+        (what JSON, which has no tail, is written from)."""
+        keys, values = self.tail
+        if not keys:
+            return list(self)
+        return [(k + keys, v + values) for k, v in self]
+
+    def documents(self) -> List[dict]:
+        return [dict(zip(*row)) for row in self.folded()]
+
 
 _interned: Dict[tuple, tuple] = {}
 

@@ -5,8 +5,9 @@ output plugin) → OpenSearch store.
 
 :meth:`Archiver.sink` is the report sink handed to
 :class:`~repro.core.control_plane.MonitorControlPlane`: it takes one
-:data:`~repro.core.reports.Block` of Report_v1 rows per call, and the
-block stays one list from the TCP input to the store's bulk write.  The
+:class:`~repro.core.reports.Block` of Report_v1 rows per call, and the
+block stays one list from the TCP input to the store's bulk write; the
+fields its documents share travel beside it as its tail.  The
 query helpers are what a Grafana dashboard would issue against the
 archive.
 """
@@ -57,24 +58,27 @@ class Archiver:
                 self._tel_fields)
         telemetry.reads(self, gauges=[
             ("repro_archiver_documents_written",
-             "documents the OpenSearch output plugin has indexed",
-             (), lambda: self.output.documents_written),
+             "documents the OpenSearch output plugin has indexed, per index",
+             ("index",), lambda: self.output.written),
         ])
 
     def sink(self, block: Block) -> None:
-        """The control-plane report sink: one block of Report_v1 rows."""
+        """The control-plane report sink: one block of Report_v1 rows (a
+        plain list is a block with an empty tail)."""
         prof = self._prof
         if prof is not None:
             prof.begin("archiver.sink")
         try:
+            block = Block.of(block)
+            tail_keys = block.tail[0]
             if self._trace is not None:
                 for row in block:
                     self._trace.report_event(
                         "archiver", "archive", self.index_prefix,
-                        doc_type=row_field(row, "type"))
+                        doc_type=row_field(row, "type", tail=block.tail))
             if self._tel_fields is not None:
                 for keys, _ in block:
-                    self._tel_fields.observe(len(keys))
+                    self._tel_fields.observe(len(keys) + len(tail_keys))
             self.tcp_input.ingest(block)
         finally:
             if prof is not None:
@@ -180,6 +184,12 @@ class Archiver:
             (doc.get("@timestamp", 0.0), doc.get(value_field, 0.0))
             for doc in self.documents(self.TELEMETRY_KIND, metric=metric)
         ]
+
+    @property
+    def measurements_written(self) -> int:
+        """Documents indexed outside the flight recorder's index."""
+        recorder = self._index(self.TELEMETRY_KIND)
+        return sum(n for index, n in self.output.written.items() if index != recorder)
 
     def telemetry_tail(self, since_ns: int, **query) -> List[dict]:
         """The raw self-telemetry documents from sim time ``since_ns``

@@ -9,9 +9,11 @@ The control plane's structured reports (Report_v1) enter through the
 (producing Report_v2) or perform perfSONAR's default aggregation; the
 :class:`OpenSearchOutputPlugin` writes to the archive.  As in Logstash,
 filters and outputs run on batches: every stage takes a
-:data:`~repro.core.reports.Block` of ``(keys, values)`` rows — one
+:class:`~repro.core.reports.Block` of ``(keys, values)`` rows — one
 extraction tick's reports — and the output writes it through the store's
-one bulk path.
+one bulk path.  Report_v1 → Report_v2 is per block: the metadata is
+appended to the block's tail, once, and the rows pass through as they
+came.
 
 The default perfSONAR 5 behaviour the paper criticises — collapsing a
 test's samples into a single aggregate value — is modelled by
@@ -25,27 +27,29 @@ import json
 import time
 from collections import Counter
 from functools import partial
-from itertools import compress
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import telemetry
 from repro.telemetry import hooks
-from repro.core.reports import Block, Learned, Row, document_row
+from repro.core.reports import NO_TAIL, Block, Learned, Row, document_row
 from repro.resilience.faults import BackpressureError
 from repro.perfsonar.opensearch import OpenSearchStore
 
-#: A filter takes a block and returns one: its input, a new list, or a
-#: shorter one (the rows it drops are left out).  It never mutates its
-#: argument: the pipeline makes no defensive copy, and a shipper may
-#: offer the same rows again on a retry.
+#: A filter takes a block and returns one: its input, or a new
+#: :class:`Block` — the rows it keeps, and its input's tail or a longer
+#: one.  It never mutates its argument: the pipeline makes no defensive
+#: copy, and a shipper may offer the same block again on a retry.
 FilterFn = Callable[[Block], Block]
 
 
-def row_field(row: Row, name: str, default: Any = None) -> Any:
-    """``document.get(name, default)``, read off a row."""
-    keys, values = row
-    return values[keys.index(name)] if name in keys else default
+def row_field(row: Row, name: str, default: Any = None, tail: Row = NO_TAIL) -> Any:
+    """``document.get(name, default)``, read off a row and then off the
+    tail of its block."""
+    for keys, values in (row, tail):
+        if name in keys:
+            return values[keys.index(name)]
+    return default
 
 
 class LogstashPipeline:
@@ -80,12 +84,14 @@ class LogstashPipeline:
         self.outputs.append(fn)
 
     def process(self, block: Block) -> Block:
-        """Run one block through the filters and hand what survives to
-        every output; returns the surviving rows."""
+        """Run one block (a plain list is a block with an empty tail)
+        through the filters and hand what survives to every output;
+        returns the surviving block."""
         prof = self._prof
         if prof is not None:
             prof.begin("logstash.process")
         try:
+            block = Block.of(block)
             events = len(block)
             self.events_in += events
             filter_ns = self._tel_filter_ns
@@ -102,7 +108,7 @@ class LogstashPipeline:
                 kind, seen = ("logstash-ship", rows) if rows else ("logstash-drop", block)
                 for row in seen:
                     trace.report_event("archiver", kind, self.name,
-                                       doc_type=row_field(row, "type"))
+                                       doc_type=row_field(row, "type", tail=seen.tail))
             if filter_ns is not None:
                 filter_ns.observe(time.perf_counter_ns() - t0)
             if rows:
@@ -168,23 +174,14 @@ class TcpInputPlugin:
             self._check_stalled()
             self._drop_malformed("not a JSON object")
             return None
-        return self.ingest([document_row(event)])
+        return self.ingest(Block((document_row(event),)))
 
     # Callable so it can be handed around as a plain report sink.
     __call__ = ingest
 
 
-def _plan(index_field: str, deduplicating: bool, envelopes: Dict[tuple, Callable],
-          keys: tuple) -> Optional[int]:
-    """A schema's index-field position; notes how to read its envelope,
-    ``values -> (_shipper, _seq)``, if it has one."""
-    def at(name):
-        return keys.index(name) if name in keys else None
-    if deduplicating and "_seq" in keys:
-        source_at, seq_at = at("_shipper"), keys.index("_seq")
-        envelopes[keys] = (itemgetter(source_at, seq_at) if source_at is not None
-                           else lambda values: ("?", values[seq_at]))
-    return at(index_field)
+def _position(name: str, keys: tuple) -> Optional[int]:
+    return keys.index(name) if name in keys else None
 
 
 class SequenceDedup:
@@ -260,16 +257,17 @@ class SequenceDedup:
 
 
 class OpenSearchOutputPlugin:
-    """Routes each row to an index chosen by its ``type`` field and
-    writes the block through the store's one bulk path.
+    """Routes each row to an index chosen by its ``type`` field (read off
+    the row, then off the block's tail) and writes the block through the
+    store's one bulk path.
 
-    When built with a :class:`SequenceDedup`
-    it is idempotent on the shipper's ``(_shipper, _seq)`` envelope:
-    at-least-once redelivery upstream plus dedup here yields an
-    exactly-once archive.  Only an enveloped schema pays the probe, once
-    per envelope.  A sequence is recorded as seen only *after*
-    ``store.bulk`` returns — a write that fails mid-flight stays
-    unrecorded, so its retry is not mistaken for a duplicate.
+    When built with a :class:`SequenceDedup` it is idempotent on the
+    shipper's ``(_shipper, _seq)`` envelope, which a block carries in its
+    tail: at-least-once redelivery upstream plus dedup here yields an
+    exactly-once archive.  An enveloped block pays one probe, and a
+    redelivered one is dropped whole.  A sequence is recorded as seen
+    only *after* ``store.bulk`` returns — a write that fails mid-flight
+    stays unrecorded, so its retry is not mistaken for a duplicate.
     """
 
     def __init__(
@@ -283,13 +281,12 @@ class OpenSearchOutputPlugin:
         self.index_prefix = index_prefix
         self.index_field = index_field
         self.dedup = dedup
-        self.documents_written = 0
+        #: Documents indexed, by index.
+        self.written: Counter = Counter()
         self.duplicates_dropped = 0
-        # Learned once each: keys -> index-field position (None: "unknown"),
-        # enveloped keys -> (_shipper, _seq) reader, type -> index name.
-        self._envelopes: Dict[tuple, Callable] = {}
-        self._index_at: Dict[tuple, Optional[int]] = Learned(
-            partial(_plan, index_field, dedup is not None, self._envelopes))
+        # Learned once each: keys -> index-field position (None: not in
+        # the row), type -> index name.
+        self._index_at: Dict[tuple, Optional[int]] = Learned(partial(_position, index_field))
         self._names: Dict[Any, str] = Learned(partial("{}-{}".format, index_prefix))
         telemetry.reads(self, counters=[
             ("repro_archiver_duplicates_total",
@@ -297,36 +294,33 @@ class OpenSearchOutputPlugin:
              (), lambda: self.duplicates_dropped),
         ])
 
-    def __call__(self, block: Block) -> None:
-        index_at, names = self._index_at, self._names
-        indices = [names[values[at] if (at := index_at[keys]) is not None else "unknown"]
-                   for keys, values in block]
-        fresh: List[tuple] = []
-        if self._envelopes:
-            block, indices, fresh = self._fresh(block, indices)
-        if block:
-            self.store.bulk(indices, block)
-            self.documents_written += len(block)
-        for key in fresh:
-            self.dedup.record(*key)
+    @property
+    def documents_written(self) -> int:
+        return sum(self.written.values())
 
-    def _fresh(self, block: Block, indices: List[str]) -> tuple:
-        """The rows (and indices) whose envelope is new, and those
-        envelopes.  Each distinct envelope is probed once: the rows of a
-        block share one and are all kept, a redelivered block is dropped
-        whole."""
-        envelope_of = self._envelopes.get
-        keys = [None if (envelope := envelope_of(k)) is None else envelope(values)
-                for k, values in block]
-        verdicts = {key: key is None or not self.dedup.is_duplicate(*key)
-                    for key in dict.fromkeys(keys)}
-        fresh = [key for key, keep in verdicts.items() if keep and key is not None]
-        if all(verdicts.values()):
-            return block, indices, fresh
-        keep = [verdicts[key] for key in keys]
-        dropped = len(keep) - sum(keep)
-        self.duplicates_dropped += dropped
-        return list(compress(block, keep)), list(compress(indices, keep)), fresh
+    def __call__(self, block: Block) -> None:
+        envelope = self._envelope(block.tail)
+        if envelope is not None and self.dedup.is_duplicate(*envelope):
+            self.duplicates_dropped += len(block)
+            return
+        index_at, names = self._index_at, self._names
+        tail_keys, tail_values = block.tail
+        at = _position(self.index_field, tail_keys)
+        shared = names[tail_values[at] if at is not None else "unknown"]
+        indices = [names[values[at]] if (at := index_at[keys]) is not None else shared
+                   for keys, values in block]
+        self.written.update(self.store.bulk(indices, block))
+        if envelope is not None:
+            self.dedup.record(*envelope)
+
+    def _envelope(self, tail: Row) -> Optional[tuple]:
+        """The ``(_shipper, _seq)`` key of a block's tail, when this
+        plugin dedups and the tail has one."""
+        keys, values = tail
+        if self.dedup is None or "_seq" not in keys:
+            return None
+        return (values[keys.index("_shipper")] if "_shipper" in keys else "?",
+                values[keys.index("_seq")])
 
 
 # -- stock filters -------------------------------------------------------------
@@ -334,8 +328,8 @@ class OpenSearchOutputPlugin:
 
 _METADATA_KEYS = ("@version", "host", "tags")
 _METADATA_VALUES = ("1", "p4-controlplane", ("p4-perfsonar",))
-#: Report_v1 keys -> Report_v2 keys (the rows take the suffix as it is), or
-#: ``None`` for a schema that already carries a metadata field.
+#: Keys -> the same keys with the metadata's appended, or ``None`` for
+#: keys that already carry a metadata field.
 _v2_keys: Dict[tuple, Optional[tuple]] = Learned(
     lambda keys: keys + _METADATA_KEYS if set(_METADATA_KEYS).isdisjoint(keys) else None)
 
@@ -350,24 +344,26 @@ def _merged(keys: tuple, values: tuple) -> Row:
 
 
 def opensearch_metadata_filter(block: Block) -> Block:
-    """The metadata OpenSearch requires (Report_v1 → Report_v2): each
-    schema is extended once, each row by one tuple concatenation.  The
-    value tuples (what the archive keeps) are built before the rows that
-    pair them, so a young collection among them promotes no fresh row
-    (docs/scaling.md, "Allocation discipline")."""
-    schemas = [_v2_keys[keys] for keys, _ in block]
-    rows = list(zip(schemas, [values + _METADATA_VALUES for _, values in block]))
-    if not all(schemas):
-        rows = [_merged(*row) if v2 is None else out
-                for v2, out, row in zip(schemas, rows, block)]
-    return rows
+    """The metadata OpenSearch requires (Report_v1 → Report_v2), appended
+    to the block's tail: O(1) per block, and the rows pass through as
+    they came.  A block in which a row, or the tail, already carries a
+    metadata field (a JSON line from outside the program) has its tail
+    folded into its rows instead, and the metadata merged into each."""
+    keys, values = block.tail
+    v2 = _v2_keys[keys]
+    if v2 is not None and all(map(_v2_keys.__getitem__, map(itemgetter(0), block))):
+        return Block(block, (v2, values + _METADATA_VALUES))
+    return Block([(v2, values + _METADATA_VALUES) if (v2 := _v2_keys[keys]) is not None
+                  else _merged(keys, values) for keys, values in block.folded()])
 
 
 def make_type_filter(allowed: List[str]) -> FilterFn:
     """Keep only rows whose ``type`` is in ``allowed``."""
 
     def fn(block: Block) -> Block:
-        return [row for row in block if row_field(row, "type") in allowed]
+        tail = block.tail
+        return Block([row for row in block if row_field(row, "type", tail=tail) in allowed],
+                     tail)
 
     return fn
 
@@ -395,13 +391,14 @@ class AggregateTestFilter:
         return sum(self.collapsed_by_type.values())
 
     def __call__(self, block: Block) -> Block:
-        return [self._collapse(row)
-                if "intervals" in row[0] or "samples_ms" in row[0] else row
-                for row in block]
+        tail = block.tail
+        return Block([self._collapse(row, tail)
+                      if "intervals" in row[0] or "samples_ms" in row[0] else row
+                      for row in block], tail)
 
-    def _collapse(self, row: Row) -> Row:
+    def _collapse(self, row: Row, tail: Row) -> Row:
         event = dict(zip(*row))
-        etype = event.get("type")
+        etype = row_field(row, "type", tail=tail)
         if etype == "throughput" and "intervals" in event:
             values = [s["throughput_bps"] for s in event["intervals"]]
             out = {k: v for k, v in event.items() if k != "intervals"}

@@ -7,10 +7,12 @@ indices of JSON documents, term/range queries, sort, and the handful of
 metric aggregations dashboards ask for.
 
 Documents are kept as rows, not dicts (docs/scaling.md, "Allocation
-discipline"): per index three aligned columns — each document's value
-tuple, as the write delivered it, its key tuple and its integer
-``_id``; ``_index`` is the index a row sits in, and only the rows a
-query selects become dicts again.  Writes arrive as
+discipline"): per index four aligned columns — each document's value
+tuple, as the write delivered it, its key tuple, its block's tail (one
+object that every row of the block points at: the fields its documents
+share, read as their suffix) and its integer ``_id``; ``_index`` is the
+index a row sits in, and only the rows a query selects become dicts
+again.  Writes arrive as
 :data:`~repro.core.reports.Row` pairs, whose builders already stored
 every top-level ``list`` as a tuple — what lets the collector stop
 tracking the row; JSON has no tuples, so this is lossless for every
@@ -23,13 +25,13 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import compress
+from itertools import chain, compress, repeat, takewhile
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.reports import Block, document_row
+from repro.core.reports import Block, Row, document_row
 from repro.telemetry import hooks
 from repro.resilience.faults import ArchiveUnavailable
 
@@ -111,43 +113,52 @@ class RetentionPolicy:
 
 class _Index:
     """One index's documents as aligned columns: value tuples, key
-    tuples, ``_id``s (row ``i`` is position ``i`` of each)."""
+    tuples, tails, ``_id``s (row ``i`` is position ``i`` of each)."""
 
-    __slots__ = ("name", "values", "keys", "ids")
+    __slots__ = ("name", "values", "keys", "tails", "ids")
 
     def __init__(self, name: str) -> None:
-        self.name, self.values, self.keys, self.ids = name, [], [], array("q")
+        self.name, self.values, self.keys, self.tails = name, [], [], []
+        self.ids = array("q")
 
     def field(self, i: int, name: str, default: Any = None) -> Any:
         """``document.get(name, default)`` for row ``i``."""
         if name in ("_id", "_index"):
             return str(self.ids[i]) if name == "_id" else self.name
-        keys = self.keys[i]
-        return _thaw(self.values[i][keys.index(name)]) if name in keys else default
+        for keys, values in ((self.keys[i], self.values[i]), self.tails[i]):
+            if name in keys:
+                return _thaw(values[keys.index(name)])
+        return default
 
     def column(self, name: str, default: Any = None,
                rows: Optional[Iterable[int]] = None,
                thaw: bool = True) -> List[Any]:
         """:meth:`field` of each of ``rows`` (default: every row); a run
-        of rows that share a key tuple finds ``name`` in it once.
-        ``thaw=False`` returns the stored values themselves, for a
-        comparison that hands none of them out."""
+        of rows that share a key tuple and a tail finds ``name`` in them
+        once.  ``thaw=False`` returns the stored values themselves, for
+        a comparison that hands none of them out."""
         if rows is None:
             rows = range(len(self.values))
         if name in ("_id", "_index"):
             return [self.field(i, name) for i in rows]
-        keys_of, values_of = self.keys, self.values
-        out, schema, at = [], None, None
+        keys_of, values_of, tails_of = self.keys, self.values, self.tails
+        out, schema, tail, at, shared = [], None, None, None, _MISSING
         for i in rows:
             keys = keys_of[i]
-            if keys is not schema:
-                schema, at = keys, (keys.index(name) if name in keys else None)
-            if at is None:
-                out.append(default)
-            else:
+            if keys is not schema or tails_of[i] is not tail:
+                schema, tail = keys, tails_of[i]
+                at = keys.index(name) if name in keys else None
+                tail_keys, tail_values = tail
+                shared = (tail_values[tail_keys.index(name)] if name in tail_keys
+                          else _MISSING)
+            if at is not None:
                 value = values_of[i][at]
-                out.append(_thaw(value) if thaw and type(value) in _CONTAINERS
-                           else value)
+            elif shared is not _MISSING:
+                value = shared
+            else:
+                out.append(default)
+                continue
+            out.append(_thaw(value) if thaw and type(value) in _CONTAINERS else value)
         return out
 
 
@@ -161,12 +172,13 @@ class OpenSearchStore:
 
     # -- document API ---------------------------------------------------------
 
-    def bulk(self, indices: Sequence[str], block: Block) -> int:
+    def bulk(self, indices: Sequence[str], block: Block) -> Dict[str, int]:
         """The write path, OpenSearch's bulk API: row ``i`` of ``block``
         goes to index ``indices[i]``, in order, ``_id``s assigned
-        consecutively; returns the first one.  A row's value tuple is
-        stored as it is, and its keys should be interned (the row
-        builders' constants are).
+        consecutively; returns how many rows each index took.  A row's
+        value tuple is stored as it is, beside one reference to the
+        block's tail, and its keys should be interned (the row builders'
+        constants are).
 
         Raises :class:`~repro.resilience.faults.ArchiveUnavailable`,
         writing nothing, while an injected archiver outage is active —
@@ -176,32 +188,42 @@ class OpenSearchStore:
             raise ArchiveUnavailable("archive refused a bulk write")
         first = self._next_id
         self._next_id = first + len(block)
+        tail: Row = block.tail
+        written = {}
         for index in dict.fromkeys(indices):
             docs = self._indices.get(index) or self._indices.setdefault(index, _Index(index))
             mine = [name == index for name in indices]
+            before = len(docs.values)
             docs.keys.extend(compress(map(itemgetter(0), block), mine))
             docs.values.extend(compress(map(itemgetter(1), block), mine))
             docs.ids.extend(compress(range(first, self._next_id), mine))
-        return first
+            written[index] = n = len(docs.values) - before
+            docs.tails.extend(repeat(tail, n))
+        return written
 
     def index(self, index: str, document: dict) -> str:
         """Store one document; returns its assigned ``_id``."""
         keys, values = document_row(document)
         keys = self._schemas.setdefault(keys, keys)
-        return str(self.bulk((index,), ((keys, values),)))
+        doc_id = str(self._next_id)
+        self.bulk((index,), Block(((keys, values),)))
+        return doc_id
 
     def _document(self, docs: _Index, i: int,
                   fields: Optional[Sequence[str]] = None) -> dict:
         keys, values = docs.keys[i], docs.values[i]
+        tail_keys, tail_values = docs.tails[i]
         if fields is None:
-            pairs = zip(keys, values)
+            pairs = chain(zip(keys, values), zip(tail_keys, tail_values))
         else:
-            # The rows a query reads mostly share one key tuple.
+            # The rows a query reads mostly share one key tuple and tail.
             pick = self._picks.get(fields)
-            if pick is None or pick[0] is not keys:
-                names = tuple(k for k in fields if k in keys)
-                pick = self._picks[fields] = (keys, names, tuple(map(keys.index, names)))
-            pairs = zip(pick[1], map(values.__getitem__, pick[2]))
+            if pick is None or pick[0] is not keys or pick[1] is not tail_keys:
+                both = keys + tail_keys
+                names = tuple(k for k in fields if k in both)
+                pick = self._picks[fields] = (keys, tail_keys, names,
+                                              tuple(map(both.index, names)))
+            pairs = zip(pick[2], map((values + tail_values).__getitem__, pick[3]))
         doc = {k: _thaw(v) if type(v) in _CONTAINERS else v for k, v in pairs}
         doc["_id"], doc["_index"] = str(docs.ids[i]), docs.name
         return doc
@@ -217,10 +239,22 @@ class OpenSearchStore:
         return sorted(self._indices)
 
     def delete(self, index: str, doc_ids: Iterable[str]) -> int:
-        """Remove the documents with these ``_id``s; returns how many."""
-        docs, gone = self._indices.get(index, _Index(index)), set(doc_ids)
-        kept = [str(doc_id) not in gone for doc_id in docs.ids]
-        docs.values[:], docs.keys[:] = compress(docs.values, kept), compress(docs.keys, kept)
+        """Remove the documents with these ``_id``s; returns how many.
+        ``_id``s rise in write order, so pruning the oldest documents
+        dooms a prefix: that is sliced off; any other set rebuilds each
+        column once."""
+        docs = self._indices.get(index)
+        if docs is None:
+            return 0
+        gone = set(map(int, doc_ids))
+        cut = sum(1 for _ in takewhile(gone.__contains__, docs.ids))
+        if cut == len(gone):
+            for column in (docs.values, docs.keys, docs.tails, docs.ids):
+                del column[:cut]
+            return cut
+        kept = [doc_id not in gone for doc_id in docs.ids]
+        for column in (docs.values, docs.keys, docs.tails):
+            column[:] = compress(column, kept)
         docs.ids = array("q", compress(docs.ids, kept))
         return kept.count(False)
 

@@ -105,4 +105,4 @@ class PScheduler:
 
     def _collect(self, result: ToolResult) -> None:
         self.results.append(result.document)
-        self.result_sink([document_row(result.document)])
+        self.result_sink(Block((document_row(result.document),)))

@@ -3,10 +3,10 @@
 :class:`ResilientShipper` sits between the control plane and the
 archiver's TCP input, a drop-in report sink whose unit is the block:
 
-- **envelopes** — each call takes one ``_seq``; every row of its block
-  ends with that ``_seq`` and the ``_shipper``, the key the archiver's
-  :class:`~repro.perfsonar.logstash.SequenceDedup` drops a redelivered
-  block on;
+- **envelopes** — each call takes one ``_seq``; the block's tail ends
+  with that ``_seq`` and the ``_shipper``, once for all its rows: the
+  key the archiver's :class:`~repro.perfsonar.logstash.SequenceDedup`
+  drops a redelivered block on;
 - **capped exponential backoff with seeded jitter** — a failed send
   spools the block and retries at ``base * 2^attempts`` (capped);
 - **a bounded spool with dead-letter overflow** — evictions from a full
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro import telemetry
-from repro.core.reports import Block, Learned
+from repro.core.reports import Block
 from repro.telemetry import hooks
 from repro.resilience.faults import BreakerOpen, DeferredDelivery, DeliveryError
 
@@ -57,10 +57,8 @@ class _Pending:
     not_before_ns: int = 0
 
 
-#: The envelope's fields, last in every row a shipper sends.
+#: The envelope's fields, last in the tail of every block a shipper sends.
 _ENVELOPE = ("_seq", "_shipper")
-#: Report keys -> the same keys with the envelope's fields appended.
-_enveloped: Dict[tuple, tuple] = Learned(lambda keys: keys + _ENVELOPE)
 
 
 def _skewed(row, skew_s: float):
@@ -73,15 +71,19 @@ def _skewed(row, skew_s: float):
 
 
 def _block_of(entry) -> Block:
-    """A checkpointed block as rows.  An entry written when the shipper
-    sent one row at a time is an enveloped dict: it becomes a block of
-    one, its envelope moved last."""
+    """A checkpointed block, whose rows are written with their envelope,
+    as a block with the envelope lifted back into its tail.  An entry
+    written when the shipper sent one row at a time is an enveloped
+    dict: it becomes a block of one."""
     if isinstance(entry, dict):
         doc = dict(entry)
         doc.update(_seq=doc.pop("_seq"), _shipper=doc.pop("_shipper"))
         entry = [zip(*doc.items())]
-    return [(tuple(keys), tuple(tuple(v) if type(v) is list else v for v in values))
+    rows = [(tuple(keys), tuple(tuple(v) if type(v) is list else v for v in values))
             for keys, values in entry]
+    cut = -len(_ENVELOPE)
+    return Block([(keys[:cut], values[:cut]) for keys, values in rows],
+                 (_ENVELOPE, rows[0][1][cut:]))
 
 
 #: The counters a checkpoint carries.
@@ -152,17 +154,21 @@ class ResilientShipper:
     # -- the report-sink interface ---------------------------------------------
 
     def __call__(self, block: Block) -> None:
-        """Envelope one block (one ``_seq``, one clock-skew draw) and
-        deliver it, or spool it behind the blocks already waiting."""
+        """Envelope one block (one ``_seq`` in its tail, one clock-skew
+        draw; a plain list is a block with an empty tail) and deliver it,
+        or spool it behind the blocks already waiting."""
         if not block:
             return
         self.seq += 1
-        tail = (self.seq, self.source)
-        rows = [(_enveloped[keys], values + tail) for keys, values in block]
+        block = Block.of(block)
+        keys, values = block.tail
+        tail = (keys + _ENVELOPE, values + (self.seq, self.source))
         skew = self._faults.clock_skew_ns() if self._faults is not None else 0
         if skew:
-            rows = [_skewed(row, skew / 1e9) for row in rows]
+            rows = Block([_skewed(row, skew / 1e9) for row in block], tail)
             self.skewed_total += 1
+        else:
+            rows = Block(block, tail)
         self.shipped_total += 1
         if self._spool:
             # Head-of-line discipline: never overtake spooled blocks.
@@ -200,8 +206,8 @@ class ResilientShipper:
             raise
         if breaker is not None:
             breaker.record_success(now)
-        envelope = rows[0][1]
-        self.acked_keys[envelope[-1], envelope[-2]] = len(rows)
+        seq, source = rows.tail[1][-2:]
+        self.acked_keys[source, seq] = len(rows)
         self.acked_total += 1
 
     def _enqueue(self, rows: Block, attempts: int = 0,
@@ -306,14 +312,14 @@ class ResilientShipper:
         """JSON-able snapshot of everything a successor shipper needs to
         finish this one's work: the spooled blocks (order-preserving),
         the dead-letter blocks, the ack book, counters and the backoff
-        RNG."""
+        RNG.  A block's rows are written with its envelope."""
         return {
             "source": self.source,
             "seq": self.seq,
-            "spool": [{"rows": p.rows, "attempts": p.attempts,
+            "spool": [{"rows": p.rows.folded(), "attempts": p.attempts,
                        "not_before_ns": p.not_before_ns}
                       for p in self._spool],
-            "dead_letters": list(self.dead_letters),
+            "dead_letters": [block.folded() for block in self.dead_letters],
             "acked_keys": sorted([src, seq, rows] for (src, seq), rows
                                  in self.acked_keys.items()),
             "counters": {name: getattr(self, name) for name in _COUNTERS},
@@ -363,5 +369,5 @@ class FaultyTransport:
         self.delivered += 1
         if fate == "duplicate":
             self.duplicated += 1
-            self.target(list(block))
+            self.target(Block(block, block.tail))
             self.delivered += 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.reports import Block
 from repro.perfsonar.opensearch import RetentionPolicy
 from repro.telemetry.metrics import MetricsRegistry, TelemetryError
 
@@ -45,10 +46,11 @@ class TelemetrySampler:
     Ticks are **aligned**: the first sample lands on the next multiple of
     ``interval_ns``, so every document sits at t = k·interval — exactly
     the extraction-timestamp model (t_N, t_P, ...) the paper's control
-    plane uses.  A tick ships its documents as one block of
-    ``(keys, values)`` rows through ``archiver.sink``, the report-sink
-    contract; observers registered with :meth:`add_observer` then
-    receive ``(t_ns, block)``.
+    plane uses.  A tick ships its documents as one
+    :class:`~repro.core.reports.Block` through the archiver's TCP input,
+    beside the control plane's sink, so the archiver's record counters
+    count the control plane's records only; observers registered with
+    :meth:`add_observer` then receive ``(t_ns, block)``.
 
     Retention runs once per long-term bucket of ``retention // 2`` ticks
     and prunes whole buckets, ahead of time: what it keeps stays within
@@ -120,7 +122,7 @@ class TelemetrySampler:
         now = self.sim.now
         block = self._block(now, registry.snapshot())
         if block:
-            self.archiver.sink(block)
+            self.archiver.tcp_input.ingest(block)
             self.events_pushed += len(block)
         self.samples_taken += 1
         self.last_tick_ns = now
@@ -130,10 +132,10 @@ class TelemetrySampler:
         for fn in self._observers:
             fn(now, block)
 
-    def _block(self, t_ns: int, snapshot: dict) -> list:
+    def _block(self, t_ns: int, snapshot: dict) -> Block:
         """One row per scalar series of ``snapshot``, each with its delta
         and rate against the series' previous tick."""
-        rows = []
+        rows = Block()
         t_s = t_ns / 1e9
         last = self.series
         for metric in snapshot.get("metrics", []):

@@ -32,8 +32,9 @@ def small_monitor(**overrides) -> P4Monitor:
 
 def document_sink(docs: list):
     """A report sink appending the document of every shipped row to
-    ``docs`` (a sink receives blocks of ``(keys, values)`` rows)."""
-    return lambda block: docs.extend(dict(zip(*row)) for row in block)
+    ``docs`` (a sink receives blocks of ``(keys, values)`` rows and a
+    tail every row's document ends with)."""
+    return lambda block: docs.extend(block.documents())
 
 
 FT = FiveTuple(0x0A00000A, 0x0A01000A, 40000, 5201)

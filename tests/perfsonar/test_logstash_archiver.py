@@ -1,11 +1,12 @@
 """Logstash pipeline (Fig. 7) and the assembled archiver.  Every stage
-takes a block of ``(keys, values)`` rows."""
+takes a block of ``(keys, values)`` rows; a block's documents are its
+rows with its tail appended."""
 
 import json
 
 import pytest
 
-from repro.core.reports import FlowSample, document_row
+from repro.core.reports import Block, FlowSample, document_row
 from repro.perfsonar.archiver import Archiver
 from repro.perfsonar.logstash import (
     AggregateTestFilter,
@@ -19,12 +20,12 @@ from repro.perfsonar.logstash import (
 from repro.perfsonar.opensearch import OpenSearchStore
 
 
-def _block(*docs):
-    return [document_row(doc) for doc in docs]
+def _block(*docs, tail=((), ())):
+    return Block([document_row(doc) for doc in docs], tail)
 
 
 def _docs(block):
-    return [dict(zip(*row)) for row in block]
+    return Block.of(block).documents()
 
 
 def test_pipeline_filter_order_and_outputs():
@@ -225,9 +226,14 @@ def test_malformed_counter_exported_per_pipeline():
 # -- archiver-side sequence dedup ----------------------------------------------
 
 
-def _enveloped(seq, kind="p4_rtt"):
-    return {"type": kind, "@timestamp": 1.0, "value": 2.0,
-            "_seq": seq, "_shipper": "p4-controlplane"}
+def _report(kind="p4_rtt"):
+    return {"type": kind, "@timestamp": 1.0, "value": 2.0}
+
+
+def _enveloped(seq, *kinds):
+    """A shipped block: its reports, and its envelope in its tail."""
+    return _block(*map(_report, kinds or ("p4_rtt",)),
+                  tail=(("_seq", "_shipper"), (seq, "p4-controlplane")))
 
 
 def test_output_plugin_dedups_redelivered_sequences():
@@ -235,13 +241,13 @@ def test_output_plugin_dedups_redelivered_sequences():
 
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, dedup=SequenceDedup())
-    out(_block(_enveloped(1)))
-    out(_block(_enveloped(2)))
-    out(_block(_enveloped(1)))  # at-least-once redelivery
-    # Twice in one block: a block's rows share one envelope, all kept...
-    out(_block(_enveloped(3), _enveloped(3, "p4_throughput")))
+    out(_enveloped(1))
+    out(_enveloped(2))
+    out(_enveloped(1))  # at-least-once redelivery
+    # Two rows in one block: they share one envelope, and are all kept...
+    out(_enveloped(3, "p4_rtt", "p4_throughput"))
     # ...and the block redelivered is dropped whole, on one probe.
-    out(_block(_enveloped(3), _enveloped(3, "p4_throughput")))
+    out(_enveloped(3, "p4_rtt", "p4_throughput"))
     assert store.count("pscheduler-p4_rtt") == 3
     assert store.count("pscheduler-p4_throughput") == 1
     assert out.documents_written == 4
@@ -278,16 +284,16 @@ def test_dedup_records_only_after_successful_write():
 
     store.bulk = flaky_bulk
     with pytest.raises(RuntimeError):
-        out(_block(_enveloped(1)))
-    out(_block(_enveloped(1)))  # the redelivery
+        out(_enveloped(1))
+    out(_enveloped(1))  # the redelivery
     assert store.count("pscheduler-p4_rtt") == 1
     assert out.duplicates_dropped == 0
 
 
 def test_archiver_wires_dedup_end_to_end():
     arch = Archiver()
-    arch.sink(_block(_enveloped(5)))
-    arch.sink(_block(_enveloped(5)))
+    arch.sink(_enveloped(5))
+    arch.sink(_enveloped(5))
     assert arch.count("p4_rtt") == 1
     assert arch.output.duplicates_dropped == 1
     assert arch.dedup.seen_count("p4-controlplane") == 1

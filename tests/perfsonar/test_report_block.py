@@ -176,8 +176,9 @@ def test_a_traced_runs_provenance_export_is_unchanged():
 
 def test_a_fault_free_shipper_is_transparent(scenario):
     """A shipper in front of the archiver makes one transport call per
-    block the control plane emits, adds one envelope per block, and
-    leaves the archive, envelope aside, as the direct sink leaves it."""
+    block the control plane emits, adds one envelope per block (in its
+    tail: the rows go as they came), and leaves the archive, envelope
+    aside, as the direct sink leaves it."""
     from repro.resilience.delivery import ResilientShipper
 
     shippers = []
@@ -191,9 +192,10 @@ def test_a_fault_free_shipper_is_transparent(scenario):
     shipper, = shippers
     assert len(sent) == len(emitted) == shipper.seq == shipper.acked_total
     for seq, (block, rows) in enumerate(zip(sent, emitted), 1):
-        assert [(keys[:-2], values[:-2]) for keys, values in block] == rows
-        assert {(keys[-2:], values[-2:]) for keys, values in block} == {
-            (("_seq", "_shipper"), (seq, "p4-controlplane"))}
+        assert block == rows
+        assert block.tail == (("_seq", "_shipper"), (seq, "p4-controlplane"))
+        assert {(doc["_seq"], doc["_shipper"]) for doc in block.documents()} == {
+            (seq, "p4-controlplane")}
 
     def stripped(store):
         return [[{k: v for k, v in doc.items() if k not in ("_seq", "_shipper")}

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core.reports import document_row
+from repro.core.reports import Block, document_row
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
 from repro.perfsonar.logstash import SequenceDedup
@@ -20,9 +20,10 @@ from repro.resilience.schedule import FaultSchedule, FaultWindow
 
 
 def _doc(block):
-    """The one document of a block the shipper delivers."""
-    (keys, values), = block
-    return dict(zip(keys, values))
+    """The one document of a block the shipper delivers (its row, with
+    the block's tail appended)."""
+    doc, = block.documents()
+    return doc
 
 
 class ScriptedTransport:
@@ -186,9 +187,10 @@ def test_faulty_transport_duplicates_when_told_to():
         clock=lambda: sim.now))
     delivered = []
     transport = FaultyTransport(delivered.append)
-    transport([document_row({"n": 1})])
+    transport(Block([document_row({"n": 1})], (("_seq",), (1,))))
     assert len(delivered) == 2
     assert delivered[0] == delivered[1]
+    assert delivered[0].tail is delivered[1].tail, "the copy keeps the tail"
     assert delivered[0] is not delivered[1], "the duplicate is a copy"
     assert transport.duplicated == 1
 

@@ -129,7 +129,7 @@ def test_per_row_checkpoint_drains_exactly_once_as_blocks_of_one():
     # Each owed envelope arrives once, in the writer's order, alone, with
     # the fields the writer spooled; the archive keeps every one.
     assert all(len(block) == 1 for block in wire.blocks)
-    delivered = [json.loads(json.dumps(dict(zip(*block[0]))))
+    delivered = [json.loads(json.dumps(block.documents()[0]))
                  for block in wire.blocks]
     assert delivered == owed
     assert wire.output.documents_written == len(owed)

@@ -26,8 +26,7 @@ class ScriptedTransport:
         if not self.ok:
             raise ArchiveUnavailable("scripted outage")
         # The shipper delivers a whole block; its rows share an envelope.
-        envelopes = {(doc["_shipper"], doc["_seq"])
-                     for doc in (dict(zip(*row)) for row in block)}
+        envelopes = {(doc["_shipper"], doc["_seq"]) for doc in block.documents()}
         assert len(envelopes) == 1
         self.delivered.append((envelopes.pop(), len(block)))
 
@@ -37,10 +36,10 @@ def _block(payloads):
 
 
 def _envelopes(blocks):
-    """Each block's ``(source, seq)`` envelope, read off every row."""
+    """Each block's ``(source, seq)`` envelope, read off every document."""
     out = []
     for block in blocks:
-        keys = {(values[-1], values[-2]) for _, values in block}
+        keys = {(doc["_shipper"], doc["_seq"]) for doc in block.documents()}
         assert len(keys) == 1
         out.append(keys.pop())
     return out

@@ -6,7 +6,7 @@ type.
 """
 
 from repro import telemetry
-from repro.core.reports import document_row
+from repro.core.reports import Block, document_row
 from repro.perfsonar.logstash import AggregateTestFilter
 
 
@@ -22,12 +22,12 @@ def _series(name):
 def test_aggregate_filter_counts_collapses_per_type():
     telemetry.enable()
     filt = AggregateTestFilter()
-    filt([document_row(doc) for doc in (
+    filt(Block([document_row(doc) for doc in (
         {"type": "throughput",
          "intervals": [{"throughput_bps": 1e8}, {"throughput_bps": 2e8}]},
         {"type": "rtt", "samples_ms": [1.0, 2.0]},
         {"type": "rtt", "samples_ms": [3.0]},
-        {"type": "p4_rtt", "value": 1.0})])  # passthrough: not counted
+        {"type": "p4_rtt", "value": 1.0})]))  # passthrough: not counted
     assert filt.collapsed == 3
     series = _series("repro_logstash_aggregated_total")
     assert series[(("type", "throughput"),)] == 1
@@ -37,9 +37,8 @@ def test_aggregate_filter_counts_collapses_per_type():
 def test_aggregate_filter_output_unchanged_by_instrumentation():
     telemetry.enable()
     filt = AggregateTestFilter()
-    (keys, values), = filt([document_row(
+    out, = filt(Block([document_row(
         {"type": "throughput",
-         "intervals": [{"throughput_bps": 1e8}, {"throughput_bps": 3e8}]})])
-    out = dict(zip(keys, values))
+         "intervals": [{"throughput_bps": 1e8}, {"throughput_bps": 3e8}]})])).documents()
     assert out["value"] == 2e8
     assert "intervals" not in out

@@ -355,3 +355,39 @@ def test_push_lands_in_archive_next_to_measurement_documents():
     doc = archiver.documents("repro_telemetry")[0]
     assert doc["host"] == "p4-controlplane"
     assert "p4-perfsonar" in doc["tags"]
+
+
+def test_the_archivers_counters_count_what_each_writer_wrote():
+    """A sampler and a control plane share one archiver: the record
+    counters count the control plane's records, and documents written
+    are counted per index, the flight recorder's in its own."""
+    from repro.core.control_plane import MonitorControlPlane
+    from tests.core.helpers import FlowScript, small_monitor
+
+    telemetry.enable()
+    sim = Simulator()
+    archiver = Archiver()
+    mon = small_monitor()
+    cp = MonitorControlPlane(sim, mon, report_sink=archiver.sink)
+    script = FlowScript(mon)
+    script.make_long()
+    for i in range(40):
+        t = 20 * MS * (i + 1)
+        script.transit(2000 + i * 1000, 1000, t, t + 200_000)
+        script.ack(3000 + i * 1000, t + 5 * MS)
+    cp.start()
+    sampler = TelemetrySampler(sim, archiver, interval_ns=100 * MS, retention=32)
+    sampler.start()
+    sim.run_until(1_000 * MS)
+
+    snap = {m["name"]: m["series"] for m in telemetry.snapshot()["metrics"]}
+    written = {s["labels"]["index"]: s["value"]
+               for s in snap["repro_archiver_documents_written"]}
+    recorder = "pscheduler-repro_telemetry"
+    measurements = sum(n for index, n in written.items() if index != recorder)
+    assert written[recorder] == sampler.events_pushed > 0
+    assert measurements == archiver.measurements_written > 0
+    assert measurements == sum(archiver.store.count(index) for index in written
+                               if index != recorder)
+    assert snap["repro_archiver_records_total"][0]["value"] == measurements
+    assert snap["repro_archiver_record_fields"][0]["count"] == measurements

@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.core.control_plane import MonitorControlPlane
-from repro.core.reports import document_row
+from repro.core.reports import Block, document_row
 from repro.netsim.engine import Simulator
 from repro.netsim.units import millis, seconds
 from repro.p4.histogram import HistogramRegister
@@ -129,10 +129,10 @@ def test_an_unenveloped_document_skips_the_dedup_books(monkeypatch):
     calls = _count_calls(monkeypatch, SequenceDedup, "is_duplicate", "record")
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, dedup=SequenceDedup())
-    out([document_row({"type": "p4_rtt", "flow_id": 7, "value": 12.5})])
+    row = document_row({"type": "p4_rtt", "flow_id": 7, "value": 12.5})
+    out(Block([row]))
     assert not calls and out.documents_written == 1
-    out([document_row({"type": "p4_rtt", "flow_id": 7, "value": 12.5,
-                       "_shipper": "s", "_seq": 0})])
+    out(Block([row], (("_shipper", "_seq"), ("s", 0))))
     assert calls == {"is_duplicate": 1, "record": 1}
 
 
