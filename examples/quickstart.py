@@ -41,7 +41,7 @@ def main() -> None:
         )
 
     # --- everything also landed in the perfSONAR archive (Fig. 7) ---
-    archiver = scenario.perfsonar.archiver
+    archiver = scenario.archiver
     print("\narchive indices:", archiver.store.indices)
     print("throughput documents archived:", archiver.count("p4_throughput"))
 

@@ -30,9 +30,9 @@ def main() -> None:
     print()
     print(result.summary())
 
-    alerts = scenario.control_plane.alerts.history
+    alerts = scenario.archiver.documents("p4_alert")
     print(f"\nalerts raised/cleared so far: {len(alerts)}")
-    bursts = scenario.control_plane.microbursts
+    bursts = scenario.microbursts()
     print(f"microbursts on record: {len(bursts)}")
     if bursts:
         b = max(bursts, key=lambda x: x.peak_occupancy)

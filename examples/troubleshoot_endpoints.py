@@ -32,7 +32,7 @@ def main() -> None:
         print(f"  {label}: {action}")
 
     # The verdict history is in the archive too.
-    archiver = result.scenario.perfsonar.archiver
+    archiver = result.scenario.archiver
     docs = archiver.documents("p4_limiter")
     print(f"\nlimiter reports archived: {len(docs)}")
 

@@ -115,7 +115,7 @@ def _watch(args) -> str:
 
     scenario = _instrumented_scenario(args, histograms_enabled=True,
                                       forensics_enabled=True)
-    archiver = scenario.perfsonar.archiver
+    archiver = scenario.archiver
     interval_ns = max(1, int(args.sample_interval * 1e6))
     sampler = TelemetrySampler(scenario.sim, archiver, interval_ns=interval_ns,
                                retention=args.retention)
@@ -172,7 +172,7 @@ def _histograms(args) -> str:
     from repro.core.histograms import render_bins, render_percentiles
 
     scenario = _microburst_scenario(args, histograms_enabled=True)
-    archiver = scenario.perfsonar.archiver
+    archiver = scenario.archiver
     extractor = scenario.control_plane.histograms
 
     lines = []
@@ -217,7 +217,7 @@ def _forensics(args) -> str:
     scenario = _microburst_scenario(args, forensics_enabled=True)
     cp = scenario.control_plane
     forensics = cp.forensics
-    archiver = scenario.perfsonar.archiver
+    archiver = scenario.archiver
 
     lines = []
     for report in cp.forensics_reports:
@@ -525,7 +525,6 @@ def _recover(args) -> str:
     fidelity of the restored books."""
     import tempfile
 
-    from repro.perfsonar.archiver import Archiver
     from repro.resilience import checkpoint
     from repro.resilience.chaos import _small_workload
 
@@ -539,10 +538,8 @@ def _recover(args) -> str:
             checkpoint.CheckpointStore(directory)))
         try:
             run = spec.build()
-            archiver = Archiver()
-            manager.attach_dedup(archiver.dedup)
+            manager.attach_dedup(run.scenario.archiver.dedup)
             cp = run.scenario.control_plane
-            cp.report_sink = archiver.sink
             run.run()
             cp.stop()
             manager.capture(cp)       # the final, complete checkpoint

@@ -134,7 +134,7 @@ class MonitorControlPlane:
         self.alerts = AlertManager(self.config, sink=self._ship)
         self.limiter = LimiterClassifier(self.config)
 
-        # Report archives kept locally (experiments read these directly).
+        # Report logs, kept for checkpoints (a run is read from its archive).
         self.flow_samples = {k: FlowSampleLog() for k in MetricKind}
         self.jitter_samples = FlowSampleLog()
         self.aggregate_samples: List[AggregateSample] = []
@@ -786,19 +786,7 @@ class MonitorControlPlane:
             if trace is not None:
                 trace.end_report()
 
-    # -- convenience queries (used by experiments/examples) ---------------------------
-
-    def series(self, kind: MetricKind, flow_id: Optional[int] = None) -> List[tuple]:
-        return [
-            (s.time_ns / NS_PER_S, s.value)
-            for s in self.flow_samples[kind]
-            if flow_id is None or s.flow_id == flow_id
-        ]
-
-    def metric_values(self, kind: MetricKind, flow_id: int) -> List[float]:
-        """All reported values of one metric for one flow, in time order
-        (what the differential checker compares against oracle truth)."""
-        return [s.value for s in self.flow_samples[kind] if s.flow_id == flow_id]
+    # -- flow identity -------------------------------------------------------------
 
     def flow_by_tuple(self, src_ip: int, dst_ip: int, src_port: int,
                       dst_port: int) -> Optional[TrackedFlow]:

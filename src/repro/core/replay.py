@@ -96,10 +96,6 @@ class OfflineAnalyzer:
         return self.control_plane.flows
 
     @property
-    def microbursts(self):
-        return self.control_plane.microbursts
-
-    @property
     def terminations(self):
         return self.control_plane.terminations
 

@@ -12,11 +12,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.config import MetricKind
+from repro.core.reports import MicroburstEvent
 from repro.experiments.claims import Claim, claim, ratio
 from repro.experiments.common import Scenario, ScenarioConfig, window
 from repro.netsim.packet import FiveTuple
@@ -219,17 +221,17 @@ def ablate_sampling_vs_dataplane(
         scenario.inject_burst(t, nbytes=int(1.5 * buffer_bytes))
     scenario.run(duration_s)
 
-    dataplane = len(scenario.control_plane.microbursts)
+    bursts = scenario.microbursts()
 
     # Reconstruct what sampling alone would have seen: per-flow queue
     # occupancy samples crossing the burst threshold.
     sampled: Dict[float, int] = {}
     for interval in sample_intervals_s:
         # Resample the recorded per-packet queue delays at the interval.
-        events = _sampled_burst_count(scenario, interval, burst_times)
+        events = _sampled_burst_count(scenario, bursts, interval)
         sampled[interval] = events
     return SamplingAblationResult(
-        injected_bursts=n_bursts, dataplane_bursts=dataplane,
+        injected_bursts=n_bursts, dataplane_bursts=len(bursts),
         sampled_bursts_by_interval=sampled,
     )
 
@@ -247,16 +249,12 @@ def sampling_claims(result: SamplingAblationResult) -> List[Claim]:
     ]
 
 
-def _sampled_burst_count(scenario: Scenario, interval_s: float,
-                         burst_times: List[float]) -> int:
+def _sampled_burst_count(scenario: Scenario, bursts: List[MicroburstEvent],
+                         interval_s: float) -> int:
     """How many injected bursts a sampling observer catches: a burst
     counts as seen if any sample instant falls inside a high-occupancy
     excursion recorded by the data plane."""
-    on_ns = scenario.monitor.microburst.on_threshold_ns
-    excursions = [
-        (b.start_ns, b.start_ns + b.duration_ns)
-        for b in scenario.control_plane.microbursts
-    ]
+    excursions = [(b.start_ns, b.start_ns + b.duration_ns) for b in bursts]
     seen = set()
     t = 0.0
     duration = scenario.sim.now / 1e9
@@ -446,7 +444,6 @@ def ablate_cca_signatures(
     occupancy, inflated RTT, periodic retransmissions) while BBR holds a
     small standing queue with ~zero loss — the wire-visible signatures
     P4CCI classifies on."""
-    from repro.core.config import MetricKind
 
     rows: List[CcaSignatureRow] = []
     base_rtt_ms = 40.0
@@ -473,7 +470,7 @@ def ablate_cca_signatures(
             mean_rtt_ms=sum(rtt) / len(rtt) if rtt else 0.0,
             mean_queue_occupancy_pct=sum(occ) / len(occ) if occ else 0.0,
             retransmissions=retx,
-            verdict=tracked.verdict.value,
+            verdict=scenario.verdict(tracked).value,
             bottleneck_mbps=bottleneck_mbps,
             base_rtt_ms=base_rtt_ms,
         ))
@@ -538,11 +535,10 @@ def ablate_alert_boost(duration_s: float = 20.0, congest_s: float = 8.0) -> Boos
         scenario.add_flow(0, start_s=congest_s, duration_s=duration_s - congest_s)
         scenario.add_flow(1, start_s=congest_s, duration_s=duration_s - congest_s)
         scenario.run(duration_s)
-        samples = scenario.control_plane.flow_samples[MetricKind.QUEUE_OCCUPANCY]
-        in_window = [s for s in samples if s.time_ns >= congest_s * 1e9]
-        counts.append(len(in_window))
+        samples = scenario.archiver.series("p4_queue_occupancy")
+        counts.append(len(window(samples, congest_s, math.inf)))
         if boosted:
-            alerts = len(scenario.control_plane.alerts.history)
+            alerts = scenario.archiver.count("p4_alert")
     return BoostAblationResult(
         samples_with_boost=counts[0],
         samples_without_boost=counts[1],

@@ -5,17 +5,19 @@ recipe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import List, Optional, Tuple
 
 from repro.netsim.engine import Simulator
 from repro.netsim.netem import LossImpairment
 from repro.netsim.packet import PROTO_UDP, Packet, int_to_ip
 from repro.netsim.topology import ScienceDMZTopology, TopologyConfig, build_science_dmz
-from repro.netsim.units import NS_PER_S, mbps, seconds
+from repro.netsim.units import mbps, seconds
 from repro.core.config import MetricKind, MonitorConfig
 from repro.core.control_plane import MonitorControlPlane, TrackedFlow
 from repro.core.monitor import P4Monitor
+from repro.core.reports import LimiterVerdict, MicroburstEvent
+from repro.perfsonar.archiver import Archiver
 from repro.perfsonar.node import PerfSonarNode
 from repro.tcp.apps import Iperf3Client, Iperf3Server
 from repro.tcp.stack import TcpHostStack
@@ -65,7 +67,8 @@ class FlowHandle:
 
 
 class Scenario:
-    """A ready-to-run instance of the paper's testbed."""
+    """A ready-to-run instance of the paper's testbed.  Its control plane
+    ships every report into ``archiver``, where a run's results are read."""
 
     def __init__(self, config: Optional[ScenarioConfig] = None,
                  with_perfsonar: bool = True,
@@ -92,15 +95,17 @@ class Scenario:
                 _mon(copy)
         self.topology.attach_tap(tap_sink)
 
+        # with_perfsonar adds pScheduler, psconfig and the echo node.
         self.perfsonar: Optional[PerfSonarNode] = None
-        sink = None
         if with_perfsonar:
             self.perfsonar = PerfSonarNode(
                 self.sim, self.topology.internal_perfsonar, mss=topo_cfg.mss
             )
-            sink = self.perfsonar.archiver.sink
+            self.archiver = self.perfsonar.archiver
+        else:
+            self.archiver = Archiver()
         self.control_plane = MonitorControlPlane(
-            self.sim, self.monitor, report_sink=sink
+            self.sim, self.monitor, report_sink=self.archiver.sink
         )
         if self.perfsonar is not None:
             self.perfsonar.psconfig.attach(self.control_plane)
@@ -201,14 +206,27 @@ class Scenario:
         return None
 
     def monitor_series(self, handle: FlowHandle, kind: MetricKind) -> List[Tuple[float, float]]:
+        """(t_s, value) of a workload flow's archived ``kind`` samples."""
         flow = self.monitored_flow(handle)
         if flow is None:
             return []
-        return self.control_plane.series(kind, flow.flow_id)
+        return self.archiver.series(f"p4_{kind.value}", flow.flow_id)
 
     def throughput_series_mbps(self, handle: FlowHandle) -> List[Tuple[float, float]]:
         return [(t, v / 1e6) for t, v in
                 self.monitor_series(handle, MetricKind.THROUGHPUT)]
+
+    def verdict(self, flow: TrackedFlow) -> LimiterVerdict:
+        """A tracked flow's §4.4 verdict: its last archived limiter
+        report's (``UNKNOWN`` before its first loss tick)."""
+        docs = self.archiver.documents("p4_limiter", flow_id=flow.flow_id)
+        return LimiterVerdict(docs[-1]["verdict"]) if docs else LimiterVerdict.UNKNOWN
+
+    def microbursts(self) -> List[MicroburstEvent]:
+        """The archived microburst events, in detection order."""
+        names = [f.name for f in fields(MicroburstEvent)]
+        return [MicroburstEvent(**{name: doc[name] for name in names})
+                for doc in self.archiver.documents("p4_microburst")]
 
     def label(self, handle: FlowHandle) -> str:
         return f"->{int_to_ip(handle.dst_ip)}"

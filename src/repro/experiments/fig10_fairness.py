@@ -101,11 +101,10 @@ def run_fig10(
     """Aggregate metrics from the Fig. 9 run (reuses a supplied run so a
     harness can regenerate both figures from one simulation)."""
     result9 = fig9 or run_fig9(duration_s=duration_s, join_s=join_s, config=config)
-    cp = result9.scenario.control_plane
-    ns = 1e9
+    archiver = result9.scenario.archiver
     return Fig10Result(
         fig9=result9,
-        utilization=[(a.time_ns / ns, a.link_utilization) for a in cp.aggregate_samples],
-        fairness=[(a.time_ns / ns, a.jain_fairness) for a in cp.aggregate_samples],
-        active_flows=[(a.time_ns / ns, a.active_flows) for a in cp.aggregate_samples],
+        utilization=archiver.series("p4_aggregate", value_field="link_utilization"),
+        fairness=archiver.series("p4_aggregate", value_field="jain_fairness"),
+        active_flows=archiver.series("p4_aggregate", value_field="active_flows"),
     )

@@ -141,7 +141,7 @@ def run_fig11(
         handles=handles,
         burst_s=join_s,
         duration_s=duration_s,
-        microbursts=list(scenario.control_plane.microbursts),
+        microbursts=scenario.microbursts(),
     )
     for handle in handles:
         label = scenario.label(handle)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import MetricKind
 from repro.core.reports import LimiterVerdict
 from repro.experiments.claims import Claim, claim, claims_table, ratio
 from repro.experiments.common import FlowHandle, Scenario, ScenarioConfig, mean, window
@@ -150,5 +149,5 @@ def run_fig12(
         result.expectations[label] = exp
         tracked = scenario.monitored_flow(handle)
         if tracked is not None:
-            result.verdicts[label] = tracked.verdict
+            result.verdicts[label] = scenario.verdict(tracked)
     return result

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import MetricKind
 from repro.core.reports import LimiterVerdict
 from repro.experiments.claims import Claim, claim, claims_table, ratio
 from repro.experiments.common import Scenario, ScenarioConfig
@@ -157,12 +156,13 @@ def run_table1(
     active_bytes = sum(d.get("bytes", 0) for d in throughput_docs)
     tests_run = local.pscheduler.tests_run
 
-    samples = cp.flow_samples[MetricKind.THROUGHPUT]
+    samples = scenario.archiver.count("p4_throughput")
     n_flows = max(1, len(cp.flows))
     verdicts = {}
     for flow in cp.flows.values():
-        if flow.verdict.is_endpoint:
-            verdicts[f"{flow.flow_id:#x}"] = flow.verdict.value
+        verdict = scenario.verdict(flow)
+        if verdict.is_endpoint:
+            verdicts[f"{flow.flow_id:#x}"] = verdict.value
 
     return Table1Result(
         scenario=scenario,
@@ -172,9 +172,9 @@ def run_table1(
         regular_rtt_docs=rtt_docs,
         regular_dtn_flow_docs=len(dtn_docs),
         p4_bytes_injected=0,  # the monitor has no transmit path at all
-        p4_flow_samples=len(samples),
-        p4_samples_per_flow_second=len(samples) / (duration_s * n_flows),
-        p4_microbursts=len(cp.microbursts),
+        p4_flow_samples=samples,
+        p4_samples_per_flow_second=samples / (duration_s * n_flows),
+        p4_microbursts=scenario.archiver.count("p4_microburst"),
         p4_endpoint_verdicts=verdicts,
         coverage_regular_s=tests_run / 2 * test_duration_s,
         coverage_p4_s=duration_s,

@@ -472,7 +472,7 @@ def run_chaos(spec: ChaosSpec, *, checkpoint_dir: Optional[str] = None,
         run = spec.scenario.build()
         sim = run.scenario.sim
         injector.bind_clock(lambda: sim.now)
-        archiver = Archiver()
+        archiver = run.scenario.archiver
         # Incarnation 0: the scenario-built control plane (it bound the
         # installed manager, if any, at construction).
         first = _build_stack(spec, sim, archiver, run.scenario.control_plane,

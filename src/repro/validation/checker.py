@@ -48,6 +48,7 @@ from repro.core.config import MetricKind
 from repro.core.control_plane import MonitorControlPlane, TrackedFlow
 from repro.core.flow_table import slot_of
 from repro.netsim.packet import PROTO_TCP, FiveTuple
+from repro.netsim.units import NS_PER_S
 from repro.p4.hashes import crc32_tuple
 from repro.validation.oracle import FlowTruth, GroundTruthOracle
 from repro.validation.tolerances import (
@@ -62,7 +63,6 @@ from repro.validation.tolerances import (
     RTT_DISTRIBUTION_MS,
     RTT_MS,
     SKETCH,
-    Tolerance,
 )
 
 NS_PER_MS = 1_000_000
@@ -160,6 +160,11 @@ class DifferentialChecker:
         flows = self.cp.flows.values()
         self._readers = {attr: Counter(getattr(f, attr) for f in flows)
                          for attr in ("slot", "rslot")}
+        # (t_s, value) of each flow's RTT and occupancy samples.
+        self._series = {kind: {} for kind in (MetricKind.RTT, MetricKind.QUEUE_OCCUPANCY)}
+        for kind, by_flow in self._series.items():
+            for s in self.cp.flow_samples[kind]:
+                by_flow.setdefault(s.flow_id, []).append((s.time_ns / NS_PER_S, s.value))
         for flow in flows:
             truth = self._truth_for(flow)
             if truth is None:
@@ -256,7 +261,7 @@ class DifferentialChecker:
     def _check_rtt(self, flow: TrackedFlow, truth: FlowTruth,
                    report: ValidationReport) -> None:
         truth_ms = [r / NS_PER_MS for r in truth.expected_rtt_values_ns]
-        cp_ms = self.cp.metric_values(MetricKind.RTT, flow.flow_id)
+        cp_ms = [v for _, v in self._series[MetricKind.RTT].get(flow.flow_id, ())]
         if self._shares_index(flow, "rslot"):
             report.skip(f"rtt {self._label(flow)}: rtt cell shared")
             return
@@ -287,7 +292,7 @@ class DifferentialChecker:
 
     def _check_rtt_locality(self, flow: TrackedFlow, truth: FlowTruth,
                             report: ValidationReport) -> None:
-        series = self.cp.series(MetricKind.RTT, flow.flow_id)
+        series = self._series[MetricKind.RTT].get(flow.flow_id, ())
         unmatched: List[Tuple[float, float]] = []
         checked = 0
         for t_s, value_ms in series:
@@ -371,7 +376,8 @@ class DifferentialChecker:
     def _check_queue(self, flow: TrackedFlow, truth: FlowTruth,
                      report: ValidationReport) -> None:
         max_delay_ns = self.config.max_queue_delay_ns()
-        occ_series = self.cp.metric_values(MetricKind.QUEUE_OCCUPANCY, flow.flow_id)
+        occ_series = [v for _, v in
+                      self._series[MetricKind.QUEUE_OCCUPANCY].get(flow.flow_id, ())]
         if not occ_series:
             report.skip(f"queue {self._label(flow)}: no occupancy samples")
             return

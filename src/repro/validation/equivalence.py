@@ -9,9 +9,10 @@ True/False), runs both, and compares
 - the SHA-256 :meth:`~repro.p4.runtime.P4Program.state_digest`,
 - every register / sketch / histogram-bank / time-window-bank array in
   :meth:`~repro.p4.runtime.P4Program.state_snapshot`,
-- every archived report stream the control plane keeps (flow samples per
-  metric class, aggregates, microbursts, terminations, limiter reports,
-  histogram reports, alerts),
+- the two runs' archives, index by index and document by document
+  (every report the control plane shipped: flow samples per metric
+  class, jitter, aggregates, microbursts, terminations, limiter
+  reports, histogram and forensics reports, alerts),
 - the sequence of every digest the program emits, across streams (a
   kernel that moved a microburst past a termination would leave each
   stream equal on its own),
@@ -41,12 +42,6 @@ from repro.validation.scenarios import ScenarioSpec, ValidationRun
 #: per label set).
 _TEL_FAMILIES = ("repro_p4_stage_packets_total", "repro_p4_stage_drops_total",
                  "repro_p4_packet_ns")
-
-#: Control-plane archive attributes compared record-by-record (the
-#: per-metric ``flow_samples`` dict is expanded separately).
-_STREAMS = ("jitter_samples", "aggregate_samples", "microbursts",
-            "terminations", "limiter_reports", "histogram_reports",
-            "forensics_reports")
 
 
 @dataclass
@@ -92,6 +87,11 @@ def _compare_stream(cmp: PathComparison, name: str,
         if b != s:
             cmp.mismatches.append(f"{name}[{i}]: {b!r} != {s!r}")
             return
+
+
+def _documents(store, index: str) -> List[dict]:
+    """An index's documents in write order, ``_id`` left out."""
+    return [{k: v for k, v in doc.items() if k != "_id"} for doc in store.search(index)]
 
 
 def _record_digests(run: ValidationRun) -> list:
@@ -206,15 +206,14 @@ def compare_paths(spec: ScenarioSpec,
                     f"{key}: {len(bad)}+ cells differ (first flat "
                     f"indices {bad})")
 
-    # Archived report streams.
-    b_cp = runs[True].scenario.control_plane
-    s_cp = runs[False].scenario.control_plane
-    for kind in b_cp.flow_samples:
-        _compare_stream(cmp, f"flow_samples[{kind.value}]",
-                        b_cp.flow_samples[kind], s_cp.flow_samples[kind])
-    for name in _STREAMS:
-        _compare_stream(cmp, name, getattr(b_cp, name), getattr(s_cp, name))
-    _compare_stream(cmp, "alerts", b_cp.alerts.history, s_cp.alerts.history)
+    # What each run archived.  ``_id``s number the documents of every
+    # index together, so they are left out: one extra document would
+    # shift every later one's; the digest sequence pins cross-stream order.
+    b_store = runs[True].scenario.archiver.store
+    s_store = runs[False].scenario.archiver.store
+    for index in sorted(set(b_store.indices) | set(s_store.indices)):
+        _compare_stream(cmp, index, _documents(b_store, index),
+                        _documents(s_store, index))
     _compare_stream(cmp, "digest_sequence", emitted[True], emitted[False])
 
     # Observer-facing tallies (and, under telemetry, the pipeline cells).

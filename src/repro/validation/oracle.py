@@ -22,7 +22,7 @@ hashing, no fixed-size stashes, no sketches:
 What Algorithm 1 *should* measure (``expected_rtt_samples``,
 ``regressions``) is not derived here a second time: each TCP arrival
 also runs through a dark reference, the product's own scalar parser,
-flow-table and RTT/loss stages with one register cell per 32-bit flow ID
+flow IDs and RTT/loss stage with one register cell per 32-bit flow ID
 and per eACK signature, so only capacity separates it from the product.
 A bug in those stages is therefore in both; ``--compare-paths`` and the
 path-truth checks catch it, not ``loss_regressions`` or ``rtt_*``.
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MonitorConfig
-from repro.core.flow_table import PORT_INGRESS_TAP, FlowTableStage
+from repro.core.flow_table import PORT_INGRESS_TAP, FlowIdEngine
 from repro.core.rtt import RttLossStage
 from repro.netsim.observer import EventStream, NetEvent, NetEventKind
 from repro.netsim.packet import F_ACK, F_SYN, PROTO_TCP, FiveTuple, Packet
@@ -115,16 +115,16 @@ class GroundTruthOracle:
         # Exact eACK stash: (ACK-direction key, expected ack) -> ingress ts.
         self._eack: Dict[Tuple[FiveTuple, int], int] = {}
         # The reference is built dark: a live tracer would give each of
-        # its 2^32-cell registers a dense last-writer list.
+        # its 2^32-cell registers a dense last-writer list.  It keeps no
+        # flow table: the RTT/loss stage reads only the IDs and slots.
         observers = hooks.tracer, hooks.profiler
         hooks.tracer = hooks.profiler = None
         try:
-            program = P4Program("oracle-reference")
             config = MonitorConfig(flow_slots=2**32, eack_table_size=2**32,
                                    rtt_max_age_ns=rtt_max_age_ns)
             self._parser = HeaderParser()
-            self._flow_table = FlowTableStage(program, config)
-            self._algorithm = RttLossStage(program, config)
+            self._ids = FlowIdEngine(config.flow_slots)
+            self._algorithm = RttLossStage(P4Program("oracle-reference"), config)
         finally:
             hooks.tracer, hooks.profiler = observers
         # Packet identity -> core-switch ingress ts (queue residency).
@@ -187,7 +187,7 @@ class GroundTruthOracle:
         hdr = self._parser.parse(pkt)
         meta = StandardMetadata(ingress_port=PORT_INGRESS_TAP,
                                 ingress_timestamp_ns=ts_ns)
-        self._flow_table.process(hdr, meta)
+        meta.flow_id, meta.rev_flow_id, meta.flow_slot, meta.rev_slot = self._ids.ids(hdr)
         algorithm = self._algorithm
         matches = algorithm.rtt_matches
         algorithm.process(hdr, meta)

@@ -54,7 +54,7 @@ def test_throughput_samples_match_offered_rate(assembly):
     script = FlowScript(mon)
     drive_stream(sim, script, rate_bytes_per_s=500_000, duration_s=4.0)
     sim.run_until(seconds(4))
-    series = [v for _, v in cp.series(MetricKind.THROUGHPUT) if v > 0]
+    series = [s.value for s in cp.flow_samples[MetricKind.THROUGHPUT] if s.value > 0]
     # Steady samples ~ 4 Mbps (IP header overhead adds a few %).
     settled = series[1:-1]
     assert settled
@@ -67,7 +67,7 @@ def test_rtt_samples_use_reverse_id(assembly):
     script = FlowScript(mon)
     drive_stream(sim, script, rate_bytes_per_s=200_000, duration_s=3.0)
     sim.run_until(seconds(3))
-    rtts = [v for _, v in cp.series(MetricKind.RTT)]
+    rtts = [s.value for s in cp.flow_samples[MetricKind.RTT]]
     assert rtts
     for v in rtts:
         assert v == pytest.approx(5.0, rel=0.05)  # the scripted 5 ms
@@ -87,7 +87,7 @@ def test_loss_percentage(assembly):
             sim.at(t, script.data, seq, 500, t)
             seq += 500
     sim.run_until(seconds(2))
-    loss = [v for _, v in cp.series(MetricKind.PACKET_LOSS) if v > 0]
+    loss = [s.value for s in cp.flow_samples[MetricKind.PACKET_LOSS] if s.value > 0]
     assert loss
     assert loss[0] == pytest.approx(10.0, rel=0.3)
 
@@ -99,7 +99,7 @@ def test_queue_occupancy_peak_hold_and_clear(assembly):
     # One 8 ms excursion inside the first interval (max delay is 10 ms).
     sim.at(seconds(0.5), script.transit, 5000, 100, seconds(0.5), seconds(0.5) + millis(8))
     sim.run_until(seconds(2.5))
-    qocc = [v for _, v in cp.series(MetricKind.QUEUE_OCCUPANCY)]
+    qocc = [s.value for s in cp.flow_samples[MetricKind.QUEUE_OCCUPANCY]]
     assert qocc[0] == pytest.approx(80.0, rel=0.05)
     # Peak-hold cleared after the read; later samples are 0.
     assert qocc[1] == 0.0

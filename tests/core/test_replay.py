@@ -75,8 +75,10 @@ def test_offline_throughput_series_match(captured):
     ingress, egress, live = captured
     offline = OfflineAnalyzer(offline_config()).replay_pcap_pair(ingress, egress)
     fid = next(iter(live.control_plane.flows))
-    live_series = dict(live.control_plane.series(MetricKind.THROUGHPUT, fid))
-    off_series = dict(offline.control_plane.series(MetricKind.THROUGHPUT, fid))
+    live_series = dict(live.archiver.series("p4_throughput", fid))
+    off_series = {s.time_ns / 1e9: s.value
+                  for s in offline.control_plane.flow_samples[MetricKind.THROUGHPUT]
+                  if s.flow_id == fid}
     shared = sorted(set(live_series) & set(off_series))
     assert len(shared) >= 4
     for t in shared:

@@ -98,7 +98,8 @@ def test_recycled_slot_does_not_inherit_prev_seq(world):
     assert world.register("prev_seq") == low[-1]
     # pkt_loss is left to its readers (docs/robustness.md), so B's first
     # loss sample still carries A's total; every later one is B's own.
-    later = world.cp.metric_values(MetricKind.PACKET_LOSS, crc32_tuple(B))[1:]
+    later = [s.value for s in world.cp.flow_samples[MetricKind.PACKET_LOSS]
+             if s.flow_id == crc32_tuple(B)][1:]
     assert later and set(later) == {0.0}
 
 

@@ -227,7 +227,7 @@ def test_stalled_throughput_tick_windows_over_true_elapsed_time():
     sim.run_until(seconds(4.5))
     assert sum(cp.ticks_deferred.values()) > 0
     assert sum(cp.catchup_ticks.values()) > 0
-    series = [v for _, v in cp.series(MetricKind.THROUGHPUT) if v > 0]
+    series = [s.value for s in cp.flow_samples[MetricKind.THROUGHPUT] if s.value > 0]
     offered_bps = rate * 8
     # Without elapsed-time windowing the catch-up sample would read
     # ~2x the offered rate; with it, every settled sample stays close.

@@ -193,12 +193,15 @@ def test_v1_flows_restore_their_reversed_slot_by_the_flow_table_rule(
     (flow,) = cp.flows.values()
     rtt_ns = monitor.rtt_loss.rtt.read(flow.rslot)
     assert rtt_ns > 0
-    before = len(cp.metric_values(MetricKind.RTT, flow.flow_id))
+    def rtts():
+        return [s.value for s in cp.flow_samples[MetricKind.RTT]
+                if s.flow_id == flow.flow_id]
+
+    before = len(rtts())
     cp.start()
     sim.run_until(doc["time_ns"] + seconds(1.5))   # one 1 s RTT tick
     cp.stop()
-    assert cp.metric_values(MetricKind.RTT, flow.flow_id)[before:] == [
-        rtt_ns / 1e6]
+    assert rtts()[before:] == [rtt_ns / 1e6]
 
 
 if __name__ == "__main__":

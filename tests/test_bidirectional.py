@@ -5,7 +5,6 @@ the two directions' registers independent."""
 
 import pytest
 
-from repro.core.config import MetricKind
 from repro.experiments.common import Scenario, ScenarioConfig
 from repro.netsim.units import seconds
 from repro.tcp.apps import Iperf3Client, Iperf3Server
@@ -60,7 +59,7 @@ def test_rtt_semantics_depend_on_tap_position(bidir_run):
     internal_ip = scenario.topology.internal_dtn.ip
     cp = scenario.control_plane
     for flow in cp.flows.values():
-        rtts = [v for _, v in cp.series(MetricKind.RTT, flow.flow_id)]
+        rtts = [v for _, v in scenario.archiver.series("p4_rtt", flow.flow_id)]
         assert rtts, f"no RTTs for flow {flow.flow_id:#x}"
         if flow.src_ip == internal_ip:
             # Outbound: TAP -> external DTN1 covers the 20 ms path.
@@ -93,5 +92,6 @@ def test_reverse_direction_queue_not_attributed_to_forward(bidir_run):
     mask = scenario.monitor.config.flow_slots - 1
     outbound = next(f for f in cp.flows.values() if f.src_ip == internal_ip)
     # Outbound direction definitely crossed the tapped queue.
-    qocc = [v for _, v in cp.series(MetricKind.QUEUE_OCCUPANCY, outbound.flow_id)]
+    qocc = [v for _, v in scenario.archiver.series("p4_queue_occupancy",
+                                                   outbound.flow_id)]
     assert qocc and max(qocc) > 0.0

@@ -56,7 +56,7 @@ def test_primary_path_unaffected_by_mirror_loss():
 def test_monitor_still_tracks_flow_under_mirror_loss():
     _, tap, monitor, cp, client = run_with_mirror_loss(0.3)
     assert len(cp.flows) >= 1
-    thr = [v for _, v in cp.series(MetricKind.THROUGHPUT)]
+    thr = [s.value for s in cp.flow_samples[MetricKind.THROUGHPUT]]
     assert thr
     # Byte counts are *undercounted* (missing copies), never inflated.
     flow = next(iter(cp.flows.values()))
@@ -81,5 +81,5 @@ def test_queue_pairing_copes_with_missing_halves():
     # Missing ingress copies show up as misses, not bogus delays.
     assert q.pairs_missed > 0
     assert q.pairs_matched > 0
-    for _, v in cp.series(MetricKind.QUEUE_OCCUPANCY):
-        assert 0.0 <= v <= 150.0  # physically plausible values only
+    for s in cp.flow_samples[MetricKind.QUEUE_OCCUPANCY]:
+        assert 0.0 <= s.value <= 150.0  # physically plausible values only

@@ -2,7 +2,7 @@
 
 Every seed runs the same fuzz-derived scenario through both monitor hot
 paths and asserts bit-identical outcomes: state digest, every register /
-sketch / histogram-bank array, every archived report stream, the
+sketch / histogram-bank array, both runs' archives, the
 differential-oracle verdicts and the op tallies observers read — and,
 with telemetry enabled, the pipeline's stage counters and latency count
 (the kernel stays engaged there).  The same holds under the phase
@@ -116,12 +116,12 @@ def test_digest_order_across_streams_is_compared(monkeypatch):
 
 def test_comparison_covers_the_full_surface(comparisons):
     """The harness actually looked at everything it claims to: digest,
-    arrays, all report streams, oracle checks."""
+    arrays, every archive index, oracle checks."""
     cmp = comparisons(SEEDS[0])
     state = cmp.batched_run.scenario.monitor.program.state_snapshot()
-    streams = len(cmp.batched_run.scenario.control_plane.flow_samples) + 7
-    # digest + key-set + per-array + streams + 2 oracle checks
-    assert cmp.checks >= 2 + len(state) + streams + 2
+    indices = len(cmp.batched_run.scenario.archiver.store.indices)
+    # digest + key-set + per-array + indices + 2 oracle checks
+    assert cmp.checks >= 2 + len(state) + indices + 2
 
 
 def test_batched_path_engaged(comparisons):

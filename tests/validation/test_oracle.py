@@ -176,10 +176,12 @@ def test_the_reference_is_built_dark_under_live_observers(monkeypatch):
         profiling.disable()
         provenance.disable()
     assert tracer._writer_maps == {}
-    registers = [reg for stage in (built._flow_table, built._algorithm)
-                 for reg in vars(stage).values() if isinstance(reg, RegisterArray)]
-    assert len(registers) == 16
-    traced = (built._parser, built._flow_table.cms, built._algorithm, *registers)
+    # The reference keeps the RTT/loss stage's six registers and no flow
+    # table: it takes the IDs and slots from a FlowIdEngine.
+    registers = [reg for reg in vars(built._algorithm).values()
+                 if isinstance(reg, RegisterArray)]
+    assert len(registers) == 6
+    traced = (built._parser, built._algorithm, *registers)
     assert all(part._trace is None for part in traced)
 
 
