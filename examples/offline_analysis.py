@@ -21,7 +21,6 @@ from repro.core.replay import OfflineAnalyzer
 from repro.experiments.common import Scenario, ScenarioConfig
 from repro.netsim.pcap import PcapCapture
 from repro.netsim.tap import TapDirection
-from repro.perfsonar.archiver import Archiver
 from repro.perfsonar.dashboard import build_dashboard, panel_series
 from repro.perfsonar.maddash import MadDashGrid, Thresholds
 from repro.viz import timeseries_panel
@@ -48,15 +47,14 @@ def main() -> None:
     print(f"captured {ingress_cap.save(ingress_pcap)} ingress + "
           f"{egress_cap.save(egress_pcap)} egress frames -> {workdir}")
 
-    # --- offline analysis of the pcaps, reports into an archive -----------
-    archive = Archiver()
+    # --- offline analysis of the pcaps, reports into its archive ----------
     analyzer = OfflineAnalyzer(
         MonitorConfig(
             bottleneck_rate_bps=scenario.monitor.config.bottleneck_rate_bps,
             buffer_bytes=scenario.monitor.config.buffer_bytes,
         ),
-        report_sink=archive.sink,
     ).replay_pcap_pair(ingress_pcap, egress_pcap)
+    archive = analyzer.archiver
 
     print()
     print(analyzer.summary())

@@ -14,6 +14,12 @@ Responsibilities, as the paper assigns them:
   §3.3.2 and ``microburst`` digests into nanosecond burst events;
 - ship every record to the report sink (the perfSONAR archiver pipeline).
 
+It keeps no copy of what it shipped: ``tallies`` counts the rows handed
+to the sink per Report_v1 type, and each report stream it exposes
+(``flow_samples[kind]``, ``terminations``, ...) is a
+:class:`~repro.core.reports.ReportView` over the archive the sink ends
+in (``archive``).
+
 Every periodic extraction — the four metric classes, plus the histogram
 and forensics extractors when the data plane has their externs — is one
 job of ``MonitorControlPlane.schedule`` and runs through the one
@@ -27,7 +33,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
@@ -45,13 +51,13 @@ from repro.core.reports import (
     AggregateSample,
     Block,
     FlowSample,
-    FlowSampleLog,
     FlowTerminationReport,
     ForensicsReport,
     HistogramReport,
     LimiterReport,
     LimiterVerdict,
     MicroburstEvent,
+    ReportView,
     Row,
     flow_head,
 )
@@ -134,15 +140,19 @@ class MonitorControlPlane:
         self.alerts = AlertManager(self.config, sink=self._ship)
         self.limiter = LimiterClassifier(self.config)
 
-        # Report logs, kept for checkpoints (a run is read from its archive).
-        self.flow_samples = {k: FlowSampleLog() for k in MetricKind}
-        self.jitter_samples = FlowSampleLog()
-        self.aggregate_samples: List[AggregateSample] = []
-        self.microbursts: List[MicroburstEvent] = []
-        self.terminations: List[FlowTerminationReport] = []
-        self.limiter_reports = FlowSampleLog(record=LimiterReport)
-        self.histogram_reports: List[HistogramReport] = []
-        self.forensics_reports: List[ForensicsReport] = []
+        #: Rows handed to the report sink, per Report_v1 type (0 with no
+        #: sink; a row suppressed while degraded is not counted).
+        self.tallies: Counter = Counter()
+        # The report streams, read back from the archive (no copy kept).
+        view = partial(ReportView, self)
+        self.flow_samples = {k: view(f"p4_{k.value}", FlowSample) for k in MetricKind}
+        self.jitter_samples = view("p4_jitter", FlowSample)
+        self.aggregate_samples = view("p4_aggregate", AggregateSample)
+        self.microbursts = view("p4_microburst", MicroburstEvent)
+        self.terminations = view("p4_flow_termination", FlowTerminationReport)
+        self.limiter_reports = view("p4_limiter", LimiterReport)
+        self.histogram_reports = view("repro-histogram-v1", HistogramReport)
+        self.forensics_reports = view("repro-forensics-v1", ForensicsReport)
 
         self._running = False
 
@@ -392,8 +402,8 @@ class MonitorControlPlane:
 
     def set_degraded(self, on: bool, interval_scale: float = 4.0) -> None:
         """Enter/leave degraded reporting: per-flow FlowSample and
-        LimiterReport shipping is suppressed (local archives still
-        accumulate, and the aggregate stream keeps flowing) and every
+        LimiterReport shipping is suppressed (counted in ``suppressed``,
+        kept nowhere; the aggregate stream keeps flowing) and every
         extraction interval is widened by ``interval_scale``."""
         if interval_scale < 1.0:
             raise ValueError("interval_scale must be >= 1")
@@ -485,7 +495,6 @@ class MonitorControlPlane:
             total_bytes=payload["total_bytes"],
             retransmissions=retx,
         )
-        self.terminations.append(report)
         self._ship(report)
         if flow is not None:
             self._retire(flow)
@@ -501,7 +510,6 @@ class MonitorControlPlane:
             packets=payload["packets"],
             port_id=payload.get("port_id", 0),
         )
-        self.microbursts.append(event)
         if self._trace is not None:
             self._trace.fire("microburst", self.sim.now,
                              start_ns=event.start_ns,
@@ -569,7 +577,6 @@ class MonitorControlPlane:
             total_bytes=total_bytes,
             total_packets=total_packets,
         )
-        self.aggregate_samples.append(aggregate)
         self._ship(aggregate)
         self._release_ended_flows()
 
@@ -614,8 +621,8 @@ class MonitorControlPlane:
             # Clamped: regressions observed before the flow claimed its
             # slot can make the raw ratio exceed 100 %.
             values.append(min(100.0, 100.0 * loss_delta / pkt_delta))
-        self.limiter_reports.add_chunk(flows, (now, None, None, None, verdicts,
-                                               mean_flights, flight_cvs, lost, rwnd_col))
+        if self.report_sink is not None:
+            self.tallies["p4_limiter"] += len(flows)
         stamp = now / NS_PER_S
         rows = [(LIMITER_KEYS, ("p4_limiter", stamp, fid, src, dst, verdict._value_,
                                 flight, cv, loss, rwnd))
@@ -648,8 +655,7 @@ class MonitorControlPlane:
             values.append(rtt_ms)
             jitters.append(jitter)
         self._put_samples(kind, flows, values, (("rtt", rslots, rtt_col),),
-                          self._archive(self.jitter_samples, "jitter", boosted,
-                                        flows, jitters))
+                          self._rows("jitter", boosted, flows, jitters))
 
     def _tick_queue(self) -> None:
         max_delay = self.config.max_queue_delay_ns()
@@ -672,14 +678,13 @@ class MonitorControlPlane:
                      then_reads: tuple = ()) -> None:
         """The one way a tick emits samples: ``values[i]`` (``None``: none)
         is ``flows[i]``'s, read from ``reads`` (``(name, indices, cells)``
-        columns).  They become one chunk of ``kind``'s log and a row each,
-        each row followed by the alert rows its check raised or cleared,
-        then by the flow's row in ``then`` (jitter or limiter).  Degraded
-        mode counts rows as suppressed.  A tracer notes each flow's reads
+        columns).  They become a row each, each row followed by the alert
+        rows its check raised or cleared, then by the flow's row in
+        ``then`` (jitter or limiter).  Degraded mode counts rows as
+        suppressed, off the tallies.  A tracer notes each flow's reads
         (``then_reads`` before its ``then`` row) ahead of its rows."""
         now, trace, sink = self.sim.now, self._trace, self._put
-        rows = self._archive(self.flow_samples[kind], kind.value,
-                             self.alerts.metric_boosted(kind), flows, values)
+        rows = self._rows(kind.value, self.alerts.metric_boosted(kind), flows, values)
         mc = self.config.metric(kind)
         alerting = mc.alert_enabled and mc.alert_threshold is not None
         # Flow i's sample row sits at seq[step * i], its row in ``then`` next.
@@ -691,9 +696,12 @@ class MonitorControlPlane:
             nonlocal start
             part, start = filter(None, seq[start:end]), end
             if self.degraded:
-                keys = [k for k, _ in part]
-                self._suppress("FlowSample", len(keys) - keys.count(LIMITER_KEYS))
-                self._suppress("LimiterReport", keys.count(LIMITER_KEYS))
+                types = Counter(values[0] for _, values in part)
+                limiter = types["p4_limiter"]
+                self._suppress("FlowSample", sum(types.values()) - limiter)
+                self._suppress("LimiterReport", limiter)
+                if self.report_sink is not None:
+                    self.tallies.subtract(types)
             elif sink is not None:
                 sink(part)
 
@@ -715,19 +723,14 @@ class MonitorControlPlane:
                                    flow_id=flows[i].flow_id)
         put(len(seq))
 
-    def _archive(self, log: FlowSampleLog, metric: str, boosted: bool,
-                 flows: List[TrackedFlow], values: List[Optional[float]]
-                 ) -> List[Optional[Row]]:
+    def _rows(self, metric: str, boosted: bool, flows: List[TrackedFlow],
+              values: List[Optional[float]]) -> List[Optional[Row]]:
         """One tick's samples of one stream (``values[i]`` on
-        ``flows[i]``; ``None``: none) as one chunk of ``log``; returns
+        ``flows[i]``; ``None``: none), tallied as one chunk; returns
         their Report_v1 rows over ``flows`` (``None`` where no sample)."""
-        sampled, kept = flows, values
-        if None in values:
-            sampled = [f for f, v in zip(flows, values) if v is not None]
-            kept = [v for v in values if v is not None]
-        now = self.sim.now
-        log.add_chunk(sampled, (now, metric, None, None, None, None, None, kept, boosted))
-        doc_type, stamp = "p4_" + metric, now / NS_PER_S
+        doc_type, stamp = "p4_" + metric, self.sim.now / NS_PER_S
+        if self.report_sink is not None:
+            self.tallies[doc_type] += len(values) - values.count(None)
         return [None if value is None else
                 (FLOW_SAMPLE_KEYS, (doc_type, stamp, fid, src, dst, sport, dport, value, boosted))
                 for (fid, src, dst, sport, dport), value in zip([f.head for f in flows], values)]
@@ -754,7 +757,10 @@ class MonitorControlPlane:
         if self.degraded and isinstance(report, (FlowSample, LimiterReport)):
             self._suppress(type(report).__name__)
         elif self._put is not None:
-            self._put((report.row(),))
+            row = report.row()
+            if self.report_sink is not None:
+                self.tallies[row[1][0]] += 1
+            self._put((row,))
 
     def _suppress(self, name: str, count: int = 1) -> None:
         """Degraded mode: per-flow detail collapses to the aggregate
@@ -785,6 +791,19 @@ class MonitorControlPlane:
         finally:
             if trace is not None:
                 trace.end_report()
+
+    @property
+    def archive(self):
+        """The archiver the report sink ends in, or ``None``: the sink is
+        a bound ``Archiver.sink``, or a shipper whose ``transport`` is
+        one or a ``FaultyTransport`` whose ``target`` is one.  The one
+        place this rule lives (docs/architecture.md, "Where a run's
+        reports are kept")."""
+        sink = self.report_sink
+        for hop in ("transport", "target"):     # ResilientShipper, FaultyTransport
+            sink = getattr(sink, hop, sink)
+        return getattr(sink, "__self__", None) if getattr(
+            sink, "__name__", None) == "sink" else None
 
     # -- flow identity -------------------------------------------------------------
 

@@ -136,7 +136,6 @@ class ForensicsExtractor:
                 self.suppressed += 1
                 continue
             self.latest = report
-            cp.forensics_reports.append(report)
             if cp._trace is not None:
                 cp._trace.fire("alert", report.time_ns,
                                metric="queue_forensics", trigger=trigger,

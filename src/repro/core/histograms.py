@@ -158,7 +158,6 @@ class HistogramExtractor:
                 p999_ms=p999, window_count=wcount,
                 flow_id=flow.flow_id, src_ip=flow.src_ip, dst_ip=flow.dst_ip,
             )
-            cp.histogram_reports.append(report)
             cp._ship(report)
 
         # All-flow merge + change-point detection on the window shape.
@@ -189,7 +188,6 @@ class HistogramExtractor:
                     count=total, p50_ms=p50, p90_ms=p90, p99_ms=p99,
                     p999_ms=p999, window_count=wcount, shift=shift,
                 )
-                cp.histogram_reports.append(report)
                 cp._ship(report)
 
         # Per-port queue-depth distributions.
@@ -207,7 +205,6 @@ class HistogramExtractor:
                 p99_ms=p99, p999_ms=p999, window_count=wcount,
                 port_id=port,
             )
-            cp.histogram_reports.append(report)
             cp._ship(report)
         self.ticks += 1
 

@@ -15,11 +15,12 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.core.config import MonitorConfig
-from repro.core.control_plane import MonitorControlPlane, ReportSink
+from repro.core.control_plane import MonitorControlPlane
 from repro.core.monitor import P4Monitor
 from repro.netsim.engine import Simulator
 from repro.netsim.pcap import read_pcap
 from repro.netsim.tap import MirrorCopy, TapDirection
+from repro.perfsonar.archiver import Archiver
 
 
 class OfflineAnalyzer:
@@ -27,18 +28,16 @@ class OfflineAnalyzer:
 
     The copies' own timestamps drive a virtual clock, so every
     control-plane interval, alert boost and report timestamp behaves
-    exactly as it would have live.
+    exactly as it would have live.  The reports go into the analyzer's
+    own archive, ``archiver``, where its results are read.
     """
 
-    def __init__(
-        self,
-        config: Optional[MonitorConfig] = None,
-        report_sink: Optional[ReportSink] = None,
-    ) -> None:
+    def __init__(self, config: Optional[MonitorConfig] = None) -> None:
         self.sim = Simulator()
         self.monitor = P4Monitor(config, sim=self.sim)
+        self.archiver = Archiver()
         self.control_plane = MonitorControlPlane(
-            self.sim, self.monitor, report_sink=report_sink
+            self.sim, self.monitor, report_sink=self.archiver.sink
         )
 
     def replay(self, copies: Iterable[MirrorCopy],

@@ -12,19 +12,19 @@ carried once per block.  The control plane ships an empty tail; the
 shipper's envelope and Logstash's Report_v2 metadata are appended to
 it, once per block, and the archive keeps one copy of it per block.
 Each document's field list is defined once, here: a key tuple plus a
-row builder; ``to_document()`` is ``dict(zip(*row))``.
+row builder; ``to_document()`` is ``dict(zip(*row))``, and
+``from_document()`` the way back.  What the control plane shipped is
+read back from the archive through a :class:`ReportView`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import chain, islice, repeat, starmap
-from operator import attrgetter
+from functools import cache
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.netsim.packet import int_to_ip
+from repro.netsim.packet import int_to_ip, ip_to_int
 from repro.netsim.units import NS_PER_S
 
 
@@ -100,13 +100,65 @@ def _with_optional(keys: tuple, values: tuple, optional: tuple) -> Row:
 
 
 class _Document:
-    """What every report shares: its Report_v1 dict is its row's."""
+    """What every report shares: its Report_v1 dict is its row's, and
+    ``from_document`` rebuilds it from that dict as the archive hands it
+    back."""
 
     def row(self) -> Row:
         raise NotImplementedError
 
     def to_document(self) -> dict:
         return dict(zip(*self.row()))
+
+    @classmethod
+    def from_document(cls, doc: dict) -> "_Document":
+        """Each field from its document key, converted back where the
+        row converted it (``_FROM_DOC``); a field the document lacks
+        keeps its default."""
+        kwargs = {}
+        for name in _field_names(cls):
+            key = _DOC_KEYS.get(name, name)
+            if key in doc:
+                convert = _FROM_DOC.get(name)
+                kwargs[name] = doc[key] if convert is None else convert(doc[key])
+        return cls(**kwargs)
+
+
+@cache
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+#: A record field's document key, where it is not the field's name.
+_DOC_KEYS = {"time_ns": "@timestamp", "src_ip": "source_ip", "dst_ip": "destination_ip",
+             "src_port": "source_port", "dst_port": "destination_port"}
+
+
+class ReportView:
+    """One report stream of a control plane, which keeps no copy of it
+    (docs/architecture.md, "Where a run's reports are kept"): ``len()``
+    is the control plane's tally of the stream's rows handed to its
+    sink; iteration rebuilds ``record``s from the archive that sink ends
+    in, in archive order (none without one); ``[i]`` reads a list."""
+
+    __slots__ = ("_cp", "type", "record")
+
+    def __init__(self, cp: Any, doc_type: str, record: type) -> None:
+        self._cp, self.type, self.record = cp, doc_type, record
+
+    def __len__(self) -> int:
+        return self._cp.tallies[self.type]
+
+    def __iter__(self) -> Iterator:
+        archive = self._cp.archive
+        docs = () if archive is None else archive.documents(self.type)
+        return map(self.record.from_document, docs)
+
+    def __getitem__(self, item):
+        return list(self)[item]
+
+    def __repr__(self) -> str:
+        return f"ReportView({self.type!r}, {len(self)} shipped)"
 
 
 class LimiterVerdict(Enum):
@@ -121,6 +173,11 @@ class LimiterVerdict(Enum):
     @property
     def is_endpoint(self) -> bool:
         return self in (LimiterVerdict.SENDER_LIMITED, LimiterVerdict.RECEIVER_LIMITED)
+
+
+#: The way back from a document value the row converted.
+_FROM_DOC = {"time_ns": lambda t: round(t * NS_PER_S), "src_ip": ip_to_int,
+             "dst_ip": ip_to_int, "verdict": LimiterVerdict}
 
 
 @dataclass
@@ -143,6 +200,10 @@ class FlowSample(_Document):
             *flow_head(self.flow_id, self.src_ip, self.dst_ip),
             self.src_port, self.dst_port, self.value, self.boosted)
 
+    @classmethod
+    def from_document(cls, doc: dict) -> "FlowSample":
+        return super().from_document({**doc, "metric": doc["type"][len("p4_"):]})
+
 
 FLOW_SAMPLE_KEYS = ("type", "@timestamp", "flow_id", "source_ip",
                     "destination_ip", "source_port", "destination_port",
@@ -154,74 +215,6 @@ def flow_head(flow_id: int, src_ip: int, dst_ip: int) -> tuple:
     quads: what every per-flow document leads with after its type and
     timestamp (the control plane resolves it once per tracked flow)."""
     return flow_id, int_to_ip(src_ip), int_to_ip(dst_ip)
-
-
-class FlowSampleLog:
-    """A per-flow report stream (records :class:`FlowSample`, or
-    :class:`LimiterReport`) kept as one chunk per extraction tick,
-    ``(flows, columns)``: per record field, a list with one value per
-    sample, the one value its samples share, or ``None``: read off the
-    sample's tracked flow, whose identity fields never change.  No object
-    per sample is kept (docs/scaling.md, "Allocation discipline"); rows
-    and records are built when read.  Supports what the list it replaced
-    was used for: ``len``, truthiness, iteration, ``[i]``, slices, ``==``
-    with a list or a log, ``append``, ``clear``."""
-
-    __slots__ = ("record", "fields", "_chunks", "_ends")
-
-    def __init__(self, samples: Iterable = (), record: type = FlowSample) -> None:
-        self.record = record
-        self.fields = tuple(f.name for f in fields(record))
-        self._chunks: List[tuple] = []
-        self._ends: List[int] = []      # samples up to each chunk's end
-        columns = [list(c) for c in zip(*map(attrgetter(*self.fields), samples))]
-        if columns:
-            self.add_chunk(None, tuple(columns))
-
-    def add_chunk(self, flows: Optional[list], columns: tuple) -> None:
-        n = len(flows if flows is not None else
-                next(c for c in columns if type(c) is list))
-        if n:
-            self._chunks.append((flows, columns))
-            self._ends.append(len(self) + n)
-
-    def append(self, sample) -> None:
-        self.add_chunk(None, tuple([getattr(sample, name)] for name in self.fields))
-
-    def _chunk_rows(self, chunk: tuple) -> Iterator[tuple]:
-        flows, columns = chunk
-        return zip(*(c if type(c) is list else repeat(c) if c is not None
-                     else map(attrgetter(name), flows) for name, c in zip(self.fields, columns)))
-
-    def clear(self) -> None:
-        self._chunks.clear()
-        self._ends.clear()
-
-    @property
-    def rows(self) -> List[tuple]:
-        """One plain tuple per sample, in the record's field order."""
-        return list(chain.from_iterable(map(self._chunk_rows, self._chunks)))
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __iter__(self) -> Iterator:
-        return starmap(self.record, chain.from_iterable(map(self._chunk_rows, self._chunks)))
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return list(starmap(self.record, self.rows[item]))
-        i = item + len(self) if item < 0 else item
-        if not 0 <= i < len(self):
-            raise IndexError("FlowSampleLog index out of range")
-        k = bisect_right(self._ends, i)
-        at = i - (self._ends[k - 1] if k else 0)
-        return self.record(*next(islice(self._chunk_rows(self._chunks[k]), at, None)))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FlowSampleLog):
-            return self.rows == other.rows
-        return list(self) == other
 
 
 @dataclass

@@ -5,7 +5,7 @@ recipe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.netsim.engine import Simulator
@@ -224,9 +224,8 @@ class Scenario:
 
     def microbursts(self) -> List[MicroburstEvent]:
         """The archived microburst events, in detection order."""
-        names = [f.name for f in fields(MicroburstEvent)]
-        return [MicroburstEvent(**{name: doc[name] for name in names})
-                for doc in self.archiver.documents("p4_microburst")]
+        return list(map(MicroburstEvent.from_document,
+                        self.archiver.documents("p4_microburst")))
 
     def label(self, handle: FlowHandle) -> str:
         return f"->{int_to_ip(handle.dst_ip)}"

@@ -32,16 +32,6 @@ def to_seconds(ns: int) -> float:
     return ns / NS_PER_S
 
 
-def to_millis(ns: int) -> float:
-    """Convert integer nanoseconds to float milliseconds."""
-    return ns / NS_PER_MS
-
-
-def to_micros(ns: int) -> float:
-    """Convert integer nanoseconds to float microseconds."""
-    return ns / NS_PER_US
-
-
 # -- rate ------------------------------------------------------------------
 
 
@@ -53,11 +43,6 @@ def gbps(x: float) -> int:
 def mbps(x: float) -> int:
     """Megabits per second -> bits per second."""
     return round(x * 1e6)
-
-
-def kbps(x: float) -> int:
-    """Kilobits per second -> bits per second."""
-    return round(x * 1e3)
 
 
 def tx_time_ns(nbytes: int, rate_bps: int) -> int:

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.core.control_plane import MonitorControlPlane
-from repro.netsim.units import seconds
+from repro.netsim.units import millis, seconds
 from repro.perfsonar.archiver import Archiver
 from repro.resilience import checkpoint
 from repro.resilience.breaker import CircuitBreaker, DegradationPolicy
@@ -551,7 +551,11 @@ def run_chaos(spec: ChaosSpec, *, checkpoint_dir: Optional[str] = None,
                 checkpoints_written=manager.captures,
                 checkpoints_skipped=manager.skipped,
                 conservation_failures=_conservation_failures(cp))
-        oracle_report = run.check()
+        # The checker reads the archive, whose timestamps a clock-skew
+        # window moved by up to its offset.
+        oracle_report = run.check(clock_skew_ns=millis(max(
+            (abs(w.offset_ms) for w in spec.schedule.windows if w.kind == "clock_skew"),
+            default=0.0)))
         oracle_passed = oracle_report.passed
         oracle_failures = [str(f) for f in oracle_report.failures]
         if recovery is not None and run_twin:

@@ -44,6 +44,7 @@ import hashlib
 import json
 import logging
 import os
+from collections import Counter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -172,17 +173,8 @@ def capture_checkpoint(cp, dedup=None, seq: int = 0) -> dict:
         },
         "limiter": {str(fid): samples
                     for fid, samples in cp.limiter.history().items()},
-        "archives": {
-            "flow_samples": {k.value: [_encode_report(s) for s in samples]
-                             for k, samples in cp.flow_samples.items()},
-            "jitter_samples": [_encode_report(s) for s in cp.jitter_samples],
-            "aggregate_samples": [_encode_report(s) for s in cp.aggregate_samples],
-            "microbursts": [_encode_report(e) for e in cp.microbursts],
-            "terminations": [_encode_report(r) for r in cp.terminations],
-            "limiter_reports": [_encode_report(r) for r in cp.limiter_reports],
-            "histogram_reports": [_encode_report(r) for r in cp.histogram_reports],
-            "forensics_reports": [_encode_report(r) for r in cp.forensics_reports],
-        },
+        # The shipped reports are in the archive: only their counts.
+        "tallies": dict(+cp.tallies),
     }
 
     doc = {
@@ -258,7 +250,6 @@ def restore_control_plane(cp, doc: dict) -> None:
     catch-up window spanning the downtime, never a mis-windowed rate."""
     from repro.core.config import MetricKind
     from repro.core.limiter import LimiterClassifier
-    from repro.core.reports import FlowSampleLog, LimiterReport
 
     _check_schema(doc)
     sec = doc["control_plane"]
@@ -294,25 +285,14 @@ def restore_control_plane(cp, doc: dict) -> None:
         for flight, loss in samples:
             cp.limiter.observe(int(fid), flight, int(loss))
 
-    archives = sec["archives"]
-    cp.flow_samples = {
-        MetricKind(k): FlowSampleLog(_decode_report(s) for s in samples)
-        for k, samples in archives["flow_samples"].items()}
-    for kind in MetricKind:          # a young checkpoint may miss kinds
-        cp.flow_samples.setdefault(kind, FlowSampleLog())
-    cp.jitter_samples = FlowSampleLog(
-        _decode_report(s) for s in archives["jitter_samples"])
-    cp.aggregate_samples = [_decode_report(s)
-                            for s in archives["aggregate_samples"]]
-    cp.microbursts = [_decode_report(e) for e in archives["microbursts"]]
-    cp.terminations = [_decode_report(r) for r in archives["terminations"]]
-    cp.limiter_reports = FlowSampleLog(
-        (_decode_report(r) for r in archives["limiter_reports"]),
-        record=LimiterReport)
-    cp.histogram_reports = [_decode_report(r)
-                            for r in archives["histogram_reports"]]
-    cp.forensics_reports = [_decode_report(r)
-                            for r in archives["forensics_reports"]]
+    if "tallies" in sec:
+        cp.tallies = Counter(sec["tallies"])
+    else:   # written when a checkpoint kept the reports: count them, drop them
+        archives = dict(sec["archives"])
+        cp.tallies = Counter({f"p4_{kind}": len(samples)
+                              for kind, samples in archives.pop("flow_samples").items()})
+        cp.tallies.update({getattr(cp, name).type: len(reports)
+                           for name, reports in archives.items()})
 
     h = cp.histograms
     hsec = doc.get("histograms")

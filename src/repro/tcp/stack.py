@@ -95,10 +95,6 @@ class ConnectionStats:
     ce_received: int = 0         # CE-marked data packets seen (receiver)
     rtt_samples: List[Tuple[int, int]] = field(default_factory=list)  # (t, rtt_ns)
 
-    @property
-    def last_rtt_ns(self) -> Optional[int]:
-        return self.rtt_samples[-1][1] if self.rtt_samples else None
-
     def avg_throughput_bps(self) -> float:
         span = self.end_ns - self.established_ns
         if span <= 0:

@@ -1,10 +1,10 @@
 """Differential checker: P4 registers/reports vs oracle ground truth.
 
 Every check compares a value the P4 side produced (a register read via
-the runtime API, a control-plane sample series, or a digest-derived
-report) against the exact number the :class:`GroundTruthOracle`
-accumulated from the event stream, under the tolerance declared for that
-metric in :mod:`repro.validation.tolerances`.
+the runtime API, a control-plane sample series or a digest-derived
+report, both read back from the archive) against the exact number the
+:class:`GroundTruthOracle` accumulated from the event stream, under the
+tolerance declared for that metric in :mod:`repro.validation.tolerances`.
 
 What is checked, and why the comparison is sound:
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.core.config import MetricKind
@@ -144,9 +145,13 @@ class DifferentialChecker:
         control_plane: MonitorControlPlane,
         oracle: GroundTruthOracle,
         reordering: bool = False,
+        clock_skew_ns: int = 0,
     ) -> None:
         self.cp = control_plane
         self.oracle = oracle
+        # How far an archived sample's timestamp may sit from its tick:
+        # an injected clock-skew fault moves ``@timestamp`` in transit.
+        self.clock_skew_ns = clock_skew_ns
         self.runtime = control_plane.runtime
         self.config = control_plane.config
         # Scenarios that deliberately reorder (reorder impairment, jitter
@@ -160,11 +165,14 @@ class DifferentialChecker:
         flows = self.cp.flows.values()
         self._readers = {attr: Counter(getattr(f, attr) for f in flows)
                          for attr in ("slot", "rslot")}
-        # (t_s, value) of each flow's RTT and occupancy samples.
+        # (t_s, value) of each flow's archived RTT and occupancy samples,
+        # in time order whatever order the archive took them in.
         self._series = {kind: {} for kind in (MetricKind.RTT, MetricKind.QUEUE_OCCUPANCY)}
         for kind, by_flow in self._series.items():
             for s in self.cp.flow_samples[kind]:
                 by_flow.setdefault(s.flow_id, []).append((s.time_ns / NS_PER_S, s.value))
+            for series in by_flow.values():
+                series.sort()
         for flow in flows:
             truth = self._truth_for(flow)
             if truth is None:
@@ -295,10 +303,12 @@ class DifferentialChecker:
         series = self._series[MetricKind.RTT].get(flow.flow_id, ())
         unmatched: List[Tuple[float, float]] = []
         checked = 0
+        skew = self.clock_skew_ns
         for t_s, value_ms in series:
             tick_ns = int(t_s * 1e9)
             window = [r / NS_PER_MS for ts, r in truth.expected_rtt_samples
-                      if tick_ns - self.RTT_LOCALITY_WINDOW_NS < ts <= tick_ns]
+                      if tick_ns - self.RTT_LOCALITY_WINDOW_NS - skew < ts
+                      <= tick_ns + skew]
             if not window:
                 continue  # register legitimately stale; nothing to match
             checked += 1
@@ -484,7 +494,8 @@ class DifferentialChecker:
         """Every reported microburst peak must be backed by true queue
         residency inside (a slightly padded copy of) its window."""
         pad_ns = NS_PER_MS
-        for i, event in enumerate(self.cp.microbursts):
+        bursts = sorted(self.cp.microbursts, key=attrgetter("start_ns", "port_id"))
+        for i, event in enumerate(bursts):
             truth_peak = self.oracle.max_qdelay_in_window(
                 event.start_ns - pad_ns,
                 event.start_ns + event.duration_ns + pad_ns,

@@ -307,11 +307,13 @@ class ValidationRun:
     def run(self) -> None:
         self.scenario.run(self.spec.end_s)
 
-    def check(self):
+    def check(self, clock_skew_ns: int = 0):
+        """The differential check (``clock_skew_ns``: how far archived
+        timestamps may be off, see :class:`DifferentialChecker`)."""
         from repro.validation.checker import DifferentialChecker
         report = DifferentialChecker(
             self.scenario.control_plane, self.oracle,
-            reordering=self.spec.has_reordering,
+            reordering=self.spec.has_reordering, clock_skew_ns=clock_skew_ns,
         ).check()
         if not report.passed:
             # Provenance trigger: a differential mismatch freezes the

@@ -11,6 +11,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, ip_to_int
 from repro.netsim.topology import TopologyConfig, build_science_dmz
 from repro.netsim.units import mbps
+from repro.perfsonar.archiver import Archiver
 from repro.tcp.stack import TcpHostStack
 
 
@@ -46,10 +47,11 @@ def monitor_config(small_topo_config) -> MonitorConfig:
 
 @pytest.fixture
 def monitored_topo(sim, topo, monitor_config):
-    """(sim, topo, monitor, control_plane) with the TAP attached."""
+    """(sim, topo, monitor, control_plane) with the TAP attached; the
+    control plane ships into an archive, where its reports are read."""
     monitor = P4Monitor(monitor_config, sim=sim)
     topo.attach_tap(monitor.receive_copy)
-    cp = MonitorControlPlane(sim, monitor)
+    cp = MonitorControlPlane(sim, monitor, report_sink=Archiver().sink)
     cp.start()
     return sim, topo, monitor, cp
 

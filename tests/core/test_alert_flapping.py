@@ -13,6 +13,7 @@ from repro.core.config import MetricKind, MonitorConfig
 from repro.core.control_plane import MonitorControlPlane
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
+from repro.perfsonar.archiver import Archiver
 
 from tests.core.helpers import FlowScript, small_monitor
 from tests.core.test_control_plane import drive_stream
@@ -171,7 +172,7 @@ def test_sampling_rate_restored_after_clear():
 def test_boosted_samples_marked_in_reports():
     sim = Simulator()
     mon = small_monitor(long_flow_bytes=1000)
-    cp = MonitorControlPlane(sim, mon)
+    cp = MonitorControlPlane(sim, mon, report_sink=Archiver().sink)
     kind = MetricKind.THROUGHPUT
     cp.apply_metric_config(kind, alert_enabled=True, alert_threshold=3e6,
                            boosted_samples_per_second=4.0)

@@ -32,6 +32,7 @@ from repro.netsim.packet import (PROTO_UDP, FiveTuple, Packet, TCPFlags,
 from repro.netsim.tap import MirrorCopy, TapDirection
 from repro.p4.hashes import crc32_tuple
 from repro.p4.registers import RegisterArray
+from repro.perfsonar.archiver import Archiver
 from repro.resilience import faults
 from repro.resilience.schedule import FaultSchedule
 from repro.telemetry import profiling, provenance
@@ -486,7 +487,7 @@ def test_termination_after_a_timestamp_wrap_reports_sim_time(bits):
     twins = Twins(timestamp_bits=bits)
     terminations = []
     for mon in (twins.batched, twins.scalar):
-        cp = MonitorControlPlane(mon.sim, mon)
+        cp = MonitorControlPlane(mon.sim, mon, report_sink=Archiver().sink)
         cp.start()
         terminations.append(cp.terminations)
     twins.t = 5_000_000_000
@@ -564,7 +565,7 @@ def test_termination_reads_loss_as_of_its_row():
     twins = Twins()
     terminations = []
     for mon in (twins.batched, twins.scalar):
-        cp = MonitorControlPlane(mon.sim, mon)
+        cp = MonitorControlPlane(mon.sim, mon, report_sink=Archiver().sink)
         cp.start()
         terminations.append(cp.terminations)
     seq = twins.track(FT)

@@ -11,6 +11,7 @@ from repro.core.monitor import P4Monitor
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, TCPFlags
 from repro.netsim.units import mbps, millis, seconds
+from repro.perfsonar.archiver import Archiver
 
 from tests.core.helpers import FT, FlowScript, document_sink, small_monitor
 
@@ -19,7 +20,7 @@ from tests.core.helpers import FT, FlowScript, document_sink, small_monitor
 def assembly():
     sim = Simulator()
     mon = small_monitor(long_flow_bytes=1000)
-    cp = MonitorControlPlane(sim, mon)
+    cp = MonitorControlPlane(sim, mon, report_sink=Archiver().sink)
     cp.start()
     return sim, mon, cp
 
@@ -236,3 +237,28 @@ def test_report_sink_receives_documents():
     assert "p4_throughput" in types
     assert "p4_aggregate" in types
     assert "p4_rtt" in types
+
+
+def _streamed(report_sink, duration_s=2.0):
+    sim = Simulator()
+    mon = small_monitor(long_flow_bytes=1000)
+    cp = MonitorControlPlane(sim, mon, report_sink=report_sink)
+    cp.start()
+    drive_stream(sim, FlowScript(mon), 500_000, duration_s)
+    sim.run_until(seconds(duration_s))
+    return cp
+
+
+def test_tallies_count_what_the_sink_was_handed_not_what_it_kept():
+    """A sink that drops every block leaves the tallies counting what it
+    was handed and the views empty, so the archive's own document
+    counter and the tallies stay two independent counts."""
+    archiver = Archiver()
+    kept, dropped = _streamed(archiver.sink), _streamed(lambda block: None)
+    assert dropped.archive is None and kept.archive is archiver
+    assert +dropped.tallies == +kept.tallies
+    assert len(dropped.flow_samples[MetricKind.THROUGHPUT]) > 1
+    assert dropped.aggregate_samples and not list(dropped.aggregate_samples)
+    assert all(list(log) == [] for log in dropped.flow_samples.values())
+    assert archiver.output.documents_written == sum(kept.tallies.values())
+    assert _streamed(None).tallies.total() == 0

@@ -91,7 +91,7 @@ def test_extraction_ships_flow_and_all_reports(assembly):
     # 5 ms RTT: every percentile is the same (one) bucket's upper bound.
     assert last["p50_ms"] == last["p99_ms"]
     assert 5.0 <= last["p50_ms"] <= 7.0
-    assert cp.histogram_reports  # local archive mirrors the shipped docs
+    assert cp.histogram_reports  # the tally counts the shipped docs
 
 
 def test_no_new_samples_means_no_new_reports(assembly):

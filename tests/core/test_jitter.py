@@ -5,6 +5,7 @@ import pytest
 from repro.core.control_plane import MonitorControlPlane
 from repro.netsim.engine import Simulator
 from repro.netsim.units import millis, seconds
+from repro.perfsonar.archiver import Archiver
 
 from tests.core.helpers import FlowScript, document_sink, small_monitor
 
@@ -22,7 +23,7 @@ def drive_rtts(sim, script, rtts_ms, spacing_s=1.0):
 def run(rtts_ms):
     sim = Simulator()
     mon = small_monitor(long_flow_bytes=500)
-    cp = MonitorControlPlane(sim, mon)
+    cp = MonitorControlPlane(sim, mon, report_sink=Archiver().sink)
     cp.start()
     script = FlowScript(mon)
     drive_rtts(sim, script, rtts_ms)

@@ -1,11 +1,10 @@
 """The report path keeps rows and columns, not object graphs
 (docs/scaling.md, "Allocation discipline"): what a shipped report
-retains, the chunked sample log against a plain list, and the limiter's
-coefficient of variation against the ``np.mean`` / ``np.std`` body it
-replaced.
+retains, the report streams read back from the archive against the
+list they replaced, and the limiter's coefficient of variation against
+the ``np.mean`` / ``np.std`` body it replaced.
 """
 
-import dataclasses
 import gc
 import random
 
@@ -13,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import MetricKind, MonitorConfig
-from repro.core.control_plane import MonitorControlPlane, TrackedFlow
+from repro.core.control_plane import MonitorControlPlane
 from repro.core.monitor import P4Monitor
-from repro.core.reports import FlowSample, FlowSampleLog, LimiterReport, LimiterVerdict
+from repro.core.reports import (AggregateSample, Block, FlowSample, FlowTerminationReport,
+                                ForensicsReport, HistogramReport, LimiterReport,
+                                LimiterVerdict, MicroburstEvent)
 from repro.core.stats import coefficient_of_variation
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, make_ack_packet, make_data_packet
@@ -33,8 +34,8 @@ def test_a_shipped_report_retains_no_tracked_container():
     count, not a clock.  A sample used to leave tracked objects behind:
     its dataclass instance, then its archived dict, then one row tuple
     in the sample log and one in the store, and every limiter row, which
-    holds an ``Enum`` member, for good.  Now a tick leaves one chunk per
-    log (a tuple and its columns) and an aggregate, the store's rows are
+    holds an ``Enum`` member, for good.  Now the control plane keeps no
+    copy of what it shipped (a tally per type), the store's rows are
     untracked once the collector has seen them, and what is left does
     not grow with the documents shipped: a constant (the window's 20
     metric ticks) plus the tracked flows, with no full collection."""
@@ -74,84 +75,70 @@ def test_a_shipped_report_retains_no_tracked_container():
     assert full == 0
 
 
-# -- the chunked log is a list of samples to everything that reads it -----------
+# -- a report stream is a view over the archive --------------------------------
 
 
-def _samples(n, rng):
-    return [FlowSample(time_ns=rng.randrange(10**9), metric="rtt",
-                       flow_id=rng.randrange(2**32), src_ip=1, dst_ip=2,
-                       src_port=3, dst_port=4, value=rng.random(),
-                       boosted=rng.random() < 0.5) for _ in range(n)]
+def _reports(rng):
+    """One report of every type the control plane ships, with fields in
+    their full range: optional ones both present and absent."""
+    head = dict(flow_id=rng.randrange(2**32), src_ip=rng.randrange(2**32),
+                dst_ip=rng.randrange(2**32))
+    t = rng.randrange(10**12)
+    yield FlowSample(t, rng.choice(("rtt", "jitter", "throughput")), **head,
+                     src_port=3, dst_port=4, value=rng.random(),
+                     boosted=rng.random() < 0.5)
+    yield LimiterReport(t, **head, verdict=rng.choice(list(LimiterVerdict)),
+                        flight_bytes=1448.0 * rng.randrange(100),
+                        flight_cv=rng.random(), loss_delta=rng.randrange(5),
+                        rwnd_bytes=65535)
+    yield AggregateSample(t, rng.random(), rng.random(), 3, 10**6, 700)
+    yield MicroburstEvent(t, 12_345, 4_000_000, 0.04, 17, port_id=2)
+    yield FlowTerminationReport(**head, src_port=3, dst_port=4, start_ns=t,
+                                end_ns=t + 10**9, total_packets=9, total_bytes=9000,
+                                retransmissions=1)
+    yield HistogramReport(t, "rtt", "flow", [1000, 2000], [1, 2, 0], 3, 1.0, 2.0, 2.0,
+                          2.0, window_count=1, **head)
+    yield HistogramReport(t, "queue_depth", "port", [1000], [4, 0], 4, 1.0, 1.0, 1.0,
+                          1.0, port_id=1)
+    yield ForensicsReport(t, "microburst", t - 10**6, t, 2, 4096, 3, 9000,
+                          [{"flow_id": 7, "bytes": 9000, "share": 1.0}],
+                          victim_flow_id=None, port_id=0)
 
 
-def _tick(n, rng):
-    """What a tick archives: one chunk (its flows, the tick's constants,
-    its values) and the samples it stands for."""
-    t, boosted = rng.randrange(10**9), rng.random() < 0.5
-    flows = [TrackedFlow(rng.randrange(2**32), 0, 0, 0, 1, 2, 3, rng.randrange(2**16), 0)
-             for _ in range(n)]
-    values = [rng.random() for _ in range(n)]
-    columns = (t, "rtt", None, None, None, None, None, values, boosted)
-    return (flows, columns), [FlowSample(t, "rtt", f.flow_id, 1, 2, 3, f.dst_port, v, boosted)
-                              for f, v in zip(flows, values)]
-
-
-def test_flow_sample_log_behaves_like_the_list_it_replaced():
+def test_every_report_rebuilds_from_its_archived_document():
+    """``from_document`` is ``row()`` run backwards, through the archive:
+    addresses come back from dotted quads, ``time_ns`` from
+    ``@timestamp`` seconds."""
     rng = random.Random(0)
-    plain, log = [], FlowSampleLog()
-    assert not log and len(log) == 0 and log == [] and list(log) == [] and log.rows == []
-    # Single appends interleaved with tick chunks (an empty tick adds nothing).
-    for step in ("append", 3, "append", 0, 1, "append", "append", 4):
-        if step == "append":
-            sample = _samples(1, rng)[0]
-            log.append(sample)
-            plain.append(sample)
-        else:
-            chunk, samples = _tick(step, rng)
-            log.add_chunk(*chunk)
-            plain.extend(samples)
-        assert len(log) == len(plain) and list(log) == plain
-    assert log and len(log) == 12
-    assert [s.value for s in log] == [s.value for s in plain]
-    assert all(type(s) is FlowSample for s in log)
-    assert [log[i] for i in range(-12, 12)] == plain + plain
-    for item in (slice(2, 5), slice(None, None, -2), slice(9, None), slice(20, None),
-                 slice(3, 11, 3), slice(-4, -1)):
-        assert log[item] == plain[item]
-    assert type(log[1:]) is list
-    for i in (12, -13):
-        with pytest.raises(IndexError):
-            log[i]
-    assert log == plain and log == FlowSampleLog(plain) and FlowSampleLog(plain) == log
-    assert log != plain[:-1] and log != FlowSampleLog(plain[1:]) and log != None  # noqa: E711
-    rows = log.rows
-    assert rows == [dataclasses.astuple(s) for s in plain]
-    # Rows are built when read: fresh tuples of atoms, untracked once the
-    # collector has seen them, and none of them is the log's.
-    gc.collect()
-    assert all(type(row) is tuple and not gc.is_tracked(row) for row in rows)
-    assert not any(a is b for a, b in zip(rows, log.rows))
-    log.clear()
-    assert not log and log == [] and log.rows == []
+    archiver = Archiver()
+    sent = [r for _ in range(50) for r in _reports(rng)]
+    archiver.sink(Block(r.row() for r in sent))
+    record_of = {r.row()[1][0]: type(r) for r in sent}
+    got = [record_of[t].from_document(doc) for t in record_of
+           for doc in archiver.documents(t)]
+    assert sorted(map(repr, got)) == sorted(map(repr, sent))
 
 
-def test_a_tick_chunk_keeps_no_object_per_report():
-    """A tick of limiter reports used to leave one tuple per report that
-    the collector tracked for good (each holds a ``LimiterVerdict``).
-    A chunk is a handful of lists whatever the tick's size."""
+def test_a_report_view_behaves_like_the_list_it_replaced():
+    """``len`` is the control plane's tally; iteration, ``[i]`` and
+    slices read the archive (``test_control_plane.py`` covers a sink
+    that ends in no archive)."""
     rng = random.Random(1)
-    log = FlowSampleLog(record=LimiterReport)
-    n = 1000
-    flows = [TrackedFlow(i, 0, 0, 0, 1, 2, 3, 4, 0) for i in range(n)]
-    verdicts = [rng.choice(list(LimiterVerdict)) for _ in range(n)]
-    gc.collect()
-    before = len(gc.get_objects())
-    log.add_chunk(flows, (5, None, None, None, verdicts,
-                          [1448.0] * n, [0.5] * n, [0] * n, [65535] * n))
-    gc.collect()
-    assert len(gc.get_objects()) - before <= 6      # the chunk, its columns, 4 lists
-    assert len(log) == n and log[-1].verdict is verdicts[-1]
-    assert log[3] == LimiterReport(5, 3, 1, 2, verdicts[3], 1448.0, 0.5, 0, 65535)
+    archiver = Archiver()
+    cp = MonitorControlPlane(Simulator(), P4Monitor(MonitorConfig()),
+                             report_sink=archiver.sink)
+    assert cp.archive is archiver
+    assert not cp.terminations and list(cp.terminations) == []
+    reports = [FlowTerminationReport(rng.randrange(2**32), 1, 2, 3, 4, i, i + 10,
+                                     5, 500, i % 2) for i in range(6)]
+    for report in reports:
+        cp._ship(report)
+    assert len(cp.terminations) == 6
+    assert cp.terminations and list(cp.terminations) == reports
+    assert [cp.terminations[i] for i in range(-6, 6)] == reports + reports
+    assert cp.terminations[2:5] == reports[2:5]
+    with pytest.raises(IndexError):
+        cp.terminations[6]
 
 
 # -- coefficient of variation: the ufuncs, to the bit ---------------------------

@@ -18,6 +18,7 @@ from repro.netsim.packet import FiveTuple, TCPFlags, make_data_packet
 from repro.netsim.tap import MirrorCopy, TapDirection
 from repro.netsim.units import millis, seconds
 from repro.p4.hashes import crc32_tuple
+from repro.perfsonar.archiver import Archiver
 
 SEG = 1000
 
@@ -43,7 +44,7 @@ class World:
             MonitorConfig(flow_slots=2, long_flow_bytes=3000,
                           batched_path=batched), sim=self.sim)
         assert (self.mon.kernel is not None) == batched
-        self.cp = MonitorControlPlane(self.sim, self.mon)
+        self.cp = MonitorControlPlane(self.sim, self.mon, report_sink=Archiver().sink)
         self.cp.start()
         self._ip_id = 0
 

@@ -4,8 +4,9 @@ copy of the per-cell tick bodies as they stood before the sweep — one
 ``_read_traced`` per flow per register, ``FlightSizeStage.flight_bytes``
 and one limiter call per flow — and of the per-sample emitter they
 called before a tick's samples became columns, run on the same scripted
-world; everything a tick leaves behind must be equal, and what a tick
-costs the runtime is pinned as a count."""
+world; everything a tick leaves behind (the archive and the tallies
+included) must be equal, and what a tick costs the runtime is pinned as
+a count."""
 
 import random
 from collections import Counter
@@ -20,35 +21,47 @@ from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, TCPFlags
 from repro.netsim.units import millis, seconds
 from repro.p4.hashes import crc32_tuple
+from repro.perfsonar.archiver import Archiver
 from repro.resilience.checkpoint import capture_checkpoint
 from repro.telemetry import provenance
 
 from tests.core.helpers import FlowScript, small_monitor
 
 
+class RecordingArchiver(Archiver):
+    """An archive that also keeps every block it was handed, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = []
+
+    def sink(self, block):
+        self.blocks.append(block)
+        super().sink(block)
+
+
 class PerCellControlPlane(MonitorControlPlane):
     """The four tick bodies cell by cell, each sample emitted alone."""
 
     def _sample_emitter(self, kind, now, jitter=False):
-        """One tick's ``emit(flow, value)``: archive one per-flow sample,
-        put its Report_v1 row, then run the metric's alert check.
+        """One tick's ``emit(flow, value)``: put one per-flow sample's
+        Report_v1 row, tallied, then run the metric's alert check.
         ``jitter`` selects the stream derived from ``kind``'s samples (no
         alert class of its own)."""
         boosted = self.alerts.metric_boosted(kind)
         mc = self.config.metric(kind)
         alerting = not jitter and mc.alert_enabled and mc.alert_threshold is not None
         metric = "jitter" if jitter else kind.value
-        log = self.jitter_samples if jitter else self.flow_samples[kind]
         put = self._put
 
         def emit(flow, value):
             sample = FlowSample(now, metric, flow.flow_id, flow.src_ip,
                                 flow.dst_ip, flow.src_port, flow.dst_port,
                                 value, boosted)
-            log.append(sample)
             if self.degraded:
                 self._suppress("FlowSample")
             elif put is not None:
+                self.tallies["p4_" + metric] += 1
                 put((sample.row(),))
             if alerting:
                 self.alerts.check(kind, flow.flow_id, value, now)
@@ -101,7 +114,6 @@ class PerCellControlPlane(MonitorControlPlane):
             total_bytes=sum(read("flow_bytes", f.slot) for f in active),
             total_packets=sum(read("flow_pkts", f.slot) for f in active),
         )
-        self.aggregate_samples.append(aggregate)
         self._ship(aggregate)
         # The FIN linger came after the sweep and is shared, not compared.
         self._release_ended_flows()
@@ -132,7 +144,6 @@ class PerCellControlPlane(MonitorControlPlane):
                 time_ns=now, flow_id=flow.flow_id, src_ip=flow.src_ip,
                 dst_ip=flow.dst_ip, verdict=verdict, flight_bytes=mean_flight,
                 flight_cv=cv, loss_delta=lost, rwnd_bytes=rwnd)
-            self.limiter_reports.append(report)
             self._ship(report)
 
     def _tick_rtt(self):
@@ -208,8 +219,8 @@ def build_world(cp_class, seed):
     rtt_mc.alert_enabled, rtt_mc.alert_threshold = True, 20.0          # ms
     queue = mon.config.metric(MetricKind.QUEUE_OCCUPANCY)
     queue.alert_enabled, queue.alert_threshold = True, 25.0            # % of 10 ms
-    shipped = []
-    cp = cp_class(sim, mon, report_sink=shipped.append)
+    archiver = RecordingArchiver()
+    cp = cp_class(sim, mon, report_sink=archiver.sink)
     # Suppressed reports, counted by report type as telemetry labels them.
     cp.suppressed_by_type, suppress = Counter(), cp._suppress
 
@@ -253,21 +264,23 @@ def build_world(cp_class, seed):
     # intervals widened and then restored.
     sim.at(seconds(1.75) + 7, cp.set_degraded, True, 2.0)
     sim.at(seconds(2.45) + 7, cp.set_degraded, False)
-    return sim, mon, cp, shipped
+    return sim, mon, cp, archiver.blocks
 
 
 def outcome(world):
     sim, mon, cp, shipped = world
     return {
-        "samples": {k.value: log.rows for k, log in cp.flow_samples.items()},
-        "jitter": cp.jitter_samples.rows,
-        "aggregates": cp.aggregate_samples,
-        "limiter_reports": cp.limiter_reports.rows,
+        "samples": {k.value: list(log) for k, log in cp.flow_samples.items()},
+        "jitter": list(cp.jitter_samples),
+        "aggregates": list(cp.aggregate_samples),
+        "limiter_reports": list(cp.limiter_reports),
+        "tallies": +cp.tallies,
+        "archived": {t: cp.archive.count(t) for t in cp.tallies},
         "limiter_history": cp.limiter.history(),
         "alerts": cp.alerts.history,
         "active_alerts": cp.alerts.active_alerts,
         "flows": list(cp.flows.values()),
-        "terminations": cp.terminations,
+        "terminations": list(cp.terminations),
         "suppressed": (cp.reports_suppressed, dict(+cp.suppressed_by_type)),
         "shipped": shipped,
         "registers": mon.program.state_digest(),
@@ -299,6 +312,8 @@ def test_sweep_equals_the_per_cell_ticks(seed, traced):
     ref, got = outcome(worlds[0]), outcome(worlds[1])
     for name in ref:
         assert got[name] == ref[name], name
+    # Every row handed to the archive is in it, and none suppressed is.
+    assert got["archived"] == got["tallies"]
     if traced:
         # Same provenance events in the same order: every extraction
         # noted where the per-cell read happened, so each shipped report
@@ -353,7 +368,7 @@ def test_a_tick_costs_the_runtime_a_fixed_number_of_reads():
     metric tick at most two."""
     sim = Simulator()
     mon = small_monitor(flow_slots=1024)
-    cp = MonitorControlPlane(sim, mon)
+    cp = MonitorControlPlane(sim, mon, report_sink=Archiver().sink)
     for fid in range(1, 1001):
         cp._on_long_flow("long_flow", dict(
             flow_id=fid, rev_flow_id=fid + 5000, slot=fid,
@@ -389,7 +404,7 @@ def test_fin_terminated_flow_drops_its_alert_and_its_limiter_row():
     later checkpoint) kept the flow for ever."""
     sim = Simulator()
     mon = small_monitor(long_flow_bytes=1000)
-    cp = MonitorControlPlane(sim, mon)
+    cp = MonitorControlPlane(sim, mon, report_sink=Archiver().sink)
     cp.start()
     cp.apply_metric_config(MetricKind.THROUGHPUT, alert_enabled=True,
                            alert_threshold=1_000_000.0,

@@ -11,14 +11,11 @@ def test_time_conversions():
     assert units.millis(2) == 2_000_000
     assert units.micros(3) == 3_000
     assert units.to_seconds(units.seconds(4.25)) == pytest.approx(4.25)
-    assert units.to_millis(units.millis(7)) == pytest.approx(7.0)
-    assert units.to_micros(units.micros(9)) == pytest.approx(9.0)
 
 
 def test_rate_conversions():
     assert units.gbps(10) == 10_000_000_000
     assert units.mbps(100) == 100_000_000
-    assert units.kbps(56) == 56_000
 
 
 def test_tx_time_basic():

@@ -11,6 +11,7 @@ from repro.core.config import MetricKind
 from repro.core.control_plane import MonitorControlPlane
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
+from repro.perfsonar.archiver import Archiver
 from repro.resilience.breaker import BreakerState
 from repro.resilience.chaos import (
     ChaosSpec,
@@ -219,7 +220,7 @@ def test_stalled_throughput_tick_windows_over_true_elapsed_time():
             FaultWindow("cp_stall", 1.5, 1.2, metric="throughput")]),
         clock=lambda: sim.now))
     mon = small_monitor(long_flow_bytes=1000)
-    cp = MonitorControlPlane(sim, mon)
+    cp = MonitorControlPlane(sim, mon, report_sink=Archiver().sink)
     cp.start()
     script = FlowScript(mon)
     rate = 500_000  # bytes/s

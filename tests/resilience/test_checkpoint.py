@@ -11,6 +11,7 @@ from repro.core.config import MetricKind
 from repro.core.control_plane import MonitorControlPlane
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
+from repro.perfsonar.archiver import Archiver
 from repro.resilience.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointManager,
@@ -117,10 +118,11 @@ def test_latest_none_when_empty(tmp_path):
 
 
 def _populated_cp(sim=None):
-    """A control plane over a monitor with real register state."""
+    """A control plane over a monitor with real register state, shipping
+    into an archive."""
     sim = sim or Simulator()
     monitor = small_monitor(histograms_enabled=True, forensics_enabled=True)
-    cp = MonitorControlPlane(sim, monitor)
+    cp = MonitorControlPlane(sim, monitor, report_sink=Archiver().sink)
     script = FlowScript(monitor)
     script.make_long()
     for i in range(8):
@@ -174,9 +176,10 @@ def test_control_plane_restore_fidelity():
     cp.stop()
     doc = capture_checkpoint(cp)
 
+    # The archive outlives the crash: the restarted process ships into it.
     sim2 = Simulator()
     fresh = small_monitor(histograms_enabled=True, forensics_enabled=True)
-    cp2 = MonitorControlPlane(sim2, fresh)
+    cp2 = MonitorControlPlane(sim2, fresh, report_sink=cp.report_sink)
     restore_control_plane(cp2, doc)
 
     assert set(cp2.flows) == set(cp.flows)
@@ -185,14 +188,15 @@ def test_control_plane_restore_fidelity():
     assert cp2.alerts._active.keys() == cp.alerts._active.keys()
     assert len(cp2.alerts.history) == len(cp.alerts.history)
     assert any(cp.flow_samples.values()) and cp.jitter_samples
+    assert cp2.tallies == cp.tallies
     for kind, samples in cp.flow_samples.items():
-        # Restored as row logs, equal to the log and to the plain list.
-        assert type(cp2.flow_samples[kind]) is type(samples)
-        assert cp2.flow_samples[kind] == samples == list(samples)
-    assert type(cp2.jitter_samples) is type(cp.jitter_samples)
-    assert cp2.jitter_samples == cp.jitter_samples == list(cp.jitter_samples)
-    assert cp2.limiter_reports == cp.limiter_reports
-    assert cp2.aggregate_samples == cp.aggregate_samples
+        # Restored as tallies, over the archive the reports are in.
+        assert len(cp2.flow_samples[kind]) == len(samples) == len(list(samples))
+        assert list(cp2.flow_samples[kind]) == list(samples)
+    assert len(cp2.jitter_samples) == len(cp.jitter_samples) == len(list(cp.jitter_samples))
+    assert list(cp2.jitter_samples) == list(cp.jitter_samples)
+    assert list(cp2.limiter_reports) == list(cp.limiter_reports)
+    assert list(cp2.aggregate_samples) == list(cp.aggregate_samples)
     assert cp2.reports_suppressed == cp.reports_suppressed
     assert cp2.degraded == cp.degraded
     # Cursors are parked for the first post-restart tick to window over
@@ -207,59 +211,84 @@ def test_control_plane_restore_fidelity():
         assert cp2.forensics.extracted_pkts == cp.forensics.extracted_pkts
 
 
-def test_a_chunked_control_plane_round_trips():
-    """A sample log keeps one chunk per tick; a checkpoint writes its
-    records out and a restore reads them back as one chunk.  The restored
-    logs read the same, capture the same archives again, and go on
-    taking tick chunks after the restored one."""
+def _stream(sim, monitor, start_s, stop_s):
+    """A segment every 20 ms crossing the tapped switch, ACKed 5 ms on."""
+    script, t = FlowScript(monitor), seconds(start_s)
+    while t < seconds(stop_s):
+        seq = 1 + t // 10_000
+        sim.at(t, script.transit, seq, 1448, t, t + 200_000)
+        sim.at(t + 5 * MS, script.ack, seq + 1448, t + 5 * MS)
+        t += 20 * MS
+
+
+def _streaming_world(**monitor):
+    sim = Simulator()
+    mon = small_monitor(**monitor)
+    for kind in MetricKind:
+        mon.config.metric(kind).samples_per_second = 10.0
+    return sim, mon
+
+
+def test_a_restored_control_plane_counts_on_over_its_archive():
+    """A checkpoint keeps a tally per report type, not the reports: a
+    restore reads the same streams back from the archive, captures the
+    same tallies again, and goes on shipping after the restored ones."""
     def logs(c):
         return [*c.flow_samples.values(), c.jitter_samples, c.limiter_reports]
 
-    def stream(sim, monitor, start_s, stop_s):
-        """A segment every 20 ms crossing the tapped switch, ACKed 5 ms on."""
-        script, t = FlowScript(monitor), seconds(start_s)
-        while t < seconds(stop_s):
-            seq = 1 + t // 10_000
-            sim.at(t, script.transit, seq, 1448, t, t + 200_000)
-            sim.at(t + 5 * MS, script.ack, seq + 1448, t + 5 * MS)
-            t += 20 * MS
-
-    sim = Simulator()
-    monitor = small_monitor(histograms_enabled=True, forensics_enabled=True)
-    for kind in MetricKind:
-        monitor.config.metric(kind).samples_per_second = 10.0
-    cp = MonitorControlPlane(sim, monitor)
+    sim, monitor = _streaming_world(histograms_enabled=True, forensics_enabled=True)
+    archiver = Archiver()
+    cp = MonitorControlPlane(sim, monitor, report_sink=archiver.sink)
     cp.start()
-    stream(sim, monitor, 0.01, 2.5)
-    sim.run_until(seconds(1.5))
-    cp.jitter_samples.append(cp.jitter_samples[0])   # a single append among the chunks
+    _stream(sim, monitor, 0.01, 2.5)
     sim.run_until(seconds(2.5))
     cp.stop()
     assert len(cp.flow_samples[MetricKind.RTT]) > 20 and len(cp.jitter_samples) > 20
     doc = json.loads(json.dumps(capture_checkpoint(cp)))
+    assert "archives" not in doc["control_plane"]
 
     sim2 = Simulator()
     sim2.run_until(doc["time_ns"])
-    monitor2 = small_monitor(histograms_enabled=True, forensics_enabled=True)
-    for kind in MetricKind:
-        monitor2.config.metric(kind).samples_per_second = 10.0
+    _, monitor2 = _streaming_world(histograms_enabled=True, forensics_enabled=True)
     restore_dataplane(monitor2.program, doc)
-    cp2 = MonitorControlPlane(sim2, monitor2)
+    cp2 = MonitorControlPlane(sim2, monitor2, report_sink=archiver.sink)
     restore_control_plane(cp2, doc)
-    restored = [log.rows for log in logs(cp2)]
-    assert restored == [log.rows for log in logs(cp)]
+    restored = [list(log) for log in logs(cp2)]
+    assert restored == [list(log) for log in logs(cp)]
+    assert [len(log) for log in logs(cp2)] == list(map(len, restored))
     again = json.loads(json.dumps(capture_checkpoint(cp2)))
-    assert again["control_plane"]["archives"] == doc["control_plane"]["archives"]
+    assert again["control_plane"]["tallies"] == doc["control_plane"]["tallies"]
 
     cp2.start()
-    stream(sim2, monitor2, 2.5, 3.5)
+    _stream(sim2, monitor2, 2.5, 3.5)
     sim2.run_until(seconds(3.5))
     cp2.stop()
     for log, before in zip(logs(cp2), restored):
         n = len(before)
-        assert len(log) > n and log.rows[:n] == before
-        assert log[n - 1] == log.record(*before[-1]) and log[n:][0] == log[n]
-        assert log[n].time_ns > before[-1][0]
+        assert len(log) > n and list(log)[:n] == before and len(list(log)) == len(log)
+        assert log[n].time_ns > before[-1].time_ns
+
+
+def test_checkpoint_bytes_do_not_grow_with_run_length():
+    """One flow streaming, captured at two lengths: the longer run holds
+    at least twice the shipped samples, in the same number of bytes to
+    within 5 %.  What a checkpoint still carries that grows with a run
+    is the alert history (none here: nothing alerts), the forensics
+    window index (bounded by its retention) and the shipper's books (no
+    shipper here)."""
+    sizes, shipped = [], []
+    for stop_s in (2.0, 5.0):
+        sim, monitor = _streaming_world(histograms_enabled=True, forensics_enabled=True)
+        cp = MonitorControlPlane(sim, monitor, report_sink=Archiver().sink)
+        cp.start()
+        _stream(sim, monitor, 0.01, stop_s)
+        sim.run_until(seconds(stop_s))
+        cp.stop()
+        assert len(cp.flows) == 1 and not cp.alerts.history
+        sizes.append(len(json.dumps(capture_checkpoint(cp))))
+        shipped.append(sum(map(len, cp.flow_samples.values())))
+    assert shipped[1] >= 2 * shipped[0]
+    assert abs(sizes[1] - sizes[0]) < 0.05 * sizes[0], sizes
 
 
 def test_checkpoint_document_is_json_round_trippable():

@@ -22,6 +22,7 @@ from repro.core.control_plane import MonitorControlPlane
 from repro.core.flow_table import slot_of
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
+from repro.perfsonar.archiver import Archiver
 from repro.resilience.checkpoint import (
     _decode_array,
     capture_checkpoint,
@@ -113,10 +114,19 @@ def test_parent_written_checkpoint_restores_and_round_trips():
     sim.run_until(doc["time_ns"])
     monitor = fixture_monitor()
     assert restore_dataplane(monitor.program, doc) == doc["dataplane_digest"]
-    cp = MonitorControlPlane(sim, monitor)
+    cp = MonitorControlPlane(sim, monitor, report_sink=Archiver().sink)
     restore_control_plane(cp, doc)
 
     sec = doc["control_plane"]
+    # The local report archives a v1 document carries are read for their
+    # lengths (the restored tallies) and dropped.
+    archives = sec["archives"]
+    for kind in MetricKind:
+        assert len(cp.flow_samples[kind]) == len(archives["flow_samples"][kind.value])
+    for name in ("jitter_samples", "aggregate_samples", "microbursts", "terminations",
+                 "limiter_reports", "histogram_reports", "forensics_reports"):
+        assert len(getattr(cp, name)) == len(archives[name]), name
+    assert cp.histogram_reports and not list(cp.histogram_reports)
     # Cursors stay parked until start(): the first post-restart tick
     # windows over the true elapsed time.
     for kind in KINDS:
@@ -144,17 +154,23 @@ def test_parent_written_checkpoint_restores_and_round_trips():
         assert cp.last_extraction_ns[kind] == sec["cursors"][kind]
     again = json.loads(json.dumps(capture_checkpoint(cp, seq=doc["seq"])))
     cp.stop()
-    # Same sections, same keys per section; job names under
+    # Same sections, same keys per section but the control plane's
+    # report archives, which became their tallies; job names under
     # control_plane.cursors may only be added.
     assert set(again) == set(doc) - {"digest"}
     for name, section in again.items():
         if isinstance(section, dict):
-            assert set(section) == set(doc[name]), name
+            renamed = {"archives": "tallies"} if name == "control_plane" else {}
+            assert set(section) == {renamed.get(k, k) for k in doc[name]}, name
     cursors = again["control_plane"].pop("cursors")
     assert set(cursors) >= set(sec["cursors"])
     assert {k: cursors[k] for k in sec["cursors"]} == sec["cursors"]
+    tallies = {t: n for t, n in cp.tallies.items() if n}
+    assert sum(tallies.values()) == sum(map(len, archives["flow_samples"].values())) + sum(
+        len(v) for k, v in archives.items() if k != "flow_samples")
     expected = dict(doc, control_plane={
-        k: v for k, v in sec.items() if k != "cursors"})
+        **{k: v for k, v in sec.items() if k not in ("cursors", "archives")},
+        "tallies": tallies})
     del expected["digest"]
     assert again == expected
 
@@ -183,7 +199,7 @@ def test_v1_flows_restore_their_reversed_slot_by_the_flow_table_rule(
     sim.run_until(doc["time_ns"])
     monitor = make_monitor()
     assert restore_dataplane(monitor.program, doc) == doc["dataplane_digest"]
-    cp = MonitorControlPlane(sim, monitor)
+    cp = MonitorControlPlane(sim, monitor, report_sink=Archiver().sink)
     restore_control_plane(cp, doc)
     slots = monitor.config.flow_slots
     assert {f.flow_id: f.rslot for f in cp.flows.values()} == {

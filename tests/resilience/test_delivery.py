@@ -254,3 +254,31 @@ def test_dedup_prunes_once_per_window_not_on_every_record():
 def test_dedup_rejects_bad_window():
     with pytest.raises(ValueError):
         SequenceDedup(window=0)
+
+
+def test_a_control_plane_behind_a_shipper_reads_its_archive():
+    """The control plane finds its archive through the shipper and the
+    transport in front of it (``ResilientShipper`` -> ``FaultyTransport``
+    -> ``Archiver.sink``), and its report streams iterate it."""
+    from repro.core.config import MetricKind
+    from repro.core.control_plane import MonitorControlPlane
+    from repro.perfsonar.archiver import Archiver
+
+    from tests.core.helpers import FlowScript, small_monitor
+    from tests.core.test_control_plane import drive_stream
+
+    sim = Simulator()
+    mon = small_monitor(long_flow_bytes=1000)
+    archiver = Archiver()
+    cp = MonitorControlPlane(sim, mon, report_sink=ResilientShipper(
+        sim, FaultyTransport(archiver.sink)))
+    assert cp.archive is archiver
+    cp.start()
+    drive_stream(sim, FlowScript(mon), 500_000, 2.0)
+    sim.run_until(seconds(2))
+    samples = list(cp.flow_samples[MetricKind.THROUGHPUT])
+    assert len(samples) == len(cp.flow_samples[MetricKind.THROUGHPUT]) > 1
+    assert [s.value for s in samples] == [
+        doc["value"] for doc in archiver.documents("p4_throughput")]
+    assert list(cp.aggregate_samples) and len(list(cp.limiter_reports)) == len(
+        cp.limiter_reports)

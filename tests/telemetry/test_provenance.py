@@ -15,6 +15,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, make_ack_packet, make_data_packet
 from repro.netsim.tap import MirrorCopy, TapDirection
 from repro.netsim.units import millis, seconds
+from repro.perfsonar.archiver import Archiver
 from repro.telemetry import provenance
 from repro.telemetry.provenance import FrozenWindow, ProvenanceTracer, TraceEvent
 from repro.telemetry.traceviz import (
@@ -170,7 +171,7 @@ def test_microburst_digest_freezes_the_fine_window():
     provenance.enable()
     sim = Simulator()
     mon = small_monitor()
-    cp = MonitorControlPlane(sim, mon)
+    cp = MonitorControlPlane(sim, mon, report_sink=Archiver().sink)
     cp.start()
     script = FlowScript(mon)
 

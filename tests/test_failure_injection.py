@@ -10,6 +10,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.tap import OpticalTap
 from repro.netsim.topology import TopologyConfig, build_science_dmz
 from repro.netsim.units import mbps
+from repro.perfsonar.archiver import Archiver
 from repro.tcp.apps import start_transfer
 from repro.tcp.stack import TcpHostStack
 
@@ -26,7 +27,7 @@ def run_with_mirror_loss(loss_rate: float):
     tap = OpticalTap(sim, topo.core_switch, monitor.receive_copy,
                      egress_ports=[topo.bottleneck_port],
                      copy_loss_rate=loss_rate, seed=13)
-    cp = MonitorControlPlane(sim, monitor)
+    cp = MonitorControlPlane(sim, monitor, report_sink=Archiver().sink)
     cp.start()
     cstack = TcpHostStack(sim, topo.internal_dtn, default_mss=cfg.mss)
     sstack = TcpHostStack(sim, topo.external_dtns[0], default_mss=cfg.mss)

@@ -1,11 +1,13 @@
-"""The archive holds what the control plane shipped, record for record,
-and ``compare_paths`` reads it.
+"""The archive holds what the control plane shipped, row for row, and
+``compare_paths`` reads it.
 
-Figures, tables and ablations read a run's archive, not the control
-plane's logs; the two must therefore agree.  On one validation seed with
-histograms, forensics and a threshold alert on, every control-plane log
-equals its archive index read back.  ``compare_paths`` compares the two
-runs' archives, so a corrupted document in any index shows up there.
+The control plane keeps no copy of what it shipped, only a tally per
+Report_v1 type; its report streams are views rebuilding records from
+the archive.  On one validation seed with histograms, forensics and a
+threshold alert on, every index holds as many documents as the control
+plane counted handing over, and every record a view rebuilds writes its
+archived document again.  ``compare_paths`` compares the two runs'
+archives, so a corrupted document in any index shows up there.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ def test_every_log_equals_its_archive_index(run):
     })
     for kind, log in logs.items():
         assert log, f"{kind}: the seed ships none"
+        assert archiver.count(kind) == cp.tallies[kind] == len(log), kind
         assert _archived(archiver, kind) == _shipped(log), kind
     # Threshold alerts and the histogram extractor's change points share
     # one index.
