@@ -14,8 +14,8 @@ Responsibilities, as the paper assigns them:
   §3.3.2 and ``microburst`` digests into nanosecond burst events;
 - ship every record to the report sink (the perfSONAR archiver pipeline).
 
-It keeps no copy of what it shipped: ``tallies`` counts the rows handed
-to the sink per Report_v1 type, and each report stream it exposes
+It keeps no copy of what it shipped: ``tallies`` counts the documents
+handed to the sink per Report_v1 type, and each report stream it exposes
 (``flow_samples[kind]``, ``terminations``, ...) is a
 :class:`~repro.core.reports.ReportView` over the archive the sink ends
 in (``archive``).
@@ -24,8 +24,10 @@ Every periodic extraction — the four metric classes, plus the histogram
 and forensics extractors when the data plane has their externs — is one
 job of ``MonitorControlPlane.schedule`` and runs through the one
 ``_tick`` envelope (docs/architecture.md §3).  A tick ships one block:
-every row its body produces, in emission order, reaches the report sink
-in one call when the body returns.
+each stream its body produces is one :class:`~repro.core.reports.Run`,
+built from the columns the tick already holds (the register sweep, the
+values, the active flows' identities), and every run reaches the report
+sink in one call when the body returns.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro import telemetry
@@ -58,7 +60,7 @@ from repro.core.reports import (
     LimiterVerdict,
     MicroburstEvent,
     ReportView,
-    Row,
+    Run,
     flow_head,
 )
 from repro.core.stats import jain_fairness, link_utilization, throughput_bps
@@ -67,10 +69,15 @@ if TYPE_CHECKING:
     from repro.core.forensics import ForensicsExtractor
     from repro.core.histograms import HistogramExtractor
 
-#: Receives one :class:`~repro.core.reports.Block` per call: a tick's rows,
-#: or a block of one (a digest handler's report; every row while a
+#: Receives one :class:`~repro.core.reports.Block` per call: a tick's runs,
+#: or a run of one (a digest handler's report; every document while a
 #: provenance tracer is bound).
 ReportSink = Callable[[Block], None]
+
+#: The per-flow positions of a FlowSample / LimiterReport run: the flow's
+#: identity, then what the tick read.
+_SAMPLE_COLS = (2, 3, 4, 5, 6, 7)
+_LIMITER_COLS = (2, 3, 4, 5, 6, 7, 8, 9)
 
 
 @dataclass
@@ -132,16 +139,20 @@ class MonitorControlPlane:
         self.config = config or monitor.config
         self.runtime = monitor.runtime()
         self.report_sink = report_sink
-        # Where report rows go right now: into the open tick's block, or
+        # Where report runs go right now: into the open tick's block, or
         # each shipped alone (outside a tick, or under a tracer).
-        self._put: Optional[Callable[[Iterable[Row]], None]] = self._send_each
+        self._put: Optional[Callable[[Iterable[Run]], None]] = self._send_each
+        # The active flows of the last tick and their identity columns
+        # (``TrackedFlow.head``, transposed), shared by every run built
+        # over the same flows.
+        self._heads: tuple = ([], ((),) * 5)
 
         self.flows: Dict[int, TrackedFlow] = {}
         self.alerts = AlertManager(self.config, sink=self._ship)
         self.limiter = LimiterClassifier(self.config)
 
-        #: Rows handed to the report sink, per Report_v1 type (0 with no
-        #: sink; a row suppressed while degraded is not counted).
+        #: Documents handed to the report sink, per Report_v1 type (0 with
+        #: no sink; one suppressed while degraded is not counted).
         self.tallies: Counter = Counter()
         # The report streams, read back from the archive (no copy kept).
         view = partial(ReportView, self)
@@ -370,10 +381,11 @@ class MonitorControlPlane:
         self._arm(job)
 
     def _run_body(self, job: _Job) -> None:
-        """One job body, its report rows collected in one block that
+        """One job body, its report runs collected in one block that
         ships in one call when the body returns.  A bound tracer ships
-        each row as it comes instead, so the report context still opens
-        right after the extraction behind that row."""
+        each document as it comes instead, as a run of one, so the
+        report context still opens right after the extraction behind
+        that document."""
         block = Block()
         if self.report_sink is None:
             self._put = None
@@ -621,16 +633,13 @@ class MonitorControlPlane:
             # Clamped: regressions observed before the flow claimed its
             # slot can make the raw ratio exceed 100 %.
             values.append(min(100.0, 100.0 * loss_delta / pkt_delta))
-        if self.report_sink is not None:
-            self.tallies["p4_limiter"] += len(flows)
-        stamp = now / NS_PER_S
-        rows = [(LIMITER_KEYS, ("p4_limiter", stamp, fid, src, dst, verdict._value_,
-                                flight, cv, loss, rwnd))
-                for (fid, src, dst, _, _), verdict, flight, cv, loss, rwnd in zip(
-                    [f.head for f in flows], verdicts, mean_flights, flight_cvs, lost, rwnd_col)]
+        limiter = (LIMITER_KEYS, (
+            "p4_limiter", now / NS_PER_S, *self._head_columns(flows)[:3],
+            [verdict._value_ for verdict in verdicts], mean_flights, flight_cvs, lost,
+            rwnd_col), _LIMITER_COLS, None)
         self._put_samples(MetricKind.PACKET_LOSS, flows, values,
                           (("pkt_loss", slots, loss_col), ("flow_pkts", slots, pkts_col)),
-                          rows, (("flow_rwnd", slots, rwnd_col),))
+                          limiter, (("flow_rwnd", slots, rwnd_col),))
 
     def _tick_rtt(self) -> None:
         kind = MetricKind.RTT
@@ -655,7 +664,7 @@ class MonitorControlPlane:
             values.append(rtt_ms)
             jitters.append(jitter)
         self._put_samples(kind, flows, values, (("rtt", rslots, rtt_col),),
-                          self._rows("jitter", boosted, flows, jitters))
+                          self._stream("jitter", boosted, flows, jitters))
 
     def _tick_queue(self) -> None:
         max_delay = self.config.max_queue_delay_ns()
@@ -674,66 +683,80 @@ class MonitorControlPlane:
 
     def _put_samples(self, kind: MetricKind, flows: List[TrackedFlow],
                      values: List[Optional[float]], reads: tuple,
-                     then: Optional[List[Optional[Row]]] = None,
-                     then_reads: tuple = ()) -> None:
+                     then: Optional[tuple] = None, then_reads: tuple = ()) -> None:
         """The one way a tick emits samples: ``values[i]`` (``None``: none)
         is ``flows[i]``'s, read from ``reads`` (``(name, indices, cells)``
-        columns).  They become a row each, each row followed by the alert
-        rows its check raised or cleared, then by the flow's row in
-        ``then`` (jitter or limiter).  Degraded mode counts rows as
-        suppressed, off the tallies.  A tracer notes each flow's reads
-        (``then_reads`` before its ``then`` row) ahead of its rows."""
-        now, trace, sink = self.sim.now, self._trace, self._put
-        rows = self._rows(kind.value, self.alerts.metric_boosted(kind), flows, values)
+        columns).  They become one run, followed by the alert runs their
+        checks raised or cleared, then by the run of ``then``, a second
+        stream over the same flows (jitter or limiter, as :meth:`_stream`
+        describes one).  Degraded mode counts their documents as
+        suppressed, off the tallies.  A tracer instead ships each flow's
+        documents alone, in flow order — its reads noted first, its
+        sample, its alerts, ``then_reads`` noted, its ``then``
+        document."""
+        now, trace = self.sim.now, self._trace
+        sample = self._stream(kind.value, self.alerts.metric_boosted(kind), flows, values)
+        streams = (sample,) if then is None else (then, sample)
+        counts = {spec[1][0]: len(flows) if spec[3] is None else
+                  len(flows) - spec[3].count(None) for spec in streams}
+        if self.report_sink is not None:
+            self.tallies.update(counts)
+        put = self._put
+        if self.degraded:
+            limiter = counts.get("p4_limiter", 0)
+            self._suppress("FlowSample", sum(counts.values()) - limiter)
+            self._suppress("LimiterReport", limiter)
+            if self.report_sink is not None:
+                self.tallies.subtract(counts)
+            put = None
         mc = self.config.metric(kind)
         alerting = mc.alert_enabled and mc.alert_threshold is not None
-        # Flow i's sample row sits at seq[step * i], its row in ``then`` next.
-        step = 1 if then is None else 2
-        seq = rows if then is None else list(chain.from_iterable(zip(rows, then)))
-        start = 0
-
-        def put(end: int) -> None:
-            nonlocal start
-            part, start = filter(None, seq[start:end]), end
-            if self.degraded:
-                types = Counter(values[0] for _, values in part)
-                limiter = types["p4_limiter"]
-                self._suppress("FlowSample", sum(types.values()) - limiter)
-                self._suppress("LimiterReport", limiter)
-                if self.report_sink is not None:
-                    self.tallies.subtract(types)
-            elif sink is not None:
-                sink(part)
-
-        # An alerting class stops after each sample for its check, a
-        # tracer at every flow for its reads.
-        stops = (range(len(flows)) if trace is not None else
-                 [i for i, v in enumerate(values) if v is not None] if alerting else ())
-        for i in stops:
-            if trace is not None:
-                put(step * i)
-                for name, indices, cells in reads:
-                    trace.control_read(name, indices[i], now, value=cells[i],
-                                       flow_id=flows[i].flow_id)
-            put(step * i + 1)
-            if values[i] is not None and alerting:
-                self.alerts.check(kind, flows[i].flow_id, values[i], now)
-            for name, indices, cells in then_reads if trace is not None else ():
+        if trace is None:
+            if put is not None:
+                put(_tick_runs(sample))
+            if alerting:
+                for flow, value in zip(flows, values):
+                    if value is not None:
+                        self.alerts.check(kind, flow.flow_id, value, now)
+            if put is not None and then is not None:
+                put(_tick_runs(then))
+            return
+        for i, flow in enumerate(flows):
+            for name, indices, cells in reads:
                 trace.control_read(name, indices[i], now, value=cells[i],
-                                   flow_id=flows[i].flow_id)
-        put(len(seq))
+                                   flow_id=flow.flow_id)
+            if values[i] is not None:
+                if put is not None:
+                    put((_one_of(sample, i),))
+                if alerting:
+                    self.alerts.check(kind, flow.flow_id, values[i], now)
+            for name, indices, cells in then_reads:
+                trace.control_read(name, indices[i], now, value=cells[i],
+                                   flow_id=flow.flow_id)
+            if then is not None and (then[3] is None or then[3][i] is not None) \
+                    and put is not None:
+                put((_one_of(then, i),))
 
-    def _rows(self, metric: str, boosted: bool, flows: List[TrackedFlow],
-              values: List[Optional[float]]) -> List[Optional[Row]]:
-        """One tick's samples of one stream (``values[i]`` on
-        ``flows[i]``; ``None``: none), tallied as one chunk; returns
-        their Report_v1 rows over ``flows`` (``None`` where no sample)."""
-        doc_type, stamp = "p4_" + metric, self.sim.now / NS_PER_S
-        if self.report_sink is not None:
-            self.tallies[doc_type] += len(values) - values.count(None)
-        return [None if value is None else
-                (FLOW_SAMPLE_KEYS, (doc_type, stamp, fid, src, dst, sport, dport, value, boosted))
-                for (fid, src, dst, sport, dport), value in zip([f.head for f in flows], values)]
+    def _stream(self, metric: str, boosted: bool, flows: List[TrackedFlow],
+                values: List[Optional[float]]) -> tuple:
+        """One tick's samples of one stream (``values[i]`` on ``flows[i]``;
+        ``None``: none) as ``(keys, values, cols, present)``: the run's
+        fields over every flow, its column positions, and the list whose
+        ``None``s mark the flows without a document (``None``: none
+        lacks one)."""
+        return (FLOW_SAMPLE_KEYS, ("p4_" + metric, self.sim.now / NS_PER_S,
+                                   *self._head_columns(flows), values, boosted),
+                _SAMPLE_COLS, values)
+
+    def _head_columns(self, flows: List[TrackedFlow]) -> tuple:
+        """The flows' identities as five columns (flow_id, the dotted
+        quads, the ports), rebuilt only when the active set changed:
+        every run of a tick, and of every tick until then, shares them."""
+        last, columns = self._heads
+        if flows != last:
+            columns = tuple(map(tuple, zip(*[f.head for f in flows]))) or ((),) * 5
+            self._heads = (flows, columns)
+        return columns
 
     def _retire(self, flow: TrackedFlow) -> None:
         """The flow left the active set (FIN/RST or idle eviction).  No
@@ -753,14 +776,15 @@ class MonitorControlPlane:
         return sum(self.suppressed.values())
 
     def _ship(self, report) -> None:
-        """Put one report's row (a report of :mod:`repro.core.reports`)."""
+        """Put one report's run of one (a report of
+        :mod:`repro.core.reports`)."""
         if self.degraded and isinstance(report, (FlowSample, LimiterReport)):
             self._suppress(type(report).__name__)
         elif self._put is not None:
-            row = report.row()
+            run = report.run()
             if self.report_sink is not None:
-                self.tallies[row[1][0]] += 1
-            self._put((row,))
+                self.tallies[run.values[0]] += 1
+            self._put((run,))
 
     def _suppress(self, name: str, count: int = 1) -> None:
         """Degraded mode: per-flow detail collapses to the aggregate
@@ -768,24 +792,24 @@ class MonitorControlPlane:
         path proves healthy again.  Counted by report type."""
         self.suppressed[name] = self.suppressed.get(name, 0) + count
 
-    def _send_each(self, rows: Iterable[Row]) -> None:
+    def _send_each(self, runs: Iterable[Run]) -> None:
         if self.report_sink is not None:
-            for row in rows:
-                self._send(Block((row,)))
+            for run in runs:
+                self._send(Block((run,)))
 
     def _send(self, block: Block) -> None:
-        """The one ``report_sink`` site.  Every Report_v1 row leads with
-        its type."""
+        """The one ``report_sink`` site.  Every Report_v1 run leads with
+        its type, which all its documents share."""
         if self._tel_reports is not None:
-            for _, values in block:
-                self._tel_reports.labels(values[0]).inc()
+            for run in block:
+                self._tel_reports.labels(run.values[0]).inc(run.n)
         trace = self._trace
         if trace is not None:
-            # Report context (a tracer ships blocks of one): downstream
+            # Report context (a tracer ships runs of one): downstream
             # (Logstash, archiver) events attach to the packet behind
             # the latest extraction.
             trace.begin_report(self.sim.now)
-            trace.report_event("control-plane", "ship", block[0][1][0])
+            trace.report_event("control-plane", "ship", block[0].values[0])
         try:
             self.report_sink(block)
         finally:
@@ -816,3 +840,25 @@ class MonitorControlPlane:
                     and flow.src_port == src_port and flow.dst_port == dst_port):
                 return flow
         return None
+
+
+def _tick_runs(stream: tuple) -> List[Run]:
+    """A stream of :meth:`MonitorControlPlane._stream` as one run (none
+    when no flow has a document): its columns as the tick built them, or
+    compressed to the flows that have a document."""
+    keys, values, cols, present = stream
+    n = len(values[cols[0]])
+    if present is not None:
+        keep = [v is not None for v in present]
+        kept = sum(keep)
+        if kept < n:
+            values = tuple(list(compress(v, keep)) if p in cols else v
+                           for p, v in enumerate(values))
+            n = kept
+    return [Run(keys, values, cols, n)] if n else []
+
+
+def _one_of(stream: tuple, i: int) -> Run:
+    """Flow ``i``'s document of a stream, as a run of one."""
+    keys, values, cols, _ = stream
+    return Run(keys, tuple(v[i] if p in cols else v for p, v in enumerate(values)))

@@ -1,20 +1,23 @@
 """Report structures (the 'Report_v1' of Fig. 7).
 
 The control plane restructures raw register reads into these records and
-ships them to the archiver pipeline as **rows**: a document is a
-``(keys, values)`` pair — its key tuple, interned (one module constant
-per fixed schema), and a value tuple in the same order with every
-top-level list stored as a tuple.  JSON has no tuples, so a row is
-lossless for every document this system ships.  A report sink receives
-a :class:`Block`: a list of rows in emission order, mixed schemas in one
-list, plus one **tail** — the fields every row's document ends with,
-carried once per block.  The control plane ships an empty tail; the
-shipper's envelope and Logstash's Report_v2 metadata are appended to
-it, once per block, and the archive keeps one copy of it per block.
-Each document's field list is defined once, here: a key tuple plus a
-row builder; ``to_document()`` is ``dict(zip(*row))``, and
-``from_document()`` the way back.  What the control plane shipped is
-read back from the archive through a :class:`ReportView`.
+ships them to the archiver pipeline as **runs**: a :class:`Run` is ``n``
+documents of one schema, stored column-stride — one column per field
+that varies across them, and each field they all share held once, with
+every top-level list stored as a tuple (JSON has no tuples, so a run is
+lossless for every document this system ships).  A tick's stream is one
+run, built from the columns the tick already holds (the register sweep,
+its values, the active flows); a lone document is a run of one.  A
+report sink receives a :class:`Block`: runs in emission order, mixed
+schemas in one list, plus one **tail** — the fields every document of
+the block ends with, carried once per block.  The control plane ships an
+empty tail; the shipper's envelope and Logstash's Report_v2 metadata are
+appended to it, once per block, and the archive keeps each run as a
+segment beside one copy of its block's tail.  Each report's field list
+is defined once, here: a key tuple plus a run builder (``run()``, a run
+of one); ``to_document()`` is its document, and ``from_document()`` /
+``from_columns()`` the way back.  What the control plane shipped is read
+back from the archive's columns through a :class:`ReportView`.
 """
 
 from __future__ import annotations
@@ -22,45 +25,119 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import compress, repeat
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.netsim.packet import int_to_ip, ip_to_int
 from repro.netsim.units import NS_PER_S
 
 
-#: One document: its interned key tuple and the value tuple beside it.
+#: The fields every document of a block ends with: a key tuple and the
+#: value tuple beside it (the one ``(keys, values)`` pair kept per block).
 Row = Tuple[tuple, tuple]
-#: The tail of a block whose documents are its rows.
+#: The tail of a block that adds no field.
 NO_TAIL: Row = ((), ())
+#: What a column read holds for a document that lacks the field.
+MISSING = object()
+
+
+class Run:
+    """``n`` documents of one schema, column-stride.  ``keys`` are their
+    field names in document order (interned: the builders' constants
+    are); ``values`` is aligned with ``keys`` and holds, at each position
+    in ``cols``, that field's column (a sequence of ``n`` values), and at
+    every other position the one value all ``n`` documents share.  A run
+    of one is a document's ``keys`` and value tuple with no column.  A
+    run is never changed once built: a layer that changes documents
+    builds a new run, which may share the old one's columns."""
+
+    __slots__ = ("keys", "values", "cols", "n")
+
+    def __init__(self, keys: tuple, values: tuple, cols: tuple = (), n: int = 1) -> None:
+        self.keys, self.values, self.cols, self.n = keys, values, cols, n
+
+    def at(self, name: str) -> Optional[int]:
+        """``name``'s position in ``keys``, or ``None``."""
+        keys = self.keys
+        return keys.index(name) if name in keys else None
+
+    def column(self, name: str, default: Any = None, tail: Row = NO_TAIL) -> list:
+        """``document.get(name, default)`` of each document, read off
+        the run and then off the tail of its block."""
+        p = self.at(name)
+        if p is not None:
+            values = self.values[p]
+            return list(values) if p in self.cols else [values] * self.n
+        keys, values = tail
+        return [values[keys.index(name)] if name in keys else default] * self.n
+
+    def rows(self) -> List[tuple]:
+        """Each document's value tuple (what JSON is written from)."""
+        n, cols = self.n, self.cols
+        if not cols:
+            return [self.values] * n
+        return list(zip(*(v if p in cols else repeat(v, n) for p, v in enumerate(self.values))))
+
+    def select(self, keep: Sequence[bool]) -> Optional["Run"]:
+        """The documents whose ``keep`` is true, as a run (``None``: none)."""
+        n = sum(keep)
+        if n == self.n:
+            return self
+        if not n:
+            return None
+        cols = self.cols
+        return Run(self.keys, tuple(list(compress(v, keep)) if p in cols else v
+                                    for p, v in enumerate(self.values)), cols, n)
+
+    def sliced(self, start: int) -> "Run":
+        """The documents from ``start`` on."""
+        cols = self.cols
+        return Run(self.keys, tuple(v[start:] if p in cols else v
+                                    for p, v in enumerate(self.values)),
+                   cols, self.n - start)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Run):
+            return NotImplemented
+        return self.keys == other.keys and self.rows() == other.rows()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Run({self.keys!r}, n={self.n})"
 
 
 class Block(list):
-    """What a report sink receives: rows in emission order, and the
-    ``tail`` every row's document ends with — a row's document is
-    ``dict(zip(keys + tail_keys, values + tail_values))``.  A tail's
-    keys are none of its rows' keys.  A layer that adds a field every
-    document shares sets it in a new block's tail, once: the rows, and
-    the caller's block, are never copied per row.  A plain list of rows
-    is taken, where a block enters from outside, as a block with an
-    empty tail (:meth:`of`)."""
+    """What a report sink receives: runs in emission order, and the
+    ``tail`` every document ends with — a document is its run's fields
+    followed by the tail's.  A tail's keys are none of its runs' keys.
+    A layer that adds a field every document shares sets it in a new
+    block's tail, once: the runs, and the caller's block, are never
+    copied per document.  A plain list of runs is taken, where a block
+    enters from outside, as a block with an empty tail (:meth:`of`)."""
 
     __slots__ = ("tail",)
 
-    def __init__(self, rows: Iterable[Row] = (), tail: Row = NO_TAIL) -> None:
-        super().__init__(rows)
+    def __init__(self, runs: Iterable[Run] = (), tail: Row = NO_TAIL) -> None:
+        super().__init__(runs)
         self.tail = tail
 
     @classmethod
-    def of(cls, rows: Iterable[Row]) -> "Block":
-        return rows if type(rows) is cls else cls(rows)
+    def of(cls, runs: Iterable[Run]) -> "Block":
+        return runs if type(runs) is cls else cls(runs)
+
+    @property
+    def size(self) -> int:
+        """How many documents the block carries."""
+        return sum(run.n for run in self)
 
     def folded(self) -> List[Row]:
-        """The rows with the tail appended to each: the documents as rows
-        (what JSON, which has no tail, is written from)."""
-        keys, values = self.tail
-        if not keys:
-            return list(self)
-        return [(k + keys, v + values) for k, v in self]
+        """Each document as a ``(keys, values)`` pair, the tail appended:
+        what JSON, which has no runs and no tail, is written from."""
+        tail_keys, tail_values = self.tail
+        return [(run.keys + tail_keys, values + tail_values)
+                for run in self for values in run.rows()]
 
     def documents(self) -> List[dict]:
         return [dict(zip(*row)) for row in self.folded()]
@@ -82,51 +159,77 @@ class Learned(dict):
         return value
 
 
-def document_row(document: dict) -> Row:
-    """A JSON-style dict as a row (the one-document entries: a socket
-    line, ``OpenSearchStore.index``)."""
-    return tuple(document), tuple(tuple(v) if type(v) is list else v
-                                  for v in document.values())
+def document_run(document: dict) -> Run:
+    """A JSON-style dict as a run of one (the one-document entries: a
+    socket line, a pscheduler result, ``OpenSearchStore.index``)."""
+    return Run(tuple(document), tuple(tuple(v) if type(v) is list else v
+                                      for v in document.values()))
 
 
-def _with_optional(keys: tuple, values: tuple, optional: tuple) -> Row:
-    """A row whose trailing ``(key, value)`` fields are present only
-    when the value is not ``None``."""
+def _with_optional(keys: tuple, values: tuple, optional: tuple) -> Run:
+    """A run of one whose trailing ``(key, value)`` fields are present
+    only when the value is not ``None``."""
     present = [(k, v) for k, v in optional if v is not None]
     if not present:
-        return keys, values
+        return Run(keys, values)
     keys = keys + tuple(k for k, _ in present)
-    return _interned.setdefault(keys, keys), values + tuple(v for _, v in present)
+    return Run(_interned.setdefault(keys, keys), values + tuple(v for _, v in present))
 
 
 class _Document:
-    """What every report shares: its Report_v1 dict is its row's, and
-    ``from_document`` rebuilds it from that dict as the archive hands it
-    back."""
+    """What every report shares: its Report_v1 document is its run of
+    one's, and ``from_document`` / ``from_columns`` rebuild it from what
+    the archive hands back."""
 
-    def row(self) -> Row:
+    def run(self) -> Run:
         raise NotImplementedError
 
     def to_document(self) -> dict:
-        return dict(zip(*self.row()))
+        run = self.run()
+        return dict(zip(run.keys, run.values))
+
+    @classmethod
+    def _sources(cls) -> Tuple[Tuple[str, str, Optional[Callable]], ...]:
+        """Per field: its name, its document key and the way back from
+        the document's value (``None``: the value itself)."""
+        return _field_sources(cls)
 
     @classmethod
     def from_document(cls, doc: dict) -> "_Document":
         """Each field from its document key, converted back where the
-        row converted it (``_FROM_DOC``); a field the document lacks
-        keeps its default."""
-        kwargs = {}
-        for name in _field_names(cls):
-            key = _DOC_KEYS.get(name, name)
-            if key in doc:
-                convert = _FROM_DOC.get(name)
-                kwargs[name] = doc[key] if convert is None else convert(doc[key])
-        return cls(**kwargs)
+        run converted it; a field the document lacks keeps its default."""
+        return cls(**{name: doc[key] if convert is None else convert(doc[key])
+                      for name, key, convert in cls._sources() if key in doc})
+
+    @classmethod
+    def from_columns(cls, read: Callable[[Sequence[str]], List[list]]) -> Iterator:
+        """The records of a column read: ``read(keys)`` returns one list
+        per key, :data:`MISSING` where a document lacks it.  Where no
+        document lacks a field, the records are built column-wise."""
+        sources = cls._sources()
+        columns = read(tuple(key for _, key, _ in sources))
+        if not any(MISSING in column for column in columns):
+            return map(cls, *(column if convert is None else _converted(column, convert)
+                              for (_, _, convert), column in zip(sources, columns)))
+        keys = [key for _, key, _ in sources]
+        return (cls.from_document({k: v for k, v in zip(keys, values) if v is not MISSING})
+                for values in zip(*columns))
+
+
+def _converted(column: list, convert: Callable) -> Iterator:
+    """``map(convert, column)``, converting each distinct value once (a
+    column repeats a tick's time and a flow's addresses)."""
+    try:
+        table = {value: convert(value) for value in dict.fromkeys(column)}
+    except TypeError:        # an unhashable value
+        return map(convert, column)
+    return map(table.__getitem__, column)
 
 
 @cache
-def _field_names(cls: type) -> Tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+def _field_sources(cls: type) -> Tuple[Tuple[str, str, Optional[Callable]], ...]:
+    return tuple((f.name, _DOC_KEYS.get(f.name, f.name), _FROM_DOC.get(f.name))
+                 for f in fields(cls))
 
 
 #: A record field's document key, where it is not the field's name.
@@ -137,9 +240,10 @@ _DOC_KEYS = {"time_ns": "@timestamp", "src_ip": "source_ip", "dst_ip": "destinat
 class ReportView:
     """One report stream of a control plane, which keeps no copy of it
     (docs/architecture.md, "Where a run's reports are kept"): ``len()``
-    is the control plane's tally of the stream's rows handed to its
-    sink; iteration rebuilds ``record``s from the archive that sink ends
-    in, in archive order (none without one); ``[i]`` reads a list."""
+    is the control plane's tally of the stream's documents handed to its
+    sink; iteration rebuilds ``record``s from the columns of the archive
+    that sink ends in, in archive order (none without one); ``[i]``
+    reads a list."""
 
     __slots__ = ("_cp", "type", "record")
 
@@ -151,8 +255,9 @@ class ReportView:
 
     def __iter__(self) -> Iterator:
         archive = self._cp.archive
-        docs = () if archive is None else archive.documents(self.type)
-        return map(self.record.from_document, docs)
+        if archive is None:
+            return iter(())
+        return self.record.from_columns(lambda keys: archive.columns(self.type, keys))
 
     def __getitem__(self, item):
         return list(self)[item]
@@ -175,7 +280,7 @@ class LimiterVerdict(Enum):
         return self in (LimiterVerdict.SENDER_LIMITED, LimiterVerdict.RECEIVER_LIMITED)
 
 
-#: The way back from a document value the row converted.
+#: The way back from a document value the run converted.
 _FROM_DOC = {"time_ns": lambda t: round(t * NS_PER_S), "src_ip": ip_to_int,
              "dst_ip": ip_to_int, "verdict": LimiterVerdict}
 
@@ -194,15 +299,21 @@ class FlowSample(_Document):
     value: float                # metric units: bps / % / ms / %
     boosted: bool = False
 
-    def row(self) -> Row:
-        return FLOW_SAMPLE_KEYS, (
+    def run(self) -> Run:
+        return Run(FLOW_SAMPLE_KEYS, (
             f"p4_{self.metric}", self.time_ns / NS_PER_S,
             *flow_head(self.flow_id, self.src_ip, self.dst_ip),
-            self.src_port, self.dst_port, self.value, self.boosted)
+            self.src_port, self.dst_port, self.value, self.boosted))
 
     @classmethod
-    def from_document(cls, doc: dict) -> "FlowSample":
-        return super().from_document({**doc, "metric": doc["type"][len("p4_"):]})
+    def _sources(cls) -> Tuple[Tuple[str, str, Optional[Callable]], ...]:
+        # ``metric`` is the document's type without its ``p4_``.
+        return tuple((name, "type", _metric_of) if name == "metric" else (name, key, convert)
+                     for name, key, convert in _field_sources(cls))
+
+
+def _metric_of(doc_type: str) -> str:
+    return doc_type[len("p4_"):]
 
 
 FLOW_SAMPLE_KEYS = ("type", "@timestamp", "flow_id", "source_ip",
@@ -231,11 +342,11 @@ class AggregateSample(_Document):
     KEYS = ("type", "@timestamp", "link_utilization", "jain_fairness",
             "active_flows", "total_bytes", "total_packets")
 
-    def row(self) -> Row:
-        return self.KEYS, ("p4_aggregate", self.time_ns / NS_PER_S,
-                           self.link_utilization, self.jain_fairness,
-                           self.active_flows, self.total_bytes,
-                           self.total_packets)
+    def run(self) -> Run:
+        return Run(self.KEYS, ("p4_aggregate", self.time_ns / NS_PER_S,
+                               self.link_utilization, self.jain_fairness,
+                               self.active_flows, self.total_bytes,
+                               self.total_packets))
 
 
 @dataclass
@@ -252,11 +363,11 @@ class MicroburstEvent(_Document):
     KEYS = ("type", "@timestamp", "start_ns", "duration_ns",
             "peak_queue_delay_ns", "peak_occupancy", "packets", "port_id")
 
-    def row(self) -> Row:
-        return self.KEYS, ("p4_microburst", self.start_ns / NS_PER_S,
-                           self.start_ns, self.duration_ns,
-                           self.peak_queue_delay_ns, self.peak_occupancy,
-                           self.packets, self.port_id)
+    def run(self) -> Run:
+        return Run(self.KEYS, ("p4_microburst", self.start_ns / NS_PER_S,
+                               self.start_ns, self.duration_ns,
+                               self.peak_queue_delay_ns, self.peak_occupancy,
+                               self.packets, self.port_id))
 
 
 @dataclass
@@ -296,13 +407,13 @@ class FlowTerminationReport(_Document):
             "duration_s", "total_packets", "total_bytes",
             "avg_throughput_bps", "retransmissions", "retransmission_pct")
 
-    def row(self) -> Row:
-        return self.KEYS, (
+    def run(self) -> Run:
+        return Run(self.KEYS, (
             "p4_flow_termination", self.end_ns / NS_PER_S,
             *flow_head(self.flow_id, self.src_ip, self.dst_ip),
             self.src_port, self.dst_port, self.start_ns, self.end_ns, self.duration_ns / NS_PER_S,
             self.total_packets, self.total_bytes, self.avg_throughput_bps,
-            self.retransmissions, self.retransmission_pct)
+            self.retransmissions, self.retransmission_pct))
 
 
 @dataclass
@@ -319,10 +430,10 @@ class Alert(_Document):
     KEYS = ("type", "@timestamp", "metric", "flow_id", "value", "threshold",
             "event")
 
-    def row(self) -> Row:
-        return self.KEYS, ("p4_alert", self.time_ns / NS_PER_S, self.metric,
-                           self.flow_id, self.value, self.threshold,
-                           "cleared" if self.cleared else "raised")
+    def run(self) -> Run:
+        return Run(self.KEYS, ("p4_alert", self.time_ns / NS_PER_S, self.metric,
+                               self.flow_id, self.value, self.threshold,
+                               "cleared" if self.cleared else "raised"))
 
 
 @dataclass
@@ -354,7 +465,7 @@ class HistogramReport(_Document):
     KEYS = ("type", "@timestamp", "metric", "scope", "edges_ns", "counts",
             "count", "window_count", "p50_ms", "p90_ms", "p99_ms", "p999_ms")
 
-    def row(self) -> Row:
+    def run(self) -> Run:
         return _with_optional(self.KEYS, (
             "repro-histogram-v1", self.time_ns / NS_PER_S, self.metric,
             self.scope, tuple(self.edges_ns), tuple(self.counts), self.count,
@@ -397,8 +508,8 @@ class ForensicsReport(_Document):
     KEYS = ("type", "@timestamp", "trigger", "t0_ns", "t1_ns", "level",
             "window_width_ns", "windows", "total_bytes", "culprits")
 
-    def row(self) -> Row:
-        # The row owns its culprit entries: the report keeps its own.
+    def run(self) -> Run:
+        # The run owns its culprit entries: the report keeps its own.
         return _with_optional(self.KEYS, (
             "repro-forensics-v1", self.time_ns / NS_PER_S, self.trigger,
             self.t0_ns, self.t1_ns, self.level, self.window_width_ns,
@@ -422,12 +533,12 @@ class LimiterReport(_Document):
     loss_delta: int
     rwnd_bytes: int
 
-    def row(self) -> Row:
-        return LIMITER_KEYS, (
+    def run(self) -> Run:
+        return Run(LIMITER_KEYS, (
             "p4_limiter", self.time_ns / NS_PER_S,
             *flow_head(self.flow_id, self.src_ip, self.dst_ip),
             self.verdict.value, self.flight_bytes, self.flight_cv,
-            self.loss_delta, self.rwnd_bytes)
+            self.loss_delta, self.rwnd_bytes))
 
 
 LIMITER_KEYS = ("type", "@timestamp", "flow_id", "source_ip",

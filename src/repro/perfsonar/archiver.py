@@ -5,27 +5,27 @@ output plugin) → OpenSearch store.
 
 :meth:`Archiver.sink` is the report sink handed to
 :class:`~repro.core.control_plane.MonitorControlPlane`: it takes one
-:class:`~repro.core.reports.Block` of Report_v1 rows per call, and the
-block stays one list from the TCP input to the store's bulk write; the
-fields its documents share travel beside it as its tail.  The
-query helpers are what a Grafana dashboard would issue against the
-archive.
+:class:`~repro.core.reports.Block` of Report_v1 runs per call, and the
+block stays one list of runs from the TCP input to the store's bulk
+write, each run handled once; the fields its documents share travel
+beside it as its tail.  The query helpers are what a Grafana dashboard
+would issue against the archive.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.telemetry import hooks
-from repro.core.reports import Block
+from repro.core.reports import MISSING, Block
 from repro.perfsonar.logstash import (
     LogstashPipeline,
     OpenSearchOutputPlugin,
     SequenceDedup,
     TcpInputPlugin,
+    doc_types,
     opensearch_metadata_filter,
-    row_field,
 )
 from repro.perfsonar.opensearch import OpenSearchStore
 
@@ -63,7 +63,7 @@ class Archiver:
         ])
 
     def sink(self, block: Block) -> None:
-        """The control-plane report sink: one block of Report_v1 rows (a
+        """The control-plane report sink: one block of Report_v1 runs (a
         plain list is a block with an empty tail)."""
         prof = self._prof
         if prof is not None:
@@ -72,13 +72,12 @@ class Archiver:
             block = Block.of(block)
             tail_keys = block.tail[0]
             if self._trace is not None:
-                for row in block:
-                    self._trace.report_event(
-                        "archiver", "archive", self.index_prefix,
-                        doc_type=row_field(row, "type", tail=block.tail))
+                for doc_type in doc_types(block):
+                    self._trace.report_event("archiver", "archive", self.index_prefix,
+                                             doc_type=doc_type)
             if self._tel_fields is not None:
-                for keys, _ in block:
-                    self._tel_fields.observe(len(keys) + len(tail_keys))
+                for run in block:
+                    self._tel_fields.observe_n(len(run.keys) + len(tail_keys), run.n)
             self.tcp_input.ingest(block)
         finally:
             if prof is not None:
@@ -108,6 +107,12 @@ class Archiver:
 
     def documents(self, kind: str, **terms) -> List[dict]:
         return self.store.search(self._index(kind), term=terms or None)
+
+    def columns(self, kind: str, fields: Sequence[str]) -> List[list]:
+        """``fields`` of every ``kind`` document, one list per field in
+        archive order, :data:`~repro.core.reports.MISSING` where a
+        document lacks one (:meth:`OpenSearchStore.columns`)."""
+        return self.store.columns(self._index(kind), fields, default=MISSING)
 
     def count(self, kind: str) -> int:
         return self.store.count(self._index(kind))

@@ -9,11 +9,13 @@ The control plane's structured reports (Report_v1) enter through the
 (producing Report_v2) or perform perfSONAR's default aggregation; the
 :class:`OpenSearchOutputPlugin` writes to the archive.  As in Logstash,
 filters and outputs run on batches: every stage takes a
-:class:`~repro.core.reports.Block` of ``(keys, values)`` rows — one
-extraction tick's reports — and the output writes it through the store's
-one bulk path.  Report_v1 → Report_v2 is per block: the metadata is
-appended to the block's tail, once, and the rows pass through as they
-came.
+:class:`~repro.core.reports.Block` of runs — one extraction tick's
+reports, a :class:`~repro.core.reports.Run` per stream — and acts once per
+run: the pipeline counts a run's documents, a filter keeps or drops a
+run whole unless the field it reads varies inside it, and the output
+routes a run to its index and writes the block through the store's one
+bulk path.  Report_v1 → Report_v2 is per block: the metadata is appended
+to the block's tail, once, and the runs pass through as they came.
 
 The default perfSONAR 5 behaviour the paper criticises — collapsing a
 test's samples into a single aggregate value — is modelled by
@@ -27,34 +29,31 @@ import json
 import time
 from collections import Counter
 from functools import partial
-from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import telemetry
 from repro.telemetry import hooks
-from repro.core.reports import NO_TAIL, Block, Learned, Row, document_row
+from repro.core.reports import Block, Learned, Row, Run, document_run
 from repro.resilience.faults import BackpressureError
 from repro.perfsonar.opensearch import OpenSearchStore
 
 #: A filter takes a block and returns one: its input, or a new
-#: :class:`Block` — the rows it keeps, and its input's tail or a longer
-#: one.  It never mutates its argument: the pipeline makes no defensive
-#: copy, and a shipper may offer the same block again on a retry.
+#: :class:`Block` — the runs it keeps (whole, or the documents it keeps
+#: of them), and its input's tail or a longer one.  It never mutates its
+#: argument: the pipeline makes no defensive copy, and a shipper may
+#: offer the same block again on a retry.
 FilterFn = Callable[[Block], Block]
 
 
-def row_field(row: Row, name: str, default: Any = None, tail: Row = NO_TAIL) -> Any:
-    """``document.get(name, default)``, read off a row and then off the
-    tail of its block."""
-    for keys, values in (row, tail):
-        if name in keys:
-            return values[keys.index(name)]
-    return default
+def doc_types(block: Block) -> List[Any]:
+    """Each document's ``type``, in block order (what a tracer's
+    per-report events name)."""
+    return [t for run in block for t in run.column("type", tail=block.tail)]
 
 
 class LogstashPipeline:
-    """inputs → filters (in order; a filter drops rows by leaving them
-    out) → outputs, one block at a time."""
+    """inputs → filters (in order; a filter drops documents by leaving
+    them out) → outputs, one block at a time."""
 
     def __init__(self, name: str = "perfsonar") -> None:
         self.name = name
@@ -92,30 +91,29 @@ class LogstashPipeline:
             prof.begin("logstash.process")
         try:
             block = Block.of(block)
-            events = len(block)
+            events = block.size
             self.events_in += events
             filter_ns = self._tel_filter_ns
             t0 = time.perf_counter_ns() if filter_ns is not None else 0
-            rows = block
+            runs = block
             for fn in self.filters:
-                rows = fn(rows)
-            dropped = events - len(rows)
-            self.events_dropped += dropped
+                runs = fn(runs)
+            kept = runs.size
+            self.events_dropped += events - kept
             trace = self._trace
             if trace is not None:
-                # A tracer's report context covers one row (the control
-                # plane ships blocks of one while it is bound).
-                kind, seen = ("logstash-ship", rows) if rows else ("logstash-drop", block)
-                for row in seen:
-                    trace.report_event("archiver", kind, self.name,
-                                       doc_type=row_field(row, "type", tail=seen.tail))
+                # A tracer's report context covers one document (the
+                # control plane ships runs of one while it is bound).
+                kind, seen = ("logstash-ship", runs) if runs else ("logstash-drop", block)
+                for doc_type in doc_types(seen):
+                    trace.report_event("archiver", kind, self.name, doc_type=doc_type)
             if filter_ns is not None:
                 filter_ns.observe(time.perf_counter_ns() - t0)
-            if rows:
-                self.events_out += len(rows)
+            if runs:
+                self.events_out += kept
                 for out in self.outputs:
-                    out(rows)
-            return rows
+                    out(runs)
+            return runs
         finally:
             if prof is not None:
                 prof.end()
@@ -125,7 +123,7 @@ class TcpInputPlugin:
     """The TCP input plugin the proposed system uses to connect the
     switch control plane to Logstash (§3.3.5).  ``ingest`` models a
     block of newline-delimited JSON messages arriving on the socket
-    (already parsed, one row each); ``ingest_line`` takes one raw line
+    (already parsed, a run of one each); ``ingest_line`` takes one raw line
     and hardens the pipeline against malformed/truncated input: bad
     lines are dropped and counted (``repro_logstash_malformed_total``)
     instead of raising mid-pipeline.
@@ -158,7 +156,7 @@ class TcpInputPlugin:
     def ingest(self, block: Block) -> Block:
         """One block of messages; faults are checked once per block."""
         self._check_stalled()
-        self.messages += len(block)
+        self.messages += Block.of(block).size
         return self.pipeline.process(block)
 
     def ingest_line(self, line: Union[str, bytes]) -> Optional[Block]:
@@ -174,7 +172,7 @@ class TcpInputPlugin:
             self._check_stalled()
             self._drop_malformed("not a JSON object")
             return None
-        return self.ingest(Block((document_row(event),)))
+        return self.ingest(Block((document_run(event),)))
 
     # Callable so it can be handed around as a plain report sink.
     __call__ = ingest
@@ -257,9 +255,10 @@ class SequenceDedup:
 
 
 class OpenSearchOutputPlugin:
-    """Routes each row to an index chosen by its ``type`` field (read off
-    the row, then off the block's tail) and writes the block through the
-    store's one bulk path.
+    """Routes each run to an index chosen by its ``type`` field (read off
+    the run, then off the block's tail; a run whose documents vary in it
+    is split by value first) and writes the block through the store's
+    one bulk path.
 
     When built with a :class:`SequenceDedup` it is idempotent on the
     shipper's ``(_shipper, _seq)`` envelope, which a block carries in its
@@ -285,7 +284,7 @@ class OpenSearchOutputPlugin:
         self.written: Counter = Counter()
         self.duplicates_dropped = 0
         # Learned once each: keys -> index-field position (None: not in
-        # the row), type -> index name.
+        # the run), type -> index name.
         self._index_at: Dict[tuple, Optional[int]] = Learned(partial(_position, index_field))
         self._names: Dict[Any, str] = Learned(partial("{}-{}".format, index_prefix))
         telemetry.reads(self, counters=[
@@ -301,15 +300,25 @@ class OpenSearchOutputPlugin:
     def __call__(self, block: Block) -> None:
         envelope = self._envelope(block.tail)
         if envelope is not None and self.dedup.is_duplicate(*envelope):
-            self.duplicates_dropped += len(block)
+            self.duplicates_dropped += block.size
             return
         index_at, names = self._index_at, self._names
         tail_keys, tail_values = block.tail
         at = _position(self.index_field, tail_keys)
         shared = names[tail_values[at] if at is not None else "unknown"]
-        indices = [names[values[at]] if (at := index_at[keys]) is not None else shared
-                   for keys, values in block]
-        self.written.update(self.store.bulk(indices, block))
+        indices, runs = [], []
+        for run in block:
+            at = index_at[run.keys]
+            if at is not None and at in run.cols:
+                # Documents of several types: a run per type, in order.
+                column = run.values[at]
+                for value in dict.fromkeys(column):
+                    runs.append(run.select([v is value or v == value for v in column]))
+                    indices.append(names[value])
+            else:
+                runs.append(run)
+                indices.append(shared if at is None else names[run.values[at]])
+        self.written.update(self.store.bulk(indices, Block(runs, block.tail)))
         if envelope is not None:
             self.dedup.record(*envelope)
 
@@ -334,36 +343,48 @@ _v2_keys: Dict[tuple, Optional[tuple]] = Learned(
     lambda keys: keys + _METADATA_KEYS if set(_METADATA_KEYS).isdisjoint(keys) else None)
 
 
-def _merged(keys: tuple, values: tuple) -> Row:
-    """The metadata merged into a row that already carries some."""
+def _v2(keys: tuple, values: tuple) -> Run:
+    """One document, its tail folded in, as a Report_v2 run of one: the
+    metadata appended, or merged where it already carries some."""
+    v2 = _v2_keys[keys]
+    if v2 is not None:
+        return Run(v2, values + _METADATA_VALUES)
     doc = dict(zip(keys, values))
     doc.setdefault("@version", _METADATA_VALUES[0])
     doc.setdefault("host", _METADATA_VALUES[1])
     doc["tags"] = (*doc.get("tags", ()), *_METADATA_VALUES[2])
-    return tuple(doc), tuple(doc.values())
+    return Run(tuple(doc), tuple(doc.values()))
 
 
 def opensearch_metadata_filter(block: Block) -> Block:
     """The metadata OpenSearch requires (Report_v1 → Report_v2), appended
-    to the block's tail: O(1) per block, and the rows pass through as
-    they came.  A block in which a row, or the tail, already carries a
+    to the block's tail: O(1) per block, and the runs pass through as
+    they came.  A block in which a run, or the tail, already carries a
     metadata field (a JSON line from outside the program) has its tail
-    folded into its rows instead, and the metadata merged into each."""
+    folded into its documents instead, and the metadata merged into
+    each."""
     keys, values = block.tail
     v2 = _v2_keys[keys]
-    if v2 is not None and all(map(_v2_keys.__getitem__, map(itemgetter(0), block))):
+    if v2 is not None and all(_v2_keys[run.keys] for run in block):
         return Block(block, (v2, values + _METADATA_VALUES))
-    return Block([(v2, values + _METADATA_VALUES) if (v2 := _v2_keys[keys]) is not None
-                  else _merged(keys, values) for keys, values in block.folded()])
+    return Block([_v2(*row) for row in block.folded()])
 
 
 def make_type_filter(allowed: List[str]) -> FilterFn:
-    """Keep only rows whose ``type`` is in ``allowed``."""
+    """Keep only documents whose ``type`` is in ``allowed``: a run whose
+    documents share their type is kept or dropped whole."""
 
     def fn(block: Block) -> Block:
-        tail = block.tail
-        return Block([row for row in block if row_field(row, "type", tail=tail) in allowed],
-                     tail)
+        out = Block((), block.tail)
+        for run in block:
+            at = run.at("type")
+            if at is not None and at in run.cols:
+                run = run.select([t in allowed for t in run.values[at]])
+            elif run.column("type", tail=block.tail)[0] not in allowed:
+                run = None
+            if run is not None:
+                out.append(run)
+        return out
 
     return fn
 
@@ -392,19 +413,26 @@ class AggregateTestFilter:
 
     def __call__(self, block: Block) -> Block:
         tail = block.tail
-        return Block([self._collapse(row, tail)
-                      if "intervals" in row[0] or "samples_ms" in row[0] else row
-                      for row in block], tail)
+        out = Block((), tail)
+        for run in block:
+            if "intervals" in run.keys or "samples_ms" in run.keys:
+                out += [self._collapse(run.keys, values, tail) for values in run.rows()]
+            else:
+                out.append(run)
+        return out
 
-    def _collapse(self, row: Row, tail: Row) -> Row:
-        event = dict(zip(*row))
-        etype = row_field(row, "type", tail=tail)
+    def _collapse(self, keys: tuple, values: tuple, tail: Row) -> Run:
+        """One test result (pscheduler ships each as a run of one),
+        collapsed."""
+        run = Run(keys, values)
+        event = dict(zip(keys, values))
+        etype = run.column("type", tail=tail)[0]
         if etype == "throughput" and "intervals" in event:
             values = [s["throughput_bps"] for s in event["intervals"]]
             out = {k: v for k, v in event.items() if k != "intervals"}
             out["value"] = sum(values) / len(values) if values else 0.0
             self.collapsed_by_type[etype] += 1
-            return document_row(out)
+            return document_run(out)
         if etype == "rtt" and "samples_ms" in event:
             samples = event["samples_ms"]
             out = {k: v for k, v in event.items() if k != "samples_ms"}
@@ -413,5 +441,5 @@ class AggregateTestFilter:
                 out["max_ms"] = max(samples)
                 out["mean_ms"] = sum(samples) / len(samples)
             self.collapsed_by_type[etype] += 1
-            return document_row(out)
-        return row
+            return document_run(out)
+        return run

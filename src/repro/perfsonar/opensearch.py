@@ -6,32 +6,35 @@ This store models the slice of OpenSearch the archiver uses: named
 indices of JSON documents, term/range queries, sort, and the handful of
 metric aggregations dashboards ask for.
 
-Documents are kept as rows, not dicts (docs/scaling.md, "Allocation
-discipline"): per index four aligned columns — each document's value
-tuple, as the write delivered it, its key tuple, its block's tail (one
-object that every row of the block points at: the fields its documents
-share, read as their suffix) and its integer ``_id``; ``_index`` is the
-index a row sits in, and only the rows a query selects become dicts
-again.  Writes arrive as
-:data:`~repro.core.reports.Row` pairs, whose builders already stored
-every top-level ``list`` as a tuple — what lets the collector stop
-tracking the row; JSON has no tuples, so this is lossless for every
-document this system ships.  On the way out every tuple becomes a fresh
-list and every nested container a copy: a caller can never reach the
-archive's own.
+Documents are kept column-stride, as OpenSearch keeps doc values, not as
+dicts (docs/scaling.md, "Allocation discipline"): an index is a list of
+**segments**, one per :class:`~repro.core.reports.Run` the bulk path
+took — the run itself (a column per field its documents vary in, each
+shared field once), one reference to its block's tail (the fields its
+documents share with the rest of the block, read as their suffix) and
+its ``_id``s, a ``range`` while no delete has cut into the middle of it.
+The store never transposes: a run arrives column-stride from whoever
+built it (the control plane builds each tick's from the columns it
+holds) and is filed as it came.  ``_index`` is the index a segment sits
+in, every query runs over the segments, a field all of a segment's
+documents share is tested once for all of them, and only the documents a
+query selects become dicts again.  Every top-level ``list`` arrives as a
+tuple — what lets the collector stop tracking the run; JSON has no
+tuples, so this is lossless for every document this system ships.  On
+the way out every tuple becomes a fresh list and every nested container
+a copy: a caller can never reach the archive's own.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import chain, compress, repeat, takewhile
-from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from itertools import chain, compress, takewhile
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.reports import Block, Row, document_row
+from repro.core.reports import MISSING, Block, Row, Run, document_run
 from repro.telemetry import hooks
 from repro.resilience.faults import ArchiveUnavailable
 
@@ -49,7 +52,7 @@ def _thaw(value: Any) -> Any:
 
 
 _CONTAINERS = (tuple, list, dict)
-_MISSING = object()   # a field a document does not have
+_MISSING = MISSING    # a field a document does not have
 
 
 class RetentionPolicy:
@@ -75,91 +78,185 @@ class RetentionPolicy:
 
     def apply(self, store: "OpenSearchStore", index: str, now_s: float) -> int:
         """Downsample+prune documents older than the short-term window.
-        Returns the number of raw documents pruned."""
-        ids, times, values, flows, metrics, labels = store.columns(
-            index, ("_id", self.time_field, self.value_field, "flow_id",
-                    "metric", "labels"),
-            before=now_s - self.short_term_s, time_field=self.time_field,
-            default=_MISSING)
-        if not ids:
+        Returns the number of raw documents pruned.  Reads only the
+        segments that hold such documents, each field as stored; a
+        segment that repeats the last one's bucket, flow and series
+        (a sampler's tick after tick) adds its values to the same
+        samples, position by position."""
+        doomed: list = []
+        buckets: Dict[tuple, list] = {}     # key -> [metric, labels, samples]
+        label_keys: Dict[int, tuple] = {}   # id(stored label dict) -> its key
+        # The last segments' layout: their bucket and flow, their series,
+        # each position's samples list, and the value columns waiting to
+        # be added to them (``None``: added as they come, since two
+        # positions share a series).
+        layout = None
+        for docs, seg, at in store._older(index, now_s - self.short_term_s,
+                                          self.time_field):
+            doomed += seg.ids if at is None else map(seg.ids.__getitem__, at)
+            times, values, flows, metrics, labels = (
+                docs.values(seg, name, _MISSING, at, thaw=False)
+                for name in (self.time_field, self.value_field, "flow_id",
+                             "metric", "labels"))
+            head = None
+            if times.count(times[0]) == len(times) and flows.count(flows[0]) == len(flows):
+                head = (self._bucket(times[0]), flows[0])
+            # A segment has one schema: it has the value field in every
+            # document or in none.
+            valued = values[0] is not _MISSING
+            if layout is not None and layout[0] == head and layout[1] == (metrics, labels):
+                if valued and layout[3] is not None:
+                    layout[3].append(values)
+                elif valued:
+                    for samples, value in zip(layout[2], values):
+                        samples.append(value)
+                continue
+            _add_waiting(layout)
+            positions = [self._group(buckets, label_keys, *doc)[2]
+                         for doc in zip(times, flows, metrics, labels)]
+            if valued:
+                for samples, value in zip(positions, values):
+                    samples.append(value)
+            distinct = len(set(map(id, positions))) == len(positions)
+            layout = None if head is None else (
+                head, (metrics, labels), positions, [] if distinct else None)
+        _add_waiting(layout)
+        if not doomed:
             return 0
-        buckets: Dict[tuple, List[int]] = {}
-        for i, (t, flow_id, metric, label_set) in enumerate(
-                zip(times, flows, metrics, labels)):
-            bucket = int((0.0 if t is _MISSING else t) // self.long_term_bucket_s)
-            if type(label_set) is dict:
-                label_set = tuple(sorted(label_set.items()))
-            key = (bucket, None if flow_id is _MISSING else flow_id,
-                   None if metric is _MISSING else metric,
-                   None if label_set is _MISSING else label_set)
-            buckets.setdefault(key, []).append(i)
         # By bucket; series in order of first appearance within one.
-        for (bucket, flow_id, metric, _), members in sorted(
+        width = self.long_term_bucket_s
+        for (bucket, flow_id, _, _), (metric, label_set, samples) in sorted(
                 buckets.items(), key=lambda item: item[0][0]):
-            samples = [values[i] for i in members if values[i] is not _MISSING]
             if not samples:
                 continue
-            first = members[0]
-            doc = {self.time_field: bucket * self.long_term_bucket_s,
-                   "flow_id": flow_id}
-            for field, column in (("metric", metrics), ("labels", labels)):
-                if column[first] is not _MISSING:
-                    doc[field] = column[first]
+            doc = {self.time_field: bucket * width, "flow_id": flow_id}
+            for field, first in (("metric", metric), ("labels", label_set)):
+                if first is not _MISSING:
+                    doc[field] = _thaw(first)
             doc.update({self.value_field: sum(samples) / len(samples),
                         "samples": len(samples), "downsampled": True})
             store.index(f"{index}-longterm", doc)
-        return store.delete(index, ids)
+        return store.delete(index, doomed)
+
+    def _bucket(self, t: Any) -> int:
+        return int((0.0 if t is _MISSING else t) // self.long_term_bucket_s)
+
+    def _group(self, buckets: Dict[tuple, list], label_keys: Dict[int, tuple],
+               t: Any, flow_id: Any, metric: Any, label_set: Any) -> list:
+        """The group of a document's bucket and series (flow, metric,
+        labels; a label dict's sorted items), made on its first
+        document."""
+        if type(label_set) is dict:
+            label_key = label_keys.get(id(label_set))
+            if label_key is None:
+                label_key = label_keys[id(label_set)] = tuple(sorted(_thaw(label_set).items()))
+        else:
+            label_key = None if label_set is _MISSING else _thaw(label_set)
+        key = (self._bucket(t), None if flow_id is _MISSING else _thaw(flow_id),
+               None if metric is _MISSING else _thaw(metric), label_key)
+        group = buckets.get(key)
+        if group is None:
+            group = buckets[key] = [metric, label_set, []]
+        return group
+
+
+def _add_waiting(layout: Optional[tuple]) -> None:
+    """Add a retention layout's waiting value columns to its positions'
+    samples, in document order (its positions are distinct)."""
+    if layout is not None and layout[3]:
+        for samples, column in zip(layout[2], zip(*layout[3])):
+            samples += column
+
+
+class _Segment:
+    """One run as an index keeps it: the run, its block's tail and its
+    documents' ``_id``s; ``floor`` caches the earliest value of one time
+    field, once some read has asked for it."""
+
+    __slots__ = ("run", "tail", "ids", "floor")
+
+    def __init__(self, run: Run, tail: Row, ids: Sequence[int]) -> None:
+        self.run, self.tail, self.ids, self.floor = run, tail, ids, None
+
+    def find(self, name: str) -> Optional[Tuple[bool, Any]]:
+        """Where ``name`` is: ``(True, column)`` where the documents vary
+        in it, ``(False, value)`` where they share it (in the run or in
+        the tail), ``None`` where they lack it."""
+        run = self.run
+        keys = run.keys
+        if name in keys:
+            p = keys.index(name)
+            return p in run.cols, run.values[p]
+        tail_keys, tail_values = self.tail
+        if name in tail_keys:
+            return False, tail_values[tail_keys.index(name)]
+        return None
+
+    def earliest(self, time_field: str) -> Any:
+        """The least of the documents' ``time_field`` (0.0 where missing),
+        or ``None`` where a value is not a plain number or is NaN: then
+        no bound on it holds for every document."""
+        floor = self.floor
+        if floor is None or floor[0] != time_field:
+            found = self.find(time_field)
+            times = ((0.0,) if found is None else found[1] if found[0] else (found[1],))
+            least = None
+            if all(type(t) in (int, float) and t == t for t in times):
+                least = min(times)
+            floor = self.floor = (time_field, least)
+        return floor[1]
+
+    def last(self, name: str, default: Any) -> Any:
+        """``name`` of the segment's last document."""
+        found = self.find(name)
+        if found is None:
+            return default
+        return found[1][-1] if found[0] else found[1]
 
 
 class _Index:
-    """One index's documents as aligned columns: value tuples, key
-    tuples, tails, ``_id``s (row ``i`` is position ``i`` of each)."""
+    """One index's documents: its segments, in write order."""
 
-    __slots__ = ("name", "values", "keys", "tails", "ids")
+    __slots__ = ("name", "segments", "count")
 
     def __init__(self, name: str) -> None:
-        self.name, self.values, self.keys, self.tails = name, [], [], []
-        self.ids = array("q")
+        self.name, self.segments, self.count = name, [], 0
 
-    def field(self, i: int, name: str, default: Any = None) -> Any:
-        """``document.get(name, default)`` for row ``i``."""
-        if name in ("_id", "_index"):
-            return str(self.ids[i]) if name == "_id" else self.name
-        for keys, values in ((self.keys[i], self.values[i]), self.tails[i]):
-            if name in keys:
-                return _thaw(values[keys.index(name)])
-        return default
+    def values(self, seg: _Segment, name: str, default: Any = None,
+               at: Optional[Sequence[int]] = None, thaw: bool = True) -> List[Any]:
+        """``document.get(name, default)`` of the segment's documents at
+        ``at`` (default: all of them).  ``thaw=False`` returns the stored
+        values themselves, for a read that hands none of them out and
+        changes no list it gets (a whole column is the segment's own)."""
+        count = seg.run.n if at is None else len(at)
+        if name == "_id":
+            ids = seg.ids
+            return list(map(str, ids if at is None else map(ids.__getitem__, at)))
+        if name == "_index":
+            return [self.name] * count
+        found = seg.find(name)
+        if found is None:
+            return [default] * count
+        varies, value = found
+        if not varies:
+            if thaw and type(value) in _CONTAINERS:
+                return [_thaw(value) for _ in range(count)]
+            return [value] * count
+        column = value if at is None else map(value.__getitem__, at)
+        if thaw:
+            return [_thaw(v) if type(v) in _CONTAINERS else v for v in column]
+        return column if at is None else list(column)
 
-    def column(self, name: str, default: Any = None,
-               rows: Optional[Iterable[int]] = None,
-               thaw: bool = True) -> List[Any]:
-        """:meth:`field` of each of ``rows`` (default: every row); a run
-        of rows that share a key tuple and a tail finds ``name`` in them
-        once.  ``thaw=False`` returns the stored values themselves, for
-        a comparison that hands none of them out."""
-        if rows is None:
-            rows = range(len(self.values))
-        if name in ("_id", "_index"):
-            return [self.field(i, name) for i in rows]
-        keys_of, values_of, tails_of = self.keys, self.values, self.tails
-        out, schema, tail, at, shared = [], None, None, None, _MISSING
-        for i in rows:
-            keys = keys_of[i]
-            if keys is not schema or tails_of[i] is not tail:
-                schema, tail = keys, tails_of[i]
-                at = keys.index(name) if name in keys else None
-                tail_keys, tail_values = tail
-                shared = (tail_values[tail_keys.index(name)] if name in tail_keys
-                          else _MISSING)
-            if at is not None:
-                value = values_of[i][at]
-            elif shared is not _MISSING:
-                value = shared
-            else:
-                out.append(default)
-                continue
-            out.append(_thaw(value) if thaw and type(value) in _CONTAINERS else value)
-        return out
+    def keep(self, seg: _Segment, at: Sequence[int], name: str, default: Any,
+             test: Callable[[Any], bool], thaw: bool = True) -> Sequence[int]:
+        """The positions of ``at`` whose ``name`` passes ``test``; a value
+        the segment's documents share is tested once."""
+        if not at:
+            return at
+        if name != "_id" and (name == "_index" or not (seg.find(name) or (False,))[0]):
+            return at if test(self.values(seg, name, default, at[:1], thaw)[0]) else []
+        return [j for j, value in zip(at, self.values(seg, name, default, at, thaw))
+                if test(value)]
 
 
 class OpenSearchStore:
@@ -167,18 +264,17 @@ class OpenSearchStore:
         self._indices: Dict[str, _Index] = {}
         self._next_id = 1
         self._schemas: Dict[tuple, tuple] = {}   # interned key tuples
-        self._picks: Dict[tuple, tuple] = {}     # fields -> (keys, names, positions)
+        self._picks: Dict[tuple, tuple] = {}     # fields -> (keys, tail keys, names, positions)
         self._faults = hooks.injector   # None without a chaos injector
 
     # -- document API ---------------------------------------------------------
 
     def bulk(self, indices: Sequence[str], block: Block) -> Dict[str, int]:
-        """The write path, OpenSearch's bulk API: row ``i`` of ``block``
-        goes to index ``indices[i]``, in order, ``_id``s assigned
-        consecutively; returns how many rows each index took.  A row's
-        value tuple is stored as it is, beside one reference to the
-        block's tail, and its keys should be interned (the row builders'
-        constants are).
+        """The write path, OpenSearch's bulk API: run ``i`` of ``block``
+        goes to index ``indices[i]``, in order, as one segment beside one
+        reference to the block's tail, its documents' ``_id``s assigned
+        consecutively; returns how many documents each index took.  A
+        run's keys should be interned (the run builders' constants are).
 
         Raises :class:`~repro.resilience.faults.ArchiveUnavailable`,
         writing nothing, while an injected archiver outage is active —
@@ -186,37 +282,37 @@ class OpenSearchStore:
         the shipper's retry/spool machinery exists to ride out."""
         if self._faults is not None and self._faults.archiver_down():
             raise ArchiveUnavailable("archive refused a bulk write")
-        first = self._next_id
-        self._next_id = first + len(block)
         tail: Row = block.tail
-        written = {}
-        for index in dict.fromkeys(indices):
+        first, written = self._next_id, {}
+        for index, run in zip(indices, block):
             docs = self._indices.get(index) or self._indices.setdefault(index, _Index(index))
-            mine = [name == index for name in indices]
-            before = len(docs.values)
-            docs.keys.extend(compress(map(itemgetter(0), block), mine))
-            docs.values.extend(compress(map(itemgetter(1), block), mine))
-            docs.ids.extend(compress(range(first, self._next_id), mine))
-            written[index] = n = len(docs.values) - before
-            docs.tails.extend(repeat(tail, n))
+            n = run.n
+            docs.segments.append(_Segment(run, tail, range(first, first + n)))
+            docs.count += n
+            written[index] = written.get(index, 0) + n
+            first += n
+        self._next_id = first
         return written
 
     def index(self, index: str, document: dict) -> str:
         """Store one document; returns its assigned ``_id``."""
-        keys, values = document_row(document)
-        keys = self._schemas.setdefault(keys, keys)
+        run = document_run(document)
+        run = Run(self._schemas.setdefault(run.keys, run.keys), run.values)
         doc_id = str(self._next_id)
-        self.bulk((index,), Block(((keys, values),)))
+        self.bulk((index,), Block((run,)))
         return doc_id
 
-    def _document(self, docs: _Index, i: int,
+    def _document(self, docs: _Index, seg: _Segment, j: int,
                   fields: Optional[Sequence[str]] = None) -> dict:
-        keys, values = docs.keys[i], docs.values[i]
-        tail_keys, tail_values = docs.tails[i]
+        run = seg.run
+        keys, cols = run.keys, run.cols
+        values = tuple(v[j] if p in cols else v for p, v in enumerate(run.values)) \
+            if cols else run.values
+        tail_keys, tail_values = seg.tail
         if fields is None:
             pairs = chain(zip(keys, values), zip(tail_keys, tail_values))
         else:
-            # The rows a query reads mostly share one key tuple and tail.
+            # The documents a query reads mostly share one schema and tail.
             pick = self._picks.get(fields)
             if pick is None or pick[0] is not keys or pick[1] is not tail_keys:
                 both = keys + tail_keys
@@ -225,14 +321,14 @@ class OpenSearchStore:
                                               tuple(map(both.index, names)))
             pairs = zip(pick[2], map((values + tail_values).__getitem__, pick[3]))
         doc = {k: _thaw(v) if type(v) in _CONTAINERS else v for k, v in pairs}
-        doc["_id"], doc["_index"] = str(docs.ids[i]), docs.name
+        doc["_id"], doc["_index"] = str(seg.ids[j]), docs.name
         return doc
 
     def get(self, index: str, doc_id: str) -> Optional[dict]:
         return next(iter(self.search(index, term={"_id": doc_id})), None)
 
     def count(self, index: str) -> int:
-        return len(self._indices[index].values) if index in self._indices else 0
+        return self._indices[index].count if index in self._indices else 0
 
     @property
     def indices(self) -> List[str]:
@@ -241,22 +337,39 @@ class OpenSearchStore:
     def delete(self, index: str, doc_ids: Iterable[str]) -> int:
         """Remove the documents with these ``_id``s; returns how many.
         ``_id``s rise in write order, so pruning the oldest documents
-        dooms a prefix: that is sliced off; any other set rebuilds each
-        column once."""
+        dooms a prefix: whole segments are dropped and the first one
+        left is sliced; any other set rebuilds each segment it cuts."""
         docs = self._indices.get(index)
         if docs is None:
             return 0
         gone = set(map(int, doc_ids))
-        cut = sum(1 for _ in takewhile(gone.__contains__, docs.ids))
+        segments = docs.segments
+        cut = whole = part = 0
+        for seg in segments:
+            part = sum(1 for _ in takewhile(gone.__contains__, seg.ids))
+            cut += part
+            if part < seg.run.n:
+                break
+            whole, part = whole + 1, 0
         if cut == len(gone):
-            for column in (docs.values, docs.keys, docs.tails, docs.ids):
-                del column[:cut]
+            del segments[:whole]
+            if part:
+                seg = segments[0]
+                segments[0] = _Segment(seg.run.sliced(part), seg.tail, seg.ids[part:])
+            docs.count -= cut
             return cut
-        kept = [doc_id not in gone for doc_id in docs.ids]
-        for column in (docs.values, docs.keys, docs.tails):
-            column[:] = compress(column, kept)
-        docs.ids = array("q", compress(docs.ids, kept))
-        return kept.count(False)
+        kept_segments = []
+        for seg in segments:
+            keep = [doc_id not in gone for doc_id in seg.ids]
+            run = seg.run.select(keep)
+            if run is seg.run:
+                kept_segments.append(seg)
+            elif run is not None:
+                kept_segments.append(_Segment(run, seg.tail,
+                                              array("q", compress(seg.ids, keep))))
+        removed = docs.count - sum(seg.run.n for seg in kept_segments)
+        docs.segments, docs.count = kept_segments, docs.count - removed
+        return removed
 
     # -- query API -----------------------------------------------------------
 
@@ -271,36 +384,64 @@ class OpenSearchStore:
     ) -> List[dict]:
         """Filter by exact-match terms and an inclusive [lo, hi] range on
         ``time_field``; optionally sort and truncate.  Filters, sort and
-        truncation run on the rows; only what survives becomes a dict."""
+        truncation run on the segments; only what survives becomes a
+        dict."""
         docs = self._indices.get(index)
         if docs is None:
             return []
-        field = docs.field
-        rows: Iterable[int] = range(len(docs.values))
-        if term:
-            rows = [i for i in rows
-                    if all(field(i, k) == v for k, v in term.items())]
-        if time_range is not None:
-            lo, hi = time_range
-            rows = [i for i in rows
-                    if lo <= field(i, time_field, float("-inf")) <= hi]
+        hits: List[Tuple[_Segment, int]] = []
+        sort_keys: List[Any] = []
+        for seg in docs.segments:
+            at: Sequence[int] = range(seg.run.n)
+            for name, want in (term or {}).items():
+                at = docs.keep(seg, at, name, None, lambda v, want=want: v == want)
+            if time_range is not None:
+                lo, hi = time_range
+                at = docs.keep(seg, at, time_field, float("-inf"),
+                               lambda t: lo <= t <= hi)
+            hits.extend(zip([seg] * len(at), at))
+            if sort_field is not None:
+                sort_keys.extend(docs.values(seg, sort_field, 0, at))
         if sort_field is not None:
-            rows = sorted(rows, key=lambda i: field(i, sort_field, 0))
+            hits = [hits[i] for i in sorted(range(len(hits)), key=sort_keys.__getitem__)]
         if size is not None:
-            rows = rows[:size]
-        return [self._document(docs, i) for i in rows]
+            hits = hits[:size]
+        return [self._document(docs, seg, j) for seg, j in hits]
 
-    def columns(self, index: str, fields: Sequence[str], before: Any,
+    def columns(self, index: str, fields: Sequence[str], before: Any = None,
                 time_field: str = "@timestamp", default: Any = None) -> List[list]:
         """``fields`` of the documents whose ``time_field`` (0.0 where
-        missing) is before ``before``: one list per field, in document
-        order, ``default`` where a document lacks the field — a column
-        read, OpenSearch's ``docvalue_fields``, with no document built."""
+        missing) is before ``before`` (of every document, without one):
+        one list per field, in document order, ``default`` where a
+        document lacks the field — a column read, OpenSearch's
+        ``docvalue_fields``, with no document built.  A segment whose
+        earliest time is not before ``before`` is skipped unread."""
+        out: List[list] = [[] for _ in fields]
+        for docs, seg, at in self._older(index, before, time_field):
+            for column, name in zip(out, fields):
+                column += docs.values(seg, name, default, at)
+        return out
+
+    def _older(self, index: str, before: Any, time_field: str
+               ) -> Iterator[Tuple[_Index, _Segment, Optional[Sequence[int]]]]:
+        """Each segment holding documents whose ``time_field`` (0.0 where
+        missing) is before ``before`` (every segment, without one), with
+        their positions (``None``: all of the segment's)."""
         docs = self._indices.get(index)
-        if docs is None:
-            return [[] for _ in fields]
-        rows = [i for i, t in enumerate(docs.column(time_field, 0.0)) if t < before]
-        return [docs.column(name, default, rows) for name in fields]
+        for seg in docs.segments if docs is not None else ():
+            at: Optional[Sequence[int]] = None
+            if before is not None:
+                earliest = seg.earliest(time_field)
+                if earliest is not None and not earliest < before:
+                    continue
+                if earliest is None or (seg.find(time_field) or (False,))[0]:
+                    at = docs.keep(seg, range(seg.run.n), time_field, 0.0,
+                                   lambda t: t < before)
+                    if not at:
+                        continue
+                    if len(at) == seg.run.n:
+                        at = None
+            yield docs, seg, at
 
     def tail(self, index: str, since: Any, time_field: str = "@timestamp",
              fields: Optional[Sequence[str]] = None,
@@ -312,18 +453,25 @@ class OpenSearchStore:
         of the given values (its ``terms`` query).  Only for an index
         whose documents are in ``time_field`` order, as a time-ordered
         writer and prefix-only pruning keep it: the first one is found
-        by bisection, so the read costs the tail, not the index."""
+        by bisection over the segments, then in one, so the read costs
+        the tail, not the index."""
         docs = self._indices.get(index)
         if docs is None:
             return []
-        end = len(docs.values)
-        rows: Iterable[int] = range(bisect_left(
-            range(end), since,
-            key=lambda i: docs.field(i, time_field, float("-inf"))), end)
-        for name, allowed in (terms or {}).items():
-            rows = list(compress(rows, [
-                v in allowed for v in docs.column(name, rows=rows, thaw=False)]))
-        return [self._document(docs, i, fields) for i in rows]
+        segments = docs.segments
+        start = bisect_left(segments, since,
+                            key=lambda seg: seg.last(time_field, float("-inf")))
+        out = []
+        for k in range(start, len(segments)):
+            seg = segments[k]
+            at: Sequence[int] = range(seg.run.n)
+            if k == start:
+                times = docs.values(seg, time_field, float("-inf"))
+                at = range(bisect_left(times, since), seg.run.n)
+            for name, allowed in (terms or {}).items():
+                at = docs.keep(seg, at, name, None, allowed.__contains__, thaw=False)
+            out += [self._document(docs, seg, j, fields) for j in at]
+        return out
 
     def aggregate(
         self,

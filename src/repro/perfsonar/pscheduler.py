@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.core.reports import Block, document_row
+from repro.core.reports import Block, document_run
 from repro.netsim.engine import Event, Simulator
 from repro.netsim.units import seconds
 from repro.perfsonar.tools import (
@@ -105,4 +105,4 @@ class PScheduler:
 
     def _collect(self, result: ToolResult) -> None:
         self.results.append(result.document)
-        self.result_sink(Block((document_row(result.document),)))
+        self.result_sink(Block((document_run(result.document),)))

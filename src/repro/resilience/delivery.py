@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro import telemetry
-from repro.core.reports import Block
+from repro.core.reports import Block, Run
 from repro.telemetry import hooks
 from repro.resilience.faults import BreakerOpen, DeferredDelivery, DeliveryError
 
@@ -61,20 +61,23 @@ class _Pending:
 _ENVELOPE = ("_seq", "_shipper")
 
 
-def _skewed(row, skew_s: float):
-    """The row with its ``@timestamp``, if it has one, moved by ``skew_s``."""
-    keys, values = row
-    if "@timestamp" not in keys:
-        return row
-    at = keys.index("@timestamp")
-    return keys, values[:at] + (values[at] + skew_s,) + values[at + 1:]
+def _skewed(run: Run, skew_s: float) -> Run:
+    """The run with its ``@timestamp``, if it has one, moved by ``skew_s``:
+    once where its documents share it."""
+    at = run.at("@timestamp")
+    if at is None:
+        return run
+    values = run.values
+    stamp = [t + skew_s for t in values[at]] if at in run.cols else values[at] + skew_s
+    return Run(run.keys, values[:at] + (stamp,) + values[at + 1:], run.cols, run.n)
 
 
 def _block_of(entry) -> Block:
-    """A checkpointed block, whose rows are written with their envelope,
-    as a block with the envelope lifted back into its tail.  An entry
-    written when the shipper sent one row at a time is an enveloped
-    dict: it becomes a block of one."""
+    """A checkpointed block, whose documents are written one ``(keys,
+    values)`` pair each with their envelope, as a block of runs of one
+    with the envelope lifted back into its tail.  An entry written when
+    the shipper sent one report at a time is an enveloped dict: it
+    becomes a block of one."""
     if isinstance(entry, dict):
         doc = dict(entry)
         doc.update(_seq=doc.pop("_seq"), _shipper=doc.pop("_shipper"))
@@ -82,7 +85,7 @@ def _block_of(entry) -> Block:
     rows = [(tuple(keys), tuple(tuple(v) if type(v) is list else v for v in values))
             for keys, values in entry]
     cut = -len(_ENVELOPE)
-    return Block([(keys[:cut], values[:cut]) for keys, values in rows],
+    return Block([Run(keys[:cut], values[:cut]) for keys, values in rows],
                  (_ENVELOPE, rows[0][1][cut:]))
 
 
@@ -165,7 +168,7 @@ class ResilientShipper:
         tail = (keys + _ENVELOPE, values + (self.seq, self.source))
         skew = self._faults.clock_skew_ns() if self._faults is not None else 0
         if skew:
-            rows = Block([_skewed(row, skew / 1e9) for row in block], tail)
+            rows = Block([_skewed(run, skew / 1e9) for run in block], tail)
             self.skewed_total += 1
         else:
             rows = Block(block, tail)
@@ -207,7 +210,7 @@ class ResilientShipper:
         if breaker is not None:
             breaker.record_success(now)
         seq, source = rows.tail[1][-2:]
-        self.acked_keys[source, seq] = len(rows)
+        self.acked_keys[source, seq] = rows.size
         self.acked_total += 1
 
     def _enqueue(self, rows: Block, attempts: int = 0,
@@ -217,7 +220,7 @@ class ResilientShipper:
             self.spool_overflow_total += 1
             self.dead_letters.append(rows)
             if len(self.dead_letters) > cfg.dead_letter_limit:
-                self.dead_letter_evicted_rows += len(self.dead_letters.pop(0))
+                self.dead_letter_evicted_rows += self.dead_letters.pop(0).size
                 self.dead_letter_evictions += 1
             return
         self._spool.append(_Pending(rows, attempts, not_before_ns))

@@ -278,6 +278,9 @@ class MetricFamily:
     def observe(self, value: float) -> None:
         self._solo().observe(value)
 
+    def observe_n(self, value: float, n: int) -> None:
+        self._solo().observe_n(value, n)
+
     @property
     def value(self):
         return self._solo().value

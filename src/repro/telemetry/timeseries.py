@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.reports import Block
+from repro.core.reports import Block, Run
 from repro.perfsonar.opensearch import RetentionPolicy
 from repro.telemetry.metrics import MetricsRegistry, TelemetryError
 
@@ -38,6 +38,8 @@ DEFAULT_INTERVAL_NS = 100_000_000  # 100 ms of sim time
 DEFAULT_RETENTION = 600            # raw points per series (one minute at 100 ms)
 
 NS_PER_S = 1_000_000_000
+#: The positions of :attr:`TelemetrySampler.KEYS` that vary by series.
+_COLUMNS = (4, 5, 6, 7, 8, 9)
 
 
 class TelemetrySampler:
@@ -47,7 +49,9 @@ class TelemetrySampler:
     ``interval_ns``, so every document sits at t = k·interval — exactly
     the extraction-timestamp model (t_N, t_P, ...) the paper's control
     plane uses.  A tick ships its documents as one
-    :class:`~repro.core.reports.Block` through the archiver's TCP input,
+    :class:`~repro.core.reports.Block` of one
+    :class:`~repro.core.reports.Run` (a column per field its series vary
+    in; type, time and source once) through the archiver's TCP input,
     beside the control plane's sink, so the archiver's record counters
     count the control plane's records only; observers registered with
     :meth:`add_observer` then receive ``(t_ns, block)``.
@@ -87,6 +91,10 @@ class TelemetrySampler:
         #: (metric, sorted label items) → (t_ns, value) of its last tick,
         #: in the order the series were first seen.
         self.series: Dict[Tuple[str, tuple], Tuple[int, float]] = {}
+        # Sorted label items -> the one label dict every document of
+        # those labels shares (the archive never changes a value, and
+        # its retention keys a series by the dict once).
+        self._label_dicts: Dict[tuple, dict] = {}
         self.samples_taken = 0
         self.last_tick_ns: Optional[int] = None
         self.events_pushed = 0
@@ -123,7 +131,7 @@ class TelemetrySampler:
         block = self._block(now, registry.snapshot())
         if block:
             self.archiver.tcp_input.ingest(block)
-            self.events_pushed += len(block)
+            self.events_pushed += block.size
         self.samples_taken += 1
         self.last_tick_ns = now
         tick = now // self.interval_ns
@@ -133,11 +141,11 @@ class TelemetrySampler:
             fn(now, block)
 
     def _block(self, t_ns: int, snapshot: dict) -> Block:
-        """One row per scalar series of ``snapshot``, each with its delta
-        and rate against the series' previous tick."""
-        rows = Block()
-        t_s = t_ns / 1e9
-        last = self.series
+        """One document per scalar series of ``snapshot``, each with its
+        delta and rate against the series' previous tick, as one run."""
+        columns: Tuple[list, ...] = ([], [], [], [], [], [])
+        metrics, label_sets, kinds, values, deltas, rates = columns
+        last, label_dicts = self.series, self._label_dicts
         for metric in snapshot.get("metrics", []):
             kind = metric["type"]
             name = metric["name"]
@@ -164,10 +172,19 @@ class TelemetrySampler:
                         dt = t_ns - prev_t
                         rate = delta * NS_PER_S / dt if dt > 0 else 0.0
                     last[key] = (t_ns, value)
-                    rows.append((self.KEYS, (
-                        self.EVENT_TYPE, t_s, t_ns, self.SOURCE, metric_name,
-                        dict(labels), point_kind, value, delta, rate)))
-        return rows
+                    metrics.append(metric_name)
+                    label_dict = label_dicts.get(labels)
+                    if label_dict is None:
+                        label_dict = label_dicts[labels] = dict(labels)
+                    label_sets.append(label_dict)
+                    kinds.append(point_kind)
+                    values.append(value)
+                    deltas.append(delta)
+                    rates.append(rate)
+        if not metrics:
+            return Block()
+        return Block((Run(self.KEYS, (self.EVENT_TYPE, t_ns / 1e9, t_ns, self.SOURCE, *columns),
+                          _COLUMNS, len(metrics)),))
 
     def _prune(self, tick: int) -> None:
         """Downsample and drop every tick before the first bucket

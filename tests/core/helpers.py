@@ -6,6 +6,8 @@ with ground truth fully known.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Optional
 
 from repro.core.config import MonitorConfig
@@ -31,10 +33,22 @@ def small_monitor(**overrides) -> P4Monitor:
 
 
 def document_sink(docs: list):
-    """A report sink appending the document of every shipped row to
-    ``docs`` (a sink receives blocks of ``(keys, values)`` rows and a
-    tail every row's document ends with)."""
+    """A report sink appending every shipped document to ``docs`` (a
+    sink receives blocks of runs and a tail every document ends with)."""
     return lambda block: docs.extend(block.documents())
+
+
+def documents_sha256(store) -> str:
+    """sha256 over every archived document with its ``_id`` left out
+    (sorted keys, indices in name order): what stays fixed when only the
+    numbering of ``_id``s across a block's runs moves.  A pinned digest
+    that includes ``_id`` is pinned beside this one."""
+    h = hashlib.sha256()
+    for index in store.indices:
+        for doc in store.search(index):
+            doc.pop("_id")
+            h.update(json.dumps(doc, sort_keys=True).encode("utf-8"))
+    return h.hexdigest()
 
 
 FT = FiveTuple(0x0A00000A, 0x0A01000A, 40000, 5201)

@@ -106,14 +106,14 @@ def _reports(rng):
 
 
 def test_every_report_rebuilds_from_its_archived_document():
-    """``from_document`` is ``row()`` run backwards, through the archive:
+    """``from_document`` is ``run()`` backwards, through the archive:
     addresses come back from dotted quads, ``time_ns`` from
     ``@timestamp`` seconds."""
     rng = random.Random(0)
     archiver = Archiver()
     sent = [r for _ in range(50) for r in _reports(rng)]
-    archiver.sink(Block(r.row() for r in sent))
-    record_of = {r.row()[1][0]: type(r) for r in sent}
+    archiver.sink(Block(r.run() for r in sent))
+    record_of = {r.run().values[0]: type(r) for r in sent}
     got = [record_of[t].from_document(doc) for t in record_of
            for doc in archiver.documents(t)]
     assert sorted(map(repr, got)) == sorted(map(repr, sent))

@@ -62,7 +62,7 @@ class PerCellControlPlane(MonitorControlPlane):
                 self._suppress("FlowSample")
             elif put is not None:
                 self.tallies["p4_" + metric] += 1
-                put((sample.row(),))
+                put((sample.run(),))
             if alerting:
                 self.alerts.check(kind, flow.flow_id, value, now)
 
@@ -282,7 +282,10 @@ def outcome(world):
         "flows": list(cp.flows.values()),
         "terminations": list(cp.terminations),
         "suppressed": (cp.reports_suppressed, dict(+cp.suppressed_by_type)),
-        "shipped": shipped,
+        # A stream's documents travel as one run, the per-cell emitter's
+        # one run each: per block, each type's documents in order.
+        "shipped": [sorted(block.documents(), key=lambda doc: doc["type"])
+                    for block in shipped],
         "registers": mon.program.state_digest(),
         "events_run": sim.events_run,
     }
@@ -339,14 +342,17 @@ def test_sweep_equals_the_per_cell_ticks(seed, traced):
     for kind in MetricKind:
         assert {a.cleared for a in cp.alerts.history
                 if a.metric == kind.value} == {False, True}, kind
-    # Alert rows land right after the sample that raised or cleared
-    # them, before the flow's jitter or limiter row.
-    shipped = [values for block in worlds[1][3] for _, values in block]
-    spliced = {(before[0], alert[2], after[0])
-               for before, alert, after in zip(shipped, shipped[1:], shipped[2:])
-               if alert[0] == "p4_alert"}
-    assert ("p4_rtt", "rtt", "p4_jitter") in spliced
-    assert ("p4_packet_loss", "packet_loss", "p4_limiter") in spliced
+    # A stream is one run (a tracer's, one run per document); the alert
+    # runs its checks raised or cleared follow it, before the jitter or
+    # limiter run.
+    runs = [run.values[0] for block in worlds[1][3] for run in block]
+    runs = [t for i, t in enumerate(runs) if t != "p4_alert" or runs[i - 1] != t]
+    spliced = {(before, after) for before, alert, after in zip(runs, runs[1:], runs[2:])
+               if alert == "p4_alert"}
+    assert ("p4_rtt", "p4_jitter") in spliced
+    assert ("p4_packet_loss", "p4_limiter") in spliced
+    assert all(run.values[0] != "p4_alert" or run.n == 1
+               for block in worlds[1][3] for run in block)
     assert len({report.verdict for report in cp.limiter_reports}) >= 3
 
     # Data-plane op tallies: a swept cell counts as a read cell, so every

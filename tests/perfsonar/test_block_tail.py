@@ -1,24 +1,25 @@
 """A block's shared fields travel once, as its tail.
 
-Every row's document is the row with its block's tail appended: the
+Every document is its run's fields with its block's tail appended: the
 shipper puts its ``(_seq, _shipper)`` envelope there and the metadata
 filter its Report_v2 fields, once per block, and the archive stores one
-reference to the tail per row.  Read back, every document is what it
-was when each row carried its own copy, key order included — checked
-against a store that keeps each row folded, on the direct path, the
-shipper path and a chaos run.
+reference to the tail per segment.  Read back, every document is what
+it was when each document carried its own copy, key order included —
+checked against a store that keeps each document as a run of one with
+the tail folded in, on the direct path, the shipper path and a chaos
+run.
 """
 
 import json
 
 import pytest
 
-from repro.core.reports import Block, document_row
+from repro.core.reports import Block, Run, document_run
 from repro.netsim.engine import Simulator
 from repro.perfsonar.archiver import Archiver
 from repro.perfsonar.logstash import (AggregateTestFilter, LogstashPipeline,
                                       OpenSearchOutputPlugin, make_type_filter,
-                                      opensearch_metadata_filter, row_field)
+                                      opensearch_metadata_filter)
 from repro.perfsonar.opensearch import OpenSearchStore
 from repro.resilience.delivery import FaultyTransport, ResilientShipper
 from repro.resilience.faults import FaultInjector, install, uninstall
@@ -33,12 +34,12 @@ ENVELOPE = ("_seq", "_shipper")
 def test_one_bulk_stores_one_tail_for_all_its_rows():
     store = OpenSearchStore()
     indices = ["a", "b", "a", "a", "b"]
-    rows = [document_row({"type": kind, "value": float(i)})
+    rows = [document_run({"type": kind, "value": float(i)})
             for i, kind in enumerate(indices)]
     tail = (ENVELOPE, (1, "cp"))
     assert store.bulk(indices, Block(rows, tail)) == {"a": 3, "b": 2}
     store.bulk(["a"], Block(rows[:1], (ENVELOPE, (2, "cp"))))
-    stored = [t for index in ("a", "b") for t in store._indices[index].tails]
+    stored = [seg.tail for index in ("a", "b") for seg in store._indices[index].segments]
     assert len(stored) == 6 and sum(t is tail for t in stored) == 5
     assert [d["_seq"] for d in store.search("a")] == [1, 1, 1, 2]
     assert list(store.search("b")[0]) == ["type", "value", "_seq", "_shipper",
@@ -46,12 +47,16 @@ def test_one_bulk_stores_one_tail_for_all_its_rows():
 
 
 def _folding(monkeypatch):
-    """Make every store keep each row with its tail folded into it: the
-    layout in which every document carried its own copy."""
+    """Make every store keep each document as a run of one with its tail
+    folded into it: the layout in which every document carried its own
+    copy."""
     bulk = OpenSearchStore.bulk
-    monkeypatch.setattr(OpenSearchStore, "bulk",
-                        lambda self, indices, block: bulk(self, indices,
-                                                          Block(block.folded())))
+
+    def folded(self, indices, block):
+        return bulk(self, [index for index, run in zip(indices, block) for _ in range(run.n)],
+                    Block([Run(*row) for row in block.folded()]))
+
+    monkeypatch.setattr(OpenSearchStore, "bulk", folded)
 
 
 def _reads(store):
@@ -136,11 +141,11 @@ def test_a_field_in_the_tail_is_seen_by_every_reader(monkeypatch):
     pipe.add_filter(opensearch_metadata_filter)
     store = OpenSearchStore()
     pipe.add_output(OpenSearchOutputPlugin(store, index_prefix="ps"))
-    row = document_row({"intervals": [{"throughput_bps": 10.0},
+    row = document_run({"intervals": [{"throughput_bps": 10.0},
                                       {"throughput_bps": 30.0}]})
     tail = (("type",), ("throughput",))
-    assert row_field(row, "type", tail=tail) == "throughput"
-    assert row_field(row, "type", "none") == "none"
+    assert row.column("type", tail=tail) == ["throughput"]
+    assert row.column("type", "none") == ["none"]
     out = pipe.process(Block([row], tail))
     assert collapse.collapsed_by_type == {"throughput": 1}
     assert out.documents() == [{"value": 20.0, "type": "throughput", "@version": "1",
@@ -151,8 +156,8 @@ def test_a_field_in_the_tail_is_seen_by_every_reader(monkeypatch):
 
 
 def test_the_metadata_filter_sets_the_tail_once_and_leaves_the_rows():
-    rows = [document_row({"type": "p4_rtt", "value": 1.0}),
-            document_row({"type": "p4_jitter", "value": 2.0})]
+    rows = [document_run({"type": "p4_rtt", "value": 1.0}),
+            document_run({"type": "p4_jitter", "value": 2.0})]
     block = Block(rows, (ENVELOPE, (4, "cp")))
     out = opensearch_metadata_filter(block)
     assert out == rows and all(a is b for a, b in zip(out, rows))
@@ -161,7 +166,7 @@ def test_the_metadata_filter_sets_the_tail_once_and_leaves_the_rows():
     assert block.tail == (ENVELOPE, (4, "cp")), "the input block is not touched"
     # A row that already carries a metadata field takes the merge, the
     # tail folded into every row first.
-    tagged = Block(rows + [document_row({"type": "x", "tags": ["site"]})], block.tail)
+    tagged = Block(rows + [document_run({"type": "x", "tags": ["site"]})], block.tail)
     merged = opensearch_metadata_filter(tagged)
     assert merged.tail == ((), ())
     assert merged.documents() == [
@@ -180,8 +185,8 @@ def test_a_duplicated_block_is_still_dropped_whole():
         archiver = Archiver()
         shipper = ResilientShipper(sim, FaultyTransport(archiver.sink))
         for n in range(3):
-            shipper(Block([document_row({"type": "p4_rtt", "value": float(n)}),
-                           document_row({"type": "p4_jitter", "value": 0.0})]))
+            shipper(Block([document_run({"type": "p4_rtt", "value": float(n)}),
+                           document_run({"type": "p4_jitter", "value": 0.0})]))
     finally:
         uninstall()
     assert shipper.transport.duplicated == 3
@@ -195,7 +200,7 @@ def test_delete_takes_a_prefix_and_any_other_set_alike():
     def filled():
         store = OpenSearchStore()
         for t in range(10):
-            store.bulk(["i"], Block([document_row({"@timestamp": float(t)})],
+            store.bulk(["i"], Block([document_run({"@timestamp": float(t)})],
                                     (("k",), (t % 3,))))
         return store
 

@@ -1,12 +1,12 @@
 """Logstash pipeline (Fig. 7) and the assembled archiver.  Every stage
-takes a block of ``(keys, values)`` rows; a block's documents are its
-rows with its tail appended."""
+takes a block of runs; a block's documents are its runs' with its tail
+appended."""
 
 import json
 
 import pytest
 
-from repro.core.reports import Block, FlowSample, document_row
+from repro.core.reports import Block, FlowSample, Run, document_run
 from repro.perfsonar.archiver import Archiver
 from repro.perfsonar.logstash import (
     AggregateTestFilter,
@@ -15,13 +15,12 @@ from repro.perfsonar.logstash import (
     TcpInputPlugin,
     make_type_filter,
     opensearch_metadata_filter,
-    row_field,
 )
 from repro.perfsonar.opensearch import OpenSearchStore
 
 
 def _block(*docs, tail=((), ())):
-    return Block([document_row(doc) for doc in docs], tail)
+    return Block([document_run(doc) for doc in docs], tail)
 
 
 def _docs(block):
@@ -31,9 +30,10 @@ def _docs(block):
 def test_pipeline_filter_order_and_outputs():
     pipe = LogstashPipeline()
     seen = []
-    pipe.add_filter(lambda block: [(k + ("a",), v + (1,)) for k, v in block])
-    pipe.add_filter(lambda block: [(k + ("b",), v + (row_field((k, v), "a") + 1,))
-                                   for k, v in block])
+    pipe.add_filter(lambda block: Block([Run(r.keys + ("a",), r.values + (1,))
+                                         for r in block]))
+    pipe.add_filter(lambda block: Block([Run(r.keys + ("b",), r.values + (r.column("a")[0] + 1,))
+                                         for r in block]))
     pipe.add_output(seen.append)
     out = pipe.process(_block({"type": "x"}))
     assert _docs(out) == [{"type": "x", "a": 1, "b": 2}]
@@ -80,12 +80,12 @@ def test_metadata_filter_does_not_alias_the_callers_tags():
 
 def test_pipeline_hands_filters_the_event_itself():
     """The FilterFn contract: no defensive copy on the way in, so a
-    pass-through chain ships the caller's own rows."""
+    pass-through chain ships the caller's own runs."""
     pipe = LogstashPipeline()
     pipe.add_filter(make_type_filter(["x"]))
     shipped = []
     pipe.add_output(shipped.append)
-    row = document_row({"type": "x"})
+    row = document_run({"type": "x"})
     assert pipe.process([row])[0] is row and shipped[0][0] is row
 
 
@@ -145,7 +145,7 @@ def test_archiver_end_to_end_report_v1_to_v2():
     sample = FlowSample(time_ns=2_000_000_000, metric="throughput",
                         flow_id=9, src_ip=1, dst_ip=2, src_port=3, dst_port=4,
                         value=1e6)
-    archiver.sink([sample.row()])
+    archiver.sink([sample.run()])
     docs = archiver.documents("p4_throughput")
     assert len(docs) == 1
     doc = docs[0]

@@ -1,10 +1,14 @@
 """OpenSearch-like store."""
 
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.reports import Block, Run
 from repro.perfsonar.opensearch import OpenSearchStore, RetentionPolicy
 
 
@@ -90,7 +94,7 @@ def test_search_builds_only_surviving_documents(store, monkeypatch):
     built = []
     materialise = store._document
     monkeypatch.setattr(store, "_document",
-                        lambda index, row: built.append(1) or materialise(index, row))
+                        lambda *where: built.append(1) or materialise(*where))
     assert len(store.search("metrics", size=1)) == 1
     assert len(store.search("metrics", term={"flow_id": 1},
                             time_range=(2.0, 9.0), sort_field="value")) == 1
@@ -139,12 +143,72 @@ class DictStore:
             docs.sort(key=lambda d: d.get(sort_field, 0))
         return [dict(d) for d in docs[:size]]
 
-    def columns(self, index, fields, before, time_field="@timestamp", default=None):
+    def bulk(self, indices, block):
+        written = {}
+        docs = iter(block.documents())
+        for index, run in zip(indices, block):
+            for _ in range(run.n):
+                # As JSON would carry it: every tuple a list.
+                self.index(index, json.loads(json.dumps(next(docs))))
+            written[index] = written.get(index, 0) + run.n
+        return written
+
+    def columns(self, index, fields, before=None, time_field="@timestamp", default=None):
         docs = [d for d in self._indices.get(index, ())
-                if d.get(time_field, 0.0) < before]
+                if before is None or d.get(time_field, 0.0) < before]
         return [[d.get(name, default) for d in docs] for name in fields]
 
+    def time_ordered(self, index, time_field="@timestamp"):
+        times = [d.get(time_field, float("-inf")) for d in self._indices.get(index, ())]
+        return all(type(t) in (int, float) for t in times) and times == sorted(times)
+
+    def tail(self, index, since, time_field="@timestamp", fields=None, terms=None):
+        docs = [d for d in self._indices.get(index, ())
+                if d.get(time_field, float("-inf")) >= since]
+        for name, allowed in (terms or {}).items():
+            docs = [d for d in docs if d.get(name) in allowed]
+        if fields is not None:
+            docs = [{**{k: d[k] for k in fields if k in d},
+                     "_id": d["_id"], "_index": d["_index"]} for d in docs]
+        return [dict(d) for d in docs]
+
     aggregate, series = OpenSearchStore.aggregate, OpenSearchStore.series
+
+
+def reference_retention(policy, store, index, now_s):
+    """``RetentionPolicy.apply`` as it was before segments: one column
+    read of every field it needs, a bucket key per document."""
+    missing = object()
+    ids, times, values, flows, metrics, labels = store.columns(
+        index, ("_id", policy.time_field, policy.value_field, "flow_id",
+                "metric", "labels"),
+        before=now_s - policy.short_term_s, time_field=policy.time_field,
+        default=missing)
+    if not ids:
+        return 0
+    buckets = {}
+    for i, (t, flow_id, metric, label_set) in enumerate(zip(times, flows, metrics, labels)):
+        bucket = int((0.0 if t is missing else t) // policy.long_term_bucket_s)
+        if type(label_set) is dict:
+            label_set = tuple(sorted(label_set.items()))
+        key = (bucket, None if flow_id is missing else flow_id,
+               None if metric is missing else metric,
+               None if label_set is missing else label_set)
+        buckets.setdefault(key, []).append(i)
+    for (bucket, flow_id, metric, _), members in sorted(
+            buckets.items(), key=lambda item: item[0][0]):
+        samples = [values[i] for i in members if values[i] is not missing]
+        if not samples:
+            continue
+        first = members[0]
+        doc = {policy.time_field: bucket * policy.long_term_bucket_s, "flow_id": flow_id}
+        for field, column in (("metric", metrics), ("labels", labels)):
+            if column[first] is not missing:
+                doc[field] = column[first]
+        doc.update({policy.value_field: sum(samples) / len(samples),
+                    "samples": len(samples), "downsampled": True})
+        store.index(f"{index}-longterm", doc)
+    return store.delete(index, ids)
 
 
 def _random_documents(rng, n):
@@ -180,6 +244,43 @@ def _outcome(call, *args, **kwargs):
         return type(exc)
 
 
+def _compare(rows, ref, ids):
+    """Every query form, on every index, answered alike by both stores."""
+    assert rows.indices == ref.indices
+    for index in ref.indices + ["missing"]:
+        assert rows.count(index) == ref.count(index)
+        queries = [dict(term=t, time_range=r, sort_field=s, size=n)
+                   for t in (None, {"flow_id": 1}, {"tags": ["p4-perfsonar"]},
+                             {"flow_id": None, "type": "p4_rtt"},
+                             {"_index": index, "counts": [1, 2, 3]})
+                   for r in (None, (10, 60.0))
+                   for s in (None, "@timestamp", "_seq")
+                   for n in (None, 0, 1, 7)]
+        for query in queries:
+            assert (_outcome(rows.search, index, **query)
+                    == _outcome(ref.search, index, **query)), query
+        for term in (None, {"flow_id": 2}):
+            for agg in ("min", "max", "avg", "sum", "count", "p95", "median"):
+                assert (_outcome(rows.aggregate, index, "@timestamp", agg, term=term)
+                        == _outcome(ref.aggregate, index, "@timestamp", agg, term=term))
+            for value_field in ("_seq", "@timestamp"):
+                assert (_outcome(rows.series, index, value_field, term=term)
+                        == _outcome(ref.series, index, value_field, term=term))
+        fields = ("_id", "@timestamp", "flow_id", "tags", "_index", "_seq")
+        for before in (None, 0.0, 10, 45.5, 200.0):
+            assert (_outcome(rows.columns, index, fields, before=before, default="-")
+                    == _outcome(ref.columns, index, fields, before=before, default="-"))
+        if ref.time_ordered(index):
+            for since in (-1.0, 0, 10, 33.3, 99.0, 1e9):
+                for query in (dict(), dict(fields=("tags", "flow_id", "_seq")),
+                              dict(terms={"flow_id": {1, 2, None}})):
+                    assert (_outcome(rows.tail, index, since, **query)
+                            == _outcome(ref.tail, index, since, **query)), (since, query)
+    for index, doc_id in ids:
+        assert _outcome(rows.get, index, doc_id) == _outcome(ref.get, index, doc_id)
+    assert rows.get("a", "0") is None and rows.get("a", "01") is None
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_row_store_matches_the_dict_store(seed):
     rng = random.Random(seed)
@@ -194,38 +295,113 @@ def test_row_store_matches_the_dict_store(seed):
         assert ids[-1][1] == ref.index(index, doc)
         assert repr(doc) == before, "indexing must not touch the caller's document"
 
-    def compare():
-        assert rows.indices == ref.indices
-        for index in ref.indices + ["missing"]:
-            assert rows.count(index) == ref.count(index)
-            queries = [dict(term=t, time_range=r, sort_field=s, size=n)
-                       for t in (None, {"flow_id": 1}, {"tags": ["p4-perfsonar"]},
-                                 {"flow_id": None, "type": "p4_rtt"},
-                                 {"_index": index, "counts": [1, 2, 3]})
-                       for r in (None, (10, 60.0))
-                       for s in (None, "@timestamp", "_seq")
-                       for n in (None, 0, 1, 7)]
-            for query in queries:
-                assert (_outcome(rows.search, index, **query)
-                        == _outcome(ref.search, index, **query)), query
-            for term in (None, {"flow_id": 2}):
-                for agg in ("min", "max", "avg", "sum", "count", "p95", "median"):
-                    assert (_outcome(rows.aggregate, index, "@timestamp", agg, term=term)
-                            == _outcome(ref.aggregate, index, "@timestamp", agg, term=term))
-                for value_field in ("_seq", "@timestamp"):
-                    assert (_outcome(rows.series, index, value_field, term=term)
-                            == _outcome(ref.series, index, value_field, term=term))
-        for index, doc_id in ids:
-            assert _outcome(rows.get, index, doc_id) == _outcome(ref.get, index, doc_id)
-        assert rows.get("a", "0") is None and rows.get("a", "01") is None
-
-    compare()
+    _compare(rows, ref, ids)
     # One retention sweep over every index: downsample, then prune.
     policy = RetentionPolicy(short_term_s=50.0, long_term_bucket_s=10.0,
                              value_field="_seq")
     for index in ref.indices:
         assert (_outcome(policy.apply, rows, index, now_s=100.0)
-                == _outcome(policy.apply, ref, index, now_s=100.0))
+                == _outcome(reference_retention, policy, ref, index, now_s=100.0))
     assert 0 < ref.count("c") < sum(index == "c" for index, _ in ids)
     assert ref.count("c-longterm") > 0
-    compare()
+    _compare(rows, ref, ids)
+
+
+# -- the segment store, driven by bulk blocks of runs ---------------------------
+
+#: What a field may hold: the shapes the report path ships, and the ones
+#: that would break a naive column layout (None, bool vs int, lists and
+#: dicts, a list where another document of the run has a scalar).
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                    st.sampled_from([0.5, -2.0, 3.0, "p4_rtt", "p4_jitter", "x"]),
+                    st.lists(st.sampled_from(["p4-perfsonar", "a"]), max_size=2),
+                    st.fixed_dictionaries({"k": st.integers(0, 1)}))
+_FIELDS = ("type", "@timestamp", "flow_id", "value", "tags", "counts", "_seq",
+           "metric", "labels")
+#: A retention series' labels: a dict (values a list where no key can be
+#: made of them), or any other value.
+_LABELS = st.one_of(st.dictionaries(st.sampled_from(["port", "dir"]),
+                                    st.sampled_from(["1", "2", ["x"]]), max_size=2),
+                    _VALUES)
+_TAILS = [((), ()), (("_seq", "_shipper"), (7, "cp")),
+          (("@version", "host", "tags"), ("1", "p4-controlplane", ("p4-perfsonar",)))]
+
+
+def _stored(value):
+    """A value as a run holds it: a top-level list as a tuple."""
+    return tuple(value) if type(value) is list else value
+
+
+@st.composite
+def _run(draw, clock):
+    """A run of 1-24 documents of one schema: each field shared or a
+    column; ``@timestamp`` drawn from ``clock`` (in write order) or
+    freely."""
+    keys = tuple(draw(st.lists(st.sampled_from(_FIELDS), min_size=1, unique=True)))
+    n = draw(st.sampled_from([1, 1, 2, 3, 8, 24]))
+    values, cols = [], []
+    for p, key in enumerate(keys):
+        varies = n > 1 and draw(st.booleans())
+        count = n if varies else 1
+        if key == "@timestamp" and clock is not None:
+            column = []
+            for _ in range(count):
+                clock[0] += draw(st.sampled_from([0, 0.5, 3, 10]))
+                column.append(clock[0])
+        elif key == "labels":
+            column = draw(st.lists(_LABELS, min_size=count, max_size=count))
+        elif key == "flow_id":
+            column = draw(st.lists(st.one_of(st.integers(0, 3), st.none()),
+                                   min_size=count, max_size=count))
+        else:
+            column = draw(st.lists(_VALUES, min_size=count, max_size=count))
+        column = [_stored(v) for v in column]
+        if varies:
+            values.append(column)
+            cols.append(p)
+        else:
+            values.append(column[0])
+    return Run(keys, tuple(values), tuple(cols), n)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data(), ordered=st.booleans())
+def test_segment_store_matches_the_dict_store(data, ordered):
+    """Bulk blocks of long runs with shared fields, several schemas in one
+    index and in one block, runs of one, a tail, prefix and scattered
+    deletes and a retention sweep, then every query form — against the
+    dict store, the store as it was before rows.  With ``ordered`` every
+    index is written in ``@timestamp`` order, so ``tail`` is asked too."""
+    rows, ref = OpenSearchStore(), DictStore()
+    clock = [0.0] if ordered else None
+    ids = []
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        action = data.draw(st.sampled_from(["bulk", "bulk", "bulk", "prefix", "scatter"]))
+        index = data.draw(st.sampled_from(["a", "b"]), label="index")
+        if action == "bulk":
+            runs = data.draw(st.lists(_run(clock), min_size=1, max_size=4), label="runs")
+            tail = data.draw(st.sampled_from(_TAILS), label="tail")
+            if any(set(tail[0]) & set(run.keys) for run in runs):
+                tail = _TAILS[0]
+            indices = [data.draw(st.sampled_from([index, "b"])) for _ in runs]
+            block = Block(runs, tail)
+            written = rows.bulk(indices, block)
+            expected = ref.bulk(indices, block)
+            assert written == expected
+            ids += [(i, d["_id"]) for i in set(indices) for d in ref.search(i)]
+        else:
+            live = [d["_id"] for d in ref.search(index)]
+            if action == "prefix":
+                doomed = live[:data.draw(st.integers(0, len(live)), label="cut")]
+            else:
+                doomed = [doc_id for doc_id in live if data.draw(st.booleans())]
+                doomed.append("999999")          # an id the index never had
+            assert rows.delete(index, doomed) == ref.delete(index, doomed)
+    _compare(rows, ref, ids)
+    policy = RetentionPolicy(short_term_s=20.0, long_term_bucket_s=10.0,
+                             value_field="value")
+    for index in ref.indices:
+        assert (_outcome(policy.apply, rows, index, now_s=50.0)
+                == _outcome(reference_retention, policy, ref, index, now_s=50.0))
+    _compare(rows, ref, ids)

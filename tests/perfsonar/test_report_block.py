@@ -1,9 +1,13 @@
-"""A tick ships one block: every Report_v1 row an extraction tick
-produces crosses Logstash into the archive as one list, and the archive
-holds byte for byte what it held when each document travelled alone.
+"""A tick ships one block: every Report_v1 document an extraction tick
+produces crosses Logstash into the archive in one list of runs, and the
+archive holds byte for byte what it held when each document travelled
+alone.
 
 The literals below were captured from the per-document report path this
-one replaced, on the same scripted scenario."""
+one replaced, on the same scripted scenario.  Since a tick's streams
+travel as runs, each run's documents take consecutive ``_id``s, so a
+digest over ``_id`` was re-pinned beside one without it, which keeps
+the per-document path's value."""
 
 import hashlib
 import json
@@ -12,7 +16,7 @@ import pytest
 
 from repro.core.config import MetricKind
 from repro.core.control_plane import MonitorControlPlane
-from repro.core.reports import ForensicsReport, document_row
+from repro.core.reports import ForensicsReport, document_run
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, TCPFlags
 from repro.netsim.units import millis, seconds
@@ -21,7 +25,7 @@ from repro.perfsonar.opensearch import OpenSearchStore
 from repro.telemetry import provenance
 from repro.telemetry.traceviz import to_perfetto
 
-from tests.core.helpers import FT, FlowScript, small_monitor
+from tests.core.helpers import FT, FlowScript, documents_sha256, small_monitor
 
 OTHER = FiveTuple(0x0A00000B, 0x0A01000B, 40001, 5201)
 
@@ -110,8 +114,11 @@ def test_the_scenario_reaches_every_report_kind(scenario):
 
 def test_every_archived_byte_is_the_per_document_paths(scenario):
     _, archiver, _, _ = scenario
+    # With ``_id``s: a6d0193a... while every row took the next ``_id``.
     assert archive_sha256(archiver.store) == (
-        "a6d0193a2276b2f4be68efc6037afacb623e221561592b0e02130d38b630af25")
+        "f35e0c3acb70bb9a3af17390cda86b650a3164511c4b7bd1f9916cb63f2f2529")
+    assert documents_sha256(archiver.store) == (
+        "1a24b8eef072053452f5db518dce76a29d9e92fff564076e2cdc60391f82d714")
     assert archiver.pipeline.events_in == 332
     assert archiver.output.documents_written == 332
     assert archiver.tcp_input.messages == 332
@@ -123,12 +130,13 @@ def test_a_tick_that_ships_anything_calls_the_sink_once(scenario):
     assert len(calls_per_tick) == 134
     assert set(calls_per_tick) == {0, 1}
     assert sum(calls_per_tick) == 129
-    # The rest are the digest handlers' reports, a block of one each.
+    # The rest are the digest handlers' reports, a run of one each.
     digest_blocks = len(blocks) - sum(calls_per_tick)
     assert digest_blocks == len(cp.terminations) + len(cp.microbursts)
-    assert sorted(len(b) for b in blocks)[:digest_blocks] == [1] * digest_blocks
-    # Mixed schemas in one list, in emission order.
-    assert max(len({keys for keys, _ in block}) for block in blocks) >= 3
+    assert sorted(b.size for b in blocks)[:digest_blocks] == [1] * digest_blocks
+    # Mixed schemas in one list, in emission order; a stream is one run.
+    assert max(len({run.keys for run in block}) for block in blocks) >= 3
+    assert max(run.n for block in blocks for run in block) >= 2
 
 
 def test_search_hands_out_copies_of_the_archives_containers():
@@ -146,7 +154,7 @@ def test_search_hands_out_copies_of_the_archives_containers():
         time_ns=seconds(1), trigger="query", t0_ns=0, t1_ns=1, level=0,
         window_width_ns=1_000_000, windows=3, total_bytes=4500,
         culprits=[{"flow_id": 7, "bytes": 4500}])
-    archiver.sink([report.row(), document_row({"type": "x", "labels": {"k": "v"}})])
+    archiver.sink([report.run(), document_run({"type": "x", "labels": {"k": "v"}})])
     archiver.forensics_documents()[0]["culprits"][0]["bytes"] = -1
     report.culprits[0]["bytes"] = -2
     archiver.documents("x")[0]["labels"]["k"] = "w"
@@ -215,6 +223,10 @@ def test_a_bundled_chaos_schedule_keeps_its_verdict_and_digest():
     # Pinned since the shipper delivers whole blocks: every row of a
     # block carries the block's one ``_seq``, and each block attempt
     # draws one transport fate, so fewer attempts fail and the breaker
-    # never opens (the per-row shipper's pin was fab009d3...).
+    # never opens (the per-row shipper's pin was fab009d3...).  Re-pinned
+    # when a tick's streams became runs, which renumbers ``_id``s only
+    # (93a1d07f... before); the digest without them is unchanged.
     assert result.archive_digest == (
-        "93a1d07f0f86ec241b7b6f6b1e54252ab317fd3cfc3a6ba9ce49e554924458c7")
+        "fffdc8f7efc3d9582cd0d9edc5e6f7afe95ff678a3592af5af9bf1e4cdf93f38")
+    assert documents_sha256(result.run.scenario.archiver.store) == (
+        "333fdec470b43ebf2ab78105b0eddf9095f3b681f7d646998f69e98950f7575c")

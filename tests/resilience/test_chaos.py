@@ -23,7 +23,7 @@ from repro.resilience.chaos import (
 from repro.resilience.faults import FaultInjector, install
 from repro.resilience.schedule import FaultSchedule, FaultWindow
 
-from tests.core.helpers import FlowScript, small_monitor
+from tests.core.helpers import FlowScript, documents_sha256, small_monitor
 from tests.core.test_control_plane import drive_stream
 
 BUNDLES = sorted(bundled_chaos())
@@ -33,15 +33,33 @@ BUNDLES = sorted(bundled_chaos())
 # moves one names its cause beside the new pin.
 BUNDLE_DIGESTS = {
     "archiver-outage":
-        "a2ee3a0f7bfca73fb52186b388b04b0773163bcb1969e05154f535dba669b445",
+        "d3763b8d3cdec3b21c85ebcfa68801ac21607a4ece133c3104ce47ca2ea76675",
     "cp-stall-skew":
-        "5e648731f5927dd4b1a1e45ae964f4db229db5ecb08a0760ebfd4a2d25652ae4",
+        "f592339d5d589dc1480250a98317c576c1fad3f8e6d6507cb70b0aa82f72df85",
     "kitchen-sink":
-        "9724c74130745f86125711b97f0ee2ef93f7e7b07768b1a727624dc98f65fb97",
+        "436cc59cf5265f58615b96237c66aedf8f1e9e7dc41cf92b2bac7e2c68c83f59",
     "lossy-transport":
-        "93a1d07f0f86ec241b7b6f6b1e54252ab317fd3cfc3a6ba9ce49e554924458c7",
+        "fffdc8f7efc3d9582cd0d9edc5e6f7afe95ff678a3592af5af9bf1e4cdf93f38",
     "slow-drain":
-        "d579f54458c774ffd7fbf58245bdfdd3bda2d6b916645f90ffdb361b353148ef",
+        "206ded674a8ef11e968cbad93b5f035f527fabe4ba7fca50ecaebaa7ec43ad53",
+}
+
+# The same archives without ``_id``s (``documents_sha256``).  When a
+# tick's streams became runs, each run's documents took consecutive
+# ``_id``s, so the digests above were re-pinned (from a2ee3a0f...,
+# 5e648731..., 9724c741..., 93a1d07f... and d579f544...); these kept
+# the values the per-row path gave them.
+BUNDLE_DIGESTS_WITHOUT_IDS = {
+    "archiver-outage":
+        "77b44764b7010db60eaef1ddf244365d9675f8bc22544b6e31f5710d985905a6",
+    "cp-stall-skew":
+        "615463949690654c920733cff4a290608dce2054b0c3fa616c7cd4f8f11ec5d0",
+    "kitchen-sink":
+        "38112375ebe2f0d2f8c80d06c375c8074433e6f1661ff6cc20907a2f34a0dc42",
+    "lossy-transport":
+        "333fdec470b43ebf2ab78105b0eddf9095f3b681f7d646998f69e98950f7575c",
+    "slow-drain":
+        "0a716530fa2d23c18e32b21beef9f99cad060c289a5bd95d2f4c19be7395423d",
 }
 
 
@@ -69,6 +87,8 @@ def test_bundled_schedule_settles_clean(bundle_results, name):
 @pytest.mark.parametrize("name", BUNDLES)
 def test_bundled_archive_digest_is_pinned(bundle_results, name):
     assert bundle_results[name].archive_digest == BUNDLE_DIGESTS[name]
+    assert (documents_sha256(bundle_results[name].run.scenario.archiver.store)
+            == BUNDLE_DIGESTS_WITHOUT_IDS[name])
 
 
 def test_a_crash_free_run_installs_no_recovery_machinery(monkeypatch):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core.reports import Block, document_row
+from repro.core.reports import Block, Run, document_run
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
 from repro.perfsonar.logstash import SequenceDedup
@@ -20,8 +20,8 @@ from repro.resilience.schedule import FaultSchedule, FaultWindow
 
 
 def _doc(block):
-    """The one document of a block the shipper delivers (its row, with
-    the block's tail appended)."""
+    """The one document of a block the shipper delivers (its run of one,
+    with the block's tail appended)."""
     doc, = block.documents()
     return doc
 
@@ -45,7 +45,7 @@ class ScriptedTransport:
 
 def _ship_n(sim, shipper, n, start_s=0.0, gap_s=0.1):
     for i in range(n):
-        sim.at(seconds(start_s + i * gap_s), shipper, [document_row(
+        sim.at(seconds(start_s + i * gap_s), shipper, [document_run(
             {"type": "t", "@timestamp": start_s + i * gap_s, "n": i})])
 
 
@@ -97,7 +97,7 @@ def test_evicted_blocks_are_counted_in_reports_too():
     config = DeliveryConfig(spool_limit=1, dead_letter_limit=1)
     shipper = ResilientShipper(sim, transport, config=config)
     for n in range(4):
-        shipper([document_row({"type": "t", "n": n, "row": r})
+        shipper([document_run({"type": "t", "n": n, "row": r})
                  for r in range(3)])
     assert shipper.pending == 1 and len(shipper.dead_letters) == 1
     assert shipper.dead_letter_evictions == 2
@@ -174,9 +174,13 @@ def test_clock_skew_applied_to_timestamps():
         clock=lambda: sim.now))
     transport = ScriptedTransport(sim)
     shipper = ResilientShipper(sim, transport)
-    shipper([document_row({"type": "t", "@timestamp": 1.0})])
+    shipper([document_run({"type": "t", "@timestamp": 1.0})])
     assert transport.delivered[0]["@timestamp"] == pytest.approx(1.25)
     assert shipper.skewed_total == 1
+    # A run whose documents vary in their timestamp has each one moved.
+    seen = []
+    ResilientShipper(sim, seen.append)([Run(("type", "@timestamp"), ("t", (2.0, 3.0)), (1,), 2)])
+    assert [doc["@timestamp"] for doc in seen[0].documents()] == [2.25, 3.25]
 
 
 def test_faulty_transport_duplicates_when_told_to():
@@ -187,7 +191,7 @@ def test_faulty_transport_duplicates_when_told_to():
         clock=lambda: sim.now))
     delivered = []
     transport = FaultyTransport(delivered.append)
-    transport(Block([document_row({"n": 1})], (("_seq",), (1,))))
+    transport(Block([document_run({"n": 1})], (("_seq",), (1,))))
     assert len(delivered) == 2
     assert delivered[0] == delivered[1]
     assert delivered[0].tail is delivered[1].tail, "the copy keeps the tail"

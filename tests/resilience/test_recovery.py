@@ -20,6 +20,8 @@ from repro.resilience.chaos import (
 from repro.resilience.schedule import FaultSchedule, FaultWindow
 from repro.resilience.supervisor import SupervisorPolicy
 
+from tests.core.helpers import documents_sha256
+
 CRASH_BUNDLES = ("archiver-outage", "lossy-transport", "cp-stall-skew")
 
 
@@ -41,11 +43,24 @@ def crash_results():
 # repeat deliveries that retries and dedup settle to the same archive.
 CRASH_DIGESTS = {
     "archiver-outage":
-        "ea18698b2ba40035ba4b2fe9793e8a271691ee002acb3d30990fa5e2b2a49541",
+        "1d8a006a55c917c5ab4954e378582bab317504f1195de4d24799ea114985e103",
     "lossy-transport":
-        "ea18698b2ba40035ba4b2fe9793e8a271691ee002acb3d30990fa5e2b2a49541",
+        "1d8a006a55c917c5ab4954e378582bab317504f1195de4d24799ea114985e103",
     "cp-stall-skew":
-        "a16a28dc0895bae6a87b5baae3cfa5c9a8da5005c2a8e025b82a335036d1c566",
+        "9ce7f6f09fae217adbf5eacb84d1e7ae065905970684b1fd1d66eb607da423aa",
+}
+
+# The same archives without ``_id``s (``documents_sha256``).  When a
+# tick's streams became runs, each run's documents took consecutive
+# ``_id``s, so the digests above were re-pinned (from ea18698b... and
+# a16a28dc...); these kept the values the per-row path gave them.
+CRASH_DIGESTS_WITHOUT_IDS = {
+    "archiver-outage":
+        "0eabf780da0a0b64830db52487306762b574e53425b003c914a385c48668fc52",
+    "lossy-transport":
+        "0eabf780da0a0b64830db52487306762b574e53425b003c914a385c48668fc52",
+    "cp-stall-skew":
+        "be3a549bf4340de2a94ce6f83bbff4ef5e5de4529cccdb1aa320bd8b94b12371",
 }
 
 
@@ -53,6 +68,8 @@ CRASH_DIGESTS = {
 def test_crash_archive_digest_is_pinned(crash_results, name):
     result = crash_results[name]
     assert result.archive_digest == CRASH_DIGESTS[name]
+    assert (documents_sha256(result.run.scenario.archiver.store)
+            == CRASH_DIGESTS_WITHOUT_IDS[name])
     if name != "cp-stall-skew":
         assert result.archived_unique == 27
         assert all(not s.breaker.transitions for s in result.stacks)

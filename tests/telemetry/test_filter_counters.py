@@ -6,7 +6,7 @@ type.
 """
 
 from repro import telemetry
-from repro.core.reports import Block, document_row
+from repro.core.reports import Block, document_run
 from repro.perfsonar.logstash import AggregateTestFilter
 
 
@@ -22,7 +22,7 @@ def _series(name):
 def test_aggregate_filter_counts_collapses_per_type():
     telemetry.enable()
     filt = AggregateTestFilter()
-    filt(Block([document_row(doc) for doc in (
+    filt(Block([document_run(doc) for doc in (
         {"type": "throughput",
          "intervals": [{"throughput_bps": 1e8}, {"throughput_bps": 2e8}]},
         {"type": "rtt", "samples_ms": [1.0, 2.0]},
@@ -37,7 +37,7 @@ def test_aggregate_filter_counts_collapses_per_type():
 def test_aggregate_filter_output_unchanged_by_instrumentation():
     telemetry.enable()
     filt = AggregateTestFilter()
-    out, = filt(Block([document_row(
+    out, = filt(Block([document_run(
         {"type": "throughput",
          "intervals": [{"throughput_bps": 1e8}, {"throughput_bps": 3e8}]})])).documents()
     assert out["value"] == 2e8

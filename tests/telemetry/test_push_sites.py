@@ -25,7 +25,7 @@ PUSH_SITES = {
     "p4/pipeline.py": {"_tel_latency": ["observe", "observe_n"]},
     "core/control_plane.py": {"_tel_cycle_ns": ["observe"], "_tel_reports": ["inc"]},
     "perfsonar/logstash.py": {"_tel_filter_ns": ["observe"]},
-    "perfsonar/archiver.py": {"_tel_fields": ["observe"]},
+    "perfsonar/archiver.py": {"_tel_fields": ["observe_n"]},
 }
 
 

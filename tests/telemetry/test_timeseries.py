@@ -10,7 +10,7 @@ frames from the archive.
 import pytest
 
 from repro import telemetry
-from repro.core.reports import document_row
+from repro.core.reports import document_run
 from repro.netsim.engine import Simulator
 from repro.perfsonar.archiver import Archiver
 from repro.telemetry.metrics import MetricsRegistry, TelemetryError
@@ -118,9 +118,9 @@ def test_store_keys_series_by_labels():
 
 
 def test_store_record_returns_retained_samples_for_pusher():
-    """The wire format: one block of ``(keys, values)`` rows per tick,
-    each a ``repro_telemetry`` event, handed to the archive's sink and
-    then to the observers."""
+    """The wire format: one block of one run per tick, each of its
+    documents a ``repro_telemetry`` event, handed to the archive's sink
+    and then to the observers."""
     sim = Simulator()
     reg = _registry_with_values(counter=1)
     sampler = TelemetrySampler(sim, Archiver(), registry=reg,
@@ -131,8 +131,8 @@ def test_store_record_returns_retained_samples_for_pusher():
     sim.run_until(200 * MS)
     (t_ns, block), = blocks
     assert t_ns == 200 * MS
-    assert sampler.events_pushed == len(block) == 5
-    event = dict(zip(*block[0]))
+    assert sampler.events_pushed == block.size == 5 and len(block) == 1
+    event = block.documents()[0]
     assert set(event) == {"type", "@timestamp", "time_ns", "source", "metric",
                           "labels", "kind", "value", "delta", "rate_per_s"}
     assert event["type"] == "repro_telemetry"
@@ -141,7 +141,7 @@ def test_store_record_returns_retained_samples_for_pusher():
     assert (event["metric"], event["labels"], event["kind"]) == (
         "repro_x_total", {}, "counter")
     assert (event["value"], event["delta"], event["rate_per_s"]) == (1.0, 0.0, 0.0)
-    labelled = [dict(zip(*row)) for row in block if dict(zip(*row))["metric"] == "repro_z"]
+    labelled = [doc for doc in block.documents() if doc["metric"] == "repro_z"]
     assert [e["labels"] for e in labelled] == [{"kind": "a"}, {"kind": "b"}]
 
 
@@ -229,7 +229,7 @@ def test_sampler_observers_get_per_tick_batches():
     assert len(batches) == sampler.samples_taken
     t_ns, block = batches[-1]
     assert t_ns == 100 * MS
-    assert any(dict(zip(*row))["metric"] == "repro_a_total" for row in block)
+    assert any(doc["metric"] == "repro_a_total" for doc in block.documents())
 
 
 def test_sampler_rejects_bad_interval():
@@ -330,7 +330,7 @@ def test_push_lands_in_archive_next_to_measurement_documents():
     fam = telemetry.counter("repro_work_total")
     archiver = Archiver()
     # A measurement document, as the control plane would ship it.
-    archiver.sink([document_row({"type": "throughput", "flow_id": 1,
+    archiver.sink([document_run({"type": "throughput", "flow_id": 1,
                                  "value": 1e8, "@timestamp": 0.05})])
 
     sampler = TelemetrySampler(sim, archiver, interval_ns=100 * MS,

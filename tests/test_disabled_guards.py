@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.core.control_plane import MonitorControlPlane
-from repro.core.reports import Block, document_row
+from repro.core.reports import Block, document_run
 from repro.netsim.engine import Simulator
 from repro.netsim.units import millis, seconds
 from repro.p4.histogram import HistogramRegister
@@ -88,9 +88,9 @@ def _report_path_run():
     pipe.add_filter(opensearch_metadata_filter)
     pipe.add_output(OpenSearchOutputPlugin(store, dedup=SequenceDedup()))
     tcp = TcpInputPlugin(pipe)
-    # The socket carries one JSON line per row.
+    # The socket carries one JSON line per document.
     cp = MonitorControlPlane(sim, mon, report_sink=lambda block: [
-        tcp.ingest_line(json.dumps(dict(zip(*row)))) for row in block])
+        tcp.ingest_line(json.dumps(doc)) for doc in block.documents()])
     script = FlowScript(mon)
     script.make_long()
     for i in range(8):
@@ -129,7 +129,7 @@ def test_an_unenveloped_document_skips_the_dedup_books(monkeypatch):
     calls = _count_calls(monkeypatch, SequenceDedup, "is_duplicate", "record")
     store = OpenSearchStore()
     out = OpenSearchOutputPlugin(store, dedup=SequenceDedup())
-    row = document_row({"type": "p4_rtt", "flow_id": 7, "value": 12.5})
+    row = document_run({"type": "p4_rtt", "flow_id": 7, "value": 12.5})
     out(Block([row]))
     assert not calls and out.documents_written == 1
     out(Block([row], (("_shipper", "_seq"), ("s", 0))))
