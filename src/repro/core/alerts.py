@@ -5,27 +5,25 @@ notifies the administrator and increases the collection rate to a value
 defined by the administrator."
 
 :class:`AlertManager` keeps the active-alert set keyed by
-(metric, flow).  A raise emits an :class:`~repro.core.reports.Alert`,
-a return below threshold emits the matching cleared event, and
-:meth:`metric_boosted` tells the extraction loop whether a metric class
-should run at its boosted rate.
+(metric, flow).  A raise returns an :class:`~repro.core.reports.Alert`,
+a return below threshold the matching cleared event (the control plane
+ships what :meth:`check` returns), and :meth:`metric_boosted` tells the
+extraction loop whether a metric class should run at its boosted
+rate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry import hooks
 from repro.core.config import MetricKind, MonitorConfig
 from repro.core.reports import Alert
 
-AlertSink = Callable[[Alert], None]
-
 
 class AlertManager:
-    def __init__(self, config: MonitorConfig, sink: Optional[AlertSink] = None) -> None:
+    def __init__(self, config: MonitorConfig) -> None:
         self.config = config
-        self.sink = sink
         self._active: Dict[Tuple[MetricKind, Optional[int]], Alert] = {}
         self.history: List[Alert] = []
         self._trace = hooks.tracer
@@ -77,8 +75,6 @@ class AlertManager:
             self._trace.fire("alert", alert.time_ns, metric=alert.metric,
                              flow_id=alert.flow_id, value=alert.value,
                              threshold=alert.threshold)
-        if self.sink is not None:
-            self.sink(alert)
 
     def metric_boosted(self, kind: MetricKind) -> bool:
         """True while any flow holds an active alert for this metric —

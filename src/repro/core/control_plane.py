@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro import telemetry
 from repro.telemetry import hooks
@@ -70,8 +70,7 @@ if TYPE_CHECKING:
     from repro.core.histograms import HistogramExtractor
 
 #: Receives one :class:`~repro.core.reports.Block` per call: a tick's runs,
-#: or a run of one (a digest handler's report; every document while a
-#: provenance tracer is bound).
+#: or a digest handler's report as a run of one.
 ReportSink = Callable[[Block], None]
 
 #: The per-flow positions of a FlowSample / LimiterReport run: the flow's
@@ -139,16 +138,17 @@ class MonitorControlPlane:
         self.config = config or monitor.config
         self.runtime = monitor.runtime()
         self.report_sink = report_sink
-        # Where report runs go right now: into the open tick's block, or
-        # each shipped alone (outside a tick, or under a tracer).
-        self._put: Optional[Callable[[Iterable[Run]], None]] = self._send_each
+        # The open tick's block (``None`` outside a tick) and, under a
+        # tracer, its documents' trace ids (``_put``).
+        self._block: Optional[Block] = None
+        self._ids: List[int] = []
         # The active flows of the last tick and their identity columns
         # (``TrackedFlow.head``, transposed), shared by every run built
         # over the same flows.
         self._heads: tuple = ([], ((),) * 5)
 
         self.flows: Dict[int, TrackedFlow] = {}
-        self.alerts = AlertManager(self.config, sink=self._ship)
+        self.alerts = AlertManager(self.config)
         self.limiter = LimiterClassifier(self.config)
 
         #: Documents handed to the report sink, per Report_v1 type (0 with
@@ -382,21 +382,15 @@ class MonitorControlPlane:
 
     def _run_body(self, job: _Job) -> None:
         """One job body, its report runs collected in one block that
-        ships in one call when the body returns.  A bound tracer ships
-        each document as it comes instead, as a run of one, so the
-        report context still opens right after the extraction behind
-        that document."""
-        block = Block()
-        if self.report_sink is None:
-            self._put = None
-        elif self._trace is None:
-            self._put = block.extend
+        ships in one call when the body returns, a bound tracer or not
+        (the tracer's report context is the block's trace ids)."""
+        self._block, self._ids = Block(), []
         try:
             job.body()
         finally:
-            self._put = self._send_each
+            block, self._block = self._block, None
         if block:
-            self._send(block)
+            self._send(block, self._ids)
 
     def _checkpoint(self) -> None:
         """End of a destructive step (an extraction tick, a consumed
@@ -452,16 +446,6 @@ class MonitorControlPlane:
         if self._running:
             self._arm(self.schedule[kind.value])
 
-    def _read_traced(self, name: str, index: int, flow_id: int = -1) -> int:
-        """Single-cell runtime register read that also records the
-        control-plane extraction against the packet that last wrote the
-        cell (a tick reads columns: ``_sweep``)."""
-        value = self.runtime.read_register(name, index)
-        if self._trace is not None:
-            self._trace.control_read(name, index, self.sim.now,
-                                     value=value, flow_id=flow_id)
-        return value
-
     def _sweep(self, name: str, indices: List[int]) -> List[int]:
         """One register, every flow of a tick: one runtime read.  The
         snapshot stands for the whole tick — ``_tick`` flushed first, a
@@ -491,7 +475,11 @@ class MonitorControlPlane:
     def _on_termination(self, _name: str, payload: dict) -> None:
         fid = payload["flow_id"]
         flow = self.flows.get(fid)
-        retx = self._read_traced("pkt_loss", payload["slot"], flow_id=fid)
+        # One cell, noted with a tracer (a tick reads columns: ``_sweep``).
+        retx = self.runtime.read_register("pkt_loss", payload["slot"])
+        if self._trace is not None:
+            self._trace.control_read("pkt_loss", payload["slot"], self.sim.now,
+                                     value=retx, flow_id=fid)
         # ``flow_start`` holds the claim instant masked to the register
         # width; a flow tracked in that slot knows it in sim time.
         tracked = flow is not None and not flow.evicted
@@ -690,52 +678,46 @@ class MonitorControlPlane:
         checks raised or cleared, then by the run of ``then``, a second
         stream over the same flows (jitter or limiter, as :meth:`_stream`
         describes one).  Degraded mode counts their documents as
-        suppressed, off the tallies.  A tracer instead ships each flow's
-        documents alone, in flow order — its reads noted first, its
-        sample, its alerts, ``then_reads`` noted, its ``then``
-        document."""
+        suppressed, off the tallies.  A bound tracer notes the reads flow
+        by flow, ``reads`` then ``then_reads``; a document's trace id is
+        the last writer of the cell its value was read from: the last of
+        ``reads`` for a sample and the alerts its check raised, the last
+        of ``then_reads`` (or of ``reads``) for a ``then`` document."""
         now, trace = self.sim.now, self._trace
         sample = self._stream(kind.value, self.alerts.metric_boosted(kind), flows, values)
         streams = (sample,) if then is None else (then, sample)
         counts = {spec[1][0]: len(flows) if spec[3] is None else
                   len(flows) - spec[3].count(None) for spec in streams}
-        if self.report_sink is not None:
+        put = self.report_sink is not None
+        if put:
             self.tallies.update(counts)
-        put = self._put
         if self.degraded:
             limiter = counts.get("p4_limiter", 0)
             self._suppress("FlowSample", sum(counts.values()) - limiter)
             self._suppress("LimiterReport", limiter)
-            if self.report_sink is not None:
+            if put:
                 self.tallies.subtract(counts)
-            put = None
+            put = False
+        ids = then_ids = None
+        if trace is not None:
+            ids, then_ids = [], []
+            for i, flow in enumerate(flows):
+                for noted, columns in ((ids, reads), (then_ids, then_reads)):
+                    for name, indices, cells in columns:
+                        tid = trace.control_read(name, indices[i], now, value=cells[i],
+                                                 flow_id=flow.flow_id)
+                    noted.append(tid)
+        if put:
+            self._put(*_tick_runs(sample, ids))
         mc = self.config.metric(kind)
-        alerting = mc.alert_enabled and mc.alert_threshold is not None
-        if trace is None:
-            if put is not None:
-                put(_tick_runs(sample))
-            if alerting:
-                for flow, value in zip(flows, values):
-                    if value is not None:
-                        self.alerts.check(kind, flow.flow_id, value, now)
-            if put is not None and then is not None:
-                put(_tick_runs(then))
-            return
-        for i, flow in enumerate(flows):
-            for name, indices, cells in reads:
-                trace.control_read(name, indices[i], now, value=cells[i],
-                                   flow_id=flow.flow_id)
-            if values[i] is not None:
-                if put is not None:
-                    put((_one_of(sample, i),))
-                if alerting:
-                    self.alerts.check(kind, flow.flow_id, values[i], now)
-            for name, indices, cells in then_reads:
-                trace.control_read(name, indices[i], now, value=cells[i],
-                                   flow_id=flow.flow_id)
-            if then is not None and (then[3] is None or then[3][i] is not None) \
-                    and put is not None:
-                put((_one_of(then, i),))
+        if mc.alert_enabled and mc.alert_threshold is not None:
+            for i, (flow, value) in enumerate(zip(flows, values)):
+                if value is not None:
+                    alert = self.alerts.check(kind, flow.flow_id, value, now)
+                    if alert is not None:
+                        self._ship(alert, None if ids is None else ids[i:i + 1])
+        if put and then is not None:
+            self._put(*_tick_runs(then, then_ids))
 
     def _stream(self, metric: str, boosted: bool, flows: List[TrackedFlow],
                 values: List[Optional[float]]) -> tuple:
@@ -775,16 +757,15 @@ class MonitorControlPlane:
     def reports_suppressed(self) -> int:
         return sum(self.suppressed.values())
 
-    def _ship(self, report) -> None:
+    def _ship(self, report, ids: Optional[List[int]] = None) -> None:
         """Put one report's run of one (a report of
-        :mod:`repro.core.reports`)."""
+        :mod:`repro.core.reports`); ``ids``: :meth:`_put`'s."""
         if self.degraded and isinstance(report, (FlowSample, LimiterReport)):
             self._suppress(type(report).__name__)
-        elif self._put is not None:
+        elif self.report_sink is not None:
             run = report.run()
-            if self.report_sink is not None:
-                self.tallies[run.values[0]] += 1
-            self._put((run,))
+            self.tallies[run.values[0]] += 1
+            self._put([run], ids)
 
     def _suppress(self, name: str, count: int = 1) -> None:
         """Degraded mode: per-flow detail collapses to the aggregate
@@ -792,12 +773,21 @@ class MonitorControlPlane:
         path proves healthy again.  Counted by report type."""
         self.suppressed[name] = self.suppressed.get(name, 0) + count
 
-    def _send_each(self, runs: Iterable[Run]) -> None:
-        if self.report_sink is not None:
-            for run in runs:
-                self._send(Block((run,)))
+    def _put(self, runs: List[Run], ids: Optional[List[int]] = None) -> None:
+        """Put report runs into the open tick's block or, outside a tick,
+        ship them as a block of their own.  A bound tracer takes their
+        documents' trace ids from ``ids``, or else from its report
+        context now (:meth:`~repro.telemetry.provenance.ProvenanceTracer.report_id`)."""
+        if ids is None and self._trace is not None:
+            ids = [self._trace.report_id()] * sum(run.n for run in runs)
+        if self._block is None:
+            self._send(Block(runs), ids)
+        else:
+            self._block.extend(runs)
+            if ids:
+                self._ids.extend(ids)
 
-    def _send(self, block: Block) -> None:
+    def _send(self, block: Block, ids: Optional[List[int]]) -> None:
         """The one ``report_sink`` site.  Every Report_v1 run leads with
         its type, which all its documents share."""
         if self._tel_reports is not None:
@@ -805,11 +795,11 @@ class MonitorControlPlane:
                 self._tel_reports.labels(run.values[0]).inc(run.n)
         trace = self._trace
         if trace is not None:
-            # Report context (a tracer ships runs of one): downstream
-            # (Logstash, archiver) events attach to the packet behind
-            # the latest extraction.
-            trace.begin_report(self.sim.now)
-            trace.report_event("control-plane", "ship", block[0].values[0])
+            # Report context: downstream (Logstash, archiver) events
+            # attach document i to the packet behind ``ids[i]``.
+            trace.begin_report(self.sim.now, ids)
+            trace.report_events("control-plane", "ship", [
+                (run.values[0], {}) for run in block for _ in range(run.n)])
         try:
             self.report_sink(block)
         finally:
@@ -842,10 +832,11 @@ class MonitorControlPlane:
         return None
 
 
-def _tick_runs(stream: tuple) -> List[Run]:
+def _tick_runs(stream: tuple, ids: Optional[List[int]]) -> tuple:
     """A stream of :meth:`MonitorControlPlane._stream` as one run (none
-    when no flow has a document): its columns as the tick built them, or
-    compressed to the flows that have a document."""
+    when no flow has a document) and its documents' trace ids: its
+    columns as the tick built them, or compressed to the flows that have
+    a document, and ``ids`` (one per flow; ``None``: no tracer) alike."""
     keys, values, cols, present = stream
     n = len(values[cols[0]])
     if present is not None:
@@ -854,11 +845,7 @@ def _tick_runs(stream: tuple) -> List[Run]:
         if kept < n:
             values = tuple(list(compress(v, keep)) if p in cols else v
                            for p, v in enumerate(values))
+            if ids is not None:
+                ids = list(compress(ids, keep))
             n = kept
-    return [Run(keys, values, cols, n)] if n else []
-
-
-def _one_of(stream: tuple, i: int) -> Run:
-    """Flow ``i``'s document of a stream, as a run of one."""
-    keys, values, cols, _ = stream
-    return Run(keys, tuple(v[i] if p in cols else v for p, v in enumerate(values)))
+    return ([Run(keys, values, cols, n)] if n else []), ids

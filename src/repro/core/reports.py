@@ -114,18 +114,13 @@ class Block(list):
     followed by the tail's.  A tail's keys are none of its runs' keys.
     A layer that adds a field every document shares sets it in a new
     block's tail, once: the runs, and the caller's block, are never
-    copied per document.  A plain list of runs is taken, where a block
-    enters from outside, as a block with an empty tail (:meth:`of`)."""
+    copied per document."""
 
     __slots__ = ("tail",)
 
     def __init__(self, runs: Iterable[Run] = (), tail: Row = NO_TAIL) -> None:
         super().__init__(runs)
         self.tail = tail
-
-    @classmethod
-    def of(cls, runs: Iterable[Run]) -> "Block":
-        return runs if type(runs) is cls else cls(runs)
 
     @property
     def size(self) -> int:

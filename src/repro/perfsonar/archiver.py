@@ -63,18 +63,16 @@ class Archiver:
         ])
 
     def sink(self, block: Block) -> None:
-        """The control-plane report sink: one block of Report_v1 runs (a
-        plain list is a block with an empty tail)."""
+        """The control-plane report sink: one block of Report_v1 runs."""
         prof = self._prof
         if prof is not None:
             prof.begin("archiver.sink")
         try:
-            block = Block.of(block)
             tail_keys = block.tail[0]
             if self._trace is not None:
-                for doc_type in doc_types(block):
-                    self._trace.report_event("archiver", "archive", self.index_prefix,
-                                             doc_type=doc_type)
+                self._trace.report_events("archiver", "archive", [
+                    (self.index_prefix, {"doc_type": doc_type})
+                    for doc_type in doc_types(block)])
             if self._tel_fields is not None:
                 for run in block:
                     self._tel_fields.observe_n(len(run.keys) + len(tail_keys), run.n)

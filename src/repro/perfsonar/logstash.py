@@ -83,14 +83,12 @@ class LogstashPipeline:
         self.outputs.append(fn)
 
     def process(self, block: Block) -> Block:
-        """Run one block (a plain list is a block with an empty tail)
-        through the filters and hand what survives to every output;
-        returns the surviving block."""
+        """Run one block through the filters and hand what survives to
+        every output; returns the surviving block."""
         prof = self._prof
         if prof is not None:
             prof.begin("logstash.process")
         try:
-            block = Block.of(block)
             events = block.size
             self.events_in += events
             filter_ns = self._tel_filter_ns
@@ -102,11 +100,12 @@ class LogstashPipeline:
             self.events_dropped += events - kept
             trace = self._trace
             if trace is not None:
-                # A tracer's report context covers one document (the
-                # control plane ships runs of one while it is bound).
+                # The report context names one packet per document of
+                # the block the control plane shipped: a block shipped
+                # or dropped whole records each document under its own.
                 kind, seen = ("logstash-ship", runs) if runs else ("logstash-drop", block)
-                for doc_type in doc_types(seen):
-                    trace.report_event("archiver", kind, self.name, doc_type=doc_type)
+                trace.report_events("archiver", kind, [
+                    (self.name, {"doc_type": doc_type}) for doc_type in doc_types(seen)])
             if filter_ns is not None:
                 filter_ns.observe(time.perf_counter_ns() - t0)
             if runs:
@@ -156,7 +155,7 @@ class TcpInputPlugin:
     def ingest(self, block: Block) -> Block:
         """One block of messages; faults are checked once per block."""
         self._check_stalled()
-        self.messages += Block.of(block).size
+        self.messages += block.size
         return self.pipeline.process(block)
 
     def ingest_line(self, line: Union[str, bytes]) -> Optional[Block]:

@@ -346,11 +346,12 @@ class OpenSearchStore:
         segments = docs.segments
         cut = whole = part = 0
         for seg in segments:
+            if gone.issuperset(seg.ids):
+                whole, cut = whole + 1, cut + seg.run.n
+                continue
             part = sum(1 for _ in takewhile(gone.__contains__, seg.ids))
             cut += part
-            if part < seg.run.n:
-                break
-            whole, part = whole + 1, 0
+            break
         if cut == len(gone):
             del segments[:whole]
             if part:

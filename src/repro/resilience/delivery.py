@@ -158,12 +158,11 @@ class ResilientShipper:
 
     def __call__(self, block: Block) -> None:
         """Envelope one block (one ``_seq`` in its tail, one clock-skew
-        draw; a plain list is a block with an empty tail) and deliver it,
-        or spool it behind the blocks already waiting."""
+        draw) and deliver it, or spool it behind the blocks already
+        waiting."""
         if not block:
             return
         self.seq += 1
-        block = Block.of(block)
         keys, values = block.tail
         tail = (keys + _ENVELOPE, values + (self.seq, self.source))
         skew = self._faults.clock_skew_ns() if self._faults is not None else 0

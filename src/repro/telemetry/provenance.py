@@ -204,7 +204,7 @@ class ProvenanceTracer:
         # instead of calling in (see P4Pipeline._process_observed).
         self._ctx_rec = False
         # Active report context + the most recent control-read linkage.
-        self._report: Optional[Tuple[int, int]] = None
+        self._report: Optional[Tuple[Sequence[int], int]] = None
         self._last_extract_id = 0
 
     # -- identity ----------------------------------------------------------
@@ -351,30 +351,39 @@ class ProvenanceTracer:
                            f"{name}[{index}]", detail, fine, coarse)
         return tid
 
-    def begin_report(self, t_ns: int, trace_id: Optional[int] = None) -> None:
-        """Open a report context around shipping one measurement record.
-        The trace id defaults to the active packet (digest handlers run
-        inside the traversal that emitted the digest) or, failing that,
-        the most recent control read."""
-        if trace_id is None:
-            trace_id = self._ctx_id or self._last_extract_id
-        self._report = (trace_id, t_ns)
+    def report_id(self) -> int:
+        """The trace id a report put now inherits: the active packet
+        (digest handlers run inside the traversal that emitted the
+        digest) or, failing that, the most recent control read."""
+        return self._ctx_id or self._last_extract_id
+
+    def begin_report(self, t_ns: int, trace_ids: Sequence[int]) -> None:
+        """Open a report context around shipping one block of
+        measurement records: ``trace_ids[i]`` is the packet behind its
+        document ``i`` (0: none)."""
+        self._report = (trace_ids, t_ns)
 
     def end_report(self) -> None:
         self._report = None
 
-    def report_event(self, layer: str, kind: str, where: str, **detail) -> None:
-        """Record one event under the report context (Logstash filters,
-        the archiver's index write).  No-op outside a report or when the
-        report has no traced packet behind it."""
+    def report_events(self, layer: str, kind: str,
+                      events: Sequence[Tuple[str, dict]]) -> None:
+        """Record one event per document of the report context's block
+        (Logstash filters, the archiver's index write): ``events[i]`` is
+        document ``i``'s ``(where, detail)``, recorded under its trace
+        id.  No-op outside a report, for a document with no traced
+        packet behind it, and for a layer that sees a different number
+        of documents than the block holds (a filter cut it)."""
         if self._report is None:
             return
-        tid, t_ns = self._report
-        if not tid:
+        trace_ids, t_ns = self._report
+        if len(events) != len(trace_ids):
             return
-        fine, coarse = self._decide_by_id(tid)
-        if fine or coarse:
-            self._emit(tid, t_ns, layer, kind, where, detail, fine, coarse)
+        for tid, (where, detail) in zip(trace_ids, events):
+            if tid:
+                fine, coarse = self._decide_by_id(tid)
+                if fine or coarse:
+                    self._emit(tid, t_ns, layer, kind, where, detail, fine, coarse)
 
     # -- triggers ----------------------------------------------------------
 

@@ -6,13 +6,13 @@ from repro.core.alerts import AlertManager
 from repro.core.config import MetricKind, MonitorConfig
 
 
-def manager(threshold=50.0, kind=MetricKind.QUEUE_OCCUPANCY, sink=None):
+def manager(threshold=50.0, kind=MetricKind.QUEUE_OCCUPANCY):
     cfg = MonitorConfig()
     mc = cfg.metric(kind)
     mc.alert_enabled = True
     mc.alert_threshold = threshold
     mc.boosted_samples_per_second = 10.0
-    return AlertManager(cfg, sink=sink)
+    return AlertManager(cfg)
 
 
 K = MetricKind.QUEUE_OCCUPANCY
@@ -76,12 +76,11 @@ def test_drop_flow_clears_its_alerts():
     assert not mgr.metric_boosted(K)
 
 
-def test_sink_receives_events():
-    events = []
-    mgr = manager(sink=events.append)
-    mgr.check(K, 1, 80.0, 100)
-    mgr.check(K, 1, 1.0, 200)
+def test_check_returns_each_transition_and_the_history_keeps_it():
+    mgr = manager()
+    events = [mgr.check(K, 1, 80.0, 100), mgr.check(K, 1, 1.0, 200)]
     assert [e.cleared for e in events] == [False, True]
+    assert mgr.history == events
 
 
 def test_threshold_is_strict_greater():

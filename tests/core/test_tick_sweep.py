@@ -29,19 +29,31 @@ from tests.core.helpers import FlowScript, small_monitor
 
 
 class RecordingArchiver(Archiver):
-    """An archive that also keeps every block it was handed, in order."""
+    """An archive that also keeps every block it was handed, in order,
+    and, under a tracer, how many events were recorded when each block
+    had crossed it."""
 
     def __init__(self):
         super().__init__()
-        self.blocks = []
+        self.blocks, self.ends = [], []
 
     def sink(self, block):
         self.blocks.append(block)
         super().sink(block)
+        if self._trace is not None:
+            self.ends.append(self._trace.events_recorded)
 
 
 class PerCellControlPlane(MonitorControlPlane):
     """The four tick bodies cell by cell, each sample emitted alone."""
+
+    def _read_traced(self, name, index, flow_id=-1):
+        """Single-cell runtime register read, noted with a tracer."""
+        value = self.runtime.read_register(name, index)
+        if self._trace is not None:
+            self._trace.control_read(name, index, self.sim.now,
+                                     value=value, flow_id=flow_id)
+        return value
 
     def _sample_emitter(self, kind, now, jitter=False):
         """One tick's ``emit(flow, value)``: put one per-flow sample's
@@ -52,7 +64,6 @@ class PerCellControlPlane(MonitorControlPlane):
         mc = self.config.metric(kind)
         alerting = not jitter and mc.alert_enabled and mc.alert_threshold is not None
         metric = "jitter" if jitter else kind.value
-        put = self._put
 
         def emit(flow, value):
             sample = FlowSample(now, metric, flow.flow_id, flow.src_ip,
@@ -60,11 +71,13 @@ class PerCellControlPlane(MonitorControlPlane):
                                 value, boosted)
             if self.degraded:
                 self._suppress("FlowSample")
-            elif put is not None:
+            else:
                 self.tallies["p4_" + metric] += 1
-                put((sample.run(),))
+                self._put([sample.run()])
             if alerting:
-                self.alerts.check(kind, flow.flow_id, value, now)
+                alert = self.alerts.check(kind, flow.flow_id, value, now)
+                if alert is not None:
+                    self._ship(alert)
 
         return emit
 
@@ -291,6 +304,21 @@ def outcome(world):
     }
 
 
+def lineage(tracer, ends):
+    """The tracer's events without ``seq``, in order, except that each
+    block's report events (those recorded by the time the block had
+    crossed the archive, whose ``ends`` count them) come sorted stably by
+    kind and document type, as ``shipped`` sorts a block's documents."""
+    out, block, ends = [], [], set(ends)
+    for ev in tracer.events():
+        (block if ev.kind in ("ship", "archive", "logstash-ship", "logstash-drop")
+         else out).append(ev)
+        if ev.seq + 1 in ends:
+            out += sorted(block, key=lambda ev: (ev.kind, ev.detail.get("doc_type", ev.where)))
+            block = []
+    return [ev[1:] for ev in out + block]
+
+
 @pytest.fixture(autouse=True)
 def _provenance_off_after():
     yield
@@ -309,7 +337,7 @@ def test_sweep_equals_the_per_cell_ticks(seed, traced):
         world[0].run_until(seconds(3.5))
         worlds.append(world)
         if traced:
-            events.append([ev[1:] for ev in provenance.tracer().events()])
+            events.append(lineage(provenance.tracer(), world[2].archive.ends))
             provenance.disable()
     (_, ref_mon, ref_cp, _), (_, mon, cp, _) = worlds
     ref, got = outcome(worlds[0]), outcome(worlds[1])
@@ -318,10 +346,12 @@ def test_sweep_equals_the_per_cell_ticks(seed, traced):
     # Every row handed to the archive is in it, and none suppressed is.
     assert got["archived"] == got["tallies"]
     if traced:
-        # Same provenance events in the same order: every extraction
-        # noted where the per-cell read happened, so each shipped report
+        # Same provenance events in the same order, a block's report
+        # events as ``shipped`` orders its documents: every extraction is
+        # noted where the per-cell read happened, and each shipped report
         # inherits the same packet.
         assert events[1] == events[0]
+        assert any(ev[3] == "logstash-ship" for ev in events[1])
         assert any(ev[2:4] == ("control-plane", "extract") for ev in events[1])
 
     # The script reached the cases it was written for.
@@ -342,7 +372,7 @@ def test_sweep_equals_the_per_cell_ticks(seed, traced):
     for kind in MetricKind:
         assert {a.cleared for a in cp.alerts.history
                 if a.metric == kind.value} == {False, True}, kind
-    # A stream is one run (a tracer's, one run per document); the alert
+    # A stream is one run, a tracer bound or not; the alert
     # runs its checks raised or cleared follow it, before the jitter or
     # limiter run.
     runs = [run.values[0] for block in worlds[1][3] for run in block]

@@ -130,8 +130,8 @@ def test_a_field_in_the_tail_is_seen_by_every_reader(monkeypatch):
     seen = []
 
     class Tracer:
-        def report_event(self, layer, kind, where, **detail):
-            seen.append(detail["doc_type"])
+        def report_events(self, layer, kind, events):
+            seen.extend(detail["doc_type"] for _, detail in events)
 
     monkeypatch.setattr(hooks, "tracer", Tracer())
     pipe = LogstashPipeline()

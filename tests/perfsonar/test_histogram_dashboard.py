@@ -8,7 +8,7 @@ perturbing the existing scalar panels.
 
 import pytest
 
-from repro.core.reports import document_run
+from repro.core.reports import Block, document_run
 from repro.perfsonar.archiver import Archiver
 from repro.perfsonar.dashboard import (
     PERCENTILE_FIELDS,
@@ -44,9 +44,9 @@ def _hist_doc(ts, flow_id, scope="flow", metric="rtt", p50=5.0, p99=6.0,
 @pytest.fixture
 def scalar_archive():
     arch = Archiver()
-    arch.sink([document_run({"type": "p4_throughput", "source_ip": "10.0.0.10",
-                             "destination_ip": "10.1.0.10", "@timestamp": 1.0,
-                             "value": 90e6, "flow_id": 7})])
+    arch.sink(Block([document_run({"type": "p4_throughput", "source_ip": "10.0.0.10",
+                                   "destination_ip": "10.1.0.10", "@timestamp": 1.0,
+                                   "value": 90e6, "flow_id": 7})]))
     return arch
 
 
@@ -54,12 +54,12 @@ def scalar_archive():
 def mixed_archive(scalar_archive):
     arch = scalar_archive
     for ts in (1.0, 2.0, 3.0):
-        arch.sink([document_run(doc) for doc in (
+        arch.sink(Block([document_run(doc) for doc in (
             _hist_doc(ts, flow_id=7, p50=5.0, p99=5.0 + ts),
             _hist_doc(ts, flow_id=9, p50=8.0, p99=9.0),
             _hist_doc(ts, flow_id=None, scope="all"),
             _hist_doc(ts, flow_id=None, scope="port", metric="queue_depth",
-                      port_id=2))])
+                      port_id=2))]))
     return arch
 
 

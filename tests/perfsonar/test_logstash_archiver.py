@@ -24,7 +24,7 @@ def _block(*docs, tail=((), ())):
 
 
 def _docs(block):
-    return Block.of(block).documents()
+    return block.documents()
 
 
 def test_pipeline_filter_order_and_outputs():
@@ -86,7 +86,7 @@ def test_pipeline_hands_filters_the_event_itself():
     shipped = []
     pipe.add_output(shipped.append)
     row = document_run({"type": "x"})
-    assert pipe.process([row])[0] is row and shipped[0][0] is row
+    assert pipe.process(Block([row]))[0] is row and shipped[0][0] is row
 
 
 def test_tcp_input_feeds_pipeline():
@@ -145,7 +145,7 @@ def test_archiver_end_to_end_report_v1_to_v2():
     sample = FlowSample(time_ns=2_000_000_000, metric="throughput",
                         flow_id=9, src_ip=1, dst_ip=2, src_port=3, dst_port=4,
                         value=1e6)
-    archiver.sink([sample.run()])
+    archiver.sink(Block([sample.run()]))
     docs = archiver.documents("p4_throughput")
     assert len(docs) == 1
     doc = docs[0]

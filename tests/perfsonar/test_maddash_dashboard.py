@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.reports import document_run
+from repro.core.reports import Block, document_run
 from repro.perfsonar.archiver import Archiver
 from repro.perfsonar.dashboard import build_dashboard, panel_series
 from repro.perfsonar.maddash import CellStatus, MadDashGrid, Thresholds
@@ -22,10 +22,10 @@ def archive():
         ("p4_packet_loss", "10.0.0.10", "10.2.0.10", 2.0, 1.0),
         ("p4_packet_loss", "10.0.0.10", "10.3.0.10", 2.0, 5.0),
     ]
-    arch.sink([document_run({"type": kind, "source_ip": src, "destination_ip": dst,
-                             "@timestamp": ts, "value": value,
-                             "flow_id": hash((src, dst)) & 0xFFFF})
-               for kind, src, dst, ts, value in docs])
+    arch.sink(Block([document_run({"type": kind, "source_ip": src, "destination_ip": dst,
+                                   "@timestamp": ts, "value": value,
+                                   "flow_id": hash((src, dst)) & 0xFFFF})
+                     for kind, src, dst, ts, value in docs]))
     return arch
 
 

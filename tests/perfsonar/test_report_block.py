@@ -7,7 +7,8 @@ The literals below were captured from the per-document report path this
 one replaced, on the same scripted scenario.  Since a tick's streams
 travel as runs, each run's documents take consecutive ``_id``s, so a
 digest over ``_id`` was re-pinned beside one without it, which keeps
-the per-document path's value."""
+the per-document path's value.  A bound provenance tracer ships the
+same blocks: it observes the run a dark control plane makes."""
 
 import hashlib
 import json
@@ -16,7 +17,7 @@ import pytest
 
 from repro.core.config import MetricKind
 from repro.core.control_plane import MonitorControlPlane
-from repro.core.reports import ForensicsReport, document_run
+from repro.core.reports import Block, ForensicsReport, document_run
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, TCPFlags
 from repro.netsim.units import millis, seconds
@@ -103,6 +104,17 @@ def scenario():
     return run_scenario()
 
 
+@pytest.fixture(scope="module")
+def traced():
+    """The scenario with a tracer bound that records every event, and
+    that tracer."""
+    provenance.enable(sample_rate=1.0, coarse_window=10**6, fine_window=10**6)
+    try:
+        return (*run_scenario(), provenance.tracer())
+    finally:
+        provenance.disable()
+
+
 def test_the_scenario_reaches_every_report_kind(scenario):
     cp, archiver, _, _ = scenario
     assert len(cp.schedule) == 6
@@ -124,8 +136,9 @@ def test_every_archived_byte_is_the_per_document_paths(scenario):
     assert archiver.tcp_input.messages == 332
 
 
-def test_a_tick_that_ships_anything_calls_the_sink_once(scenario):
-    cp, _, blocks, calls_per_tick = scenario
+@pytest.mark.parametrize("run", ["scenario", "traced"], ids=["dark", "traced"])
+def test_a_tick_that_ships_anything_calls_the_sink_once(request, run):
+    cp, _, blocks, calls_per_tick = request.getfixturevalue(run)[:4]
     # 134 ticks, 129 of which shipped anything (five shipped nothing).
     assert len(calls_per_tick) == 134
     assert set(calls_per_tick) == {0, 1}
@@ -137,6 +150,19 @@ def test_a_tick_that_ships_anything_calls_the_sink_once(scenario):
     # Mixed schemas in one list, in emission order; a stream is one run.
     assert max(len({run.keys for run in block}) for block in blocks) >= 3
     assert max(run.n for block in blocks for run in block) >= 2
+
+
+def test_a_traced_run_archives_what_a_dark_one_does(scenario, traced):
+    """A bound tracer ships the dark run's blocks: 131 sink calls, not
+    the 332 it made while each document travelled alone, and the
+    archive, ``_id``s included, hashes to the dark pin (a6d0193a...
+    while it shipped runs of one)."""
+    _, dark, dark_blocks, _ = scenario
+    _, archiver, blocks, _, _ = traced
+    assert len(blocks) == len(dark_blocks) == 131
+    assert blocks == dark_blocks
+    assert archive_sha256(archiver.store) == archive_sha256(dark.store) == (
+        "f35e0c3acb70bb9a3af17390cda86b650a3164511c4b7bd1f9916cb63f2f2529")
 
 
 def test_search_hands_out_copies_of_the_archives_containers():
@@ -154,7 +180,7 @@ def test_search_hands_out_copies_of_the_archives_containers():
         time_ns=seconds(1), trigger="query", t0_ns=0, t1_ns=1, level=0,
         window_width_ns=1_000_000, windows=3, total_bytes=4500,
         culprits=[{"flow_id": 7, "bytes": 4500}])
-    archiver.sink([report.run(), document_run({"type": "x", "labels": {"k": "v"}})])
+    archiver.sink(Block([report.run(), document_run({"type": "x", "labels": {"k": "v"}})]))
     archiver.forensics_documents()[0]["culprits"][0]["bytes"] = -1
     report.culprits[0]["bytes"] = -2
     archiver.documents("x")[0]["labels"]["k"] = "w"
@@ -166,20 +192,27 @@ def test_search_hands_out_copies_of_the_archives_containers():
 # -- nothing downstream moved ---------------------------------------------------
 
 
-def test_a_traced_runs_provenance_export_is_unchanged():
-    provenance.enable(sample_rate=1.0, coarse_window=10**6, fine_window=10**6)
-    try:
-        run_scenario()
-        tracer = provenance.tracer()
-        events = tracer.events()
-        doc = to_perfetto(events, spans=tracer.span_log, dumps=tracer.dumps)
-    finally:
-        provenance.disable()
+def test_a_traced_runs_lineage_is_unchanged(traced):
+    *_, tracer = traced
+    events = tracer.events()
     # Every shipped report carries its packet through Logstash.
     assert sum(ev.kind == "logstash-ship" for ev in events) == 331
+    # Each document names the packet it named when it travelled alone:
+    # the events, ``seq`` aside, are the per-document path's.
+    assert len(events) == 31_131
+    assert hashlib.sha256("\n".join(sorted(
+        json.dumps(ev[1:], sort_keys=True) for ev in events)).encode()).hexdigest() == (
+        "996b5c6bfa23ebb4890a81d8ed91837445630c754f31f217ba1c9a26b4de9424")
+    # A metric alert's window is frozen before its tick's block ships
+    # (2,564 events while each document shipped as it came).
+    assert [(d.reason, len(d.events)) for d in tracer.dumps] == [
+        ("alert", 2_562), ("microburst", 10_395), ("alert", 22_789)]
+    # Re-pinned when a tracer's reports began to ship as the tick's
+    # block, which reorders their events (ffb7a295... before).
+    doc = to_perfetto(events, spans=tracer.span_log, dumps=tracer.dumps)
     export = json.dumps(doc, separators=(",", ":")).encode()
     assert hashlib.sha256(export).hexdigest() == (
-        "ffb7a295ecaa65941723d9168bb445b18e5d14772f1cefc276db9fd1c2aa320f")
+        "85625650ac5bf9b070be8bf0071ad653f36d9ceb7e60805dbcd1ef0764cc4455")
 
 
 def test_a_fault_free_shipper_is_transparent(scenario):

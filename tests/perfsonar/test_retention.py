@@ -65,15 +65,15 @@ def test_empty_index_noop():
 
 
 def test_archiver_apply_retention_sweeps_all_indices():
-    from repro.core.reports import document_run
+    from repro.core.reports import Block, document_run
     from repro.perfsonar.archiver import Archiver
 
     archiver = Archiver()
     for t in range(100):
-        archiver.sink([document_run({"type": "p4_throughput", "@timestamp": float(t),
-                                     "flow_id": 1, "value": 1.0}),
-                       document_run({"type": "p4_rtt", "@timestamp": float(t),
-                                     "flow_id": 1, "value": 2.0})])
+        archiver.sink(Block([document_run({"type": "p4_throughput", "@timestamp": float(t),
+                                           "flow_id": 1, "value": 1.0}),
+                             document_run({"type": "p4_rtt", "@timestamp": float(t),
+                                           "flow_id": 1, "value": 2.0})]))
     policy = RetentionPolicy(short_term_s=50.0, long_term_bucket_s=10.0)
     pruned = archiver.apply_retention(policy, now_s=100.0)
     assert pruned == 100  # 50 from each raw index

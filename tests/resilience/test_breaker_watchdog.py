@@ -67,7 +67,7 @@ def test_a_probe_held_in_transit_does_not_wedge_the_breaker():
     its budget comes back: the held block is retried, lands, and the
     breaker closes.  A probe that kept its budget spent would refuse
     every later attempt, with the block spooled forever."""
-    from repro.core.reports import document_run
+    from repro.core.reports import Block, document_run
     from repro.resilience.delivery import ResilientShipper
     from repro.resilience.faults import ArchiveUnavailable, DeferredDelivery
 
@@ -82,12 +82,12 @@ def test_a_probe_held_in_transit_does_not_wedge_the_breaker():
 
     breaker = CircuitBreaker(failure_threshold=1, open_interval_ns=100 * MS)
     shipper = ResilientShipper(sim, transport, breaker=breaker)
-    shipper([document_run({"type": "t", "n": 0})])
+    shipper(Block([document_run({"type": "t", "n": 0})]))
     sim.run_until(seconds(30))
     assert len(calls) == 3, "fail, defer, deliver"
     assert shipper.acked_total == 1 and shipper.pending == 0
     assert breaker.state is BreakerState.HALF_OPEN   # one success of two
-    shipper([document_run({"type": "t", "n": 1})])
+    shipper(Block([document_run({"type": "t", "n": 1})]))
     assert shipper.acked_total == 2
     assert breaker.state is BreakerState.CLOSED
 

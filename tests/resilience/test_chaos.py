@@ -178,6 +178,29 @@ def test_all_metric_stall_reaches_the_extractor_jobs():
     assert result.watchdog_stalls == 6
 
 
+def test_a_traced_run_archives_what_a_dark_scalar_run_does():
+    """A bound tracer ships what a dark control plane ships (one block
+    per tick, so one ``_seq`` and one fault draw per block) and binds the
+    scalar pipeline: each bundled schedule's archive equals a dark run's
+    on that path.  Not the kernel's: there a data-plane digest reaches
+    the control plane only at the next flush, which moves what the clock
+    skew and the breaker act on."""
+    from dataclasses import replace
+
+    from repro.telemetry import provenance
+
+    for name, spec in bundled_chaos().items():
+        provenance.enable()
+        try:
+            traced = run_chaos(spec)
+        finally:
+            provenance.disable()
+        assert traced.run.scenario.monitor.kernel is None, name
+        dark = run_chaos(replace(spec, scenario=spec.scenario.clone(batched_path=False)))
+        assert traced.passed and dark.passed, name
+        assert traced.archive_digest == dark.archive_digest, name
+
+
 def test_chaos_is_byte_reproducible():
     spec = bundled_chaos()["lossy-transport"]
     a = run_chaos(spec)

@@ -45,8 +45,8 @@ class ScriptedTransport:
 
 def _ship_n(sim, shipper, n, start_s=0.0, gap_s=0.1):
     for i in range(n):
-        sim.at(seconds(start_s + i * gap_s), shipper, [document_run(
-            {"type": "t", "@timestamp": start_s + i * gap_s, "n": i})])
+        sim.at(seconds(start_s + i * gap_s), shipper, Block([document_run(
+            {"type": "t", "@timestamp": start_s + i * gap_s, "n": i})]))
 
 
 def test_clean_path_delivers_in_order():
@@ -97,8 +97,8 @@ def test_evicted_blocks_are_counted_in_reports_too():
     config = DeliveryConfig(spool_limit=1, dead_letter_limit=1)
     shipper = ResilientShipper(sim, transport, config=config)
     for n in range(4):
-        shipper([document_run({"type": "t", "n": n, "row": r})
-                 for r in range(3)])
+        shipper(Block([document_run({"type": "t", "n": n, "row": r})
+                       for r in range(3)]))
     assert shipper.pending == 1 and len(shipper.dead_letters) == 1
     assert shipper.dead_letter_evictions == 2
     assert shipper.dead_letter_evicted_rows == 6
@@ -174,12 +174,13 @@ def test_clock_skew_applied_to_timestamps():
         clock=lambda: sim.now))
     transport = ScriptedTransport(sim)
     shipper = ResilientShipper(sim, transport)
-    shipper([document_run({"type": "t", "@timestamp": 1.0})])
+    shipper(Block([document_run({"type": "t", "@timestamp": 1.0})]))
     assert transport.delivered[0]["@timestamp"] == pytest.approx(1.25)
     assert shipper.skewed_total == 1
     # A run whose documents vary in their timestamp has each one moved.
     seen = []
-    ResilientShipper(sim, seen.append)([Run(("type", "@timestamp"), ("t", (2.0, 3.0)), (1,), 2)])
+    ResilientShipper(sim, seen.append)(Block([Run(("type", "@timestamp"), ("t", (2.0, 3.0)),
+                                                  (1,), 2)]))
     assert [doc["@timestamp"] for doc in seen[0].documents()] == [2.25, 3.25]
 
 

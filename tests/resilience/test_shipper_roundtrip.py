@@ -9,7 +9,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reports import document_run
+from repro.core.reports import Block, document_run
 from repro.netsim.engine import Simulator
 from repro.resilience.delivery import DeliveryConfig, ResilientShipper
 from repro.resilience.faults import ArchiveUnavailable
@@ -32,7 +32,7 @@ class ScriptedTransport:
 
 
 def _block(payloads):
-    return [document_run({"type": "sample", "value": p}) for p in payloads]
+    return Block([document_run({"type": "sample", "value": p}) for p in payloads])
 
 
 def _envelopes(blocks):

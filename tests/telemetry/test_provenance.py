@@ -156,10 +156,16 @@ def test_register_write_links_to_control_read_and_report():
     # The extraction that reads the slot resolves to the writing packet...
     assert tr.control_read("flow_bytes", 7, 2_000, value=140) == tid
     # ...and the report shipped from that extraction inherits the id.
-    tr.begin_report(2_500)
-    tr.report_event("archiver", "archive", "repro", doc_type="throughput")
+    assert tr.report_id() == tid
+    tr.begin_report(2_500, [tid, 0])
+    tr.report_events("archiver", "archive", [("repro", {"doc_type": "throughput"}),
+                                             ("repro", {"doc_type": "rtt"})])
+    # A layer that sees another count of documents records none.
+    tr.report_events("archiver", "logstash-ship", [("repro", {"doc_type": "throughput"})])
     tr.end_report()
     assert {"register", "control-plane", "archiver"} <= tr.layers_for(tid)
+    assert [(ev.kind, ev.detail) for ev in tr.events() if ev.layer == "archiver"] == [
+        ("archive", {"doc_type": "throughput"})]
     # A cell nothing traced wrote resolves to no packet.
     assert tr.control_read("flow_bytes", 99, 3_000) == 0
 

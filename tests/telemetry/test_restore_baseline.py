@@ -11,7 +11,7 @@ import json
 
 from repro import telemetry
 from repro.core.control_plane import MonitorControlPlane
-from repro.core.reports import Alert, Run
+from repro.core.reports import Alert, Block, Run
 from repro.netsim.engine import Simulator
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.checkpoint import capture_checkpoint, restore_control_plane
@@ -38,7 +38,7 @@ def _busy_checkpoint() -> dict:
     cp._suppress("FlowSample", 4)
     cp.alerts.history.append(Alert(time_ns=1, metric="rtt", flow_id=7,
                                     value=2.0, threshold=1.0))
-    shipper([Run(("type",), ("p4_rtt",))])
+    shipper(Block([Run(("type",), ("p4_rtt",))]))
     shipper.spool_overflow_total = 2
     breaker.record_failure(5)
     breaker.allow(20)

@@ -10,7 +10,7 @@ frames from the archive.
 import pytest
 
 from repro import telemetry
-from repro.core.reports import document_run
+from repro.core.reports import Block, document_run
 from repro.netsim.engine import Simulator
 from repro.perfsonar.archiver import Archiver
 from repro.telemetry.metrics import MetricsRegistry, TelemetryError
@@ -330,8 +330,8 @@ def test_push_lands_in_archive_next_to_measurement_documents():
     fam = telemetry.counter("repro_work_total")
     archiver = Archiver()
     # A measurement document, as the control plane would ship it.
-    archiver.sink([document_run({"type": "throughput", "flow_id": 1,
-                                 "value": 1e8, "@timestamp": 0.05})])
+    archiver.sink(Block([document_run({"type": "throughput", "flow_id": 1,
+                                       "value": 1e8, "@timestamp": 0.05})]))
 
     sampler = TelemetrySampler(sim, archiver, interval_ns=100 * MS,
                                retention=32)
