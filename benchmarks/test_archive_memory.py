@@ -2,20 +2,20 @@
 
 The archive keeps each run the control plane shipped as one segment: a
 column per field its documents vary in within the tick, every shared
-field once, and a ``range`` of ``_id``s.  So what a document costs is a
-reference in each of its columns plus the value objects only it holds;
-its type, timestamp and metadata are its run's and its block's, and the
-five identity columns (flow id, addresses, ports) of a tick in which
-every active flow has a sample are shared by every run built over the
-same flow set.  The budget is that layout's cost with nothing shared
-that a tick may fail to share, per index, weighted by what the run
-archived.  Bytes are counted by ``tracemalloc``: what the archive alone
-keeps alive, as the drop in traced memory when every document is
-deleted.  The run has the shape of the repo benchmark's
+field once, and a ``range`` of ``_id``s.  A number is 8 B in its run's
+typed column, and a run's identity columns (flow id, addresses, ports)
+are one selection of the control plane's identity table: 4 B a document
+where the run has its own positions, less where the tick's runs share
+them.  So what a document costs is its numbers and its positions; its
+type, timestamp and metadata are its run's and its block's.  The budget
+is that layout's cost with no position shared, per index, weighted by
+what the run archived.  Bytes are counted by ``tracemalloc``: what the
+archive alone keeps alive, as the drop in traced memory when every
+document is deleted.  The run has the shape of the repo benchmark's
 ``report_ingest`` (:func:`~benchmarks.harness.report_ingest_system`,
 about 123k documents).  When each document was a value tuple in a row
-store it cost 169 B by this count; a store that went back to a tuple,
-or a dict, per document is over the budget.
+store it cost 169 B by this count, and 48 B when a run's numbers were
+boxed floats and ints in lists; either is over the budget.
 """
 
 import gc
@@ -23,19 +23,20 @@ import tracemalloc
 
 from benchmarks.harness import report_ingest_system, thin_flow_capture
 
-SLOT = 8          # a column's reference to one document's value
-FLOAT = 24        # a float object one document holds alone
-INT = 32          # an int above the small-int cache, likewise
-#: Per document: a slot for each field that varies within a tick and
-#: the objects it alone holds.  A FlowSample varies in its flow's five
-#: identity fields and its value (a float); a LimiterReport in its
-#: flow's id and addresses, the verdict (an interned string), the mean
-#: flight and its CV (floats), the loss sum (a small int) and the
-#: receive window (an int).
-PER_DOCUMENT = {"p4_throughput": 6 * SLOT + FLOAT, "p4_packet_loss": 6 * SLOT + FLOAT,
-                "p4_rtt": 6 * SLOT + FLOAT, "p4_queue_occupancy": 6 * SLOT + FLOAT,
-                "p4_jitter": 6 * SLOT + FLOAT,
-                "p4_limiter": 8 * SLOT + 2 * FLOAT + INT}
+NUMBER = 8        # a number in its run's typed column (``array('d')`` / ``array('q')``)
+POSITION = 4      # a selection's position (``array('I')``): identity, or a verdict
+#: Per document: each number it alone holds, and the positions by which
+#: it selects what it shares with every run over its flows.  A FlowSample
+#: holds its value and selects its flow's five identity fields by one
+#: position; a LimiterReport holds the mean flight, its CV, the loss sum
+#: and the receive window, and selects its identity and its verdict.
+#: The positions are counted as though each run had its own (a run
+#: compressed to the flows with a sample does; one over every active
+#: flow shares them with the tick's other runs).
+PER_DOCUMENT = {"p4_throughput": NUMBER + POSITION, "p4_packet_loss": NUMBER + POSITION,
+                "p4_rtt": NUMBER + POSITION, "p4_queue_occupancy": NUMBER + POSITION,
+                "p4_jitter": NUMBER + POSITION,
+                "p4_limiter": 4 * NUMBER + 2 * POSITION}
 #: A lone document (the aggregate sample): its segment, run, value tuple
 #: and ``_id`` range, and its values.
 RUN_OF_ONE = 512
@@ -60,6 +61,7 @@ def _archive_bytes(capture):
         for index in counts:
             ids, = store.columns(index, ("_id",), before=float("inf"))
             assert store.delete(index, ids) == counts[index]
+        del ids       # the probe's own ``_id`` strings are not the archive's
         gc.collect()
         return held - tracemalloc.get_traced_memory()[0], sum(counts.values()), counts
     finally:

@@ -28,16 +28,28 @@ each stream its body produces is one :class:`~repro.core.reports.Run`,
 built from the columns the tick already holds (the register sweep, the
 values, the active flows' identities), and every run reaches the report
 sink in one call when the body returns.
+
+A flow's extraction state (its last counter reads, idle count, last
+RTT, jitter and verdict) is a row of :class:`FlowState`'s numpy columns,
+so a tick body is array operations over the register sweep; its numbers
+stay typed into the run (:func:`~repro.core.reports.typed`), and a run's
+identity columns select from the flows' identity table
+(:class:`~repro.core.reports.Selection`).  :class:`TrackedFlow` reads
+its row.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, partial
+from array import array
+from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro import telemetry
 from repro.telemetry import hooks
@@ -45,7 +57,7 @@ from repro.netsim.engine import Event, Simulator
 from repro.netsim.units import NS_PER_S, seconds
 from repro.core.alerts import AlertManager
 from repro.core.config import MetricKind, MonitorConfig
-from repro.core.limiter import LimiterClassifier
+from repro.core.limiter import NO_RULE, RULE_VERDICTS, LimiterClassifier
 from repro.core.monitor import P4Monitor
 from repro.core.reports import (
     FLOW_SAMPLE_KEYS,
@@ -57,13 +69,15 @@ from repro.core.reports import (
     ForensicsReport,
     HistogramReport,
     LimiterReport,
-    LimiterVerdict,
     MicroburstEvent,
     ReportView,
     Run,
+    Selection,
     flow_head,
+    typed,
 )
-from repro.core.stats import jain_fairness, link_utilization, throughput_bps
+from repro.core.stats import (int_sum, jain_fairness, jitter_step, link_utilization,
+                              loss_pct, throughput_bps)
 
 if TYPE_CHECKING:
     from repro.core.forensics import ForensicsExtractor
@@ -77,6 +91,8 @@ ReportSink = Callable[[Block], None]
 #: identity, then what the tick read.
 _SAMPLE_COLS = (2, 3, 4, 5, 6, 7)
 _LIMITER_COLS = (2, 3, 4, 5, 6, 7, 8, 9)
+#: A limiter rule's verdict as documents carry it.
+_VERDICT_VALUES = tuple(verdict.value for verdict in RULE_VERDICTS)
 
 
 @dataclass
@@ -89,9 +105,59 @@ class _Job:
     timer: Optional[Event] = None
 
 
-@dataclass
+class FlowState:
+    """The per-flow extraction state of one control plane: a row per
+    :class:`TrackedFlow` it made (never reused), in numpy columns a tick
+    computes on, beside ``identity`` — the five identity fields every
+    per-flow document leads with (flow_id, the dotted quads, the ports),
+    one list each, which a tick's runs select from and which only grow."""
+
+    #: Column -> (dtype, a new row's value).  ``last_rtt_ms`` is NaN
+    #: before the flow's first RTT sample; ``verdict`` is a limiter rule
+    #: (an index of ``RULE_VERDICTS``).
+    COLUMNS = {"last_bytes": (np.int64, 0), "last_pkts": (np.int64, 0),
+               "last_loss": (np.int64, 0), "idle_intervals": (np.int64, 0),
+               "last_throughput_bps": (np.float64, 0.0),
+               "last_rtt_ms": (np.float64, np.nan), "jitter_ms": (np.float64, 0.0),
+               "verdict": (np.int64, NO_RULE)}
+
+    def __init__(self) -> None:
+        self.rows = 0
+        for name, (dtype, fill) in self.COLUMNS.items():
+            setattr(self, name, np.full(64, fill, dtype))
+        self.identity: Tuple[list, ...] = tuple([] for _ in range(5))
+
+    def add(self, head: tuple) -> int:
+        """A new row, holding a new flow's state and identity ``head``."""
+        row = self.rows
+        if row == len(self.last_bytes):
+            for name, (dtype, fill) in self.COLUMNS.items():
+                column = getattr(self, name)
+                setattr(self, name, np.concatenate((column, np.full(len(column), fill, dtype))))
+        for column, value in zip(self.identity, head):
+            column.append(value)
+        self.rows = row + 1
+        return row
+
+
+def _state_field(name: str, decode: Callable = None, encode: Callable = None) -> property:
+    """A :class:`TrackedFlow` attribute that is its row of a
+    :class:`FlowState` column, read as a plain Python value."""
+
+    def get(flow: "TrackedFlow"):
+        value = getattr(flow.state, name)[flow.row].item()
+        return value if decode is None else decode(value)
+
+    def put(flow: "TrackedFlow", value) -> None:
+        getattr(flow.state, name)[flow.row] = value if encode is None else encode(value)
+
+    return property(get, put)
+
+
+@dataclass(eq=False)
 class TrackedFlow:
-    """Control-plane record of one data-plane-announced long flow."""
+    """Control-plane record of one data-plane-announced long flow: its
+    identity here, its extraction state in row ``row`` of ``state``."""
 
     flow_id: int
     rev_flow_id: int
@@ -102,25 +168,61 @@ class TrackedFlow:
     src_port: int
     dst_port: int
     first_seen_ns: int
-    last_bytes: int = 0
-    last_pkts: int = 0
-    last_loss: int = 0
-    last_throughput_bps: float = 0.0
-    idle_intervals: int = 0
+    state: FlowState = field(repr=False)
     terminated: bool = False
     # The control plane released the register slot, clearing its counters:
     # at once for an idle flow; for one that ended with FIN/RST only after
     # it has also been quiet that long, so the register totals of a flow
     # that just finished stay comparable against ground truth.
     evicted: bool = False
-    verdict: LimiterVerdict = LimiterVerdict.UNKNOWN
-    last_rtt_ms: Optional[float] = None
-    jitter_ms: float = 0.0  # RFC 3550 smoothed inter-sample variation
+    row: int = field(init=False)
 
-    @cached_property
-    def head(self) -> tuple:
-        """What its rows carry: flow_id, dotted quads, ports."""
-        return (*flow_head(self.flow_id, self.src_ip, self.dst_ip), self.src_port, self.dst_port)
+    last_bytes = _state_field("last_bytes")
+    last_pkts = _state_field("last_pkts")
+    last_loss = _state_field("last_loss")
+    last_throughput_bps = _state_field("last_throughput_bps")
+    idle_intervals = _state_field("idle_intervals")
+    verdict = _state_field("verdict", RULE_VERDICTS.__getitem__, RULE_VERDICTS.index)
+    last_rtt_ms = _state_field("last_rtt_ms", lambda ms: None if ms != ms else ms,
+                               lambda ms: np.nan if ms is None else ms)
+    jitter_ms = _state_field("jitter_ms")   # RFC 3550 smoothed inter-sample variation
+
+    def __post_init__(self) -> None:
+        self.row = self.state.add((*flow_head(self.flow_id, self.src_ip, self.dst_ip),
+                                   self.src_port, self.dst_port))
+
+    def record(self) -> dict:
+        """Every field, the extraction state's as plain values: what a
+        checkpoint writes and what two flows are equal in."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("state", "row")}
+        doc.update((name, getattr(self, name)) for name in STATE_FIELDS)
+        return doc
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrackedFlow):
+            return NotImplemented
+        return self.record() == other.record()
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+#: The :class:`TrackedFlow` attributes its :class:`FlowState` row holds.
+STATE_FIELDS = tuple(FlowState.COLUMNS)
+
+
+@dataclass
+class _FlowSet:
+    """Tracked flows in table order and their columns: what a tick reads
+    (rebuilt only when the set changes)."""
+
+    flows: List[TrackedFlow]
+    rows: np.ndarray
+    slots: np.ndarray
+    rslots: np.ndarray
+    flow_ids: List[int]
+    #: The flows' identity columns as selections of ``FlowState.identity``.
+    heads: tuple
 
 
 class MonitorControlPlane:
@@ -142,12 +244,12 @@ class MonitorControlPlane:
         # tracer, its documents' trace ids (``_put``).
         self._block: Optional[Block] = None
         self._ids: List[int] = []
-        # The active flows of the last tick and their identity columns
-        # (``TrackedFlow.head``, transposed), shared by every run built
-        # over the same flows.
-        self._heads: tuple = ([], ((),) * 5)
 
         self.flows: Dict[int, TrackedFlow] = {}
+        self._state = FlowState()
+        # The active and the ended-but-unreleased flows (``None``: the
+        # flow set changed since they were last built).
+        self._sets: Optional[Tuple[_FlowSet, _FlowSet]] = None
         self.alerts = AlertManager(self.config)
         self.limiter = LimiterClassifier(self.config)
 
@@ -446,17 +548,33 @@ class MonitorControlPlane:
         if self._running:
             self._arm(self.schedule[kind.value])
 
-    def _sweep(self, name: str, indices: List[int]) -> List[int]:
-        """One register, every flow of a tick: one runtime read.  The
-        snapshot stands for the whole tick — ``_tick`` flushed first, a
-        body never advances the clock, and an eviction clears only the
-        evicted flow's own slot."""
-        return self.runtime.read_registers(name, indices).tolist()
+    def _sweep(self, name: str, indices: np.ndarray) -> np.ndarray:
+        """One register, every flow of a tick: one runtime read, as int64
+        (a 64-bit counter stays below 2**63 bytes).  The snapshot stands
+        for the whole tick — ``_tick`` flushed first, a body never
+        advances the clock, and an eviction clears only the evicted
+        flow's own slot."""
+        return self.runtime.read_registers(name, indices).astype(np.int64)
 
     # -- digest handlers ------------------------------------------------------------
 
+    def track(self, **record) -> TrackedFlow:
+        """Track a flow: ``record`` is what :meth:`TrackedFlow.record`
+        gives, its extraction state optional (a checkpoint has it)."""
+        state = {name: record.pop(name) for name in STATE_FIELDS if name in record}
+        flow = TrackedFlow(**record, state=self._state)
+        for name, value in state.items():
+            setattr(flow, name, value)
+        self.flows[flow.flow_id] = flow
+        self._sets = None
+        return flow
+
+    def forget_flows(self) -> None:
+        """Track no flow (a checkpoint restore then tracks its own)."""
+        self.flows, self._state, self._sets = {}, FlowState(), None
+
     def _on_long_flow(self, _name: str, payload: dict) -> None:
-        flow = TrackedFlow(
+        self.track(
             flow_id=payload["flow_id"],
             rev_flow_id=payload["rev_flow_id"],
             slot=payload["slot"],
@@ -467,7 +585,6 @@ class MonitorControlPlane:
             dst_port=payload["dst_port"],
             first_seen_ns=payload["first_seen_ns"],
         )
-        self.flows[flow.flow_id] = flow
         # Digest consumption is destructive (the message left the data
         # plane's backlog): checkpoint so a crash cannot unlearn it.
         self._checkpoint()
@@ -526,8 +643,27 @@ class MonitorControlPlane:
 
     # -- extraction ticks ----------------------------------------------------------
 
+    def _flow_sets(self) -> Tuple[_FlowSet, _FlowSet]:
+        """The active flows, and the ended ones whose slot is not yet
+        released, in table order."""
+        sets = self._sets
+        if sets is None:
+            flows = self.flows.values()
+            sets = self._sets = (
+                self._flow_set([f for f in flows if not f.terminated]),
+                self._flow_set([f for f in flows if f.terminated and not f.evicted]))
+        return sets
+
+    def _flow_set(self, flows: List[TrackedFlow]) -> _FlowSet:
+        n = len(flows)
+        rows, slots, rslots = (np.fromiter(map(attrgetter(name), flows), np.intp, n)
+                               for name in ("row", "slot", "rslot"))
+        at = _positions(rows)
+        return _FlowSet(flows, rows, slots, rslots, list(map(attrgetter("flow_id"), flows)),
+                        tuple(Selection(column, at) for column in self._state.identity))
+
     def _active_flows(self) -> List[TrackedFlow]:
-        return [f for f in self.flows.values() if not f.terminated]
+        return self._flow_sets()[0].flows
 
     def _tick_throughput(self) -> None:
         now = self.sim.now
@@ -540,42 +676,34 @@ class MonitorControlPlane:
         elapsed = now - self.last_extraction_ns.get(kind.value, now - interval)
         if elapsed <= 0:
             elapsed = interval
-        flows = self._active_flows()
-        slots = [f.slot for f in flows]
+        active, state = self._flow_sets()[0], self._state
+        rows, slots = active.rows, active.slots
         totals = self._sweep("flow_bytes", slots)
-        byte_deltas, values, idle = [], [], []
-        total_bytes = total_packets = 0
-        for flow, total, pkts in zip(flows, totals, self._sweep("flow_pkts", slots)):
-            delta = total - flow.last_bytes
-            flow.last_bytes = total
-            thr = flow.last_throughput_bps = throughput_bps(delta, elapsed)
-            byte_deltas.append(delta)
-            if delta == 0:
-                flow.idle_intervals += 1
-                if flow.idle_intervals >= self.config.idle_intervals_before_evict:
-                    idle.append(flow)
-                    values.append(None)
-                    continue
-            else:
-                flow.idle_intervals = 0
-            values.append(thr)
-            total_bytes += total
-            total_packets += pkts
-        self._put_samples(kind, flows, values, (("flow_bytes", slots, totals),))
-        for flow in idle:
-            self._evict(flow)
+        pkts = self._sweep("flow_pkts", slots)
+        byte_deltas = totals - state.last_bytes[rows]
+        state.last_bytes[rows] = totals
+        throughputs = throughput_bps(byte_deltas, elapsed)
+        state.last_throughput_bps[rows] = throughputs
+        quiet = byte_deltas == 0
+        idle = np.where(quiet, state.idle_intervals[rows] + 1, 0)
+        state.idle_intervals[rows] = idle
+        kept = ~(quiet & (idle >= self.config.idle_intervals_before_evict))
+        self._put_samples(kind, active, throughputs, None if kept.all() else kept,
+                          (("flow_bytes", slots, totals),))
+        for i in np.flatnonzero(~kept).tolist():
+            self._evict(active.flows[i])
 
         # The aggregate covers the flows still active after the evictions.
-        throughputs = [v for v in values if v is not None]
+        throughputs = throughputs[kept]
         aggregate = AggregateSample(
             time_ns=now,
             link_utilization=link_utilization(
                 byte_deltas, elapsed, self.config.bottleneck_rate_bps
             ),
-            jain_fairness=jain_fairness(throughputs) if throughputs else 1.0,
+            jain_fairness=jain_fairness(throughputs) if len(throughputs) else 1.0,
             active_flows=len(throughputs),
-            total_bytes=total_bytes,
-            total_packets=total_packets,
+            total_bytes=int_sum(totals[kept]),
+            total_packets=int_sum(pkts[kept]),
         )
         self._ship(aggregate)
         self._release_ended_flows()
@@ -585,95 +713,83 @@ class MonitorControlPlane:
         may still arrive, then gives it up as an idle flow does: after
         ``idle_intervals_before_evict`` throughput ticks without a byte.
         Nothing is shipped for it."""
-        ended = [f for f in self.flows.values() if f.terminated and not f.evicted]
-        if not ended:
+        ended, state = self._flow_sets()[1], self._state
+        if not ended.flows:
             return
-        for flow, total in zip(ended, self._sweep("flow_bytes",
-                                                  [f.slot for f in ended])):
-            if total != flow.last_bytes:
-                flow.last_bytes, flow.idle_intervals = total, 0
-                continue
-            flow.idle_intervals += 1
-            if flow.idle_intervals >= self.config.idle_intervals_before_evict:
-                self._evict(flow)
+        rows = ended.rows
+        totals = self._sweep("flow_bytes", ended.slots)
+        quiet = totals == state.last_bytes[rows]
+        state.last_bytes[rows] = totals
+        idle = np.where(quiet, state.idle_intervals[rows] + 1, 0)
+        state.idle_intervals[rows] = idle
+        for i in np.flatnonzero(quiet & (idle >= self.config.idle_intervals_before_evict)).tolist():
+            self._evict(ended.flows[i])
 
     def _tick_loss(self) -> None:
         now = self.sim.now
-        flows = self._active_flows()
-        fids = [f.flow_id for f in flows]
-        slots = [f.slot for f in flows]
+        active, state = self._flow_sets()[0], self._state
+        rows, slots = active.rows, active.slots
         loss_col = self._sweep("pkt_loss", slots)
         pkts_col = self._sweep("flow_pkts", slots)
         rwnd_col = self._sweep("flow_rwnd", slots)
-        # Cells are uint64: subtract the ints, so a flight clamps at 0
-        # where the arrays would wrap.
-        flights = [max(0, seq - ack) for seq, ack in zip(
-            self._sweep("flight_high_seq", slots), self._sweep("flight_high_ack", slots))]
-        loss_deltas = [losses - f.last_loss for f, losses in zip(flows, loss_col)]
+        # A flight clamps at 0 (the cells are unsigned).
+        flights = np.maximum(0, self._sweep("flight_high_seq", slots)
+                             - self._sweep("flight_high_ack", slots))
+        loss_deltas = loss_col - state.last_loss[rows]
         verdicts, mean_flights, flight_cvs, lost = self.limiter.step(
-            fids, flights, loss_deltas, rwnd_col)
-        values = []
-        for flow, losses, pkts, loss_delta, verdict in zip(
-                flows, loss_col, pkts_col, loss_deltas, verdicts):
-            flow.last_loss, flow.verdict = losses, verdict
-            pkt_delta = max(1, pkts - flow.last_pkts)
-            flow.last_pkts = pkts
-            # Clamped: regressions observed before the flow claimed its
-            # slot can make the raw ratio exceed 100 %.
-            values.append(min(100.0, 100.0 * loss_delta / pkt_delta))
+            active.flow_ids, flights, loss_deltas, rwnd_col)
+        state.last_loss[rows], state.verdict[rows] = loss_col, verdicts
+        pkt_deltas = pkts_col - state.last_pkts[rows]
+        state.last_pkts[rows] = pkts_col
         limiter = (LIMITER_KEYS, (
-            "p4_limiter", now / NS_PER_S, *self._head_columns(flows)[:3],
-            [verdict._value_ for verdict in verdicts], mean_flights, flight_cvs, lost,
-            rwnd_col), _LIMITER_COLS, None)
-        self._put_samples(MetricKind.PACKET_LOSS, flows, values,
-                          (("pkt_loss", slots, loss_col), ("flow_pkts", slots, pkts_col)),
+            "p4_limiter", now / NS_PER_S, *active.heads[:3],
+            Selection(_VERDICT_VALUES, _positions(verdicts)), mean_flights,
+            flight_cvs, lost, rwnd_col), _LIMITER_COLS, None)
+        self._put_samples(MetricKind.PACKET_LOSS, active, loss_pct(loss_deltas, pkt_deltas),
+                          None, (("pkt_loss", slots, loss_col), ("flow_pkts", slots, pkts_col)),
                           limiter, (("flow_rwnd", slots, rwnd_col),))
 
     def _tick_rtt(self) -> None:
         kind = MetricKind.RTT
         boosted = self.alerts.metric_boosted(kind)
-        flows = self._active_flows()
+        active, state = self._flow_sets()[0], self._state
+        rows = active.rows
         # Algorithm 1 stores the RTT under the ACK direction's flow ID,
         # i.e. the tracked flow's *reversed* ID (a cell two flows may
         # share; it is only read).
-        rslots = [f.rslot for f in flows]
-        rtt_col = self._sweep("rtt", rslots)
+        rtt_col = self._sweep("rtt", active.rslots)
+        sampled = rtt_col != 0                          # 0: no sample yet
+        rtt_ms = rtt_col / 1e6
         # Derived jitter (one of perfSONAR's four headline metrics,
         # §2.2): RFC 3550 smoothing of consecutive RTT-sample deltas.
-        values, jitters = [], []
-        for flow, rtt_ns in zip(flows, rtt_col):
-            rtt_ms = jitter = None
-            if rtt_ns:                                  # 0: no sample yet
-                rtt_ms = rtt_ns / 1e6
-                if flow.last_rtt_ms is not None:
-                    flow.jitter_ms += (abs(rtt_ms - flow.last_rtt_ms) - flow.jitter_ms) / 16.0
-                    jitter = flow.jitter_ms
-                flow.last_rtt_ms = rtt_ms
-            values.append(rtt_ms)
-            jitters.append(jitter)
-        self._put_samples(kind, flows, values, (("rtt", rslots, rtt_col),),
-                          self._stream("jitter", boosted, flows, jitters))
+        last_ms = state.last_rtt_ms[rows]
+        follows = sampled & ~np.isnan(last_ms)
+        jitters = jitter_step(state.jitter_ms[rows], last_ms, rtt_ms)
+        state.jitter_ms[rows[follows]] = jitters[follows]
+        state.last_rtt_ms[rows[sampled]] = rtt_ms[sampled]
+        self._put_samples(kind, active, rtt_ms, sampled, (("rtt", active.rslots, rtt_col),),
+                          self._stream("jitter", boosted, active, jitters, follows))
 
     def _tick_queue(self) -> None:
         max_delay = self.config.max_queue_delay_ns()
-        flows = self._active_flows()
-        slots = [f.slot for f in flows]
+        active = self._flow_sets()[0]
+        slots = active.slots
         # Peak-hold since the previous tick gives the occupancy the
         # sampling interval actually experienced; clear after reading.
         peaks = self._sweep("flow_qdelay_max", slots)
         self.runtime.clear_register("flow_qdelay_max", slots)
-        values = ([100.0 * peak / max_delay for peak in peaks] if max_delay
-                  else [0.0] * len(peaks))
-        self._put_samples(MetricKind.QUEUE_OCCUPANCY, flows, values,
+        values = 100.0 * peaks / max_delay if max_delay else np.zeros(len(peaks))
+        self._put_samples(MetricKind.QUEUE_OCCUPANCY, active, values, None,
                           (("flow_qdelay_max", slots, peaks),))
 
     # -- helpers -------------------------------------------------------------------
 
-    def _put_samples(self, kind: MetricKind, flows: List[TrackedFlow],
-                     values: List[Optional[float]], reads: tuple,
+    def _put_samples(self, kind: MetricKind, active: _FlowSet, values: np.ndarray,
+                     present: Optional[np.ndarray], reads: tuple,
                      then: Optional[tuple] = None, then_reads: tuple = ()) -> None:
-        """The one way a tick emits samples: ``values[i]`` (``None``: none)
-        is ``flows[i]``'s, read from ``reads`` (``(name, indices, cells)``
+        """The one way a tick emits samples: ``values[i]`` is
+        ``active.flows[i]``'s where ``present`` is true (``None``: for
+        every flow), read from ``reads`` (``(name, indices, cells)``
         columns).  They become one run, followed by the alert runs their
         checks raised or cleared, then by the run of ``then``, a second
         stream over the same flows (jitter or limiter, as :meth:`_stream`
@@ -683,11 +799,12 @@ class MonitorControlPlane:
         the last writer of the cell its value was read from: the last of
         ``reads`` for a sample and the alerts its check raised, the last
         of ``then_reads`` (or of ``reads``) for a ``then`` document."""
-        now, trace = self.sim.now, self._trace
-        sample = self._stream(kind.value, self.alerts.metric_boosted(kind), flows, values)
+        now, trace, flows = self.sim.now, self._trace, active.flows
+        sample = self._stream(kind.value, self.alerts.metric_boosted(kind), active,
+                              values, present)
         streams = (sample,) if then is None else (then, sample)
-        counts = {spec[1][0]: len(flows) if spec[3] is None else
-                  len(flows) - spec[3].count(None) for spec in streams}
+        counts = {spec[1][0]: len(flows) if spec[3] is None else int(spec[3].sum())
+                  for spec in streams}
         put = self.report_sink is not None
         if put:
             self.tallies.update(counts)
@@ -701,50 +818,45 @@ class MonitorControlPlane:
         ids = then_ids = None
         if trace is not None:
             ids, then_ids = [], []
+            noted = [(ids, [(name, indices.tolist(), cells.tolist())
+                            for name, indices, cells in reads]),
+                     (then_ids, [(name, indices.tolist(), cells.tolist())
+                                 for name, indices, cells in then_reads])]
             for i, flow in enumerate(flows):
-                for noted, columns in ((ids, reads), (then_ids, then_reads)):
+                for tids, columns in noted:
                     for name, indices, cells in columns:
                         tid = trace.control_read(name, indices[i], now, value=cells[i],
                                                  flow_id=flow.flow_id)
-                    noted.append(tid)
+                    tids.append(tid)
         if put:
             self._put(*_tick_runs(sample, ids))
         mc = self.config.metric(kind)
         if mc.alert_enabled and mc.alert_threshold is not None:
-            for i, (flow, value) in enumerate(zip(flows, values)):
-                if value is not None:
-                    alert = self.alerts.check(kind, flow.flow_id, value, now)
-                    if alert is not None:
-                        self._ship(alert, None if ids is None else ids[i:i + 1])
+            checked = values.tolist()
+            for i in (range(len(flows)) if present is None
+                      else np.flatnonzero(present).tolist()):
+                alert = self.alerts.check(kind, active.flow_ids[i], checked[i], now)
+                if alert is not None:
+                    self._ship(alert, None if ids is None else ids[i:i + 1])
         if put and then is not None:
             self._put(*_tick_runs(then, then_ids))
 
-    def _stream(self, metric: str, boosted: bool, flows: List[TrackedFlow],
-                values: List[Optional[float]]) -> tuple:
-        """One tick's samples of one stream (``values[i]`` on ``flows[i]``;
-        ``None``: none) as ``(keys, values, cols, present)``: the run's
-        fields over every flow, its column positions, and the list whose
-        ``None``s mark the flows without a document (``None``: none
-        lacks one)."""
+    def _stream(self, metric: str, boosted: bool, active: _FlowSet, values: np.ndarray,
+                present: Optional[np.ndarray]) -> tuple:
+        """One tick's samples of one stream (``values[i]`` on
+        ``active.flows[i]`` where ``present`` is true; ``None``: on
+        every flow) as ``(keys, values, cols, present)``: the run's
+        fields over every flow and its column positions."""
         return (FLOW_SAMPLE_KEYS, ("p4_" + metric, self.sim.now / NS_PER_S,
-                                   *self._head_columns(flows), values, boosted),
-                _SAMPLE_COLS, values)
-
-    def _head_columns(self, flows: List[TrackedFlow]) -> tuple:
-        """The flows' identities as five columns (flow_id, the dotted
-        quads, the ports), rebuilt only when the active set changed:
-        every run of a tick, and of every tick until then, shares them."""
-        last, columns = self._heads
-        if flows != last:
-            columns = tuple(map(tuple, zip(*[f.head for f in flows]))) or ((),) * 5
-            self._heads = (flows, columns)
-        return columns
+                                   *active.heads, values, boosted),
+                _SAMPLE_COLS, present)
 
     def _retire(self, flow: TrackedFlow) -> None:
         """The flow left the active set (FIN/RST or idle eviction).  No
         tick samples it again, so an alert it holds could never clear
         and its limiter row never recycle: drop both here."""
         flow.terminated = True
+        self._sets = None
         self.alerts.drop_flow(flow.flow_id)
         self.limiter.forget(flow.flow_id)
 
@@ -832,20 +944,37 @@ class MonitorControlPlane:
         return None
 
 
+def _positions(rows: np.ndarray) -> array:
+    """Rows of a :class:`FlowState` as a selection's positions."""
+    return array("I", rows.astype(np.uint32).tobytes())
+
+
 def _tick_runs(stream: tuple, ids: Optional[List[int]]) -> tuple:
     """A stream of :meth:`MonitorControlPlane._stream` as one run (none
     when no flow has a document) and its documents' trace ids: its
     columns as the tick built them, or compressed to the flows that have
-    a document, and ``ids`` (one per flow; ``None``: no tracer) alike."""
+    a document (identity selections sharing their positions), and
+    ``ids`` (one per flow; ``None``: no tracer) alike; its numpy columns
+    typed."""
     keys, values, cols, present = stream
     n = len(values[cols[0]])
     if present is not None:
-        keep = [v is not None for v in present]
-        kept = sum(keep)
-        if kept < n:
-            values = tuple(list(compress(v, keep)) if p in cols else v
-                           for p, v in enumerate(values))
+        kept = np.flatnonzero(present)
+        if len(kept) < n:
+            picked: Dict[int, array] = {}
+
+            def pick(column):
+                if type(column) is np.ndarray:
+                    return column[kept]
+                at = picked.get(id(column.at))
+                if at is None:
+                    at = picked[id(column.at)] = _positions(
+                        np.frombuffer(column.at, dtype=np.uint32)[kept])
+                return Selection(column.base, at)
+
+            values = tuple(pick(v) if p in cols else v for p, v in enumerate(values))
             if ids is not None:
-                ids = list(compress(ids, keep))
-            n = kept
+                ids = list(compress(ids, present.tolist()))
+            n = len(kept)
+    values = tuple(typed(v) if type(v) is np.ndarray else v for v in values)
     return ([Run(keys, values, cols, n)] if n else []), ids

@@ -64,11 +64,12 @@ class FlightSizeStage(PipelineStage):
 
 #: The classifier's rules in order of precedence — losses, flight pinned
 #: at the advertised window, stable flight, a trickle, flight expanding
-#: without loss — then what holds when none fires.
-_RULES = (LimiterVerdict.NETWORK_LIMITED, LimiterVerdict.RECEIVER_LIMITED,
-          LimiterVerdict.SENDER_LIMITED, LimiterVerdict.SENDER_LIMITED,
-          LimiterVerdict.PROBING, LimiterVerdict.UNKNOWN)
-_NO_RULE = len(_RULES) - 1
+#: without loss — then what holds when none fires: a rule's index is
+#: the verdict code :meth:`LimiterClassifier.step` returns.
+RULE_VERDICTS = (LimiterVerdict.NETWORK_LIMITED, LimiterVerdict.RECEIVER_LIMITED,
+                 LimiterVerdict.SENDER_LIMITED, LimiterVerdict.SENDER_LIMITED,
+                 LimiterVerdict.PROBING, LimiterVerdict.UNKNOWN)
+NO_RULE = len(RULE_VERDICTS) - 1
 
 # Flows that keep less than this in flight (with no losses) are not
 # filling the pipe: the application is the limit even if the sparse
@@ -107,11 +108,11 @@ class LimiterClassifier:
 
     def step(self, flow_ids: Sequence[int], flight_bytes: Sequence[int],
              loss_deltas: Sequence[int], rwnd_bytes: Sequence[int]
-             ) -> Tuple[List[LimiterVerdict], List[float], List[float], List[int]]:
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One loss tick: append each (distinct) flow's ``(flight, loss
-        delta)`` sample, then classify them all.  Four columns in flow
-        order — verdict, mean flight, flight CV and loss sum over the
-        recent window."""
+        delta)`` sample, then classify them all.  Four numpy columns in
+        flow order — the verdict code (an index of :data:`RULE_VERDICTS`),
+        mean flight, flight CV and loss sum over the recent window."""
         return self._classify(self._record(flow_ids, flight_bytes, loss_deltas),
                               np.asarray(rwnd_bytes, dtype=np.int64))
 
@@ -137,7 +138,7 @@ class LimiterClassifier:
 
     def _classify(self, rows: np.ndarray, rwnd: np.ndarray):
         lengths = np.minimum(self._count[rows], self.window)
-        rule = np.full(len(rows), _NO_RULE)     # fewer than two samples
+        rule = np.full(len(rows), NO_RULE)     # fewer than two samples
         mean_flight, flight_cv = np.zeros(len(rows)), np.zeros(len(rows))
         loss_sum = np.zeros(len(rows), dtype=np.int64)
         # Young flows hold fewer samples: one pass per distinct length.
@@ -165,10 +166,9 @@ class LimiterClassifier:
                  mean < MIN_FLIGHT_BYTES,
                  # Congestion control is still probing.
                  (flights[:, -1] > flights[:, 0]) & (n >= 3)],
-                range(_NO_RULE), default=_NO_RULE)
+                range(NO_RULE), default=NO_RULE)
             mean_flight[sel], flight_cv[sel], loss_sum[sel] = mean, cv, losses
-        return ([_RULES[i] for i in rule.tolist()], mean_flight.tolist(),
-                flight_cv.tolist(), loss_sum.tolist())
+        return rule, mean_flight, flight_cv, loss_sum
 
     def observe(self, flow_id: int, flight_bytes: int, loss_delta: int) -> None:
         self._record((flow_id,), (flight_bytes,), (loss_delta,))
@@ -179,8 +179,9 @@ class LimiterClassifier:
         row = self._rows.get(flow_id)
         if row is None:
             return LimiterVerdict.UNKNOWN, 0.0, 0.0, 0
-        return tuple(column[0] for column in self._classify(
-            np.array([row]), np.array([rwnd_bytes])))
+        rule, mean_flight, flight_cv, loss_sum = (
+            column.item() for column in self._classify(np.array([row]), np.array([rwnd_bytes])))
+        return RULE_VERDICTS[rule], mean_flight, flight_cv, loss_sum
 
     def forget(self, flow_id: int) -> None:
         row = self._rows.pop(flow_id, None)

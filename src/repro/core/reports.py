@@ -18,16 +18,26 @@ is defined once, here: a key tuple plus a run builder (``run()``, a run
 of one); ``to_document()`` is its document, and ``from_document()`` /
 ``from_columns()`` the way back.  What the control plane shipped is read
 back from the archive's columns through a :class:`ReportView`.
+
+A run's numeric column is typed storage (:func:`typed`): an
+``array('d')`` or ``array('q')``, 8 B a value, which reads back as plain
+``float`` / ``int``; a column that is another one's values at some
+positions (the identity of the flows a tick sampled) is a
+:class:`Selection`.  Every other column is a list or a tuple.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
 from itertools import compress, repeat
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
+
+import numpy as np
 
 from repro.netsim.packet import int_to_ip, ip_to_int
 from repro.netsim.units import NS_PER_S
@@ -80,14 +90,15 @@ class Run:
         return list(zip(*(v if p in cols else repeat(v, n) for p, v in enumerate(self.values))))
 
     def select(self, keep: Sequence[bool]) -> Optional["Run"]:
-        """The documents whose ``keep`` is true, as a run (``None``: none)."""
+        """The documents whose ``keep`` is true, as a run (``None``: none);
+        a typed column or a selection stays one."""
         n = sum(keep)
         if n == self.n:
             return self
         if not n:
             return None
         cols = self.cols
-        return Run(self.keys, tuple(list(compress(v, keep)) if p in cols else v
+        return Run(self.keys, tuple(_compressed(v, keep) if p in cols else v
                                     for p, v in enumerate(self.values)), cols, n)
 
     def sliced(self, start: int) -> "Run":
@@ -106,6 +117,65 @@ class Run:
 
     def __repr__(self) -> str:
         return f"Run({self.keys!r}, n={self.n})"
+
+
+class Selection(_SequenceABC):
+    """A column that is ``base``'s values at the positions ``at`` (an
+    ``array('I')``): what a run over some of a control plane's flows
+    keeps of their identity, 4 B a document, sharing ``base`` with every
+    other run.  ``base`` only ever grows at its end, so what a selection
+    reads never changes.  Reads hand out ``base``'s own values."""
+
+    __slots__ = ("base", "at")
+
+    def __init__(self, base: Sequence, at: array) -> None:
+        self.base, self.at = base, at
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return Selection(self.base, self.at[i])
+        return self.base[self.at[i]]
+
+    def __iter__(self) -> Iterator:
+        return map(self.base.__getitem__, self.at)
+
+
+_TYPECODES = {np.dtype(np.float64): "d", np.dtype(np.int64): "q"}
+
+
+def typed(column: Sequence) -> Sequence:
+    """A column as a run keeps it: ``array('d')`` where every value is a
+    float, ``array('q')`` where every value is an int in 64 bits (a
+    ``bool`` is not one), else a tuple.  A numpy column is copied as it
+    is stored: float64 and int64 ones without a value boxed."""
+    dtype = getattr(column, "dtype", None)
+    if dtype is not None:
+        code = _TYPECODES.get(dtype)
+        if code is None:
+            return tuple(column.tolist())
+        return array(code, column.tobytes())
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return array("d", column)
+    if kinds == {int}:
+        try:
+            return array("q", column)
+        except OverflowError:       # beyond 64 bits
+            pass
+    return tuple(column)
+
+
+def _compressed(column: Sequence, keep: Sequence[bool]) -> Sequence:
+    """``column``'s values where ``keep`` is true, in the column's kind."""
+    kind = type(column)
+    if kind is array:
+        return array(column.typecode, compress(column, keep))
+    if kind is Selection:
+        return Selection(column.base, array("I", compress(column.at, keep)))
+    return list(compress(column, keep))
 
 
 class Block(list):

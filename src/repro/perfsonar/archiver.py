@@ -69,14 +69,19 @@ class Archiver:
             prof.begin("archiver.sink")
         try:
             tail_keys = block.tail[0]
-            if self._trace is not None:
-                self._trace.report_events("archiver", "archive", [
-                    (self.index_prefix, {"doc_type": doc_type})
-                    for doc_type in doc_types(block)])
             if self._tel_fields is not None:
                 for run in block:
                     self._tel_fields.observe_n(len(run.keys) + len(tail_keys), run.n)
+            trace = self._trace
+            written = self.output.documents_written if trace is not None else 0
             self.tcp_input.ingest(block)
+            # Recorded once the archive wrote the block: an attempt the
+            # pipeline refused, or a redelivery dropped as a duplicate,
+            # archived nothing.
+            if trace is not None and self.output.documents_written > written:
+                trace.report_events("archiver", "archive", [
+                    (self.index_prefix, {"doc_type": doc_type})
+                    for doc_type in doc_types(block)])
         finally:
             if prof is not None:
                 prof.end()

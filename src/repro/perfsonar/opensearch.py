@@ -13,12 +13,15 @@ took — the run itself (a column per field its documents vary in, each
 shared field once), one reference to its block's tail (the fields its
 documents share with the rest of the block, read as their suffix) and
 its ``_id``s, a ``range`` while no delete has cut into the middle of it.
-The store never transposes: a run arrives column-stride from whoever
-built it (the control plane builds each tick's from the columns it
-holds) and is filed as it came.  ``_index`` is the index a segment sits
-in, every query runs over the segments, a field all of a segment's
-documents share is tested once for all of them, and only the documents a
-query selects become dicts again.  Every top-level ``list`` arrives as a
+The store never transposes or converts: a run arrives column-stride
+from whoever built it (the control plane builds each tick's from the
+columns it holds: its numbers typed, 8 B a value, its identity a
+selection of the control plane's table) and is filed as it came; every
+read hands out the plain ``float`` / ``int`` / ``str`` values a column
+holds.  ``_index`` is the index a segment sits in, every query runs
+over the segments, a field all of a segment's documents share is tested
+once for all of them, and only the documents a query selects become
+dicts again.  Every top-level ``list`` arrives as a
 tuple — what lets the collector stop tracking the run; JSON has no
 tuples, so this is lossless for every document this system ships.  On
 the way out every tuple becomes a fresh list and every nested container

@@ -111,20 +111,20 @@ def _decode_report(doc: dict):
 
 
 def _encode_flow(flow) -> dict:
-    doc = dataclasses.asdict(flow)
+    doc = flow.record()
     doc["verdict"] = flow.verdict.value
     del doc["rslot"]    # derived from rev_flow_id, so v1 documents lack it
     return doc
 
 
-def _decode_flow(doc: dict, slots: int):
-    from repro.core.control_plane import TrackedFlow
+def _decode_flow(cp, doc: dict) -> None:
+    """Track a checkpointed flow on ``cp``."""
     from repro.core.flow_table import slot_of
     from repro.core.reports import LimiterVerdict
     doc = dict(doc)
     doc["verdict"] = LimiterVerdict(doc["verdict"])
-    doc["rslot"] = slot_of(doc["rev_flow_id"], slots)
-    return TrackedFlow(**doc)
+    doc["rslot"] = slot_of(doc["rev_flow_id"], cp.config.flow_slots)
+    cp.track(**doc)
 
 
 # -- capture -------------------------------------------------------------------
@@ -270,10 +270,9 @@ def restore_control_plane(cp, doc: dict) -> None:
     cp.set_degraded(bool(sec["degraded"]),
                     interval_scale=max(1.0, float(sec["interval_scale"])))
 
-    cp.flows = {}
+    cp.forget_flows()
     for fdoc in sec["flows"]:
-        flow = _decode_flow(fdoc, cp.config.flow_slots)
-        cp.flows[flow.flow_id] = flow
+        _decode_flow(cp, fdoc)
 
     cp.alerts._active = {
         (MetricKind(kind), flow_id): _decode_report(alert)

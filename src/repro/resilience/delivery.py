@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.core.reports import Block, Run
@@ -50,11 +50,14 @@ class DeliveryConfig:
 
 @dataclass
 class _Pending:
-    """One spooled block awaiting (re)delivery."""
+    """One spooled block awaiting (re)delivery; under a tracer, the
+    trace ids of the report context it was shipped in (one per
+    document), which its later delivery reopens."""
 
     rows: Block
     attempts: int = 0
     not_before_ns: int = 0
+    trace_ids: Optional[Sequence[int]] = None
 
 
 #: The envelope's fields, last in the tail of every block a shipper sends.
@@ -118,6 +121,7 @@ class ResilientShipper:
         self.source = source
         self._rng = random.Random(f"shipper:{source}:{seed}")
         self._faults = hooks.injector
+        self._trace = hooks.tracer
 
         self.seq = 0
         self._spool: Deque[_Pending] = deque()
@@ -212,6 +216,19 @@ class ResilientShipper:
         self.acked_keys[source, seq] = rows.size
         self.acked_total += 1
 
+    def _deliver_spooled(self, head: _Pending) -> None:
+        """Deliver a spooled block in the report context it was shipped
+        in: its documents keep their lineage."""
+        trace = self._trace
+        if trace is None or head.trace_ids is None:
+            self._deliver(head.rows)
+            return
+        outer = trace.begin_report(self.sim.now, head.trace_ids)
+        try:
+            self._deliver(head.rows)
+        finally:
+            trace.end_report(outer)
+
     def _enqueue(self, rows: Block, attempts: int = 0,
                  not_before_ns: int = 0) -> None:
         cfg = self.config
@@ -222,7 +239,8 @@ class ResilientShipper:
                 self.dead_letter_evicted_rows += self.dead_letters.pop(0).size
                 self.dead_letter_evictions += 1
             return
-        self._spool.append(_Pending(rows, attempts, not_before_ns))
+        self._spool.append(_Pending(rows, attempts, not_before_ns, None if self._trace is None
+                                    else self._trace.report_ids()))
         self.spool_high_watermark = max(self.spool_high_watermark,
                                         len(self._spool))
         self._arm_retry()
@@ -244,7 +262,7 @@ class ResilientShipper:
             if head.not_before_ns > now:
                 break
             try:
-                self._deliver(head.rows)
+                self._deliver_spooled(head)
             except DeferredDelivery as exc:
                 # Reordered in transit: this block now arrives *after*
                 # whatever the spool delivers next.

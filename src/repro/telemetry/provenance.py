@@ -357,14 +357,23 @@ class ProvenanceTracer:
         digest) or, failing that, the most recent control read."""
         return self._ctx_id or self._last_extract_id
 
-    def begin_report(self, t_ns: int, trace_ids: Sequence[int]) -> None:
+    def begin_report(self, t_ns: int, trace_ids: Sequence[int]) -> Optional[tuple]:
         """Open a report context around shipping one block of
         measurement records: ``trace_ids[i]`` is the packet behind its
-        document ``i`` (0: none)."""
-        self._report = (trace_ids, t_ns)
+        document ``i`` (0: none).  Returns the context it replaces, for
+        :meth:`end_report`."""
+        outer, self._report = self._report, (trace_ids, t_ns)
+        return outer
 
-    def end_report(self) -> None:
-        self._report = None
+    def end_report(self, outer: Optional[tuple] = None) -> None:
+        """Close the report context, reopening ``outer`` (what
+        :meth:`begin_report` returned)."""
+        self._report = outer
+
+    def report_ids(self) -> Optional[Sequence[int]]:
+        """The open report context's trace ids (``None`` outside one):
+        what a block held for a later delivery keeps."""
+        return None if self._report is None else self._report[0]
 
     def report_events(self, layer: str, kind: str,
                       events: Sequence[Tuple[str, dict]]) -> None:

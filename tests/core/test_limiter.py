@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import MonitorConfig
-from repro.core.limiter import MIN_FLIGHT_BYTES, LimiterClassifier
+from repro.core.limiter import MIN_FLIGHT_BYTES, RULE_VERDICTS, LimiterClassifier
 from repro.core.reports import LimiterVerdict
 from repro.core.stats import coefficient_of_variation
 from repro.netsim.units import millis
@@ -209,8 +209,10 @@ def test_matrix_classifier_equals_the_reference_bit_for_bit(window):
             ref.forget(fid)
         samples = [shape[fid](rng, t) for fid in fids]
         rwnds = [rng.choice((0, 65_535, 100_000, 4_000_000)) for _ in fids]
-        columns = clf.step(fids, [s[0] for s in samples],
-                           [s[1] for s in samples], rwnds)
+        codes, *numbers = clf.step(fids, [s[0] for s in samples],
+                                   [s[1] for s in samples], rwnds)
+        columns = [[RULE_VERDICTS[code] for code in codes.tolist()],
+                   *(column.tolist() for column in numbers)]
         for fid, (flight, loss), rwnd, *got in zip(fids, samples, rwnds, *columns):
             ref.observe(fid, flight, loss)
             want = ref.classify(fid, rwnd)

@@ -3,12 +3,14 @@
 import itertools
 import json
 import random
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.reports import Block, Run
+from repro.core.reports import Block, Run, Selection, typed
 from repro.perfsonar.opensearch import OpenSearchStore, RetentionPolicy
 
 
@@ -159,8 +161,10 @@ class DictStore:
         return [[d.get(name, default) for d in docs] for name in fields]
 
     def time_ordered(self, index, time_field="@timestamp"):
+        """Whether ``tail`` may be asked: every time a number (NaN is in
+        no order), in order."""
         times = [d.get(time_field, float("-inf")) for d in self._indices.get(index, ())]
-        return all(type(t) in (int, float) for t in times) and times == sorted(times)
+        return all(type(t) in (int, float) and t == t for t in times) and times == sorted(times)
 
     def tail(self, index, since, time_field="@timestamp", fields=None, terms=None):
         docs = [d for d in self._indices.get(index, ())
@@ -311,9 +315,11 @@ def test_row_store_matches_the_dict_store(seed):
 
 #: What a field may hold: the shapes the report path ships, and the ones
 #: that would break a naive column layout (None, bool vs int, lists and
-#: dicts, a list where another document of the run has a scalar).
+#: dicts, a list where another document of the run has a scalar) or a
+#: typed one (the int64 edges and an int past them, -0.0 and NaN).
 _VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
-                    st.sampled_from([0.5, -2.0, 3.0, "p4_rtt", "p4_jitter", "x"]),
+                    st.sampled_from([0.5, -2.0, 3.0, "p4_rtt", "p4_jitter", "x",
+                                     -0.0, float("nan"), 2**63 - 1, -2**63, 2**63]),
                     st.lists(st.sampled_from(["p4-perfsonar", "a"]), max_size=2),
                     st.fixed_dictionaries({"k": st.integers(0, 1)}))
 _FIELDS = ("type", "@timestamp", "flow_id", "value", "tags", "counts", "_seq",
@@ -335,8 +341,10 @@ def _stored(value):
 @st.composite
 def _run(draw, clock):
     """A run of 1-24 documents of one schema: each field shared or a
-    column; ``@timestamp`` drawn from ``clock`` (in write order) or
-    freely."""
+    column — a list, the column :func:`typed` keeps (an ``array`` where
+    it is all floats or all 64-bit ints, else a tuple) or a
+    :class:`Selection` of a longer list; ``@timestamp`` drawn from
+    ``clock`` (in write order) or freely."""
     keys = tuple(draw(st.lists(st.sampled_from(_FIELDS), min_size=1, unique=True)))
     n = draw(st.sampled_from([1, 1, 2, 3, 8, 24]))
     values, cols = [], []
@@ -357,6 +365,12 @@ def _run(draw, clock):
             column = draw(st.lists(_VALUES, min_size=count, max_size=count))
         column = [_stored(v) for v in column]
         if varies:
+            form = draw(st.sampled_from(["list", "typed", "typed", "selection"]))
+            if form == "typed":
+                column = typed(column)
+            elif form == "selection":
+                base = [_stored(v) for v in draw(st.lists(_VALUES, max_size=3))] + column
+                column = Selection(base, array("I", range(len(base) - n, len(base))))
             values.append(column)
             cols.append(p)
         else:
@@ -372,7 +386,10 @@ def test_segment_store_matches_the_dict_store(data, ordered):
     index and in one block, runs of one, a tail, prefix and scattered
     deletes and a retention sweep, then every query form — against the
     dict store, the store as it was before rows.  With ``ordered`` every
-    index is written in ``@timestamp`` order, so ``tail`` is asked too."""
+    index is written in ``@timestamp`` order, so ``tail`` is asked too.
+    Columns come as lists, typed and as selections; every answer is
+    compared down to value types (``repr``), so an int read back as a
+    float, a lost ``-0.0`` or a ``bool`` become an int shows."""
     rows, ref = OpenSearchStore(), DictStore()
     clock = [0.0] if ordered else None
     ids = []
@@ -405,3 +422,22 @@ def test_segment_store_matches_the_dict_store(data, ordered):
         assert (_outcome(policy.apply, rows, index, now_s=50.0)
                 == _outcome(reference_retention, policy, ref, index, now_s=50.0))
     _compare(rows, ref, ids)
+
+
+def test_typed_keeps_a_number_in_8_bytes_and_anything_else_as_a_tuple():
+    nan = float("nan")
+    floats = typed([0.5, -0.0, nan, 1e308])
+    assert floats.typecode == "d" and floats.itemsize == 8
+    assert repr(list(floats)) == repr([0.5, -0.0, nan, 1e308])
+    ints = typed([0, -2**63, 2**63 - 1])
+    assert ints.typecode == "q" and list(ints) == [0, -2**63, 2**63 - 1]
+    # Mixed, past 64 bits, bools (an int subclass), None, strings: tuples.
+    for column in ([1, 2.0], [1, 2**63], [True, False], [1, True], [None, 1.0], ["a"]):
+        kept = typed(column)
+        assert type(kept) is tuple and repr(kept) == repr(tuple(column))
+    assert typed(np.array([0.25, -0.0])).typecode == "d"
+    assert typed(np.array([3, -(2**63)], dtype=np.int64)).typecode == "q"
+    for column in (np.array([True, False]), np.array([1, 2], dtype=np.uint64)):
+        kept = typed(column)
+        assert type(kept) is tuple and kept == tuple(column.tolist())
+        assert all(type(v) in (bool, int) for v in kept)

@@ -208,11 +208,14 @@ def test_a_traced_runs_lineage_is_unchanged(traced):
     assert [(d.reason, len(d.events)) for d in tracer.dumps] == [
         ("alert", 2_562), ("microburst", 10_395), ("alert", 22_789)]
     # Re-pinned when a tracer's reports began to ship as the tick's
-    # block, which reorders their events (ffb7a295... before).
+    # block, which reorders their events (ffb7a295... before), and when
+    # ``archive`` came to be recorded once the archive wrote the block,
+    # after Logstash's ``logstash-ship`` (85625650... before); the
+    # sorted events above are the same.
     doc = to_perfetto(events, spans=tracer.span_log, dumps=tracer.dumps)
     export = json.dumps(doc, separators=(",", ":")).encode()
     assert hashlib.sha256(export).hexdigest() == (
-        "85625650ac5bf9b070be8bf0071ad653f36d9ceb7e60805dbcd1ef0764cc4455")
+        "8329d9e24e9a2a33e495426dfa3c5d2e0502b8df887726797faac0b118540cac")
 
 
 def test_a_fault_free_shipper_is_transparent(scenario):

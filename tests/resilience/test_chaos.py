@@ -201,6 +201,35 @@ def test_a_traced_run_archives_what_a_dark_scalar_run_does():
         assert traced.archive_digest == dark.archive_digest, name
 
 
+@pytest.mark.parametrize("name", BUNDLES)
+def test_a_traced_run_records_one_archive_event_per_archived_document(name):
+    """Lineage survives the delivery path's retries: a block the shipper
+    delivers from its spool reopens the report context it was shipped
+    in, and ``archive`` is recorded only when the archive wrote the
+    block (not for an attempt Logstash refused, nor a redelivery dropped
+    as a duplicate).  With every event recorded, each schedule's
+    ``archive`` events are its archived documents, and on a stalled
+    Logstash (which refuses before its filters) they are its
+    ``logstash-ship`` events."""
+    from collections import Counter
+
+    from repro.telemetry import provenance
+
+    tracer = provenance.enable(sample_rate=1.0, coarse_window=10**6, fine_window=10**6)
+    try:
+        result = run_chaos(bundled_chaos()[name])
+    finally:
+        provenance.disable()
+    kinds = Counter(ev.kind for ev in tracer.events() if ev.layer == "archiver")
+    store = result.run.scenario.archiver.store
+    archived = sum(map(store.count, store.indices))
+    assert kinds["archive"] == archived > 0
+    if name == "archiver-outage":
+        assert archived == 32
+    if name == "slow-drain":
+        assert kinds["archive"] == kinds["logstash-ship"]
+
+
 def test_chaos_is_byte_reproducible():
     spec = bundled_chaos()["lossy-transport"]
     a = run_chaos(spec)
