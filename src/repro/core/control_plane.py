@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import compress
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +93,10 @@ _SAMPLE_COLS = (2, 3, 4, 5, 6, 7)
 _LIMITER_COLS = (2, 3, 4, 5, 6, 7, 8, 9)
 #: A limiter rule's verdict as documents carry it.
 _VERDICT_VALUES = tuple(verdict.value for verdict in RULE_VERDICTS)
+#: The per-flow document types degraded mode suppresses, and the report
+#: each is counted as in ``suppressed``.
+_PER_FLOW = {**{"p4_" + kind.value: "FlowSample" for kind in MetricKind},
+             "p4_jitter": "FlowSample", "p4_limiter": "LimiterReport"}
 
 
 @dataclass
@@ -348,11 +352,10 @@ class MonitorControlPlane:
         _prof = hooks.profiler
         self._prof = _prof if (_prof is not None and _prof.phases) else None
 
-        # Telemetry reads the tallies above at snapshot time.  The two
-        # instants are observed where they happen: an extraction cycle's
-        # duration (whose count is the cycle counter) and a shipped
-        # report's type, which no default-path tally keeps.
-        self._tel_cycle_ns = self._tel_reports = None
+        # Telemetry reads the tallies above at snapshot time.  The one
+        # instant is observed where it happens: an extraction cycle's
+        # duration (whose count is the cycle counter).
+        self._tel_cycle_ns = None
         if telemetry.enabled():
             self._tel_cycle_ns = telemetry.histogram(
                 "repro_cp_extraction_ns",
@@ -361,11 +364,9 @@ class MonitorControlPlane:
             telemetry.registry().counter_of(
                 "repro_cp_extraction_cycles_total",
                 "extraction cycles run, per extraction job", self._tel_cycle_ns)
-            self._tel_reports = telemetry.counter(
-                "repro_cp_reports_total",
-                "reports shipped to the sink, by document type",
-                labels=("type",))
         telemetry.reads(self, counters=[
+            ("repro_cp_reports_total", "reports shipped to the sink, by document type",
+             ("type",), lambda: self.tallies),
             ("repro_cp_tick_deferred_total",
              "extraction ticks deferred by an injected control-plane stall, "
              "per extraction job", ("metric",), lambda: self.ticks_deferred),
@@ -741,13 +742,13 @@ class MonitorControlPlane:
         state.last_loss[rows], state.verdict[rows] = loss_col, verdicts
         pkt_deltas = pkts_col - state.last_pkts[rows]
         state.last_pkts[rows] = pkts_col
-        limiter = (LIMITER_KEYS, (
+        limiter = Run(LIMITER_KEYS, (
             "p4_limiter", now / NS_PER_S, *active.heads[:3],
             Selection(_VERDICT_VALUES, _positions(verdicts)), mean_flights,
-            flight_cvs, lost, rwnd_col), _LIMITER_COLS, None)
+            flight_cvs, lost, rwnd_col), _LIMITER_COLS, len(active.flows))
         self._put_samples(MetricKind.PACKET_LOSS, active, loss_pct(loss_deltas, pkt_deltas),
                           None, (("pkt_loss", slots, loss_col), ("flow_pkts", slots, pkts_col)),
-                          limiter, (("flow_rwnd", slots, rwnd_col),))
+                          (limiter, None), (("flow_rwnd", slots, rwnd_col),))
 
     def _tick_rtt(self) -> None:
         kind = MetricKind.RTT
@@ -768,7 +769,7 @@ class MonitorControlPlane:
         state.jitter_ms[rows[follows]] = jitters[follows]
         state.last_rtt_ms[rows[sampled]] = rtt_ms[sampled]
         self._put_samples(kind, active, rtt_ms, sampled, (("rtt", active.rslots, rtt_col),),
-                          self._stream("jitter", boosted, active, jitters, follows))
+                          (self._stream("jitter", boosted, active, jitters), follows))
 
     def _tick_queue(self) -> None:
         max_delay = self.config.max_queue_delay_ns()
@@ -786,35 +787,20 @@ class MonitorControlPlane:
 
     def _put_samples(self, kind: MetricKind, active: _FlowSet, values: np.ndarray,
                      present: Optional[np.ndarray], reads: tuple,
-                     then: Optional[tuple] = None, then_reads: tuple = ()) -> None:
+                     then: Optional[Tuple[Run, Optional[np.ndarray]]] = None,
+                     then_reads: tuple = ()) -> None:
         """The one way a tick emits samples: ``values[i]`` is
         ``active.flows[i]``'s where ``present`` is true (``None``: for
         every flow), read from ``reads`` (``(name, indices, cells)``
         columns).  They become one run, followed by the alert runs their
-        checks raised or cleared, then by the run of ``then``, a second
-        stream over the same flows (jitter or limiter, as :meth:`_stream`
-        describes one).  Degraded mode counts their documents as
-        suppressed, off the tallies.  A bound tracer notes the reads flow
-        by flow, ``reads`` then ``then_reads``; a document's trace id is
-        the last writer of the cell its value was read from: the last of
+        checks raised or cleared, then by ``then``: a second stream over
+        the same flows (jitter or limiter) and what it keeps, as
+        :meth:`_put` takes them.  A bound tracer notes the reads flow by
+        flow, ``reads`` then ``then_reads``; a document's trace id is the
+        last writer of the cell its value was read from: the last of
         ``reads`` for a sample and the alerts its check raised, the last
         of ``then_reads`` (or of ``reads``) for a ``then`` document."""
         now, trace, flows = self.sim.now, self._trace, active.flows
-        sample = self._stream(kind.value, self.alerts.metric_boosted(kind), active,
-                              values, present)
-        streams = (sample,) if then is None else (then, sample)
-        counts = {spec[1][0]: len(flows) if spec[3] is None else int(spec[3].sum())
-                  for spec in streams}
-        put = self.report_sink is not None
-        if put:
-            self.tallies.update(counts)
-        if self.degraded:
-            limiter = counts.get("p4_limiter", 0)
-            self._suppress("FlowSample", sum(counts.values()) - limiter)
-            self._suppress("LimiterReport", limiter)
-            if put:
-                self.tallies.subtract(counts)
-            put = False
         ids = then_ids = None
         if trace is not None:
             ids, then_ids = [], []
@@ -828,8 +814,8 @@ class MonitorControlPlane:
                         tid = trace.control_read(name, indices[i], now, value=cells[i],
                                                  flow_id=flow.flow_id)
                     tids.append(tid)
-        if put:
-            self._put(*_tick_runs(sample, ids))
+        self._put(self._stream(kind.value, self.alerts.metric_boosted(kind), active, values),
+                  present, ids)
         mc = self.config.metric(kind)
         if mc.alert_enabled and mc.alert_threshold is not None:
             checked = values.tolist()
@@ -838,18 +824,16 @@ class MonitorControlPlane:
                 alert = self.alerts.check(kind, active.flow_ids[i], checked[i], now)
                 if alert is not None:
                     self._ship(alert, None if ids is None else ids[i:i + 1])
-        if put and then is not None:
-            self._put(*_tick_runs(then, then_ids))
+        if then is not None:
+            self._put(*then, then_ids)
 
-    def _stream(self, metric: str, boosted: bool, active: _FlowSet, values: np.ndarray,
-                present: Optional[np.ndarray]) -> tuple:
-        """One tick's samples of one stream (``values[i]`` on
-        ``active.flows[i]`` where ``present`` is true; ``None``: on
-        every flow) as ``(keys, values, cols, present)``: the run's
-        fields over every flow and its column positions."""
-        return (FLOW_SAMPLE_KEYS, ("p4_" + metric, self.sim.now / NS_PER_S,
-                                   *active.heads, values, boosted),
-                _SAMPLE_COLS, present)
+    def _stream(self, metric: str, boosted: bool, active: _FlowSet,
+                values: np.ndarray) -> Run:
+        """One tick's samples of one stream, ``values[i]`` on
+        ``active.flows[i]``: a run over every flow."""
+        return Run(FLOW_SAMPLE_KEYS, ("p4_" + metric, self.sim.now / NS_PER_S,
+                                      *active.heads, values, boosted),
+                   _SAMPLE_COLS, len(active.flows))
 
     def _retire(self, flow: TrackedFlow) -> None:
         """The flow left the active set (FIN/RST or idle eviction).  No
@@ -870,14 +854,9 @@ class MonitorControlPlane:
         return sum(self.suppressed.values())
 
     def _ship(self, report, ids: Optional[List[int]] = None) -> None:
-        """Put one report's run of one (a report of
-        :mod:`repro.core.reports`); ``ids``: :meth:`_put`'s."""
-        if self.degraded and isinstance(report, (FlowSample, LimiterReport)):
-            self._suppress(type(report).__name__)
-        elif self.report_sink is not None:
-            run = report.run()
-            self.tallies[run.values[0]] += 1
-            self._put([run], ids)
+        """Put one report (of :mod:`repro.core.reports`) as a run of one;
+        ``ids``: :meth:`_put`'s."""
+        self._put(report.run(), ids=ids)
 
     def _suppress(self, name: str, count: int = 1) -> None:
         """Degraded mode: per-flow detail collapses to the aggregate
@@ -885,26 +864,44 @@ class MonitorControlPlane:
         path proves healthy again.  Counted by report type."""
         self.suppressed[name] = self.suppressed.get(name, 0) + count
 
-    def _put(self, runs: List[Run], ids: Optional[List[int]] = None) -> None:
-        """Put report runs into the open tick's block or, outside a tick,
-        ship them as a block of their own.  A bound tracer takes their
-        documents' trace ids from ``ids``, or else from its report
-        context now (:meth:`~repro.telemetry.provenance.ProvenanceTracer.report_id`)."""
+    def _put(self, run: Run, keep: Optional[Sequence[bool]] = None,
+             ids: Optional[List[int]] = None) -> None:
+        """The one way a report run reaches the sink.  It keeps the
+        documents ``keep`` selects (``None``: all; :meth:`Run.select`)
+        and their trace ids ``ids`` alike (``None``: the tracer's report
+        context now, :meth:`~repro.telemetry.provenance.ProvenanceTracer.report_id`).
+        While degraded, a per-flow type's documents are counted as
+        suppressed (``_PER_FLOW``); otherwise they are tallied, the run's
+        numpy columns typed, and the run filed in the open tick's block
+        or, outside a tick, shipped as a block of its own."""
+        if keep is not None:
+            if ids is not None:
+                ids = list(compress(ids, keep))
+            run = run.select(keep)
+        if run is None or not run.n:
+            return
+        doc_type = run.values[0]
+        if self.degraded and doc_type in _PER_FLOW:
+            self._suppress(_PER_FLOW[doc_type], run.n)
+            return
+        if self.report_sink is None:
+            return
+        self.tallies[doc_type] += run.n
+        if run.cols:
+            run = Run(run.keys, tuple(typed(v) if type(v) is np.ndarray else v
+                                      for v in run.values), run.cols, run.n)
         if ids is None and self._trace is not None:
-            ids = [self._trace.report_id()] * sum(run.n for run in runs)
+            ids = [self._trace.report_id()] * run.n
         if self._block is None:
-            self._send(Block(runs), ids)
+            self._send(Block([run]), ids)
         else:
-            self._block.extend(runs)
+            self._block.append(run)
             if ids:
                 self._ids.extend(ids)
 
     def _send(self, block: Block, ids: Optional[List[int]]) -> None:
         """The one ``report_sink`` site.  Every Report_v1 run leads with
         its type, which all its documents share."""
-        if self._tel_reports is not None:
-            for run in block:
-                self._tel_reports.labels(run.values[0]).inc(run.n)
         trace = self._trace
         if trace is not None:
             # Report context: downstream (Logstash, archiver) events
@@ -947,34 +944,3 @@ class MonitorControlPlane:
 def _positions(rows: np.ndarray) -> array:
     """Rows of a :class:`FlowState` as a selection's positions."""
     return array("I", rows.astype(np.uint32).tobytes())
-
-
-def _tick_runs(stream: tuple, ids: Optional[List[int]]) -> tuple:
-    """A stream of :meth:`MonitorControlPlane._stream` as one run (none
-    when no flow has a document) and its documents' trace ids: its
-    columns as the tick built them, or compressed to the flows that have
-    a document (identity selections sharing their positions), and
-    ``ids`` (one per flow; ``None``: no tracer) alike; its numpy columns
-    typed."""
-    keys, values, cols, present = stream
-    n = len(values[cols[0]])
-    if present is not None:
-        kept = np.flatnonzero(present)
-        if len(kept) < n:
-            picked: Dict[int, array] = {}
-
-            def pick(column):
-                if type(column) is np.ndarray:
-                    return column[kept]
-                at = picked.get(id(column.at))
-                if at is None:
-                    at = picked[id(column.at)] = _positions(
-                        np.frombuffer(column.at, dtype=np.uint32)[kept])
-                return Selection(column.base, at)
-
-            values = tuple(pick(v) if p in cols else v for p, v in enumerate(values))
-            if ids is not None:
-                ids = list(compress(ids, present.tolist()))
-            n = len(kept)
-    values = tuple(typed(v) if type(v) is np.ndarray else v for v in values)
-    return ([Run(keys, values, cols, n)] if n else []), ids

@@ -90,15 +90,33 @@ class Run:
         return list(zip(*(v if p in cols else repeat(v, n) for p, v in enumerate(self.values))))
 
     def select(self, keep: Sequence[bool]) -> Optional["Run"]:
-        """The documents whose ``keep`` is true, as a run (``None``: none);
-        a typed column or a selection stays one."""
-        n = sum(keep)
+        """The documents whose ``keep`` (a list or a numpy array of bools)
+        is true, as a run (``None``: none).  Each column keeps its kind: a
+        numpy column stays one, a typed column stays typed, and
+        selections that shared their positions share the kept ones."""
+        mask = np.asarray(keep, dtype=bool)
+        n = int(np.count_nonzero(mask))
         if n == self.n:
             return self
         if not n:
             return None
+        kept: Dict[int, array] = {}
+
+        def pick(column):
+            kind = type(column)
+            if kind is np.ndarray:
+                return column[mask]
+            if kind is array:
+                return _kept(column, mask)
+            if kind is Selection:
+                at = kept.get(id(column.at))
+                if at is None:
+                    at = kept[id(column.at)] = _kept(column.at, mask)
+                return Selection(column.base, at)
+            return list(compress(column, keep))
+
         cols = self.cols
-        return Run(self.keys, tuple(_compressed(v, keep) if p in cols else v
+        return Run(self.keys, tuple(pick(v) if p in cols else v
                                     for p, v in enumerate(self.values)), cols, n)
 
     def sliced(self, start: int) -> "Run":
@@ -168,14 +186,10 @@ def typed(column: Sequence) -> Sequence:
     return tuple(column)
 
 
-def _compressed(column: Sequence, keep: Sequence[bool]) -> Sequence:
-    """``column``'s values where ``keep`` is true, in the column's kind."""
-    kind = type(column)
-    if kind is array:
-        return array(column.typecode, compress(column, keep))
-    if kind is Selection:
-        return Selection(column.base, array("I", compress(column.at, keep)))
-    return list(compress(column, keep))
+def _kept(column: array, mask: np.ndarray) -> array:
+    """A typed column's values where ``mask`` is true, in its typecode."""
+    code = column.typecode
+    return array(code, np.frombuffer(column, code)[mask].tobytes())
 
 
 class Block(list):

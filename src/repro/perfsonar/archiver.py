@@ -120,14 +120,6 @@ class Archiver:
     def count(self, kind: str) -> int:
         return self.store.count(self._index(kind))
 
-    def flow_ids(self, kind: str) -> List[int]:
-        seen: Dict[int, None] = {}
-        for doc in self.store.search(self._index(kind)):
-            fid = doc.get("flow_id")
-            if fid is not None:
-                seen.setdefault(fid, None)
-        return list(seen)
-
     # -- distribution documents (repro-histogram-v1 reports) -------------------
 
     HISTOGRAM_KIND = "repro-histogram-v1"

@@ -98,20 +98,22 @@ class LogstashPipeline:
                 runs = fn(runs)
             kept = runs.size
             self.events_dropped += events - kept
-            trace = self._trace
-            if trace is not None:
-                # The report context names one packet per document of
-                # the block the control plane shipped: a block shipped
-                # or dropped whole records each document under its own.
-                kind, seen = ("logstash-ship", runs) if runs else ("logstash-drop", block)
-                trace.report_events("archiver", kind, [
-                    (self.name, {"doc_type": doc_type}) for doc_type in doc_types(seen)])
             if filter_ns is not None:
                 filter_ns.observe(time.perf_counter_ns() - t0)
             if runs:
                 self.events_out += kept
                 for out in self.outputs:
                     out(runs)
+            trace = self._trace
+            if trace is not None:
+                # The report context names one packet per document of
+                # the block the control plane shipped: a block shipped
+                # or dropped whole records each document under its own,
+                # a shipped one once its outputs took it (one that
+                # raised shipped nothing).
+                kind, seen = ("logstash-ship", runs) if runs else ("logstash-drop", block)
+                trace.report_events("archiver", kind, [
+                    (self.name, {"doc_type": doc_type}) for doc_type in doc_types(seen)])
             return runs
         finally:
             if prof is not None:

@@ -52,7 +52,7 @@ _EXPORTS = {
 # imported as submodules by whoever uses them.
 __all__ = [
     "enable", "disable", "enabled", "registry", "reset", "snapshot",
-    "reads", "rebase", "counter", "histogram", *_EXPORTS,
+    "reads", "rebase", "histogram", *_EXPORTS,
 ]
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
@@ -114,10 +114,6 @@ def rebase(*owners: object) -> None:
     them), so a restore with telemetry off imports no metric model."""
     if _registry is not None:
         _registry.rebase(*owners)
-
-
-def counter(name: str, help: str = "", labels: Sequence[str] = ()) -> MetricFamily:
-    return registry().counter(name, help, labels)
 
 
 def histogram(name: str, help: str = "", labels: Sequence[str] = (),

@@ -57,7 +57,8 @@ class PerCellControlPlane(MonitorControlPlane):
 
     def _sample_emitter(self, kind, now, jitter=False):
         """One tick's ``emit(flow, value)``: put one per-flow sample's
-        Report_v1 row, tallied, then run the metric's alert check.
+        Report_v1 row as a run of one (suppressed here while degraded),
+        then run the metric's alert check.
         ``jitter`` selects the stream derived from ``kind``'s samples (no
         alert class of its own)."""
         boosted = self.alerts.metric_boosted(kind)
@@ -72,8 +73,7 @@ class PerCellControlPlane(MonitorControlPlane):
             if self.degraded:
                 self._suppress("FlowSample")
             else:
-                self.tallies["p4_" + metric] += 1
-                self._put([sample.run()])
+                self._put(sample.run())
             if alerting:
                 alert = self.alerts.check(kind, flow.flow_id, value, now)
                 if alert is not None:

@@ -114,3 +114,42 @@ def test_numbers_are_typed_in_the_archive_and_plain_everywhere_they_leave_it():
     assert spooled
     for document in spooled[0].documents():
         assert_plain(document, "spooled block", containers=(list, tuple, dict))
+
+
+def test_a_scattered_delete_keeps_a_tick_run_typed_and_its_positions_shared():
+    """A delete of documents scattered through a tick's segment rebuilds
+    it by ``Run.select``, the one compaction rule: the five identity
+    columns stay selections sharing one positions array, the numbers
+    stay typed, and the documents left are the others, unchanged."""
+    sim = Simulator()
+    mon = small_monitor(flow_slots=64)
+    archiver = Archiver()
+    cp = MonitorControlPlane(sim, mon, report_sink=archiver.sink)
+    for fid in range(1, 9):
+        cp._on_long_flow("long_flow", dict(
+            flow_id=fid, rev_flow_id=fid + 32, slot=fid, rev_slot=fid + 32,
+            src_ip=0x0A000000 + fid, dst_ip=0x0A010000, src_port=40000 + fid,
+            dst_port=5201, first_seen_ns=0))
+        mon.program.registers["flow_bytes"].write(fid, 1000 * fid)
+    cp.schedule["throughput"].body()
+    store, index = archiver.store, "pscheduler-p4_throughput"
+    before = store.search(index)
+    assert len(before) == 8
+
+    def columns():
+        (segment,) = store._indices[index].segments
+        run = segment.run
+        return run, [run.values[p] for p in (2, 3, 4, 5, 6)], run.values[run.at("value")]
+
+    run, identity, value = columns()
+    assert all(type(column) is Selection for column in identity)
+    assert len({id(column.at) for column in identity}) == 1
+
+    gone = [before[i]["_id"] for i in (1, 4, 6)]
+    assert store.delete(index, gone) == 3
+    run, identity, value = columns()
+    assert run.n == 5
+    assert all(type(column) is Selection for column in identity)
+    assert len({id(column.at) for column in identity}) == 1
+    assert type(value) is array and value.typecode == "d"
+    assert store.search(index) == [doc for doc in before if doc["_id"] not in gone]

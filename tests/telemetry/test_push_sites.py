@@ -1,5 +1,5 @@
 """A count is kept once: outside ``repro/telemetry/`` nothing writes a
-telemetry family except the seven sites that observe an instant.
+telemetry family except the six sites that observe an instant.
 
 Counters and gauges are reads of tallies the components keep
 (``telemetry.reads``); only a value that exists at one instant is
@@ -23,7 +23,7 @@ FAMILIES = {"counter", "gauge", "histogram"}
 PUSH_SITES = {
     "netsim/engine.py": {"_tel_depth": ["observe"]},
     "p4/pipeline.py": {"_tel_latency": ["observe", "observe_n"]},
-    "core/control_plane.py": {"_tel_cycle_ns": ["observe"], "_tel_reports": ["inc"]},
+    "core/control_plane.py": {"_tel_cycle_ns": ["observe"]},
     "perfsonar/logstash.py": {"_tel_filter_ns": ["observe"]},
     "perfsonar/archiver.py": {"_tel_fields": ["observe_n"]},
 }
@@ -83,7 +83,7 @@ def _modules():
             yield rel, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_only_the_seven_instants_are_pushed():
+def test_only_the_six_instants_are_pushed():
     found = {}
     for rel, tree in _modules():
         holders, writes, unheld, collectors, enabled = _scan(tree)
@@ -95,4 +95,4 @@ def test_only_the_seven_instants_are_pushed():
         for (holder, name), n in sorted(writes.items()):
             found.setdefault(rel, {}).setdefault(holder, []).extend([name] * n)
     assert found == PUSH_SITES
-    assert sum(len(names) for sites in found.values() for names in sites.values()) == 7
+    assert sum(len(names) for sites in found.values() for names in sites.values()) == 6

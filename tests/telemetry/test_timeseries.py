@@ -190,7 +190,7 @@ def test_store_total_points_bounded_by_retention_times_series():
 def test_sampler_ticks_align_to_interval_multiples():
     telemetry.enable()
     sim = Simulator()
-    telemetry.counter("repro_a_total").inc()
+    telemetry.registry().counter("repro_a_total").inc()
     sampler = TelemetrySampler(sim, Archiver(), interval_ns=100 * MS,
                                retention=600)
     sim.run_until(37 * MS)  # start mid-interval: alignment must still hold
@@ -206,7 +206,7 @@ def test_sampler_ticks_align_to_interval_multiples():
 def test_sampler_stop_cancels_future_ticks():
     telemetry.enable()
     sim = Simulator()
-    telemetry.counter("repro_a_total").inc()
+    telemetry.registry().counter("repro_a_total").inc()
     sampler = TelemetrySampler(sim, Archiver(), interval_ns=10 * MS)
     sampler.start()
     sim.run_until(50 * MS)
@@ -219,7 +219,7 @@ def test_sampler_stop_cancels_future_ticks():
 def test_sampler_observers_get_per_tick_batches():
     telemetry.enable()
     sim = Simulator()
-    fam = telemetry.counter("repro_a_total")
+    fam = telemetry.registry().counter("repro_a_total")
     sampler = TelemetrySampler(sim, Archiver(), interval_ns=10 * MS)
     batches = []
     sampler.add_observer(lambda t, block: batches.append((t, block)))
@@ -269,7 +269,7 @@ def test_sparkline_scales_to_extremes():
 def test_render_watch_frame_contents():
     telemetry.enable()
     sim = Simulator()
-    fam = telemetry.counter("repro_busy_total")
+    fam = telemetry.registry().counter("repro_busy_total")
     sampler = TelemetrySampler(sim, Archiver(), interval_ns=10 * MS)
     sampler.start()
     sim.every(10 * MS, lambda: fam.inc(100))
@@ -327,7 +327,7 @@ def test_push_lands_in_archive_next_to_measurement_documents():
     archive, with the telemetry index alongside the measurement indices."""
     telemetry.enable()
     sim = Simulator()
-    fam = telemetry.counter("repro_work_total")
+    fam = telemetry.registry().counter("repro_work_total")
     archiver = Archiver()
     # A measurement document, as the control plane would ship it.
     archiver.sink(Block([document_run({"type": "throughput", "flow_id": 1,
