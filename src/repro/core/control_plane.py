@@ -40,7 +40,6 @@ its row.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from array import array
 from dataclasses import dataclass, field, fields
@@ -286,6 +285,8 @@ class MonitorControlPlane:
         self.last_extraction_ns: Dict[str, int] = {}
         self.ticks_deferred: Dict[str, int] = {}
         self.catchup_ticks: Dict[str, int] = {}
+        #: Extraction cycles run (bodies entered, catch-ups included).
+        self.ticks_run: Dict[str, int] = {}
         self._deferred_pending: set = set()
         self.degraded = False
         self._interval_scale = 1.0
@@ -349,22 +350,14 @@ class MonitorControlPlane:
         # Profiling: each extraction tick body runs inside a
         # ``cp.extract/<metric>`` phase frame so register-read cost is
         # attributed separately from packet-path work.
-        _prof = hooks.profiler
-        self._prof = _prof if (_prof is not None and _prof.phases) else None
+        self._prof = hooks.phases()
 
-        # Telemetry reads the tallies above at snapshot time.  The one
-        # instant is observed where it happens: an extraction cycle's
-        # duration (whose count is the cycle counter).
-        self._tel_cycle_ns = None
-        if telemetry.enabled():
-            self._tel_cycle_ns = telemetry.histogram(
-                "repro_cp_extraction_ns",
-                "wall-clock duration of one extraction cycle, per extraction job",
-                labels=("metric",))
-            telemetry.registry().counter_of(
-                "repro_cp_extraction_cycles_total",
-                "extraction cycles run, per extraction job", self._tel_cycle_ns)
+        # Telemetry reads the tallies above at snapshot time; the wall
+        # time of a tick is the profiler's ``cp.extract/<job>`` frame.
         telemetry.reads(self, counters=[
+            ("repro_cp_extraction_cycles_total",
+             "extraction cycles run, per extraction job", ("metric",),
+             lambda: self.ticks_run),
             ("repro_cp_reports_total", "reports shipped to the sink, by document type",
              ("type",), lambda: self.tallies),
             ("repro_cp_tick_deferred_total",
@@ -400,6 +393,7 @@ class MonitorControlPlane:
         self.schedule[name] = _Job(name, body, base_interval_ns)
         self.ticks_deferred[name] = 0
         self.catchup_ticks[name] = 0
+        self.ticks_run[name] = 0
 
     def _metric_interval_ns(self, kind: MetricKind) -> int:
         return self.config.metric(kind).interval_ns(
@@ -468,16 +462,11 @@ class MonitorControlPlane:
         if prof is not None:
             prof.begin("cp.extract/" + name)
         try:
-            if self._tel_cycle_ns is not None:
-                t0 = time.perf_counter_ns()
-                self._run_body(job)
-                self._tel_cycle_ns.labels(name).observe(
-                    time.perf_counter_ns() - t0)
-            else:
-                self._run_body(job)
+            self._run_body(job)
         finally:
             if prof is not None:
                 prof.end()
+        self.ticks_run[name] += 1
         self.last_extraction_ns[name] = self.sim.now
         # The body was destructive (read-flip banks, cleared peak-holds).
         self._checkpoint()

@@ -124,10 +124,9 @@ class Simulator:
         # profiled loop body, which charges each event to a per-callback
         # cell (one perf_counter_ns per event, timestamps chained).
         # Disabled cost is one ``is None`` test per drain.
-        _prof = hooks.profiler
-        if _prof is not None:
-            _prof.bind_clock(self)
-        self._prof = _prof if (_prof is not None and _prof.phases) else None
+        if hooks.profiler is not None:
+            hooks.profiler.bind_clock(self)
+        self._prof = hooks.phases()
         # Provenance: components built around this simulator (ports,
         # links, switches, taps) pick up the tracer from here, so one
         # enable() before construction wires the whole topology.

@@ -57,12 +57,12 @@ class P4Pipeline:
     """Parser + ordered ingress stages + ordered egress stages.
 
     There are two traversal bodies.  :meth:`process` is the plain one,
-    reached by class dispatch when nothing observes the pipeline.  When
-    telemetry, a phase profiler or a tracer is live at construction,
-    :meth:`_process_observed` shadows it as an instance attribute; what
-    that one body records is decided by three construction-time flags.
-    A batched monitor runs neither per packet: the kernel reports each
-    flush through :meth:`account_batch`.
+    reached by class dispatch when nothing times or traces the pipeline
+    (telemetry only reads its tallies).  When a phase profiler or a
+    tracer is live at construction, :meth:`_process_observed` shadows it
+    as an instance attribute; what that one body records is decided by
+    two construction-time flags.  A batched monitor runs neither per
+    packet: the kernel reports each flush through :meth:`account_batch`.
     """
 
     def __init__(self, name: str = "pipeline") -> None:
@@ -78,14 +78,9 @@ class P4Pipeline:
         # profiler shows up as its cached ``p4.process`` cell, charged
         # once per packet here and once per flush from account_batch.
         self._trace = hooks.tracer
-        prof = hooks.profiler
-        self._prof = prof if (prof is not None and prof.phases) else None
+        self._prof = hooks.phases()
         self._proc_cell = (self._prof.cell("p4.process")
                            if self._prof is not None else None)
-        self._tel_latency = telemetry.histogram(
-            "repro_p4_packet_ns",
-            "wall-clock processing time per packet through the pipeline",
-            labels=("pipeline",)).labels(name) if telemetry.enabled() else None
         telemetry.reads(self, counters=[
             ("repro_p4_stage_packets_total", "packets entering each pipeline stage",
              ("pipeline", "stage"), self._stage_packets),
@@ -95,8 +90,7 @@ class P4Pipeline:
              lambda: {(name, site): n for site, n in self.drops.items()}),
         ])
         # Subclasses overriding process() keep their override.
-        if ((self._trace is not None or self._prof is not None
-             or self._tel_latency is not None)
+        if ((self._trace is not None or self._prof is not None)
                 and type(self).process is P4Pipeline.process):
             self.process = self._process_observed
 
@@ -149,18 +143,17 @@ class P4Pipeline:
 
     def _process_observed(self, packet, meta: StandardMetadata,
                           ecn: Optional[int] = None) -> Optional[ParsedHeaders]:
-        """:meth:`process` with the live observers attached, in any
-        combination: telemetry observes the per-packet latency; the
-        profiler's ``p4.process`` cell is charged once per packet; the
-        tracer opens the packet context so the parser, every stage and
-        the registers they touch attribute their events to this packet.
+        """:meth:`process` with the live observers attached, alone or
+        together: the profiler's ``p4.process`` cell is charged once per
+        packet; the tracer opens the packet context so the parser, every
+        stage and the registers they touch attribute their events to
+        this packet.
         """
-        latency = self._tel_latency
         cell = self._proc_cell
         trace = self._trace
         if trace is not None and getattr(packet, "uid", None) is None:
             trace = None  # an untraced packet under a live tracer
-        t0 = _pcn() if (latency is not None or cell is not None) else 0
+        t0 = _pcn() if cell is not None else 0
         rec = False
         if trace is not None:
             trace.begin_packet(packet, meta.ingress_timestamp_ns)
@@ -185,8 +178,6 @@ class P4Pipeline:
                         break
             if dropped_by is not None:
                 self.drops[dropped_by] += 1
-            if latency is not None:
-                latency.observe(_pcn() - t0)
             return hdr
         finally:
             if trace is not None:
@@ -201,17 +192,12 @@ class P4Pipeline:
         ``rejected`` of them; the rest ran every stage (no stage drops);
         the whole flush took wall ``t0_ns..t1_ns``.
 
-        Feeds the tallies :meth:`process` keeps per packet.  On this
-        path ``repro_p4_packet_ns`` records each copy at the flush's
-        per-copy mean (its buckets describe flushes, not packets), and
-        the profiler's ``p4.process`` cell gets the flush's wall time
-        with ``copies`` events, so both counts still equal copies
-        processed.
+        Feeds the tallies :meth:`process` keeps per packet.  The
+        profiler's ``p4.process`` cell gets the flush's wall time with
+        ``copies`` events, so its count still equals copies processed.
         """
         self.packets_in += copies
         if rejected:
             self.drops["parser"] += rejected
         if self._proc_cell is not None:
             self._prof.charge(self._proc_cell, t1_ns - t0_ns, copies)
-        if self._tel_latency is not None:
-            self._tel_latency.observe_n((t1_ns - t0_ns) / copies, copies)

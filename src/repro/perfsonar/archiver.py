@@ -43,8 +43,7 @@ class Archiver:
         self.tcp_input = TcpInputPlugin(self.pipeline)
         self.index_prefix = index_prefix
         self._trace = hooks.tracer
-        _prof = hooks.profiler
-        self._prof = _prof if (_prof is not None and _prof.phases) else None
+        self._prof = hooks.phases()
         # A record's field count is observed as it arrives; the record
         # count is that histogram's count.
         self._tel_fields = None

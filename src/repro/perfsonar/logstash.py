@@ -26,7 +26,6 @@ pipeline (Table 1's granularity comparison).
 from __future__ import annotations
 
 import json
-import time
 from collections import Counter
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Union
@@ -63,12 +62,7 @@ class LogstashPipeline:
         self.events_out = 0
         self.events_dropped = 0
         self._trace = hooks.tracer
-        _prof = hooks.profiler
-        self._prof = _prof if (_prof is not None and _prof.phases) else None
-        self._tel_filter_ns = telemetry.histogram(
-            "repro_logstash_filter_ns",
-            "wall-clock time spent in the filter chain per block",
-            labels=("pipeline",)).labels(name) if telemetry.enabled() else None
+        self._prof = hooks.phases()
         telemetry.reads(self, counters=[
             ("repro_logstash_events_total",
              "events through the Logstash pipeline, by outcome",
@@ -91,15 +85,11 @@ class LogstashPipeline:
         try:
             events = block.size
             self.events_in += events
-            filter_ns = self._tel_filter_ns
-            t0 = time.perf_counter_ns() if filter_ns is not None else 0
             runs = block
             for fn in self.filters:
                 runs = fn(runs)
             kept = runs.size
             self.events_dropped += events - kept
-            if filter_ns is not None:
-                filter_ns.observe(time.perf_counter_ns() - t0)
             if runs:
                 self.events_out += kept
                 for out in self.outputs:

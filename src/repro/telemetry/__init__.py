@@ -6,10 +6,13 @@ package watches the instrument.  One process-global
 **disabled by default**.  A count lives once, in the tally its
 component keeps anyway: the component registers reads of it at
 construction with :func:`reads` (a no-op while off) and a snapshot
-reads it.  Only a value that exists at one instant (a latency, a size)
-is observed where it happens, through a handle cached at construction
-that is ``None`` when off (the enabled end-to-end budget is
-``benchmarks/test_telemetry_overhead.py``).
+reads it.  Only a value that exists at one sim-time instant (a queue
+depth, a record's size) is observed where it happens, through a handle
+cached at construction that is ``None`` when off (the enabled end-to-end
+budget is ``benchmarks/test_telemetry_overhead.py``).  Telemetry times
+nothing: wall time is the phase profiler's
+(:mod:`repro.telemetry.profiling`), so a seeded run's snapshot is the
+same on every run (bar the profiler's own mirror, when both are on).
 
 Typical use::
 

@@ -83,9 +83,10 @@ def to_json(snapshot: dict, indent: int = 2) -> str:
 
 def histogram_quantile(series: dict, q: float) -> float:
     """Bucket-upper-bound estimate of the ``q`` quantile (0..1) from a
-    dumped histogram series (``{"buckets", "counts", "count", "max"}``) —
-    the snapshot-side twin of :meth:`Histogram.quantile`, so exporters
-    and the watch view can derive p50/p90/p99 without the live object."""
+    dumped histogram series (``{"buckets", "counts", "count", "max"}``,
+    what :meth:`Histogram.dump` gives): the one quantile rule, so
+    exporters, the watch view and the register-histogram extractors
+    derive p50/p90/p99 alike."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("quantile must be in [0, 1]")
     counts = series.get("counts") or []

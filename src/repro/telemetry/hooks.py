@@ -8,8 +8,10 @@ subsystems write the slots -- :func:`repro.telemetry.provenance.enable`,
 :func:`repro.telemetry.profiling.enable`,
 :func:`repro.resilience.faults.install` and
 :func:`repro.resilience.checkpoint.install_manager` -- and their getters
-(``provenance.tracer()``, ...) read them.  An observer switched on after a
-component was built does not reach that component.
+(``provenance.tracer()``, ...) read them.  A component that times its
+work in phase frames reads :func:`phases` instead of the profiler slot.
+An observer switched on after a component was built does not reach that
+component.
 """
 
 from __future__ import annotations
@@ -30,3 +32,10 @@ profiler: Optional[Profiler] = None
 injector: Optional[FaultInjector] = None
 #: The installed control-plane checkpoint manager.
 checkpoints: Optional[CheckpointManager] = None
+
+
+def phases() -> Optional[Profiler]:
+    """The live profiler when it accounts phases, else ``None``: the one
+    handle a component's phase frames and cells are charged to."""
+    prof = profiler
+    return prof if (prof is not None and prof.phases) else None

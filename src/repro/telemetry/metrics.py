@@ -8,9 +8,9 @@ own report pipeline (Logstash → OpenSearch → Grafana) consumes:
   component at snapshot time via a collector callback);
 - :class:`Histogram` — fixed **log-scale** bucket boundaries chosen at
   construction, so ``observe()`` is one ``bisect`` + two adds and never
-  allocates.  Latency histograms share :data:`LATENCY_BUCKETS_NS`
-  (powers of four from 64 ns to ~4.4 s) so every span/stage timing is
-  comparable.
+  allocates.  The default bounds are :data:`LATENCY_BUCKETS_NS`
+  (powers of four from 64 ns to ~4.4 s); the product's histograms
+  observe sizes on :data:`SIZE_BUCKETS`.
 
 Instruments are grouped into labeled *families* (``name`` + fixed label
 names → one child per label-value combination).  Child lookup is a dict
@@ -22,8 +22,9 @@ A component registers :class:`TallyReads` (a collector, through
 :meth:`MetricsRegistry.add_collector`) once, at construction, and a
 snapshot reads the tallies it already keeps: a gauge takes the tally, a
 counter advances by the tally's delta since the last collect.  Only
-values that exist at one instant (a latency, a depth at a drain) are
-observed where they happen.
+values that exist at one sim-time instant (a queue depth at a drain, a
+record's field count) are observed where they happen; wall time is the
+profiler's (:mod:`repro.telemetry.profiling`).
 """
 
 from __future__ import annotations
@@ -155,20 +156,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Bucket-upper-bound estimate of the ``q`` quantile (0..1)."""
-        if not 0.0 <= q <= 1.0:
-            raise TelemetryError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= rank and c:
-                return self.bounds[i] if i < len(self.bounds) else self.max
-        return self.max
 
     def reset(self) -> None:
         self.counts = [0] * (len(self.bounds) + 1)

@@ -491,8 +491,8 @@ def active() -> bool:
 
 
 def profiler() -> Optional[Profiler]:
-    """The live profiler, or None when disabled.  Components bind the
-    slot once at construction: ``_prof = hooks.profiler``."""
+    """The live profiler, or None when disabled.  Components bind it
+    once at construction: ``self._prof = hooks.phases()``."""
     return hooks.profiler
 
 

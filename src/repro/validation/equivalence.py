@@ -20,9 +20,9 @@ True/False), runs both, and compares
 - the op tallies observers read: ``RegisterArray.ops`` per register,
   sketch ``updates``/``queries``, digest ``emitted``/``dropped``, and
 - when telemetry is enabled, what each run added to
-  ``repro_p4_stage_packets_total``, ``repro_p4_stage_drops_total`` and
-  the ``count`` of ``repro_p4_packet_ns`` (the kernel's per-batch record
-  against the scalar twin's per-packet observations).
+  ``repro_p4_stage_packets_total`` and ``repro_p4_stage_drops_total``
+  (the kernel's per-flush tallies against the scalar twin's per-packet
+  ones).
 
 Used by ``tests/validation/test_batch_equivalence.py`` and by
 ``repro-experiments validate --compare-paths``.
@@ -38,10 +38,8 @@ import numpy as np
 from repro import telemetry
 from repro.validation.scenarios import ScenarioSpec, ValidationRun
 
-#: The pipeline's telemetry families (counter value, or histogram count,
-#: per label set).
-_TEL_FAMILIES = ("repro_p4_stage_packets_total", "repro_p4_stage_drops_total",
-                 "repro_p4_packet_ns")
+#: The pipeline's telemetry families (counter value per label set).
+_TEL_FAMILIES = ("repro_p4_stage_packets_total", "repro_p4_stage_drops_total")
 
 
 @dataclass
@@ -124,8 +122,7 @@ def _pipeline_telemetry() -> Dict[tuple, float]:
         if fam is None:
             continue
         for labels, child in fam.series():
-            out[(name, labels)] = (child.count if fam.kind == "histogram"
-                                   else child.value)
+            out[(name, labels)] = child.value
     return out
 
 

@@ -2,7 +2,8 @@
 
 With every observer off a :class:`P4Pipeline` runs the class's plain
 ``process`` — no instance attribute shadows it, so there is no guard to
-time.  Under telemetry, a phase profiler or a tracer it binds
+time.  Telemetry only reads the pipeline's tallies, so it leaves that
+body in place too; a phase profiler or a tracer binds
 ``_process_observed``.  This is the property the "disabled observer
 costs the pipeline ≤ 2 %" budgets existed to protect, pinned as a
 structure instead of a clock.
@@ -23,7 +24,6 @@ def _telemetry_off():
 
 
 OBSERVERS = {
-    "telemetry": (telemetry.enable, _telemetry_off),
     "profiler": (lambda: profiling.enable(mode="phase"), profiling.disable),
     "tracer": (provenance.enable, provenance.disable),
 }
@@ -33,6 +33,16 @@ def test_unobserved_pipeline_runs_the_plain_body_on_class_dispatch():
     assert not telemetry.enabled()
     assert not profiling.active() and not provenance.active()
     pipeline = small_monitor().pipeline
+    assert "process" not in vars(pipeline)
+    assert pipeline.process.__func__ is P4Pipeline.process
+
+
+def test_telemetry_alone_keeps_the_plain_body():
+    telemetry.enable()
+    try:
+        pipeline = small_monitor().pipeline
+    finally:
+        _telemetry_off()
     assert "process" not in vars(pipeline)
     assert pipeline.process.__func__ is P4Pipeline.process
 
@@ -55,10 +65,10 @@ def test_a_subclass_override_is_never_shadowed():
         def process(self, packet, meta):
             return None
 
-    telemetry.enable()
+    provenance.enable()
     try:
         pipeline = Custom("custom")
     finally:
-        _telemetry_off()
+        provenance.disable()
     assert "process" not in vars(pipeline)
     assert pipeline.process.__func__ is Custom.process

@@ -66,8 +66,8 @@ def test_every_job_runs_the_same_envelope(name, tmp_path):
                          or {"value": 0})["value"],
             "catchup": (_series(snap, "repro_cp_tick_catchup_total", name)
                         or {"value": 0})["value"],
-            "timed": (_series(snap, "repro_cp_extraction_ns", name)
-                      or {"count": 0})["count"],
+            "cycles": (_series(snap, "repro_cp_extraction_cycles_total", name)
+                       or {"value": 0})["value"],
             "frames": row.count if row is not None else 0,
             "checkpoints": manager.captures,
             "armed_in": job.timer.time_ns - sim.now,
@@ -76,14 +76,14 @@ def test_every_job_runs_the_same_envelope(name, tmp_path):
     # Two ticks inside the stall window: deferred, nothing executed,
     # nothing checkpointed, re-armed at the base interval.
     sim.run_until(seconds(0.6))
-    assert observed() == {"deferred": 2, "catchup": 0, "timed": 0,
+    assert observed() == {"deferred": 2, "catchup": 0, "cycles": 0,
                           "frames": 0, "checkpoints": 0,
                           "armed_in": seconds(0.75) - sim.now}
     assert cp.ticks_deferred[name] == 2
 
     # The first tick after the window is one consolidated catch-up.
     sim.run_until(seconds(0.9))
-    assert observed() == {"deferred": 2, "catchup": 1, "timed": 1,
+    assert observed() == {"deferred": 2, "catchup": 1, "cycles": 1,
                           "frames": 1, "checkpoints": 1,
                           "armed_in": seconds(1.0) - sim.now}
     assert cp.catchup_ticks[name] == 1
@@ -93,7 +93,7 @@ def test_every_job_runs_the_same_envelope(name, tmp_path):
     cp.set_degraded(True, interval_scale=1.4)
     assert job.timer.time_ns - sim.now == int(BASE * 1.4)
     sim.run_until(sim.now + int(BASE * 1.4))
-    assert observed() == {"deferred": 2, "catchup": 1, "timed": 2,
+    assert observed() == {"deferred": 2, "catchup": 1, "cycles": 2,
                           "frames": 2, "checkpoints": 2,
                           "armed_in": int(BASE * 1.4)}
     assert cp.catchup_ticks[name] == 1

@@ -6,6 +6,17 @@ import json
 import pytest
 
 from repro import telemetry
+from repro.telemetry import profiling
+
+
+def _scenario():
+    from repro.experiments.common import Scenario, ScenarioConfig
+
+    return Scenario(
+        ScenarioConfig(bottleneck_mbps=25.0, rtts_ms=(20.0, 30.0, 40.0),
+                       reference_rtt_ms=40.0),
+        with_perfsonar=True,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -16,13 +27,7 @@ def instrumented_snapshot():
     telemetry.reset()
     telemetry.enable()
     try:
-        from repro.experiments.common import Scenario, ScenarioConfig
-
-        scenario = Scenario(
-            ScenarioConfig(bottleneck_mbps=25.0, rtts_ms=(20.0, 30.0, 40.0),
-                           reference_rtt_ms=40.0),
-            with_perfsonar=True,
-        )
+        scenario = _scenario()
         scenario.add_flow(0, duration_s=3.0)
         scenario.add_flow(1, start_s=1.0, duration_s=3.0)
         scenario.run(4.5)
@@ -51,14 +56,14 @@ def test_p4_stage_packet_counts(instrumented_snapshot):
               for s in by_name["repro_p4_stage_packets_total"]["series"]}
     for stage in ("parser", "flow_table", "rtt_loss", "queue_monitor"):
         assert stages.get(stage, 0) > 0, f"stage {stage} saw no packets"
-    latency = by_name["repro_p4_packet_ns"]["series"][0]
-    assert latency["count"] > 0 and latency["sum"] > 0
+    copies = sum(s["value"] for s in by_name["repro_p4_tap_copies"]["series"])
+    assert stages["parser"] == copies
 
 
 def test_extraction_cycle_timings_per_metric_class(instrumented_snapshot):
     by_name = _by_name(instrumented_snapshot)
-    cycles = {s["labels"]["metric"]: s["count"]
-              for s in by_name["repro_cp_extraction_ns"]["series"]}
+    cycles = {s["labels"]["metric"]: s["value"]
+              for s in by_name["repro_cp_extraction_cycles_total"]["series"]}
     for metric in ("throughput", "packet_loss", "rtt", "queue_occupancy"):
         assert cycles.get(metric, 0) > 0, f"no extraction cycles for {metric}"
 
@@ -82,23 +87,41 @@ def test_register_and_sketch_ops_pulled(instrumented_snapshot):
     assert tap["ingress"] > 0 and tap["egress"] > 0
 
 
-def test_each_extraction_is_timed_by_one_clock(instrumented_snapshot):
-    """An extraction tick is one `repro_cp_extraction_ns{metric}`
-    observation and one cycle count; the span families that timed the
-    same block a second time are gone."""
-    by_name = _by_name(instrumented_snapshot)
+def test_each_extraction_is_timed_by_one_clock():
+    """An extraction tick is one cycle count and one `cp.extract/<job>`
+    profiler frame; telemetry times none of it (no span families, no
+    wall-clock histograms beside the profiler's own phase gauges)."""
+    telemetry.disable()
+    telemetry.reset()
+    telemetry.enable()
+    prof = profiling.enable(mode="phase")
+    try:
+        scenario = _scenario()
+        scenario.add_flow(0, duration_s=1.5)
+        scenario.run(2.0)
+        assert scenario.monitor.kernel is not None
+        by_name = _by_name(telemetry.snapshot())
+        report = prof.report()
+    finally:
+        profiling.disable()
+        telemetry.disable()
+        telemetry.reset()
     assert not [name for name in by_name if name.startswith("repro_span_")]
-    timed = {s["labels"]["metric"]: s["count"]
-             for s in by_name["repro_cp_extraction_ns"]["series"]}
+    assert [name for name in by_name if name.endswith("_ns")] \
+        == ["repro_profile_phase_ns"]
     cycles = {s["labels"]["metric"]: s["value"]
               for s in by_name["repro_cp_extraction_cycles_total"]["series"]}
+    timed = {row.phase[len("cp.extract/"):]: row.count for row in report.rows
+             if row.phase.startswith("cp.extract/")}
     assert timed == cycles and sum(timed.values()) > 0
+    copies = sum(s["value"] for s in by_name["repro_p4_tap_copies"]["series"])
+    assert report.row("p4.process").count == copies > 0
 
 
 def test_snapshot_round_trips_through_both_exporters(instrumented_snapshot):
     text = telemetry.to_prometheus_text(instrumented_snapshot)
     assert "repro_netsim_events_total" in text
-    assert "repro_cp_extraction_ns_bucket" in text
+    assert "repro_archiver_record_fields_bucket" in text
     rt = json.loads(telemetry.to_json(instrumented_snapshot))
     assert telemetry.to_prometheus_text(rt) == text
 
@@ -116,7 +139,7 @@ def test_cli_stats_prints_snapshot(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     for needle in ("repro_netsim_events_total", "repro_p4_stage_packets_total",
-                   "repro_cp_extraction_ns", "repro_archiver_records_total"):
+                   "repro_cp_extraction_cycles_total", "repro_archiver_records_total"):
         assert needle in out
 
 
@@ -164,7 +187,6 @@ def test_snapshot_drains_the_batch_buffer_first():
     stages = {s["labels"]["stage"]: s["value"]
               for s in by_name["repro_p4_stage_packets_total"]["series"]}
     assert copies == stages["parser"] == stages["microburst"] == 20
-    assert by_name["repro_p4_packet_ns"]["series"][0]["count"] == 20
     reg_ops = {s["labels"]["register"]: s["value"]
                for s in by_name["repro_p4_register_ops"]["series"]}
     assert reg_ops["q_stash_ts"] == 10 * 2 + 10 * 2  # ingress r+w, egress r+w

@@ -3,8 +3,9 @@
 A counter is a read of a tally its component already keeps, so the
 numbers must be the ones the components counted: each ``(family,
 labels) -> value`` of three runs is pinned in ``pinned_values.json``.
-Histograms pin their observation count; the two whose observations are
-not wall-clock times pin their whole distribution too.  The runs:
+A histogram pins its whole distribution (count, sum and bucket counts):
+telemetry observes no wall-clock time, so every value is a function of
+the run.  The runs:
 
 - ``integration``: the instrumented scenario of ``test_integration.py``;
 - ``kitchen-sink``: ``bundled_chaos(seed=1)["kitchen-sink"]`` with a
@@ -32,13 +33,9 @@ DOC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                    "docs", "observability.md")
 RUNS = ("integration", "kitchen-sink", "seed-1")
 
-#: Histograms whose observations are counts, not clock readings.
-EXACT = ("repro_archiver_record_fields", "repro_netsim_queue_depth")
-
-
 def values(snap: dict) -> dict:
-    """``family{label=value,...}`` -> value (a histogram's count, or its
-    count, sum and bucket counts for the :data:`EXACT` ones)."""
+    """``family{label=value,...}`` -> value (a histogram's count, sum and
+    bucket counts)."""
     out = {}
     for fam in snap["metrics"]:
         for series in fam["series"]:
@@ -46,11 +43,9 @@ def values(snap: dict) -> dict:
             key = f"{fam['name']}{{{labels}}}"
             if fam["type"] != "histogram":
                 out[key] = series["value"]
-            elif fam["name"] in EXACT:
+            else:
                 out[key] = {"count": series["count"], "sum": series["sum"],
                             "counts": series["counts"]}
-            else:
-                out[key] = {"count": series["count"]}
     return out
 
 

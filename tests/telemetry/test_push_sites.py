@@ -1,14 +1,16 @@
 """A count is kept once: outside ``repro/telemetry/`` nothing writes a
-telemetry family except the six sites that observe an instant.
+telemetry family except the two sites that observe an instant.
 
 Counters and gauges are reads of tallies the components keep
-(``telemetry.reads``); only a value that exists at one instant is
-observed where it happens, through a handle cached in a ``self._tel_*``
+(``telemetry.reads``); only a value that exists at one sim-time instant
+is observed where it happens, through a handle cached in a ``self._tel_*``
 attribute.  This walks every product module's syntax tree and pins that
 structure: the ``_tel_*`` holders, the writes through them (an ``inc``,
 ``observe``, ``observe_n`` or ``set`` on a holder or on a local bound
 from one), that every family handle lands in a holder, and that
-``telemetry.enabled()`` is asked only where a holder is bound.
+``telemetry.enabled()`` is asked only where a holder is bound.  Wall time
+has one observer, the phase profiler: only the modules that charge it
+read a clock.
 """
 
 import ast
@@ -22,10 +24,22 @@ FAMILIES = {"counter", "gauge", "histogram"}
 #: module -> {holder: writes through it}.
 PUSH_SITES = {
     "netsim/engine.py": {"_tel_depth": ["observe"]},
-    "p4/pipeline.py": {"_tel_latency": ["observe", "observe_n"]},
-    "core/control_plane.py": {"_tel_cycle_ns": ["observe"]},
-    "perfsonar/logstash.py": {"_tel_filter_ns": ["observe"]},
     "perfsonar/archiver.py": {"_tel_fields": ["observe_n"]},
+}
+
+#: The clock functions of :mod:`time`.
+CLOCKS = {"perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
+          "monotonic", "monotonic_ns", "time", "time_ns", "thread_time",
+          "thread_time_ns"}
+
+#: module -> the clocks it reads: the profiler itself, the engine's
+#: profiled drain loop, and the pipeline's ``p4.process`` cell (charged
+#: per packet, or per flush from the batched kernel's two reads).
+CLOCK_READERS = {
+    "telemetry/profiling.py": {"perf_counter_ns"},
+    "netsim/engine.py": {"perf_counter_ns"},
+    "p4/pipeline.py": {"perf_counter_ns"},
+    "core/batch.py": {"perf_counter_ns"},
 }
 
 
@@ -76,14 +90,14 @@ def _scan(tree):
     return holders, writes, unheld, collectors, enabled
 
 
-def _modules():
+def _modules(telemetry=False):
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        if not rel.startswith("telemetry/"):
+        if telemetry or not rel.startswith("telemetry/"):
             yield rel, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_only_the_six_instants_are_pushed():
+def test_only_the_two_instants_are_pushed():
     found = {}
     for rel, tree in _modules():
         holders, writes, unheld, collectors, enabled = _scan(tree)
@@ -95,4 +109,17 @@ def test_only_the_six_instants_are_pushed():
         for (holder, name), n in sorted(writes.items()):
             found.setdefault(rel, {}).setdefault(holder, []).extend([name] * n)
     assert found == PUSH_SITES
-    assert sum(len(names) for sites in found.values() for names in sites.values()) == 6
+    assert sum(len(names) for sites in found.values() for names in sites.values()) == 2
+
+
+def test_only_the_profiled_modules_read_a_clock():
+    found = {}
+    for rel, tree in _modules(telemetry=True):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in CLOCKS
+                    and ast.unparse(node.value) == "time"):
+                found.setdefault(rel, set()).add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "time":
+                found.setdefault(rel, set()).update(
+                    a.name for a in node.names if a.name in CLOCKS)
+    assert found == CLOCK_READERS

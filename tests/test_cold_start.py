@@ -109,10 +109,17 @@ def _flag(name):
     return turn_on
 
 
+def _reads_of(cp):
+    """The registry's reads of ``cp``'s tallies, or None."""
+    from repro.telemetry.metrics import TallyReads
+    return next((fn for fn in telemetry.registry()._collectors
+                 if isinstance(fn, TallyReads) and fn.owner is cp), None)
+
+
 #: switch -> (turn it on; returns how to turn it off, what a control
 #: plane holds of it: None while unbound)
 SWITCHES = {
-    "telemetry": (_telemetry, lambda cp: cp._tel_cycle_ns),
+    "telemetry": (_telemetry, _reads_of),
     "tracer": (_tracer, lambda cp: cp._trace),
     "profiler": (_profiler, lambda cp: cp._prof),
     "injector": (_injector, lambda cp: cp._faults),
@@ -135,11 +142,12 @@ def test_a_switch_binds_what_is_built_after_it_and_nothing_before(switch, tmp_pa
     turn_off = turn_on(config, tmp_path)
     try:
         after = _control_plane(config)
+        bound = held(before), held(after)
     finally:
         turn_off()
         telemetry.reset()
-    assert held(before) is None
-    assert held(after) is not None
+    assert bound[0] is None
+    assert bound[1] is not None
 
 
 @pytest.mark.parametrize("switch, modules", [

@@ -161,8 +161,8 @@ def _series(name):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_paths_equivalent_under_telemetry(comparisons, seed):
     """Telemetry is a per-batch observer: the kernel stays engaged, and
-    the register/sketch/digest tallies, stage counters and latency count
-    it reports equal the scalar twin's."""
+    the register/sketch/digest tallies and stage counters it reports
+    equal the scalar twin's."""
     unobserved = comparisons(seed)
     telemetry.reset()
     telemetry.enable()
@@ -182,7 +182,6 @@ def test_paths_equivalent_under_telemetry(comparisons, seed):
         assert stage_pkts[("monitor", "rtt_loss")] == 2 * parser.accepted
         assert _series("repro_p4_stage_drops_total").get(
             ("monitor", "parser"), 0) == 2 * parser.rejected
-        assert _series("repro_p4_packet_ns")[("monitor",)] == 2 * copies
     finally:
         telemetry.disable()
         telemetry.reset()
